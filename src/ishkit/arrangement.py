@@ -194,7 +194,13 @@ class Graph:
             raise ValueError("graphs need at least 2 vertices")
         cleaned = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            if not (
+                isinstance(e, (list, tuple))
+                and len(e) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            ):
+                raise ValueError(f"edge {e!r} is not a pair of integers")
+            i, j = e
             if not 1 <= i < j <= ell:
                 raise ValueError(f"edge ({i}, {j}) is not a pair 1 <= i < j <= {ell}")
             cleaned.add((i, j))
@@ -348,7 +354,10 @@ def from_spec(spec: dict) -> ParsedSpec:
         arr = build_n_ish(nest)
     elif kind in ("deleted_shi", "deleted_ish"):
         ell = _read_ell(spec)
-        graph = Graph.make(ell, spec.get("edges", []))
+        edges = spec.get("edges", [])
+        if not isinstance(edges, list):
+            raise ValueError("'edges' must be a list of vertex pairs")
+        graph = Graph.make(ell, edges)
         arr = build_deleted(kind.split("_")[1], graph)
         if kind == "deleted_ish":
             nest = n_from_graph(graph)
@@ -357,7 +366,9 @@ def from_spec(spec: dict) -> ParsedSpec:
         arr = build_named(kind, ell)
         if kind == "ish":
             nest = ish_nest(ell)
-    want_cone = bool(spec.get("cone", False))
+    want_cone = spec.get("cone", False)
+    if not isinstance(want_cone, bool):
+        raise ValueError(f"'cone' must be true or false, not {want_cone!r}")
     if want_cone:
         arr = cone(arr)
     return ParsedSpec(kind, ell, arr, nest, graph, want_cone)

@@ -1,12 +1,25 @@
 """Intersection posets, Moebius values, characteristic polynomials.
 
-A flat is a nonempty intersection of hyperplanes, canonically stored as
-the reduced row echelon form of its augmented linear system.  The poset
-orders flats by reverse inclusion (the whole space is the bottom
-element), and each flat carries the bitmask of hyperplanes containing
-it; since a flat equals the intersection of all hyperplanes through it,
-masks are a faithful encoding and mask containment decides the order
-relation cheaply.
+A flat is a nonempty intersection of hyperplanes.  It is stored as an
+integer echelon form of its augmented linear system: row k is row k of
+the rational reduced row echelon form, scaled to coprime integers with
+a positive pivot.  Scaling a row by a positive number keeps its pivot
+and its zeros in the other rows' pivot columns, so this form is as
+canonical as the RREF, and flats compare and hash by their rows.
+Intersecting a flat with a hyperplane is one fraction-free elimination
+plus a gcd per row it touches.  ``Fraction`` appears only where
+rational rows come in (``Flat.from_rows``, ``Flat.implies``) and where
+the RREF goes out (``Flat.rref`` and the JSON and text built on it).
+
+The poset orders flats by reverse inclusion; the whole space is the
+bottom element.  The closure that generates it records, for every flat
+and hyperplane, the flat their intersection gives (``None`` when it is
+empty) in a step table, and the hyperplanes containing the flat in its
+bitmask.  A flat equals the intersection of the hyperplanes through
+it, so masks are a faithful encoding: mask containment decides the
+order, the meet of two flats is the walk from the bottom through the
+hyperplanes of both masks, and their join is the walk from one flat
+through the other's mask.
 
 On top of the poset sit the classical tools: Moebius values by the
 recursive sum over lower flats, the characteristic polynomial
@@ -19,51 +32,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
-from .exactmath import UniPoly, format_rational
+from .exactmath import Scalar, UniPoly, format_rational
 
-Row = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], width: int) -> tuple[tuple[Row, ...], bool]:
-    """Reduced row echelon form of an augmented system.
+def _pivot(row: Sequence[int]) -> int:
+    """Column of the first nonzero entry."""
+    return row.index(next(filter(None, row)))
 
-    The last column is the constant; it is never chosen as a pivot.
-    Returns ``(rows, consistent)`` with zero rows dropped.
+
+def _integer_row(row: Sequence[Scalar | str]) -> list[int]:
+    """A rational row scaled to integers by clearing its denominators."""
+    fr = [Fraction(v) for v in row]
+    den = lcm(*(v.denominator for v in fr))
+    return [int(v * den) for v in fr]
+
+
+def _reduce(row: list[int], rows: Sequence[Row]) -> list[int]:
+    """Clear ``row`` in the pivot column of each echelon row, fraction-free.
+
+    The result is a positive multiple of the rational reduction.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
-    lead = 0
-    for col in range(width - 1):
-        pivot = next((i for i in range(lead, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[lead], mat[pivot] = mat[pivot], mat[lead]
-        inv = 1 / mat[lead][col]
-        mat[lead] = [v * inv for v in mat[lead]]
-        for i in range(len(mat)):
-            if i != lead and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[lead])]
-        lead += 1
-    consistent = all(mat[i][width - 1] == 0 for i in range(lead, len(mat)))
-    return tuple(tuple(r) for r in mat[:lead]), consistent
+    for rr in rows:
+        p = _pivot(rr)
+        f = row[p]
+        if f:
+            a = rr[p]
+            row = [a * x - f * y for x, y in zip(row, rr)]
+    return row
 
 
-def _reduce_row(row: Sequence[Fraction], rref_rows: Sequence[Row]) -> list[Fraction]:
-    out = list(map(Fraction, row))
-    for rr in rref_rows:
-        pivot = next(i for i, v in enumerate(rr) if v != 0)
-        f = out[pivot]
-        if f != 0:
-            out = [a - f * b for a, b in zip(out, rr)]
-    return out
+def _primitive(row: Sequence[int]) -> Row:
+    """Divide out the content; the first nonzero entry becomes positive."""
+    g = gcd(*row)
+    if next(filter(None, row)) < 0:
+        g = -g
+    return tuple(v // g for v in row)
+
+
+def _adjoin(rows: tuple[Row, ...], red: list[int]) -> tuple[Row, ...]:
+    """Echelon form of ``rows`` plus a reduced row with a nonzero coefficient.
+
+    ``red`` is already zero in every pivot column of ``rows``, so only
+    the rows that are nonzero in its pivot column need one elimination.
+    """
+    new = _primitive(red)
+    q = _pivot(new)
+    b = new[q]
+    out = [
+        _primitive([b * x - rr[q] * y for x, y in zip(rr, new)]) if rr[q] else rr
+        for rr in rows
+    ]
+    out.append(new)
+    out.sort(key=_pivot)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Flat:
-    """A nonempty affine subspace arising as an intersection of hyperplanes."""
+    """A nonempty affine subspace arising as an intersection of hyperplanes.
+
+    ``rows`` is the canonical integer echelon form described in the
+    module docstring; the last column holds the constant.
+    """
 
     rows: tuple[Row, ...]
     ambient_dim: int
@@ -73,9 +109,16 @@ class Flat:
         return Flat((), dim)
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Flat | None":
-        rr, ok = _rref(rows, ambient_dim + 1)
-        return Flat(rr, ambient_dim) if ok else None
+    def from_rows(rows: Iterable[Sequence[Scalar | str]], ambient_dim: int) -> "Flat | None":
+        """The solution set of rational augmented rows; ``None`` if empty."""
+        echelon: tuple[Row, ...] = ()
+        for row in rows:
+            red = _reduce(_integer_row(row), echelon)
+            if any(red[:-1]):
+                echelon = _adjoin(echelon, red)
+            elif red[-1]:
+                return None
+        return Flat(echelon, ambient_dim)
 
     @property
     def rank(self) -> int:
@@ -85,12 +128,9 @@ class Flat:
     def dim(self) -> int:
         return self.ambient_dim - len(self.rows)
 
-    def implies(self, row: Sequence[Fraction]) -> bool:
+    def implies(self, row: Sequence[Scalar | str]) -> bool:
         """Does every point of the flat satisfy ``coeffs . x = const``?"""
-        return all(v == 0 for v in _reduce_row(row, self.rows))
-
-    def contains_hyperplane_wise(self, h: Hyperplane) -> bool:
-        return self.implies(h.row())
+        return not any(_reduce(_integer_row(row), self.rows))
 
     def intersect_hyperplane(self, h: Hyperplane) -> "Flat | None | str":
         """Intersect with a hyperplane.
@@ -99,27 +139,27 @@ class Flat:
         flat, ``None`` when the intersection is empty, and the new
         ``Flat`` otherwise.
         """
-        red = _reduce_row(h.row(), self.rows)
-        if all(v == 0 for v in red):
-            return "same"
-        if all(v == 0 for v in red[:-1]):
-            return None
-        rr, ok = _rref(self.rows + (tuple(red),), self.ambient_dim + 1)
-        assert ok
-        return Flat(rr, self.ambient_dim)
+        red = _reduce([*h.coeffs, h.const], self.rows)
+        if any(red[:-1]):
+            return Flat(_adjoin(self.rows, red), self.ambient_dim)
+        return None if red[-1] else "same"
+
+    def rref(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational reduced row echelon form: each row over its pivot."""
+        return tuple(tuple(Fraction(v, row[_pivot(row)]) for v in row) for row in self.rows)
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
             "dim": self.dim,
-            "rref": [[format_rational(v) for v in row] for row in self.rows],
+            "rref": [[format_rational(v) for v in row] for row in self.rref()],
         }
 
     def render(self, names: Sequence[str]) -> str:
         if not self.rows:
             return "ambient space"
         eqs = []
-        for row in self.rows:
+        for row in self.rref():
             coeffs, const = row[:-1], row[-1]
             parts = []
             for c, name in zip(coeffs, names):
@@ -136,26 +176,46 @@ class Flat:
 
 
 class IntersectionPoset:
-    """All flats of an arrangement, ordered by reverse inclusion."""
+    """All flats of an arrangement, ordered by reverse inclusion.
 
-    def __init__(self, arrangement: Arrangement, flats: Sequence[Flat], masks: Sequence[int]) -> None:
+    Flats are sorted by ``(rank, rows)``, so index 0 is the ambient
+    space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
+    contains flat ``i``; ``steps[i][b]`` is the index of the flat
+    ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
+    contains it, ``None`` when they do not meet).
+    """
+
+    def __init__(
+        self,
+        arrangement: Arrangement,
+        flats: Sequence[Flat],
+        masks: Sequence[int],
+        steps: Sequence[Sequence[int | None]],
+    ) -> None:
         order = sorted(range(len(flats)), key=lambda i: (flats[i].rank, flats[i].rows))
+        new_index = [0] * len(order)
+        for pos, old in enumerate(order):
+            new_index[old] = pos
         self.arrangement = arrangement
         self.flats: tuple[Flat, ...] = tuple(flats[i] for i in order)
         self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
+        self.ranks: tuple[int, ...] = tuple(f.rank for f in self.flats)
+        self.steps: tuple[tuple[int | None, ...], ...] = tuple(
+            tuple(None if k is None else new_index[k] for k in steps[i]) for i in order
+        )
         self._index = {f.rows: i for i, f in enumerate(self.flats)}
         self.mobius: tuple[int, ...] = self._compute_mobius()
 
     def _compute_mobius(self) -> tuple[int, ...]:
         mob = [0] * len(self.flats)
-        for i, flat in enumerate(self.flats):
-            if flat.rank == 0:
+        for i, rank in enumerate(self.ranks):
+            if rank == 0:
                 mob[i] = 1
                 continue
             mask = self.masks[i]
             total = 0
             for j in range(i):
-                if self.flats[j].rank >= flat.rank:
+                if self.ranks[j] >= rank:
                     break
                 if self.masks[j] & ~mask == 0:
                     total += mob[j]
@@ -177,10 +237,7 @@ class IntersectionPoset:
 
     @property
     def rank(self) -> int:
-        return max(f.rank for f in self.flats)
-
-    def flats_of_rank(self, r: int) -> list[int]:
-        return [i for i, f in enumerate(self.flats) if f.rank == r]
+        return max(self.ranks)
 
     def top_index(self) -> int:
         """Index of the center flat; only central arrangements have one."""
@@ -193,10 +250,27 @@ class IntersectionPoset:
         raise RuntimeError("central arrangement is missing its center flat")
 
     def char_poly(self) -> UniPoly:
-        coeffs = [Fraction(0)] * (self.arrangement.dim + 1)
+        coeffs = [0] * (self.arrangement.dim + 1)
         for flat, mu in zip(self.flats, self.mobius):
             coeffs[flat.dim] += mu
         return UniPoly(coeffs)
+
+    def _walk(self, start: int, mask: int) -> int | None:
+        """Intersect flat ``start`` with the hyperplanes in ``mask``.
+
+        Each step intersects with the lowest hyperplane of ``mask``
+        that does not yet contain the current flat; ``None`` when the
+        intersection is empty.
+        """
+        masks, steps = self.masks, self.steps
+        cur: int | None = start
+        mask &= ~masks[start]
+        while mask:
+            cur = steps[cur][(mask & -mask).bit_length() - 1]
+            if cur is None:
+                return None
+            mask &= ~masks[cur]
+        return cur
 
     def join_index(self, i: int, j: int) -> int:
         """Smallest flat above both: the subspace intersection.
@@ -204,26 +278,22 @@ class IntersectionPoset:
         Raises ``ValueError`` when the two flats do not meet (possible
         only for non-central arrangements).
         """
-        combined = Flat.from_rows(self.flats[i].rows + self.flats[j].rows, self.arrangement.dim)
-        if combined is None:
+        k = self._walk(i, self.masks[j])
+        if k is None:
             raise ValueError("flats do not intersect")
-        return self.index_of(combined)
+        return k
 
     def meet_index(self, i: int, j: int) -> int:
-        """Largest flat below both, by mask containment."""
-        both = self.masks[i] & self.masks[j]
-        candidates = [k for k, m in enumerate(self.masks) if m & ~both == 0]
-        best = max(candidates, key=lambda k: self.flats[k].rank)
-        for k in candidates:
-            if self.masks[k] & ~self.masks[best] != 0:
-                raise RuntimeError("meet is not unique; poset is not a lattice here")
-        return best
+        """Largest flat below both: the hyperplanes common to both masks."""
+        k = self._walk(0, self.masks[i] & self.masks[j])
+        assert k is not None  # both flats lie in that intersection
+        return k
 
     def covers(self) -> list[tuple[int, int]]:
         out = []
-        for j, fj in enumerate(self.flats):
+        for j, rj in enumerate(self.ranks):
             for i in range(j):
-                if self.flats[i].rank == fj.rank - 1 and self.leq(i, j):
+                if self.ranks[i] == rj - 1 and self.leq(i, j):
                     out.append((i, j))
         return out
 
@@ -237,27 +307,35 @@ class IntersectionPoset:
 
 
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
-    """Generate every flat by closing the ambient space under intersection."""
+    """Generate every flat by closing the ambient space under intersection.
+
+    The ``"same"`` answers of the closure give each flat's mask, and all
+    answers give its row of the step table, in the same pass.
+    """
     ambient = Flat.ambient(arr.dim)
-    found: dict[tuple[Row, ...], Flat] = {ambient.rows: ambient}
-    queue = [ambient]
-    while queue:
-        flat = queue.pop()
-        for h in arr.hyperplanes:
-            res = flat.intersect_hyperplane(h)
-            if isinstance(res, Flat) and res.rows not in found:
-                found[res.rows] = res
-                queue.append(res)
-    flats = list(found.values())
-    rows = [h.row() for h in arr.hyperplanes]
-    masks = []
-    for flat in flats:
+    index: dict[tuple[Row, ...], int] = {ambient.rows: 0}
+    flats = [ambient]
+    masks: list[int] = []
+    steps: list[list[int | None]] = []
+    for i, flat in enumerate(flats):  # grows while it is walked
         mask = 0
-        for bit, row in enumerate(rows):
-            if flat.implies(row):
+        step: list[int | None] = []
+        for bit, h in enumerate(arr.hyperplanes):
+            res = flat.intersect_hyperplane(h)
+            if isinstance(res, Flat):
+                k = index.get(res.rows)
+                if k is None:
+                    k = index[res.rows] = len(flats)
+                    flats.append(res)
+                step.append(k)
+            elif res is None:
+                step.append(None)
+            else:
                 mask |= 1 << bit
+                step.append(i)
         masks.append(mask)
-    return IntersectionPoset(arr, flats, masks)
+        steps.append(step)
+    return IntersectionPoset(arr, flats, masks, steps)
 
 
 def char_poly(arr: Arrangement) -> UniPoly:
@@ -273,7 +351,7 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
     """
     if flat.ambient_dim != arr.dim:
         raise ValueError("flat lives in the wrong ambient space")
-    chosen = [h for h in arr.hyperplanes if flat.contains_hyperplane_wise(h)]
+    chosen = [h for h in arr.hyperplanes if flat.implies(h.row())]
     check = Flat.from_rows([h.row() for h in chosen], arr.dim)
     if check is None or check.rows != flat.rows:
         raise ValueError("flat is not an intersection of arrangement hyperplanes")
@@ -289,12 +367,10 @@ def is_modular(poset: IntersectionPoset, flat: Flat) -> bool:
 
 
 def _is_modular_index(poset: IntersectionPoset, i: int) -> bool:
-    ri = poset.flats[i].rank
-    for j in range(len(poset.flats)):
-        rj = poset.flats[j].rank
-        meet = poset.meet_index(i, j)
-        join = poset.join_index(i, j)
-        if ri + rj != poset.flats[meet].rank + poset.flats[join].rank:
+    ranks = poset.ranks
+    ri = ranks[i]
+    for j, rj in enumerate(ranks):
+        if ri + rj != ranks[poset.meet_index(i, j)] + ranks[poset.join_index(i, j)]:
             return False
     return True
 
@@ -308,7 +384,7 @@ def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
     if not arr.is_central:
         raise ValueError("supersolvability test needs a central arrangement")
     poset = intersection_poset(arr)
-    top_rank = poset.flats[poset.top_index()].rank
+    top_rank = poset.ranks[poset.top_index()]
     modular_cache: dict[int, bool] = {}
 
     def modular(i: int) -> bool:
@@ -317,12 +393,12 @@ def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
         return modular_cache[i]
 
     by_rank: dict[int, list[int]] = {}
-    for i, f in enumerate(poset.flats):
-        by_rank.setdefault(f.rank, []).append(i)
+    for i, r in enumerate(poset.ranks):
+        by_rank.setdefault(r, []).append(i)
 
     def extend(chain: list[int]) -> list[int] | None:
         current = chain[-1]
-        r = poset.flats[current].rank
+        r = poset.ranks[current]
         if r == top_rank:
             return chain
         for j in by_rank.get(r + 1, []):
@@ -332,8 +408,7 @@ def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
                     return res
         return None
 
-    bottom = poset.flats_of_rank(0)[0]
-    chain = extend([bottom])
+    chain = extend([0])
     if chain is None:
         return None
     return [poset.flats[i] for i in chain]
@@ -376,13 +451,13 @@ def nest_filtration(nest: NestSpec) -> tuple[list[Arrangement], FiltrationReport
     arr = cone(build_n_ish(nest))
     ell = nest.ell
     n = arr.dim
-    z_row = [Fraction(0)] * (n + 1)
-    z_row[ell] = Fraction(1)
+    z_row = [0] * (n + 1)
+    z_row[ell] = 1
 
-    def diff_row(i: int, j: int) -> list[Fraction]:
-        row = [Fraction(0)] * (n + 1)
-        row[i - 1] = Fraction(1)
-        row[j - 1] = Fraction(-1)
+    def diff_row(i: int, j: int) -> list[int]:
+        row = [0] * (n + 1)
+        row[i - 1] = 1
+        row[j - 1] = -1
         return row
 
     stages: list[Arrangement] = []
@@ -411,7 +486,7 @@ def nest_filtration(nest: NestSpec) -> tuple[list[Arrangement], FiltrationReport
             for hb in current.hyperplanes[a_i + 1 :]:
                 meet = Flat.from_rows([ha.row(), hb.row()], n)
                 assert meet is not None  # central hyperplanes always intersect
-                if not any(meet.contains_hyperplane_wise(hc) for hc in previous.hyperplanes):
+                if not any(meet.implies(hc.row()) for hc in previous.hyperplanes):
                     pairs_ok = False
                     failures.append(
                         f"stage {idx + 1}: pair does not meet inside the previous stage"

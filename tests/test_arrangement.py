@@ -116,6 +116,12 @@ def test_graph_validation():
         Graph.make(3, [(1, 4)])
 
 
+@pytest.mark.parametrize("edge", [[1], [1, 2, 3], [1, "2"], [True, 2], 12, [1.0, 2]])
+def test_graph_rejects_malformed_edge(edge):
+    with pytest.raises(ValueError, match="pair of integers"):
+        Graph.make(3, [edge])
+
+
 def test_n_from_graph_examples():
     empty = Graph.make(3, [])
     assert n_from_graph(empty) == NestSpec.make([[0], [0]])
@@ -219,3 +225,14 @@ def test_from_spec_errors():
         from_spec({"type": "n_ish"})
     with pytest.raises(ValueError):
         from_spec([1, 2])
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_from_spec_cone_must_be_a_boolean(flag):
+    with pytest.raises(ValueError, match="'cone' must be true or false"):
+        from_spec({"type": "ish", "ell": 3, "cone": flag})
+
+
+def test_from_spec_edges_must_be_a_list():
+    with pytest.raises(ValueError, match="'edges' must be a list"):
+        from_spec({"type": "deleted_ish", "ell": 3, "edges": None})

@@ -228,6 +228,22 @@ def test_main_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"type": "ish", "ell": 3, "cone": "false"}',
+        '{"type": "deleted_ish", "ell": 3, "edges": [[1]]}',
+        '{"type": "deleted_ish", "ell": 3, "edges": [[1, 2, 3]]}',
+    ],
+)
+def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
+    path = tmp_path / "req.json"
+    path.write_text(spec)
+    assert main(["charpoly", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_main_survey_capacity(capsys, tmp_path):
     path = tmp_path / "req.json"
     path.write_text('{"ell": 6}')

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ishkit.arrangement import (
     Graph,
@@ -23,6 +26,93 @@ from ishkit.lattice import (
 )
 
 T_MINUS_ONE = UniPoly([-1, 1])
+
+Row = tuple[Fraction, ...]
+
+
+# -- rational reference closure ----------------------------------------
+
+
+def _rref(rows: Iterable[Sequence[Fraction]], width: int) -> tuple[tuple[Row, ...], bool]:
+    """Reduced row echelon form of an augmented system.
+
+    The last column is the constant; it is never chosen as a pivot.
+    Returns ``(rows, consistent)`` with zero rows dropped.
+    """
+    mat = [list(map(Fraction, r)) for r in rows]
+    lead = 0
+    for col in range(width - 1):
+        pivot = next((i for i in range(lead, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[lead], mat[pivot] = mat[pivot], mat[lead]
+        inv = 1 / mat[lead][col]
+        mat[lead] = [v * inv for v in mat[lead]]
+        for i in range(len(mat)):
+            if i != lead and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[lead])]
+        lead += 1
+    consistent = all(mat[i][width - 1] == 0 for i in range(lead, len(mat)))
+    return tuple(tuple(r) for r in mat[:lead]), consistent
+
+
+def _reduce_row(row: Sequence[Fraction], rref_rows: Sequence[Row]) -> list[Fraction]:
+    out = list(map(Fraction, row))
+    for rr in rref_rows:
+        pivot = next(i for i, v in enumerate(rr) if v != 0)
+        f = out[pivot]
+        if f != 0:
+            out = [a - f * b for a, b in zip(out, rr)]
+    return out
+
+
+def reference_poset(arr):
+    """Flats as rational RREF rows, their masks and Moebius values.
+
+    The closure intersects every flat with every hyperplane in
+    ``Fraction`` arithmetic, and the masks come from brute-force
+    reduction of each hyperplane row.
+    """
+    width = arr.dim + 1
+    hrows = [h.row() for h in arr.hyperplanes]
+    found: set[tuple[Row, ...]] = {()}
+    queue: list[tuple[Row, ...]] = [()]
+    while queue:
+        rows = queue.pop()
+        for hrow in hrows:
+            red = _reduce_row(hrow, rows)
+            if any(red[:-1]):
+                new, ok = _rref(rows + (tuple(red),), width)
+                assert ok
+                if new not in found:
+                    found.add(new)
+                    queue.append(new)
+    flats = sorted(found, key=lambda rows: (len(rows), rows))
+    masks = [
+        sum(1 << b for b, hrow in enumerate(hrows) if not any(_reduce_row(hrow, rows)))
+        for rows in flats
+    ]
+    mobius: list[int] = []
+    for i, rows in enumerate(flats):
+        below = [
+            mobius[j]
+            for j in range(i)
+            if len(flats[j]) < len(rows) and masks[j] & ~masks[i] == 0
+        ]
+        mobius.append(-sum(below) if rows else 1)
+    return flats, masks, mobius
+
+
+def reference_meet(masks: Sequence[int], ranks: Sequence[int], i: int, j: int) -> int:
+    """Largest flat below both by a scan of all masks, checked for uniqueness."""
+    both = masks[i] & masks[j]
+    candidates = [k for k, m in enumerate(masks) if m & ~both == 0]
+    best = max(candidates, key=lambda k: ranks[k])
+    for k in candidates:
+        if masks[k] & ~masks[best] != 0:
+            raise RuntimeError("meet is not unique; poset is not a lattice here")
+    return best
 
 
 def test_flat_basics():
@@ -216,3 +306,49 @@ def test_poset_json_surface():
     for i, j in data["hasse"]:
         assert data["flats"][j]["rank"] == data["flats"][i]["rank"] + 1
     assert len(data["hasse"]) == 3 + 3  # bottom->atoms, atoms->top
+
+
+# -- differential test of the integer kernel ----------------------------
+
+ENTRIES = [Fraction(k, 2) for k in range(-2, 5)]  # -1, -1/2, ..., 2
+
+
+@st.composite
+def small_arrangements(draw):
+    """Nests with integer and half-integer entries, or deleted Shi/Ish
+    graphs, with ell <= 4, affine or coned."""
+    ell = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        size = 3 if ell < 4 else 2
+        one_set = st.lists(st.sampled_from(ENTRIES), max_size=size)
+        sets = draw(st.lists(one_set, min_size=ell - 1, max_size=ell - 1))
+        arr = build_n_ish(NestSpec.make(sets))
+    else:
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+        arr = build_deleted(draw(st.sampled_from(["shi", "ish"])), Graph.make(ell, edges))
+    return cone(arr) if draw(st.booleans()) else arr
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_arrangements(), st.randoms(use_true_random=False))
+def test_integer_kernel_matches_rational_reference(arr, rng):
+    poset = intersection_poset(arr)
+    ref_flats, ref_masks, ref_mobius = reference_poset(arr)
+    rref = [flat.rref() for flat in poset.flats]
+    assert sorted(rref, key=lambda rows: (len(rows), rows)) == ref_flats
+    ref_of = {rows: k for k, rows in enumerate(ref_flats)}
+    for i, rows in enumerate(rref):
+        assert poset.masks[i] == ref_masks[ref_of[rows]]
+        assert poset.mobius[i] == ref_mobius[ref_of[rows]]
+
+    n = len(poset)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in rng.sample(pairs, min(len(pairs), 60)):
+        union, ok = _rref(rref[i] + rref[j], arr.dim + 1)
+        if ok:
+            assert rref[poset.join_index(i, j)] == union
+        else:
+            with pytest.raises(ValueError):
+                poset.join_index(i, j)
+        assert poset.meet_index(i, j) == reference_meet(poset.masks, poset.ranks, i, j)
