@@ -144,7 +144,10 @@ class NestSpec:
     sets: tuple[tuple[Fraction, ...], ...]
 
     @staticmethod
-    def make(sets: Iterable[Iterable[Scalar | str]]) -> "NestSpec":
+    def make(sets: Sequence[Sequence[Scalar | str]]) -> "NestSpec":
+        """Read the sets from a list of lists of rationals (see ``parse_rational``)."""
+        if not isinstance(sets, (list, tuple)) or not all(isinstance(s, (list, tuple)) for s in sets):
+            raise ValueError("'N' must be a list of lists of rationals")
         cleaned = tuple(tuple(sorted({parse_rational(a) for a in s})) for s in sets)
         ell = len(cleaned) + 1
         if ell < 2:

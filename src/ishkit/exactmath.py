@@ -1,13 +1,16 @@
 """Exact polynomial arithmetic over the rationals.
 
-Everything in this package is computed with ``fractions.Fraction``; no
-floating point is used anywhere.  Two polynomial representations cover
-all needs:
+Every coefficient in this package is an exact rational; no floating
+point is used anywhere.  Two polynomial representations cover all needs:
 
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
-  from exponent tuples to nonzero rational coefficients.  For a
-  polynomial in ``x1, x2, x3`` the term ``5/2 * x1^2 * x3`` is the
-  entry ``(2, 0, 1) -> Fraction(5, 2)``.  The canonical term order is
+  from exponent tuples to nonzero rational coefficients.  A coefficient
+  is held as a Python ``int`` when it is integral and as a
+  ``fractions.Fraction`` only when it is not, so products, sums,
+  determinants and exact divisions of integer polynomials never leave
+  ``int`` arithmetic.  For a polynomial in ``x1, x2, x3`` the term
+  ``5/2 * x1^2 * x3`` is the entry ``(2, 0, 1) -> Fraction(5, 2)`` and
+  ``3 * x2`` is ``(0, 1, 0) -> 3``.  The canonical term order is
   graded lexicographic with earlier variables larger (for coned
   arrangements the variables read ``x1 > x2 > ... > xl > z``); it
   drives division, leading terms and printing, so all output is
@@ -29,23 +32,47 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
 def parse_rational(value: Scalar | str) -> Fraction:
-    """Read a rational from an int, a Fraction or a ``"p/q"`` string."""
+    """Read a rational from an int, a Fraction or a ``"p/q"`` string.
+
+    Anything else -- a bool, a float, a zero denominator -- is a
+    ``ValueError``.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"cannot read a rational from {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot read a rational from {value!r}")
 
 
 def format_rational(value: Scalar) -> str:
     q = Fraction(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _exact(c: Scalar) -> Scalar:
+    """The coefficient as an ``int`` when integral, else as a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """``a / b`` exactly, in ``int`` when both are ints and ``b`` divides ``a``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a) / b)
 
 
 def _grlex(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -55,7 +82,11 @@ def _grlex(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class MultiPoly:
-    """Sparse polynomial in ``nvars`` variables with Fraction coefficients."""
+    """Sparse polynomial in ``nvars`` variables with rational coefficients.
+
+    Integral coefficients are stored as ``int``, the others as
+    ``Fraction``; every constructor and operation keeps that form.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -63,19 +94,15 @@ class MultiPoly:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coef in items:
                 e = tuple(int(x) for x in exp)
                 if len(e) != nvars or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
-                c = clean.get(e, Fraction(0)) + Fraction(coef)
-                if c == 0:
-                    clean.pop(e, None)
-                else:
-                    clean[e] = c
-        self.terms = clean
+                clean[e] = clean.get(e, 0) + Fraction(coef)
+        self.terms = {e: _exact(c) for e, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -85,26 +112,26 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
         exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+        return cls(nvars, {exp: 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence[Scalar], constant: Scalar = 0) -> "MultiPoly":
         """The affine-linear polynomial ``sum(c_i * x_i) + constant``."""
         n = len(coeffs)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for i, c in enumerate(coeffs):
             if c != 0:
                 exp = tuple(1 if k == i else 0 for k in range(n))
-                terms[exp] = Fraction(c)
+                terms[exp] = c
         if constant != 0:
-            terms[(0,) * n] = Fraction(constant)
+            terms[(0,) * n] = constant
         return cls(n, terms)
 
     # -- basic queries ------------------------------------------------
@@ -119,22 +146,14 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Largest term in graded-lex order; errors on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -167,11 +186,11 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s == 0:
-                out.pop(e, None)
+                del out[e]
             else:
-                out[e] = s
+                out[e] = _exact(s)
         res = MultiPoly(self.nvars)
         res.terms = out
         return res
@@ -197,26 +216,22 @@ class MultiPoly:
 
     def __mul__(self, other: object) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MultiPoly(self.nvars)
-            q = Fraction(other)
             res = MultiPoly(self.nvars)
-            res.terms = {e: c * q for e, c in self.terms.items()}
+            if other != 0:
+                q = _exact(other)
+                res.terms = {e: _exact(c * q) for e, c in self.terms.items()}
             return res
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
         res = MultiPoly(self.nvars)
-        res.terms = out
+        res.terms = {e: _exact(c) for e, c in out.items() if c}
         return res
 
     __rmul__ = __mul__
@@ -260,10 +275,6 @@ def _monomial_str(exp: tuple[int, ...], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def _coef_str(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
     """Render in descending graded-lex order, e.g. ``x1^2*z - 2*x1*x2*z``."""
     if names is None:
@@ -275,11 +286,11 @@ def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
         mono = _monomial_str(exp, names)
         mag = abs(coef)
         if not mono:
-            body = _coef_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coef_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if i == 0:
             chunks.append(body if coef > 0 else f"-{body}")
         else:
@@ -324,8 +335,8 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     # Lazy max-heap over graded-lex keys; stale entries are skipped.
     heap = [(-sum(e), tuple(-x for x in e)) for e in work]
     heapq.heapify(heap)
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    quotient: dict[tuple[int, ...], Scalar] = {}
+    remainder: dict[tuple[int, ...], Scalar] = {}
 
     def push(exp: tuple[int, ...]) -> None:
         heapq.heappush(heap, (-sum(exp), tuple(-x for x in exp)))
@@ -338,44 +349,27 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
             continue
         if _divides(g_exp, exp):
             q_exp = tuple(a - b for a, b in zip(exp, g_exp))
-            q_coef = coef / g_coef
-            quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coef
+            q_coef = _quotient(coef, g_coef)
+            quotient[q_exp] = quotient.get(q_exp, 0) + q_coef
             for e2, c2 in g.terms.items():
                 if e2 == g_exp:
                     continue  # cancels against the popped leading term
-                ne = tuple(a + b for a, b in zip(q_exp, e2))
+                ne = tuple(map(add, q_exp, e2))
                 prev = work.get(ne)
-                s = (prev if prev is not None else Fraction(0)) - q_coef * c2
+                s = (prev if prev is not None else 0) - q_coef * c2
                 if s == 0:
                     work.pop(ne, None)
                 else:
-                    work[ne] = s
+                    work[ne] = _exact(s)
                     if prev is None:
                         push(ne)
         else:
             remainder[exp] = coef
     q = MultiPoly(f.nvars)
-    q.terms = {e: c for e, c in quotient.items() if c != 0}
+    q.terms = {e: _exact(c) for e, c in quotient.items() if c}
     r = MultiPoly(f.nvars)
     r.terms = remainder
     return q, r
-
-
-def _det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    nvars = m[0][0].nvars
-    total = MultiPoly.zero(nvars)
-    for j, entry in enumerate(m[0]):
-        if entry.is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        sub = _det_cofactor(minor)
-        if j % 2:
-            sub = -sub
-        total = total + entry * sub
-    return total
 
 
 def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
@@ -420,6 +414,9 @@ def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
         return total
 
     det = minor((1 << n) - 1)
+    # ``minor`` refers to itself, so the memo sits in a reference cycle
+    # that only a full garbage collection frees; release the minors now.
+    memo.clear()
     return det if colsign == 1 else -det
 
 
@@ -537,10 +534,6 @@ def unipoly_from_roots(roots: Iterable[Scalar]) -> UniPoly:
     return UniPoly.from_roots(roots)
 
 
-def unipoly_eval(p: UniPoly, point: Scalar) -> Fraction:
-    return p.evaluate(point)
-
-
 def unipoly_str(p: UniPoly, var: str = "t") -> str:
     """Render descending, e.g. ``t^3 - 6t^2 + 9t``."""
     if p.is_zero:
@@ -552,10 +545,10 @@ def unipoly_str(p: UniPoly, var: str = "t") -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _coef_str(mag)
+            body = str(mag)
         else:
             tpow = var if k == 1 else f"{var}^{k}"
-            body = tpow if mag == 1 else f"{_coef_str(mag)}{tpow}"
+            body = tpow if mag == 1 else f"{mag}{tpow}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:

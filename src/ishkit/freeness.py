@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
+from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone, defining_poly
 from .exactmath import MultiPoly, poly_det, poly_exact_div
 from .lattice import Flat
 
@@ -131,31 +132,34 @@ def coefficient_matrix(derivs: Sequence[Derivation]) -> list[list[MultiPoly]]:
 def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction | None:
     """The constant c with det = c * Q(A), or None when there is none.
 
-    Checks Saito's criterion exactly: the determinant of the coefficient
-    matrix is divided by the defining form of each hyperplane in turn;
-    any nonzero remainder, a degree mismatch, or a vanishing determinant
-    means the derivations are not a basis.
+    Checks Saito's criterion exactly.  Each derivation is first scaled by
+    the lcm of its coefficient denominators, so the determinant of the
+    coefficient matrix is an integer polynomial; that scale is divided
+    back out of the returned constant.  The derivations are a basis
+    exactly when the determinant is nonzero, has degree |A| and equals
+    ``lc(det) / lc(Q)`` times the defining polynomial ``Q`` term for term.
     """
     if len(derivs) != arr.dim:
         raise ValueError("need exactly ambient-dimension many derivations")
+    scale = 1
+    scaled = []
     for d in derivs:
+        m = lcm(*(c.denominator for comp in d.components for c in comp.terms.values()))
+        scaled.append(d if m == 1 else Derivation([comp * m for comp in d.components]))
+        scale *= m
+    for d in scaled:
         if not is_log_derivation(d, arr):
             raise ValueError("all derivations must be logarithmic for the arrangement")
-    det = poly_det(coefficient_matrix(derivs))
+    det = poly_det(coefficient_matrix(scaled))
     if det.is_zero:
         return None
     if det.total_degree() != len(arr):
         return None
-    rest = det
-    for h in arr.hyperplanes:
-        quotient, rem = poly_exact_div(rest, h.form())
-        if not rem.is_zero:
-            return None
-        rest = quotient
-    if not rest.is_constant():
+    q = defining_poly(arr)
+    c = Fraction(det.leading_term()[1], q.leading_term()[1])
+    if det != q * c:
         return None
-    c = rest.constant_value()
-    return c if c != 0 else None
+    return c / scale
 
 
 def saito_verify(derivs: Sequence[Derivation], arr: Arrangement) -> bool:

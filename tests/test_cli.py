@@ -1,8 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ishkit.arrangement import SPEC_KINDS
 from ishkit.cli import main, parse_spec, request_echo, run
 
 
@@ -234,6 +240,9 @@ def test_main_exit_codes(capsys, tmp_path):
         '{"type": "ish", "ell": 3, "cone": "false"}',
         '{"type": "deleted_ish", "ell": 3, "edges": [[1]]}',
         '{"type": "deleted_ish", "ell": 3, "edges": [[1, 2, 3]]}',
+        '{"type": "n_ish", "N": 5}',
+        '{"type": "n_ish", "N": [["1/0"]]}',
+        '{"type": "n_ish", "N": [[true], [0]]}',
     ],
 )
 def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
@@ -249,3 +258,62 @@ def test_main_survey_capacity(capsys, tmp_path):
     path.write_text('{"ell": 6}')
     assert main(["survey", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("capacity:")
+
+
+# -- fuzzing the parse boundary ----------------------------------------
+
+# Integers stay small: an "ell" in the thousands builds a huge arrangement
+# before any command runs, which is a size guard's job, not the parser's.
+JUNK = st.sampled_from(
+    [
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 8),
+        st.floats(allow_nan=False),
+        st.text(max_size=5),
+        st.lists(st.integers(-2, 3), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    ]
+).flatmap(lambda kind: kind)
+RATIONAL = st.one_of(
+    st.integers(-3, 5),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-1, 3)),
+)
+FIELDS = {
+    "type": st.sampled_from(("n_ish",) + SPEC_KINDS),
+    "ell": st.integers(2, 5),
+    "N": st.lists(st.lists(st.one_of(RATIONAL, JUNK), max_size=3), min_size=1, max_size=4),
+    "edges": st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2), max_size=4),
+    "cone": st.booleans(),
+    "command": st.just("freeness"),
+    "format": st.sampled_from(["text", "json"]),
+}
+
+
+@st.composite
+def spec_documents(draw):
+    """A request drawn from the spec grammar: each field is absent in one
+    draw of four and junk in one of three, and one document in twenty is
+    junk as a whole."""
+    if not draw(st.integers(0, 19)):
+        return draw(JUNK)
+    doc = {}
+    for key, good in FIELDS.items():
+        if draw(st.integers(0, 3)):
+            doc[key] = draw(good if draw(st.integers(0, 2)) else JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_documents())
+@example({"type": "n_ish", "N": 5})
+@example({"type": "n_ish", "N": [["1/0"]]})
+def test_main_freeness_never_shows_a_traceback(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["freeness"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1

@@ -13,14 +13,27 @@ from ishkit.exactmath import (
     poly_from_json,
     poly_str,
     poly_to_json,
-    unipoly_eval,
     unipoly_factored_str,
     unipoly_from_json,
     unipoly_from_roots,
     unipoly_str,
     unipoly_to_json,
 )
-from ishkit.exactmath import _det_cofactor
+
+
+def _det_cofactor(m):
+    """Plain first-row cofactor expansion: the reference determinant."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = MultiPoly.zero(m[0][0].nvars)
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
+        sub = _det_cofactor(minor)
+        total = total + entry * (-sub if j % 2 else sub)
+    return total
 
 
 def mp(nvars, terms):
@@ -37,8 +50,9 @@ def test_parse_and_format_rational():
     assert parse_rational("-3") == Fraction(-3)
     assert format_rational(Fraction(5, 2)) == "5/2"
     assert format_rational(3) == "3/1"
-    with pytest.raises(ValueError):
-        parse_rational(1.5)
+    for bad in (1.5, True, "1/0", None, [1]):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 def test_multipoly_basics():
@@ -57,6 +71,24 @@ def test_multipoly_cancellation_drops_terms():
     p = x1 * x2 + 1
     q = p - x1 * x2
     assert q.terms == {(0, 0): Fraction(1)}
+
+
+def test_integral_coefficients_are_stored_as_int():
+    x1, x2 = var(2, 0), var(2, 1)
+    half = x1 * Fraction(1, 2)
+    assert type(half.terms[(1, 0)]) is Fraction
+    q, r = poly_exact_div(x1 * x2 * 2, half)
+    integral = [
+        half * 2,
+        half + half,
+        (half * x2) * (x1 * 2),
+        x1 - half - half,
+        MultiPoly(2, {(0, 0): Fraction(4, 2), (1, 1): "6/3"}),
+        q,
+    ]
+    assert q == x2 * 4 and r.is_zero
+    for p in integral:
+        assert all(type(c) is int for c in p.terms.values()), p
 
 
 def test_leading_term_graded_lex():
@@ -183,10 +215,10 @@ def test_unipoly_from_roots():
 
 def test_unipoly_eval():
     p = unipoly_from_roots([0, 3, 3])
-    assert unipoly_eval(p, 0) == 0
-    assert unipoly_eval(p, 3) == 0
-    assert unipoly_eval(p, -1) == -16
-    assert unipoly_eval(UniPoly.zero(), 5) == 0
+    assert p.evaluate(0) == 0
+    assert p.evaluate(3) == 0
+    assert p.evaluate(-1) == -16
+    assert UniPoly.zero().evaluate(5) == 0
 
 
 def test_unipoly_eval_at_roots_random():

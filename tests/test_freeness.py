@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ishkit.arrangement import (
     Arrangement,
@@ -11,10 +14,11 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, unipoly_from_roots
+from ishkit.exactmath import MultiPoly, poly_det, poly_exact_div, unipoly_from_roots
 from ishkit.freeness import (
     Derivation,
     basis_derivations,
+    coefficient_matrix,
     decide_free,
     is_log_derivation,
     is_nest,
@@ -191,6 +195,21 @@ def test_saito_fails_on_repeated_derivation():
     assert not saito_verify(derivs, arr)
 
 
+def test_saito_determinant_is_integral_for_half_integer_entries(monkeypatch):
+    dets = []
+
+    def recording_det(matrix):
+        dets.append(poly_det(matrix))
+        return dets[-1]
+
+    monkeypatch.setattr("ishkit.freeness.poly_det", recording_det)
+    nest = NestSpec.make([["1/2"], ["1/2", "3/2"]])
+    arr = cone(build_n_ish(nest))
+    derivs = basis_derivations(nest)
+    assert saito_constant(derivs, arr) == saito_constant_by_division(derivs, arr)
+    assert all(type(c) is int for c in dets[0].terms.values())
+
+
 def test_saito_rejects_non_logarithmic_input():
     arr = cone(build_named("ish", 2))
     n = arr.dim
@@ -288,3 +307,74 @@ def test_random_nests_decide_and_certify():
             seen_nonfree += 1
             assert verify_nonfree_witness(nest, verdict.witness)
     assert seen_free and seen_nonfree
+
+
+# -- differential test of the one-product Saito check --------------------
+
+
+def saito_constant_by_division(derivs, arr):
+    """Reference route: divide det by one hyperplane form at a time."""
+    det = poly_det(coefficient_matrix(derivs))
+    if det.is_zero or det.total_degree() != len(arr):
+        return None
+    rest = det
+    for h in arr.hyperplanes:
+        rest, rem = poly_exact_div(rest, h.form())
+        if not rem.is_zero:
+            return None
+    if rest.total_degree() != 0:
+        return None
+    return Fraction(rest.terms[(0,) * arr.dim])
+
+
+def scaled(theta, factor):
+    return Derivation([c * factor for c in theta.components])
+
+
+@st.composite
+def ascending_nests(draw):
+    """Chains N_2 <= ... <= N_ell with ell <= 4, integer or half-integer entries."""
+    ell = draw(st.integers(2, 4))
+    step = draw(st.sampled_from([1, Fraction(1, 2)]))
+    pool = [step * k for k in range(-2, 6)]
+    grow = st.lists(st.sampled_from(pool), max_size=3)
+    sets, current = [], set()
+    for _ in range(ell - 1):
+        current |= set(draw(grow))
+        sets.append(sorted(current))
+    return NestSpec.make(sets)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ascending_nests(), st.randoms(use_true_random=False))
+def test_saito_constant_matches_division_reference(nest, rng):
+    arr = cone(build_n_ish(nest))
+    derivs = basis_derivations(nest)
+    c = saito_constant(derivs, arr)
+    assert isinstance(c, Fraction) and c != 0
+    assert c == saito_constant_by_division(derivs, arr)
+
+    k = rng.randrange(2, len(derivs)) if len(derivs) > 2 else 1
+    repeated = list(derivs)
+    repeated[k] = derivs[k - 1]
+    assert saito_constant(repeated, arr) is None
+    assert saito_constant_by_division(repeated, arr) is None
+
+    # theta * alpha_H stays logarithmic but raises the determinant degree
+    form = rng.choice(arr.hyperplanes).form()
+    raised = list(derivs)
+    raised[k] = Derivation([comp * form for comp in derivs[k].components])
+    assert saito_constant(raised, arr) is None
+    assert saito_constant_by_division(raised, arr) is None
+
+    for factor in (Fraction(1, 2), 2):
+        rescaled = list(derivs)
+        rescaled[k] = scaled(derivs[k], factor)
+        assert saito_constant(rescaled, arr) == c * factor
+
+    if all(a.denominator == 1 for s in nest.sets for a in s):
+        polys = [comp for d in derivs for comp in d.components]
+        ints = [p1 * p2 for p1, p2 in zip(polys, polys[1:])]
+        ints += [p1 + p2 for p1, p2 in zip(polys, polys[1:])]
+        ints.append(poly_det(coefficient_matrix(derivs)))
+        assert all(type(coef) is int for p in polys + ints for coef in p.terms.values())
