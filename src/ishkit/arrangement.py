@@ -34,15 +34,23 @@ class Hyperplane:
 
     @staticmethod
     def make(coeffs: Sequence[Scalar], const: Scalar = 0) -> "Hyperplane":
-        """Normalize rational input to the canonical integer form."""
-        cs = [Fraction(c) for c in coeffs]
-        c0 = Fraction(const)
-        if all(c == 0 for c in cs):
+        """Normalize rational input to the canonical integer form.
+
+        Integer input (``int``, not ``bool``) needs only the gcd and the
+        sign; anything else is read through ``Fraction`` first.
+        """
+        if type(const) is int and all(type(c) is int for c in coeffs):
+            ints = list(coeffs)
+            k = const
+        else:
+            cs = [Fraction(c) for c in coeffs]
+            c0 = Fraction(const)
+            den = lcm(*(f.denominator for f in cs + [c0]))
+            ints = [int(f * den) for f in cs]
+            k = int(c0 * den)
+        if not any(ints):
             raise ValueError("a hyperplane needs a nonzero coefficient vector")
-        den = lcm(*(f.denominator for f in cs + [c0]))
-        ints = [int(f * den) for f in cs]
-        k = int(c0 * den)
-        g = gcd(*(abs(v) for v in ints + [k]))
+        g = gcd(*ints, k)
         ints = [v // g for v in ints]
         k //= g
         lead = next(v for v in ints if v != 0)

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
+from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, build_named, cone
 from .exactmath import Scalar, UniPoly, format_rational
 
 
@@ -45,9 +47,6 @@ class SignVector:
             raise ValueError("sign vectors have different lengths")
         return sum(a != b for a, b in zip(self.signs, other.signs))
 
-    def negated(self) -> "SignVector":
-        return SignVector(tuple(-s for s in self.signs))
-
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
@@ -69,14 +68,40 @@ class Chamber:
 # -- exact feasibility of strict inequality systems ---------------------
 
 
-def _canon_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    # positive scaling only; the inequality direction must survive
-    den = lcm(*(f.denominator for f in row)) if row else 1
-    ints = [int(f * den) for f in row]
-    g = gcd(*(abs(v) for v in ints))
+def _int_row(row: Sequence[Scalar]) -> tuple[int, ...]:
+    """The row as integers, scaled by a positive factor only, so the
+    inequality keeps its direction."""
+    fracs = [Fraction(v) for v in row]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs)
+
+
+def _insert(system: dict, row: Sequence[int]) -> bool:
+    """Add ``row > 0`` to ``system``, keeping the tightest row per direction.
+
+    ``row`` is ``(a..., c)`` and ``system`` maps each primitive direction
+    ``a / gcd(a)`` to ``(gcd(a), row)``.  Of two rows with one direction
+    the tighter has the smaller ``c / gcd(a)`` (compared by
+    cross-multiplying); the looser is implied by it, and so is every row
+    later combined from the looser one, so dropping both changes no
+    stage's largest lower or smallest upper bound.  A row with zero
+    coefficients is dropped when ``c > 0``; when ``c <= 0`` the system is
+    infeasible and the answer is False.
+    """
+    c = row[-1]
+    ga = gcd(*row[:-1])
+    if not ga:
+        return c > 0
+    g = gcd(ga, c)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+        row = [v // g for v in row]
+        c //= g
+        ga //= g
+    key = tuple(v // ga for v in row[:-1]) if ga > 1 else tuple(row[:-1])
+    old = system.get(key)
+    if old is None or c * old[0] < old[1][-1] * ga:
+        system[key] = (ga, row)
+    return True
 
 
 def find_interior_point(
@@ -86,68 +111,89 @@ def find_interior_point(
 
     Each row ``(a_1, ..., a_n, c)`` encodes ``sum(a_i x_i) + c > 0``.
     Fourier-Motzkin elimination projects the variables out one by one
-    (strict inequalities combine to strict inequalities, exactly);
-    back-substitution then picks interval midpoints, or a unit past the
-    single bound when the interval is unbounded.
+    (strict inequalities combine to strict inequalities, exactly), in
+    integer arithmetic, keeping after each step only the tightest row of
+    each direction; back-substitution then picks interval midpoints, or
+    a unit past the single bound when the interval is unbounded.
     """
-    system = {
-        _canon_row([Fraction(v) for v in row])
-        for row in rows
-    }
-    for row in system:
+    for row in rows:
         if len(row) != nvars + 1:
             raise ValueError("row length must be the variable count plus one")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [_int_row(row) for row in rows]
+    system: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
+    for row in rows:
+        if not _insert(system, row):
+            return None
 
-    stages: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = []
-    for v in range(nvars):
-        lowers = [r for r in system if r[v] > 0]
-        uppers = [r for r in system if r[v] < 0]
-        rest = {r for r in system if r[v] == 0}
-        for lo in lowers:
-            for up in uppers:
-                combined = [
-                    Fraction(-up[v] * lo[k] + lo[v] * up[k]) for k in range(nvars + 1)
-                ]
-                rest.add(_canon_row(combined))
+    # Stage v holds the rows bounding x_v as (head, tail): head is the
+    # coefficient of x_v, tail the coefficients of x_{v+1}, ... and c.
+    stages: list[tuple[list, list]] = []
+    for _ in range(nvars):
+        lowers: list[tuple[int, Sequence[int]]] = []
+        uppers: list[tuple[int, Sequence[int]]] = []
+        rest: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
+        for key, (ga, row) in system.items():
+            head, tail = row[0], row[1:]
+            if head > 0:
+                lowers.append((head, tail))
+            elif head < 0:
+                uppers.append((head, tail))
+            else:
+                rest[key[1:]] = (ga, tail)
+        for lh, lt in lowers:
+            for uh, ut in uppers:
+                if not _insert(rest, [lh * b - uh * a for a, b in zip(lt, ut)]):
+                    return None
         stages.append((lowers, uppers))
         system = rest
 
-    if any(r[nvars] <= 0 for r in system):
-        return None
-
-    point: list[Fraction] = [Fraction(0)] * nvars
-    for v in reversed(range(nvars)):
-        lowers, uppers = stages[v]
-        lo_bound: Fraction | None = None
-        hi_bound: Fraction | None = None
-        for r in lowers:  # r[v] x_v > -(rest)
-            rest_val = Fraction(r[nvars]) + sum(
-                r[k] * point[k] for k in range(v + 1, nvars)
-            )
-            bound = -rest_val / r[v]
-            if lo_bound is None or bound > lo_bound:
-                lo_bound = bound
-        for r in uppers:  # r[v] < 0: x_v < rest / (-r[v])
-            rest_val = Fraction(r[nvars]) + sum(
-                r[k] * point[k] for k in range(v + 1, nvars)
-            )
-            bound = rest_val / (-r[v])
-            if hi_bound is None or bound < hi_bound:
-                hi_bound = bound
-        if lo_bound is not None and hi_bound is not None:
-            if lo_bound >= hi_bound:
+    # Back-substitution in homogeneous integer coordinates: ``point`` is
+    # (x_{v+1}, ..., x_{n-1}) times its last entry, a positive common
+    # denominator ``den``.  A row bounds x_v by -(tail . point) / (head * den);
+    # a bound is kept as ``(num, pos)``, meaning num / (pos * den), pos > 0.
+    point = [1]
+    for lowers, uppers in reversed(stages):
+        lo = hi = None
+        for head, tail in lowers:
+            num = -sum(map(mul, tail, point))
+            if lo is None or num * lo[1] > lo[0] * head:
+                lo = (num, head)
+        for head, tail in uppers:
+            num = sum(map(mul, tail, point))
+            if hi is None or num * hi[1] < hi[0] * -head:
+                hi = (num, -head)
+        den = point[-1]
+        if lo is not None and hi is not None:
+            if lo[0] * hi[1] >= hi[0] * lo[1]:
                 return None
-            point[v] = (lo_bound + hi_bound) / 2
-        elif lo_bound is not None:
-            point[v] = lo_bound + 1
-        elif hi_bound is not None:
-            point[v] = hi_bound - 1
-    return tuple(point)
+            num, pos = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif lo is not None:
+            num, pos = lo[0] + lo[1] * den, lo[1]
+        elif hi is not None:
+            num, pos = hi[0] - hi[1] * den, hi[1]
+        else:
+            num, pos = 0, 1
+        g = gcd(num, pos)
+        num //= g
+        pos //= g
+        if pos > 1:
+            point = [v * pos for v in point]
+        point.insert(0, num)
+    den = point.pop()
+    return tuple(Fraction(n, den) for n in point)
 
 
-def _side_row(arr: Arrangement, index: int, side: int) -> tuple[Fraction, ...]:
-    h = arr.hyperplanes[index]
-    return tuple(Fraction(side * c) for c in h.coeffs) + (Fraction(-side * h.const),)
+def _side_row(h: Hyperplane, side: int) -> tuple[int, ...]:
+    """The row of ``side * (h(x)) > 0``."""
+    return tuple(side * c for c in h.coeffs) + (-side * h.const,)
+
+
+def _scaled(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """The point times a positive common denominator, followed by it: its
+    dot product with a row has the sign the row takes at the point."""
+    den = lcm(*(p.denominator for p in point))
+    return tuple(p.numerator * (den // p.denominator) for p in point) + (den,)
 
 
 def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
@@ -158,14 +204,15 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     opposite side; a witness landing exactly on the new hyperplane
     forces a retest of both sides.
     """
-    regions: list[tuple[list[int], tuple[Fraction, ...]]] = [
-        ([], (Fraction(0),) * arr.dim)
+    sides = [{s: _side_row(h, s) for s in (1, -1)} for h in arr.hyperplanes]
+    regions: list[tuple[list[int], tuple[Fraction, ...], tuple[int, ...]]] = [
+        ([], (Fraction(0),) * arr.dim, (0,) * arr.dim + (1,))
     ]
-    for k, h in enumerate(arr.hyperplanes):
-        updated: list[tuple[list[int], tuple[Fraction, ...]]] = []
-        for signs, witness in regions:
-            value = h.eval_at(witness)
-            base_rows = [_side_row(arr, i, s) for i, s in enumerate(signs)]
+    for new in sides:
+        updated: list[tuple[list[int], tuple[Fraction, ...], tuple[int, ...]]] = []
+        for signs, witness, scaled in regions:
+            value = sum(map(mul, new[1], scaled))
+            base_rows = [sides[i][s] for i, s in enumerate(signs)]
             keep: list[int] = []
             if value > 0:
                 keep.append(1)
@@ -173,13 +220,13 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
                 keep.append(-1)
             candidates = [s for s in (1, -1) if s not in keep]
             for side in keep:
-                updated.append((signs + [side], witness))
+                updated.append((signs + [side], witness, scaled))
             for side in candidates:
-                point = find_interior_point(base_rows + [_side_row(arr, k, side)], arr.dim)
+                point = find_interior_point(base_rows + [new[side]], arr.dim)
                 if point is not None:
-                    updated.append((signs + [side], point))
+                    updated.append((signs + [side], point, _scaled(point)))
         regions = updated
-    chambers = [Chamber(SignVector(tuple(signs)), witness) for signs, witness in regions]
+    chambers = [Chamber(SignVector(tuple(signs)), witness) for signs, witness, _ in regions]
     chambers.sort(key=lambda c: c.sign_vector.signs)
     return chambers
 

@@ -31,26 +31,32 @@ JSON forms (shared with the command line surface):
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value: Scalar | str) -> Fraction:
-    """Read a rational from an int, a Fraction or a ``"p/q"`` string.
+    """Read a rational from an int, a Fraction or a string.
 
-    Anything else -- a bool, a float, a zero denominator -- is a
-    ``ValueError``.
+    A string is an optionally signed integer ``"-3"`` or ``"p/q"`` such as
+    ``"5/2"``, in ASCII digits with no spaces.  Anything else -- a bool, a
+    float, a decimal or exponent string, whitespace, a zero denominator --
+    is a ``ValueError``.
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot read a rational from {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"cannot read a rational from {value!r}; expected 'p' or 'p/q'")
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot read a rational from {value!r}")
@@ -303,11 +309,6 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
         {"exp": list(exp), "coef": format_rational(coef)}
         for exp, coef in p.sorted_terms()
     ]
-
-
-def poly_from_json(nvars: int, data: Iterable[dict]) -> MultiPoly:
-    terms = [(tuple(rec["exp"]), parse_rational(rec["coef"])) for rec in data]
-    return MultiPoly(nvars, terms)
 
 
 # -- division and determinants ---------------------------------------
@@ -577,7 +578,3 @@ def unipoly_factored_str(roots: Iterable[Scalar], var: str = "t") -> str:
 
 def unipoly_to_json(p: UniPoly) -> list[str]:
     return [format_rational(c) for c in p.coeffs]
-
-
-def unipoly_from_json(data: Iterable[Scalar | str]) -> UniPoly:
-    return UniPoly([parse_rational(c) for c in data])

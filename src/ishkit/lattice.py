@@ -289,22 +289,6 @@ class IntersectionPoset:
         assert k is not None  # both flats lie in that intersection
         return k
 
-    def covers(self) -> list[tuple[int, int]]:
-        out = []
-        for j, rj in enumerate(self.ranks):
-            for i in range(j):
-                if self.ranks[i] == rj - 1 and self.leq(i, j):
-                    out.append((i, j))
-        return out
-
-    def to_json(self) -> dict:
-        flats = []
-        for flat, mu in zip(self.flats, self.mobius):
-            rec = flat.to_json()
-            rec["mobius"] = mu
-            flats.append(rec)
-        return {"flats": flats, "hasse": [list(e) for e in self.covers()]}
-
 
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Generate every flat by closing the ambient space under intersection.

@@ -31,6 +31,14 @@ def test_hyperplane_normalization():
     assert h([0, 3], 0) == h([0, 1], 0)
     with pytest.raises(ValueError):
         h([0, 0], 1)
+    with pytest.raises(ValueError):
+        h([0, 0], 0)
+    # integer input skips Fraction and agrees with it; bools take the slow path
+    for coeffs, const in (([-2, 4], -6), ([0, -3], 0), ([6, -4], 2), ([5, 0], 7)):
+        fast = h(coeffs, const)
+        assert fast == h([Fraction(c) for c in coeffs], Fraction(const))
+        assert all(type(v) is int for v in fast.coeffs + (fast.const,))
+    assert h([True, False], 0) == h([1, 0], 0)
 
 
 def test_hyperplane_form_and_eval():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ishkit.arrangement import (
     Graph,
@@ -27,6 +30,94 @@ from ishkit.lattice import char_poly
 
 
 # -- feasibility oracle --------------------------------------------------
+
+
+def _canon_row(row):
+    # positive scaling only; the inequality direction must survive
+    den = lcm(*(f.denominator for f in row)) if row else 1
+    ints = [int(f * den) for f in row]
+    g = gcd(*(abs(v) for v in ints))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def reference_interior_point(rows, nvars):
+    """Plain Fourier-Motzkin over Fraction, with no pruning of parallel
+    rows: every combined row is carried to the end."""
+    system = {_canon_row([Fraction(v) for v in row]) for row in rows}
+    stages = []
+    for v in range(nvars):
+        lowers = [r for r in system if r[v] > 0]
+        uppers = [r for r in system if r[v] < 0]
+        rest = {r for r in system if r[v] == 0}
+        for lo in lowers:
+            for up in uppers:
+                combined = [
+                    Fraction(-up[v] * lo[k] + lo[v] * up[k]) for k in range(nvars + 1)
+                ]
+                rest.add(_canon_row(combined))
+        stages.append((lowers, uppers))
+        system = rest
+    if any(r[nvars] <= 0 for r in system):
+        return None
+    point = [Fraction(0)] * nvars
+    for v in reversed(range(nvars)):
+        lowers, uppers = stages[v]
+        lo_bound = hi_bound = None
+        for r in lowers:
+            rest_val = Fraction(r[nvars]) + sum(r[k] * point[k] for k in range(v + 1, nvars))
+            bound = -rest_val / r[v]
+            if lo_bound is None or bound > lo_bound:
+                lo_bound = bound
+        for r in uppers:
+            rest_val = Fraction(r[nvars]) + sum(r[k] * point[k] for k in range(v + 1, nvars))
+            bound = rest_val / (-r[v])
+            if hi_bound is None or bound < hi_bound:
+                hi_bound = bound
+        if lo_bound is not None and hi_bound is not None:
+            if lo_bound >= hi_bound:
+                return None
+            point[v] = (lo_bound + hi_bound) / 2
+        elif lo_bound is not None:
+            point[v] = lo_bound + 1
+        elif hi_bound is not None:
+            point[v] = hi_bound - 1
+    return tuple(point)
+
+
+ENTRY = st.one_of(st.integers(-3, 3), st.integers(-7, 7).map(lambda n: Fraction(n, 2)))
+
+
+@st.composite
+def strict_systems(draw):
+    """Up to ten rows in at most four variables: random rows, rows parallel
+    to them with another constant, and rows with zero coefficients."""
+    nvars = draw(st.integers(1, 4))
+    row = st.lists(ENTRY, min_size=nvars + 1, max_size=nvars + 1)
+    rows = draw(st.lists(row, max_size=6))
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            base = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from([1, 2, 3, Fraction(1, 2)]))
+            rows.append([scale * a for a in base[:-1]] + [draw(ENTRY)])
+    if draw(st.booleans()):
+        rows.append([0] * nvars + [draw(ENTRY)])
+    return draw(st.permutations(rows)), nvars
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(strict_systems())
+@example(([[2, 2, 3], [1, 1, 2], [-1, -1, -1]], 2))  # tighter row has the larger raw constant
+@example(([[1, 0, 0], [1, 0, 5], [-1, 0, 1]], 2))
+@example(([[1, 2], [0, 0]], 1))
+def test_interior_point_matches_reference(system):
+    rows, nvars = system
+    got = find_interior_point(rows, nvars)
+    assert got == reference_interior_point(rows, nvars)
+    if got is not None:
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, got)) + row[-1] > 0
 
 
 def test_interior_point_simple_box():
@@ -68,12 +159,15 @@ def test_interior_point_rejects_bad_rows():
 # -- sign vectors --------------------------------------------------------
 
 
+def negated(v: SignVector) -> SignVector:
+    return SignVector(tuple(-s for s in v.signs))
+
+
 def test_sign_vector_basics():
     v = SignVector((1, -1, 1))
     assert len(v) == 3
     assert str(v) == "+-+"
-    assert v.negated() == SignVector((-1, 1, -1))
-    assert v.distance(v.negated()) == 3
+    assert v.distance(SignVector((-1, 1, -1))) == 3
     assert v.distance(SignVector((1, 1, 1))) == 1
     with pytest.raises(ValueError):
         SignVector((1, 0, -1))
@@ -127,8 +221,8 @@ def test_antipodal_pairing_on_central():
         chambers = enumerate_chambers(arr)
         vectors = {c.sign_vector for c in chambers}
         for v in vectors:
-            assert v.negated() in vectors
-            assert v.negated() != v
+            assert negated(v) in vectors
+            assert negated(v) != v
 
 
 def test_chamber_of_point_on_wall_fails():

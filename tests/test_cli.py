@@ -243,6 +243,9 @@ def test_main_exit_codes(capsys, tmp_path):
         '{"type": "n_ish", "N": 5}',
         '{"type": "n_ish", "N": [["1/0"]]}',
         '{"type": "n_ish", "N": [[true], [0]]}',
+        '{"type": "n_ish", "N": [["1e3"], [0]]}',
+        '{"type": "n_ish", "N": [["0.5"], [0]]}',
+        '{"type": "n_ish", "N": [[" 1/2 "], [0]]}',
     ],
 )
 def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
@@ -264,56 +267,88 @@ def test_main_survey_capacity(capsys, tmp_path):
 
 # Integers stay small: an "ell" in the thousands builds a huge arrangement
 # before any command runs, which is a size guard's job, not the parser's.
-JUNK = st.sampled_from(
-    [
-        st.none(),
-        st.booleans(),
-        st.integers(-3, 8),
-        st.floats(allow_nan=False),
-        st.text(max_size=5),
-        st.lists(st.integers(-2, 3), max_size=3),
-        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
-    ]
-).flatmap(lambda kind: kind)
+def junk(max_int: int):
+    """A value of any JSON shape, with integers in -3..max_int."""
+    return st.sampled_from(
+        [
+            st.none(),
+            st.booleans(),
+            st.integers(-3, max_int),
+            st.floats(allow_nan=False),
+            st.text(max_size=5),
+            st.lists(st.integers(-2, 3), max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+        ]
+    ).flatmap(lambda kind: kind)
+
+
 RATIONAL = st.one_of(
     st.integers(-3, 5),
     st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-1, 3)),
 )
-FIELDS = {
-    "type": st.sampled_from(("n_ish",) + SPEC_KINDS),
-    "ell": st.integers(2, 5),
-    "N": st.lists(st.lists(st.one_of(RATIONAL, JUNK), max_size=3), min_size=1, max_size=4),
-    "edges": st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2), max_size=4),
-    "cone": st.booleans(),
-    "command": st.just("freeness"),
-    "format": st.sampled_from(["text", "json"]),
-}
 
 
 @st.composite
-def spec_documents(draw):
+def spec_documents(draw, command: str, max_ell: int, max_junk_int: int):
     """A request drawn from the spec grammar: each field is absent in one
     draw of four and junk in one of three, and one document in twenty is
-    junk as a whole."""
+    junk as a whole.  Sets hold at most three entries."""
+    junk_value = junk(max_junk_int)
     if not draw(st.integers(0, 19)):
-        return draw(JUNK)
+        return draw(junk_value)
+    fields = {
+        "type": st.sampled_from(("n_ish",) + SPEC_KINDS),
+        "ell": st.integers(2, max_ell),
+        "N": st.lists(
+            st.lists(st.one_of(RATIONAL, junk_value), max_size=3),
+            min_size=1,
+            max_size=max_ell - 1,
+        ),
+        "edges": st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2), max_size=4),
+        "cone": st.booleans(),
+        "command": st.just(command),
+        "format": st.sampled_from(["text", "json"]),
+    }
     doc = {}
-    for key, good in FIELDS.items():
+    for key, good in fields.items():
         if draw(st.integers(0, 3)):
-            doc[key] = draw(good if draw(st.integers(0, 2)) else JUNK)
+            doc[key] = draw(good if draw(st.integers(0, 2)) else junk_value)
     return doc
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(spec_documents())
-@example({"type": "n_ish", "N": 5})
-@example({"type": "n_ish", "N": [["1/0"]]})
-def test_main_freeness_never_shows_a_traceback(doc):
+def assert_clean_exit(command: str, doc) -> None:
+    """Exit code 0, 1 or 2, no traceback, one stderr line on failure."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["freeness"])
+            code = main([command])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code:
         assert len(err.getvalue().splitlines()) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_documents("freeness", max_ell=5, max_junk_int=8))
+@example({"type": "n_ish", "N": 5})
+@example({"type": "n_ish", "N": [["1/0"]]})
+def test_main_freeness_never_shows_a_traceback(doc):
+    assert_clean_exit("freeness", doc)
+
+
+# ell <= 4 keeps every chamber enumeration cheap; the guard case is explicit.
+CHAMBER_REQUESTS = st.sampled_from(["chambers", "wallcross"]).flatmap(
+    lambda command: st.tuples(
+        st.just(command), spec_documents(command, max_ell=4, max_junk_int=4)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CHAMBER_REQUESTS)
+@example(("chambers", {"type": "shi", "ell": 7}))
+@example(("wallcross", {"type": "n_ish", "N": [["1e3"], [0]]}))
+@example(("chambers", {"type": "n_ish", "N": [["1/2", 1], [0, 3], [2]], "cone": True}))
+@example(("wallcross", {"type": "n_ish", "N": [["-1/2", 1, 3], [1, 3], [3]]}))
+def test_main_chambers_never_shows_a_traceback(command_and_doc):
+    assert_clean_exit(*command_and_doc)

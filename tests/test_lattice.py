@@ -297,15 +297,18 @@ def test_zaslavsky_count_matches_poset():
 
 def test_poset_json_surface():
     poset = intersection_poset(cone(build_named("ish", 2)))
-    data = poset.to_json()
-    assert len(data["flats"]) == 5
-    ranks = [rec["rank"] for rec in data["flats"]]
-    assert ranks == sorted(ranks)
-    assert data["flats"][0]["mobius"] == 1
-    # hasse edges connect consecutive ranks
-    for i, j in data["hasse"]:
-        assert data["flats"][j]["rank"] == data["flats"][i]["rank"] + 1
-    assert len(data["hasse"]) == 3 + 3  # bottom->atoms, atoms->top
+    data = [flat.to_json() for flat in poset.flats]
+    assert len(data) == 5
+    ranks = [rec["rank"] for rec in data]
+    assert ranks == sorted(ranks) == list(poset.ranks)
+    assert poset.mobius[0] == 1
+    covers = [
+        (i, j)
+        for j in range(len(poset))
+        for i in range(j)
+        if ranks[i] == ranks[j] - 1 and poset.leq(i, j)
+    ]
+    assert len(covers) == 3 + 3  # bottom->atoms, atoms->top
 
 
 # -- differential test of the integer kernel ----------------------------
