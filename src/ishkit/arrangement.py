@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-from .exactmath import MultiPoly, Scalar, default_names, parse_rational
+from .exactmath import MultiPoly, Scalar, clear_denominators, default_names, parse_rational
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,9 @@ class Hyperplane:
 
     @staticmethod
     def make(coeffs: Sequence[Scalar], const: Scalar = 0) -> "Hyperplane":
-        """Normalize rational input to the canonical integer form.
-
-        Integer input (``int``, not ``bool``) needs only the gcd and the
-        sign; anything else is read through ``Fraction`` first.
-        """
-        if type(const) is int and all(type(c) is int for c in coeffs):
-            ints = list(coeffs)
-            k = const
-        else:
-            cs = [Fraction(c) for c in coeffs]
-            c0 = Fraction(const)
-            den = lcm(*(f.denominator for f in cs + [c0]))
-            ints = [int(f * den) for f in cs]
-            k = int(c0 * den)
+        """Normalize rational input to the canonical integer form."""
+        ints, _ = clear_denominators([*coeffs, const])
+        k = ints.pop()
         if not any(ints):
             raise ValueError("a hyperplane needs a nonzero coefficient vector")
         g = gcd(*ints, k)

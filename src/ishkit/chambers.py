@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, build_named, cone
-from .exactmath import Scalar, UniPoly, format_rational
+from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class Chamber:
 
 
 # -- exact feasibility of strict inequality systems ---------------------
-
-
-def _int_row(row: Sequence[Scalar]) -> tuple[int, ...]:
-    """The row as integers, scaled by a positive factor only, so the
-    inequality keeps its direction."""
-    fracs = [Fraction(v) for v in row]
-    den = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (den // f.denominator) for f in fracs)
 
 
 def _insert(system: dict, row: Sequence[int]) -> bool:
@@ -119,11 +111,12 @@ def find_interior_point(
     for row in rows:
         if len(row) != nvars + 1:
             raise ValueError("row length must be the variable count plus one")
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = [_int_row(row) for row in rows]
+    # One positive factor clears every denominator; _insert divides it out.
+    flat, _ = clear_denominators(chain.from_iterable(rows))
+    width = nvars + 1
     system: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
-    for row in rows:
-        if not _insert(system, row):
+    for start in range(0, len(flat), width):
+        if not _insert(system, flat[start : start + width]):
             return None
 
     # Stage v holds the rows bounding x_v as (head, tail): head is the
@@ -192,8 +185,8 @@ def _side_row(h: Hyperplane, side: int) -> tuple[int, ...]:
 def _scaled(point: Sequence[Fraction]) -> tuple[int, ...]:
     """The point times a positive common denominator, followed by it: its
     dot product with a row has the sign the row takes at the point."""
-    den = lcm(*(p.denominator for p in point))
-    return tuple(p.numerator * (den // p.denominator) for p in point) + (den,)
+    ints, den = clear_denominators(point)
+    return (*ints, den)
 
 
 def enumerate_chambers(arr: Arrangement) -> list[Chamber]:

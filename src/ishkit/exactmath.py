@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -60,6 +61,17 @@ def parse_rational(value: Scalar | str) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot read a rational from {value!r}")
+
+
+def clear_denominators(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """The values times the lcm ``den`` of their denominators, as ints,
+    and ``den``.  Integral values come back as ints with ``den == 1``."""
+    values = list(values)
+    ints = list(map(int, values))
+    if ints == values:  # every value is integral
+        return ints, 1
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_rational(value: Scalar) -> str:

@@ -7,9 +7,10 @@ a positive pivot.  Scaling a row by a positive number keeps its pivot
 and its zeros in the other rows' pivot columns, so this form is as
 canonical as the RREF, and flats compare and hash by their rows.
 Intersecting a flat with a hyperplane is one fraction-free elimination
-plus a gcd per row it touches.  ``Fraction`` appears only where
-rational rows come in (``Flat.from_rows``, ``Flat.implies``) and where
-the RREF goes out (``Flat.rref`` and the JSON and text built on it).
+plus a gcd per row it touches.  Rational rows come in with their
+denominators cleared (``Flat.from_rows``, ``Flat.implies``), and
+``Fraction`` appears only where the RREF goes out (``Flat.rref`` and
+the JSON and text built on it).
 
 The poset orders flats by reverse inclusion; the whole space is the
 bottom element.  The closure that generates it records, for every flat
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
-from .exactmath import Scalar, UniPoly, format_rational
+from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
 
 Row = tuple[int, ...]
 
@@ -44,13 +45,6 @@ Row = tuple[int, ...]
 def _pivot(row: Sequence[int]) -> int:
     """Column of the first nonzero entry."""
     return row.index(next(filter(None, row)))
-
-
-def _integer_row(row: Sequence[Scalar | str]) -> list[int]:
-    """A rational row scaled to integers by clearing its denominators."""
-    fr = [Fraction(v) for v in row]
-    den = lcm(*(v.denominator for v in fr))
-    return [int(v * den) for v in fr]
 
 
 def _reduce(row: list[int], rows: Sequence[Row]) -> list[int]:
@@ -109,11 +103,11 @@ class Flat:
         return Flat((), dim)
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[Scalar | str]], ambient_dim: int) -> "Flat | None":
+    def from_rows(rows: Iterable[Sequence[Scalar]], ambient_dim: int) -> "Flat | None":
         """The solution set of rational augmented rows; ``None`` if empty."""
         echelon: tuple[Row, ...] = ()
         for row in rows:
-            red = _reduce(_integer_row(row), echelon)
+            red = _reduce(clear_denominators(row)[0], echelon)
             if any(red[:-1]):
                 echelon = _adjoin(echelon, red)
             elif red[-1]:
@@ -128,9 +122,9 @@ class Flat:
     def dim(self) -> int:
         return self.ambient_dim - len(self.rows)
 
-    def implies(self, row: Sequence[Scalar | str]) -> bool:
+    def implies(self, row: Sequence[Scalar]) -> bool:
         """Does every point of the flat satisfy ``coeffs . x = const``?"""
-        return not any(_reduce(_integer_row(row), self.rows))
+        return not any(_reduce(clear_denominators(row)[0], self.rows))
 
     def intersect_hyperplane(self, h: Hyperplane) -> "Flat | None | str":
         """Intersect with a hyperplane.

@@ -33,7 +33,7 @@ def test_hyperplane_normalization():
         h([0, 0], 1)
     with pytest.raises(ValueError):
         h([0, 0], 0)
-    # integer input skips Fraction and agrees with it; bools take the slow path
+    # integer and Fraction input agree, and the stored form is int
     for coeffs, const in (([-2, 4], -6), ([0, -3], 0), ([6, -4], 2), ([5, 0], 7)):
         fast = h(coeffs, const)
         assert fast == h([Fraction(c) for c in coeffs], Fraction(const))

@@ -167,7 +167,8 @@ def test_sign_vector_basics():
     v = SignVector((1, -1, 1))
     assert len(v) == 3
     assert str(v) == "+-+"
-    assert v.distance(SignVector((-1, 1, -1))) == 3
+    assert negated(v) == SignVector((-1, 1, -1))
+    assert v.distance(negated(v)) == 3
     assert v.distance(SignVector((1, 1, 1))) == 1
     with pytest.raises(ValueError):
         SignVector((1, 0, -1))

@@ -6,6 +6,7 @@ import pytest
 from ishkit.exactmath import (
     MultiPoly,
     UniPoly,
+    clear_denominators,
     format_rational,
     parse_rational,
     poly_det,
@@ -52,6 +53,15 @@ def test_parse_and_format_rational():
     for bad in (1.5, True, "1/0", None, [1], "1e3", "0.5", " 1/2 ", "1/-2", "", "1_0", "\u0663"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_clear_denominators():
+    assert clear_denominators([3, -4, 0]) == ([3, -4, 0], 1)
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == ([3, -4, 30], 6)
+    assert clear_denominators([Fraction(4), Fraction(-2, 1)]) == ([4, -2], 1)
+    assert clear_denominators([]) == ([], 1)
+    ints, _ = clear_denominators([Fraction(6), Fraction(1, 3)])
+    assert all(type(v) is int for v in ints)
 
 
 def test_multipoly_basics():
