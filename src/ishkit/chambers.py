@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -97,11 +96,13 @@ def _insert(system: dict, row: Sequence[int]) -> bool:
 
 
 def find_interior_point(
-    rows: Sequence[Sequence[Scalar]], nvars: int
+    rows: Sequence[Sequence[int]], nvars: int
 ) -> tuple[Fraction, ...] | None:
     """A rational solution of the strict system, or None if there is none.
 
-    Each row ``(a_1, ..., a_n, c)`` encodes ``sum(a_i x_i) + c > 0``.
+    Each row ``(a_1, ..., a_n, c)`` of integers encodes
+    ``sum(a_i x_i) + c > 0``; a rational row is first scaled to integers
+    by a positive factor, which keeps its inequality.
     Fourier-Motzkin elimination projects the variables out one by one
     (strict inequalities combine to strict inequalities, exactly), in
     integer arithmetic, keeping after each step only the tightest row of
@@ -111,12 +112,9 @@ def find_interior_point(
     for row in rows:
         if len(row) != nvars + 1:
             raise ValueError("row length must be the variable count plus one")
-    # One positive factor clears every denominator; _insert divides it out.
-    flat, _ = clear_denominators(chain.from_iterable(rows))
-    width = nvars + 1
     system: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
-    for start in range(0, len(flat), width):
-        if not _insert(system, flat[start : start + width]):
+    for row in rows:
+        if not _insert(system, row):
             return None
 
     # Stage v holds the rows bounding x_v as (head, tail): head is the

@@ -20,11 +20,11 @@ from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
 from .errors import CapacityError
 from .exactmath import (
+    UniPoly,
     default_names,
     format_rational,
     poly_to_json,
     unipoly_factored_str,
-    unipoly_from_roots,
     unipoly_str,
     unipoly_to_json,
 )
@@ -32,17 +32,6 @@ from .freeness import basis_derivations, decide_free, is_nest, saito_constant
 from .graphs import analyze_graph, survey
 from .lattice import char_poly, is_supersolvable
 
-COMMANDS = (
-    "charpoly",
-    "freeness",
-    "basis",
-    "saito",
-    "supersolvable",
-    "chambers",
-    "wallcross",
-    "graph",
-    "survey",
-)
 LATTICE_MAX_ELL = 6
 
 
@@ -54,13 +43,20 @@ class AnalysisRequest:
     parsed: ParsedSpec | None  # None exactly for the survey command
 
 
-def parse_spec(text: str) -> AnalysisRequest:
-    """Parse a full request document: arrangement spec plus command/format."""
+def _read_doc(text: str) -> dict:
+    """The request document in ``text``, which must be a JSON object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
-    return request_from_doc(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("the request must be a JSON object")
+    return doc
+
+
+def parse_spec(text: str) -> AnalysisRequest:
+    """Parse a full request document: arrangement spec plus command/format."""
+    return request_from_doc(_read_doc(text))
 
 
 def request_from_doc(doc: object) -> AnalysisRequest:
@@ -133,7 +129,7 @@ def _cmd_charpoly(req: AnalysisRequest) -> tuple[str, dict]:
             roots = list(verdict.exponents)
             if not parsed.coned:
                 roots.remove(1)  # deconing divides out one (t - 1) factor
-            if unipoly_from_roots(roots) != poly:
+            if UniPoly.from_roots(roots) != poly:
                 raise RuntimeError("free exponents do not factor the Moebius sum")
     text = unipoly_str(poly)
     if roots is not None:
@@ -302,6 +298,7 @@ _HANDLERS = {
     "graph": _cmd_graph,
     "survey": _cmd_survey,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(req: AnalysisRequest) -> str:
@@ -332,12 +329,7 @@ def main(argv: list[str] | None = None) -> int:
                 raw = fh.read()
         else:
             raw = sys.stdin.read()
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError("the request must be a JSON object")
+        doc = _read_doc(raw)
         if "command" in doc and doc["command"] != args.command:
             raise ValueError(
                 f"spec says command {doc['command']!r} but {args.command!r} was invoked"

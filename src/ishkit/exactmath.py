@@ -4,17 +4,30 @@ Every coefficient in this package is an exact rational; no floating
 point is used anywhere.  Two polynomial representations cover all needs:
 
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
-  from exponent tuples to nonzero rational coefficients.  A coefficient
-  is held as a Python ``int`` when it is integral and as a
+  ``terms`` from monomial keys to nonzero rational coefficients.  A
+  coefficient is held as a Python ``int`` when it is integral and as a
   ``fractions.Fraction`` only when it is not, so products, sums,
   determinants and exact divisions of integer polynomials never leave
-  ``int`` arithmetic.  For a polynomial in ``x1, x2, x3`` the term
-  ``5/2 * x1^2 * x3`` is the entry ``(2, 0, 1) -> Fraction(5, 2)`` and
-  ``3 * x2`` is ``(0, 1, 0) -> 3``.  The canonical term order is
-  graded lexicographic with earlier variables larger (for coned
-  arrangements the variables read ``x1 > x2 > ... > xl > z``); it
-  drives division, leading terms and printing, so all output is
-  deterministic.
+  ``int`` arithmetic.  The canonical term order is graded
+  lexicographic with earlier variables larger (for coned arrangements
+  the variables read ``x1 > x2 > ... > xl > z``); it drives division,
+  leading terms and printing, so all output is deterministic.
+
+  A monomial key is one ``int`` that packs the total degree and the
+  exponents into 16-bit fields, degree first:
+  ``key = d << 16n | e_1 << 16(n-1) | ... | e_n`` for ``n`` variables.
+  Plain ``int`` order is then the graded-lex order, and the key of a
+  product of monomials is the sum of their keys.  The top bit of each
+  field is a guard bit: the total degree, and so every exponent, stays
+  below ``2**15``, and ``a - b`` has a guard bit set exactly when some
+  exponent of ``b`` exceeds that of ``a`` (a borrow), which makes the
+  divisibility test of division one subtraction and one mask.  A
+  polynomial or product of degree ``2**15`` or more is a
+  ``ValueError``.  For ``x1, x2, x3`` the term ``5/2 * x1^2 * x3`` is
+  the entry ``3 << 48 | 2 << 32 | 1 -> Fraction(5, 2)``.  Exponent
+  tuples appear only at the edges: the constructors read them, and
+  ``leading_term``, ``sorted_terms``, ``poly_str`` and ``poly_to_json``
+  write them.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -34,7 +47,6 @@ import heapq
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -84,6 +96,13 @@ def _exact(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _nonzero(terms: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The nonzero entries, with each integral coefficient as an ``int``."""
+    if Fraction in set(map(type, terms.values())):
+        return {k: _exact(c) for k, c in terms.items() if c}
+    return {k: c for k, c in terms.items() if c}
+
+
 def _quotient(a: Scalar, b: Scalar) -> Scalar:
     """``a / b`` exactly, in ``int`` when both are ints and ``b`` divides ``a``."""
     if type(a) is int and type(b) is int:
@@ -93,17 +112,38 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
     return _exact(Fraction(a) / b)
 
 
-def _grlex(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # Graded lex: total degree first, ties broken so that the earlier
-    # variable counts as larger.  Plain tuple comparison does the rest.
-    return (sum(exp), exp)
+_FIELD = 16  # bits per field of a monomial key; see the module docstring
+_GUARD = 1 << (_FIELD - 1)  # the top bit of a field
+_MASK = (1 << _FIELD) - 1
+
+
+def _check_degree(key: int, nvars: int) -> None:
+    degree = key >> (_FIELD * nvars)
+    if degree >= _GUARD:
+        raise ValueError(f"total degree {degree} exceeds the limit {_GUARD - 1}")
+
+
+def _pack(exp: tuple[int, ...]) -> int:
+    """The key of the monomial with exponent tuple ``exp``."""
+    key = sum(exp)
+    for e in exp:
+        key = (key << _FIELD) | e
+    _check_degree(key, len(exp))
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a key."""
+    return tuple((key >> (_FIELD * i)) & _MASK for i in range(nvars - 1, -1, -1))
 
 
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables with rational coefficients.
 
-    Integral coefficients are stored as ``int``, the others as
-    ``Fraction``; every constructor and operation keeps that form.
+    ``terms`` maps packed monomial keys (see the module docstring) to
+    nonzero coefficients.  Integral coefficients are stored as ``int``,
+    the others as ``Fraction``; every constructor and operation keeps
+    that form.
     """
 
     __slots__ = ("nvars", "terms")
@@ -112,15 +152,16 @@ class MultiPoly:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coef in items:
                 e = tuple(int(x) for x in exp)
                 if len(e) != nvars or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
-                clean[e] = clean.get(e, 0) + Fraction(coef)
-        self.terms = {e: _exact(c) for e, c in clean.items() if c}
+                key = _pack(e)
+                clean[key] = clean.get(key, 0) + Fraction(coef)
+        self.terms = {k: _exact(c) for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -143,14 +184,16 @@ class MultiPoly:
     def linear(cls, coeffs: Sequence[Scalar], constant: Scalar = 0) -> "MultiPoly":
         """The affine-linear polynomial ``sum(c_i * x_i) + constant``."""
         n = len(coeffs)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                exp = tuple(1 if k == i else 0 for k in range(n))
-                terms[exp] = c
-        if constant != 0:
-            terms[(0,) * n] = constant
-        return cls(n, terms)
+        degree_one = 1 << (_FIELD * n)
+        res = cls(n)
+        res.terms = {
+            degree_one | (1 << (_FIELD * (n - 1 - i))): _exact(c)
+            for i, c in enumerate(coeffs)
+            if c
+        }
+        if constant:
+            res.terms[0] = _exact(constant)
+        return res
 
     # -- basic queries ------------------------------------------------
 
@@ -162,26 +205,35 @@ class MultiPoly:
         """Max total degree of a term; the zero polynomial reports 0."""
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (_FIELD * self.nvars)
+
+    def is_homogeneous(self) -> bool:
+        """Do all terms have the same total degree?  True for zero."""
+        if not self.terms:
+            return True
+        shift = _FIELD * self.nvars
+        return min(self.terms) >> shift == max(self.terms) >> shift
 
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Largest term in graded-lex order; errors on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        key = max(self.terms)
+        return _unpack(key, self.nvars), self.terms[key]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+        """``(exponent tuple, coefficient)`` pairs in descending graded-lex order."""
+        terms, n = self.terms, self.nvars
+        return [(_unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong length")
         vals = [Fraction(v) for v in point]
         total = Fraction(0)
-        for exp, coef in self.terms.items():
+        for key, coef in self.terms.items():
             term = coef
-            for v, e in zip(vals, exp):
+            for v, e in zip(vals, _unpack(key, self.nvars)):
                 if e:
                     term *= v**e
             total += term
@@ -203,12 +255,12 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
+        for k, c in o.terms.items():
+            s = out.get(k, 0) + c
             if s == 0:
-                del out[e]
+                del out[k]
             else:
-                out[e] = _exact(s)
+                out[k] = _exact(s)
         res = MultiPoly(self.nvars)
         res.terms = out
         return res
@@ -217,7 +269,7 @@ class MultiPoly:
 
     def __neg__(self) -> "MultiPoly":
         res = MultiPoly(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
+        res.terms = {k: -c for k, c in self.terms.items()}
         return res
 
     def __sub__(self, other: object) -> "MultiPoly":
@@ -237,19 +289,29 @@ class MultiPoly:
             res = MultiPoly(self.nvars)
             if other != 0:
                 q = _exact(other)
-                res.terms = {e: _exact(c * q) for e, c in self.terms.items()}
+                res.terms = {k: _exact(c * q) for k, c in self.terms.items()}
             return res
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
         res = MultiPoly(self.nvars)
-        res.terms = {e: _exact(c) for e, c in out.items() if c}
+        if self.terms and o.terms:
+            # Every field of a sum of two keys is at most the sum of the
+            # two degrees, so no field carries into the next; the sum of
+            # the two largest keys holds the product's degree.
+            _check_degree(max(self.terms) + max(o.terms), self.nvars)
+            # The larger factor runs in the inner loop, and the first term
+            # of the smaller one fills ``out`` in a single comprehension.
+            small, big = sorted((self.terms, o.terms), key=len)
+            items = big.items()
+            (k2, c2), *others = small.items()
+            out = {k1 + k2: c1 * c2 for k1, c1 in items}
+            get = out.get
+            for k2, c2 in others:
+                for k1, c1 in items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            res.terms = _nonzero(out)
         return res
 
     __rmul__ = __mul__
@@ -293,27 +355,34 @@ def _monomial_str(exp: tuple[int, ...], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
-    """Render in descending graded-lex order, e.g. ``x1^2*z - 2*x1*x2*z``."""
-    if names is None:
-        names = default_names(p.nvars)
-    if p.is_zero:
-        return "0"
+def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str) -> str:
+    """Render ``(coefficient, monomial)`` pairs as ``c1*m1 - c2*m2 + ...``.
+
+    A unit coefficient is left out, an empty monomial is a constant
+    term, and ``times`` joins a coefficient to its monomial.  No pairs
+    render as ``0``.
+    """
     chunks: list[str] = []
-    for i, (exp, coef) in enumerate(p.sorted_terms()):
-        mono = _monomial_str(exp, names)
+    for coef, mono in terms:
         mag = abs(coef)
         if not mono:
             body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
-        if i == 0:
+            body = f"{mag}{times}{mono}"
+        if not chunks:
             chunks.append(body if coef > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
+    """Render in descending graded-lex order, e.g. ``x1^2*z - 2*x1*x2*z``."""
+    if names is None:
+        names = default_names(p.nvars)
+    return _render_sum(((c, _monomial_str(e, names)) for e, c in p.sorted_terms()), "*")
 
 
 def poly_to_json(p: MultiPoly) -> list[dict]:
@@ -324,10 +393,6 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
 
 
 # -- division and determinants ---------------------------------------
-
-
-def _divides(ea: tuple[int, ...], eb: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(ea, eb))
 
 
 def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -343,43 +408,43 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         raise ZeroDivisionError("polynomial division by zero")
     if f.nvars != g.nvars:
         raise ValueError("polynomials have different variable counts")
-    g_exp, g_coef = g.leading_term()
+    g_key = max(g.terms)
+    g_coef = g.terms[g_key]
+    rest = [(k, c) for k, c in g.terms.items() if k != g_key]
+    # A field of ``key - g_key`` goes negative, and borrows its guard bit
+    # on, exactly when the leading monomial of g does not divide key.
+    guards = sum(_GUARD << (_FIELD * i) for i in range(f.nvars + 1))
     work = dict(f.terms)
-    # Lazy max-heap over graded-lex keys; stale entries are skipped.
-    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
+    # Lazy max-heap of keys; keys whose term has cancelled are skipped.
+    heap = [-k for k in work]
     heapq.heapify(heap)
-    quotient: dict[tuple[int, ...], Scalar] = {}
-    remainder: dict[tuple[int, ...], Scalar] = {}
-
-    def push(exp: tuple[int, ...]) -> None:
-        heapq.heappush(heap, (-sum(exp), tuple(-x for x in exp)))
-
+    quotient: dict[int, Scalar] = {}
+    remainder: dict[int, Scalar] = {}
     while heap:
-        _, neg = heapq.heappop(heap)
-        exp = tuple(-x for x in neg)
-        coef = work.pop(exp, None)
-        if coef is None or coef == 0:
+        key = -heapq.heappop(heap)
+        coef = work.pop(key, None)
+        if coef is None:
             continue
-        if _divides(g_exp, exp):
-            q_exp = tuple(a - b for a, b in zip(exp, g_exp))
-            q_coef = _quotient(coef, g_coef)
-            quotient[q_exp] = quotient.get(q_exp, 0) + q_coef
-            for e2, c2 in g.terms.items():
-                if e2 == g_exp:
-                    continue  # cancels against the popped leading term
-                ne = tuple(map(add, q_exp, e2))
-                prev = work.get(ne)
-                s = (prev if prev is not None else 0) - q_coef * c2
-                if s == 0:
-                    work.pop(ne, None)
+        q_key = key - g_key
+        if q_key & guards:
+            remainder[key] = coef
+            continue
+        # Popped keys strictly decrease, so each quotient key is new.
+        q_coef = quotient[q_key] = _quotient(coef, g_coef)
+        for k2, c2 in rest:
+            k = q_key + k2
+            prev = work.get(k)
+            if prev is None:
+                work[k] = _exact(-q_coef * c2)
+                heapq.heappush(heap, -k)
+            else:
+                s = prev - q_coef * c2
+                if s:
+                    work[k] = _exact(s)
                 else:
-                    work[ne] = _exact(s)
-                    if prev is None:
-                        push(ne)
-        else:
-            remainder[exp] = coef
+                    del work[k]
     q = MultiPoly(f.nvars)
-    q.terms = {e: _exact(c) for e, c in quotient.items() if c}
+    q.terms = quotient
     r = MultiPoly(f.nvars)
     r.terms = remainder
     return q, r
@@ -395,7 +460,6 @@ def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
     # products that then need exact division.
     n = len(m)
     nvars = m[0][0].nvars
-    zero = MultiPoly.zero(nvars)
 
     cols = sorted(range(n), key=lambda j: sum(not m[i][j].is_zero for i in range(n)))
     colsign = 1
@@ -411,8 +475,9 @@ def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
         if cached is not None:
             return cached
         col = cols[n - bin(rows).count("1")]
-        total = zero
-        parity = 0
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        sign = 1
         for i in range(n):
             if not rows >> i & 1:
                 continue
@@ -420,9 +485,11 @@ def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
             if not entry.is_zero:
                 sub = minor(rows & ~(1 << i))
                 if not sub.is_zero:
-                    term = entry * sub
-                    total = total + (term if parity % 2 == 0 else -term)
-            parity += 1
+                    for k, c in (entry * sub).terms.items():
+                        acc[k] = get(k, 0) + sign * c
+            sign = -sign
+        total = MultiPoly(nvars)
+        total.terms = _nonzero(acc)
         memo[rows] = total
         return total
 
@@ -543,30 +610,14 @@ class UniPoly:
         return f"UniPoly({unipoly_str(self)!r})"
 
 
-def unipoly_from_roots(roots: Iterable[Scalar]) -> UniPoly:
-    return UniPoly.from_roots(roots)
-
-
 def unipoly_str(p: UniPoly, var: str = "t") -> str:
     """Render descending, e.g. ``t^3 - 6t^2 + 9t``."""
-    if p.is_zero:
-        return "0"
-    chunks: list[str] = []
+    terms = []
     for k in range(p.degree(), -1, -1):
         c = p.coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            tpow = var if k == 1 else f"{var}^{k}"
-            body = tpow if mag == 1 else f"{mag}{tpow}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+        if c:
+            terms.append((c, "" if k == 0 else var if k == 1 else f"{var}^{k}"))
+    return _render_sum(terms, "")
 
 
 def unipoly_factored_str(roots: Iterable[Scalar], var: str = "t") -> str:

@@ -55,17 +55,8 @@ class Derivation:
         return all(c.is_zero for c in self.components)
 
     def is_homogeneous(self) -> bool:
-        degs = {
-            c.total_degree()
-            for c in self.components
-            if not c.is_zero
-        }
-        if len(degs) > 1:
-            return False
-        return all(
-            c.is_zero or all(sum(e) == c.total_degree() for e in c.terms)
-            for c in self.components
-        )
+        degs = {c.total_degree() for c in self.components if not c.is_zero}
+        return len(degs) <= 1 and all(c.is_homogeneous() for c in self.components)
 
     def degree(self) -> int:
         """Common total degree of the nonzero components."""

@@ -26,7 +26,7 @@ from ishkit.chambers import (
     ish_base_chamber,
     wallcross_expected,
 )
-from ishkit.exactmath import UniPoly, unipoly_from_roots
+from ishkit.exactmath import UniPoly
 from ishkit.freeness import (
     basis_derivations,
     decide_free,
@@ -107,7 +107,7 @@ def geometric_product(tops: list[int]) -> UniPoly:
 def test_shi_ish_charpoly_match():
     with criterion(1, "Shi and Ish characteristic polynomials agree, ell=2..5"):
         for ell in range(2, 6):
-            expected = unipoly_from_roots([0] + [ell] * (ell - 1))
+            expected = UniPoly.from_roots([0] + [ell] * (ell - 1))
             assert char_poly(build_named("ish", ell)) == expected
             assert char_poly(build_named("shi", ell)) == expected
 
@@ -145,8 +145,8 @@ def test_staircase_cone_saito_and_exponents():
             assert exponents == (0, 1) + (ell,) * (ell - 1)
             # the exponents factor the cone polynomial, which decones to
             # the criterion-1 polynomial
-            assert unipoly_from_roots(exponents) == char_poly(arr)
-            assert char_poly(arr) == unipoly_from_roots(
+            assert UniPoly.from_roots(exponents) == char_poly(arr)
+            assert char_poly(arr) == UniPoly.from_roots(
                 [1, 0] + [ell] * (ell - 1)
             )
 
@@ -221,6 +221,6 @@ def test_cone_charpoly_relation():
             for graph in subgraphs(ell):
                 affine.append(build_deleted("shi", graph))
                 affine.append(build_deleted("ish", graph))
-        t_minus_1 = unipoly_from_roots([1])
+        t_minus_1 = UniPoly.from_roots([1])
         for arr in affine:
             assert char_poly(cone(arr)) == t_minus_1 * char_poly(arr)

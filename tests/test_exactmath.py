@@ -1,7 +1,11 @@
+import heapq
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ishkit.exactmath import (
     MultiPoly,
@@ -14,7 +18,6 @@ from ishkit.exactmath import (
     poly_str,
     poly_to_json,
     unipoly_factored_str,
-    unipoly_from_roots,
     unipoly_str,
     unipoly_to_json,
 )
@@ -33,6 +36,169 @@ def _det_cofactor(m):
         sub = _det_cofactor(minor)
         total = total + entry * (-sub if j % 2 else sub)
     return total
+
+
+# -- tuple-keyed reference arithmetic -----------------------------------
+#
+# The arithmetic as it stood with exponent tuples as term keys: the
+# oracle for the packed-integer keys of MultiPoly.  Polynomials here are
+# dicts from exponent tuples to nonzero coefficients, integral ones as int.
+
+
+def _exact(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _grlex(exp):
+    # Graded lex: total degree first, ties broken so that the earlier
+    # variable counts as larger.
+    return (sum(exp), exp)
+
+
+def ref_terms(terms):
+    return {e: _exact(Fraction(c)) for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s == 0:
+            del out[e]
+        else:
+            out[e] = _exact(s)
+    return out
+
+
+def ref_scale(a, q):
+    return {e: _exact(c * q) for e, c in a.items()} if q else {}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: _exact(c) for e, c in out.items() if c}
+
+
+def ref_div(f, g):
+    """(quotient, remainder) of single-divisor division in graded-lex order."""
+    g_exp = max(g, key=_grlex)
+    g_coef = g[g_exp]
+    work = dict(f)
+    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
+    heapq.heapify(heap)
+    quotient, remainder = {}, {}
+    while heap:
+        _, neg = heapq.heappop(heap)
+        exp = tuple(-x for x in neg)
+        coef = work.pop(exp, None)
+        if coef is None or coef == 0:
+            continue
+        if all(a <= b for a, b in zip(g_exp, exp)):
+            q_exp = tuple(a - b for a, b in zip(exp, g_exp))
+            q_coef = _exact(Fraction(coef) / g_coef)
+            quotient[q_exp] = quotient.get(q_exp, 0) + q_coef
+            for e2, c2 in g.items():
+                if e2 == g_exp:
+                    continue
+                ne = tuple(map(add, q_exp, e2))
+                prev = work.get(ne)
+                s = (prev if prev is not None else 0) - q_coef * c2
+                if s == 0:
+                    work.pop(ne, None)
+                else:
+                    work[ne] = _exact(s)
+                    if prev is None:
+                        heapq.heappush(heap, (-sum(ne), tuple(-x for x in ne)))
+        else:
+            remainder[exp] = coef
+    return {e: _exact(c) for e, c in quotient.items() if c}, remainder
+
+
+def in_order(p):
+    """A MultiPoly's terms in its own order, with each coefficient's type."""
+    return [(e, c, type(c)) for e, c in p.sorted_terms()]
+
+
+def ref_in_order(terms):
+    """Reference terms in graded-lex order of their tuples, with coefficient types."""
+    ordered = sorted(terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+    return [(e, c, type(c)) for e, c in ordered]
+
+
+COEF = st.sampled_from([1, -1, 2, -3, 5]) | st.builds(
+    Fraction, st.integers(-7, 7).filter(lambda k: k % 2), st.just(2)
+)
+
+
+@st.composite
+def poly_terms(draw, nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return draw(st.dictionaries(exps, COEF, max_size=6))
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(1, 6))
+    return nvars, draw(poly_terms(nvars)), draw(poly_terms(nvars)), draw(COEF | st.just(0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(poly_pairs())
+def test_packed_arithmetic_matches_tuple_reference(case):
+    nvars, a_terms, b_terms, q = case
+    a, b = MultiPoly(nvars, a_terms), MultiPoly(nvars, b_terms)
+    ra, rb = ref_terms(a_terms), ref_terms(b_terms)
+    assert in_order(a) == ref_in_order(ra)
+    assert in_order(a + b) == ref_in_order(ref_add(ra, rb))
+    assert in_order(a - b) == ref_in_order(ref_add(ra, ref_scale(rb, -1)))
+    assert in_order(a * q) == ref_in_order(ref_scale(ra, q))
+    product = a * b
+    assert in_order(product) == ref_in_order(ref_mul(ra, rb))
+    assert product.total_degree() == max((sum(e) for e in ref_mul(ra, rb)), default=0)
+    if ra:
+        assert a.leading_term() == (max(ra, key=_grlex), ra[max(ra, key=_grlex)])
+        assert a.is_homogeneous() == (len({sum(e) for e in ra}) == 1)
+    if rb:
+        # divisible: the product by one factor; in general: a by b
+        for f, rf in ((product, ref_mul(ra, rb)), (a, ra)):
+            quotient, remainder = poly_exact_div(f, b)
+            ref_q, ref_r = ref_div(rf, rb)
+            assert in_order(quotient) == ref_in_order(ref_q)
+            assert in_order(remainder) == ref_in_order(ref_r)
+        assert poly_exact_div(product, b)[1].is_zero
+
+
+def test_exact_div_guard_bit_catches_a_borrow():
+    # x1*x3 / x2*x3: the packed difference of the two monomials is
+    # positive (the x1 field pays for the x2 field), so only the guard
+    # bit of the x2 field shows that x2 does not divide x1.
+    x1, x2, x3 = var(3, 0), var(3, 1), var(3, 2)
+    f, g = x1 * x3, x2 * x3
+    assert max(f.terms) - max(g.terms) > 0
+    q, r = poly_exact_div(f, g)
+    assert q.is_zero and r == f
+    q, r = poly_exact_div(x1 * x1 + x1 * x2, x1 + x2)
+    assert q == x1 and r.is_zero
+
+
+def test_degree_past_the_field_limit_raises():
+    limit = 2**15 - 1
+    top = MultiPoly(2, {(limit, 0): 1})
+    assert top.total_degree() == limit
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(limit, 1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(2**16, 0): 1})
+    half = MultiPoly(2, {(2**13, 2**13): 1, (0, 1): 3})
+    assert (half * MultiPoly(2, {(limit - 2**14, 0): 1})).total_degree() == limit
+    with pytest.raises(ValueError):
+        half * half
+    with pytest.raises(ValueError):
+        top * var(2, 1)
 
 
 def mp(nvars, terms):
@@ -79,13 +245,13 @@ def test_multipoly_cancellation_drops_terms():
     x1, x2 = var(2, 0), var(2, 1)
     p = x1 * x2 + 1
     q = p - x1 * x2
-    assert q.terms == {(0, 0): Fraction(1)}
+    assert q.sorted_terms() == [((0, 0), 1)]
 
 
 def test_integral_coefficients_are_stored_as_int():
     x1, x2 = var(2, 0), var(2, 1)
     half = x1 * Fraction(1, 2)
-    assert type(half.terms[(1, 0)]) is Fraction
+    assert type(half.leading_term()[1]) is Fraction
     q, r = poly_exact_div(x1 * x2 * 2, half)
     integral = [
         half * 2,
@@ -212,18 +378,18 @@ def test_det_singular_matrix_is_zero():
 
 
 def test_unipoly_from_roots():
-    assert unipoly_from_roots([]) == UniPoly.one()
+    assert UniPoly.from_roots([]) == UniPoly.one()
     # t*(t-3)^2 = t^3 - 6t^2 + 9t
-    p = unipoly_from_roots([0, 3, 3])
+    p = UniPoly.from_roots([0, 3, 3])
     assert p == UniPoly([0, 9, -6, 1])
     # multiplying in the extra root 1 gives t^4 - 7t^3 + 15t^2 - 9t
     q = p * UniPoly([-1, 1])
-    assert q == unipoly_from_roots([0, 1, 3, 3])
+    assert q == UniPoly.from_roots([0, 1, 3, 3])
     assert q == UniPoly([0, -9, 15, -7, 1])
 
 
 def test_unipoly_eval():
-    p = unipoly_from_roots([0, 3, 3])
+    p = UniPoly.from_roots([0, 3, 3])
     assert p.evaluate(0) == 0
     assert p.evaluate(3) == 0
     assert p.evaluate(-1) == -16
@@ -234,14 +400,14 @@ def test_unipoly_eval_at_roots_random():
     rng = random.Random(4242)
     for _ in range(25):
         roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
-        p = unipoly_from_roots(roots)
+        p = UniPoly.from_roots(roots)
         assert p.degree() == len(roots)
         for r in roots:
             assert p.evaluate(r) == 0
 
 
 def test_unipoly_str():
-    assert unipoly_str(unipoly_from_roots([0, 3, 3])) == "t^3 - 6t^2 + 9t"
+    assert unipoly_str(UniPoly.from_roots([0, 3, 3])) == "t^3 - 6t^2 + 9t"
     assert unipoly_str(UniPoly([1, 1, 1])) == "t^2 + t + 1"
     assert unipoly_str(UniPoly([-2])) == "-2"
     assert unipoly_str(UniPoly.zero()) == "0"

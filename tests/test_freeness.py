@@ -14,7 +14,7 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, poly_det, poly_exact_div, unipoly_from_roots
+from ishkit.exactmath import MultiPoly, UniPoly, poly_det, poly_exact_div
 from ishkit.freeness import (
     Derivation,
     basis_derivations,
@@ -153,7 +153,7 @@ def test_exponents_agree_with_characteristic_polynomial():
         order = is_nest(nest)
         arr = cone(build_n_ish(nest.reordered(order)))
         exps = nest_exponents(nest, order)
-        assert char_poly(arr) == unipoly_from_roots(list(exps))
+        assert char_poly(arr) == UniPoly.from_roots(list(exps))
 
 
 # -- explicit bases and Saito's criterion --------------------------------
@@ -324,7 +324,7 @@ def saito_constant_by_division(derivs, arr):
             return None
     if rest.total_degree() != 0:
         return None
-    return Fraction(rest.terms[(0,) * arr.dim])
+    return Fraction(rest.leading_term()[1])
 
 
 def scaled(theta, factor):

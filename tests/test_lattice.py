@@ -14,7 +14,7 @@ from ishkit.arrangement import (
     build_named,
     cone,
 )
-from ishkit.exactmath import UniPoly, unipoly_from_roots
+from ishkit.exactmath import UniPoly
 from ishkit.lattice import (
     Flat,
     char_poly,
@@ -152,7 +152,7 @@ def test_poset_coned_two_lines():
 def test_char_poly_named_families():
     # chi = t(t - ell)^(ell-1) for both Shi and Ish
     for ell in (2, 3, 4):
-        expected = unipoly_from_roots([0] + [ell] * (ell - 1))
+        expected = UniPoly.from_roots([0] + [ell] * (ell - 1))
         assert char_poly(build_named("ish", ell)) == expected
         assert char_poly(build_named("shi", ell)) == expected
     assert char_poly(build_named("ish", 3)) == UniPoly([0, 9, -6, 1])
