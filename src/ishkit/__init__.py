@@ -1,8 +1,12 @@
 """Exact tools for Shi, Ish and nested difference arrangements.
 
-Everything here runs over the rationals: hyperplanes, characteristic
-polynomials, logarithmic derivations and chamber walks are all computed
-with :class:`fractions.Fraction` coefficients, never floats.
+Everything here is exact rational arithmetic, never floats.  The kernels
+run on integers: hyperplanes are stored as coprime integer forms, flats
+as integer echelon rows, polynomial coefficients as ``int`` unless they
+are not integral, and chambers as integer difference-bound matrices.
+:class:`fractions.Fraction` appears where non-integral values come in or
+go out: parsed constants, RREF rows, polynomial coefficients and
+chamber witnesses.
 """
 
 from .arrangement import (

@@ -20,9 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
-from .exactmath import MultiPoly, Scalar, clear_denominators, default_names, parse_rational
+from .exactmath import (
+    MultiPoly,
+    Scalar,
+    clear_denominators,
+    default_names,
+    equation_str,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -56,31 +64,23 @@ class Hyperplane:
         """The defining polynomial ``sum(c_i x_i) - const``."""
         return MultiPoly.linear(self.coeffs, -self.const)
 
-    def eval_at(self, point: Sequence[Scalar]) -> Fraction:
+    def eval_at(self, point: Sequence[int], den: int = 1) -> int:
+        """The form ``sum(c_i x_i) - const`` at ``point / den``, times ``den``.
+
+        ``point`` holds integers (homogeneous coordinates with the positive
+        common denominator ``den``), so the value is one integer dot
+        product and its sign is the side of the hyperplane.
+        """
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
-        total = -Fraction(self.const)
-        for c, p in zip(self.coeffs, point):
-            if c:
-                total += c * Fraction(p)
-        return total
+        return sum(map(mul, self.coeffs, point)) - self.const * den
 
-    def row(self) -> tuple[Fraction, ...]:
-        """Augmented row ``(coeffs..., const)`` for linear algebra."""
-        return tuple(Fraction(c) for c in self.coeffs) + (Fraction(self.const),)
+    def row(self) -> tuple[int, ...]:
+        """Augmented integer row ``(coeffs..., const)`` for linear algebra."""
+        return (*self.coeffs, self.const)
 
     def render(self, names: Sequence[str]) -> str:
-        parts = []
-        for c, name in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            if not parts:
-                parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
-            else:
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                parts.append(f"{sign} {name}" if mag == 1 else f"{sign} {mag}*{name}")
-        return f"{' '.join(parts)} = {self.const}"
+        return equation_str(self.coeffs, self.const, names)
 
 
 class Arrangement:
@@ -127,6 +127,40 @@ class Arrangement:
 
     def var_names(self) -> list[str]:
         return default_names(self.dim, coned=self.coned)
+
+    def gain_edges(self) -> list[tuple[int, int, Fraction] | None]:
+        """The hyperplanes as gain-graph edges, in hyperplane order.
+
+        The edge ``(i, j, c)``, with 0-based coordinates ``i < j``, is the
+        hyperplane ``x_{i+1} - x_{j+1} = c``, or ``= c*z`` when the
+        arrangement is coned; ``None`` marks ``z = 0``.  ``c`` is read back
+        from the normalized form, so ``2*x1 - 2*x2 = 1`` gives ``c = 1/2``.
+        Any other hyperplane, and a coned arrangement without ``z = 0``,
+        is a ``ValueError``.
+        """
+        n = self.dim - 1 if self.coned else self.dim
+        edges: list[tuple[int, int, Fraction] | None] = []
+        for h in self.hyperplanes:
+            head = h.coeffs[:n]
+            support = [k for k, v in enumerate(head) if v]
+            if self.coned and not support and not h.const:
+                edges.append(None)
+                continue
+            if (
+                len(support) != 2
+                or head[support[0]] != -head[support[1]]
+                or (self.coned and h.const)
+            ):
+                form = "x_i - x_j = c*z" if self.coned else "x_i - x_j = c"
+                raise ValueError(
+                    f"the hyperplane {h.render(self.var_names())} is not of the form {form}"
+                )
+            i, j = support
+            gain = -h.coeffs[n] if self.coned else h.const
+            edges.append((i, j, Fraction(gain, head[i])))
+        if self.coned and None not in edges:
+            raise ValueError("a coned arrangement needs the hyperplane z = 0")
+        return edges
 
     def __repr__(self) -> str:
         kind = "coned" if self.coned else ("central" if self.is_central else "affine")

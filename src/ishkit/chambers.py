@@ -1,12 +1,32 @@
-"""Chambers of rational arrangements, base chambers, wall-crossing counts.
+"""Chambers of difference arrangements, base chambers, wall-crossing counts.
 
 The complement of an arrangement falls apart into open chambers, each
 recorded here by its sign vector (one strict sign per hyperplane, in the
 arrangement's hyperplane order) together with a rational witness point.
-Enumeration inserts hyperplanes one at a time and splits every chamber
-the new hyperplane actually cuts; the cut test is exact Fourier-Motzkin
-elimination on strict inequalities, which also produces the witness for
-each fresh piece.
+
+Enumeration takes the difference arrangements that every spec builds:
+``x_i - x_j = c``, and when coned ``x_i - x_j = c*z`` plus ``z = 0``,
+read as gain-graph edges by ``Arrangement.gain_edges``.  A region is a
+conjunction of strict bounds ``x_u - x_v < D[u][v]``, kept as a closed
+difference-bound matrix (Dill 1989; strict bounds as in Bengtsson-Yi
+2004): every entry is the tightest bound the others imply.  With the
+constants cleared to integers, the side ``x_a - x_b < c`` of a new
+hyperplane meets the region exactly when ``D[b][a] + c > 0``, a side the
+region already implies leaves its matrix as it is, and a split tightens
+one copy by an O(n^2) incremental closure.  Every matrix starts from the
+box ``|x_u - x_v| < n (M + 1)``, ``M`` the largest constant in absolute
+value, so all entries are finite integers.  The box loses no chamber:
+closing every gap wider than ``M + 1`` between consecutive sorted
+coordinates down to ``M + 1`` keeps each difference on the same side of
+every constant, so each chamber has a point with all differences at most
+``(n - 1)(M + 1)``.
+
+A coned arrangement is enumerated on its slice ``z = 1``: each region
+there gives the chamber on the side ``z > 0`` and its antipode.
+Witnesses are built once, after the last hyperplane: ``x1 = 0``, and each
+later coordinate is the midpoint of the interval the fixed ones allow,
+which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
+integer homogeneous coordinates turned into ``Fraction`` at the end.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -19,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from operator import add, neg, sub
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, build_named, cone
+from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
 
 
@@ -64,170 +83,119 @@ class Chamber:
         }
 
 
-# -- exact feasibility of strict inequality systems ---------------------
+# -- enumeration by difference-bound matrices ---------------------------
+
+Matrix = tuple[tuple[int, ...], ...]  # D[u][v] bounds x_u - x_v strictly
 
 
-def _insert(system: dict, row: Sequence[int]) -> bool:
-    """Add ``row > 0`` to ``system``, keeping the tightest row per direction.
+def _tighten(d: Matrix, a: int, b: int, c: int) -> Matrix:
+    """The closed matrix ``d`` with the bound ``x_a - x_b < c`` added.
 
-    ``row`` is ``(a..., c)`` and ``system`` maps each primitive direction
-    ``a / gcd(a)`` to ``(gcd(a), row)``.  Of two rows with one direction
-    the tighter has the smaller ``c / gcd(a)`` (compared by
-    cross-multiplying); the looser is implied by it, and so is every row
-    later combined from the looser one, so dropping both changes no
-    stage's largest lower or smallest upper bound.  A row with zero
-    coefficients is dropped when ``c > 0``; when ``c <= 0`` the system is
-    infeasible and the answer is False.
+    The only new paths run through the new edge.  Row ``u`` can improve
+    only if ``d[u][a] + c < d[u][b]``: otherwise closure gives
+    ``d[u][a] + c + d[b][v] >= d[u][b] + d[b][v] >= d[u][v]`` for every
+    ``v``.  Rows that do not improve are shared with ``d``.
     """
-    c = row[-1]
-    ga = gcd(*row[:-1])
-    if not ga:
-        return c > 0
-    g = gcd(ga, c)
-    if g > 1:
-        row = [v // g for v in row]
-        c //= g
-        ga //= g
-    key = tuple(v // ga for v in row[:-1]) if ga > 1 else tuple(row[:-1])
-    old = system.get(key)
-    if old is None or c * old[0] < old[1][-1] * ga:
-        system[key] = (ga, row)
-    return True
+    row_b = d[b]
+    out = []
+    for row in d:
+        via = row[a] + c
+        if via < row[b]:
+            row = tuple([x if x <= via + y else via + y for x, y in zip(row, row_b)])
+        out.append(row)
+    return tuple(out)
 
 
-def find_interior_point(
-    rows: Sequence[Sequence[int]], nvars: int
-) -> tuple[Fraction, ...] | None:
-    """A rational solution of the strict system, or None if there is none.
+def _witness(d: Matrix) -> list[int]:
+    """A point strictly inside the closed matrix ``d``, with ``x_0 = 0``.
 
-    Each row ``(a_1, ..., a_n, c)`` of integers encodes
-    ``sum(a_i x_i) + c > 0``; a rational row is first scaled to integers
-    by a positive factor, which keeps its inequality.
-    Fourier-Motzkin elimination projects the variables out one by one
-    (strict inequalities combine to strict inequalities, exactly), in
-    integer arithmetic, keeping after each step only the tightest row of
-    each direction; back-substitution then picks interval midpoints, or
-    a unit past the single bound when the interval is unbounded.
+    Each later coordinate is the midpoint of the open interval that the
+    fixed ones allow, which is never empty on a closed matrix.  With
+    every entry of ``d`` a multiple of ``2**(n-1)`` the midpoints stay
+    integers: coordinate ``k`` is a multiple of ``2**(n-1-k)``.
     """
-    for row in rows:
-        if len(row) != nvars + 1:
-            raise ValueError("row length must be the variable count plus one")
-    system: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
-    for row in rows:
-        if not _insert(system, row):
-            return None
-
-    # Stage v holds the rows bounding x_v as (head, tail): head is the
-    # coefficient of x_v, tail the coefficients of x_{v+1}, ... and c.
-    stages: list[tuple[list, list]] = []
-    for _ in range(nvars):
-        lowers: list[tuple[int, Sequence[int]]] = []
-        uppers: list[tuple[int, Sequence[int]]] = []
-        rest: dict[tuple[int, ...], tuple[int, Sequence[int]]] = {}
-        for key, (ga, row) in system.items():
-            head, tail = row[0], row[1:]
-            if head > 0:
-                lowers.append((head, tail))
-            elif head < 0:
-                uppers.append((head, tail))
-            else:
-                rest[key[1:]] = (ga, tail)
-        for lh, lt in lowers:
-            for uh, ut in uppers:
-                if not _insert(rest, [lh * b - uh * a for a, b in zip(lt, ut)]):
-                    return None
-        stages.append((lowers, uppers))
-        system = rest
-
-    # Back-substitution in homogeneous integer coordinates: ``point`` is
-    # (x_{v+1}, ..., x_{n-1}) times its last entry, a positive common
-    # denominator ``den``.  A row bounds x_v by -(tail . point) / (head * den);
-    # a bound is kept as ``(num, pos)``, meaning num / (pos * den), pos > 0.
-    point = [1]
-    for lowers, uppers in reversed(stages):
-        lo = hi = None
-        for head, tail in lowers:
-            num = -sum(map(mul, tail, point))
-            if lo is None or num * lo[1] > lo[0] * head:
-                lo = (num, head)
-        for head, tail in uppers:
-            num = sum(map(mul, tail, point))
-            if hi is None or num * hi[1] < hi[0] * -head:
-                hi = (num, -head)
-        den = point[-1]
-        if lo is not None and hi is not None:
-            if lo[0] * hi[1] >= hi[0] * lo[1]:
-                return None
-            num, pos = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-        elif lo is not None:
-            num, pos = lo[0] + lo[1] * den, lo[1]
-        elif hi is not None:
-            num, pos = hi[0] - hi[1] * den, hi[1]
-        else:
-            num, pos = 0, 1
-        g = gcd(num, pos)
-        num //= g
-        pos //= g
-        if pos > 1:
-            point = [v * pos for v in point]
-        point.insert(0, num)
-    den = point.pop()
-    return tuple(Fraction(n, den) for n in point)
+    point = [0]
+    for row, col in zip(d[1:], list(zip(*d))[1:]):
+        point.append((max(map(sub, point, col)) + min(map(add, point, row))) >> 1)
+    return point
 
 
-def _side_row(h: Hyperplane, side: int) -> tuple[int, ...]:
-    """The row of ``side * (h(x)) > 0``."""
-    return tuple(side * c for c in h.coeffs) + (-side * h.const,)
+class _Over(dict):
+    """The map ``x -> Fraction(x, den)``, building each value once."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.den)
+        return value
 
 
-def _scaled(point: Sequence[Fraction]) -> tuple[int, ...]:
-    """The point times a positive common denominator, followed by it: its
-    dot product with a row has the sign the row takes at the point."""
-    ints, den = clear_denominators(point)
-    return (*ints, den)
+_SIGN = {"0": -1, "1": 1}
 
 
 def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     """All chambers, in increasing sign-vector order.
 
-    Hyperplanes are inserted one at a time.  A chamber whose witness
-    lies strictly on one side only needs a feasibility test for the
-    opposite side; a witness landing exactly on the new hyperplane
-    forces a retest of both sides.
+    The arrangement must be a difference arrangement (see
+    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise).
+    Hyperplanes are inserted one at a time into the closed matrices of
+    the regions found so far; a sign vector is kept as bits, hyperplane
+    0 the most significant and a set bit for the side ``+``, so integer
+    order is sign-vector order.
     """
-    sides = [{s: _side_row(h, s) for s in (1, -1)} for h in arr.hyperplanes]
-    regions: list[tuple[list[int], tuple[Fraction, ...], tuple[int, ...]]] = [
-        ([], (Fraction(0),) * arr.dim, (0,) * arr.dim + (1,))
-    ]
-    for new in sides:
-        updated: list[tuple[list[int], tuple[Fraction, ...], tuple[int, ...]]] = []
-        for signs, witness, scaled in regions:
-            value = sum(map(mul, new[1], scaled))
-            base_rows = [sides[i][s] for i, s in enumerate(signs)]
-            keep: list[int] = []
-            if value > 0:
-                keep.append(1)
-            elif value < 0:
-                keep.append(-1)
-            candidates = [s for s in (1, -1) if s not in keep]
-            for side in keep:
-                updated.append((signs + [side], witness, scaled))
-            for side in candidates:
-                point = find_interior_point(base_rows + [new[side]], arr.dim)
-                if point is not None:
-                    updated.append((signs + [side], point, _scaled(point)))
+    edges = arr.gain_edges()
+    n = arr.dim - 1 if arr.coned else arr.dim
+    consts, den = clear_denominators([e[2] for e in edges if e is not None])
+    unit = 1 << (n - 1)  # keeps the witness midpoints integral
+    big = n * (max(map(abs, consts), default=0) + 1) * unit
+    box = tuple(tuple(0 if u == v else big for v in range(n)) for u in range(n))
+    scaled = iter(consts)
+    cuts = [None if e is None else (e[0], e[1], next(scaled) * unit) for e in edges]
+    regions = [(0, box)]
+    for cut in cuts:
+        if cut is None:  # z = 0: the slice z = 1 lies on its positive side
+            regions = [(bits << 1 | 1, d) for bits, d in regions]
+            continue
+        a, b, c = cut
+        updated = []
+        for bits, d in regions:
+            below = d[b][a] + c > 0  # x_a - x_b < c meets the region
+            above = d[a][b] > c  # x_a - x_b > c meets the region
+            if below and above:
+                updated.append((bits << 1, _tighten(d, a, b, c)))
+                updated.append((bits << 1 | 1, _tighten(d, b, a, -c)))
+            else:
+                updated.append((bits << 1 | above, d))
         regions = updated
-    chambers = [Chamber(SignVector(tuple(signs)), witness) for signs, witness, _ in regions]
-    chambers.sort(key=lambda c: c.sign_vector.signs)
-    return chambers
+
+    den *= unit
+    frac = _Over(den).__getitem__
+    found: list[tuple[int, tuple[Fraction, ...]]] = []
+    full = (1 << len(edges)) - 1
+    for bits, d in regions:
+        point = _witness(d)
+        if arr.coned:  # the point at z = 1 and its antipode
+            found.append((bits, (*map(frac, point), frac(den))))
+            found.append((bits ^ full, (*map(frac, map(neg, point)), frac(-den))))
+        else:
+            found.append((bits, tuple(map(frac, point))))
+    found.sort(key=lambda item: item[0])
+    top = full + 1  # a leading 1 keeps the leading "-" signs in bin()
+    return [
+        Chamber(SignVector(tuple(map(_SIGN.__getitem__, bin(bits | top)[3:]))), witness)
+        for bits, witness in found
+    ]
 
 
 def chamber_of_point(arr: Arrangement, point: Sequence[Scalar]) -> Chamber:
     """The chamber containing the point; errors if the point lies on a wall."""
     pt = tuple(Fraction(v) for v in point)
+    scaled, den = clear_denominators(pt)
     signs = []
     for h in arr.hyperplanes:
-        value = h.eval_at(pt)
+        value = h.eval_at(scaled, den)
         if value == 0:
             raise ValueError(f"point lies on the hyperplane {h.render(arr.var_names())}")
         signs.append(1 if value > 0 else -1)

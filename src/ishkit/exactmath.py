@@ -87,8 +87,7 @@ def clear_denominators(values: Iterable[Scalar]) -> tuple[list[int], int]:
 
 
 def format_rational(value: Scalar) -> str:
-    q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _exact(c: Scalar) -> Scalar:
@@ -376,6 +375,11 @@ def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str) -> str:
         else:
             chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
     return " ".join(chunks) if chunks else "0"
+
+
+def equation_str(coeffs: Sequence[Scalar], const: Scalar, names: Sequence[str]) -> str:
+    """Render the equation ``sum(coeffs[i] * names[i]) = const``, e.g. ``x1 - 2*x3 = 1/2``."""
+    return f"{_render_sum(((c, n) for c, n in zip(coeffs, names) if c), '*')} = {const}"
 
 
 def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:

@@ -7,8 +7,8 @@ a positive pivot.  Scaling a row by a positive number keeps its pivot
 and its zeros in the other rows' pivot columns, so this form is as
 canonical as the RREF, and flats compare and hash by their rows.
 Intersecting a flat with a hyperplane is one fraction-free elimination
-plus a gcd per row it touches.  Rational rows come in with their
-denominators cleared (``Flat.from_rows``, ``Flat.implies``), and
+plus a gcd per row it touches.  Rows come in as integers
+(``Hyperplane.row``, ``Flat.from_rows``, ``Flat.implies``), and
 ``Fraction`` appears only where the RREF goes out (``Flat.rref`` and
 the JSON and text built on it).
 
@@ -37,7 +37,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
-from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
+from .exactmath import UniPoly, equation_str, format_rational
 
 Row = tuple[int, ...]
 
@@ -47,7 +47,7 @@ def _pivot(row: Sequence[int]) -> int:
     return row.index(next(filter(None, row)))
 
 
-def _reduce(row: list[int], rows: Sequence[Row]) -> list[int]:
+def _reduce(row: Sequence[int], rows: Sequence[Row]) -> Sequence[int]:
     """Clear ``row`` in the pivot column of each echelon row, fraction-free.
 
     The result is a positive multiple of the rational reduction.
@@ -103,11 +103,11 @@ class Flat:
         return Flat((), dim)
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[Scalar]], ambient_dim: int) -> "Flat | None":
-        """The solution set of rational augmented rows; ``None`` if empty."""
+    def from_rows(rows: Iterable[Sequence[int]], ambient_dim: int) -> "Flat | None":
+        """The solution set of integer augmented rows; ``None`` if empty."""
         echelon: tuple[Row, ...] = ()
         for row in rows:
-            red = _reduce(clear_denominators(row)[0], echelon)
+            red = _reduce(row, echelon)
             if any(red[:-1]):
                 echelon = _adjoin(echelon, red)
             elif red[-1]:
@@ -122,9 +122,9 @@ class Flat:
     def dim(self) -> int:
         return self.ambient_dim - len(self.rows)
 
-    def implies(self, row: Sequence[Scalar]) -> bool:
-        """Does every point of the flat satisfy ``coeffs . x = const``?"""
-        return not any(_reduce(clear_denominators(row)[0], self.rows))
+    def implies(self, row: Sequence[int]) -> bool:
+        """Does every point of the flat satisfy the integer row ``coeffs . x = const``?"""
+        return not any(_reduce(row, self.rows))
 
     def intersect_hyperplane(self, h: Hyperplane) -> "Flat | None | str":
         """Intersect with a hyperplane.
@@ -152,21 +152,7 @@ class Flat:
     def render(self, names: Sequence[str]) -> str:
         if not self.rows:
             return "ambient space"
-        eqs = []
-        for row in self.rref():
-            coeffs, const = row[:-1], row[-1]
-            parts = []
-            for c, name in zip(coeffs, names):
-                if c == 0:
-                    continue
-                if not parts:
-                    parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
-                else:
-                    sign = "+" if c > 0 else "-"
-                    mag = abs(c)
-                    parts.append(f"{sign} {name}" if mag == 1 else f"{sign} {mag}*{name}")
-            eqs.append(f"{' '.join(parts)} = {const}")
-        return "; ".join(eqs)
+        return "; ".join(equation_str(row[:-1], row[-1], names) for row in self.rref())
 
 
 class IntersectionPoset:

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import (
+    Arrangement,
     Graph,
+    Hyperplane,
     NestSpec,
     build_deleted,
     build_n_ish,
@@ -21,12 +24,147 @@ from ishkit.chambers import (
     chamber_of_point,
     distance_poly,
     enumerate_chambers,
-    find_interior_point,
     ish_base_chamber,
     wallcross_expected,
 )
 from ishkit.exactmath import UniPoly, clear_denominators
 from ishkit.lattice import char_poly
+
+
+# -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
+
+
+def _insert(system: dict, row) -> bool:
+    """Add ``row > 0`` to ``system``, keeping the tightest row per direction.
+
+    ``row`` is ``(a..., c)`` and ``system`` maps each primitive direction
+    ``a / gcd(a)`` to ``(gcd(a), row)``.  Of two rows with one direction
+    the tighter has the smaller ``c / gcd(a)`` (compared by
+    cross-multiplying); the looser is implied by it, and so is every row
+    later combined from the looser one, so dropping both changes no
+    stage's largest lower or smallest upper bound.  A row with zero
+    coefficients is dropped when ``c > 0``; when ``c <= 0`` the system is
+    infeasible and the answer is False.
+    """
+    c = row[-1]
+    ga = gcd(*row[:-1])
+    if not ga:
+        return c > 0
+    g = gcd(ga, c)
+    if g > 1:
+        row = [v // g for v in row]
+        c //= g
+        ga //= g
+    key = tuple(v // ga for v in row[:-1]) if ga > 1 else tuple(row[:-1])
+    old = system.get(key)
+    if old is None or c * old[0] < old[1][-1] * ga:
+        system[key] = (ga, row)
+    return True
+
+
+def find_interior_point(rows, nvars):
+    """A rational solution of the strict system, or None if there is none.
+
+    Each row ``(a_1, ..., a_n, c)`` of integers encodes
+    ``sum(a_i x_i) + c > 0``.  Fourier-Motzkin elimination projects the
+    variables out one by one (strict inequalities combine to strict
+    inequalities, exactly), in integer arithmetic, keeping after each
+    step only the tightest row of each direction; back-substitution then
+    picks interval midpoints, or a unit past the single bound when the
+    interval is unbounded.
+    """
+    for row in rows:
+        if len(row) != nvars + 1:
+            raise ValueError("row length must be the variable count plus one")
+    system = {}
+    for row in rows:
+        if not _insert(system, row):
+            return None
+
+    # Stage v holds the rows bounding x_v as (head, tail): head is the
+    # coefficient of x_v, tail the coefficients of x_{v+1}, ... and c.
+    stages = []
+    for _ in range(nvars):
+        lowers, uppers, rest = [], [], {}
+        for key, (ga, row) in system.items():
+            head, tail = row[0], row[1:]
+            if head > 0:
+                lowers.append((head, tail))
+            elif head < 0:
+                uppers.append((head, tail))
+            else:
+                rest[key[1:]] = (ga, tail)
+        for lh, lt in lowers:
+            for uh, ut in uppers:
+                if not _insert(rest, [lh * b - uh * a for a, b in zip(lt, ut)]):
+                    return None
+        stages.append((lowers, uppers))
+        system = rest
+
+    # Back-substitution in homogeneous integer coordinates: ``point`` is
+    # (x_{v+1}, ..., x_{n-1}) times its last entry, a positive common
+    # denominator ``den``.  A row bounds x_v by -(tail . point) / (head * den);
+    # a bound is kept as ``(num, pos)``, meaning num / (pos * den), pos > 0.
+    point = [1]
+    for lowers, uppers in reversed(stages):
+        lo = hi = None
+        for head, tail in lowers:
+            num = -sum(map(mul, tail, point))
+            if lo is None or num * lo[1] > lo[0] * head:
+                lo = (num, head)
+        for head, tail in uppers:
+            num = sum(map(mul, tail, point))
+            if hi is None or num * hi[1] < hi[0] * -head:
+                hi = (num, -head)
+        den = point[-1]
+        if lo is not None and hi is not None:
+            if lo[0] * hi[1] >= hi[0] * lo[1]:
+                return None
+            num, pos = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif lo is not None:
+            num, pos = lo[0] + lo[1] * den, lo[1]
+        elif hi is not None:
+            num, pos = hi[0] - hi[1] * den, hi[1]
+        else:
+            num, pos = 0, 1
+        g = gcd(num, pos)
+        num //= g
+        pos //= g
+        if pos > 1:
+            point = [v * pos for v in point]
+        point.insert(0, num)
+    den = point.pop()
+    return tuple(Fraction(n, den) for n in point)
+
+
+def fm_enumerate_chambers(arr):
+    """Sign vectors of all chambers, sorted, by incremental splitting with
+    a Fourier-Motzkin feasibility test for every side a witness misses.
+
+    Works for any rational arrangement, not only difference ones.
+    """
+    sides = [
+        {s: tuple(s * c for c in h.coeffs) + (-s * h.const,) for s in (1, -1)}
+        for h in arr.hyperplanes
+    ]
+    regions = [([], (0,) * arr.dim + (1,))]
+    for new in sides:
+        updated = []
+        for signs, scaled in regions:
+            value = sum(map(mul, new[1], scaled))
+            base_rows = [sides[i][s] for i, s in enumerate(signs)]
+            keep = [1] if value > 0 else [-1] if value < 0 else []
+            for side in keep:
+                updated.append((signs + [side], scaled))
+            for side in (1, -1):
+                if side in keep:
+                    continue
+                point = find_interior_point(base_rows + [new[side]], arr.dim)
+                if point is not None:
+                    ints, den = clear_denominators(point)
+                    updated.append((signs + [side], (*ints, den)))
+        regions = updated
+    return sorted(tuple(signs) for signs, _ in regions)
 
 
 # -- feasibility oracle --------------------------------------------------
@@ -183,6 +321,48 @@ def test_chamber_counts_small():
     assert len(enumerate_chambers(build_named("ish", 2))) == 3
     assert len(enumerate_chambers(build_named("ish", 3))) == 16
     assert len(enumerate_chambers(cone(build_named("ish", 2)))) == 6
+
+
+HALF = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def difference_arrangements(draw):
+    """N-Ish nests with half-integer entries, deleted Shi and Ish graphs,
+    and Coxeter, Shi and Ish, with ell <= 4, each coned or not."""
+    ell = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["nest", "deleted_shi", "deleted_ish", "coxeter", "shi", "ish"]))
+    if kind == "nest":
+        sets = draw(st.lists(st.lists(HALF, max_size=3), min_size=ell - 1, max_size=ell - 1))
+        arr = build_n_ish(NestSpec.make(sets))
+    elif kind.startswith("deleted"):
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+        arr = build_deleted(kind.split("_")[1], Graph.make(ell, edges))
+    else:
+        arr = build_named(kind, ell)
+    return cone(arr) if draw(st.booleans()) else arr
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(difference_arrangements())
+@example(build_n_ish(NestSpec.make([[Fraction(1, 2), 2], [Fraction(-3, 2)], [0, 1]])))
+@example(cone(build_named("shi", 4)))
+def test_matrix_enumeration_matches_fourier_motzkin(arr):
+    chambers = enumerate_chambers(arr)
+    assert [c.sign_vector.signs for c in chambers] == fm_enumerate_chambers(arr)
+    for c in chambers:
+        assert chamber_of_point(arr, c.witness).sign_vector == c.sign_vector
+    assert len(chambers) == abs(char_poly(arr).evaluate(-1))
+
+
+def test_enumeration_rejects_non_difference_hyperplanes():
+    for coeffs in ([1, 1], [2, -1]):  # x1 + x2 = 0, 2*x1 - x2 = 0
+        with pytest.raises(ValueError, match="not of the form"):
+            enumerate_chambers(Arrangement(2, [Hyperplane.make(coeffs)]))
+    no_z = Arrangement(3, [Hyperplane.make([1, -1, 0])], coned=True)
+    with pytest.raises(ValueError, match="z = 0"):
+        enumerate_chambers(no_z)
 
 
 def test_chamber_witnesses_realize_signs():
