@@ -18,7 +18,6 @@ from .arrangement import (
     build_n_ish,
     build_named,
     cone,
-    defining_poly,
     from_spec,
     ish_nest,
     n_from_graph,
@@ -77,7 +76,6 @@ __all__ = [
     "char_poly",
     "cone",
     "decide_free",
-    "defining_poly",
     "distance_poly",
     "enumerate_chambers",
     "from_spec",

@@ -1,4 +1,4 @@
-"""Hyperplane arrangements: construction, coning, defining polynomials.
+"""Hyperplane arrangements: construction, coning, JSON specs.
 
 A hyperplane is stored in a normalized integer form: the equation
 ``sum(c_i * x_i) = const`` is scaled so that the coefficients and the
@@ -327,14 +327,6 @@ def cone(arr: Arrangement) -> Arrangement:
     for h in arr.hyperplanes:
         planes.append(Hyperplane.make(list(h.coeffs) + [-h.const], 0))
     return Arrangement(n, planes, coned=True)
-
-
-def defining_poly(arr: Arrangement) -> MultiPoly:
-    """Product of the normalized defining forms, in hyperplane order."""
-    q = MultiPoly.const(arr.dim, 1)
-    for h in arr.hyperplanes:
-        q = q * h.form()
-    return q
 
 
 # -- JSON arrangement specs -------------------------------------------

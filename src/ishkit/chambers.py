@@ -135,15 +135,16 @@ class _Over(dict):
 _SIGN = {"0": -1, "1": 1}
 
 
-def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
-    """All chambers, in increasing sign-vector order.
+def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
+    """The regions of a difference arrangement, and the scale of their bounds.
 
-    The arrangement must be a difference arrangement (see
-    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise).
+    Each region is a pair ``(bits, d)``: its sign vector as bits,
+    hyperplane 0 the most significant and a set bit for the side ``+``,
+    so integer order is sign-vector order, and its closed matrix ``d``,
+    whose entries are the bounds times the returned scale.  A coned
+    arrangement gives only the regions of its slice ``z = 1``.
     Hyperplanes are inserted one at a time into the closed matrices of
-    the regions found so far; a sign vector is kept as bits, hyperplane
-    0 the most significant and a set bit for the side ``+``, so integer
-    order is sign-vector order.
+    the regions found so far.
     """
     edges = arr.gain_edges()
     n = arr.dim - 1 if arr.coned else arr.dim
@@ -169,11 +170,19 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
             else:
                 updated.append((bits << 1 | above, d))
         regions = updated
+    return regions, den * unit
 
-    den *= unit
+
+def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
+    """All chambers, in increasing sign-vector order.
+
+    The arrangement must be a difference arrangement (see
+    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise).
+    """
+    regions, den = _regions(arr)
     frac = _Over(den).__getitem__
     found: list[tuple[int, tuple[Fraction, ...]]] = []
-    full = (1 << len(edges)) - 1
+    full = (1 << len(arr)) - 1
     for bits, d in regions:
         point = _witness(d)
         if arr.coned:  # the point at z = 1 and its antipode
@@ -235,15 +244,20 @@ def ish_base_chamber(ell: int) -> tuple[Arrangement, Chamber]:
 
 def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
     """Chambers counted by the number of hyperplanes separating them from base."""
-    chambers = enumerate_chambers(arr)
-    if all(c.sign_vector != base.sign_vector for c in chambers):
+    regions, _ = _regions(arr)
+    masks = [bits for bits, _ in regions]
+    if arr.coned:  # the antipodes
+        full = (1 << len(arr)) - 1
+        masks += [bits ^ full for bits in masks]
+    base_bits = 0
+    for s in base.sign_vector.signs:
+        base_bits = base_bits << 1 | (s > 0)
+    if len(base.sign_vector) != len(arr) or base_bits not in masks:
         raise ValueError("the base chamber does not belong to this arrangement")
-    counts: dict[int, int] = {}
-    for c in chambers:
-        d = base.sign_vector.distance(c.sign_vector)
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts)
-    return UniPoly([counts.get(d, 0) for d in range(top + 1)])
+    counts = [0] * (len(arr) + 1)
+    for bits in masks:
+        counts[(bits ^ base_bits).bit_count()] += 1
+    return UniPoly(counts)
 
 
 def wallcross_expected(nest: NestSpec) -> UniPoly:

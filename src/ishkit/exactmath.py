@@ -6,12 +6,12 @@ point is used anywhere.  Two polynomial representations cover all needs:
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
   ``terms`` from monomial keys to nonzero rational coefficients.  A
   coefficient is held as a Python ``int`` when it is integral and as a
-  ``fractions.Fraction`` only when it is not, so products, sums,
-  determinants and exact divisions of integer polynomials never leave
-  ``int`` arithmetic.  The canonical term order is graded
-  lexicographic with earlier variables larger (for coned arrangements
-  the variables read ``x1 > x2 > ... > xl > z``); it drives division,
-  leading terms and printing, so all output is deterministic.
+  ``fractions.Fraction`` only when it is not, so products, sums, exact
+  divisions and integer-point values of integer polynomials never leave
+  ``int`` arithmetic.  The canonical term order is graded lexicographic
+  with earlier variables larger (for coned arrangements the variables
+  read ``x1 > x2 > ... > xl > z``); it drives division, leading terms
+  and printing, so all output is deterministic.
 
   A monomial key is one ``int`` that packs the total degree and the
   exponents into 16-bit fields, degree first:
@@ -32,6 +32,9 @@ point is used anywhere.  Two polynomial representations cover all needs:
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
   polynomials.
+
+``int_det`` is the exact determinant of an integer matrix, such as a
+polynomial matrix evaluated at an integer point.
 
 JSON forms (shared with the command line surface):
 
@@ -225,18 +228,17 @@ class MultiPoly:
         terms, n = self.terms, self.nvars
         return [(_unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """The value at ``point``, an ``int`` when it is integral."""
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong length")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
+        total = 0
         for key, coef in self.terms.items():
-            term = coef
-            for v, e in zip(vals, _unpack(key, self.nvars)):
+            for v, e in zip(point, _unpack(key, self.nvars)):
                 if e:
-                    term *= v**e
-            total += term
-        return total
+                    coef *= v**e
+            total += coef
+        return _exact(total)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -315,14 +317,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int) -> "MultiPoly":
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        result = MultiPoly.const(self.nvars, 1)
-        for _ in range(power):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -396,7 +390,7 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
     ]
 
 
-# -- division and determinants ---------------------------------------
+# -- division and integer determinants ------------------------------
 
 
 def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -454,72 +448,29 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return q, r
 
 
-def _det_expansion(m: list[list[MultiPoly]]) -> MultiPoly:
-    # Division-free Laplace expansion, one column at a time, memoized on
-    # the set of unused rows.  Zero entries prune whole branches, so the
-    # near-triangular matrices this package produces cost barely more
-    # than the product of their diagonals; a dense n x n matrix costs at
-    # most n * 2^n polynomial multiplications.  Fraction-free elimination
-    # is far slower here: its intermediate minors are dense high-degree
-    # products that then need exact division.
-    n = len(m)
-    nvars = m[0][0].nvars
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix.
 
-    cols = sorted(range(n), key=lambda j: sum(not m[i][j].is_zero for i in range(n)))
-    colsign = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if cols[a] > cols[b]:
-                colsign = -colsign
-
-    memo: dict[int, MultiPoly] = {0: MultiPoly.const(nvars, 1)}
-
-    def minor(rows: int) -> MultiPoly:
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = cols[n - bin(rows).count("1")]
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        sign = 1
-        for i in range(n):
-            if not rows >> i & 1:
-                continue
-            entry = m[i][col]
-            if not entry.is_zero:
-                sub = minor(rows & ~(1 << i))
-                if not sub.is_zero:
-                    for k, c in (entry * sub).terms.items():
-                        acc[k] = get(k, 0) + sign * c
-            sign = -sign
-        total = MultiPoly(nvars)
-        total.terms = _nonzero(acc)
-        memo[rows] = total
-        return total
-
-    det = minor((1 << n) - 1)
-    # ``minor`` refers to itself, so the memo sits in a reference cycle
-    # that only a full garbage collection frees; release the minors now.
-    memo.clear()
-    return det if colsign == 1 else -det
-
-
-def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix.
-
-    Memoized Laplace expansion along the sparsest columns first; exact
-    and division-free.
+    Fraction-free (Bareiss) elimination: every division is exact, so the
+    entries stay integers no larger than a minor of the input.
     """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a nonempty square matrix")
-    nvars = matrix[0][0].nvars
     m = [list(row) for row in matrix]
-    for row in m:
-        for entry in row:
-            if entry.nvars != nvars:
-                raise ValueError("matrix entries disagree on variable count")
-    return _det_expansion(m)
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("determinant requires a nonempty square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 # -- univariate polynomials -------------------------------------------
@@ -535,10 +486,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "UniPoly":

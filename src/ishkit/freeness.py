@@ -6,9 +6,11 @@ under inclusion after reordering (and then it is also supersolvable and
 inductively free).  This module keeps the decision honest by producing
 checkable certificates:
 
-* in the free case, an explicit basis of logarithmic derivations whose
-  coefficient determinant equals the defining polynomial up to a
-  nonzero constant (Saito's criterion);
+* in the free case, an explicit basis of logarithmic derivations,
+  checked by Saito's criterion in its degree form: homogeneous
+  logarithmic derivations whose degrees sum to the number of
+  hyperplanes, with a coefficient determinant that is nonzero at one
+  point off the arrangement;
 * in the non-free case, a rank-3 restriction witness: localizing at the
   smallest incomparable pair ``(i, j)`` gives a deletion with exponents
   ``(1, |N_i|, |N_j|)`` whose restriction has exponent ``|N_i | N_j|``,
@@ -27,8 +29,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone, defining_poly
-from .exactmath import MultiPoly, poly_det, poly_exact_div
+from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
+from .exactmath import MultiPoly, int_det, poly_exact_div
 from .lattice import Flat
 
 
@@ -112,23 +114,45 @@ def is_log_derivation(theta: Derivation, arr: Arrangement) -> bool:
     return True
 
 
-def coefficient_matrix(derivs: Sequence[Derivation]) -> list[list[MultiPoly]]:
-    """Row per variable, column per derivation."""
-    n = derivs[0].nvars
-    if any(d.nvars != n for d in derivs):
-        raise ValueError("derivations disagree on variable count")
-    return [[d.components[i] for d in derivs] for i in range(n)]
+def _off_point(arr: Arrangement) -> tuple[list[int], int]:
+    """An integer point ``p`` off every hyperplane, and ``Q(p)``.
+
+    ``p`` is the first point ``(1, k, k^2, ...)`` of the moment curve,
+    ``k = 1, 2, ...``, on none of the hyperplanes.  A central hyperplane
+    meets the curve in at most ``dim - 1`` values of ``k``, so one of the
+    first ``|A| (dim - 1) + 1`` values is off them all.
+    """
+    k = 0
+    while True:
+        k += 1
+        point = [k**i for i in range(arr.dim)]
+        q = 1
+        for h in arr.hyperplanes:
+            q *= h.eval_at(point)
+        if q:
+            return point, q
 
 
 def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction | None:
     """The constant c with det = c * Q(A), or None when there is none.
 
-    Checks Saito's criterion exactly.  Each derivation is first scaled by
-    the lcm of its coefficient denominators, so the determinant of the
-    coefficient matrix is an integer polynomial; that scale is divided
-    back out of the returned constant.  The derivations are a basis
-    exactly when the determinant is nonzero, has degree |A| and equals
-    ``lc(det) / lc(Q)`` times the defining polynomial ``Q`` term for term.
+    Checks Saito's criterion exactly, in its degree form (Orlik-Terao
+    1992, section 4.2).  Each derivation is first scaled by the lcm of its
+    coefficient denominators, so the coefficient matrix has integer
+    entries at an integer point; that scale is divided back out of the
+    returned constant.  The hypotheses are:
+
+    * every derivation is logarithmic (else ``ValueError``), so ``Q(A)``
+      divides the determinant of the coefficient matrix;
+    * every derivation is nonzero and homogeneous (a zero one gives
+      None, a non-homogeneous one ``ValueError``), so the determinant is
+      zero or homogeneous of degree ``sum(deg)``;
+    * ``sum(deg) == |A|`` (else None).
+
+    Under them the determinant is ``c * Q(A)`` for a constant ``c``, so
+    one point ``p`` with ``Q(p) != 0`` decides it exactly:
+    ``c = det M(p) / Q(p)``, and the derivations form a basis exactly
+    when ``c != 0``.
     """
     if len(derivs) != arr.dim:
         raise ValueError("need exactly ambient-dimension many derivations")
@@ -141,16 +165,15 @@ def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction |
     for d in scaled:
         if not is_log_derivation(d, arr):
             raise ValueError("all derivations must be logarithmic for the arrangement")
-    det = poly_det(coefficient_matrix(scaled))
-    if det.is_zero:
+    if any(d.is_zero for d in scaled):
         return None
-    if det.total_degree() != len(arr):
+    if sum(d.degree() for d in scaled) != len(arr):
         return None
-    q = defining_poly(arr)
-    c = Fraction(det.leading_term()[1], q.leading_term()[1])
-    if det != q * c:
+    point, q = _off_point(arr)
+    det = int_det([[comp.evaluate(point) for comp in d.components] for d in scaled])
+    if det == 0:
         return None
-    return c / scale
+    return Fraction(det, q) / scale
 
 
 def saito_verify(derivs: Sequence[Derivation], arr: Arrangement) -> bool:

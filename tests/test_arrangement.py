@@ -12,7 +12,6 @@ from ishkit.arrangement import (
     build_n_ish,
     build_named,
     cone,
-    defining_poly,
     from_spec,
     ish_nest,
     n_from_graph,
@@ -179,30 +178,6 @@ def test_cone_example():
     assert set(arr.hyperplanes) == {h([0, 0, 1]), h([1, -1, 0]), h([1, -1, -1])}
     with pytest.raises(ValueError):
         cone(arr)
-
-
-def test_defining_poly_affine():
-    arr = build_named("ish", 2)
-    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert defining_poly(arr) == (x1 - x2) * (x1 - x2 - 1)
-
-
-def test_defining_poly_coned_ish():
-    # z * prod_{i<j} (xi - xj) * prod_{i<j} (x1 - xj - i z)
-    for ell in (2, 3):
-        arr = cone(build_named("ish", ell))
-        n = ell + 1
-        xs = [MultiPoly.variable(n, k) for k in range(ell)]
-        z = MultiPoly.variable(n, ell)
-        expected = z
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                expected = expected * (xs[i] - xs[j])
-        for i in range(1, ell + 1):
-            for j in range(i + 1, ell + 1):
-                expected = expected * (xs[0] - xs[j - 1] - i * z)
-        assert defining_poly(arr) == expected
-        assert defining_poly(arr).total_degree() == len(arr)
 
 
 def test_arrangement_dedup_and_equality():

@@ -126,6 +126,20 @@ def test_saito_text():
     assert out == "SAITO PASS: constant -1/1, exponents (0, 1, 2)"
 
 
+def test_saito_at_the_top_of_the_guard(capsys, tmp_path):
+    # The largest staircase the ell <= 6 guard admits.  Expanding det M
+    # and dividing by Q(A) also gives the constant -1 here (about 9 s).
+    spec = {"type": "ish", "ell": 6, "cone": True}
+    out = json_of(spec, "saito")
+    assert out["pass"] is True
+    assert out["constant"] == "-1/1"
+    assert out["exponents"] == [0, 1, 6, 6, 6, 6, 6]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(spec, ell=7)))
+    assert main(["saito", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("capacity:")
+
+
 def test_supersolvable_needs_central():
     with pytest.raises(ValueError, match="cone"):
         text_of({"type": "ish", "ell": 3}, "supersolvable")

@@ -12,8 +12,8 @@ from ishkit.exactmath import (
     UniPoly,
     clear_denominators,
     format_rational,
+    int_det,
     parse_rational,
-    poly_det,
     poly_exact_div,
     poly_str,
     poly_to_json,
@@ -25,17 +25,12 @@ from ishkit.exactmath import (
 
 def _det_cofactor(m):
     """Plain first-row cofactor expansion: the reference determinant."""
-    n = len(m)
-    if n == 1:
+    if len(m) == 1:
         return m[0][0]
-    total = MultiPoly.zero(m[0][0].nvars)
-    for j, entry in enumerate(m[0]):
-        if entry.is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        sub = _det_cofactor(minor)
-        total = total + entry * (-sub if j % 2 else sub)
-    return total
+    return sum(
+        (-1) ** j * entry * _det_cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, entry in enumerate(m[0])
+    )
 
 
 # -- tuple-keyed reference arithmetic -----------------------------------
@@ -237,7 +232,8 @@ def test_multipoly_basics():
     assert p.total_degree() == 2
     assert not p.is_zero
     assert (p - p).is_zero
-    assert p.evaluate([3, 2]) == 5
+    assert p.evaluate([3, 2]) == 5 and type(p.evaluate([3, 2])) is int
+    assert p.evaluate([Fraction(1, 2), 0]) == Fraction(1, 4)
     assert MultiPoly.linear([1, -1], constant=-4) == x1 - x2 - 4
 
 
@@ -320,61 +316,47 @@ def test_exact_div_identity_random():
 
 
 def test_det_triangular():
-    # [[z, 0], [x1, x1 - x2]] over (x1, x2, z)
-    x1, x2, z = var(3, 0), var(3, 1), var(3, 2)
-    m = [[z, MultiPoly.zero(3)], [x1, x1 - x2]]
-    assert poly_det(m) == z * (x1 - x2)
+    assert int_det([[3, 0, 0], [7, -2, 0], [1, 5, 4]]) == -24
+    assert int_det([[5]]) == 5
 
 
 def test_det_saito_matrix_rank_two_cone():
     # Coefficient matrix of the degree-(0,1,2) derivation triple for the
-    # coned two-line arrangement; hand cofactor expansion along the last
-    # row gives -z*(x1-x2)*(x1-x2-z).
+    # coned two-line arrangement; its determinant is
+    # -z*(x1-x2)*(x1-x2-z), so at every integer point the determinant of
+    # the evaluated matrix is that product's value.
     n = 3
     x1, x2, z = var(n, 0), var(n, 1), var(n, 2)
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
     prod = (x1 - x2) * (x1 - x2 - z)
     m = [[one, x1, zero], [one, x2, prod], [zero, z, zero]]
-    expected = -1 * z * prod
-    assert poly_det(m) == expected
-    # dividing the determinant by the three linear factors leaves -1
-    q, r = poly_exact_div(poly_det(m), z)
-    assert r.is_zero
-    q, r = poly_exact_div(q, x1 - x2)
-    assert r.is_zero
-    q, r = poly_exact_div(q, x1 - x2 - z)
-    assert r.is_zero
-    assert q == MultiPoly.const(n, -1)
+    for point in ([1, 2, 4], [5, -3, 2], [1, 1, 1], [0, 0, 0]):
+        value = int_det([[entry.evaluate(point) for entry in row] for row in m])
+        assert value == (-1 * z * prod).evaluate(point)
 
 
 def test_det_matches_plain_cofactor():
-    # poly_det reorders columns and memoizes; plain first-row cofactor
-    # expansion is the independent oracle.
+    # Bareiss elimination divides and swaps rows; plain first-row
+    # cofactor expansion is the independent oracle.
     rng = random.Random(99173)
-    for _ in range(10):
-        n = 5
-        x = [var(2, 0), var(2, 1), MultiPoly.const(2, 1)]
-        m = [
-            [rng.choice(x) * rng.randint(-2, 2) + rng.randint(-1, 1) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert poly_det(m) == _det_cofactor(m)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        assert int_det(m) == _det_cofactor(m)
 
 
 def test_det_rejects_bad_shapes():
-    one = MultiPoly.const(2, 1)
     with pytest.raises(ValueError):
-        poly_det([])
+        int_det([])
     with pytest.raises(ValueError):
-        poly_det([[one, one]])
+        int_det([[1, 1]])
 
 
 def test_det_singular_matrix_is_zero():
-    x1, x2 = var(2, 0), var(2, 1)
-    row = [x1, x2, x1 + x2, x1 * x2, x1 - x2]
-    m = [row, row] + [[x2 * x1, x1, x2, x1, x2] for _ in range(3)]
-    m[2] = row
-    assert poly_det(m).is_zero
+    row = [1, 2, 3, 4, 5]
+    m = [row, [2, 0, 1, 0, 7], row, [0, 1, 1, 1, 1], [3, 3, 3, 3, 2]]
+    assert int_det(m) == 0
+    assert int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
 
 def test_unipoly_from_roots():
@@ -393,7 +375,7 @@ def test_unipoly_eval():
     assert p.evaluate(0) == 0
     assert p.evaluate(3) == 0
     assert p.evaluate(-1) == -16
-    assert UniPoly.zero().evaluate(5) == 0
+    assert UniPoly().evaluate(5) == 0
 
 
 def test_unipoly_eval_at_roots_random():
@@ -410,7 +392,7 @@ def test_unipoly_str():
     assert unipoly_str(UniPoly.from_roots([0, 3, 3])) == "t^3 - 6t^2 + 9t"
     assert unipoly_str(UniPoly([1, 1, 1])) == "t^2 + t + 1"
     assert unipoly_str(UniPoly([-2])) == "-2"
-    assert unipoly_str(UniPoly.zero()) == "0"
+    assert unipoly_str(UniPoly()) == "0"
     assert unipoly_factored_str([0, 3, 3]) == "t (t-3)^2"
     assert unipoly_factored_str([-1, 0]) == "(t+1) t"
     assert unipoly_factored_str([]) == "1"
@@ -428,7 +410,7 @@ def test_unipoly_json_round_trip():
     data = unipoly_to_json(p)
     assert data == ["0/1", "9/2", "-6/1", "1/1"]
     assert UniPoly([parse_rational(c) for c in data]) == p
-    assert unipoly_to_json(UniPoly.zero()) == []
+    assert unipoly_to_json(UniPoly()) == []
 
 
 def test_multipoly_json_round_trip():

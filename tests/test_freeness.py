@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,10 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, UniPoly, poly_det, poly_exact_div
+from ishkit.exactmath import MultiPoly, UniPoly, int_det, poly_exact_div
 from ishkit.freeness import (
     Derivation,
     basis_derivations,
-    coefficient_matrix,
     decide_free,
     is_log_derivation,
     is_nest,
@@ -196,18 +196,18 @@ def test_saito_fails_on_repeated_derivation():
 
 
 def test_saito_determinant_is_integral_for_half_integer_entries(monkeypatch):
-    dets = []
+    matrices = []
 
     def recording_det(matrix):
-        dets.append(poly_det(matrix))
-        return dets[-1]
+        matrices.append(matrix)
+        return int_det(matrix)
 
-    monkeypatch.setattr("ishkit.freeness.poly_det", recording_det)
+    monkeypatch.setattr("ishkit.freeness.int_det", recording_det)
     nest = NestSpec.make([["1/2"], ["1/2", "3/2"]])
     arr = cone(build_n_ish(nest))
     derivs = basis_derivations(nest)
     assert saito_constant(derivs, arr) == saito_constant_by_division(derivs, arr)
-    assert all(type(c) is int for c in dets[0].terms.values())
+    assert all(type(entry) is int for row in matrices[0] for entry in row)
 
 
 def test_saito_rejects_non_logarithmic_input():
@@ -309,22 +309,70 @@ def test_random_nests_decide_and_certify():
     assert seen_free and seen_nonfree
 
 
-# -- differential test of the one-product Saito check --------------------
+# -- differential test of the point-evaluation Saito check --------------
+
+
+def _det_cofactor(m):
+    """Plain first-row cofactor expansion: the reference determinant."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = MultiPoly.zero(m[0][0].nvars)
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
+        sub = _det_cofactor(minor)
+        total = total + entry * (-sub if j % 2 else sub)
+    return total
+
+
+def defining_poly(arr):
+    """Q(A): the product of the defining forms."""
+    q = MultiPoly.const(arr.dim, 1)
+    for h in arr.hyperplanes:
+        q = q * h.form()
+    return q
 
 
 def saito_constant_by_division(derivs, arr):
-    """Reference route: divide det by one hyperplane form at a time."""
-    det = poly_det(coefficient_matrix(derivs))
-    if det.is_zero or det.total_degree() != len(arr):
+    """Reference route: expand det M(theta) and divide it by Q(A).
+
+    No degree or homogeneity hypothesis is used: the derivations are a
+    basis exactly when the full determinant is a nonzero constant times
+    Q(A) (Saito's criterion in its polynomial form).
+    """
+    det = _det_cofactor([[d.components[i] for d in derivs] for i in range(arr.dim)])
+    if det.is_zero:
         return None
-    rest = det
-    for h in arr.hyperplanes:
-        rest, rem = poly_exact_div(rest, h.form())
-        if not rem.is_zero:
-            return None
-    if rest.total_degree() != 0:
+    quotient, rem = poly_exact_div(det, defining_poly(arr))
+    if not rem.is_zero or quotient.total_degree() != 0:
         return None
-    return Fraction(rest.leading_term()[1])
+    return Fraction(quotient.leading_term()[1])
+
+
+def test_saito_constant_on_the_rank_five_staircase():
+    arr = cone(build_named("ish", 5))
+    derivs = basis_derivations(ish_nest(5))
+    assert saito_constant(derivs, arr) == saito_constant_by_division(derivs, arr) == 1
+
+
+def test_saito_zero_derivation_gives_none():
+    arr = cone(build_named("ish", 2))
+    derivs = basis_derivations(ish_nest(2))
+    derivs[1] = Derivation([MultiPoly.zero(arr.dim)] * arr.dim)
+    assert saito_constant(derivs, arr) is None
+    assert saito_constant_by_division(derivs, arr) is None
+
+
+def test_saito_rejects_non_homogeneous_derivation():
+    # theta_0 + theta_1 is logarithmic, but of no single degree
+    arr = cone(build_named("ish", 2))
+    derivs = basis_derivations(ish_nest(2))
+    mixed = Derivation([a + b for a, b in zip(derivs[0].components, derivs[1].components)])
+    assert is_log_derivation(mixed, arr)
+    with pytest.raises(ValueError, match="homogeneous"):
+        saito_constant([mixed, derivs[1], derivs[2]], arr)
 
 
 def scaled(theta, factor):
@@ -350,7 +398,8 @@ def ascending_nests(draw):
 def test_saito_constant_matches_division_reference(nest, rng):
     arr = cone(build_n_ish(nest))
     derivs = basis_derivations(nest)
-    c = saito_constant(derivs, arr)
+    with mock.patch("ishkit.freeness.int_det", wraps=int_det) as det:
+        c = saito_constant(derivs, arr)
     assert isinstance(c, Fraction) and c != 0
     assert c == saito_constant_by_division(derivs, arr)
 
@@ -367,6 +416,20 @@ def test_saito_constant_matches_division_reference(nest, rng):
     assert saito_constant(raised, arr) is None
     assert saito_constant_by_division(raised, arr) is None
 
+    # f * theta_j in place of theta_k, f a product of hyperplane forms of
+    # degree deg(theta_k) - deg(theta_j): logarithmic, homogeneous, the
+    # same degree sum, and dependent, so the determinant vanishes
+    lower = [i for i, d in enumerate(derivs) if i != k and d.degree() <= derivs[k].degree()]
+    j = rng.choice(lower)
+    f = MultiPoly.const(arr.dim, 1)
+    for _ in range(derivs[k].degree() - derivs[j].degree()):
+        f = f * rng.choice(arr.hyperplanes).form()
+    dependent = list(derivs)
+    dependent[k] = Derivation([comp * f for comp in derivs[j].components])
+    assert sum(d.degree() for d in dependent) == len(arr)
+    assert saito_constant(dependent, arr) is None
+    assert saito_constant_by_division(dependent, arr) is None
+
     for factor in (Fraction(1, 2), 2):
         rescaled = list(derivs)
         rescaled[k] = scaled(derivs[k], factor)
@@ -376,5 +439,6 @@ def test_saito_constant_matches_division_reference(nest, rng):
         polys = [comp for d in derivs for comp in d.components]
         ints = [p1 * p2 for p1, p2 in zip(polys, polys[1:])]
         ints += [p1 + p2 for p1, p2 in zip(polys, polys[1:])]
-        ints.append(poly_det(coefficient_matrix(derivs)))
         assert all(type(coef) is int for p in polys + ints for coef in p.terms.values())
+        (matrix,), _ = det.call_args
+        assert all(type(entry) is int for row in matrix for entry in row)
