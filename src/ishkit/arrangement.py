@@ -75,12 +75,11 @@ class Hyperplane:
             raise ValueError("point has wrong dimension")
         return sum(map(mul, self.coeffs, point)) - self.const * den
 
-    def row(self) -> tuple[int, ...]:
-        """Augmented integer row ``(coeffs..., const)`` for linear algebra."""
-        return (*self.coeffs, self.const)
-
     def render(self, names: Sequence[str]) -> str:
         return equation_str(self.coeffs, self.const, names)
+
+
+GainEdge = tuple[int, int, Scalar] | None  # see Arrangement.gain_edges
 
 
 class Arrangement:
@@ -128,18 +127,18 @@ class Arrangement:
     def var_names(self) -> list[str]:
         return default_names(self.dim, coned=self.coned)
 
-    def gain_edges(self) -> list[tuple[int, int, Fraction] | None]:
+    def gain_edges(self) -> list[GainEdge]:
         """The hyperplanes as gain-graph edges, in hyperplane order.
 
         The edge ``(i, j, c)``, with 0-based coordinates ``i < j``, is the
         hyperplane ``x_{i+1} - x_{j+1} = c``, or ``= c*z`` when the
         arrangement is coned; ``None`` marks ``z = 0``.  ``c`` is read back
-        from the normalized form, so ``2*x1 - 2*x2 = 1`` gives ``c = 1/2``.
-        Any other hyperplane, and a coned arrangement without ``z = 0``,
-        is a ``ValueError``.
+        from the normalized form, so ``2*x1 - 2*x2 = 1`` gives ``c = 1/2``;
+        it is an ``int`` when integral and a ``Fraction`` otherwise.  Any
+        other hyperplane is a ``ValueError``.
         """
         n = self.dim - 1 if self.coned else self.dim
-        edges: list[tuple[int, int, Fraction] | None] = []
+        edges: list[GainEdge] = []
         for h in self.hyperplanes:
             head = h.coeffs[:n]
             support = [k for k, v in enumerate(head) if v]
@@ -156,10 +155,8 @@ class Arrangement:
                     f"the hyperplane {h.render(self.var_names())} is not of the form {form}"
                 )
             i, j = support
-            gain = -h.coeffs[n] if self.coned else h.const
-            edges.append((i, j, Fraction(gain, head[i])))
-        if self.coned and None not in edges:
-            raise ValueError("a coned arrangement needs the hyperplane z = 0")
+            gain = Fraction(-h.coeffs[n] if self.coned else h.const, head[i])
+            edges.append((i, j, gain.numerator if gain.denominator == 1 else gain))
         return edges
 
     def __repr__(self) -> str:

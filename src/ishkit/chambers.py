@@ -147,6 +147,8 @@ def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
     the regions found so far.
     """
     edges = arr.gain_edges()
+    if arr.coned and None not in edges:
+        raise ValueError("a coned arrangement needs the hyperplane z = 0")
     n = arr.dim - 1 if arr.coned else arr.dim
     consts, den = clear_denominators([e[2] for e in edges if e is not None])
     unit = 1 << (n - 1)  # keeps the witness midpoints integral
@@ -177,7 +179,8 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     """All chambers, in increasing sign-vector order.
 
     The arrangement must be a difference arrangement (see
-    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise).
+    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise),
+    and a coned one must contain ``z = 0``.
     """
     regions, den = _regions(arr)
     frac = _Over(den).__getitem__

@@ -30,7 +30,7 @@ from math import lcm
 from typing import Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
-from .exactmath import MultiPoly, int_det, poly_exact_div
+from .exactmath import MultiPoly, Scalar, _nonzero, int_det, poly_exact_div
 from .lattice import Flat
 
 
@@ -72,10 +72,13 @@ class Derivation:
         """Image of the defining form: a coefficient combination of components."""
         if h.dim != self.nvars:
             raise ValueError("hyperplane and derivation dimensions differ")
-        out = MultiPoly.zero(self.nvars)
+        acc: dict[int, Scalar] = {}
         for c, comp in zip(h.coeffs, self.components):
-            if c != 0 and not comp.is_zero:
-                out = out + comp * c
+            if c:
+                for key, v in comp.terms.items():
+                    acc[key] = acc.get(key, 0) + c * v
+        out = MultiPoly(self.nvars)
+        out.terms = _nonzero(acc)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -343,9 +346,5 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
         return False
 
     # restriction: distinct traces of the remaining hyperplanes on x2 = x3
-    traces = set()
-    for h in deleted.hyperplanes:
-        flat = Flat.from_rows([h.row(), h_coxeter.row()], 4)
-        assert flat is not None
-        traces.add(flat.rows)
+    traces = {Flat.through([edge, (1, 2, 0)], n, True) for edge in deleted.gain_edges()}
     return len(traces) == 1 + c

@@ -1,16 +1,23 @@
 """Intersection posets, Moebius values, characteristic polynomials.
 
-A flat is a nonempty intersection of hyperplanes.  It is stored as an
-integer echelon form of its augmented linear system: row k is row k of
-the rational reduced row echelon form, scaled to coprime integers with
-a positive pivot.  Scaling a row by a positive number keeps its pivot
-and its zeros in the other rows' pivot columns, so this form is as
-canonical as the RREF, and flats compare and hash by their rows.
-Intersecting a flat with a hyperplane is one fraction-free elimination
-plus a gcd per row it touches.  Rows come in as integers
-(``Hyperplane.row``, ``Flat.from_rows``, ``Flat.implies``), and
-``Fraction`` appears only where the RREF goes out (``Flat.rref`` and
-the JSON and text built on it).
+Every arrangement here is a difference arrangement: its hyperplanes are
+``x_i - x_j = c``, and when coned ``x_i - x_j = c*z`` plus ``z = 0``,
+read as gain-graph edges by ``Arrangement.gain_edges``.  A flat of such
+an arrangement is a partition of the coordinates with one offset per
+coordinate (Zaslavsky, *Biased graphs* I and II): ``x_v = x_root +
+offset[v]``, times ``z`` when coned, where the root is the largest
+coordinate of v's block.  A coned flat may also lie inside ``z = 0``,
+and then every offset is 0.  Meeting a hyperplane merges two blocks
+with an offset shift, changes nothing, or meets a conflict: an empty
+intersection when affine, the collapse to ``z = 0`` when coned.  No
+elimination and no gcd is needed, and the root and offset fields are
+canonical, so flats compare and hash by them.
+
+A flat's rows, which order the poset and give its reduced row echelon
+form, come in closed form: ``den*x_v - den*x_root = num`` (coned:
+``den*x_v - den*x_root - num*z = 0``) for each coordinate v off its
+root with ``offset[v] = num/den``, then ``z = 0``.  That is the rational
+RREF with each row scaled to coprime integers.
 
 The poset orders flats by reverse inclusion; the whole space is the
 bottom element.  The closure that generates it records, for every flat
@@ -33,114 +40,104 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
-from .exactmath import UniPoly, equation_str, format_rational
+from .arrangement import Arrangement, GainEdge, NestSpec, build_n_ish, cone
+from .exactmath import Scalar, UniPoly, equation_str, format_rational
 
 Row = tuple[int, ...]
 
 
-def _pivot(row: Sequence[int]) -> int:
-    """Column of the first nonzero entry."""
-    return row.index(next(filter(None, row)))
-
-
-def _reduce(row: Sequence[int], rows: Sequence[Row]) -> Sequence[int]:
-    """Clear ``row`` in the pivot column of each echelon row, fraction-free.
-
-    The result is a positive multiple of the rational reduction.
-    """
-    for rr in rows:
-        p = _pivot(rr)
-        f = row[p]
-        if f:
-            a = rr[p]
-            row = [a * x - f * y for x, y in zip(row, rr)]
-    return row
-
-
-def _primitive(row: Sequence[int]) -> Row:
-    """Divide out the content; the first nonzero entry becomes positive."""
-    g = gcd(*row)
-    if next(filter(None, row)) < 0:
-        g = -g
-    return tuple(v // g for v in row)
-
-
-def _adjoin(rows: tuple[Row, ...], red: list[int]) -> tuple[Row, ...]:
-    """Echelon form of ``rows`` plus a reduced row with a nonzero coefficient.
-
-    ``red`` is already zero in every pivot column of ``rows``, so only
-    the rows that are nonzero in its pivot column need one elimination.
-    """
-    new = _primitive(red)
-    q = _pivot(new)
-    b = new[q]
-    out = [
-        _primitive([b * x - rr[q] * y for x, y in zip(rr, new)]) if rr[q] else rr
-        for rr in rows
-    ]
-    out.append(new)
-    out.sort(key=_pivot)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Flat:
-    """A nonempty affine subspace arising as an intersection of hyperplanes.
+    """A nonempty flat of a difference arrangement, as a gain-graph partition.
 
-    ``rows`` is the canonical integer echelon form described in the
-    module docstring; the last column holds the constant.
+    ``root[v]`` is the largest coordinate of v's block and
+    ``x_v = x_root + offset[v]`` (times ``z`` when ``coned``).  ``zero``
+    marks a coned flat inside ``z = 0``, whose offsets are all 0.
     """
 
-    rows: tuple[Row, ...]
-    ambient_dim: int
+    root: tuple[int, ...]
+    offset: tuple[Scalar, ...]
+    zero: bool
+    coned: bool
 
     @staticmethod
-    def ambient(dim: int) -> "Flat":
-        return Flat((), dim)
+    def ambient(dim: int, coned: bool = False) -> "Flat":
+        n = dim - coned
+        return Flat(tuple(range(n)), (0,) * n, False, coned)
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]], ambient_dim: int) -> "Flat | None":
-        """The solution set of integer augmented rows; ``None`` if empty."""
-        echelon: tuple[Row, ...] = ()
-        for row in rows:
-            red = _reduce(row, echelon)
-            if any(red[:-1]):
-                echelon = _adjoin(echelon, red)
-            elif red[-1]:
+    def through(edges: Iterable[GainEdge], dim: int, coned: bool = False) -> "Flat | None":
+        """The intersection of the hyperplanes with these gain edges; ``None`` if empty."""
+        flat = Flat.ambient(dim, coned)
+        for edge in edges:
+            res = flat.intersect_hyperplane(edge)
+            if res is None:
                 return None
-        return Flat(echelon, ambient_dim)
+            if res != "same":
+                flat = res
+        return flat
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.root) + self.coned
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return sum(r != v for v, r in enumerate(self.root)) + self.zero
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - len(self.rows)
+        return self.ambient_dim - self.rank
 
-    def implies(self, row: Sequence[int]) -> bool:
-        """Does every point of the flat satisfy the integer row ``coeffs . x = const``?"""
-        return not any(_reduce(row, self.rows))
-
-    def intersect_hyperplane(self, h: Hyperplane) -> "Flat | None | str":
-        """Intersect with a hyperplane.
+    def intersect_hyperplane(self, edge: GainEdge) -> "Flat | None | str":
+        """Intersect with the hyperplane of a gain edge (``None`` is ``z = 0``).
 
         Returns ``"same"`` when the hyperplane already contains the
         flat, ``None`` when the intersection is empty, and the new
-        ``Flat`` otherwise.
+        ``Flat`` otherwise: two blocks merged, or the collapse to ``z = 0``.
         """
-        red = _reduce([*h.coeffs, h.const], self.rows)
-        if any(red[:-1]):
-            return Flat(_adjoin(self.rows, red), self.ambient_dim)
-        return None if red[-1] else "same"
+        root, offset = self.root, self.offset
+        if edge is not None:
+            i, j, c = edge
+            ri, rj = root[i], root[j]
+            d = 0 if self.zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
+            if ri != rj:  # the block of the smaller root joins the other
+                if ri > rj:
+                    ri, rj, d = rj, ri, -d
+                return Flat(
+                    tuple(rj if r == ri else r for r in root),
+                    tuple(o + d if r == ri else o for r, o in zip(root, offset)),
+                    self.zero,
+                    self.coned,
+                )
+            if not d:
+                return "same"
+            if not self.coned:
+                return None
+        elif self.zero:
+            return "same"
+        return Flat(root, (0,) * len(root), True, True)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The integer echelon rows of the module docstring, in pivot order."""
+        n = len(self.root)
+        out = []
+        for v, (r, o) in enumerate(zip(self.root, self.offset)):
+            if r != v:
+                row = [0] * (n + 1 + self.coned)
+                row[v], row[r] = o.denominator, -o.denominator
+                row[n] = -o.numerator if self.coned else o.numerator
+                out.append(tuple(row))
+        if self.zero:
+            out.append((0,) * n + (1, 0))
+        return tuple(out)
 
     def rref(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rational reduced row echelon form: each row over its pivot."""
-        return tuple(tuple(Fraction(v, row[_pivot(row)]) for v in row) for row in self.rows)
+        return tuple(tuple(Fraction(v, next(filter(None, row))) for v in row) for row in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +147,7 @@ class Flat:
         }
 
     def render(self, names: Sequence[str]) -> str:
-        if not self.rows:
+        if not self.rank:
             return "ambient space"
         return "; ".join(equation_str(row[:-1], row[-1], names) for row in self.rref())
 
@@ -183,7 +180,7 @@ class IntersectionPoset:
         self.steps: tuple[tuple[int | None, ...], ...] = tuple(
             tuple(None if k is None else new_index[k] for k in steps[i]) for i in order
         )
-        self._index = {f.rows: i for i, f in enumerate(self.flats)}
+        self._index = {f: i for i, f in enumerate(self.flats)}
         self.mobius: tuple[int, ...] = self._compute_mobius()
 
     def _compute_mobius(self) -> tuple[int, ...]:
@@ -207,7 +204,7 @@ class IntersectionPoset:
 
     def index_of(self, flat: Flat) -> int:
         try:
-            return self._index[flat.rows]
+            return self._index[flat]
         except KeyError:
             raise ValueError("flat does not belong to this poset") from None
 
@@ -273,23 +270,25 @@ class IntersectionPoset:
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Generate every flat by closing the ambient space under intersection.
 
-    The ``"same"`` answers of the closure give each flat's mask, and all
-    answers give its row of the step table, in the same pass.
+    The arrangement is read once as gain-graph edges.  The ``"same"``
+    answers of the closure give each flat's mask, and all answers give
+    its row of the step table, in the same pass.
     """
-    ambient = Flat.ambient(arr.dim)
-    index: dict[tuple[Row, ...], int] = {ambient.rows: 0}
+    edges = arr.gain_edges()
+    ambient = Flat.ambient(arr.dim, arr.coned)
+    index = {ambient: 0}
     flats = [ambient]
     masks: list[int] = []
     steps: list[list[int | None]] = []
     for i, flat in enumerate(flats):  # grows while it is walked
         mask = 0
         step: list[int | None] = []
-        for bit, h in enumerate(arr.hyperplanes):
-            res = flat.intersect_hyperplane(h)
+        for bit, edge in enumerate(edges):
+            res = flat.intersect_hyperplane(edge)
             if isinstance(res, Flat):
-                k = index.get(res.rows)
+                k = index.get(res)
                 if k is None:
-                    k = index[res.rows] = len(flats)
+                    k = index[res] = len(flats)
                     flats.append(res)
                 step.append(k)
             elif res is None:
@@ -313,13 +312,13 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
     The flat must belong to the intersection poset: it has to equal the
     intersection of the hyperplanes through it.
     """
-    if flat.ambient_dim != arr.dim:
+    if flat.ambient_dim != arr.dim or flat.coned != arr.coned:
         raise ValueError("flat lives in the wrong ambient space")
-    chosen = [h for h in arr.hyperplanes if flat.implies(h.row())]
-    check = Flat.from_rows([h.row() for h in chosen], arr.dim)
-    if check is None or check.rows != flat.rows:
+    edges = arr.gain_edges()
+    chosen = [k for k, edge in enumerate(edges) if flat.intersect_hyperplane(edge) == "same"]
+    if Flat.through([edges[k] for k in chosen], arr.dim, arr.coned) != flat:
         raise ValueError("flat is not an intersection of arrangement hyperplanes")
-    return Arrangement(arr.dim, chosen, coned=arr.coned)
+    return Arrangement(arr.dim, [arr.hyperplanes[k] for k in chosen], coned=arr.coned)
 
 
 def is_modular(poset: IntersectionPoset, flat: Flat) -> bool:
@@ -393,7 +392,7 @@ class FiltrationReport:
 
 
 def _arrangement_rank(arr: Arrangement) -> int:
-    flat = Flat.from_rows([h.row() for h in arr.hyperplanes], arr.dim)
+    flat = Flat.through(arr.gain_edges(), arr.dim, arr.coned)
     if flat is None:
         raise ValueError("central arrangement expected")
     return flat.rank
@@ -413,29 +412,13 @@ def nest_filtration(nest: NestSpec) -> tuple[list[Arrangement], FiltrationReport
     if not nest.is_descending():
         raise ValueError("nest filtration needs a descending tuple of sets")
     arr = cone(build_n_ish(nest))
-    ell = nest.ell
     n = arr.dim
-    z_row = [0] * (n + 1)
-    z_row[ell] = 1
-
-    def diff_row(i: int, j: int) -> list[int]:
-        row = [0] * (n + 1)
-        row[i - 1] = 1
-        row[j - 1] = -1
-        return row
-
     stages: list[Arrangement] = []
     degenerate = not nest.set_at(2)  # every set empty: x1 is unconstrained
     total_rank = _arrangement_rank(arr)
     for i in range(1, total_rank + 1):
-        rows = [z_row]
-        if degenerate:
-            rows += [diff_row(j, k) for j in range(2, i + 2) for k in range(j + 1, i + 2)]
-        else:
-            rows += [diff_row(1, j) for j in range(2, i + 1)]
-            rows += [diff_row(j, k) for j in range(2, i + 1) for k in range(j + 1, i + 1)]
-        flat = Flat.from_rows(rows, n)
-        assert flat is not None
+        first, last = (1, i) if degenerate else (0, i - 1)  # 0-based coordinates
+        flat = Flat.through([None] + [(first, k, 0) for k in range(first + 1, last + 1)], n, True)
         stages.append(localization(arr, flat))
 
     failures: list[str] = []
@@ -445,12 +428,12 @@ def nest_filtration(nest: NestSpec) -> tuple[list[Arrangement], FiltrationReport
         failures.append(f"stage ranks {ranks} are not 1..{total_rank}")
     pairs_ok = True
     for idx in range(1, len(stages)):
-        current, previous = stages[idx], stages[idx - 1]
-        for a_i, ha in enumerate(current.hyperplanes):
-            for hb in current.hyperplanes[a_i + 1 :]:
-                meet = Flat.from_rows([ha.row(), hb.row()], n)
-                assert meet is not None  # central hyperplanes always intersect
-                if not any(meet.implies(hc.row()) for hc in previous.hyperplanes):
+        current, previous = stages[idx].gain_edges(), stages[idx - 1].gain_edges()
+        for a_i, ea in enumerate(current):
+            for eb in current[a_i + 1 :]:
+                meet = Flat.through([ea, eb], n, True)
+                assert meet is not None  # coned flats are never empty
+                if not any(meet.intersect_hyperplane(ec) == "same" for ec in previous):
                     pairs_ok = False
                     failures.append(
                         f"stage {idx + 1}: pair does not meet inside the previous stage"

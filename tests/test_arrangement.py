@@ -47,16 +47,20 @@ def test_hyperplane_form_and_eval():
     assert plane.eval_at([3, 1]) == 1
     assert plane.eval_at([2, 1]) == 0
     assert plane.eval_at([5, 2], 2) == 1  # at (5/2, 1), times 2
-    assert plane.row() == (1, -1, 1)
-    assert all(type(v) is int for v in plane.row())
     assert plane.render(["x1", "x2"]) == "x1 - x2 = 1"
 
 
 def test_gain_edges_read_back_the_constant():
     arr = Arrangement(3, [h([1, -1, 0], Fraction(1, 2)), h([0, 1, -1], -2)])
     assert arr.hyperplanes[0] == Hyperplane((2, -2, 0), 1)
-    assert arr.gain_edges() == [(0, 1, Fraction(1, 2)), (1, 2, Fraction(-2))]
-    assert cone(arr).gain_edges() == [None, (0, 1, Fraction(1, 2)), (1, 2, Fraction(-2))]
+    edges = arr.gain_edges()
+    assert edges == [(0, 1, Fraction(1, 2)), (1, 2, -2)]
+    assert [type(e[2]) for e in edges] == [Fraction, int]  # int when integral
+    coned = cone(arr).gain_edges()
+    assert coned == [None] + edges
+    assert [type(e[2]) for e in coned[1:]] == [Fraction, int]
+    # a coned arrangement without z = 0 still reads as edges
+    assert Arrangement(3, [h([1, -1, 0], 0)], coned=True).gain_edges() == [(0, 1, 0)]
     with pytest.raises(ValueError, match="not of the form"):
         Arrangement(3, [h([0, 0, 1], 1), h([1, -1, 0])], coned=True).gain_edges()  # z = 1
 

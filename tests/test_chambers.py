@@ -28,7 +28,7 @@ from ishkit.chambers import (
     wallcross_expected,
 )
 from ishkit.exactmath import UniPoly, clear_denominators
-from ishkit.lattice import char_poly
+from ishkit.lattice import char_poly, intersection_poset
 
 
 # -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
@@ -358,8 +358,9 @@ def test_matrix_enumeration_matches_fourier_motzkin(arr):
 
 def test_enumeration_rejects_non_difference_hyperplanes():
     for coeffs in ([1, 1], [2, -1]):  # x1 + x2 = 0, 2*x1 - x2 = 0
-        with pytest.raises(ValueError, match="not of the form"):
-            enumerate_chambers(Arrangement(2, [Hyperplane.make(coeffs)]))
+        for reader in (enumerate_chambers, intersection_poset):
+            with pytest.raises(ValueError, match="not of the form"):
+                reader(Arrangement(2, [Hyperplane.make(coeffs)]))
     no_z = Arrangement(3, [Hyperplane.make([1, -1, 0])], coned=True)
     with pytest.raises(ValueError, match="z = 0"):
         enumerate_chambers(no_z)

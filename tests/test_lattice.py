@@ -3,11 +3,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ishkit import exactmath, lattice
 from ishkit.arrangement import (
+    Arrangement,
     Graph,
+    Hyperplane,
     NestSpec,
     build_deleted,
     build_n_ish,
@@ -75,7 +78,7 @@ def reference_poset(arr):
     reduction of each hyperplane row.
     """
     width = arr.dim + 1
-    hrows = [h.row() for h in arr.hyperplanes]
+    hrows = [(*h.coeffs, h.const) for h in arr.hyperplanes]
     found: set[tuple[Row, ...]] = {()}
     queue: list[tuple[Row, ...]] = [()]
     while queue:
@@ -115,21 +118,47 @@ def reference_meet(masks: Sequence[int], ranks: Sequence[int], i: int, j: int) -
     return best
 
 
+def flat_edges(flat: Flat) -> list:
+    """The gain edges of a flat's own equations: ``x_v - x_root = offset``, then ``z = 0``."""
+    edges = [(v, r, o) for v, (r, o) in enumerate(zip(flat.root, flat.offset)) if r != v]
+    return edges + [None] * flat.zero
+
+
 def test_flat_basics():
     amb = Flat.ambient(3)
-    assert amb.rank == 0 and amb.dim == 3
-    f = Flat.from_rows([[1, -1, 0, 0], [0, 1, -1, 0]], 3)
+    assert amb.rank == 0 and amb.dim == 3 and amb.rows == ()
+    f = Flat.through([(0, 1, 0), (1, 2, 0)], 3)
     assert f is not None and f.rank == 2 and f.dim == 1
-    assert f.implies((1, 0, -1, 0))  # x1 = x3 follows
-    assert not f.implies((1, 0, -1, 1))
-    # inconsistent system has no flat
-    assert Flat.from_rows([[1, -1, 0], [1, -1, 1]], 2) is None
+    assert f.intersect_hyperplane((0, 2, 0)) == "same"  # x1 = x3 follows
+    assert f.intersect_hyperplane((0, 2, 1)) is None  # x1 - x3 = 1 misses it
+    # inconsistent system has no flat; coned, the same two meet inside z = 0
+    assert Flat.through([(0, 1, 0), (0, 1, 1)], 2) is None
+    meet = Flat.through([(0, 1, 0), (0, 1, 1)], 3, coned=True)
+    assert meet == Flat.through([(0, 1, 0), None], 3, coned=True)
+    # a merge shifts the offsets of the block that joins the larger root
+    g = Flat.through([(0, 1, Fraction(1, 2)), (1, 2, -2)], 3)
+    assert g.root == (2, 2, 2) and g.offset == (Fraction(-3, 2), -2, 0)
+    assert g.rows == ((2, 0, -2, -3), (0, 1, -1, -2))  # 2*x1 - 2*x3 = -3, x2 - x3 = -2
+    assert g.rref() == ((1, 0, -1, Fraction(-3, 2)), (0, 1, -1, -2))
+    # coned: offsets scale z, and z = 0 zeroes them and adds its own row
+    c = Flat.through([(0, 1, Fraction(1, 2))], 3, coned=True)
+    assert c.ambient_dim == 3 and c.rows == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
+    collapsed = c.intersect_hyperplane(None)
+    assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
+    assert collapsed.rows == ((1, -1, 0, 0), (0, 0, 1, 0))
+    assert collapsed.intersect_hyperplane((0, 1, 5)) == "same"  # 5*z vanishes on z = 0
 
 
 def test_flat_rref_is_canonical():
-    a = Flat.from_rows([[1, -1, 0, 0], [0, 1, -1, 0]], 3)
-    b = Flat.from_rows([[1, 0, -1, 0], [2, -2, 0, 0]], 3)
-    assert a == b
+    a = Flat.through([(0, 1, 1), (1, 2, 2)], 3)
+    b = Flat.through([(0, 2, 3), (1, 2, 2)], 3)
+    c = Flat.through([(0, 2, 3), (0, 1, 1)], 3)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.rref() == ((1, 0, -1, 3), (0, 1, -1, 2))
+    coned = Flat.through([(1, 2, 0), None], 4, coned=True)
+    assert coned.rows == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
+    for flat in (a, coned):  # a flat's own equations rebuild it
+        assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned) == flat
 
 
 def test_poset_two_parallel_lines():
@@ -193,22 +222,26 @@ def test_mobius_alternates_in_sign():
 
 def test_localization():
     arr = cone(build_n_ish(NestSpec.make([[0], [1]])))
-    X = Flat.from_rows(
-        [[0, 0, 0, 1, 0], [1, -1, 0, 0, 0], [1, 0, -1, 0, 0]], 4
-    )
-    assert X is not None
+    X = Flat.through([None, (0, 1, 0), (0, 2, 0)], 4, coned=True)
     loc = localization(arr, X)
     assert len(loc) == 4  # every hyperplane contains this flat
     # localizing at a single hyperplane's flat returns just that hyperplane
-    h = arr.hyperplanes[0]
-    single = Flat.from_rows([h.row()], 4)
-    assert localization(arr, single).hyperplanes == (h,)
+    edges = arr.gain_edges()
+    for k, h in enumerate(arr.hyperplanes):
+        single = Flat.through([edges[k]], 4, coned=True)
+        assert localization(arr, single).hyperplanes == (h,)
+    # off z = 0 the localization has no z = 0, and its lattice still reads it
+    off = localization(arr, Flat.through([(0, 1, 0), (1, 2, 0)], 4, coned=True))
+    assert off.coned and len(off) == 2 and None not in off.gain_edges()
+    assert len(intersection_poset(off)) == 4
     # a subspace that is not an intersection of hyperplanes is rejected
-    bogus = Flat.from_rows([[1, 0, 0, 0, 0]], 4)
+    bogus = Flat.through([(0, 1, 1)], 4, coned=True)  # x1 - x2 = z
     with pytest.raises(ValueError):
         localization(arr, bogus)
     with pytest.raises(ValueError):
         localization(arr, Flat.ambient(7))
+    with pytest.raises(ValueError):
+        localization(arr, Flat.ambient(4))  # an affine flat
 
 
 def test_is_modular_rank_two_cone():
@@ -248,8 +281,8 @@ def test_supersolvable_chain_is_nested():
     assert chain is not None
     for below, above in zip(chain, chain[1:]):
         # the higher flat satisfies every equation of the lower one
-        for row in below.rows:
-            assert above.implies(row)
+        for edge in flat_edges(below):
+            assert above.intersect_hyperplane(edge) == "same"
         assert above.rank == below.rank + 1
 
 
@@ -333,8 +366,28 @@ def small_arrangements(draw):
     return cone(arr) if draw(st.booleans()) else arr
 
 
+def _plane(coeffs, const=0):
+    return Hyperplane.make(coeffs, const)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_arrangements(), st.randoms(use_true_random=False))
+# affine empty meet: x1 - x2 = 0 and x1 - x2 = 1
+@example(Arrangement(2, [_plane([1, -1]), _plane([1, -1], 1)]), random.Random(1))
+# coned collapse: x1 - x2 = 0 and x1 - x2 = z meet in z = 0
+@example(
+    Arrangement(3, [_plane([1, -1, 0]), _plane([1, -1, -1])], coned=True), random.Random(2)
+)
+# the collapse after a half-integer merge, with z = 0 last
+@example(
+    Arrangement(
+        4,
+        [_plane([1, -1, 0, Fraction(-1, 2)]), _plane([0, 1, -1, 0]), _plane([1, 0, -1, 0]),
+         _plane([0, 0, 0, 1])],
+        coned=True,
+    ),
+    random.Random(3),
+)
 def test_integer_kernel_matches_rational_reference(arr, rng):
     poset = intersection_poset(arr)
     ref_flats, ref_masks, ref_mobius = reference_poset(arr)
@@ -355,3 +408,10 @@ def test_integer_kernel_matches_rational_reference(arr, rng):
             with pytest.raises(ValueError):
                 poset.join_index(i, j)
         assert poset.meet_index(i, j) == reference_meet(poset.masks, poset.ranks, i, j)
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    # perfbench/tracing.py wraps these two methods where their classes
+    # define them; without either, ``perfbench/run.py --trace 1`` breaks.
+    assert "intersect_hyperplane" in vars(lattice.Flat)
+    assert "__mul__" in vars(exactmath.MultiPoly)
