@@ -24,7 +24,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exactmath import (
-    MultiPoly,
     Scalar,
     clear_denominators,
     default_names,
@@ -59,10 +58,6 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return len(self.coeffs)
-
-    def form(self) -> MultiPoly:
-        """The defining polynomial ``sum(c_i x_i) - const``."""
-        return MultiPoly.linear(self.coeffs, -self.const)
 
     def eval_at(self, point: Sequence[int], den: int = 1) -> int:
         """The form ``sum(c_i x_i) - const`` at ``point / den``, times ``den``.

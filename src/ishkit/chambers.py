@@ -59,12 +59,6 @@ class SignVector:
     def __len__(self) -> int:
         return len(self.signs)
 
-    def distance(self, other: "SignVector") -> int:
-        """Number of separating hyperplanes: positions where signs differ."""
-        if len(other) != len(self):
-            raise ValueError("sign vectors have different lengths")
-        return sum(a != b for a, b in zip(self.signs, other.signs))
-
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 

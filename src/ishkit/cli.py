@@ -54,11 +54,6 @@ def _read_doc(text: str) -> dict:
     return doc
 
 
-def parse_spec(text: str) -> AnalysisRequest:
-    """Parse a full request document: arrangement spec plus command/format."""
-    return request_from_doc(_read_doc(text))
-
-
 def request_from_doc(doc: object) -> AnalysisRequest:
     if not isinstance(doc, dict):
         raise ValueError("the request must be a JSON object")

@@ -6,35 +6,34 @@ point is used anywhere.  Two polynomial representations cover all needs:
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
   ``terms`` from monomial keys to nonzero rational coefficients.  A
   coefficient is held as a Python ``int`` when it is integral and as a
-  ``fractions.Fraction`` only when it is not, so products, sums, exact
-  divisions and integer-point values of integer polynomials never leave
-  ``int`` arithmetic.  The canonical term order is graded lexicographic
-  with earlier variables larger (for coned arrangements the variables
-  read ``x1 > x2 > ... > xl > z``); it drives division, leading terms
-  and printing, so all output is deterministic.
+  ``fractions.Fraction`` only when it is not, so products, sums, the
+  linear-ideal test and integer-point values of integer polynomials
+  never leave ``int`` arithmetic.  The canonical term order is graded
+  lexicographic with earlier variables larger (for coned arrangements
+  the variables read ``x1 > x2 > ... > xl > z``); it drives printing,
+  so all output is deterministic.
 
   A monomial key is one ``int`` that packs the total degree and the
   exponents into 16-bit fields, degree first:
   ``key = d << 16n | e_1 << 16(n-1) | ... | e_n`` for ``n`` variables.
   Plain ``int`` order is then the graded-lex order, and the key of a
   product of monomials is the sum of their keys.  The top bit of each
-  field is a guard bit: the total degree, and so every exponent, stays
-  below ``2**15``, and ``a - b`` has a guard bit set exactly when some
-  exponent of ``b`` exceeds that of ``a`` (a borrow), which makes the
-  divisibility test of division one subtraction and one mask.  A
-  polynomial or product of degree ``2**15`` or more is a
-  ``ValueError``.  For ``x1, x2, x3`` the term ``5/2 * x1^2 * x3`` is
-  the entry ``3 << 48 | 2 << 32 | 1 -> Fraction(5, 2)``.  Exponent
-  tuples appear only at the edges: the constructors read them, and
-  ``leading_term``, ``sorted_terms``, ``poly_str`` and ``poly_to_json``
-  write them.
+  field is a guard bit that no exponent reaches: the total degree, and
+  so every exponent, stays below ``2**15``, so no field of a sum of
+  keys carries into the next.  A polynomial or product of degree
+  ``2**15`` or more is a ``ValueError``.  For ``x1, x2, x3`` the term
+  ``5/2 * x1^2 * x3`` is the entry ``3 << 48 | 2 << 32 | 1 ->
+  Fraction(5, 2)``.  Exponent tuples appear only at the edges: the
+  constructors read them, and ``sorted_terms``, ``poly_str`` and
+  ``poly_to_json`` write them.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
   polynomials.
 
-``int_det`` is the exact determinant of an integer matrix, such as a
-polynomial matrix evaluated at an integer point.
+``vanishes_on`` decides whether a polynomial lies in the ideal of a
+linear form, and ``int_det`` is the exact determinant of an integer
+matrix, such as a polynomial matrix evaluated at an integer point.
 
 JSON forms (shared with the command line surface):
 
@@ -46,11 +45,10 @@ JSON forms (shared with the command line surface):
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -103,15 +101,6 @@ def _nonzero(terms: dict[int, Scalar]) -> dict[int, Scalar]:
     if Fraction in set(map(type, terms.values())):
         return {k: _exact(c) for k, c in terms.items() if c}
     return {k: c for k, c in terms.items() if c}
-
-
-def _quotient(a: Scalar, b: Scalar) -> Scalar:
-    """``a / b`` exactly, in ``int`` when both are ints and ``b`` divides ``a``."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _exact(Fraction(a) / b)
 
 
 _FIELD = 16  # bits per field of a monomial key; see the module docstring
@@ -182,21 +171,6 @@ class MultiPoly:
         exp = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exp: 1})
 
-    @classmethod
-    def linear(cls, coeffs: Sequence[Scalar], constant: Scalar = 0) -> "MultiPoly":
-        """The affine-linear polynomial ``sum(c_i * x_i) + constant``."""
-        n = len(coeffs)
-        degree_one = 1 << (_FIELD * n)
-        res = cls(n)
-        res.terms = {
-            degree_one | (1 << (_FIELD * (n - 1 - i))): _exact(c)
-            for i, c in enumerate(coeffs)
-            if c
-        }
-        if constant:
-            res.terms[0] = _exact(constant)
-        return res
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -215,13 +189,6 @@ class MultiPoly:
             return True
         shift = _FIELD * self.nvars
         return min(self.terms) >> shift == max(self.terms) >> shift
-
-    def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
-        """Largest term in graded-lex order; errors on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms)
-        return _unpack(key, self.nvars), self.terms[key]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """``(exponent tuple, coefficient)`` pairs in descending graded-lex order."""
@@ -390,62 +357,51 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
     ]
 
 
-# -- division and integer determinants ------------------------------
+# -- linear ideals and integer determinants ---------------------------
 
 
-def poly_exact_div(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Single-divisor division in graded-lex order.
+def vanishes_on(f: MultiPoly, coeffs: Sequence[Scalar]) -> bool:
+    """Is ``f`` a multiple of the linear form ``alpha = sum(coeffs[k] * x_k)``?
 
-    Returns ``(quotient, remainder)`` with ``f == g * quotient + remainder``.
-    When ``g`` divides ``f`` exactly the remainder is zero (the leading
-    term of a product is the product of leading terms, so the algorithm
-    always strips the quotient term by term); conversely a nonzero
-    remainder certifies non-divisibility.
+    Let ``x_p`` be the first variable with a nonzero coefficient, the
+    leading monomial of ``alpha`` in graded lex.  The remainder of ``f``
+    modulo ``alpha`` is then ``f`` with ``x_p := L``, where
+    ``L = -sum_{k > p} (coeffs[k] / coeffs[p]) * x_k``.  It is free of
+    ``x_p``, so ``f`` is in the ideal ``(alpha)`` exactly when it is zero.
+    The terms of ``f`` are grouped by their ``x_p`` exponent ``e``, with
+    ``x_p^e`` stripped from each key, and the remainder is summed by
+    Horner from the top exponent ``E`` down: ``r <- r * L + g_e``.  To
+    keep integer input in ``int`` arithmetic, the sum runs on
+    ``coeffs[p]**E`` times the remainder: ``L`` without its denominator
+    ``coeffs[p]``, and ``g_e`` times ``coeffs[p]**(E - e)``.
     """
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if f.nvars != g.nvars:
-        raise ValueError("polynomials have different variable counts")
-    g_key = max(g.terms)
-    g_coef = g.terms[g_key]
-    rest = [(k, c) for k, c in g.terms.items() if k != g_key]
-    # A field of ``key - g_key`` goes negative, and borrows its guard bit
-    # on, exactly when the leading monomial of g does not divide key.
-    guards = sum(_GUARD << (_FIELD * i) for i in range(f.nvars + 1))
-    work = dict(f.terms)
-    # Lazy max-heap of keys; keys whose term has cancelled are skipped.
-    heap = [-k for k in work]
-    heapq.heapify(heap)
-    quotient: dict[int, Scalar] = {}
-    remainder: dict[int, Scalar] = {}
-    while heap:
-        key = -heapq.heappop(heap)
-        coef = work.pop(key, None)
-        if coef is None:
-            continue
-        q_key = key - g_key
-        if q_key & guards:
-            remainder[key] = coef
-            continue
-        # Popped keys strictly decrease, so each quotient key is new.
-        q_coef = quotient[q_key] = _quotient(coef, g_coef)
-        for k2, c2 in rest:
-            k = q_key + k2
-            prev = work.get(k)
-            if prev is None:
-                work[k] = _exact(-q_coef * c2)
-                heapq.heappush(heap, -k)
-            else:
-                s = prev - q_coef * c2
-                if s:
-                    work[k] = _exact(s)
-                else:
-                    del work[k]
-    q = MultiPoly(f.nvars)
-    q.terms = quotient
-    r = MultiPoly(f.nvars)
-    r.terms = remainder
-    return q, r
+    n = f.nvars
+    if len(coeffs) != n:
+        raise ValueError("linear form and polynomial dimensions differ")
+    p = next((k for k, a in enumerate(coeffs) if a), None)
+    if p is None:
+        raise ValueError("a linear form needs a nonzero coefficient")
+    shift, degree_shift = _FIELD * (n - 1 - p), _FIELD * n
+    subst = {  # L times coeffs[p]
+        (1 << degree_shift | 1 << (_FIELD * (n - 1 - k))): -a
+        for k, a in enumerate(coeffs)
+        if k > p and a
+    }
+    groups: dict[int, dict[int, Scalar]] = {}
+    for key, c in f.terms.items():
+        e = key >> shift & _MASK
+        groups.setdefault(e, {})[key - (e << shift) - (e << degree_shift)] = c
+    rem: dict[int, Scalar] = {}
+    scale = 1
+    for e in range(max(groups, default=0), -1, -1):
+        out = {k: c * scale for k, c in groups.get(e, {}).items()}
+        for k1, c1 in rem.items():
+            for k2, c2 in subst.items():
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        rem = {k: c for k, c in out.items() if c}
+        scale *= coeffs[p]
+    return not rem
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

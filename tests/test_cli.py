@@ -9,24 +9,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import SPEC_KINDS
-from ishkit.cli import main, parse_spec, request_echo, run
+from ishkit.cli import main, request_echo, request_from_doc, run
+
+
+def request_of(text: str):
+    """The request a JSON document reads as, through the one parse path."""
+    return request_from_doc(json.loads(text))
 
 
 def text_of(spec: dict, command: str) -> str:
     doc = dict(spec, command=command)
-    return run(parse_spec(json.dumps(doc)))
+    return run(request_of(json.dumps(doc)))
 
 
 def json_of(spec: dict, command: str) -> dict:
     doc = dict(spec, command=command, format="json")
-    return json.loads(run(parse_spec(json.dumps(doc))))
+    return json.loads(run(request_of(json.dumps(doc))))
+
+
+def main_error(text: str, capsys, monkeypatch) -> str:
+    """The one stderr line of ``ishkit charpoly`` on ``text``, which must fail with exit 1."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["charpoly"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return err
 
 
 # -- request parsing ---------------------------------------------------
 
 
 def test_parse_spec_named_type():
-    req = parse_spec('{"type": "ish", "ell": 3, "command": "charpoly"}')
+    req = request_of('{"type": "ish", "ell": 3, "command": "charpoly"}')
     assert req.command == "charpoly"
     assert req.output_format == "text"
     assert req.ell == 3
@@ -34,13 +48,13 @@ def test_parse_spec_named_type():
 
 
 def test_parse_spec_n_ish_with_fractions():
-    req = parse_spec('{"type": "n_ish", "N": [[0], ["1/2"]], "command": "freeness"}')
+    req = request_of('{"type": "n_ish", "N": [[0], ["1/2"]], "command": "freeness"}')
     assert req.parsed.nest is not None
     assert req.parsed.nest.set_at(3) == (Fraction(1, 2),)
 
 
 def test_parse_spec_deleted_graph():
-    req = parse_spec(
+    req = request_of(
         '{"type": "deleted_ish", "ell": 4, "edges": [[1, 2], [2, 4]],'
         ' "command": "graph"}'
     )
@@ -48,29 +62,28 @@ def test_parse_spec_deleted_graph():
 
 
 def test_parse_spec_survey_skips_arrangement():
-    req = parse_spec('{"ell": 4, "command": "survey"}')
+    req = request_of('{"ell": 4, "command": "survey"}')
     assert req.parsed is None
     assert req.ell == 4
 
 
-def test_parse_spec_rejects_bad_json():
-    with pytest.raises(ValueError, match="invalid JSON"):
-        parse_spec("{not json")
+def test_parse_spec_rejects_bad_json(capsys, monkeypatch):
+    assert main_error("{not json", capsys, monkeypatch).startswith("error: invalid JSON")
 
 
-def test_parse_spec_rejects_non_object():
-    with pytest.raises(ValueError, match="JSON object"):
-        parse_spec("[1, 2]")
+def test_parse_spec_rejects_non_object(capsys, monkeypatch):
+    err = main_error("[1, 2]", capsys, monkeypatch)
+    assert err.startswith("error:") and "JSON object" in err
 
 
 def test_parse_spec_rejects_unknown_command():
     with pytest.raises(ValueError, match="unknown command"):
-        parse_spec('{"type": "ish", "ell": 3, "command": "frobnicate"}')
+        request_of('{"type": "ish", "ell": 3, "command": "frobnicate"}')
 
 
 def test_parse_spec_rejects_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
-        parse_spec('{"type": "ish", "ell": 3, "command": "charpoly", "format": "xml"}')
+        request_of('{"type": "ish", "ell": 3, "command": "charpoly", "format": "xml"}')
 
 
 def test_request_echo_round_trips():
@@ -80,8 +93,8 @@ def test_request_echo_round_trips():
         {"type": "deleted_ish", "ell": 3, "edges": [[1, 2]], "command": "graph"},
         {"ell": 3, "command": "survey"},
     ):
-        req = parse_spec(json.dumps(doc))
-        again = parse_spec(json.dumps(request_echo(req)))
+        req = request_of(json.dumps(doc))
+        again = request_of(json.dumps(request_echo(req)))
         assert again == req
 
 
@@ -185,7 +198,7 @@ def test_json_output_echoes_spec():
 
 def test_json_output_is_deterministic():
     doc = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True}
-    runs = {run(parse_spec(json.dumps(dict(doc, command="saito", format="json")))) for _ in range(3)}
+    runs = {run(request_of(json.dumps(dict(doc, command="saito", format="json")))) for _ in range(3)}
     assert len(runs) == 1
 
 

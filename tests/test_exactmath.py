@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.exactmath import (
@@ -14,12 +14,12 @@ from ishkit.exactmath import (
     format_rational,
     int_det,
     parse_rational,
-    poly_exact_div,
     poly_str,
     poly_to_json,
     unipoly_factored_str,
     unipoly_str,
     unipoly_to_json,
+    vanishes_on,
 )
 
 
@@ -155,29 +155,50 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     assert in_order(product) == ref_in_order(ref_mul(ra, rb))
     assert product.total_degree() == max((sum(e) for e in ref_mul(ra, rb)), default=0)
     if ra:
-        assert a.leading_term() == (max(ra, key=_grlex), ra[max(ra, key=_grlex)])
+        assert a.sorted_terms()[0] == (max(ra, key=_grlex), ra[max(ra, key=_grlex)])
         assert a.is_homogeneous() == (len({sum(e) for e in ra}) == 1)
-    if rb:
-        # divisible: the product by one factor; in general: a by b
-        for f, rf in ((product, ref_mul(ra, rb)), (a, ra)):
-            quotient, remainder = poly_exact_div(f, b)
-            ref_q, ref_r = ref_div(rf, rb)
-            assert in_order(quotient) == ref_in_order(ref_q)
-            assert in_order(remainder) == ref_in_order(ref_r)
-        assert poly_exact_div(product, b)[1].is_zero
 
 
-def test_exact_div_guard_bit_catches_a_borrow():
-    # x1*x3 / x2*x3: the packed difference of the two monomials is
-    # positive (the x1 field pays for the x2 field), so only the guard
-    # bit of the x2 field shows that x2 does not divide x1.
-    x1, x2, x3 = var(3, 0), var(3, 1), var(3, 2)
-    f, g = x1 * x3, x2 * x3
-    assert max(f.terms) - max(g.terms) > 0
-    q, r = poly_exact_div(f, g)
-    assert q.is_zero and r == f
-    q, r = poly_exact_div(x1 * x1 + x1 * x2, x1 + x2)
-    assert q == x1 and r.is_zero
+@st.composite
+def linear_form_cases(draw):
+    """A polynomial, a linear form and whether to multiply the two.
+
+    The pivot (first nonzero coefficient) sits at any variable, the last
+    one (``z`` of a cone) included, and every coefficient may be a
+    non-unit or a half-integer.
+    """
+    nvars = draw(st.integers(1, 5))
+    lead = draw(st.integers(0, nvars - 1))
+    tail = st.lists(COEF | st.just(0), min_size=nvars - 1 - lead, max_size=nvars - 1 - lead)
+    coeffs = [0] * lead + [draw(COEF)] + draw(tail)
+    return nvars, coeffs, draw(poly_terms(nvars)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_form_cases())
+@example((2, [1, 1], {(2, 0): 1, (0, 2): -1}, False))  # x1^2 - z^2 by x1 + z divides
+@example((2, [1, -1], {(1, 0): 1}, False))  # x1 by x1 - x2 leaves x2
+@example((3, [0, 0, 1], {(1, 0, 1): 1, (2, 0, 0): -1}, False))  # z = 0
+@example((3, [0, 2, Fraction(-3, 2)], {(0, 2, 0): 1, (1, 1, 1): 2}, True))
+@example((4, [0, -3, 0, 5], {(1, 1, 0, 2): Fraction(1, 2), (0, 0, 3, 0): 1}, False))
+def test_vanishes_on_matches_division_remainder(case):
+    nvars, coeffs, f_terms, multiply = case
+    alpha = {tuple(int(i == k) for i in range(nvars)): a for k, a in enumerate(coeffs) if a}
+    rf = ref_terms(f_terms)
+    if multiply:
+        rf = ref_mul(rf, alpha)
+    _, remainder = ref_div(rf, alpha)
+    verdict = vanishes_on(MultiPoly(nvars, rf), coeffs)
+    assert verdict == (not remainder)
+    assert verdict or not multiply
+
+
+def test_vanishes_on_rejects_bad_forms():
+    x1 = var(2, 0)
+    with pytest.raises(ValueError):
+        vanishes_on(x1, [0, 0])
+    with pytest.raises(ValueError):
+        vanishes_on(x1, [1, 0, 0])
 
 
 def test_degree_past_the_field_limit_raises():
@@ -234,7 +255,6 @@ def test_multipoly_basics():
     assert (p - p).is_zero
     assert p.evaluate([3, 2]) == 5 and type(p.evaluate([3, 2])) is int
     assert p.evaluate([Fraction(1, 2), 0]) == Fraction(1, 4)
-    assert MultiPoly.linear([1, -1], constant=-4) == x1 - x2 - 4
 
 
 def test_multipoly_cancellation_drops_terms():
@@ -247,17 +267,14 @@ def test_multipoly_cancellation_drops_terms():
 def test_integral_coefficients_are_stored_as_int():
     x1, x2 = var(2, 0), var(2, 1)
     half = x1 * Fraction(1, 2)
-    assert type(half.leading_term()[1]) is Fraction
-    q, r = poly_exact_div(x1 * x2 * 2, half)
+    assert type(half.sorted_terms()[0][1]) is Fraction
     integral = [
         half * 2,
         half + half,
         (half * x2) * (x1 * 2),
         x1 - half - half,
         MultiPoly(2, {(0, 0): Fraction(4, 2), (1, 1): "6/3"}),
-        q,
     ]
-    assert q == x2 * 4 and r.is_zero
     for p in integral:
         assert all(type(c) is int for c in p.terms.values()), p
 
@@ -265,11 +282,10 @@ def test_integral_coefficients_are_stored_as_int():
 def test_leading_term_graded_lex():
     # x1 > x2: among equal-degree terms the earlier variable wins.
     p = mp(2, {(1, 0): 1, (0, 1): 5})
-    assert p.leading_term() == ((1, 0), Fraction(1))
+    assert p.sorted_terms()[0] == ((1, 0), Fraction(1))
     q = mp(2, {(0, 3): 1, (2, 0): 1})  # degree decides first
-    assert q.leading_term() == ((0, 3), Fraction(1))
-    with pytest.raises(ValueError):
-        MultiPoly.zero(2).leading_term()
+    assert q.sorted_terms()[0] == ((0, 3), Fraction(1))
+    assert MultiPoly.zero(2).sorted_terms() == []
 
 
 def test_poly_str_ordering():
@@ -277,42 +293,6 @@ def test_poly_str_ordering():
     p = x2 * x2 - 2 * x1 + 1
     assert poly_str(p) == "x2^2 - 2*x1 + 1"
     assert poly_str(MultiPoly.zero(2)) == "0"
-
-
-def test_exact_div_examples():
-    x1, z = var(2, 0), var(2, 1)
-    q, r = poly_exact_div(x1 * x1 - z * z, x1 + z)
-    assert q == x1 - z and r.is_zero
-    # not divisible: x1 = (x1 - x2) * 1 + x2
-    x1b, x2b = var(2, 0), var(2, 1)
-    q, r = poly_exact_div(x1b, x1b - x2b)
-    assert q == MultiPoly.const(2, 1)
-    assert r == x2b
-    with pytest.raises(ZeroDivisionError):
-        poly_exact_div(x1, MultiPoly.zero(2))
-
-
-def test_exact_div_identity_random():
-    rng = random.Random(20240817)
-    for _ in range(40):
-        n = rng.choice([2, 3])
-
-        def rand_poly():
-            terms = {}
-            for _ in range(rng.randint(1, 5)):
-                exp = tuple(rng.randint(0, 2) for _ in range(n))
-                terms[exp] = terms.get(exp, 0) + Fraction(rng.randint(-4, 4))
-            return MultiPoly(n, terms)
-
-        f, g = rand_poly(), rand_poly()
-        if g.is_zero:
-            continue
-        # exact division of a product
-        q, r = poly_exact_div(f * g, g)
-        assert r.is_zero and q == f
-        # general division identity
-        q, r = poly_exact_div(f, g)
-        assert g * q + r == f
 
 
 def test_det_triangular():

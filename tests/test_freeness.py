@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import (
-    Arrangement,
     Hyperplane,
     NestSpec,
     build_n_ish,
@@ -15,7 +14,7 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, UniPoly, int_det, poly_exact_div
+from ishkit.exactmath import MultiPoly, UniPoly, int_det
 from ishkit.freeness import (
     Derivation,
     basis_derivations,
@@ -28,6 +27,7 @@ from ishkit.freeness import (
     verify_nonfree_witness,
 )
 from ishkit.lattice import char_poly
+from test_exactmath import ref_div
 
 
 def euler(n):
@@ -327,11 +327,19 @@ def _det_cofactor(m):
     return total
 
 
+def form(h):
+    """The defining polynomial ``sum(c_i x_i) - const`` of a hyperplane."""
+    n = h.dim
+    terms = {tuple(int(i == k) for i in range(n)): c for k, c in enumerate(h.coeffs)}
+    terms[(0,) * n] = -h.const
+    return MultiPoly(n, terms)
+
+
 def defining_poly(arr):
     """Q(A): the product of the defining forms."""
     q = MultiPoly.const(arr.dim, 1)
     for h in arr.hyperplanes:
-        q = q * h.form()
+        q = q * form(h)
     return q
 
 
@@ -345,10 +353,11 @@ def saito_constant_by_division(derivs, arr):
     det = _det_cofactor([[d.components[i] for d in derivs] for i in range(arr.dim)])
     if det.is_zero:
         return None
-    quotient, rem = poly_exact_div(det, defining_poly(arr))
-    if not rem.is_zero or quotient.total_degree() != 0:
+    quotient, rem = ref_div(dict(det.sorted_terms()), dict(defining_poly(arr).sorted_terms()))
+    one = (0,) * arr.dim
+    if rem or set(quotient) != {one}:
         return None
-    return Fraction(quotient.leading_term()[1])
+    return Fraction(quotient[one])
 
 
 def test_saito_constant_on_the_rank_five_staircase():
@@ -410,9 +419,9 @@ def test_saito_constant_matches_division_reference(nest, rng):
     assert saito_constant_by_division(repeated, arr) is None
 
     # theta * alpha_H stays logarithmic but raises the determinant degree
-    form = rng.choice(arr.hyperplanes).form()
+    alpha = form(rng.choice(arr.hyperplanes))
     raised = list(derivs)
-    raised[k] = Derivation([comp * form for comp in derivs[k].components])
+    raised[k] = Derivation([comp * alpha for comp in derivs[k].components])
     assert saito_constant(raised, arr) is None
     assert saito_constant_by_division(raised, arr) is None
 
@@ -423,7 +432,7 @@ def test_saito_constant_matches_division_reference(nest, rng):
     j = rng.choice(lower)
     f = MultiPoly.const(arr.dim, 1)
     for _ in range(derivs[k].degree() - derivs[j].degree()):
-        f = f * rng.choice(arr.hyperplanes).form()
+        f = f * form(rng.choice(arr.hyperplanes))
     dependent = list(derivs)
     dependent[k] = Derivation([comp * f for comp in derivs[j].components])
     assert sum(d.degree() for d in dependent) == len(arr)
