@@ -193,6 +193,59 @@ def test_vanishes_on_matches_division_remainder(case):
     assert verdict or not multiply
 
 
+def _tuple_terms(p):
+    return dict(p.sorted_terms())
+
+
+def test_exact_div_examples():
+    # The reference division that judges vanishes_on, checked against
+    # known quotients, and the restriction check on the same divisions.
+    x1, z = var(2, 0), var(2, 1)
+    f = x1 * x1 - z * z
+    q, r = ref_div(_tuple_terms(f), _tuple_terms(x1 + z))
+    assert MultiPoly(2, q) == x1 - z and not r
+    assert vanishes_on(f, [1, 1])
+    # not divisible: x1 = (x1 - x2) * 1 + x2
+    x2 = var(2, 1)
+    q, r = ref_div(_tuple_terms(x1), _tuple_terms(x1 - x2))
+    assert MultiPoly(2, q) == MultiPoly.const(2, 1)
+    assert MultiPoly(2, r) == x2
+    assert not vanishes_on(x1, [1, -1])
+    with pytest.raises(ValueError):
+        vanishes_on(x1, [0, 0])
+
+
+def test_exact_div_identity_random():
+    rng = random.Random(20240817)
+    for _ in range(40):
+        n = rng.choice([2, 3])
+
+        def rand_poly():
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                exp = tuple(rng.randint(0, 2) for _ in range(n))
+                terms[exp] = terms.get(exp, 0) + Fraction(rng.randint(-4, 4))
+            return MultiPoly(n, terms)
+
+        f, g = rand_poly(), rand_poly()
+        if g.is_zero:
+            continue
+        # exact division of a product
+        q, r = ref_div(_tuple_terms(f * g), _tuple_terms(g))
+        assert not r and MultiPoly(n, q) == f
+        # general division identity, in MultiPoly arithmetic
+        q, r = ref_div(_tuple_terms(f), _tuple_terms(g))
+        assert g * MultiPoly(n, q) + MultiPoly(n, r) == f
+        # a product with a linear form vanishes on its hyperplane
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(coeffs):
+            continue
+        alpha = sum((var(n, k) * a for k, a in enumerate(coeffs)), MultiPoly.zero(n))
+        assert vanishes_on(f * alpha, coeffs)
+        _, r = ref_div(_tuple_terms(f), _tuple_terms(alpha))
+        assert vanishes_on(f, coeffs) == (not r)
+
+
 def test_vanishes_on_rejects_bad_forms():
     x1 = var(2, 0)
     with pytest.raises(ValueError):
