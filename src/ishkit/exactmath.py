@@ -196,14 +196,27 @@ class MultiPoly:
         return [(_unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """The value at ``point``, an ``int`` when it is integral."""
-        if len(point) != self.nvars:
+        """The value at ``point``, an ``int`` when it is integral.
+
+        Each exponent is read off the packed key by shift and mask, and
+        each coordinate's powers up to the total degree are computed once.
+        """
+        n = self.nvars
+        if len(point) != n:
             raise ValueError("evaluation point has wrong length")
+        degree = self.total_degree()
+        fields = []
+        for k, v in enumerate(point):
+            powers = [1]
+            for _ in range(degree):
+                powers.append(powers[-1] * v)
+            fields.append((_FIELD * (n - 1 - k), powers))
         total = 0
         for key, coef in self.terms.items():
-            for v, e in zip(point, _unpack(key, self.nvars)):
+            for shift, powers in fields:
+                e = key >> shift & _MASK
                 if e:
-                    coef *= v**e
+                    coef *= powers[e]
             total += coef
         return _exact(total)
 

@@ -29,17 +29,22 @@ order, the meet of two flats is the walk from the bottom through the
 hyperplanes of both masks, and their join is the walk from one flat
 through the other's mask.
 
-On top of the poset sit the classical tools: Moebius values by the
-recursive sum over lower flats, the characteristic polynomial
-``sum mu(X) t^dim(X)``, localization, modular flats, supersolvability
-via a maximal chain of modular flats, and the rank-by-rank filtration
-certificate for coned nested arrangements.
+The closure runs on integer gains and meets a flat once per upper
+cover: every other hyperplane through that cover gives the same flat.
+The lower covers it records give the Moebius values by Weisner's
+theorem, one sum over the lower covers of each flat.
+
+On top of the poset sit the classical tools: the characteristic
+polynomial ``sum mu(X) t^dim(X)``, localization, modular flats,
+supersolvability via a maximal chain of modular flats, and the
+rank-by-rank filtration certificate for coned nested arrangements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, GainEdge, NestSpec, build_n_ish, cone
@@ -159,7 +164,11 @@ class IntersectionPoset:
     space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
     contains flat ``i``; ``steps[i][b]`` is the index of the flat
     ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
-    contains it, ``None`` when they do not meet).
+    contains it, ``None`` when they do not meet).  ``mobius[i]`` is
+    ``mu(ambient, flat i)``.  The closure of ``intersection_poset``
+    hands every field over in the order it found the flats, with sort
+    keys ``(rank, ...)`` that order like ``(rank, rows)``, and Moebius
+    values from the lower covers by Weisner's theorem.
     """
 
     def __init__(
@@ -168,41 +177,29 @@ class IntersectionPoset:
         flats: Sequence[Flat],
         masks: Sequence[int],
         steps: Sequence[Sequence[int | None]],
+        keys: Sequence[tuple],
+        mobius: Sequence[int],
     ) -> None:
-        order = sorted(range(len(flats)), key=lambda i: (flats[i].rank, flats[i].rows))
+        order = sorted(range(len(flats)), key=keys.__getitem__)
         new_index = [0] * len(order)
         for pos, old in enumerate(order):
             new_index[old] = pos
         self.arrangement = arrangement
         self.flats: tuple[Flat, ...] = tuple(flats[i] for i in order)
         self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
-        self.ranks: tuple[int, ...] = tuple(f.rank for f in self.flats)
+        self.ranks: tuple[int, ...] = tuple(keys[i][0] for i in order)
         self.steps: tuple[tuple[int | None, ...], ...] = tuple(
-            tuple(None if k is None else new_index[k] for k in steps[i]) for i in order
+            tuple([None if k is None else new_index[k] for k in steps[i]]) for i in order
         )
-        self._index = {f: i for i, f in enumerate(self.flats)}
-        self.mobius: tuple[int, ...] = self._compute_mobius()
-
-    def _compute_mobius(self) -> tuple[int, ...]:
-        mob = [0] * len(self.flats)
-        for i, rank in enumerate(self.ranks):
-            if rank == 0:
-                mob[i] = 1
-                continue
-            mask = self.masks[i]
-            total = 0
-            for j in range(i):
-                if self.ranks[j] >= rank:
-                    break
-                if self.masks[j] & ~mask == 0:
-                    total += mob[j]
-            mob[i] = -total
-        return tuple(mob)
+        self.mobius: tuple[int, ...] = tuple(mobius[i] for i in order)
+        self._index: dict[Flat, int] | None = None
 
     def __len__(self) -> int:
         return len(self.flats)
 
     def index_of(self, flat: Flat) -> int:
+        if self._index is None:
+            self._index = {f: i for i, f in enumerate(self.flats)}
         try:
             return self._index[flat]
         except KeyError:
@@ -227,9 +224,10 @@ class IntersectionPoset:
         raise RuntimeError("central arrangement is missing its center flat")
 
     def char_poly(self) -> UniPoly:
-        coeffs = [0] * (self.arrangement.dim + 1)
-        for flat, mu in zip(self.flats, self.mobius):
-            coeffs[flat.dim] += mu
+        dim = self.arrangement.dim
+        coeffs = [0] * (dim + 1)
+        for rank, mu in zip(self.ranks, self.mobius):
+            coeffs[dim - rank] += mu
         return UniPoly(coeffs)
 
     def _walk(self, start: int, mask: int) -> int | None:
@@ -268,37 +266,113 @@ class IntersectionPoset:
 
 
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
-    """Generate every flat by closing the ambient space under intersection.
+    """Generate every flat by closing the ambient space along its covers.
 
-    The arrangement is read once as gain-graph edges.  The ``"same"``
-    answers of the closure give each flat's mask, and all answers give
-    its row of the step table, in the same pass.
+    The arrangement is read once as gain-graph edges, with every gain
+    scaled by the lcm of the gain denominators: each offset is then an
+    ``int``, and a flat is the plain tuple ``(root, offset, zero)``.
+    Its mask is computed once, when the closure first finds it.
+
+    The flat Y in which a flat X meets a hyperplane off X covers X, and
+    X meets every hyperplane of ``mask(Y)`` outside ``mask(X)`` in the
+    same Y, so those entries of the step table need no meet: the
+    closure meets once per cover pair.  It walks the flats breadth
+    first, in ranks that never decrease, so it has found every lower
+    cover of X when it reaches X.  The interval from the ambient space
+    to X is a geometric lattice whose atoms are the hyperplanes through
+    X, so Weisner's theorem gives ``mu(X) = -sum mu(Y)`` over the lower
+    covers Y of X that some fixed hyperplane a through X does not
+    contain (Stanley, *EC1*, Cor. 3.9.3).
     """
     edges = arr.gain_edges()
-    ambient = Flat.ambient(arr.dim, arr.coned)
-    index = {ambient: 0}
-    flats = [ambient]
-    masks: list[int] = []
+    scale = lcm(*(edge[2].denominator for edge in edges if edge is not None))
+    gains = [edge if edge is None else (edge[0], edge[1], int(edge[2] * scale)) for edge in edges]
+    coned = arr.coned
+    n = arr.dim - coned
+    zeros = (0,) * n
+    edge_bits = [(1 << bit, *edge) for bit, edge in enumerate(gains) if edge is not None]
+    zero_bits = sum(1 << bit for bit, edge in enumerate(gains) if edge is None)
+
+    def mask_of(root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> int:
+        mask = zero_bits if zero else 0
+        for bit, i, j, c in edge_bits:
+            if root[i] == root[j] and (zero or offset[i] - offset[j] == c):
+                mask |= bit
+        return mask
+
+    flats = [(tuple(range(n)), zeros, False)]
+    index = {flats[0]: 0}
+    ranks, masks, covers = [0], [0], [[]]
     steps: list[list[int | None]] = []
-    for i, flat in enumerate(flats):  # grows while it is walked
-        mask = 0
-        step: list[int | None] = []
-        for bit, edge in enumerate(edges):
-            res = flat.intersect_hyperplane(edge)
-            if isinstance(res, Flat):
-                k = index.get(res)
-                if k is None:
-                    k = index[res] = len(flats)
-                    flats.append(res)
-                step.append(k)
-            elif res is None:
-                step.append(None)
+    mobius: list[int] = []
+    full = (1 << len(gains)) - 1
+    for x, (root, offset, zero) in enumerate(flats):  # grows while it is walked
+        mask = masks[x]
+        if mask:  # Weisner's theorem, with a the first hyperplane through x
+            a = mask & -mask
+            mobius.append(-sum([mobius[y] for y in covers[x] if not masks[y] & a]))
+        else:
+            mobius.append(1)
+        step: list[int | None] = [x] * len(gains)
+        todo = full & ~mask
+        while todo:
+            bit = (todo & -todo).bit_length() - 1
+            edge = gains[bit]
+            if edge is None:
+                meet = (root, zeros, True)
             else:
-                mask |= 1 << bit
-                step.append(i)
-        masks.append(mask)
+                i, j, c = edge
+                ri, rj = root[i], root[j]
+                if ri != rj:  # the block of the smaller root joins the other
+                    d = 0 if zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
+                    if ri > rj:
+                        ri, rj, d = rj, ri, -d
+                    meet = (
+                        tuple([rj if r == ri else r for r in root]),
+                        tuple([o + d if r == ri else o for r, o in zip(root, offset)]),
+                        zero,
+                    )
+                elif coned:
+                    meet = (root, zeros, True)
+                else:  # parallel to the flat
+                    step[bit] = None
+                    todo ^= 1 << bit
+                    continue
+            y = index.get(meet)
+            if y is None:
+                y = index[meet] = len(flats)
+                flats.append(meet)
+                ranks.append(ranks[x] + 1)
+                masks.append(mask_of(*meet))
+                covers.append([])
+            covers[y].append(x)
+            fill = masks[y] & todo
+            todo ^= fill
+            while fill:
+                low = fill & -fill
+                step[low.bit_length() - 1] = y
+                fill ^= low
         steps.append(step)
-    return IntersectionPoset(arr, flats, masks, steps)
+
+    # Each flat is built once, with its sort key.  A row of ``Flat.rows`` has
+    # ``den`` at v, ``-den`` at its root r > v and ``+-num`` at n, so the
+    # tuples ``(-v, den, r, +-num)`` compare as the rows do; the ``z = 0``
+    # row, zero before n, sorts below them all as ``(-n,)``.
+    out: list[Flat] = []
+    keys: list[tuple] = []
+    for (root, offset, zero), rank in zip(flats, ranks):
+        rows: list[tuple[int, ...]] = []
+        for v, (r, o) in enumerate(zip(root, offset)):
+            if r != v:
+                g = gcd(o, scale)
+                rows.append((-v, scale // g, r, (-o if coned else o) // g))
+        if zero:
+            rows.append((-n,))
+        keys.append((rank, tuple(rows)))
+        if scale > 1:
+            offset = tuple([Fraction(o, scale) if o % scale else o // scale for o in offset])
+        out.append(Flat(root, offset, zero, coned))
+    return IntersectionPoset(arr, out, masks, steps, keys, mobius)
 
 
 def char_poly(arr: Arrangement) -> UniPoly:

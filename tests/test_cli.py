@@ -153,6 +153,22 @@ def test_saito_at_the_top_of_the_guard(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("capacity:")
 
 
+def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
+    # The largest cone of Ish the ell <= 6 guard admits: 7204 flats.
+    spec = {"type": "ish", "ell": 6, "cone": True}
+    assert text_of(spec, "charpoly") == (
+        "t^7 - 31t^6 + 390t^5 - 2520t^4 + 8640t^3 - 14256t^2 + 7776t = t (t-1) (t-6)^5"
+    )
+    chain = text_of(spec, "supersolvable").splitlines()
+    assert chain[0] == "SUPERSOLVABLE: modular chain of ranks 0..6"
+    assert len(chain) == 8
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(spec, ell=7)))
+    for command in ("charpoly", "supersolvable"):
+        assert main([command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("capacity:")
+
+
 def test_supersolvable_needs_central():
     with pytest.raises(ValueError, match="cone"):
         text_of({"type": "ish", "ell": 3}, "supersolvable")

@@ -254,6 +254,39 @@ def test_vanishes_on_rejects_bad_forms():
         vanishes_on(x1, [1, 0, 0])
 
 
+def ref_evaluate(terms, point):
+    """The value at ``point`` term by term over exponent tuples, as ``_exact``."""
+    total = 0
+    for exp, coef in terms.items():
+        for v, e in zip(point, exp):
+            coef *= v**e
+        total += coef
+    return _exact(Fraction(total))
+
+
+POINT_ENTRY = st.integers(-4, 4) | st.builds(Fraction, st.integers(-7, 7), st.just(2))
+
+
+@st.composite
+def evaluation_cases(draw):
+    nvars = draw(st.integers(0, 6))
+    terms = draw(poly_terms(nvars))
+    return nvars, terms, draw(st.lists(POINT_ENTRY, min_size=nvars, max_size=nvars))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(evaluation_cases())
+def test_evaluate_matches_tuple_reference(case):
+    nvars, terms, point = case
+    value = MultiPoly(nvars, terms).evaluate(point)
+    expected = ref_evaluate(ref_terms(terms), point)
+    assert value == expected and type(value) is type(expected)
+    if all(type(c) is int for c in ref_terms(terms).values()) and all(
+        Fraction(v).denominator == 1 for v in point
+    ):
+        assert type(value) is int
+
+
 def test_degree_past_the_field_limit_raises():
     limit = 2**15 - 1
     top = MultiPoly(2, {(limit, 0): 1})

@@ -96,15 +96,33 @@ def reference_poset(arr):
         sum(1 << b for b, hrow in enumerate(hrows) if not any(_reduce_row(hrow, rows)))
         for rows in flats
     ]
+    return flats, masks, scan_mobius(masks, [len(rows) for rows in flats])
+
+
+def scan_mobius(masks: Sequence[int], ranks: Sequence[int]) -> list[int]:
+    """Moebius values by the recursive sum over every lower flat, O(F^2).
+
+    The flats must come in order of rank; flat j lies below flat i when
+    its rank is lower and its mask is a subset of the mask of i.
+    """
     mobius: list[int] = []
-    for i, rows in enumerate(flats):
-        below = [
-            mobius[j]
-            for j in range(i)
-            if len(flats[j]) < len(rows) and masks[j] & ~masks[i] == 0
-        ]
-        mobius.append(-sum(below) if rows else 1)
-    return flats, masks, mobius
+    for i, (mask, rank) in enumerate(zip(masks, ranks)):
+        below = sum(mobius[j] for j in range(i) if ranks[j] < rank and masks[j] & ~mask == 0)
+        mobius.append(-below if rank else 1)
+    return mobius
+
+
+def check_closure(poset, edges: Sequence) -> None:
+    """The flats come in ``(rank, rows)`` order, and each step entry and
+    mask bit is the answer of the meet it stands for."""
+    keys = [(flat.rank, flat.rows) for flat in poset.flats]
+    assert keys == sorted(keys) and list(poset.ranks) == [rank for rank, _ in keys]
+    for i, flat in enumerate(poset.flats):
+        for b, edge in enumerate(edges):
+            res = flat.intersect_hyperplane(edge)
+            assert (poset.masks[i] >> b & 1) == (res == "same")
+            expected = i if res == "same" else None if res is None else poset.index_of(res)
+            assert poset.steps[i][b] == expected
 
 
 def reference_meet(masks: Sequence[int], ranks: Sequence[int], i: int, j: int) -> int:
@@ -390,6 +408,7 @@ def _plane(coeffs, const=0):
 )
 def test_integer_kernel_matches_rational_reference(arr, rng):
     poset = intersection_poset(arr)
+    check_closure(poset, arr.gain_edges())
     ref_flats, ref_masks, ref_mobius = reference_poset(arr)
     rref = [flat.rref() for flat in poset.flats]
     assert sorted(rref, key=lambda rows: (len(rows), rows)) == ref_flats
@@ -408,6 +427,24 @@ def test_integer_kernel_matches_rational_reference(arr, rng):
             with pytest.raises(ValueError):
                 poset.join_index(i, j)
         assert poset.meet_index(i, j) == reference_meet(poset.masks, poset.ranks, i, j)
+
+
+FIVE_CONES = [
+    cone(build_named("shi", 5)),
+    cone(build_named("ish", 5)),
+    cone(build_named("coxeter", 5)),
+    cone(build_n_ish(NestSpec.make([[0, Fraction(1, 2)], [Fraction(-1, 2), 1, 2], [Fraction(3, 2)], [0, 1]]))),
+]
+
+
+@pytest.mark.parametrize("arr", FIVE_CONES, ids=["shi", "ish", "coxeter", "half-nest"])
+def test_steps_and_mobius_on_five_cones(arr):
+    # beyond the ell <= 4 of the hypothesis strategy: the step entries the
+    # closure fills from a cover, and Weisner's Moebius values, against
+    # the meets and the sum over every lower flat
+    poset = intersection_poset(arr)
+    check_closure(poset, arr.gain_edges())
+    assert list(poset.mobius) == scan_mobius(poset.masks, poset.ranks)
 
 
 def test_traced_methods_are_defined_on_their_classes():
