@@ -433,7 +433,9 @@ FIVE_CONES = [
     cone(build_named("shi", 5)),
     cone(build_named("ish", 5)),
     cone(build_named("coxeter", 5)),
-    cone(build_n_ish(NestSpec.make([[0, Fraction(1, 2)], [Fraction(-1, 2), 1, 2], [Fraction(3, 2)], [0, 1]]))),
+    cone(build_n_ish(NestSpec.make(
+        [[0, Fraction(1, 2)], [Fraction(-1, 2), 1, 2], [Fraction(3, 2)], [0, 1]]
+    ))),
 ]
 
 

@@ -72,12 +72,14 @@ def summary(runs: list[dict]) -> dict:
 
 def comparison(runs: list[dict], base: list[dict]) -> dict:
     """Per workload and metric: the pairs this checkout wins and loses against the baseline."""
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
     out: dict[str, dict] = {}
     for mine, theirs in zip(runs, base):
         for name, direction in better.items():
             diff = mine["metrics"][name] - theirs["metrics"][name]
-            tally = out.setdefault(mine["workload"], {}).setdefault(name, {"won": 0, "lost": 0, "pairs": 0})
+            per_workload = out.setdefault(mine["workload"], {})
+            tally = per_workload.setdefault(name, {"won": 0, "lost": 0, "pairs": 0})
             tally["pairs"] += 1
             if diff:
                 tally["won" if (diff > 0) == (direction == "higher") else "lost"] += 1
@@ -95,7 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=25.0, help="run length passed to perfbench")
-    ap.add_argument("--baseline", type=Path, help="another checkout to run alongside, e.g. the parent commit")
+    ap.add_argument(
+        "--baseline", type=Path, help="another checkout to run alongside, e.g. the parent commit"
+    )
     args = ap.parse_args(argv)
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
@@ -105,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
             for checkout in checkouts[::-1] if k % 2 else checkouts:
                 run = run_once(checkout, workload, seed, args.seconds)
                 runs[checkout].append(run)
-                print(f"{checkout.name} {workload} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
+                metrics = json.dumps(run["metrics"])
+                print(f"{checkout.name} {workload} seed {seed}: {metrics}", flush=True)
 
     record = {
         "seeds": args.seeds,
