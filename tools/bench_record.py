@@ -5,16 +5,16 @@ Run from the root of a checkout::
     python3 tools/bench_record.py --out BENCH_10.json --workloads lattice saito \
         --seeds 301 302 --baseline ../parent
 
-For each workload and seed this runs ``perfbench/run.py --trace 0`` once in
-this checkout and, with ``--baseline``, once in the other checkout too, the
-two in alternating order from one seed to the next.  Each run records the
-end-to-end metrics and the ``correct`` / ``attempted`` / ``failed`` fields of
-the last line ``perfbench/run.py`` prints.  The file also gives each
-checkout's commit (with ``-dirty`` when it has uncommitted changes) and the
-line count of its ``src/`` Python files, and, per workload, the median and
-quartiles of every metric on each side, and with a baseline the pairs won and
-lost on each metric, by the direction ``BENCHMARK.json`` gives it.  Standard
-library only.
+For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
+``run_seconds`` that ``BENCHMARK.json`` fixes, once in this checkout and, with
+``--baseline``, once in the other checkout too, the two in alternating order
+from one seed to the next.  Each run records the end-to-end metrics and the
+``correct`` / ``attempted`` / ``failed`` fields of the last line
+``perfbench/run.py`` prints.  The file also gives each checkout's commit (with
+``-dirty`` when it has uncommitted changes) and the line count of its ``src/``
+Python files, and, per workload, the median and quartiles of every metric on
+each side, and with a baseline the pairs won and lost on each metric, by the
+direction ``BENCHMARK.json`` gives it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def comparison(runs: list[dict], base: list[dict]) -> dict:
+def comparison(runs: list[dict], base: list[dict], declared: list[dict]) -> dict:
     """Per workload and metric: the pairs this checkout wins and loses against the baseline."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
     out: dict[str, dict] = {}
     for mine, theirs in zip(runs, base):
@@ -96,31 +95,32 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=25.0, help="run length passed to perfbench")
     ap.add_argument(
         "--baseline", type=Path, help="another checkout to run alongside, e.g. the parent commit"
     )
     args = ap.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
             for checkout in checkouts[::-1] if k % 2 else checkouts:
-                run = run_once(checkout, workload, seed, args.seconds)
+                run = run_once(checkout, workload, seed, seconds)
                 runs[checkout].append(run)
                 metrics = json.dumps(run["metrics"])
                 print(f"{checkout.name} {workload} seed {seed}: {metrics}", flush=True)
 
     record = {
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
         **side(ROOT, runs[ROOT]),
     }
     if args.baseline:
         record["baseline"] = side(checkouts[1], runs[checkouts[1]])
-        record["pairs"] = comparison(runs[ROOT], runs[checkouts[1]])
+        record["pairs"] = comparison(runs[ROOT], runs[checkouts[1]], benchmark["end_to_end"])
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
