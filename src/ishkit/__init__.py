@@ -51,6 +51,7 @@ from .freeness import (
 )
 from .graphs import analyze_graph, athanasiadis_condition, pairwise_condition, survey
 from .lattice import char_poly, intersection_poset, is_supersolvable, nest_filtration
+from .rooks import graph_char_poly, nest_char_poly, rook_numbers, spec_char_poly
 
 __version__ = "0.1.0"
 
@@ -81,6 +82,7 @@ __all__ = [
     "distance_poly",
     "enumerate_chambers",
     "from_spec",
+    "graph_char_poly",
     "intersection_poset",
     "is_log_derivation",
     "is_nest",
@@ -88,11 +90,14 @@ __all__ = [
     "ish_base_chamber",
     "ish_nest",
     "n_from_graph",
+    "nest_char_poly",
     "nest_exponents",
     "nest_filtration",
     "pairwise_condition",
+    "rook_numbers",
     "saito_constant",
     "saito_verify",
+    "spec_char_poly",
     "survey",
     "verify_nonfree_witness",
     "wallcross_expected",

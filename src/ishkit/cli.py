@@ -30,7 +30,8 @@ from .exactmath import (
 )
 from .freeness import basis_derivations, decide_free, is_nest, saito_constant
 from .graphs import analyze_graph, survey
-from .lattice import char_poly, is_supersolvable
+from .lattice import is_supersolvable
+from .rooks import spec_char_poly
 
 LATTICE_MAX_ELL = 6
 
@@ -116,7 +117,7 @@ def _yesno(flag: bool) -> str:
 def _cmd_charpoly(req: AnalysisRequest) -> tuple[str, dict]:
     _guard_lattice(req)
     parsed = req.parsed
-    poly = char_poly(parsed.arrangement)
+    poly = spec_char_poly(parsed)
     roots: list[int] | None = None
     if parsed.nest is not None:
         verdict = decide_free(parsed.nest)
@@ -125,7 +126,7 @@ def _cmd_charpoly(req: AnalysisRequest) -> tuple[str, dict]:
             if not parsed.coned:
                 roots.remove(1)  # deconing divides out one (t - 1) factor
             if UniPoly.from_roots(roots) != poly:
-                raise RuntimeError("free exponents do not factor the Moebius sum")
+                raise RuntimeError("free exponents do not factor the rook-number chi")
     text = unipoly_str(poly)
     if roots is not None:
         text += f" = {unipoly_factored_str(roots)}"

@@ -16,19 +16,22 @@ A disagreement between the routes would falsify the equivalence this
 package is built around, so `analyze_graph` treats it as an internal
 error, not a result.  `survey` runs every subgraph of a small complete
 graph and additionally compares the characteristic polynomials of the
-two deletion families, which are expected to coincide.
+two deletion families, which are expected to coincide (Armstrong-Rhoades).
+It takes them from two different rook boards (`rooks.graph_char_poly`
+for deleted Shi, `rooks.nest_char_poly` on N_G for deleted Ish), so the
+comparison is not one path checked against itself; `lattice.char_poly`,
+the Moebius route, is kept as the oracle the tests hold both against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .arrangement import Graph, NestSpec, build_deleted, n_from_graph
+from .arrangement import Graph, NestSpec, n_from_graph
 from .errors import CapacityError
 from .exactmath import UniPoly, unipoly_to_json
 from .freeness import decide_free, is_nest
-from .lattice import char_poly
+from .rooks import graph_char_poly, nest_char_poly
 
 ATHANASIADIS_MAX_ELL = 8
 SURVEY_MAX_ELL = 5
@@ -42,24 +45,48 @@ def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
     (w^{-1}(a), w^{-1}(b)) yields only increasing pairs, and whenever a
     transported edge (i, j) exists, so does (i, k) for every k > j.
     Returns None when no permutation works.
+
+    A depth-first search places the vertices slot by slot, trying them
+    in increasing order, so the first complete placement is the
+    lexicographically first witness.  A vertex may take the next slot
+    only when all its in-neighbours are placed, and when it is an
+    out-neighbour of every placed vertex that already has a placed
+    out-neighbour (the out-neighbours of a vertex fill a final run of
+    slots).  Both conditions only ever fail for good as the prefix
+    grows, so pruning on them loses no witness.
     """
     if graph.ell > ATHANASIADIS_MAX_ELL:
         raise CapacityError(
             f"permutation search over {graph.ell}! candidates; the guard is "
             f"ell <= {ATHANASIADIS_MAX_ELL}"
         )
-    for w in permutations(range(1, graph.ell + 1)):
-        winv = {vertex: slot for slot, vertex in enumerate(w, start=1)}
-        moved = {(winv[a], winv[b]) for a, b in graph.edges}
-        if any(i >= j for i, j in moved):
-            continue
-        if all(
-            (i, k) in moved
-            for i, j in moved
-            for k in range(j + 1, graph.ell + 1)
-        ):
-            return w
-    return None
+    ell = graph.ell
+    everyone = (1 << (ell + 1)) - 2
+    outs = [0] * (ell + 1)
+    ins = [0] * (ell + 1)
+    for a, b in graph.edges:
+        outs[a] |= 1 << b
+        ins[b] |= 1 << a
+    # placing v starts every in-neighbour of v: later slots must be out-neighbours of it
+    narrows = [everyone] * (ell + 1)
+    for a, b in graph.edges:
+        narrows[b] &= outs[a]
+    w: list[int] = []
+
+    def place(placed: int, allowed: int) -> bool:
+        if len(w) == ell:
+            return True
+        for v in range(1, ell + 1):
+            bit = 1 << v
+            if placed & bit or not allowed & bit or ins[v] & ~placed:
+                continue
+            w.append(v)
+            if place(placed | bit, allowed & narrows[v]):
+                return True
+            w.pop()
+        return False
+
+    return tuple(w) if place(0, everyone) else None
 
 
 def pairwise_condition(graph: Graph) -> bool:
@@ -173,9 +200,9 @@ def survey(ell: int) -> SurveyReport:
 
     Subgraphs are enumerated by bitmask over the lexicographically
     sorted edge list, so the report order is reproducible.  For each
-    subgraph both deletion families are built and their characteristic
-    polynomials compared; disagreements are collected as violations
-    (none are expected).
+    subgraph the characteristic polynomials of both deletion families
+    are taken from their rook boards and compared; disagreements are
+    collected as violations (none are expected).
     """
     if ell < 2:
         raise ValueError("survey needs ell >= 2")
@@ -190,10 +217,9 @@ def survey(ell: int) -> SurveyReport:
     for mask in range(1 << len(all_edges)):
         edges = [e for bit, e in enumerate(all_edges) if mask >> bit & 1]
         graph = Graph.make(ell, edges)
+        analysis = analyze_graph(graph)
         record = SurveyRecord(
-            analyze_graph(graph),
-            char_poly(build_deleted("shi", graph)),
-            char_poly(build_deleted("ish", graph)),
+            analysis, graph_char_poly(graph), nest_char_poly(analysis.n_g)
         )
         if not record.agree:
             violations.append(f"characteristic polynomials differ on {edges}")

@@ -38,6 +38,10 @@ On top of the poset sit the classical tools: the characteristic
 polynomial ``sum mu(X) t^dim(X)``, localization, modular flats,
 supersolvability via a maximal chain of modular flats, and the
 rank-by-rank filtration certificate for coned nested arrangements.
+``char_poly`` is the Moebius route to the characteristic polynomial,
+good for any difference arrangement.  The ``charpoly`` command and the
+subgraph survey take it from rook numbers instead (``ishkit.rooks``);
+this route is kept as the oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -376,7 +380,11 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
 
 
 def char_poly(arr: Arrangement) -> UniPoly:
-    """Characteristic polynomial via the Moebius sum over all flats."""
+    """Characteristic polynomial via the Moebius sum over all flats.
+
+    The oracle for ``rooks``, which gets the same polynomial of every
+    spec kind from a rook board without building the poset.
+    """
     return intersection_poset(arr).char_poly()
 
 

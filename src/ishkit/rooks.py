@@ -1,0 +1,114 @@
+"""Characteristic polynomials by rook numbers, with no intersection poset.
+
+Every spec kind is a board after a translation, and its characteristic
+polynomial follows from the board's rook numbers ``r_k`` (the ways to
+place k non-attacking rooks on its cells; Goldman-Joichi-White, *Rook
+theory I*, 1975) by the finite-field method (Athanasiadis, Adv. Math.
+1996): over F_q, with q a large prime, chi(q) counts the points off
+every hyperplane, and inclusion-exclusion over the cells a point hits
+turns that count into a sum over rook placements.
+
+* N-Ish on the sets N_2..N_l, which covers ``ish``, ``n_ish`` and
+  ``deleted_ish`` (through ``n_from_graph``).  Translate to x1 = 0; a
+  point then gives each row j = 2..l a distinct value x_j, avoiding the
+  cell (j, -a) for each a in N_j.  So::
+
+      chi(t) = t * sum_k (-1)^k r_k (t-k)(t-k-1)...(t-l+2).
+
+* Deleted Shi on a graph G, which covers ``shi`` (G = K_l), ``coxeter``
+  (no edges) and ``deleted_shi``.  The board has a cell (i, j) for each
+  edge i < j.  A consistent set of forced equalities x_i = x_j + 1 is a
+  rook placement, since two such edges out of one vertex, or into one,
+  force a collision; its m rooks chain the l coordinates into l - m runs
+  of consecutive residues, which fit on Z_q in q(q-l+1)...(q-m-1)
+  ways.  So::
+
+      chi(t) = t * sum_m (-1)^m r_m (t-m-1)(t-m-2)...(t-l+1).
+
+  For G = K_l this gives Shi's t(t-l)^(l-1), which by Armstrong-Rhoades
+  (Trans. AMS 2012) is also Ish's; the two boards and formulas are
+  independent, so their agreement in ``graphs.survey`` is a real check.
+
+A coned spec multiplies chi by (t - 1).  The coefficients stay ``int``
+lists until the final ``UniPoly``.  ``lattice.char_poly``, the Moebius
+sum over the intersection poset, is the oracle these are tested against.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .arrangement import Graph, NestSpec, ParsedSpec
+from .exactmath import UniPoly
+
+
+def rook_numbers(rows: int, columns: Iterable[int]) -> list[int]:
+    """``r_0..r_rows`` of the board whose column c holds the rows in bitmask c.
+
+    A DP over the used-row masks, one column at a time: 2^rows states,
+    whatever the number of columns.
+    """
+    ways = [0] * (1 << rows)
+    ways[0] = 1
+    for col in columns:
+        # descending, so a placement made in this column is not extended in it
+        for used in range(len(ways) - 1, -1, -1):
+            count = ways[used]
+            free = col & ~used if count else 0
+            while free:
+                bit = free & -free
+                ways[used | bit] += count
+                free ^= bit
+    r = [0] * (rows + 1)
+    for used, count in enumerate(ways):
+        r[used.bit_count()] += count
+    return r
+
+
+def _times_linear(p: list[int], c: int) -> list[int]:
+    """``p * (t - c)``."""
+    out = [0] + p
+    for i, a in enumerate(p):
+        out[i] -= c * a
+    return out
+
+
+def _chi(rooks: list[int], ell: int, shift: int, coned: bool) -> UniPoly:
+    """``t * sum_k (-1)^k r_k prod_{c=k+shift}^{l-2+shift} (t - c)``, times (t - 1) when coned."""
+    total = [0] * ell
+    prod = [1]
+    for k in range(ell - 1, -1, -1):
+        if k < ell - 1:
+            prod = _times_linear(prod, k + shift)
+        signed = -rooks[k] if k % 2 else rooks[k]
+        for i, c in enumerate(prod):
+            total[i] += signed * c
+    poly = [0] + total
+    return UniPoly(_times_linear(poly, 1) if coned else poly)
+
+
+def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
+    """chi of the N-Ish arrangement of ``nest``, or of its cone."""
+    columns: dict = {}
+    for row, entries in enumerate(nest.sets):
+        for a in entries:
+            columns[a] = columns.get(a, 0) | 1 << row
+    return _chi(rook_numbers(nest.ell - 1, columns.values()), nest.ell, 0, coned)
+
+
+def graph_char_poly(graph: Graph, coned: bool = False) -> UniPoly:
+    """chi of the deleted Shi arrangement of ``graph``, or of its cone."""
+    columns = [0] * (graph.ell + 1)
+    for i, j in graph.edges:
+        columns[j] |= 1 << (i - 1)
+    return _chi(rook_numbers(graph.ell - 1, columns), graph.ell, 1, coned)
+
+
+def spec_char_poly(parsed: ParsedSpec) -> UniPoly:
+    """chi of a parsed spec, from the board of its kind."""
+    if parsed.nest is not None:
+        return nest_char_poly(parsed.nest, parsed.coned)
+    graph = parsed.graph
+    if graph is None:
+        graph = Graph.complete(parsed.ell) if parsed.kind == "shi" else Graph.make(parsed.ell, [])
+    return graph_char_poly(graph, parsed.coned)

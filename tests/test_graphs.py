@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from ishkit.arrangement import Graph, build_deleted, build_n_ish, n_from_graph
@@ -11,6 +14,36 @@ from ishkit.graphs import (
     survey,
 )
 from ishkit.lattice import char_poly
+
+
+def scan_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
+    """The permutation condition by scanning all ell! relabelings in order."""
+    for w in permutations(range(1, graph.ell + 1)):
+        winv = {vertex: slot for slot, vertex in enumerate(w, start=1)}
+        moved = {(winv[a], winv[b]) for a, b in graph.edges}
+        if any(i >= j for i, j in moved):
+            continue
+        if all(
+            (i, k) in moved
+            for i, j in moved
+            for k in range(j + 1, graph.ell + 1)
+        ):
+            return w
+    return None
+
+
+def all_subgraphs(ell: int) -> list[Graph]:
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    return [
+        Graph.make(ell, [e for b, e in enumerate(pairs) if mask >> b & 1])
+        for mask in range(1 << len(pairs))
+    ]
+
+
+def test_search_matches_the_permutation_scan():
+    for ell in range(2, 6):
+        for graph in all_subgraphs(ell):
+            assert athanasiadis_condition(graph) == scan_athanasiadis(graph), graph
 
 
 def test_athanasiadis_identity_cases():
@@ -83,8 +116,8 @@ def test_survey_three_vertices():
 
 
 def test_survey_char_polys_match_direct_computation():
-    report = survey(3)
-    for record in report.records:
+    sample = random.Random(5).sample(survey(5).records, 60)
+    for record in [*survey(4).records, *sample]:
         g = record.analysis.graph
         assert record.char_shi == char_poly(build_deleted("shi", g))
         assert record.char_ish == char_poly(build_deleted("ish", g))
