@@ -81,12 +81,7 @@ def test_pairwise_sees_edges_between_the_indices():
 
 def test_analysis_agrees_with_chain_condition_exhaustively():
     for ell in (2, 3, 4):
-        all_edges = [
-            (i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)
-        ]
-        for mask in range(1 << len(all_edges)):
-            edges = [e for b, e in enumerate(all_edges) if mask >> b & 1]
-            graph = Graph.make(ell, edges)
+        for graph in all_subgraphs(ell):
             analysis = analyze_graph(graph)  # raises on any mismatch
             assert analysis.free == (is_nest(n_from_graph(graph)) is not None)
 
