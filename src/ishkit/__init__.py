@@ -50,7 +50,7 @@ from .freeness import (
     verify_nonfree_witness,
 )
 from .graphs import analyze_graph, athanasiadis_condition, pairwise_condition, survey
-from .lattice import char_poly, intersection_poset, is_supersolvable, nest_filtration
+from .lattice import char_poly, intersection_poset, is_supersolvable, nest_modular_chain
 from .rooks import graph_char_poly, nest_char_poly, rook_numbers, spec_char_poly
 
 __version__ = "0.1.0"
@@ -92,7 +92,7 @@ __all__ = [
     "n_from_graph",
     "nest_char_poly",
     "nest_exponents",
-    "nest_filtration",
+    "nest_modular_chain",
     "pairwise_condition",
     "rook_numbers",
     "saito_constant",

@@ -302,12 +302,10 @@ def n_from_graph(graph: Graph) -> NestSpec:
     The deleted Ish arrangement of ``G`` and the nested arrangement of
     these sets contain exactly the same hyperplanes.
     """
-    sets = []
-    for j in range(2, graph.ell + 1):
-        entries = {Fraction(0)}
-        entries |= {Fraction(i) for i, jj in graph.edges if jj == j}
-        sets.append(sorted(entries))
-    return NestSpec.make(sets)
+    sets: list[list[int]] = [[0] for _ in range(graph.ell - 1)]
+    for i, j in graph.edges:
+        sets[j - 2].append(i)
+    return NestSpec(graph.ell, tuple(tuple(map(Fraction, sorted(s))) for s in sets))
 
 
 def cone(arr: Arrangement) -> Arrangement:

@@ -30,7 +30,7 @@ from .exactmath import (
 )
 from .freeness import basis_derivations, decide_free, is_nest, saito_constant
 from .graphs import analyze_graph, survey
-from .lattice import is_supersolvable
+from .lattice import is_supersolvable, nest_modular_chain
 from .rooks import spec_char_poly
 
 LATTICE_MAX_ELL = 6
@@ -197,12 +197,19 @@ def _cmd_saito(req: AnalysisRequest) -> tuple[str, dict]:
 
 def _cmd_supersolvable(req: AnalysisRequest) -> tuple[str, dict]:
     _guard_lattice(req)
-    arr = req.parsed.arrangement
+    parsed = req.parsed
+    arr = parsed.arrangement
     if not arr.is_central:
         raise ValueError(
             'the lattice test needs a central arrangement; add "cone": true to the spec'
         )
-    chain = is_supersolvable(arr)
+    if parsed.nest is not None and parsed.coned:
+        # Sets that form no chain have the incomparable pair of decide_free: the
+        # cone is not free, so not supersolvable (Jambu-Terao).
+        order = is_nest(parsed.nest)
+        chain = None if order is None else nest_modular_chain(arr, order)
+    else:
+        chain = is_supersolvable(arr)
     if chain is None:
         return "NOT SUPERSOLVABLE", {"supersolvable": False, "chain": None}
     names = arr.var_names()

@@ -35,13 +35,20 @@ The lower covers it records give the Moebius values by Weisner's
 theorem, one sum over the lower covers of each flat.
 
 On top of the poset sit the classical tools: the characteristic
-polynomial ``sum mu(X) t^dim(X)``, localization, modular flats,
-supersolvability via a maximal chain of modular flats, and the
-rank-by-rank filtration certificate for coned nested arrangements.
+polynomial ``sum mu(X) t^dim(X)``, localization, modular flats, and
+supersolvability via a search for a maximal chain of modular flats.
 ``char_poly`` is the Moebius route to the characteristic polynomial,
 good for any difference arrangement.  The ``charpoly`` command and the
 subgraph survey take it from rook numbers instead (``ishkit.rooks``);
 this route is kept as the oracle they are tested against.
+
+The cone of a nested arrangement needs no poset for supersolvability:
+``nest_modular_chain`` builds the modular chain of the paper's
+filtration from the chain order of its sets and certifies it by the
+partition test of Bjoerner-Edelman-Ziegler, one set lookup per pair of
+hyperplanes.  The ``supersolvable`` command answers nest-backed cones
+that way; ``is_supersolvable`` serves Coxeter, Shi and deleted-Shi
+cones and is the oracle the filtration is tested against.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .arrangement import Arrangement, GainEdge, NestSpec, build_n_ish, cone
+from .arrangement import Arrangement, GainEdge
 from .exactmath import Scalar, UniPoly, equation_str, format_rational
 
 Row = tuple[int, ...]
@@ -99,6 +106,13 @@ class Flat:
     @property
     def dim(self) -> int:
         return self.ambient_dim - self.rank
+
+    def contains(self, edge: GainEdge) -> bool:
+        """Does the hyperplane of a gain edge (``None`` is ``z = 0``) contain the flat?"""
+        if edge is None:
+            return self.zero
+        i, j, c = edge
+        return self.root[i] == self.root[j] and (self.zero or self.offset[i] - self.offset[j] == c)
 
     def intersect_hyperplane(self, edge: GainEdge) -> "Flat | None | str":
         """Intersect with the hyperplane of a gain edge (``None`` is ``z = 0``).
@@ -397,7 +411,7 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
     if flat.ambient_dim != arr.dim or flat.coned != arr.coned:
         raise ValueError("flat lives in the wrong ambient space")
     edges = arr.gain_edges()
-    chosen = [k for k, edge in enumerate(edges) if flat.intersect_hyperplane(edge) == "same"]
+    chosen = [k for k, edge in enumerate(edges) if flat.contains(edge)]
     if Flat.through([edges[k] for k in chosen], arr.dim, arr.coned) != flat:
         raise ValueError("flat is not an intersection of arrangement hyperplanes")
     return Arrangement(arr.dim, [arr.hyperplanes[k] for k in chosen], coned=arr.coned)
@@ -459,66 +473,84 @@ def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
     return [poset.flats[i] for i in chain]
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
-    """Verification record for a rank-by-rank filtration."""
+def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
+    """The modular chain of the paper's filtration of a coned nested arrangement.
 
-    ranks: tuple[int, ...]
-    ranks_ok: bool
-    pairs_ok: bool
-    failures: tuple[str, ...]
+    ``arr`` is the cone of a nested arrangement (``ish``, ``n_ish`` or
+    ``deleted_ish``) and ``order`` lists its sets ascending,
+    ``N_w(2) <= ... <= N_w(ell)``, as ``freeness.is_nest`` gives it.  The
+    sets are taken descending, ``v = reversed(w)``, and the chain runs
+    through the ambient space, ``z = 0`` and ``{z = 0, x1 = x_v(2) = ... =
+    x_v(i)}``.  When every set is empty, ``x1`` lies on no hyperplane and
+    the chain ties ``x_v(2) = ... = x_v(i)`` instead.
 
-    @property
-    def ok(self) -> bool:
-        return self.ranks_ok and self.pairs_ok
-
-
-def _arrangement_rank(arr: Arrangement) -> int:
-    flat = Flat.through(arr.gain_edges(), arr.dim, arr.coned)
-    if flat is None:
-        raise ValueError("central arrangement expected")
-    return flat.rank
-
-
-def nest_filtration(nest: NestSpec) -> tuple[list[Arrangement], FiltrationReport]:
-    """Filtration of the coned nested arrangement along its natural flats.
-
-    Requires a descending tuple ``N_2 >= N_3 >= ... >= N_ell``.  The
-    i-th stage localizes at the flat ``{z = 0, x1 = x2 = ... = xi}``;
-    when every set is empty the first coordinate drops out and the
-    stages localize at ``{z = 0, x2 = ... = x_{i+1}}`` instead.  The
-    report confirms that stage i has rank i and that any two distinct
-    hyperplanes of a stage meet inside some hyperplane of the previous
-    stage (checked by brute force).
+    The chain is certified on every call by the partition test of
+    Bjoerner-Edelman-Ziegler (DCG 1990, Thm 4.3): each hyperplane goes to
+    the block of the first flat of the chain that contains it, every flat
+    above the ambient space opens a nonempty block, the top flat lies in
+    every hyperplane, and any two hyperplanes of one block meet inside a
+    hyperplane of an earlier block.  For gain edges that last test is one
+    set lookup per pair: a parallel pair, or a pair with ``z = 0``, meets
+    inside ``z = 0``; two edges through one shared vertex meet inside the
+    edge that closes their triangle; two disjoint edges meet inside no
+    other hyperplane.  A chain that fails any check raises
+    ``RuntimeError``: the order was not a chain order of these sets.
     """
-    if not nest.is_descending():
-        raise ValueError("nest filtration needs a descending tuple of sets")
-    arr = cone(build_n_ish(nest))
-    n = arr.dim
-    stages: list[Arrangement] = []
-    degenerate = not nest.set_at(2)  # every set empty: x1 is unconstrained
-    total_rank = _arrangement_rank(arr)
-    for i in range(1, total_rank + 1):
-        first, last = (1, i) if degenerate else (0, i - 1)  # 0-based coordinates
-        flat = Flat.through([None] + [(first, k, 0) for k in range(first + 1, last + 1)], n, True)
-        stages.append(localization(arr, flat))
+    if not arr.coned:
+        raise ValueError("the nest filtration is built for coned arrangements")
+    edges = arr.gain_edges()
+    ties = [v - 1 for v in reversed(order)]  # 0-based coordinates, sets descending
+    if any(edge is not None and edge[0] == 0 for edge in edges):  # some set is nonempty
+        ties.insert(0, 0)
+    chain = [Flat.ambient(arr.dim, coned=True)]
+    for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
+        flat = chain[-1].intersect_hyperplane(edge)
+        if not isinstance(flat, Flat):
+            raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
+        chain.append(flat)
 
-    failures: list[str] = []
-    ranks = tuple(_arrangement_rank(a) for a in stages)
-    ranks_ok = ranks == tuple(range(1, total_rank + 1))
-    if not ranks_ok:
-        failures.append(f"stage ranks {ranks} are not 1..{total_rank}")
-    pairs_ok = True
-    for idx in range(1, len(stages)):
-        current, previous = stages[idx].gain_edges(), stages[idx - 1].gain_edges()
-        for a_i, ea in enumerate(current):
-            for eb in current[a_i + 1 :]:
-                meet = Flat.through([ea, eb], n, True)
-                assert meet is not None  # coned flats are never empty
-                if not any(meet.intersect_hyperplane(ec) == "same" for ec in previous):
-                    pairs_ok = False
-                    failures.append(
-                        f"stage {idx + 1}: pair does not meet inside the previous stage"
+    blocks: list[list[GainEdge]] = [[] for _ in chain]
+    for edge in edges:
+        k = next((k for k, flat in enumerate(chain) if flat.contains(edge)), None)
+        if k is None:
+            raise RuntimeError("the top flat of the filtration misses a hyperplane")
+        blocks[k].append(edge)
+    earlier: set[GainEdge] = set()
+    for k, block in enumerate(blocks[1:], 1):
+        if not block:
+            raise RuntimeError(f"no hyperplane first contains the filtration flat of rank {k}")
+        for x, a in enumerate(block):
+            for b in block[x + 1 :]:
+                if a is None or b is None or a[:2] == b[:2]:
+                    covered = None in earlier
+                else:
+                    third = _third_side(a, b)
+                    covered = third is not None and third in earlier
+                if not covered:
+                    raise RuntimeError(
+                        f"the hyperplanes {a} and {b} of block {k} meet inside no earlier one"
                     )
-    report = FiltrationReport(ranks, ranks_ok, pairs_ok, tuple(failures))
-    return stages, report
+        earlier.update(block)
+    return chain
+
+
+def _third_side(a: tuple[int, int, Scalar], b: tuple[int, int, Scalar]) -> GainEdge:
+    """The gain edge closing the triangle of two edges through one vertex.
+
+    With the shared vertex ``s``, ``x_s - x_u = g`` and ``x_s - x_w = h``
+    give ``x_u - x_w = h - g``, the one difference hyperplane other than
+    ``a`` and ``b`` that contains their meet.  ``None`` when the edges share
+    no vertex.
+    """
+    (i, j, c), (p, q, d) = a, b
+    if i == p:
+        u, g, w, h = j, c, q, d
+    elif i == q:
+        u, g, w, h = j, c, p, -d
+    elif j == p:
+        u, g, w, h = i, -c, q, d
+    elif j == q:
+        u, g, w, h = i, -c, p, -d
+    else:
+        return None
+    return (u, w, h - g) if u < w else (w, u, g - h)

@@ -160,6 +160,16 @@ def test_deleted_matches_nest_exhaustive():
             assert build_n_ish(n_from_graph(g)) == build_deleted("ish", g)
 
 
+def test_n_from_graph_matches_the_parsed_sets():
+    all_edges = list(itertools.combinations(range(1, 5), 2))
+    for bits in itertools.product([0, 1], repeat=len(all_edges)):
+        g = Graph.make(4, [e for e, b in zip(all_edges, bits) if b])
+        parsed = NestSpec.make([[0] + [i for i, j in g.edges if j == k] for k in range(2, 5)])
+        nest = n_from_graph(g)
+        assert nest == parsed
+        assert all(type(a) is Fraction for s in nest.sets for a in s)
+
+
 def test_deleted_shi():
     g = Graph.make(3, [(1, 3)])
     arr = build_deleted("shi", g)

@@ -154,7 +154,9 @@ def test_saito_at_the_top_of_the_guard(capsys, tmp_path):
 
 
 def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
-    # The largest cone of Ish the ell <= 6 guard admits: 7204 flats.
+    # The largest cone of Ish the ell <= 6 guard admits.  Neither command builds
+    # its 7204-flat poset: charpoly counts rooks, and supersolvable certifies
+    # the nest filtration.  The guard still refuses ell = 7 for both.
     spec = {"type": "ish", "ell": 6, "cone": True}
     assert text_of(spec, "charpoly") == (
         "t^7 - 31t^6 + 390t^5 - 2520t^4 + 8640t^3 - 14256t^2 + 7776t = t (t-1) (t-6)^5"
@@ -172,6 +174,28 @@ def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
 def test_supersolvable_needs_central():
     with pytest.raises(ValueError, match="cone"):
         text_of({"type": "ish", "ell": 3}, "supersolvable")
+
+
+def test_supersolvable_takes_nest_backed_cones_off_the_poset(monkeypatch):
+    def no_poset(arr):
+        raise AssertionError("the intersection poset was built")
+
+    monkeypatch.setattr("ishkit.lattice.intersection_poset", no_poset)
+    nests = [
+        ({"type": "ish", "ell": 6}, True),
+        ({"type": "n_ish", "N": [[0, "1/2"], [0], [0, "1/2", 1]]}, True),
+        ({"type": "n_ish", "N": [[0], [1]]}, False),
+        ({"type": "deleted_ish", "ell": 4, "edges": [[1, 3], [2, 4]]}, False),
+        ({"type": "deleted_ish", "ell": 4, "edges": [[1, 4], [2, 4]]}, True),
+    ]
+    for spec, verdict in nests:
+        assert json_of(dict(spec, cone=True), "supersolvable")["supersolvable"] is verdict
+    for kind in ("shi", "coxeter"):
+        with pytest.raises(AssertionError, match="poset was built"):
+            text_of({"type": kind, "ell": 3, "cone": True}, "supersolvable")
+    # a central spec that is not coned keeps the lattice search
+    with pytest.raises(AssertionError, match="poset was built"):
+        text_of({"type": "n_ish", "N": [[0], [0]]}, "supersolvable")
 
 
 def test_supersolvable_text_chain():

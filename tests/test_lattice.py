@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,8 +17,12 @@ from ishkit.arrangement import (
     build_n_ish,
     build_named,
     cone,
+    from_spec,
+    ish_nest,
 )
+from ishkit.cli import request_from_doc, run
 from ishkit.exactmath import UniPoly
+from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
     Flat,
     char_poly,
@@ -25,7 +30,7 @@ from ishkit.lattice import (
     is_modular,
     is_supersolvable,
     localization,
-    nest_filtration,
+    nest_modular_chain,
 )
 
 T_MINUS_ONE = UniPoly([-1, 1])
@@ -304,26 +309,38 @@ def test_supersolvable_chain_is_nested():
         assert above.rank == below.rank + 1
 
 
-def test_nest_filtration_ish():
-    stages, report = nest_filtration(NestSpec.make([[0, 1, 2], [0, 1]]))
-    assert report.ranks == (1, 2, 3)
-    assert report.ok
-    assert len(stages[0]) == 1  # just z = 0
-    assert len(stages[-1]) == 7
+def test_nest_modular_chain_ish():
+    arr = cone(build_n_ish(NestSpec.make([[0, 1, 2], [0, 1]])))
+    chain = nest_modular_chain(arr, (3, 2))
+    assert [f.rank for f in chain] == [0, 1, 2, 3]
+    edges = arr.gain_edges()
+    assert [e for e in edges if chain[1].contains(e)] == [None]  # just z = 0
+    assert all(chain[-1].contains(e) for e in edges) and len(edges) == 7
 
 
-def test_nest_filtration_empty_nest():
-    stages, report = nest_filtration(NestSpec.make([[], []]))
-    assert report.ranks == (1, 2)
-    assert report.ok
+def test_nest_modular_chain_empty_nest():
+    # x1 lies on no hyperplane, so the chain ties x2 = x3 after z = 0
+    chain = nest_modular_chain(cone(build_n_ish(NestSpec.make([[], []]))), (2, 3))
+    assert [f.rank for f in chain] == [0, 1, 2]
+    assert chain[-1] == Flat.through([None, (1, 2, 0)], 4, coned=True)
 
 
-def test_nest_filtration_requires_descending():
+def test_nest_modular_chain_rejects_an_order_that_is_not_descending():
+    # N_3 <= N_2 only: the ascending order is (3, 2), and (2, 3) puts the
+    # pair x1 - x3 = 0, x2 - x3 = 0 in one block while x1 - x2 = 1 comes first
+    arr = cone(build_n_ish(NestSpec.make([[0, 1], [0]])))
+    assert nest_modular_chain(arr, (3, 2))
+    with pytest.raises(RuntimeError, match="meet inside no earlier"):
+        nest_modular_chain(arr, (2, 3))
+    # no order is a chain order of incomparable sets
+    for order in ((2, 3), (3, 2)):
+        with pytest.raises(RuntimeError):
+            nest_modular_chain(cone(build_n_ish(NestSpec.make([[0], [1]]))), order)
     with pytest.raises(ValueError):
-        nest_filtration(NestSpec.make([[0], [1]]))
+        nest_modular_chain(build_n_ish(NestSpec.make([[0], [0]])), (2, 3))
 
 
-def test_nest_filtration_random_descending():
+def test_nest_modular_chain_random_descending():
     rng = random.Random(515253)
     universe = [Fraction(k) for k in range(-2, 4)]
     for _ in range(10):
@@ -333,10 +350,75 @@ def test_nest_filtration_random_descending():
         for _ in range(ell - 1):
             sets.append(sorted(base))
             base = {a for a in base if rng.random() < 0.7}
-        stages, report = nest_filtration(NestSpec.make(sets))
-        assert report.ok
-        for small, big in zip(stages, stages[1:]):
-            assert set(small.hyperplanes) <= set(big.hyperplanes)
+        nest = NestSpec.make(sets)
+        arr = cone(build_n_ish(nest))
+        chain = nest_modular_chain(arr, is_nest(nest))
+        poset = intersection_poset(arr)
+        assert [f.rank for f in chain] == list(range(poset.rank + 1))
+        for below, above in zip(chain, chain[1:]):
+            assert poset.leq(poset.index_of(below), poset.index_of(above))
+
+
+def test_nest_modular_chain_certifies_the_cone_of_ish_at_ell_12():
+    chain = nest_modular_chain(cone(build_named("ish", 12)), is_nest(ish_nest(12)))
+    assert [f.rank for f in chain] == list(range(13))
+    assert chain[-1].zero and len(set(chain[-1].root)) == 1
+
+
+NEST_ENTRIES = st.integers(-4, 6).map(lambda n: f"{n}/2")  # integers and halves
+
+
+@st.composite
+def nest_backed_cones(draw, max_ell=5):
+    """A coned ``n_ish``, ``deleted_ish`` or ``ish`` spec document with ell <= max_ell.
+
+    Half of the ``n_ish`` nests are prefixes of one list of entries, so
+    they form a chain in a shuffled order, with equal and empty sets among
+    them; the other half are drawn set by set and rarely do.
+    """
+    ell = draw(st.integers(2, max_ell))
+    kind = draw(st.sampled_from(("n_ish", "n_ish", "deleted_ish", "ish")))
+    doc: dict = {"type": kind, "cone": True}
+    if kind == "n_ish":
+        size = 2 if ell == 5 else 3
+        if draw(st.booleans()):
+            pool = draw(st.lists(NEST_ENTRIES, max_size=size, unique_by=Fraction))
+            cuts = st.integers(0, len(pool))
+            doc["N"] = [pool[:k] for k in draw(st.lists(cuts, min_size=ell - 1, max_size=ell - 1))]
+        else:
+            one_set = st.lists(NEST_ENTRIES, max_size=size)
+            doc["N"] = draw(st.lists(one_set, min_size=ell - 1, max_size=ell - 1))
+    else:
+        doc["ell"] = ell
+        if kind == "deleted_ish":
+            pairs = [[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+            doc["edges"] = draw(st.lists(st.sampled_from(pairs), unique_by=tuple))
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(nest_backed_cones())
+@example({"type": "ish", "ell": 5, "cone": True})
+@example({"type": "n_ish", "N": [[], [], []], "cone": True})
+@example({"type": "n_ish", "N": [[0, "1/2"], [0, "1/2"], [0]], "cone": True})
+@example({"type": "n_ish", "N": [[0], [1], [0, 1]], "cone": True})
+def test_nest_modular_chain_matches_the_lattice_search(doc):
+    parsed = from_spec(doc)
+    oracle = is_supersolvable(parsed.arrangement)
+    answer = json.loads(run(request_from_doc(dict(doc, command="supersolvable", format="json"))))
+    assert answer["supersolvable"] == (oracle is not None)
+    order = is_nest(parsed.nest)
+    if order is None:
+        assert verify_nonfree_witness(parsed.nest, decide_free(parsed.nest).witness)
+        return
+    chain = nest_modular_chain(parsed.arrangement, order)
+    assert answer["chain"] == [f.to_json() for f in chain]
+    poset = intersection_poset(parsed.arrangement)
+    assert [f.rank for f in chain] == list(range(poset.rank + 1))
+    for flat in chain:
+        assert is_modular(poset, flat)
+    for below, above in zip(chain, chain[1:]):
+        assert poset.leq(poset.index_of(below), poset.index_of(above))
 
 
 def test_zaslavsky_count_matches_poset():
