@@ -42,6 +42,8 @@ from .freeness import (
     NonFreeWitness,
     basis_derivations,
     decide_free,
+    factored_basis,
+    factored_saito_constant,
     is_log_derivation,
     is_nest,
     nest_exponents,
@@ -81,6 +83,8 @@ __all__ = [
     "decide_free",
     "distance_poly",
     "enumerate_chambers",
+    "factored_basis",
+    "factored_saito_constant",
     "from_spec",
     "graph_char_poly",
     "intersection_poset",

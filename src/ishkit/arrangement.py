@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -324,14 +325,28 @@ def cone(arr: Arrangement) -> Arrangement:
 
 @dataclass(frozen=True)
 class ParsedSpec:
-    """An arrangement spec plus whatever side data the type carries."""
+    """An arrangement spec plus whatever side data the type carries.
+
+    The arrangement is built on first read: several commands need only
+    the nest or the graph.  Every spec error is raised while parsing,
+    before any build.
+    """
 
     kind: str
     ell: int
-    arrangement: Arrangement
     nest: "NestSpec | None"
     graph: "Graph | None"
     coned: bool
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        if self.kind == "n_ish":
+            arr = build_n_ish(self.nest)
+        elif self.graph is not None:
+            arr = build_deleted(self.kind.split("_")[1], self.graph)
+        else:
+            arr = build_named(self.kind, self.ell)
+        return cone(arr) if self.coned else arr
 
 
 SPEC_KINDS = ("coxeter", "shi", "ish", "n_ish", "deleted_shi", "deleted_ish")
@@ -367,27 +382,22 @@ def from_spec(spec: dict) -> ParsedSpec:
             raise ValueError("n_ish spec needs the key 'N'")
         nest = NestSpec.make(spec["N"])
         ell = nest.ell
-        arr = build_n_ish(nest)
     elif kind in ("deleted_shi", "deleted_ish"):
         ell = _read_ell(spec)
         edges = spec.get("edges", [])
         if not isinstance(edges, list):
             raise ValueError("'edges' must be a list of vertex pairs")
         graph = Graph.make(ell, edges)
-        arr = build_deleted(kind.split("_")[1], graph)
         if kind == "deleted_ish":
             nest = n_from_graph(graph)
     else:
         ell = _read_ell(spec)
-        arr = build_named(kind, ell)
         if kind == "ish":
             nest = ish_nest(ell)
     want_cone = spec.get("cone", False)
     if not isinstance(want_cone, bool):
         raise ValueError(f"'cone' must be true or false, not {want_cone!r}")
-    if want_cone:
-        arr = cone(arr)
-    return ParsedSpec(kind, ell, arr, nest, graph, want_cone)
+    return ParsedSpec(kind, ell, nest, graph, want_cone)
 
 
 def _read_ell(spec: dict) -> int:

@@ -28,7 +28,14 @@ from .exactmath import (
     unipoly_str,
     unipoly_to_json,
 )
-from .freeness import basis_derivations, decide_free, is_nest, saito_constant
+from .freeness import (
+    basis_derivations,
+    decide_free,
+    factored_basis,
+    factored_saito_constant,
+    is_nest,
+    nest_exponents,
+)
 from .graphs import analyze_graph, survey
 from .lattice import is_supersolvable, nest_modular_chain
 from .rooks import spec_char_poly
@@ -114,7 +121,7 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_charpoly(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_charpoly(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     parsed = req.parsed
     poly = spec_char_poly(parsed)
@@ -127,24 +134,26 @@ def _cmd_charpoly(req: AnalysisRequest) -> tuple[str, dict]:
                 roots.remove(1)  # deconing divides out one (t - 1) factor
             if UniPoly.from_roots(roots) != poly:
                 raise RuntimeError("free exponents do not factor the rook-number chi")
+    if req.output_format == "json":
+        return {"charPoly": unipoly_to_json(poly), "roots": roots}
     text = unipoly_str(poly)
     if roots is not None:
         text += f" = {unipoly_factored_str(roots)}"
-    return text, {"charPoly": unipoly_to_json(poly), "roots": roots}
+    return text
 
 
-def _cmd_freeness(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_freeness(req: AnalysisRequest) -> str | dict:
     verdict = decide_free(_need_nest(req.parsed))
+    if req.output_format == "json":
+        return verdict.to_json()
     if verdict.free:
-        text = f"FREE: exponents {verdict.exponents}"
-    else:
-        w = verdict.witness
-        triple = "(" + ",".join(str(e) for e in w.localized_exponents) + ")"
-        text = (
-            f"NOT FREE: witness pair ({w.i},{w.j}), localized exp {triple}, "
-            f"restriction {w.restriction_exponent}"
-        )
-    return text, verdict.to_json()
+        return f"FREE: exponents {verdict.exponents}"
+    w = verdict.witness
+    triple = "(" + ",".join(str(e) for e in w.localized_exponents) + ")"
+    return (
+        f"NOT FREE: witness pair ({w.i},{w.j}), localized exp {triple}, "
+        f"restriction {w.restriction_exponent}"
+    )
 
 
 def _ascending(parsed: ParsedSpec):
@@ -155,47 +164,45 @@ def _ascending(parsed: ParsedSpec):
     return nest.reordered(order), order
 
 
-def _cmd_basis(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_basis(req: AnalysisRequest) -> str | dict:
     sorted_nest, order = _ascending(req.parsed)
     derivs = basis_derivations(sorted_nest)
+    if req.output_format == "json":
+        return {
+            "order": list(order),
+            "degrees": [d.degree() for d in derivs],
+            "derivations": [[poly_to_json(c) for c in d.components] for d in derivs],
+        }
     names = default_names(sorted_nest.ell + 1, coned=True)
     lines = []
     if list(order) != list(range(2, sorted_nest.ell + 1)):
         lines.append(f"sets taken in ascending order {tuple(order)}")
     for k, d in enumerate(derivs):
         lines.append(f"theta_{k} (degree {d.degree()}): {d.render(names)}")
-    data = {
-        "order": list(order),
-        "degrees": [d.degree() for d in derivs],
-        "derivations": [[poly_to_json(c) for c in d.components] for d in derivs],
-    }
-    return "\n".join(lines), data
+    return "\n".join(lines)
 
 
-def _cmd_saito(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_saito(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     sorted_nest, order = _ascending(req.parsed)
     arr = cone(build_n_ish(sorted_nest))
-    constant = saito_constant(basis_derivations(sorted_nest), arr)
-    verdict = decide_free(sorted_nest)
+    constant = factored_saito_constant(factored_basis(sorted_nest), arr)
+    json_out = req.output_format == "json"
     if constant is None:
-        return "SAITO FAIL: determinant does not match the defining polynomial", {
-            "pass": False,
-            "constant": None,
-            "exponents": None,
+        if json_out:
+            return {"pass": False, "constant": None, "exponents": None}
+        return "SAITO FAIL: determinant does not match the defining polynomial"
+    exponents = nest_exponents(req.parsed.nest, order)
+    if json_out:
+        return {
+            "pass": True,
+            "constant": format_rational(constant),
+            "exponents": list(exponents),
         }
-    text = (
-        f"SAITO PASS: constant {format_rational(constant)}, "
-        f"exponents {verdict.exponents}"
-    )
-    return text, {
-        "pass": True,
-        "constant": format_rational(constant),
-        "exponents": list(verdict.exponents),
-    }
+    return f"SAITO PASS: constant {format_rational(constant)}, exponents {exponents}"
 
 
-def _cmd_supersolvable(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     parsed = req.parsed
     arr = parsed.arrangement
@@ -210,32 +217,33 @@ def _cmd_supersolvable(req: AnalysisRequest) -> tuple[str, dict]:
         chain = None if order is None else nest_modular_chain(arr, order)
     else:
         chain = is_supersolvable(arr)
+    if req.output_format == "json":
+        return {
+            "supersolvable": chain is not None,
+            "chain": None if chain is None else [flat.to_json() for flat in chain],
+        }
     if chain is None:
-        return "NOT SUPERSOLVABLE", {"supersolvable": False, "chain": None}
+        return "NOT SUPERSOLVABLE"
     names = arr.var_names()
     lines = [f"SUPERSOLVABLE: modular chain of ranks 0..{len(chain) - 1}"]
     for flat in chain:
         lines.append(f"  rank {flat.rank}: {flat.render(names)}")
-    return "\n".join(lines), {
-        "supersolvable": True,
-        "chain": [flat.to_json() for flat in chain],
-    }
+    return "\n".join(lines)
 
 
-def _cmd_chambers(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_chambers(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     chambers = enumerate_chambers(req.parsed.arrangement)
+    if req.output_format == "json":
+        return {"count": len(chambers), "chambers": [c.to_json() for c in chambers]}
     lines = [f"{len(chambers)} chambers"]
     for c in chambers:
         point = ", ".join(str(v) for v in c.witness)
         lines.append(f"  {c.sign_vector}  witness ({point})")
-    return "\n".join(lines), {
-        "count": len(chambers),
-        "chambers": [c.to_json() for c in chambers],
-    }
+    return "\n".join(lines)
 
 
-def _cmd_wallcross(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     parsed = req.parsed
     if parsed.kind == "ish" and not parsed.coned:
@@ -252,17 +260,18 @@ def _cmd_wallcross(req: AnalysisRequest) -> tuple[str, dict]:
             "wall-crossing needs the affine staircase ('ish') or a nest-backed spec"
         )
     poly = distance_poly(arr, base)
-    return unipoly_str(poly), {
-        "distancePoly": unipoly_to_json(poly),
-        "chambers": int(poly.evaluate(1)),
-    }
+    if req.output_format == "json":
+        return {"distancePoly": unipoly_to_json(poly), "chambers": int(poly.evaluate(1))}
+    return unipoly_str(poly)
 
 
-def _cmd_graph(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_graph(req: AnalysisRequest) -> str | dict:
     graph = req.parsed.graph
     if graph is None:
         raise ValueError("graph analysis needs a deleted_shi or deleted_ish spec")
     a = analyze_graph(graph)
+    if req.output_format == "json":
+        return a.to_json()
     edges = " ".join(f"({i},{j})" for i, j in graph.sorted_edges()) or "none"
     witness = str(a.athanasiadis_witness) if a.athanasiadis_witness else "none"
     lines = [
@@ -273,11 +282,13 @@ def _cmd_graph(req: AnalysisRequest) -> tuple[str, dict]:
         f"pairwise: {_yesno(a.pairwise_ok)}",
         f"free: {_yesno(a.free)}",
     ]
-    return "\n".join(lines), a.to_json()
+    return "\n".join(lines)
 
 
-def _cmd_survey(req: AnalysisRequest) -> tuple[str, dict]:
+def _cmd_survey(req: AnalysisRequest) -> str | dict:
     report = survey(req.ell)
+    if req.output_format == "json":
+        return report.to_json()
     lines = [
         f"K_{report.ell}: {report.total} subgraphs, {report.free_count} free, "
         f"{len(report.violations)} violations"
@@ -287,7 +298,7 @@ def _cmd_survey(req: AnalysisRequest) -> tuple[str, dict]:
             edges = " ".join(f"({i},{j})" for i, j in record.analysis.graph.sorted_edges())
             lines.append(f"  not free: {edges or 'no edges'}")
     lines.extend(f"  VIOLATION: {v}" for v in report.violations)
-    return "\n".join(lines), report.to_json()
+    return "\n".join(lines)
 
 
 _HANDLERS = {
@@ -305,13 +316,17 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def run(req: AnalysisRequest) -> str:
-    """Execute a request and return the rendered report."""
-    text, data = _HANDLERS[req.command](req)
+    """Execute a request and return the rendered report.
+
+    Each handler renders only the requested format: the text report, or
+    for JSON output the fields that follow the command and the spec echo.
+    """
+    answer = _HANDLERS[req.command](req)
     if req.output_format == "json":
         payload = {"command": req.command, "spec": request_echo(req)}
-        payload.update(data)
+        payload.update(answer)
         return json.dumps(payload, indent=2, sort_keys=True)
-    return text
+    return answer
 
 
 def main(argv: list[str] | None = None) -> int:

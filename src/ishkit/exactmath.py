@@ -171,6 +171,18 @@ class MultiPoly:
         exp = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exp: 1})
 
+    @classmethod
+    def linear(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
+        """The linear form ``sum(coeffs[k] * x_k)`` in ``len(coeffs)`` variables."""
+        n = len(coeffs)
+        res = cls(n)
+        res.terms = {
+            1 << (_FIELD * n) | 1 << (_FIELD * (n - 1 - k)): _exact(c)
+            for k, c in enumerate(coeffs)
+            if c
+        }
+        return res
+
     # -- basic queries ------------------------------------------------
 
     @property

@@ -20,18 +20,40 @@ checkable certificates:
 A derivation is stored componentwise: entry ``k`` is the image of the
 ``k``-th coordinate.  Applying it to a linear form is a coefficient
 combination, so no symbolic differentiation is needed.
+
+Every component of the paper's basis is a product of linear forms, so
+the basis is built once in factored form (``factored_basis``): each
+component is zero or a scalar times a sorted tuple of primitive integer
+forms, normalized like ``Hyperplane.make``.  ``basis_derivations``
+multiplies it out for display; ``factored_saito_constant`` decides
+Saito's criterion on the factors.  The argument is unique factorization
+in ``Q[x]``: a product of linear forms lies in the ideal of ``alpha_H``
+exactly when ``alpha_H`` is one of its factors, and restricting a
+product to ``H`` restricts each factor.  An image ``theta(alpha_H)`` is
+a sum of such products; its terms are restricted factor by factor and
+collected by their factors, and when every collection cancels the image
+is a multiple of ``alpha_H``.  When some does not, distinct products may
+still cancel, and that one image is multiplied out and decided by
+``exactmath.vanishes_on``; for the paper's basis this happens only for
+the Euler field, whose images are linear.  ``saito_constant`` on the
+expanded derivations stays as the general route and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
 from .exactmath import MultiPoly, Scalar, _nonzero, int_det, poly_str, vanishes_on
 from .lattice import Flat
+
+Factor = tuple[int, ...]  # a primitive integer linear form, normalized like Hyperplane.make
+Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
+FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 
 
 class Derivation:
@@ -209,37 +231,173 @@ def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(exps))
 
 
-def basis_derivations(nest: NestSpec) -> list[Derivation]:
-    """The explicit derivation basis for the cone of an ascending nest.
+def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
+    """The explicit derivation basis for the cone of an ascending nest, factored.
 
     For ``N_2 <= ... <= N_ell`` over variables ``x1..xl, z`` the basis
     consists of the constant translation field, the Euler field, and for
     each ``k`` a field supported on ``x2..xk`` whose ``x_s`` component is
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
+    The factor of ``a = p/q`` is ``(q x1 - q x_s - p z) / q``, the
+    normalized form of the coned hyperplane ``x1 - x_s = a z``.
     """
     if not nest.is_ascending():
         raise ValueError("the derivation basis needs an ascending nest")
     ell = nest.ell
     n = ell + 1  # x1..xl and z
-    zero = MultiPoly.zero(n)
-    one = MultiPoly.const(n, 1)
-    xs = [MultiPoly.variable(n, i) for i in range(ell)]
-    z = MultiPoly.variable(n, ell)
-
-    translations = Derivation([one] * ell + [zero])
-    euler = Derivation(xs + [z])
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    translations = ((1, ()),) * ell + (None,)
+    euler = tuple((1, (u,)) for u in units)
     out = [translations, euler]
     for k in range(2, ell + 1):
-        comps = [zero] * n
+        comps: list[Term | None] = [None] * n
         for s in range(2, k + 1):
-            poly = one
+            factors, den = [], 1
             for a in nest.set_at(k):
-                poly = poly * (xs[0] - xs[s - 1] - a * z)
+                form = [0] * n
+                form[0], form[s - 1], form[ell] = a.denominator, -a.denominator, -a.numerator
+                factors.append(tuple(form))
+                den *= a.denominator
             for t in range(k + 1, ell + 1):
-                poly = poly * (xs[s - 1] - xs[t - 1])
-            comps[s - 1] = poly
-        out.append(Derivation(comps))
+                factors.append(tuple(u - v for u, v in zip(units[s - 1], units[t - 1])))
+            comps[s - 1] = (1 if den == 1 else Fraction(1, den), tuple(sorted(factors)))
+        out.append(tuple(comps))
     return out
+
+
+def _expand(comp: Term | None, nvars: int) -> MultiPoly:
+    """The polynomial of one factored component."""
+    if comp is None:
+        return MultiPoly.zero(nvars)
+    scalar, factors = comp
+    if not factors:
+        return MultiPoly.const(nvars, scalar)
+    poly = MultiPoly.linear(factors[0])
+    for f in factors[1:]:
+        poly = poly * MultiPoly.linear(f)
+    return poly if scalar == 1 else poly * scalar
+
+
+def expand(theta: FactoredDerivation) -> Derivation:
+    """The factored derivation multiplied out."""
+    return Derivation([_expand(comp, len(theta)) for comp in theta])
+
+
+def basis_derivations(nest: NestSpec) -> list[Derivation]:
+    """The basis of ``factored_basis`` with every component multiplied out."""
+    return [expand(theta) for theta in factored_basis(nest)]
+
+
+def _primitive(form: Sequence[int]) -> tuple[int, Factor]:
+    """A nonzero integer form as ``content * f``, ``f`` normalized like ``Hyperplane.make``."""
+    g = gcd(*form)
+    if next(v for v in form if v) < 0:
+        g = -g
+    return g, tuple(v // g for v in form)
+
+
+def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
+    """Is ``theta(alpha)`` a multiple of ``alpha``, decided on the factors?
+
+    A term ``c * prod f`` of the image is a multiple of ``alpha`` when
+    ``alpha`` is one of its factors.  Every other term is restricted to
+    ``alpha = 0`` factor by factor: with ``x_p`` the first variable of
+    ``alpha``, ``f`` restricts to ``(alpha_p f - f_p alpha) / alpha_p``,
+    a form free of ``x_p``.  The integer form ``alpha_p f - f_p alpha`` is
+    made primitive and its content goes into ``c``, so every term of
+    degree ``deg`` carries the same extra factor ``alpha_p ** deg``.  Terms
+    with the same restricted factors are collected.  When every
+    collection sums to zero, so does the restriction, and
+    ``theta(alpha)`` lies in ``(alpha)``.
+    Otherwise distinct products may still cancel, so that one image is
+    multiplied out and decided by ``vanishes_on``.
+    """
+    p = next(k for k, a in enumerate(alpha) if a)
+    ap = alpha[p]
+    sums: dict[tuple[Factor, ...], Scalar] = {}
+    for a, comp in zip(alpha, theta):
+        if not a or comp is None or alpha in comp[1]:
+            continue
+        scalar, factors = comp
+        scalar *= a
+        restricted = []
+        for f in factors:
+            fp = f[p]
+            if not fp:
+                scalar *= ap
+                restricted.append(f)
+                continue
+            form = [ap * u - fp * v for u, v in zip(f, alpha)]
+            if not any(form):  # f is a multiple of alpha
+                scalar = 0
+                break
+            content, prim = _primitive(form)
+            scalar *= content
+            restricted.append(prim)
+        if scalar:
+            key = tuple(sorted(restricted))
+            sums[key] = sums.get(key, 0) + scalar
+    if not any(sums.values()):
+        return True
+    image = MultiPoly.zero(len(theta))
+    for a, comp in zip(alpha, theta):
+        if a and comp is not None:
+            image = image + _expand(comp, len(theta)) * a
+    return vanishes_on(image, alpha)
+
+
+def factored_saito_constant(
+    derivs: Sequence[FactoredDerivation], arr: Arrangement
+) -> Fraction | None:
+    """``saito_constant`` of the expanded derivations, with no expansion.
+
+    The same hypotheses are checked in the same order, with the same
+    errors.  Each log check runs on the factors (``_factored_is_log``);
+    a product of linear forms is homogeneous, so a derivation is
+    homogeneous when its nonzero components have equally many factors;
+    and the determinant is taken at ``_off_point``'s point from integer
+    dot products, each row scaled to integers and the scale divided back
+    out, so the constant is the same rational.
+    """
+    n = arr.dim
+    if len(derivs) != n:
+        raise ValueError("need exactly ambient-dimension many derivations")
+    if any(len(theta) != n for theta in derivs):
+        raise ValueError("need exactly one component per variable")
+    if not arr.is_central:
+        raise ValueError("logarithmic derivations are tested on central arrangements")
+    for theta in derivs:
+        if not all(_factored_is_log(theta, h.coeffs) for h in arr.hyperplanes):
+            raise ValueError("all derivations must be logarithmic for the arrangement")
+    if any(all(comp is None for comp in theta) for theta in derivs):
+        return None
+    degree = 0
+    for theta in derivs:
+        counts = {len(comp[1]) for comp in theta if comp is not None}
+        if len(counts) != 1:
+            raise ValueError("derivation is not homogeneous")
+        degree += counts.pop()
+    if degree != len(arr):
+        return None
+    point, q = _off_point(arr)
+    scale = 1
+    rows = []
+    for theta in derivs:
+        row = []
+        for comp in theta:
+            value = 0
+            if comp is not None:
+                value = comp[0]
+                for f in comp[1]:
+                    value *= sum(map(mul, f, point))
+            row.append(value)
+        m = lcm(*(v.denominator for v in row))
+        rows.append([int(v * m) for v in row])
+        scale *= m
+    det = int_det(rows)
+    if det == 0:
+        return None
+    return Fraction(det, q) / scale
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,14 @@ def test_from_spec_shapes():
     assert ps.arrangement == build_named("coxeter", 3)
 
 
+def test_from_spec_builds_the_arrangement_on_first_read():
+    ps = from_spec({"type": "ish", "ell": 4, "cone": True})
+    assert "arrangement" not in vars(ps)
+    arr = ps.arrangement
+    assert arr is ps.arrangement and arr == cone(build_named("ish", 4))
+    assert ps == from_spec({"type": "ish", "ell": 4, "cone": True})
+
+
 def test_from_spec_errors():
     with pytest.raises(ValueError):
         from_spec({"type": "nope", "ell": 3})

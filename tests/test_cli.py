@@ -198,6 +198,49 @@ def test_supersolvable_takes_nest_backed_cones_off_the_poset(monkeypatch):
         text_of({"type": "n_ish", "N": [[0], [0]]}, "supersolvable")
 
 
+def test_saito_takes_the_factored_route(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("the expanded route ran")
+
+    for name in ("ishkit.freeness.saito_constant", "ishkit.freeness.is_log_derivation",
+                 "ishkit.cli.basis_derivations", "ishkit.cli.decide_free"):
+        monkeypatch.setattr(name, expanded)
+    spec = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True}
+    assert text_of(spec, "saito") == "SAITO PASS: constant 1/1, exponents (0, 1, 2, 2)"
+    out = json_of(spec, "saito")
+    assert (out["pass"], out["constant"], out["exponents"]) == (True, "1/1", [0, 1, 2, 2])
+
+
+def test_handlers_render_only_the_requested_format(monkeypatch):
+    def never(*args):
+        raise AssertionError("rendered the other format")
+
+    nest = {"type": "n_ish", "N": [[0, "1/2"], [0]], "cone": True}
+    cone3 = {"type": "ish", "ell": 3, "cone": True}
+    with monkeypatch.context() as m:
+        m.setattr("ishkit.freeness.Derivation.render", never)
+        m.setattr("ishkit.lattice.Flat.render", never)
+        assert json_of(nest, "basis")["degrees"] == [0, 1, 2, 2]
+        assert json_of(cone3, "supersolvable")["supersolvable"] is True
+    with monkeypatch.context() as m:
+        m.setattr("ishkit.cli.poly_to_json", never)
+        m.setattr("ishkit.lattice.Flat.to_json", never)
+        assert text_of(nest, "basis").startswith("sets taken in ascending order (3, 2)")
+        assert text_of(cone3, "supersolvable").startswith("SUPERSOLVABLE")
+
+
+def test_commands_on_the_nest_never_build_the_arrangement(monkeypatch):
+    def build(*args):
+        raise AssertionError("the spec's arrangement was built")
+
+    for name in ("build_named", "build_n_ish", "build_deleted"):
+        monkeypatch.setattr(f"ishkit.arrangement.{name}", build)
+    assert text_of({"type": "ish", "ell": 200}, "freeness").startswith("FREE: exponents (0, 1, 200,")
+    assert text_of({"type": "ish", "ell": 5}, "charpoly") == "t^5 - 20t^4 + 150t^3 - 500t^2 + 625t = t (t-5)^4"
+    assert text_of({"type": "ish", "ell": 2}, "basis").startswith("theta_0 (degree 0)")
+    assert text_of({"type": "deleted_shi", "ell": 3, "edges": [[1, 2]]}, "graph").startswith("edges: (1,2)")
+
+
 def test_supersolvable_text_chain():
     out = text_of({"type": "ish", "ell": 3, "cone": True}, "supersolvable").splitlines()
     assert out[0] == "SUPERSOLVABLE: modular chain of ranks 0..3"

@@ -3,10 +3,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import (
+    Arrangement,
     Hyperplane,
     NestSpec,
     build_n_ish,
@@ -14,11 +15,14 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, UniPoly, int_det
+from ishkit.exactmath import MultiPoly, UniPoly, int_det, vanishes_on
 from ishkit.freeness import (
     Derivation,
     basis_derivations,
     decide_free,
+    expand,
+    factored_basis,
+    factored_saito_constant,
     is_log_derivation,
     is_nest,
     nest_exponents,
@@ -389,9 +393,9 @@ def scaled(theta, factor):
 
 
 @st.composite
-def ascending_nests(draw):
-    """Chains N_2 <= ... <= N_ell with ell <= 4, integer or half-integer entries."""
-    ell = draw(st.integers(2, 4))
+def ascending_nests(draw, max_ell=4):
+    """Chains N_2 <= ... <= N_ell, integer or half-integer entries."""
+    ell = draw(st.integers(2, max_ell))
     step = draw(st.sampled_from([1, Fraction(1, 2)]))
     pool = [step * k for k in range(-2, 6)]
     grow = st.lists(st.sampled_from(pool), max_size=3)
@@ -451,3 +455,172 @@ def test_saito_constant_matches_division_reference(nest, rng):
         assert all(type(coef) is int for p in polys + ints for coef in p.terms.values())
         (matrix,), _ = det.call_args
         assert all(type(entry) is int for row in matrix for entry in row)
+
+
+# -- the factored route: differential tests against the expanded one ----
+
+
+def basis_by_products(nest, entries=None):
+    """The basis multiplied out linear form by linear form, as ``basis_derivations``
+    built it before the factored form; ``entries`` may replace some sets ``N_k``
+    for their own field only."""
+    entries = entries or {}
+    ell = nest.ell
+    n = ell + 1
+    zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
+    xs = [MultiPoly.variable(n, i) for i in range(ell)]
+    z = MultiPoly.variable(n, ell)
+    out = [Derivation([one] * ell + [zero]), Derivation(xs + [z])]
+    for k in range(2, ell + 1):
+        comps = [zero] * n
+        for s in range(2, k + 1):
+            poly = one
+            for a in entries.get(k, nest.set_at(k)):
+                poly = poly * (xs[0] - xs[s - 1] - a * z)
+            for t in range(k + 1, ell + 1):
+                poly = poly * (xs[s - 1] - xs[t - 1])
+            comps[s - 1] = poly
+        out.append(Derivation(comps))
+    return out
+
+
+def verdict(constant_of, derivs, arr):
+    """The constant, None, or the ValueError message of one Saito route."""
+    try:
+        return constant_of(derivs, arr)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def halved(theta):
+    return tuple(None if comp is None else (comp[0] * Fraction(1, 2), comp[1]) for comp in theta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=5), st.randoms(use_true_random=False))
+@example(NestSpec.make([[], [], [], []]), random.Random(0))
+@example(NestSpec.make([["1/2"], ["1/2"], ["1/2", 2], ["1/2", 2]]), random.Random(1))
+def test_factored_saito_matches_the_expanded_route(nest, rng):
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    expanded = basis_by_products(nest)
+    assert [expand(theta) for theta in basis] == basis_derivations(nest) == expanded
+    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+        c = factored_saito_constant(basis, arr)
+    # only the Euler field's images, of degree 1, are multiplied out
+    assert all(f.total_degree() == 1 for (f, _), _ in fallback.call_args_list)
+    assert isinstance(c, Fraction) and c != 0
+    assert c == saito_constant(expanded, arr)
+
+    k = rng.randrange(len(basis))
+    mutated, oracle = list(basis), list(expanded)
+    mutated[k], oracle[k] = halved(basis[k]), scaled(expanded[k], Fraction(1, 2))
+    assert factored_saito_constant(mutated, arr) == saito_constant(oracle, arr) == c / 2
+
+    # drop the factor of one entry a from theta_k: its image on x1 - x_k = a z
+    # no longer vanishes there
+    fields = [k for k in range(2, nest.ell + 1) if nest.set_at(k)]
+    if fields:
+        k = rng.choice(fields)
+        a = rng.choice(nest.set_at(k))
+        dropped = []
+        for s, comp in enumerate(basis[k]):
+            if comp is not None:
+                form = [0] * arr.dim
+                form[0], form[s], form[-1] = 1, -1, -a
+                factor = Hyperplane.make(form).coeffs
+                rest = list(comp[1])
+                rest.remove(factor)
+                comp = (comp[0] * a.denominator, tuple(rest))
+            dropped.append(comp)
+        mutated, oracle = list(basis), list(expanded)
+        mutated[k] = tuple(dropped)
+        oracle[k] = basis_by_products(nest, {k: [b for b in nest.set_at(k) if b != a]})[k]
+        got = verdict(factored_saito_constant, mutated, arr)
+        assert got == verdict(saito_constant, oracle, arr)
+        assert got == "ValueError: all derivations must be logarithmic for the arrangement"
+
+        # the same factor dropped from one component only
+        s = rng.randrange(1, k)
+        comps = list(basis[k])
+        comps[s] = dropped[s]
+        mutated[k] = tuple(comps)
+        oracle[k] = Derivation(
+            [oracle[k].components[i] if i == s else comp for i, comp in enumerate(expanded[k].components)]
+        )
+        assert verdict(factored_saito_constant, mutated, arr) == verdict(saito_constant, oracle, arr)
+
+    mutated = list(basis)
+    mutated[rng.randrange(len(basis))] = (None,) * arr.dim
+    assert factored_saito_constant(mutated, arr) is None
+
+
+def one_plane():
+    """The plane x1 - x2 + x3 = 0, with two translations along it."""
+    arr = Arrangement(3, [Hyperplane.make([1, -1, 1])])
+    return arr, [((1, ()), (1, ()), None), (None, (1, ()), (1, ()))]
+
+
+def test_factored_log_check_falls_back_to_vanishes_on():
+    # On x1 - x2 + x3 = 0 the image x1 (x1 + 2 x3) - x2^2 + x3^2 restricts to
+    # (x2 - x3)(x2 + x3) - x2^2 + x3^2: zero, but from three different
+    # products, so only the expanded image can tell.
+    arr, along = one_plane()
+    euler = tuple((1, (u,)) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    theta = ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))
+    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+        assert factored_saito_constant(along + [euler], arr) == 1
+        assert fallback.call_count == 1  # the Euler field's image is alpha itself
+        assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
+        assert fallback.call_count == 2
+    assert saito_constant([expand(t) for t in along + [euler]], arr) == 1
+    assert saito_constant([expand(t) for t in along + [theta]], arr) is None
+    bent = theta[:2] + ((2, theta[2][1]),)
+    for route, derivs in ((factored_saito_constant, along + [bent]),
+                          (saito_constant, [expand(t) for t in along + [bent]])):
+        with pytest.raises(ValueError, match="logarithmic"):
+            route(derivs, arr)
+
+
+def test_factored_log_check_folds_the_contents():
+    # On 2 x1 = x2 the image 2 x3 (x1 + x2) - 3 x2 x3 restricts to
+    # x3 (3/2 x2) * 2 - 3 x2 x3 = 0: the content 3 of 2 (x1 + x2) - (2 x1 - x2)
+    # and the leading coefficient 2 of alpha must both be folded in for the
+    # two terms to meet without the fallback.
+    arr = Arrangement(3, [Hyperplane.make([2, -1, 0])])
+    along = [((1, ()), (2, ()), None), (None, None, (1, ()))]
+    theta = ((1, ((0, 0, 1), (1, 1, 0))), (3, ((0, 0, 1), (0, 1, 0))), None)
+    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+        assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
+    assert not fallback.called
+    assert is_log_derivation(expand(theta), arr)
+
+
+def test_factored_saito_rejects_what_the_expanded_route_rejects():
+    arr, along = one_plane()
+    alpha = arr.hyperplanes[0].coeffs
+    mixed = ((1, (alpha,)), (1, (alpha, alpha)), None)  # logarithmic, degrees 1 and 2
+    for route, derivs in ((factored_saito_constant, along + [mixed]),
+                          (saito_constant, [expand(t) for t in along + [mixed]])):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            route(derivs, arr)
+        with pytest.raises(ValueError, match="ambient-dimension"):
+            route(derivs[:2], arr)
+    affine = Arrangement(3, [Hyperplane.make([1, -1, 1], 1)])
+    with pytest.raises(ValueError, match="central"):
+        factored_saito_constant(along + [mixed], affine)
+
+
+def test_factored_basis_uses_the_hyperplane_forms():
+    nest = NestSpec.make([["1/2"], ["1/2", "3/2"]])
+    forms = {h.coeffs for h in cone(build_n_ish(nest)).hyperplanes}
+    theta = factored_basis(nest)[3]
+    assert theta[2] == (Fraction(1, 4), ((2, 0, -2, -3), (2, 0, -2, -1)))
+    assert set(theta[2][1]) <= forms  # x1 - x3 = a z for a in N_3
+
+
+def test_factored_saito_on_the_rank_ten_staircase():
+    nest = ish_nest(10)
+    arr = cone(build_n_ish(nest))
+    c = factored_saito_constant(factored_basis(nest), arr)
+    assert c == saito_constant(basis_derivations(nest), arr) == -1
