@@ -44,6 +44,7 @@ from typing import Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
+from .freeness import is_nest, nest_exponents
 
 
 @dataclass(frozen=True)
@@ -258,18 +259,17 @@ def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
 
 
 def wallcross_expected(nest: NestSpec) -> UniPoly:
-    """The product ``(1+t) * prod geometric(e)`` over the nonunit exponents.
+    """The product of ``geometric(e)`` over the exponents of the cone.
 
-    The exponents of the cone come from the chain sorted ascending by
-    inclusion: position k contributes ``|N| + l - k`` where the sizes
-    increase with k.  (Feeding the descending sizes into the same slots
-    would overshoot the chamber count.)
+    The exponents ``{0, 1} | {|N_w(k)| + l - k}`` come from the chain
+    order, sets ascending (``freeness.nest_exponents``), so the product is
+    ``(1+t)`` times one geometric factor per nonunit exponent.  (Feeding
+    the descending sizes into the same slots would overshoot the chamber
+    count.)
     """
     if not nest.is_descending():
         raise ValueError("the product form is stated for descending nests")
-    ell = nest.ell
-    sizes = sorted(len(nest.set_at(j)) for j in range(2, ell + 1))
-    out = UniPoly.geometric(1)
-    for k in range(2, ell + 1):
-        out = out * UniPoly.geometric(sizes[k - 2] + ell - k)
+    out = UniPoly([1])
+    for e in nest_exponents(nest, is_nest(nest)):
+        out = out * UniPoly.geometric(e)
     return out

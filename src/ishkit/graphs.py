@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .arrangement import Graph, NestSpec, n_from_graph
 from .errors import CapacityError
 from .exactmath import UniPoly, unipoly_to_json
-from .freeness import decide_free, is_nest
+from .freeness import decide_free
 from .rooks import graph_char_poly, nest_char_poly
 
 ATHANASIADIS_MAX_ELL = 8
@@ -138,22 +138,23 @@ class GraphAnalysis:
 
 
 def analyze_graph(graph: Graph) -> GraphAnalysis:
-    """Run the three combinatorial conditions plus the freeness decision.
+    """Run the three combinatorial conditions; the chain condition is the freeness decision.
 
-    The four answers are provably equivalent; a mismatch is a bug in
-    this package and raises RuntimeError rather than returning.
+    ``decide_free`` calls N_G free exactly when ``is_nest`` finds a chain
+    order, so one call gives both the ``nest`` and the ``free`` field.  The
+    three answers are provably equivalent; a mismatch is a bug in this
+    package and raises RuntimeError rather than returning.
     """
     n_g = n_from_graph(graph)
-    nest_ok = is_nest(n_g) is not None
+    free = decide_free(n_g).free
     witness = athanasiadis_condition(graph)
     pairwise_ok = pairwise_condition(graph)
-    free = decide_free(n_g).free
-    if not (nest_ok == (witness is not None) == pairwise_ok == free):
+    if not (free == (witness is not None) == pairwise_ok):
         raise RuntimeError(
-            f"equivalence broke on {sorted(graph.edges)}: nest={nest_ok}, "
+            f"equivalence broke on {sorted(graph.edges)}: nest={free}, "
             f"athanasiadis={witness}, pairwise={pairwise_ok}, free={free}"
         )
-    return GraphAnalysis(graph, n_g, nest_ok, witness, pairwise_ok, free)
+    return GraphAnalysis(graph, n_g, free, witness, pairwise_ok, free)
 
 
 @dataclass(frozen=True)

@@ -25,30 +25,33 @@ and hyperplane, the flat their intersection gives (``None`` when it is
 empty) in a step table, and the hyperplanes containing the flat in its
 bitmask.  A flat equals the intersection of the hyperplanes through
 it, so masks are a faithful encoding: mask containment decides the
-order, the meet of two flats is the walk from the bottom through the
-hyperplanes of both masks, and their join is the walk from one flat
-through the other's mask.
+order, and the distinct entries of a flat's step table are its upper
+covers.
 
 The closure runs on integer gains and meets a flat once per upper
 cover: every other hyperplane through that cover gives the same flat.
 The lower covers it records give the Moebius values by Weisner's
 theorem, one sum over the lower covers of each flat.
 
-On top of the poset sit the classical tools: the characteristic
-polynomial ``sum mu(X) t^dim(X)``, localization, modular flats, and
-supersolvability via a search for a maximal chain of modular flats.
-``char_poly`` is the Moebius route to the characteristic polynomial,
-good for any difference arrangement.  The ``charpoly`` command and the
-subgraph survey take it from rook numbers instead (``ishkit.rooks``);
-this route is kept as the oracle they are tested against.
+On top of the poset sit the characteristic polynomial ``sum mu(X)
+t^dim(X)`` and supersolvability.  ``char_poly`` is the Moebius route to
+the characteristic polynomial, good for any difference arrangement.
+The ``charpoly`` command and the subgraph survey take it from rook
+numbers instead (``ishkit.rooks``); this route is kept as the oracle
+they are tested against.
 
-The cone of a nested arrangement needs no poset for supersolvability:
-``nest_modular_chain`` builds the modular chain of the paper's
-filtration from the chain order of its sets and certifies it by the
-partition test of Bjoerner-Edelman-Ziegler, one set lookup per pair of
-hyperplanes.  The ``supersolvable`` command answers nest-backed cones
-that way; ``is_supersolvable`` serves Coxeter, Shi and deleted-Shi
-cones and is the oracle the filtration is tested against.
+Both routes to supersolvability rest on one pair test for gain edges
+(``_meets_inside``), the local form of the partition test of
+Bjoerner-Edelman-Ziegler: two hyperplanes meet inside ``z = 0`` or an
+edge on their coordinate pair when they are parallel or one is ``z =
+0``, inside the third side of their triangle when they share a vertex,
+and inside no other hyperplane when they are disjoint.  The cone of a
+nested arrangement needs no poset: ``nest_modular_chain`` builds the
+modular chain of the paper's filtration from the chain order of its
+sets and certifies it by that test.  The ``supersolvable`` command
+answers nest-backed cones that way; ``is_supersolvable`` serves
+Coxeter, Shi and deleted-Shi cones, climbing the poset by covers that
+pass the test, and is the oracle the filtration is tested against.
 """
 
 from __future__ import annotations
@@ -158,9 +161,22 @@ class Flat:
             out.append((0,) * n + (1, 0))
         return tuple(out)
 
-    def rref(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational reduced row echelon form: each row over its pivot."""
-        return tuple(tuple(Fraction(v, next(filter(None, row))) for v in row) for row in self.rows)
+    def rref(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The rational reduced row echelon form: ``self.rows``, each over its pivot.
+
+        That is ``x_v - x_root = offset[v]`` (coned: ``x_v - x_root -
+        offset[v]*z = 0``) for each coordinate v off its root, then ``z = 0``.
+        """
+        n = len(self.root)
+        out = []
+        for v, (r, o) in enumerate(zip(self.root, self.offset)):
+            if r != v:
+                row: list[Scalar] = [0] * (n + 1 + self.coned)
+                row[v], row[r], row[n] = 1, -1, -o if self.coned else o
+                out.append(tuple(row))
+        if self.zero:
+            out.append((0,) * n + (1, 0))
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -182,8 +198,10 @@ class IntersectionPoset:
     space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
     contains flat ``i``; ``steps[i][b]`` is the index of the flat
     ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
-    contains it, ``None`` when they do not meet).  ``mobius[i]`` is
-    ``mu(ambient, flat i)``.  The closure of ``intersection_poset``
+    contains it, ``None`` when they do not meet), so flat ``j`` lies
+    above flat ``i`` when ``masks[i]`` is a subset of ``masks[j]``, and
+    the other entries of ``steps[i]`` are the upper covers of flat ``i``.
+    ``mobius[i]`` is ``mu(ambient, flat i)``.  The closure of ``intersection_poset``
     hands every field over in the order it found the flats, with sort
     keys ``(rank, ...)`` that order like ``(rank, rows)``, and Moebius
     values from the lower covers by Weisner's theorem.
@@ -210,36 +228,13 @@ class IntersectionPoset:
             tuple([None if k is None else new_index[k] for k in steps[i]]) for i in order
         )
         self.mobius: tuple[int, ...] = tuple(mobius[i] for i in order)
-        self._index: dict[Flat, int] | None = None
 
     def __len__(self) -> int:
         return len(self.flats)
 
-    def index_of(self, flat: Flat) -> int:
-        if self._index is None:
-            self._index = {f: i for i, f in enumerate(self.flats)}
-        try:
-            return self._index[flat]
-        except KeyError:
-            raise ValueError("flat does not belong to this poset") from None
-
-    def leq(self, i: int, j: int) -> bool:
-        """Order by reverse inclusion: bottom is the ambient space."""
-        return self.masks[i] & ~self.masks[j] == 0
-
     @property
     def rank(self) -> int:
         return max(self.ranks)
-
-    def top_index(self) -> int:
-        """Index of the center flat; only central arrangements have one."""
-        if not self.arrangement.is_central:
-            raise ValueError("only central arrangements have a top flat")
-        full = (1 << len(self.arrangement)) - 1
-        for i, m in enumerate(self.masks):
-            if m == full:
-                return i
-        raise RuntimeError("central arrangement is missing its center flat")
 
     def char_poly(self) -> UniPoly:
         dim = self.arrangement.dim
@@ -247,40 +242,6 @@ class IntersectionPoset:
         for rank, mu in zip(self.ranks, self.mobius):
             coeffs[dim - rank] += mu
         return UniPoly(coeffs)
-
-    def _walk(self, start: int, mask: int) -> int | None:
-        """Intersect flat ``start`` with the hyperplanes in ``mask``.
-
-        Each step intersects with the lowest hyperplane of ``mask``
-        that does not yet contain the current flat; ``None`` when the
-        intersection is empty.
-        """
-        masks, steps = self.masks, self.steps
-        cur: int | None = start
-        mask &= ~masks[start]
-        while mask:
-            cur = steps[cur][(mask & -mask).bit_length() - 1]
-            if cur is None:
-                return None
-            mask &= ~masks[cur]
-        return cur
-
-    def join_index(self, i: int, j: int) -> int:
-        """Smallest flat above both: the subspace intersection.
-
-        Raises ``ValueError`` when the two flats do not meet (possible
-        only for non-central arrangements).
-        """
-        k = self._walk(i, self.masks[j])
-        if k is None:
-            raise ValueError("flats do not intersect")
-        return k
-
-    def meet_index(self, i: int, j: int) -> int:
-        """Largest flat below both: the hyperplanes common to both masks."""
-        k = self._walk(0, self.masks[i] & self.masks[j])
-        assert k is not None  # both flats lie in that intersection
-        return k
 
 
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
@@ -402,75 +363,52 @@ def char_poly(arr: Arrangement) -> UniPoly:
     return intersection_poset(arr).char_poly()
 
 
-def localization(arr: Arrangement, flat: Flat) -> Arrangement:
-    """The sub-arrangement of hyperplanes containing the flat.
-
-    The flat must belong to the intersection poset: it has to equal the
-    intersection of the hyperplanes through it.
-    """
-    if flat.ambient_dim != arr.dim or flat.coned != arr.coned:
-        raise ValueError("flat lives in the wrong ambient space")
-    edges = arr.gain_edges()
-    chosen = [k for k, edge in enumerate(edges) if flat.contains(edge)]
-    if Flat.through([edges[k] for k in chosen], arr.dim, arr.coned) != flat:
-        raise ValueError("flat is not an intersection of arrangement hyperplanes")
-    return Arrangement(arr.dim, [arr.hyperplanes[k] for k in chosen], coned=arr.coned)
-
-
-def is_modular(poset: IntersectionPoset, flat: Flat) -> bool:
-    """Modularity test: rank adds along meet and join against every flat."""
-    if not poset.arrangement.is_central:
-        raise ValueError("modularity is defined here for central arrangements only")
-    i = poset.index_of(flat)
-    return _is_modular_index(poset, i)
-
-
-def _is_modular_index(poset: IntersectionPoset, i: int) -> bool:
-    ranks = poset.ranks
-    ri = ranks[i]
-    for j, rj in enumerate(ranks):
-        if ri + rj != ranks[poset.meet_index(i, j)] + ranks[poset.join_index(i, j)]:
-            return False
-    return True
-
-
 def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
-    """Search for a maximal chain of modular flats, bottom to top.
+    """The first maximal chain of modular flats in poset order, bottom to top.
 
     Returns the chain when the arrangement is supersolvable, otherwise
     ``None``.  Central arrangements only.
+
+    The search climbs from the ambient space through upper covers, the
+    distinct entries of each flat's step table, in poset order.  It takes
+    the cover Y of X when X is a modular coatom of the interval below Y:
+    every two hyperplanes through Y but not X meet inside a hyperplane
+    through X (``_meets_inside``).  An element modular inside a modular
+    element is modular in the whole lattice (Stanley, *Supersolvable
+    lattices*, 1972), and the center is modular, so a chain that passes
+    every step up to the center is a chain of modular flats, and every
+    such chain passes every step.  Whether a cover completes does not
+    depend on the flat below it, so a cover that passed a step and had no
+    completion is never tried again.
     """
     if not arr.is_central:
         raise ValueError("supersolvability test needs a central arrangement")
     poset = intersection_poset(arr)
-    top_rank = poset.ranks[poset.top_index()]
-    modular_cache: dict[int, bool] = {}
+    edges = arr.gain_edges()
+    masks, steps = poset.masks, poset.steps
+    full = (1 << len(edges)) - 1
+    dead: set[int] = set()
 
-    def modular(i: int) -> bool:
-        if i not in modular_cache:
-            modular_cache[i] = _is_modular_index(poset, i)
-        return modular_cache[i]
+    def hyperplanes(mask: int) -> list[GainEdge]:
+        return [edge for bit, edge in enumerate(edges) if mask >> bit & 1]
 
-    by_rank: dict[int, list[int]] = {}
-    for i, r in enumerate(poset.ranks):
-        by_rank.setdefault(r, []).append(i)
-
-    def extend(chain: list[int]) -> list[int] | None:
-        current = chain[-1]
-        r = poset.ranks[current]
-        if r == top_rank:
-            return chain
-        for j in by_rank.get(r + 1, []):
-            if poset.leq(current, j) and modular(j):
-                res = extend(chain + [j])
-                if res is not None:
-                    return res
+    def extend(x: int) -> list[int] | None:
+        if masks[x] == full:
+            return [x]
+        earlier = set(hyperplanes(masks[x]))
+        for y in sorted({y for y in steps[x] if y is not None and y != x}):
+            if y in dead:
+                continue
+            new = hyperplanes(masks[y] & ~masks[x])
+            if all(_meets_inside(a, b, earlier) for k, a in enumerate(new) for b in new[k + 1 :]):
+                rest = extend(y)
+                if rest is not None:
+                    return [x] + rest
+                dead.add(y)
         return None
 
-    chain = extend([0])
-    if chain is None:
-        return None
-    return [poset.flats[i] for i in chain]
+    chain = extend(0)
+    return None if chain is None else [poset.flats[i] for i in chain]
 
 
 def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
@@ -489,11 +427,8 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     the block of the first flat of the chain that contains it, every flat
     above the ambient space opens a nonempty block, the top flat lies in
     every hyperplane, and any two hyperplanes of one block meet inside a
-    hyperplane of an earlier block.  For gain edges that last test is one
-    set lookup per pair: a parallel pair, or a pair with ``z = 0``, meets
-    inside ``z = 0``; two edges through one shared vertex meet inside the
-    edge that closes their triangle; two disjoint edges meet inside no
-    other hyperplane.  A chain that fails any check raises
+    hyperplane of an earlier block, which for gain edges is one pair test
+    (``_meets_inside``).  A chain that fails any check raises
     ``RuntimeError``: the order was not a chain order of these sets.
     """
     if not arr.coned:
@@ -521,17 +456,28 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
             raise RuntimeError(f"no hyperplane first contains the filtration flat of rank {k}")
         for x, a in enumerate(block):
             for b in block[x + 1 :]:
-                if a is None or b is None or a[:2] == b[:2]:
-                    covered = None in earlier
-                else:
-                    third = _third_side(a, b)
-                    covered = third is not None and third in earlier
-                if not covered:
+                if not _meets_inside(a, b, earlier):
                     raise RuntimeError(
                         f"the hyperplanes {a} and {b} of block {k} meet inside no earlier one"
                     )
         earlier.update(block)
     return chain
+
+
+def _meets_inside(a: GainEdge, b: GainEdge, earlier: set[GainEdge]) -> bool:
+    """Do two distinct hyperplanes of a difference arrangement meet inside one of ``earlier``?
+
+    ``earlier`` holds neither ``a`` nor ``b``.  A parallel pair, or an
+    edge and ``z = 0``, meets in ``{z = 0, x_i = x_j}``, which lies inside
+    ``z = 0`` and inside every edge on the coordinate pair ``(i, j)``.  Two
+    edges through one vertex meet inside the third side of their triangle
+    and no other hyperplane; two disjoint edges meet inside none.
+    """
+    if a is None or b is None or a[:2] == b[:2]:
+        pair = (b if a is None else a)[:2]
+        return None in earlier or any(e is not None and e[:2] == pair for e in earlier)
+    third = _third_side(a, b)
+    return third is not None and third in earlier
 
 
 def _third_side(a: tuple[int, int, Scalar], b: tuple[int, int, Scalar]) -> GainEdge:

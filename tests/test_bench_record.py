@@ -1,0 +1,63 @@
+"""The summary and the pair count of ``tools/bench_record.py``, on made-up runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+DECLARED = [
+    {"name": "req_per_s", "better": "higher"},
+    {"name": "latency_p50_ms", "better": "lower"},
+]
+
+
+def run(workload: str, req_per_s: float, latency_p50_ms: float) -> dict:
+    metrics = {"req_per_s": req_per_s, "latency_p50_ms": latency_p50_ms}
+    return {"workload": workload, "seed": 0, "correct": True, "attempted": 1, "failed": 0,
+            "metrics": metrics}
+
+
+def test_summary_of_a_single_run_has_equal_quartiles():
+    out = bench_record.summary([run("lattice", 500.0, 0.3)])
+    assert out == {
+        "lattice": {
+            "req_per_s": {"median": 500.0, "q1": 500.0, "q3": 500.0},
+            "latency_p50_ms": {"median": 0.3, "q1": 0.3, "q3": 0.3},
+        }
+    }
+
+
+def test_summary_groups_by_workload_in_run_order():
+    runs = [run("saito", v, 1.0) for v in (5, 1, 4, 2, 3)] + [run("lattice", 7, 2.0)]
+    out = bench_record.summary(runs)
+    assert list(out) == ["saito", "lattice"]
+    assert out["saito"]["req_per_s"] == {"median": 3, "q1": 1.5, "q3": 4.5}
+    assert out["saito"]["latency_p50_ms"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert out["lattice"]["req_per_s"]["median"] == 7
+
+
+def test_comparison_takes_the_direction_from_better():
+    mine = [run("lattice", 510, 0.20), run("lattice", 490, 0.40), run("saito", 100, 1.0)]
+    base = [run("lattice", 500, 0.30), run("lattice", 500, 0.30), run("saito", 100, 1.0)]
+    out = bench_record.comparison(mine, base, DECLARED)
+    # more requests per second and a lower latency win; fewer and higher lose
+    assert out["lattice"]["req_per_s"] == {"won": 1, "lost": 1, "pairs": 2}
+    assert out["lattice"]["latency_p50_ms"] == {"won": 1, "lost": 1, "pairs": 2}
+    # a tie counts as a pair for neither side
+    assert out["saito"] == {
+        "req_per_s": {"won": 0, "lost": 0, "pairs": 1},
+        "latency_p50_ms": {"won": 0, "lost": 0, "pairs": 1},
+    }
+
+
+@pytest.mark.parametrize("better, mine, won", [("higher", 2, 1), ("higher", 0, 0),
+                                               ("lower", 0, 1), ("lower", 2, 0)])
+def test_comparison_of_one_pair(better, mine, won):
+    declared = [{"name": "req_per_s", "better": better}]
+    out = bench_record.comparison([run("w", mine, 0)], [run("w", 1, 0)], declared)
+    assert out == {"w": {"req_per_s": {"won": won, "lost": 1 - won, "pairs": 1}}}

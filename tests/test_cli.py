@@ -446,6 +446,18 @@ def test_main_freeness_never_shows_a_traceback(doc):
     assert_clean_exit("freeness", doc)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_documents("supersolvable", max_ell=5, max_junk_int=8))
+@example({"type": "shi", "ell": 5, "cone": True})
+@example({"type": "coxeter", "ell": 5})
+@example({"type": "deleted_shi", "ell": 5, "edges": [[1, 2], [2, 5]], "cone": True})
+@example({"type": "n_ish", "N": [["1/2"], [0], [0, "-1/2"]], "cone": True})
+@example({"type": "ish", "ell": 4})
+@example({"type": "shi", "ell": 7, "cone": True})
+def test_main_supersolvable_never_shows_a_traceback(doc):
+    assert_clean_exit("supersolvable", doc)
+
+
 # ell <= 4 keeps every chamber enumeration cheap; the guard case is explicit.
 CHAMBER_REQUESTS = st.sampled_from(["chambers", "wallcross"]).flatmap(
     lambda command: st.tuples(

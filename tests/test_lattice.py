@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -25,11 +26,10 @@ from ishkit.exactmath import UniPoly
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
     Flat,
+    IntersectionPoset,
     char_poly,
     intersection_poset,
-    is_modular,
     is_supersolvable,
-    localization,
     nest_modular_chain,
 )
 
@@ -117,16 +117,122 @@ def scan_mobius(masks: Sequence[int], ranks: Sequence[int]) -> list[int]:
     return mobius
 
 
+# -- the rank-identity search: the oracle of ``is_supersolvable`` --------
+
+
+def index_of(poset: IntersectionPoset, flat: Flat) -> int:
+    return poset.flats.index(flat)
+
+
+def leq(poset: IntersectionPoset, i: int, j: int) -> bool:
+    """Order by reverse inclusion: bottom is the ambient space."""
+    return poset.masks[i] & ~poset.masks[j] == 0
+
+
+def top_index(poset: IntersectionPoset) -> int:
+    """Index of the center flat, the one every hyperplane contains."""
+    return poset.masks.index((1 << len(poset.arrangement)) - 1)
+
+
+def walk(poset: IntersectionPoset, start: int, mask: int) -> int | None:
+    """Intersect flat ``start`` with the hyperplanes in ``mask``.
+
+    Each step intersects with the lowest hyperplane of ``mask`` that does
+    not yet contain the current flat; ``None`` when the intersection is
+    empty.
+    """
+    masks, steps = poset.masks, poset.steps
+    cur: int | None = start
+    mask &= ~masks[start]
+    while mask:
+        cur = steps[cur][(mask & -mask).bit_length() - 1]
+        if cur is None:
+            return None
+        mask &= ~masks[cur]
+    return cur
+
+
+def join_index(poset: IntersectionPoset, i: int, j: int) -> int:
+    """Smallest flat above both: the subspace intersection.
+
+    Raises ``ValueError`` when the two flats do not meet (possible only
+    for non-central arrangements).
+    """
+    k = walk(poset, i, poset.masks[j])
+    if k is None:
+        raise ValueError("flats do not intersect")
+    return k
+
+
+def meet_index(poset: IntersectionPoset, i: int, j: int) -> int:
+    """Largest flat below both: the hyperplanes common to both masks."""
+    k = walk(poset, 0, poset.masks[i] & poset.masks[j])
+    assert k is not None  # both flats lie in that intersection
+    return k
+
+
+def is_modular(poset: IntersectionPoset, flat: Flat) -> bool:
+    """Modularity test: rank adds along meet and join against every flat."""
+    if not poset.arrangement.is_central:
+        raise ValueError("modularity is defined here for central arrangements only")
+    return is_modular_index(poset, index_of(poset, flat))
+
+
+def is_modular_index(poset: IntersectionPoset, i: int) -> bool:
+    ranks = poset.ranks
+    ri = ranks[i]
+    for j, rj in enumerate(ranks):
+        if ri + rj != ranks[meet_index(poset, i, j)] + ranks[join_index(poset, i, j)]:
+            return False
+    return True
+
+
+def oracle_supersolvable(arr: Arrangement) -> list[Flat] | None:
+    """The first maximal chain of flats modular by the rank identity, in poset order."""
+    if not arr.is_central:
+        raise ValueError("supersolvability test needs a central arrangement")
+    poset = intersection_poset(arr)
+    top_rank = poset.ranks[top_index(poset)]
+    modular_cache: dict[int, bool] = {}
+
+    def modular(i: int) -> bool:
+        if i not in modular_cache:
+            modular_cache[i] = is_modular_index(poset, i)
+        return modular_cache[i]
+
+    by_rank: dict[int, list[int]] = {}
+    for i, r in enumerate(poset.ranks):
+        by_rank.setdefault(r, []).append(i)
+
+    def extend(chain: list[int]) -> list[int] | None:
+        current = chain[-1]
+        r = poset.ranks[current]
+        if r == top_rank:
+            return chain
+        for j in by_rank.get(r + 1, []):
+            if leq(poset, current, j) and modular(j):
+                res = extend(chain + [j])
+                if res is not None:
+                    return res
+        return None
+
+    chain = extend([0])
+    if chain is None:
+        return None
+    return [poset.flats[i] for i in chain]
+
+
 def check_closure(poset, edges: Sequence) -> None:
     """The flats come in ``(rank, rows)`` order, and each step entry and
     mask bit is the answer of the meet it stands for."""
     keys = [(flat.rank, flat.rows) for flat in poset.flats]
     assert keys == sorted(keys) and list(poset.ranks) == [rank for rank, _ in keys]
+    index = {flat: i for i, flat in enumerate(poset.flats)}
     for i, flat in enumerate(poset.flats):
         for b, edge in enumerate(edges):
             res = flat.intersect_hyperplane(edge)
             assert (poset.masks[i] >> b & 1) == (res == "same")
-            expected = i if res == "same" else None if res is None else poset.index_of(res)
+            expected = i if res == "same" else None if res is None else index[res]
             assert poset.steps[i][b] == expected
 
 
@@ -195,7 +301,7 @@ def test_poset_two_parallel_lines():
 def test_poset_coned_two_lines():
     poset = intersection_poset(cone(build_named("ish", 2)))
     assert len(poset) == 5
-    top = poset.top_index()
+    top = top_index(poset)
     assert poset.flats[top].rank == 2
     assert poset.mobius[top] == 2
     assert poset.char_poly() == UniPoly([0, 2, -3, 1])  # t(t-1)(t-2)
@@ -241,30 +347,6 @@ def test_mobius_alternates_in_sign():
     for flat, mu in zip(poset.flats, poset.mobius):
         assert mu != 0
         assert (mu > 0) == (flat.rank % 2 == 0)
-
-
-def test_localization():
-    arr = cone(build_n_ish(NestSpec.make([[0], [1]])))
-    X = Flat.through([None, (0, 1, 0), (0, 2, 0)], 4, coned=True)
-    loc = localization(arr, X)
-    assert len(loc) == 4  # every hyperplane contains this flat
-    # localizing at a single hyperplane's flat returns just that hyperplane
-    edges = arr.gain_edges()
-    for k, h in enumerate(arr.hyperplanes):
-        single = Flat.through([edges[k]], 4, coned=True)
-        assert localization(arr, single).hyperplanes == (h,)
-    # off z = 0 the localization has no z = 0, and its lattice still reads it
-    off = localization(arr, Flat.through([(0, 1, 0), (1, 2, 0)], 4, coned=True))
-    assert off.coned and len(off) == 2 and None not in off.gain_edges()
-    assert len(intersection_poset(off)) == 4
-    # a subspace that is not an intersection of hyperplanes is rejected
-    bogus = Flat.through([(0, 1, 1)], 4, coned=True)  # x1 - x2 = z
-    with pytest.raises(ValueError):
-        localization(arr, bogus)
-    with pytest.raises(ValueError):
-        localization(arr, Flat.ambient(7))
-    with pytest.raises(ValueError):
-        localization(arr, Flat.ambient(4))  # an affine flat
 
 
 def test_is_modular_rank_two_cone():
@@ -356,7 +438,7 @@ def test_nest_modular_chain_random_descending():
         poset = intersection_poset(arr)
         assert [f.rank for f in chain] == list(range(poset.rank + 1))
         for below, above in zip(chain, chain[1:]):
-            assert poset.leq(poset.index_of(below), poset.index_of(above))
+            assert leq(poset, index_of(poset, below), index_of(poset, above))
 
 
 def test_nest_modular_chain_certifies_the_cone_of_ish_at_ell_12():
@@ -418,7 +500,71 @@ def test_nest_modular_chain_matches_the_lattice_search(doc):
     for flat in chain:
         assert is_modular(poset, flat)
     for below, above in zip(chain, chain[1:]):
-        assert poset.leq(poset.index_of(below), poset.index_of(above))
+        assert leq(poset, index_of(poset, below), index_of(poset, above))
+
+
+def assert_search_matches_oracle(arr: Arrangement) -> None:
+    """The cover search returns the oracle's chain, and each of its flats is modular."""
+    chain = is_supersolvable(arr)
+    assert chain == oracle_supersolvable(arr)
+    if chain is not None:
+        poset = intersection_poset(arr)
+        assert all(is_modular(poset, flat) for flat in chain)
+
+
+@pytest.mark.parametrize("kind", ["shi", "ish"])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_supersolvable_matches_the_oracle_on_every_deleted_cone(kind, ell):
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    for size in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, size):
+            assert_search_matches_oracle(cone(build_deleted(kind, Graph.make(ell, list(edges)))))
+
+
+@pytest.mark.parametrize("kind", ["shi", "ish", "coxeter"])
+def test_supersolvable_matches_the_oracle_on_named_cones(kind):
+    for ell in range(2, 6):
+        assert_search_matches_oracle(cone(build_named(kind, ell)))
+        if kind == "coxeter":  # central without a cone
+            assert_search_matches_oracle(build_named(kind, ell))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 5).flatmap(
+    lambda ell: st.lists(
+        st.lists(NEST_ENTRIES.map(Fraction), max_size=2 if ell == 5 else 3),
+        min_size=ell - 1,
+        max_size=ell - 1,
+    )
+))
+def test_supersolvable_matches_the_oracle_on_half_integer_nests(sets):
+    assert_search_matches_oracle(cone(build_n_ish(NestSpec.make(sets))))
+
+
+def test_pair_rule_of_the_partition_test():
+    meets = lattice._meets_inside
+    parallel, edge, zero = (0, 1, 0), (0, 1, 1), None
+    # a parallel pair, or an edge and z = 0, meets in {z = 0, x1 = x2}
+    assert meets(parallel, edge, {zero})
+    assert meets(parallel, edge, {(0, 1, 5)})
+    assert meets(edge, zero, {parallel})
+    assert not meets(parallel, edge, {(0, 2, 0), (1, 2, 0)})
+    # two edges through x1 meet inside the third side, with its gain
+    a, b = (0, 1, 1), (0, 2, 3)
+    assert meets(a, b, {(1, 2, 2)})
+    assert not meets(a, b, {(1, 2, 1), zero})
+    # two disjoint edges meet inside no other hyperplane, z = 0 included
+    assert not meets((0, 1, 0), (2, 3, 0), {zero, (0, 2, 0), (1, 3, 0)})
+
+
+def test_an_edge_on_the_same_pair_is_the_only_cover_of_a_parallel_pair():
+    # x1 - x2 = 0, z and 2z, coned without z = 0: any two meet in {z = 0,
+    # x1 = x2}, which lies inside the third edge and no other hyperplane
+    arr = Arrangement(3, [_plane([1, -1, -c]) for c in (0, 1, 2)], coned=True)
+    chain = is_supersolvable(arr)
+    assert chain is not None and [f.rank for f in chain] == [0, 1, 2]
+    assert not chain[1].zero and chain[2].zero
+    assert_search_matches_oracle(arr)
 
 
 def test_zaslavsky_count_matches_poset():
@@ -439,7 +585,7 @@ def test_poset_json_surface():
         (i, j)
         for j in range(len(poset))
         for i in range(j)
-        if ranks[i] == ranks[j] - 1 and poset.leq(i, j)
+        if ranks[i] == ranks[j] - 1 and leq(poset, i, j)
     ]
     assert len(covers) == 3 + 3  # bottom->atoms, atoms->top
 
@@ -504,11 +650,11 @@ def test_integer_kernel_matches_rational_reference(arr, rng):
     for i, j in rng.sample(pairs, min(len(pairs), 60)):
         union, ok = _rref(rref[i] + rref[j], arr.dim + 1)
         if ok:
-            assert rref[poset.join_index(i, j)] == union
+            assert rref[join_index(poset, i, j)] == union
         else:
             with pytest.raises(ValueError):
-                poset.join_index(i, j)
-        assert poset.meet_index(i, j) == reference_meet(poset.masks, poset.ranks, i, j)
+                join_index(poset, i, j)
+        assert meet_index(poset, i, j) == reference_meet(poset.masks, poset.ranks, i, j)
 
 
 FIVE_CONES = [
