@@ -13,11 +13,11 @@ intersection when affine, the collapse to ``z = 0`` when coned.  No
 elimination and no gcd is needed, and the root and offset fields are
 canonical, so flats compare and hash by them.
 
-A flat's rows, which order the poset and give its reduced row echelon
-form, come in closed form: ``den*x_v - den*x_root = num`` (coned:
-``den*x_v - den*x_root - num*z = 0``) for each coordinate v off its
-root with ``offset[v] = num/den``, then ``z = 0``.  That is the rational
-RREF with each row scaled to coprime integers.
+A flat's reduced row echelon form comes in closed form: ``x_v - x_root
+= offset[v]`` (coned: ``x_v - x_root - offset[v]*z = 0``) for each
+coordinate v off its root, then ``z = 0``.  Scaled to coprime integers,
+``den*x_v - den*x_root = num`` with ``offset[v] = num/den``, these are
+the integer rows that order the flats of the poset.
 
 The poset orders flats by reverse inclusion; the whole space is the
 bottom element.  The closure that generates it records, for every flat
@@ -63,8 +63,6 @@ from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, GainEdge
 from .exactmath import Scalar, UniPoly, equation_str, format_rational
-
-Row = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -146,27 +144,8 @@ class Flat:
             return "same"
         return Flat(root, (0,) * len(root), True, True)
 
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        """The integer echelon rows of the module docstring, in pivot order."""
-        n = len(self.root)
-        out = []
-        for v, (r, o) in enumerate(zip(self.root, self.offset)):
-            if r != v:
-                row = [0] * (n + 1 + self.coned)
-                row[v], row[r] = o.denominator, -o.denominator
-                row[n] = -o.numerator if self.coned else o.numerator
-                out.append(tuple(row))
-        if self.zero:
-            out.append((0,) * n + (1, 0))
-        return tuple(out)
-
     def rref(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The rational reduced row echelon form: ``self.rows``, each over its pivot.
-
-        That is ``x_v - x_root = offset[v]`` (coned: ``x_v - x_root -
-        offset[v]*z = 0``) for each coordinate v off its root, then ``z = 0``.
-        """
+        """The rational reduced row echelon form of the module docstring, in pivot order."""
         n = len(self.root)
         out = []
         for v, (r, o) in enumerate(zip(self.root, self.offset)):
@@ -194,8 +173,8 @@ class Flat:
 class IntersectionPoset:
     """All flats of an arrangement, ordered by reverse inclusion.
 
-    Flats are sorted by ``(rank, rows)``, so index 0 is the ambient
-    space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
+    Flats are sorted by ``(rank, rows)``, with the integer rows of the
+    module docstring, so index 0 is the ambient space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
     contains flat ``i``; ``steps[i][b]`` is the index of the flat
     ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
     contains it, ``None`` when they do not meet), so flat ``j`` lies
@@ -333,7 +312,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 fill ^= low
         steps.append(step)
 
-    # Each flat is built once, with its sort key.  A row of ``Flat.rows`` has
+    # Each flat is built once, with its sort key.  An integer row has
     # ``den`` at v, ``-den`` at its root r > v and ``+-num`` at n, so the
     # tuples ``(-v, den, r, +-num)`` compare as the rows do; the ``z = 0``
     # row, zero before n, sorts below them all as ``(-n,)``.

@@ -222,11 +222,31 @@ def oracle_supersolvable(arr: Arrangement) -> list[Flat] | None:
     return [poset.flats[i] for i in chain]
 
 
+def rows(flat: Flat) -> tuple[tuple[int, ...], ...]:
+    """The integer echelon rows that order the poset: ``Flat.rref`` scaled to coprime integers."""
+    n = len(flat.root)
+    out = []
+    for v, (r, o) in enumerate(zip(flat.root, flat.offset)):
+        if r != v:
+            row = [0] * (n + 1 + flat.coned)
+            row[v], row[r] = o.denominator, -o.denominator
+            row[n] = -o.numerator if flat.coned else o.numerator
+            out.append(tuple(row))
+    if flat.zero:
+        out.append((0,) * n + (1, 0))
+    return tuple(out)
+
+
 def check_closure(poset, edges: Sequence) -> None:
-    """The flats come in ``(rank, rows)`` order, and each step entry and
-    mask bit is the answer of the meet it stands for."""
-    keys = [(flat.rank, flat.rows) for flat in poset.flats]
+    """The flats come in ``(rank, rows)`` order, their RREF is their rows
+    over the pivots, and each step entry and mask bit is the answer of the
+    meet it stands for."""
+    keys = [(flat.rank, rows(flat)) for flat in poset.flats]
     assert keys == sorted(keys) and list(poset.ranks) == [rank for rank, _ in keys]
+    for flat, (_, integer_rows) in zip(poset.flats, keys):  # rref: each row over its pivot
+        assert flat.rref() == tuple(
+            tuple(Fraction(v, next(filter(None, row))) for v in row) for row in integer_rows
+        )
     index = {flat: i for i, flat in enumerate(poset.flats)}
     for i, flat in enumerate(poset.flats):
         for b, edge in enumerate(edges):
@@ -255,7 +275,7 @@ def flat_edges(flat: Flat) -> list:
 
 def test_flat_basics():
     amb = Flat.ambient(3)
-    assert amb.rank == 0 and amb.dim == 3 and amb.rows == ()
+    assert amb.rank == 0 and amb.dim == 3 and rows(amb) == ()
     f = Flat.through([(0, 1, 0), (1, 2, 0)], 3)
     assert f is not None and f.rank == 2 and f.dim == 1
     assert f.intersect_hyperplane((0, 2, 0)) == "same"  # x1 = x3 follows
@@ -267,14 +287,14 @@ def test_flat_basics():
     # a merge shifts the offsets of the block that joins the larger root
     g = Flat.through([(0, 1, Fraction(1, 2)), (1, 2, -2)], 3)
     assert g.root == (2, 2, 2) and g.offset == (Fraction(-3, 2), -2, 0)
-    assert g.rows == ((2, 0, -2, -3), (0, 1, -1, -2))  # 2*x1 - 2*x3 = -3, x2 - x3 = -2
+    assert rows(g) == ((2, 0, -2, -3), (0, 1, -1, -2))  # 2*x1 - 2*x3 = -3, x2 - x3 = -2
     assert g.rref() == ((1, 0, -1, Fraction(-3, 2)), (0, 1, -1, -2))
     # coned: offsets scale z, and z = 0 zeroes them and adds its own row
     c = Flat.through([(0, 1, Fraction(1, 2))], 3, coned=True)
-    assert c.ambient_dim == 3 and c.rows == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
+    assert c.ambient_dim == 3 and rows(c) == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
     collapsed = c.intersect_hyperplane(None)
     assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
-    assert collapsed.rows == ((1, -1, 0, 0), (0, 0, 1, 0))
+    assert rows(collapsed) == ((1, -1, 0, 0), (0, 0, 1, 0))
     assert collapsed.intersect_hyperplane((0, 1, 5)) == "same"  # 5*z vanishes on z = 0
 
 
@@ -285,7 +305,7 @@ def test_flat_rref_is_canonical():
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert a.rref() == ((1, 0, -1, 3), (0, 1, -1, 2))
     coned = Flat.through([(1, 2, 0), None], 4, coned=True)
-    assert coned.rows == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
+    assert rows(coned) == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
     for flat in (a, coned):  # a flat's own equations rebuild it
         assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned) == flat
 
