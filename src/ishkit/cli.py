@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
@@ -315,17 +316,54 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _render(value: object, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    ``pad`` is the newline and indent of the enclosing line.  Only the
+    types the handlers emit are rendered: dicts with str keys, lists, str,
+    int, bool and None; any other type is a ``TypeError`` naming it.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        rendered = ("," + inner).join(
+            [encode_basestring_ascii(v) if type(v) is str else _render(v, inner) for v in value]
+        )
+        return "[" + inner + rendered + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def run(req: AnalysisRequest) -> str:
     """Execute a request and return the rendered report.
 
     Each handler renders only the requested format: the text report, or
-    for JSON output the fields that follow the command and the spec echo.
+    for JSON output the fields that follow the command and the spec echo,
+    written byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
+    would write them.
     """
     answer = _HANDLERS[req.command](req)
     if req.output_format == "json":
         payload = {"command": req.command, "spec": request_echo(req)}
         payload.update(answer)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _render(payload)
     return answer
 
 

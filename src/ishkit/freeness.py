@@ -30,13 +30,14 @@ Saito's criterion on the factors.  The argument is unique factorization
 in ``Q[x]``: a product of linear forms lies in the ideal of ``alpha_H``
 exactly when ``alpha_H`` is one of its factors, and restricting a
 product to ``H`` restricts each factor.  An image ``theta(alpha_H)`` is
-a sum of such products; its terms are restricted factor by factor and
-collected by their factors, and when every collection cancels the image
-is a multiple of ``alpha_H``.  When some does not, distinct products may
-still cancel, and that one image is multiplied out and decided by
-``exactmath.vanishes_on``; for the paper's basis this happens only for
-the Euler field, whose images are linear.  ``saito_constant`` on the
-expanded derivations stays as the general route and the oracle.
+a sum of such products.  Its linear terms are summed as one integer form,
+a multiple of ``alpha_H`` or not; its other terms are restricted factor
+by factor and collected by their factors, and when every collection
+cancels the image is a multiple of ``alpha_H``.  When some does not,
+distinct products may still cancel, and that one image is multiplied out
+and decided by ``exactmath.vanishes_on``; the paper's basis never needs
+this.  ``saito_constant`` on the expanded derivations stays as the
+general route and the oracle.
 """
 
 from __future__ import annotations
@@ -299,27 +300,40 @@ def _primitive(form: Sequence[int]) -> tuple[int, Factor]:
 def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
     """Is ``theta(alpha)`` a multiple of ``alpha``, decided on the factors?
 
-    A term ``c * prod f`` of the image is a multiple of ``alpha`` when
-    ``alpha`` is one of its factors.  Every other term is restricted to
-    ``alpha = 0`` factor by factor: with ``x_p`` the first variable of
-    ``alpha``, ``f`` restricts to ``(alpha_p f - f_p alpha) / alpha_p``,
-    a form free of ``x_p``.  The integer form ``alpha_p f - f_p alpha`` is
-    made primitive and its content goes into ``c``, so every term of
-    degree ``deg`` carries the same extra factor ``alpha_p ** deg``.  Terms
-    with the same restricted factors are collected.  When every
-    collection sums to zero, so does the restriction, and
-    ``theta(alpha)`` lies in ``(alpha)``.
+    The scalars of ``theta`` are ints (``factored_saito_constant`` clears
+    their denominators first).  A term ``c * prod f`` of the image is a
+    multiple of ``alpha`` when ``alpha`` is one of its factors.  The terms
+    with one factor are summed as integer form vectors into one linear
+    form ``L``, the degree-1 part of the image; ``L`` lies in ``(alpha)``
+    exactly when ``alpha_p L - L_p alpha`` is zero, with ``x_p`` the first
+    variable of ``alpha``, and otherwise the image does not either, as
+    ``(alpha)`` is a homogeneous ideal.  Every
+    other term is restricted to ``alpha = 0`` factor by factor: ``f``
+    restricts to ``(alpha_p f - f_p alpha) / alpha_p``, a form free of
+    ``x_p``.  The integer form ``alpha_p f - f_p alpha`` is made primitive
+    and its content goes into ``c``, so every term of degree ``deg``
+    carries the same extra factor ``alpha_p ** deg``.  Terms with the same
+    restricted factors are collected.  When every collection sums to zero,
+    so does the restriction, and ``theta(alpha)`` lies in ``(alpha)``.
     Otherwise distinct products may still cancel, so that one image is
     multiplied out and decided by ``vanishes_on``.
     """
     p = next(k for k, a in enumerate(alpha) if a)
     ap = alpha[p]
-    sums: dict[tuple[Factor, ...], Scalar] = {}
+    linear: list[int] | None = None
+    sums: dict[tuple[Factor, ...], int] = {}
     for a, comp in zip(alpha, theta):
         if not a or comp is None or alpha in comp[1]:
             continue
         scalar, factors = comp
         scalar *= a
+        if len(factors) == 1:
+            f = factors[0]
+            if linear is None:
+                linear = [scalar * v for v in f]
+            else:
+                linear = [u + scalar * v for u, v in zip(linear, f)]
+            continue
         restricted = []
         for f in factors:
             fp = f[p]
@@ -337,6 +351,10 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
         if scalar:
             key = tuple(sorted(restricted))
             sums[key] = sums.get(key, 0) + scalar
+    if linear is not None:
+        lp = linear[p]
+        if any(ap * u != lp * v for u, v in zip(linear, alpha)):
+            return False
     if not any(sums.values()):
         return True
     image = MultiPoly.zero(len(theta))
@@ -352,12 +370,14 @@ def factored_saito_constant(
     """``saito_constant`` of the expanded derivations, with no expansion.
 
     The same hypotheses are checked in the same order, with the same
-    errors.  Each log check runs on the factors (``_factored_is_log``);
-    a product of linear forms is homogeneous, so a derivation is
-    homogeneous when its nonzero components have equally many factors;
-    and the determinant is taken at ``_off_point``'s point from integer
-    dot products, each row scaled to integers and the scale divided back
-    out, so the constant is the same rational.
+    errors.  Like ``saito_constant``, each derivation is first scaled by
+    the lcm of its scalar denominators, which changes neither its log-ness
+    nor its degree, so the log checks see only ``int`` scalars.  Each log
+    check runs on the factors (``_factored_is_log``); a product of linear
+    forms is homogeneous, so a derivation is homogeneous when its nonzero
+    components have equally many factors; and the determinant is taken at
+    ``_off_point``'s point from integer dot products, with the scales
+    divided back out, so the constant is the same rational.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -366,13 +386,22 @@ def factored_saito_constant(
         raise ValueError("need exactly one component per variable")
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
+    scale = 1
+    scaled = []
     for theta in derivs:
+        m = lcm(*(comp[0].denominator for comp in theta if comp is not None))
+        scaled.append(tuple(
+            None if comp is None else (comp[0].numerator * (m // comp[0].denominator), comp[1])
+            for comp in theta
+        ))
+        scale *= m
+    for theta in scaled:
         if not all(_factored_is_log(theta, h.coeffs) for h in arr.hyperplanes):
             raise ValueError("all derivations must be logarithmic for the arrangement")
-    if any(all(comp is None for comp in theta) for theta in derivs):
+    if any(all(comp is None for comp in theta) for theta in scaled):
         return None
     degree = 0
-    for theta in derivs:
+    for theta in scaled:
         counts = {len(comp[1]) for comp in theta if comp is not None}
         if len(counts) != 1:
             raise ValueError("derivation is not homogeneous")
@@ -380,9 +409,8 @@ def factored_saito_constant(
     if degree != len(arr):
         return None
     point, q = _off_point(arr)
-    scale = 1
     rows = []
-    for theta in derivs:
+    for theta in scaled:
         row = []
         for comp in theta:
             value = 0
@@ -391,9 +419,7 @@ def factored_saito_constant(
                 for f in comp[1]:
                     value *= sum(map(mul, f, point))
             row.append(value)
-        m = lcm(*(v.denominator for v in row))
-        rows.append([int(v * m) for v in row])
-        scale *= m
+        rows.append(row)
     det = int_det(rows)
     if det == 0:
         return None

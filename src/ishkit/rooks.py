@@ -89,10 +89,11 @@ def _chi(rooks: list[int], ell: int, shift: int, coned: bool) -> UniPoly:
 
 def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
     """chi of the N-Ish arrangement of ``nest``, or of its cone."""
-    columns: dict = {}
+    columns: dict[tuple[int, int], int] = {}
     for row, entries in enumerate(nest.sets):
         for a in entries:
-            columns[a] = columns.get(a, 0) | 1 << row
+            key = a.numerator, a.denominator  # hashing the pair skips Fraction.__hash__
+            columns[key] = columns.get(key, 0) | 1 << row
     return _chi(rook_numbers(nest.ell - 1, columns.values()), nest.ell, 0, coned)
 
 

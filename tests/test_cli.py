@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import SPEC_KINDS
-from ishkit.cli import main, request_echo, request_from_doc, run
+from ishkit.cli import COMMANDS, _render, main, request_echo, request_from_doc, run
 
 
 def request_of(text: str):
@@ -296,6 +296,67 @@ def test_json_survey_shape():
     assert out["total"] == 2
     assert out["freeCount"] == 2
     assert out["violations"] == []
+
+
+def dumps(value) -> str:
+    """The oracle of the JSON renderer."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), -(10**30)) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, [{}]]})
+@example(["\"quoted\"", "back\\slash", "\x00\x1f\x7f\n\t", "é ∑ 𝄞", "\u2028"])
+@example({"é": -(10**50), "\n": [True, False, None], "\"": 0})
+def test_render_matches_json_dumps(value):
+    assert _render(value) == dumps(value)
+
+
+SPECS = [
+    {"type": "ish", "ell": 3},
+    {"type": "shi", "ell": 3, "cone": True},
+    {"type": "coxeter", "ell": 3},
+    {"type": "n_ish", "N": [["1/2"], ["-1/2", "1/2"]], "cone": True},
+    {"type": "n_ish", "N": [[0, 1], [0, 2]]},
+    {"type": "deleted_ish", "ell": 4, "edges": [[1, 2], [2, 4]], "cone": True},
+    {"type": "deleted_shi", "ell": 3, "edges": [[1, 3]]},
+]
+
+
+def test_render_matches_json_dumps_on_every_command():
+    answered = set()
+    for command in COMMANDS:
+        for spec in SPECS if command != "survey" else [{"ell": 3}]:
+            try:
+                out = run(request_of(json.dumps(dict(spec, command=command, format="json"))))
+            except ValueError:  # the command does not apply to this spec kind
+                continue
+            assert out == dumps(json.loads(out))
+            answered.add(command)
+    assert answered == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (Fraction(1, 2), "Fraction"),
+        ({"a": [0.5]}, "float"),
+        ([(1, 2)], "tuple"),
+        ({"a": {1: 2}}, "int"),
+        ({None: 1, "b": 2}, "NoneType"),
+    ],
+)
+def test_render_names_a_type_it_does_not_take(value, name):
+    with pytest.raises(TypeError, match=name):
+        _render(value)
 
 
 # -- the executable ----------------------------------------------------

@@ -18,6 +18,7 @@ from ishkit.arrangement import (
 from ishkit.exactmath import MultiPoly, UniPoly, int_det, vanishes_on
 from ishkit.freeness import (
     Derivation,
+    _factored_is_log,
     basis_derivations,
     decide_free,
     expand,
@@ -570,9 +571,9 @@ def test_factored_log_check_falls_back_to_vanishes_on():
     theta = ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))
     with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
         assert factored_saito_constant(along + [euler], arr) == 1
-        assert fallback.call_count == 1  # the Euler field's image is alpha itself
+        assert fallback.call_count == 0  # the Euler field's image sums to alpha itself
         assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
-        assert fallback.call_count == 2
+        assert fallback.call_count == 1
     assert saito_constant([expand(t) for t in along + [euler]], arr) == 1
     assert saito_constant([expand(t) for t in along + [theta]], arr) is None
     bent = theta[:2] + ((2, theta[2][1]),)
@@ -580,6 +581,36 @@ def test_factored_log_check_falls_back_to_vanishes_on():
                           (saito_constant, [expand(t) for t in along + [bent]])):
         with pytest.raises(ValueError, match="logarithmic"):
             route(derivs, arr)
+
+
+def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
+    # On x1 - x2 + x3 = 0 the image x1 + x2 + x3 of this degree-1 field
+    # restricts to 2 x2: its summed linear form is no multiple of alpha.
+    arr, along = one_plane()
+    theta = tuple((1, (u,)) for u in ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+        with pytest.raises(ValueError, match="logarithmic"):
+            factored_saito_constant(along + [theta], arr)
+    assert not fallback.called
+    with pytest.raises(ValueError, match="logarithmic"):
+        saito_constant([expand(t) for t in along + [theta]], arr)
+
+
+def test_factored_log_check_sees_only_int_scalars():
+    nest = NestSpec.make([["1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"]])
+    basis = factored_basis(nest)
+    assert any(type(comp[0]) is Fraction for theta in basis for comp in theta if comp)
+    arr = cone(build_n_ish(nest))
+    seen = set()
+
+    def spy(theta, alpha):
+        seen.update(type(comp[0]) for comp in theta if comp is not None)
+        return _factored_is_log(theta, alpha)
+
+    with mock.patch("ishkit.freeness._factored_is_log", spy):
+        constant = factored_saito_constant(basis, arr)
+    assert seen == {int}
+    assert constant == saito_constant([expand(t) for t in basis], arr) != 0
 
 
 def test_factored_log_check_folds_the_contents():
