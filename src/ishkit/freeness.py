@@ -304,19 +304,19 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
     their denominators first).  A term ``c * prod f`` of the image is a
     multiple of ``alpha`` when ``alpha`` is one of its factors.  The terms
     with one factor are summed as integer form vectors into one linear
-    form ``L``, the degree-1 part of the image; ``L`` lies in ``(alpha)``
-    exactly when ``alpha_p L - L_p alpha`` is zero, with ``x_p`` the first
-    variable of ``alpha``, and otherwise the image does not either, as
-    ``(alpha)`` is a homogeneous ideal.  Every
-    other term is restricted to ``alpha = 0`` factor by factor: ``f``
-    restricts to ``(alpha_p f - f_p alpha) / alpha_p``, a form free of
-    ``x_p``.  The integer form ``alpha_p f - f_p alpha`` is made primitive
-    and its content goes into ``c``, so every term of degree ``deg``
-    carries the same extra factor ``alpha_p ** deg``.  Terms with the same
-    restricted factors are collected.  When every collection sums to zero,
-    so does the restriction, and ``theta(alpha)`` lies in ``(alpha)``.
-    Otherwise distinct products may still cancel, so that one image is
-    multiplied out and decided by ``vanishes_on``.
+    form ``L``, the degree-1 part of the image.  With ``x_p`` the first
+    variable of ``alpha``, ``L`` lies in ``(alpha)`` exactly when
+    ``alpha_p L - L_p alpha`` is zero; otherwise the image does not
+    either, as ``(alpha)`` is a homogeneous ideal.  Every other term is
+    restricted to ``alpha = 0`` factor by factor: ``f`` restricts to
+    ``(alpha_p f - f_p alpha) / alpha_p``, a form free of ``x_p``.  The
+    integer form ``alpha_p f - f_p alpha`` is made primitive and its
+    content goes into ``c``, so every term of degree ``deg`` carries the
+    same extra factor ``alpha_p ** deg``.  Terms with the same restricted
+    factors are collected.  When every collection sums to zero, so does
+    the restriction, and ``theta(alpha)`` lies in ``(alpha)``.  Otherwise
+    distinct products may still cancel, so that one image is multiplied
+    out and decided by ``vanishes_on``.
     """
     p = next(k for k, a in enumerate(alpha) if a)
     ap = alpha[p]
