@@ -39,9 +39,10 @@ from .freeness import (
 )
 from .graphs import analyze_graph, survey
 from .lattice import is_supersolvable, nest_modular_chain
-from .rooks import spec_char_poly
+from .rooks import board_columns, spec_char_poly
 
 LATTICE_MAX_ELL = 6
+CHARPOLY_MAX_WORK = 17 << 15  # states x columns of the Shi cone at ell = 16
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,18 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _guard_rooks(req: AnalysisRequest) -> None:
+    """Bound the rook DP's work: 2^(ell-1) states times the board's columns, at least one."""
+    rows, columns = req.ell - 1, max(board_columns(req.parsed), 1)
+    if rows >= CHARPOLY_MAX_WORK.bit_length() or columns << rows > CHARPOLY_MAX_WORK:
+        raise CapacityError(
+            f"the rook DP needs 2^{rows} states x {columns} columns, over the guard "
+            f"of {CHARPOLY_MAX_WORK} for charpoly"
+        )
+
+
 def _cmd_charpoly(req: AnalysisRequest) -> str | dict:
-    _guard_lattice(req)
+    _guard_rooks(req)
     parsed = req.parsed
     poly = spec_char_poly(parsed)
     roots: list[int] | None = None
@@ -217,7 +228,7 @@ def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
         order = is_nest(parsed.nest)
         chain = None if order is None else nest_modular_chain(arr, order)
     else:
-        chain = is_supersolvable(arr)
+        chain = is_supersolvable(arr, spec_char_poly(parsed))
     if req.output_format == "json":
         return {
             "supersolvable": chain is not None,

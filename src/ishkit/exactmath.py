@@ -458,12 +458,16 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
 
 
 class UniPoly:
-    """Dense univariate polynomial, ascending coefficients, no trailing zeros."""
+    """Dense univariate polynomial, ascending coefficients, no trailing zeros.
+
+    As in ``MultiPoly``, integral coefficients are stored as ``int`` and
+    the others as ``Fraction``.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(Fraction(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -475,10 +479,10 @@ class UniPoly:
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "UniPoly":
         """The monic polynomial with the given root multiset."""
-        result = cls.one()
+        coeffs: list[Scalar] = [1]
         for r in roots:
-            result = result * cls((-Fraction(r), 1))
-        return result
+            coeffs = times_linear(coeffs, r)
+        return cls(coeffs)
 
     @classmethod
     def geometric(cls, top: int) -> "UniPoly":
@@ -512,7 +516,7 @@ class UniPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -528,18 +532,53 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def evaluate(self, point: Scalar) -> Fraction:
-        x = Fraction(point)
-        total = Fraction(0)
+    def evaluate(self, point: Scalar) -> Scalar:
+        total: Scalar = 0
         for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+            total = total * point + c
+        return _exact(total)
 
     def __str__(self) -> str:
         return unipoly_str(self)
 
     def __repr__(self) -> str:
         return f"UniPoly({unipoly_str(self)!r})"
+
+
+def times_linear(coeffs: Sequence[Scalar], r: Scalar) -> list[Scalar]:
+    """The ascending coefficients of ``coeffs`` times ``t - r``."""
+    out = [0, *coeffs]
+    for i, c in enumerate(coeffs):
+        out[i] -= r * c
+    return out
+
+
+def nonnegative_int_roots(p: UniPoly) -> list[int] | None:
+    """The roots of ``p``, ascending, when ``p`` is a product of factors
+    ``t - r`` with nonnegative ``int`` r; otherwise ``None``.
+
+    The factor ``t^k`` comes off first.  Every other root divides the
+    constant term of what is left and is at most the sum of the roots,
+    which is minus the next-to-top coefficient, so synthetic division by
+    each such candidate, as often as it divides, finds them all.
+    """
+    cs = list(p.coeffs)
+    if not cs or cs[-1] != 1 or any(type(c) is not int for c in cs):
+        return None
+    k = next(i for i, c in enumerate(cs) if c)
+    roots, cs = [0] * k, cs[k:]
+    total = -cs[-2] if len(cs) > 1 else 0
+    for r in range(1, total + 1):
+        while len(cs) > 1 and cs[0] % r == 0:
+            quotient = [0] * (len(cs) - 1)
+            carry = 0
+            for i in range(len(cs) - 1, 0, -1):  # descending, as by hand
+                carry = quotient[i - 1] = cs[i] + r * carry
+            if cs[0] + r * carry:
+                break
+            roots.append(r)
+            cs = quotient
+    return roots if len(cs) == 1 else None
 
 
 def unipoly_str(p: UniPoly, var: str = "t") -> str:

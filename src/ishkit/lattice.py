@@ -31,14 +31,17 @@ covers.
 The closure runs on integer gains and meets a flat once per upper
 cover: every other hyperplane through that cover gives the same flat.
 The lower covers it records give the Moebius values by Weisner's
-theorem, one sum over the lower covers of each flat.
+theorem, one sum over the lower covers of each flat.  The integer meet
+(``_meet``), masks and sort keys (``_IntGains``) are shared with the
+supersolvability climb, and ``Flat.intersect_hyperplane`` meets by the
+same ``_meet``.
 
 On top of the poset sit the characteristic polynomial ``sum mu(X)
 t^dim(X)`` and supersolvability.  ``char_poly`` is the Moebius route to
 the characteristic polynomial, good for any difference arrangement.
 The ``charpoly`` command and the subgraph survey take it from rook
 numbers instead (``ishkit.rooks``); this route is kept as the oracle
-they are tested against.
+they are tested against.  No command builds the poset.
 
 Both routes to supersolvability rest on one pair test for gain edges
 (``_meets_inside``), the local form of the partition test of
@@ -49,20 +52,26 @@ and inside no other hyperplane when they are disjoint.  The cone of a
 nested arrangement needs no poset: ``nest_modular_chain`` builds the
 modular chain of the paper's filtration from the chain order of its
 sets and certifies it by that test.  The ``supersolvable`` command
-answers nest-backed cones that way; ``is_supersolvable`` serves
-Coxeter, Shi and deleted-Shi cones, climbing the poset by covers that
-pass the test, and is the oracle the filtration is tested against.
+answers nest-backed cones that way.  ``is_supersolvable`` serves
+Coxeter, Shi and deleted-Shi cones and central specs that are not
+coned, and is the oracle the filtration is tested against.  It needs
+no poset either: it reads the roots of chi, which for a supersolvable
+arrangement are the block sizes of every modular chain, answers at
+once when they are not all nonnegative integers, and otherwise climbs
+by covers it makes as it goes, keeping only those that pass the pair
+test with a block size among the roots left.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, GainEdge
-from .exactmath import Scalar, UniPoly, equation_str, format_rational
+from .exactmath import Scalar, UniPoly, equation_str, format_rational, nonnegative_int_roots
 
 
 @dataclass(frozen=True)
@@ -122,27 +131,10 @@ class Flat:
         flat, ``None`` when the intersection is empty, and the new
         ``Flat`` otherwise: two blocks merged, or the collapse to ``z = 0``.
         """
-        root, offset = self.root, self.offset
-        if edge is not None:
-            i, j, c = edge
-            ri, rj = root[i], root[j]
-            d = 0 if self.zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
-            if ri != rj:  # the block of the smaller root joins the other
-                if ri > rj:
-                    ri, rj, d = rj, ri, -d
-                return Flat(
-                    tuple(rj if r == ri else r for r in root),
-                    tuple(o + d if r == ri else o for r, o in zip(root, offset)),
-                    self.zero,
-                    self.coned,
-                )
-            if not d:
-                return "same"
-            if not self.coned:
-                return None
-        elif self.zero:
+        if self.contains(edge):
             return "same"
-        return Flat(root, (0,) * len(root), True, True)
+        meet = _meet(self.root, self.offset, self.zero, edge, self.coned)
+        return None if meet is None else Flat(*meet, self.coned)
 
     def rref(self) -> tuple[tuple[Scalar, ...], ...]:
         """The rational reduced row echelon form of the module docstring, in pivot order."""
@@ -223,13 +215,96 @@ class IntersectionPoset:
         return UniPoly(coeffs)
 
 
+def _meet(
+    root: tuple[int, ...], offset: tuple[Scalar, ...], zero: bool, edge: GainEdge, coned: bool
+) -> tuple[tuple[int, ...], tuple[Scalar, ...], bool] | None:
+    """The flat ``(root, offset, zero)`` of a ``Flat`` met with the hyperplane of
+    a gain edge that does not contain it; ``None`` when they do not meet.
+
+    The two blocks of the edge merge.  When the edge lies on one block,
+    the flat collapses to ``z = 0`` (coned) or misses the hyperplane
+    (affine); ``z = 0`` itself collapses any flat off it.
+    """
+    if edge is not None:
+        i, j, c = edge
+        ri, rj = root[i], root[j]
+        if ri != rj:  # the block of the smaller root joins the other
+            d = 0 if zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
+            if ri > rj:
+                ri, rj, d = rj, ri, -d
+            return (
+                tuple([rj if r == ri else r for r in root]),
+                tuple([o + d if r == ri else o for r, o in zip(root, offset)]),
+                zero,
+            )
+        if not coned:  # parallel to the flat
+            return None
+    return root, (0,) * len(root), True
+
+
+class _IntGains:
+    """The gain edges of an arrangement, every gain scaled to an ``int``.
+
+    The gains are scaled by the lcm ``scale`` of their denominators, and
+    an integer flat is the triple ``(root, offset, zero)`` of a ``Flat``
+    with its offsets scaled the same way, so ``_meet`` stays in ``int``.
+    The closure and the supersolvability climb both work on integer flats
+    and read their masks, sort keys and ``Flat``s off here.
+    """
+
+    def __init__(self, arr: Arrangement) -> None:
+        edges = arr.gain_edges()
+        self.scale = lcm(*(edge[2].denominator for edge in edges if edge is not None))
+        self.edges: list[GainEdge] = [
+            edge if edge is None else (edge[0], edge[1], int(edge[2] * self.scale)) for edge in edges
+        ]
+        self.coned = arr.coned
+        self.n = arr.dim - arr.coned
+        self._edge_bits = [(1 << bit, *edge) for bit, edge in enumerate(self.edges) if edge is not None]
+        self._zero_bits = sum(1 << bit for bit, edge in enumerate(self.edges) if edge is None)
+
+    def ambient(self) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+        return tuple(range(self.n)), (0,) * self.n, False
+
+    def mask(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> int:
+        """Bit ``b`` is set when hyperplane ``b`` contains the flat."""
+        mask = self._zero_bits if zero else 0
+        for bit, i, j, c in self._edge_bits:
+            if root[i] == root[j] and (zero or offset[i] - offset[j] == c):
+                mask |= bit
+        return mask
+
+    def key(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> tuple:
+        """``(rank, ...)``, ordered as ``(rank, rows)`` with the rows of the module docstring.
+
+        An integer row has ``den`` at v, ``-den`` at its root r > v and
+        ``+-num`` at n, so the tuples ``(-v, den, r, +-num)`` compare as the
+        rows do; the ``z = 0`` row, zero before n, sorts below them all as
+        ``(-n,)``.  The rank is the number of rows.
+        """
+        scale = self.scale
+        rows: list[tuple[int, ...]] = []
+        for v, (r, o) in enumerate(zip(root, offset)):
+            if r != v:
+                g = gcd(o, scale)
+                rows.append((-v, scale // g, r, (-o if self.coned else o) // g))
+        if zero:
+            rows.append((-self.n,))
+        return len(rows), tuple(rows)
+
+    def flat(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> Flat:
+        scale = self.scale
+        if scale > 1:
+            offset = tuple([Fraction(o, scale) if o % scale else o // scale for o in offset])
+        return Flat(root, offset, zero, self.coned)
+
+
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Generate every flat by closing the ambient space along its covers.
 
-    The arrangement is read once as gain-graph edges, with every gain
-    scaled by the lcm of the gain denominators: each offset is then an
-    ``int``, and a flat is the plain tuple ``(root, offset, zero)``.
-    Its mask is computed once, when the closure first finds it.
+    The arrangement is read once as integer gain edges (``_IntGains``),
+    and a flat is the plain tuple ``(root, offset, zero)``.  Its mask is
+    computed once, when the closure first finds it.
 
     The flat Y in which a flat X meets a hyperplane off X covers X, and
     X meets every hyperplane of ``mask(Y)`` outside ``mask(X)`` in the
@@ -242,66 +317,35 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     covers Y of X that some fixed hyperplane a through X does not
     contain (Stanley, *EC1*, Cor. 3.9.3).
     """
-    edges = arr.gain_edges()
-    scale = lcm(*(edge[2].denominator for edge in edges if edge is not None))
-    gains = [edge if edge is None else (edge[0], edge[1], int(edge[2] * scale)) for edge in edges]
-    coned = arr.coned
-    n = arr.dim - coned
-    zeros = (0,) * n
-    edge_bits = [(1 << bit, *edge) for bit, edge in enumerate(gains) if edge is not None]
-    zero_bits = sum(1 << bit for bit, edge in enumerate(gains) if edge is None)
-
-    def mask_of(root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> int:
-        mask = zero_bits if zero else 0
-        for bit, i, j, c in edge_bits:
-            if root[i] == root[j] and (zero or offset[i] - offset[j] == c):
-                mask |= bit
-        return mask
-
-    flats = [(tuple(range(n)), zeros, False)]
+    gains = _IntGains(arr)
+    edges, coned = gains.edges, gains.coned
+    flats = [gains.ambient()]
     index = {flats[0]: 0}
-    ranks, masks, covers = [0], [0], [[]]
+    masks, covers = [0], [[]]
     steps: list[list[int | None]] = []
     mobius: list[int] = []
-    full = (1 << len(gains)) - 1
-    for x, (root, offset, zero) in enumerate(flats):  # grows while it is walked
+    full = (1 << len(edges)) - 1
+    for x, flat in enumerate(flats):  # grows while it is walked
         mask = masks[x]
         if mask:  # Weisner's theorem, with a the first hyperplane through x
             a = mask & -mask
             mobius.append(-sum([mobius[y] for y in covers[x] if not masks[y] & a]))
         else:
             mobius.append(1)
-        step: list[int | None] = [x] * len(gains)
+        step: list[int | None] = [x] * len(edges)
         todo = full & ~mask
         while todo:
             bit = (todo & -todo).bit_length() - 1
-            edge = gains[bit]
-            if edge is None:
-                meet = (root, zeros, True)
-            else:
-                i, j, c = edge
-                ri, rj = root[i], root[j]
-                if ri != rj:  # the block of the smaller root joins the other
-                    d = 0 if zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
-                    if ri > rj:
-                        ri, rj, d = rj, ri, -d
-                    meet = (
-                        tuple([rj if r == ri else r for r in root]),
-                        tuple([o + d if r == ri else o for r, o in zip(root, offset)]),
-                        zero,
-                    )
-                elif coned:
-                    meet = (root, zeros, True)
-                else:  # parallel to the flat
-                    step[bit] = None
-                    todo ^= 1 << bit
-                    continue
+            meet = _meet(*flat, edges[bit], coned)
+            if meet is None:
+                step[bit] = None
+                todo ^= 1 << bit
+                continue
             y = index.get(meet)
             if y is None:
                 y = index[meet] = len(flats)
                 flats.append(meet)
-                ranks.append(ranks[x] + 1)
-                masks.append(mask_of(*meet))
+                masks.append(gains.mask(*meet))
                 covers.append([])
             covers[y].append(x)
             fill = masks[y] & todo
@@ -311,26 +355,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 step[low.bit_length() - 1] = y
                 fill ^= low
         steps.append(step)
-
-    # Each flat is built once, with its sort key.  An integer row has
-    # ``den`` at v, ``-den`` at its root r > v and ``+-num`` at n, so the
-    # tuples ``(-v, den, r, +-num)`` compare as the rows do; the ``z = 0``
-    # row, zero before n, sorts below them all as ``(-n,)``.
-    out: list[Flat] = []
-    keys: list[tuple] = []
-    for (root, offset, zero), rank in zip(flats, ranks):
-        rows: list[tuple[int, ...]] = []
-        for v, (r, o) in enumerate(zip(root, offset)):
-            if r != v:
-                g = gcd(o, scale)
-                rows.append((-v, scale // g, r, (-o if coned else o) // g))
-        if zero:
-            rows.append((-n,))
-        keys.append((rank, tuple(rows)))
-        if scale > 1:
-            offset = tuple([Fraction(o, scale) if o % scale else o // scale for o in offset])
-        out.append(Flat(root, offset, zero, coned))
-    return IntersectionPoset(arr, out, masks, steps, keys, mobius)
+    keys = [gains.key(*flat) for flat in flats]
+    return IntersectionPoset(arr, [gains.flat(*flat) for flat in flats], masks, steps, keys, mobius)
 
 
 def char_poly(arr: Arrangement) -> UniPoly:
@@ -342,52 +368,79 @@ def char_poly(arr: Arrangement) -> UniPoly:
     return intersection_poset(arr).char_poly()
 
 
-def is_supersolvable(arr: Arrangement) -> list[Flat] | None:
+def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat] | None:
     """The first maximal chain of modular flats in poset order, bottom to top.
 
     Returns the chain when the arrangement is supersolvable, otherwise
-    ``None``.  Central arrangements only.
+    ``None``.  Central arrangements only.  ``chi`` is the characteristic
+    polynomial of ``arr``; without it, ``char_poly`` computes it.
 
-    The search climbs from the ambient space through upper covers, the
-    distinct entries of each flat's step table, in poset order.  It takes
-    the cover Y of X when X is a modular coatom of the interval below Y:
-    every two hyperplanes through Y but not X meet inside a hyperplane
-    through X (``_meets_inside``).  An element modular inside a modular
-    element is modular in the whole lattice (Stanley, *Supersolvable
-    lattices*, 1972), and the center is modular, so a chain that passes
-    every step up to the center is a chain of modular flats, and every
-    such chain passes every step.  Whether a cover completes does not
-    depend on the flat below it, so a cover that passed a step and had no
+    A modular maximal chain splits the hyperplanes into blocks, each
+    hyperplane in the block of the first flat of the chain that contains
+    it, and the block sizes are the nonzero roots of chi (Stanley,
+    *Supersolvable lattices*, 1972; Bjoerner-Edelman-Ziegler, DCG 1990,
+    Thm 4.3).  So when chi has a root that is not a nonnegative integer,
+    the answer is ``None`` at once.
+
+    Otherwise the search climbs from the ambient space through upper
+    covers, in poset order, making each flat's covers as it reaches the
+    flat: it meets X with a hyperplane off X and drops the hyperplanes of
+    the cover Y found from those still to meet.  It takes Y when X is a
+    modular coatom of the interval below Y: every two hyperplanes through
+    Y but not X meet inside a hyperplane through X (``_meets_inside``).
+    An element modular inside a modular element is modular in the whole
+    lattice (Stanley, 1972), and the center is modular, so a chain that
+    passes every step up to the center is a chain of modular flats, and
+    every such chain passes every step.  Each step's block size must also
+    be one of the roots not yet used, which prunes the covers that no
+    modular chain takes.  Below a cover Y that passed its steps, the
+    chain is a modular chain of the interval below Y, so the roots used
+    are the nonzero roots of chi of the localization at Y, and those left
+    depend on Y alone.  Whether a cover completes then does not depend on
+    the flat below it, so a cover that passed a step and had no
     completion is never tried again.
     """
     if not arr.is_central:
         raise ValueError("supersolvability test needs a central arrangement")
-    poset = intersection_poset(arr)
-    edges = arr.gain_edges()
-    masks, steps = poset.masks, poset.steps
+    roots = nonnegative_int_roots(char_poly(arr) if chi is None else chi)
+    if roots is None:
+        return None
+    left = Counter(roots)
+    gains = _IntGains(arr)
+    edges, coned = gains.edges, gains.coned
     full = (1 << len(edges)) - 1
-    dead: set[int] = set()
+    dead: set[tuple] = set()
 
     def hyperplanes(mask: int) -> list[GainEdge]:
         return [edge for bit, edge in enumerate(edges) if mask >> bit & 1]
 
-    def extend(x: int) -> list[int] | None:
-        if masks[x] == full:
+    def extend(x: tuple, mask: int) -> list[tuple] | None:
+        if mask == full:
             return [x]
-        earlier = set(hyperplanes(masks[x]))
-        for y in sorted({y for y in steps[x] if y is not None and y != x}):
-            if y in dead:
+        covers: dict[tuple, int] = {}
+        todo = full & ~mask
+        while todo:  # central, so every meet is a flat
+            y = _meet(*x, edges[(todo & -todo).bit_length() - 1], coned)
+            covers[y] = gains.mask(*y)
+            todo &= ~covers[y]
+        earlier = set(hyperplanes(mask))
+        for y in sorted(covers, key=lambda y: gains.key(*y)):
+            block = covers[y] & ~mask
+            size = block.bit_count()
+            if not left[size] or y in dead:
                 continue
-            new = hyperplanes(masks[y] & ~masks[x])
+            new = hyperplanes(block)
             if all(_meets_inside(a, b, earlier) for k, a in enumerate(new) for b in new[k + 1 :]):
-                rest = extend(y)
+                left[size] -= 1
+                rest = extend(y, covers[y])
                 if rest is not None:
                     return [x] + rest
+                left[size] += 1
                 dead.add(y)
         return None
 
-    chain = extend(0)
-    return None if chain is None else [poset.flats[i] for i in chain]
+    chain = extend(gains.ambient(), 0)
+    return None if chain is None else [gains.flat(*flat) for flat in chain]
 
 
 def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:

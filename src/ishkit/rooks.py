@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .arrangement import Graph, NestSpec, ParsedSpec
-from .exactmath import UniPoly
+from .exactmath import UniPoly, times_linear
 
 
 def rook_numbers(rows: int, columns: Iterable[int]) -> list[int]:
@@ -65,26 +65,18 @@ def rook_numbers(rows: int, columns: Iterable[int]) -> list[int]:
     return r
 
 
-def _times_linear(p: list[int], c: int) -> list[int]:
-    """``p * (t - c)``."""
-    out = [0] + p
-    for i, a in enumerate(p):
-        out[i] -= c * a
-    return out
-
-
 def _chi(rooks: list[int], ell: int, shift: int, coned: bool) -> UniPoly:
     """``t * sum_k (-1)^k r_k prod_{c=k+shift}^{l-2+shift} (t - c)``, times (t - 1) when coned."""
     total = [0] * ell
     prod = [1]
     for k in range(ell - 1, -1, -1):
         if k < ell - 1:
-            prod = _times_linear(prod, k + shift)
+            prod = times_linear(prod, k + shift)
         signed = -rooks[k] if k % 2 else rooks[k]
         for i, c in enumerate(prod):
             total[i] += signed * c
     poly = [0] + total
-    return UniPoly(_times_linear(poly, 1) if coned else poly)
+    return UniPoly(times_linear(poly, 1) if coned else poly)
 
 
 def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
@@ -103,6 +95,14 @@ def graph_char_poly(graph: Graph, coned: bool = False) -> UniPoly:
     for i, j in graph.edges:
         columns[j] |= 1 << (i - 1)
     return _chi(rook_numbers(graph.ell - 1, columns), graph.ell, 1, coned)
+
+
+def board_columns(parsed: ParsedSpec) -> int:
+    """The columns of the board of a parsed spec: ``rook_numbers`` makes one
+    pass over its 2^(ell-1) states for each."""
+    if parsed.nest is not None:
+        return len({a for entries in parsed.nest.sets for a in entries})
+    return parsed.ell + 1
 
 
 def spec_char_poly(parsed: ParsedSpec) -> UniPoly:

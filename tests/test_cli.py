@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ishkit.arrangement import SPEC_KINDS
 from ishkit.cli import COMMANDS, _render, main, request_echo, request_from_doc, run
+from ishkit.exactmath import UniPoly, unipoly_str
 
 
 def request_of(text: str):
@@ -156,7 +157,8 @@ def test_saito_at_the_top_of_the_guard(capsys, tmp_path):
 def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
     # The largest cone of Ish the ell <= 6 guard admits.  Neither command builds
     # its 7204-flat poset: charpoly counts rooks, and supersolvable certifies
-    # the nest filtration.  The guard still refuses ell = 7 for both.
+    # the nest filtration.  The guard refuses ell = 7 for supersolvable; charpoly
+    # has its own bound on the rook DP, which admits ell = 16 and refuses ell = 17.
     spec = {"type": "ish", "ell": 6, "cone": True}
     assert text_of(spec, "charpoly") == (
         "t^7 - 31t^6 + 390t^5 - 2520t^4 + 8640t^3 - 14256t^2 + 7776t = t (t-1) (t-6)^5"
@@ -164,11 +166,29 @@ def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
     chain = text_of(spec, "supersolvable").splitlines()
     assert chain[0] == "SUPERSOLVABLE: modular chain of ranks 0..6"
     assert len(chain) == 8
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(dict(spec, ell=7)))
-    for command in ("charpoly", "supersolvable"):
+    assert text_of(dict(spec, ell=16), "charpoly").endswith(" = t (t-1) (t-16)^15")
+    for command, ell in (("charpoly", 17), ("supersolvable", 7)):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(spec, ell=ell)))
         assert main([command, "--spec", str(path)]) == 2
         assert capsys.readouterr().err.startswith("capacity:")
+
+
+def test_charpoly_guard_names_its_limit_and_estimate(capsys, tmp_path):
+    # 2^(ell-1) states x the board's columns: 2^15 x 17 for the Shi cone at
+    # ell = 16 is the limit, and one more column is over it
+    shi = UniPoly.from_roots([0, 1] + [16] * 15)
+    assert text_of({"type": "shi", "ell": 16, "cone": True}, "charpoly") == unipoly_str(shi)
+    path = tmp_path / "big.json"
+    for doc, estimate in (
+        ({"type": "n_ish", "N": [list(range(18))] * 15}, "2^15 states x 18 columns"),
+        ({"type": "n_ish", "N": [[]] * 40}, "2^40 states x 1 columns"),
+        ({"type": "coxeter", "ell": 10**6}, "2^999999 states x 1000001 columns"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert main(["charpoly", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"capacity: the rook DP needs {estimate}, over the guard of 557056 for charpoly\n"
 
 
 def test_supersolvable_needs_central():
@@ -190,12 +210,21 @@ def test_supersolvable_takes_nest_backed_cones_off_the_poset(monkeypatch):
     ]
     for spec, verdict in nests:
         assert json_of(dict(spec, cone=True), "supersolvable")["supersolvable"] is verdict
-    for kind in ("shi", "coxeter"):
-        with pytest.raises(AssertionError, match="poset was built"):
-            text_of({"type": kind, "ell": 3, "cone": True}, "supersolvable")
-    # a central spec that is not coned keeps the lattice search
-    with pytest.raises(AssertionError, match="poset was built"):
-        text_of({"type": "n_ish", "N": [[0], [0]]}, "supersolvable")
+    # nor do Shi-type cones and central specs that are not coned: the climb
+    # makes its covers as it goes
+    shi_type = [
+        ({"type": "shi", "ell": 3, "cone": True}, False),
+        ({"type": "shi", "ell": 6, "cone": True}, False),
+        ({"type": "coxeter", "ell": 6, "cone": True}, True),
+        ({"type": "coxeter", "ell": 6}, True),
+        ({"type": "deleted_shi", "ell": 5, "edges": [[1, 2], [2, 5]], "cone": True}, False),
+        ({"type": "deleted_shi", "ell": 4, "edges": [[1, 2], [3, 4]], "cone": True}, False),
+        ({"type": "deleted_shi", "ell": 4, "edges": [[1, 2]], "cone": True}, True),
+        ({"type": "n_ish", "N": [[0], [0]]}, True),
+    ]
+    for spec, verdict in shi_type:
+        assert json_of(spec, "supersolvable")["supersolvable"] is verdict
+        assert text_of(spec, "supersolvable").startswith("SUPER" if verdict else "NOT")
 
 
 def test_saito_takes_the_factored_route(monkeypatch):
@@ -392,7 +421,7 @@ def test_main_command_conflict_is_an_error(capsys, tmp_path):
 
 def test_main_exit_codes(capsys, tmp_path):
     cap = tmp_path / "big.json"
-    cap.write_text('{"type": "ish", "ell": 7}')
+    cap.write_text('{"type": "ish", "ell": 17}')
     assert main(["charpoly", "--spec", str(cap)]) == 2
     assert capsys.readouterr().err.startswith("capacity:")
 

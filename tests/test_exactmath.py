@@ -13,6 +13,7 @@ from ishkit.exactmath import (
     clear_denominators,
     format_rational,
     int_det,
+    nonnegative_int_roots,
     parse_rational,
     poly_str,
     poly_to_json,
@@ -452,6 +453,54 @@ def test_unipoly_eval_at_roots_random():
         assert p.degree() == len(roots)
         for r in roots:
             assert p.evaluate(r) == 0
+
+
+def test_unipoly_keeps_integral_coefficients_as_int():
+    p = UniPoly([Fraction(4, 2), 0, Fraction(-3), 1])
+    assert [type(c) for c in p.coeffs] == [int] * 4
+    products = [UniPoly.from_roots([0, 3, 3]), p * UniPoly([-1, 1]), p * Fraction(2), p + p]
+    for q in products:
+        assert all(type(c) is int for c in q.coeffs)
+    assert type(p.evaluate(2)) is int and p.evaluate(2) == -2
+    assert p.evaluate(Fraction(1, 2)) == Fraction(11, 8)
+    assert type(p.evaluate(Fraction(2))) is int
+    assert UniPoly.from_roots([Fraction(1, 2)]).coeffs == (Fraction(-1, 2), 1)
+    half = UniPoly([Fraction(1, 2)])
+    assert half.coeffs == (Fraction(1, 2),) and type(half.coeffs[0]) is Fraction
+    assert (half * 2).coeffs == (1,) and type((half * 2).coeffs[0]) is int
+
+
+def test_unipoly_text_and_json_do_not_depend_on_the_coefficient_type():
+    p = UniPoly([0, 9, -6, 1])
+    as_fractions = UniPoly([0])
+    as_fractions.coeffs = tuple(map(Fraction, p.coeffs))
+    assert unipoly_str(p) == unipoly_str(as_fractions) == "t^3 - 6t^2 + 9t"
+    assert unipoly_to_json(p) == unipoly_to_json(as_fractions) == ["0/1", "9/1", "-6/1", "1/1"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 12), max_size=9))
+@example([])
+@example([0, 0, 0])
+@example([4, 4, 4, 4, 1])
+def test_nonnegative_int_roots_inverts_from_roots(roots):
+    assert nonnegative_int_roots(UniPoly.from_roots(roots)) == sorted(roots)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        UniPoly([1, 0, 1]),  # t^2 + 1
+        UniPoly([Fraction(-1, 2), 1]),  # t - 1/2
+        UniPoly([1, 1]),  # t + 1
+        UniPoly.from_roots([0, 2, -1, 3]),
+        UniPoly.from_roots([2, 3]) * 2,  # not monic
+        UniPoly([0, 0, 6, -5, 1]) + UniPoly([1]),  # t^2(t-2)(t-3) + 1
+        UniPoly(),
+    ],
+)
+def test_nonnegative_int_roots_refuses_what_does_not_split_so(p):
+    assert nonnegative_int_roots(p) is None
 
 
 def test_unipoly_str():

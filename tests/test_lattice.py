@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ishkit import exactmath, lattice
 from ishkit.arrangement import (
     Arrangement,
+    GainEdge,
     Graph,
     Hyperplane,
     NestSpec,
@@ -22,16 +23,18 @@ from ishkit.arrangement import (
     ish_nest,
 )
 from ishkit.cli import request_from_doc, run
-from ishkit.exactmath import UniPoly
+from ishkit.exactmath import UniPoly, nonnegative_int_roots
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
     Flat,
     IntersectionPoset,
+    _meets_inside,
     char_poly,
     intersection_poset,
     is_supersolvable,
     nest_modular_chain,
 )
+from ishkit.rooks import graph_char_poly, spec_char_poly
 
 T_MINUS_ONE = UniPoly([-1, 1])
 
@@ -220,6 +223,57 @@ def oracle_supersolvable(arr: Arrangement) -> list[Flat] | None:
     if chain is None:
         return None
     return [poset.flats[i] for i in chain]
+
+
+# -- the poset climb: the differential oracle of ``is_supersolvable`` ----
+
+
+def poset_supersolvable(arr: Arrangement) -> list[Flat] | None:
+    """The first maximal chain of modular flats in poset order, bottom to top.
+
+    Returns the chain when the arrangement is supersolvable, otherwise
+    ``None``.  Central arrangements only.
+
+    The search climbs from the ambient space through upper covers, the
+    distinct entries of each flat's step table, in poset order.  It takes
+    the cover Y of X when X is a modular coatom of the interval below Y:
+    every two hyperplanes through Y but not X meet inside a hyperplane
+    through X (``_meets_inside``).  An element modular inside a modular
+    element is modular in the whole lattice (Stanley, *Supersolvable
+    lattices*, 1972), and the center is modular, so a chain that passes
+    every step up to the center is a chain of modular flats, and every
+    such chain passes every step.  Whether a cover completes does not
+    depend on the flat below it, so a cover that passed a step and had no
+    completion is never tried again.
+    """
+    if not arr.is_central:
+        raise ValueError("supersolvability test needs a central arrangement")
+    poset = intersection_poset(arr)
+    edges = arr.gain_edges()
+    masks, steps = poset.masks, poset.steps
+    full = (1 << len(edges)) - 1
+    dead: set[int] = set()
+
+    def hyperplanes(mask: int) -> list[GainEdge]:
+        return [edge for bit, edge in enumerate(edges) if mask >> bit & 1]
+
+    def extend(x: int) -> list[int] | None:
+        if masks[x] == full:
+            return [x]
+        earlier = set(hyperplanes(masks[x]))
+        for y in sorted({y for y in steps[x] if y is not None and y != x}):
+            if y in dead:
+                continue
+            new = hyperplanes(masks[y] & ~masks[x])
+            if all(_meets_inside(a, b, earlier) for k, a in enumerate(new) for b in new[k + 1 :]):
+                rest = extend(y)
+                if rest is not None:
+                    return [x] + rest
+                dead.add(y)
+        return None
+
+    chain = extend(0)
+    return None if chain is None else [poset.flats[i] for i in chain]
 
 
 def rows(flat: Flat) -> tuple[tuple[int, ...], ...]:
@@ -559,6 +613,70 @@ def test_supersolvable_matches_the_oracle_on_named_cones(kind):
 ))
 def test_supersolvable_matches_the_oracle_on_half_integer_nests(sets):
     assert_search_matches_oracle(cone(build_n_ish(NestSpec.make(sets))))
+
+
+def block_sizes(arr: Arrangement, chain: Sequence[Flat]) -> list[int]:
+    """How many hyperplanes first contain each flat of the chain above the ambient space."""
+    firsts = [next(k for k, flat in enumerate(chain) if flat.contains(e)) for e in arr.gain_edges()]
+    return [firsts.count(k) for k in range(1, len(chain))]
+
+
+def assert_climb_matches_the_poset_climb(arr: Arrangement, chi: UniPoly) -> None:
+    """The same chain, or ``None``, as the poset climb; a chain's blocks are chi's roots."""
+    chain = is_supersolvable(arr, chi)
+    assert chain == poset_supersolvable(arr)
+    if chain is not None:
+        roots = nonnegative_int_roots(chi)
+        assert sorted(block_sizes(arr, chain)) == [r for r in roots if r]
+
+
+def deleted_shi_cone(ell: int, edges) -> tuple[Arrangement, UniPoly]:
+    graph = Graph.make(ell, list(edges))
+    return cone(build_deleted("shi", graph)), graph_char_poly(graph, coned=True)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_climb_matches_the_poset_climb_on_every_deleted_shi_cone(ell):
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    for size in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, size):
+            assert_climb_matches_the_poset_climb(*deleted_shi_cone(ell, edges))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_climb_matches_the_poset_climb_on_shi_and_coxeter(ell):
+    for doc in (
+        {"type": "shi", "ell": ell, "cone": True},
+        {"type": "coxeter", "ell": ell, "cone": True},
+        {"type": "coxeter", "ell": ell},  # central without a cone
+    ):
+        parsed = from_spec(doc)
+        assert_climb_matches_the_poset_climb(parsed.arrangement, spec_char_poly(parsed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sets(st.sampled_from([(i, j) for i in range(1, 6) for j in range(i + 1, 6)])))
+@example({(1, 2), (2, 3), (3, 4), (4, 5)})
+def test_climb_matches_the_poset_climb_on_deleted_shi_cones_at_ell_5(edges):
+    assert_climb_matches_the_poset_climb(*deleted_shi_cone(5, sorted(edges)))
+
+
+def test_climb_takes_chi_from_the_poset_without_one():
+    for arr, chi in (deleted_shi_cone(4, [(1, 2), (3, 4)]), deleted_shi_cone(3, [])):
+        assert char_poly(arr) == chi
+        assert is_supersolvable(arr) == is_supersolvable(arr, chi) == poset_supersolvable(arr)
+
+
+def test_climb_answers_at_once_when_chi_does_not_split(monkeypatch):
+    # the cone of Ish at ell = 2, with chi = t(t-1)(t-2), is supersolvable;
+    # given a chi with a root that is not a nonnegative integer, the climb
+    # answers None before it meets anything
+    arr = cone(build_named("ish", 2))
+    assert is_supersolvable(arr, UniPoly.from_roots([0, 1, 2])) is not None
+    monkeypatch.setattr(lattice, "_meet", None)
+    for chi in (UniPoly([0, 1, 0, 1]), UniPoly.from_roots([0, Fraction(1, 2), 1]),
+                UniPoly.from_roots([0, -1, 3])):
+        assert is_supersolvable(arr, chi) is None
 
 
 def test_pair_rule_of_the_partition_test():
