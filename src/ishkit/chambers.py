@@ -26,7 +26,10 @@ there gives the chamber on the side ``z > 0`` and its antipode.
 Witnesses are built once, after the last hyperplane: ``x1 = 0``, and each
 later coordinate is the midpoint of the interval the fixed ones allow,
 which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
-integer homogeneous coordinates turned into ``Fraction`` at the end.
+integer homogeneous coordinates over one scale for the whole enumeration.
+A ``Chamber`` keeps that integer form, the region's bits and the scaled
+point, and writes its JSON and text from it; ``SignVector`` and
+``Fraction`` values are made only when its properties are read.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -39,11 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from math import gcd
+from operator import add, attrgetter, neg, sub
 from typing import Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
-from .exactmath import Scalar, UniPoly, clear_denominators, format_rational
+from .exactmath import Scalar, UniPoly, clear_denominators
 from .freeness import is_nest, nest_exponents
 
 
@@ -64,18 +68,71 @@ class SignVector:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    """A chamber: sign vector plus a rational interior point realizing it."""
+_SIGN_CHARS = str.maketrans("01", "-+")
 
-    sign_vector: SignVector
-    witness: tuple[Fraction, ...]
+
+class Chamber:
+    """A chamber: sign vector plus a rational interior point realizing it.
+
+    Both are kept as integers.  ``bits`` is the sign vector on ``size``
+    hyperplanes, hyperplane 0 the most significant bit and a set bit for
+    the side ``+``; ``point`` is the witness times the positive scale
+    ``den``.  Equality and hashing follow ``sign_vector`` and ``witness``,
+    whatever the scale.
+    """
+
+    __slots__ = ("bits", "size", "point", "den")
+
+    def __init__(self, bits: int, size: int, point: tuple[int, ...], den: int) -> None:
+        self.bits = bits
+        self.size = size
+        self.point = point
+        self.den = den
+
+    @property
+    def signs(self) -> str:
+        """The sign vector as a string of ``+`` and ``-``, as ``str(sign_vector)``."""
+        return bin(self.bits | 1 << self.size)[3:].translate(_SIGN_CHARS)
+
+    @property
+    def sign_vector(self) -> SignVector:
+        return SignVector(tuple(1 if c == "+" else -1 for c in self.signs))
+
+    @property
+    def witness(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.point)
+
+    def witness_text(self) -> str:
+        """The witness coordinates as ``str`` writes each ``Fraction``, comma-separated."""
+        den = self.den
+        parts = []
+        for x in self.point:
+            g = gcd(x, den)
+            parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return ", ".join(parts)
 
     def to_json(self) -> dict:
+        """Signs and witness, each coordinate as ``format_rational`` writes it."""
+        den = self.den
         return {
-            "signs": str(self.sign_vector),
-            "witness": [format_rational(v) for v in self.witness],
+            "signs": self.signs,
+            "witness": [f"{x // (g := gcd(x, den))}/{den // g}" for x in self.point],
         }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Chamber):
+            return NotImplemented
+        return (
+            self.bits == other.bits
+            and self.size == other.size
+            and [x * other.den for x in self.point] == [y * self.den for y in other.point]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.size, self.witness))
+
+    def __repr__(self) -> str:
+        return f"Chamber({self.signs!r}, ({self.witness_text()}))"
 
 
 # -- enumeration by difference-bound matrices ---------------------------
@@ -113,21 +170,6 @@ def _witness(d: Matrix) -> list[int]:
     for row, col in zip(d[1:], list(zip(*d))[1:]):
         point.append((max(map(sub, point, col)) + min(map(add, point, row))) >> 1)
     return point
-
-
-class _Over(dict):
-    """The map ``x -> Fraction(x, den)``, building each value once."""
-
-    def __init__(self, den: int) -> None:
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, x: int) -> Fraction:
-        value = self[x] = Fraction(x, self.den)
-        return value
-
-
-_SIGN = {"0": -1, "1": 1}
 
 
 def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
@@ -178,35 +220,31 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     and a coned one must contain ``z = 0``.
     """
     regions, den = _regions(arr)
-    frac = _Over(den).__getitem__
-    found: list[tuple[int, tuple[Fraction, ...]]] = []
-    full = (1 << len(arr)) - 1
+    size = len(arr)
+    full = (1 << size) - 1
+    chambers = []
     for bits, d in regions:
         point = _witness(d)
         if arr.coned:  # the point at z = 1 and its antipode
-            found.append((bits, (*map(frac, point), frac(den))))
-            found.append((bits ^ full, (*map(frac, map(neg, point)), frac(-den))))
+            point.append(den)
+            chambers.append(Chamber(bits, size, tuple(point), den))
+            chambers.append(Chamber(bits ^ full, size, tuple(map(neg, point)), den))
         else:
-            found.append((bits, tuple(map(frac, point))))
-    found.sort(key=lambda item: item[0])
-    top = full + 1  # a leading 1 keeps the leading "-" signs in bin()
-    return [
-        Chamber(SignVector(tuple(map(_SIGN.__getitem__, bin(bits | top)[3:]))), witness)
-        for bits, witness in found
-    ]
+            chambers.append(Chamber(bits, size, tuple(point), den))
+    chambers.sort(key=attrgetter("bits"))
+    return chambers
 
 
 def chamber_of_point(arr: Arrangement, point: Sequence[Scalar]) -> Chamber:
     """The chamber containing the point; errors if the point lies on a wall."""
-    pt = tuple(Fraction(v) for v in point)
-    scaled, den = clear_denominators(pt)
-    signs = []
+    scaled, den = clear_denominators([Fraction(v) for v in point])
+    bits = 0
     for h in arr.hyperplanes:
         value = h.eval_at(scaled, den)
         if value == 0:
             raise ValueError(f"point lies on the hyperplane {h.render(arr.var_names())}")
-        signs.append(1 if value > 0 else -1)
-    return Chamber(SignVector(tuple(signs)), pt)
+        bits = bits << 1 | (value > 0)
+    return Chamber(bits, len(arr), tuple(scaled), den)
 
 
 # -- distinguished chambers ---------------------------------------------
@@ -247,14 +285,11 @@ def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
     if arr.coned:  # the antipodes
         full = (1 << len(arr)) - 1
         masks += [bits ^ full for bits in masks]
-    base_bits = 0
-    for s in base.sign_vector.signs:
-        base_bits = base_bits << 1 | (s > 0)
-    if len(base.sign_vector) != len(arr) or base_bits not in masks:
+    if base.size != len(arr) or base.bits not in masks:
         raise ValueError("the base chamber does not belong to this arrangement")
     counts = [0] * (len(arr) + 1)
     for bits in masks:
-        counts[(bits ^ base_bits).bit_count()] += 1
+        counts[(bits ^ base.bits).bit_count()] += 1
     return UniPoly(counts)
 
 

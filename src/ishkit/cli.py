@@ -42,7 +42,7 @@ from .lattice import is_supersolvable, nest_modular_chain
 from .rooks import board_columns, spec_char_poly
 
 LATTICE_MAX_ELL = 6
-CHARPOLY_MAX_WORK = 17 << 15  # states x columns of the Shi cone at ell = 16
+CHARPOLY_MAX_WORK = 17 << 15  # rook DP states x non-empty board columns
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def _yesno(flag: bool) -> str:
 
 
 def _guard_rooks(req: AnalysisRequest) -> None:
-    """Bound the rook DP's work: 2^(ell-1) states times the board's columns, at least one."""
+    """Bound the rook DP's work: 2^(ell-1) states times the board's non-empty
+    columns, at least one."""
     rows, columns = req.ell - 1, max(board_columns(req.parsed), 1)
     if rows >= CHARPOLY_MAX_WORK.bit_length() or columns << rows > CHARPOLY_MAX_WORK:
         raise CapacityError(
@@ -250,8 +251,7 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
         return {"count": len(chambers), "chambers": [c.to_json() for c in chambers]}
     lines = [f"{len(chambers)} chambers"]
     for c in chambers:
-        point = ", ".join(str(v) for v in c.witness)
-        lines.append(f"  {c.sign_vector}  witness ({point})")
+        lines.append(f"  {c.signs}  witness ({c.witness_text()})")
     return "\n".join(lines)
 
 

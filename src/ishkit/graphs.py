@@ -57,7 +57,7 @@ def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
     """
     if graph.ell > ATHANASIADIS_MAX_ELL:
         raise CapacityError(
-            f"permutation search over {graph.ell}! candidates; the guard is "
+            f"the depth-first relabeling search got ell = {graph.ell}, over the guard "
             f"ell <= {ATHANASIADIS_MAX_ELL}"
         )
     ell = graph.ell

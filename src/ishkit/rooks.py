@@ -91,18 +91,20 @@ def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
 
 def graph_char_poly(graph: Graph, coned: bool = False) -> UniPoly:
     """chi of the deleted Shi arrangement of ``graph``, or of its cone."""
-    columns = [0] * (graph.ell + 1)
+    columns: dict[int, int] = {}  # the non-empty ones: column j holds rows i - 1 of edges (i, j)
     for i, j in graph.edges:
-        columns[j] |= 1 << (i - 1)
-    return _chi(rook_numbers(graph.ell - 1, columns), graph.ell, 1, coned)
+        columns[j] = columns.get(j, 0) | 1 << (i - 1)
+    return _chi(rook_numbers(graph.ell - 1, columns.values()), graph.ell, 1, coned)
 
 
 def board_columns(parsed: ParsedSpec) -> int:
-    """The columns of the board of a parsed spec: ``rook_numbers`` makes one
-    pass over its 2^(ell-1) states for each."""
+    """The non-empty columns of the board of a parsed spec: ``rook_numbers``
+    makes one pass over its 2^(ell-1) states for each."""
     if parsed.nest is not None:
         return len({a for entries in parsed.nest.sets for a in entries})
-    return parsed.ell + 1
+    if parsed.graph is not None:
+        return len({j for _, j in parsed.graph.edges})
+    return parsed.ell - 1 if parsed.kind == "shi" else 0  # K_l fills columns 2..l
 
 
 def spec_char_poly(parsed: ParsedSpec) -> UniPoly:

@@ -1,7 +1,10 @@
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,8 @@ from ishkit.arrangement import (
 from ishkit.chambers import (
     Chamber,
     SignVector,
+    _regions,
+    _witness,
     canonical_chamber,
     chamber_of_point,
     distance_poly,
@@ -27,7 +32,7 @@ from ishkit.chambers import (
     ish_base_chamber,
     wallcross_expected,
 )
-from ishkit.exactmath import UniPoly, clear_denominators
+from ishkit.exactmath import Scalar, UniPoly, clear_denominators, format_rational
 from ishkit.lattice import char_poly, intersection_poset
 
 
@@ -165,6 +170,81 @@ def fm_enumerate_chambers(arr):
                     updated.append((signs + [side], (*ints, den)))
         regions = updated
     return sorted(tuple(signs) for signs, _ in regions)
+
+
+# -- Fraction records: the oracle of the integer chambers ----------------
+
+
+@dataclass(frozen=True)
+class FractionChamber:
+    """A chamber: sign vector plus a rational interior point realizing it."""
+
+    sign_vector: SignVector
+    witness: tuple[Fraction, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "signs": str(self.sign_vector),
+            "witness": [format_rational(v) for v in self.witness],
+        }
+
+
+class _Over(dict):
+    """The map ``x -> Fraction(x, den)``, building each value once."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.den)
+        return value
+
+
+_SIGN = {"0": -1, "1": 1}
+
+
+def oracle_enumerate_chambers(arr: Arrangement) -> list[FractionChamber]:
+    """The matrix enumeration's regions, each made a ``SignVector`` and a
+    ``Fraction`` witness as soon as it is found."""
+    regions, den = _regions(arr)
+    frac = _Over(den).__getitem__
+    found: list[tuple[int, tuple[Fraction, ...]]] = []
+    full = (1 << len(arr)) - 1
+    for bits, d in regions:
+        point = _witness(d)
+        if arr.coned:  # the point at z = 1 and its antipode
+            found.append((bits, (*map(frac, point), frac(den))))
+            found.append((bits ^ full, (*map(frac, map(neg, point)), frac(-den))))
+        else:
+            found.append((bits, tuple(map(frac, point))))
+    found.sort(key=lambda item: item[0])
+    top = full + 1  # a leading 1 keeps the leading "-" signs in bin()
+    return [
+        FractionChamber(SignVector(tuple(map(_SIGN.__getitem__, bin(bits | top)[3:]))), witness)
+        for bits, witness in found
+    ]
+
+
+def oracle_chamber_of_point(arr: Arrangement, point: Sequence[Scalar]) -> FractionChamber:
+    """The chamber containing the point; errors if the point lies on a wall."""
+    pt = tuple(Fraction(v) for v in point)
+    scaled, den = clear_denominators(pt)
+    signs = []
+    for h in arr.hyperplanes:
+        value = h.eval_at(scaled, den)
+        if value == 0:
+            raise ValueError(f"point lies on the hyperplane {h.render(arr.var_names())}")
+        signs.append(1 if value > 0 else -1)
+    return FractionChamber(SignVector(tuple(signs)), pt)
+
+
+def assert_same_chamber(got: Chamber, want: FractionChamber) -> None:
+    assert got.sign_vector == want.sign_vector
+    assert got.witness == want.witness
+    assert got.to_json() == want.to_json()
+    assert got.signs == str(got.sign_vector) == str(want.sign_vector)
+    assert got.witness_text() == ", ".join(str(v) for v in want.witness)
 
 
 # -- feasibility oracle --------------------------------------------------
@@ -353,6 +433,47 @@ def test_matrix_enumeration_matches_fourier_motzkin(arr):
     assert len(chambers) == abs(char_poly(arr).evaluate(-1))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(difference_arrangements())
+@example(build_n_ish(NestSpec.make([[Fraction(1, 2), 2], [Fraction(-3, 2)], [0, 1]])))
+@example(cone(build_named("shi", 4)))
+@example(cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0], [Fraction(3, 2)]]))))
+def test_integer_chambers_match_the_fraction_oracle(arr):
+    chambers = enumerate_chambers(arr)
+    oracle = oracle_enumerate_chambers(arr)
+    assert len(chambers) == len(oracle)
+    for got, want in zip(chambers, oracle):
+        assert_same_chamber(got, want)
+
+
+@st.composite
+def descending_nests(draw):
+    """Descending nests with ell <= 5 and half-integer entries."""
+    ell = draw(st.integers(2, 5))
+    sets = [draw(st.lists(HALF, max_size=4, unique=True))]
+    for _ in range(ell - 2):
+        sets.append(draw(st.lists(st.sampled_from(sets[-1]), unique=True)) if sets[-1] else [])
+    return NestSpec.make(sets)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(descending_nests(), st.lists(st.lists(HALF, min_size=6, max_size=6), max_size=4))
+def test_points_and_base_chambers_match_the_fraction_oracle(nest, points):
+    arr = cone(build_n_ish(nest))
+    n2 = nest.set_at(2)
+    witness = [1 + min(n2) if n2 else 1, *range(2, nest.ell + 1), 1]
+    assert_same_chamber(canonical_chamber(nest, arr), oracle_chamber_of_point(arr, witness))
+    for point in points:
+        point = point[: arr.dim]
+        try:
+            want = oracle_chamber_of_point(arr, point)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                chamber_of_point(arr, point)
+        else:
+            assert_same_chamber(chamber_of_point(arr, point), want)
+
+
 def test_enumeration_rejects_non_difference_hyperplanes():
     for coeffs in ([1, 1], [2, -1]):  # x1 + x2 = 0, 2*x1 - x2 = 0
         for reader in (enumerate_chambers, intersection_poset):
@@ -414,6 +535,39 @@ def test_chamber_json():
     arr = cone(build_named("ish", 2))
     ch = canonical_chamber(NestSpec.make([[0, 1]]), arr)
     assert ch.to_json() == {"signs": "+--", "witness": ["1/1", "2/1", "1/1"]}
+
+
+def test_chamber_json_on_zero_negative_and_half_coordinates():
+    # the slice z = 1 splits at x1 - x2 = 0 and 1; its witnesses take x1 = 0 and
+    # midpoints, and the antipodes negate every coordinate
+    arr = cone(build_n_ish(NestSpec.make([[0, 1]])))
+    chambers = enumerate_chambers(arr)
+    assert [c.to_json() for c in chambers] == [
+        {"signs": "---", "witness": ["0/1", "5/2", "-1/1"]},
+        {"signs": "--+", "witness": ["0/1", "1/2", "-1/1"]},
+        {"signs": "-++", "witness": ["0/1", "-2/1", "-1/1"]},
+        {"signs": "+--", "witness": ["0/1", "2/1", "1/1"]},
+        {"signs": "++-", "witness": ["0/1", "-1/2", "1/1"]},
+        {"signs": "+++", "witness": ["0/1", "-5/2", "1/1"]},
+    ]
+    assert [c.witness_text() for c in chambers[2:5]] == ["0, -2, -1", "0, 2, 1", "0, -1/2, 1"]
+    for got, want in zip(chambers, oracle_enumerate_chambers(arr)):
+        assert_same_chamber(got, want)
+
+
+def test_chamber_equality_and_hash_follow_signs_and_witness():
+    arr = cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0]])))
+    first, second = enumerate_chambers(arr), enumerate_chambers(arr)
+    assert first == second
+    assert [hash(c) for c in first] == [hash(c) for c in second]
+    assert set(first) == set(second) and len(set(first)) == len(first)
+    for c in first:  # the same point over another scale is the same chamber
+        again = chamber_of_point(arr, c.witness)
+        assert again == c and hash(again) == hash(c) and again in set(second)
+    assert Chamber(1, 1, (1,), 2) == Chamber(1, 1, (2,), 4)
+    assert Chamber(1, 1, (1,), 2) != Chamber(1, 2, (1,), 2)  # "+" against "-+"
+    assert Chamber(1, 1, (1,), 2) != Chamber(1, 1, (1,), 3)
+    assert Chamber(1, 1, (1,), 2) != FractionChamber(SignVector((1,)), (Fraction(1, 2),))
 
 
 # -- distinguished chambers ----------------------------------------------
@@ -490,9 +644,9 @@ def test_distance_poly_coned_rank_two():
 
 def test_distance_poly_rejects_foreign_base():
     arr = build_named("ish", 2)
-    fake = Chamber(SignVector((-1, 1)), (Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError):
-        distance_poly(arr, fake)
+    for fake in (Chamber(0b01, 2, (0, 0), 1), Chamber(0b011, 3, (0, 0), 1)):  # "-+", "-++"
+        with pytest.raises(ValueError):
+            distance_poly(arr, fake)
 
 
 def test_distance_poly_endpoints():

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ishkit.arrangement import SPEC_KINDS
+from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
 from ishkit.cli import COMMANDS, _render, main, request_echo, request_from_doc, run
-from ishkit.exactmath import UniPoly, unipoly_str
+from ishkit.exactmath import UniPoly, unipoly_str, unipoly_to_json
+from ishkit.freeness import is_nest
+from test_chambers import oracle_chamber_of_point, oracle_enumerate_chambers
 
 
 def request_of(text: str):
@@ -175,15 +177,25 @@ def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
 
 
 def test_charpoly_guard_names_its_limit_and_estimate(capsys, tmp_path):
-    # 2^(ell-1) states x the board's columns: 2^15 x 17 for the Shi cone at
-    # ell = 16 is the limit, and one more column is over it
+    # 2^(ell-1) states x the board's non-empty columns, at least one: 2^15 x 17
+    # is the limit, and one more column is over it
     shi = UniPoly.from_roots([0, 1] + [16] * 15)
     assert text_of({"type": "shi", "ell": 16, "cone": True}, "charpoly") == unipoly_str(shi)
+    # a graph board has a column per vertex that ends an edge: the Coxeter
+    # arrangement has none, and 2^19 states is the most one column admits
+    coxeter = UniPoly.from_roots([1, *range(20)])
+    assert text_of({"type": "coxeter", "ell": 20, "cone": True}, "charpoly") == unipoly_str(coxeter)
+    eight = {"type": "deleted_shi", "ell": 17, "edges": [[1, j] for j in range(2, 10)]}
+    assert text_of(eight, "charpoly").startswith("t^17 - 144t^16 + ")
     path = tmp_path / "big.json"
     for doc, estimate in (
         ({"type": "n_ish", "N": [list(range(18))] * 15}, "2^15 states x 18 columns"),
         ({"type": "n_ish", "N": [[]] * 40}, "2^40 states x 1 columns"),
-        ({"type": "coxeter", "ell": 10**6}, "2^999999 states x 1000001 columns"),
+        ({"type": "coxeter", "ell": 21}, "2^20 states x 1 columns"),
+        ({"type": "coxeter", "ell": 10**6}, "2^999999 states x 1 columns"),
+        ({"type": "shi", "ell": 17}, "2^16 states x 16 columns"),
+        ({"type": "shi", "ell": 10**6}, "2^999999 states x 999999 columns"),
+        (dict(eight, edges=[[1, j] for j in range(2, 11)]), "2^16 states x 9 columns"),
     ):
         path.write_text(json.dumps(doc))
         assert main(["charpoly", "--spec", str(path)]) == 2
@@ -318,6 +330,83 @@ def test_json_wallcross_reports_chamber_count():
     out = json_of({"type": "ish", "ell": 3}, "wallcross")
     assert out["chambers"] == 16
     assert out["distancePoly"][0] == "1/1"
+
+
+def oracle_report(spec: dict, command: str, fmt: str) -> str:
+    """The ``chambers`` or ``wallcross`` report written from the Fraction records
+    (``test_chambers.oracle_enumerate_chambers``) and the parent's rendering."""
+    req = request_of(json.dumps(dict(spec, command=command, format=fmt)))
+    parsed = req.parsed
+    if command == "chambers":
+        chambers = oracle_enumerate_chambers(parsed.arrangement)
+        answer = {"count": len(chambers), "chambers": [c.to_json() for c in chambers]}
+        lines = [f"{len(chambers)} chambers"]
+        for c in chambers:
+            point = ", ".join(str(v) for v in c.witness)
+            lines.append(f"  {c.sign_vector}  witness ({point})")
+    else:
+        if parsed.kind == "ish" and not parsed.coned:  # the base x1 < xl < ... < x2
+            arr, witness = parsed.arrangement, [0, *range(parsed.ell - 1, 0, -1)]
+        else:  # the canonical chamber of the sets in descending order
+            nest = parsed.nest.reordered(tuple(reversed(is_nest(parsed.nest))))
+            arr, n2 = cone(build_n_ish(nest)), nest.set_at(2)
+            witness = [1 + min(n2) if n2 else 1, *range(2, nest.ell + 1), 1]
+        base = oracle_chamber_of_point(arr, witness).sign_vector.signs
+        counts = [0] * (len(arr) + 1)
+        for c in oracle_enumerate_chambers(arr):
+            counts[sum(a != b for a, b in zip(c.sign_vector.signs, base))] += 1
+        poly = UniPoly(counts)
+        answer = {"distancePoly": unipoly_to_json(poly), "chambers": int(poly.evaluate(1))}
+        lines = [unipoly_str(poly)]
+    if fmt == "json":
+        return dumps({"command": command, "spec": request_echo(req), **answer})
+    return "\n".join(lines)
+
+
+CHAMBER_SPECS = (
+    [{"type": k, "ell": ell} for k in ("shi", "ish", "coxeter") for ell in (2, 3, 4)]
+    + [
+        {"type": "n_ish", "N": N}
+        for N in (
+            [["1/2", 1], [0, 3], [2]],
+            [[0, 1], [0]],
+            [[0, "-1/2"], [0]],
+            [[], []],
+            [[1, 2, "5/2"], [1, 2], [1]],
+            [["-3/2"], ["-3/2", 0], ["-3/2", 0, "1/2"]],
+        )
+    ]
+    + [
+        {"type": kind, "ell": ell, "edges": edges}
+        for kind in ("deleted_shi", "deleted_ish")
+        for ell, edges in (
+            (3, [[1, 2]]),
+            (3, [[1, 3], [2, 3]]),
+            (4, [[1, 2], [2, 4]]),
+            (4, [[1, 3], [1, 4], [2, 4]]),
+            (4, []),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("coned", [False, True])
+@pytest.mark.parametrize("spec", CHAMBER_SPECS)
+def test_chamber_reports_match_the_fraction_records(spec, coned):
+    spec = dict(spec, cone=coned)
+    parsed = request_of(json.dumps(dict(spec, command="chambers"))).parsed
+    commands = ["chambers"]
+    if (parsed.kind == "ish" and not coned) or (
+        parsed.nest is not None and is_nest(parsed.nest) is not None
+    ):
+        commands.append("wallcross")
+    else:  # no base chamber is known
+        with pytest.raises(ValueError):
+            text_of(spec, "wallcross")
+    for command in commands:
+        for fmt in ("text", "json"):
+            doc = dict(spec, command=command, format=fmt)
+            assert run(request_of(json.dumps(doc))) == oracle_report(spec, command, fmt)
 
 
 def test_json_survey_shape():

@@ -62,8 +62,10 @@ def test_athanasiadis_needs_relabel():
 
 
 def test_athanasiadis_capacity_guard():
-    with pytest.raises(CapacityError):
+    message = "the depth-first relabeling search got ell = 9, over the guard ell <= 8"
+    with pytest.raises(CapacityError) as caught:
         athanasiadis_condition(Graph.make(9, []))
+    assert str(caught.value) == message
 
 
 def test_pairwise_examples():

@@ -8,7 +8,14 @@ from ishkit.arrangement import SPEC_KINDS, Graph, NestSpec, from_spec, ish_nest,
 from ishkit.chambers import enumerate_chambers
 from ishkit.exactmath import UniPoly
 from ishkit.lattice import char_poly
-from ishkit.rooks import graph_char_poly, nest_char_poly, rook_numbers, spec_char_poly
+from ishkit.rooks import (
+    _chi,
+    board_columns,
+    graph_char_poly,
+    nest_char_poly,
+    rook_numbers,
+    spec_char_poly,
+)
 
 
 def brute_rook_numbers(rows: int, columns: list[int]) -> list[int]:
@@ -53,6 +60,33 @@ def test_closed_forms():
         empty = NestSpec.make([[]] * (ell - 1))
         assert nest_char_poly(empty) == UniPoly.from_roots([0, *range(ell - 1)])
         assert nest_char_poly(empty, coned=True) == UniPoly.from_roots([0, 1, *range(ell - 1)])
+
+
+def all_columns_char_poly(graph: Graph, coned: bool) -> UniPoly:
+    """The deleted-Shi chi from the board's ell + 1 columns, the empty ones included."""
+    columns = [0] * (graph.ell + 1)
+    for i, j in graph.edges:
+        columns[j] |= 1 << (i - 1)
+    return _chi(rook_numbers(graph.ell - 1, columns), graph.ell, 1, coned)
+
+
+def test_empty_columns_change_no_deleted_shi_chi():
+    for ell in range(2, 6):
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        for r in range(len(pairs) + 1):
+            for edges in combinations(pairs, r):
+                graph = Graph.make(ell, edges)
+                for coned in (False, True):
+                    assert graph_char_poly(graph, coned) == all_columns_char_poly(graph, coned)
+
+
+def test_board_columns_count_the_non_empty_columns():
+    for ell in (2, 5, 16):
+        assert board_columns(from_spec({"type": "shi", "ell": ell})) == ell - 1
+        assert board_columns(from_spec({"type": "coxeter", "ell": ell, "cone": True})) == 0
+    edges = [[1, 3], [2, 3], [1, 5]]  # columns 3 and 5
+    assert board_columns(from_spec({"type": "deleted_shi", "ell": 5, "edges": edges})) == 2
+    assert board_columns(from_spec({"type": "n_ish", "N": [[0, "1/2"], ["1/2", 2], []]})) == 3
 
 
 def test_every_named_kind_matches_the_moebius_sum():
