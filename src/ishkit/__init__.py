@@ -1,13 +1,13 @@
 """Exact tools for Shi, Ish and nested difference arrangements.
 
 Everything here is exact rational arithmetic, never floats.  The kernels
-run on integers where they can: hyperplanes are stored as coprime
-integer forms, flats as gain-graph partitions (a block and an offset
-per coordinate, read from the difference hyperplanes
-``x_i - x_j = c``), polynomial coefficients as ``int`` unless they are
-not integral, and chambers as integer difference-bound matrices.
-:class:`fractions.Fraction` appears where non-integral values come in or
-go out: parsed constants, half-integer offsets, RREF rows, polynomial
+run on integers where they can: nests as integer numerators over one
+denominator, hyperplanes as coprime integer forms, flats as gain-graph
+partitions (a block and an offset per coordinate, read from the
+difference hyperplanes ``x_i - x_j = c``), polynomial coefficients as
+``int`` unless they are not integral, and chambers as integer
+difference-bound matrices.  :class:`fractions.Fraction` appears where
+non-integral values go out: half-integer offsets, RREF rows, polynomial
 coefficients and chamber witnesses.
 """
 

@@ -13,6 +13,15 @@ nested family driven by a tuple of rational sets, the graph-deleted
 Shi and Ish variants, and the cone construction.  Coning prepends the
 new hyperplane ``z = 0`` and homogenizes every ``alpha = c`` to
 ``alpha - c*z = 0``; the extra variable ``z`` is always last.
+
+A nest is held in integers from parsing on: one positive denominator
+``den``, the lcm of the entries' reduced denominators, and per set the
+sorted tuple of numerators over it (``NestSpec``).  Every builder makes
+its hyperplanes ``x_i - x_j = num/den`` already normalized, as
+``(den/g) x_i - (den/g) x_j = num/g`` with ``g = gcd(den, num)``, and
+``cone`` appends ``-const`` to a normalized form, which leaves it
+normalized, so neither goes through ``Hyperplane.make``; that stays for
+rational input.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -29,7 +38,7 @@ from .exactmath import (
     clear_denominators,
     default_names,
     equation_str,
-    parse_rational,
+    parse_rational_pair,
 )
 
 
@@ -151,8 +160,8 @@ class Arrangement:
                     f"the hyperplane {h.render(self.var_names())} is not of the form {form}"
                 )
             i, j = support
-            gain = Fraction(-h.coeffs[n] if self.coned else h.const, head[i])
-            edges.append((i, j, gain.numerator if gain.denominator == 1 else gain))
+            num, den = -h.coeffs[n] if self.coned else h.const, head[i]
+            edges.append((i, j, num // den if num % den == 0 else Fraction(num, den)))
         return edges
 
     def __repr__(self) -> str:
@@ -162,49 +171,72 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class NestSpec:
-    """Rational sets ``N_2, ..., N_ell`` driving the nested-Ish family."""
+    """Rational sets ``N_2, ..., N_ell`` driving the nested-Ish family.
+
+    The entries are held over one positive denominator ``den``, the lcm of
+    their reduced denominators: ``nums[j - 2]`` is the sorted tuple of the
+    numerators of ``N_j``, so an entry ``a`` is ``a / den``, and comparing
+    or hashing entries is comparing ``int``s.
+    """
 
     ell: int
-    sets: tuple[tuple[Fraction, ...], ...]
+    den: int
+    nums: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def make(sets: Sequence[Sequence[Scalar | str]]) -> "NestSpec":
-        """Read the sets from a list of lists of rationals (see ``parse_rational``)."""
+        """Read the sets from a list of lists of rationals (see ``parse_rational_pair``)."""
         if not isinstance(sets, (list, tuple)) or not all(isinstance(s, (list, tuple)) for s in sets):
             raise ValueError("'N' must be a list of lists of rationals")
-        cleaned = tuple(tuple(sorted({parse_rational(a) for a in s})) for s in sets)
-        ell = len(cleaned) + 1
+        pairs = [[parse_rational_pair(a) for a in s] for s in sets]
+        den = lcm(*(q for s in pairs for _, q in s))
+        nums = tuple(tuple(sorted({p * (den // q) for p, q in s})) for s in pairs)
+        ell = len(nums) + 1
         if ell < 2:
             raise ValueError("a nest spec needs at least the set N_2")
-        return NestSpec(ell, cleaned)
+        return NestSpec(ell, den, nums)
 
-    def set_at(self, j: int) -> tuple[Fraction, ...]:
-        """The set N_j for an index 2 <= j <= ell."""
+    def set_at(self, j: int) -> tuple[Scalar, ...]:
+        """The set N_j for an index 2 <= j <= ell, as rationals (``int`` when integral)."""
         if not 2 <= j <= self.ell:
             raise ValueError(f"index {j} out of range 2..{self.ell}")
-        return self.sets[j - 2]
+        den = self.den
+        return tuple(a // den if a % den == 0 else Fraction(a, den) for a in self.nums[j - 2])
+
+    @property
+    def sets(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The sets N_2..N_ell as rationals, as ``set_at`` gives them."""
+        return tuple(self.set_at(j) for j in range(2, self.ell + 1))
 
     def reordered(self, order: Sequence[int]) -> "NestSpec":
         """Relabel: position k takes the original set N_{order[k]}."""
         if sorted(order) != list(range(2, self.ell + 1)):
             raise ValueError("order must be a permutation of 2..ell")
-        return NestSpec(self.ell, tuple(self.set_at(j) for j in order))
+        return NestSpec(self.ell, self.den, tuple(self.nums[j - 2] for j in order))
 
     def is_descending(self) -> bool:
-        return all(
-            set(self.sets[i + 1]) <= set(self.sets[i]) for i in range(len(self.sets) - 1)
-        )
+        nums = self.nums
+        return all(set(nums[i + 1]).issubset(nums[i]) for i in range(len(nums) - 1))
 
     def is_ascending(self) -> bool:
-        return all(
-            set(self.sets[i]) <= set(self.sets[i + 1]) for i in range(len(self.sets) - 1)
-        )
+        nums = self.nums
+        return all(set(nums[i]).issubset(nums[i + 1]) for i in range(len(nums) - 1))
+
+    def _reduced(self, s: tuple[int, ...]):
+        """The entries of ``s`` as reduced ``(numerator, denominator)`` pairs."""
+        den = self.den
+        for a in s:
+            g = gcd(a, den)
+            yield a // g, den // g
 
     def to_json(self) -> list[list[str]]:
-        return [[f"{a.numerator}/{a.denominator}" for a in s] for s in self.sets]
+        return [[f"{p}/{q}" for p, q in self._reduced(s)] for s in self.nums]
 
     def __str__(self) -> str:
-        body = ", ".join("{" + ", ".join(str(a) for a in s) + "}" for s in self.sets)
+        body = ", ".join(
+            "{" + ", ".join(str(p) if q == 1 else f"{p}/{q}" for p, q in self._reduced(s)) + "}"
+            for s in self.nums
+        )
         return f"({body})"
 
 
@@ -245,11 +277,13 @@ def _pairs(ell: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
 
 
-def _diff(ell: int, i: int, j: int, const: Scalar = 0) -> Hyperplane:
+def _diff(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> Hyperplane:
+    """``x_i - x_j = num/den`` for ``i < j`` and ``den > 0``, built normalized."""
+    g = gcd(den, num)
     coeffs = [0] * ell
-    coeffs[i - 1] = 1
-    coeffs[j - 1] = -1
-    return Hyperplane.make(coeffs, const)
+    coeffs[i - 1] = den // g
+    coeffs[j - 1] = -den // g
+    return Hyperplane(tuple(coeffs), num // g)
 
 
 NAMED_KINDS = ("coxeter", "shi", "ish")
@@ -272,11 +306,11 @@ def build_named(kind: str, ell: int) -> Arrangement:
 def build_n_ish(nest: NestSpec) -> Arrangement:
     """The nested family: ``x1 - xj = a`` for ``a in N_j``, plus the
     braid part ``xi - xj = 0`` on the vertices 2..ell."""
-    ell = nest.ell
+    ell, den = nest.ell, nest.den
     planes = []
-    for j in range(2, ell + 1):
-        for a in nest.set_at(j):
-            planes.append(_diff(ell, 1, j, a))
+    for j, entries in enumerate(nest.nums, start=2):
+        for a in entries:
+            planes.append(_diff(ell, 1, j, a, den))
     for i in range(2, ell + 1):
         for j in range(i + 1, ell + 1):
             planes.append(_diff(ell, i, j))
@@ -306,18 +340,16 @@ def n_from_graph(graph: Graph) -> NestSpec:
     sets: list[list[int]] = [[0] for _ in range(graph.ell - 1)]
     for i, j in graph.edges:
         sets[j - 2].append(i)
-    return NestSpec(graph.ell, tuple(tuple(map(Fraction, sorted(s))) for s in sets))
+    return NestSpec(graph.ell, 1, tuple(tuple(sorted(s)) for s in sets))
 
 
 def cone(arr: Arrangement) -> Arrangement:
     """Homogenize with a new last variable z and prepend ``z = 0``."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
-    n = arr.dim + 1
-    planes = [Hyperplane.make([0] * arr.dim + [1], 0)]
-    for h in arr.hyperplanes:
-        planes.append(Hyperplane.make(list(h.coeffs) + [-h.const], 0))
-    return Arrangement(n, planes, coned=True)
+    planes = [Hyperplane((0,) * arr.dim + (1,), 0)]
+    planes += [Hyperplane(h.coeffs + (-h.const,), 0) for h in arr.hyperplanes]
+    return Arrangement(arr.dim + 1, planes, coned=True)
 
 
 # -- JSON arrangement specs -------------------------------------------
@@ -356,7 +388,7 @@ def ish_nest(ell: int) -> NestSpec:
     """The nest whose nested arrangement is exactly Ish: ``N_j = {0..j-1}``."""
     if ell < 2:
         raise ValueError("need ell >= 2")
-    return NestSpec.make([list(range(j)) for j in range(2, ell + 1)])
+    return NestSpec(ell, 1, tuple(tuple(range(j)) for j in range(2, ell + 1)))
 
 
 def from_spec(spec: dict) -> ParsedSpec:

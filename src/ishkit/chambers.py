@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, attrgetter, neg, sub
+from operator import attrgetter, neg
 from typing import Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
@@ -167,8 +167,19 @@ def _witness(d: Matrix) -> list[int]:
     integers: coordinate ``k`` is a multiple of ``2**(n-1-k)``.
     """
     point = [0]
-    for row, col in zip(d[1:], list(zip(*d))[1:]):
-        point.append((max(map(sub, point, col)) + min(map(add, point, row))) >> 1)
+    for k in range(1, len(d)):
+        # x_u - d[u][k] < x_k < x_u + d[k][u] for each fixed u < k, starting at x_0 = 0
+        row = d[k]
+        low, high = -d[0][k], row[0]
+        for u in range(1, k):
+            x = point[u]
+            bound = x - d[u][k]
+            if bound > low:
+                low = bound
+            bound = x + row[u]
+            if bound < high:
+                high = bound
+        point.append((low + high) >> 1)
     return point
 
 
@@ -262,9 +273,9 @@ def canonical_chamber(nest: NestSpec, arr: Arrangement | None = None) -> Chamber
         raise ValueError("the canonical chamber needs a descending nest")
     if arr is None:
         arr = cone(build_n_ish(nest))
-    n2 = nest.set_at(2)
-    x1 = 1 + min(n2) if n2 else Fraction(1)
-    witness = (Fraction(x1),) + tuple(Fraction(j) for j in range(2, nest.ell + 1)) + (
+    n2 = nest.nums[0]
+    x1 = Fraction(nest.den + min(n2), nest.den) if n2 else Fraction(1)
+    witness = (x1,) + tuple(Fraction(j) for j in range(2, nest.ell + 1)) + (
         Fraction(1),
     )
     return chamber_of_point(arr, witness)

@@ -47,33 +47,41 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(value: Scalar | str) -> Fraction:
-    """Read a rational from an int, a Fraction or a string.
+def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
+    """Read a rational as its reduced ``(numerator, denominator)`` pair of ints.
 
-    A string is an optionally signed integer ``"-3"`` or ``"p/q"`` such as
-    ``"5/2"``, in ASCII digits with no spaces.  Anything else -- a bool, a
-    float, a decimal or exponent string, whitespace, a zero denominator --
-    is a ``ValueError``.
+    The value is an int, a Fraction or a string: an optionally signed
+    integer ``"-3"`` or ``"p/q"`` such as ``"5/2"``, in ASCII digits with no
+    spaces.  Anything else -- a bool, a float, a decimal or exponent string,
+    whitespace, a zero denominator -- is a ``ValueError``.  No ``Fraction``
+    is built.
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot read a rational from {value!r}")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return int(value.numerator), int(value.denominator)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"cannot read a rational from {value!r}; expected 'p' or 'p/q'")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        num, _, den = value.partition("/")
+        p, q = int(num), int(den or 1)
+        if not q:
+            raise ValueError(f"zero denominator in {value!r}")
+        g = gcd(p, q)
+        return p // g, q // g
     raise ValueError(f"cannot read a rational from {value!r}")
+
+
+def parse_rational(value: Scalar | str) -> Fraction:
+    """The ``Fraction`` of ``parse_rational_pair``, with the same errors."""
+    return Fraction(*parse_rational_pair(value))
 
 
 def clear_denominators(values: Iterable[Scalar]) -> tuple[list[int], int]:
@@ -143,8 +151,9 @@ class MultiPoly:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[int, Scalar] = {}
+        self.terms: dict[int, Scalar] = {}
         if terms:
+            clean: dict[int, Scalar] = {}
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coef in items:
                 e = tuple(int(x) for x in exp)
@@ -152,7 +161,7 @@ class MultiPoly:
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
                 key = _pack(e)
                 clean[key] = clean.get(key, 0) + Fraction(coef)
-        self.terms = {k: _exact(c) for k, c in clean.items() if c}
+            self.terms = {k: _exact(c) for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -162,7 +171,10 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        res = cls(nvars)
+        if value:
+            res.terms = {0: _exact(value)}  # the constant monomial packs to the key 0
+        return res
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -231,6 +243,25 @@ class MultiPoly:
                     coef *= powers[e]
             total += coef
         return _exact(total)
+
+    def swapped(self, i: int, j: int) -> "MultiPoly":
+        """The polynomial with the variables of index ``i`` and ``j`` exchanged.
+
+        With ``e_i`` and ``e_j`` read off a key and ``s_i``, ``s_j`` the
+        shifts of their fields, the key moves by one addition:
+        ``(e_i - e_j) * (2**s_j - 2**s_i)``.  The total degree is unchanged.
+        """
+        n = self.nvars
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError("variable index out of range")
+        si, sj = _FIELD * (n - 1 - i), _FIELD * (n - 1 - j)
+        step = (1 << sj) - (1 << si)
+        res = MultiPoly(n)
+        res.terms = {
+            key + ((key >> si & _MASK) - (key >> sj & _MASK)) * step: c
+            for key, c in self.terms.items()
+        }
+        return res
 
     # -- arithmetic ---------------------------------------------------
 
@@ -376,9 +407,13 @@ def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
 
 
 def poly_to_json(p: MultiPoly) -> list[dict]:
+    """The terms in descending graded-lex order, each exponent list read
+    straight off its packed key."""
+    terms = p.terms
+    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
     return [
-        {"exp": list(exp), "coef": format_rational(coef)}
-        for exp, coef in p.sorted_terms()
+        {"exp": [key >> s & _MASK for s in shifts], "coef": format_rational(terms[key])}
+        for key in sorted(terms, reverse=True)
     ]
 
 

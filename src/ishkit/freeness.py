@@ -21,15 +21,27 @@ A derivation is stored componentwise: entry ``k`` is the image of the
 ``k``-th coordinate.  Applying it to a linear form is a coefficient
 combination, so no symbolic differentiation is needed.
 
+The chain tests read the nest in its integer form (``NestSpec``): sets
+of numerators over one denominator, compared as ``int``s.
+
 Every component of the paper's basis is a product of linear forms, so
 the basis is built once in factored form (``factored_basis``): each
 component is zero or a scalar times a sorted tuple of primitive integer
-forms, normalized like ``Hyperplane.make``.  ``basis_derivations``
-multiplies it out for display; ``factored_saito_constant`` decides
-Saito's criterion on the factors.  The argument is unique factorization
-in ``Q[x]``: a product of linear forms lies in the ideal of ``alpha_H``
-exactly when ``alpha_H`` is one of its factors, and restricting a
-product to ``H`` restricts each factor.  An image ``theta(alpha_H)`` is
+forms, normalized like ``Hyperplane.make`` and built from the nest's
+integers.  ``basis_derivations`` multiplies it out for display, and
+multiplies out one component per field only: the ``x_s`` component of
+``theta_k`` is its ``x2`` component with ``x2`` renamed ``x_s``, and
+since the ``x2`` component has no ``x_s`` the renaming is an exchange of
+two variables, one addition per packed monomial key.
+``factored_saito_constant`` decides Saito's criterion on the factors,
+hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
+found once, and only the components they pick out enter the image
+``theta(alpha_H)``.  On the paper's basis most checks end there, with
+no arithmetic: each component picked out is zero or has ``alpha_H`` as
+a factor.  The argument is unique factorization in ``Q[x]``: a product
+of linear forms lies in the ideal of ``alpha_H`` exactly when
+``alpha_H`` is one of its factors, and restricting a product to ``H``
+restricts each factor.  An image ``theta(alpha_H)`` is
 a sum of such products.  Its linear terms are summed as one integer form,
 a multiple of ``alpha_H`` or not; its other terms are restricted factor
 by factor and collected by their factors, and when every collection
@@ -209,26 +221,28 @@ def is_nest(nest: NestSpec) -> tuple[int, ...] | None:
 
     Returns indices ``(w(2), ..., w(ell))`` with ``N_{w(2)} <= ... <=
     N_{w(ell)}`` (sorted by cardinality, ties by the sorted elements),
-    or ``None`` when no chain exists.
+    or ``None`` when no chain exists.  The sets are compared as their
+    integer numerators over the nest's one denominator.
     """
-    order = sorted(range(2, nest.ell + 1), key=lambda j: (len(nest.set_at(j)), nest.set_at(j)))
+    nums = nest.nums
+    order = sorted(range(len(nums)), key=lambda i: (len(nums[i]), nums[i]))
     for a, b in zip(order, order[1:]):
-        if not set(nest.set_at(a)) <= set(nest.set_at(b)):
+        if not set(nums[a]).issubset(nums[b]):
             return None
-    return tuple(order)
+    return tuple(i + 2 for i in order)
 
 
 def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
     """Exponent multiset ``{0, 1} | {|N_{w(k)}| + ell - k}`` of the cone."""
-    ell = nest.ell
+    ell, nums = nest.ell, nest.nums
     if sorted(order) != list(range(2, ell + 1)):
         raise ValueError("order must be a permutation of 2..ell")
     for a, b in zip(order, order[1:]):
-        if not set(nest.set_at(a)) <= set(nest.set_at(b)):
+        if not set(nums[a - 2]).issubset(nums[b - 2]):
             raise ValueError("order does not certify a chain")
     exps = [0, 1]
     for k in range(2, ell + 1):
-        exps.append(len(nest.set_at(order[k - 2])) + ell - k)
+        exps.append(len(nums[order[k - 2] - 2]) + ell - k)
     return tuple(sorted(exps))
 
 
@@ -239,29 +253,38 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     consists of the constant translation field, the Euler field, and for
     each ``k`` a field supported on ``x2..xk`` whose ``x_s`` component is
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
-    The factor of ``a = p/q`` is ``(q x1 - q x_s - p z) / q``, the
-    normalized form of the coned hyperplane ``x1 - x_s = a z``.
+    For ``a = num/den`` over the nest's denominator and ``g = gcd(den,
+    num)``, the factor is ``(q x1 - q x_s - (num/g) z) / q`` with
+    ``q = den/g``: the normalized form of the coned hyperplane
+    ``x1 - x_s = a z``, built from ints.  The components of one field
+    share the scalar ``1 / prod q``, an ``int`` when every entry of
+    ``N_k`` is integral.
     """
     if not nest.is_ascending():
         raise ValueError("the derivation basis needs an ascending nest")
-    ell = nest.ell
+    ell, den = nest.ell, nest.den
     n = ell + 1  # x1..xl and z
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     translations = ((1, ()),) * ell + (None,)
     euler = tuple((1, (u,)) for u in units)
     out = [translations, euler]
-    for k in range(2, ell + 1):
+    for k, entries in enumerate(nest.nums, start=2):
+        heads, scale = [], 1  # per entry a: q and -num/g, the x1 and z coefficients of its factor
+        for a in entries:
+            g = gcd(den, a)
+            heads.append((den // g, -a // g))
+            scale *= den // g
+        scalar = 1 if scale == 1 else Fraction(1, scale)
         comps: list[Term | None] = [None] * n
         for s in range(2, k + 1):
-            factors, den = [], 1
-            for a in nest.set_at(k):
+            factors = []
+            for q, c in heads:
                 form = [0] * n
-                form[0], form[s - 1], form[ell] = a.denominator, -a.denominator, -a.numerator
+                form[0], form[s - 1], form[ell] = q, -q, c
                 factors.append(tuple(form))
-                den *= a.denominator
             for t in range(k + 1, ell + 1):
                 factors.append(tuple(u - v for u, v in zip(units[s - 1], units[t - 1])))
-            comps[s - 1] = (1 if den == 1 else Fraction(1, den), tuple(sorted(factors)))
+            comps[s - 1] = (scalar, tuple(sorted(factors)))
         out.append(tuple(comps))
     return out
 
@@ -279,14 +302,24 @@ def _expand(comp: Term | None, nvars: int) -> MultiPoly:
     return poly if scalar == 1 else poly * scalar
 
 
-def expand(theta: FactoredDerivation) -> Derivation:
-    """The factored derivation multiplied out."""
-    return Derivation([_expand(comp, len(theta)) for comp in theta])
-
-
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
-    """The basis of ``factored_basis`` with every component multiplied out."""
-    return [expand(theta) for theta in factored_basis(nest)]
+    """The basis of ``factored_basis`` with every component multiplied out.
+
+    Only one component of each field ``theta_k`` is multiplied out, the
+    ``x2`` one.  The ``x_s`` component, ``s = 3..k``, is the same product
+    with ``x2`` renamed ``x_s``; the ``x2`` component has no ``x_s``, as
+    its variables are ``x1``, ``x2``, ``z`` and the ``x_t`` with ``t > k``,
+    so exchanging ``x2`` and ``x_s`` (``MultiPoly.swapped``) renames it.
+    """
+    basis = factored_basis(nest)
+    n = nest.ell + 1
+    out = [Derivation([_expand(comp, n) for comp in theta]) for theta in basis[:2]]
+    zero = MultiPoly.zero(n)
+    for k, theta in enumerate(basis[2:], start=2):
+        first = _expand(theta[1], n)
+        comps = [zero, first] + [first.swapped(1, s - 1) for s in range(3, k + 1)]
+        out.append(Derivation(comps + [zero] * (n - k)))
+    return out
 
 
 def _primitive(form: Sequence[int]) -> tuple[int, Factor]:
@@ -297,9 +330,11 @@ def _primitive(form: Sequence[int]) -> tuple[int, Factor]:
     return g, tuple(v // g for v in form)
 
 
-def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
+def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence[tuple[int, int]]) -> bool:
     """Is ``theta(alpha)`` a multiple of ``alpha``, decided on the factors?
 
+    ``support`` lists the pairs ``(k, alpha[k])`` with ``alpha[k] != 0`` in
+    increasing ``k``; only those components of ``theta`` enter the image.
     The scalars of ``theta`` are ints (``factored_saito_constant`` clears
     their denominators first).  A term ``c * prod f`` of the image is a
     multiple of ``alpha`` when ``alpha`` is one of its factors.  The terms
@@ -318,12 +353,12 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
     distinct products may still cancel, so that one image is multiplied
     out and decided by ``vanishes_on``.
     """
-    p = next(k for k, a in enumerate(alpha) if a)
-    ap = alpha[p]
+    p, ap = support[0]
     linear: list[int] | None = None
     sums: dict[tuple[Factor, ...], int] = {}
-    for a, comp in zip(alpha, theta):
-        if not a or comp is None or alpha in comp[1]:
+    for k, a in support:
+        comp = theta[k]
+        if comp is None or alpha in comp[1]:
             continue
         scalar, factors = comp
         scalar *= a
@@ -357,10 +392,11 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor) -> bool:
             return False
     if not any(sums.values()):
         return True
-    image = MultiPoly.zero(len(theta))
-    for a, comp in zip(alpha, theta):
-        if a and comp is not None:
-            image = image + _expand(comp, len(theta)) * a
+    n = len(theta)
+    image = MultiPoly.zero(n)
+    for k, a in support:
+        if theta[k] is not None:
+            image = image + _expand(theta[k], n) * a
     return vanishes_on(image, alpha)
 
 
@@ -372,12 +408,14 @@ def factored_saito_constant(
     The same hypotheses are checked in the same order, with the same
     errors.  Like ``saito_constant``, each derivation is first scaled by
     the lcm of its scalar denominators, which changes neither its log-ness
-    nor its degree, so the log checks see only ``int`` scalars.  Each log
-    check runs on the factors (``_factored_is_log``); a product of linear
-    forms is homogeneous, so a derivation is homogeneous when its nonzero
-    components have equally many factors; and the determinant is taken at
-    ``_off_point``'s point from integer dot products, with the scales
-    divided back out, so the constant is the same rational.
+    nor its degree, so the log checks see only ``int`` scalars.  The log
+    checks run hyperplane by hyperplane: the nonzero coordinates of each
+    ``alpha_H`` are found once, and each derivation is checked on the
+    factors of just those components (``_factored_is_log``).  A product of
+    linear forms is homogeneous, so a derivation is homogeneous when its
+    nonzero components have equally many factors; and the determinant is
+    taken at ``_off_point``'s point from integer dot products, with the
+    scales divided back out, so the constant is the same rational.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -395,9 +433,12 @@ def factored_saito_constant(
             for comp in theta
         ))
         scale *= m
-    for theta in scaled:
-        if not all(_factored_is_log(theta, h.coeffs) for h in arr.hyperplanes):
-            raise ValueError("all derivations must be logarithmic for the arrangement")
+    for h in arr.hyperplanes:
+        alpha = h.coeffs
+        support = [(k, a) for k, a in enumerate(alpha) if a]
+        for theta in scaled:
+            if not _factored_is_log(theta, alpha, support):
+                raise ValueError("all derivations must be logarithmic for the arrangement")
     if any(all(comp is None for comp in theta) for theta in scaled):
         return None
     degree = 0
@@ -462,9 +503,10 @@ def decide_free(nest: NestSpec) -> FreenessVerdict:
     order = is_nest(nest)
     if order is not None:
         return FreenessVerdict(True, nest_exponents(nest, order), None)
+    sets = [set(entries) for entries in nest.nums]
     for i in range(2, nest.ell + 1):
         for j in range(i + 1, nest.ell + 1):
-            a, b = set(nest.set_at(i)), set(nest.set_at(j))
+            a, b = sets[i - 2], sets[j - 2]
             if not a <= b and not b <= a:
                 witness = NonFreeWitness(
                     i,

@@ -34,7 +34,7 @@ from .freeness import decide_free
 from .rooks import graph_char_poly, nest_char_poly
 
 ATHANASIADIS_MAX_ELL = 8
-SURVEY_MAX_ELL = 5
+SURVEY_MAX_ELL = 6
 
 
 def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:

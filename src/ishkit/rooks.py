@@ -81,11 +81,10 @@ def _chi(rooks: list[int], ell: int, shift: int, coned: bool) -> UniPoly:
 
 def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
     """chi of the N-Ish arrangement of ``nest``, or of its cone."""
-    columns: dict[tuple[int, int], int] = {}
-    for row, entries in enumerate(nest.sets):
+    columns: dict[int, int] = {}  # keyed by the entry's numerator over the nest's denominator
+    for row, entries in enumerate(nest.nums):
         for a in entries:
-            key = a.numerator, a.denominator  # hashing the pair skips Fraction.__hash__
-            columns[key] = columns.get(key, 0) | 1 << row
+            columns[a] = columns.get(a, 0) | 1 << row
     return _chi(rook_numbers(nest.ell - 1, columns.values()), nest.ell, 0, coned)
 
 
@@ -101,7 +100,7 @@ def board_columns(parsed: ParsedSpec) -> int:
     """The non-empty columns of the board of a parsed spec: ``rook_numbers``
     makes one pass over its 2^(ell-1) states for each."""
     if parsed.nest is not None:
-        return len({a for entries in parsed.nest.sets for a in entries})
+        return len({a for entries in parsed.nest.nums for a in entries})
     if parsed.graph is not None:
         return len({j for _, j in parsed.graph.edges})
     return parsed.ell - 1 if parsed.kind == "shi" else 0  # K_l fills columns 2..l

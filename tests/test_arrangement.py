@@ -1,7 +1,12 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ishkit.arrangement import (
     Arrangement,
@@ -16,6 +21,7 @@ from ishkit.arrangement import (
     ish_nest,
     n_from_graph,
 )
+from ishkit.exactmath import Scalar, parse_rational
 
 
 def h(coeffs, const=0):
@@ -167,7 +173,7 @@ def test_n_from_graph_matches_the_parsed_sets():
         parsed = NestSpec.make([[0] + [i for i, j in g.edges if j == k] for k in range(2, 5)])
         nest = n_from_graph(g)
         assert nest == parsed
-        assert all(type(a) is Fraction for s in nest.sets for a in s)
+        assert nest.den == 1 and all(type(a) is int for s in nest.nums for a in s)
 
 
 def test_deleted_shi():
@@ -250,3 +256,155 @@ def test_from_spec_cone_must_be_a_boolean(flag):
 def test_from_spec_edges_must_be_a_list():
     with pytest.raises(ValueError, match="'edges' must be a list"):
         from_spec({"type": "deleted_ish", "ell": 3, "edges": None})
+
+
+# -- the Fraction-entry nest: the differential oracle of the integer form --
+
+
+@dataclass(frozen=True)
+class FractionNestSpec:
+    """Rational sets ``N_2, ..., N_ell`` driving the nested-Ish family.
+
+    ``NestSpec`` as it stood before the integer form, with one ``Fraction``
+    per entry; the builders below read it the way the package did then.
+    """
+
+    ell: int
+    sets: tuple[tuple[Fraction, ...], ...]
+
+    @staticmethod
+    def make(sets: Sequence[Sequence[Scalar | str]]) -> "FractionNestSpec":
+        """Read the sets from a list of lists of rationals (see ``parse_rational``)."""
+        if not isinstance(sets, (list, tuple)) or not all(isinstance(s, (list, tuple)) for s in sets):
+            raise ValueError("'N' must be a list of lists of rationals")
+        cleaned = tuple(tuple(sorted({parse_rational(a) for a in s})) for s in sets)
+        ell = len(cleaned) + 1
+        if ell < 2:
+            raise ValueError("a nest spec needs at least the set N_2")
+        return FractionNestSpec(ell, cleaned)
+
+    def set_at(self, j: int) -> tuple[Fraction, ...]:
+        """The set N_j for an index 2 <= j <= ell."""
+        if not 2 <= j <= self.ell:
+            raise ValueError(f"index {j} out of range 2..{self.ell}")
+        return self.sets[j - 2]
+
+    def reordered(self, order: Sequence[int]) -> "FractionNestSpec":
+        """Relabel: position k takes the original set N_{order[k]}."""
+        if sorted(order) != list(range(2, self.ell + 1)):
+            raise ValueError("order must be a permutation of 2..ell")
+        return FractionNestSpec(self.ell, tuple(self.set_at(j) for j in order))
+
+    def is_descending(self) -> bool:
+        return all(
+            set(self.sets[i + 1]) <= set(self.sets[i]) for i in range(len(self.sets) - 1)
+        )
+
+    def is_ascending(self) -> bool:
+        return all(
+            set(self.sets[i]) <= set(self.sets[i + 1]) for i in range(len(self.sets) - 1)
+        )
+
+    def to_json(self) -> list[list[str]]:
+        return [[f"{a.numerator}/{a.denominator}" for a in s] for s in self.sets]
+
+    def __str__(self) -> str:
+        body = ", ".join("{" + ", ".join(str(a) for a in s) + "}" for s in self.sets)
+        return f"({body})"
+
+
+def fraction_diff(ell: int, i: int, j: int, const: Scalar = 0) -> Hyperplane:
+    coeffs = [0] * ell
+    coeffs[i - 1] = 1
+    coeffs[j - 1] = -1
+    return Hyperplane.make(coeffs, const)
+
+
+def fraction_build_n_ish(nest: FractionNestSpec) -> Arrangement:
+    """``build_n_ish`` normalizing every hyperplane through ``Hyperplane.make``."""
+    ell = nest.ell
+    planes = []
+    for j in range(2, ell + 1):
+        for a in nest.set_at(j):
+            planes.append(fraction_diff(ell, 1, j, a))
+    for i in range(2, ell + 1):
+        for j in range(i + 1, ell + 1):
+            planes.append(fraction_diff(ell, i, j))
+    return Arrangement(ell, planes)
+
+
+def fraction_cone(arr: Arrangement) -> Arrangement:
+    """``cone`` normalizing every hyperplane again through ``Hyperplane.make``."""
+    if arr.coned:
+        raise ValueError("arrangement is already coned")
+    n = arr.dim + 1
+    planes = [Hyperplane.make([0] * arr.dim + [1], 0)]
+    for hp in arr.hyperplanes:
+        planes.append(Hyperplane.make(list(hp.coeffs) + [-hp.const], 0))
+    return Arrangement(n, planes, coned=True)
+
+
+def fraction_ish_nest(ell: int) -> FractionNestSpec:
+    if ell < 2:
+        raise ValueError("need ell >= 2")
+    return FractionNestSpec.make([list(range(j)) for j in range(2, ell + 1)])
+
+
+def fraction_n_from_graph(graph: Graph) -> FractionNestSpec:
+    sets: list[list[int]] = [[0] for _ in range(graph.ell - 1)]
+    for i, j in graph.edges:
+        sets[j - 2].append(i)
+    return FractionNestSpec(graph.ell, tuple(tuple(map(Fraction, sorted(s))) for s in sets))
+
+
+# entries over the denominators 1, 2, 3, 4 and 6, as ints and as strings
+ENTRIES = st.integers(-3, 3) | st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-13, 13), st.sampled_from([1, 2, 3, 4, 6])
+)
+MIXED_SETS = st.lists(st.lists(ENTRIES, max_size=4), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(MIXED_SETS)
+@example([["-5/6", "7/4", "1/3"], ["1/3"], []])
+@example([["2/4", "-3/6", "0/5", "+6/4"]])
+def test_nest_spec_matches_the_fraction_oracle(sets):
+    nest, oracle = NestSpec.make(sets), FractionNestSpec.make(sets)
+    assert nest.ell == oracle.ell
+    assert nest.den == lcm(*(a.denominator for s in oracle.sets for a in s))
+    assert nest.sets == oracle.sets
+    assert all(type(a) is int for s in nest.nums for a in s)
+    assert nest.to_json() == oracle.to_json() and str(nest) == str(oracle)
+    assert (nest.is_ascending(), nest.is_descending()) == (oracle.is_ascending(), oracle.is_descending())
+    order = list(range(nest.ell, 1, -1))
+    assert nest.reordered(order).sets == oracle.reordered(order).sets
+    assert NestSpec.make(oracle.sets) == nest  # one form, whatever the input spelling
+    arr, old = build_n_ish(nest), fraction_build_n_ish(oracle)
+    assert arr.hyperplanes == old.hyperplanes
+    assert cone(arr).hyperplanes == fraction_cone(old).hyperplanes
+
+
+def test_nest_denominator_is_the_lcm_of_the_reduced_ones():
+    assert NestSpec.make([["1/2", "-5/6"], ["7/4", "1/3"]]).den == 12
+    assert NestSpec.make([["2/4", "3/3"], [4]]) == NestSpec(3, 2, ((1, 2), (8,)))
+    assert NestSpec.make([[], []]).den == 1
+
+
+@pytest.mark.parametrize("sets", [[[True]], [[1.5]], [["1/0"]], 5, [["1e3"]], [[" 1"]], [[None]], []])
+def test_nest_spec_rejects_what_the_fraction_oracle_rejects(sets):
+    with pytest.raises(ValueError) as new:
+        NestSpec.make(sets)
+    with pytest.raises(ValueError) as old:
+        FractionNestSpec.make(sets)
+    assert str(new.value) == str(old.value)
+
+
+def test_difference_hyperplanes_are_built_normalized():
+    nests = [NestSpec.make([["-5/6", "7/4"], ["1/3", 2, "-4/6"]]), ish_nest(4)]
+    arrs = [build_n_ish(nest) for nest in nests]
+    arrs += [build_named(kind, 4) for kind in ("coxeter", "shi", "ish")]
+    arrs += [build_deleted(kind, Graph.make(4, [(1, 3), (2, 4)])) for kind in ("shi", "ish")]
+    for arr in arrs + [cone(arr) for arr in arrs]:
+        for hp in arr.hyperplanes:
+            assert hp == Hyperplane.make(hp.coeffs, hp.const)
+            assert all(type(v) is int for v in hp.coeffs + (hp.const,))

@@ -3,7 +3,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 import pytest
@@ -34,6 +34,7 @@ from ishkit.chambers import (
 )
 from ishkit.exactmath import Scalar, UniPoly, clear_denominators, format_rational
 from ishkit.lattice import char_poly, intersection_poset
+from test_arrangement import fraction_build_n_ish, fraction_cone
 
 
 # -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
@@ -444,6 +445,36 @@ def test_integer_chambers_match_the_fraction_oracle(arr):
     assert len(chambers) == len(oracle)
     for got, want in zip(chambers, oracle):
         assert_same_chamber(got, want)
+
+
+def transposing_witness(d) -> list[int]:
+    """``_witness`` reading each column from the transposed matrix."""
+    point = [0]
+    for row, col in zip(d[1:], list(zip(*d))[1:]):
+        point.append((max(map(sub, point, col)) + min(map(add, point, row))) >> 1)
+    return point
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(difference_arrangements())
+@example(cone(build_n_ish(NestSpec.make([["-5/6", "7/4"], ["1/3"], ["7/4", "2/3"]]))))
+def test_witness_reads_only_the_column_entries_it_needs(arr):
+    regions, _ = _regions(arr)
+    assert [_witness(d) for _, d in regions] == [transposing_witness(d) for _, d in regions]
+
+
+def fraction_canonical_chamber(nest, arr: Arrangement | None = None) -> Chamber:
+    """``canonical_chamber`` on a ``test_arrangement.FractionNestSpec``."""
+    if not nest.is_descending():
+        raise ValueError("the canonical chamber needs a descending nest")
+    if arr is None:
+        arr = fraction_cone(fraction_build_n_ish(nest))
+    n2 = nest.set_at(2)
+    x1 = 1 + min(n2) if n2 else Fraction(1)
+    witness = (Fraction(x1),) + tuple(Fraction(j) for j in range(2, nest.ell + 1)) + (
+        Fraction(1),
+    )
+    return chamber_of_point(arr, witness)
 
 
 @st.composite

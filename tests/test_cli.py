@@ -1,6 +1,6 @@
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +12,22 @@ from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
 from ishkit.cli import COMMANDS, _render, main, request_echo, request_from_doc, run
 from ishkit.exactmath import UniPoly, unipoly_str, unipoly_to_json
 from ishkit.freeness import is_nest
-from test_chambers import oracle_chamber_of_point, oracle_enumerate_chambers
+from test_arrangement import (
+    FractionNestSpec,
+    fraction_build_n_ish,
+    fraction_cone,
+    fraction_ish_nest,
+    fraction_n_from_graph,
+)
+from test_chambers import fraction_canonical_chamber, oracle_chamber_of_point, oracle_enumerate_chambers
+from test_freeness import (
+    fraction_basis_derivations,
+    fraction_decide_free,
+    fraction_factored_basis,
+    fraction_is_nest,
+    fraction_nest_exponents,
+)
+from test_rooks import fraction_board_columns, fraction_nest_char_poly
 
 
 def request_of(text: str):
@@ -409,6 +424,83 @@ def test_chamber_reports_match_the_fraction_records(spec, coned):
             assert run(request_of(json.dumps(doc))) == oracle_report(spec, command, fmt)
 
 
+@contextmanager
+def fraction_program():
+    """The commands as they ran with one ``Fraction`` per nest entry: every
+    reader of a nest swapped for its ``FractionNestSpec`` oracle."""
+    swaps = {
+        "ishkit.arrangement.NestSpec": FractionNestSpec,
+        "ishkit.arrangement.ish_nest": fraction_ish_nest,
+        "ishkit.arrangement.n_from_graph": fraction_n_from_graph,
+        "ishkit.arrangement.build_n_ish": fraction_build_n_ish,
+        "ishkit.arrangement.cone": fraction_cone,
+        "ishkit.cli.build_n_ish": fraction_build_n_ish,
+        "ishkit.cli.cone": fraction_cone,
+        "ishkit.cli.is_nest": fraction_is_nest,
+        "ishkit.cli.nest_exponents": fraction_nest_exponents,
+        "ishkit.cli.decide_free": fraction_decide_free,
+        "ishkit.cli.factored_basis": fraction_factored_basis,
+        "ishkit.cli.basis_derivations": fraction_basis_derivations,
+        "ishkit.cli.board_columns": fraction_board_columns,
+        "ishkit.cli.canonical_chamber": fraction_canonical_chamber,
+        "ishkit.rooks.nest_char_poly": fraction_nest_char_poly,
+    }
+    with pytest.MonkeyPatch.context() as m:
+        for name, oracle in swaps.items():
+            m.setattr(name, oracle)
+        yield
+
+
+def answer_of(doc: dict) -> str:
+    """The rendered answer to a request document, or its ``ValueError``."""
+    try:
+        return run(request_of(json.dumps(doc)))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# entries over 2, 3, 4 and 6, negative ones among them, in chains and not
+MIXED_NESTS = (
+    [["-5/6", "1/3"], ["-5/6", "1/3", "7/4"], ["1/3"]],
+    [["1/2", "-5/6"], ["7/4", "1/3"]],
+    [["7/4", 0], ["-5/6", "7/4", 0, "2/3"], ["7/4"]],
+    [["1/3", "-1/4"], ["-1/4", "5/6"], ["-5/6", "1/3", "-1/4"]],
+    [["-5/6"], ["-5/6", "3/2"]],
+    [[], ["2/4", "-3/6"], [1, "1/3"]],
+)
+NEST_COMMANDS = ("charpoly", "freeness", "basis", "saito", "supersolvable", "chambers", "wallcross")
+
+
+@pytest.mark.parametrize("coned", [False, True])
+@pytest.mark.parametrize("spec", [{"type": "n_ish", "N": N} for N in MIXED_NESTS] + [
+    {"type": "ish", "ell": 4},
+    {"type": "deleted_ish", "ell": 4, "edges": [[1, 3], [2, 4], [3, 4]]},
+    {"type": "deleted_ish", "ell": 4, "edges": [[1, 4], [2, 4]]},
+])
+def test_nest_commands_match_the_fraction_program(spec, coned):
+    spec = dict(spec, cone=coned)
+    docs = [dict(spec, command=c, format=f) for c in NEST_COMMANDS for f in ("text", "json")]
+    got = [answer_of(doc) for doc in docs]
+    with fraction_program():
+        want = [answer_of(doc) for doc in docs]
+    assert got == want
+    assert any(not answer.startswith("ValueError") for answer in got)
+
+
+@pytest.mark.parametrize("N, message", [
+    ([[True], [0]], "cannot read a rational from True"),
+    ([[1.5], [0]], "cannot read a rational from 1.5"),
+    ([["1/0"], [0]], "zero denominator in '1/0'"),
+    (5, "'N' must be a list of lists of rationals"),
+])
+def test_nest_spec_rejections_match_the_fraction_program(N, message):
+    docs = [{"type": "n_ish", "N": N, "command": c} for c in NEST_COMMANDS]
+    got = [answer_of(doc) for doc in docs]
+    with fraction_program():
+        want = [answer_of(doc) for doc in docs]
+    assert got == want == [f"ValueError: {message}"] * len(docs)
+
+
 def test_json_survey_shape():
     out = json_of({"ell": 2}, "survey")
     assert out["total"] == 2
@@ -547,7 +639,7 @@ def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
 
 def test_main_survey_capacity(capsys, tmp_path):
     path = tmp_path / "req.json"
-    path.write_text('{"ell": 6}')
+    path.write_text('{"ell": 7}')
     assert main(["survey", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("capacity:")
 

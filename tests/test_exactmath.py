@@ -15,6 +15,7 @@ from ishkit.exactmath import (
     int_det,
     nonnegative_int_roots,
     parse_rational,
+    parse_rational_pair,
     poly_str,
     poly_to_json,
     unipoly_factored_str,
@@ -324,6 +325,14 @@ def test_parse_and_format_rational():
             parse_rational(bad)
 
 
+def test_parse_rational_pair_reduces():
+    cases = {"5/2": (5, 2), 7: (7, 1), "-3": (-3, 1), "+6/4": (3, 2), "-10/4": (-5, 2),
+             "0/7": (0, 1), "007/014": (1, 2), Fraction(-6, 4): (-3, 2)}
+    for value, pair in cases.items():
+        assert parse_rational_pair(value) == pair
+        assert Fraction(*pair) == parse_rational(value)
+
+
 def test_clear_denominators():
     assert clear_denominators([3, -4, 0]) == ([3, -4, 0], 1)
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == ([3, -4, 30], 6)
@@ -526,6 +535,34 @@ def test_unipoly_json_round_trip():
     assert data == ["0/1", "9/2", "-6/1", "1/1"]
     assert UniPoly([parse_rational(c) for c in data]) == p
     assert unipoly_to_json(UniPoly()) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), poly_terms(n), st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_swapped_exchanges_two_variables(case):
+    nvars, terms, i, j = case
+    p = MultiPoly(nvars, terms)
+
+    def exchange(e):
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    assert p.swapped(i, j) == MultiPoly(nvars, {exchange(e): c for e, c in terms.items()})
+    assert p.swapped(i, j).swapped(j, i) == p == p.swapped(i, i)
+    with pytest.raises(ValueError):
+        p.swapped(i, nvars)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), poly_terms(n))))
+def test_poly_to_json_reads_the_sorted_terms(case):
+    nvars, terms = case
+    p = MultiPoly(nvars, terms)
+    assert poly_to_json(p) == [
+        {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in p.sorted_terms()
+    ]
 
 
 def test_multipoly_json_round_trip():

@@ -18,10 +18,12 @@ from ishkit.arrangement import (
 from ishkit.exactmath import MultiPoly, UniPoly, int_det, vanishes_on
 from ishkit.freeness import (
     Derivation,
+    FactoredDerivation,
+    FreenessVerdict,
+    NonFreeWitness,
     _factored_is_log,
     basis_derivations,
     decide_free,
-    expand,
     factored_basis,
     factored_saito_constant,
     is_log_derivation,
@@ -32,6 +34,8 @@ from ishkit.freeness import (
     verify_nonfree_witness,
 )
 from ishkit.lattice import char_poly
+from ishkit.rooks import nest_char_poly
+from test_arrangement import MIXED_SETS, FractionNestSpec, fraction_build_n_ish, fraction_cone
 from test_exactmath import ref_div
 
 
@@ -603,9 +607,9 @@ def test_factored_log_check_sees_only_int_scalars():
     arr = cone(build_n_ish(nest))
     seen = set()
 
-    def spy(theta, alpha):
+    def spy(theta, alpha, support):
         seen.update(type(comp[0]) for comp in theta if comp is not None)
-        return _factored_is_log(theta, alpha)
+        return _factored_is_log(theta, alpha, support)
 
     with mock.patch("ishkit.freeness._factored_is_log", spy):
         constant = factored_saito_constant(basis, arr)
@@ -655,3 +659,133 @@ def test_factored_saito_on_the_rank_ten_staircase():
     arr = cone(build_n_ish(nest))
     c = factored_saito_constant(factored_basis(nest), arr)
     assert c == saito_constant(basis_derivations(nest), arr) == -1
+
+
+# -- the oracles of the integer nest form: the nest readers on Fraction entries --
+
+
+def expand(theta: FactoredDerivation) -> Derivation:
+    """The factored derivation multiplied out, component by component."""
+    n = len(theta)
+    comps = []
+    for comp in theta:
+        poly = MultiPoly.zero(n)
+        if comp is not None:
+            scalar, factors = comp
+            poly = MultiPoly.const(n, scalar)
+            for f in factors:
+                poly = poly * MultiPoly.linear(f)
+        comps.append(poly)
+    return Derivation(comps)
+
+
+def fraction_is_nest(nest: FractionNestSpec) -> tuple[int, ...] | None:
+    order = sorted(range(2, nest.ell + 1), key=lambda j: (len(nest.set_at(j)), nest.set_at(j)))
+    for a, b in zip(order, order[1:]):
+        if not set(nest.set_at(a)) <= set(nest.set_at(b)):
+            return None
+    return tuple(order)
+
+
+def fraction_nest_exponents(nest: FractionNestSpec, order) -> tuple[int, ...]:
+    ell = nest.ell
+    if sorted(order) != list(range(2, ell + 1)):
+        raise ValueError("order must be a permutation of 2..ell")
+    for a, b in zip(order, order[1:]):
+        if not set(nest.set_at(a)) <= set(nest.set_at(b)):
+            raise ValueError("order does not certify a chain")
+    exps = [0, 1]
+    for k in range(2, ell + 1):
+        exps.append(len(nest.set_at(order[k - 2])) + ell - k)
+    return tuple(sorted(exps))
+
+
+def fraction_decide_free(nest: FractionNestSpec) -> FreenessVerdict:
+    order = fraction_is_nest(nest)
+    if order is not None:
+        return FreenessVerdict(True, fraction_nest_exponents(nest, order), None)
+    for i in range(2, nest.ell + 1):
+        for j in range(i + 1, nest.ell + 1):
+            a, b = set(nest.set_at(i)), set(nest.set_at(j))
+            if not a <= b and not b <= a:
+                return FreenessVerdict(False, None, NonFreeWitness(i, j, (1, len(a), len(b)), len(a | b)))
+    raise RuntimeError("no chain order and no incomparable pair; unreachable")
+
+
+def fraction_factored_basis(nest: FractionNestSpec) -> list[FactoredDerivation]:
+    """``factored_basis`` reading each factor off the entry's ``Fraction``."""
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell = nest.ell
+    n = ell + 1
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    translations = ((1, ()),) * ell + (None,)
+    euler = tuple((1, (u,)) for u in units)
+    out = [translations, euler]
+    for k in range(2, ell + 1):
+        comps = [None] * n
+        for s in range(2, k + 1):
+            factors, den = [], 1
+            for a in nest.set_at(k):
+                form = [0] * n
+                form[0], form[s - 1], form[ell] = a.denominator, -a.denominator, -a.numerator
+                factors.append(tuple(form))
+                den *= a.denominator
+            for t in range(k + 1, ell + 1):
+                factors.append(tuple(u - v for u, v in zip(units[s - 1], units[t - 1])))
+            comps[s - 1] = (1 if den == 1 else Fraction(1, den), tuple(sorted(factors)))
+        out.append(tuple(comps))
+    return out
+
+
+def fraction_basis_derivations(nest: FractionNestSpec) -> list[Derivation]:
+    return [expand(theta) for theta in fraction_factored_basis(nest)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(MIXED_SETS)
+@example([["-5/6", "1/3"], ["-5/6", "1/3", "7/4"], ["1/3"]])
+def test_nest_readers_match_the_fraction_oracles(sets):
+    nest, oracle = NestSpec.make(sets), FractionNestSpec.make(sets)
+    order = is_nest(nest)
+    assert order == fraction_is_nest(oracle)
+    assert decide_free(nest) == fraction_decide_free(oracle)
+    if order is None:
+        return
+    assert nest_exponents(nest, order) == fraction_nest_exponents(oracle, order)
+    ascending, old = nest.reordered(order), oracle.reordered(order)
+    basis = factored_basis(ascending)
+    assert basis == fraction_factored_basis(old)
+    assert basis_derivations(ascending) == fraction_basis_derivations(old)
+    arr = cone(build_n_ish(ascending))
+    assert arr.hyperplanes == fraction_cone(fraction_build_n_ish(old)).hyperplanes
+    assert factored_saito_constant(basis, arr) == saito_constant(fraction_basis_derivations(old), arr)
+
+
+def fractions_made(monkeypatch, call) -> int:
+    """How many ``Fraction``s ``call()`` constructs."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counting)
+        call()
+    return len(made)
+
+
+@pytest.mark.parametrize("sets, scalars", [
+    ([[0, 1], [0, 1, 3], [-2, 0, 1, 3]], 0),
+    ([["1/2"], ["1/2", 2], ["-3/2", "1/2", 2]], 3),  # one 1/2^m per field theta_k
+])
+def test_the_nest_readers_construct_no_fraction(monkeypatch, sets, scalars):
+    nest = NestSpec.make(sets)
+    assert fractions_made(monkeypatch, lambda: NestSpec.make(sets)) == 0
+    for reader in (is_nest, decide_free, nest_char_poly, build_n_ish, lambda n: cone(build_n_ish(n))):
+        assert fractions_made(monkeypatch, lambda: reader(nest)) == 0
+    # the scalar 1 / prod q of a field with a non-integral entry is the one Fraction
+    assert fractions_made(monkeypatch, lambda: factored_basis(nest)) == scalars
+    assert fractions_made(monkeypatch, lambda: Fraction(1, 2)) == 1  # the count sees a Fraction

@@ -120,9 +120,25 @@ def test_survey_char_polys_match_direct_computation():
         assert record.char_ish == char_poly(build_deleted("ish", g))
 
 
+@pytest.fixture(scope="module")
+def survey6():
+    return survey(6)
+
+
+def test_survey_at_six_vertices(survey6):
+    assert (survey6.total, survey6.free_count, survey6.violations) == (32768, 2637, ())
+
+
+def test_survey_at_six_vertices_matches_the_moebius_sum(survey6):
+    for record in random.Random(6).sample(survey6.records, 12):
+        g = record.analysis.graph
+        assert record.char_shi == char_poly(build_deleted("shi", g))
+        assert record.char_ish == char_poly(build_deleted("ish", g))
+
+
 def test_survey_guards():
     with pytest.raises(CapacityError):
-        survey(6)
+        survey(7)
     with pytest.raises(ValueError):
         survey(1)
 

@@ -16,6 +16,7 @@ from ishkit.rooks import (
     rook_numbers,
     spec_char_poly,
 )
+from test_arrangement import MIXED_SETS, FractionNestSpec
 
 
 def brute_rook_numbers(rows: int, columns: list[int]) -> list[int]:
@@ -147,3 +148,34 @@ def test_both_boards_of_a_graph_match_the_moebius_sum(doc):
 def test_rook_chi_counts_the_chambers(doc):
     parsed = from_spec(doc)
     assert abs(spec_char_poly(parsed).evaluate(-1)) == len(enumerate_chambers(parsed.arrangement))
+
+
+# -- the nest board on Fraction entries: the oracle of the integer form ------
+
+
+def fraction_nest_char_poly(nest: FractionNestSpec, coned: bool = False) -> UniPoly:
+    """``nest_char_poly`` keying each column by the entry's reduced fraction."""
+    columns: dict[tuple[int, int], int] = {}
+    for row, entries in enumerate(nest.sets):
+        for a in entries:
+            key = a.numerator, a.denominator
+            columns[key] = columns.get(key, 0) | 1 << row
+    return _chi(rook_numbers(nest.ell - 1, columns.values()), nest.ell, 0, coned)
+
+
+def fraction_board_columns(parsed) -> int:
+    if parsed.nest is not None:
+        return len({a for entries in parsed.nest.sets for a in entries})
+    if parsed.graph is not None:
+        return len({j for _, j in parsed.graph.edges})
+    return parsed.ell - 1 if parsed.kind == "shi" else 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(MIXED_SETS, st.booleans())
+@example([["-5/6", "7/4"], ["1/3", "-5/6"], ["7/4", "2/6"]], True)
+def test_nest_board_matches_the_fraction_oracle(sets, coned):
+    nest, oracle = NestSpec.make(sets), FractionNestSpec.make(sets)
+    assert nest_char_poly(nest, coned) == fraction_nest_char_poly(oracle, coned)
+    parsed = from_spec({"type": "n_ish", "N": sets, "cone": coned})
+    assert board_columns(parsed) == len({a for s in oracle.sets for a in s})
