@@ -28,8 +28,9 @@ later coordinate is the midpoint of the interval the fixed ones allow,
 which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
 A ``Chamber`` keeps that integer form, the region's bits and the scaled
-point, and writes its JSON and text from it; ``SignVector`` and
-``Fraction`` values are made only when its properties are read.
+point, and its text and JSON (the command line's writer) are written from
+it; ``SignVector`` and ``Fraction`` values are made only when its
+properties are read.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -110,14 +111,6 @@ class Chamber:
             g = gcd(x, den)
             parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return ", ".join(parts)
-
-    def to_json(self) -> dict:
-        """Signs and witness, each coordinate as ``format_rational`` writes it."""
-        den = self.den
-        return {
-            "signs": self.signs,
-            "witness": [f"{x // (g := gcd(x, den))}/{den // g}" for x in self.point],
-        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chamber):

@@ -16,15 +16,18 @@ import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
-from .chambers import canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
+from .chambers import Chamber, canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
 from .errors import CapacityError
 from .exactmath import (
+    _FIELD,
+    _MASK,
+    MultiPoly,
     UniPoly,
     default_names,
     format_rational,
-    poly_to_json,
     unipoly_factored_str,
     unipoly_str,
     unipoly_to_json,
@@ -180,18 +183,21 @@ def _ascending(parsed: ParsedSpec):
 def _cmd_basis(req: AnalysisRequest) -> str | dict:
     sorted_nest, order = _ascending(req.parsed)
     derivs = basis_derivations(sorted_nest)
+    # Each nonzero component is a product of linear forms, homogeneous of
+    # degree its factor count, so one of them gives the field's degree.
+    degrees = [next(c for c in d.components if not c.is_zero).total_degree() for d in derivs]
     if req.output_format == "json":
         return {
             "order": list(order),
-            "degrees": [d.degree() for d in derivs],
-            "derivations": [[poly_to_json(c) for c in d.components] for d in derivs],
+            "degrees": degrees,
+            "derivations": [list(d.components) for d in derivs],
         }
     names = default_names(sorted_nest.ell + 1, coned=True)
     lines = []
     if list(order) != list(range(2, sorted_nest.ell + 1)):
         lines.append(f"sets taken in ascending order {tuple(order)}")
-    for k, d in enumerate(derivs):
-        lines.append(f"theta_{k} (degree {d.degree()}): {d.render(names)}")
+    for k, (degree, d) in enumerate(zip(degrees, derivs)):
+        lines.append(f"theta_{k} (degree {degree}): {d.render(names)}")
     return "\n".join(lines)
 
 
@@ -248,7 +254,7 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
     chambers = enumerate_chambers(req.parsed.arrangement)
     if req.output_format == "json":
-        return {"count": len(chambers), "chambers": [c.to_json() for c in chambers]}
+        return {"count": len(chambers), "chambers": chambers}
     lines = [f"{len(chambers)} chambers"]
     for c in chambers:
         lines.append(f"  {c.signs}  witness ({c.witness_text()})")
@@ -327,12 +333,48 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _render_poly(p: MultiPoly, pad: str) -> str:
+    """``p`` as ``json.dumps`` writes its term records at the indent ``pad``.
+
+    A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``;
+    the terms run in descending graded-lex order, that is descending packed
+    key, and each exponent is read off the key by shift and mask.
+    """
+    terms = p.terms
+    if not terms:
+        return "[]"
+    inner = pad + "  "
+    field = inner + "  "
+    sep = "," + field + "  "
+    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
+    records = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        exps = f"[{field}  {sep.join([str(key >> s & _MASK) for s in shifts])}{field}]" if shifts else "[]"
+        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exps}{inner}}}')
+    return "[" + inner + ("," + inner).join(records) + pad + "]"
+
+
+def _render_chamber(c: Chamber, pad: str) -> str:
+    """``c`` as ``json.dumps`` writes ``{"signs": ..., "witness": [...]}`` at
+    the indent ``pad``, each witness coordinate as ``format_rational`` does."""
+    inner = pad + "  "
+    den = c.den
+    witness = "[]"
+    if c.point:
+        coords = ("," + inner + "  ").join([f'"{x // (g := gcd(x, den))}/{den // g}"' for x in c.point])
+        witness = "[" + inner + "  " + coords + inner + "]"
+    return f'{{{inner}"signs": "{c.signs}",{inner}"witness": {witness}{pad}}}'
+
+
 def _render(value: object, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
     ``pad`` is the newline and indent of the enclosing line.  Only the
     types the handlers emit are rendered: dicts with str keys, lists, str,
-    int, bool and None; any other type is a ``TypeError`` naming it.
+    int, bool and None, and two leaves written straight from their integer
+    form -- a ``MultiPoly`` as its list of term records and a ``Chamber``
+    as its signs and witness.  Any other type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -343,13 +385,20 @@ def _render(value: object, pad: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if kind is MultiPoly:
+        return _render_poly(value, pad)
+    if kind is Chamber:
+        return _render_chamber(value, pad)
     inner = pad + "  "
     if kind is list:
         if not value:
             return "[]"
-        rendered = ("," + inner).join(
-            [encode_basestring_ascii(v) if type(v) is str else _render(v, inner) for v in value]
-        )
+        rendered = ("," + inner).join([
+            encode_basestring_ascii(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _render(v, inner)
+            for v in value
+        ])
         return "[" + inner + rendered + pad + "]"
     if kind is dict:
         if not value:

@@ -24,8 +24,9 @@ point is used anywhere.  Two polynomial representations cover all needs:
   ``2**15`` or more is a ``ValueError``.  For ``x1, x2, x3`` the term
   ``5/2 * x1^2 * x3`` is the entry ``3 << 48 | 2 << 32 | 1 ->
   Fraction(5, 2)``.  Exponent tuples appear only at the edges: the
-  constructors read them, and ``sorted_terms``, ``poly_str`` and
-  ``poly_to_json`` write them.
+  constructors read them, and ``sorted_terms`` and ``poly_str`` write
+  them; the command line's JSON writer reads each exponent off the key
+  by shift and mask.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -35,7 +36,8 @@ point is used anywhere.  Two polynomial representations cover all needs:
 linear form, and ``int_det`` is the exact determinant of an integer
 matrix, such as a polynomial matrix evaluated at an integer point.
 
-JSON forms (shared with the command line surface):
+JSON forms (shared with the command line surface, which writes the
+``MultiPoly`` records itself):
 
 * rational   -> ``"num/den"`` string
 * UniPoly    -> ascending list of rationals (``[]`` is the zero poly)
@@ -404,17 +406,6 @@ def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
     if names is None:
         names = default_names(p.nvars)
     return _render_sum(((c, _monomial_str(e, names)) for e, c in p.sorted_terms()), "*")
-
-
-def poly_to_json(p: MultiPoly) -> list[dict]:
-    """The terms in descending graded-lex order, each exponent list read
-    straight off its packed key."""
-    terms = p.terms
-    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
-    return [
-        {"exp": [key >> s & _MASK for s in shifts], "coef": format_rational(terms[key])}
-        for key in sorted(terms, reverse=True)
-    ]
 
 
 # -- linear ideals and integer determinants ---------------------------

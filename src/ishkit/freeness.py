@@ -352,7 +352,20 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
     the restriction, and ``theta(alpha)`` lies in ``(alpha)``.  Otherwise
     distinct products may still cancel, so that one image is multiplied
     out and decided by ``vanishes_on``.
+
+    First, a braid form ``alpha = a (x_s - x_t)`` meets two components
+    with one scalar ``c`` whose factors are exchanged by swapping ``x_s``
+    and ``x_t`` (the map ``sigma``), as the paper's fields on ``x2..xk``
+    are: then ``theta(alpha) = a c (P - P o sigma)`` for the product ``P``
+    of the ``x_s`` factors, which vanishes on ``x_s = x_t``.
     """
+    if len(support) == 2:
+        (s, a), (t, b) = support
+        cs, ct = theta[s], theta[t]
+        if a == -b and cs is not None and ct is not None and cs[0] == ct[0]:
+            swapped = sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in cs[1])
+            if ct[1] == tuple(swapped):
+                return True
     p, ap = support[0]
     linear: list[int] | None = None
     sums: dict[tuple[Factor, ...], int] = {}

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
-from ishkit.cli import COMMANDS, _render, main, request_echo, request_from_doc, run
-from ishkit.exactmath import UniPoly, unipoly_str, unipoly_to_json
-from ishkit.freeness import is_nest
+from ishkit.chambers import Chamber
+from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
+from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
+from ishkit.freeness import basis_derivations, is_nest
 from test_arrangement import (
     FractionNestSpec,
     fraction_build_n_ish,
@@ -19,7 +20,13 @@ from test_arrangement import (
     fraction_ish_nest,
     fraction_n_from_graph,
 )
-from test_chambers import fraction_canonical_chamber, oracle_chamber_of_point, oracle_enumerate_chambers
+from test_chambers import (
+    chamber_to_json,
+    fraction_canonical_chamber,
+    oracle_chamber_of_point,
+    oracle_enumerate_chambers,
+)
+from test_exactmath import COEF, poly_terms, poly_to_json
 from test_freeness import (
     fraction_basis_derivations,
     fraction_decide_free,
@@ -279,10 +286,12 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
         assert json_of(nest, "basis")["degrees"] == [0, 1, 2, 2]
         assert json_of(cone3, "supersolvable")["supersolvable"] is True
     with monkeypatch.context() as m:
-        m.setattr("ishkit.cli.poly_to_json", never)
+        m.setattr("ishkit.cli._render_poly", never)
+        m.setattr("ishkit.cli._render_chamber", never)
         m.setattr("ishkit.lattice.Flat.to_json", never)
         assert text_of(nest, "basis").startswith("sets taken in ascending order (3, 2)")
         assert text_of(cone3, "supersolvable").startswith("SUPERSOLVABLE")
+        assert text_of(cone3, "chambers").startswith("32 chambers")
 
 
 def test_commands_on_the_nest_never_build_the_arrangement(monkeypatch):
@@ -487,6 +496,19 @@ def test_nest_commands_match_the_fraction_program(spec, coned):
     assert any(not answer.startswith("ValueError") for answer in got)
 
 
+@pytest.mark.parametrize("spec", [{"type": "n_ish", "N": MIXED_NESTS[i]} for i in (0, 2, 4)] + [
+    {"type": "ish", "ell": 5},
+    {"type": "n_ish", "N": [[], [], [0]]},
+])
+def test_basis_degrees_are_the_derivation_degrees(spec):
+    nest = request_of(json.dumps(dict(spec, command="basis"))).parsed.nest
+    order = is_nest(nest)
+    degrees = [d.degree() for d in basis_derivations(nest.reordered(order))]
+    assert json_of(spec, "basis")["degrees"] == degrees
+    lines = text_of(spec, "basis").splitlines()[-len(degrees):]
+    assert [int(line.split("degree ")[1].split(")")[0]) for line in lines] == degrees
+
+
 @pytest.mark.parametrize("N, message", [
     ([[True], [0]], "cannot read a rational from True"),
     ([[1.5], [0]], "cannot read a rational from 1.5"),
@@ -530,6 +552,49 @@ def test_render_matches_json_dumps(value):
     assert _render(value) == dumps(value)
 
 
+def oracle_records(value):
+    """``value`` with each ``MultiPoly`` and ``Chamber`` replaced by its oracle
+    JSON records, ``poly_to_json`` and ``chamber_to_json``."""
+    if type(value) is MultiPoly:
+        return poly_to_json(value)
+    if type(value) is Chamber:
+        return chamber_to_json(value)
+    if type(value) is list:
+        return [oracle_records(v) for v in value]
+    if type(value) is dict:
+        return {k: oracle_records(v) for k, v in value.items()}
+    return value
+
+
+POLYS = st.integers(0, 4).flatmap(
+    lambda n: st.builds(MultiPoly, st.just(n), poly_terms(n) | st.builds(
+        lambda coef: {(0,) * n: coef}, COEF | st.integers(-(10**20), 10**20)))
+)
+CHAMBERS = st.integers(0, 6).flatmap(
+    lambda size: st.builds(
+        Chamber,
+        st.integers(0, (1 << size) - 1),
+        st.just(size),
+        st.lists(st.integers(-50, 50) | st.integers(-(10**20), 10**20), max_size=5).map(tuple),
+        st.integers(1, 12) | st.integers(1, 10**20),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(
+    POLYS | CHAMBERS,
+    lambda children: st.lists(children | st.integers() | st.text(max_size=3), max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+))
+@example(MultiPoly(0))
+@example([MultiPoly(0), MultiPoly.const(0, Fraction(-3, 2)), MultiPoly.variable(1, 0)])
+@example({"a": [[Chamber(0, 0, (), 1)], Chamber(5, 3, (0, -4, 6), 4)]})
+def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
+    assert _render(value) == dumps(oracle_records(value))
+
+
 SPECS = [
     {"type": "ish", "ell": 3},
     {"type": "shi", "ell": 3, "cone": True},
@@ -545,11 +610,14 @@ def test_render_matches_json_dumps_on_every_command():
     answered = set()
     for command in COMMANDS:
         for spec in SPECS if command != "survey" else [{"ell": 3}]:
+            req = request_of(json.dumps(dict(spec, command=command, format="json")))
             try:
-                out = run(request_of(json.dumps(dict(spec, command=command, format="json"))))
+                out = run(req)
             except ValueError:  # the command does not apply to this spec kind
                 continue
             assert out == dumps(json.loads(out))
+            answer = oracle_records(_HANDLERS[command](req))
+            assert out == dumps({"command": command, "spec": request_echo(req), **answer})
             answered.add(command)
     assert answered == set(COMMANDS)
 

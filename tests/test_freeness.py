@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from ishkit.freeness import (
     FreenessVerdict,
     NonFreeWitness,
     _factored_is_log,
+    _primitive,
     basis_derivations,
     decide_free,
     factored_basis,
@@ -644,6 +646,64 @@ def test_factored_saito_rejects_what_the_expanded_route_rejects():
     affine = Arrangement(3, [Hyperplane.make([1, -1, 1], 1)])
     with pytest.raises(ValueError, match="central"):
         factored_saito_constant(along + [mixed], affine)
+
+
+def int_scalars(theta: FactoredDerivation) -> FactoredDerivation:
+    """``theta`` times the lcm of its scalar denominators, as
+    ``factored_saito_constant`` scales it before the log checks."""
+    m = lcm(*(Fraction(comp[0]).denominator for comp in theta if comp is not None))
+    return tuple(None if comp is None else (int(comp[0] * m), comp[1]) for comp in theta)
+
+
+def log_by_expansion(theta: FactoredDerivation, h: Hyperplane) -> bool:
+    """The log check with no factored reasoning: the image multiplied out."""
+    return is_log_derivation(expand(theta), Arrangement(len(theta), [h]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=5), st.randoms(use_true_random=False))
+@example(ish_nest(5), random.Random(0))
+def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rng):
+    arr = cone(build_n_ish(nest))
+    basis = [int_scalars(theta) for theta in factored_basis(nest)]
+    for h in arr.hyperplanes:
+        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
+        with mock.patch("ishkit.freeness._primitive", wraps=_primitive) as restricted:
+            for theta in basis:
+                assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
+        if len(support) == 2 and support[0][0] > 0:  # x_s - x_t with 2 <= s < t <= l
+            assert not restricted.called  # settled by the exchange of x_s and x_t
+
+    # the same exchanged factors under unequal scalars: the image does not
+    # vanish on x_s = x_t, and the check must fall through to find that out
+    if nest.ell >= 3:
+        k = rng.randrange(3, nest.ell + 1)
+        s, t = sorted(rng.sample(range(2, k + 1), 2))
+        comps = list(basis[k])
+        comps[t - 1] = (2 * comps[s - 1][0], comps[t - 1][1])
+        theta = tuple(comps)
+        h = next(h for h in arr.hyperplanes
+                 if [(i, a) for i, a in enumerate(h.coeffs) if a] == [(s - 1, 1), (t - 1, -1)])
+        support = [(s - 1, 1), (t - 1, -1)]
+        assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is False
+
+
+def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
+    # On x2 = x3: (x1 + x3)(x1 + x2) d/dx2 + (x1 + x2)(x1 + x3) d/dx3 has
+    # its x3 factors exchanged from its x2 factors, so it is settled with no
+    # restriction; the other fields fall through to the factor-by-factor check
+    h = Hyperplane.make([0, 1, -1])
+    support = [(1, 1), (2, -1)]
+    exchanged = (None, (3, ((1, 0, 1), (1, 1, 0))), (3, ((1, 0, 1), (1, 1, 0))))
+    unequal = (None, (3, ((1, 0, 1), (1, 1, 0))), (6, ((1, 0, 1), (1, 1, 0))))
+    skew = (None, (1, ((0, 1, 1), (1, 1, 0))), (1, ((0, 1, 1), (1, 0, 0))))
+    for theta, log, restricts in ((exchanged, True, False), (unequal, False, True), (skew, False, True)):
+        with mock.patch("ishkit.freeness._primitive", wraps=_primitive) as restricted:
+            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is log
+        assert restricted.called is restricts
+    # x2 = 2 x3 is no braid form: the exchange leaves it, so it falls through
+    h = Hyperplane.make([0, 1, -2])
+    assert _factored_is_log(exchanged, h.coeffs, [(1, 1), (2, -2)]) is log_by_expansion(exchanged, h) is False
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
