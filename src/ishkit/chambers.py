@@ -28,9 +28,9 @@ later coordinate is the midpoint of the interval the fixed ones allow,
 which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
 A ``Chamber`` keeps that integer form, the region's bits and the scaled
-point, and its text and JSON (the command line's writer) are written from
-it; ``SignVector`` and ``Fraction`` values are made only when its
-properties are read.
+point, and its text and the command line's JSON are written from it;
+``SignVector`` and ``Fraction`` values are made only when its properties
+are read.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
