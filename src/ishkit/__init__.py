@@ -52,7 +52,7 @@ from .freeness import (
     verify_nonfree_witness,
 )
 from .graphs import analyze_graph, athanasiadis_condition, pairwise_condition, survey
-from .lattice import char_poly, intersection_poset, is_supersolvable, nest_modular_chain
+from .lattice import char_poly, is_supersolvable, nest_modular_chain
 from .rooks import graph_char_poly, nest_char_poly, rook_numbers, spec_char_poly
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "factored_saito_constant",
     "from_spec",
     "graph_char_poly",
-    "intersection_poset",
     "is_log_derivation",
     "is_nest",
     "is_supersolvable",

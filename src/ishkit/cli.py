@@ -181,6 +181,7 @@ def _ascending(parsed: ParsedSpec):
 
 
 def _cmd_basis(req: AnalysisRequest) -> str | dict:
+    _guard_lattice(req)
     sorted_nest, order = _ascending(req.parsed)
     derivs = basis_derivations(sorted_nest)
     # Each nonzero component is a product of linear forms, homogeneous of

@@ -81,11 +81,6 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
     raise ValueError(f"cannot read a rational from {value!r}")
 
 
-def parse_rational(value: Scalar | str) -> Fraction:
-    """The ``Fraction`` of ``parse_rational_pair``, with the same errors."""
-    return Fraction(*parse_rational_pair(value))
-
-
 def clear_denominators(values: Iterable[Scalar]) -> tuple[list[int], int]:
     """The values times the lcm ``den`` of their denominators, as ints,
     and ``den``.  Integral values come back as ints with ``den == 1``."""

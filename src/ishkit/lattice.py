@@ -1,4 +1,4 @@
-"""Intersection posets, Moebius values, characteristic polynomials.
+"""Flats, Moebius values, characteristic polynomials, modular chains.
 
 Every arrangement here is a difference arrangement: its hyperplanes are
 ``x_i - x_j = c``, and when coned ``x_i - x_j = c*z`` plus ``z = 0``,
@@ -17,31 +17,21 @@ A flat's reduced row echelon form comes in closed form: ``x_v - x_root
 = offset[v]`` (coned: ``x_v - x_root - offset[v]*z = 0``) for each
 coordinate v off its root, then ``z = 0``.  Scaled to coprime integers,
 ``den*x_v - den*x_root = num`` with ``offset[v] = num/den``, these are
-the integer rows that order the flats of the poset.
+the integer rows behind the sort keys (``_IntGains.key``) that order
+the covers of the supersolvability climb.
 
-The poset orders flats by reverse inclusion; the whole space is the
-bottom element.  The closure that generates it records, for every flat
-and hyperplane, the flat their intersection gives (``None`` when it is
-empty) in a step table, and the hyperplanes containing the flat in its
-bitmask.  A flat equals the intersection of the hyperplanes through
-it, so masks are a faithful encoding: mask containment decides the
-order, and the distinct entries of a flat's step table are its upper
-covers.
-
-The closure runs on integer gains and meets a flat once per upper
-cover: every other hyperplane through that cover gives the same flat.
-The lower covers it records give the Moebius values by Weisner's
-theorem, one sum over the lower covers of each flat.  The integer meet
-(``_meet``), masks and sort keys (``_IntGains``) are shared with the
-supersolvability climb, and ``Flat.intersect_hyperplane`` meets by the
-same ``_meet``.
-
-On top of the poset sit the characteristic polynomial ``sum mu(X)
-t^dim(X)`` and supersolvability.  ``char_poly`` is the Moebius route to
-the characteristic polynomial, good for any difference arrangement.
-The ``charpoly`` command and the subgraph survey take it from rook
-numbers instead (``ishkit.rooks``); this route is kept as the oracle
-they are tested against.  No command builds the poset.
+Flats are ordered by reverse inclusion, the whole space at the bottom.
+A flat is the intersection of the hyperplanes through it, so its mask
+of those hyperplanes encodes it faithfully, and mask containment
+decides the order.  ``char_poly`` is the Moebius route to the
+characteristic polynomial ``sum mu(X) t^dim(X)``, good for any
+difference arrangement: one closure on integer gains that meets a flat
+once per upper cover and takes mu from the lower covers by Weisner's
+theorem.  The ``charpoly`` command and the subgraph survey take chi
+from rook numbers instead (``ishkit.rooks``); this route is kept as the
+oracle they are tested against.  The integer meet (``_meet``) and masks
+(``_IntGains``) are shared with the climb, and
+``Flat.intersect_hyperplane`` meets by the same ``_meet``.
 
 Both routes to supersolvability rest on one pair test for gain edges
 (``_meets_inside``), the local form of the partition test of
@@ -49,13 +39,13 @@ Bjoerner-Edelman-Ziegler: two hyperplanes meet inside ``z = 0`` or an
 edge on their coordinate pair when they are parallel or one is ``z =
 0``, inside the third side of their triangle when they share a vertex,
 and inside no other hyperplane when they are disjoint.  The cone of a
-nested arrangement needs no poset: ``nest_modular_chain`` builds the
+nested arrangement needs no closure: ``nest_modular_chain`` builds the
 modular chain of the paper's filtration from the chain order of its
 sets and certifies it by that test.  The ``supersolvable`` command
 answers nest-backed cones that way.  ``is_supersolvable`` serves
 Coxeter, Shi and deleted-Shi cones and central specs that are not
 coned, and is the oracle the filtration is tested against.  It needs
-no poset either: it reads the roots of chi, which for a supersolvable
+no closure either: it reads the roots of chi, which for a supersolvable
 arrangement are the block sizes of every modular chain, answers at
 once when they are not all nonnegative integers, and otherwise climbs
 by covers it makes as it goes, keeping only those that pass the pair
@@ -162,59 +152,6 @@ class Flat:
         return "; ".join(equation_str(row[:-1], row[-1], names) for row in self.rref())
 
 
-class IntersectionPoset:
-    """All flats of an arrangement, ordered by reverse inclusion.
-
-    Flats are sorted by ``(rank, rows)``, with the integer rows of the
-    module docstring, so index 0 is the ambient space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
-    contains flat ``i``; ``steps[i][b]`` is the index of the flat
-    ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
-    contains it, ``None`` when they do not meet), so flat ``j`` lies
-    above flat ``i`` when ``masks[i]`` is a subset of ``masks[j]``, and
-    the other entries of ``steps[i]`` are the upper covers of flat ``i``.
-    ``mobius[i]`` is ``mu(ambient, flat i)``.  The closure of ``intersection_poset``
-    hands every field over in the order it found the flats, with sort
-    keys ``(rank, ...)`` that order like ``(rank, rows)``, and Moebius
-    values from the lower covers by Weisner's theorem.
-    """
-
-    def __init__(
-        self,
-        arrangement: Arrangement,
-        flats: Sequence[Flat],
-        masks: Sequence[int],
-        steps: Sequence[Sequence[int | None]],
-        keys: Sequence[tuple],
-        mobius: Sequence[int],
-    ) -> None:
-        order = sorted(range(len(flats)), key=keys.__getitem__)
-        new_index = [0] * len(order)
-        for pos, old in enumerate(order):
-            new_index[old] = pos
-        self.arrangement = arrangement
-        self.flats: tuple[Flat, ...] = tuple(flats[i] for i in order)
-        self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
-        self.ranks: tuple[int, ...] = tuple(keys[i][0] for i in order)
-        self.steps: tuple[tuple[int | None, ...], ...] = tuple(
-            tuple([None if k is None else new_index[k] for k in steps[i]]) for i in order
-        )
-        self.mobius: tuple[int, ...] = tuple(mobius[i] for i in order)
-
-    def __len__(self) -> int:
-        return len(self.flats)
-
-    @property
-    def rank(self) -> int:
-        return max(self.ranks)
-
-    def char_poly(self) -> UniPoly:
-        dim = self.arrangement.dim
-        coeffs = [0] * (dim + 1)
-        for rank, mu in zip(self.ranks, self.mobius):
-            coeffs[dim - rank] += mu
-        return UniPoly(coeffs)
-
-
 def _meet(
     root: tuple[int, ...], offset: tuple[Scalar, ...], zero: bool, edge: GainEdge, coned: bool
 ) -> tuple[tuple[int, ...], tuple[Scalar, ...], bool] | None:
@@ -248,8 +185,8 @@ class _IntGains:
     The gains are scaled by the lcm ``scale`` of their denominators, and
     an integer flat is the triple ``(root, offset, zero)`` of a ``Flat``
     with its offsets scaled the same way, so ``_meet`` stays in ``int``.
-    The closure and the supersolvability climb both work on integer flats
-    and read their masks, sort keys and ``Flat``s off here.
+    The closure of ``char_poly`` reads the masks of its integer flats off
+    here, and the supersolvability climb also their sort keys and ``Flat``s.
     """
 
     def __init__(self, arr: Arrangement) -> None:
@@ -299,46 +236,49 @@ class _IntGains:
         return Flat(root, offset, zero, self.coned)
 
 
-def intersection_poset(arr: Arrangement) -> IntersectionPoset:
-    """Generate every flat by closing the ambient space along its covers.
+def char_poly(arr: Arrangement) -> UniPoly:
+    """Characteristic polynomial via the Moebius sum over all flats.
 
-    The arrangement is read once as integer gain edges (``_IntGains``),
-    and a flat is the plain tuple ``(root, offset, zero)``.  Its mask is
-    computed once, when the closure first finds it.
+    The oracle for ``rooks``, which gets the same polynomial of every
+    spec kind from a rook board without generating a flat.
 
-    The flat Y in which a flat X meets a hyperplane off X covers X, and
-    X meets every hyperplane of ``mask(Y)`` outside ``mask(X)`` in the
-    same Y, so those entries of the step table need no meet: the
-    closure meets once per cover pair.  It walks the flats breadth
-    first, in ranks that never decrease, so it has found every lower
-    cover of X when it reaches X.  The interval from the ambient space
-    to X is a geometric lattice whose atoms are the hyperplanes through
-    X, so Weisner's theorem gives ``mu(X) = -sum mu(Y)`` over the lower
-    covers Y of X that some fixed hyperplane a through X does not
-    contain (Stanley, *EC1*, Cor. 3.9.3).
+    The closure generates every flat from the ambient space along its
+    covers, on integer gains (``_IntGains``), a flat being the plain
+    tuple ``(root, offset, zero)`` with its mask computed when it is
+    first found.  The flat Y in which a flat X meets a hyperplane off X
+    covers X, and X meets every hyperplane of ``mask(Y)`` outside
+    ``mask(X)`` in the same Y, so the closure meets once per cover pair,
+    and Y's rank is X's plus one.  It walks the flats breadth first, in
+    ranks that never decrease, so it has found every lower cover of X
+    when it reaches X.  The interval from the ambient space to X is a
+    geometric lattice whose atoms are the hyperplanes through X, so
+    Weisner's theorem gives ``mu(X) = -sum mu(Y)`` over the lower covers
+    Y of X that some fixed hyperplane a through X does not contain
+    (Stanley, *EC1*, Cor. 3.9.3), and ``mu(X)`` goes straight into the
+    coefficient of ``t^dim(X)``.
     """
     gains = _IntGains(arr)
     edges, coned = gains.edges, gains.coned
     flats = [gains.ambient()]
     index = {flats[0]: 0}
-    masks, covers = [0], [[]]
-    steps: list[list[int | None]] = []
+    masks, ranks, covers = [0], [0], [[]]
     mobius: list[int] = []
+    coeffs = [0] * (arr.dim + 1)
     full = (1 << len(edges)) - 1
     for x, flat in enumerate(flats):  # grows while it is walked
         mask = masks[x]
         if mask:  # Weisner's theorem, with a the first hyperplane through x
             a = mask & -mask
-            mobius.append(-sum([mobius[y] for y in covers[x] if not masks[y] & a]))
+            mu = -sum([mobius[y] for y in covers[x] if not masks[y] & a])
         else:
-            mobius.append(1)
-        step: list[int | None] = [x] * len(edges)
+            mu = 1
+        mobius.append(mu)
+        coeffs[arr.dim - ranks[x]] += mu
         todo = full & ~mask
         while todo:
             bit = (todo & -todo).bit_length() - 1
             meet = _meet(*flat, edges[bit], coned)
             if meet is None:
-                step[bit] = None
                 todo ^= 1 << bit
                 continue
             y = index.get(meet)
@@ -346,30 +286,15 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 y = index[meet] = len(flats)
                 flats.append(meet)
                 masks.append(gains.mask(*meet))
+                ranks.append(ranks[x] + 1)
                 covers.append([])
             covers[y].append(x)
-            fill = masks[y] & todo
-            todo ^= fill
-            while fill:
-                low = fill & -fill
-                step[low.bit_length() - 1] = y
-                fill ^= low
-        steps.append(step)
-    keys = [gains.key(*flat) for flat in flats]
-    return IntersectionPoset(arr, [gains.flat(*flat) for flat in flats], masks, steps, keys, mobius)
-
-
-def char_poly(arr: Arrangement) -> UniPoly:
-    """Characteristic polynomial via the Moebius sum over all flats.
-
-    The oracle for ``rooks``, which gets the same polynomial of every
-    spec kind from a rook board without building the poset.
-    """
-    return intersection_poset(arr).char_poly()
+            todo &= ~masks[y]
+    return UniPoly(coeffs)
 
 
 def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat] | None:
-    """The first maximal chain of modular flats in poset order, bottom to top.
+    """The first maximal chain of modular flats in sort-key order, bottom to top.
 
     Returns the chain when the arrangement is supersolvable, otherwise
     ``None``.  Central arrangements only.  ``chi`` is the characteristic
@@ -383,7 +308,7 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
     the answer is ``None`` at once.
 
     Otherwise the search climbs from the ambient space through upper
-    covers, in poset order, making each flat's covers as it reaches the
+    covers, in sort-key order, making each flat's covers as it reaches the
     flat: it meets X with a hyperplane off X and drops the hyperplanes of
     the cover Y found from those still to meet.  It takes Y when X is a
     modular coatom of the interval below Y: every two hyperplanes through

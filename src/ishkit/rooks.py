@@ -31,7 +31,7 @@ turns that count into a sum over rook placements.
 
 A coned spec multiplies chi by (t - 1).  The coefficients stay ``int``
 lists until the final ``UniPoly``.  ``lattice.char_poly``, the Moebius
-sum over the intersection poset, is the oracle these are tested against.
+sum over all flats, is the oracle these are tested against.
 """
 
 from __future__ import annotations

@@ -21,7 +21,12 @@ from ishkit.arrangement import (
     ish_nest,
     n_from_graph,
 )
-from ishkit.exactmath import Scalar, parse_rational
+from ishkit.exactmath import Scalar, parse_rational_pair
+
+
+def parse_rational(value: Scalar | str) -> Fraction:
+    """The ``Fraction`` of ``parse_rational_pair``, with the same errors."""
+    return Fraction(*parse_rational_pair(value))
 
 
 def h(coeffs, const=0):

@@ -178,6 +178,19 @@ def test_saito_at_the_top_of_the_guard(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("capacity:")
 
 
+def test_basis_at_the_top_of_the_guard(capsys, tmp_path):
+    # basis takes the nests saito takes, under the same guard: its expanded
+    # fields grow about 5x per +2 in ell
+    assert len(json_of({"type": "ish", "ell": 6}, "basis")["derivations"]) == 7
+    path = tmp_path / "big.json"
+    for spec in ({"type": "ish", "ell": 7}, {"type": "n_ish", "N": [[0]] * 6}):
+        path.write_text(json.dumps(spec))
+        assert main(["basis", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "capacity: ell = 7 exceeds the guard ell <= 6 for lattice and chamber computations\n"
+        )
+
+
 def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
     # The largest cone of Ish the ell <= 6 guard admits.  Neither command builds
     # its 7204-flat poset: charpoly counts rooks, and supersolvable certifies
@@ -231,10 +244,11 @@ def test_supersolvable_needs_central():
 
 
 def test_supersolvable_takes_nest_backed_cones_off_the_poset(monkeypatch):
-    def no_poset(arr):
-        raise AssertionError("the intersection poset was built")
+    # no request runs the Moebius closure: the climb gets the rook chi
+    def no_closure(arr):
+        raise AssertionError("the Moebius closure ran")
 
-    monkeypatch.setattr("ishkit.lattice.intersection_poset", no_poset)
+    monkeypatch.setattr("ishkit.lattice.char_poly", no_closure)
     nests = [
         ({"type": "ish", "ell": 6}, True),
         ({"type": "n_ish", "N": [[0, "1/2"], [0], [0, "1/2", 1]]}, True),

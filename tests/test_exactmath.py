@@ -18,7 +18,6 @@ from ishkit.exactmath import (
     format_rational,
     int_det,
     nonnegative_int_roots,
-    parse_rational,
     parse_rational_pair,
     poly_str,
     unipoly_factored_str,
@@ -26,6 +25,7 @@ from ishkit.exactmath import (
     unipoly_to_json,
     vanishes_on,
 )
+from test_arrangement import parse_rational
 
 
 def _det_cofactor(m):

@@ -27,10 +27,10 @@ from ishkit.exactmath import UniPoly, nonnegative_int_roots
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
     Flat,
-    IntersectionPoset,
+    _IntGains,
+    _meet,
     _meets_inside,
     char_poly,
-    intersection_poset,
     is_supersolvable,
     nest_modular_chain,
 )
@@ -107,6 +107,15 @@ def reference_poset(arr):
     return flats, masks, scan_mobius(masks, [len(rows) for rows in flats])
 
 
+def chi_of(dim: int, ranks: Sequence[int], mobius: Sequence[int]) -> UniPoly:
+    """``sum mu(X) t^dim(X)`` from the ranks and Moebius values of every flat
+    (a flat of ``reference_poset`` has rank its number of RREF rows)."""
+    coeffs = [0] * (dim + 1)
+    for rank, mu in zip(ranks, mobius):
+        coeffs[dim - rank] += mu
+    return UniPoly(coeffs)
+
+
 def scan_mobius(masks: Sequence[int], ranks: Sequence[int]) -> list[int]:
     """Moebius values by the recursive sum over every lower flat, O(F^2).
 
@@ -118,6 +127,123 @@ def scan_mobius(masks: Sequence[int], ranks: Sequence[int]) -> list[int]:
         below = sum(mobius[j] for j in range(i) if ranks[j] < rank and masks[j] & ~mask == 0)
         mobius.append(-below if rank else 1)
     return mobius
+
+
+# -- the full closure: flats, steps and sort order, the oracle of ``char_poly`` --
+
+
+class IntersectionPoset:
+    """All flats of an arrangement, ordered by reverse inclusion.
+
+    Flats are sorted by ``(rank, rows)``, with the integer rows of the
+    ``ishkit.lattice`` docstring (``rows`` below), so index 0 is the
+    ambient space.  ``masks[i]`` has bit ``b`` set when hyperplane ``b``
+    contains flat ``i``; ``steps[i][b]`` is the index of the flat
+    ``i`` meets hyperplane ``b`` in (``i`` itself when the hyperplane
+    contains it, ``None`` when they do not meet), so flat ``j`` lies
+    above flat ``i`` when ``masks[i]`` is a subset of ``masks[j]``, and
+    the other entries of ``steps[i]`` are the upper covers of flat ``i``.
+    ``mobius[i]`` is ``mu(ambient, flat i)``.  The closure of ``intersection_poset``
+    hands every field over in the order it found the flats, with sort
+    keys ``(rank, ...)`` that order like ``(rank, rows)``, and Moebius
+    values from the lower covers by Weisner's theorem.
+    """
+
+    def __init__(
+        self,
+        arrangement: Arrangement,
+        flats: Sequence[Flat],
+        masks: Sequence[int],
+        steps: Sequence[Sequence[int | None]],
+        keys: Sequence[tuple],
+        mobius: Sequence[int],
+    ) -> None:
+        order = sorted(range(len(flats)), key=keys.__getitem__)
+        new_index = [0] * len(order)
+        for pos, old in enumerate(order):
+            new_index[old] = pos
+        self.arrangement = arrangement
+        self.flats: tuple[Flat, ...] = tuple(flats[i] for i in order)
+        self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
+        self.ranks: tuple[int, ...] = tuple(keys[i][0] for i in order)
+        self.steps: tuple[tuple[int | None, ...], ...] = tuple(
+            tuple([None if k is None else new_index[k] for k in steps[i]]) for i in order
+        )
+        self.mobius: tuple[int, ...] = tuple(mobius[i] for i in order)
+
+    def __len__(self) -> int:
+        return len(self.flats)
+
+    @property
+    def rank(self) -> int:
+        return max(self.ranks)
+
+    def char_poly(self) -> UniPoly:
+        dim = self.arrangement.dim
+        coeffs = [0] * (dim + 1)
+        for rank, mu in zip(self.ranks, self.mobius):
+            coeffs[dim - rank] += mu
+        return UniPoly(coeffs)
+
+
+def intersection_poset(arr: Arrangement) -> IntersectionPoset:
+    """Generate every flat by closing the ambient space along its covers.
+
+    The arrangement is read once as integer gain edges (``_IntGains``),
+    and a flat is the plain tuple ``(root, offset, zero)``.  Its mask is
+    computed once, when the closure first finds it.
+
+    The flat Y in which a flat X meets a hyperplane off X covers X, and
+    X meets every hyperplane of ``mask(Y)`` outside ``mask(X)`` in the
+    same Y, so those entries of the step table need no meet: the
+    closure meets once per cover pair.  It walks the flats breadth
+    first, in ranks that never decrease, so it has found every lower
+    cover of X when it reaches X.  The interval from the ambient space
+    to X is a geometric lattice whose atoms are the hyperplanes through
+    X, so Weisner's theorem gives ``mu(X) = -sum mu(Y)`` over the lower
+    covers Y of X that some fixed hyperplane a through X does not
+    contain (Stanley, *EC1*, Cor. 3.9.3).
+    """
+    gains = _IntGains(arr)
+    edges, coned = gains.edges, gains.coned
+    flats = [gains.ambient()]
+    index = {flats[0]: 0}
+    masks, covers = [0], [[]]
+    steps: list[list[int | None]] = []
+    mobius: list[int] = []
+    full = (1 << len(edges)) - 1
+    for x, flat in enumerate(flats):  # grows while it is walked
+        mask = masks[x]
+        if mask:  # Weisner's theorem, with a the first hyperplane through x
+            a = mask & -mask
+            mobius.append(-sum([mobius[y] for y in covers[x] if not masks[y] & a]))
+        else:
+            mobius.append(1)
+        step: list[int | None] = [x] * len(edges)
+        todo = full & ~mask
+        while todo:
+            bit = (todo & -todo).bit_length() - 1
+            meet = _meet(*flat, edges[bit], coned)
+            if meet is None:
+                step[bit] = None
+                todo ^= 1 << bit
+                continue
+            y = index.get(meet)
+            if y is None:
+                y = index[meet] = len(flats)
+                flats.append(meet)
+                masks.append(gains.mask(*meet))
+                covers.append([])
+            covers[y].append(x)
+            fill = masks[y] & todo
+            todo ^= fill
+            while fill:
+                low = fill & -fill
+                step[low.bit_length() - 1] = y
+                fill ^= low
+        steps.append(step)
+    keys = [gains.key(*flat) for flat in flats]
+    return IntersectionPoset(arr, [gains.flat(*flat) for flat in flats], masks, steps, keys, mobius)
 
 
 # -- the rank-identity search: the oracle of ``is_supersolvable`` --------
@@ -776,6 +902,8 @@ def test_integer_kernel_matches_rational_reference(arr, rng):
     poset = intersection_poset(arr)
     check_closure(poset, arr.gain_edges())
     ref_flats, ref_masks, ref_mobius = reference_poset(arr)
+    ref_chi = chi_of(arr.dim, [len(rows) for rows in ref_flats], ref_mobius)
+    assert char_poly(arr) == poset.char_poly() == ref_chi  # the slim closure, the full one
     rref = [flat.rref() for flat in poset.flats]
     assert sorted(rref, key=lambda rows: (len(rows), rows)) == ref_flats
     ref_of = {rows: k for k, rows in enumerate(ref_flats)}
@@ -809,10 +937,14 @@ FIVE_CONES = [
 def test_steps_and_mobius_on_five_cones(arr):
     # beyond the ell <= 4 of the hypothesis strategy: the step entries the
     # closure fills from a cover, and Weisner's Moebius values, against
-    # the meets and the sum over every lower flat
+    # the meets and the sum over every lower flat; chi of the slim closure
+    # against the full one and the rational reference
     poset = intersection_poset(arr)
     check_closure(poset, arr.gain_edges())
     assert list(poset.mobius) == scan_mobius(poset.masks, poset.ranks)
+    ref_flats, _, ref_mobius = reference_poset(arr)
+    ref_chi = chi_of(arr.dim, [len(rows) for rows in ref_flats], ref_mobius)
+    assert char_poly(arr) == poset.char_poly() == ref_chi
 
 
 def test_traced_methods_are_defined_on_their_classes():
