@@ -2,13 +2,16 @@
 
 Everything here is exact rational arithmetic, never floats.  The kernels
 run on integers where they can: nests as integer numerators over one
-denominator, hyperplanes as coprime integer forms, flats as gain-graph
-partitions (a block and an offset per coordinate, read from the
-difference hyperplanes ``x_i - x_j = c``), polynomial coefficients as
-``int`` unless they are not integral, and chambers as integer
-difference-bound matrices.  :class:`fractions.Fraction` appears where
-non-integral values go out: half-integer offsets, RREF rows, polynomial
-coefficients and chamber witnesses.
+denominator, hyperplanes as coprime integer forms, the gains of the
+difference hyperplanes ``x_i - x_j = c`` as integer numerators over one
+denominator per arrangement, flats as gain-graph partitions (a block
+and an integer offset per coordinate over that denominator), polynomial
+coefficients as ``int`` unless they are not integral, and chambers as
+integer difference-bound matrices.  Flats and chamber witnesses are
+written out straight from their integers.  :class:`fractions.Fraction`
+appears where non-integral values are computed or read: polynomial
+coefficients, Saito constants, the points of ``chamber_of_point`` and
+the ``witness`` of a ``Chamber``.
 """
 
 from .arrangement import (
@@ -26,7 +29,6 @@ from .arrangement import (
 )
 from .chambers import (
     Chamber,
-    SignVector,
     canonical_chamber,
     chamber_of_point,
     distance_poly,
@@ -68,7 +70,6 @@ __all__ = [
     "MultiPoly",
     "NestSpec",
     "NonFreeWitness",
-    "SignVector",
     "UniPoly",
     "analyze_graph",
     "athanasiadis_condition",

@@ -21,13 +21,14 @@ its hyperplanes ``x_i - x_j = num/den`` already normalized, as
 ``(den/g) x_i - (den/g) x_j = num/g`` with ``g = gcd(den, num)``, and
 ``cone`` appends ``-const`` to a normalized form, which leaves it
 normalized, so neither goes through ``Hyperplane.make``; that stays for
-rational input.
+rational input.  ``Arrangement.gain_edges`` reads a difference
+arrangement back in the same form: ``int`` gains over one denominator,
+the nest's ``den`` for a nest, 1 for graph and named specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -84,7 +85,7 @@ class Hyperplane:
         return equation_str(self.coeffs, self.const, names)
 
 
-GainEdge = tuple[int, int, Scalar] | None  # see Arrangement.gain_edges
+GainEdge = tuple[int, int, int] | None  # see Arrangement.gain_edges
 
 
 class Arrangement:
@@ -132,23 +133,24 @@ class Arrangement:
     def var_names(self) -> list[str]:
         return default_names(self.dim, coned=self.coned)
 
-    def gain_edges(self) -> list[GainEdge]:
-        """The hyperplanes as gain-graph edges, in hyperplane order.
+    def gain_edges(self) -> tuple[int, list[GainEdge]]:
+        """The hyperplanes as gain-graph edges over one denominator, in hyperplane order.
 
-        The edge ``(i, j, c)``, with 0-based coordinates ``i < j``, is the
-        hyperplane ``x_{i+1} - x_{j+1} = c``, or ``= c*z`` when the
-        arrangement is coned; ``None`` marks ``z = 0``.  ``c`` is read back
-        from the normalized form, so ``2*x1 - 2*x2 = 1`` gives ``c = 1/2``;
-        it is an ``int`` when integral and a ``Fraction`` otherwise.  Any
+        Returns ``(den, edges)``.  The edge ``(i, j, c)``, with 0-based
+        coordinates ``i < j``, is the hyperplane ``x_{i+1} - x_{j+1} =
+        c/den``, or ``= (c/den)*z`` when the arrangement is coned; ``None``
+        marks ``z = 0``.  ``den`` is the lcm of the leading coefficients of
+        the normalized forms, and ``c`` an ``int``: ``2*x1 - 2*x2 = 1`` and
+        ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the gains 3 and 4.  Any
         other hyperplane is a ``ValueError``.
         """
         n = self.dim - 1 if self.coned else self.dim
-        edges: list[GainEdge] = []
+        read: list[tuple[int, int, int, int] | None] = []
         for h in self.hyperplanes:
             head = h.coeffs[:n]
             support = [k for k, v in enumerate(head) if v]
             if self.coned and not support and not h.const:
-                edges.append(None)
+                read.append(None)
                 continue
             if (
                 len(support) != 2
@@ -160,9 +162,9 @@ class Arrangement:
                     f"the hyperplane {h.render(self.var_names())} is not of the form {form}"
                 )
             i, j = support
-            num, den = -h.coeffs[n] if self.coned else h.const, head[i]
-            edges.append((i, j, num // den if num % den == 0 else Fraction(num, den)))
-        return edges
+            read.append((i, j, -h.coeffs[n] if self.coned else h.const, head[i]))
+        den = lcm(*(e[3] for e in read if e is not None))
+        return den, [None if e is None else (e[0], e[1], e[2] * (den // e[3])) for e in read]
 
     def __repr__(self) -> str:
         kind = "coned" if self.coned else ("central" if self.is_central else "affine")
@@ -196,17 +198,11 @@ class NestSpec:
             raise ValueError("a nest spec needs at least the set N_2")
         return NestSpec(ell, den, nums)
 
-    def set_at(self, j: int) -> tuple[Scalar, ...]:
-        """The set N_j for an index 2 <= j <= ell, as rationals (``int`` when integral)."""
+    def set_at(self, j: int) -> tuple[int, ...]:
+        """The numerators of N_j over ``den``, for an index 2 <= j <= ell."""
         if not 2 <= j <= self.ell:
             raise ValueError(f"index {j} out of range 2..{self.ell}")
-        den = self.den
-        return tuple(a // den if a % den == 0 else Fraction(a, den) for a in self.nums[j - 2])
-
-    @property
-    def sets(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The sets N_2..N_ell as rationals, as ``set_at`` gives them."""
-        return tuple(self.set_at(j) for j in range(2, self.ell + 1))
+        return self.nums[j - 2]
 
     def reordered(self, order: Sequence[int]) -> "NestSpec":
         """Relabel: position k takes the original set N_{order[k]}."""

@@ -9,11 +9,12 @@ Enumeration takes the difference arrangements that every spec builds:
 read as gain-graph edges by ``Arrangement.gain_edges``.  A region is a
 conjunction of strict bounds ``x_u - x_v < D[u][v]``, kept as a closed
 difference-bound matrix (Dill 1989; strict bounds as in Bengtsson-Yi
-2004): every entry is the tightest bound the others imply.  With the
-constants cleared to integers, the side ``x_a - x_b < c`` of a new
-hyperplane meets the region exactly when ``D[b][a] + c > 0``, a side the
-region already implies leaves its matrix as it is, and a split tightens
-one copy by an O(n^2) incremental closure.  Every matrix starts from the
+2004): every entry is the tightest bound the others imply.  The entries
+are the bounds times the gains' one denominator, so the side
+``x_a - x_b < c`` of a new hyperplane, ``c`` its integer gain, meets the
+region exactly when ``D[b][a] + c > 0``, a side the region already
+implies leaves its matrix as it is, and a split tightens one copy by an
+O(n^2) incremental closure.  Every matrix starts from the
 box ``|x_u - x_v| < n (M + 1)``, ``M`` the largest constant in absolute
 value, so all entries are finite integers.  The box loses no chamber:
 closing every gap wider than ``M + 1`` between consecutive sorted
@@ -29,8 +30,7 @@ which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
 A ``Chamber`` keeps that integer form, the region's bits and the scaled
 point, and its text and the command line's JSON are written from it;
-``SignVector`` and ``Fraction`` values are made only when its properties
-are read.
+only its ``witness`` property makes ``Fraction`` values.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -41,7 +41,6 @@ is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter, neg
@@ -50,23 +49,6 @@ from typing import Sequence
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import Scalar, UniPoly, clear_denominators
 from .freeness import is_nest, nest_exponents
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """Strict signs (+1 or -1), indexed by the arrangement's hyperplane order."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("sign vectors hold only +1 and -1")
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    def __str__(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
 _SIGN_CHARS = str.maketrans("01", "-+")
@@ -78,8 +60,7 @@ class Chamber:
     Both are kept as integers.  ``bits`` is the sign vector on ``size``
     hyperplanes, hyperplane 0 the most significant bit and a set bit for
     the side ``+``; ``point`` is the witness times the positive scale
-    ``den``.  Equality and hashing follow ``sign_vector`` and ``witness``,
-    whatever the scale.
+    ``den``.
     """
 
     __slots__ = ("bits", "size", "point", "den")
@@ -92,12 +73,8 @@ class Chamber:
 
     @property
     def signs(self) -> str:
-        """The sign vector as a string of ``+`` and ``-``, as ``str(sign_vector)``."""
+        """The sign vector as a string of ``+`` and ``-``, hyperplane 0 first."""
         return bin(self.bits | 1 << self.size)[3:].translate(_SIGN_CHARS)
-
-    @property
-    def sign_vector(self) -> SignVector:
-        return SignVector(tuple(1 if c == "+" else -1 for c in self.signs))
 
     @property
     def witness(self) -> tuple[Fraction, ...]:
@@ -111,18 +88,6 @@ class Chamber:
             g = gcd(x, den)
             parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return ", ".join(parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chamber):
-            return NotImplemented
-        return (
-            self.bits == other.bits
-            and self.size == other.size
-            and [x * other.den for x in self.point] == [y * self.den for y in other.point]
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.size, self.witness))
 
     def __repr__(self) -> str:
         return f"Chamber({self.signs!r}, ({self.witness_text()}))"
@@ -187,16 +152,14 @@ def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
     Hyperplanes are inserted one at a time into the closed matrices of
     the regions found so far.
     """
-    edges = arr.gain_edges()
+    den, edges = arr.gain_edges()
     if arr.coned and None not in edges:
         raise ValueError("a coned arrangement needs the hyperplane z = 0")
     n = arr.dim - 1 if arr.coned else arr.dim
-    consts, den = clear_denominators([e[2] for e in edges if e is not None])
     unit = 1 << (n - 1)  # keeps the witness midpoints integral
-    big = n * (max(map(abs, consts), default=0) + 1) * unit
+    big = n * (max((abs(e[2]) for e in edges if e is not None), default=0) + 1) * unit
     box = tuple(tuple(0 if u == v else big for v in range(n)) for u in range(n))
-    scaled = iter(consts)
-    cuts = [None if e is None else (e[0], e[1], next(scaled) * unit) for e in edges]
+    cuts = [None if e is None else (e[0], e[1], e[2] * unit) for e in edges]
     regions = [(0, box)]
     for cut in cuts:
         if cut is None:  # z = 0: the slice z = 1 lies on its positive side
@@ -242,13 +205,18 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
 def chamber_of_point(arr: Arrangement, point: Sequence[Scalar]) -> Chamber:
     """The chamber containing the point; errors if the point lies on a wall."""
     scaled, den = clear_denominators([Fraction(v) for v in point])
+    return _chamber_at(arr, scaled, den)
+
+
+def _chamber_at(arr: Arrangement, point: Sequence[int], den: int) -> Chamber:
+    """The chamber containing ``point / den``, for integer coordinates and ``den > 0``."""
     bits = 0
     for h in arr.hyperplanes:
-        value = h.eval_at(scaled, den)
+        value = h.eval_at(point, den)
         if value == 0:
             raise ValueError(f"point lies on the hyperplane {h.render(arr.var_names())}")
         bits = bits << 1 | (value > 0)
-    return Chamber(bits, len(arr), tuple(scaled), den)
+    return Chamber(bits, len(arr), tuple(point), den)
 
 
 # -- distinguished chambers ---------------------------------------------
@@ -259,27 +227,24 @@ def canonical_chamber(nest: NestSpec, arr: Arrangement | None = None) -> Chamber
 
     The chamber satisfying ``x1 - xj < a z`` for every ``a`` in ``N_j``,
     ``x2 < x3 < ... < xl`` and ``z > 0``; its witness is
-    ``(1 + min N_2, 2, ..., l, 1)``.  When every set is empty the first
-    group of conditions is vacuous and the witness takes ``x1 = 1``.
+    ``(1 + min N_2, 2, ..., l, 1)``, taken over the nest's denominator.
+    When every set is empty the first group of conditions is vacuous and
+    the witness takes ``x1 = 1``.
     """
     if not nest.is_descending():
         raise ValueError("the canonical chamber needs a descending nest")
     if arr is None:
         arr = cone(build_n_ish(nest))
-    n2 = nest.nums[0]
-    x1 = Fraction(nest.den + min(n2), nest.den) if n2 else Fraction(1)
-    witness = (x1,) + tuple(Fraction(j) for j in range(2, nest.ell + 1)) + (
-        Fraction(1),
-    )
-    return chamber_of_point(arr, witness)
+    den, n2 = nest.den, nest.nums[0]
+    x1 = den + min(n2) if n2 else den
+    return _chamber_at(arr, (x1, *(j * den for j in range(2, nest.ell + 1)), den), den)
 
 
 def ish_base_chamber(ell: int) -> tuple[Arrangement, Chamber]:
     """The affine arrangement with all walls ``x1 - xj = 0..j-1`` plus the
     Coxeter walls, and its base chamber ``x1 < xl < ... < x2``."""
     arr = build_named("ish", ell)
-    witness = (Fraction(0),) + tuple(Fraction(ell + 1 - j) for j in range(2, ell + 1))
-    return arr, chamber_of_point(arr, witness)
+    return arr, _chamber_at(arr, (0, *(ell + 1 - j for j in range(2, ell + 1))), 1)
 
 
 def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:

@@ -116,10 +116,7 @@ def _need_nest(parsed: ParsedSpec) -> NestSpec:
 
 def _guard_lattice(req: AnalysisRequest) -> None:
     if req.ell > LATTICE_MAX_ELL:
-        raise CapacityError(
-            f"ell = {req.ell} exceeds the guard ell <= {LATTICE_MAX_ELL} "
-            "for lattice and chamber computations"
-        )
+        raise CapacityError(f"ell = {req.ell} exceeds the guard ell <= {LATTICE_MAX_ELL} for {req.command}")
 
 
 def _yesno(flag: bool) -> str:

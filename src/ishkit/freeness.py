@@ -542,17 +542,16 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     hyperplanes.  Freeness would force the restriction exponent to occur
     among the deleted exponents; the union cardinality never does.
     """
-    a_set, b_set = set(nest.set_at(witness.i)), set(nest.set_at(witness.j))
-    a, b = len(a_set), len(b_set)
-    c = len(a_set | b_set)
+    den, a_nums, b_nums = nest.den, nest.nums[witness.i - 2], nest.nums[witness.j - 2]
+    a, b = len(a_nums), len(b_nums)
+    c = len(set(a_nums) | set(b_nums))
     if witness.localized_exponents != (1, a, b) or witness.restriction_exponent != c:
         return False
     if c in (a, b):  # comparable pair: no obstruction at all
         return False
 
-    pair = NestSpec.make([sorted(a_set), sorted(b_set)])
-    full = cone(build_n_ish(pair))
-    h_coxeter = Hyperplane.make([0, 1, -1, 0], 0)
+    full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
+    h_coxeter = Hyperplane((0, 1, -1, 0), 0)
     deleted = Arrangement(4, [h for h in full.hyperplanes if h != h_coxeter], coned=True)
     if len(deleted) != len(full) - 1:
         return False
@@ -562,11 +561,13 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     x1, x2, x3, z = (MultiPoly.variable(n, k) for k in range(4))
     translations = Derivation([one, one, one, zero])
     euler = Derivation([x1, x2, x3, z])
+    # each factor is den * (x1 - x_s - (e/den) z): a nonzero scalar per factor
+    # changes neither log-ness nor degrees, and scales the determinant
     prod2, prod3 = one, one
-    for entry in sorted(a_set):
-        prod2 = prod2 * (x1 - x2 - entry * z)
-    for entry in sorted(b_set):
-        prod3 = prod3 * (x1 - x3 - entry * z)
+    for e in a_nums:
+        prod2 = prod2 * (den * (x1 - x2) - e * z)
+    for e in b_nums:
+        prod3 = prod3 * (den * (x1 - x3) - e * z)
     phi2 = Derivation([zero, prod2, zero, zero])
     phi3 = Derivation([zero, zero, prod3, zero])
     derivs = [translations, euler, phi2, phi3]
@@ -580,5 +581,6 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
         return False
 
     # restriction: distinct traces of the remaining hyperplanes on x2 = x3
-    traces = {Flat.through([edge, (1, 2, 0)], n, True) for edge in deleted.gain_edges()}
+    edges_den, edges = deleted.gain_edges()
+    traces = {Flat.through([edge, (1, 2, 0)], n, True, edges_den) for edge in edges}
     return len(traces) == 1 + c

@@ -2,23 +2,26 @@
 
 Every arrangement here is a difference arrangement: its hyperplanes are
 ``x_i - x_j = c``, and when coned ``x_i - x_j = c*z`` plus ``z = 0``,
-read as gain-graph edges by ``Arrangement.gain_edges``.  A flat of such
-an arrangement is a partition of the coordinates with one offset per
-coordinate (Zaslavsky, *Biased graphs* I and II): ``x_v = x_root +
-offset[v]``, times ``z`` when coned, where the root is the largest
-coordinate of v's block.  A coned flat may also lie inside ``z = 0``,
-and then every offset is 0.  Meeting a hyperplane merges two blocks
-with an offset shift, changes nothing, or meets a conflict: an empty
-intersection when affine, the collapse to ``z = 0`` when coned.  No
-elimination and no gcd is needed, and the root and offset fields are
-canonical, so flats compare and hash by them.
+read as gain-graph edges by ``Arrangement.gain_edges``: an ``int`` gain
+per edge over one denominator ``den`` for the arrangement.  A flat of
+such an arrangement is a partition of the coordinates with one offset
+per coordinate (Zaslavsky, *Biased graphs* I and II): ``x_v = x_root +
+offset[v]/den``, times ``z`` when coned, where the root is the largest
+coordinate of v's block and ``offset[v]`` an ``int``.  A coned flat may
+also lie inside ``z = 0``, and then every offset is 0.  Meeting a
+hyperplane merges two blocks with an offset shift, changes nothing, or
+meets a conflict: an empty intersection when affine, the collapse to
+``z = 0`` when coned.  No elimination and no gcd is needed, and the root
+and offset fields are canonical, so flats compare and hash by them.
 
-A flat's reduced row echelon form comes in closed form: ``x_v - x_root
-= offset[v]`` (coned: ``x_v - x_root - offset[v]*z = 0``) for each
-coordinate v off its root, then ``z = 0``.  Scaled to coprime integers,
-``den*x_v - den*x_root = num`` with ``offset[v] = num/den``, these are
-the integer rows behind the sort keys (``_IntGains.key``) that order
-the covers of the supersolvability climb.
+A flat's reduced row echelon form comes in closed form:
+``x_v - x_root = p/q`` (coned: ``x_v - x_root - (p/q)*z = 0``) for each
+coordinate v off its root, with ``p/q`` the reduced ``offset[v]/den``,
+then ``z = 0``.  ``Flat.to_json`` and ``Flat.render`` write these rows
+straight from the integers, one gcd per row.  Scaled to coprime integers,
+``q*x_v - q*x_root = p``, they are the integer rows behind the sort
+keys (``_IntGains.key``) that order the covers of the supersolvability
+climb.
 
 Flats are ordered by reverse inclusion, the whole space at the bottom.
 A flat is the intersection of the hyperplanes through it, so its mask
@@ -56,12 +59,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, GainEdge
-from .exactmath import Scalar, UniPoly, equation_str, format_rational, nonnegative_int_roots
+from .exactmath import UniPoly, nonnegative_int_roots
 
 
 @dataclass(frozen=True)
@@ -69,24 +71,26 @@ class Flat:
     """A nonempty flat of a difference arrangement, as a gain-graph partition.
 
     ``root[v]`` is the largest coordinate of v's block and
-    ``x_v = x_root + offset[v]`` (times ``z`` when ``coned``).  ``zero``
+    ``x_v = x_root + offset[v]/den`` (times ``z`` when ``coned``), with
+    ``den`` the denominator of the arrangement's gain edges.  ``zero``
     marks a coned flat inside ``z = 0``, whose offsets are all 0.
     """
 
     root: tuple[int, ...]
-    offset: tuple[Scalar, ...]
+    offset: tuple[int, ...]
     zero: bool
     coned: bool
+    den: int
 
     @staticmethod
-    def ambient(dim: int, coned: bool = False) -> "Flat":
+    def ambient(dim: int, coned: bool = False, den: int = 1) -> "Flat":
         n = dim - coned
-        return Flat(tuple(range(n)), (0,) * n, False, coned)
+        return Flat(tuple(range(n)), (0,) * n, False, coned, den)
 
     @staticmethod
-    def through(edges: Iterable[GainEdge], dim: int, coned: bool = False) -> "Flat | None":
-        """The intersection of the hyperplanes with these gain edges; ``None`` if empty."""
-        flat = Flat.ambient(dim, coned)
+    def through(edges: Iterable[GainEdge], dim: int, coned: bool = False, den: int = 1) -> "Flat | None":
+        """The intersection of the hyperplanes with these gain edges over ``den``; ``None`` if empty."""
+        flat = Flat.ambient(dim, coned, den)
         for edge in edges:
             res = flat.intersect_hyperplane(edge)
             if res is None:
@@ -124,37 +128,53 @@ class Flat:
         if self.contains(edge):
             return "same"
         meet = _meet(self.root, self.offset, self.zero, edge, self.coned)
-        return None if meet is None else Flat(*meet, self.coned)
+        return None if meet is None else Flat(*meet, self.coned, self.den)
 
-    def rref(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The rational reduced row echelon form of the module docstring, in pivot order."""
-        n = len(self.root)
-        out = []
+    def _rows(self):
+        """``(v, r, p, q)`` per coordinate ``v`` off its root ``r``, in pivot
+        order, with ``p/q`` the reduced ``offset[v]/den``."""
+        den = self.den
         for v, (r, o) in enumerate(zip(self.root, self.offset)):
             if r != v:
-                row: list[Scalar] = [0] * (n + 1 + self.coned)
-                row[v], row[r], row[n] = 1, -1, -o if self.coned else o
-                out.append(tuple(row))
-        if self.zero:
-            out.append((0,) * n + (1, 0))
-        return tuple(out)
+                g = gcd(o, den)
+                yield v, r, o // g, den // g
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "dim": self.dim,
-            "rref": [[format_rational(v) for v in row] for row in self.rref()],
-        }
+        """Rank, dimension, and the reduced row echelon form, each entry as ``"num/den"``."""
+        n = len(self.root)
+        rref = []
+        for v, r, p, q in self._rows():
+            row = ["0/1"] * (n + 1 + self.coned)
+            row[v], row[r], row[n] = "1/1", "-1/1", f"{-p if self.coned else p}/{q}"
+            rref.append(row)
+        if self.zero:
+            rref.append(["0/1"] * n + ["1/1", "0/1"])
+        return {"rank": self.rank, "dim": self.dim, "rref": rref}
 
     def render(self, names: Sequence[str]) -> str:
+        """The rows of the reduced row echelon form as equations, ``; ``-separated."""
         if not self.rank:
             return "ambient space"
-        return "; ".join(equation_str(row[:-1], row[-1], names) for row in self.rref())
+        z = names[len(self.root)] if self.coned else ""
+        out = []
+        for v, r, p, q in self._rows():
+            lhs = f"{names[v]} - {names[r]}"
+            if not self.coned:
+                out.append(f"{lhs} = {p}" if q == 1 else f"{lhs} = {p}/{q}")
+            elif not p:
+                out.append(f"{lhs} = 0")
+            else:
+                mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+                term = z if mag == "1" else f"{mag}*{z}"
+                out.append(f"{lhs} {'+' if p < 0 else '-'} {term} = 0")
+        if self.zero:
+            out.append(f"{z} = 0")
+        return "; ".join(out)
 
 
 def _meet(
-    root: tuple[int, ...], offset: tuple[Scalar, ...], zero: bool, edge: GainEdge, coned: bool
-) -> tuple[tuple[int, ...], tuple[Scalar, ...], bool] | None:
+    root: tuple[int, ...], offset: tuple[int, ...], zero: bool, edge: GainEdge, coned: bool
+) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
     """The flat ``(root, offset, zero)`` of a ``Flat`` met with the hyperplane of
     a gain edge that does not contain it; ``None`` when they do not meet.
 
@@ -180,21 +200,16 @@ def _meet(
 
 
 class _IntGains:
-    """The gain edges of an arrangement, every gain scaled to an ``int``.
+    """The gain edges of an arrangement over its one denominator ``den``.
 
-    The gains are scaled by the lcm ``scale`` of their denominators, and
-    an integer flat is the triple ``(root, offset, zero)`` of a ``Flat``
-    with its offsets scaled the same way, so ``_meet`` stays in ``int``.
-    The closure of ``char_poly`` reads the masks of its integer flats off
-    here, and the supersolvability climb also their sort keys and ``Flat``s.
+    An integer flat is the triple ``(root, offset, zero)`` of a ``Flat``,
+    so ``_meet`` stays in ``int``.  The closure of ``char_poly`` reads the
+    masks of its integer flats off here, and the supersolvability climb
+    also their sort keys.
     """
 
     def __init__(self, arr: Arrangement) -> None:
-        edges = arr.gain_edges()
-        self.scale = lcm(*(edge[2].denominator for edge in edges if edge is not None))
-        self.edges: list[GainEdge] = [
-            edge if edge is None else (edge[0], edge[1], int(edge[2] * self.scale)) for edge in edges
-        ]
+        self.den, self.edges = arr.gain_edges()
         self.coned = arr.coned
         self.n = arr.dim - arr.coned
         self._edge_bits = [(1 << bit, *edge) for bit, edge in enumerate(self.edges) if edge is not None]
@@ -214,26 +229,20 @@ class _IntGains:
     def key(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> tuple:
         """``(rank, ...)``, ordered as ``(rank, rows)`` with the rows of the module docstring.
 
-        An integer row has ``den`` at v, ``-den`` at its root r > v and
-        ``+-num`` at n, so the tuples ``(-v, den, r, +-num)`` compare as the
-        rows do; the ``z = 0`` row, zero before n, sorts below them all as
-        ``(-n,)``.  The rank is the number of rows.
+        An integer row has ``q`` at v, ``-q`` at its root r > v and ``+-p``
+        at n, so the tuples ``(-v, q, r, +-p)`` compare as the rows do; the
+        ``z = 0`` row, zero before n, sorts below them all as ``(-n,)``.
+        The rank is the number of rows.
         """
-        scale = self.scale
+        den = self.den
         rows: list[tuple[int, ...]] = []
         for v, (r, o) in enumerate(zip(root, offset)):
             if r != v:
-                g = gcd(o, scale)
-                rows.append((-v, scale // g, r, (-o if self.coned else o) // g))
+                g = gcd(o, den)
+                rows.append((-v, den // g, r, (-o if self.coned else o) // g))
         if zero:
             rows.append((-self.n,))
         return len(rows), tuple(rows)
-
-    def flat(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> Flat:
-        scale = self.scale
-        if scale > 1:
-            offset = tuple([Fraction(o, scale) if o % scale else o // scale for o in offset])
-        return Flat(root, offset, zero, self.coned)
 
 
 def char_poly(arr: Arrangement) -> UniPoly:
@@ -365,7 +374,7 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
         return None
 
     chain = extend(gains.ambient(), 0)
-    return None if chain is None else [gains.flat(*flat) for flat in chain]
+    return None if chain is None else [Flat(*flat, coned, gains.den) for flat in chain]
 
 
 def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
@@ -390,11 +399,11 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     """
     if not arr.coned:
         raise ValueError("the nest filtration is built for coned arrangements")
-    edges = arr.gain_edges()
+    den, edges = arr.gain_edges()
     ties = [v - 1 for v in reversed(order)]  # 0-based coordinates, sets descending
     if any(edge is not None and edge[0] == 0 for edge in edges):  # some set is nonempty
         ties.insert(0, 0)
-    chain = [Flat.ambient(arr.dim, coned=True)]
+    chain = [Flat.ambient(arr.dim, True, den)]
     for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
         flat = chain[-1].intersect_hyperplane(edge)
         if not isinstance(flat, Flat):
@@ -437,7 +446,7 @@ def _meets_inside(a: GainEdge, b: GainEdge, earlier: set[GainEdge]) -> bool:
     return third is not None and third in earlier
 
 
-def _third_side(a: tuple[int, int, Scalar], b: tuple[int, int, Scalar]) -> GainEdge:
+def _third_side(a: tuple[int, int, int], b: tuple[int, int, int]) -> GainEdge:
     """The gain edge closing the triangle of two edges through one vertex.
 
     With the shared vertex ``s``, ``x_s - x_u = g`` and ``x_s - x_w = h``

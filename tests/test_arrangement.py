@@ -33,6 +33,16 @@ def h(coeffs, const=0):
     return Hyperplane.make(coeffs, const)
 
 
+def rational_set(nest: NestSpec, j: int) -> tuple[Fraction, ...]:
+    """The set N_j as ``Fraction``s: its numerators over the nest's denominator."""
+    return tuple(Fraction(a, nest.den) for a in nest.set_at(j))
+
+
+def rational_sets(nest: NestSpec) -> tuple[tuple[Fraction, ...], ...]:
+    """The sets N_2..N_ell as ``rational_set`` gives them."""
+    return tuple(rational_set(nest, j) for j in range(2, nest.ell + 1))
+
+
 def test_hyperplane_normalization():
     assert h([Fraction(1, 2), Fraction(-1, 2)], Fraction(3, 2)) == h([1, -1], 3)
     assert h([-1, 1], 0) == h([1, -1], 0)
@@ -62,14 +72,18 @@ def test_hyperplane_form_and_eval():
 def test_gain_edges_read_back_the_constant():
     arr = Arrangement(3, [h([1, -1, 0], Fraction(1, 2)), h([0, 1, -1], -2)])
     assert arr.hyperplanes[0] == Hyperplane((2, -2, 0), 1)
-    edges = arr.gain_edges()
-    assert edges == [(0, 1, Fraction(1, 2)), (1, 2, -2)]
-    assert [type(e[2]) for e in edges] == [Fraction, int]  # int when integral
-    coned = cone(arr).gain_edges()
-    assert coned == [None] + edges
-    assert [type(e[2]) for e in coned[1:]] == [Fraction, int]
+    den, edges = arr.gain_edges()
+    assert (den, edges) == (2, [(0, 1, 1), (1, 2, -4)])  # 1/2 and -2, over 2
+    assert cone(arr).gain_edges() == (2, [None] + edges)
+    # mixed denominators: 2*x1 - 2*x2 = 1 and 3*x1 - 3*x3 = 2 read as 3/6 and 4/6
+    mixed = Arrangement(3, [h([2, -2, 0], 1), h([3, 0, -3], 2), h([0, 1, -1])])
+    assert mixed.gain_edges() == (6, [(0, 1, 3), (0, 2, 4), (1, 2, 0)])
+    assert cone(mixed).gain_edges() == (6, [None, (0, 1, 3), (0, 2, 4), (1, 2, 0)])
+    for den, edges in (mixed.gain_edges(), cone(mixed).gain_edges()):
+        assert all(type(e[2]) is int for e in edges if e is not None)
     # a coned arrangement without z = 0 still reads as edges
-    assert Arrangement(3, [h([1, -1, 0], 0)], coned=True).gain_edges() == [(0, 1, 0)]
+    assert Arrangement(3, [h([1, -1, 0], 0)], coned=True).gain_edges() == (1, [(0, 1, 0)])
+    assert Arrangement(2, []).gain_edges() == (1, [])
     with pytest.raises(ValueError, match="not of the form"):
         Arrangement(3, [h([0, 0, 1], 1), h([1, -1, 0])], coned=True).gain_edges()  # z = 1
 
@@ -109,12 +123,12 @@ def test_shi_and_ish_same_size():
 def test_nest_spec_basics():
     nest = NestSpec.make([[1, 0, 1], ["1/2", 0]])
     assert nest.ell == 3
-    assert nest.set_at(2) == (0, 1)
-    assert nest.set_at(3) == (0, Fraction(1, 2))
+    assert nest.den == 2 and nest.set_at(2) == (0, 2) and nest.set_at(3) == (0, 1)
+    assert rational_set(nest, 3) == (0, Fraction(1, 2))
     assert not nest.is_ascending() and not nest.is_descending()
     asc = NestSpec.make([[0], [0, 1]])
     assert asc.is_ascending() and not asc.is_descending()
-    assert asc.reordered([3, 2]).sets == (asc.set_at(3), asc.set_at(2))
+    assert asc.reordered([3, 2]).nums == (asc.set_at(3), asc.set_at(2))
     with pytest.raises(ValueError):
         NestSpec.make([])
     with pytest.raises(ValueError):
@@ -377,12 +391,12 @@ def test_nest_spec_matches_the_fraction_oracle(sets):
     nest, oracle = NestSpec.make(sets), FractionNestSpec.make(sets)
     assert nest.ell == oracle.ell
     assert nest.den == lcm(*(a.denominator for s in oracle.sets for a in s))
-    assert nest.sets == oracle.sets
+    assert rational_sets(nest) == oracle.sets
     assert all(type(a) is int for s in nest.nums for a in s)
     assert nest.to_json() == oracle.to_json() and str(nest) == str(oracle)
     assert (nest.is_ascending(), nest.is_descending()) == (oracle.is_ascending(), oracle.is_descending())
     order = list(range(nest.ell, 1, -1))
-    assert nest.reordered(order).sets == oracle.reordered(order).sets
+    assert rational_sets(nest.reordered(order)) == oracle.reordered(order).sets
     assert NestSpec.make(oracle.sets) == nest  # one form, whatever the input spelling
     arr, old = build_n_ish(nest), fraction_build_n_ish(oracle)
     assert arr.hyperplanes == old.hyperplanes
@@ -393,6 +407,22 @@ def test_nest_denominator_is_the_lcm_of_the_reduced_ones():
     assert NestSpec.make([["1/2", "-5/6"], ["7/4", "1/3"]]).den == 12
     assert NestSpec.make([["2/4", "3/3"], [4]]) == NestSpec(3, 2, ((1, 2), (8,)))
     assert NestSpec.make([[], []]).den == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(MIXED_SETS, st.booleans())
+def test_gain_edges_of_a_nest_are_its_numerators(sets, coned):
+    # a nest's arrangement reads back over the nest's denominator, graph and
+    # named specs over 1
+    nest = NestSpec.make(sets)
+    arr = build_n_ish(nest)
+    den, edges = (cone(arr) if coned else arr).gain_edges()
+    assert den == nest.den
+    assert {e[1:] for e in edges if e is not None and e[0] == 0} == {
+        (j - 1, a) for j in range(2, nest.ell + 1) for a in nest.set_at(j)
+    }
+    for other in (build_named("shi", 3), build_deleted("ish", Graph.make(3, [(1, 3)]))):
+        assert other.gain_edges()[0] == cone(other).gain_edges()[0] == 1
 
 
 @pytest.mark.parametrize("sets", [[[True]], [[1.5]], [["1/0"]], 5, [["1e3"]], [[" 1"]], [[None]], []])

@@ -19,6 +19,7 @@ from test_arrangement import (
     fraction_cone,
     fraction_ish_nest,
     fraction_n_from_graph,
+    rational_set,
 )
 from test_chambers import (
     chamber_to_json,
@@ -75,7 +76,7 @@ def test_parse_spec_named_type():
 def test_parse_spec_n_ish_with_fractions():
     req = request_of('{"type": "n_ish", "N": [[0], ["1/2"]], "command": "freeness"}')
     assert req.parsed.nest is not None
-    assert req.parsed.nest.set_at(3) == (Fraction(1, 2),)
+    assert rational_set(req.parsed.nest, 3) == (Fraction(1, 2),)
 
 
 def test_parse_spec_deleted_graph():
@@ -186,9 +187,15 @@ def test_basis_at_the_top_of_the_guard(capsys, tmp_path):
     for spec in ({"type": "ish", "ell": 7}, {"type": "n_ish", "N": [[0]] * 6}):
         path.write_text(json.dumps(spec))
         assert main(["basis", "--spec", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "capacity: ell = 7 exceeds the guard ell <= 6 for lattice and chamber computations\n"
-        )
+        assert capsys.readouterr().err == "capacity: ell = 7 exceeds the guard ell <= 6 for basis\n"
+
+
+@pytest.mark.parametrize("command", ["basis", "saito", "supersolvable", "chambers", "wallcross"])
+def test_the_ell_guard_names_the_command_and_its_bound(command, capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "ish", "ell": 7, "cone": True}))
+    assert main([command, "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"capacity: ell = 7 exceeds the guard ell <= 6 for {command}\n"
 
 
 def test_lattice_at_the_top_of_the_guard(capsys, tmp_path):
@@ -387,7 +394,7 @@ def oracle_report(spec: dict, command: str, fmt: str) -> str:
             arr, witness = parsed.arrangement, [0, *range(parsed.ell - 1, 0, -1)]
         else:  # the canonical chamber of the sets in descending order
             nest = parsed.nest.reordered(tuple(reversed(is_nest(parsed.nest))))
-            arr, n2 = cone(build_n_ish(nest)), nest.set_at(2)
+            arr, n2 = cone(build_n_ish(nest)), rational_set(nest, 2)
             witness = [1 + min(n2) if n2 else 1, *range(2, nest.ell + 1), 1]
         base = oracle_chamber_of_point(arr, witness).sign_vector.signs
         counts = [0] * (len(arr) + 1)

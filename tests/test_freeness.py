@@ -37,7 +37,14 @@ from ishkit.freeness import (
 )
 from ishkit.lattice import char_poly
 from ishkit.rooks import nest_char_poly
-from test_arrangement import MIXED_SETS, FractionNestSpec, fraction_build_n_ish, fraction_cone
+from test_arrangement import (
+    MIXED_SETS,
+    FractionNestSpec,
+    fraction_build_n_ish,
+    fraction_cone,
+    rational_set,
+    rational_sets,
+)
 from test_exactmath import ref_div
 
 
@@ -455,7 +462,7 @@ def test_saito_constant_matches_division_reference(nest, rng):
         rescaled[k] = scaled(derivs[k], factor)
         assert saito_constant(rescaled, arr) == c * factor
 
-    if all(a.denominator == 1 for s in nest.sets for a in s):
+    if all(a.denominator == 1 for s in rational_sets(nest) for a in s):
         polys = [comp for d in derivs for comp in d.components]
         ints = [p1 * p2 for p1, p2 in zip(polys, polys[1:])]
         ints += [p1 + p2 for p1, p2 in zip(polys, polys[1:])]
@@ -482,7 +489,7 @@ def basis_by_products(nest, entries=None):
         comps = [zero] * n
         for s in range(2, k + 1):
             poly = one
-            for a in entries.get(k, nest.set_at(k)):
+            for a in entries.get(k, rational_set(nest, k)):
                 poly = poly * (xs[0] - xs[s - 1] - a * z)
             for t in range(k + 1, ell + 1):
                 poly = poly * (xs[s - 1] - xs[t - 1])
@@ -529,7 +536,7 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     fields = [k for k in range(2, nest.ell + 1) if nest.set_at(k)]
     if fields:
         k = rng.choice(fields)
-        a = rng.choice(nest.set_at(k))
+        a = rng.choice(rational_set(nest, k))
         dropped = []
         for s, comp in enumerate(basis[k]):
             if comp is not None:
@@ -542,7 +549,7 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
             dropped.append(comp)
         mutated, oracle = list(basis), list(expanded)
         mutated[k] = tuple(dropped)
-        oracle[k] = basis_by_products(nest, {k: [b for b in nest.set_at(k) if b != a]})[k]
+        oracle[k] = basis_by_products(nest, {k: [b for b in rational_set(nest, k) if b != a]})[k]
         got = verdict(factored_saito_constant, mutated, arr)
         assert got == verdict(saito_constant, oracle, arr)
         assert got == "ValueError: all derivations must be logarithmic for the arrangement"

@@ -168,4 +168,4 @@ def test_analysis_fields_for_a_free_graph():
     assert isinstance(analysis, GraphAnalysis)
     assert analysis.free and analysis.nest_ok and analysis.pairwise_ok
     assert analysis.athanasiadis_witness == (1, 3, 2)
-    assert analysis.n_g.sets == ((0, 1), (0,))
+    assert analysis.n_g.nums == ((0, 1), (0,)) and analysis.n_g.den == 1

@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 import pytest
@@ -23,7 +25,7 @@ from ishkit.arrangement import (
     ish_nest,
 )
 from ishkit.cli import request_from_doc, run
-from ishkit.exactmath import UniPoly, nonnegative_int_roots
+from ishkit.exactmath import Scalar, UniPoly, equation_str, format_rational, nonnegative_int_roots
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
     Flat,
@@ -39,6 +41,92 @@ from ishkit.rooks import graph_char_poly, spec_char_poly
 T_MINUS_ONE = UniPoly([-1, 1])
 
 Row = tuple[Fraction, ...]
+
+
+# -- Fraction offsets and lcm-scaled gains: the oracle of the integer form --
+
+
+@dataclass(frozen=True)
+class FractionFlat:
+    """A flat with rational offsets, ``x_v = x_root + offset[v]``.
+
+    The form of ``Flat`` before its offsets became integers over the
+    arrangement's denominator: its reduced row echelon form, JSON record
+    and text are the oracle of ``Flat.to_json`` and ``Flat.render``.
+    """
+
+    root: tuple[int, ...]
+    offset: tuple[Scalar, ...]
+    zero: bool
+    coned: bool
+
+    @property
+    def rank(self) -> int:
+        return sum(r != v for v, r in enumerate(self.root)) + self.zero
+
+    @property
+    def dim(self) -> int:
+        return len(self.root) + self.coned - self.rank
+
+    def rref(self) -> tuple[tuple[Scalar, ...], ...]:
+        """``x_v - x_root = offset[v]`` (coned: ``x_v - x_root - offset[v]*z = 0``)
+        per coordinate off its root, then ``z = 0``, in pivot order."""
+        n = len(self.root)
+        out = []
+        for v, (r, o) in enumerate(zip(self.root, self.offset)):
+            if r != v:
+                row: list[Scalar] = [0] * (n + 1 + self.coned)
+                row[v], row[r], row[n] = 1, -1, -o if self.coned else o
+                out.append(tuple(row))
+        if self.zero:
+            out.append((0,) * n + (1, 0))
+        return tuple(out)
+
+    def to_json(self) -> dict:
+        return {
+            "rank": self.rank,
+            "dim": self.dim,
+            "rref": [[format_rational(v) for v in row] for row in self.rref()],
+        }
+
+    def render(self, names: Sequence[str]) -> str:
+        if not self.rank:
+            return "ambient space"
+        return "; ".join(equation_str(row[:-1], row[-1], names) for row in self.rref())
+
+
+def fraction_flat(flat: Flat) -> FractionFlat:
+    """The flat with each offset divided by ``den``: an ``int`` when integral."""
+    den = flat.den
+    offset = tuple(o // den if o % den == 0 else Fraction(o, den) for o in flat.offset)
+    return FractionFlat(flat.root, offset, flat.zero, flat.coned)
+
+
+def fraction_gain_edges(arr: Arrangement) -> list:
+    """The gain edges of a difference arrangement with each gain a ``Fraction``,
+    read back from the normalized form: ``2*x1 - 2*x2 = 1`` gives 1/2."""
+    n = arr.dim - arr.coned
+    edges = []
+    for h in arr.hyperplanes:
+        support = [k for k, v in enumerate(h.coeffs[:n]) if v]
+        if not support:
+            edges.append(None)  # z = 0
+            continue
+        i, j = support
+        edges.append((i, j, Fraction(-h.coeffs[n] if arr.coned else h.const, h.coeffs[i])))
+    return edges
+
+
+def lcm_scaled(edges: Sequence) -> tuple[int, list]:
+    """``(scale, edges)``: the gains times the lcm ``scale`` of their denominators."""
+    scale = lcm(*(e[2].denominator for e in edges if e is not None))
+    return scale, [e if e is None else (e[0], e[1], int(e[2] * scale)) for e in edges]
+
+
+def assert_written_as_the_oracle(flat: Flat, names: Sequence[str]) -> None:
+    oracle = fraction_flat(flat)
+    assert flat.to_json() == oracle.to_json()
+    assert flat.render(names) == oracle.render(names)
 
 
 # -- rational reference closure ----------------------------------------
@@ -243,7 +331,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 fill ^= low
         steps.append(step)
     keys = [gains.key(*flat) for flat in flats]
-    return IntersectionPoset(arr, [gains.flat(*flat) for flat in flats], masks, steps, keys, mobius)
+    flats = [Flat(*flat, coned, gains.den) for flat in flats]
+    return IntersectionPoset(arr, flats, masks, steps, keys, mobius)
 
 
 # -- the rank-identity search: the oracle of ``is_supersolvable`` --------
@@ -375,7 +464,7 @@ def poset_supersolvable(arr: Arrangement) -> list[Flat] | None:
     if not arr.is_central:
         raise ValueError("supersolvability test needs a central arrangement")
     poset = intersection_poset(arr)
-    edges = arr.gain_edges()
+    _, edges = arr.gain_edges()
     masks, steps = poset.masks, poset.steps
     full = (1 << len(edges)) - 1
     dead: set[int] = set()
@@ -403,11 +492,13 @@ def poset_supersolvable(arr: Arrangement) -> list[Flat] | None:
 
 
 def rows(flat: Flat) -> tuple[tuple[int, ...], ...]:
-    """The integer echelon rows that order the poset: ``Flat.rref`` scaled to coprime integers."""
+    """The integer echelon rows that order the poset: the rref of ``fraction_flat``
+    scaled to coprime integers."""
     n = len(flat.root)
     out = []
     for v, (r, o) in enumerate(zip(flat.root, flat.offset)):
         if r != v:
+            o = Fraction(o, flat.den)
             row = [0] * (n + 1 + flat.coned)
             row[v], row[r] = o.denominator, -o.denominator
             row[n] = -o.numerator if flat.coned else o.numerator
@@ -424,7 +515,7 @@ def check_closure(poset, edges: Sequence) -> None:
     keys = [(flat.rank, rows(flat)) for flat in poset.flats]
     assert keys == sorted(keys) and list(poset.ranks) == [rank for rank, _ in keys]
     for flat, (_, integer_rows) in zip(poset.flats, keys):  # rref: each row over its pivot
-        assert flat.rref() == tuple(
+        assert fraction_flat(flat).rref() == tuple(
             tuple(Fraction(v, next(filter(None, row))) for v in row) for row in integer_rows
         )
     index = {flat: i for i, flat in enumerate(poset.flats)}
@@ -465,17 +556,24 @@ def test_flat_basics():
     meet = Flat.through([(0, 1, 0), (0, 1, 1)], 3, coned=True)
     assert meet == Flat.through([(0, 1, 0), None], 3, coned=True)
     # a merge shifts the offsets of the block that joins the larger root
-    g = Flat.through([(0, 1, Fraction(1, 2)), (1, 2, -2)], 3)
-    assert g.root == (2, 2, 2) and g.offset == (Fraction(-3, 2), -2, 0)
+    # gains over the denominator 2: x1 - x2 = 1/2, x2 - x3 = -2
+    g = Flat.through([(0, 1, 1), (1, 2, -4)], 3, den=2)
+    assert g.root == (2, 2, 2) and g.offset == (-3, -4, 0) and g.den == 2
     assert rows(g) == ((2, 0, -2, -3), (0, 1, -1, -2))  # 2*x1 - 2*x3 = -3, x2 - x3 = -2
-    assert g.rref() == ((1, 0, -1, Fraction(-3, 2)), (0, 1, -1, -2))
+    assert fraction_flat(g).rref() == ((1, 0, -1, Fraction(-3, 2)), (0, 1, -1, -2))
+    assert g.render(["x1", "x2", "x3"]) == "x1 - x3 = -3/2; x2 - x3 = -2"
+    assert g.to_json()["rref"] == [["1/1", "0/1", "-1/1", "-3/2"], ["0/1", "1/1", "-1/1", "-2/1"]]
     # coned: offsets scale z, and z = 0 zeroes them and adds its own row
-    c = Flat.through([(0, 1, Fraction(1, 2))], 3, coned=True)
+    c = Flat.through([(0, 1, 1)], 3, coned=True, den=2)
     assert c.ambient_dim == 3 and rows(c) == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
+    assert c.render(["x1", "x2", "z"]) == "x1 - x2 - 1/2*z = 0"
     collapsed = c.intersect_hyperplane(None)
     assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
     assert rows(collapsed) == ((1, -1, 0, 0), (0, 0, 1, 0))
+    assert collapsed.render(["x1", "x2", "z"]) == "x1 - x2 = 0; z = 0"
     assert collapsed.intersect_hyperplane((0, 1, 5)) == "same"  # 5*z vanishes on z = 0
+    for flat, names in ((g, ["x1", "x2", "x3"]), (c, ["x1", "x2", "z"]), (collapsed, ["x1", "x2", "z"])):
+        assert_written_as_the_oracle(flat, names)
 
 
 def test_flat_rref_is_canonical():
@@ -483,11 +581,11 @@ def test_flat_rref_is_canonical():
     b = Flat.through([(0, 2, 3), (1, 2, 2)], 3)
     c = Flat.through([(0, 2, 3), (0, 1, 1)], 3)
     assert a == b == c and hash(a) == hash(b) == hash(c)
-    assert a.rref() == ((1, 0, -1, 3), (0, 1, -1, 2))
+    assert fraction_flat(a).rref() == ((1, 0, -1, 3), (0, 1, -1, 2))
     coned = Flat.through([(1, 2, 0), None], 4, coned=True)
     assert rows(coned) == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
     for flat in (a, coned):  # a flat's own equations rebuild it
-        assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned) == flat
+        assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned, flat.den) == flat
 
 
 def test_poset_two_parallel_lines():
@@ -595,7 +693,7 @@ def test_nest_modular_chain_ish():
     arr = cone(build_n_ish(NestSpec.make([[0, 1, 2], [0, 1]])))
     chain = nest_modular_chain(arr, (3, 2))
     assert [f.rank for f in chain] == [0, 1, 2, 3]
-    edges = arr.gain_edges()
+    _, edges = arr.gain_edges()
     assert [e for e in edges if chain[1].contains(e)] == [None]  # just z = 0
     assert all(chain[-1].contains(e) for e in edges) and len(edges) == 7
 
@@ -743,7 +841,7 @@ def test_supersolvable_matches_the_oracle_on_half_integer_nests(sets):
 
 def block_sizes(arr: Arrangement, chain: Sequence[Flat]) -> list[int]:
     """How many hyperplanes first contain each flat of the chain above the ambient space."""
-    firsts = [next(k for k, flat in enumerate(chain) if flat.contains(e)) for e in arr.gain_edges()]
+    firsts = [next(k for k, flat in enumerate(chain) if flat.contains(e)) for e in arr.gain_edges()[1]]
     return [firsts.count(k) for k in range(1, len(chain))]
 
 
@@ -831,6 +929,27 @@ def test_an_edge_on_the_same_pair_is_the_only_cover_of_a_parallel_pair():
     assert_search_matches_oracle(arr)
 
 
+def test_half_entry_chains_are_written_as_the_oracle_writes_them():
+    # the supersolvable answer on a half-entry n_ish cone, in JSON and text
+    doc = {"type": "n_ish", "N": [[0, "1/2"], ["-1/2", 0, "1/2"]], "cone": True}
+    parsed = from_spec(doc)
+    arr = parsed.arrangement
+    assert arr.gain_edges()[0] == parsed.nest.den == 2
+    oracle = [fraction_flat(f) for f in nest_modular_chain(arr, is_nest(parsed.nest))]
+    answer = json.loads(run(request_from_doc(dict(doc, command="supersolvable", format="json"))))
+    assert answer["chain"] == [f.to_json() for f in oracle]
+    text = run(request_from_doc(dict(doc, command="supersolvable"))).splitlines()
+    names = arr.var_names()
+    assert text[1:] == [f"  rank {f.rank}: {f.render(names)}" for f in oracle]
+    # without z = 0 the climb's chain passes through a flat with a half offset
+    arr = Arrangement(3, [_plane([2, -2, k]) for k in (1, 3, 5)], coned=True)  # x1 - x2 = -k/2 z
+    chain, names = is_supersolvable(arr), arr.var_names()
+    assert chain[1].offset == (-1, 0) and chain[1].den == 2
+    assert chain[1].render(names) == "x1 - x2 + 1/2*z = 0"
+    for flat in chain:
+        assert_written_as_the_oracle(flat, names)
+
+
 def test_zaslavsky_count_matches_poset():
     # |chi(-1)| equals the chamber count; frozen expected values here
     assert abs(char_poly(build_named("ish", 3)).evaluate(-1)) == 16
@@ -899,12 +1018,16 @@ def _plane(coeffs, const=0):
     random.Random(3),
 )
 def test_integer_kernel_matches_rational_reference(arr, rng):
+    assert arr.gain_edges() == lcm_scaled(fraction_gain_edges(arr))
     poset = intersection_poset(arr)
-    check_closure(poset, arr.gain_edges())
+    check_closure(poset, arr.gain_edges()[1])
+    names = arr.var_names()
+    for flat in poset.flats:
+        assert_written_as_the_oracle(flat, names)
     ref_flats, ref_masks, ref_mobius = reference_poset(arr)
     ref_chi = chi_of(arr.dim, [len(rows) for rows in ref_flats], ref_mobius)
     assert char_poly(arr) == poset.char_poly() == ref_chi  # the slim closure, the full one
-    rref = [flat.rref() for flat in poset.flats]
+    rref = [fraction_flat(flat).rref() for flat in poset.flats]
     assert sorted(rref, key=lambda rows: (len(rows), rows)) == ref_flats
     ref_of = {rows: k for k, rows in enumerate(ref_flats)}
     for i, rows in enumerate(rref):
@@ -939,8 +1062,12 @@ def test_steps_and_mobius_on_five_cones(arr):
     # closure fills from a cover, and Weisner's Moebius values, against
     # the meets and the sum over every lower flat; chi of the slim closure
     # against the full one and the rational reference
+    assert arr.gain_edges() == lcm_scaled(fraction_gain_edges(arr))
     poset = intersection_poset(arr)
-    check_closure(poset, arr.gain_edges())
+    check_closure(poset, arr.gain_edges()[1])
+    names = arr.var_names()
+    for flat in poset.flats:
+        assert_written_as_the_oracle(flat, names)
     assert list(poset.mobius) == scan_mobius(poset.masks, poset.ranks)
     ref_flats, _, ref_mobius = reference_poset(arr)
     ref_chi = chi_of(arr.dim, [len(rows) for rows in ref_flats], ref_mobius)

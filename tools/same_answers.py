@@ -1,0 +1,93 @@
+"""Check that two checkouts give the same answer, byte for byte, to the benchmark's requests.
+
+Run from the root of a checkout::
+
+    python3 tools/same_answers.py --baseline ../parent --seeds 901 902
+
+For each workload and seed, the requests are those that
+``perfbench/workloads.py`` deals a benchmark run of that seed: as many
+rounds as ``rounds_for`` gives for the ``run_seconds`` of
+``BENCHMARK.json``, or ``--rounds``.  Every request is answered in text
+and in JSON through ``ishkit.cli.run``, once in this checkout and once
+in the ``--baseline`` checkout.  Each checkout answers in a subprocess
+of its own, with ``PYTHONPATH`` set to its ``src``.  An answer is the
+rendered report, or the type and message of the exception the request
+raised.  The tool prints one line per workload and seed, and exits 0
+when every answer is the same and 1 at the first request whose answers
+differ, naming it.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS, generate  # noqa: E402
+
+# One JSON request per input line in, one JSON-encoded answer per output line out.
+_ANSWER = """
+import json, sys
+from ishkit.cli import request_from_doc, run
+for line in sys.stdin:
+    try:
+        answer = run(request_from_doc(json.loads(line)))
+    except Exception as exc:
+        answer = f"{type(exc).__name__}: {exc}"
+    print(json.dumps(answer))
+"""
+
+
+def answers(checkout: Path, docs: list[dict]) -> list[str]:
+    """The answers of the checkout's ``src`` to the requests, in order."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ANSWER],
+        input="".join(json.dumps(doc) + "\n" for doc in docs),
+        capture_output=True, text=True, cwd=checkout, env=env,
+    )
+    out = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(out) != len(docs):
+        raise RuntimeError(f"answering in {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
+    return [json.loads(line) for line in out]
+
+
+def requests(workload: str, seed: int, rounds: int | None) -> list[dict]:
+    """Every request of the seed's run, once in text and once in JSON."""
+    w = WORKLOADS[workload]
+    if rounds is None:
+        rounds = w.rounds_for(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    docs = [doc for r in generate(w, seed, rounds) for doc in r]
+    return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline", type=Path, required=True, help="the checkout to compare with")
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
+    ap.add_argument("--rounds", type=int, help="rounds per seed (default: a benchmark run's)")
+    args = ap.parse_args(argv)
+    baseline = args.baseline.resolve()
+    total = 0
+    for workload in args.workloads:
+        for seed in args.seeds:
+            docs = requests(workload, seed, args.rounds)
+            mine, theirs = answers(ROOT, docs), answers(baseline, docs)
+            for doc, a, b in zip(docs, mine, theirs):
+                if a != b:
+                    print(f"{workload} seed {seed}: the answers differ on {json.dumps(doc, sort_keys=True)}")
+                    return 1
+            total += len(docs)
+            print(f"{workload} seed {seed}: {len(docs)} answers the same")
+    print(f"{total} answers the same")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
