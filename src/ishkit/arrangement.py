@@ -21,7 +21,9 @@ its hyperplanes ``x_i - x_j = num/den`` already normalized, as
 ``(den/g) x_i - (den/g) x_j = num/g`` with ``g = gcd(den, num)``, and
 ``cone`` appends ``-const`` to a normalized form, which leaves it
 normalized, so neither goes through ``Hyperplane.make``; that stays for
-rational input.  ``Arrangement.gain_edges`` reads a difference
+rational input.  ``_diff_form`` builds that coned form once, as a tuple
+of ints, for ``_diff`` and for the factors of ``freeness``'s derivation
+bases.  ``Arrangement.gain_edges`` reads a difference
 arrangement back in the same form: ``int`` gains over one denominator,
 the nest's ``den`` for a nest, 1 for graph and named specs.
 """
@@ -273,13 +275,24 @@ def _pairs(ell: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
 
 
+def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[int, ...]:
+    """The coned form of ``x_i - x_j = num/den`` (``i < j``, ``den > 0``), normalized.
+
+    ``(den/g) x_i - (den/g) x_j - (num/g) z`` over ``x1..x_ell, z``, with
+    ``g = gcd(den, num)``: the coefficients ``cone`` gives ``_diff``'s
+    hyperplane, and the factors of ``freeness``'s derivation bases.
+    """
+    g = gcd(den, num)
+    q = den // g
+    form = [0] * (ell + 1)
+    form[i - 1], form[j - 1], form[ell] = q, -q, -num // g
+    return tuple(form)
+
+
 def _diff(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> Hyperplane:
     """``x_i - x_j = num/den`` for ``i < j`` and ``den > 0``, built normalized."""
-    g = gcd(den, num)
-    coeffs = [0] * ell
-    coeffs[i - 1] = den // g
-    coeffs[j - 1] = -den // g
-    return Hyperplane(tuple(coeffs), num // g)
+    form = _diff_form(ell, i, j, num, den)
+    return Hyperplane(form[:ell], -form[ell])
 
 
 NAMED_KINDS = ("coxeter", "shi", "ish")

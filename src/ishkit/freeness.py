@@ -24,47 +24,44 @@ combination, so no symbolic differentiation is needed.
 The chain tests read the nest in its integer form (``NestSpec``): sets
 of numerators over one denominator, compared as ``int``s.
 
-Every component of the paper's basis is a product of linear forms, so
-the basis is built once in factored form (``factored_basis``): each
-component is zero or a scalar times a sorted tuple of primitive integer
-forms, normalized like ``Hyperplane.make`` and built from the nest's
-integers.  ``basis_derivations`` multiplies it out for display, and
-multiplies out one component per field only: the ``x_s`` component of
-``theta_k`` is its ``x2`` component with ``x2`` renamed ``x_s``, and
-since the ``x2`` component has no ``x_s`` the renaming is an exchange of
-two variables, one addition per packed monomial key.
+Every component of both certificates' bases is a product of linear
+forms, so each basis is built in factored form: each component is zero
+or a scalar times a sorted tuple of the cone's own normalized integer
+forms, read from ``arrangement._diff_form``.  ``basis_derivations``
+multiplies the paper's basis out for display, one component per field.
 ``factored_saito_constant`` decides Saito's criterion on the factors,
 hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
 found once, and only the components they pick out enter the image
-``theta(alpha_H)``.  On the paper's basis most checks end there, with
-no arithmetic: each component picked out is zero or has ``alpha_H`` as
-a factor.  The argument is unique factorization in ``Q[x]``: a product
-of linear forms lies in the ideal of ``alpha_H`` exactly when
-``alpha_H`` is one of its factors, and restricting a product to ``H``
-restricts each factor.  An image ``theta(alpha_H)`` is
-a sum of such products.  Its linear terms are summed as one integer form,
-a multiple of ``alpha_H`` or not; its other terms are restricted factor
-by factor and collected by their factors, and when every collection
-cancels the image is a multiple of ``alpha_H``.  When some does not,
-distinct products may still cancel, and that one image is multiplied out
-and decided by ``exactmath.vanishes_on``; the paper's basis never needs
-this.  ``saito_constant`` on the expanded derivations stays as the
-general route and the oracle.
+``theta(alpha_H)``.  Each log check ends in one of three ways
+(``_factored_is_log``):
+
+* by exchange, when a braid form ``x_s - x_t`` meets two components
+  that exchanging ``x_s`` and ``x_t`` swaps;
+* by the factors, when every term picked out has ``alpha_H`` among its
+  factors (unique factorization in ``Q[x]``) or is a constant or a
+  linear form, and the constants sum to 0 and the linear forms to a
+  multiple of ``alpha_H``;
+* by ``exactmath.vanishes_on`` on the image multiplied out, when a term
+  has two or more factors and none is ``alpha_H``.  Neither
+  certificate's basis gets here.
+
+``saito_constant`` on the expanded derivations stays as the general
+route and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, build_n_ish, cone
+from .arrangement import Arrangement, Hyperplane, NestSpec, _diff_form, build_n_ish, cone
 from .exactmath import MultiPoly, Scalar, _nonzero, int_det, poly_str, vanishes_on
 from .lattice import Flat
 
-Factor = tuple[int, ...]  # a primitive integer linear form, normalized like Hyperplane.make
+Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._diff_form builds it
 Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 
@@ -246,6 +243,13 @@ def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(exps))
 
 
+def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
+    """``d/dx1 + ... + d/dxl`` and the Euler field, of degrees 0 and 1 on a cone over ``x1..xl, z``."""
+    n = ell + 1
+    units = (tuple(int(i == k) for i in range(n)) for k in range(n))
+    return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
+
+
 def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     """The explicit derivation basis for the cone of an ascending nest, factored.
 
@@ -255,37 +259,24 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
     For ``a = num/den`` over the nest's denominator and ``g = gcd(den,
     num)``, the factor is ``(q x1 - q x_s - (num/g) z) / q`` with
-    ``q = den/g``: the normalized form of the coned hyperplane
-    ``x1 - x_s = a z``, built from ints.  The components of one field
-    share the scalar ``1 / prod q``, an ``int`` when every entry of
-    ``N_k`` is integral.
+    ``q = den/g``: the coned hyperplane's own form (``_diff_form``).  The
+    components of one field share the scalar ``1 / prod q``, an ``int``
+    when every entry of ``N_k`` is integral.
     """
     if not nest.is_ascending():
         raise ValueError("the derivation basis needs an ascending nest")
     ell, den = nest.ell, nest.den
     n = ell + 1  # x1..xl and z
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    translations = ((1, ()),) * ell + (None,)
-    euler = tuple((1, (u,)) for u in units)
-    out = [translations, euler]
+    out = _translation_and_euler(ell)
     for k, entries in enumerate(nest.nums, start=2):
-        heads, scale = [], 1  # per entry a: q and -num/g, the x1 and z coefficients of its factor
-        for a in entries:
-            g = gcd(den, a)
-            heads.append((den // g, -a // g))
-            scale *= den // g
-        scalar = 1 if scale == 1 else Fraction(1, scale)
-        comps: list[Term | None] = [None] * n
+        comps: list[tuple[Factor, ...] | None] = [None] * n
         for s in range(2, k + 1):
-            factors = []
-            for q, c in heads:
-                form = [0] * n
-                form[0], form[s - 1], form[ell] = q, -q, c
-                factors.append(tuple(form))
-            for t in range(k + 1, ell + 1):
-                factors.append(tuple(u - v for u, v in zip(units[s - 1], units[t - 1])))
-            comps[s - 1] = (scalar, tuple(sorted(factors)))
-        out.append(tuple(comps))
+            factors = [_diff_form(ell, 1, s, a, den) for a in entries]
+            factors += [_diff_form(ell, s, t) for t in range(k + 1, ell + 1)]
+            comps[s - 1] = tuple(sorted(factors))
+        scale = prod(f[0] for f in comps[1] if f[0])  # the q of each x1 - x2 - a z
+        scalar = 1 if scale == 1 else Fraction(1, scale)
+        out.append(tuple(None if c is None else (scalar, c) for c in comps))
     return out
 
 
@@ -322,42 +313,30 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     return out
 
 
-def _primitive(form: Sequence[int]) -> tuple[int, Factor]:
-    """A nonzero integer form as ``content * f``, ``f`` normalized like ``Hyperplane.make``."""
-    g = gcd(*form)
-    if next(v for v in form if v) < 0:
-        g = -g
-    return g, tuple(v // g for v in form)
-
-
 def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence[tuple[int, int]]) -> bool:
     """Is ``theta(alpha)`` a multiple of ``alpha``, decided on the factors?
 
     ``support`` lists the pairs ``(k, alpha[k])`` with ``alpha[k] != 0`` in
-    increasing ``k``; only those components of ``theta`` enter the image.
-    The scalars of ``theta`` are ints (``factored_saito_constant`` clears
-    their denominators first).  A term ``c * prod f`` of the image is a
-    multiple of ``alpha`` when ``alpha`` is one of its factors.  The terms
-    with one factor are summed as integer form vectors into one linear
-    form ``L``, the degree-1 part of the image.  With ``x_p`` the first
-    variable of ``alpha``, ``L`` lies in ``(alpha)`` exactly when
-    ``alpha_p L - L_p alpha`` is zero; otherwise the image does not
-    either, as ``(alpha)`` is a homogeneous ideal.  Every other term is
-    restricted to ``alpha = 0`` factor by factor: ``f`` restricts to
-    ``(alpha_p f - f_p alpha) / alpha_p``, a form free of ``x_p``.  The
-    integer form ``alpha_p f - f_p alpha`` is made primitive and its
-    content goes into ``c``, so every term of degree ``deg`` carries the
-    same extra factor ``alpha_p ** deg``.  Terms with the same restricted
-    factors are collected.  When every collection sums to zero, so does
-    the restriction, and ``theta(alpha)`` lies in ``(alpha)``.  Otherwise
-    distinct products may still cancel, so that one image is multiplied
-    out and decided by ``vanishes_on``.
+    increasing ``k``; only those components of ``theta`` enter the image
+    ``sum alpha[k] theta[k]``.  The scalars of ``theta`` are ints
+    (``factored_saito_constant`` clears their denominators first).  The
+    check ends in one of three ways:
 
-    First, a braid form ``alpha = a (x_s - x_t)`` meets two components
-    with one scalar ``c`` whose factors are exchanged by swapping ``x_s``
-    and ``x_t`` (the map ``sigma``), as the paper's fields on ``x2..xk``
-    are: then ``theta(alpha) = a c (P - P o sigma)`` for the product ``P``
-    of the ``x_s`` factors, which vanishes on ``x_s = x_t``.
+    * exchange: a braid form ``alpha = a (x_s - x_t)`` meets two components
+      with one scalar ``c`` whose factors are exchanged by swapping ``x_s``
+      and ``x_t`` (the map ``sigma``), as the paper's fields on ``x2..xk``
+      are.  Then ``theta(alpha) = a c (P - P o sigma)`` for the product
+      ``P`` of the ``x_s`` factors, which vanishes on ``x_s = x_t``;
+    * factors and sums: a term ``c * prod f`` with ``alpha`` among its
+      factors lies in ``(alpha)`` and is skipped.  The constant terms must
+      sum to 0, and the terms with one factor, summed as integer form
+      vectors into one linear form ``L``, to a multiple of ``alpha``: with
+      ``x_p`` the first variable of ``alpha``, ``alpha_p L - L_p alpha``
+      must be zero.  ``(alpha)`` is a homogeneous ideal, so this decides
+      the image degree by degree;
+    * multiplied out: a term of two or more factors, none of them
+      ``alpha``, may cancel against other terms, so the image is
+      multiplied out and decided by ``vanishes_on``.
     """
     if len(support) == 2:
         (s, a), (t, b) = support
@@ -366,51 +345,28 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
             swapped = sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in cs[1])
             if ct[1] == tuple(swapped):
                 return True
-    p, ap = support[0]
-    linear: list[int] | None = None
-    sums: dict[tuple[Factor, ...], int] = {}
+    constant, linear = 0, None
     for k, a in support:
         comp = theta[k]
         if comp is None or alpha in comp[1]:
             continue
         scalar, factors = comp
-        scalar *= a
-        if len(factors) == 1:
-            f = factors[0]
-            if linear is None:
-                linear = [scalar * v for v in f]
-            else:
-                linear = [u + scalar * v for u, v in zip(linear, f)]
-            continue
-        restricted = []
-        for f in factors:
-            fp = f[p]
-            if not fp:
-                scalar *= ap
-                restricted.append(f)
-                continue
-            form = [ap * u - fp * v for u, v in zip(f, alpha)]
-            if not any(form):  # f is a multiple of alpha
-                scalar = 0
-                break
-            content, prim = _primitive(form)
-            scalar *= content
-            restricted.append(prim)
-        if scalar:
-            key = tuple(sorted(restricted))
-            sums[key] = sums.get(key, 0) + scalar
-    if linear is not None:
-        lp = linear[p]
-        if any(ap * u != lp * v for u, v in zip(linear, alpha)):
-            return False
-    if not any(sums.values()):
+        if not factors:
+            constant += a * scalar
+        elif len(factors) == 1:
+            c, f = a * scalar, factors[0]
+            linear = [c * v for v in f] if linear is None else [u + c * v for u, v in zip(linear, f)]
+        else:
+            n = len(theta)
+            image = sum((_expand(theta[i], n) * b for i, b in support), MultiPoly.zero(n))
+            return vanishes_on(image, alpha)
+    if constant:
+        return False
+    if linear is None:
         return True
-    n = len(theta)
-    image = MultiPoly.zero(n)
-    for k, a in support:
-        if theta[k] is not None:
-            image = image + _expand(theta[k], n) * a
-    return vanishes_on(image, alpha)
+    p, ap = support[0]
+    lp = linear[p]
+    return all(ap * u == lp * v for u, v in zip(linear, alpha))
 
 
 def factored_saito_constant(
@@ -540,8 +496,11 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     ``(0, 1, |N_i|, |N_j|)`` -- verified here through Saito's criterion --
     and restricting to ``x_i = x_j`` leaves ``1 + |N_i | N_j|`` distinct
     hyperplanes.  Freeness would force the restriction exponent to occur
-    among the deleted exponents; the union cardinality never does.
+    among the deleted exponents; the union cardinality never does.  A
+    pair outside ``2 <= i < j <= ell`` is no witness.
     """
+    if not 2 <= witness.i < witness.j <= nest.ell:
+        return False
     den, a_nums, b_nums = nest.den, nest.nums[witness.i - 2], nest.nums[witness.j - 2]
     a, b = len(a_nums), len(b_nums)
     c = len(set(a_nums) | set(b_nums))
@@ -551,36 +510,23 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
         return False
 
     full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
-    h_coxeter = Hyperplane((0, 1, -1, 0), 0)
-    deleted = Arrangement(4, [h for h in full.hyperplanes if h != h_coxeter], coned=True)
+    deleted = Arrangement(4, [h for h in full.hyperplanes if h.coeffs != (0, 1, -1, 0)], coned=True)
     if len(deleted) != len(full) - 1:
         return False
 
-    n = 4
-    zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
-    x1, x2, x3, z = (MultiPoly.variable(n, k) for k in range(4))
-    translations = Derivation([one, one, one, zero])
-    euler = Derivation([x1, x2, x3, z])
-    # each factor is den * (x1 - x_s - (e/den) z): a nonzero scalar per factor
-    # changes neither log-ness nor degrees, and scales the determinant
-    prod2, prod3 = one, one
-    for e in a_nums:
-        prod2 = prod2 * (den * (x1 - x2) - e * z)
-    for e in b_nums:
-        prod3 = prod3 * (den * (x1 - x3) - e * z)
-    phi2 = Derivation([zero, prod2, zero, zero])
-    phi3 = Derivation([zero, zero, prod3, zero])
-    derivs = [translations, euler, phi2, phi3]
-
-    if sorted(d.degree() for d in derivs) != sorted((0,) + witness.localized_exponents):
-        return False
+    # translations, Euler, and the fields of degrees |N_i| and |N_j|:
+    # prod_{a in N_i} (x1 - x2 - a z) d/dx2 and prod_{b in N_j} (x1 - x3 - b z) d/dx3,
+    # each factor the deletion's own form (a nonzero scalar per factor
+    # changes neither log-ness nor degrees, and scales the determinant)
+    phi2 = (None, (1, tuple(sorted(_diff_form(3, 1, 2, e, den) for e in a_nums))), None, None)
+    phi3 = (None, None, (1, tuple(sorted(_diff_form(3, 1, 3, e, den) for e in b_nums))), None)
     try:
-        if saito_constant(derivs, deleted) is None:
+        if factored_saito_constant(_translation_and_euler(3) + [phi2, phi3], deleted) is None:
             return False
     except ValueError:  # some derivation is not logarithmic for the deletion
         return False
 
     # restriction: distinct traces of the remaining hyperplanes on x2 = x3
     edges_den, edges = deleted.gain_edges()
-    traces = {Flat.through([edge, (1, 2, 0)], n, True, edges_den) for edge in edges}
+    traces = {Flat.through([edge, (1, 2, 0)], 4, True, edges_den) for edge in edges}
     return len(traces) == 1 + c

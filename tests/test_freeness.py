@@ -23,7 +23,6 @@ from ishkit.freeness import (
     FreenessVerdict,
     NonFreeWitness,
     _factored_is_log,
-    _primitive,
     basis_derivations,
     decide_free,
     factored_basis,
@@ -35,7 +34,7 @@ from ishkit.freeness import (
     saito_verify,
     verify_nonfree_witness,
 )
-from ishkit.lattice import char_poly
+from ishkit.lattice import Flat, char_poly
 from ishkit.rooks import nest_char_poly
 from test_arrangement import (
     MIXED_SETS,
@@ -291,6 +290,11 @@ def test_tampered_witness_is_rejected():
     # a comparable pair carries no obstruction
     chain = NestSpec.make([[0], [0, 1]])
     assert not verify_nonfree_witness(chain, NonFreeWitness(2, 3, (1, 1, 2), 2))
+    # the pair must be 2 <= i < j <= ell: index 1 would read N_4, index 9 nothing
+    singles = NestSpec.make([[0], [1], [2]])
+    assert not verify_nonfree_witness(singles, NonFreeWitness(1, 3, (1, 1, 1), 2))
+    assert not verify_nonfree_witness(singles, NonFreeWitness(2, 9, (1, 1, 1), 2))
+    assert not verify_nonfree_witness(nest, NonFreeWitness(w.j, w.i, w.localized_exponents, w.restriction_exponent))
 
 
 def test_verdict_json_shapes():
@@ -325,6 +329,93 @@ def test_random_nests_decide_and_certify():
             seen_nonfree += 1
             assert verify_nonfree_witness(nest, verdict.witness)
     assert seen_free and seen_nonfree
+
+
+# -- the witness check against its expanded oracle ----------------------
+
+
+def expanded_verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
+    """``verify_nonfree_witness`` on the expanded route: the four fields
+    multiplied out by hand as ``MultiPoly``s and checked by ``saito_constant``.
+    It reads the pair's sets unchecked, so it is no judge of the indices."""
+    den, a_nums, b_nums = nest.den, nest.nums[witness.i - 2], nest.nums[witness.j - 2]
+    a, b = len(a_nums), len(b_nums)
+    c = len(set(a_nums) | set(b_nums))
+    if witness.localized_exponents != (1, a, b) or witness.restriction_exponent != c:
+        return False
+    if c in (a, b):
+        return False
+    full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
+    h_coxeter = Hyperplane((0, 1, -1, 0), 0)
+    deleted = Arrangement(4, [h for h in full.hyperplanes if h != h_coxeter], coned=True)
+    if len(deleted) != len(full) - 1:
+        return False
+    n = 4
+    zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
+    x1, x2, x3, z = (MultiPoly.variable(n, k) for k in range(4))
+    prod2, prod3 = one, one
+    for e in a_nums:
+        prod2 = prod2 * (den * (x1 - x2) - e * z)
+    for e in b_nums:
+        prod3 = prod3 * (den * (x1 - x3) - e * z)
+    derivs = [
+        Derivation([one, one, one, zero]),
+        Derivation([x1, x2, x3, z]),
+        Derivation([zero, prod2, zero, zero]),
+        Derivation([zero, zero, prod3, zero]),
+    ]
+    if sorted(d.degree() for d in derivs) != sorted((0,) + witness.localized_exponents):
+        return False
+    try:
+        if saito_constant(derivs, deleted) is None:
+            return False
+    except ValueError:
+        return False
+    edges_den, edges = deleted.gain_edges()
+    traces = {Flat.through([edge, (1, 2, 0)], n, True, edges_den) for edge in edges}
+    return len(traces) == 1 + c
+
+
+NON_CHAIN_NESTS = st.integers(3, 8).flatmap(
+    lambda ell: st.lists(
+        st.lists(st.sampled_from(list(range(10)) + ["1/2", "3/2"]), min_size=1, max_size=5),
+        min_size=ell - 1,
+        max_size=ell - 1,
+    )
+).map(NestSpec.make).filter(lambda nest: is_nest(nest) is None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(NON_CHAIN_NESTS)
+@example(NestSpec.make([["1/2", 1], [0, "3/2"], [1]]))
+@example(NestSpec.make([[0], [1], [2]]))
+def test_witness_check_matches_the_expanded_oracle(nest):
+    w = decide_free(nest).witness
+    candidates = [
+        w,
+        NonFreeWitness(w.i, w.j, w.localized_exponents, w.restriction_exponent + 1),
+        NonFreeWitness(w.i, w.j, (1, 1, 1), w.restriction_exponent),
+    ]
+    verdicts = [verify_nonfree_witness(nest, c) for c in candidates]
+    assert verdicts == [expanded_verify_nonfree_witness(nest, c) for c in candidates]
+    assert verdicts[:2] == [True, False]
+    # the swapped pair and indices outside 2..ell are no witness (the oracle
+    # would read the sets at -1 or past the end, or accept the swap)
+    for i, j in ((w.j, w.i), (1, w.j), (w.i, nest.ell + 1), (0, 1)):
+        assert not verify_nonfree_witness(nest, NonFreeWitness(i, j, w.localized_exponents, w.restriction_exponent))
+
+
+def test_witness_check_runs_on_the_factored_route():
+    nest = NestSpec.make([["1/2", 1], [0, "3/2"], [1]])
+    w = decide_free(nest).witness
+    with mock.patch("ishkit.freeness.factored_saito_constant", wraps=factored_saito_constant) as factored, \
+            mock.patch.object(MultiPoly, "__init__", side_effect=AssertionError("a MultiPoly was built")):
+        assert verify_nonfree_witness(nest, w)
+    assert factored.call_count == 1
+    # the swapped pair is accepted by the oracle, which reads the sets unchecked
+    swapped = NonFreeWitness(w.j, w.i, (1, len(nest.set_at(w.j)), len(nest.set_at(w.i))), w.restriction_exponent)
+    assert expanded_verify_nonfree_witness(nest, swapped)
+    assert not verify_nonfree_witness(nest, swapped)
 
 
 # -- differential test of the point-evaluation Saito check --------------
@@ -521,8 +612,7 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     assert [expand(theta) for theta in basis] == basis_derivations(nest) == expanded
     with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
         c = factored_saito_constant(basis, arr)
-    # only the Euler field's images, of degree 1, are multiplied out
-    assert all(f.total_degree() == 1 for (f, _), _ in fallback.call_args_list)
+    assert not fallback.called  # the paper's basis multiplies no image out
     assert isinstance(c, Fraction) and c != 0
     assert c == saito_constant(expanded, arr)
 
@@ -628,15 +718,14 @@ def test_factored_log_check_sees_only_int_scalars():
 
 def test_factored_log_check_folds_the_contents():
     # On 2 x1 = x2 the image 2 x3 (x1 + x2) - 3 x2 x3 restricts to
-    # x3 (3/2 x2) * 2 - 3 x2 x3 = 0: the content 3 of 2 (x1 + x2) - (2 x1 - x2)
-    # and the leading coefficient 2 of alpha must both be folded in for the
-    # two terms to meet without the fallback.
+    # x3 (3/2 x2) * 2 - 3 x2 x3 = 0: two products of two factors, neither
+    # alpha, that cancel only once multiplied out.
     arr = Arrangement(3, [Hyperplane.make([2, -1, 0])])
     along = [((1, ()), (2, ()), None), (None, None, (1, ()))]
     theta = ((1, ((0, 0, 1), (1, 1, 0))), (3, ((0, 0, 1), (0, 1, 0))), None)
     with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
         assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
-    assert not fallback.called
+    assert fallback.called
     assert is_log_derivation(expand(theta), arr)
 
 
@@ -675,11 +764,13 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
     basis = [int_scalars(theta) for theta in factored_basis(nest)]
     for h in arr.hyperplanes:
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
-        with mock.patch("ishkit.freeness._primitive", wraps=_primitive) as restricted:
-            for theta in basis:
-                assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
-        if len(support) == 2 and support[0][0] > 0:  # x_s - x_t with 2 <= s < t <= l
-            assert not restricted.called  # settled by the exchange of x_s and x_t
+        for theta in basis:
+            with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+                got = _factored_is_log(theta, h.coeffs, support)
+            assert got is log_by_expansion(theta, h) is True
+            # on x_s - x_t with 2 <= s < t <= l the exchange of x_s and x_t
+            # settles the two products that would otherwise be multiplied out
+            assert not fallback.called
 
     # the same exchanged factors under unequal scalars: the image does not
     # vanish on x_s = x_t, and the check must fall through to find that out
@@ -697,20 +788,66 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
 
 def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
     # On x2 = x3: (x1 + x3)(x1 + x2) d/dx2 + (x1 + x2)(x1 + x3) d/dx3 has
-    # its x3 factors exchanged from its x2 factors, so it is settled with no
-    # restriction; the other fields fall through to the factor-by-factor check
+    # its x3 factors exchanged from its x2 factors, so it is settled with
+    # nothing multiplied out; the other fields fall through to the expansion
     h = Hyperplane.make([0, 1, -1])
     support = [(1, 1), (2, -1)]
     exchanged = (None, (3, ((1, 0, 1), (1, 1, 0))), (3, ((1, 0, 1), (1, 1, 0))))
     unequal = (None, (3, ((1, 0, 1), (1, 1, 0))), (6, ((1, 0, 1), (1, 1, 0))))
     skew = (None, (1, ((0, 1, 1), (1, 1, 0))), (1, ((0, 1, 1), (1, 0, 0))))
-    for theta, log, restricts in ((exchanged, True, False), (unequal, False, True), (skew, False, True)):
-        with mock.patch("ishkit.freeness._primitive", wraps=_primitive) as restricted:
-            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is log
-        assert restricted.called is restricts
+    for theta, log, falls_back in ((exchanged, True, False), (unequal, False, True), (skew, False, True)):
+        with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+            got = _factored_is_log(theta, h.coeffs, support)
+        assert got is log_by_expansion(theta, h) is log
+        assert fallback.called is falls_back
     # x2 = 2 x3 is no braid form: the exchange leaves it, so it falls through
     h = Hyperplane.make([0, 1, -2])
     assert _factored_is_log(exchanged, h.coeffs, [(1, 1), (2, -2)]) is log_by_expansion(exchanged, h) is False
+
+
+@st.composite
+def products_on_a_plane(draw):
+    """A central plane ``alpha`` and a derivation whose components are products
+    of two or three normalized integer forms: random ones, ``alpha`` among
+    them, or one product ``P`` times a vector ``v`` along the plane, whose
+    image ``P * (alpha . v)`` is zero only once multiplied out."""
+    n = draw(st.integers(2, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    factor = vector.map(lambda v: Hyperplane.make(v).coeffs)
+    alpha = draw(factor)
+    products = st.lists(factor, min_size=2, max_size=3)
+    scalar = st.integers(-3, 3).filter(bool)
+    mode = draw(st.sampled_from(["random", "alpha", "along"]))
+    if mode == "along":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        v = [0] * n
+        v[i], v[j] = alpha[j], -alpha[i]
+        p = tuple(sorted(draw(products)))
+        c = draw(scalar)
+        return alpha, tuple((c * vk, p) if vk else None for vk in v)
+    comps = []
+    for _ in range(n):
+        factors = draw(products)
+        if mode == "alpha" and draw(st.booleans()):
+            factors[0] = alpha
+        comps.append(draw(st.one_of(st.none(), st.tuples(scalar, st.just(tuple(sorted(factors)))))))
+    return alpha, tuple(comps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(products_on_a_plane())
+@example(((1, -1, 1), ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))))
+@example(((2, -1, 0), ((1, ((0, 0, 1), (1, 1, 0))), (2, ((0, 0, 1), (1, 1, 0))), None)))
+def test_factored_log_check_on_products_matches_the_expansion(case):
+    alpha, theta = case
+    support = [(k, a) for k, a in enumerate(alpha) if a]
+    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+        got = _factored_is_log(theta, alpha, support)
+    assert got is log_by_expansion(theta, Hyperplane(alpha, 0))
+    if all(theta[k] is None or alpha in theta[k][1] for k, _ in support):
+        assert got and not fallback.called  # every term picked out has alpha as a factor
+    elif len(support) != 2:  # no braid form, so no exchange: the image is multiplied out
+        assert fallback.call_count == 1
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
