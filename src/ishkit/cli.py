@@ -62,6 +62,8 @@ def _read_doc(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # json.loads recurses once per nested array or object
+        raise ValueError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ValueError("the request must be a JSON object")
     return doc

@@ -9,71 +9,68 @@ per coordinate (Zaslavsky, *Biased graphs* I and II): ``x_v = x_root +
 offset[v]/den``, times ``z`` when coned, where the root is the largest
 coordinate of v's block and ``offset[v]`` an ``int``.  A coned flat may
 also lie inside ``z = 0``, and then every offset is 0.  Meeting a
-hyperplane merges two blocks with an offset shift, changes nothing, or
-meets a conflict: an empty intersection when affine, the collapse to
-``z = 0`` when coned.  No elimination and no gcd is needed, and the root
-and offset fields are canonical, so flats compare and hash by them.
+hyperplane (``_meet``) merges two blocks with an offset shift, changes
+nothing, or meets a conflict: an empty intersection when affine, the
+collapse to ``z = 0`` when coned.  No elimination and no gcd is needed,
+and the fields are canonical, so a flat is one tuple, ``Flat``, that
+the closure, the climb and the filtration hash and compare as it is.
 
 A flat's reduced row echelon form comes in closed form:
 ``x_v - x_root = p/q`` (coned: ``x_v - x_root - (p/q)*z = 0``) for each
 coordinate v off its root, with ``p/q`` the reduced ``offset[v]/den``,
 then ``z = 0``.  ``Flat.to_json`` and ``Flat.render`` write these rows
-straight from the integers, one gcd per row.  Scaled to coprime integers,
-``q*x_v - q*x_root = p``, they are the integer rows behind the sort
-keys (``_IntGains.key``) that order the covers of the supersolvability
-climb.
+straight from the integers, one gcd per row.  Scaled to coprime
+integers, ``q*x_v - q*x_root = p``, the same rows make the sort key
+(``Flat.key``) that orders the covers of the supersolvability climb.
 
 Flats are ordered by reverse inclusion, the whole space at the bottom.
 A flat is the intersection of the hyperplanes through it, so its mask
-of those hyperplanes encodes it faithfully, and mask containment
-decides the order.  ``char_poly`` is the Moebius route to the
-characteristic polynomial ``sum mu(X) t^dim(X)``, good for any
-difference arrangement: one closure on integer gains that meets a flat
-once per upper cover and takes mu from the lower covers by Weisner's
-theorem.  The ``charpoly`` command and the subgraph survey take chi
-from rook numbers instead (``ishkit.rooks``); this route is kept as the
-oracle they are tested against.  The integer meet (``_meet``) and masks
-(``_IntGains``) are shared with the climb, and
-``Flat.intersect_hyperplane`` meets by the same ``_meet``.
+of those hyperplanes (``_IntGains.mask``) encodes it faithfully, and
+mask containment decides the order.  ``char_poly`` is the Moebius route
+to the characteristic polynomial ``sum mu(X) t^dim(X)``, good for any
+difference arrangement: one closure that meets a flat once per upper
+cover and takes mu from the lower covers by Weisner's theorem.  The
+``charpoly`` command and the subgraph survey take chi from rook numbers
+instead (``ishkit.rooks``); this route is kept as the oracle they are
+tested against.
 
-Both routes to supersolvability rest on one pair test for gain edges
-(``_meets_inside``), the local form of the partition test of
-Bjoerner-Edelman-Ziegler: two hyperplanes meet inside ``z = 0`` or an
-edge on their coordinate pair when they are parallel or one is ``z =
-0``, inside the third side of their triangle when they share a vertex,
-and inside no other hyperplane when they are disjoint.  The cone of a
-nested arrangement needs no closure: ``nest_modular_chain`` builds the
-modular chain of the paper's filtration from the chain order of its
-sets and certifies it by that test.  The ``supersolvable`` command
-answers nest-backed cones that way.  ``is_supersolvable`` serves
-Coxeter, Shi and deleted-Shi cones and central specs that are not
-coned, and is the oracle the filtration is tested against.  It needs
-no closure either: it reads the roots of chi, which for a supersolvable
-arrangement are the block sizes of every modular chain, answers at
-once when they are not all nonnegative integers, and otherwise climbs
-by covers it makes as it goes, keeping only those that pass the pair
-test with a block size among the roots left.
+Both routes to supersolvability rest on one block test
+(``_unmodular_pair``), the partition test of Bjoerner-Edelman-Ziegler
+read pair by pair (``_meets_inside``): two hyperplanes meet inside
+``z = 0`` or an edge on their coordinate pair when they are parallel or
+one is ``z = 0``, inside the third side of their triangle when they
+share a vertex, and inside no other hyperplane when they are disjoint.
+The cone of a nested arrangement needs no closure: ``nest_modular_chain``
+builds the modular chain of the paper's filtration from the chain order
+of its sets and certifies it by that test.  The ``supersolvable``
+command answers nest-backed cones that way.  ``is_supersolvable`` serves
+Coxeter, Shi and deleted-Shi cones and central specs that are not coned,
+and is the oracle the filtration is tested against.  It needs no closure
+either: it reads the roots of chi, which for a supersolvable arrangement
+are the block sizes of every modular chain, answers at once when they
+are not all nonnegative integers, and otherwise climbs by covers it
+makes as it goes, keeping only those that pass the block test with a
+block size among the roots left.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, GainEdge
 from .exactmath import UniPoly, nonnegative_int_roots
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A nonempty flat of a difference arrangement, as a gain-graph partition.
 
     ``root[v]`` is the largest coordinate of v's block and
     ``x_v = x_root + offset[v]/den`` (times ``z`` when ``coned``), with
     ``den`` the denominator of the arrangement's gain edges.  ``zero``
-    marks a coned flat inside ``z = 0``, whose offsets are all 0.
+    marks a coned flat inside ``z = 0``, whose offsets are all 0.  Two
+    flats are equal, and hash alike, when all five fields agree.
     """
 
     root: tuple[int, ...]
@@ -125,10 +122,7 @@ class Flat:
         flat, ``None`` when the intersection is empty, and the new
         ``Flat`` otherwise: two blocks merged, or the collapse to ``z = 0``.
         """
-        if self.contains(edge):
-            return "same"
-        meet = _meet(self.root, self.offset, self.zero, edge, self.coned)
-        return None if meet is None else Flat(*meet, self.coned, self.den)
+        return "same" if self.contains(edge) else _meet(self, edge)
 
     def _rows(self):
         """``(v, r, p, q)`` per coordinate ``v`` off its root ``r``, in pivot
@@ -138,6 +132,17 @@ class Flat:
             if r != v:
                 g = gcd(o, den)
                 yield v, r, o // g, den // g
+
+    def key(self) -> tuple:
+        """``(rank, rows)``, each integer row ``q*x_v - q*x_r = +-p`` of the module
+        docstring as ``(-v, q, r, +-p)``, which compare as the rows do (r > v); the
+        ``z = 0`` row, zero before n, sorts below them all as ``(-n,)``."""
+        den, sign = self.den, -1 if self.coned else 1
+        rows = [(-v, den // (g := gcd(o, den)), r, sign * o // g)
+                for v, (r, o) in enumerate(zip(self.root, self.offset)) if r != v]
+        if self.zero:
+            rows.append((-len(self.root),))
+        return len(rows), tuple(rows)
 
     def to_json(self) -> dict:
         """Rank, dimension, and the reduced row echelon form, each entry as ``"num/den"``."""
@@ -172,16 +177,18 @@ class Flat:
         return "; ".join(out)
 
 
-def _meet(
-    root: tuple[int, ...], offset: tuple[int, ...], zero: bool, edge: GainEdge, coned: bool
-) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
-    """The flat ``(root, offset, zero)`` of a ``Flat`` met with the hyperplane of
-    a gain edge that does not contain it; ``None`` when they do not meet.
+_new = tuple.__new__
+
+
+def _meet(flat: Flat, edge: GainEdge) -> Flat | None:
+    """``flat`` met with the hyperplane of a gain edge off it; ``None`` if they do not meet.
 
     The two blocks of the edge merge.  When the edge lies on one block,
     the flat collapses to ``z = 0`` (coned) or misses the hyperplane
-    (affine); ``z = 0`` itself collapses any flat off it.
+    (affine); ``z = 0`` itself collapses any flat off it.  ``_new`` makes
+    the flat without the Python-level call of ``Flat.__new__``.
     """
+    root, offset, zero, coned, den = flat
     if edge is not None:
         i, j, c = edge
         ri, rj = root[i], root[j]
@@ -189,60 +196,36 @@ def _meet(
             d = 0 if zero else c - offset[i] + offset[j]  # x_ri - x_rj = d
             if ri > rj:
                 ri, rj, d = rj, ri, -d
-            return (
-                tuple([rj if r == ri else r for r in root]),
-                tuple([o + d if r == ri else o for r, o in zip(root, offset)]),
-                zero,
-            )
+            offset = tuple([o + d if r == ri else o for r, o in zip(root, offset)])
+            root = tuple([rj if r == ri else r for r in root])
+            return _new(Flat, (root, offset, zero, coned, den))
         if not coned:  # parallel to the flat
             return None
-    return root, (0,) * len(root), True
+    return _new(Flat, (root, (0,) * len(root), True, coned, den))
 
 
 class _IntGains:
-    """The gain edges of an arrangement over its one denominator ``den``.
-
-    An integer flat is the triple ``(root, offset, zero)`` of a ``Flat``,
-    so ``_meet`` stays in ``int``.  The closure of ``char_poly`` reads the
-    masks of its integer flats off here, and the supersolvability climb
-    also their sort keys.
-    """
+    """What a ``Flat`` cannot know of its arrangement: the gain edges over
+    the one denominator ``den``, their full mask, and which contain a flat."""
 
     def __init__(self, arr: Arrangement) -> None:
         self.den, self.edges = arr.gain_edges()
-        self.coned = arr.coned
-        self.n = arr.dim - arr.coned
+        self.full = (1 << len(self.edges)) - 1
         self._edge_bits = [(1 << bit, *edge) for bit, edge in enumerate(self.edges) if edge is not None]
         self._zero_bits = sum(1 << bit for bit, edge in enumerate(self.edges) if edge is None)
 
-    def ambient(self) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-        return tuple(range(self.n)), (0,) * self.n, False
-
-    def mask(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> int:
+    def mask(self, flat: Flat) -> int:
         """Bit ``b`` is set when hyperplane ``b`` contains the flat."""
+        root, offset, zero, _, _ = flat
         mask = self._zero_bits if zero else 0
         for bit, i, j, c in self._edge_bits:
             if root[i] == root[j] and (zero or offset[i] - offset[j] == c):
                 mask |= bit
         return mask
 
-    def key(self, root: tuple[int, ...], offset: tuple[int, ...], zero: bool) -> tuple:
-        """``(rank, ...)``, ordered as ``(rank, rows)`` with the rows of the module docstring.
-
-        An integer row has ``q`` at v, ``-q`` at its root r > v and ``+-p``
-        at n, so the tuples ``(-v, q, r, +-p)`` compare as the rows do; the
-        ``z = 0`` row, zero before n, sorts below them all as ``(-n,)``.
-        The rank is the number of rows.
-        """
-        den = self.den
-        rows: list[tuple[int, ...]] = []
-        for v, (r, o) in enumerate(zip(root, offset)):
-            if r != v:
-                g = gcd(o, den)
-                rows.append((-v, den // g, r, (-o if self.coned else o) // g))
-        if zero:
-            rows.append((-self.n,))
-        return len(rows), tuple(rows)
+    def hyperplanes(self, mask: int) -> list[GainEdge]:
+        """The gain edges of the hyperplanes in ``mask``, in order."""
+        return [edge for bit, edge in enumerate(self.edges) if mask >> bit & 1]
 
 
 def char_poly(arr: Arrangement) -> UniPoly:
@@ -252,13 +235,12 @@ def char_poly(arr: Arrangement) -> UniPoly:
     spec kind from a rook board without generating a flat.
 
     The closure generates every flat from the ambient space along its
-    covers, on integer gains (``_IntGains``), a flat being the plain
-    tuple ``(root, offset, zero)`` with its mask computed when it is
-    first found.  The flat Y in which a flat X meets a hyperplane off X
-    covers X, and X meets every hyperplane of ``mask(Y)`` outside
-    ``mask(X)`` in the same Y, so the closure meets once per cover pair,
-    and Y's rank is X's plus one.  It walks the flats breadth first, in
-    ranks that never decrease, so it has found every lower cover of X
+    covers by ``_meet``, and computes a flat's mask (``_IntGains.mask``)
+    when it first finds the flat.  The flat Y in which a flat X meets a
+    hyperplane off X covers X, and X meets every hyperplane of ``mask(Y)``
+    outside ``mask(X)`` in the same Y, so the closure meets once per cover
+    pair, and Y's rank is X's plus one.  It walks the flats breadth first,
+    in ranks that never decrease, so it has found every lower cover of X
     when it reaches X.  The interval from the ambient space to X is a
     geometric lattice whose atoms are the hyperplanes through X, so
     Weisner's theorem gives ``mu(X) = -sum mu(Y)`` over the lower covers
@@ -267,13 +249,12 @@ def char_poly(arr: Arrangement) -> UniPoly:
     coefficient of ``t^dim(X)``.
     """
     gains = _IntGains(arr)
-    edges, coned = gains.edges, gains.coned
-    flats = [gains.ambient()]
+    edges = gains.edges
+    flats = [Flat.ambient(arr.dim, arr.coned, gains.den)]
     index = {flats[0]: 0}
     masks, ranks, covers = [0], [0], [[]]
     mobius: list[int] = []
     coeffs = [0] * (arr.dim + 1)
-    full = (1 << len(edges)) - 1
     for x, flat in enumerate(flats):  # grows while it is walked
         mask = masks[x]
         if mask:  # Weisner's theorem, with a the first hyperplane through x
@@ -283,10 +264,10 @@ def char_poly(arr: Arrangement) -> UniPoly:
             mu = 1
         mobius.append(mu)
         coeffs[arr.dim - ranks[x]] += mu
-        todo = full & ~mask
+        todo = gains.full & ~mask
         while todo:
             bit = (todo & -todo).bit_length() - 1
-            meet = _meet(*flat, edges[bit], coned)
+            meet = _meet(flat, edges[bit])
             if meet is None:
                 todo ^= 1 << bit
                 continue
@@ -294,7 +275,7 @@ def char_poly(arr: Arrangement) -> UniPoly:
             if y is None:
                 y = index[meet] = len(flats)
                 flats.append(meet)
-                masks.append(gains.mask(*meet))
+                masks.append(gains.mask(meet))
                 ranks.append(ranks[x] + 1)
                 covers.append([])
             covers[y].append(x)
@@ -321,7 +302,7 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
     flat: it meets X with a hyperplane off X and drops the hyperplanes of
     the cover Y found from those still to meet.  It takes Y when X is a
     modular coatom of the interval below Y: every two hyperplanes through
-    Y but not X meet inside a hyperplane through X (``_meets_inside``).
+    Y but not X meet inside a hyperplane through X (``_unmodular_pair``).
     An element modular inside a modular element is modular in the whole
     lattice (Stanley, 1972), and the center is modular, so a chain that
     passes every step up to the center is a chain of modular flats, and
@@ -341,30 +322,25 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
         return None
     left = Counter(roots)
     gains = _IntGains(arr)
-    edges, coned = gains.edges, gains.coned
-    full = (1 << len(edges)) - 1
-    dead: set[tuple] = set()
+    edges, full = gains.edges, gains.full
+    dead: set[Flat] = set()
 
-    def hyperplanes(mask: int) -> list[GainEdge]:
-        return [edge for bit, edge in enumerate(edges) if mask >> bit & 1]
-
-    def extend(x: tuple, mask: int) -> list[tuple] | None:
+    def extend(x: Flat, mask: int) -> list[Flat] | None:
         if mask == full:
             return [x]
-        covers: dict[tuple, int] = {}
+        covers: dict[Flat, int] = {}
         todo = full & ~mask
         while todo:  # central, so every meet is a flat
-            y = _meet(*x, edges[(todo & -todo).bit_length() - 1], coned)
-            covers[y] = gains.mask(*y)
+            y = _meet(x, edges[(todo & -todo).bit_length() - 1])
+            covers[y] = gains.mask(y)
             todo &= ~covers[y]
-        earlier = set(hyperplanes(mask))
-        for y in sorted(covers, key=lambda y: gains.key(*y)):
+        earlier = set(gains.hyperplanes(mask))
+        for y in sorted(covers, key=Flat.key):
             block = covers[y] & ~mask
             size = block.bit_count()
             if not left[size] or y in dead:
                 continue
-            new = hyperplanes(block)
-            if all(_meets_inside(a, b, earlier) for k, a in enumerate(new) for b in new[k + 1 :]):
+            if _unmodular_pair(gains.hyperplanes(block), earlier) is None:
                 left[size] -= 1
                 rest = extend(y, covers[y])
                 if rest is not None:
@@ -373,8 +349,7 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
                 dead.add(y)
         return None
 
-    chain = extend(gains.ambient(), 0)
-    return None if chain is None else [Flat(*flat, coned, gains.den) for flat in chain]
+    return extend(Flat.ambient(arr.dim, arr.coned, gains.den), 0)
 
 
 def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
@@ -390,44 +365,50 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
 
     The chain is certified on every call by the partition test of
     Bjoerner-Edelman-Ziegler (DCG 1990, Thm 4.3): each hyperplane goes to
-    the block of the first flat of the chain that contains it, every flat
-    above the ambient space opens a nonempty block, the top flat lies in
-    every hyperplane, and any two hyperplanes of one block meet inside a
-    hyperplane of an earlier block, which for gain edges is one pair test
-    (``_meets_inside``).  A chain that fails any check raises
+    the block of the first flat of the chain that contains it, read off
+    the masks of the flats, every flat above the ambient space opens a
+    nonempty block, the top flat lies in every hyperplane, and any two
+    hyperplanes of one block meet inside a hyperplane of an earlier
+    block (``_unmodular_pair``).  A chain that fails any check raises
     ``RuntimeError``: the order was not a chain order of these sets.
     """
     if not arr.coned:
         raise ValueError("the nest filtration is built for coned arrangements")
-    den, edges = arr.gain_edges()
+    gains = _IntGains(arr)
     ties = [v - 1 for v in reversed(order)]  # 0-based coordinates, sets descending
-    if any(edge is not None and edge[0] == 0 for edge in edges):  # some set is nonempty
+    if any(edge is not None and edge[0] == 0 for edge in gains.edges):  # some set is nonempty
         ties.insert(0, 0)
-    chain = [Flat.ambient(arr.dim, True, den)]
+    chain = [Flat.ambient(arr.dim, True, gains.den)]
     for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
         flat = chain[-1].intersect_hyperplane(edge)
         if not isinstance(flat, Flat):
             raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
         chain.append(flat)
-
-    blocks: list[list[GainEdge]] = [[] for _ in chain]
-    for edge in edges:
-        k = next((k for k, flat in enumerate(chain) if flat.contains(edge)), None)
-        if k is None:
-            raise RuntimeError("the top flat of the filtration misses a hyperplane")
-        blocks[k].append(edge)
+    masks = [gains.mask(flat) for flat in chain]
+    if masks[-1] != gains.full:
+        raise RuntimeError("the top flat of the filtration misses a hyperplane")
     earlier: set[GainEdge] = set()
-    for k, block in enumerate(blocks[1:], 1):
+    for k in range(1, len(chain)):
+        block = gains.hyperplanes(masks[k] & ~masks[k - 1])
         if not block:
             raise RuntimeError(f"no hyperplane first contains the filtration flat of rank {k}")
-        for x, a in enumerate(block):
-            for b in block[x + 1 :]:
-                if not _meets_inside(a, b, earlier):
-                    raise RuntimeError(
-                        f"the hyperplanes {a} and {b} of block {k} meet inside no earlier one"
-                    )
+        pair = _unmodular_pair(block, earlier)
+        if pair is not None:
+            raise RuntimeError(
+                f"the hyperplanes {pair[0]} and {pair[1]} of block {k} meet inside no earlier one"
+            )
         earlier.update(block)
     return chain
+
+
+def _unmodular_pair(block: list[GainEdge], earlier: set[GainEdge]) -> tuple[GainEdge, GainEdge] | None:
+    """The first two hyperplanes of ``block`` that meet inside none of ``earlier``, or ``None``:
+    one step of the partition test, ``earlier`` being the hyperplanes through the lower flat."""
+    for k, a in enumerate(block):
+        for b in block[k + 1 :]:
+            if not _meets_inside(a, b, earlier):
+                return a, b
+    return None
 
 
 def _meets_inside(a: GainEdge, b: GainEdge, earlier: set[GainEdge]) -> bool:

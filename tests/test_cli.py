@@ -716,6 +716,9 @@ def test_main_exit_codes(capsys, tmp_path):
         '{"type": "n_ish", "N": [["1e3"], [0]]}',
         '{"type": "n_ish", "N": [["0.5"], [0]]}',
         '{"type": "n_ish", "N": [[" 1/2 "], [0]]}',
+        # json.loads recurses once per level: too deep a nest is not a traceback
+        pytest.param("[" * 200000, id="nested-too-deeply"),
+        pytest.param('{"type": "n_ish", "N": ' + "[" * 200000 + "}", id="N-nested-too-deeply"),
     ],
 )
 def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
@@ -724,6 +727,8 @@ def test_main_rejects_malformed_spec_fields(capsys, tmp_path, spec):
     assert main(["charpoly", "--spec", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    if "[" * 200000 in spec:
+        assert err == "error: invalid JSON: nested too deeply\n"
 
 
 def test_main_survey_capacity(capsys, tmp_path):

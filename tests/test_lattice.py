@@ -278,8 +278,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Generate every flat by closing the ambient space along its covers.
 
     The arrangement is read once as integer gain edges (``_IntGains``),
-    and a flat is the plain tuple ``(root, offset, zero)``.  Its mask is
-    computed once, when the closure first finds it.
+    and ``_meet`` makes each flat.  Its mask is computed once, when the
+    closure first finds it.
 
     The flat Y in which a flat X meets a hyperplane off X covers X, and
     X meets every hyperplane of ``mask(Y)`` outside ``mask(X)`` in the
@@ -293,8 +293,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     contain (Stanley, *EC1*, Cor. 3.9.3).
     """
     gains = _IntGains(arr)
-    edges, coned = gains.edges, gains.coned
-    flats = [gains.ambient()]
+    edges = gains.edges
+    flats = [Flat.ambient(arr.dim, arr.coned, gains.den)]
     index = {flats[0]: 0}
     masks, covers = [0], [[]]
     steps: list[list[int | None]] = []
@@ -311,7 +311,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         todo = full & ~mask
         while todo:
             bit = (todo & -todo).bit_length() - 1
-            meet = _meet(*flat, edges[bit], coned)
+            meet = _meet(flat, edges[bit])
             if meet is None:
                 step[bit] = None
                 todo ^= 1 << bit
@@ -320,7 +320,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             if y is None:
                 y = index[meet] = len(flats)
                 flats.append(meet)
-                masks.append(gains.mask(*meet))
+                masks.append(gains.mask(meet))
                 covers.append([])
             covers[y].append(x)
             fill = masks[y] & todo
@@ -330,8 +330,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 step[low.bit_length() - 1] = y
                 fill ^= low
         steps.append(step)
-    keys = [gains.key(*flat) for flat in flats]
-    flats = [Flat(*flat, coned, gains.den) for flat in flats]
+    keys = [flat.key() for flat in flats]
     return IntersectionPoset(arr, flats, masks, steps, keys, mobius)
 
 
@@ -586,6 +585,35 @@ def test_flat_rref_is_canonical():
     assert rows(coned) == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
     for flat in (a, coned):  # a flat's own equations rebuild it
         assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned, flat.den) == flat
+    # a flat is its five fields: a copy is equal and hashes alike, a change
+    # of any one field, ``coned`` and ``den`` too, makes another flat
+    for flat in (a, coned):
+        assert Flat(*flat) == flat and hash(Flat(*flat)) == hash(flat)
+        n = len(flat.root)
+        changes = {"root": tuple(range(n)), "offset": (1,) * n, "zero": not flat.zero,
+                   "coned": not flat.coned, "den": 2 * flat.den}
+        assert all(flat._replace(**{field: v}) != flat for field, v in changes.items())
+    # folding ``_meet`` over the edges gives the flat of ``Flat.through``, and
+    # ``intersect_hyperplane`` answers "same", None or a ``Flat``
+    rng = random.Random(4242)
+    for _ in range(300):
+        n, coned, den = rng.choice([2, 3, 4]), rng.random() < 0.5, rng.choice([1, 2, 3])
+        edges = [
+            None if coned and rng.random() < 0.15 else (*sorted(rng.sample(range(n), 2)), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 5))
+        ]
+        flat = Flat.ambient(n + coned, coned, den)
+        for edge in edges:
+            res = flat.intersect_hyperplane(edge)
+            assert res == "same" or res is None or isinstance(res, Flat)
+            if flat.contains(edge):
+                assert res == "same"
+                continue
+            flat = _meet(flat, edge)
+            assert res == flat
+            if flat is None:
+                break
+        assert flat == Flat.through(edges, n + coned, coned, den)
 
 
 def test_poset_two_parallel_lines():
@@ -718,6 +746,22 @@ def test_nest_modular_chain_rejects_an_order_that_is_not_descending():
             nest_modular_chain(cone(build_n_ish(NestSpec.make([[0], [1]]))), order)
     with pytest.raises(ValueError):
         nest_modular_chain(build_n_ish(NestSpec.make([[0], [0]])), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "sets, order, message",
+    [
+        # the order names x2 twice, so the flat of rank 2 already ties x1 = x2
+        ([[0], [0, 1]], (2, 2), "the filtration flat of rank 3 repeats the one below"),
+        # x4 is never tied, so the top flat misses x1 - x4 = 0
+        ([[0], [0, 1], [0, 1, 2]], (2, 3), "the top flat of the filtration misses a hyperplane"),
+        # x1 - x3 = 0 is no hyperplane when N_3 is empty
+        ([[0], []], (2, 3), "no hyperplane first contains the filtration flat of rank 2"),
+    ],
+)
+def test_nest_modular_chain_names_the_check_that_fails(sets, order, message):
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        nest_modular_chain(cone(build_n_ish(NestSpec.make(sets))), order)
 
 
 def test_nest_modular_chain_random_descending():
