@@ -44,6 +44,7 @@ from .freeness import (
     NonFreeWitness,
     basis_derivations,
     decide_free,
+    derivation_str,
     factored_basis,
     factored_saito_constant,
     is_log_derivation,
@@ -82,6 +83,7 @@ __all__ = [
     "char_poly",
     "cone",
     "decide_free",
+    "derivation_str",
     "distance_poly",
     "enumerate_chambers",
     "factored_basis",

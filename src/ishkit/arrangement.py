@@ -271,10 +271,6 @@ class Graph:
         return sorted(self.edges)
 
 
-def _pairs(ell: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-
-
 def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[int, ...]:
     """The coned form of ``x_i - x_j = num/den`` (``i < j``, ``den > 0``), normalized.
 
@@ -299,17 +295,15 @@ NAMED_KINDS = ("coxeter", "shi", "ish")
 
 
 def build_named(kind: str, ell: int) -> Arrangement:
-    """The braid arrangement and its Shi and Ish extensions on 1..ell."""
+    """The braid arrangement and its Shi and Ish extensions on 1..ell: the
+    deleted Shi of the empty graph, and Shi and Ish of the complete graph."""
     if ell < 2:
         raise ValueError("named arrangements need ell >= 2")
     if kind not in NAMED_KINDS:
         raise ValueError(f"unknown arrangement kind {kind!r}")
-    planes = [_diff(ell, i, j) for i, j in _pairs(ell)]
-    if kind == "shi":
-        planes += [_diff(ell, i, j, 1) for i, j in _pairs(ell)]
-    elif kind == "ish":
-        planes += [_diff(ell, 1, j, i) for i, j in _pairs(ell)]
-    return Arrangement(ell, planes)
+    if kind == "coxeter":
+        return build_deleted("shi", Graph(ell, frozenset()))
+    return build_deleted(kind, Graph.complete(ell))
 
 
 def build_n_ish(nest: NestSpec) -> Arrangement:
@@ -331,7 +325,7 @@ def build_deleted(kind: str, graph: Graph) -> Arrangement:
     if kind not in ("shi", "ish"):
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
     ell = graph.ell
-    planes = [_diff(ell, i, j) for i, j in _pairs(ell)]
+    planes = [_diff(ell, i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
     for i, j in graph.sorted_edges():
         if kind == "shi":
             planes.append(_diff(ell, i, j, 1))

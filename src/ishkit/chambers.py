@@ -202,9 +202,10 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     return chambers
 
 
-def chamber_of_point(arr: Arrangement, point: Sequence[Scalar]) -> Chamber:
-    """The chamber containing the point; errors if the point lies on a wall."""
-    scaled, den = clear_denominators([Fraction(v) for v in point])
+def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber:
+    """The chamber containing the point, whose coordinates are read by
+    ``parse_rational_pair``; errors if the point lies on a wall."""
+    scaled, den = clear_denominators(point)
     return _chamber_at(arr, scaled, den)
 
 

@@ -35,6 +35,7 @@ from .exactmath import (
 from .freeness import (
     basis_derivations,
     decide_free,
+    derivation_str,
     factored_basis,
     factored_saito_constant,
     is_nest,
@@ -185,19 +186,19 @@ def _cmd_basis(req: AnalysisRequest) -> str | dict:
     derivs = basis_derivations(sorted_nest)
     # Each nonzero component is a product of linear forms, homogeneous of
     # degree its factor count, so one of them gives the field's degree.
-    degrees = [next(c for c in d.components if not c.is_zero).total_degree() for d in derivs]
+    degrees = [next(c for c in d if not c.is_zero).total_degree() for d in derivs]
     if req.output_format == "json":
         return {
             "order": list(order),
             "degrees": degrees,
-            "derivations": [list(d.components) for d in derivs],
+            "derivations": [list(d) for d in derivs],
         }
     names = default_names(sorted_nest.ell + 1, coned=True)
     lines = []
     if list(order) != list(range(2, sorted_nest.ell + 1)):
         lines.append(f"sets taken in ascending order {tuple(order)}")
     for k, (degree, d) in enumerate(zip(degrees, derivs)):
-        lines.append(f"theta_{k} (degree {degree}): {d.render(names)}")
+        lines.append(f"theta_{k} (degree {degree}): {derivation_str(d, names)}")
     return "\n".join(lines)
 
 

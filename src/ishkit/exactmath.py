@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic over the rationals.
 
 Every coefficient in this package is an exact rational; no floating
-point is used anywhere.  Two polynomial representations cover all needs:
+point is used anywhere: a value handed in that is not an ``int`` is read
+by ``parse_rational_pair``.  Two polynomial representations cover all needs:
 
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
   ``terms`` from monomial keys to nonzero rational coefficients.  A
@@ -34,7 +35,8 @@ point is used anywhere.  Two polynomial representations cover all needs:
 
 ``vanishes_on`` decides whether a polynomial lies in the ideal of a
 linear form, and ``int_det`` is the exact determinant of an integer
-matrix, such as a polynomial matrix evaluated at an integer point.
+matrix, such as the matrix of Saito's test oracle: ``MultiPoly.evaluate``,
+by plain powers, of each component of each ``freeness.Derivation`` tuple.
 
 JSON forms (shared with the command line surface, which writes the
 ``MultiPoly`` records itself):
@@ -49,11 +51,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, cut to 60 characters and ``...`` when longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
@@ -62,8 +70,9 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
     The value is an int, a Fraction or a string: an optionally signed
     integer ``"-3"`` or ``"p/q"`` such as ``"5/2"``, in ASCII digits with no
     spaces.  Anything else -- a bool, a float, a decimal or exponent string,
-    whitespace, a zero denominator -- is a ``ValueError``.  No ``Fraction``
-    is built.
+    whitespace, a zero denominator -- is a ``ValueError``, which shows at
+    most the first 60 characters of the value's repr.  No ``Fraction`` is
+    built.
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot read a rational from {value!r}")
@@ -71,23 +80,28 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
         return int(value.numerator), int(value.denominator)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"cannot read a rational from {value!r}; expected 'p' or 'p/q'")
+            raise ValueError(f"cannot read a rational from {_shown(value)}; expected 'p' or 'p/q'")
         num, _, den = value.partition("/")
         p, q = int(num), int(den or 1)
         if not q:
-            raise ValueError(f"zero denominator in {value!r}")
+            raise ValueError(f"zero denominator in {_shown(value)}")
         g = gcd(p, q)
         return p // g, q // g
-    raise ValueError(f"cannot read a rational from {value!r}")
+    raise ValueError(f"cannot read a rational from {_shown(value)}")
 
 
-def clear_denominators(values: Iterable[Scalar]) -> tuple[list[int], int]:
-    """The values times the lcm ``den`` of their denominators, as ints,
-    and ``den``.  Integral values come back as ints with ``den == 1``."""
-    values = list(values)
-    ints = list(map(int, values))
-    if ints == values:  # every value is integral
-        return ints, 1
+def _rational(value: Scalar | str) -> Scalar:
+    """An ``int`` (or bool) as an ``int``; anything else read by ``parse_rational_pair``."""
+    if isinstance(value, int):
+        return int(value)
+    p, q = parse_rational_pair(value)
+    return p if q == 1 else Fraction(p, q)
+
+
+def clear_denominators(values: Iterable[Scalar | str]) -> tuple[list[int], int]:
+    """The values (read as ``_rational`` reads them) times the lcm ``den``
+    of their denominators, as ints, and ``den``; ``den == 1`` when all are integral."""
+    values = [_rational(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -157,7 +171,7 @@ class MultiPoly:
                 if len(e) != nvars or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
                 key = _pack(e)
-                clean[key] = clean.get(key, 0) + Fraction(coef)
+                clean[key] = clean.get(key, 0) + _rational(coef)
             self.terms = {k: _exact(c) for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
@@ -217,29 +231,11 @@ class MultiPoly:
         return [(_unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """The value at ``point``, an ``int`` when it is integral.
-
-        Each exponent is read off the packed key by shift and mask, and
-        each coordinate's powers up to the total degree are computed once.
-        """
+        """The value at ``point``, an ``int`` when it is integral."""
         n = self.nvars
         if len(point) != n:
             raise ValueError("evaluation point has wrong length")
-        degree = self.total_degree()
-        fields = []
-        for k, v in enumerate(point):
-            powers = [1]
-            for _ in range(degree):
-                powers.append(powers[-1] * v)
-            fields.append((_FIELD * (n - 1 - k), powers))
-        total = 0
-        for key, coef in self.terms.items():
-            for shift, powers in fields:
-                e = key >> shift & _MASK
-                if e:
-                    coef *= powers[e]
-            total += coef
-        return _exact(total)
+        return _exact(sum(c * prod(map(pow, point, _unpack(key, n))) for key, c in self.terms.items()))
 
     def swapped(self, i: int, j: int) -> "MultiPoly":
         """The polynomial with the variables of index ``i`` and ``j`` exchanged.
@@ -488,7 +484,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [c if type(c) is int else _exact(Fraction(c)) for c in coeffs]
+        cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

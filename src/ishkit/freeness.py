@@ -17,9 +17,11 @@ checkable certificates:
   which is never one of the deleted pair -- so addition-deletion rules
   out freeness.
 
-A derivation is stored componentwise: entry ``k`` is the image of the
-``k``-th coordinate.  Applying it to a linear form is a coefficient
-combination, so no symbolic differentiation is needed.
+A derivation is a plain tuple with one component per coordinate: entry
+``k`` is the image of the ``k``-th coordinate.  Applying it to a linear
+form is a coefficient combination, so no symbolic differentiation is
+needed.  A ``Derivation`` holds its components multiplied out, as
+``MultiPoly``s; a ``FactoredDerivation`` (below) holds each as factors.
 
 The chain tests read the nest in its integer form (``NestSpec``): sets
 of numerators over one denominator, compared as ``int``s.
@@ -45,8 +47,10 @@ found once, and only the components they pick out enter the image
   has two or more factors and none is ``alpha_H``.  Neither
   certificate's basis gets here.
 
-``saito_constant`` on the expanded derivations stays as the general
-route and the oracle.
+``is_log_derivation`` and ``saito_constant`` on the expanded derivations
+stay as the general route and the oracle of the tests; no command runs
+them, so they form each image with ``MultiPoly``'s own ``*`` and ``+``
+and take the determinant from ``MultiPoly.evaluate``.
 """
 
 from __future__ import annotations
@@ -57,90 +61,53 @@ from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane, NestSpec, _diff_form, build_n_ish, cone
-from .exactmath import MultiPoly, Scalar, _nonzero, int_det, poly_str, vanishes_on
+from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
+from .exactmath import MultiPoly, Scalar, int_det, poly_str, vanishes_on
 from .lattice import Flat
 
 Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._diff_form builds it
 Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
+Derivation = tuple[MultiPoly, ...]  # the same, multiplied out; a zero component is the zero polynomial
 
 
-class Derivation:
-    """A polynomial vector field, one component per coordinate."""
+def _one_per_variable(theta: Derivation, n: int) -> bool:
+    return len(theta) == n and all(comp.nvars == n for comp in theta)
 
-    __slots__ = ("components",)
 
-    def __init__(self, components: Sequence[MultiPoly]) -> None:
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("a derivation needs at least one component")
-        n = comps[0].nvars
-        if len(comps) != n or any(c.nvars != n for c in comps):
-            raise ValueError("need exactly one component per variable")
-        self.components = comps
+def _degree(theta: Derivation) -> int:
+    """The common total degree of the terms of a nonzero derivation."""
+    degrees = {comp.total_degree() for comp in theta if not comp.is_zero}
+    if len(degrees) != 1 or not all(comp.is_homogeneous() for comp in theta):
+        raise ValueError("derivation is not homogeneous")
+    return degrees.pop()
 
-    @property
-    def nvars(self) -> int:
-        return len(self.components)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    def is_homogeneous(self) -> bool:
-        degs = {c.total_degree() for c in self.components if not c.is_zero}
-        return len(degs) <= 1 and all(c.is_homogeneous() for c in self.components)
-
-    def degree(self) -> int:
-        """Common total degree of the nonzero components."""
-        if self.is_zero:
-            raise ValueError("the zero derivation has no degree")
-        if not self.is_homogeneous():
-            raise ValueError("derivation is not homogeneous")
-        return next(c.total_degree() for c in self.components if not c.is_zero)
-
-    def apply_to(self, h: Hyperplane) -> MultiPoly:
-        """Image of the defining form: a coefficient combination of components."""
-        if h.dim != self.nvars:
-            raise ValueError("hyperplane and derivation dimensions differ")
-        acc: dict[int, Scalar] = {}
-        for c, comp in zip(h.coeffs, self.components):
-            if c:
-                for key, v in comp.terms.items():
-                    acc[key] = acc.get(key, 0) + c * v
-        out = MultiPoly(self.nvars)
-        out.terms = _nonzero(acc)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.components == other.components
-
-    def render(self, names: Sequence[str]) -> str:
-        parts = [
-            f"({poly_str(comp, names)}) d/d{name}"
-            for comp, name in zip(self.components, names)
-            if not comp.is_zero
-        ]
-        return " + ".join(parts) if parts else "0"
+def derivation_str(theta: Derivation, names: Sequence[str]) -> str:
+    """Render as ``(p_1) d/dx1 + (p_2) d/dx2 + ...``, leaving out zero components."""
+    parts = [f"({poly_str(comp, names)}) d/d{name}" for comp, name in zip(theta, names) if not comp.is_zero]
+    return " + ".join(parts) or "0"
 
 
 def is_log_derivation(theta: Derivation, arr: Arrangement) -> bool:
     """Does the derivation preserve the ideal of every hyperplane?
 
-    Central arrangements only: the test is that applying the derivation
-    to each defining form ``alpha_H`` yields a multiple of that form.  The
-    image is restricted to ``alpha_H = 0`` by solving for the first
-    variable of ``alpha_H`` (``exactmath.vanishes_on``); it is a multiple
-    exactly when the restriction is zero, so no polynomial is divided.
+    Central arrangements only: the test is that the image of each
+    defining form ``alpha_H``, ``sum(alpha_H[k] * theta[k])``, is a
+    multiple of it.  The image is restricted to ``alpha_H = 0`` by solving
+    for the first variable of ``alpha_H`` (``exactmath.vanishes_on``); it
+    is a multiple exactly when the restriction is zero.
     """
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
-    if arr.dim != theta.nvars:
-        raise ValueError("derivation and arrangement dimensions differ")
-    return all(vanishes_on(theta.apply_to(h), h.coeffs) for h in arr.hyperplanes)
+    n = arr.dim
+    if not _one_per_variable(theta, n):
+        raise ValueError("need exactly one component per variable")
+    for h in arr.hyperplanes:
+        first, *rest = [comp * a for a, comp in zip(h.coeffs, theta) if a]
+        if not vanishes_on(sum(rest, first), h.coeffs):
+            return False
+    return True
 
 
 def _off_point(arr: Arrangement) -> tuple[list[int], int]:
@@ -183,23 +150,26 @@ def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction |
     ``c = det M(p) / Q(p)``, and the derivations form a basis exactly
     when ``c != 0``.
     """
-    if len(derivs) != arr.dim:
+    n = arr.dim
+    if len(derivs) != n:
         raise ValueError("need exactly ambient-dimension many derivations")
+    if not all(_one_per_variable(theta, n) for theta in derivs):
+        raise ValueError("need exactly one component per variable")
     scale = 1
     scaled = []
-    for d in derivs:
-        m = lcm(*(c.denominator for comp in d.components for c in comp.terms.values()))
-        scaled.append(d if m == 1 else Derivation([comp * m for comp in d.components]))
+    for theta in derivs:
+        m = lcm(*(c.denominator for comp in theta for c in comp.terms.values()))
+        scaled.append(theta if m == 1 else tuple(comp * m for comp in theta))
         scale *= m
-    for d in scaled:
-        if not is_log_derivation(d, arr):
+    for theta in scaled:
+        if not is_log_derivation(theta, arr):
             raise ValueError("all derivations must be logarithmic for the arrangement")
-    if any(d.is_zero for d in scaled):
+    if any(all(comp.is_zero for comp in theta) for theta in scaled):
         return None
-    if sum(d.degree() for d in scaled) != len(arr):
+    if sum(map(_degree, scaled)) != len(arr):
         return None
     point, q = _off_point(arr)
-    det = int_det([[comp.evaluate(point) for comp in d.components] for d in scaled])
+    det = int_det([[comp.evaluate(point) for comp in theta] for theta in scaled])
     if det == 0:
         return None
     return Fraction(det, q) / scale
@@ -304,12 +274,12 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     """
     basis = factored_basis(nest)
     n = nest.ell + 1
-    out = [Derivation([_expand(comp, n) for comp in theta]) for theta in basis[:2]]
+    out = [tuple(_expand(comp, n) for comp in theta) for theta in basis[:2]]
     zero = MultiPoly.zero(n)
     for k, theta in enumerate(basis[2:], start=2):
         first = _expand(theta[1], n)
         comps = [zero, first] + [first.swapped(1, s - 1) for s in range(3, k + 1)]
-        out.append(Derivation(comps + [zero] * (n - k)))
+        out.append(tuple(comps + [zero] * (n - k)))
     return out
 
 

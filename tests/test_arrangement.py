@@ -58,6 +58,9 @@ def test_hyperplane_normalization():
         assert fast == h([Fraction(c) for c in coeffs], Fraction(const))
         assert all(type(v) is int for v in fast.coeffs + (fast.const,))
     assert h([True, False], 0) == h([1, 0], 0)
+    assert h(["1/2", "-1/2"], "1/4") == h([2, -2], 1)
+    with pytest.raises(ValueError, match="cannot read a rational from 0.5"):
+        h([0.5, -0.5], 0.25)
 
 
 def test_hyperplane_form_and_eval():
@@ -113,6 +116,25 @@ def test_build_named_shi_and_coxeter():
         build_named("ish", 1)
     with pytest.raises(ValueError):
         build_named("weyl", 3)
+
+
+def test_build_named_is_build_deleted_of_the_complete_or_empty_graph():
+    for ell in range(2, 7):
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+
+        def diff(i, j, c=0):
+            return h([int(k == i) - int(k == j) for k in range(1, ell + 1)], c)
+
+        braid = [diff(i, j) for i, j in pairs]
+        cases = (
+            ("coxeter", "shi", [], braid),
+            ("shi", "shi", pairs, braid + [diff(i, j, 1) for i, j in pairs]),
+            ("ish", "ish", pairs, braid + [diff(1, j, i) for i, j in pairs]),
+        )
+        for kind, deleted_kind, edges, planes in cases:
+            named = build_named(kind, ell).hyperplanes
+            assert named == build_deleted(deleted_kind, Graph.make(ell, edges)).hyperplanes
+            assert named == tuple(planes)
 
 
 def test_shi_and_ish_same_size():

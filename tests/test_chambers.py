@@ -593,6 +593,14 @@ def test_chamber_of_point_on_wall_fails():
         chamber_of_point(arr, (0, 0))
 
 
+def test_chamber_of_point_reads_exact_coordinates_only():
+    arr = build_named("ish", 2)
+    with pytest.raises(ValueError, match="cannot read a rational from 0.1"):
+        chamber_of_point(arr, [0.1, 2.5])
+    read = chamber_of_point(arr, ["1/10", "5/2"])
+    assert (read.signs, read.witness) == ("--", (Fraction(1, 10), Fraction(5, 2)))
+
+
 def test_chamber_json():
     arr = cone(build_named("ish", 2))
     ch = canonical_chamber(NestSpec.make([[0, 1]]), arr)

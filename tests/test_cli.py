@@ -12,7 +12,7 @@ from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
 from ishkit.chambers import Chamber
 from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
 from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
-from ishkit.freeness import basis_derivations, is_nest
+from ishkit.freeness import _degree, basis_derivations, is_nest
 from test_arrangement import (
     FractionNestSpec,
     fraction_build_n_ish,
@@ -295,6 +295,36 @@ def test_saito_takes_the_factored_route(monkeypatch):
     assert (out["pass"], out["constant"], out["exponents"]) == (True, "1/1", [0, 1, 2, 2])
 
 
+def test_saito_fail_is_answered_in_both_formats(monkeypatch):
+    # the paper's basis always passes, so the failing answer needs a failing check
+    monkeypatch.setattr("ishkit.cli.factored_saito_constant", lambda derivs, arr: None)
+    spec = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True}
+    assert text_of(spec, "saito") == "SAITO FAIL: determinant does not match the defining polynomial"
+    out = json_of(spec, "saito")
+    assert (out["pass"], out["constant"], out["exponents"]) == (False, None, None)
+
+
+def test_charpoly_raises_when_the_exponents_do_not_factor_chi(monkeypatch):
+    monkeypatch.setattr("ishkit.cli.spec_char_poly", lambda parsed: UniPoly([0, 1]))
+    spec = {"type": "ish", "ell": 3}
+    for fmt in ("text", "json"):
+        with pytest.raises(RuntimeError, match="free exponents do not factor the rook-number chi"):
+            run(request_of(json.dumps(dict(spec, command="charpoly", format=fmt))))
+
+
+def test_main_cuts_a_long_bad_value_short(capsys, monkeypatch):
+    # 100000 ones in one entry of N is a 300 KB spec; its message stays one short line
+    ones = [1] * 100000
+    cases = (
+        ([[ones]], f"cannot read a rational from {repr(ones)[:60]}..."),
+        ([["1" * 100000 + ".5"]], f"cannot read a rational from {repr('1' * 100000)[:60]}...; expected 'p' or 'p/q'"),
+        ([["1/" + "0" * 4000]], f"zero denominator in {repr('1/' + '0' * 4000)[:60]}..."),
+    )
+    for N, message in cases:
+        err = main_error(json.dumps({"type": "n_ish", "N": N}), capsys, monkeypatch)
+        assert err == f"error: {message}\n" and len(err) < 200
+
+
 def test_handlers_render_only_the_requested_format(monkeypatch):
     def never(*args):
         raise AssertionError("rendered the other format")
@@ -302,7 +332,7 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
     nest = {"type": "n_ish", "N": [[0, "1/2"], [0]], "cone": True}
     cone3 = {"type": "ish", "ell": 3, "cone": True}
     with monkeypatch.context() as m:
-        m.setattr("ishkit.freeness.Derivation.render", never)
+        m.setattr("ishkit.cli.derivation_str", never)
         m.setattr("ishkit.lattice.Flat.render", never)
         assert json_of(nest, "basis")["degrees"] == [0, 1, 2, 2]
         assert json_of(cone3, "supersolvable")["supersolvable"] is True
@@ -524,7 +554,7 @@ def test_nest_commands_match_the_fraction_program(spec, coned):
 def test_basis_degrees_are_the_derivation_degrees(spec):
     nest = request_of(json.dumps(dict(spec, command="basis"))).parsed.nest
     order = is_nest(nest)
-    degrees = [d.degree() for d in basis_derivations(nest.reordered(order))]
+    degrees = [_degree(d) for d in basis_derivations(nest.reordered(order))]
     assert json_of(spec, "basis")["degrees"] == degrees
     lines = text_of(spec, "basis").splitlines()[-len(degrees):]
     assert [int(line.split("degree ")[1].split(")")[0]) for line in lines] == degrees

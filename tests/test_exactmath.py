@@ -343,6 +343,16 @@ def test_clear_denominators():
     assert clear_denominators([]) == ([], 1)
     ints, _ = clear_denominators([Fraction(6), Fraction(1, 3)])
     assert all(type(v) is int for v in ints)
+    assert clear_denominators(["1/2", True, "-4/6"]) == ([3, 6, -4], 6)
+
+
+def test_floats_do_not_get_into_the_polynomials():
+    for make in (lambda: UniPoly([0.1, 1]), lambda: MultiPoly(1, {(1,): 0.1}),
+                 lambda: UniPoly(["0.5"]), lambda: clear_denominators([1, 0.5])):
+        with pytest.raises(ValueError, match="cannot read a rational"):
+            make()
+    coeffs = UniPoly(["6/3", Fraction(1, 2), True]).coeffs
+    assert coeffs == (2, Fraction(1, 2), 1) and type(coeffs[0]) is type(coeffs[2]) is int
 
 
 def test_multipoly_basics():

@@ -22,9 +22,11 @@ from ishkit.freeness import (
     FactoredDerivation,
     FreenessVerdict,
     NonFreeWitness,
+    _degree,
     _factored_is_log,
     basis_derivations,
     decide_free,
+    derivation_str,
     factored_basis,
     factored_saito_constant,
     is_log_derivation,
@@ -48,49 +50,55 @@ from test_exactmath import ref_div
 
 
 def euler(n):
-    return Derivation([MultiPoly.variable(n, i) for i in range(n)])
+    return tuple(MultiPoly.variable(n, i) for i in range(n))
 
 
 # -- Derivation basics --------------------------------------------------
 
 
 def test_derivation_validation():
-    n = 3
+    # both checkers that take expanded derivations want one component per variable
+    arr = cone(build_named("ish", 2))
+    n = arr.dim
     x1 = MultiPoly.variable(n, 0)
-    with pytest.raises(ValueError):
-        Derivation([])
-    with pytest.raises(ValueError):
-        Derivation([x1, x1])  # two components for three variables
-    with pytest.raises(ValueError):
-        Derivation([x1, x1, MultiPoly.variable(2, 0)])
+    derivs = basis_derivations(ish_nest(2))
+    for bad in ((), (x1, x1), (x1, x1, MultiPoly.variable(2, 0)), (x1,) * 4):
+        with pytest.raises(ValueError, match="one component per variable"):
+            is_log_derivation(bad, arr)
+        with pytest.raises(ValueError, match="one component per variable"):
+            saito_constant([derivs[0], derivs[1], bad], arr)
 
 
 def test_derivation_degree_and_homogeneity():
     n = 3
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
     x1, x2 = MultiPoly.variable(n, 0), MultiPoly.variable(n, 1)
-    assert Derivation([one, one, zero]).degree() == 0
-    assert euler(n).degree() == 1
-    assert not Derivation([x1 + one, zero, zero]).is_homogeneous()
-    assert not Derivation([x1, one, zero]).is_homogeneous()
-    with pytest.raises(ValueError):
-        Derivation([zero, zero, zero]).degree()
+    assert _degree((one, one, zero)) == 0
+    assert _degree(euler(n)) == 1
+    assert _degree((zero, x1 * x2, x1 * x1)) == 2
+    for mixed in ((x1 + one, zero, zero), (x1, one, zero), (zero, zero, zero)):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _degree(mixed)
 
 
 def test_apply_to_is_coefficient_combination():
+    # theta(alpha_H) = x2 - x1 on x1 = x2 and x2 + x1 on x1 = -x2: multiples
+    # of alpha_H; on x1 = x3 it is x2, which is not
     n = 3
     x1, x2 = MultiPoly.variable(n, 0), MultiPoly.variable(n, 1)
-    theta = Derivation([x2, x1, MultiPoly.zero(n)])
-    h = Hyperplane.make([1, -1, 0], 0)  # x1 - x2
-    assert theta.apply_to(h) == x2 - x1
+    theta = (x2, x1, MultiPoly.zero(n))
+    for coeffs, log in (([1, -1, 0], True), ([1, 1, 0], True), ([1, 0, -1], False)):
+        assert is_log_derivation(theta, Arrangement(n, [Hyperplane.make(coeffs)])) is log
 
 
 def test_derivation_render():
     n = 3
     names = ["x1", "x2", "z"]
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
-    assert Derivation([one, one, zero]).render(names) == "(1) d/dx1 + (1) d/dx2"
-    assert Derivation([zero, zero, zero]).render(names) == "0"
+    x1 = MultiPoly.variable(n, 0)
+    assert derivation_str((one, one, zero), names) == "(1) d/dx1 + (1) d/dx2"
+    assert derivation_str((zero, x1 * x1 - one, zero), names) == "(x1^2 - 1) d/dx2"
+    assert derivation_str((zero, zero, zero), names) == "0"
 
 
 # -- logarithmic test ---------------------------------------------------
@@ -106,7 +114,7 @@ def test_single_coordinate_field_fails_on_a_difference():
     n = arr.dim
     comps = [MultiPoly.zero(n)] * n
     comps[0] = MultiPoly.variable(n, 0)
-    assert not is_log_derivation(Derivation(comps), arr)  # fails on x1 - x2 = 0
+    assert not is_log_derivation(tuple(comps), arr)  # fails on x1 - x2 = 0
 
 
 def test_log_derivation_requires_central():
@@ -185,7 +193,7 @@ def test_basis_derivations_shapes():
     nest = ish_nest(3)
     derivs = basis_derivations(nest)
     assert len(derivs) == 4
-    assert [d.degree() for d in derivs] == [0, 1, 3, 3]
+    assert [_degree(d) for d in derivs] == [0, 1, 3, 3]
     arr = cone(build_named("ish", 3))
     assert all(is_log_derivation(d, arr) for d in derivs)
 
@@ -232,7 +240,7 @@ def test_saito_rejects_non_logarithmic_input():
     n = arr.dim
     comps = [MultiPoly.zero(n)] * n
     comps[0] = MultiPoly.variable(n, 0)
-    bad = Derivation(comps)
+    bad = tuple(comps)
     derivs = basis_derivations(ish_nest(2))
     with pytest.raises(ValueError):
         saito_verify([derivs[0], derivs[1], bad], arr)
@@ -249,7 +257,7 @@ def test_saito_degree_mismatch_is_false():
     # count: replace the top basis element by the Euler field rescaled.
     arr = cone(build_named("ish", 2))
     derivs = basis_derivations(ish_nest(2))
-    shrunk = [derivs[0], derivs[1], Derivation([c * 2 for c in derivs[1].components])]
+    shrunk = [derivs[0], derivs[1], tuple(c * 2 for c in derivs[1])]
     assert not saito_verify(shrunk, arr)
 
 
@@ -359,12 +367,12 @@ def expanded_verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> 
     for e in b_nums:
         prod3 = prod3 * (den * (x1 - x3) - e * z)
     derivs = [
-        Derivation([one, one, one, zero]),
-        Derivation([x1, x2, x3, z]),
-        Derivation([zero, prod2, zero, zero]),
-        Derivation([zero, zero, prod3, zero]),
+        (one, one, one, zero),
+        (x1, x2, x3, z),
+        (zero, prod2, zero, zero),
+        (zero, zero, prod3, zero),
     ]
-    if sorted(d.degree() for d in derivs) != sorted((0,) + witness.localized_exponents):
+    if sorted(map(_degree, derivs)) != sorted((0,) + witness.localized_exponents):
         return False
     try:
         if saito_constant(derivs, deleted) is None:
@@ -459,7 +467,7 @@ def saito_constant_by_division(derivs, arr):
     basis exactly when the full determinant is a nonzero constant times
     Q(A) (Saito's criterion in its polynomial form).
     """
-    det = _det_cofactor([[d.components[i] for d in derivs] for i in range(arr.dim)])
+    det = _det_cofactor([[d[i] for d in derivs] for i in range(arr.dim)])
     if det.is_zero:
         return None
     quotient, rem = ref_div(dict(det.sorted_terms()), dict(defining_poly(arr).sorted_terms()))
@@ -478,7 +486,7 @@ def test_saito_constant_on_the_rank_five_staircase():
 def test_saito_zero_derivation_gives_none():
     arr = cone(build_named("ish", 2))
     derivs = basis_derivations(ish_nest(2))
-    derivs[1] = Derivation([MultiPoly.zero(arr.dim)] * arr.dim)
+    derivs[1] = (MultiPoly.zero(arr.dim),) * arr.dim
     assert saito_constant(derivs, arr) is None
     assert saito_constant_by_division(derivs, arr) is None
 
@@ -487,14 +495,14 @@ def test_saito_rejects_non_homogeneous_derivation():
     # theta_0 + theta_1 is logarithmic, but of no single degree
     arr = cone(build_named("ish", 2))
     derivs = basis_derivations(ish_nest(2))
-    mixed = Derivation([a + b for a, b in zip(derivs[0].components, derivs[1].components)])
+    mixed = tuple(a + b for a, b in zip(derivs[0], derivs[1]))
     assert is_log_derivation(mixed, arr)
     with pytest.raises(ValueError, match="homogeneous"):
         saito_constant([mixed, derivs[1], derivs[2]], arr)
 
 
 def scaled(theta, factor):
-    return Derivation([c * factor for c in theta.components])
+    return tuple(c * factor for c in theta)
 
 
 @st.composite
@@ -530,21 +538,21 @@ def test_saito_constant_matches_division_reference(nest, rng):
     # theta * alpha_H stays logarithmic but raises the determinant degree
     alpha = form(rng.choice(arr.hyperplanes))
     raised = list(derivs)
-    raised[k] = Derivation([comp * alpha for comp in derivs[k].components])
+    raised[k] = tuple(comp * alpha for comp in derivs[k])
     assert saito_constant(raised, arr) is None
     assert saito_constant_by_division(raised, arr) is None
 
     # f * theta_j in place of theta_k, f a product of hyperplane forms of
     # degree deg(theta_k) - deg(theta_j): logarithmic, homogeneous, the
     # same degree sum, and dependent, so the determinant vanishes
-    lower = [i for i, d in enumerate(derivs) if i != k and d.degree() <= derivs[k].degree()]
+    lower = [i for i, d in enumerate(derivs) if i != k and _degree(d) <= _degree(derivs[k])]
     j = rng.choice(lower)
     f = MultiPoly.const(arr.dim, 1)
-    for _ in range(derivs[k].degree() - derivs[j].degree()):
+    for _ in range(_degree(derivs[k]) - _degree(derivs[j])):
         f = f * form(rng.choice(arr.hyperplanes))
     dependent = list(derivs)
-    dependent[k] = Derivation([comp * f for comp in derivs[j].components])
-    assert sum(d.degree() for d in dependent) == len(arr)
+    dependent[k] = tuple(comp * f for comp in derivs[j])
+    assert sum(map(_degree, dependent)) == len(arr)
     assert saito_constant(dependent, arr) is None
     assert saito_constant_by_division(dependent, arr) is None
 
@@ -554,7 +562,7 @@ def test_saito_constant_matches_division_reference(nest, rng):
         assert saito_constant(rescaled, arr) == c * factor
 
     if all(a.denominator == 1 for s in rational_sets(nest) for a in s):
-        polys = [comp for d in derivs for comp in d.components]
+        polys = [comp for d in derivs for comp in d]
         ints = [p1 * p2 for p1, p2 in zip(polys, polys[1:])]
         ints += [p1 + p2 for p1, p2 in zip(polys, polys[1:])]
         assert all(type(coef) is int for p in polys + ints for coef in p.terms.values())
@@ -575,7 +583,7 @@ def basis_by_products(nest, entries=None):
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
     xs = [MultiPoly.variable(n, i) for i in range(ell)]
     z = MultiPoly.variable(n, ell)
-    out = [Derivation([one] * ell + [zero]), Derivation(xs + [z])]
+    out = [(one,) * ell + (zero,), tuple(xs + [z])]
     for k in range(2, ell + 1):
         comps = [zero] * n
         for s in range(2, k + 1):
@@ -585,7 +593,7 @@ def basis_by_products(nest, entries=None):
             for t in range(k + 1, ell + 1):
                 poly = poly * (xs[s - 1] - xs[t - 1])
             comps[s - 1] = poly
-        out.append(Derivation(comps))
+        out.append(tuple(comps))
     return out
 
 
@@ -649,9 +657,7 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
         comps = list(basis[k])
         comps[s] = dropped[s]
         mutated[k] = tuple(comps)
-        oracle[k] = Derivation(
-            [oracle[k].components[i] if i == s else comp for i, comp in enumerate(expanded[k].components)]
-        )
+        oracle[k] = tuple(oracle[k][i] if i == s else comp for i, comp in enumerate(expanded[k]))
         assert verdict(factored_saito_constant, mutated, arr) == verdict(saito_constant, oracle, arr)
 
     mutated = list(basis)
@@ -880,7 +886,7 @@ def expand(theta: FactoredDerivation) -> Derivation:
             for f in factors:
                 poly = poly * MultiPoly.linear(f)
         comps.append(poly)
-    return Derivation(comps)
+    return tuple(comps)
 
 
 def fraction_is_nest(nest: FractionNestSpec) -> tuple[int, ...] | None:
