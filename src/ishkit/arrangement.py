@@ -30,14 +30,14 @@ the nest's ``den`` for a nest, 1 for graph and named specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactmath import (
     Scalar,
+    _shown,
     clear_denominators,
     default_names,
     equation_str,
@@ -45,8 +45,7 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The affine hyperplane ``sum(coeffs[i] * x_{i+1}) = const``."""
 
     coeffs: tuple[int, ...]
@@ -173,8 +172,7 @@ class Arrangement:
         return f"Arrangement({kind}, dim={self.dim}, {len(self)} hyperplanes)"
 
 
-@dataclass(frozen=True)
-class NestSpec:
+class NestSpec(NamedTuple):
     """Rational sets ``N_2, ..., N_ell`` driving the nested-Ish family.
 
     The entries are held over one positive denominator ``den``, the lcm of
@@ -238,8 +236,7 @@ class NestSpec:
         return f"({body})"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """A simple graph on vertices 1..ell with edges (i, j), i < j."""
 
     ell: int
@@ -256,10 +253,10 @@ class Graph:
                 and len(e) == 2
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
             ):
-                raise ValueError(f"edge {e!r} is not a pair of integers")
+                raise ValueError(f"edge {_shown(e)} is not a pair of integers")
             i, j = e
             if not 1 <= i < j <= ell:
-                raise ValueError(f"edge ({i}, {j}) is not a pair 1 <= i < j <= {ell}")
+                raise ValueError(f"edge {_shown((i, j))} is not a pair 1 <= i < j <= {_shown(ell)}")
             cleaned.add((i, j))
         return Graph(ell, frozenset(cleaned))
 
@@ -358,20 +355,22 @@ def cone(arr: Arrangement) -> Arrangement:
 # -- JSON arrangement specs -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    ell: int
+    nest: NestSpec | None
+    graph: Graph | None
+    coned: bool
+
+
+class ParsedSpec(_SpecFields):
     """An arrangement spec plus whatever side data the type carries.
 
     The arrangement is built on first read: several commands need only
     the nest or the graph.  Every spec error is raised while parsing,
-    before any build.
+    before any build.  The fields are those of a named tuple; this
+    subclass adds the instance ``__dict__`` that caches the arrangement.
     """
-
-    kind: str
-    ell: int
-    nest: "NestSpec | None"
-    graph: "Graph | None"
-    coned: bool
 
     @cached_property
     def arrangement(self) -> Arrangement:
@@ -409,7 +408,7 @@ def from_spec(spec: dict) -> ParsedSpec:
         raise ValueError("arrangement spec must be a JSON object")
     kind = spec.get("type")
     if kind not in SPEC_KINDS:
-        raise ValueError(f"unknown arrangement type {kind!r}")
+        raise ValueError(f"unknown arrangement type {_shown(kind)}")
     nest: NestSpec | None = None
     graph: Graph | None = None
     if kind == "n_ish":
@@ -431,7 +430,7 @@ def from_spec(spec: dict) -> ParsedSpec:
             nest = ish_nest(ell)
     want_cone = spec.get("cone", False)
     if not isinstance(want_cone, bool):
-        raise ValueError(f"'cone' must be true or false, not {want_cone!r}")
+        raise ValueError(f"'cone' must be true or false, not {_shown(want_cone)}")
     return ParsedSpec(kind, ell, nest, graph, want_cone)
 
 

@@ -11,12 +11,11 @@ Exit codes: 0 on success, 1 on bad input, 2 when a size guard trips.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import NamedTuple
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import Chamber, canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
@@ -26,6 +25,7 @@ from .exactmath import (
     _MASK,
     MultiPoly,
     UniPoly,
+    _shown,
     default_names,
     format_rational,
     unipoly_factored_str,
@@ -49,12 +49,23 @@ LATTICE_MAX_ELL = 6
 CHARPOLY_MAX_WORK = 17 << 15  # rook DP states x non-empty board columns
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
+class AnalysisRequest(NamedTuple):
     command: str
     output_format: str
     ell: int
     parsed: ParsedSpec | None  # None exactly for the survey command
+
+
+def _json_int(digits: str) -> int:
+    """``int(digits)`` for ``json.loads``; a number past the interpreter's
+    digit limit is a ``ValueError`` that shows its first digits and its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(
+            f"invalid JSON: the number {digits[:20]}... has {len(digits.lstrip('-'))} digits, "
+            f"over the limit of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def _read_doc(text: str) -> dict:
@@ -65,6 +76,9 @@ def _read_doc(text: str) -> dict:
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:  # json.loads recurses once per nested array or object
         raise ValueError("invalid JSON: nested too deeply") from exc
+    except ValueError:  # an integer past the interpreter's digit limit: parse again to name it
+        json.loads(text, parse_int=_json_int)
+        raise
     if not isinstance(doc, dict):
         raise ValueError("the request must be a JSON object")
     return doc
@@ -76,11 +90,11 @@ def request_from_doc(doc: object) -> AnalysisRequest:
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValueError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
+            f"unknown command {_shown(command)}; expected one of {', '.join(COMMANDS)}"
         )
     fmt = doc.get("format", "text")
     if fmt not in ("text", "json"):
-        raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
+        raise ValueError(f"unknown format {_shown(fmt)}; expected 'text' or 'json'")
     if command == "survey":
         ell = doc.get("ell")
         if not isinstance(ell, int) or ell < 2:
@@ -119,7 +133,7 @@ def _need_nest(parsed: ParsedSpec) -> NestSpec:
 
 def _guard_lattice(req: AnalysisRequest) -> None:
     if req.ell > LATTICE_MAX_ELL:
-        raise CapacityError(f"ell = {req.ell} exceeds the guard ell <= {LATTICE_MAX_ELL} for {req.command}")
+        raise CapacityError(f"ell = {_shown(req.ell)} exceeds the guard ell <= {LATTICE_MAX_ELL} for {req.command}")
 
 
 def _yesno(flag: bool) -> str:
@@ -132,7 +146,7 @@ def _guard_rooks(req: AnalysisRequest) -> None:
     rows, columns = req.ell - 1, max(board_columns(req.parsed), 1)
     if rows >= CHARPOLY_MAX_WORK.bit_length() or columns << rows > CHARPOLY_MAX_WORK:
         raise CapacityError(
-            f"the rook DP needs 2^{rows} states x {columns} columns, over the guard "
+            f"the rook DP needs 2^{_shown(rows)} states x {_shown(columns)} columns, over the guard "
             f"of {CHARPOLY_MAX_WORK} for charpoly"
         )
 
@@ -429,6 +443,8 @@ def run(req: AnalysisRequest) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line needs it: kept off the import of this module
+
     parser = argparse.ArgumentParser(
         prog="ishkit",
         description="Exact analysis of nested and deleted difference arrangements.",
@@ -449,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = _read_doc(raw)
         if "command" in doc and doc["command"] != args.command:
             raise ValueError(
-                f"spec says command {doc['command']!r} but {args.command!r} was invoked"
+                f"spec says command {_shown(doc['command'])} but {args.command!r} was invoked"
             )
         doc["command"] = args.command
         if args.fmt:

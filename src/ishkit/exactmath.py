@@ -50,6 +50,7 @@ JSON forms (shared with the command line surface, which writes the
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
@@ -82,7 +83,13 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"cannot read a rational from {_shown(value)}; expected 'p' or 'p/q'")
         num, _, den = value.partition("/")
-        p, q = int(num), int(den or 1)
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:  # the digits matched, so a part is past the interpreter's digit limit
+            raise ValueError(
+                f"cannot read a rational from {_shown(value)}; a part has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if not q:
             raise ValueError(f"zero denominator in {_shown(value)}")
         g = gcd(p, q)

@@ -55,11 +55,10 @@ and take the determinant from ``MultiPoly.evaluate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
 from .exactmath import MultiPoly, Scalar, int_det, poly_str, vanishes_on
@@ -406,8 +405,7 @@ def factored_saito_constant(
     return Fraction(det, q) / scale
 
 
-@dataclass(frozen=True)
-class NonFreeWitness:
+class NonFreeWitness(NamedTuple):
     """Rank-3 obstruction at the smallest incomparable pair of sets."""
 
     i: int
@@ -424,8 +422,7 @@ class NonFreeWitness:
         }
 
 
-@dataclass(frozen=True)
-class FreenessVerdict:
+class FreenessVerdict(NamedTuple):
     free: bool
     exponents: tuple[int, ...] | None
     witness: NonFreeWitness | None

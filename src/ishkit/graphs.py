@@ -25,11 +25,11 @@ the Moebius route, is kept as the oracle the tests hold both against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import Graph, NestSpec, n_from_graph
 from .errors import CapacityError
-from .exactmath import UniPoly, unipoly_to_json
+from .exactmath import UniPoly, _shown, unipoly_to_json
 from .freeness import decide_free
 from .rooks import graph_char_poly, nest_char_poly
 
@@ -57,7 +57,7 @@ def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
     """
     if graph.ell > ATHANASIADIS_MAX_ELL:
         raise CapacityError(
-            f"the depth-first relabeling search got ell = {graph.ell}, over the guard "
+            f"the depth-first relabeling search got ell = {_shown(graph.ell)}, over the guard "
             f"ell <= {ATHANASIADIS_MAX_ELL}"
         )
     ell = graph.ell
@@ -113,8 +113,7 @@ def pairwise_condition(graph: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GraphAnalysis:
+class GraphAnalysis(NamedTuple):
     """One subgraph, judged by all the equivalent freeness conditions."""
 
     graph: Graph
@@ -157,8 +156,7 @@ def analyze_graph(graph: Graph) -> GraphAnalysis:
     return GraphAnalysis(graph, n_g, free, witness, pairwise_ok, free)
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     analysis: GraphAnalysis
     char_shi: UniPoly
     char_ish: UniPoly
@@ -175,8 +173,7 @@ class SurveyRecord:
         return out
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     ell: int
     records: tuple[SurveyRecord, ...]
     free_count: int
@@ -209,7 +206,7 @@ def survey(ell: int) -> SurveyReport:
         raise ValueError("survey needs ell >= 2")
     if ell > SURVEY_MAX_ELL:
         raise CapacityError(
-            f"{2 ** (ell * (ell - 1) // 2)} subgraphs; the guard is "
+            f"the survey of 2^(ell(ell-1)/2) subgraphs got ell = {_shown(ell)}, over the guard "
             f"ell <= {SURVEY_MAX_ELL}"
         )
     all_edges = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]

@@ -1,13 +1,17 @@
 import io
 import json
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ishkit
 from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
 from ishkit.chambers import Chamber
 from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
@@ -313,16 +317,39 @@ def test_charpoly_raises_when_the_exponents_do_not_factor_chi(monkeypatch):
 
 
 def test_main_cuts_a_long_bad_value_short(capsys, monkeypatch):
-    # 100000 ones in one entry of N is a 300 KB spec; its message stays one short line
+    # 100000 ones in one value is a 300 KB spec; its message stays one short line
     ones = [1] * 100000
+    xs = "x" * 100000
+    limit = sys.get_int_max_str_digits()
     cases = (
-        ([[ones]], f"cannot read a rational from {repr(ones)[:60]}..."),
-        ([["1" * 100000 + ".5"]], f"cannot read a rational from {repr('1' * 100000)[:60]}...; expected 'p' or 'p/q'"),
-        ([["1/" + "0" * 4000]], f"zero denominator in {repr('1/' + '0' * 4000)[:60]}..."),
+        ({"type": "n_ish", "N": [[ones]]}, f"cannot read a rational from {repr(ones)[:60]}..."),
+        ({"type": "n_ish", "N": [["1" * 100000 + ".5"]]},
+         f"cannot read a rational from {repr('1' * 100000)[:60]}...; expected 'p' or 'p/q'"),
+        ({"type": "n_ish", "N": [["1/" + "0" * 4000]]}, f"zero denominator in {repr('1/' + '0' * 4000)[:60]}..."),
+        ({"type": "deleted_ish", "ell": 3, "edges": [ones]},
+         f"edge {repr(ones)[:60]}... is not a pair of integers"),
+        ({"type": xs, "ell": 3}, f"unknown arrangement type {repr(xs)[:60]}..."),
+        ({"type": "ish", "ell": 3, "cone": ones}, f"'cone' must be true or false, not {repr(ones)[:60]}..."),
+        ({"type": "ish", "ell": 3, "format": xs}, f"unknown format {repr(xs)[:60]}...; expected 'text' or 'json'"),
+        ({"type": "ish", "ell": 3, "command": xs},
+         f"spec says command {repr(xs)[:60]}... but 'charpoly' was invoked"),
+        # past the interpreter's digit limit, which stays as it is
+        ({"type": "n_ish", "N": [["1/" + "0" * 100000]]},
+         f"cannot read a rational from {repr('1/' + '0' * 100000)[:60]}...; a part has more than {limit} digits"),
+        ('{"type": "ish", "ell": ' + "1" * 5000 + "}",
+         f"invalid JSON: the number {'1' * 20}... has 5000 digits, over the limit of {limit}"),
+        ('{"type": "n_ish", "N": [[0, -' + "2" * 100000 + "]]}",
+         f"invalid JSON: the number -{'2' * 19}... has 100000 digits, over the limit of {limit}"),
     )
-    for N, message in cases:
-        err = main_error(json.dumps({"type": "n_ish", "N": N}), capsys, monkeypatch)
+    for doc, message in cases:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        err = main_error(text, capsys, monkeypatch)
         assert err == f"error: {message}\n" and len(err) < 200
+    # the command line names its own command, so this one is read only by request_from_doc
+    with pytest.raises(ValueError) as exc:
+        request_from_doc({"type": "ish", "ell": 3, "command": xs})
+    message = str(exc.value)
+    assert message.startswith(f"unknown command {repr(xs)[:60]}...; expected one of charpoly,") and len(message) < 200
 
 
 def test_handlers_render_only_the_requested_format(monkeypatch):
@@ -719,6 +746,25 @@ def test_main_command_conflict_is_an_error(capsys, tmp_path):
     assert "command" in capsys.readouterr().err
 
 
+def test_main_help_prints_usage_and_exits_0(capsys):
+    for argv, usage in ((["--help"], "usage: ishkit "), (["charpoly", "--help"], "usage: ishkit charpoly ")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
+    # a fresh isolated interpreter: cold start is what one command-line call pays
+    src = str(Path(ishkit.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ishkit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 def test_main_exit_codes(capsys, tmp_path):
     cap = tmp_path / "big.json"
     cap.write_text('{"type": "ish", "ell": 17}')
@@ -766,6 +812,30 @@ def test_main_survey_capacity(capsys, tmp_path):
     path.write_text('{"ell": 7}')
     assert main(["survey", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("capacity:")
+
+
+def test_guards_cut_a_long_ell_short(capsys, tmp_path):
+    # a 4000-digit ell is still a JSON integer, under the interpreter's digit limit
+    big = 10**4000 - 1
+    cut = repr(big)[:60] + "..."
+    cases = (
+        ("survey", {"ell": 1000}, 2, "capacity: the survey of 2^(ell(ell-1)/2) subgraphs got ell = 1000, "
+         "over the guard ell <= 6"),
+        ("survey", {"ell": big}, 2, f"capacity: the survey of 2^(ell(ell-1)/2) subgraphs got ell = {cut}, "
+         "over the guard ell <= 6"),
+        ("basis", {"type": "deleted_shi", "ell": big}, 2, f"capacity: ell = {cut} exceeds the guard ell <= 6 for basis"),
+        ("charpoly", {"type": "shi", "ell": big}, 2, f"capacity: the rook DP needs 2^{repr(big - 1)[:60]}... states "
+         f"x {repr(big - 1)[:60]}... columns, over the guard of 557056 for charpoly"),
+        ("charpoly", {"type": "deleted_shi", "ell": 5, "edges": [[1, big]]}, 1,
+         f"error: edge {repr((1, big))[:60]}... is not a pair 1 <= i < j <= 5"),
+        ("charpoly", {"type": "deleted_shi", "ell": big, "edges": [[1, big + 1]]}, 1,
+         f"error: edge {repr((1, big + 1))[:60]}... is not a pair 1 <= i < j <= {cut}"),
+    )
+    path = tmp_path / "req.json"
+    for command, spec, code, message in cases:
+        path.write_text(json.dumps(spec))
+        assert main([command, "--spec", str(path)]) == code
+        assert capsys.readouterr().err == message + "\n"
 
 
 # -- fuzzing the parse boundary ----------------------------------------

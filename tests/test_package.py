@@ -1,4 +1,7 @@
+import pytest
+
 import ishkit
+from ishkit.cli import request_from_doc
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -8,3 +11,31 @@ def test_every_exported_name_resolves_and_appears_once():
     namespace: dict = {}
     exec("from ishkit import *", namespace)
     assert set(ishkit.__all__) <= set(namespace)
+
+
+def _records():
+    """One of each record type of the package, with its field names."""
+    not_free = ishkit.decide_free(ishkit.NestSpec.make([[0, 1], [0, 2]]))
+    report = ishkit.survey(2)
+    records = [
+        (ishkit.Hyperplane.make([1, -1], 0), ("coeffs", "const")),
+        (ishkit.ish_nest(3), ("ell", "den", "nums")),
+        (ishkit.Graph.complete(3), ("ell", "edges")),
+        (ishkit.from_spec({"type": "ish", "ell": 3}), ("kind", "ell", "nest", "graph", "coned")),
+        (request_from_doc({"type": "ish", "ell": 3, "command": "charpoly"}),
+         ("command", "output_format", "ell", "parsed")),
+        (not_free, ("free", "exponents", "witness")),
+        (not_free.witness, ("i", "j", "localized_exponents", "restriction_exponent")),
+        (ishkit.analyze_graph(ishkit.Graph.complete(3)),
+         ("graph", "n_g", "nest_ok", "athanasiadis_witness", "pairwise_ok", "free")),
+        (report.records[0], ("analysis", "char_shi", "char_ish")),
+        (report, ("ell", "records", "free_count", "violations")),
+    ]
+    return [pytest.param(record, fields, id=type(record).__name__) for record, fields in records]
+
+
+@pytest.mark.parametrize("record, fields", _records())
+def test_records_refuse_to_set_a_field(record, fields):
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
