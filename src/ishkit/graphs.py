@@ -8,9 +8,10 @@ ways and cross-checks them:
 
 * the chain condition on the derived sets N_j = {0} | {i : (i,j) in G};
 * the permutation condition (some relabeling w makes w^{-1}G increasing
-  and closed under raising the larger endpoint);
-* the pairwise condition (for every j, k the edge sets below min(j,k)
-  are comparable).
+  and closed under raising the larger endpoint), checked on the one
+  order that can work, the vertices sorted by in-degree;
+* the pairwise condition (for every j, k the in-neighbour sets of j and
+  k are comparable), one bit-mask test per pair.
 
 A disagreement between the routes would falsify the equivalence this
 package is built around, so `analyze_graph` treats it as an internal
@@ -33,12 +34,12 @@ from .exactmath import UniPoly, _shown, unipoly_to_json
 from .freeness import decide_free
 from .rooks import graph_char_poly, nest_char_poly
 
-ATHANASIADIS_MAX_ELL = 8
+GRAPH_MAX_ELL = 1000
 SURVEY_MAX_ELL = 6
 
 
 def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
-    """Search for a relabeling certifying freeness of the deleted cone.
+    """Find a relabeling certifying freeness of the deleted cone.
 
     Returns the lexicographically first permutation w (one-line
     notation) such that transporting every edge (a, b) to
@@ -46,47 +47,27 @@ def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
     transported edge (i, j) exists, so does (i, k) for every k > j.
     Returns None when no permutation works.
 
-    A depth-first search places the vertices slot by slot, trying them
-    in increasing order, so the first complete placement is the
-    lexicographically first witness.  A vertex may take the next slot
-    only when all its in-neighbours are placed, and when it is an
-    out-neighbour of every placed vertex that already has a placed
-    out-neighbour (the out-neighbours of a vertex fill a final run of
-    slots).  Both conditions only ever fail for good as the prefix
-    grows, so pruning on them loses no witness.
+    No search is needed.  Under any witness the out-slots of each slot
+    are a final run, so the in-neighbour sets grow along the slots: they
+    form a chain, and w is nondecreasing in in-degree.  Conversely, when
+    they form a chain, an edge a -> b puts a in in(b) but not in in(a),
+    so in(a) is strictly inside in(b), and out(a) = {b : a in in(b)} is
+    an up-set of the chain: every order nondecreasing in in-degree is a
+    witness.  The first is the vertices sorted by (in-degree, label), so
+    the condition is checked on that one order; if it fails, none works.
     """
-    if graph.ell > ATHANASIADIS_MAX_ELL:
-        raise CapacityError(
-            f"the depth-first relabeling search got ell = {_shown(graph.ell)}, over the guard "
-            f"ell <= {ATHANASIADIS_MAX_ELL}"
-        )
     ell = graph.ell
-    everyone = (1 << (ell + 1)) - 2
-    outs = [0] * (ell + 1)
-    ins = [0] * (ell + 1)
+    indegree = [0] * (ell + 1)
+    for _, b in graph.edges:
+        indegree[b] += 1
+    w = sorted(range(1, ell + 1), key=lambda v: (indegree[v], v))
+    slot = {v: s for s, v in enumerate(w, start=1)}
+    out_slots: list[list[int]] = [[] for _ in range(ell + 1)]
     for a, b in graph.edges:
-        outs[a] |= 1 << b
-        ins[b] |= 1 << a
-    # placing v starts every in-neighbour of v: later slots must be out-neighbours of it
-    narrows = [everyone] * (ell + 1)
-    for a, b in graph.edges:
-        narrows[b] &= outs[a]
-    w: list[int] = []
-
-    def place(placed: int, allowed: int) -> bool:
-        if len(w) == ell:
-            return True
-        for v in range(1, ell + 1):
-            bit = 1 << v
-            if placed & bit or not allowed & bit or ins[v] & ~placed:
-                continue
-            w.append(v)
-            if place(placed | bit, allowed & narrows[v]):
-                return True
-            w.pop()
-        return False
-
-    return tuple(w) if place(0, everyone) else None
+        out_slots[a].append(slot[b])
+    # the d out-slots of a fill the final run of d slots iff the first is ell - d + 1;
+    # slot(a) is not in that run, so it comes before: every edge increases
+    return tuple(w) if all(min(s) == ell - len(s) + 1 for s in out_slots if s) else None
 
 
 def pairwise_condition(graph: Graph) -> bool:
@@ -97,18 +78,15 @@ def pairwise_condition(graph: Graph) -> bool:
     absent, so an edge (i, k) with j <= i < k defeats the second
     alternative outright.  (Capping the quantifier at i <= min(j, k)
     would wave such edges through and break the equivalence with the
-    chain condition, e.g. on the two disjoint edges (1,2), (3,4).)
+    chain condition, e.g. on the two disjoint edges (1,2), (3,4).)  So
+    in(j) and in(k) are comparable: one bit-mask test per pair.
     """
-    edges = graph.edges
-
-    def has(i: int, j: int) -> bool:
-        return i < j and (i, j) in edges
-
-    for j in range(2, graph.ell + 1):
-        for k in range(j + 1, graph.ell + 1):
-            into_k = all(has(i, k) for i in range(1, j) if has(i, j))
-            into_j = all(has(i, j) for i in range(1, k) if has(i, k))
-            if not (into_k or into_j):
+    ins = [0] * (graph.ell + 1)
+    for i, j in graph.edges:
+        ins[j] |= 1 << i
+    for j, a in enumerate(ins):
+        for b in ins[j + 1 :]:
+            if a | b not in (a, b):
                 return False
     return True
 
@@ -142,8 +120,14 @@ def analyze_graph(graph: Graph) -> GraphAnalysis:
     ``decide_free`` calls N_G free exactly when ``is_nest`` finds a chain
     order, so one call gives both the ``nest`` and the ``free`` field.  The
     three answers are provably equivalent; a mismatch is a bug in this
-    package and raises RuntimeError rather than returning.
+    package and raises RuntimeError rather than returning.  The pairwise
+    test visits ell^2 vertex pairs, so ell is bounded first.
     """
+    if graph.ell > GRAPH_MAX_ELL:
+        raise CapacityError(
+            f"the graph analysis of ell^2 vertex pairs got ell = {_shown(graph.ell)}, over the guard "
+            f"ell <= {GRAPH_MAX_ELL}"
+        )
     n_g = n_from_graph(graph)
     free = decide_free(n_g).free
     witness = athanasiadis_condition(graph)

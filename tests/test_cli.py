@@ -826,6 +826,10 @@ def test_guards_cut_a_long_ell_short(capsys, tmp_path):
         ("basis", {"type": "deleted_shi", "ell": big}, 2, f"capacity: ell = {cut} exceeds the guard ell <= 6 for basis"),
         ("charpoly", {"type": "shi", "ell": big}, 2, f"capacity: the rook DP needs 2^{repr(big - 1)[:60]}... states "
          f"x {repr(big - 1)[:60]}... columns, over the guard of 557056 for charpoly"),
+        ("graph", {"type": "deleted_shi", "ell": 10**6}, 2, "capacity: the graph analysis of ell^2 vertex pairs "
+         "got ell = 1000000, over the guard ell <= 1000"),
+        ("graph", {"type": "deleted_shi", "ell": big}, 2, f"capacity: the graph analysis of ell^2 vertex pairs "
+         f"got ell = {cut}, over the guard ell <= 1000"),
         ("charpoly", {"type": "deleted_shi", "ell": 5, "edges": [[1, big]]}, 1,
          f"error: edge {repr((1, big))[:60]}... is not a pair 1 <= i < j <= 5"),
         ("charpoly", {"type": "deleted_shi", "ell": big, "edges": [[1, big + 1]]}, 1,
@@ -921,6 +925,36 @@ def test_main_freeness_never_shows_a_traceback(doc):
 @example({"type": "shi", "ell": 7, "cone": True})
 def test_main_supersolvable_never_shows_a_traceback(doc):
     assert_clean_exit("supersolvable", doc)
+
+
+@st.composite
+def graph_documents(draw):
+    """A deleted family on 2..12 vertices with its edges drawn inside
+    1..ell: pairs i < j, and in one document of ten one more pair of any
+    two vertices, which may be refused."""
+    ell = draw(st.integers(2, 12))
+    pair = st.integers(1, ell - 1).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, ell)))
+    edges = draw(st.lists(pair, max_size=3 * ell))
+    if not draw(st.integers(0, 9)):
+        edges.append(draw(st.tuples(st.integers(1, ell), st.integers(1, ell))))
+    return {
+        "type": draw(st.sampled_from(["deleted_shi", "deleted_ish"])),
+        "ell": ell,
+        "edges": edges,
+        "format": draw(st.sampled_from(["text", "json"])),
+    }
+
+
+# analyze_graph raises on any disagreement of its three routes, so this
+# also fuzzes the in-degree witness against the chain and pairwise tests.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(graph_documents(), spec_documents("graph", max_ell=12, max_junk_int=8)))
+@example({"type": "deleted_shi", "ell": 9, "edges": [[1, 2], [3, 4]]})
+@example({"type": "deleted_ish", "ell": 9, "edges": [[1, 9], [2, 9], [1, 8]]})
+@example({"type": "deleted_shi", "ell": 1000, "edges": [[1, 1000]]})
+@example({"type": "deleted_ish", "ell": 1001, "edges": [[1, 2]]})
+def test_main_graph_never_shows_a_traceback(doc):
+    assert_clean_exit("graph", doc)
 
 
 # ell <= 4 keeps every chamber enumeration cheap; the guard case is explicit.

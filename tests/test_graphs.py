@@ -1,7 +1,10 @@
 import random
 from itertools import permutations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ishkit.arrangement import Graph, build_deleted, build_n_ish, n_from_graph
 from ishkit.errors import CapacityError
@@ -19,17 +22,75 @@ from ishkit.lattice import char_poly
 def scan_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
     """The permutation condition by scanning all ell! relabelings in order."""
     for w in permutations(range(1, graph.ell + 1)):
-        winv = {vertex: slot for slot, vertex in enumerate(w, start=1)}
-        moved = {(winv[a], winv[b]) for a, b in graph.edges}
-        if any(i >= j for i, j in moved):
-            continue
-        if all(
-            (i, k) in moved
-            for i, j in moved
-            for k in range(j + 1, graph.ell + 1)
-        ):
+        if meets_the_permutation_condition(graph, w):
             return w
     return None
+
+
+def meets_the_permutation_condition(graph: Graph, w: tuple[int, ...]) -> bool:
+    """Athanasiadis's definition read literally: every transported edge
+    increases, and a transported edge (i, j) brings (i, k) for all k > j."""
+    winv = {vertex: slot for slot, vertex in enumerate(w, start=1)}
+    moved = {(winv[a], winv[b]) for a, b in graph.edges}
+    if any(i >= j for i, j in moved):
+        return False
+    return all((i, k) in moved for i, j in moved for k in range(j + 1, graph.ell + 1))
+
+
+def search_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
+    """The permutation condition by a pruned depth-first search.
+
+    The vertices are placed slot by slot, tried in increasing order, so the
+    first complete placement is the lexicographically first witness.  A
+    vertex may take the next slot only when all its in-neighbours are
+    placed, and when it is an out-neighbour of every placed vertex that
+    already has a placed out-neighbour (the out-neighbours of a vertex fill
+    a final run of slots).  Both conditions only ever fail for good as the
+    prefix grows, so pruning on them loses no witness.
+    """
+    ell = graph.ell
+    everyone = (1 << (ell + 1)) - 2
+    outs = [0] * (ell + 1)
+    ins = [0] * (ell + 1)
+    for a, b in graph.edges:
+        outs[a] |= 1 << b
+        ins[b] |= 1 << a
+    # placing v starts every in-neighbour of v: later slots must be out-neighbours of it
+    narrows = [everyone] * (ell + 1)
+    for a, b in graph.edges:
+        narrows[b] &= outs[a]
+    w: list[int] = []
+
+    def place(placed: int, allowed: int) -> bool:
+        if len(w) == ell:
+            return True
+        for v in range(1, ell + 1):
+            bit = 1 << v
+            if placed & bit or not allowed & bit or ins[v] & ~placed:
+                continue
+            w.append(v)
+            if place(placed | bit, allowed & narrows[v]):
+                return True
+            w.pop()
+        return False
+
+    return tuple(w) if place(0, everyone) else None
+
+
+def looped_pairwise(graph: Graph) -> bool:
+    """The pairwise condition as its three quantifiers, over edge lookups."""
+    edges = graph.edges
+
+    def has(i: int, j: int) -> bool:
+        return i < j and (i, j) in edges
+
+    for j in range(2, graph.ell + 1):
+        for k in range(j + 1, graph.ell + 1):
+            into_k = all(has(i, k) for i in range(1, j) if has(i, j))
+            into_j = all(has(i, j) for i in range(1, k) if has(i, k))
+            if not (into_k or into_j):
+                return False
+    return True
 
 
 def all_subgraphs(ell: int) -> list[Graph]:
@@ -61,11 +122,18 @@ def test_athanasiadis_needs_relabel():
     assert athanasiadis_condition(Graph.make(3, [(1, 2)])) == (1, 3, 2)
 
 
-def test_athanasiadis_capacity_guard():
-    message = "the depth-first relabeling search got ell = 9, over the guard ell <= 8"
-    with pytest.raises(CapacityError) as caught:
-        athanasiadis_condition(Graph.make(9, []))
+def test_graph_analysis_has_one_ell_guard():
+    # nine vertices answer; the two disjoint edges are not free
+    analysis = analyze_graph(Graph.make(9, [(1, 2), (3, 4)]))
+    assert (analysis.free, analysis.athanasiadis_witness, analysis.pairwise_ok) == (False, None, False)
+    top = analyze_graph(Graph.make(1000, [(1, 1000)]))
+    assert top.free and top.athanasiadis_witness == tuple(range(1, 1001))
+    message = "the graph analysis of ell^2 vertex pairs got ell = 1001, over the guard ell <= 1000"
+    with mock.patch("ishkit.graphs.n_from_graph") as derive:
+        with pytest.raises(CapacityError) as caught:
+            analyze_graph(Graph.make(1001, []))
     assert str(caught.value) == message
+    derive.assert_not_called()
 
 
 def test_pairwise_examples():
@@ -134,6 +202,50 @@ def test_survey_at_six_vertices_matches_the_moebius_sum(survey6):
         g = record.analysis.graph
         assert record.char_shi == char_poly(build_deleted("shi", g))
         assert record.char_ish == char_poly(build_deleted("ish", g))
+
+
+def test_conditions_match_their_oracles_on_every_subgraph_of_k6(survey6):
+    for record in survey6.records:
+        a = record.analysis
+        assert a.athanasiadis_witness == search_athanasiadis(a.graph), a.graph
+        assert a.pairwise_ok == looped_pairwise(a.graph), a.graph
+
+
+@st.composite
+def graphs_around_witnesses(draw):
+    """A graph on 6..10 vertices.  Half the draws are witness graphs: each
+    slot i points to a final run of later slots (maybe empty), and then
+    the slots are relabeled in a random order that keeps every edge
+    increasing.  The other half take each edge with probability one half."""
+    ell = draw(st.integers(6, 10))
+    if draw(st.booleans()):
+        starts = [draw(st.integers(i + 1, ell + 1)) for i in range(1, ell)] + [ell + 1]
+        label: dict[int, int] = {}
+        for next_label in range(1, ell + 1):
+            ready = [
+                k for k in range(1, ell + 1)
+                if k not in label and all(i in label for i in range(1, k) if starts[i - 1] <= k)
+            ]
+            label[draw(st.sampled_from(ready))] = next_label
+        edges = [(label[i], label[k]) for i in range(1, ell) for k in range(starts[i - 1], ell + 1)]
+        return Graph.make(ell, edges), True
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.make(ell, [e for e, keep in zip(pairs, picks) if keep]), False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_around_witnesses())
+def test_witness_meets_the_definition_on_six_to_ten_vertices(graph_and_planted):
+    graph, planted = graph_and_planted
+    w = athanasiadis_condition(graph)
+    assert w == search_athanasiadis(graph)
+    assert w is not None or not planted
+    if w is not None:
+        assert sorted(w) == list(range(1, graph.ell + 1))
+        assert meets_the_permutation_condition(graph, w)
+    assert pairwise_condition(graph) == looped_pairwise(graph)
+    assert analyze_graph(graph).free == (w is not None)
 
 
 def test_survey_guards():
