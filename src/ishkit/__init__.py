@@ -10,8 +10,7 @@ coefficients as ``int`` unless they are not integral, and chambers as
 integer difference-bound matrices.  Flats and chamber witnesses are
 written out straight from their integers.  :class:`fractions.Fraction`
 appears where non-integral values are computed or read: polynomial
-coefficients, Saito constants, the points of ``chamber_of_point`` and
-the ``witness`` of a ``Chamber``.
+coefficients, Saito constants and the ``witness`` of a ``Chamber``.
 """
 
 from .arrangement import (
@@ -30,7 +29,6 @@ from .arrangement import (
 from .chambers import (
     Chamber,
     canonical_chamber,
-    chamber_of_point,
     distance_poly,
     enumerate_chambers,
     ish_base_chamber,
@@ -79,7 +77,6 @@ __all__ = [
     "build_n_ish",
     "build_named",
     "canonical_chamber",
-    "chamber_of_point",
     "char_poly",
     "cone",
     "decide_free",

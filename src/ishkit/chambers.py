@@ -13,8 +13,9 @@ difference-bound matrix (Dill 1989; strict bounds as in Bengtsson-Yi
 are the bounds times the gains' one denominator, so the side
 ``x_a - x_b < c`` of a new hyperplane, ``c`` its integer gain, meets the
 region exactly when ``D[b][a] + c > 0``, a side the region already
-implies leaves its matrix as it is, and a split tightens one copy by an
-O(n^2) incremental closure.  Every matrix starts from the
+implies leaves its matrix as it is, and a split tightens each side by an
+O(n^2) incremental closure.  The regions are walked depth first, so at
+most one matrix per hyperplane is pending.  Every matrix starts from the
 box ``|x_u - x_v| < n (M + 1)``, ``M`` the largest constant in absolute
 value, so all entries are finite integers.  The box loses no chamber:
 closing every gap wider than ``M + 1`` between consecutive sorted
@@ -44,10 +45,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter, neg
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
-from .exactmath import Scalar, UniPoly, clear_denominators
+from .exactmath import UniPoly
 from .freeness import is_nest, nest_exponents
 
 
@@ -141,16 +142,15 @@ def _witness(d: Matrix) -> list[int]:
     return point
 
 
-def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
-    """The regions of a difference arrangement, and the scale of their bounds.
+def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
+    """A walk over the regions of a difference arrangement, and the scale of their bounds.
 
-    Each region is a pair ``(bits, d)``: its sign vector as bits,
-    hyperplane 0 the most significant and a set bit for the side ``+``,
-    so integer order is sign-vector order, and its closed matrix ``d``,
-    whose entries are the bounds times the returned scale.  A coned
-    arrangement gives only the regions of its slice ``z = 1``.
-    Hyperplanes are inserted one at a time into the closed matrices of
-    the regions found so far.
+    Each region is ``(bits, d)``: its sign vector, hyperplane 0 the top
+    bit and a set bit for ``+``, and its closed matrix of bounds times the
+    scale; a coned arrangement gives those of its slice ``z = 1``.  At a
+    split the walk sets the ``+`` side aside, tightened, and goes down the
+    ``-`` side: regions come out in increasing ``bits``, and at most one
+    matrix per hyperplane is pending.
     """
     den, edges = arr.gain_edges()
     if arr.coned and None not in edges:
@@ -159,24 +159,25 @@ def _regions(arr: Arrangement) -> tuple[list[tuple[int, Matrix]], int]:
     unit = 1 << (n - 1)  # keeps the witness midpoints integral
     big = n * (max((abs(e[2]) for e in edges if e is not None), default=0) + 1) * unit
     box = tuple(tuple(0 if u == v else big for v in range(n)) for u in range(n))
-    cuts = [None if e is None else (e[0], e[1], e[2] * unit) for e in edges]
-    regions = [(0, box)]
-    for cut in cuts:
-        if cut is None:  # z = 0: the slice z = 1 lies on its positive side
-            regions = [(bits << 1 | 1, d) for bits, d in regions]
-            continue
-        a, b, c = cut
-        updated = []
-        for bits, d in regions:
-            below = d[b][a] + c > 0  # x_a - x_b < c meets the region
-            above = d[a][b] > c  # x_a - x_b > c meets the region
-            if below and above:
-                updated.append((bits << 1, _tighten(d, a, b, c)))
-                updated.append((bits << 1 | 1, _tighten(d, b, a, -c)))
-            else:
-                updated.append((bits << 1 | above, d))
-        regions = updated
-    return regions, den * unit
+    # z = 0 becomes x_0 - x_0 < -1, which no region meets: the slice z = 1 is on its + side
+    cuts = [(0, 0, -1) if e is None else (e[0], e[1], e[2] * unit) for e in edges]
+
+    def walk() -> Iterator[tuple[int, Matrix]]:
+        pending = [(0, 0, box)]  # (next hyperplane, bits so far, matrix)
+        while pending:
+            start, bits, d = pending.pop()
+            for k in range(start, len(cuts)):
+                a, b, c = cuts[k]
+                if d[b][a] + c <= 0:  # x_a - x_b < c misses the region
+                    bits = bits << 1 | 1
+                elif d[a][b] <= c:  # x_a - x_b > c misses the region
+                    bits <<= 1
+                else:
+                    pending.append((k + 1, bits << 1 | 1, _tighten(d, b, a, -c)))
+                    bits, d = bits << 1, _tighten(d, a, b, c)
+            yield bits, d
+
+    return walk(), den * unit
 
 
 def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
@@ -186,27 +187,15 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise),
     and a coned one must contain ``z = 0``.
     """
-    regions, den = _regions(arr)
+    walk, den = _regions(arr)
     size = len(arr)
-    full = (1 << size) - 1
-    chambers = []
-    for bits, d in regions:
-        point = _witness(d)
-        if arr.coned:  # the point at z = 1 and its antipode
-            point.append(den)
-            chambers.append(Chamber(bits, size, tuple(point), den))
-            chambers.append(Chamber(bits ^ full, size, tuple(map(neg, point)), den))
-        else:
-            chambers.append(Chamber(bits, size, tuple(point), den))
-    chambers.sort(key=attrgetter("bits"))
+    z = (den,) if arr.coned else ()  # a coned region's point lies at z = 1
+    chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
+    if arr.coned:  # the antipodes, then one merge of the two sorted runs
+        full = (1 << size) - 1
+        chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
+        chambers.sort(key=attrgetter("bits"))
     return chambers
-
-
-def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber:
-    """The chamber containing the point, whose coordinates are read by
-    ``parse_rational_pair``; errors if the point lies on a wall."""
-    scaled, den = clear_denominators(point)
-    return _chamber_at(arr, scaled, den)
 
 
 def _chamber_at(arr: Arrangement, point: Sequence[int], den: int) -> Chamber:
@@ -250,16 +239,15 @@ def ish_base_chamber(ell: int) -> tuple[Arrangement, Chamber]:
 
 def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
     """Chambers counted by the number of hyperplanes separating them from base."""
-    regions, _ = _regions(arr)
-    masks = [bits for bits, _ in regions]
-    if arr.coned:  # the antipodes
-        full = (1 << len(arr)) - 1
-        masks += [bits ^ full for bits in masks]
-    if base.size != len(arr) or base.bits not in masks:
+    size = len(arr)
+    counts = [0] * (size + 1)
+    if base.size == size and not base.bits >> size:
+        for bits, _ in _regions(arr)[0]:
+            k = (bits ^ base.bits).bit_count()
+            counts[k] += 1
+            counts[size - k] += arr.coned  # the antipode is across every hyperplane
+    if counts[0] != 1:  # sign vectors are distinct: base is a chamber at most once
         raise ValueError("the base chamber does not belong to this arrangement")
-    counts = [0] * (len(arr) + 1)
-    for bits in masks:
-        counts[(bits ^ base.bits).bit_count()] += 1
     return UniPoly(counts)
 
 

@@ -198,7 +198,7 @@ def survey(ell: int) -> SurveyReport:
     violations = []
     for mask in range(1 << len(all_edges)):
         edges = [e for bit, e in enumerate(all_edges) if mask >> bit & 1]
-        graph = Graph.make(ell, edges)
+        graph = Graph(ell, frozenset(edges))  # each edge is 1 <= i < j <= ell already
         analysis = analyze_graph(graph)
         record = SurveyRecord(
             analysis, graph_char_poly(graph), nest_char_poly(analysis.n_g)

@@ -1,6 +1,7 @@
 """The summary and the pair count of ``tools/bench_record.py``, on made-up runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,17 @@ def test_comparison_of_one_pair(better, mine, won):
     declared = [{"name": "req_per_s", "better": better}]
     out = bench_record.comparison([run("w", mine, 0)], [run("w", 1, 0)], declared)
     assert out == {"w": {"req_per_s": {"won": won, "lost": 1 - won, "pairs": 1}}}
+
+
+def test_a_baseline_that_is_not_a_git_checkout_fails_before_any_run(tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    calls = []
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: calls.append(args))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workloads", "chambers", "--seeds", "1", "--baseline",
+            str(tmp_path)]
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_record.main(argv)
+    assert calls == []
+    assert not out.exists()

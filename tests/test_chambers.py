@@ -22,10 +22,11 @@ from ishkit.arrangement import (
 )
 from ishkit.chambers import (
     Chamber,
+    _chamber_at,
     _regions,
+    _tighten,
     _witness,
     canonical_chamber,
-    chamber_of_point,
     distance_poly,
     enumerate_chambers,
     ish_base_chamber,
@@ -34,6 +35,44 @@ from ishkit.chambers import (
 from ishkit.exactmath import Scalar, UniPoly, clear_denominators, format_rational
 from ishkit.lattice import char_poly
 from test_arrangement import fraction_build_n_ish, fraction_cone, rational_set
+
+
+def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber:
+    """The chamber containing the point, its coordinates read by ``clear_denominators``."""
+    return _chamber_at(arr, *clear_denominators(point))
+
+
+# -- the breadth-first region list: the oracle of the depth-first walk ----
+
+
+def breadth_first_regions(arr: Arrangement):
+    """The regions as one list, each hyperplane inserted into all of them,
+    and the scale of their bounds: ``_regions`` before its walk."""
+    den, edges = arr.gain_edges()
+    if arr.coned and None not in edges:
+        raise ValueError("a coned arrangement needs the hyperplane z = 0")
+    n = arr.dim - 1 if arr.coned else arr.dim
+    unit = 1 << (n - 1)
+    big = n * (max((abs(e[2]) for e in edges if e is not None), default=0) + 1) * unit
+    box = tuple(tuple(0 if u == v else big for v in range(n)) for u in range(n))
+    cuts = [None if e is None else (e[0], e[1], e[2] * unit) for e in edges]
+    regions = [(0, box)]
+    for cut in cuts:
+        if cut is None:  # z = 0: the slice z = 1 lies on its positive side
+            regions = [(bits << 1 | 1, d) for bits, d in regions]
+            continue
+        a, b, c = cut
+        updated = []
+        for bits, d in regions:
+            below = d[b][a] + c > 0  # x_a - x_b < c meets the region
+            above = d[a][b] > c  # x_a - x_b > c meets the region
+            if below and above:
+                updated.append((bits << 1, _tighten(d, a, b, c)))
+                updated.append((bits << 1 | 1, _tighten(d, b, a, -c)))
+            else:
+                updated.append((bits << 1 | above, d))
+        regions = updated
+    return regions, den * unit
 
 
 # -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
@@ -478,6 +517,17 @@ def test_integer_chambers_match_the_fraction_oracle(arr):
         assert_same_chamber(got, want)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(difference_arrangements())
+@example(build_n_ish(NestSpec.make([[Fraction(1, 2), 2], [Fraction(-3, 2)], [0, 1]])))
+@example(cone(build_named("shi", 4)))
+@example(cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0], [Fraction(3, 2)]]))))
+@example(build_named("ish", 4))
+def test_walk_gives_the_breadth_first_regions_in_order(arr):
+    walk, den = _regions(arr)
+    assert (list(walk), den) == breadth_first_regions(arr)
+
+
 def transposing_witness(d) -> list[int]:
     """``_witness`` reading each column from the transposed matrix."""
     point = [0]
@@ -490,7 +540,7 @@ def transposing_witness(d) -> list[int]:
 @given(difference_arrangements())
 @example(cone(build_n_ish(NestSpec.make([["-5/6", "7/4"], ["1/3"], ["7/4", "2/3"]]))))
 def test_witness_reads_only_the_column_entries_it_needs(arr):
-    regions, _ = _regions(arr)
+    regions = list(_regions(arr)[0])
     assert [_witness(d) for _, d in regions] == [transposing_witness(d) for _, d in regions]
 
 
@@ -537,13 +587,15 @@ def test_points_and_base_chambers_match_the_fraction_oracle(nest, points):
 
 
 def test_enumeration_rejects_non_difference_hyperplanes():
+    # _regions raises at the call, before its walk is read
     for coeffs in ([1, 1], [2, -1]):  # x1 + x2 = 0, 2*x1 - x2 = 0
-        for reader in (enumerate_chambers, char_poly):
+        for reader in (enumerate_chambers, char_poly, _regions):
             with pytest.raises(ValueError, match="not of the form"):
                 reader(Arrangement(2, [Hyperplane.make(coeffs)]))
     no_z = Arrangement(3, [Hyperplane.make([1, -1, 0])], coned=True)
-    with pytest.raises(ValueError, match="z = 0"):
-        enumerate_chambers(no_z)
+    for reader in (enumerate_chambers, _regions):
+        with pytest.raises(ValueError, match="z = 0"):
+            reader(no_z)
 
 
 def test_chamber_witnesses_realize_signs():
@@ -699,9 +751,21 @@ def test_distance_poly_coned_rank_two():
 
 def test_distance_poly_rejects_foreign_base():
     arr = build_named("ish", 2)
-    for fake in (Chamber(0b01, 2, (0, 0), 1), Chamber(0b011, 3, (0, 0), 1)):  # "-+", "-++"
-        with pytest.raises(ValueError):
+    # "-+" has the right size and is no chamber, "-++" has the wrong size, and
+    # 0b100 has a bit past the two hyperplanes
+    for fake in (Chamber(0b01, 2, (0, 0), 1), Chamber(0b011, 3, (0, 0), 1),
+                 Chamber(0b100, 2, (0, 0), 1)):
+        with pytest.raises(ValueError, match="does not belong"):
             distance_poly(arr, fake)
+    # on a cone, the two sign vectors of the right size that neither a region
+    # of the slice nor an antipode has
+    arr = cone(arr)
+    chambers = {c.bits for c in enumerate_chambers(arr)}
+    missing = sorted(set(range(1 << len(arr))) - chambers)
+    assert len(missing) == 2
+    for bits in missing:
+        with pytest.raises(ValueError, match="does not belong"):
+            distance_poly(arr, Chamber(bits, len(arr), (0, 0, 0), 1))
 
 
 def test_distance_poly_endpoints():

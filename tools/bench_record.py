@@ -85,9 +85,8 @@ def comparison(runs: list[dict], base: list[dict], declared: list[dict]) -> dict
     return out
 
 
-def side(checkout: Path, runs: list[dict]) -> dict:
-    return {"commit": commit_of(checkout), "src_lines": src_lines(checkout),
-            "runs": runs, "summary": summary(runs)}
+def side(head: dict, runs: list[dict]) -> dict:
+    return {**head, "runs": runs, "summary": summary(runs)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = benchmark["run_seconds"]
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
+    # read before the first run, so a baseline that is not a git checkout fails at once
+    heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c)} for c in checkouts}
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
@@ -116,10 +117,10 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "seconds": seconds,
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
-        **side(ROOT, runs[ROOT]),
+        **side(heads[ROOT], runs[ROOT]),
     }
     if args.baseline:
-        record["baseline"] = side(checkouts[1], runs[checkouts[1]])
+        record["baseline"] = side(heads[checkouts[1]], runs[checkouts[1]])
         record["pairs"] = comparison(runs[ROOT], runs[checkouts[1]], benchmark["end_to_end"])
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
