@@ -26,15 +26,19 @@ of ints, for ``_diff`` and for the factors of ``freeness``'s derivation
 bases.  ``Arrangement.gain_edges`` reads a difference
 arrangement back in the same form: ``int`` gains over one denominator,
 the nest's ``den`` for a nest, 1 for graph and named specs.
+
+``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
+spec's fields and its nest or graph, and raises every spec error while
+parsing.  Nothing is cached: the arrangement is built on each read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import CapacityError
 from .exactmath import (
     Scalar,
     _shown,
@@ -355,24 +359,21 @@ def cone(arr: Arrangement) -> Arrangement:
 # -- JSON arrangement specs -------------------------------------------
 
 
-class _SpecFields(NamedTuple):
+class ParsedSpec(NamedTuple):
+    """An arrangement spec plus whatever side data the type carries.
+
+    A record: every spec error is raised while parsing, and nothing is
+    cached.  ``arrangement`` builds the arrangement on each read, since
+    several commands need only the nest or the graph.
+    """
+
     kind: str
     ell: int
     nest: NestSpec | None
     graph: Graph | None
     coned: bool
 
-
-class ParsedSpec(_SpecFields):
-    """An arrangement spec plus whatever side data the type carries.
-
-    The arrangement is built on first read: several commands need only
-    the nest or the graph.  Every spec error is raised while parsing,
-    before any build.  The fields are those of a named tuple; this
-    subclass adds the instance ``__dict__`` that caches the arrangement.
-    """
-
-    @cached_property
+    @property
     def arrangement(self) -> Arrangement:
         if self.kind == "n_ish":
             arr = build_n_ish(self.nest)
@@ -384,6 +385,9 @@ class ParsedSpec(_SpecFields):
 
 
 SPEC_KINDS = ("coxeter", "shi", "ish", "n_ish", "deleted_shi", "deleted_ish")
+# Bounds the ell^2 work of an Ish-type graph: the staircase nest of an ish or
+# deleted_ish spec, built while parsing, and the pairwise test of graphs.
+GRAPH_MAX_ELL = 1000
 
 
 def ish_nest(ell: int) -> NestSpec:
@@ -402,7 +406,9 @@ def from_spec(spec: dict) -> ParsedSpec:
         {"type": "n_ish", "N": [[0, 1], ["0", "1/2"]]}
         {"type": "deleted_ish" | "deleted_shi", "ell": 4, "edges": [[1, 2]]}
 
-    plus an optional ``"cone": true`` on any of them.
+    plus an optional ``"cone": true`` on any of them.  An ``ish`` or
+    ``deleted_ish`` spec past ``GRAPH_MAX_ELL`` is a ``CapacityError``,
+    raised after the other checks and before its nest is built.
     """
     if not isinstance(spec, dict):
         raise ValueError("arrangement spec must be a JSON object")
@@ -416,21 +422,23 @@ def from_spec(spec: dict) -> ParsedSpec:
             raise ValueError("n_ish spec needs the key 'N'")
         nest = NestSpec.make(spec["N"])
         ell = nest.ell
-    elif kind in ("deleted_shi", "deleted_ish"):
-        ell = _read_ell(spec)
-        edges = spec.get("edges", [])
-        if not isinstance(edges, list):
-            raise ValueError("'edges' must be a list of vertex pairs")
-        graph = Graph.make(ell, edges)
-        if kind == "deleted_ish":
-            nest = n_from_graph(graph)
     else:
         ell = _read_ell(spec)
-        if kind == "ish":
-            nest = ish_nest(ell)
+        if kind in ("deleted_shi", "deleted_ish"):
+            edges = spec.get("edges", [])
+            if not isinstance(edges, list):
+                raise ValueError("'edges' must be a list of vertex pairs")
+            graph = Graph.make(ell, edges)
     want_cone = spec.get("cone", False)
     if not isinstance(want_cone, bool):
         raise ValueError(f"'cone' must be true or false, not {_shown(want_cone)}")
+    if kind in ("ish", "deleted_ish"):
+        if ell > GRAPH_MAX_ELL:
+            raise CapacityError(
+                f"the {kind} nest of ell - 1 sets got ell = {_shown(ell)}, over the guard "
+                f"ell <= {GRAPH_MAX_ELL}"
+            )
+        nest = ish_nest(ell) if graph is None else n_from_graph(graph)
     return ParsedSpec(kind, ell, nest, graph, want_cone)
 
 

@@ -29,9 +29,9 @@ Witnesses are built once, after the last hyperplane: ``x1 = 0``, and each
 later coordinate is the midpoint of the interval the fixed ones allow,
 which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
-A ``Chamber`` keeps that integer form, the region's bits and the scaled
-point, and its text and the command line's JSON are written from it;
-only its ``witness`` property makes ``Fraction`` values.
+A ``Chamber`` is a record of that integer form, the region's bits and
+the scaled point, and its text and the command line's JSON are written
+from it; only its ``witness`` property makes ``Fraction`` values.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -44,8 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter, neg
-from typing import Iterator, Sequence
+from operator import neg
+from typing import Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import UniPoly
@@ -55,22 +55,19 @@ from .freeness import is_nest, nest_exponents
 _SIGN_CHARS = str.maketrans("01", "-+")
 
 
-class Chamber:
+class Chamber(NamedTuple):
     """A chamber: sign vector plus a rational interior point realizing it.
 
-    Both are kept as integers.  ``bits`` is the sign vector on ``size``
-    hyperplanes, hyperplane 0 the most significant bit and a set bit for
-    the side ``+``; ``point`` is the witness times the positive scale
-    ``den``.
+    A record of integers, equal and hashed by value.  ``bits`` is the
+    sign vector on ``size`` hyperplanes, hyperplane 0 the most significant
+    bit and a set bit for the side ``+``; ``point`` is the witness times
+    the positive scale ``den``.
     """
 
-    __slots__ = ("bits", "size", "point", "den")
-
-    def __init__(self, bits: int, size: int, point: tuple[int, ...], den: int) -> None:
-        self.bits = bits
-        self.size = size
-        self.point = point
-        self.den = den
+    bits: int
+    size: int
+    point: tuple[int, ...]
+    den: int
 
     @property
     def signs(self) -> str:
@@ -191,10 +188,10 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     size = len(arr)
     z = (den,) if arr.coned else ()  # a coned region's point lies at z = 1
     chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
-    if arr.coned:  # the antipodes, then one merge of the two sorted runs
+    if arr.coned:  # the antipodes, then a merge: the runs interleave unless z = 0 comes first
         full = (1 << size) - 1
         chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
-        chambers.sort(key=attrgetter("bits"))
+        chambers.sort()
     return chambers
 
 

@@ -6,7 +6,8 @@ prints either a short text report or a JSON document.  The JSON output
 echoes the request under the ``"spec"`` key, so a saved report can be
 fed straight back in.
 
-Exit codes: 0 on success, 1 on bad input, 2 when a size guard trips.
+Exit codes: 0 on success, 1 on bad input, 2 when a size guard trips, 3
+when an internal cross-check fails (a ``RuntimeError``: a bug in ishkit).
 """
 
 from __future__ import annotations
@@ -478,6 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a failed cross-check, whose message may embed a whole input
+        text = str(exc)
+        print(f"internal error: {text if len(text) <= 200 else text[:200] + '...'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,8 +35,10 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
 
 ``vanishes_on`` decides whether a polynomial lies in the ideal of a
 linear form, and ``int_det`` is the exact determinant of an integer
-matrix, such as the matrix of Saito's test oracle: ``MultiPoly.evaluate``,
-by plain powers, of each component of each ``freeness.Derivation`` tuple.
+matrix.  It decides both Saito tests: the request path's
+``freeness.factored_saito_constant``, on the factored components' values
+at one point, and the oracle's, on ``MultiPoly.evaluate``, by plain
+powers, of each component of each ``freeness.Derivation`` tuple.
 
 JSON forms (shared with the command line surface, which writes the
 ``MultiPoly`` records itself):
@@ -605,18 +607,18 @@ def nonnegative_int_roots(p: UniPoly) -> list[int] | None:
     return roots if len(cs) == 1 else None
 
 
-def unipoly_str(p: UniPoly, var: str = "t") -> str:
-    """Render descending, e.g. ``t^3 - 6t^2 + 9t``."""
+def unipoly_str(p: UniPoly) -> str:
+    """Render descending in ``t``, e.g. ``t^3 - 6t^2 + 9t``."""
     terms = []
     for k in range(p.degree(), -1, -1):
         c = p.coeffs[k]
         if c:
-            terms.append((c, "" if k == 0 else var if k == 1 else f"{var}^{k}"))
+            terms.append((c, "" if k == 0 else "t" if k == 1 else f"t^{k}"))
     return _render_sum(terms, "")
 
 
-def unipoly_factored_str(roots: Iterable[Scalar], var: str = "t") -> str:
-    """Render a monic split polynomial from roots, e.g. ``t (t-3)^2``."""
+def unipoly_factored_str(roots: Iterable[Scalar]) -> str:
+    """Render a monic split polynomial in ``t`` from roots, e.g. ``t (t-3)^2``."""
     counts: dict[Fraction, int] = {}
     for r in roots:
         q = Fraction(r)
@@ -624,11 +626,11 @@ def unipoly_factored_str(roots: Iterable[Scalar], var: str = "t") -> str:
     factors = []
     for root in sorted(counts):
         if root == 0:
-            base = var
+            base = "t"
         elif root > 0:
-            base = f"({var}-{root})"
+            base = f"(t-{root})"
         else:
-            base = f"({var}+{-root})"
+            base = f"(t+{-root})"
         mult = counts[root]
         factors.append(base if mult == 1 else f"{base}^{mult}")
     return " ".join(factors) if factors else "1"

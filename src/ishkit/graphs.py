@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arrangement import Graph, NestSpec, n_from_graph
+from .arrangement import GRAPH_MAX_ELL, Graph, NestSpec, n_from_graph
 from .errors import CapacityError
 from .exactmath import UniPoly, _shown, unipoly_to_json
 from .freeness import decide_free
 from .rooks import graph_char_poly, nest_char_poly
 
-GRAPH_MAX_ELL = 1000
 SURVEY_MAX_ELL = 6
 
 

@@ -89,11 +89,9 @@ class Flat(NamedTuple):
         """The intersection of the hyperplanes with these gain edges over ``den``; ``None`` if empty."""
         flat = Flat.ambient(dim, coned, den)
         for edge in edges:
-            res = flat.intersect_hyperplane(edge)
-            if res is None:
+            flat = flat.intersect_hyperplane(edge)
+            if flat is None:
                 return None
-            if res != "same":
-                flat = res
         return flat
 
     @property
@@ -115,14 +113,14 @@ class Flat(NamedTuple):
         i, j, c = edge
         return self.root[i] == self.root[j] and (self.zero or self.offset[i] - self.offset[j] == c)
 
-    def intersect_hyperplane(self, edge: GainEdge) -> "Flat | None | str":
+    def intersect_hyperplane(self, edge: GainEdge) -> "Flat | None":
         """Intersect with the hyperplane of a gain edge (``None`` is ``z = 0``).
 
-        Returns ``"same"`` when the hyperplane already contains the
-        flat, ``None`` when the intersection is empty, and the new
-        ``Flat`` otherwise: two blocks merged, or the collapse to ``z = 0``.
+        Returns the flat itself when the hyperplane already contains it,
+        ``None`` when the intersection is empty, and the new ``Flat``
+        otherwise: two blocks merged, or the collapse to ``z = 0``.
         """
-        return "same" if self.contains(edge) else _meet(self, edge)
+        return self if self.contains(edge) else _meet(self, edge)
 
     def _rows(self):
         """``(v, r, p, q)`` per coordinate ``v`` off its root ``r``, in pivot
@@ -381,7 +379,7 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     chain = [Flat.ambient(arr.dim, True, gains.den)]
     for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
         flat = chain[-1].intersect_hyperplane(edge)
-        if not isinstance(flat, Flat):
+        if flat is None or flat is chain[-1]:
             raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
         chain.append(flat)
     masks = [gains.mask(flat) for flat in chain]

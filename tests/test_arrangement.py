@@ -267,11 +267,18 @@ def test_from_spec_shapes():
     assert ps.arrangement == build_named("coxeter", 3)
 
 
-def test_from_spec_builds_the_arrangement_on_first_read():
+def test_from_spec_builds_nothing_and_each_read_builds_the_arrangement(monkeypatch):
+    calls = []
+
+    def counted(kind, ell):
+        calls.append((kind, ell))
+        return build_named(kind, ell)
+
+    monkeypatch.setattr("ishkit.arrangement.build_named", counted)
     ps = from_spec({"type": "ish", "ell": 4, "cone": True})
-    assert "arrangement" not in vars(ps)
-    arr = ps.arrangement
-    assert arr is ps.arrangement and arr == cone(build_named("ish", 4))
+    assert calls == [] and not hasattr(ps, "__dict__")
+    assert ps.arrangement == ps.arrangement == cone(build_named("ish", 4))
+    assert calls == [("ish", 4)] * 2
     assert ps == from_spec({"type": "ish", "ell": 4, "cone": True})
 
 

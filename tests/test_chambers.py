@@ -598,6 +598,18 @@ def test_enumeration_rejects_non_difference_hyperplanes():
             reader(no_z)
 
 
+def test_a_coned_arrangement_with_z_0_last_still_enumerates_in_order():
+    # the antipodes interleave with the regions unless z = 0 is hyperplane 0
+    coned = cone(build_named("ish", 3))
+    arr = Arrangement(coned.dim, coned.hyperplanes[1:] + coned.hyperplanes[:1], coned=True)
+    chambers = enumerate_chambers(arr)
+    assert len(chambers) == 2 * len(enumerate_chambers(build_named("ish", 3))) == 32
+    assert [c.bits for c in chambers] == sorted({c.bits for c in chambers})
+    assert [sign_vector(c).signs for c in chambers] == fm_enumerate_chambers(arr)
+    for c in chambers:
+        assert chamber_of_point(arr, c.witness).bits == c.bits
+
+
 def test_chamber_witnesses_realize_signs():
     arr = build_named("ish", 3)
     for ch in enumerate_chambers(arr):

@@ -316,6 +316,22 @@ def test_charpoly_raises_when_the_exponents_do_not_factor_chi(monkeypatch):
             run(request_of(json.dumps(dict(spec, command="charpoly", format=fmt))))
 
 
+def test_a_failed_check_is_one_internal_error_line_and_exit_3(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("ishkit.cli.spec_char_poly", lambda parsed: UniPoly([0, 1]))
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"type": "ish", "ell": 3}))
+    assert main(["charpoly", "--spec", str(path)]) == 3
+    assert capsys.readouterr().err == "internal error: free exponents do not factor the rook-number chi\n"
+    # a check's message may embed its whole input, and is cut short
+    def long_failure(graph):
+        raise RuntimeError("x" * 10**5)
+
+    monkeypatch.setattr("ishkit.cli.analyze_graph", long_failure)
+    path.write_text(json.dumps({"type": "deleted_shi", "ell": 3}))
+    assert main(["graph", "--spec", str(path)]) == 3
+    assert capsys.readouterr().err == f"internal error: {'x' * 200}...\n"
+
+
 def test_main_cuts_a_long_bad_value_short(capsys, monkeypatch):
     # 100000 ones in one value is a 300 KB spec; its message stays one short line
     ones = [1] * 100000
@@ -814,11 +830,24 @@ def test_main_survey_capacity(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("capacity:")
 
 
-def test_guards_cut_a_long_ell_short(capsys, tmp_path):
+def test_guards_cut_a_long_ell_short(capsys, tmp_path, monkeypatch):
+    # no refused spec builds its nest: the ish bound comes first
+    def never(*args):
+        raise AssertionError("a refused spec built its nest")
+
+    for name in ("ish_nest", "n_from_graph"):
+        monkeypatch.setattr(f"ishkit.arrangement.{name}", never)
     # a 4000-digit ell is still a JSON integer, under the interpreter's digit limit
     big = 10**4000 - 1
     cut = repr(big)[:60] + "..."
-    cases = (
+    ish_cases = tuple(
+        (command, {"type": kind, "ell": ell}, 2, f"capacity: the {kind} nest of ell - 1 sets got "
+         f"ell = {shown}, over the guard ell <= 1000")
+        for kind, ell, shown in (("ish", 20000, 20000), ("deleted_ish", 30000000, 30000000),
+                                 ("ish", 1001, 1001), ("deleted_ish", big, cut))
+        for command in COMMANDS if command != "survey"
+    )
+    cases = ish_cases + (
         ("survey", {"ell": 1000}, 2, "capacity: the survey of 2^(ell(ell-1)/2) subgraphs got ell = 1000, "
          "over the guard ell <= 6"),
         ("survey", {"ell": big}, 2, f"capacity: the survey of 2^(ell(ell-1)/2) subgraphs got ell = {cut}, "
@@ -833,6 +862,8 @@ def test_guards_cut_a_long_ell_short(capsys, tmp_path):
         ("charpoly", {"type": "deleted_shi", "ell": 5, "edges": [[1, big]]}, 1,
          f"error: edge {repr((1, big))[:60]}... is not a pair 1 <= i < j <= 5"),
         ("charpoly", {"type": "deleted_shi", "ell": big, "edges": [[1, big + 1]]}, 1,
+         f"error: edge {repr((1, big + 1))[:60]}... is not a pair 1 <= i < j <= {cut}"),
+        ("freeness", {"type": "deleted_ish", "ell": big, "edges": [[1, big + 1]]}, 1,
          f"error: edge {repr((1, big + 1))[:60]}... is not a pair 1 <= i < j <= {cut}"),
     )
     path = tmp_path / "req.json"

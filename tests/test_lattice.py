@@ -521,8 +521,8 @@ def check_closure(poset, edges: Sequence) -> None:
     for i, flat in enumerate(poset.flats):
         for b, edge in enumerate(edges):
             res = flat.intersect_hyperplane(edge)
-            assert (poset.masks[i] >> b & 1) == (res == "same")
-            expected = i if res == "same" else None if res is None else index[res]
+            assert (poset.masks[i] >> b & 1) == (res is flat)
+            expected = i if res is flat else None if res is None else index[res]
             assert poset.steps[i][b] == expected
 
 
@@ -548,7 +548,7 @@ def test_flat_basics():
     assert amb.rank == 0 and amb.dim == 3 and rows(amb) == ()
     f = Flat.through([(0, 1, 0), (1, 2, 0)], 3)
     assert f is not None and f.rank == 2 and f.dim == 1
-    assert f.intersect_hyperplane((0, 2, 0)) == "same"  # x1 = x3 follows
+    assert f.intersect_hyperplane((0, 2, 0)) is f  # x1 = x3 follows
     assert f.intersect_hyperplane((0, 2, 1)) is None  # x1 - x3 = 1 misses it
     # inconsistent system has no flat; coned, the same two meet inside z = 0
     assert Flat.through([(0, 1, 0), (0, 1, 1)], 2) is None
@@ -570,7 +570,7 @@ def test_flat_basics():
     assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
     assert rows(collapsed) == ((1, -1, 0, 0), (0, 0, 1, 0))
     assert collapsed.render(["x1", "x2", "z"]) == "x1 - x2 = 0; z = 0"
-    assert collapsed.intersect_hyperplane((0, 1, 5)) == "same"  # 5*z vanishes on z = 0
+    assert collapsed.intersect_hyperplane((0, 1, 5)) is collapsed  # 5*z vanishes on z = 0
     for flat, names in ((g, ["x1", "x2", "x3"]), (c, ["x1", "x2", "z"]), (collapsed, ["x1", "x2", "z"])):
         assert_written_as_the_oracle(flat, names)
 
@@ -594,7 +594,7 @@ def test_flat_rref_is_canonical():
                    "coned": not flat.coned, "den": 2 * flat.den}
         assert all(flat._replace(**{field: v}) != flat for field, v in changes.items())
     # folding ``_meet`` over the edges gives the flat of ``Flat.through``, and
-    # ``intersect_hyperplane`` answers "same", None or a ``Flat``
+    # ``intersect_hyperplane`` answers the flat itself, None or a new ``Flat``
     rng = random.Random(4242)
     for _ in range(300):
         n, coned, den = rng.choice([2, 3, 4]), rng.random() < 0.5, rng.choice([1, 2, 3])
@@ -605,9 +605,9 @@ def test_flat_rref_is_canonical():
         flat = Flat.ambient(n + coned, coned, den)
         for edge in edges:
             res = flat.intersect_hyperplane(edge)
-            assert res == "same" or res is None or isinstance(res, Flat)
+            assert res is None or isinstance(res, Flat)
             if flat.contains(edge):
-                assert res == "same"
+                assert res is flat
                 continue
             flat = _meet(flat, edge)
             assert res == flat
@@ -713,7 +713,7 @@ def test_supersolvable_chain_is_nested():
     for below, above in zip(chain, chain[1:]):
         # the higher flat satisfies every equation of the lower one
         for edge in flat_edges(below):
-            assert above.intersect_hyperplane(edge) == "same"
+            assert above.intersect_hyperplane(edge) is above
         assert above.rank == below.rank + 1
 
 

@@ -22,6 +22,7 @@ def _records():
         (ishkit.ish_nest(3), ("ell", "den", "nums")),
         (ishkit.Graph.complete(3), ("ell", "edges")),
         (ishkit.from_spec({"type": "ish", "ell": 3}), ("kind", "ell", "nest", "graph", "coned")),
+        (ishkit.enumerate_chambers(ishkit.build_named("ish", 2))[0], ("bits", "size", "point", "den")),
         (request_from_doc({"type": "ish", "ell": 3, "command": "charpoly"}),
          ("command", "output_format", "ell", "parsed")),
         (not_free, ("free", "exponents", "witness")),
@@ -36,6 +37,7 @@ def _records():
 
 @pytest.mark.parametrize("record, fields", _records())
 def test_records_refuse_to_set_a_field(record, fields):
+    assert record._fields == fields and not hasattr(record, "__dict__")
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
