@@ -7,8 +7,9 @@ difference hyperplanes ``x_i - x_j = c`` as integer numerators over one
 denominator per arrangement, flats as gain-graph partitions (a block
 and an integer offset per coordinate over that denominator), polynomial
 coefficients as ``int`` unless they are not integral, and chambers as
-integer difference-bound matrices.  Flats and chamber witnesses are
-written out straight from their integers.  :class:`fractions.Fraction`
+integer difference-bound matrices.  Flats, nests and chamber witnesses
+are written from their integers by ``exactmath``, which writes every
+rational and equation of an answer.  :class:`fractions.Fraction`
 appears where non-integral values are computed or read: polynomial
 coefficients, Saito constants and the ``witness`` of a ``Chamber``.
 """

@@ -18,7 +18,7 @@ A nest is held in integers from parsing on: one positive denominator
 ``den``, the lcm of the entries' reduced denominators, and per set the
 sorted tuple of numerators over it (``NestSpec``).  Every builder makes
 its hyperplanes ``x_i - x_j = num/den`` already normalized, as
-``(den/g) x_i - (den/g) x_j = num/g`` with ``g = gcd(den, num)``, and
+``q x_i - q x_j = p`` with ``p/q`` the reduced ``num/den``, and
 ``cone`` appends ``-const`` to a normalized form, which leaves it
 normalized, so neither goes through ``Hyperplane.make``; that stays for
 rational input.  ``_diff_form`` builds that coned form once, as a tuple
@@ -46,6 +46,8 @@ from .exactmath import (
     default_names,
     equation_str,
     parse_rational_pair,
+    rational_str,
+    reduced,
 )
 
 
@@ -222,21 +224,13 @@ class NestSpec(NamedTuple):
         nums = self.nums
         return all(set(nums[i]).issubset(nums[i + 1]) for i in range(len(nums) - 1))
 
-    def _reduced(self, s: tuple[int, ...]):
-        """The entries of ``s`` as reduced ``(numerator, denominator)`` pairs."""
-        den = self.den
-        for a in s:
-            g = gcd(a, den)
-            yield a // g, den // g
-
     def to_json(self) -> list[list[str]]:
-        return [[f"{p}/{q}" for p, q in self._reduced(s)] for s in self.nums]
+        den = self.den
+        return [["%d/%d" % reduced(a, den) for a in s] for s in self.nums]
 
     def __str__(self) -> str:
-        body = ", ".join(
-            "{" + ", ".join(str(p) if q == 1 else f"{p}/{q}" for p, q in self._reduced(s)) + "}"
-            for s in self.nums
-        )
+        den = self.den
+        body = ", ".join("{" + ", ".join(rational_str(a, den) for a in s) + "}" for s in self.nums)
         return f"({body})"
 
 
@@ -275,14 +269,13 @@ class Graph(NamedTuple):
 def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[int, ...]:
     """The coned form of ``x_i - x_j = num/den`` (``i < j``, ``den > 0``), normalized.
 
-    ``(den/g) x_i - (den/g) x_j - (num/g) z`` over ``x1..x_ell, z``, with
-    ``g = gcd(den, num)``: the coefficients ``cone`` gives ``_diff``'s
-    hyperplane, and the factors of ``freeness``'s derivation bases.
+    ``q x_i - q x_j - p z`` over ``x1..x_ell, z``, with ``p/q`` the reduced
+    ``num/den``: the coefficients ``cone`` gives ``_diff``'s hyperplane,
+    and the factors of ``freeness``'s derivation bases.
     """
-    g = gcd(den, num)
-    q = den // g
+    p, q = reduced(num, den)
     form = [0] * (ell + 1)
-    form[i - 1], form[j - 1], form[ell] = q, -q, -num // g
+    form[i - 1], form[j - 1], form[ell] = q, -q, -p
     return tuple(form)
 
 

@@ -43,12 +43,11 @@ is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import neg
 from typing import Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
-from .exactmath import UniPoly
+from .exactmath import UniPoly, rational_str
 from .freeness import is_nest, nest_exponents
 
 
@@ -81,11 +80,7 @@ class Chamber(NamedTuple):
     def witness_text(self) -> str:
         """The witness coordinates as ``str`` writes each ``Fraction``, comma-separated."""
         den = self.den
-        parts = []
-        for x in self.point:
-            g = gcd(x, den)
-            parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-        return ", ".join(parts)
+        return ", ".join([rational_str(x, den) for x in self.point])
 
     def __repr__(self) -> str:
         return f"Chamber({self.signs!r}, ({self.witness_text()}))"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from typing import NamedTuple
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
@@ -29,6 +28,7 @@ from .exactmath import (
     _shown,
     default_names,
     format_rational,
+    reduced,
     unipoly_factored_str,
     unipoly_str,
     unipoly_to_json,
@@ -222,13 +222,10 @@ def _cmd_saito(req: AnalysisRequest) -> str | dict:
     sorted_nest, order = _ascending(req.parsed)
     arr = cone(build_n_ish(sorted_nest))
     constant = factored_saito_constant(factored_basis(sorted_nest), arr)
-    json_out = req.output_format == "json"
-    if constant is None:
-        if json_out:
-            return {"pass": False, "constant": None, "exponents": None}
-        return "SAITO FAIL: determinant does not match the defining polynomial"
+    if constant is None:  # the paper's basis of an ascending nest always passes
+        raise RuntimeError("the basis of the ascending nest fails Saito's criterion")
     exponents = nest_exponents(req.parsed.nest, order)
-    if json_out:
+    if req.output_format == "json":
         return {
             "pass": True,
             "constant": format_rational(constant),
@@ -378,7 +375,7 @@ def _render_chamber(c: Chamber, pad: str) -> str:
     den = c.den
     witness = "[]"
     if c.point:
-        coords = ("," + inner + "  ").join([f'"{x // (g := gcd(x, den))}/{den // g}"' for x in c.point])
+        coords = ("," + inner + "  ").join(['"%d/%d"' % reduced(x, den) for x in c.point])
         witness = "[" + inner + "  " + coords + inner + "]"
     return f'{{{inner}"signs": "{c.signs}",{inner}"witness": {witness}{pad}}}'
 

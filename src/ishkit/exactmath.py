@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
@@ -65,6 +66,12 @@ def _shown(value: object) -> str:
     """``repr(value)``, cut to 60 characters and ``...`` when longer."""
     text = repr(value)
     return text if len(text) <= 60 else text[:60] + "..."
+
+
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """``num/den`` (``den > 0``) in lowest terms, as ``(p, q)`` with ``q > 0``."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
@@ -94,8 +101,7 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
             ) from None
         if not q:
             raise ValueError(f"zero denominator in {_shown(value)}")
-        g = gcd(p, q)
-        return p // g, q // g
+        return reduced(p, q)
     raise ValueError(f"cannot read a rational from {_shown(value)}")
 
 
@@ -117,6 +123,15 @@ def clear_denominators(values: Iterable[Scalar | str]) -> tuple[list[int], int]:
 
 def format_rational(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def rational_str(num: Scalar, den: int) -> str:
+    """``num/den`` (``den > 0``) as ``str(Fraction(num, den))`` writes it: ``p`` or
+    ``p/q``.  ``num`` is an ``int``, or any rational when ``den == 1``."""
+    if den == 1:
+        return str(num)
+    p, q = reduced(num, den)
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _exact(c: Scalar) -> Scalar:
@@ -373,22 +388,23 @@ def _monomial_str(exp: tuple[int, ...], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str) -> str:
+def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str, den: int = 1) -> str:
     """Render ``(coefficient, monomial)`` pairs as ``c1*m1 - c2*m2 + ...``.
 
-    A unit coefficient is left out, an empty monomial is a constant
-    term, and ``times`` joins a coefficient to its monomial.  No pairs
-    render as ``0``.
+    Each coefficient is ``coef/den``: an ``int`` numerator over ``den``,
+    or, with ``den == 1``, an ``int`` or Fraction.  A unit coefficient is
+    left out, an empty monomial is a constant term, and ``times`` joins a
+    coefficient to its monomial.  No pairs render as ``0``.
     """
     chunks: list[str] = []
     for coef, mono in terms:
         mag = abs(coef)
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = rational_str(mag, den)
+        elif mag == den:
             body = mono
         else:
-            body = f"{mag}{times}{mono}"
+            body = f"{rational_str(mag, den)}{times}{mono}"
         if not chunks:
             chunks.append(body if coef > 0 else f"-{body}")
         else:
@@ -396,9 +412,11 @@ def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-def equation_str(coeffs: Sequence[Scalar], const: Scalar, names: Sequence[str]) -> str:
-    """Render the equation ``sum(coeffs[i] * names[i]) = const``, e.g. ``x1 - 2*x3 = 1/2``."""
-    return f"{_render_sum(((c, n) for c, n in zip(coeffs, names) if c), '*')} = {const}"
+def equation_str(coeffs: Sequence[Scalar], const: Scalar, names: Sequence[str], den: int = 1) -> str:
+    """Render the equation ``sum(coeffs[i] * names[i]) = const``, each number
+    over ``den`` as in ``_render_sum``, e.g. ``x1 - 2*x3 = 1/2``."""
+    body = _render_sum(((c, n) for c, n in zip(coeffs, names) if c), "*", den)
+    return f"{body} = {rational_str(const, den)}"
 
 
 def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
@@ -619,10 +637,7 @@ def unipoly_str(p: UniPoly) -> str:
 
 def unipoly_factored_str(roots: Iterable[Scalar]) -> str:
     """Render a monic split polynomial in ``t`` from roots, e.g. ``t (t-3)^2``."""
-    counts: dict[Fraction, int] = {}
-    for r in roots:
-        q = Fraction(r)
-        counts[q] = counts.get(q, 0) + 1
+    counts = Counter(roots)
     factors = []
     for root in sorted(counts):
         if root == 0:

@@ -226,11 +226,10 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     consists of the constant translation field, the Euler field, and for
     each ``k`` a field supported on ``x2..xk`` whose ``x_s`` component is
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
-    For ``a = num/den`` over the nest's denominator and ``g = gcd(den,
-    num)``, the factor is ``(q x1 - q x_s - (num/g) z) / q`` with
-    ``q = den/g``: the coned hyperplane's own form (``_diff_form``).  The
-    components of one field share the scalar ``1 / prod q``, an ``int``
-    when every entry of ``N_k`` is integral.
+    For ``a = num/den`` over the nest's denominator, reduced to ``p/q``,
+    the factor is ``(q x1 - q x_s - p z) / q``: the coned hyperplane's own
+    form (``_diff_form``).  The components of one field share the scalar
+    ``1 / prod q``, an ``int`` when every entry of ``N_k`` is integral.
     """
     if not nest.is_ascending():
         raise ValueError("the derivation basis needs an ascending nest")

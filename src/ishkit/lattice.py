@@ -19,7 +19,8 @@ A flat's reduced row echelon form comes in closed form:
 ``x_v - x_root = p/q`` (coned: ``x_v - x_root - (p/q)*z = 0``) for each
 coordinate v off its root, with ``p/q`` the reduced ``offset[v]/den``,
 then ``z = 0``.  ``Flat.to_json`` and ``Flat.render`` write these rows
-straight from the integers, one gcd per row.  Scaled to coprime
+from the integers, and ``exactmath`` writes every rational and equation
+in them (``reduced``, ``equation_str``).  Scaled to coprime
 integers, ``q*x_v - q*x_root = p``, the same rows make the sort key
 (``Flat.key``) that orders the covers of the supersolvability climb.
 
@@ -56,11 +57,10 @@ block size among the roots left.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, GainEdge
-from .exactmath import UniPoly, nonnegative_int_roots
+from .exactmath import UniPoly, equation_str, nonnegative_int_roots, reduced
 
 
 class Flat(NamedTuple):
@@ -123,32 +123,29 @@ class Flat(NamedTuple):
         return self if self.contains(edge) else _meet(self, edge)
 
     def _rows(self):
-        """``(v, r, p, q)`` per coordinate ``v`` off its root ``r``, in pivot
-        order, with ``p/q`` the reduced ``offset[v]/den``."""
-        den = self.den
+        """``(v, r, o)`` per coordinate ``v`` off its root ``r``, in pivot order,
+        with ``o`` its offset over ``den``."""
         for v, (r, o) in enumerate(zip(self.root, self.offset)):
             if r != v:
-                g = gcd(o, den)
-                yield v, r, o // g, den // g
+                yield v, r, o
 
     def key(self) -> tuple:
         """``(rank, rows)``, each integer row ``q*x_v - q*x_r = +-p`` of the module
         docstring as ``(-v, q, r, +-p)``, which compare as the rows do (r > v); the
         ``z = 0`` row, zero before n, sorts below them all as ``(-n,)``."""
         den, sign = self.den, -1 if self.coned else 1
-        rows = [(-v, den // (g := gcd(o, den)), r, sign * o // g)
-                for v, (r, o) in enumerate(zip(self.root, self.offset)) if r != v]
+        rows = [(-v, q, r, sign * p) for v, r, o in self._rows() for p, q in [reduced(o, den)]]
         if self.zero:
             rows.append((-len(self.root),))
         return len(rows), tuple(rows)
 
     def to_json(self) -> dict:
         """Rank, dimension, and the reduced row echelon form, each entry as ``"num/den"``."""
-        n = len(self.root)
+        n, den, coned = len(self.root), self.den, self.coned
         rref = []
-        for v, r, p, q in self._rows():
-            row = ["0/1"] * (n + 1 + self.coned)
-            row[v], row[r], row[n] = "1/1", "-1/1", f"{-p if self.coned else p}/{q}"
+        for v, r, o in self._rows():
+            row = ["0/1"] * (n + 1 + coned)
+            row[v], row[r], row[n] = "1/1", "-1/1", "%d/%d" % reduced(-o if coned else o, den)
             rref.append(row)
         if self.zero:
             rref.append(["0/1"] * n + ["1/1", "0/1"])
@@ -158,20 +155,15 @@ class Flat(NamedTuple):
         """The rows of the reduced row echelon form as equations, ``; ``-separated."""
         if not self.rank:
             return "ambient space"
-        z = names[len(self.root)] if self.coned else ""
-        out = []
-        for v, r, p, q in self._rows():
-            lhs = f"{names[v]} - {names[r]}"
-            if not self.coned:
-                out.append(f"{lhs} = {p}" if q == 1 else f"{lhs} = {p}/{q}")
-            elif not p:
-                out.append(f"{lhs} = 0")
-            else:
-                mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
-                term = z if mag == "1" else f"{mag}*{z}"
-                out.append(f"{lhs} {'+' if p < 0 else '-'} {term} = 0")
+        n, den = len(self.root), self.den
+        if self.coned:  # x_v - x_r - (o/den)*z = 0
+            z = names[n]
+            out = [equation_str((den, -den, -o), 0, (names[v], names[r], z), den)
+                   for v, r, o in self._rows()]
+        else:  # x_v - x_r = o/den
+            out = [equation_str((den, -den), o, (names[v], names[r]), den) for v, r, o in self._rows()]
         if self.zero:
-            out.append(f"{z} = 0")
+            out.append(equation_str((1,), 0, (z,)))
         return "; ".join(out)
 
 

@@ -1,4 +1,4 @@
-"""The summary and the pair count of ``tools/bench_record.py``, on made-up runs."""
+"""The summary, the pair count and the line counts of ``tools/bench_record.py``, on made-up input."""
 
 import importlib.util
 import subprocess
@@ -76,3 +76,38 @@ def test_a_baseline_that_is_not_a_git_checkout_fails_before_any_run(tmp_path, mo
         bench_record.main(argv)
     assert calls == []
     assert not out.exists()
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment counts as code
+
+
+class Point:
+    """One line."""
+
+    x = (
+        1,  # a continued expression counts on every line
+    )
+
+    def norm(self):
+        """A docstring
+        and its second line.
+        """
+        text = """a string that is
+        not a docstring"""
+        return text
+'''
+
+
+def test_src_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(MODULE)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("\n# only a comment\n\nx = 1\n")
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    # a.py: import, class, x = (, 1, ), def, text = """, its second line, return
+    assert bench_record.code_lines(MODULE) == 9
+    assert bench_record.src_code_lines(tmp_path) == 10
+    assert bench_record.src_lines(tmp_path) == len(MODULE.splitlines()) + 4

@@ -299,13 +299,16 @@ def test_saito_takes_the_factored_route(monkeypatch):
     assert (out["pass"], out["constant"], out["exponents"]) == (True, "1/1", [0, 1, 2, 2])
 
 
-def test_saito_fail_is_answered_in_both_formats(monkeypatch):
-    # the paper's basis always passes, so the failing answer needs a failing check
+def test_a_failed_saito_check_is_an_internal_error(capsys, monkeypatch):
+    # the paper's basis always passes, so a failing check is a bug in ishkit
     monkeypatch.setattr("ishkit.cli.factored_saito_constant", lambda derivs, arr: None)
-    spec = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True}
-    assert text_of(spec, "saito") == "SAITO FAIL: determinant does not match the defining polynomial"
-    out = json_of(spec, "saito")
-    assert (out["pass"], out["constant"], out["exponents"]) == (False, None, None)
+    for fmt in ("text", "json"):
+        spec = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True, "format": fmt}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+        assert main(["saito"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "internal error: the basis of the ascending nest fails Saito's criterion\n"
 
 
 def test_charpoly_raises_when_the_exponents_do_not_factor_chi(monkeypatch):
@@ -956,6 +959,28 @@ def test_main_freeness_never_shows_a_traceback(doc):
 @example({"type": "shi", "ell": 7, "cone": True})
 def test_main_supersolvable_never_shows_a_traceback(doc):
     assert_clean_exit("supersolvable", doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_documents("charpoly", max_ell=5, max_junk_int=8))
+@example({"type": "shi", "ell": 21})
+@example({"type": "shi", "ell": 16, "cone": True})
+@example({"type": "n_ish", "N": [["1/2", 1], [0, "-1/2"], [1]], "cone": True})
+def test_main_charpoly_never_shows_a_traceback(doc):
+    assert_clean_exit("charpoly", doc)
+
+
+# basis and saito take the same nests under the same guard ell <= 6.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["basis", "saito"]).flatmap(
+    lambda command: st.tuples(st.just(command), spec_documents(command, max_ell=5, max_junk_int=8))
+))
+@example(("basis", {"type": "ish", "ell": 7}))
+@example(("saito", {"type": "ish", "ell": 7, "cone": True}))
+@example(("saito", {"type": "n_ish", "N": [[0, 1], [0]]}))
+@example(("basis", {"type": "n_ish", "N": [["1/2"], [0, "1/2"], ["-3/2", 0, "1/2"]]}))
+def test_main_basis_and_saito_never_show_a_traceback(command_and_doc):
+    assert_clean_exit(*command_and_doc)
 
 
 @st.composite

@@ -15,11 +15,14 @@ from ishkit.exactmath import (
     MultiPoly,
     UniPoly,
     clear_denominators,
+    equation_str,
     format_rational,
     int_det,
     nonnegative_int_roots,
     parse_rational_pair,
     poly_str,
+    rational_str,
+    reduced,
     unipoly_factored_str,
     unipoly_str,
     unipoly_to_json,
@@ -336,6 +339,33 @@ def test_parse_rational_pair_reduces():
         assert Fraction(*pair) == parse_rational(value)
 
 
+NUMERATORS = st.one_of(st.integers(-12, 12), st.integers())
+DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(min_value=1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(NUMERATORS, DENOMINATORS)
+@example(0, 7)
+@example(-(10**40), 6 * 10**39)
+@example(-4, 1)
+def test_reduced_and_rational_str_write_what_fraction_writes(num, den):
+    f = Fraction(num, den)
+    assert reduced(num, den) == (f.numerator, f.denominator)
+    assert rational_str(num, den) == str(f)
+    assert "%d/%d" % reduced(num, den) == format_rational(f)
+    assert rational_str(f, 1) == str(f)  # over 1, any rational is written as it is
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(NUMERATORS, min_size=1, max_size=4), NUMERATORS, DENOMINATORS)
+@example([6, -6, 3], 0, 6)
+@example([0, 2], -4, 2)
+def test_equation_str_over_a_denominator_is_the_fraction_equation(coeffs, const, den):
+    names = [f"x{i}" for i in range(1, len(coeffs) + 1)]
+    as_fractions = [Fraction(c, den) for c in coeffs]
+    assert equation_str(coeffs, const, names, den) == equation_str(as_fractions, Fraction(const, den), names)
+
+
 def test_clear_denominators():
     assert clear_denominators([3, -4, 0]) == ([3, -4, 0], 1)
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == ([3, -4, 30], 6)
@@ -533,6 +563,7 @@ def test_unipoly_str():
     assert unipoly_factored_str([0, 3, 3]) == "t (t-3)^2"
     assert unipoly_factored_str([-1, 0]) == "(t+1) t"
     assert unipoly_factored_str([]) == "1"
+    assert unipoly_factored_str([3, Fraction(3), Fraction(-1, 2)]) == "(t+1/2) (t-3)^2"
 
 
 def test_geometric():

@@ -3,7 +3,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import pytest
@@ -123,10 +123,36 @@ def lcm_scaled(edges: Sequence) -> tuple[int, list]:
     return scale, [e if e is None else (e[0], e[1], int(e[2] * scale)) for e in edges]
 
 
+def integer_render(flat: Flat, names: Sequence[str]) -> str:
+    """``Flat.render`` written by hand from the integers, one gcd per row: the
+    oracle of the rows that ``equation_str`` writes."""
+    if not flat.rank:
+        return "ambient space"
+    z = names[len(flat.root)] if flat.coned else ""
+    out = []
+    for v, (r, o) in enumerate(zip(flat.root, flat.offset)):
+        if r == v:
+            continue
+        g = gcd(o, flat.den)
+        p, q = o // g, flat.den // g
+        lhs = f"{names[v]} - {names[r]}"
+        if not flat.coned:
+            out.append(f"{lhs} = {p}" if q == 1 else f"{lhs} = {p}/{q}")
+        elif not p:
+            out.append(f"{lhs} = 0")
+        else:
+            mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            term = z if mag == "1" else f"{mag}*{z}"
+            out.append(f"{lhs} {'+' if p < 0 else '-'} {term} = 0")
+    if flat.zero:
+        out.append(f"{z} = 0")
+    return "; ".join(out)
+
+
 def assert_written_as_the_oracle(flat: Flat, names: Sequence[str]) -> None:
     oracle = fraction_flat(flat)
     assert flat.to_json() == oracle.to_json()
-    assert flat.render(names) == oracle.render(names)
+    assert flat.render(names) == oracle.render(names) == integer_render(flat, names)
 
 
 # -- rational reference closure ----------------------------------------

@@ -11,20 +11,25 @@ For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
 from one seed to the next.  Each run records the end-to-end metrics and the
 ``correct`` / ``attempted`` / ``failed`` fields of the last line
 ``perfbench/run.py`` prints.  The file also gives each checkout's commit (with
-``-dirty`` when it has uncommitted changes) and the line count of its ``src/``
-Python files, and, per workload, the median and quartiles of every metric on
-each side, and with a baseline the pairs won and lost on each metric, by the
-direction ``BENCHMARK.json`` gives it.  Standard library only.
+``-dirty`` when it has uncommitted changes), the line count of its ``src/``
+Python files (``src_lines``) and their code lines, neither blank nor comment
+nor docstring (``src_code_lines``), and, per workload, the median and
+quartiles of every metric on each side, and with a baseline the pairs won
+and lost on each metric, by the direction ``BENCHMARK.json`` gives it.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +47,29 @@ def commit_of(checkout: Path) -> str:
 
 def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python module that hold code: not blank, not only a
+    comment, and not inside a docstring (of the module, a class or a function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """The code lines (``code_lines``) of ``src/``'s Python files."""
+    return sum(code_lines(p.read_text()) for p in (checkout / "src").rglob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -103,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
     # read before the first run, so a baseline that is not a git checkout fails at once
-    heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c)} for c in checkouts}
+    heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c), "src_code_lines": src_code_lines(c)}
+             for c in checkouts}
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
