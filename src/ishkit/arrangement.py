@@ -30,6 +30,7 @@ the nest's ``den`` for a nest, 1 for graph and named specs.
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
 parsing.  Nothing is cached: the arrangement is built on each read.
+``ParsedSpec.to_json``, its inverse, writes the canonical spec.
 """
 
 from __future__ import annotations
@@ -216,13 +217,16 @@ class NestSpec(NamedTuple):
             raise ValueError("order must be a permutation of 2..ell")
         return NestSpec(self.ell, self.den, tuple(self.nums[j - 2] for j in order))
 
-    def is_descending(self) -> bool:
+    def chained(self, order: Sequence[int]) -> bool:
+        """True when ``N_{order[0]} <= N_{order[1]} <= ...``, for indices in 2..ell."""
         nums = self.nums
-        return all(set(nums[i + 1]).issubset(nums[i]) for i in range(len(nums) - 1))
+        return all(set(nums[a - 2]).issubset(nums[b - 2]) for a, b in zip(order, order[1:]))
+
+    def is_descending(self) -> bool:
+        return self.chained(range(self.ell, 1, -1))
 
     def is_ascending(self) -> bool:
-        nums = self.nums
-        return all(set(nums[i]).issubset(nums[i + 1]) for i in range(len(nums) - 1))
+        return self.chained(range(2, self.ell + 1))
 
     def to_json(self) -> list[list[str]]:
         den = self.den
@@ -365,6 +369,19 @@ class ParsedSpec(NamedTuple):
     nest: NestSpec | None
     graph: Graph | None
     coned: bool
+
+    def to_json(self) -> dict:
+        """The canonical spec document: ``from_spec(self.to_json()) == self``."""
+        out: dict = {"type": self.kind}
+        if self.kind == "n_ish":
+            out["N"] = self.nest.to_json()
+        else:
+            out["ell"] = self.ell
+        if self.graph is not None:
+            out["edges"] = [list(e) for e in self.graph.sorted_edges()]
+        if self.coned:
+            out["cone"] = True
+        return out
 
     @property
     def arrangement(self) -> Arrangement:

@@ -110,17 +110,8 @@ def request_echo(req: AnalysisRequest) -> dict:
     out: dict = {"command": req.command, "format": req.output_format}
     if req.parsed is None:
         out["ell"] = req.ell
-        return out
-    p = req.parsed
-    out["type"] = p.kind
-    if p.kind == "n_ish":
-        out["N"] = p.nest.to_json()
     else:
-        out["ell"] = p.ell
-    if p.graph is not None:
-        out["edges"] = [list(e) for e in p.graph.sorted_edges()]
-    if p.coned:
-        out["cone"] = True
+        out.update(req.parsed.to_json())
     return out
 
 
@@ -308,7 +299,7 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
     lines = [
         f"edges: {edges}",
         f"derived sets: {a.n_g}",
-        f"nest: {_yesno(a.nest_ok)}",
+        f"nest: {_yesno(a.free)}",
         f"athanasiadis: {witness}",
         f"pairwise: {_yesno(a.pairwise_ok)}",
         f"free: {_yesno(a.free)}",

@@ -23,8 +23,8 @@ form is a coefficient combination, so no symbolic differentiation is
 needed.  A ``Derivation`` holds its components multiplied out, as
 ``MultiPoly``s; a ``FactoredDerivation`` (below) holds each as factors.
 
-The chain tests read the nest in its integer form (``NestSpec``): sets
-of numerators over one denominator, compared as ``int``s.
+``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, the one
+chain test, on sets of numerators over one denominator, compared as ``int``s.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
@@ -191,25 +191,17 @@ def is_nest(nest: NestSpec) -> tuple[int, ...] | None:
     integer numerators over the nest's one denominator.
     """
     nums = nest.nums
-    order = sorted(range(len(nums)), key=lambda i: (len(nums[i]), nums[i]))
-    for a, b in zip(order, order[1:]):
-        if not set(nums[a]).issubset(nums[b]):
-            return None
-    return tuple(i + 2 for i in order)
+    order = tuple(sorted(range(2, nest.ell + 1), key=lambda j: (len(nums[j - 2]), nums[j - 2])))
+    return order if nest.chained(order) else None
 
 
 def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
     """Exponent multiset ``{0, 1} | {|N_{w(k)}| + ell - k}`` of the cone."""
-    ell, nums = nest.ell, nest.nums
-    if sorted(order) != list(range(2, ell + 1)):
-        raise ValueError("order must be a permutation of 2..ell")
-    for a, b in zip(order, order[1:]):
-        if not set(nums[a - 2]).issubset(nums[b - 2]):
-            raise ValueError("order does not certify a chain")
-    exps = [0, 1]
-    for k in range(2, ell + 1):
-        exps.append(len(nums[order[k - 2] - 2]) + ell - k)
-    return tuple(sorted(exps))
+    ascending = nest.reordered(order)
+    if not ascending.is_ascending():
+        raise ValueError("order does not certify a chain")
+    ell = nest.ell
+    return tuple(sorted([0, 1, *(len(s) + ell - k for k, s in enumerate(ascending.nums, start=2))]))
 
 
 def _translation_and_euler(ell: int) -> list[FactoredDerivation]:

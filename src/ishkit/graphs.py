@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .arrangement import GRAPH_MAX_ELL, Graph, NestSpec, n_from_graph
 from .errors import CapacityError
 from .exactmath import UniPoly, _shown, unipoly_to_json
-from .freeness import decide_free
+from .freeness import is_nest
 from .rooks import graph_char_poly, nest_char_poly
 
 SURVEY_MAX_ELL = 6
@@ -95,7 +95,6 @@ class GraphAnalysis(NamedTuple):
 
     graph: Graph
     n_g: NestSpec
-    nest_ok: bool
     athanasiadis_witness: tuple[int, ...] | None
     pairwise_ok: bool
     free: bool
@@ -104,7 +103,7 @@ class GraphAnalysis(NamedTuple):
         return {
             "edges": [list(e) for e in self.graph.sorted_edges()],
             "nG": self.n_g.to_json(),
-            "nest": self.nest_ok,
+            "nest": self.free,
             "athanasiadis": list(self.athanasiadis_witness)
             if self.athanasiadis_witness is not None
             else None,
@@ -116,11 +115,11 @@ class GraphAnalysis(NamedTuple):
 def analyze_graph(graph: Graph) -> GraphAnalysis:
     """Run the three combinatorial conditions; the chain condition is the freeness decision.
 
-    ``decide_free`` calls N_G free exactly when ``is_nest`` finds a chain
-    order, so one call gives both the ``nest`` and the ``free`` field.  The
-    three answers are provably equivalent; a mismatch is a bug in this
-    package and raises RuntimeError rather than returning.  The pairwise
-    test visits ell^2 vertex pairs, so ell is bounded first.
+    Freeness comes from ``is_nest``, the test ``decide_free`` decides by;
+    that one bit is both the ``nest`` and the ``free`` field.  The three
+    answers are provably equivalent; a mismatch is a bug in this package
+    and raises RuntimeError rather than returning.  The pairwise test
+    visits ell^2 vertex pairs, so ell is bounded first.
     """
     if graph.ell > GRAPH_MAX_ELL:
         raise CapacityError(
@@ -128,15 +127,15 @@ def analyze_graph(graph: Graph) -> GraphAnalysis:
             f"ell <= {GRAPH_MAX_ELL}"
         )
     n_g = n_from_graph(graph)
-    free = decide_free(n_g).free
+    free = is_nest(n_g) is not None
     witness = athanasiadis_condition(graph)
     pairwise_ok = pairwise_condition(graph)
     if not (free == (witness is not None) == pairwise_ok):
         raise RuntimeError(
             f"equivalence broke on {sorted(graph.edges)}: nest={free}, "
-            f"athanasiadis={witness}, pairwise={pairwise_ok}, free={free}"
+            f"athanasiadis={witness}, pairwise={pairwise_ok}"
         )
-    return GraphAnalysis(graph, n_g, free, witness, pairwise_ok, free)
+    return GraphAnalysis(graph, n_g, witness, pairwise_ok, free)
 
 
 class SurveyRecord(NamedTuple):

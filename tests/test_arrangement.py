@@ -413,10 +413,10 @@ MIXED_SETS = st.lists(st.lists(ENTRIES, max_size=4), min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(MIXED_SETS)
-@example([["-5/6", "7/4", "1/3"], ["1/3"], []])
-@example([["2/4", "-3/6", "0/5", "+6/4"]])
-def test_nest_spec_matches_the_fraction_oracle(sets):
+@given(MIXED_SETS, st.permutations(range(2, 6)))
+@example([["-5/6", "7/4", "1/3"], ["1/3"], []], [4, 3, 2, 5])
+@example([["2/4", "-3/6", "0/5", "+6/4"]], [2, 3, 4, 5])
+def test_nest_spec_matches_the_fraction_oracle(sets, shuffled):
     nest, oracle = NestSpec.make(sets), FractionNestSpec.make(sets)
     assert nest.ell == oracle.ell
     assert nest.den == lcm(*(a.denominator for s in oracle.sets for a in s))
@@ -424,6 +424,8 @@ def test_nest_spec_matches_the_fraction_oracle(sets):
     assert all(type(a) is int for s in nest.nums for a in s)
     assert nest.to_json() == oracle.to_json() and str(nest) == str(oracle)
     assert (nest.is_ascending(), nest.is_descending()) == (oracle.is_ascending(), oracle.is_descending())
+    drawn = [j for j in shuffled if j <= nest.ell]  # a permutation of 2..ell
+    assert nest.chained(drawn) == oracle.reordered(drawn).is_ascending()
     order = list(range(nest.ell, 1, -1))
     assert rational_sets(nest.reordered(order)) == oracle.reordered(order).sets
     assert NestSpec.make(oracle.sets) == nest  # one form, whatever the input spelling

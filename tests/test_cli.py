@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ishkit
-from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone
+from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone, from_spec
 from ishkit.chambers import Chamber
 from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
 from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
@@ -126,6 +126,8 @@ def test_request_echo_round_trips():
         req = request_of(json.dumps(doc))
         again = request_of(json.dumps(request_echo(req)))
         assert again == req
+        parsed = req.parsed
+        assert parsed is None or from_spec(parsed.to_json()) == parsed
 
 
 # -- pinned text formats -----------------------------------------------
@@ -929,6 +931,44 @@ def spec_documents(draw, command: str, max_ell: int, max_junk_int: int):
     return doc
 
 
+@st.composite
+def valid_spec_documents(draw, command: str, max_ell: int):
+    """A well-formed request of any spec kind on 2..max_ell vertices: n_ish
+    sets of up to four integer or half entries, deleted edges inside
+    1..ell, and an optional cone flag."""
+    kind = draw(st.sampled_from(SPEC_KINDS))
+    ell = draw(st.integers(2, max_ell))
+    doc = {"type": kind, "command": command, "format": draw(st.sampled_from(["text", "json"]))}
+    if kind == "n_ish":
+        entry = st.integers(-3, 3) | st.builds("{}/2".format, st.integers(-7, 7))
+        doc["N"] = draw(st.lists(st.lists(entry, max_size=4), min_size=ell - 1, max_size=ell - 1))
+    else:
+        doc["ell"] = ell
+    if kind.startswith("deleted_"):
+        pair = st.integers(1, ell - 1).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, ell)))
+        doc["edges"] = [list(e) for e in draw(st.lists(pair, max_size=ell * (ell - 1) // 2))]
+    cone_flag = draw(st.sampled_from([None, False, True]))
+    if cone_flag is not None:
+        doc["cone"] = cone_flag
+    return doc
+
+
+def request_documents(command: str, max_ell: int, max_junk_int: int = 8):
+    """Well-formed requests, and grammar draws that are mostly refused while parsing."""
+    return st.one_of(
+        valid_spec_documents(command, max_ell), spec_documents(command, max_ell, max_junk_int)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([c for c in COMMANDS if c != "survey"]).flatmap(
+    lambda command: valid_spec_documents(command, max_ell=5)
+))
+def test_valid_spec_documents_parse(doc):
+    req = request_from_doc(doc)
+    assert (req.command, req.output_format, req.parsed.kind) == (doc["command"], doc["format"], doc["type"])
+
+
 def assert_clean_exit(command: str, doc) -> None:
     """Exit code 0, 1 or 2, no traceback, one stderr line on failure."""
     out, err = io.StringIO(), io.StringIO()
@@ -942,7 +982,7 @@ def assert_clean_exit(command: str, doc) -> None:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(spec_documents("freeness", max_ell=5, max_junk_int=8))
+@given(request_documents("freeness", max_ell=5))
 @example({"type": "n_ish", "N": 5})
 @example({"type": "n_ish", "N": [["1/0"]]})
 def test_main_freeness_never_shows_a_traceback(doc):
@@ -950,22 +990,26 @@ def test_main_freeness_never_shows_a_traceback(doc):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(spec_documents("supersolvable", max_ell=5, max_junk_int=8))
+@given(request_documents("supersolvable", max_ell=5))
 @example({"type": "shi", "ell": 5, "cone": True})
 @example({"type": "coxeter", "ell": 5})
 @example({"type": "deleted_shi", "ell": 5, "edges": [[1, 2], [2, 5]], "cone": True})
 @example({"type": "n_ish", "N": [["1/2"], [0], [0, "-1/2"]], "cone": True})
 @example({"type": "ish", "ell": 4})
 @example({"type": "shi", "ell": 7, "cone": True})
+@example({"type": "shi", "ell": 6, "cone": True})  # the largest ell the lattice guard admits
 def test_main_supersolvable_never_shows_a_traceback(doc):
     assert_clean_exit("supersolvable", doc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(spec_documents("charpoly", max_ell=5, max_junk_int=8))
+@given(request_documents("charpoly", max_ell=5))
 @example({"type": "shi", "ell": 21})
 @example({"type": "shi", "ell": 16, "cone": True})
 @example({"type": "n_ish", "N": [["1/2", 1], [0, "-1/2"], [1]], "cone": True})
+# 2^15 rook states times 17 and 18 columns: at the guard of 557056, and past it
+@example({"type": "n_ish", "N": [list(range(17))] + [[0]] * 14})
+@example({"type": "n_ish", "N": [list(range(18))] + [[0]] * 14, "cone": True})
 def test_main_charpoly_never_shows_a_traceback(doc):
     assert_clean_exit("charpoly", doc)
 
@@ -973,12 +1017,13 @@ def test_main_charpoly_never_shows_a_traceback(doc):
 # basis and saito take the same nests under the same guard ell <= 6.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(["basis", "saito"]).flatmap(
-    lambda command: st.tuples(st.just(command), spec_documents(command, max_ell=5, max_junk_int=8))
+    lambda command: st.tuples(st.just(command), request_documents(command, max_ell=5))
 ))
 @example(("basis", {"type": "ish", "ell": 7}))
 @example(("saito", {"type": "ish", "ell": 7, "cone": True}))
 @example(("saito", {"type": "n_ish", "N": [[0, 1], [0]]}))
 @example(("basis", {"type": "n_ish", "N": [["1/2"], [0, "1/2"], ["-3/2", 0, "1/2"]]}))
+@example(("saito", {"type": "ish", "ell": 6, "cone": True}))
 def test_main_basis_and_saito_never_show_a_traceback(command_and_doc):
     assert_clean_exit(*command_and_doc)
 
@@ -1004,7 +1049,11 @@ def graph_documents(draw):
 # analyze_graph raises on any disagreement of its three routes, so this
 # also fuzzes the in-degree witness against the chain and pairwise tests.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(graph_documents(), spec_documents("graph", max_ell=12, max_junk_int=8)))
+@given(st.one_of(
+    valid_spec_documents("graph", max_ell=5),
+    graph_documents(),
+    spec_documents("graph", max_ell=12, max_junk_int=8),
+))
 @example({"type": "deleted_shi", "ell": 9, "edges": [[1, 2], [3, 4]]})
 @example({"type": "deleted_ish", "ell": 9, "edges": [[1, 9], [2, 9], [1, 8]]})
 @example({"type": "deleted_shi", "ell": 1000, "edges": [[1, 1000]]})
@@ -1016,7 +1065,7 @@ def test_main_graph_never_shows_a_traceback(doc):
 # ell <= 4 keeps every chamber enumeration cheap; the guard case is explicit.
 CHAMBER_REQUESTS = st.sampled_from(["chambers", "wallcross"]).flatmap(
     lambda command: st.tuples(
-        st.just(command), spec_documents(command, max_ell=4, max_junk_int=4)
+        st.just(command), request_documents(command, max_ell=4, max_junk_int=4)
     )
 )
 
@@ -1027,5 +1076,6 @@ CHAMBER_REQUESTS = st.sampled_from(["chambers", "wallcross"]).flatmap(
 @example(("wallcross", {"type": "n_ish", "N": [["1e3"], [0]]}))
 @example(("chambers", {"type": "n_ish", "N": [["1/2", 1], [0, 3], [2]], "cone": True}))
 @example(("wallcross", {"type": "n_ish", "N": [["-1/2", 1, 3], [1, 3], [3]]}))
+@example(("wallcross", {"type": "n_ish", "N": [[0, 1, 2, 3], [0, 1, 2], [0, 1], [0], []]}))
 def test_main_chambers_never_shows_a_traceback(command_and_doc):
     assert_clean_exit(*command_and_doc)

@@ -278,6 +278,6 @@ def test_record_json_keys():
 def test_analysis_fields_for_a_free_graph():
     analysis = analyze_graph(Graph.make(3, [(1, 2)]))
     assert isinstance(analysis, GraphAnalysis)
-    assert analysis.free and analysis.nest_ok and analysis.pairwise_ok
+    assert analysis.free and analysis.pairwise_ok
     assert analysis.athanasiadis_witness == (1, 3, 2)
     assert analysis.n_g.nums == ((0, 1), (0,)) and analysis.n_g.den == 1
