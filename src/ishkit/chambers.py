@@ -15,7 +15,12 @@ are the bounds times the gains' one denominator, so the side
 region exactly when ``D[b][a] + c > 0``, a side the region already
 implies leaves its matrix as it is, and a split tightens each side by an
 O(n^2) incremental closure.  The regions are walked depth first, so at
-most one matrix per hyperplane is pending.  Every matrix starts from the
+most one matrix per hyperplane is pending.  The side of the last
+hyperplane is left open: a region comes out with its matrix closed over
+the earlier hyperplanes and that side, when it cuts the matrix, as one
+bound still to add.  ``distance_poly`` reads only the sign vector, and
+``enumerate_chambers`` closes the bound in just before the witness, so
+no closure is made that nothing reads.  Every matrix starts from the
 box ``|x_u - x_v| < n (M + 1)``, ``M`` the largest constant in absolute
 value, so all entries are finite integers.  The box loses no chamber:
 closing every gap wider than ``M + 1`` between consecutive sorted
@@ -31,7 +36,8 @@ which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
 A ``Chamber`` is a record of that integer form, the region's bits and
 the scaled point, and its text and the command line's JSON are written
-from it; only its ``witness`` property makes ``Fraction`` values.
+from it (the command line writes each distinct coordinate of an answer
+once); only its ``witness`` property makes ``Fraction`` values.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -89,6 +95,7 @@ class Chamber(NamedTuple):
 # -- enumeration by difference-bound matrices ---------------------------
 
 Matrix = tuple[tuple[int, ...], ...]  # D[u][v] bounds x_u - x_v strictly
+Cut = tuple[int, int, int]  # (a, b, c): the bound x_a - x_b < c
 
 
 def _tighten(d: Matrix, a: int, b: int, c: int) -> Matrix:
@@ -134,15 +141,19 @@ def _witness(d: Matrix) -> list[int]:
     return point
 
 
-def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
+def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix, Cut | None]], int]:
     """A walk over the regions of a difference arrangement, and the scale of their bounds.
 
-    Each region is ``(bits, d)``: its sign vector, hyperplane 0 the top
-    bit and a set bit for ``+``, and its closed matrix of bounds times the
+    Each region is ``(bits, d, pending)``: its sign vector, hyperplane 0
+    the top bit and a set bit for ``+``, and its matrix of bounds times the
     scale; a coned arrangement gives those of its slice ``z = 1``.  At a
-    split the walk sets the ``+`` side aside, tightened, and goes down the
-    ``-`` side: regions come out in increasing ``bits``, and at most one
-    matrix per hyperplane is pending.
+    split before the last hyperplane the walk sets the ``+`` side aside,
+    tightened, and goes down the ``-`` side: regions come out in
+    increasing ``bits``, and at most one matrix per hyperplane is pending.
+    The last hyperplane's side is left open: ``d`` is closed over every
+    earlier one, and ``pending`` is ``None`` when ``d`` already implies the
+    region's side of the last hyperplane, else that side ``(a, b, c)``,
+    the bound ``x_a - x_b < c`` that ``_tighten(d, a, b, c)`` closes in.
     """
     den, edges = arr.gain_edges()
     if arr.coned and None not in edges:
@@ -154,20 +165,33 @@ def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
     # z = 0 becomes x_0 - x_0 < -1, which no region meets: the slice z = 1 is on its + side
     cuts = [(0, 0, -1) if e is None else (e[0], e[1], e[2] * unit) for e in edges]
 
-    def walk() -> Iterator[tuple[int, Matrix]]:
-        pending = [(0, 0, box)]  # (next hyperplane, bits so far, matrix)
-        while pending:
-            start, bits, d = pending.pop()
-            for k in range(start, len(cuts)):
+    def walk() -> Iterator[tuple[int, Matrix, Cut | None]]:
+        if not cuts:  # no hyperplane: the box is the one region
+            yield 0, box, None
+            return
+        last = len(cuts) - 1
+        below = a_last, b_last, c_last = cuts[last]  # the - side of the last hyperplane
+        above = (b_last, a_last, -c_last)  # and its + side
+        stack = [(0, 0, box)]  # (next hyperplane, bits so far, matrix)
+        while stack:
+            start, bits, d = stack.pop()
+            for k in range(start, last):
                 a, b, c = cuts[k]
                 if d[b][a] + c <= 0:  # x_a - x_b < c misses the region
                     bits = bits << 1 | 1
                 elif d[a][b] <= c:  # x_a - x_b > c misses the region
                     bits <<= 1
                 else:
-                    pending.append((k + 1, bits << 1 | 1, _tighten(d, b, a, -c)))
+                    stack.append((k + 1, bits << 1 | 1, _tighten(d, b, a, -c)))
                     bits, d = bits << 1, _tighten(d, a, b, c)
-            yield bits, d
+            bits <<= 1
+            if d[b_last][a_last] + c_last <= 0:
+                yield bits | 1, d, None
+            elif d[a_last][b_last] <= c_last:
+                yield bits, d, None
+            else:  # the last hyperplane splits the region: each side stays a bound to add
+                yield bits, d, below
+                yield bits | 1, d, above
 
     return walk(), den * unit
 
@@ -182,7 +206,10 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     walk, den = _regions(arr)
     size = len(arr)
     z = (den,) if arr.coned else ()  # a coned region's point lies at z = 1
-    chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
+    chambers = [
+        Chamber(bits, size, tuple(_witness(d if pending is None else _tighten(d, *pending))) + z, den)
+        for bits, d, pending in walk
+    ]
     if arr.coned:  # the antipodes, then a merge: the runs interleave unless z = 0 comes first
         full = (1 << size) - 1
         chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
@@ -234,7 +261,7 @@ def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
     size = len(arr)
     counts = [0] * (size + 1)
     if base.size == size and not base.bits >> size:
-        for bits, _ in _regions(arr)[0]:
+        for bits, _, _ in _regions(arr)[0]:  # the bits alone: the last side stays open
             k = (bits ^ base.bits).bit_count()
             counts[k] += 1
             counts[size - k] += arr.coned  # the antipode is across every hyperplane

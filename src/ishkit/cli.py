@@ -7,15 +7,17 @@ echoes the request under the ``"spec"`` key, so a saved report can be
 fed straight back in.
 
 Exit codes: 0 on success, 1 on bad input, 2 when a size guard trips, 3
-when an internal cross-check fails (a ``RuntimeError``: a bug in ishkit).
+when an internal cross-check fails (a ``RuntimeError``: a bug in ishkit),
+and 141 when the reader closes standard output before the report is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import Chamber, canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
@@ -28,6 +30,7 @@ from .exactmath import (
     _shown,
     default_names,
     format_rational,
+    rational_str,
     reduced,
     unipoly_factored_str,
     unipoly_str,
@@ -260,8 +263,8 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
     if req.output_format == "json":
         return {"count": len(chambers), "chambers": chambers}
     lines = [f"{len(chambers)} chambers"]
-    for c in chambers:
-        lines.append(f"  {c.signs}  witness ({c.witness_text()})")
+    for c, coords in _witness_coordinates(chambers, rational_str):
+        lines.append(f"  {c.signs}  witness ({', '.join(coords)})")
     return "\n".join(lines)
 
 
@@ -359,16 +362,40 @@ def _render_poly(p: MultiPoly, pad: str) -> str:
     return "[" + inner + ("," + inner).join(records) + pad + "]"
 
 
-def _render_chamber(c: Chamber, pad: str) -> str:
-    """``c`` as ``json.dumps`` writes ``{"signs": ..., "witness": [...]}`` at
-    the indent ``pad``, each witness coordinate as ``format_rational`` does."""
+def _witness_coordinates(
+    chambers: list[Chamber], write: Callable[[int, int], str]
+) -> Iterator[tuple[Chamber, list[str]]]:
+    """Each chamber with its witness coordinates, as ``write(num, den)`` writes them.
+
+    The one writer of both formats.  The chambers of an answer share one
+    ``den`` and repeat their numerators (an antipode negates its
+    chamber's), so each distinct numerator is written once and read back
+    from a memo; a new memo starts wherever ``den`` changes.
+    """
+    memo: dict[int, str] = {}
+    den = 0  # no chamber has den 0: the first one starts a memo
+    for c in chambers:
+        if c.den != den:
+            memo, den = {}, c.den
+        yield c, [memo[x] if x in memo else memo.setdefault(x, write(x, den)) for x in c.point]
+
+
+def _json_rational(num: int, den: int) -> str:
+    """``num / den`` as a JSON string, as ``format_rational`` writes it."""
+    return '"%d/%d"' % reduced(num, den)
+
+
+def _chamber_records(chambers: list[Chamber], pad: str) -> list[str]:
+    """Each chamber as ``json.dumps`` writes ``{"signs": ..., "witness": [...]}``
+    at the indent ``pad``, each witness coordinate as ``format_rational`` does."""
     inner = pad + "  "
-    den = c.den
-    witness = "[]"
-    if c.point:
-        coords = ("," + inner + "  ").join(['"%d/%d"' % reduced(x, den) for x in c.point])
-        witness = "[" + inner + "  " + coords + inner + "]"
-    return f'{{{inner}"signs": "{c.signs}",{inner}"witness": {witness}{pad}}}'
+    field = inner + "  "
+    sep = "," + field
+    records = []
+    for c, coords in _witness_coordinates(chambers, _json_rational):
+        witness = f"[{field}{sep.join(coords)}{inner}]" if coords else "[]"
+        records.append(f'{{{inner}"signs": "{c.signs}",{inner}"witness": {witness}{pad}}}')
+    return records
 
 
 def _render(value: object, pad: str = "\n") -> str:
@@ -378,7 +405,9 @@ def _render(value: object, pad: str = "\n") -> str:
     types the handlers emit are rendered: dicts with str keys, lists, str,
     int, bool and None, and two leaves written straight from their integer
     form -- a ``MultiPoly`` as its list of term records and a ``Chamber``
-    as its signs and witness.  Any other type is a ``TypeError`` naming it.
+    as its signs and witness.  A list of chambers alone is written in one
+    pass of ``_chamber_records``, which writes each distinct coordinate
+    once.  Any other type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -392,11 +421,13 @@ def _render(value: object, pad: str = "\n") -> str:
     if kind is MultiPoly:
         return _render_poly(value, pad)
     if kind is Chamber:
-        return _render_chamber(value, pad)
+        return _chamber_records([value], pad)[0]
     inner = pad + "  "
     if kind is list:
         if not value:
             return "[]"
+        if type(value[0]) is Chamber and all(type(v) is Chamber for v in value):
+            return "[" + inner + ("," + inner).join(_chamber_records(value, inner)) + pad + "]"
         rendered = ("," + inner).join([
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int
@@ -460,10 +491,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.fmt:
             doc["format"] = args.fmt
         print(run(request_from_doc(doc)))
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return 0
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early: no fault of the request
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes what is left there
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,8 @@ def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber
 
 def breadth_first_regions(arr: Arrangement):
     """The regions as one list, each hyperplane inserted into all of them,
-    and the scale of their bounds: ``_regions`` before its walk."""
+    and the scale of their bounds: ``_regions`` before its walk, with every
+    region's matrix closed over every hyperplane."""
     den, edges = arr.gain_edges()
     if arr.coned and None not in edges:
         raise ValueError("a coned arrangement needs the hyperplane z = 0")
@@ -73,6 +74,13 @@ def breadth_first_regions(arr: Arrangement):
                 updated.append((bits << 1 | above, d))
         regions = updated
     return regions, den * unit
+
+
+def closed_regions(arr: Arrangement):
+    """The walk's regions as ``(bits, d)``, each leaf's pending bound on the
+    last hyperplane closed into its matrix by ``_tighten``, and the scale."""
+    walk, den = _regions(arr)
+    return [(bits, d if pending is None else _tighten(d, *pending)) for bits, d, pending in walk], den
 
 
 # -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
@@ -268,7 +276,7 @@ _SIGN = {"0": -1, "1": 1}
 def oracle_enumerate_chambers(arr: Arrangement) -> list[FractionChamber]:
     """The matrix enumeration's regions, each made a ``SignVector`` and a
     ``Fraction`` witness as soon as it is found."""
-    regions, den = _regions(arr)
+    regions, den = closed_regions(arr)
     frac = _Over(den).__getitem__
     found: list[tuple[int, tuple[Fraction, ...]]] = []
     full = (1 << len(arr)) - 1
@@ -492,10 +500,17 @@ def difference_arrangements(draw):
     return cone(arr) if draw(st.booleans()) else arr
 
 
+# a spec with no hyperplane at all, and its cone, whose one hyperplane is z = 0
+NO_HYPERPLANES = build_n_ish(NestSpec.make([[]]))
+ONLY_Z_0 = cone(NO_HYPERPLANES)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(difference_arrangements())
 @example(build_n_ish(NestSpec.make([[Fraction(1, 2), 2], [Fraction(-3, 2)], [0, 1]])))
 @example(cone(build_named("shi", 4)))
+@example(NO_HYPERPLANES)
+@example(ONLY_Z_0)
 def test_matrix_enumeration_matches_fourier_motzkin(arr):
     chambers = enumerate_chambers(arr)
     assert [sign_vector(c).signs for c in chambers] == fm_enumerate_chambers(arr)
@@ -509,6 +524,8 @@ def test_matrix_enumeration_matches_fourier_motzkin(arr):
 @example(build_n_ish(NestSpec.make([[Fraction(1, 2), 2], [Fraction(-3, 2)], [0, 1]])))
 @example(cone(build_named("shi", 4)))
 @example(cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0], [Fraction(3, 2)]]))))
+@example(NO_HYPERPLANES)
+@example(ONLY_Z_0)
 def test_integer_chambers_match_the_fraction_oracle(arr):
     chambers = enumerate_chambers(arr)
     oracle = oracle_enumerate_chambers(arr)
@@ -523,9 +540,38 @@ def test_integer_chambers_match_the_fraction_oracle(arr):
 @example(cone(build_named("shi", 4)))
 @example(cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0], [Fraction(3, 2)]]))))
 @example(build_named("ish", 4))
+@example(NO_HYPERPLANES)
+@example(ONLY_Z_0)
 def test_walk_gives_the_breadth_first_regions_in_order(arr):
-    walk, den = _regions(arr)
-    assert (list(walk), den) == breadth_first_regions(arr)
+    assert closed_regions(arr) == breadth_first_regions(arr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(difference_arrangements())
+@example(build_named("ish", 4))
+@example(cone(build_named("shi", 3)))
+@example(NO_HYPERPLANES)
+@example(ONLY_Z_0)
+def test_each_pending_bound_is_a_side_of_the_last_hyperplane(arr):
+    # a leaf's bound is pending exactly when the last hyperplane splits its region,
+    # and it is the side the leaf's last bit names: - is x_a - x_b < c, + is x_b - x_a < -c
+    walk, scale = _regions(arr)
+    den, edges = arr.gain_edges()
+    last = edges[-1] if edges else None
+    leaves = list(walk)
+    assert len({bits for bits, _, _ in leaves}) == len(leaves)
+    for bits, d, pending in leaves:
+        if last is None:  # no hyperplane, or z = 0 last: the slice z = 1 lies on its + side
+            assert pending is None
+            assert bits & 1 or not edges
+            continue
+        a, b, c = last[0], last[1], last[2] * (scale // den)
+        split = d[b][a] + c > 0 and d[a][b] > c  # both sides meet the region
+        if not split:
+            assert pending is None
+        else:
+            assert pending == ((b, a, -c) if bits & 1 else (a, b, c))
+            assert (bits ^ 1, d, (a, b, c) if bits & 1 else (b, a, -c)) in leaves
 
 
 def transposing_witness(d) -> list[int]:
@@ -540,7 +586,7 @@ def transposing_witness(d) -> list[int]:
 @given(difference_arrangements())
 @example(cone(build_n_ish(NestSpec.make([["-5/6", "7/4"], ["1/3"], ["7/4", "2/3"]]))))
 def test_witness_reads_only_the_column_entries_it_needs(arr):
-    regions = list(_regions(arr)[0])
+    regions = closed_regions(arr)[0]
     assert [_witness(d) for _, d in regions] == [transposing_witness(d) for _, d in regions]
 
 

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from operator import neg
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import ishkit
 from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone, from_spec
-from ishkit.chambers import Chamber
+from ishkit.chambers import Chamber, enumerate_chambers
 from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
 from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
 from ishkit.freeness import _degree, basis_derivations, is_nest
@@ -382,11 +384,14 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("ishkit.cli.derivation_str", never)
         m.setattr("ishkit.lattice.Flat.render", never)
+        m.setattr("ishkit.cli.rational_str", never)
         assert json_of(nest, "basis")["degrees"] == [0, 1, 2, 2]
         assert json_of(cone3, "supersolvable")["supersolvable"] is True
+        assert json_of(cone3, "chambers")["count"] == 32
     with monkeypatch.context() as m:
         m.setattr("ishkit.cli._render_poly", never)
-        m.setattr("ishkit.cli._render_chamber", never)
+        m.setattr("ishkit.cli._chamber_records", never)
+        m.setattr("ishkit.cli._json_rational", never)
         m.setattr("ishkit.lattice.Flat.to_json", never)
         assert text_of(nest, "basis").startswith("sets taken in ascending order (3, 2)")
         assert text_of(cone3, "supersolvable").startswith("SUPERSOLVABLE")
@@ -690,8 +695,33 @@ CHAMBERS = st.integers(0, 6).flatmap(
 @example(MultiPoly(0))
 @example([MultiPoly(0), MultiPoly.const(0, Fraction(-3, 2)), MultiPoly.variable(1, 0)])
 @example({"a": [[Chamber(0, 0, (), 1)], Chamber(5, 3, (0, -4, 6), 4)]})
+@example([Chamber(1, 1, (1, -2), 2), Chamber(0, 1, (1, -2), 4), Chamber(1, 1, (-1, 2), 2)])
 def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
     assert _render(value) == dumps(oracle_records(value))
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "ish", "ell": 3, "cone": True},
+    {"type": "n_ish", "N": [["1/2", "-3/2"], [0, "5/2"]], "cone": True},  # half-integer gains
+    {"type": "n_ish", "N": [["1/2", "-3/2"], [0, "5/2"]]},
+    {"type": "n_ish", "N": [[]]},  # no hyperplane
+])
+def test_the_chamber_writer_matches_its_oracles_on_whole_answers(spec):
+    parsed = from_spec(spec)
+    chambers = enumerate_chambers(parsed.arrangement)
+    assert len({c.den for c in chambers}) == 1  # what the writer's memo rests on
+    points = [c.point for c in chambers]
+    if parsed.coned:  # the antipodes repeat every numerator negated
+        assert sorted(tuple(map(neg, p)) for p in points) == sorted(points)
+    if not parsed.nest.nums[0]:  # one chamber, with empty signs
+        assert [c.signs for c in chambers] == [""]
+    records = [chamber_to_json(c) for c in chambers]
+    assert _render(chambers) == dumps(records)
+    assert _render({"chambers": chambers, "count": len(chambers)}) == dumps(
+        {"chambers": records, "count": len(chambers)}
+    )
+    lines = [f"  {c.signs}  witness ({c.witness_text()})" for c in chambers]
+    assert text_of(spec, "chambers") == "\n".join([f"{len(chambers)} chambers", *lines])
 
 
 SPECS = [
@@ -799,6 +829,22 @@ def test_main_exit_codes(capsys, tmp_path):
 
     assert main(["charpoly", "--spec", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly_with_141():
+    # 16807 lines, 1.3 MB: the command is still writing when the reader stops
+    src = str(Path(ishkit.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "ishkit", "chambers"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        proc.stdin.write(b'{"type": "ish", "ell": 6}')
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"16807 chambers\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize(
