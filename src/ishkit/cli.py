@@ -269,6 +269,17 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
 
 
 def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
+    """The distance polynomial from a base chamber, and its chamber count.
+
+    An affine ``ish`` spec answers for affine Ish.  Every other
+    nest-backed spec answers for the cone of its nest in descending
+    order, whether or not the spec says ``"cone": true``: affine and
+    coned ``n_ish`` give the same answer, the product form
+    ``chambers.wallcross_expected`` of the descending nest.  So the affine
+    ``{"type": "n_ish", "N": [[0, 1], [0, 1, 2]]}`` counts the cone's 32
+    chambers, where ``{"type": "ish", "ell": 3}``, the same arrangement,
+    counts 16.
+    """
     _guard_lattice(req)
     parsed = req.parsed
     if parsed.kind == "ish" and not parsed.coned:
@@ -340,12 +351,15 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def _render_poly(p: MultiPoly, pad: str) -> str:
+def _render_poly(p: MultiPoly, pad: str, memo: dict) -> str:
     """``p`` as ``json.dumps`` writes its term records at the indent ``pad``.
 
     A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``;
     the terms run in descending graded-lex order, that is descending packed
-    key, and each exponent is read off the key by shift and mask.
+    key, and each exponent is read off the key by shift and mask.  The
+    polynomials of one answer repeat their monomials, so each exponent list
+    is written once and read back from ``memo``, one dict of them per
+    ``nvars`` and ``pad``, the two things besides the key that it holds.
     """
     terms = p.terms
     if not terms:
@@ -354,11 +368,15 @@ def _render_poly(p: MultiPoly, pad: str) -> str:
     field = inner + "  "
     sep = "," + field + "  "
     shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
+    exps = memo.setdefault((p.nvars, pad), {})
     records = []
     for key in sorted(terms, reverse=True):
         c = terms[key]
-        exps = f"[{field}  {sep.join([str(key >> s & _MASK) for s in shifts])}{field}]" if shifts else "[]"
-        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exps}{inner}}}')
+        exp = exps.get(key)
+        if exp is None:
+            written = sep.join([str(key >> s & _MASK) for s in shifts])
+            exp = exps[key] = f"[{field}  {written}{field}]" if shifts else "[]"
+        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exp}{inner}}}')
     return "[" + inner + ("," + inner).join(records) + pad + "]"
 
 
@@ -398,10 +416,12 @@ def _chamber_records(chambers: list[Chamber], pad: str) -> list[str]:
     return records
 
 
-def _render(value: object, pad: str = "\n") -> str:
+def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
-    ``pad`` is the newline and indent of the enclosing line.  Only the
+    ``pad`` is the newline and indent of the enclosing line, and ``memo``
+    the exponent lists ``_render_poly`` has written so far in this value
+    (a new one when None).  Only the
     types the handlers emit are rendered: dicts with str keys, lists, str,
     int, bool and None, and two leaves written straight from their integer
     form -- a ``MultiPoly`` as its list of term records and a ``Chamber``
@@ -418,8 +438,10 @@ def _render(value: object, pad: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if memo is None:
+        memo = {}
     if kind is MultiPoly:
-        return _render_poly(value, pad)
+        return _render_poly(value, pad, memo)
     if kind is Chamber:
         return _chamber_records([value], pad)[0]
     inner = pad + "  "
@@ -431,7 +453,7 @@ def _render(value: object, pad: str = "\n") -> str:
         rendered = ("," + inner).join([
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int
-            else _render(v, inner)
+            else _render(v, inner, memo)
             for v in value
         ])
         return "[" + inner + rendered + pad + "]"
@@ -441,7 +463,7 @@ def _render(value: object, pad: str = "\n") -> str:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner) for k in sorted(value)]
+        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

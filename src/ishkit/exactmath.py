@@ -35,10 +35,12 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
 
 ``vanishes_on`` decides whether a polynomial lies in the ideal of a
 linear form, and ``int_det`` is the exact determinant of an integer
-matrix.  It decides both Saito tests: the request path's
-``freeness.factored_saito_constant``, on the factored components' values
-at one point, and the oracle's, on ``MultiPoly.evaluate``, by plain
-powers, of each component of each ``freeness.Derivation`` tuple.
+matrix.  It decides the oracle's Saito test, on ``MultiPoly.evaluate``,
+by plain powers, of each component of each ``freeness.Derivation``
+tuple.  The request path's ``freeness.factored_saito_constant`` reads
+the determinant off the factors of a matrix that peels, as both
+certificates' bases do, and takes ``int_det`` of the factored
+components' values at one point only for a matrix that does not.
 
 JSON forms (shared with the command line surface, which writes the
 ``MultiPoly`` records itself):

@@ -7,10 +7,9 @@ inductively free).  This module keeps the decision honest by producing
 checkable certificates:
 
 * in the free case, an explicit basis of logarithmic derivations,
-  checked by Saito's criterion in its degree form: homogeneous
-  logarithmic derivations whose degrees sum to the number of
-  hyperplanes, with a coefficient determinant that is nonzero at one
-  point off the arrangement;
+  checked by Saito's criterion: homogeneous logarithmic derivations
+  whose degrees sum to the number of hyperplanes, with a coefficient
+  determinant that is a nonzero multiple of the defining polynomial;
 * in the non-free case, a rank-3 restriction witness: localizing at the
   smallest incomparable pair ``(i, j)`` gives a deletion with exponents
   ``(1, |N_i|, |N_j|)`` whose restriction has exponent ``|N_i | N_j|``,
@@ -30,7 +29,8 @@ Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
 or a scalar times a sorted tuple of the cone's own normalized integer
 forms, read from ``arrangement._diff_form``.  ``basis_derivations``
-multiplies the paper's basis out for display, one component per field.
+multiplies the paper's basis out for display, one component per field,
+each product of linear forms in one dict (``_expand``).
 ``factored_saito_constant`` decides Saito's criterion on the factors,
 hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
 found once, and only the components they pick out enter the image
@@ -47,6 +47,14 @@ found once, and only the components they pick out enter the image
   has two or more factors and none is ``alpha_H``.  Neither
   certificate's basis gets here.
 
+The determinant is then read off the factors: both certificates' basis
+matrices are triangular up to a permutation of the columns (``_peel``),
+so the determinant is a sign, a product of scalars and a product of
+linear forms, and it is a constant times ``Q(A)`` when those forms are
+A's own, each once.  A matrix that does not peel, or whose forms are not
+A's each once, is decided at one point off the arrangement by
+``exactmath.int_det``.
+
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
 stay as the general route and the oracle of the tests; no command runs
 them, so they form each image with ``MultiPoly``'s own ``*`` and ``+``
@@ -55,13 +63,23 @@ and take the determinant from ``MultiPoly.evaluate``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
-from .exactmath import MultiPoly, Scalar, int_det, poly_str, vanishes_on
+from .exactmath import (
+    _FIELD,
+    MultiPoly,
+    Scalar,
+    _check_degree,
+    _exact,
+    int_det,
+    poly_str,
+    vanishes_on,
+)
 from .lattice import Flat
 
 Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._diff_form builds it
@@ -211,6 +229,21 @@ def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
     return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
 
 
+def _x2_components(nest: NestSpec) -> list[Term]:
+    """The ``x2`` component of each field ``theta_k``, ``k = 2..ell`` (see ``factored_basis``)."""
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell, den = nest.ell, nest.den
+    out = []
+    for k, entries in enumerate(nest.nums, start=2):
+        factors = [_diff_form(ell, 1, 2, a, den) for a in entries]
+        factors += [_diff_form(ell, 2, t) for t in range(k + 1, ell + 1)]
+        first = tuple(sorted(factors))
+        scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
+        out.append((1 if scale == 1 else Fraction(1, scale), first))
+    return out
+
+
 def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     """The explicit derivation basis for the cone of an ascending nest, factored.
 
@@ -222,35 +255,56 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     the factor is ``(q x1 - q x_s - p z) / q``: the coned hyperplane's own
     form (``_diff_form``).  The components of one field share the scalar
     ``1 / prod q``, an ``int`` when every entry of ``N_k`` is integral.
+    Only the ``x2`` factors are built (``_x2_components``): the ``x_s``
+    ones are the same forms with ``x2`` and ``x_s`` exchanged (``_exchanged``).
     """
-    if not nest.is_ascending():
-        raise ValueError("the derivation basis needs an ascending nest")
-    ell, den = nest.ell, nest.den
-    n = ell + 1  # x1..xl and z
-    out = _translation_and_euler(ell)
-    for k, entries in enumerate(nest.nums, start=2):
-        comps: list[tuple[Factor, ...] | None] = [None] * n
-        for s in range(2, k + 1):
-            factors = [_diff_form(ell, 1, s, a, den) for a in entries]
-            factors += [_diff_form(ell, s, t) for t in range(k + 1, ell + 1)]
-            comps[s - 1] = tuple(sorted(factors))
-        scale = prod(f[0] for f in comps[1] if f[0])  # the q of each x1 - x2 - a z
-        scalar = 1 if scale == 1 else Fraction(1, scale)
-        out.append(tuple(None if c is None else (scalar, c) for c in comps))
+    n = nest.ell + 1  # x1..xl and z
+    out = _translation_and_euler(nest.ell)
+    for k, (scalar, first) in enumerate(_x2_components(nest), start=2):
+        comps = [first] + [_exchanged(first, 1, s - 1) for s in range(3, k + 1)]
+        out.append((None, *((scalar, c) for c in comps), *(None,) * (n - k)))
     return out
 
 
+def _exchanged(factors: Sequence[Factor], s: int, t: int) -> tuple[Factor, ...]:
+    """The factors with coordinates ``s < t`` exchanged in each, sorted."""
+    return tuple(sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in factors))
+
+
 def _expand(comp: Term | None, nvars: int) -> MultiPoly:
-    """The polynomial of one factored component."""
+    """The polynomial of one factored component, multiplied out in one dict.
+
+    Each factor multiplies the terms so far by its nonzero coordinates, a
+    coordinate ``k`` moving each key by the key of ``x_k``, so no
+    ``MultiPoly`` is built between factors.  A product of linear forms
+    has degree its factor count, so the degree is checked once, first.
+    The factors are integer forms, so the terms stay ``int`` until the
+    scalar multiplies them.
+    """
     if comp is None:
         return MultiPoly.zero(nvars)
     scalar, factors = comp
     if not factors:
         return MultiPoly.const(nvars, scalar)
-    poly = MultiPoly.linear(factors[0])
-    for f in factors[1:]:
-        poly = poly * MultiPoly.linear(f)
-    return poly if scalar == 1 else poly * scalar
+    top = _FIELD * nvars
+    _check_degree(len(factors) << top, nvars)
+    terms = {0: 1}
+    for f in factors:
+        (s0, a0), *rest = [(1 << top | 1 << (top - _FIELD * (k + 1)), a) for k, a in enumerate(f) if a]
+        items = terms.items()
+        out = {key + s0: c * a0 for key, c in items}
+        get = out.get
+        for step, a in rest:
+            for key, c in items:
+                k = key + step
+                out[k] = get(k, 0) + c * a
+        terms = out
+    res = MultiPoly(nvars)
+    if scalar == 1:
+        res.terms = {k: c for k, c in terms.items() if c}
+    elif scalar:
+        res.terms = {k: _exact(c * scalar) for k, c in terms.items() if c}
+    return res
 
 
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
@@ -262,14 +316,12 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     its variables are ``x1``, ``x2``, ``z`` and the ``x_t`` with ``t > k``,
     so exchanging ``x2`` and ``x_s`` (``MultiPoly.swapped``) renames it.
     """
-    basis = factored_basis(nest)
     n = nest.ell + 1
-    out = [tuple(_expand(comp, n) for comp in theta) for theta in basis[:2]]
+    out = [tuple(_expand(comp, n) for comp in theta) for theta in _translation_and_euler(nest.ell)]
     zero = MultiPoly.zero(n)
-    for k, theta in enumerate(basis[2:], start=2):
-        first = _expand(theta[1], n)
-        comps = [zero, first] + [first.swapped(1, s - 1) for s in range(3, k + 1)]
-        out.append(tuple(comps + [zero] * (n - k)))
+    for k, comp in enumerate(_x2_components(nest), start=2):
+        first = _expand(comp, n)
+        out.append((zero, first, *(first.swapped(1, s - 1) for s in range(3, k + 1)), *(zero,) * (n - k)))
     return out
 
 
@@ -302,8 +354,7 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
         (s, a), (t, b) = support
         cs, ct = theta[s], theta[t]
         if a == -b and cs is not None and ct is not None and cs[0] == ct[0]:
-            swapped = sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in cs[1])
-            if ct[1] == tuple(swapped):
+            if ct[1] == _exchanged(cs[1], s, t):
                 return True
     constant, linear = 0, None
     for k, a in support:
@@ -329,6 +380,28 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
     return all(ap * u == lp * v for u, v in zip(linear, alpha))
 
 
+def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
+    """The pivot column of each row, when the matrix peels; else None.
+
+    Peeling takes a column with exactly one nonzero entry among the rows
+    left, and strikes out that entry's row, until no row is left.  Each
+    step is a Laplace expansion down that column, so the determinant is
+    ``sign(pivots)`` times the product of the pivot entries.
+    """
+    left = set(range(len(rows)))
+    pivots = [0] * len(rows)
+    while left:
+        for c in range(len(rows)):
+            hit = [r for r in left if rows[r][c] is not None]
+            if len(hit) == 1:
+                break
+        else:
+            return None
+        pivots[hit[0]] = c
+        left.remove(hit[0])
+    return pivots
+
+
 def factored_saito_constant(
     derivs: Sequence[FactoredDerivation], arr: Arrangement
 ) -> Fraction | None:
@@ -342,9 +415,17 @@ def factored_saito_constant(
     ``alpha_H`` are found once, and each derivation is checked on the
     factors of just those components (``_factored_is_log``).  A product of
     linear forms is homogeneous, so a derivation is homogeneous when its
-    nonzero components have equally many factors; and the determinant is
-    taken at ``_off_point``'s point from integer dot products, with the
-    scales divided back out, so the constant is the same rational.
+    nonzero components have equally many factors.
+
+    The determinant is then read off the matrix when it peels (``_peel``):
+    it is ``sign * prod(scalars) * prod(factors)`` over the pivots, and when
+    the pivots' factors are A's forms, each once, that is ``c * Q(A)`` as a
+    polynomial identity (Saito's criterion by unique factorization,
+    Orlik-Terao 1992, Thm 4.19).  Otherwise -- the matrix does not peel, or
+    the pivots' factors are not A's forms each once, as when a factor is a
+    multiple of A's form -- the determinant is taken at ``_off_point``'s
+    point from integer dot products.  Either way the scales are divided
+    back out, so the constant is the same rational.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -378,6 +459,13 @@ def factored_saito_constant(
         degree += counts.pop()
     if degree != len(arr):
         return None
+    pivots = _peel(scaled)
+    if pivots is not None:
+        terms = [theta[c] for theta, c in zip(scaled, pivots)]
+        if Counter(f for _, factors in terms for f in factors) == Counter(h.coeffs for h in arr.hyperplanes):
+            inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+            det = (-1) ** inversions * prod(scalar for scalar, _ in terms)
+            return Fraction(det, scale) if det else None
     point, q = _off_point(arr)
     rows = []
     for theta in scaled:

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from ishkit.arrangement import (
     Arrangement,
     Hyperplane,
     NestSpec,
+    _diff_form,
     build_n_ish,
     build_named,
     cone,
@@ -23,7 +25,11 @@ from ishkit.freeness import (
     FreenessVerdict,
     NonFreeWitness,
     _degree,
+    _exchanged,
+    _expand,
     _factored_is_log,
+    _peel,
+    _translation_and_euler,
     basis_derivations,
     decide_free,
     derivation_str,
@@ -869,6 +875,189 @@ def test_factored_saito_on_the_rank_ten_staircase():
     arr = cone(build_n_ish(nest))
     c = factored_saito_constant(factored_basis(nest), arr)
     assert c == saito_constant(basis_derivations(nest), arr) == -1
+
+
+# -- the product kernel, the exchange and the peel against their oracles --
+
+
+def expand_by_mul(comp, nvars: int) -> MultiPoly:
+    """``_expand`` as it was before its product kernel: one ``MultiPoly.linear``
+    per factor, multiplied by ``MultiPoly.__mul__``."""
+    if comp is None:
+        return MultiPoly.zero(nvars)
+    scalar, factors = comp
+    if not factors:
+        return MultiPoly.const(nvars, scalar)
+    poly = MultiPoly.linear(factors[0])
+    for f in factors[1:]:
+        poly = poly * MultiPoly.linear(f)
+    return poly if scalar == 1 else poly * scalar
+
+
+@st.composite
+def factored_components(draw):
+    """A component over 1..4 variables: None, or a scalar (0, an int or a
+    Fraction) times up to five nonzero integer forms, some with zero coordinates."""
+    n = draw(st.integers(1, 4))
+    form = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    scalar = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    comp = st.none() | st.tuples(scalar, st.lists(form, max_size=5).map(lambda fs: tuple(sorted(fs))))
+    return draw(comp), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(factored_components())
+@example(((1, ((1, -1), (1, 1))), 2))  # (x1 - x2)(x1 + x2): the x1 x2 terms cancel
+@example(((Fraction(3, 2), ((1, 0, -2), (1, 0, 2), (2, 0, 0))), 3))
+@example(((Fraction(1, 2), ((0, 2),)), 2))  # an integral product of a Fraction scalar
+@example(((Fraction(-5, 3), ()), 3))  # no factor: the scalar itself
+@example(((0, ((1, 1),)), 2))
+def test_the_product_kernel_matches_the_linear_products(case):
+    comp, n = case
+    got = _expand(comp, n)
+    assert got == expand_by_mul(comp, n)
+    assert all(c and type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+
+
+def test_the_product_kernel_checks_the_degree():
+    unit = (1, 0)
+    below = (1, (unit,) * (2**15 - 1))
+    assert _expand(below, 2) == expand_by_mul(below, 2) == MultiPoly(2, {(2**15 - 1, 0): 1})
+    for kernel in (_expand, expand_by_mul):
+        with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
+            kernel((1, (unit,) * 2**15), 2)
+
+
+def factored_basis_by_forms(nest: NestSpec) -> list[FactoredDerivation]:
+    """``factored_basis`` as it built the factors of every ``x_s`` component
+    from ``_diff_form``, with no exchange."""
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell, den = nest.ell, nest.den
+    n = ell + 1
+    out = _translation_and_euler(ell)
+    for k, entries in enumerate(nest.nums, start=2):
+        comps = [None] * n
+        for s in range(2, k + 1):
+            factors = [_diff_form(ell, 1, s, a, den) for a in entries]
+            factors += [_diff_form(ell, s, t) for t in range(k + 1, ell + 1)]
+            comps[s - 1] = tuple(sorted(factors))
+        scale = prod(f[0] for f in comps[1] if f[0])
+        scalar = 1 if scale == 1 else Fraction(1, scale)
+        out.append(tuple(None if c is None else (scalar, c) for c in comps))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=6))
+@example(ish_nest(6))
+@example(NestSpec.make([["1/2"], ["-3/2", "1/2"], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2]]))
+def test_the_factored_basis_and_the_exchange_match_the_forms(nest):
+    oracle = factored_basis_by_forms(nest)
+    assert factored_basis(nest) == oracle
+    for theta in oracle[2:]:
+        comps = [comp for comp in theta if comp is not None]
+        for s, t in itertools.combinations(range(1, len(comps) + 1), 2):
+            assert _exchanged(theta[s][1], s, t) == theta[t][1]
+    # the log check on each braid form x_s - x_t ends by the exchange
+    arr = cone(build_n_ish(nest))
+    for h in arr.hyperplanes:
+        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
+        for theta in oracle:
+            with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
+                got = _factored_is_log(int_scalars(theta), h.coeffs, support)
+            assert got is log_by_expansion(theta, h) is True
+            assert not fallback.called
+
+
+def point_route(derivs, arr):
+    """``factored_saito_constant`` with the peel turned off: the determinant
+    at ``_off_point``'s point, as every basis took it before the peel."""
+    with mock.patch("ishkit.freeness._peel", return_value=None):
+        return factored_saito_constant(derivs, arr)
+
+
+def peeled(derivs, arr):
+    """``factored_saito_constant`` and whether it took the determinant at a point."""
+    with mock.patch("ishkit.freeness.int_det", wraps=int_det) as det:
+        c = factored_saito_constant(derivs, arr)
+    return c, det.called
+
+
+def unnormalized(theta, k):
+    """``theta`` with the first factor of component ``k`` doubled and its scalar halved."""
+    scalar, (first, *rest) = theta[k]
+    comp = (scalar * Fraction(1, 2), tuple(sorted([tuple(2 * v for v in first), *rest])))
+    return theta[:k] + (comp,) + theta[k + 1:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=6), st.randoms(use_true_random=False))
+@example(ish_nest(6), random.Random(0))
+def test_the_peeled_constant_is_the_point_routes(nest, rng):
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    c, at_point = peeled(basis, arr)
+    assert not at_point and c == point_route(basis, arr) and c != 0
+    n = arr.dim
+    # the paper's basis peels Euler at z, the translation at x1, theta_k at x_k
+    assert _peel(basis) == [0, n - 1, *range(1, n - 1)]
+
+    order = list(range(n))
+    rng.shuffle(order)
+    permuted = [basis[i] for i in order]
+    sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    c_perm, at_point = peeled(permuted, arr)
+    assert not at_point and c_perm == sign * c == point_route(permuted, arr)
+
+    # a pivot's factor written as twice A's form: the multisets differ, so
+    # the point route decides, with the same constant
+    k = rng.choice([i for i in range(2, n) if basis[i][i - 1][1]] or [1])
+    pivot = n - 1 if k == 1 else k - 1
+    mutated = list(basis)
+    mutated[k] = unnormalized(basis[k], pivot)
+    assert expand(mutated[k]) == expand(basis[k])
+    assert peeled(mutated, arr) == (c, True)
+
+
+def witness_basis(nest: NestSpec, i: int, j: int):
+    """The deletion and the basis ``verify_nonfree_witness`` checks for the pair ``(i, j)``."""
+    den, a_nums, b_nums = nest.den, nest.nums[i - 2], nest.nums[j - 2]
+    full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
+    deleted = Arrangement(4, [h for h in full.hyperplanes if h.coeffs != (0, 1, -1, 0)], coned=True)
+    phi2 = (None, (1, tuple(sorted(_diff_form(3, 1, 2, e, den) for e in a_nums))), None, None)
+    phi3 = (None, None, (1, tuple(sorted(_diff_form(3, 1, 3, e, den) for e in b_nums))), None)
+    return deleted, _translation_and_euler(3) + [phi2, phi3]
+
+
+@pytest.mark.parametrize("sets", [[["1/2", 1], [0, "3/2"], [1]], [[0, 1], [0, 2]], [[0], [1], [2]]])
+def test_the_witness_basis_peels(sets):
+    nest = NestSpec.make(sets)
+    w = decide_free(nest).witness
+    deleted, basis = witness_basis(nest, w.i, w.j)
+    # Euler at z, the translation at x1, then phi2 at x2 and phi3 at x3
+    assert _peel(basis) == [0, 3, 1, 2]
+    c, at_point = peeled(basis, deleted)
+    assert not at_point and c == point_route(basis, deleted) != 0
+    with mock.patch("ishkit.freeness.int_det", wraps=int_det) as det:
+        assert verify_nonfree_witness(nest, w)
+    assert not det.called
+    # one pivot factor unnormalized: the point route, the same constant
+    mutated = basis[:3] + [unnormalized(basis[3], 2)]
+    assert peeled(mutated, deleted) == (c, True)
+
+
+def test_a_matrix_that_does_not_peel_takes_the_point_route():
+    # Euler and (x^2, y^2) on xy(x - y): det = x y^2 - y x^2 = -Q, and each
+    # column has two nonzero entries
+    arr = Arrangement(2, [Hyperplane.make([1, 0]), Hyperplane.make([0, 1]), Hyperplane.make([1, -1])])
+    euler = ((1, ((1, 0),)), (1, ((0, 1),)))
+    squares = ((1, ((1, 0), (1, 0))), (1, ((0, 1), (0, 1))))
+    assert _peel([euler, squares]) is None
+    assert peeled([euler, squares], arr) == (-1, True)
+    assert peeled([squares, euler], arr) == (1, True)
+    assert saito_constant([expand(euler), expand(squares)], arr) == -1
+    assert peeled([unnormalized(euler, 0), squares], arr) == (-1, True)
 
 
 # -- the oracles of the integer nest form: the nest readers on Fraction entries --
