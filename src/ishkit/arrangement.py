@@ -46,6 +46,7 @@ from .exactmath import (
     clear_denominators,
     default_names,
     equation_str,
+    format_rational,
     parse_rational_pair,
     rational_str,
     reduced,
@@ -230,7 +231,7 @@ class NestSpec(NamedTuple):
 
     def to_json(self) -> list[list[str]]:
         den = self.den
-        return [["%d/%d" % reduced(a, den) for a in s] for s in self.nums]
+        return [[format_rational(a, den) for a in s] for s in self.nums]
 
     def __str__(self) -> str:
         den = self.den

@@ -31,7 +31,6 @@ from .exactmath import (
     default_names,
     format_rational,
     rational_str,
-    reduced,
     unipoly_factored_str,
     unipoly_str,
     unipoly_to_json,
@@ -354,9 +353,11 @@ COMMANDS = tuple(_HANDLERS)
 def _render_poly(p: MultiPoly, pad: str, memo: dict) -> str:
     """``p`` as ``json.dumps`` writes its term records at the indent ``pad``.
 
-    A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``;
-    the terms run in descending graded-lex order, that is descending packed
-    key, and each exponent is read off the key by shift and mask.  The
+    A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``,
+    the coefficient in ``format_rational``'s form but written inline, as a
+    call per term costs a few percent of a ``basis`` answer.  The terms run
+    in descending graded-lex order, that is descending packed key, and
+    each exponent is read off the key by shift and mask.  The
     polynomials of one answer repeat their monomials, so each exponent list
     is written once and read back from ``memo``, one dict of them per
     ``nvars`` and ``pad``, the two things besides the key that it holds.
@@ -399,8 +400,8 @@ def _witness_coordinates(
 
 
 def _json_rational(num: int, den: int) -> str:
-    """``num / den`` as a JSON string, as ``format_rational`` writes it."""
-    return '"%d/%d"' % reduced(num, den)
+    """``num / den`` as a JSON string, written by ``format_rational``."""
+    return f'"{format_rational(num, den)}"'
 
 
 def _chamber_records(chambers: list[Chamber], pad: str) -> list[str]:

@@ -35,12 +35,12 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
 
 ``vanishes_on`` decides whether a polynomial lies in the ideal of a
 linear form, and ``int_det`` is the exact determinant of an integer
-matrix.  It decides the oracle's Saito test, on ``MultiPoly.evaluate``,
-by plain powers, of each component of each ``freeness.Derivation``
-tuple.  The request path's ``freeness.factored_saito_constant`` reads
-the determinant off the factors of a matrix that peels, as both
-certificates' bases do, and takes ``int_det`` of the factored
-components' values at one point only for a matrix that does not.
+matrix; it refuses any entry that is not an ``int``.  Only
+``freeness.saito_constant``, the general Saito route, calls it, on
+``MultiPoly.evaluate``'s values, by plain powers, of each component of
+each ``freeness.Derivation`` tuple at one integer point.  The request
+path's ``freeness.factored_saito_constant`` reads the determinant off
+the factors of a matrix that peels, as both certificates' bases do.
 
 JSON forms (shared with the command line surface, which writes the
 ``MultiPoly`` records itself):
@@ -123,8 +123,12 @@ def clear_denominators(values: Iterable[Scalar | str]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def format_rational(value: Scalar) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Scalar, den: int = 1) -> str:
+    """``value/den`` (``den > 0``) as the JSON forms write a rational: ``"p/q"``
+    in lowest terms.  ``value`` is an ``int``, or any rational when ``den == 1``."""
+    if den == 1:
+        return f"{value.numerator}/{value.denominator}"
+    return "%d/%d" % reduced(value, den)
 
 
 def rational_str(num: Scalar, den: int) -> str:
@@ -476,7 +480,7 @@ def vanishes_on(f: MultiPoly, coeffs: Sequence[Scalar]) -> bool:
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix.
+    """Determinant of a square matrix of ``int``s; any other entry is a ``ValueError``.
 
     Fraction-free (Bareiss) elimination: every division is exact, so the
     entries stay integers no larger than a minor of the input.
@@ -485,6 +489,8 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("determinant requires a nonempty square matrix")
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError("determinant entries must be ints")
     sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:

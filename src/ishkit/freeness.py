@@ -34,7 +34,7 @@ each product of linear forms in one dict (``_expand``).
 ``factored_saito_constant`` decides Saito's criterion on the factors,
 hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
 found once, and only the components they pick out enter the image
-``theta(alpha_H)``.  Each log check ends in one of three ways
+``theta(alpha_H)``.  A log check is shown in one of two ways
 (``_factored_is_log``):
 
 * by exchange, when a braid form ``x_s - x_t`` meets two components
@@ -42,23 +42,22 @@ found once, and only the components they pick out enter the image
 * by the factors, when every term picked out has ``alpha_H`` among its
   factors (unique factorization in ``Q[x]``) or is a constant or a
   linear form, and the constants sum to 0 and the linear forms to a
-  multiple of ``alpha_H``;
-* by ``exactmath.vanishes_on`` on the image multiplied out, when a term
-  has two or more factors and none is ``alpha_H``.  Neither
-  certificate's basis gets here.
+  multiple of ``alpha_H``.
 
 The determinant is then read off the factors: both certificates' basis
 matrices are triangular up to a permutation of the columns (``_peel``),
 so the determinant is a sign, a product of scalars and a product of
 linear forms, and it is a constant times ``Q(A)`` when those forms are
-A's own, each once.  A matrix that does not peel, or whose forms are not
-A's each once, is decided at one point off the arrangement by
-``exactmath.int_det``.
+A's own, each once.  Anything else -- a log check neither way shows, a
+matrix that does not peel, or forms that are not A's each once -- is
+handed to ``saito_constant`` on the derivations multiplied out.
+Neither certificate's basis is handed on.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
-stay as the general route and the oracle of the tests; no command runs
-them, so they form each image with ``MultiPoly``'s own ``*`` and ``+``
-and take the determinant from ``MultiPoly.evaluate``.
+are the one general route and the oracle of the tests.  They form each
+image with ``MultiPoly``'s own ``*`` and ``+``, restrict it to the
+hyperplane with ``exactmath.vanishes_on``, and take the determinant at
+one point off the arrangement with ``exactmath.int_det``.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
@@ -326,13 +324,12 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
 
 
 def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence[tuple[int, int]]) -> bool:
-    """Is ``theta(alpha)`` a multiple of ``alpha``, decided on the factors?
+    """Do the factors show that ``theta(alpha)`` is a multiple of ``alpha``?
 
     ``support`` lists the pairs ``(k, alpha[k])`` with ``alpha[k] != 0`` in
     increasing ``k``; only those components of ``theta`` enter the image
-    ``sum alpha[k] theta[k]``.  The scalars of ``theta`` are ints
-    (``factored_saito_constant`` clears their denominators first).  The
-    check ends in one of three ways:
+    ``sum alpha[k] theta[k]``.  The scalars are ``int``s or ``Fraction``s.
+    True is a proof, by one of two routes:
 
     * exchange: a braid form ``alpha = a (x_s - x_t)`` meets two components
       with one scalar ``c`` whose factors are exchanged by swapping ``x_s``
@@ -341,14 +338,16 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
       ``P`` of the ``x_s`` factors, which vanishes on ``x_s = x_t``;
     * factors and sums: a term ``c * prod f`` with ``alpha`` among its
       factors lies in ``(alpha)`` and is skipped.  The constant terms must
-      sum to 0, and the terms with one factor, summed as integer form
-      vectors into one linear form ``L``, to a multiple of ``alpha``: with
-      ``x_p`` the first variable of ``alpha``, ``alpha_p L - L_p alpha``
-      must be zero.  ``(alpha)`` is a homogeneous ideal, so this decides
-      the image degree by degree;
-    * multiplied out: a term of two or more factors, none of them
-      ``alpha``, may cancel against other terms, so the image is
-      multiplied out and decided by ``vanishes_on``.
+      sum to 0, and the terms with one factor, summed as form vectors into
+      one linear form ``L``, to a multiple of ``alpha``: with ``x_p`` the
+      first variable of ``alpha``, ``alpha_p L - L_p alpha`` must be zero.
+      ``(alpha)`` is a homogeneous ideal, so this decides the image degree
+      by degree.
+
+    False means only "not shown": a term of two or more factors, none of
+    them ``alpha``, may cancel against other terms, and the factors alone
+    cannot tell.  ``factored_saito_constant`` then hands the whole check
+    to ``saito_constant``.
     """
     if len(support) == 2:
         (s, a), (t, b) = support
@@ -368,9 +367,7 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
             c, f = a * scalar, factors[0]
             linear = [c * v for v in f] if linear is None else [u + c * v for u, v in zip(linear, f)]
         else:
-            n = len(theta)
-            image = sum((_expand(theta[i], n) * b for i, b in support), MultiPoly.zero(n))
-            return vanishes_on(image, alpha)
+            return False
     if constant:
         return False
     if linear is None:
@@ -405,27 +402,24 @@ def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
 def factored_saito_constant(
     derivs: Sequence[FactoredDerivation], arr: Arrangement
 ) -> Fraction | None:
-    """``saito_constant`` of the expanded derivations, with no expansion.
+    """``saito_constant`` of the expanded derivations, proved on the factors.
 
     The same hypotheses are checked in the same order, with the same
-    errors.  Like ``saito_constant``, each derivation is first scaled by
-    the lcm of its scalar denominators, which changes neither its log-ness
-    nor its degree, so the log checks see only ``int`` scalars.  The log
-    checks run hyperplane by hyperplane: the nonzero coordinates of each
-    ``alpha_H`` are found once, and each derivation is checked on the
-    factors of just those components (``_factored_is_log``).  A product of
-    linear forms is homogeneous, so a derivation is homogeneous when its
-    nonzero components have equally many factors.
+    errors.  The log checks run hyperplane by hyperplane: the nonzero
+    coordinates of each ``alpha_H`` are found once, and each derivation is
+    checked on the factors of just those components (``_factored_is_log``).
+    A product of linear forms is homogeneous, so a derivation is
+    homogeneous when its nonzero components have equally many factors.
 
     The determinant is then read off the matrix when it peels (``_peel``):
     it is ``sign * prod(scalars) * prod(factors)`` over the pivots, and when
     the pivots' factors are A's forms, each once, that is ``c * Q(A)`` as a
     polynomial identity (Saito's criterion by unique factorization,
-    Orlik-Terao 1992, Thm 4.19).  Otherwise -- the matrix does not peel, or
-    the pivots' factors are not A's forms each once, as when a factor is a
-    multiple of A's form -- the determinant is taken at ``_off_point``'s
-    point from integer dot products.  Either way the scales are divided
-    back out, so the constant is the same rational.
+    Orlik-Terao 1992, Thm 4.19).  Whatever the factors do not show -- a
+    log check they cannot settle, a matrix that does not peel, or pivot
+    factors that are not A's forms each once, as when a factor is a
+    multiple of A's form -- is handed whole to ``saito_constant`` on the
+    derivations multiplied out, the one general route.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -434,54 +428,36 @@ def factored_saito_constant(
         raise ValueError("need exactly one component per variable")
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
-    scale = 1
-    scaled = []
-    for theta in derivs:
-        m = lcm(*(comp[0].denominator for comp in theta if comp is not None))
-        scaled.append(tuple(
-            None if comp is None else (comp[0].numerator * (m // comp[0].denominator), comp[1])
-            for comp in theta
-        ))
-        scale *= m
     for h in arr.hyperplanes:
         alpha = h.coeffs
         support = [(k, a) for k, a in enumerate(alpha) if a]
-        for theta in scaled:
-            if not _factored_is_log(theta, alpha, support):
-                raise ValueError("all derivations must be logarithmic for the arrangement")
-    if any(all(comp is None for comp in theta) for theta in scaled):
+        if not all(_factored_is_log(theta, alpha, support) for theta in derivs):
+            return _deferred(derivs, arr)
+    if any(all(comp is None for comp in theta) for theta in derivs):
         return None
     degree = 0
-    for theta in scaled:
+    for theta in derivs:
         counts = {len(comp[1]) for comp in theta if comp is not None}
         if len(counts) != 1:
             raise ValueError("derivation is not homogeneous")
         degree += counts.pop()
     if degree != len(arr):
         return None
-    pivots = _peel(scaled)
-    if pivots is not None:
-        terms = [theta[c] for theta, c in zip(scaled, pivots)]
-        if Counter(f for _, factors in terms for f in factors) == Counter(h.coeffs for h in arr.hyperplanes):
-            inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-            det = (-1) ** inversions * prod(scalar for scalar, _ in terms)
-            return Fraction(det, scale) if det else None
-    point, q = _off_point(arr)
-    rows = []
-    for theta in scaled:
-        row = []
-        for comp in theta:
-            value = 0
-            if comp is not None:
-                value = comp[0]
-                for f in comp[1]:
-                    value *= sum(map(mul, f, point))
-            row.append(value)
-        rows.append(row)
-    det = int_det(rows)
-    if det == 0:
-        return None
-    return Fraction(det, q) / scale
+    pivots = _peel(derivs)
+    if pivots is None:
+        return _deferred(derivs, arr)
+    terms = [theta[c] for theta, c in zip(derivs, pivots)]
+    if Counter(f for _, factors in terms for f in factors) != Counter(h.coeffs for h in arr.hyperplanes):
+        return _deferred(derivs, arr)
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    det = (-1) ** inversions * prod(scalar for scalar, _ in terms)
+    return Fraction(det) if det else None
+
+
+def _deferred(derivs: Sequence[FactoredDerivation], arr: Arrangement) -> Fraction | None:
+    """``saito_constant`` of the derivations multiplied out (``_expand``)."""
+    n = arr.dim
+    return saito_constant([tuple(_expand(comp, n) for comp in theta) for theta in derivs], arr)
 
 
 class NonFreeWitness(NamedTuple):

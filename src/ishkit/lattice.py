@@ -20,7 +20,7 @@ A flat's reduced row echelon form comes in closed form:
 coordinate v off its root, with ``p/q`` the reduced ``offset[v]/den``,
 then ``z = 0``.  ``Flat.to_json`` and ``Flat.render`` write these rows
 from the integers, and ``exactmath`` writes every rational and equation
-in them (``reduced``, ``equation_str``).  Scaled to coprime
+in them (``format_rational``, ``equation_str``).  Scaled to coprime
 integers, ``q*x_v - q*x_root = p``, the same rows make the sort key
 (``Flat.key``) that orders the covers of the supersolvability climb.
 
@@ -60,7 +60,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, GainEdge
-from .exactmath import UniPoly, equation_str, nonnegative_int_roots, reduced
+from .exactmath import UniPoly, equation_str, format_rational, nonnegative_int_roots, reduced
 
 
 class Flat(NamedTuple):
@@ -145,7 +145,7 @@ class Flat(NamedTuple):
         rref = []
         for v, r, o in self._rows():
             row = ["0/1"] * (n + 1 + coned)
-            row[v], row[r], row[n] = "1/1", "-1/1", "%d/%d" % reduced(-o if coned else o, den)
+            row[v], row[r], row[n] = "1/1", "-1/1", format_rational(-o if coned else o, den)
             rref.append(row)
         if self.zero:
             rref.append(["0/1"] * n + ["1/1", "0/1"])

@@ -352,7 +352,7 @@ def test_reduced_and_rational_str_write_what_fraction_writes(num, den):
     f = Fraction(num, den)
     assert reduced(num, den) == (f.numerator, f.denominator)
     assert rational_str(num, den) == str(f)
-    assert "%d/%d" % reduced(num, den) == format_rational(f)
+    assert format_rational(num, den) == "%d/%d" % reduced(num, den) == format_rational(f)
     assert rational_str(f, 1) == str(f)  # over 1, any rational is written as it is
 
 
@@ -469,6 +469,16 @@ def test_det_rejects_bad_shapes():
         int_det([])
     with pytest.raises(ValueError):
         int_det([[1, 1]])
+
+
+def test_det_refuses_entries_that_are_not_ints():
+    # Bareiss' floor division would take these without an error: the first
+    # two have determinants 1/4 and 11/4, not the 0 and 2 it would give
+    for m in ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
+              [[Fraction(3, 2), 1], [1, Fraction(5, 2)]],
+              [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match="determinant entries must be ints"):
+            int_det(m)
 
 
 def test_det_singular_matrix_is_zero():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
-from ishkit.exactmath import MultiPoly, UniPoly, int_det, vanishes_on
+from ishkit.exactmath import MultiPoly, UniPoly, int_det
 from ishkit.freeness import (
     Derivation,
     FactoredDerivation,
@@ -28,6 +29,7 @@ from ishkit.freeness import (
     _exchanged,
     _expand,
     _factored_is_log,
+    _off_point,
     _peel,
     _translation_and_euler,
     basis_derivations,
@@ -611,6 +613,14 @@ def verdict(constant_of, derivs, arr):
         return f"ValueError: {exc}"
 
 
+def routed(derivs, arr):
+    """``factored_saito_constant``'s verdict, and how many times it handed
+    the derivations on to ``saito_constant``."""
+    with mock.patch("ishkit.freeness.saito_constant", wraps=saito_constant) as general:
+        got = verdict(factored_saito_constant, derivs, arr)
+    return got, general.call_count
+
+
 def halved(theta):
     return tuple(None if comp is None else (comp[0] * Fraction(1, 2), comp[1]) for comp in theta)
 
@@ -624,16 +634,16 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     basis = factored_basis(nest)
     expanded = basis_by_products(nest)
     assert [expand(theta) for theta in basis] == basis_derivations(nest) == expanded
-    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-        c = factored_saito_constant(basis, arr)
-    assert not fallback.called  # the paper's basis multiplies no image out
+    c, handed_on = routed(basis, arr)
+    assert handed_on == 0  # the factors prove every check of the paper's basis
     assert isinstance(c, Fraction) and c != 0
     assert c == saito_constant(expanded, arr)
 
     k = rng.randrange(len(basis))
     mutated, oracle = list(basis), list(expanded)
     mutated[k], oracle[k] = halved(basis[k]), scaled(expanded[k], Fraction(1, 2))
-    assert factored_saito_constant(mutated, arr) == saito_constant(oracle, arr) == c / 2
+    assert routed(mutated, arr) == (c / 2, 0)
+    assert saito_constant(oracle, arr) == c / 2
 
     # drop the factor of one entry a from theta_k: its image on x1 - x_k = a z
     # no longer vanishes there
@@ -677,25 +687,27 @@ def one_plane():
     return arr, [((1, ()), (1, ()), None), (None, (1, ()), (1, ()))]
 
 
-def test_factored_log_check_falls_back_to_vanishes_on():
+def test_factored_saito_hands_what_the_factors_cannot_show_to_saito_constant():
     # On x1 - x2 + x3 = 0 the image x1 (x1 + 2 x3) - x2^2 + x3^2 restricts to
     # (x2 - x3)(x2 + x3) - x2^2 + x3^2: zero, but from three different
-    # products, so only the expanded image can tell.
+    # products, so the factors cannot show it and the general route decides.
     arr, along = one_plane()
+    alpha = arr.hyperplanes[0].coeffs
+    support = [(0, 1), (1, -1), (2, 1)]
     euler = tuple((1, (u,)) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     theta = ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))
-    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-        assert factored_saito_constant(along + [euler], arr) == 1
-        assert fallback.call_count == 0  # the Euler field's image sums to alpha itself
-        assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
-        assert fallback.call_count == 1
+    assert _factored_is_log(euler, alpha, support)  # its image sums to alpha itself
+    assert routed(along + [euler], arr) == (1, 1)  # shown, but no column has one nonzero entry
+    assert not _factored_is_log(theta, alpha, support)
+    assert log_by_expansion(theta, arr.hyperplanes[0])
+    assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
     assert saito_constant([expand(t) for t in along + [euler]], arr) == 1
     assert saito_constant([expand(t) for t in along + [theta]], arr) is None
     bent = theta[:2] + ((2, theta[2][1]),)
-    for route, derivs in ((factored_saito_constant, along + [bent]),
-                          (saito_constant, [expand(t) for t in along + [bent]])):
-        with pytest.raises(ValueError, match="logarithmic"):
-            route(derivs, arr)
+    assert not log_by_expansion(bent, arr.hyperplanes[0])
+    assert routed(along + [bent], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
+    with pytest.raises(ValueError, match="logarithmic"):
+        saito_constant([expand(t) for t in along + [bent]], arr)
 
 
 def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
@@ -703,18 +715,16 @@ def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
     # restricts to 2 x2: its summed linear form is no multiple of alpha.
     arr, along = one_plane()
     theta = tuple((1, (u,)) for u in ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
-    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-        with pytest.raises(ValueError, match="logarithmic"):
-            factored_saito_constant(along + [theta], arr)
-    assert not fallback.called
+    assert not _factored_is_log(theta, arr.hyperplanes[0].coeffs, [(0, 1), (1, -1), (2, 1)])
+    assert not log_by_expansion(theta, arr.hyperplanes[0])
+    assert routed(along + [theta], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
     with pytest.raises(ValueError, match="logarithmic"):
         saito_constant([expand(t) for t in along + [theta]], arr)
 
 
-def test_factored_log_check_sees_only_int_scalars():
+def test_factored_log_check_takes_fraction_scalars_as_they_are():
     nest = NestSpec.make([["1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"]])
     basis = factored_basis(nest)
-    assert any(type(comp[0]) is Fraction for theta in basis for comp in theta if comp)
     arr = cone(build_n_ish(nest))
     seen = set()
 
@@ -723,8 +733,9 @@ def test_factored_log_check_sees_only_int_scalars():
         return _factored_is_log(theta, alpha, support)
 
     with mock.patch("ishkit.freeness._factored_is_log", spy):
-        constant = factored_saito_constant(basis, arr)
-    assert seen == {int}
+        constant, handed_on = routed(basis, arr)
+    assert seen == {int, Fraction}
+    assert handed_on == 0
     assert constant == saito_constant([expand(t) for t in basis], arr) != 0
 
 
@@ -735,10 +746,9 @@ def test_factored_log_check_folds_the_contents():
     arr = Arrangement(3, [Hyperplane.make([2, -1, 0])])
     along = [((1, ()), (2, ()), None), (None, None, (1, ()))]
     theta = ((1, ((0, 0, 1), (1, 1, 0))), (3, ((0, 0, 1), (0, 1, 0))), None)
-    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-        assert factored_saito_constant(along + [theta], arr) is None  # degree sum 2 != 1
-    assert fallback.called
+    assert not _factored_is_log(theta, (2, -1, 0), [(0, 2), (1, -1)])
     assert is_log_derivation(expand(theta), arr)
+    assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
 
 
 def test_factored_saito_rejects_what_the_expanded_route_rejects():
@@ -756,13 +766,6 @@ def test_factored_saito_rejects_what_the_expanded_route_rejects():
         factored_saito_constant(along + [mixed], affine)
 
 
-def int_scalars(theta: FactoredDerivation) -> FactoredDerivation:
-    """``theta`` times the lcm of its scalar denominators, as
-    ``factored_saito_constant`` scales it before the log checks."""
-    m = lcm(*(Fraction(comp[0]).denominator for comp in theta if comp is not None))
-    return tuple(None if comp is None else (int(comp[0] * m), comp[1]) for comp in theta)
-
-
 def log_by_expansion(theta: FactoredDerivation, h: Hyperplane) -> bool:
     """The log check with no factored reasoning: the image multiplied out."""
     return is_log_derivation(expand(theta), Arrangement(len(theta), [h]))
@@ -773,19 +776,16 @@ def log_by_expansion(theta: FactoredDerivation, h: Hyperplane) -> bool:
 @example(ish_nest(5), random.Random(0))
 def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rng):
     arr = cone(build_n_ish(nest))
-    basis = [int_scalars(theta) for theta in factored_basis(nest)]
+    basis = factored_basis(nest)
     for h in arr.hyperplanes:
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
         for theta in basis:
-            with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-                got = _factored_is_log(theta, h.coeffs, support)
-            assert got is log_by_expansion(theta, h) is True
             # on x_s - x_t with 2 <= s < t <= l the exchange of x_s and x_t
-            # settles the two products that would otherwise be multiplied out
-            assert not fallback.called
+            # settles the two products the factors alone could not
+            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
 
     # the same exchanged factors under unequal scalars: the image does not
-    # vanish on x_s = x_t, and the check must fall through to find that out
+    # vanish on x_s = x_t, and the check does not claim it does
     if nest.ell >= 3:
         k = rng.randrange(3, nest.ell + 1)
         s, t = sorted(rng.sample(range(2, k + 1), 2))
@@ -800,19 +800,17 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
 
 def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
     # On x2 = x3: (x1 + x3)(x1 + x2) d/dx2 + (x1 + x2)(x1 + x3) d/dx3 has
-    # its x3 factors exchanged from its x2 factors, so it is settled with
-    # nothing multiplied out; the other fields fall through to the expansion
+    # its x3 factors exchanged from its x2 factors, so the exchange shows
+    # it; the other fields are not shown, and are not logarithmic either
     h = Hyperplane.make([0, 1, -1])
     support = [(1, 1), (2, -1)]
     exchanged = (None, (3, ((1, 0, 1), (1, 1, 0))), (3, ((1, 0, 1), (1, 1, 0))))
+    halves = (None, (Fraction(1, 2), exchanged[1][1]), (Fraction(1, 2), exchanged[2][1]))
     unequal = (None, (3, ((1, 0, 1), (1, 1, 0))), (6, ((1, 0, 1), (1, 1, 0))))
     skew = (None, (1, ((0, 1, 1), (1, 1, 0))), (1, ((0, 1, 1), (1, 0, 0))))
-    for theta, log, falls_back in ((exchanged, True, False), (unequal, False, True), (skew, False, True)):
-        with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-            got = _factored_is_log(theta, h.coeffs, support)
-        assert got is log_by_expansion(theta, h) is log
-        assert fallback.called is falls_back
-    # x2 = 2 x3 is no braid form: the exchange leaves it, so it falls through
+    for theta, log in ((exchanged, True), (halves, True), (unequal, False), (skew, False)):
+        assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is log
+    # x2 = 2 x3 is no braid form: the exchange leaves it, and it is not shown
     h = Hyperplane.make([0, 1, -2])
     assert _factored_is_log(exchanged, h.coeffs, [(1, 1), (2, -2)]) is log_by_expansion(exchanged, h) is False
 
@@ -850,16 +848,23 @@ def products_on_a_plane(draw):
 @given(products_on_a_plane())
 @example(((1, -1, 1), ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))))
 @example(((2, -1, 0), ((1, ((0, 0, 1), (1, 1, 0))), (2, ((0, 0, 1), (1, 1, 0))), None)))
-def test_factored_log_check_on_products_matches_the_expansion(case):
+def test_factored_log_check_on_products_implies_the_expansion(case):
     alpha, theta = case
     support = [(k, a) for k, a in enumerate(alpha) if a]
-    with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-        got = _factored_is_log(theta, alpha, support)
-    assert got is log_by_expansion(theta, Hyperplane(alpha, 0))
+    h = Hyperplane(alpha, 0)
+    got = _factored_is_log(theta, alpha, support)
+    if got:
+        assert log_by_expansion(theta, h)
     if all(theta[k] is None or alpha in theta[k][1] for k, _ in support):
-        assert got and not fallback.called  # every term picked out has alpha as a factor
-    elif len(support) != 2:  # no braid form, so no exchange: the image is multiplied out
-        assert fallback.call_count == 1
+        assert got  # every term picked out has alpha as a factor
+    elif len(support) != 2:  # no braid form, so no exchange: a product it cannot read
+        assert not got
+    # end to end, beside the Euler field: the same constant, None or error
+    # as the general route, which it reaches exactly when the check is not shown
+    n = len(alpha)
+    euler = tuple((1, (tuple(int(i == k) for i in range(n)),)) for k in range(n))
+    derivs, arr = [theta] + [euler] * (n - 1), Arrangement(n, [h])
+    assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(not got))
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
@@ -959,29 +964,46 @@ def test_the_factored_basis_and_the_exchange_match_the_forms(nest):
         comps = [comp for comp in theta if comp is not None]
         for s, t in itertools.combinations(range(1, len(comps) + 1), 2):
             assert _exchanged(theta[s][1], s, t) == theta[t][1]
-    # the log check on each braid form x_s - x_t ends by the exchange
+    # the factors show every log check, each braid form x_s - x_t by the exchange
     arr = cone(build_n_ish(nest))
     for h in arr.hyperplanes:
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
         for theta in oracle:
-            with mock.patch("ishkit.freeness.vanishes_on", wraps=vanishes_on) as fallback:
-                got = _factored_is_log(int_scalars(theta), h.coeffs, support)
-            assert got is log_by_expansion(theta, h) is True
-            assert not fallback.called
+            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
 
 
-def point_route(derivs, arr):
-    """``factored_saito_constant`` with the peel turned off: the determinant
-    at ``_off_point``'s point, as every basis took it before the peel."""
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=6), NON_CHAIN_NESTS)
+@example(ish_nest(10), NestSpec.make([["1/2", 1], [0, "3/2"], [1]]))
+@example(ish_nest(6), NestSpec.make([[0], [1], [2]]))
+def test_no_certificate_basis_reaches_saito_constant(nest, other):
+    with mock.patch("ishkit.freeness.saito_constant", wraps=saito_constant) as general:
+        assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
+        assert verify_nonfree_witness(other, decide_free(other).witness)
+    assert not general.called
+
+
+def unpeeled(derivs, arr):
+    """``routed`` with the peel turned off, so the matrix is handed on."""
     with mock.patch("ishkit.freeness._peel", return_value=None):
-        return factored_saito_constant(derivs, arr)
+        return routed(derivs, arr)
 
 
-def peeled(derivs, arr):
-    """``factored_saito_constant`` and whether it took the determinant at a point."""
-    with mock.patch("ishkit.freeness.int_det", wraps=int_det) as det:
-        c = factored_saito_constant(derivs, arr)
-    return c, det.called
+def factored_point_route(derivs, arr):
+    """The determinant step ``factored_saito_constant`` took for a matrix that
+    did not peel before it handed such matrices to ``saito_constant``: each
+    derivation scaled by the lcm of its scalar denominators, its components'
+    values at ``_off_point``'s point from integer dot products, and ``int_det``,
+    the scales divided back out.  The log and degree hypotheses are assumed."""
+    point, q = _off_point(arr)
+    scale, rows = 1, []
+    for theta in derivs:
+        m = lcm(*(Fraction(comp[0]).denominator for comp in theta if comp is not None))
+        scale *= m
+        rows.append([0 if comp is None else int(comp[0] * m) * prod(sum(map(mul, f, point)) for f in comp[1])
+                     for comp in theta])
+    det = int_det(rows)
+    return Fraction(det, q) / scale if det else None
 
 
 def unnormalized(theta, k):
@@ -997,8 +1019,9 @@ def unnormalized(theta, k):
 def test_the_peeled_constant_is_the_point_routes(nest, rng):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
-    c, at_point = peeled(basis, arr)
-    assert not at_point and c == point_route(basis, arr) and c != 0
+    c, handed_on = routed(basis, arr)
+    assert handed_on == 0 and c != 0
+    assert unpeeled(basis, arr) == (c, 1) and factored_point_route(basis, arr) == c
     n = arr.dim
     # the paper's basis peels Euler at z, the translation at x1, theta_k at x_k
     assert _peel(basis) == [0, n - 1, *range(1, n - 1)]
@@ -1007,17 +1030,17 @@ def test_the_peeled_constant_is_the_point_routes(nest, rng):
     rng.shuffle(order)
     permuted = [basis[i] for i in order]
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    c_perm, at_point = peeled(permuted, arr)
-    assert not at_point and c_perm == sign * c == point_route(permuted, arr)
+    assert routed(permuted, arr) == (sign * c, 0)
+    assert unpeeled(permuted, arr) == (sign * c, 1) and factored_point_route(permuted, arr) == sign * c
 
     # a pivot's factor written as twice A's form: the multisets differ, so
-    # the point route decides, with the same constant
+    # the general route decides, with the same constant
     k = rng.choice([i for i in range(2, n) if basis[i][i - 1][1]] or [1])
     pivot = n - 1 if k == 1 else k - 1
     mutated = list(basis)
     mutated[k] = unnormalized(basis[k], pivot)
     assert expand(mutated[k]) == expand(basis[k])
-    assert peeled(mutated, arr) == (c, True)
+    assert routed(mutated, arr) == (c, 1) and factored_point_route(mutated, arr) == c
 
 
 def witness_basis(nest: NestSpec, i: int, j: int):
@@ -1037,27 +1060,26 @@ def test_the_witness_basis_peels(sets):
     deleted, basis = witness_basis(nest, w.i, w.j)
     # Euler at z, the translation at x1, then phi2 at x2 and phi3 at x3
     assert _peel(basis) == [0, 3, 1, 2]
-    c, at_point = peeled(basis, deleted)
-    assert not at_point and c == point_route(basis, deleted) != 0
-    with mock.patch("ishkit.freeness.int_det", wraps=int_det) as det:
-        assert verify_nonfree_witness(nest, w)
-    assert not det.called
-    # one pivot factor unnormalized: the point route, the same constant
+    c, handed_on = routed(basis, deleted)
+    assert handed_on == 0 and c != 0
+    assert unpeeled(basis, deleted) == (c, 1) and factored_point_route(basis, deleted) == c
+    # one pivot factor unnormalized: the general route, the same constant
     mutated = basis[:3] + [unnormalized(basis[3], 2)]
-    assert peeled(mutated, deleted) == (c, True)
+    assert routed(mutated, deleted) == (c, 1) and factored_point_route(mutated, deleted) == c
 
 
 def test_a_matrix_that_does_not_peel_takes_the_point_route():
+    # the general route's point, as the factored route once took it itself
     # Euler and (x^2, y^2) on xy(x - y): det = x y^2 - y x^2 = -Q, and each
     # column has two nonzero entries
     arr = Arrangement(2, [Hyperplane.make([1, 0]), Hyperplane.make([0, 1]), Hyperplane.make([1, -1])])
     euler = ((1, ((1, 0),)), (1, ((0, 1),)))
     squares = ((1, ((1, 0), (1, 0))), (1, ((0, 1), (0, 1))))
     assert _peel([euler, squares]) is None
-    assert peeled([euler, squares], arr) == (-1, True)
-    assert peeled([squares, euler], arr) == (1, True)
+    for derivs, c in (([euler, squares], -1), ([squares, euler], 1), ([unnormalized(euler, 0), squares], -1)):
+        assert routed(derivs, arr) == (c, 1)
+        assert factored_point_route(derivs, arr) == c
     assert saito_constant([expand(euler), expand(squares)], arr) == -1
-    assert peeled([unnormalized(euler, 0), squares], arr) == (-1, True)
 
 
 # -- the oracles of the integer nest form: the nest readers on Fraction entries --
