@@ -7,12 +7,12 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
 * ``MultiPoly`` -- a sparse multivariate polynomial stored as a map
   ``terms`` from monomial keys to nonzero rational coefficients.  A
   coefficient is held as a Python ``int`` when it is integral and as a
-  ``fractions.Fraction`` only when it is not, so products, sums, the
-  linear-ideal test and integer-point values of integer polynomials
-  never leave ``int`` arithmetic.  The canonical term order is graded
-  lexicographic with earlier variables larger (for coned arrangements
-  the variables read ``x1 > x2 > ... > xl > z``); it drives printing,
-  so all output is deterministic.
+  ``fractions.Fraction`` only when it is not, so products, sums and
+  integer-point values of integer polynomials never leave ``int``
+  arithmetic.  The canonical term order is graded lexicographic with
+  earlier variables larger (for coned arrangements the variables read
+  ``x1 > x2 > ... > xl > z``); it drives printing, so all output is
+  deterministic.
 
   A monomial key is one ``int`` that packs the total degree and the
   exponents into 16-bit fields, degree first:
@@ -34,13 +34,15 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
   polynomials.
 
 ``vanishes_on`` decides whether a polynomial lies in the ideal of a
-linear form, and ``int_det`` is the exact determinant of an integer
-matrix; it refuses any entry that is not an ``int``.  Only
-``freeness.saito_constant``, the general Saito route, calls it, on
-``MultiPoly.evaluate``'s values, by plain powers, of each component of
-each ``freeness.Derivation`` tuple at one integer point.  The request
-path's ``freeness.factored_saito_constant`` reads the determinant off
-the factors of a matrix that peels, as both certificates' bases do.
+linear form by restricting it to the hyperplane, and ``int_det`` is the
+exact determinant of an integer matrix; it refuses any entry that is not
+an ``int``.  Only ``freeness.saito_constant``, the general Saito route,
+calls it: the components of each ``freeness.Derivation`` tuple are
+evaluated at one integer point (``MultiPoly.evaluate``, by plain
+powers), and each row of values is cleared of its denominators
+(``clear_denominators``) after evaluation.  The request path's
+``freeness.factored_saito_constant`` reads the determinant off the
+factors of a matrix that peels, as both certificates' bases do.
 
 JSON forms (shared with the command line surface, which writes the
 ``MultiPoly`` records itself):
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
@@ -143,13 +145,6 @@ def rational_str(num: Scalar, den: int) -> str:
 def _exact(c: Scalar) -> Scalar:
     """The coefficient as an ``int`` when integral, else as a Fraction."""
     return c.numerator if c.denominator == 1 else c
-
-
-def _nonzero(terms: dict[int, Scalar]) -> dict[int, Scalar]:
-    """The nonzero entries, with each integral coefficient as an ``int``."""
-    if Fraction in set(map(type, terms.values())):
-        return {k: _exact(c) for k, c in terms.items() if c}
-    return {k: c for k, c in terms.items() if c}
 
 
 _FIELD = 16  # bits per field of a monomial key; see the module docstring
@@ -332,12 +327,6 @@ class MultiPoly:
         return o + (-self)
 
     def __mul__(self, other: object) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            res = MultiPoly(self.nvars)
-            if other != 0:
-                q = _exact(other)
-                res.terms = {k: _exact(c * q) for k, c in self.terms.items()}
-            return res
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -347,18 +336,11 @@ class MultiPoly:
             # two degrees, so no field carries into the next; the sum of
             # the two largest keys holds the product's degree.
             _check_degree(max(self.terms) + max(o.terms), self.nvars)
-            # The larger factor runs in the inner loop, and the first term
-            # of the smaller one fills ``out`` in a single comprehension.
-            small, big = sorted((self.terms, o.terms), key=len)
-            items = big.items()
-            (k2, c2), *others = small.items()
-            out = {k1 + k2: c1 * c2 for k1, c1 in items}
-            get = out.get
-            for k2, c2 in others:
-                for k1, c1 in items:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-            res.terms = _nonzero(out)
+            out: dict[int, Scalar] = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in o.terms.items():
+                    out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+            res.terms = {k: _exact(c) for k, c in out.items() if c}
         return res
 
     __rmul__ = __mul__
@@ -440,15 +422,12 @@ def vanishes_on(f: MultiPoly, coeffs: Sequence[Scalar]) -> bool:
 
     Let ``x_p`` be the first variable with a nonzero coefficient, the
     leading monomial of ``alpha`` in graded lex.  The remainder of ``f``
-    modulo ``alpha`` is then ``f`` with ``x_p := L``, where
-    ``L = -sum_{k > p} (coeffs[k] / coeffs[p]) * x_k``.  It is free of
-    ``x_p``, so ``f`` is in the ideal ``(alpha)`` exactly when it is zero.
-    The terms of ``f`` are grouped by their ``x_p`` exponent ``e``, with
-    ``x_p^e`` stripped from each key, and the remainder is summed by
-    Horner from the top exponent ``E`` down: ``r <- r * L + g_e``.  To
-    keep integer input in ``int`` arithmetic, the sum runs on
-    ``coeffs[p]**E`` times the remainder: ``L`` without its denominator
-    ``coeffs[p]``, and ``g_e`` times ``coeffs[p]**(E - e)``.
+    modulo ``alpha`` is then its restriction to ``alpha = 0``: ``f`` with
+    ``x_p := L``, where ``L = -sum_{k > p} (coeffs[k] / coeffs[p]) * x_k``.
+    It is free of ``x_p``, so ``f`` is in the ideal ``(alpha)`` exactly
+    when it is zero.  With ``f = sum_e g_e * x_p^e`` and no ``x_p`` in any
+    ``g_e``, the restriction is summed by Horner from the top exponent
+    down: ``r <- r * L + g_e``.
     """
     n = f.nvars
     if len(coeffs) != n:
@@ -456,27 +435,16 @@ def vanishes_on(f: MultiPoly, coeffs: Sequence[Scalar]) -> bool:
     p = next((k for k, a in enumerate(coeffs) if a), None)
     if p is None:
         raise ValueError("a linear form needs a nonzero coefficient")
+    subst = MultiPoly.linear([0] * (p + 1) + [Fraction(-a, coeffs[p]) for a in coeffs[p + 1:]])
     shift, degree_shift = _FIELD * (n - 1 - p), _FIELD * n
-    subst = {  # L times coeffs[p]
-        (1 << degree_shift | 1 << (_FIELD * (n - 1 - k))): -a
-        for k, a in enumerate(coeffs)
-        if k > p and a
-    }
-    groups: dict[int, dict[int, Scalar]] = {}
+    groups: defaultdict[int, MultiPoly] = defaultdict(lambda: MultiPoly(n))
     for key, c in f.terms.items():
-        e = key >> shift & _MASK
-        groups.setdefault(e, {})[key - (e << shift) - (e << degree_shift)] = c
-    rem: dict[int, Scalar] = {}
-    scale = 1
+        e = key >> shift & _MASK  # the exponent of x_p, stripped from the key
+        groups[e].terms[key - (e << shift) - (e << degree_shift)] = c
+    rem = MultiPoly(n)
     for e in range(max(groups, default=0), -1, -1):
-        out = {k: c * scale for k, c in groups.get(e, {}).items()}
-        for k1, c1 in rem.items():
-            for k2, c2 in subst.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        rem = {k: c for k, c in out.items() if c}
-        scale *= coeffs[p]
-    return not rem
+        rem = rem * subst + groups.get(e, 0)
+    return rem.is_zero
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

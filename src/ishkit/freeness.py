@@ -54,17 +54,19 @@ handed to ``saito_constant`` on the derivations multiplied out.
 Neither certificate's basis is handed on.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
-are the one general route and the oracle of the tests.  They form each
-image with ``MultiPoly``'s own ``*`` and ``+``, restrict it to the
-hyperplane with ``exactmath.vanishes_on``, and take the determinant at
-one point off the arrangement with ``exactmath.int_det``.
+are the one general route and the oracle of the tests, in plain exact
+arithmetic.  They form each image with ``MultiPoly``'s own ``*`` and
+``+``, restrict it to the hyperplane by the rational substitution of
+``exactmath.vanishes_on``, evaluate the derivations at one point off the
+arrangement, and take ``exactmath.int_det`` of the rows of values, each
+cleared of its denominators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
@@ -74,6 +76,7 @@ from .exactmath import (
     Scalar,
     _check_degree,
     _exact,
+    clear_denominators,
     int_det,
     poly_str,
     vanishes_on,
@@ -148,10 +151,7 @@ def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction |
     """The constant c with det = c * Q(A), or None when there is none.
 
     Checks Saito's criterion exactly, in its degree form (Orlik-Terao
-    1992, section 4.2).  Each derivation is first scaled by the lcm of its
-    coefficient denominators, so the coefficient matrix has integer
-    entries at an integer point; that scale is divided back out of the
-    returned constant.  The hypotheses are:
+    1992, section 4.2).  The hypotheses are:
 
     * every derivation is logarithmic (else ``ValueError``), so ``Q(A)``
       divides the determinant of the coefficient matrix;
@@ -163,31 +163,27 @@ def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction |
     Under them the determinant is ``c * Q(A)`` for a constant ``c``, so
     one point ``p`` with ``Q(p) != 0`` decides it exactly:
     ``c = det M(p) / Q(p)``, and the derivations form a basis exactly
-    when ``c != 0``.
+    when ``c != 0``.  Each row of ``M(p)`` is cleared of its denominators
+    for ``int_det``, and their product is divided back out of ``c``.
     """
     n = arr.dim
     if len(derivs) != n:
         raise ValueError("need exactly ambient-dimension many derivations")
     if not all(_one_per_variable(theta, n) for theta in derivs):
         raise ValueError("need exactly one component per variable")
-    scale = 1
-    scaled = []
     for theta in derivs:
-        m = lcm(*(c.denominator for comp in theta for c in comp.terms.values()))
-        scaled.append(theta if m == 1 else tuple(comp * m for comp in theta))
-        scale *= m
-    for theta in scaled:
         if not is_log_derivation(theta, arr):
             raise ValueError("all derivations must be logarithmic for the arrangement")
-    if any(all(comp.is_zero for comp in theta) for theta in scaled):
+    if any(all(comp.is_zero for comp in theta) for theta in derivs):
         return None
-    if sum(map(_degree, scaled)) != len(arr):
+    if sum(map(_degree, derivs)) != len(arr):
         return None
     point, q = _off_point(arr)
-    det = int_det([[comp.evaluate(point) for comp in theta] for theta in scaled])
+    rows, dens = zip(*(clear_denominators([comp.evaluate(point) for comp in theta]) for theta in derivs))
+    det = int_det(rows)
     if det == 0:
         return None
-    return Fraction(det, q) / scale
+    return Fraction(det, q * prod(dens))
 
 
 def saito_verify(derivs: Sequence[Derivation], arr: Arrangement) -> bool:
@@ -405,7 +401,8 @@ def factored_saito_constant(
     """``saito_constant`` of the expanded derivations, proved on the factors.
 
     The same hypotheses are checked in the same order, with the same
-    errors.  The log checks run hyperplane by hyperplane: the nonzero
+    errors.  A term whose scalar is 0 is read as a zero component, as its
+    expansion is.  The log checks run hyperplane by hyperplane: the nonzero
     coordinates of each ``alpha_H`` are found once, and each derivation is
     checked on the factors of just those components (``_factored_is_log``).
     A product of linear forms is homogeneous, so a derivation is
@@ -428,6 +425,7 @@ def factored_saito_constant(
         raise ValueError("need exactly one component per variable")
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
+    derivs = [tuple(comp if comp and comp[0] else None for comp in theta) for theta in derivs]
     for h in arr.hyperplanes:
         alpha = h.coeffs
         support = [(k, a) for k, a in enumerate(alpha) if a]

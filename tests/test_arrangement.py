@@ -267,6 +267,30 @@ def test_from_spec_shapes():
     assert ps.arrangement == build_named("coxeter", 3)
 
 
+@pytest.mark.parametrize("coned", [False, True])
+def test_the_hyperplane_order_of_every_spec_kind(coned):
+    # each hyperplane x_i - x_j = c as (i, j, c), in the order README states
+    braid = [(1, 2, 0), (1, 3, 0), (2, 3, 0)]
+    cases = (
+        ({"type": "coxeter", "ell": 3}, braid),
+        ({"type": "shi", "ell": 3}, braid + [(1, 2, 1), (1, 3, 1), (2, 3, 1)]),
+        ({"type": "ish", "ell": 3}, braid + [(1, 2, 1), (1, 3, 1), (1, 3, 2)]),
+        ({"type": "deleted_shi", "ell": 3, "edges": [[2, 3], [1, 2]]}, braid + [(1, 2, 1), (2, 3, 1)]),
+        ({"type": "deleted_ish", "ell": 3, "edges": [[2, 3], [1, 3]]}, braid + [(1, 3, 1), (1, 3, 2)]),
+        ({"type": "n_ish", "N": [["1/2", 0], [2, -1]]},
+         [(1, 2, 0), (1, 2, Fraction(1, 2)), (1, 3, -1), (1, 3, 2), (2, 3, 0)]),
+    )
+    for spec, planes in cases:
+        forms = [([int(k == i) - int(k == j) for k in (1, 2, 3)], c) for i, j, c in planes]
+        if coned:
+            expected = [h([0, 0, 0, 1])] + [h(coeffs + [-c]) for coeffs, c in forms]
+        else:
+            expected = [h(coeffs, c) for coeffs, c in forms]
+        assert from_spec({**spec, "cone": coned}).arrangement.hyperplanes == tuple(expected)
+    # a duplicate keeps its first place
+    assert Arrangement(2, [h([1, -1], 1), h([1, -1]), h([-1, 1], -1)]).hyperplanes == (h([1, -1], 1), h([1, -1]))
+
+
 def test_from_spec_builds_nothing_and_each_read_builds_the_arrangement(monkeypatch):
     calls = []
 

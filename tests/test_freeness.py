@@ -578,6 +578,65 @@ def test_saito_constant_matches_division_reference(nest, rng):
         assert all(type(entry) is int for row in matrix for entry in row)
 
 
+def saito_constant_by_scaling(derivs, arr):
+    """``saito_constant`` computed on scaled polynomials: each derivation
+    multiplied by the lcm of its coefficient denominators, the hypotheses
+    checked on the scaled derivations, ``int_det`` of their values at
+    ``_off_point``'s point, and the scales divided back out of the constant."""
+    n = arr.dim
+    if len(derivs) != n:
+        raise ValueError("need exactly ambient-dimension many derivations")
+    if not all(len(theta) == n and all(comp.nvars == n for comp in theta) for theta in derivs):
+        raise ValueError("need exactly one component per variable")
+    scale, scaled_derivs = 1, []
+    for theta in derivs:
+        m = lcm(*(c.denominator for comp in theta for c in comp.terms.values()))
+        scaled_derivs.append(scaled(theta, m))
+        scale *= m
+    if not all(is_log_derivation(theta, arr) for theta in scaled_derivs):
+        raise ValueError("all derivations must be logarithmic for the arrangement")
+    if any(all(comp.is_zero for comp in theta) for theta in scaled_derivs):
+        return None
+    if sum(map(_degree, scaled_derivs)) != len(arr):
+        return None
+    point, q = _off_point(arr)
+    det = int_det([[comp.evaluate(point) for comp in theta] for theta in scaled_derivs])
+    return Fraction(det, q) / scale if det else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(), st.randoms(use_true_random=False))
+@example(NestSpec.make([["1/2"], ["1/2", "3/2"]]), random.Random(0))
+def test_saito_constant_matches_the_polynomial_scaling_oracle(nest, rng):
+    arr = cone(build_n_ish(nest))
+    derivs = basis_derivations(nest)
+    c = saito_constant(derivs, arr)
+    assert c == saito_constant_by_scaling(derivs, arr) != 0
+
+    def rational():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 5, 7]))
+
+    # every field over denominators of its own
+    factors = [rational() for _ in derivs]
+    fields = [scaled(theta, f) for theta, f in zip(derivs, factors)]
+    assert saito_constant(fields, arr) == c * prod(factors) == saito_constant_by_scaling(fields, arr)
+
+    k = rng.randrange(1, len(fields))
+    j = rng.randrange(k)
+    alpha = form(rng.choice(arr.hyperplanes))
+    s = rng.choice([i for i, comp in enumerate(fields[k]) if not comp.is_zero])
+    cases = {
+        "repeated": scaled(fields[j], rational()),
+        "zero": (MultiPoly.zero(arr.dim),) * arr.dim,
+        "raised": scaled(tuple(comp * alpha for comp in fields[k]), rational()),
+        "one component": tuple(comp * rational() if i == s else comp for i, comp in enumerate(fields[k])),
+        "mixed": tuple(a + b for a, b in zip(fields[k], fields[j])),
+    }
+    for name, theta in cases.items():
+        mutated = fields[:k] + [theta] + fields[k + 1:]
+        assert verdict(saito_constant, mutated, arr) == verdict(saito_constant_by_scaling, mutated, arr), name
+
+
 # -- the factored route: differential tests against the expanded one ----
 
 
@@ -1080,6 +1139,46 @@ def test_a_matrix_that_does_not_peel_takes_the_point_route():
         assert routed(derivs, arr) == (c, 1)
         assert factored_point_route(derivs, arr) == c
     assert saito_constant([expand(euler), expand(squares)], arr) == -1
+
+
+def test_a_zero_scalar_is_a_zero_component():
+    # the coordinate axes of the plane: the Euler field, and y d/dy with its
+    # x component written as the scalar 0
+    arr = Arrangement(2, [Hyperplane.make([1, 0]), Hyperplane.make([0, 1])])
+    euler = ((1, ((1, 0),)), (1, ((0, 1),)))
+    for second, c in ((((0, ()), (1, ((0, 1),))), 1), (((0, ()), (0, ((0, 1),))), None)):
+        assert routed([euler, second], arr) == (c, 0)
+        assert saito_constant([expand(euler), expand(second)], arr) == c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(), st.randoms(use_true_random=False))
+@example(ish_nest(3), random.Random(0))
+def test_zero_scalars_give_the_expanded_routes_verdict(nest, rng):
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    places = [(i, k) for i, theta in enumerate(basis) for k, comp in enumerate(theta) if comp is not None]
+    zeroed = [list(theta) for theta in basis]
+    for i, k in rng.sample(places, min(len(places), rng.choice([1, 2, 3]))):
+        zeroed[i][k] = (0, zeroed[i][k][1])
+    zeroed = [tuple(theta) for theta in zeroed]
+    assert verdict(factored_saito_constant, zeroed, arr) == verdict(saito_constant, [expand(t) for t in zeroed], arr)
+
+    # zero terms of any degree in place of zero components change nothing
+    c = factored_saito_constant(basis, arr)
+    forms = [h.coeffs for h in arr.hyperplanes]
+    padded = [
+        tuple((0, tuple(sorted(rng.choices(forms, k=rng.randrange(4))))) if comp is None else comp for comp in theta)
+        for theta in basis
+    ]
+    assert routed(padded, arr) == (c, 0)
+    assert saito_constant([expand(theta) for theta in padded], arr) == c
+
+    # a field whose every term has the scalar 0 is the zero field
+    k = rng.randrange(len(basis))
+    zeroed = list(basis)
+    zeroed[k] = tuple(None if comp is None else (0, comp[1]) for comp in basis[k])
+    assert routed(zeroed, arr) == (None, 0)
 
 
 # -- the oracles of the integer nest form: the nest readers on Fraction entries --
