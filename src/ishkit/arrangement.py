@@ -396,6 +396,8 @@ class ParsedSpec(NamedTuple):
 
 
 SPEC_KINDS = ("coxeter", "shi", "ish", "n_ish", "deleted_shi", "deleted_ish")
+# The keys of a spec that only other types read; the named types refuse "N" and "edges".
+_KEYS_READ_ELSEWHERE = {"n_ish": ("ell", "edges"), "deleted_shi": ("N",), "deleted_ish": ("N",)}
 # Bounds the ell^2 work of an Ish-type graph: the staircase nest of an ish or
 # deleted_ish spec, built while parsing, and the pairwise test of graphs.
 GRAPH_MAX_ELL = 1000
@@ -417,15 +419,21 @@ def from_spec(spec: dict) -> ParsedSpec:
         {"type": "n_ish", "N": [[0, 1], ["0", "1/2"]]}
         {"type": "deleted_ish" | "deleted_shi", "ell": 4, "edges": [[1, 2]]}
 
-    plus an optional ``"cone": true`` on any of them.  An ``ish`` or
-    ``deleted_ish`` spec past ``GRAPH_MAX_ELL`` is a ``CapacityError``,
-    raised after the other checks and before its nest is built.
+    plus an optional ``"cone": true`` on any of them.  A key that another
+    type reads (``ell`` on ``n_ish``, ``N`` off it, ``edges`` off the
+    deleted types) is a ``ValueError`` naming it, not dropped; a key that
+    no type reads is ignored.  An ``ish`` or ``deleted_ish`` spec past
+    ``GRAPH_MAX_ELL`` is a ``CapacityError``, raised after the other checks
+    and before its nest is built.
     """
     if not isinstance(spec, dict):
         raise ValueError("arrangement spec must be a JSON object")
     kind = spec.get("type")
     if kind not in SPEC_KINDS:
         raise ValueError(f"unknown arrangement type {_shown(kind)}")
+    for key in _KEYS_READ_ELSEWHERE.get(kind, ("N", "edges")):
+        if key in spec:
+            raise ValueError(f"{kind} spec takes no key {key!r}")
     nest: NestSpec | None = None
     graph: Graph | None = None
     if kind == "n_ish":

@@ -23,13 +23,12 @@ from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import Chamber, canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
 from .errors import CapacityError
 from .exactmath import (
-    _FIELD,
-    _MASK,
     MultiPoly,
     UniPoly,
     _shown,
     default_names,
     format_rational,
+    poly_json_str,
     rational_str,
     unipoly_factored_str,
     unipoly_str,
@@ -350,37 +349,6 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def _render_poly(p: MultiPoly, pad: str, memo: dict) -> str:
-    """``p`` as ``json.dumps`` writes its term records at the indent ``pad``.
-
-    A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``,
-    the coefficient in ``format_rational``'s form but written inline, as a
-    call per term costs a few percent of a ``basis`` answer.  The terms run
-    in descending graded-lex order, that is descending packed key, and
-    each exponent is read off the key by shift and mask.  The
-    polynomials of one answer repeat their monomials, so each exponent list
-    is written once and read back from ``memo``, one dict of them per
-    ``nvars`` and ``pad``, the two things besides the key that it holds.
-    """
-    terms = p.terms
-    if not terms:
-        return "[]"
-    inner = pad + "  "
-    field = inner + "  "
-    sep = "," + field + "  "
-    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
-    exps = memo.setdefault((p.nvars, pad), {})
-    records = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
-        exp = exps.get(key)
-        if exp is None:
-            written = sep.join([str(key >> s & _MASK) for s in shifts])
-            exp = exps[key] = f"[{field}  {written}{field}]" if shifts else "[]"
-        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exp}{inner}}}')
-    return "[" + inner + ("," + inner).join(records) + pad + "]"
-
-
 def _witness_coordinates(
     chambers: list[Chamber], write: Callable[[int, int], str]
 ) -> Iterator[tuple[Chamber, list[str]]]:
@@ -421,12 +389,13 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
     ``pad`` is the newline and indent of the enclosing line, and ``memo``
-    the exponent lists ``_render_poly`` has written so far in this value
-    (a new one when None).  Only the
-    types the handlers emit are rendered: dicts with str keys, lists, str,
-    int, bool and None, and two leaves written straight from their integer
-    form -- a ``MultiPoly`` as its list of term records and a ``Chamber``
-    as its signs and witness.  A list of chambers alone is written in one
+    the exponent lists ``exactmath.poly_json_str`` has written so far in
+    this value (a new one when None).  Only the types the handlers emit
+    are rendered: dicts with str keys, lists, str, int, bool and None, and
+    two leaves written straight from their integer form -- a ``MultiPoly``
+    as its list of term records, by ``exactmath.poly_json_str``, which
+    alone reads the packed keys, and a ``Chamber`` as its signs and
+    witness.  A list of chambers alone is written in one
     pass of ``_chamber_records``, which writes each distinct coordinate
     once.  Any other type is a ``TypeError`` naming it.
     """
@@ -442,7 +411,7 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     if memo is None:
         memo = {}
     if kind is MultiPoly:
-        return _render_poly(value, pad, memo)
+        return poly_json_str(value, pad, memo)
     if kind is Chamber:
         return _chamber_records([value], pad)[0]
     inner = pad + "  "
@@ -488,7 +457,11 @@ def run(req: AnalysisRequest) -> str:
 def main(argv: list[str] | None = None) -> int:
     import argparse  # only the command line needs it: kept off the import of this module
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # a usage error is bad input, as any other
+            raise ValueError(message)
+
+    parser = Parser(
         prog="ishkit",
         description="Exact analysis of nested and deleted difference arrangements.",
     )
@@ -497,9 +470,9 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="spec file (defaults to stdin)")
         p.add_argument("--format", choices=("text", "json"), dest="fmt")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.spec:
             with open(args.spec, encoding="utf-8") as fh:
                 raw = fh.read()

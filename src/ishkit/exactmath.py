@@ -26,8 +26,10 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
   ``5/2 * x1^2 * x3`` is the entry ``3 << 48 | 2 << 32 | 1 ->
   Fraction(5, 2)``.  Exponent tuples appear only at the edges: the
   constructors read them, and ``sorted_terms`` and ``poly_str`` write
-  them; the command line's JSON writer reads each exponent off the key
-  by shift and mask.
+  them; the JSON writer ``poly_json_str`` reads each exponent off the
+  key by shift and mask.  ``MultiPoly.product`` is the one constructor
+  from linear forms: ``const``, ``variable`` and ``linear`` are each one
+  call of it.  No other module reads or writes a key.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -44,8 +46,8 @@ powers), and each row of values is cleared of its denominators
 ``freeness.factored_saito_constant`` reads the determinant off the
 factors of a matrix that peels, as both certificates' bases do.
 
-JSON forms (shared with the command line surface, which writes the
-``MultiPoly`` records itself):
+JSON forms (shared with the command line surface; ``poly_json_str``
+writes the ``MultiPoly`` records):
 
 * rational   -> ``"num/den"`` string
 * UniPoly    -> ascending list of rationals (``[]`` is the zero poly)
@@ -207,28 +209,55 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        res = cls(nvars)
-        if value:
-            res.terms = {0: _exact(value)}  # the constant monomial packs to the key 0
-        return res
+        return cls.product(nvars, value, ())
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
-        exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exp: 1})
+        return cls.product(nvars, 1, [[int(i == index) for i in range(nvars)]])
 
     @classmethod
     def linear(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
         """The linear form ``sum(coeffs[k] * x_k)`` in ``len(coeffs)`` variables."""
-        n = len(coeffs)
-        res = cls(n)
-        res.terms = {
-            1 << (_FIELD * n) | 1 << (_FIELD * (n - 1 - k)): _exact(c)
-            for k, c in enumerate(coeffs)
-            if c
-        }
+        return cls.product(len(coeffs), 1, [coeffs])
+
+    @classmethod
+    def product(cls, nvars: int, scalar: Scalar, factors: Sequence[Sequence[Scalar]]) -> "MultiPoly":
+        """``scalar`` times the product of the linear forms ``factors``, each
+        a sequence of ``nvars`` coefficients, multiplied out in one dict.
+
+        The one constructor from linear forms.  Each factor multiplies the
+        terms so far by its nonzero coordinates, a coordinate ``k`` moving
+        each key by the key of ``x_k``, so no ``MultiPoly`` is built between
+        factors.  A product of linear forms has degree its factor count, so
+        the degree is checked once, first.  With ``int`` forms the terms stay
+        ``int`` until the scalar multiplies them.  A zero scalar or a zero
+        form gives the zero polynomial.
+        """
+        res = cls(nvars)
+        top = _FIELD * nvars
+        _check_degree(len(factors) << top, nvars)
+        if not scalar:
+            return res
+        terms: dict[int, Scalar] = {0: 1}
+        for f in factors:
+            steps = [(1 << top | 1 << (top - _FIELD * (k + 1)), a) for k, a in enumerate(f) if a]
+            if not steps:
+                return res
+            (s0, a0), *rest = steps
+            items = terms.items()
+            out = {key + s0: c * a0 for key, c in items}
+            get = out.get
+            for step, a in rest:
+                for key, c in items:
+                    k = key + step
+                    out[k] = get(k, 0) + c * a
+            terms = out
+        if scalar == 1:  # the terms of int forms are ints already
+            res.terms = {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
+        else:
+            res.terms = {k: _exact(c * scalar) for k, c in terms.items() if c}
         return res
 
     # -- basic queries ------------------------------------------------
@@ -412,6 +441,38 @@ def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
     if names is None:
         names = default_names(p.nvars)
     return _render_sum(((c, _monomial_str(e, names)) for e, c in p.sorted_terms()), "*")
+
+
+def poly_json_str(p: MultiPoly, pad: str, memo: dict) -> str:
+    """``p`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes its term
+    records at the indent ``pad``, the newline and indent of the enclosing line.
+
+    A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``,
+    the coefficient in ``format_rational``'s form but written inline, as a
+    call per term costs a few percent of a ``basis`` answer.  The terms run
+    in descending graded-lex order, that is descending packed key, and
+    each exponent is read off the key by shift and mask.  The
+    polynomials of one answer repeat their monomials, so each exponent list
+    is written once and read back from ``memo``, one dict of them per
+    ``nvars`` and ``pad``, the two things besides the key that it holds.
+    """
+    terms = p.terms
+    if not terms:
+        return "[]"
+    inner = pad + "  "
+    field = inner + "  "
+    sep = "," + field + "  "
+    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
+    exps = memo.setdefault((p.nvars, pad), {})
+    records = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        exp = exps.get(key)
+        if exp is None:
+            written = sep.join([str(key >> s & _MASK) for s in shifts])
+            exp = exps[key] = f"[{field}  {written}{field}]" if shifts else "[]"
+        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exp}{inner}}}')
+    return "[" + inner + ("," + inner).join(records) + pad + "]"
 
 
 # -- linear ideals and integer determinants ---------------------------

@@ -30,7 +30,8 @@ forms, so each basis is built in factored form: each component is zero
 or a scalar times a sorted tuple of the cone's own normalized integer
 forms, read from ``arrangement._diff_form``.  ``basis_derivations``
 multiplies the paper's basis out for display, one component per field,
-each product of linear forms in one dict (``_expand``).
+each by ``MultiPoly.product``, the one constructor of a polynomial from
+linear forms; no module but ``exactmath`` reads a packed monomial key.
 ``factored_saito_constant`` decides Saito's criterion on the factors,
 hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
 found once, and only the components they pick out enter the image
@@ -70,17 +71,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
-from .exactmath import (
-    _FIELD,
-    MultiPoly,
-    Scalar,
-    _check_degree,
-    _exact,
-    clear_denominators,
-    int_det,
-    poly_str,
-    vanishes_on,
-)
+from .exactmath import MultiPoly, Scalar, clear_denominators, int_det, poly_str, vanishes_on
 from .lattice import Flat
 
 Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._diff_form builds it
@@ -265,40 +256,9 @@ def _exchanged(factors: Sequence[Factor], s: int, t: int) -> tuple[Factor, ...]:
     return tuple(sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in factors))
 
 
-def _expand(comp: Term | None, nvars: int) -> MultiPoly:
-    """The polynomial of one factored component, multiplied out in one dict.
-
-    Each factor multiplies the terms so far by its nonzero coordinates, a
-    coordinate ``k`` moving each key by the key of ``x_k``, so no
-    ``MultiPoly`` is built between factors.  A product of linear forms
-    has degree its factor count, so the degree is checked once, first.
-    The factors are integer forms, so the terms stay ``int`` until the
-    scalar multiplies them.
-    """
-    if comp is None:
-        return MultiPoly.zero(nvars)
-    scalar, factors = comp
-    if not factors:
-        return MultiPoly.const(nvars, scalar)
-    top = _FIELD * nvars
-    _check_degree(len(factors) << top, nvars)
-    terms = {0: 1}
-    for f in factors:
-        (s0, a0), *rest = [(1 << top | 1 << (top - _FIELD * (k + 1)), a) for k, a in enumerate(f) if a]
-        items = terms.items()
-        out = {key + s0: c * a0 for key, c in items}
-        get = out.get
-        for step, a in rest:
-            for key, c in items:
-                k = key + step
-                out[k] = get(k, 0) + c * a
-        terms = out
-    res = MultiPoly(nvars)
-    if scalar == 1:
-        res.terms = {k: c for k, c in terms.items() if c}
-    elif scalar:
-        res.terms = {k: _exact(c * scalar) for k, c in terms.items() if c}
-    return res
+def _expanded(theta: FactoredDerivation, nvars: int) -> Derivation:
+    """The derivation with every component multiplied out (``MultiPoly.product``)."""
+    return tuple(MultiPoly.zero(nvars) if comp is None else MultiPoly.product(nvars, *comp) for comp in theta)
 
 
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
@@ -311,10 +271,10 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     so exchanging ``x2`` and ``x_s`` (``MultiPoly.swapped``) renames it.
     """
     n = nest.ell + 1
-    out = [tuple(_expand(comp, n) for comp in theta) for theta in _translation_and_euler(nest.ell)]
+    out = [_expanded(theta, n) for theta in _translation_and_euler(nest.ell)]
     zero = MultiPoly.zero(n)
-    for k, comp in enumerate(_x2_components(nest), start=2):
-        first = _expand(comp, n)
+    for k, (scalar, factors) in enumerate(_x2_components(nest), start=2):
+        first = MultiPoly.product(n, scalar, factors)
         out.append((zero, first, *(first.swapped(1, s - 1) for s in range(3, k + 1)), *(zero,) * (n - k)))
     return out
 
@@ -453,9 +413,8 @@ def factored_saito_constant(
 
 
 def _deferred(derivs: Sequence[FactoredDerivation], arr: Arrangement) -> Fraction | None:
-    """``saito_constant`` of the derivations multiplied out (``_expand``)."""
-    n = arr.dim
-    return saito_constant([tuple(_expand(comp, n) for comp in theta) for theta in derivs], arr)
+    """``saito_constant`` of the derivations multiplied out (``_expanded``)."""
+    return saito_constant([_expanded(theta, arr.dim) for theta in derivs], arr)
 
 
 class NonFreeWitness(NamedTuple):

@@ -389,7 +389,7 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
         assert json_of(cone3, "supersolvable")["supersolvable"] is True
         assert json_of(cone3, "chambers")["count"] == 32
     with monkeypatch.context() as m:
-        m.setattr("ishkit.cli._render_poly", never)
+        m.setattr("ishkit.cli.poly_json_str", never)
         m.setattr("ishkit.cli._chamber_records", never)
         m.setattr("ishkit.cli._json_rational", never)
         m.setattr("ishkit.lattice.Flat.to_json", never)
@@ -856,6 +856,38 @@ def test_main_exit_codes(capsys, tmp_path):
 
     assert main(["charpoly", "--spec", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'charpoly', "),
+    ([], "the following arguments are required: command"),
+    (["charpoly", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["charpoly", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_a_usage_error_is_bad_input(argv, message, capsys):
+    with mock.patch("sys.stdin", io.StringIO('{"type": "ish", "ell": 3}')):
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"type": "shi", "ell": 3, "edges": [[1, 2]]}, "edges"),
+    ({"type": "n_ish", "N": [[0]], "edges": []}, "edges"),
+    ({"type": "n_ish", "N": [[0]], "ell": 9}, "ell"),
+    ({"type": "ish", "ell": 3, "N": [[0], [0, 1]]}, "N"),
+    ({"type": "deleted_ish", "ell": 3, "edges": [], "N": [[0], [0]]}, "N"),
+])
+def test_a_key_of_another_spec_type_is_refused(doc, key, capsys):
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        assert main(["charpoly"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {doc['type']} spec takes no key {key!r}\n"
+
+
+def test_a_key_that_no_spec_type_reads_is_ignored():
+    plain = {"type": "n_ish", "N": [[0], [0, 1]]}
+    assert text_of({**plain, "note": "draft", "sets": 2}, "charpoly") == text_of(plain, "charpoly")
 
 
 def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly_with_141():

@@ -311,6 +311,98 @@ def test_degree_past_the_field_limit_raises():
         top * var(2, 1)
 
 
+# -- the one constructor from linear forms against its replaced bodies ----
+#
+# ``MultiPoly.const``, ``variable`` and ``linear`` as they stood before each
+# became one call of ``MultiPoly.product``: the oracles of that constructor.
+
+
+def const_by_key(nvars, value):
+    res = MultiPoly(nvars)
+    if value:
+        res.terms = {0: _exact(value)}  # the constant monomial packs to the key 0
+    return res
+
+
+def variable_by_key(nvars, index):
+    if not 0 <= index < nvars:
+        raise ValueError(f"variable index {index} out of range")
+    exp = tuple(1 if i == index else 0 for i in range(nvars))
+    return MultiPoly(nvars, {exp: 1})
+
+
+def linear_by_key(coeffs):
+    n = len(coeffs)
+    res = MultiPoly(n)
+    res.terms = {
+        1 << (_FIELD * n) | 1 << (_FIELD * (n - 1 - k)): _exact(c)
+        for k, c in enumerate(coeffs)
+        if c
+    }
+    return res
+
+
+SCALAR = st.just(0) | st.integers(-5, 5) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def product_cases(draw):
+    """``(nvars, scalar, factors)``: a scalar (0, an int or a Fraction) and up
+    to four linear forms whose entries are 0, ints or Fractions, some of
+    them forms with no nonzero entry."""
+    nvars = draw(st.integers(0, 4))
+    form = st.lists(SCALAR, min_size=nvars, max_size=nvars)
+    return nvars, draw(SCALAR), draw(st.lists(form, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(product_cases())
+@example((2, 1, [[1, -1], [1, 1]]))  # (x1 - x2)(x1 + x2): the x1 x2 terms cancel
+@example((2, Fraction(1, 2), [[0, 2]]))  # an integral product of a Fraction scalar
+@example((2, 2, [[Fraction(1, 2), Fraction(-3, 2)]]))  # int scalar, Fraction form, int product
+@example((3, Fraction(-5, 3), []))  # no factor: the scalar itself
+@example((2, 0, [[1, 1]]))
+@example((2, 3, [[1, 1], [0, 0]]))  # a zero form
+@example((0, 7, [[]]))  # the empty form in no variables is zero
+def test_product_matches_the_key_oracles_and_the_products_of_linears(case):
+    nvars, scalar, factors = case
+    got = MultiPoly.product(nvars, scalar, factors)
+    by_key, by_linear = const_by_key(nvars, scalar), MultiPoly.const(nvars, scalar)
+    for f in factors:
+        by_key, by_linear = by_key * linear_by_key(f), by_linear * MultiPoly.linear(f)
+    assert in_order(got) == in_order(by_key) == in_order(by_linear)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), SCALAR, st.lists(SCALAR, min_size=n, max_size=n), st.integers(-1, n))))
+@example((0, 0, [], 0))
+def test_const_linear_and_variable_match_their_key_oracles(case):
+    nvars, value, coeffs, index = case
+    assert in_order(MultiPoly.const(nvars, value)) == in_order(const_by_key(nvars, value))
+    assert in_order(MultiPoly.linear(coeffs)) == in_order(linear_by_key(coeffs))
+    if 0 <= index < nvars:
+        assert in_order(MultiPoly.variable(nvars, index)) == in_order(variable_by_key(nvars, index))
+    else:
+        for make in (MultiPoly.variable, variable_by_key):
+            with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+                make(nvars, index)
+    for make in (MultiPoly.const, const_by_key):
+        with pytest.raises(ValueError, match="nvars must be nonnegative"):
+            make(-1, value)
+
+
+def test_product_at_the_degree_limit():
+    unit = (1, 0)
+    top = MultiPoly(2, {(2**15 - 1, 0): 1})
+    assert MultiPoly.product(2, 1, [unit] * (2**15 - 1)) == top
+    assert MultiPoly.product(2, 0, [unit] * (2**15 - 1)).is_zero
+    for scalar in (1, 0, Fraction(1, 2)):  # refused before the scalar is read
+        with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
+            MultiPoly.product(2, scalar, [unit] * 2**15)
+
+
 def mp(nvars, terms):
     return MultiPoly(nvars, terms)
 

@@ -27,7 +27,7 @@ from ishkit.freeness import (
     NonFreeWitness,
     _degree,
     _exchanged,
-    _expand,
+    _expanded,
     _factored_is_log,
     _off_point,
     _peel,
@@ -945,8 +945,8 @@ def test_factored_saito_on_the_rank_ten_staircase():
 
 
 def expand_by_mul(comp, nvars: int) -> MultiPoly:
-    """``_expand`` as it was before its product kernel: one ``MultiPoly.linear``
-    per factor, multiplied by ``MultiPoly.__mul__``."""
+    """A factored component multiplied out as it was before its product
+    kernel: one ``MultiPoly.linear`` per factor, multiplied by ``MultiPoly.__mul__``."""
     if comp is None:
         return MultiPoly.zero(nvars)
     scalar, factors = comp
@@ -978,7 +978,7 @@ def factored_components(draw):
 @example(((0, ((1, 1),)), 2))
 def test_the_product_kernel_matches_the_linear_products(case):
     comp, n = case
-    got = _expand(comp, n)
+    (got,) = _expanded((comp,), n)
     assert got == expand_by_mul(comp, n)
     assert all(c and type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
 
@@ -986,8 +986,8 @@ def test_the_product_kernel_matches_the_linear_products(case):
 def test_the_product_kernel_checks_the_degree():
     unit = (1, 0)
     below = (1, (unit,) * (2**15 - 1))
-    assert _expand(below, 2) == expand_by_mul(below, 2) == MultiPoly(2, {(2**15 - 1, 0): 1})
-    for kernel in (_expand, expand_by_mul):
+    assert _expanded((below,), 2) == (expand_by_mul(below, 2),) == (MultiPoly(2, {(2**15 - 1, 0): 1}),)
+    for kernel in (lambda comp, n: _expanded((comp,), n), expand_by_mul):
         with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
             kernel((1, (unit,) * 2**15), 2)
 

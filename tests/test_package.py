@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import ishkit
@@ -41,3 +44,19 @@ def test_records_refuse_to_set_a_field(record, fields):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+KEY_LAYOUT = {"_FIELD", "_MASK", "_GUARD", "_pack", "_unpack", "_check_degree", "_exact"}
+
+
+def test_only_exactmath_touches_the_packed_monomial_key():
+    """No module but ``exactmath`` imports or reads the private names of its key layout."""
+    for path in sorted(Path(ishkit.__file__).parent.glob("*.py")):
+        if path.name == "exactmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names} & KEY_LAYOUT
+            else:
+                used = {node.attr} & KEY_LAYOUT if isinstance(node, ast.Attribute) else set()
+            assert not used, f"{path.name}:{node.lineno} uses {sorted(used)}"
