@@ -15,12 +15,7 @@ are the bounds times the gains' one denominator, so the side
 region exactly when ``D[b][a] + c > 0``, a side the region already
 implies leaves its matrix as it is, and a split tightens each side by an
 O(n^2) incremental closure.  The regions are walked depth first, so at
-most one matrix per hyperplane is pending.  The side of the last
-hyperplane is left open: a region comes out with its matrix closed over
-the earlier hyperplanes and that side, when it cuts the matrix, as one
-bound still to add.  ``distance_poly`` reads only the sign vector, and
-``enumerate_chambers`` closes the bound in just before the witness, so
-no closure is made that nothing reads.  Every matrix starts from the
+most one matrix per hyperplane is pending.  Every matrix starts from the
 box ``|x_u - x_v| < n (M + 1)``, ``M`` the largest constant in absolute
 value, so all entries are finite integers.  The box loses no chamber:
 closing every gap wider than ``M + 1`` between consecutive sorted
@@ -41,16 +36,21 @@ once); only its ``witness`` property makes ``Fraction`` values.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
-``x2 < x3 < ... < xl``, and ``z > 0``; its wall-crossing polynomial
-(chambers counted by the number of separating hyperplanes) factors as
-``(1+t)`` times one geometric factor per exponent of the cone.
+``x2 < x3 < ... < xl``, and ``z > 0``.  The cone of a chained nest is
+supersolvable, so its chambers counted by the number of hyperplanes that
+separate them from that chamber give ``geometric_product`` of the cone's
+exponents (Bjoerner-Edelman-Ziegler, DCG 1990): ``(1+t)`` times one
+geometric factor per exponent past 1.  The command line answers
+``wallcross`` from that product; ``distance_poly``, which walks every
+region, is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import UniPoly, rational_str
@@ -95,7 +95,6 @@ class Chamber(NamedTuple):
 # -- enumeration by difference-bound matrices ---------------------------
 
 Matrix = tuple[tuple[int, ...], ...]  # D[u][v] bounds x_u - x_v strictly
-Cut = tuple[int, int, int]  # (a, b, c): the bound x_a - x_b < c
 
 
 def _tighten(d: Matrix, a: int, b: int, c: int) -> Matrix:
@@ -141,19 +140,15 @@ def _witness(d: Matrix) -> list[int]:
     return point
 
 
-def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix, Cut | None]], int]:
+def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
     """A walk over the regions of a difference arrangement, and the scale of their bounds.
 
-    Each region is ``(bits, d, pending)``: its sign vector, hyperplane 0
-    the top bit and a set bit for ``+``, and its matrix of bounds times the
-    scale; a coned arrangement gives those of its slice ``z = 1``.  At a
-    split before the last hyperplane the walk sets the ``+`` side aside,
-    tightened, and goes down the ``-`` side: regions come out in
-    increasing ``bits``, and at most one matrix per hyperplane is pending.
-    The last hyperplane's side is left open: ``d`` is closed over every
-    earlier one, and ``pending`` is ``None`` when ``d`` already implies the
-    region's side of the last hyperplane, else that side ``(a, b, c)``,
-    the bound ``x_a - x_b < c`` that ``_tighten(d, a, b, c)`` closes in.
+    Each region is ``(bits, d)``: its sign vector, hyperplane 0 the top
+    bit and a set bit for ``+``, and its matrix of bounds times the scale,
+    closed over every hyperplane; a coned arrangement gives those of its
+    slice ``z = 1``.  At each split the walk sets the ``+`` side aside,
+    tightened, and goes down the ``-`` side: regions come out in increasing
+    ``bits``, and at most one matrix per hyperplane is pending.
     """
     den, edges = arr.gain_edges()
     if arr.coned and None not in edges:
@@ -165,17 +160,11 @@ def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix, Cut | None]]
     # z = 0 becomes x_0 - x_0 < -1, which no region meets: the slice z = 1 is on its + side
     cuts = [(0, 0, -1) if e is None else (e[0], e[1], e[2] * unit) for e in edges]
 
-    def walk() -> Iterator[tuple[int, Matrix, Cut | None]]:
-        if not cuts:  # no hyperplane: the box is the one region
-            yield 0, box, None
-            return
-        last = len(cuts) - 1
-        below = a_last, b_last, c_last = cuts[last]  # the - side of the last hyperplane
-        above = (b_last, a_last, -c_last)  # and its + side
+    def walk() -> Iterator[tuple[int, Matrix]]:
         stack = [(0, 0, box)]  # (next hyperplane, bits so far, matrix)
         while stack:
             start, bits, d = stack.pop()
-            for k in range(start, last):
+            for k in range(start, len(cuts)):
                 a, b, c = cuts[k]
                 if d[b][a] + c <= 0:  # x_a - x_b < c misses the region
                     bits = bits << 1 | 1
@@ -184,14 +173,7 @@ def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix, Cut | None]]
                 else:
                     stack.append((k + 1, bits << 1 | 1, _tighten(d, b, a, -c)))
                     bits, d = bits << 1, _tighten(d, a, b, c)
-            bits <<= 1
-            if d[b_last][a_last] + c_last <= 0:
-                yield bits | 1, d, None
-            elif d[a_last][b_last] <= c_last:
-                yield bits, d, None
-            else:  # the last hyperplane splits the region: each side stays a bound to add
-                yield bits, d, below
-                yield bits | 1, d, above
+            yield bits, d
 
     return walk(), den * unit
 
@@ -206,10 +188,7 @@ def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
     walk, den = _regions(arr)
     size = len(arr)
     z = (den,) if arr.coned else ()  # a coned region's point lies at z = 1
-    chambers = [
-        Chamber(bits, size, tuple(_witness(d if pending is None else _tighten(d, *pending))) + z, den)
-        for bits, d, pending in walk
-    ]
+    chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
     if arr.coned:  # the antipodes, then a merge: the runs interleave unless z = 0 comes first
         full = (1 << size) - 1
         chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
@@ -257,11 +236,12 @@ def ish_base_chamber(ell: int) -> tuple[Arrangement, Chamber]:
 
 
 def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
-    """Chambers counted by the number of hyperplanes separating them from base."""
+    """Chambers counted by the number of hyperplanes separating them from base,
+    by walking every region: the oracle of ``geometric_product``."""
     size = len(arr)
     counts = [0] * (size + 1)
     if base.size == size and not base.bits >> size:
-        for bits, _, _ in _regions(arr)[0]:  # the bits alone: the last side stays open
+        for bits, _ in _regions(arr)[0]:
             k = (bits ^ base.bits).bit_count()
             counts[k] += 1
             counts[size - k] += arr.coned  # the antipode is across every hyperplane
@@ -270,8 +250,21 @@ def distance_poly(arr: Arrangement, base: Chamber) -> UniPoly:
     return UniPoly(counts)
 
 
+def geometric_product(tops: Iterable[int]) -> UniPoly:
+    """``prod (1 + t + ... + t**e)`` over the nonnegative ``e`` in ``tops``.
+
+    Each factor turns the coefficients so far into their sums over windows
+    of ``e + 1``, read off one list of prefix sums.
+    """
+    coeffs = [1]
+    for e in tops:
+        sums, n = list(accumulate(coeffs, initial=0)), len(coeffs)
+        coeffs = [sums[min(k + 1, n)] - sums[max(k - e, 0)] for k in range(n + e)]
+    return UniPoly(coeffs)
+
+
 def wallcross_expected(nest: NestSpec) -> UniPoly:
-    """The product of ``geometric(e)`` over the exponents of the cone.
+    """``geometric_product`` of the exponents of the cone of a descending nest.
 
     The exponents ``{0, 1} | {|N_w(k)| + l - k}`` come from the chain
     order, sets ascending (``freeness.nest_exponents``), so the product is
@@ -281,7 +274,4 @@ def wallcross_expected(nest: NestSpec) -> UniPoly:
     """
     if not nest.is_descending():
         raise ValueError("the product form is stated for descending nests")
-    out = UniPoly([1])
-    for e in nest_exponents(nest, is_nest(nest)):
-        out = out * UniPoly.geometric(e)
-    return out
+    return geometric_product(nest_exponents(nest, is_nest(nest)))

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
-from .chambers import Chamber, canonical_chamber, distance_poly, enumerate_chambers, ish_base_chamber
+from .chambers import Chamber, enumerate_chambers, geometric_product
 from .errors import CapacityError
 from .exactmath import (
     MultiPoly,
@@ -267,35 +267,39 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
 
 
 def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
-    """The distance polynomial from a base chamber, and its chamber count.
+    """The distance polynomial from a base chamber, and its chamber count, walking no region.
 
-    An affine ``ish`` spec answers for affine Ish.  Every other
-    nest-backed spec answers for the cone of its nest in descending
-    order, whether or not the spec says ``"cone": true``: affine and
-    coned ``n_ish`` give the same answer, the product form
-    ``chambers.wallcross_expected`` of the descending nest.  So the affine
+    An affine ``ish`` spec answers for affine Ish; every other nest-backed
+    spec for the cone of its nest, ``"cone": true`` or not, so the affine
     ``{"type": "n_ish", "N": [[0, 1], [0, 1, 2]]}`` counts the cone's 32
-    chambers, where ``{"type": "ish", "ell": 3}``, the same arrangement,
-    counts 16.
+    chambers where ``{"type": "ish", "ell": 3}`` counts 16.
+    ``nest_modular_chain`` certifies that the cone is supersolvable, and
+    the answer is ``geometric_product`` of its exponents, without the
+    factor ``1 + t`` of ``z = 0`` for affine Ish (the chambers on the side
+    ``z > 0``).  Its count is checked against ``|chi(-1)|`` of the
+    arrangement answered for (Zaslavsky); a mismatch is a ``RuntimeError``.
     """
     _guard_lattice(req)
     parsed = req.parsed
-    if parsed.kind == "ish" and not parsed.coned:
-        arr, base = ish_base_chamber(parsed.ell)
-    elif parsed.nest is not None:
-        order = is_nest(parsed.nest)
-        if order is None:
-            raise ValueError("the sets do not form a chain; no base chamber is known")
-        descending = parsed.nest.reordered(tuple(reversed(order)))
-        arr = cone(build_n_ish(descending))
-        base = canonical_chamber(descending, arr)
-    else:
-        raise ValueError(
-            "wall-crossing needs the affine staircase ('ish') or a nest-backed spec"
-        )
-    poly = distance_poly(arr, base)
+    nest = parsed.nest
+    if nest is None:
+        raise ValueError("wall-crossing needs the affine staircase ('ish') or a nest-backed spec")
+    order = is_nest(nest)
+    if order is None:
+        raise ValueError("the sets do not form a chain; no base chamber is known")
+    nest_modular_chain(cone(build_n_ish(nest)), order)
+    exponents = list(nest_exponents(nest, order))
+    affine_ish = parsed.kind == "ish" and not parsed.coned
+    if affine_ish:
+        exponents.remove(1)
+    poly = geometric_product(exponents)
+    count, zaslavsky = poly.evaluate(1), abs(spec_char_poly(parsed).evaluate(-1))
+    if not (parsed.coned or affine_ish):  # the cone's chi is chi times (t - 1): twice |chi(-1)|
+        zaslavsky *= 2
+    if count != zaslavsky:
+        raise RuntimeError(f"the exponents {tuple(exponents)} count {count} chambers, |chi(-1)| {zaslavsky}")
     if req.output_format == "json":
-        return {"distancePoly": unipoly_to_json(poly), "chambers": int(poly.evaluate(1))}
+        return {"distancePoly": unipoly_to_json(poly), "chambers": count}
     return unipoly_str(poly)
 
 

@@ -34,7 +34,7 @@ from ishkit.chambers import (
 )
 from ishkit.exactmath import Scalar, UniPoly, clear_denominators, format_rational
 from ishkit.lattice import char_poly
-from test_arrangement import fraction_build_n_ish, fraction_cone, rational_set
+from test_arrangement import rational_set
 
 
 def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber:
@@ -77,10 +77,9 @@ def breadth_first_regions(arr: Arrangement):
 
 
 def closed_regions(arr: Arrangement):
-    """The walk's regions as ``(bits, d)``, each leaf's pending bound on the
-    last hyperplane closed into its matrix by ``_tighten``, and the scale."""
+    """The walk's regions as a list of ``(bits, d)``, and the scale."""
     walk, den = _regions(arr)
-    return [(bits, d if pending is None else _tighten(d, *pending)) for bits, d, pending in walk], den
+    return list(walk), den
 
 
 # -- Fourier-Motzkin enumeration: the oracle of the matrix enumerator ----
@@ -546,34 +545,6 @@ def test_walk_gives_the_breadth_first_regions_in_order(arr):
     assert closed_regions(arr) == breadth_first_regions(arr)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(difference_arrangements())
-@example(build_named("ish", 4))
-@example(cone(build_named("shi", 3)))
-@example(NO_HYPERPLANES)
-@example(ONLY_Z_0)
-def test_each_pending_bound_is_a_side_of_the_last_hyperplane(arr):
-    # a leaf's bound is pending exactly when the last hyperplane splits its region,
-    # and it is the side the leaf's last bit names: - is x_a - x_b < c, + is x_b - x_a < -c
-    walk, scale = _regions(arr)
-    den, edges = arr.gain_edges()
-    last = edges[-1] if edges else None
-    leaves = list(walk)
-    assert len({bits for bits, _, _ in leaves}) == len(leaves)
-    for bits, d, pending in leaves:
-        if last is None:  # no hyperplane, or z = 0 last: the slice z = 1 lies on its + side
-            assert pending is None
-            assert bits & 1 or not edges
-            continue
-        a, b, c = last[0], last[1], last[2] * (scale // den)
-        split = d[b][a] + c > 0 and d[a][b] > c  # both sides meet the region
-        if not split:
-            assert pending is None
-        else:
-            assert pending == ((b, a, -c) if bits & 1 else (a, b, c))
-            assert (bits ^ 1, d, (a, b, c) if bits & 1 else (b, a, -c)) in leaves
-
-
 def transposing_witness(d) -> list[int]:
     """``_witness`` reading each column from the transposed matrix."""
     point = [0]
@@ -588,20 +559,6 @@ def transposing_witness(d) -> list[int]:
 def test_witness_reads_only_the_column_entries_it_needs(arr):
     regions = closed_regions(arr)[0]
     assert [_witness(d) for _, d in regions] == [transposing_witness(d) for _, d in regions]
-
-
-def fraction_canonical_chamber(nest, arr: Arrangement | None = None) -> Chamber:
-    """``canonical_chamber`` on a ``test_arrangement.FractionNestSpec``."""
-    if not nest.is_descending():
-        raise ValueError("the canonical chamber needs a descending nest")
-    if arr is None:
-        arr = fraction_cone(fraction_build_n_ish(nest))
-    n2 = nest.set_at(2)
-    x1 = 1 + min(n2) if n2 else Fraction(1)
-    witness = (Fraction(x1),) + tuple(Fraction(j) for j in range(2, nest.ell + 1)) + (
-        Fraction(1),
-    )
-    return chamber_of_point(arr, witness)
 
 
 @st.composite

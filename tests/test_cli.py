@@ -10,15 +10,24 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ishkit
-from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone, from_spec
-from ishkit.chambers import Chamber, enumerate_chambers, wallcross_expected
-from ishkit.cli import _HANDLERS, COMMANDS, _render, main, request_echo, request_from_doc, run
+from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone, from_spec, ish_nest
+from ishkit.chambers import (
+    Chamber,
+    canonical_chamber,
+    distance_poly,
+    enumerate_chambers,
+    geometric_product,
+    ish_base_chamber,
+    wallcross_expected,
+)
+from ishkit.cli import _HANDLERS, COMMANDS, LATTICE_MAX_ELL, _render, main, request_echo, request_from_doc, run
+from ishkit.errors import CapacityError
 from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
-from ishkit.freeness import _degree, basis_derivations, is_nest
+from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
 from test_arrangement import (
     FractionNestSpec,
     fraction_build_n_ish,
@@ -29,7 +38,7 @@ from test_arrangement import (
 )
 from test_chambers import (
     chamber_to_json,
-    fraction_canonical_chamber,
+    descending_nests,
     oracle_chamber_of_point,
     oracle_enumerate_chambers,
 )
@@ -480,6 +489,107 @@ def test_wallcross_answers_for_the_cone_of_the_descending_nest(sets):
         assert text_of({"type": "ish", "ell": 3}, "wallcross") == "t^6 + 2t^5 + 3t^4 + 4t^3 + 3t^2 + 2t + 1"
 
 
+@st.composite
+def chained_wallcross_specs(draw):
+    """A spec that ``wallcross`` answers for the cone of its chained nest, l <= 5:
+    ``n_ish``, affine or coned, with half-integer entries and its sets in any
+    order, the coned staircase, or ``deleted_ish`` whose derived sets form a chain."""
+    kind = draw(st.sampled_from(["n_ish", "ish", "deleted_ish"]))
+    if kind == "n_ish":
+        sets = draw(st.permutations(draw(descending_nests()).to_json()))
+        return {"type": "n_ish", "N": sets, "cone": draw(st.booleans())}
+    ell = draw(st.integers(2, 5))
+    if kind == "ish":
+        return {"type": "ish", "ell": ell, "cone": True}
+    pairs = [(i, j) for i in range(1, ell) for j in range(i + 1, ell + 1)]
+    spec = {"type": "deleted_ish", "ell": ell, "edges": draw(st.lists(st.sampled_from(pairs), unique=True)),
+            "cone": draw(st.booleans())}
+    assume(is_nest(from_spec(spec).nest) is not None)
+    return spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chained_wallcross_specs())
+@example({"type": "n_ish", "N": [["-3/2", "1/2", 2], ["1/2"], ["1/2", 2]]})
+@example({"type": "n_ish", "N": [[], [], []], "cone": True})
+@example({"type": "ish", "ell": 5, "cone": True})
+@example({"type": "deleted_ish", "ell": 4, "edges": [[1, 4], [2, 4]]})
+def test_wallcross_is_the_walk_from_the_canonical_chamber(spec):
+    nest = from_spec(spec).nest
+    descending = nest.reordered(tuple(reversed(is_nest(nest))))
+    arr = cone(build_n_ish(descending))
+    walk = distance_poly(arr, canonical_chamber(descending, arr))
+    assert text_of(spec, "wallcross") == unipoly_str(walk)
+    out = json_of(spec, "wallcross")
+    assert (out["distancePoly"], out["chambers"]) == (unipoly_to_json(walk), walk.evaluate(1))
+
+
+@pytest.mark.parametrize("ell", range(2, 8))
+def test_affine_ish_wallcross_is_the_walk_from_its_base_chamber(ell):
+    walk = distance_poly(*ish_base_chamber(ell))
+    nest = ish_nest(ell)
+    exponents = list(nest_exponents(nest, is_nest(nest)))
+    exponents.remove(1)  # the factor of z = 0, as the command leaves it out
+    assert geometric_product(exponents) == geometric_product([ell] * (ell - 1)) == walk
+    if ell <= LATTICE_MAX_ELL:
+        assert text_of({"type": "ish", "ell": ell}, "wallcross") == unipoly_str(walk)
+    else:
+        with pytest.raises(CapacityError, match=f"^ell = {ell} exceeds the guard ell <= 6 for wallcross$"):
+            text_of({"type": "ish", "ell": ell}, "wallcross")
+
+
+WALLCROSS_KINDS = (
+    {"type": "ish", "ell": 4},
+    {"type": "ish", "ell": 4, "cone": True},
+    {"type": "n_ish", "N": [["1/2"], ["1/2", 2], ["-3/2", "1/2", 2]]},
+    {"type": "deleted_ish", "ell": 4, "edges": [[1, 4], [2, 4]], "cone": True},
+)
+
+
+def test_wallcross_walks_no_region(monkeypatch):
+    docs = [dict(spec, command="wallcross", format=f) for spec in WALLCROSS_KINDS for f in ("text", "json")]
+    want = [answer_of(doc) for doc in docs]
+
+    def never(*args):
+        raise AssertionError("wallcross walked the regions")
+
+    for name in ("_regions", "distance_poly", "canonical_chamber", "ish_base_chamber"):
+        monkeypatch.setattr(f"ishkit.chambers.{name}", never)
+    assert [answer_of(doc) for doc in docs] == want
+
+
+def assert_wallcross_internal_error(capsys, tmp_path, message: str) -> None:
+    """Each spec of ``WALLCROSS_KINDS`` raises ``RuntimeError`` in ``run`` and exits 3
+    from ``main`` with one ``internal error:`` line, in both formats."""
+    path = tmp_path / "req.json"
+    for spec in WALLCROSS_KINDS:
+        for fmt in ("text", "json"):
+            with pytest.raises(RuntimeError, match=message):
+                run(request_of(json.dumps(dict(spec, command="wallcross", format=fmt))))
+            path.write_text(json.dumps(spec))
+            assert main(["wallcross", "--spec", str(path), "--format", fmt]) == 3
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("internal error: ") and out.err.count("\n") == 1
+
+
+def test_a_wrong_exponent_fails_the_chamber_count(capsys, monkeypatch, tmp_path):
+    def one_too_many(nest, order):
+        exponents = nest_exponents(nest, order)
+        return exponents[:-1] + (exponents[-1] + 1,)
+
+    monkeypatch.setattr("ishkit.cli.nest_exponents", one_too_many)
+    assert_wallcross_internal_error(capsys, tmp_path, r"\|chi\(-1\)\|")
+
+
+def test_a_failed_chain_certificate_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    def broken(arr, order):
+        raise RuntimeError("the top flat of the filtration misses a hyperplane")
+
+    monkeypatch.setattr("ishkit.cli.nest_modular_chain", broken)
+    assert_wallcross_internal_error(capsys, tmp_path, "the top flat of the filtration")
+
+
 def oracle_report(spec: dict, command: str, fmt: str) -> str:
     """The ``chambers`` or ``wallcross`` report written from the Fraction records
     (``test_chambers.oracle_enumerate_chambers``) and the parent's rendering."""
@@ -575,7 +685,6 @@ def fraction_program():
         "ishkit.cli.factored_basis": fraction_factored_basis,
         "ishkit.cli.basis_derivations": fraction_basis_derivations,
         "ishkit.cli.board_columns": fraction_board_columns,
-        "ishkit.cli.canonical_chamber": fraction_canonical_chamber,
         "ishkit.rooks.nest_char_poly": fraction_nest_char_poly,
     }
     with pytest.MonkeyPatch.context() as m:
