@@ -16,16 +16,22 @@ new hyperplane ``z = 0`` and homogenizes every ``alpha = c`` to
 
 A nest is held in integers from parsing on: one positive denominator
 ``den``, the lcm of the entries' reduced denominators, and per set the
-sorted tuple of numerators over it (``NestSpec``).  Every builder makes
-its hyperplanes ``x_i - x_j = num/den`` already normalized, as
-``q x_i - q x_j = p`` with ``p/q`` the reduced ``num/den``, and
-``cone`` appends ``-const`` to a normalized form, which leaves it
-normalized, so neither goes through ``Hyperplane.make``; that stays for
-rational input.  ``_diff_form`` builds that coned form once, as a tuple
-of ints, for ``_diff`` and for the factors of ``freeness``'s derivation
-bases.  ``Arrangement.gain_edges`` reads a difference
-arrangement back in the same form: ``int`` gains over one denominator,
-the nest's ``den`` for a nest, 1 for graph and named specs.
+sorted tuple of numerators over it (``NestSpec``).
+
+Every spec is a difference arrangement, and the builders make it as
+gain-graph edges (Zaslavsky, Biased graphs I-II): ``(den, edges)``, an
+``int`` gain ``c`` per hyperplane ``x_i - x_j = c/den``, in the order
+README states.  ``den`` is the nest's ``den`` divided by its gcd with
+every numerator (the lcm of the entries' reduced denominators), and 1
+for graph and named specs; ``cone`` puts ``None``, the edge of ``z = 0``,
+first.  An ``Arrangement`` keeps the form it was built from and derives
+the other on its first read.  The hyperplanes of gain edges come from
+``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q`` the reduced ``c/den``,
+already normalized, so no builder goes through ``Hyperplane.make``; that
+stays for rational input.  The gain edges of an arrangement given as
+hyperplanes are read back by ``gain_edges``, which no builder's
+arrangement needs.  ``_diff_form`` also gives the factors of
+``freeness``'s derivation bases.
 
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
@@ -98,9 +104,14 @@ GainEdge = tuple[int, int, int] | None  # see Arrangement.gain_edges
 
 
 class Arrangement:
-    """An ordered, duplicate-free collection of hyperplanes in R^dim."""
+    """An ordered, duplicate-free collection of hyperplanes in R^dim.
 
-    __slots__ = ("dim", "coned", "hyperplanes")
+    It keeps the form it was built from, and derives the other the first
+    time it is read: ``hyperplanes`` from the gain edges the builders make,
+    or ``gain_edges()`` read back from hyperplanes given to the constructor.
+    """
+
+    __slots__ = ("dim", "coned", "_hyperplanes", "_edges")
 
     def __init__(self, dim: int, hyperplanes: Iterable[Hyperplane], coned: bool = False) -> None:
         if dim < 1:
@@ -112,10 +123,32 @@ class Arrangement:
             seen.setdefault(h, None)
         self.dim = dim
         self.coned = coned
-        self.hyperplanes = tuple(seen)
+        self._hyperplanes: tuple[Hyperplane, ...] | None = tuple(seen)
+        self._edges: tuple[int, Sequence[GainEdge]] | None = None
+
+    @classmethod
+    def _of_edges(cls, dim: int, den: int, edges: Iterable[GainEdge], coned: bool = False) -> "Arrangement":
+        """The arrangement of gain edges over ``den`` (see ``gain_edges``);
+        a repeated edge keeps its first place."""
+        arr = cls(dim, (), coned)
+        arr._hyperplanes, arr._edges = None, (den, tuple(dict.fromkeys(edges)))
+        return arr
+
+    @property
+    def hyperplanes(self) -> tuple[Hyperplane, ...]:
+        """The hyperplanes in order.  Those of gain edges are derived on the
+        first read: each edge's normalized form (``_diff_form``), and the
+        unit form for ``z = 0``."""
+        if self._hyperplanes is None:
+            den, edges = self._edges
+            ell = self.dim - self.coned
+            forms = [_diff_form(ell, e[0] + 1, e[1] + 1, e[2], den) if e else (0,) * ell + (1,) for e in edges]
+            # a coned form keeps its column z; an affine one moves it to the constant
+            self._hyperplanes = tuple(Hyperplane(f[:self.dim], 0 if self.coned else -f[ell]) for f in forms)
+        return self._hyperplanes
 
     def __len__(self) -> int:
-        return len(self.hyperplanes)
+        return len(self._edges[1] if self._hyperplanes is None else self._hyperplanes)
 
     def __iter__(self):
         return iter(self.hyperplanes)
@@ -145,14 +178,21 @@ class Arrangement:
     def gain_edges(self) -> tuple[int, list[GainEdge]]:
         """The hyperplanes as gain-graph edges over one denominator, in hyperplane order.
 
-        Returns ``(den, edges)``.  The edge ``(i, j, c)``, with 0-based
-        coordinates ``i < j``, is the hyperplane ``x_{i+1} - x_{j+1} =
-        c/den``, or ``= (c/den)*z`` when the arrangement is coned; ``None``
-        marks ``z = 0``.  ``den`` is the lcm of the leading coefficients of
-        the normalized forms, and ``c`` an ``int``: ``2*x1 - 2*x2 = 1`` and
-        ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the gains 3 and 4.  Any
-        other hyperplane is a ``ValueError``.
+        Returns ``(den, edges)``, ``edges`` a fresh list.  The edge
+        ``(i, j, c)``, with 0-based coordinates ``i < j``, is the hyperplane
+        ``x_{i+1} - x_{j+1} = c/den``, or ``= (c/den)*z`` when the arrangement
+        is coned; ``None`` marks ``z = 0``.  ``den`` is the lcm of the leading
+        coefficients of the normalized forms, and ``c`` an ``int``.  The
+        builders make these edges; an arrangement given as hyperplanes has
+        them read back on the first call (``_read_back``).
         """
+        self._edges = self._edges or self._read_back()
+        return self._edges[0], list(self._edges[1])
+
+    def _read_back(self) -> tuple[int, list[GainEdge]]:
+        """The gain edges of hyperplanes given to the constructor: ``2*x1 - 2*x2 = 1``
+        and ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the gains 3 and 4.  Any
+        other hyperplane is a ``ValueError``."""
         n = self.dim - 1 if self.coned else self.dim
         read: list[tuple[int, int, int, int] | None] = []
         for h in self.hyperplanes:
@@ -275,19 +315,13 @@ def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[in
     """The coned form of ``x_i - x_j = num/den`` (``i < j``, ``den > 0``), normalized.
 
     ``q x_i - q x_j - p z`` over ``x1..x_ell, z``, with ``p/q`` the reduced
-    ``num/den``: the coefficients ``cone`` gives ``_diff``'s hyperplane,
-    and the factors of ``freeness``'s derivation bases.
+    ``num/den``: the hyperplane of a gain edge, and the factors of
+    ``freeness``'s derivation bases.
     """
     p, q = reduced(num, den)
     form = [0] * (ell + 1)
     form[i - 1], form[j - 1], form[ell] = q, -q, -p
     return tuple(form)
-
-
-def _diff(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> Hyperplane:
-    """``x_i - x_j = num/den`` for ``i < j`` and ``den > 0``, built normalized."""
-    form = _diff_form(ell, i, j, num, den)
-    return Hyperplane(form[:ell], -form[ell])
 
 
 NAMED_KINDS = ("coxeter", "shi", "ish")
@@ -307,30 +341,21 @@ def build_named(kind: str, ell: int) -> Arrangement:
 
 def build_n_ish(nest: NestSpec) -> Arrangement:
     """The nested family: ``x1 - xj = a`` for ``a in N_j``, plus the
-    braid part ``xi - xj = 0`` on the vertices 2..ell."""
-    ell, den = nest.ell, nest.den
-    planes = []
-    for j, entries in enumerate(nest.nums, start=2):
-        for a in entries:
-            planes.append(_diff(ell, 1, j, a, den))
-    for i in range(2, ell + 1):
-        for j in range(i + 1, ell + 1):
-            planes.append(_diff(ell, i, j))
-    return Arrangement(ell, planes)
+    braid part ``xi - xj = 0`` on the vertices 2..ell.  The gains are over
+    ``nest.den`` divided by its gcd with every numerator."""
+    g = gcd(nest.den, *(a for entries in nest.nums for a in entries))
+    edges = [(0, j, a // g) for j, entries in enumerate(nest.nums, start=1) for a in entries]
+    edges += [(i, j, 0) for i in range(1, nest.ell) for j in range(i + 1, nest.ell)]
+    return Arrangement._of_edges(nest.ell, nest.den // g, edges)
 
 
 def build_deleted(kind: str, graph: Graph) -> Arrangement:
     """Shi or Ish with the non-braid part restricted to the graph's edges."""
     if kind not in ("shi", "ish"):
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
-    ell = graph.ell
-    planes = [_diff(ell, i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-    for i, j in graph.sorted_edges():
-        if kind == "shi":
-            planes.append(_diff(ell, i, j, 1))
-        else:
-            planes.append(_diff(ell, 1, j, i))
-    return Arrangement(ell, planes)
+    edges = [(i, j, 0) for i in range(graph.ell) for j in range(i + 1, graph.ell)]
+    edges += [(i - 1, j - 1, 1) if kind == "shi" else (0, j - 1, i) for i, j in graph.sorted_edges()]
+    return Arrangement._of_edges(graph.ell, 1, edges)
 
 
 def n_from_graph(graph: Graph) -> NestSpec:
@@ -349,6 +374,8 @@ def cone(arr: Arrangement) -> Arrangement:
     """Homogenize with a new last variable z and prepend ``z = 0``."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
+    if arr._edges is not None:
+        return Arrangement._of_edges(arr.dim + 1, arr._edges[0], (None, *arr._edges[1]), coned=True)
     planes = [Hyperplane((0,) * arr.dim + (1,), 0)]
     planes += [Hyperplane(h.coeffs + (-h.const,), 0) for h in arr.hyperplanes]
     return Arrangement(arr.dim + 1, planes, coned=True)
@@ -361,8 +388,9 @@ class ParsedSpec(NamedTuple):
     """An arrangement spec plus whatever side data the type carries.
 
     A record: every spec error is raised while parsing, and nothing is
-    cached.  ``arrangement`` builds the arrangement on each read, since
-    several commands need only the nest or the graph.
+    cached.  ``arrangement`` builds the arrangement's gain edges on each
+    read, since several commands need only the nest or the graph, and its
+    hyperplanes are derived only for a command that reads them.
     """
 
     kind: str

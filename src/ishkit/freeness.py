@@ -488,10 +488,9 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     if c in (a, b):  # comparable pair: no obstruction at all
         return False
 
-    full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
-    deleted = Arrangement(4, [h for h in full.hyperplanes if h.coeffs != (0, 1, -1, 0)], coned=True)
-    if len(deleted) != len(full) - 1:
-        return False
+    edges_den, edges = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums)))).gain_edges()
+    edges.remove((1, 2, 0))  # x2 = x3, the braid edge build_n_ish always makes
+    deleted = Arrangement._of_edges(4, edges_den, edges, coned=True)
 
     # translations, Euler, and the fields of degrees |N_i| and |N_j|:
     # prod_{a in N_i} (x1 - x2 - a z) d/dx2 and prod_{b in N_j} (x1 - x3 - b z) d/dx3,
@@ -506,6 +505,5 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
         return False
 
     # restriction: distinct traces of the remaining hyperplanes on x2 = x3
-    edges_den, edges = deleted.gain_edges()
     traces = {Flat.through([edge, (1, 2, 0)], 4, True, edges_den) for edge in edges}
     return len(traces) == 1 + c

@@ -9,10 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import (
+    SPEC_KINDS,
     Arrangement,
     Graph,
     Hyperplane,
     NestSpec,
+    ParsedSpec,
+    _diff_form,
     build_deleted,
     build_n_ish,
     build_named,
@@ -21,6 +24,7 @@ from ishkit.arrangement import (
     ish_nest,
     n_from_graph,
 )
+from ishkit.chambers import enumerate_chambers
 from ishkit.exactmath import Scalar, parse_rational_pair
 
 
@@ -498,3 +502,114 @@ def test_difference_hyperplanes_are_built_normalized():
         for hp in arr.hyperplanes:
             assert hp == Hyperplane.make(hp.coeffs, hp.const)
             assert all(type(v) is int for v in hp.coeffs + (hp.const,))
+
+
+# -- the hyperplane builders: the oracle of the gain-edge builders --------
+
+
+def oracle_diff(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> Hyperplane:
+    """``x_i - x_j = num/den`` for ``i < j`` and ``den > 0``, built normalized."""
+    form = _diff_form(ell, i, j, num, den)
+    return Hyperplane(form[:ell], -form[ell])
+
+
+def oracle_build_n_ish(nest: NestSpec) -> Arrangement:
+    """``build_n_ish`` as it built hyperplanes, before the builders made gain edges."""
+    ell, den = nest.ell, nest.den
+    planes = []
+    for j, entries in enumerate(nest.nums, start=2):
+        for a in entries:
+            planes.append(oracle_diff(ell, 1, j, a, den))
+    for i in range(2, ell + 1):
+        for j in range(i + 1, ell + 1):
+            planes.append(oracle_diff(ell, i, j))
+    return Arrangement(ell, planes)
+
+
+def oracle_build_deleted(kind: str, graph: Graph) -> Arrangement:
+    """``build_deleted`` as it built hyperplanes."""
+    if kind not in ("shi", "ish"):
+        raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
+    ell = graph.ell
+    planes = [oracle_diff(ell, i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    for i, j in graph.sorted_edges():
+        if kind == "shi":
+            planes.append(oracle_diff(ell, i, j, 1))
+        else:
+            planes.append(oracle_diff(ell, 1, j, i))
+    return Arrangement(ell, planes)
+
+
+def oracle_cone(arr: Arrangement) -> Arrangement:
+    """``cone`` as it mapped every hyperplane."""
+    if arr.coned:
+        raise ValueError("arrangement is already coned")
+    planes = [Hyperplane((0,) * arr.dim + (1,), 0)]
+    planes += [Hyperplane(h.coeffs + (-h.const,), 0) for h in arr.hyperplanes]
+    return Arrangement(arr.dim + 1, planes, coned=True)
+
+
+def oracle_arrangement(parsed: ParsedSpec) -> Arrangement:
+    """``ParsedSpec.arrangement`` through the hyperplane builders."""
+    if parsed.kind == "n_ish":
+        arr = oracle_build_n_ish(parsed.nest)
+    elif parsed.graph is not None:
+        arr = oracle_build_deleted(parsed.kind.split("_")[1], parsed.graph)
+    elif parsed.kind == "coxeter":
+        arr = oracle_build_deleted("shi", Graph(parsed.ell, frozenset()))
+    else:
+        arr = oracle_build_deleted(parsed.kind, Graph.complete(parsed.ell))
+    return oracle_cone(arr) if parsed.coned else arr
+
+
+@st.composite
+def parsed_specs(draw) -> ParsedSpec:
+    """A spec of any kind with ell <= 6, or a hand-built nest: its ``den``
+    need not be minimal, and its numerators may repeat, come unsorted or be none."""
+    coned, ell = draw(st.booleans()), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(SPEC_KINDS + ("hand-built",)))
+    if kind == "hand-built":
+        sets = st.lists(st.lists(st.integers(-12, 12), max_size=4).map(tuple), min_size=ell - 1, max_size=ell - 1)
+        nest = NestSpec(ell, draw(st.integers(1, 12)), tuple(draw(sets)))
+        return ParsedSpec("n_ish", ell, nest, None, coned)
+    if kind == "n_ish":
+        sets = st.lists(st.lists(ENTRIES, max_size=4), min_size=1, max_size=5)
+        return from_spec({"type": kind, "N": draw(sets), "cone": coned})
+    spec = {"type": kind, "ell": ell, "cone": coned}
+    if kind.startswith("deleted"):
+        spec["edges"] = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, ell + 1), 2)))))
+    return from_spec(spec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parsed_specs())
+@example(ParsedSpec("n_ish", 3, NestSpec(3, 4, ((6, 2, 2), ())), None, False))
+@example(ParsedSpec("n_ish", 3, NestSpec(3, 4, ((6, 2, 2), ())), None, True))
+@example(ParsedSpec("n_ish", 4, NestSpec(4, 6, ((9, -3, 0), (3, 9), (12,))), None, True))
+@example(ParsedSpec("n_ish", 3, NestSpec(3, 5, ((), ())), None, False))
+@example(ParsedSpec("n_ish", 2, NestSpec(2, 3, ((),)), None, True))
+def test_the_edge_builders_make_the_hyperplanes_of_the_hyperplane_builders(parsed):
+    old = oracle_arrangement(parsed)
+    arr = parsed.arrangement
+    assert len(arr) == len(old)  # read off the edges: no hyperplane is derived yet
+    den, edges = arr.gain_edges()
+    assert arr.hyperplanes == old.hyperplanes
+    assert (arr.is_central, arr.dim, arr.coned) == (old.is_central, old.dim, old.coned)
+    # the edges as built are the read-back of the hyperplanes, den included
+    assert (den, edges) == Arrangement(arr.dim, arr.hyperplanes, arr.coned).gain_edges() == old.gain_edges()
+
+
+def test_gain_edges_is_a_fresh_list():
+    shi = build_named("shi", 3)
+    for make in (
+        lambda: build_named("shi", 3),
+        lambda: cone(build_named("shi", 3)),
+        lambda: Arrangement(3, shi.hyperplanes),  # read back
+        lambda: oracle_cone(shi),
+    ):
+        want = (make().gain_edges(), enumerate_chambers(make()))
+        arr = make()
+        edges = arr.gain_edges()[1]
+        edges.reverse()
+        edges[1:] = [(0, 1, 7)]
+        assert (arr.gain_edges(), enumerate_chambers(arr)) == want

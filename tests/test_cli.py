@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ishkit
-from ishkit.arrangement import SPEC_KINDS, build_n_ish, cone, from_spec, ish_nest
+from ishkit.arrangement import SPEC_KINDS, Arrangement, build_n_ish, cone, from_spec, ish_nest
 from ishkit.chambers import (
     Chamber,
     canonical_chamber,
@@ -555,6 +555,66 @@ def test_wallcross_walks_no_region(monkeypatch):
 
     for name in ("_regions", "distance_poly", "canonical_chamber", "ish_base_chamber"):
         monkeypatch.setattr(f"ishkit.chambers.{name}", never)
+    assert [answer_of(doc) for doc in docs] == want
+
+
+# one spec of each kind, chained where it has a nest
+PATH_SPECS = {
+    "coxeter": {"type": "coxeter", "ell": 4},
+    "shi": {"type": "shi", "ell": 3},
+    "ish": {"type": "ish", "ell": 4},
+    "n_ish": {"type": "n_ish", "N": [["1/2"], ["1/2", 2], ["-3/2", "1/2", 2]]},
+    "deleted_shi": {"type": "deleted_shi", "ell": 4, "edges": [[1, 2], [2, 4], [3, 4]]},
+    "deleted_ish": {"type": "deleted_ish", "ell": 4, "edges": [[1, 4], [2, 4]]},
+}
+NEST_KINDS = ("ish", "n_ish", "deleted_ish")
+# the kinds each command that reads a spec accepts; supersolvable takes them coned
+ACCEPTED_KINDS = {
+    "charpoly": SPEC_KINDS,
+    "freeness": NEST_KINDS,
+    "basis": NEST_KINDS,
+    "saito": NEST_KINDS,
+    "supersolvable": SPEC_KINDS,
+    "chambers": SPEC_KINDS,
+    "wallcross": NEST_KINDS,
+    "graph": ("deleted_shi", "deleted_ish"),
+}
+
+
+def request_path_docs(commands) -> list[dict]:
+    """Each command on one spec of each kind it accepts, affine and coned, in both formats."""
+    docs = []
+    for command in commands:
+        if command == "survey":  # reads no spec
+            specs = [{"ell": 3}]
+        else:
+            coned = (True,) if command == "supersolvable" else (False, True)
+            specs = [dict(PATH_SPECS[kind], cone=c) for kind in ACCEPTED_KINDS[command] for c in coned]
+        docs += [dict(spec, command=command, format=f) for spec in specs for f in ("text", "json")]
+    return docs
+
+
+def test_no_request_reads_an_arrangement_back(monkeypatch):
+    docs = request_path_docs(COMMANDS)
+    assert {doc["command"] for doc in docs} == set(COMMANDS)
+    want = [answer_of(doc) for doc in docs]
+    assert not any(answer.startswith("ValueError") for answer in want)
+
+    def never(*args):
+        raise AssertionError("a request read its arrangement back into gain edges")
+
+    monkeypatch.setattr(Arrangement, "_read_back", never)
+    assert [answer_of(doc) for doc in docs] == want
+
+
+def test_chambers_and_wallcross_read_no_hyperplane(monkeypatch):
+    docs = request_path_docs(("chambers", "wallcross"))
+    want = [answer_of(doc) for doc in docs]
+
+    def never(*args):
+        raise AssertionError("the request derived the hyperplanes of its gain edges")
+
+    monkeypatch.setattr(Arrangement, "hyperplanes", property(never))
     assert [answer_of(doc) for doc in docs] == want
 
 

@@ -60,3 +60,16 @@ def test_only_exactmath_touches_the_packed_monomial_key():
             else:
                 used = {node.attr} & KEY_LAYOUT if isinstance(node, ast.Attribute) else set()
             assert not used, f"{path.name}:{node.lineno} uses {sorted(used)}"
+
+
+def test_only_arrangement_makes_hyperplanes_and_arrangements():
+    """No module but ``arrangement`` calls ``Arrangement(`` or ``Hyperplane(``:
+    the hyperplane form and order have one owner."""
+    for path in sorted(Path(ishkit.__file__).parent.glob("*.py")):
+        if path.name == "arrangement.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name not in ("Arrangement", "Hyperplane"), f"{path.name}:{node.lineno} calls {name}"
