@@ -26,10 +26,10 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
   ``5/2 * x1^2 * x3`` is the entry ``3 << 48 | 2 << 32 | 1 ->
   Fraction(5, 2)``.  Exponent tuples appear only at the edges: the
   constructors read them, and ``sorted_terms`` and ``poly_str`` write
-  them; the JSON writer ``poly_json_str`` reads each exponent off the
-  key by shift and mask.  ``MultiPoly.product`` is the one constructor
-  from linear forms: ``const``, ``variable`` and ``linear`` are each one
-  call of it.  No other module reads or writes a key.
+  them; the JSON writer ``poly_json_str`` reads a key's exponents in
+  one ``struct`` unpack of its bytes.  ``MultiPoly.product`` is the one
+  constructor from linear forms: ``const``, ``variable`` and ``linear``
+  are each one call of it.  No other module reads or writes a key.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -62,6 +62,7 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
+from struct import Struct
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -152,6 +153,7 @@ def _exact(c: Scalar) -> Scalar:
 _FIELD = 16  # bits per field of a monomial key; see the module docstring
 _GUARD = 1 << (_FIELD - 1)  # the top bit of a field
 _MASK = (1 << _FIELD) - 1
+_FIELD_CODE = {16: "H", 32: "I"}[_FIELD]  # the struct code of an unsigned field, read big-endian
 
 
 def _check_degree(key: int, nvars: int) -> None:
@@ -232,8 +234,10 @@ class MultiPoly:
         each key by the key of ``x_k``, so no ``MultiPoly`` is built between
         factors.  A product of linear forms has degree its factor count, so
         the degree is checked once, first.  With ``int`` forms the terms stay
-        ``int`` until the scalar multiplies them.  A zero scalar or a zero
-        form gives the zero polynomial.
+        ``int`` until the scalar ``p/q`` multiplies them, and then each ``int``
+        term ``c`` is ``c p`` over ``q`` cut by one ``gcd(c, q)``: an ``int``
+        when that gcd is ``q``, with no ``Fraction`` arithmetic.  A zero scalar
+        or a zero form gives the zero polynomial.
         """
         res = cls(nvars)
         top = _FIELD * nvars
@@ -256,8 +260,17 @@ class MultiPoly:
             terms = out
         if scalar == 1:  # the terms of int forms are ints already
             res.terms = {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
-        else:
-            res.terms = {k: _exact(c * scalar) for k, c in terms.items() if c}
+            return res
+        p, q = scalar.numerator, scalar.denominator  # coprime, so c p / q is (c/g) p / (q/g)
+        out = res.terms
+        for k, c in terms.items():
+            if not c:
+                continue
+            if type(c) is int:
+                g = gcd(c, q)
+                out[k] = c // g * p if g == q else Fraction(c // g * p, q // g)
+            else:
+                out[k] = _exact(c * scalar)
         return res
 
     # -- basic queries ------------------------------------------------
@@ -450,28 +463,35 @@ def poly_json_str(p: MultiPoly, pad: str, memo: dict) -> str:
     A term is the record ``{"coef": "num/den", "exp": [e_1, ..., e_n]}``,
     the coefficient in ``format_rational``'s form but written inline, as a
     call per term costs a few percent of a ``basis`` answer.  The terms run
-    in descending graded-lex order, that is descending packed key, and
-    each exponent is read off the key by shift and mask.  The
-    polynomials of one answer repeat their monomials, so each exponent list
-    is written once and read back from ``memo``, one dict of them per
-    ``nvars`` and ``pad``, the two things besides the key that it holds.
+    in descending graded-lex order, that is descending packed key.  The
+    polynomials of one answer repeat their monomials, so the part of a
+    record after the coefficient, which holds the exponent list, is written
+    once per key and read back from ``memo``.  ``memo`` holds, per ``nvars``
+    and ``pad``, the two things besides the key that this part depends on:
+    the parts written so far, a ``struct`` reader of the key's bytes that
+    skips the degree field and returns the exponents, and the ``%``
+    template that writes them.
     """
     terms = p.terms
     if not terms:
         return "[]"
     inner = pad + "  "
-    field = inner + "  "
-    sep = "," + field + "  "
-    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
-    exps = memo.setdefault((p.nvars, pad), {})
+    writer = memo.get((p.nvars, pad))
+    if writer is None:
+        n, field = p.nvars, inner + "  "
+        exp = f"[{field}  " + f",{field}  ".join(["%d"] * n) + f"{field}]" if n else "[]"
+        fields = Struct(f">{_FIELD // 8}x{n}{_FIELD_CODE}")
+        writer = memo[(n, pad)] = (
+            {}, fields.unpack, fields.size, f'{{{field}"coef": "', f'",{field}"exp": {exp}{inner}}}'
+        )
+    tails, unpack, size, head, template = writer
     records = []
     for key in sorted(terms, reverse=True):
         c = terms[key]
-        exp = exps.get(key)
-        if exp is None:
-            written = sep.join([str(key >> s & _MASK) for s in shifts])
-            exp = exps[key] = f"[{field}  {written}{field}]" if shifts else "[]"
-        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exp}{inner}}}')
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = template % unpack(key.to_bytes(size, "big"))
+        records.append(f"{head}{c}/1{tail}" if type(c) is int else f"{head}{c.numerator}/{c.denominator}{tail}")
     return "[" + inner + ("," + inner).join(records) + pad + "]"
 
 

@@ -39,7 +39,10 @@ found once, and only the components they pick out enter the image
 (``_factored_is_log``):
 
 * by exchange, when a braid form ``x_s - x_t`` meets two components
-  that exchanging ``x_s`` and ``x_t`` swaps;
+  that exchanging ``x_s`` and ``x_t`` swaps.  A field with three or more
+  nonzero components is exchanged once per component, not once per
+  braid form (``_exchange_group``), and a braid form inside its exchange
+  group needs no exchange of its own; any other takes the pair exchange;
 * by the factors, when every term picked out has ``alpha_H`` among its
   factors (unique factorization in ``Q[x]``) or is a constant or a
   linear form, and the constants sum to 0 and the linear forms to a
@@ -65,7 +68,6 @@ cleared of its denominators.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
@@ -333,6 +335,34 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
     return all(ap * u == lp * v for u, v in zip(linear, alpha))
 
 
+def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
+    """The exchange group of a field: coordinates any two of whose components
+    the exchange of their two variables swaps.  None when the field has
+    fewer than three nonzero components.
+
+    With ``c * P`` the first nonzero component, at ``x_r``, the group holds
+    ``r`` and each ``s`` whose component is ``c`` times ``P`` with ``x_r`` and
+    ``x_s`` exchanged, where ``P`` has no ``x_s``: that component is ``P`` with
+    ``x_r`` renamed ``x_s``.  Any two members ``s`` and ``t`` are then
+    exchanged by swapping ``x_s`` and ``x_t``, as neither appears in ``P``,
+    so the exchange route of ``_factored_is_log`` holds for every braid form
+    ``a (x_s - x_t)`` inside the group without exchanging that pair.  A
+    field with ``m`` such components needs ``m - 1`` exchanges here against
+    the ``m (m - 1) / 2`` of the pairs, which wins only from ``m = 3`` on.
+    """
+    nonzero = [k for k, comp in enumerate(theta) if comp is not None]
+    if len(nonzero) < 3:
+        return None
+    r, *rest = nonzero
+    scalar, factors = theta[r]
+    group = {r}
+    for s in rest:
+        comp = theta[s]
+        if comp[0] == scalar and not any(f[s] for f in factors) and comp[1] == _exchanged(factors, r, s):
+            group.add(s)
+    return group
+
+
 def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
     """The pivot column of each row, when the matrix peels; else None.
 
@@ -364,7 +394,9 @@ def factored_saito_constant(
     errors.  A term whose scalar is 0 is read as a zero component, as its
     expansion is.  The log checks run hyperplane by hyperplane: the nonzero
     coordinates of each ``alpha_H`` are found once, and each derivation is
-    checked on the factors of just those components (``_factored_is_log``).
+    checked on the factors of just those components (``_factored_is_log``),
+    but for a braid form inside the derivation's exchange group
+    (``_exchange_group``), which that group shows already.
     A product of linear forms is homogeneous, so a derivation is
     homogeneous when its nonzero components have equally many factors.
 
@@ -386,11 +418,18 @@ def factored_saito_constant(
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
     derivs = [tuple(comp if comp and comp[0] else None for comp in theta) for theta in derivs]
+    groups = [_exchange_group(theta) for theta in derivs]
     for h in arr.hyperplanes:
         alpha = h.coeffs
         support = [(k, a) for k, a in enumerate(alpha) if a]
-        if not all(_factored_is_log(theta, alpha, support) for theta in derivs):
-            return _deferred(derivs, arr)
+        braid = len(support) == 2 and support[0][1] == -support[1][1]
+        if braid:
+            (s, _), (t, _) = support
+        for theta, group in zip(derivs, groups):
+            if braid and group is not None and s in group and t in group:
+                continue
+            if not _factored_is_log(theta, alpha, support):
+                return _deferred(derivs, arr)
     if any(all(comp is None for comp in theta) for theta in derivs):
         return None
     degree = 0
@@ -405,7 +444,7 @@ def factored_saito_constant(
     if pivots is None:
         return _deferred(derivs, arr)
     terms = [theta[c] for theta, c in zip(derivs, pivots)]
-    if Counter(f for _, factors in terms for f in factors) != Counter(h.coeffs for h in arr.hyperplanes):
+    if sorted(f for _, factors in terms for f in factors) != sorted(h.coeffs for h in arr.hyperplanes):
         return _deferred(derivs, arr)
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     det = (-1) ** inversions * prod(scalar for scalar, _ in terms)

@@ -20,6 +20,7 @@ from ishkit.exactmath import (
     int_det,
     nonnegative_int_roots,
     parse_rational_pair,
+    poly_json_str,
     poly_str,
     rational_str,
     reduced,
@@ -403,6 +404,45 @@ def test_product_at_the_degree_limit():
             MultiPoly.product(2, scalar, [unit] * 2**15)
 
 
+def product_by_fraction_arithmetic(nvars, scalar, factors):
+    """``MultiPoly.product`` as it scaled each term by ``_exact(c * scalar)``,
+    in ``Fraction`` arithmetic, before it cut ``c p / q`` by a gcd."""
+    res = MultiPoly.product(nvars, 1, factors)
+    res.terms = {k: _exact(c * scalar) for k, c in res.terms.items()} if scalar else {}
+    return res
+
+
+SCALED = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)) | st.integers(-6, 6)
+
+
+@st.composite
+def scaled_product_cases(draw):
+    """``(nvars, scalar, factors)``: a scalar ``p/q`` with any ``p`` (0, 1,
+    negative or not), and up to four forms of ``int`` or ``Fraction`` entries,
+    some of them zero forms."""
+    nvars = draw(st.integers(0, 5))
+    form = st.lists(SCALAR, min_size=nvars, max_size=nvars)
+    return nvars, draw(SCALED), draw(st.lists(form, max_size=4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scaled_product_cases())
+# the x2 and x3 components of theta_3 for the half-integer nest ({1/2}, {1/2, 3/2}),
+# and of theta_4 for ({1/2}, {-3/2, 1/2}, {-3/2, 1/2, 2})
+@example((4, Fraction(1, 4), [(2, -2, 0, -1), (2, -2, 0, -3)]))
+@example((4, Fraction(1, 4), [(2, 0, -2, -3), (2, 0, -2, -1)]))
+@example((5, Fraction(1, 4), [(1, -1, 0, 0, -2), (2, -2, 0, 0, -1), (2, -2, 0, 0, 3)]))
+@example((3, Fraction(-3, 4), [(2, -2, 1), (2, -2, -1)]))  # p != 1, negative
+@example((3, Fraction(5, 6), [(3, 0, 2), (2, 0, 0)]))  # terms that 6 divides, and some that it does not
+@example((2, Fraction(7, 2), [(1, 1), (0, 0)]))  # a zero form
+@example((2, -4, [(Fraction(1, 2), 3)]))  # an int scalar with Fraction terms
+def test_product_scales_int_terms_as_fraction_arithmetic_does(case):
+    nvars, scalar, factors = case
+    got = MultiPoly.product(nvars, scalar, factors)
+    assert in_order(got) == in_order(product_by_fraction_arithmetic(nvars, scalar, factors))
+    assert all(c and type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+
+
 def mp(nvars, terms):
     return MultiPoly(nvars, terms)
 
@@ -720,6 +760,69 @@ def test_poly_to_json_reads_the_sorted_terms(case):
     assert poly_to_json(p) == [
         {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in p.sorted_terms()
     ]
+
+
+def poly_json_str_by_shift_and_mask(p: MultiPoly, pad: str, memo: dict) -> str:
+    """``poly_json_str`` as it read each exponent off the key by shift and mask,
+    and wrote each exponent list field by field with ``str``."""
+    terms = p.terms
+    if not terms:
+        return "[]"
+    inner = pad + "  "
+    field = inner + "  "
+    sep = "," + field + "  "
+    shifts = range(_FIELD * (p.nvars - 1), -1, -_FIELD)
+    exps = memo.setdefault((p.nvars, pad), {})
+    records = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        exp = exps.get(key)
+        if exp is None:
+            written = sep.join([str(key >> s & _MASK) for s in shifts])
+            exp = exps[key] = f"[{field}  {written}{field}]" if shifts else "[]"
+        records.append(f'{{{field}"coef": "{c.numerator}/{c.denominator}",{field}"exp": {exp}{inner}}}')
+    return "[" + inner + ("," + inner).join(records) + pad + "]"
+
+
+TOP = 2**15 - 1  # the largest total degree a key holds
+
+
+@st.composite
+def monomials(draw, nvars):
+    """An exponent tuple of total degree up to ``TOP``, often ``TOP`` itself."""
+    if not nvars:
+        return ()
+    degree = draw(st.sampled_from([0, 1, TOP]) | st.integers(0, TOP))
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=nvars - 1, max_size=nvars - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
+def json_written_polys(draw):
+    """Up to three polynomials in one ``nvars`` of 0..8, some sharing monomials."""
+    nvars = draw(st.integers(0, 8))
+    shared = draw(st.lists(monomials(nvars), min_size=1, max_size=4))
+    exps = st.sampled_from(shared) | monomials(nvars)
+    coef = COEF | st.integers(-10**20, 10**20).filter(bool) | st.fractions().filter(bool)
+    return nvars, draw(st.lists(st.dictionaries(exps, coef, max_size=5), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_written_polys(), st.sampled_from(["\n", "\n  ", "\n      "]))
+@example((0, [{(): 3}, {(): Fraction(-1, 2)}, {}]), "\n")
+@example((2, [{(TOP, 0): 1, (0, TOP): Fraction(1, 3)}, {(TOP, 0): -2}]), "\n    ")
+@example((8, [{(TOP - 7, 1, 1, 1, 1, 1, 1, 1): 5, (0,) * 8: -1}]), "\n  ")
+def test_poly_json_str_writes_what_shift_and_mask_wrote(case, pad):
+    # one memo for every polynomial, at two indents and, with a last
+    # exponent 0 appended, in one more variable
+    nvars, polys = case
+    memo, oracle_memo = {}, {}
+    for terms in polys:
+        for p in (MultiPoly(nvars, terms), MultiPoly(nvars + 1, {e + (0,): c for e, c in terms.items()})):
+            for indent in (pad, pad + "  "):
+                got = poly_json_str(p, indent, memo)
+                assert got == poly_json_str_by_shift_and_mask(p, indent, oracle_memo)
+                assert json.loads(got) == poly_to_json(p)
 
 
 def test_multipoly_json_round_trip():

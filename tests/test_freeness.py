@@ -26,6 +26,7 @@ from ishkit.freeness import (
     FreenessVerdict,
     NonFreeWitness,
     _degree,
+    _exchange_group,
     _exchanged,
     _expanded,
     _factored_is_log,
@@ -1029,6 +1030,102 @@ def test_the_factored_basis_and_the_exchange_match_the_forms(nest):
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
         for theta in oracle:
             assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
+
+
+# -- exchange groups against the pair route ------------------------------
+
+
+def pair_route(derivs, arr):
+    """``routed`` with no exchange group, so that each braid form is shown by
+    the pair route of ``_factored_is_log``, as before the groups."""
+    with mock.patch("ishkit.freeness._exchange_group", return_value=None):
+        return routed(derivs, arr)
+
+
+def braid_forms(arr):
+    """``(alpha, support)`` of each braid form ``a (x_s - x_t)`` of the arrangement."""
+    out = []
+    for h in arr.hyperplanes:
+        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
+        if len(support) == 2 and support[0][1] == -support[1][1]:
+            out.append((h.coeffs, support))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=8))
+@example(ish_nest(8))
+@example(NestSpec.make([[], [], ["1/2"], ["1/2"], ["1/2", 2], ["1/2", 2], ["-3/2", "1/2", 2]]))
+def test_exchange_groups_hold_what_the_pair_route_shows(nest):
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    for theta in basis:
+        nonzero = [k for k, comp in enumerate(theta) if comp is not None]
+        group = _exchange_group(theta)
+        if len(nonzero) < 3:
+            assert group is None
+            continue
+        assert group == set(nonzero)  # every component of the paper's fields
+        for s, t in itertools.combinations(sorted(group), 2):
+            assert theta[s][0] == theta[t][0] and _exchanged(theta[s][1], s, t) == theta[t][1]
+        for alpha, support in braid_forms(arr):
+            if {k for k, _ in support} <= group:
+                assert _factored_is_log(theta, alpha, support)
+    c = routed(basis, arr)
+    assert c == pair_route(basis, arr)
+    assert c[1] == 0 and c[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=5).filter(lambda nest: nest.ell >= 4), st.randoms(use_true_random=False),
+       st.sampled_from(["the first component holds x_s", "another scalar", "a component moved"]))
+@example(ish_nest(5), random.Random(0), "the first component holds x_s")
+@example(NestSpec.make([["1/2"], ["1/2"], ["1/2", 2]]), random.Random(1), "another scalar")
+@example(ish_nest(4), random.Random(2), "a component moved")
+def test_a_field_off_the_group_premise_falls_back_to_the_pair_route(nest, rng, mutation):
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    n = arr.dim
+    k = rng.randrange(4, nest.ell + 1)  # theta_k has k - 1 >= 3 components, on x2..xk
+    theta = list(basis[k])
+    s = rng.randrange(2, k)  # a member besides the first component, at x2
+    scalar, first = theta[1]
+    if mutation == "the first component holds x_s":
+        # x1 - x_s joins the x2 factors, and every component is their exchange
+        first = tuple(sorted(first + (tuple(1 if i == 0 else -1 if i == s else 0 for i in range(n)),)))
+        theta = [None if comp is None else (scalar, first if u == 1 else _exchanged(first, 1, u))
+                 for u, comp in enumerate(theta)]
+        off = s
+    elif mutation == "another scalar":
+        theta[s] = (2 * scalar, theta[s][1])
+        off = s
+    else:  # to z, which the x2 component holds
+        theta[n - 1], theta[s] = theta[s], None
+        off = n - 1
+    mutated = list(basis)
+    mutated[k] = tuple(theta)
+    group = _exchange_group(mutated[k])
+    assert 1 in group and off not in group
+    got = routed(mutated, arr)
+    assert got == pair_route(mutated, arr)
+    assert got[0] == verdict(saito_constant, [expand(t) for t in mutated], arr)
+
+
+def test_a_group_shows_braid_forms_only():
+    # (x1 + x2) d/dx2 + (x1 + x3) d/dx3 + (x1 + x4) d/dx4 is one group; its
+    # image is a multiple of x2 - x3, but not of x2 - 2 x3 or x2 + x3, which
+    # meet the group in two coordinates too
+    n = 4
+    theta = (None, (1, ((1, 1, 0, 0),)), (1, ((1, 0, 1, 0),)), (1, ((1, 0, 0, 1),)))
+    assert _exchange_group(theta) == {1, 2, 3}
+    euler = tuple((1, (tuple(int(i == k) for i in range(n)),)) for k in range(n))
+    for form, log in (((0, 1, -1, 0), True), ((0, 1, -2, 0), False), ((0, 1, 1, 0), False)):
+        arr = Arrangement(n, [Hyperplane.make(form)])
+        assert log_by_expansion(theta, arr.hyperplanes[0]) is log
+        derivs = [theta] + [euler] * (n - 1)
+        got = routed(derivs, arr)
+        assert got == pair_route(derivs, arr)
+        assert got[0] == verdict(saito_constant, [expand(t) for t in derivs], arr)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

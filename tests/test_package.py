@@ -46,7 +46,7 @@ def test_records_refuse_to_set_a_field(record, fields):
             setattr(record, field, getattr(record, field))
 
 
-KEY_LAYOUT = {"_FIELD", "_MASK", "_GUARD", "_pack", "_unpack", "_check_degree", "_exact"}
+KEY_LAYOUT = {"_FIELD", "_FIELD_CODE", "_MASK", "_GUARD", "_pack", "_unpack", "_check_degree", "_exact"}
 
 
 def test_only_exactmath_touches_the_packed_monomial_key():
