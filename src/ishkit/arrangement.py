@@ -25,13 +25,14 @@ README states.  ``den`` is the nest's ``den`` divided by its gcd with
 every numerator (the lcm of the entries' reduced denominators), and 1
 for graph and named specs; ``cone`` puts ``None``, the edge of ``z = 0``,
 first.  An ``Arrangement`` keeps the form it was built from and derives
-the other on its first read.  The hyperplanes of gain edges come from
-``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q`` the reduced ``c/den``,
-already normalized, so no builder goes through ``Hyperplane.make``; that
-stays for rational input.  The gain edges of an arrangement given as
-hyperplanes are read back by ``gain_edges``, which no builder's
-arrangement needs.  ``_diff_form`` also gives the factors of
-``freeness``'s derivation bases.
+the other on its first read; ``is_central`` reads the edges when it has
+them, so ``supersolvable`` derives no hyperplane.  The hyperplanes of
+gain edges come from ``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q``
+the reduced ``c/den``, already normalized, so no builder goes through
+``Hyperplane.make``; that stays for rational input.  The gain edges of
+an arrangement given as hyperplanes are read back by ``gain_edges``,
+which no builder's arrangement needs.  ``_diff_form`` also gives the
+factors of ``freeness``'s derivation bases.
 
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
@@ -169,7 +170,11 @@ class Arrangement:
 
     @property
     def is_central(self) -> bool:
-        """True when every hyperplane passes through the origin."""
+        """True when every hyperplane passes through the origin.  With gain
+        edges that is when the arrangement is coned or every gain is 0, read
+        off the edges without deriving a hyperplane."""
+        if self._edges is not None:
+            return self.coned or not any(c for _, _, c in self._edges[1])
         return all(h.const == 0 for h in self.hyperplanes)
 
     def var_names(self) -> list[str]:

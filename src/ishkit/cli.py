@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import Chamber, enumerate_chambers, geometric_product
@@ -27,6 +27,7 @@ from .exactmath import (
     UniPoly,
     _shown,
     default_names,
+    equation_str,
     format_rational,
     poly_json_str,
     rational_str,
@@ -44,7 +45,7 @@ from .freeness import (
     nest_exponents,
 )
 from .graphs import analyze_graph, survey
-from .lattice import is_supersolvable, nest_modular_chain
+from .lattice import Flat, is_supersolvable, nest_modular_chain
 from .rooks import board_columns, spec_char_poly
 
 LATTICE_MAX_ELL = 6
@@ -242,16 +243,11 @@ def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
     else:
         chain = is_supersolvable(arr, spec_char_poly(parsed))
     if req.output_format == "json":
-        return {
-            "supersolvable": chain is not None,
-            "chain": None if chain is None else [flat.to_json() for flat in chain],
-        }
+        return {"supersolvable": chain is not None, "chain": chain}
     if chain is None:
         return "NOT SUPERSOLVABLE"
-    names = arr.var_names()
     lines = [f"SUPERSOLVABLE: modular chain of ranks 0..{len(chain) - 1}"]
-    for flat in chain:
-        lines.append(f"  rank {flat.rank}: {flat.render(names)}")
+    lines += _chain_lines(chain, arr.var_names())
     return "\n".join(lines)
 
 
@@ -389,6 +385,84 @@ def _chamber_records(chambers: list[Chamber], pad: str) -> list[str]:
     return records
 
 
+def _chain_rows(
+    chain: list[Flat], write: Callable[[Flat, tuple[int, int, int] | None], str]
+) -> Iterator[tuple[Flat, list[str]]]:
+    """Each flat of a chain with the rows of its reduced row echelon form, as
+    ``write(flat, row)`` writes them.
+
+    The one writer of both formats.  A row is ``(v, r, o)`` for each
+    coordinate v off its root r, in pivot order, the equation ``x_v - x_r =
+    o/den`` (coned: ``x_v - x_r - (o/den)*z = 0``), then ``None`` for ``z =
+    0``; a flat's rank is its number of rows.  The flats of a chain share
+    their coordinates, ``coned`` and ``den``, and repeat their rows, so
+    each distinct row is written once and read back from a memo; a new
+    memo starts wherever one of those three changes.
+    """
+    memo: dict = {}
+    shape = None  # no flat has this shape: the first one starts a memo
+    for flat in chain:
+        root, offset, zero, coned, den = flat
+        if (len(root), coned, den) != shape:
+            memo, shape = {}, (len(root), coned, den)
+        rows = []
+        for v, (r, o) in enumerate(zip(root, offset)):
+            if r != v:
+                row = (v, r, o)
+                rows.append(memo[row] if row in memo else memo.setdefault(row, write(flat, row)))
+        if zero:
+            rows.append(memo[None] if None in memo else memo.setdefault(None, write(flat, None)))
+        yield flat, rows
+
+
+def _chain_lines(chain: list[Flat], names: Sequence[str]) -> list[str]:
+    """Each flat as its line of the text answer: its rank and its rows as
+    ``equation_str`` writes them, ``; ``-separated, or ``ambient space``."""
+    z = names[-1]  # read only when coned
+
+    def equation(flat: Flat, row: tuple[int, int, int] | None) -> str:
+        if row is None:
+            return equation_str((1,), 0, (z,))
+        v, r, o = row
+        den = flat.den
+        if flat.coned:  # x_v - x_r - (o/den)*z = 0
+            return equation_str((den, -den, -o), 0, (names[v], names[r], z), den)
+        return equation_str((den, -den), o, (names[v], names[r]), den)  # x_v - x_r = o/den
+
+    return [f"  rank {len(rows)}: {'; '.join(rows) or 'ambient space'}" for _, rows in _chain_rows(chain, equation)]
+
+
+def _flat_records(chain: list[Flat], pad: str) -> list[str]:
+    """Each flat as ``json.dumps`` writes ``{"dim": ..., "rank": ..., "rref": [...]}``
+    at the indent ``pad``, each row a list of ``"num/den"`` entries as
+    ``format_rational`` writes them: the columns of the coordinates, then
+    ``z`` when coned, then the constant."""
+    inner = pad + "  "
+    line = inner + "  "
+    entry = line + "  "
+    sep = "," + entry
+
+    def row_record(flat: Flat, row: tuple[int, int, int] | None) -> str:
+        n = len(flat.root)
+        entries = ['"0/1"'] * (n + 1 + flat.coned)
+        if row is None:  # z = 0
+            entries[n] = '"1/1"'
+        else:
+            v, r, o = row
+            entries[v], entries[r] = '"1/1"', '"-1/1"'
+            entries[n] = _json_rational(-o if flat.coned else o, flat.den)
+        return f"[{entry}{sep.join(entries)}{line}]"
+
+    records = []
+    for flat, rows in _chain_rows(chain, row_record):
+        rref = f"[{line}{(',' + line).join(rows)}{inner}]" if rows else "[]"
+        rank = len(rows)
+        records.append(
+            f'{{{inner}"dim": {len(flat.root) + flat.coned - rank},{inner}"rank": {rank},{inner}"rref": {rref}{pad}}}'
+        )
+    return records
+
+
 def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
@@ -396,12 +470,15 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     the exponent lists ``exactmath.poly_json_str`` has written so far in
     this value (a new one when None).  Only the types the handlers emit
     are rendered: dicts with str keys, lists, str, int, bool and None, and
-    two leaves written straight from their integer form -- a ``MultiPoly``
-    as its list of term records, by ``exactmath.poly_json_str``, which
-    alone reads the packed keys, and a ``Chamber`` as its signs and
-    witness.  A list of chambers alone is written in one
-    pass of ``_chamber_records``, which writes each distinct coordinate
-    once.  Any other type is a ``TypeError`` naming it.
+    values written straight from their integer form -- a ``MultiPoly`` as
+    its list of term records, by ``exactmath.poly_json_str``, which alone
+    reads the packed keys, a ``Chamber`` as its signs and witness, and a
+    list of ``Flat``s alone (a modular chain) as each flat's rank,
+    dimension and reduced row echelon form.  A list of chambers alone is
+    written in one pass of ``_chamber_records``, which writes each
+    distinct coordinate once, and a chain in one pass of
+    ``_flat_records``, which writes each distinct row once.  Any other
+    type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -424,6 +501,8 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
             return "[]"
         if type(value[0]) is Chamber and all(type(v) is Chamber for v in value):
             return "[" + inner + ("," + inner).join(_chamber_records(value, inner)) + pad + "]"
+        if type(value[0]) is Flat and all(type(v) is Flat for v in value):
+            return "[" + inner + ("," + inner).join(_flat_records(value, inner)) + pad + "]"
         rendered = ("," + inner).join([
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int

@@ -18,11 +18,13 @@ the closure, the climb and the filtration hash and compare as it is.
 A flat's reduced row echelon form comes in closed form:
 ``x_v - x_root = p/q`` (coned: ``x_v - x_root - (p/q)*z = 0``) for each
 coordinate v off its root, with ``p/q`` the reduced ``offset[v]/den``,
-then ``z = 0``.  ``Flat.to_json`` and ``Flat.render`` write these rows
-from the integers, and ``exactmath`` writes every rational and equation
-in them (``format_rational``, ``equation_str``).  Scaled to coprime
-integers, ``q*x_v - q*x_root = p``, the same rows make the sort key
-(``Flat.key``) that orders the covers of the supersolvability climb.
+then ``z = 0``.  The ``supersolvable`` answer writes these rows straight
+from the integers of its chain's flats (``cli._chain_rows``), each
+distinct row once per answer, and ``exactmath`` writes every rational
+and equation in them (``format_rational``, ``equation_str``).  Scaled
+to coprime integers, ``q*x_v - q*x_root = p``, the same rows make the
+sort key (``Flat.key``) that orders the covers of the supersolvability
+climb.
 
 Flats are ordered by reverse inclusion, the whole space at the bottom.
 A flat is the intersection of the hyperplanes through it, so its mask
@@ -60,7 +62,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, GainEdge
-from .exactmath import UniPoly, equation_str, format_rational, nonnegative_int_roots, reduced
+from .exactmath import UniPoly, nonnegative_int_roots, reduced
 
 
 class Flat(NamedTuple):
@@ -122,49 +124,16 @@ class Flat(NamedTuple):
         """
         return self if self.contains(edge) else _meet(self, edge)
 
-    def _rows(self):
-        """``(v, r, o)`` per coordinate ``v`` off its root ``r``, in pivot order,
-        with ``o`` its offset over ``den``."""
-        for v, (r, o) in enumerate(zip(self.root, self.offset)):
-            if r != v:
-                yield v, r, o
-
     def key(self) -> tuple:
         """``(rank, rows)``, each integer row ``q*x_v - q*x_r = +-p`` of the module
         docstring as ``(-v, q, r, +-p)``, which compare as the rows do (r > v); the
         ``z = 0`` row, zero before n, sorts below them all as ``(-n,)``."""
         den, sign = self.den, -1 if self.coned else 1
-        rows = [(-v, q, r, sign * p) for v, r, o in self._rows() for p, q in [reduced(o, den)]]
+        rows = [(-v, q, r, sign * p) for v, (r, o) in enumerate(zip(self.root, self.offset)) if r != v
+                for p, q in [reduced(o, den)]]
         if self.zero:
             rows.append((-len(self.root),))
         return len(rows), tuple(rows)
-
-    def to_json(self) -> dict:
-        """Rank, dimension, and the reduced row echelon form, each entry as ``"num/den"``."""
-        n, den, coned = len(self.root), self.den, self.coned
-        rref = []
-        for v, r, o in self._rows():
-            row = ["0/1"] * (n + 1 + coned)
-            row[v], row[r], row[n] = "1/1", "-1/1", format_rational(-o if coned else o, den)
-            rref.append(row)
-        if self.zero:
-            rref.append(["0/1"] * n + ["1/1", "0/1"])
-        return {"rank": self.rank, "dim": self.dim, "rref": rref}
-
-    def render(self, names: Sequence[str]) -> str:
-        """The rows of the reduced row echelon form as equations, ``; ``-separated."""
-        if not self.rank:
-            return "ambient space"
-        n, den = len(self.root), self.den
-        if self.coned:  # x_v - x_r - (o/den)*z = 0
-            z = names[n]
-            out = [equation_str((den, -den, -o), 0, (names[v], names[r], z), den)
-                   for v, r, o in self._rows()]
-        else:  # x_v - x_r = o/den
-            out = [equation_str((den, -den), o, (names[v], names[r]), den) for v, r, o in self._rows()]
-        if self.zero:
-            out.append(equation_str((1,), 0, (z,)))
-        return "; ".join(out)
 
 
 _new = tuple.__new__
@@ -304,6 +273,14 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
     depend on Y alone.  Whether a cover completes then does not depend on
     the flat below it, so a cover that passed a step and had no
     completion is never tried again.
+
+    Only the covers it may take are sorted: those whose block size is
+    among the roots left and that are not dead.  The first chain found
+    stays the same.  The kept covers keep their relative order, and a
+    cover dropped up front would be skipped at its turn all the same:
+    a failed attempt restores ``left``, and an attempt at Y adds to
+    ``dead`` only flats of Y's rank or higher, Y among them, never
+    another cover of X.
     """
     if not arr.is_central:
         raise ValueError("supersolvability test needs a central arrangement")
@@ -324,12 +301,11 @@ def is_supersolvable(arr: Arrangement, chi: UniPoly | None = None) -> list[Flat]
             y = _meet(x, edges[(todo & -todo).bit_length() - 1])
             covers[y] = gains.mask(y)
             todo &= ~covers[y]
+        takeable = [y for y, m in covers.items() if left[(m & ~mask).bit_count()] and y not in dead]
         earlier = set(gains.hyperplanes(mask))
-        for y in sorted(covers, key=Flat.key):
+        for y in sorted(takeable, key=Flat.key):
             block = covers[y] & ~mask
             size = block.bit_count()
-            if not left[size] or y in dead:
-                continue
             if _unmodular_pair(gains.hyperplanes(block), earlier) is None:
                 left[size] -= 1
                 rest = extend(y, covers[y])

@@ -599,6 +599,22 @@ def test_the_edge_builders_make_the_hyperplanes_of_the_hyperplane_builders(parse
     assert (den, edges) == Arrangement(arr.dim, arr.hyperplanes, arr.coned).gain_edges() == old.gain_edges()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parsed_specs())
+@example(from_spec({"type": "n_ish", "N": [[0], [], [0]]}))  # every gain 0
+@example(from_spec({"type": "n_ish", "N": [[0, "1/2"], ["-3/2"]]}))  # half-integer gains
+@example(from_spec({"type": "n_ish", "N": [["1/2"], ["1/2"]], "cone": True}))
+@example(from_spec({"type": "deleted_ish", "ell": 4}))  # no edges: N_j = {0}
+@example(from_spec({"type": "deleted_ish", "ell": 4, "cone": True}))
+@example(ParsedSpec("n_ish", 3, NestSpec(3, 5, ((), ())), None, False))  # no hyperplane
+def test_centrality_read_off_the_edges_is_that_of_the_hyperplanes(parsed):
+    arr = parsed.arrangement
+    central = arr.is_central  # before any hyperplane is derived
+    assert arr._hyperplanes is None
+    assert central == all(h.const == 0 for h in arr.hyperplanes)
+    assert central == Arrangement(arr.dim, arr.hyperplanes, arr.coned).is_central
+
+
 def test_gain_edges_is_a_fresh_list():
     shi = build_named("shi", 3)
     for make in (

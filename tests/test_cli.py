@@ -28,6 +28,7 @@ from ishkit.cli import _HANDLERS, COMMANDS, LATTICE_MAX_ELL, _render, main, requ
 from ishkit.errors import CapacityError
 from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
 from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
+from ishkit.lattice import Flat
 from test_arrangement import (
     FractionNestSpec,
     fraction_build_n_ish,
@@ -43,6 +44,7 @@ from test_chambers import (
     oracle_enumerate_chambers,
 )
 from test_exactmath import COEF, poly_terms, poly_to_json
+from test_lattice import flat_to_json
 from test_freeness import (
     fraction_basis_derivations,
     fraction_decide_free,
@@ -392,7 +394,7 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
     cone3 = {"type": "ish", "ell": 3, "cone": True}
     with monkeypatch.context() as m:
         m.setattr("ishkit.cli.derivation_str", never)
-        m.setattr("ishkit.lattice.Flat.render", never)
+        m.setattr("ishkit.cli._chain_lines", never)
         m.setattr("ishkit.cli.rational_str", never)
         assert json_of(nest, "basis")["degrees"] == [0, 1, 2, 2]
         assert json_of(cone3, "supersolvable")["supersolvable"] is True
@@ -401,7 +403,7 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
         m.setattr("ishkit.cli.poly_json_str", never)
         m.setattr("ishkit.cli._chamber_records", never)
         m.setattr("ishkit.cli._json_rational", never)
-        m.setattr("ishkit.lattice.Flat.to_json", never)
+        m.setattr("ishkit.cli._flat_records", never)
         assert text_of(nest, "basis").startswith("sets taken in ascending order (3, 2)")
         assert text_of(cone3, "supersolvable").startswith("SUPERSOLVABLE")
         assert text_of(cone3, "chambers").startswith("32 chambers")
@@ -607,8 +609,8 @@ def test_no_request_reads_an_arrangement_back(monkeypatch):
     assert [answer_of(doc) for doc in docs] == want
 
 
-def test_chambers_and_wallcross_read_no_hyperplane(monkeypatch):
-    docs = request_path_docs(("chambers", "wallcross"))
+def assert_no_hyperplane_is_derived(docs, monkeypatch) -> None:
+    """The answers to the requests stay the same with ``Arrangement.hyperplanes`` made to raise."""
     want = [answer_of(doc) for doc in docs]
 
     def never(*args):
@@ -616,6 +618,27 @@ def test_chambers_and_wallcross_read_no_hyperplane(monkeypatch):
 
     monkeypatch.setattr(Arrangement, "hyperplanes", property(never))
     assert [answer_of(doc) for doc in docs] == want
+
+
+def test_chambers_and_wallcross_read_no_hyperplane(monkeypatch):
+    assert_no_hyperplane_is_derived(request_path_docs(("chambers", "wallcross")), monkeypatch)
+
+
+def test_supersolvable_reads_no_hyperplane(monkeypatch):
+    # every spec kind, affine and coned: centrality is read off the gain edges
+    docs = [
+        dict(spec, cone=c, command="supersolvable", format=f)
+        for spec in PATH_SPECS.values() for c in (False, True) for f in ("text", "json")
+    ]
+    docs += [  # central without a cone: every gain 0
+        dict(spec, command="supersolvable", format=f)
+        for spec in ({"type": "deleted_ish", "ell": 4}, {"type": "n_ish", "N": [[0], [], [0]]})
+        for f in ("text", "json")
+    ]
+    answers = [answer_of(doc) for doc in docs]
+    assert sum(a.startswith("SUPERSOLVABLE") or '"supersolvable": true' in a for a in answers) >= 8
+    assert sum(a.startswith("ValueError: the lattice test needs a central") for a in answers) == 5 * 2
+    assert_no_hyperplane_is_derived(docs, monkeypatch)
 
 
 def assert_wallcross_internal_error(capsys, tmp_path, message: str) -> None:
@@ -846,12 +869,14 @@ def test_render_matches_json_dumps(value):
 
 
 def oracle_records(value):
-    """``value`` with each ``MultiPoly`` and ``Chamber`` replaced by its oracle
-    JSON records, ``poly_to_json`` and ``chamber_to_json``."""
+    """``value`` with each ``MultiPoly``, ``Chamber`` and ``Flat`` replaced by its
+    oracle JSON records, ``poly_to_json``, ``chamber_to_json`` and ``flat_to_json``."""
     if type(value) is MultiPoly:
         return poly_to_json(value)
     if type(value) is Chamber:
         return chamber_to_json(value)
+    if type(value) is Flat:
+        return flat_to_json(value)
     if type(value) is list:
         return [oracle_records(v) for v in value]
     if type(value) is dict:
@@ -891,6 +916,10 @@ CHAMBERS = st.integers(0, 6).flatmap(
         [MultiPoly(2, {(1, 0): 3}), MultiPoly(3, {(0, 1, 0): 1, (0, 0, 0): -1})],
     ],
     "b": [MultiPoly(3, {(0, 0, 0): 5}), MultiPoly(2, {(0, 0): Fraction(1, 2), (1, 0): 1})],
+})
+@example({  # chains of flats, each written in one pass
+    "a": [Flat.ambient(3, True, 2), Flat((1, 1), (-1, 0), False, True, 2), Flat((1, 1), (0, 0), True, True, 2)],
+    "b": [[Flat((0, 2, 2), (0, 3, 0), False, False, 2)], 1],
 })
 def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
     assert _render(value) == dumps(oracle_records(value))

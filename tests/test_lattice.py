@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ishkit import exactmath, lattice
@@ -24,7 +25,7 @@ from ishkit.arrangement import (
     from_spec,
     ish_nest,
 )
-from ishkit.cli import request_from_doc, run
+from ishkit.cli import _chain_lines, _render, request_from_doc, run
 from ishkit.exactmath import Scalar, UniPoly, equation_str, format_rational, nonnegative_int_roots
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
@@ -32,6 +33,7 @@ from ishkit.lattice import (
     _IntGains,
     _meet,
     _meets_inside,
+    _unmodular_pair,
     char_poly,
     is_supersolvable,
     nest_modular_chain,
@@ -52,7 +54,7 @@ class FractionFlat:
 
     The form of ``Flat`` before its offsets became integers over the
     arrangement's denominator: its reduced row echelon form, JSON record
-    and text are the oracle of ``Flat.to_json`` and ``Flat.render``.
+    and text are the oracle of ``flat_to_json`` and ``flat_render``.
     """
 
     root: tuple[int, ...]
@@ -123,8 +125,44 @@ def lcm_scaled(edges: Sequence) -> tuple[int, list]:
     return scale, [e if e is None else (e[0], e[1], int(e[2] * scale)) for e in edges]
 
 
+def flat_rows(flat: Flat) -> list[tuple[int, int, int]]:
+    """``(v, r, o)`` per coordinate ``v`` off its root ``r``, in pivot order,
+    with ``o`` its offset over ``den``."""
+    return [(v, r, o) for v, (r, o) in enumerate(zip(flat.root, flat.offset)) if r != v]
+
+
+def flat_to_json(flat: Flat) -> dict:
+    """A flat's JSON record: rank, dimension, and the reduced row echelon form,
+    each entry as ``"num/den"``.  The oracle of the chain writer ``cli._flat_records``."""
+    n, den, coned = len(flat.root), flat.den, flat.coned
+    rref = []
+    for v, r, o in flat_rows(flat):
+        row = ["0/1"] * (n + 1 + coned)
+        row[v], row[r], row[n] = "1/1", "-1/1", format_rational(-o if coned else o, den)
+        rref.append(row)
+    if flat.zero:
+        rref.append(["0/1"] * n + ["1/1", "0/1"])
+    return {"rank": flat.rank, "dim": flat.dim, "rref": rref}
+
+
+def flat_render(flat: Flat, names: Sequence[str]) -> str:
+    """The rows of a flat's reduced row echelon form as equations, ``; ``-separated.
+    The oracle of the text chain writer ``cli._chain_lines``."""
+    if not flat.rank:
+        return "ambient space"
+    n, den = len(flat.root), flat.den
+    if flat.coned:  # x_v - x_r - (o/den)*z = 0
+        z = names[n]
+        out = [equation_str((den, -den, -o), 0, (names[v], names[r], z), den) for v, r, o in flat_rows(flat)]
+    else:  # x_v - x_r = o/den
+        out = [equation_str((den, -den), o, (names[v], names[r]), den) for v, r, o in flat_rows(flat)]
+    if flat.zero:
+        out.append(equation_str((1,), 0, (z,)))
+    return "; ".join(out)
+
+
 def integer_render(flat: Flat, names: Sequence[str]) -> str:
-    """``Flat.render`` written by hand from the integers, one gcd per row: the
+    """``flat_render`` written by hand from the integers, one gcd per row: the
     oracle of the rows that ``equation_str`` writes."""
     if not flat.rank:
         return "ambient space"
@@ -151,8 +189,8 @@ def integer_render(flat: Flat, names: Sequence[str]) -> str:
 
 def assert_written_as_the_oracle(flat: Flat, names: Sequence[str]) -> None:
     oracle = fraction_flat(flat)
-    assert flat.to_json() == oracle.to_json()
-    assert flat.render(names) == oracle.render(names) == integer_render(flat, names)
+    assert flat_to_json(flat) == oracle.to_json()
+    assert flat_render(flat, names) == oracle.render(names) == integer_render(flat, names)
 
 
 # -- rational reference closure ----------------------------------------
@@ -516,6 +554,48 @@ def poset_supersolvable(arr: Arrangement) -> list[Flat] | None:
     return None if chain is None else [poset.flats[i] for i in chain]
 
 
+# -- the climb that sorts every cover: the oracle of the prefiltered climb --
+
+
+def sort_every_cover_climb(arr: Arrangement, chi: UniPoly) -> list[Flat] | None:
+    """``is_supersolvable`` as it sorted every cover of a flat by ``Flat.key``
+    before it skipped those with a block size not among the roots left or
+    found dead."""
+    roots = nonnegative_int_roots(chi)
+    if roots is None:
+        return None
+    left = Counter(roots)
+    gains = _IntGains(arr)
+    edges, full = gains.edges, gains.full
+    dead: set[Flat] = set()
+
+    def extend(x: Flat, mask: int) -> list[Flat] | None:
+        if mask == full:
+            return [x]
+        covers: dict[Flat, int] = {}
+        todo = full & ~mask
+        while todo:
+            y = _meet(x, edges[(todo & -todo).bit_length() - 1])
+            covers[y] = gains.mask(y)
+            todo &= ~covers[y]
+        earlier = set(gains.hyperplanes(mask))
+        for y in sorted(covers, key=Flat.key):
+            block = covers[y] & ~mask
+            size = block.bit_count()
+            if not left[size] or y in dead:
+                continue
+            if _unmodular_pair(gains.hyperplanes(block), earlier) is None:
+                left[size] -= 1
+                rest = extend(y, covers[y])
+                if rest is not None:
+                    return [x] + rest
+                left[size] += 1
+                dead.add(y)
+        return None
+
+    return extend(Flat.ambient(arr.dim, arr.coned, gains.den), 0)
+
+
 def rows(flat: Flat) -> tuple[tuple[int, ...], ...]:
     """The integer echelon rows that order the poset: the rref of ``fraction_flat``
     scaled to coprime integers."""
@@ -586,16 +666,16 @@ def test_flat_basics():
     assert g.root == (2, 2, 2) and g.offset == (-3, -4, 0) and g.den == 2
     assert rows(g) == ((2, 0, -2, -3), (0, 1, -1, -2))  # 2*x1 - 2*x3 = -3, x2 - x3 = -2
     assert fraction_flat(g).rref() == ((1, 0, -1, Fraction(-3, 2)), (0, 1, -1, -2))
-    assert g.render(["x1", "x2", "x3"]) == "x1 - x3 = -3/2; x2 - x3 = -2"
-    assert g.to_json()["rref"] == [["1/1", "0/1", "-1/1", "-3/2"], ["0/1", "1/1", "-1/1", "-2/1"]]
+    assert flat_render(g, ["x1", "x2", "x3"]) == "x1 - x3 = -3/2; x2 - x3 = -2"
+    assert flat_to_json(g)["rref"] == [["1/1", "0/1", "-1/1", "-3/2"], ["0/1", "1/1", "-1/1", "-2/1"]]
     # coned: offsets scale z, and z = 0 zeroes them and adds its own row
     c = Flat.through([(0, 1, 1)], 3, coned=True, den=2)
     assert c.ambient_dim == 3 and rows(c) == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
-    assert c.render(["x1", "x2", "z"]) == "x1 - x2 - 1/2*z = 0"
+    assert flat_render(c, ["x1", "x2", "z"]) == "x1 - x2 - 1/2*z = 0"
     collapsed = c.intersect_hyperplane(None)
     assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
     assert rows(collapsed) == ((1, -1, 0, 0), (0, 0, 1, 0))
-    assert collapsed.render(["x1", "x2", "z"]) == "x1 - x2 = 0; z = 0"
+    assert flat_render(collapsed, ["x1", "x2", "z"]) == "x1 - x2 = 0; z = 0"
     assert collapsed.intersect_hyperplane((0, 1, 5)) is collapsed  # 5*z vanishes on z = 0
     for flat, names in ((g, ["x1", "x2", "x3"]), (c, ["x1", "x2", "z"]), (collapsed, ["x1", "x2", "z"])):
         assert_written_as_the_oracle(flat, names)
@@ -862,7 +942,7 @@ def test_nest_modular_chain_matches_the_lattice_search(doc):
         assert verify_nonfree_witness(parsed.nest, decide_free(parsed.nest).witness)
         return
     chain = nest_modular_chain(parsed.arrangement, order)
-    assert answer["chain"] == [f.to_json() for f in chain]
+    assert answer["chain"] == [flat_to_json(f) for f in chain]
     poset = intersection_poset(parsed.arrangement)
     assert [f.rank for f in chain] == list(range(poset.rank + 1))
     for flat in chain:
@@ -955,6 +1035,34 @@ def test_climb_matches_the_poset_climb_on_deleted_shi_cones_at_ell_5(edges):
     assert_climb_matches_the_poset_climb(*deleted_shi_cone(5, sorted(edges)))
 
 
+@st.composite
+def graph_and_named_cones(draw, max_ell=6):
+    """A spec document with ell <= max_ell: the cone of a deleted Shi or Ish
+    arrangement of a random graph or of a named kind, or the braid
+    arrangement without a cone."""
+    ell = draw(st.integers(2, max_ell))
+    kind = draw(st.sampled_from(("deleted_shi", "deleted_ish", "coxeter", "shi", "ish")))
+    doc: dict = {"type": kind, "ell": ell, "cone": kind != "coxeter" or draw(st.booleans())}
+    if kind.startswith("deleted"):
+        pairs = [[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        doc["edges"] = draw(st.lists(st.sampled_from(pairs), unique_by=tuple))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph_and_named_cones())
+@example({"type": "shi", "ell": 6, "cone": True})
+@example({"type": "ish", "ell": 6, "cone": True})
+@example({"type": "coxeter", "ell": 6, "cone": True})
+@example({"type": "coxeter", "ell": 6, "cone": False})
+@example({"type": "deleted_shi", "ell": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6]], "cone": True})
+def test_the_climb_takes_the_chain_of_the_climb_that_sorts_every_cover(doc):
+    # sorting only the covers the climb may take returns the same chain, or None
+    parsed = from_spec(doc)
+    arr, chi = parsed.arrangement, spec_char_poly(parsed)
+    assert is_supersolvable(arr, chi) == sort_every_cover_climb(arr, chi)
+
+
 def test_climb_takes_chi_from_the_poset_without_one():
     for arr, chi in (deleted_shi_cone(4, [(1, 2), (3, 4)]), deleted_shi_cone(3, [])):
         assert char_poly(arr) == chi
@@ -1015,7 +1123,7 @@ def test_half_entry_chains_are_written_as_the_oracle_writes_them():
     arr = Arrangement(3, [_plane([2, -2, k]) for k in (1, 3, 5)], coned=True)  # x1 - x2 = -k/2 z
     chain, names = is_supersolvable(arr), arr.var_names()
     assert chain[1].offset == (-1, 0) and chain[1].den == 2
-    assert chain[1].render(names) == "x1 - x2 + 1/2*z = 0"
+    assert flat_render(chain[1], names) == "x1 - x2 + 1/2*z = 0"
     for flat in chain:
         assert_written_as_the_oracle(flat, names)
 
@@ -1029,7 +1137,7 @@ def test_zaslavsky_count_matches_poset():
 
 def test_poset_json_surface():
     poset = intersection_poset(cone(build_named("ish", 2)))
-    data = [flat.to_json() for flat in poset.flats]
+    data = [flat_to_json(flat) for flat in poset.flats]
     assert len(data) == 5
     ranks = [rec["rank"] for rec in data]
     assert ranks == sorted(ranks) == list(poset.ranks)
@@ -1114,6 +1222,81 @@ def test_integer_kernel_matches_rational_reference(arr, rng):
             with pytest.raises(ValueError):
                 join_index(poset, i, j)
         assert meet_index(poset, i, j) == reference_meet(poset.masks, poset.ranks, i, j)
+
+
+# -- the chain writer of the supersolvable answer ----------------------
+
+
+@st.composite
+def modular_chains(draw):
+    """``(chain, names)``: a modular chain and the variable names of its arrangement.
+
+    The chain comes from ``nest_modular_chain`` on the cone of a chained
+    nest with integer and half entries, some or all of its sets empty, or
+    from ``is_supersolvable`` on a Coxeter, Shi or deleted-Shi cone, on a
+    central affine spec (no ``z`` column), or on a cone of gain edges over
+    ``den`` 1 or 2 without ``z = 0``, whose chains can pass through a flat
+    with offsets before ``z = 0`` zeroes them.
+    """
+    route = draw(st.sampled_from(("nest", "cone", "central affine", "no z = 0")))
+    if route == "nest":
+        ell = draw(st.integers(2, 5))
+        pool = draw(st.lists(NEST_ENTRIES, max_size=2 if ell == 5 else 3, unique_by=Fraction))
+        cuts = draw(st.lists(st.integers(0, len(pool)), min_size=ell - 1, max_size=ell - 1))
+        nest = NestSpec.make([pool[:k] for k in cuts])
+        arr = cone(build_n_ish(nest))
+        return nest_modular_chain(arr, is_nest(nest)), arr.var_names()
+    if route == "no z = 0":
+        n, den = draw(st.integers(2, 3)), draw(st.sampled_from((1, 2)))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(-3, 3)), min_size=1, max_size=4))
+        planes = []
+        for (i, j), c in edges:
+            form = [0] * (n + 1)
+            form[i], form[j], form[n] = 1, -1, Fraction(-c, den)
+            planes.append(_plane(form))
+        arr = Arrangement(n + 1, planes, coned=True)
+        chain = is_supersolvable(arr)
+    else:
+        ell = draw(st.integers(2, 5))
+        if route == "cone":
+            kind = draw(st.sampled_from(("coxeter", "shi", "deleted_shi")))
+            doc: dict = {"type": kind, "ell": ell, "cone": True}
+            if kind == "deleted_shi":
+                pairs = [[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+                doc["edges"] = draw(st.lists(st.sampled_from(pairs), unique_by=tuple))
+        else:
+            kind = draw(st.sampled_from(("coxeter", "deleted_ish", "n_ish")))
+            doc = {"type": kind, "ell": ell}
+            if kind == "n_ish":  # every gain 0
+                del doc["ell"]
+                doc["N"] = draw(st.lists(st.sampled_from(([], [0])), min_size=ell - 1, max_size=ell - 1))
+        parsed = from_spec(doc)
+        arr = parsed.arrangement
+        chain = is_supersolvable(arr, spec_char_poly(parsed))
+    assume(chain is not None)
+    return chain, arr.var_names()
+
+
+def _chain_of(arr: Arrangement) -> tuple[list[Flat], list[str]]:
+    return is_supersolvable(arr), arr.var_names()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modular_chains())
+@example(_chain_of(cone(build_n_ish(NestSpec.make([[], [], []])))))
+@example(_chain_of(build_named("coxeter", 4)))
+# x1 - x2 = -1/2 z, then z = 0: the one pair of coordinates with two offsets
+@example(_chain_of(Arrangement(3, [_plane([2, -2, k]) for k in (1, 3, 5)], coned=True)))
+def test_the_chain_writer_writes_the_oracle_records_and_lines(case):
+    chain, names = case
+    records = [flat_to_json(flat) for flat in chain]
+    assert _render(chain) == json.dumps(records, indent=2, sort_keys=True)
+    answer = {"supersolvable": True, "chain": chain}
+    assert _render({"answer": answer}) == json.dumps(
+        {"answer": dict(answer, chain=records)}, indent=2, sort_keys=True
+    )
+    assert _chain_lines(chain, names) == [f"  rank {flat.rank}: {flat_render(flat, names)}" for flat in chain]
 
 
 FIVE_CONES = [
