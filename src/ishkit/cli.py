@@ -472,13 +472,14 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     are rendered: dicts with str keys, lists, str, int, bool and None, and
     values written straight from their integer form -- a ``MultiPoly`` as
     its list of term records, by ``exactmath.poly_json_str``, which alone
-    reads the packed keys, a ``Chamber`` as its signs and witness, and a
-    list of ``Flat``s alone (a modular chain) as each flat's rank,
-    dimension and reduced row echelon form.  A list of chambers alone is
-    written in one pass of ``_chamber_records``, which writes each
-    distinct coordinate once, and a chain in one pass of
+    reads the packed keys, a list of ``Chamber``s alone as each chamber's
+    signs and witness, and a list of ``Flat``s alone (a modular chain) as
+    each flat's rank, dimension and reduced row echelon form.  A list of
+    chambers is written in one pass of ``_chamber_records``, which writes
+    each distinct coordinate once, and a chain in one pass of
     ``_flat_records``, which writes each distinct row once.  Any other
-    type is a ``TypeError`` naming it.
+    type, a ``Chamber`` outside such a list too, is a ``TypeError`` naming
+    it.
     """
     kind = type(value)
     if kind is str:
@@ -493,8 +494,6 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
         memo = {}
     if kind is MultiPoly:
         return poly_json_str(value, pad, memo)
-    if kind is Chamber:
-        return _chamber_records([value], pad)[0]
     inner = pad + "  "
     if kind is list:
         if not value:

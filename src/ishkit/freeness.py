@@ -28,25 +28,25 @@ chain test, on sets of numerators over one denominator, compared as ``int``s.
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
 or a scalar times a sorted tuple of the cone's own normalized integer
-forms, read from ``arrangement._diff_form``.  ``basis_derivations``
-multiplies the paper's basis out for display, one component per field,
-each by ``MultiPoly.product``, the one constructor of a polynomial from
-linear forms; no module but ``exactmath`` reads a packed monomial key.
-``factored_saito_constant`` decides Saito's criterion on the factors,
-hyperplane by hyperplane: the nonzero coordinates of ``alpha_H`` are
-found once, and only the components they pick out enter the image
-``theta(alpha_H)``.  A log check is shown in one of two ways
-(``_factored_is_log``):
+forms, read from ``arrangement._diff_form``.  ``factored_basis`` is the
+one builder of the paper's basis: ``saito`` certifies it as it is, and
+``basis_derivations`` multiplies it out for display, one component per
+field by ``MultiPoly.product``, the one constructor of a polynomial from
+linear forms, and the others by exchanging two variables; no module but
+``exactmath`` reads a packed monomial key.  ``factored_saito_constant``
+decides Saito's criterion on the factors, hyperplane by hyperplane: the
+nonzero coordinates of ``alpha_H`` are found once, and only the
+components they pick out enter the image ``theta(alpha_H)``.  A log
+check is shown in one of two ways:
 
-* by exchange, when a braid form ``x_s - x_t`` meets two components
-  that exchanging ``x_s`` and ``x_t`` swaps.  A field with three or more
-  nonzero components is exchanged once per component, not once per
-  braid form (``_exchange_group``), and a braid form inside its exchange
-  group needs no exchange of its own; any other takes the pair exchange;
-* by the factors, when every term picked out has ``alpha_H`` among its
-  factors (unique factorization in ``Q[x]``) or is a constant or a
-  linear form, and the constants sum to 0 and the linear forms to a
-  multiple of ``alpha_H``.
+* inside an exchange group (``_exchange_group``), the one exchange
+  rule: the components of a field that exchanging two variables swaps,
+  found once per field.  A braid form ``x_s - x_t`` on two members needs
+  no exchange of its own;
+* by the factors and sums (``_factored_is_log``), when every term picked
+  out has ``alpha_H`` among its factors (unique factorization in
+  ``Q[x]``) or is a constant or a linear form, and the constants sum to
+  0 and the linear forms to a multiple of ``alpha_H``.
 
 The determinant is then read off the factors: both certificates' basis
 matrices are triangular up to a permutation of the columns (``_peel``),
@@ -216,40 +216,38 @@ def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
     return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
 
 
-def _x2_components(nest: NestSpec) -> list[Term]:
-    """The ``x2`` component of each field ``theta_k``, ``k = 2..ell`` (see ``factored_basis``)."""
-    if not nest.is_ascending():
-        raise ValueError("the derivation basis needs an ascending nest")
-    ell, den = nest.ell, nest.den
-    out = []
-    for k, entries in enumerate(nest.nums, start=2):
-        factors = [_diff_form(ell, 1, 2, a, den) for a in entries]
-        factors += [_diff_form(ell, 2, t) for t in range(k + 1, ell + 1)]
-        first = tuple(sorted(factors))
-        scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
-        out.append((1 if scale == 1 else Fraction(1, scale), first))
-    return out
-
-
 def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     """The explicit derivation basis for the cone of an ascending nest, factored.
 
-    For ``N_2 <= ... <= N_ell`` over variables ``x1..xl, z`` the basis
-    consists of the constant translation field, the Euler field, and for
-    each ``k`` a field supported on ``x2..xk`` whose ``x_s`` component is
+    The one builder of the paper's basis: ``basis_derivations`` multiplies
+    it out, and ``factored_saito_constant`` certifies it.  For ``N_2 <= ...
+    <= N_ell`` over variables ``x1..xl, z`` the basis consists of the
+    constant translation field, the Euler field, and for each ``k`` a field
+    supported on ``x2..xk`` whose ``x_s`` component is
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
     For ``a = num/den`` over the nest's denominator, reduced to ``p/q``,
     the factor is ``(q x1 - q x_s - p z) / q``: the coned hyperplane's own
     form (``_diff_form``).  The components of one field share the scalar
     ``1 / prod q``, an ``int`` when every entry of ``N_k`` is integral.
-    Only the ``x2`` factors are built (``_x2_components``): the ``x_s``
-    ones are the same forms with ``x2`` and ``x_s`` exchanged (``_exchanged``).
+    Only the ``x2`` factors are built: the ``x_s`` ones are the same forms
+    with ``x2`` and ``x_s`` exchanged (``_exchanged``).  So in every field,
+    the translation and Euler fields too, each nonzero component is the
+    first one with the two variables exchanged, and the first one has no
+    ``x_s``: each field with two or more of them is one exchange group
+    (``_exchange_group``).
     """
-    n = nest.ell + 1  # x1..xl and z
-    out = _translation_and_euler(nest.ell)
-    for k, (scalar, first) in enumerate(_x2_components(nest), start=2):
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell, den = nest.ell, nest.den
+    out = _translation_and_euler(ell)
+    for k, entries in enumerate(nest.nums, start=2):
+        factors = [_diff_form(ell, 1, 2, a, den) for a in entries]
+        factors += [_diff_form(ell, 2, t) for t in range(k + 1, ell + 1)]
+        first = tuple(sorted(factors))
+        scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
+        scalar = 1 if scale == 1 else Fraction(1, scale)
         comps = [first] + [_exchanged(first, 1, s - 1) for s in range(3, k + 1)]
-        out.append((None, *((scalar, c) for c in comps), *(None,) * (n - k)))
+        out.append((None, *((scalar, c) for c in comps), *(None,) * (ell + 1 - k)))
     return out
 
 
@@ -266,53 +264,43 @@ def _expanded(theta: FactoredDerivation, nvars: int) -> Derivation:
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
     """The basis of ``factored_basis`` with every component multiplied out.
 
-    Only one component of each field ``theta_k`` is multiplied out, the
-    ``x2`` one.  The ``x_s`` component, ``s = 3..k``, is the same product
-    with ``x2`` renamed ``x_s``; the ``x2`` component has no ``x_s``, as
-    its variables are ``x1``, ``x2``, ``z`` and the ``x_t`` with ``t > k``,
-    so exchanging ``x2`` and ``x_s`` (``MultiPoly.swapped``) renames it.
+    Only the first nonzero component of each field is multiplied out, at
+    ``x_r``.  Every other nonzero component, at ``x_s``, is the first one's
+    factors with ``x_r`` and ``x_s`` exchanged, and the first one has no
+    ``x_s`` (``factored_basis``), so its expansion is the first one's with
+    the two variables exchanged (``MultiPoly.swapped``).
     """
     n = nest.ell + 1
-    out = [_expanded(theta, n) for theta in _translation_and_euler(nest.ell)]
     zero = MultiPoly.zero(n)
-    for k, (scalar, factors) in enumerate(_x2_components(nest), start=2):
-        first = MultiPoly.product(n, scalar, factors)
-        out.append((zero, first, *(first.swapped(1, s - 1) for s in range(3, k + 1)), *(zero,) * (n - k)))
+    out = []
+    for theta in factored_basis(nest):
+        r = next(k for k, comp in enumerate(theta) if comp is not None)
+        first = MultiPoly.product(n, *theta[r])
+        out.append(tuple(zero if comp is None else first if s == r else first.swapped(r, s)
+                         for s, comp in enumerate(theta)))
     return out
 
 
 def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence[tuple[int, int]]) -> bool:
-    """Do the factors show that ``theta(alpha)`` is a multiple of ``alpha``?
+    """Do the factors and sums show that ``theta(alpha)`` is a multiple of ``alpha``?
 
     ``support`` lists the pairs ``(k, alpha[k])`` with ``alpha[k] != 0`` in
     increasing ``k``; only those components of ``theta`` enter the image
     ``sum alpha[k] theta[k]``.  The scalars are ``int``s or ``Fraction``s.
-    True is a proof, by one of two routes:
-
-    * exchange: a braid form ``alpha = a (x_s - x_t)`` meets two components
-      with one scalar ``c`` whose factors are exchanged by swapping ``x_s``
-      and ``x_t`` (the map ``sigma``), as the paper's fields on ``x2..xk``
-      are.  Then ``theta(alpha) = a c (P - P o sigma)`` for the product
-      ``P`` of the ``x_s`` factors, which vanishes on ``x_s = x_t``;
-    * factors and sums: a term ``c * prod f`` with ``alpha`` among its
-      factors lies in ``(alpha)`` and is skipped.  The constant terms must
-      sum to 0, and the terms with one factor, summed as form vectors into
-      one linear form ``L``, to a multiple of ``alpha``: with ``x_p`` the
-      first variable of ``alpha``, ``alpha_p L - L_p alpha`` must be zero.
-      ``(alpha)`` is a homogeneous ideal, so this decides the image degree
-      by degree.
+    A term ``c * prod f`` with ``alpha`` among its factors lies in
+    ``(alpha)`` and is skipped.  The constant terms must sum to 0, and the
+    terms with one factor, summed as form vectors into one linear form
+    ``L``, to a multiple of ``alpha``: with ``x_p`` the first variable of
+    ``alpha``, ``alpha_p L - L_p alpha`` must be zero.  ``(alpha)`` is a
+    homogeneous ideal, so this decides the image degree by degree, and
+    True is a proof.
 
     False means only "not shown": a term of two or more factors, none of
     them ``alpha``, may cancel against other terms, and the factors alone
-    cannot tell.  ``factored_saito_constant`` then hands the whole check
-    to ``saito_constant``.
+    cannot tell.  A braid form inside the field's exchange group
+    (``_exchange_group``) never comes here; any other check that is not
+    shown is handed by ``factored_saito_constant`` to ``saito_constant``.
     """
-    if len(support) == 2:
-        (s, a), (t, b) = support
-        cs, ct = theta[s], theta[t]
-        if a == -b and cs is not None and ct is not None and cs[0] == ct[0]:
-            if ct[1] == _exchanged(cs[1], s, t):
-                return True
     constant, linear = 0, None
     for k, a in support:
         comp = theta[k]
@@ -338,20 +326,23 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
 def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
     """The exchange group of a field: coordinates any two of whose components
     the exchange of their two variables swaps.  None when the field has
-    fewer than three nonzero components.
+    fewer than two nonzero components.
 
     With ``c * P`` the first nonzero component, at ``x_r``, the group holds
     ``r`` and each ``s`` whose component is ``c`` times ``P`` with ``x_r`` and
     ``x_s`` exchanged, where ``P`` has no ``x_s``: that component is ``P`` with
     ``x_r`` renamed ``x_s``.  Any two members ``s`` and ``t`` are then
-    exchanged by swapping ``x_s`` and ``x_t``, as neither appears in ``P``,
-    so the exchange route of ``_factored_is_log`` holds for every braid form
-    ``a (x_s - x_t)`` inside the group without exchanging that pair.  A
-    field with ``m`` such components needs ``m - 1`` exchanges here against
-    the ``m (m - 1) / 2`` of the pairs, which wins only from ``m = 3`` on.
+    exchanged by swapping ``x_s`` and ``x_t`` (the map ``sigma``), as neither
+    appears in ``P``.  So for a braid form ``alpha = a (x_s - x_t)`` inside
+    the group, with ``P_s`` the component at ``x_s`` over ``c``,
+    ``theta(alpha) = a c (P_s - P_s o sigma)``, which vanishes on
+    ``x_s = x_t``: the group shows every such log check with ``m - 1``
+    exchanges for a field of ``m`` members, none of them per braid form.
+    This is the one exchange rule; each field of ``factored_basis`` with two
+    or more nonzero components is one group.
     """
     nonzero = [k for k, comp in enumerate(theta) if comp is not None]
-    if len(nonzero) < 3:
+    if len(nonzero) < 2:
         return None
     r, *rest = nonzero
     scalar, factors = theta[r]
@@ -394,9 +385,9 @@ def factored_saito_constant(
     errors.  A term whose scalar is 0 is read as a zero component, as its
     expansion is.  The log checks run hyperplane by hyperplane: the nonzero
     coordinates of each ``alpha_H`` are found once, and each derivation is
-    checked on the factors of just those components (``_factored_is_log``),
-    but for a braid form inside the derivation's exchange group
-    (``_exchange_group``), which that group shows already.
+    checked on the factors of just those components: a braid form inside
+    the derivation's exchange group (``_exchange_group``) by that group,
+    any other by the factors and sums (``_factored_is_log``).
     A product of linear forms is homogeneous, so a derivation is
     homogeneous when its nonzero components have equally many factors.
 

@@ -96,18 +96,6 @@ class Flat(NamedTuple):
                 return None
         return flat
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.root) + self.coned
-
-    @property
-    def rank(self) -> int:
-        return sum(r != v for v, r in enumerate(self.root)) + self.zero
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - self.rank
-
     def contains(self, edge: GainEdge) -> bool:
         """Does the hyperplane of a gain edge (``None`` is ``z = 0``) contain the flat?"""
         if edge is None:

@@ -1,6 +1,7 @@
 """The summary, the pair count and the line counts of ``tools/bench_record.py``, on made-up input."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -110,4 +111,15 @@ def test_src_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
     # a.py: import, class, x = (, 1, ), def, text = """, its second line, return
     assert bench_record.code_lines(MODULE) == 9
     assert bench_record.src_code_lines(tmp_path) == 10
+    assert bench_record.src_code_lines_by_module(tmp_path) == {"pkg/a.py": 9, "pkg/b.py": 1}
     assert bench_record.src_lines(tmp_path) == len(MODULE.splitlines()) + 4
+
+
+def test_the_record_gives_the_code_lines_of_each_module(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "run_once", lambda checkout, workload, seed, seconds: run(workload, 1.0, 1.0))
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--out", str(out), "--workloads", "saito", "--seeds", "1"]) == 0
+    record = json.loads(out.read_text())
+    by_module = record["src_code_lines_by_module"]
+    assert by_module == bench_record.src_code_lines_by_module(bench_record.ROOT)
+    assert "ishkit/freeness.py" in by_module and sum(by_module.values()) == record["src_code_lines"]

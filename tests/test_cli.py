@@ -901,14 +901,14 @@ CHAMBERS = st.integers(0, 6).flatmap(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.recursive(
-    POLYS | CHAMBERS,
+    POLYS | st.lists(CHAMBERS, min_size=1, max_size=3),  # chambers come as a list alone
     lambda children: st.lists(children | st.integers() | st.text(max_size=3), max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 ))
 @example(MultiPoly(0))
 @example([MultiPoly(0), MultiPoly.const(0, Fraction(-3, 2)), MultiPoly.variable(1, 0)])
-@example({"a": [[Chamber(0, 0, (), 1)], Chamber(5, 3, (0, -4, 6), 4)]})
+@example({"a": [[Chamber(0, 0, (), 1)], [Chamber(5, 3, (0, -4, 6), 4)]]})
 @example([Chamber(1, 1, (1, -2), 2), Chamber(0, 1, (1, -2), 4), Chamber(1, 1, (-1, 2), 2)])
 @example({  # one monomial key at two depths and under two nvars: the exponent memo's scope
     "a": [
@@ -984,6 +984,7 @@ def test_render_matches_json_dumps_on_every_command():
         ([(1, 2)], "tuple"),
         ({"a": {1: 2}}, "int"),
         ({None: 1, "b": 2}, "NoneType"),
+        ({"a": Chamber(0, 0, (), 1)}, "Chamber"),  # a chamber outside a list of chambers
     ],
 )
 def test_render_names_a_type_it_does_not_take(value, name):

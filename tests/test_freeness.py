@@ -19,6 +19,7 @@ from ishkit.arrangement import (
     cone,
     ish_nest,
 )
+from ishkit.cli import request_from_doc, run
 from ishkit.exactmath import MultiPoly, UniPoly, int_det
 from ishkit.freeness import (
     Derivation,
@@ -831,6 +832,38 @@ def log_by_expansion(theta: FactoredDerivation, h: Hyperplane) -> bool:
     return is_log_derivation(expand(theta), Arrangement(len(theta), [h]))
 
 
+def pair_exchange_shows(theta: FactoredDerivation, support) -> bool:
+    """The pair exchange ``_factored_is_log`` tried first before the exchange
+    groups became the one exchange rule, kept as the groups' oracle.
+
+    A braid form ``alpha = a (x_s - x_t)`` meets two components with one
+    scalar ``c`` whose factors swapping ``x_s`` and ``x_t`` (the map
+    ``sigma``) exchanges.  Then ``theta(alpha) = a c (P - P o sigma)`` for
+    the product ``P`` of the ``x_s`` factors, which vanishes on
+    ``x_s = x_t``, whether or not ``P`` holds ``x_t``."""
+    if len(support) != 2:
+        return False
+    (s, a), (t, b) = support
+    cs, ct = theta[s], theta[t]
+    return a == -b and cs is not None and ct is not None and cs[0] == ct[0] and ct[1] == _exchanged(cs[1], s, t)
+
+
+def pair_or_factors(theta: FactoredDerivation, alpha, support) -> bool:
+    """The log check as ``_factored_is_log`` made it before the groups: the
+    pair exchange, then the factors and sums."""
+    return pair_exchange_shows(theta, support) or _factored_is_log(theta, alpha, support)
+
+
+def shown_on_the_factors(theta: FactoredDerivation, alpha, support) -> bool:
+    """Does ``factored_saito_constant`` show this check with nothing
+    multiplied out: a braid form inside the field's exchange group, or any
+    form by the factors and sums?"""
+    group = _exchange_group(theta)
+    braid = len(support) == 2 and support[0][1] == -support[1][1]
+    in_group = braid and group is not None and {k for k, _ in support} <= group
+    return in_group or _factored_is_log(theta, alpha, support)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(ascending_nests(max_ell=5), st.randoms(use_true_random=False))
 @example(ish_nest(5), random.Random(0))
@@ -840,12 +873,15 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
     for h in arr.hyperplanes:
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
         for theta in basis:
-            # on x_s - x_t with 2 <= s < t <= l the exchange of x_s and x_t
-            # settles the two products the factors alone could not
-            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
+            # on x_s - x_t with 2 <= s < t <= l the field's exchange group
+            # settles the two products the factors alone could not, as the
+            # pair exchange did
+            assert shown_on_the_factors(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
+            assert pair_or_factors(theta, h.coeffs, support)
 
     # the same exchanged factors under unequal scalars: the image does not
-    # vanish on x_s = x_t, and the check does not claim it does
+    # vanish on x_s = x_t, the check does not claim it does, and the general
+    # route rejects the field
     if nest.ell >= 3:
         k = rng.randrange(3, nest.ell + 1)
         s, t = sorted(rng.sample(range(2, k + 1), 2))
@@ -855,24 +891,40 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
         h = next(h for h in arr.hyperplanes
                  if [(i, a) for i, a in enumerate(h.coeffs) if a] == [(s - 1, 1), (t - 1, -1)])
         support = [(s - 1, 1), (t - 1, -1)]
-        assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is False
+        assert t - 1 not in _exchange_group(theta)
+        assert shown_on_the_factors(theta, h.coeffs, support) is pair_or_factors(theta, h.coeffs, support) \
+            is log_by_expansion(theta, h) is False
+        mutated = basis[:k] + [theta] + basis[k + 1:]
+        assert routed(mutated, arr) == (verdict(saito_constant, [expand(t) for t in mutated], arr), 1)
 
 
 def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
     # On x2 = x3: (x1 + x3)(x1 + x2) d/dx2 + (x1 + x2)(x1 + x3) d/dx3 has
-    # its x3 factors exchanged from its x2 factors, so the exchange shows
-    # it; the other fields are not shown, and are not logarithmic either
+    # its x3 factors exchanged from its x2 factors, so the pair exchange
+    # shows it; the other fields are not shown, and are not logarithmic
+    # either.  Its x2 component holds x3, so it is no exchange group, and
+    # the general route decides it.  x1 (x1 + x2) d/dx2 + x1 (x1 + x3) d/dx3
+    # is a group of two, which shows it with no expansion.
     h = Hyperplane.make([0, 1, -1])
-    support = [(1, 1), (2, -1)]
+    arr, support = Arrangement(3, [h]), [(1, 1), (2, -1)]
+    euler = tuple((1, (u,)) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     exchanged = (None, (3, ((1, 0, 1), (1, 1, 0))), (3, ((1, 0, 1), (1, 1, 0))))
     halves = (None, (Fraction(1, 2), exchanged[1][1]), (Fraction(1, 2), exchanged[2][1]))
     unequal = (None, (3, ((1, 0, 1), (1, 1, 0))), (6, ((1, 0, 1), (1, 1, 0))))
     skew = (None, (1, ((0, 1, 1), (1, 1, 0))), (1, ((0, 1, 1), (1, 0, 0))))
-    for theta, log in ((exchanged, True), (halves, True), (unequal, False), (skew, False)):
-        assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is log
-    # x2 = 2 x3 is no braid form: the exchange leaves it, and it is not shown
+    grouped = (None, (3, ((1, 0, 0), (1, 1, 0))), (3, ((1, 0, 0), (1, 0, 1))))
+    for theta, log in ((exchanged, True), (halves, True), (unequal, False), (skew, False), (grouped, True)):
+        assert pair_exchange_shows(theta, support) is log_by_expansion(theta, h) is log
+        assert not _factored_is_log(theta, h.coeffs, support)  # products of two factors, neither alpha
+        assert shown_on_the_factors(theta, h.coeffs, support) is (theta is grouped)
+        derivs = [theta, euler, euler]
+        assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(theta is not grouped))
+    assert _exchange_group(exchanged) == {1} and _exchange_group(grouped) == {1, 2}
+    # x2 = 2 x3 is no braid form: no exchange shows it, and it is not shown
     h = Hyperplane.make([0, 1, -2])
-    assert _factored_is_log(exchanged, h.coeffs, [(1, 1), (2, -2)]) is log_by_expansion(exchanged, h) is False
+    for theta in (exchanged, grouped):
+        assert pair_exchange_shows(theta, [(1, 1), (2, -2)]) is shown_on_the_factors(theta, h.coeffs, [(1, 1), (2, -2)]) \
+            is log_by_expansion(theta, h) is False
 
 
 @st.composite
@@ -915,16 +967,18 @@ def test_factored_log_check_on_products_implies_the_expansion(case):
     got = _factored_is_log(theta, alpha, support)
     if got:
         assert log_by_expansion(theta, h)
-    if all(theta[k] is None or alpha in theta[k][1] for k, _ in support):
-        assert got  # every term picked out has alpha as a factor
-    elif len(support) != 2:  # no braid form, so no exchange: a product it cannot read
-        assert not got
+    # every term picked out has alpha as a factor, or one is a product it cannot read
+    assert got is all(theta[k] is None or alpha in theta[k][1] for k, _ in support)
+    shown = shown_on_the_factors(theta, alpha, support)
+    if shown:
+        assert log_by_expansion(theta, h)
     # end to end, beside the Euler field: the same constant, None or error
-    # as the general route, which it reaches exactly when the check is not shown
+    # as the general route, which it reaches exactly when the check is not
+    # shown in the exchange group or by the factors
     n = len(alpha)
     euler = tuple((1, (tuple(int(i == k) for i in range(n)),)) for k in range(n))
     derivs, arr = [theta] + [euler] * (n - 1), Arrangement(n, [h])
-    assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(not got))
+    assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(not shown))
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
@@ -1024,21 +1078,24 @@ def test_the_factored_basis_and_the_exchange_match_the_forms(nest):
         comps = [comp for comp in theta if comp is not None]
         for s, t in itertools.combinations(range(1, len(comps) + 1), 2):
             assert _exchanged(theta[s][1], s, t) == theta[t][1]
-    # the factors show every log check, each braid form x_s - x_t by the exchange
+    # the factors show every log check, each braid form x_s - x_t inside the
+    # field's exchange group, as the pair exchange did
     arr = cone(build_n_ish(nest))
     for h in arr.hyperplanes:
         support = [(k, a) for k, a in enumerate(h.coeffs) if a]
         for theta in oracle:
-            assert _factored_is_log(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
+            assert shown_on_the_factors(theta, h.coeffs, support) is pair_or_factors(theta, h.coeffs, support) \
+                is log_by_expansion(theta, h) is True
 
 
 # -- exchange groups against the pair route ------------------------------
 
 
 def pair_route(derivs, arr):
-    """``routed`` with no exchange group, so that each braid form is shown by
-    the pair route of ``_factored_is_log``, as before the groups."""
-    with mock.patch("ishkit.freeness._exchange_group", return_value=None):
+    """``routed`` as before the exchange groups: no group, and each log check
+    made by the pair exchange, then the factors (``pair_or_factors``)."""
+    with mock.patch("ishkit.freeness._exchange_group", return_value=None), \
+            mock.patch("ishkit.freeness._factored_is_log", pair_or_factors):
         return routed(derivs, arr)
 
 
@@ -1062,7 +1119,7 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
     for theta in basis:
         nonzero = [k for k, comp in enumerate(theta) if comp is not None]
         group = _exchange_group(theta)
-        if len(nonzero) < 3:
+        if len(nonzero) < 2:
             assert group is None
             continue
         assert group == set(nonzero)  # every component of the paper's fields
@@ -1070,7 +1127,7 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
             assert theta[s][0] == theta[t][0] and _exchanged(theta[s][1], s, t) == theta[t][1]
         for alpha, support in braid_forms(arr):
             if {k for k, _ in support} <= group:
-                assert _factored_is_log(theta, alpha, support)
+                assert pair_exchange_shows(theta, support)
     c = routed(basis, arr)
     assert c == pair_route(basis, arr)
     assert c[1] == 0 and c[0]
@@ -1082,7 +1139,7 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
 @example(ish_nest(5), random.Random(0), "the first component holds x_s")
 @example(NestSpec.make([["1/2"], ["1/2"], ["1/2", 2]]), random.Random(1), "another scalar")
 @example(ish_nest(4), random.Random(2), "a component moved")
-def test_a_field_off_the_group_premise_falls_back_to_the_pair_route(nest, rng, mutation):
+def test_a_field_off_the_group_premise_gets_the_general_routes_verdict(nest, rng, mutation):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
     n = arr.dim
@@ -1099,16 +1156,21 @@ def test_a_field_off_the_group_premise_falls_back_to_the_pair_route(nest, rng, m
     elif mutation == "another scalar":
         theta[s] = (2 * scalar, theta[s][1])
         off = s
-    else:  # to z, which the x2 component holds
+    else:  # to z, off the group when the x2 component holds z
         theta[n - 1], theta[s] = theta[s], None
         off = n - 1
     mutated = list(basis)
     mutated[k] = tuple(theta)
     group = _exchange_group(mutated[k])
-    assert 1 in group and off not in group
+    assert 1 in group
+    assert (off in group) is (mutation == "a component moved" and not any(f[n - 1] for f in first))
+    # a check the group leaves is shown by the factors, or the whole basis
+    # goes to the general route: the verdict is the expanded route's either way
     got = routed(mutated, arr)
-    assert got == pair_route(mutated, arr)
-    assert got[0] == verdict(saito_constant, [expand(t) for t in mutated], arr)
+    assert got[0] == pair_route(mutated, arr)[0] == verdict(saito_constant, [expand(t) for t in mutated], arr)
+    supports = [(h.coeffs, [(i, a) for i, a in enumerate(h.coeffs) if a]) for h in arr.hyperplanes]
+    if not all(shown_on_the_factors(theta, alpha, support) for theta in mutated for alpha, support in supports):
+        assert got[1] == 1
 
 
 def test_a_group_shows_braid_forms_only():
@@ -1137,6 +1199,33 @@ def test_no_certificate_basis_reaches_saito_constant(nest, other):
         assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
         assert verify_nonfree_witness(other, decide_free(other).witness)
     assert not general.called
+
+
+def no_deferral(derivs, arr):
+    raise AssertionError("a certificate basis was handed to saito_constant")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=6), NON_CHAIN_NESTS)
+@example(NestSpec.make([[], [], [], [], []]), NestSpec.make([[0], [1], [2]]))
+@example(NestSpec.make([["1/2"], ["1/2"], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2, 5]]),
+         NestSpec.make([["1/2", 1], [0, "3/2"], [1]]))
+@example(NestSpec.make([[], ["1/2"], ["1/2"]]), NestSpec.make([[], [0], ["1/2"], [0, "3/2"]]))
+def test_no_request_loses_its_factored_proof(nest, other):
+    # the exchange groups and the factors show every log check of both
+    # certificates: with the hand-off to saito_constant raising, every
+    # saito answer and witness check still comes out
+    sets = [[str(a) for a in s] for s in rational_sets(nest)]
+    with mock.patch("ishkit.freeness._deferred", no_deferral):
+        for fmt in ("text", "json"):
+            run(request_from_doc({"type": "n_ish", "N": sets, "command": "saito", "format": fmt}))
+        assert verify_nonfree_witness(other, decide_free(other).witness)
+
+
+def test_the_cone_of_ish_at_rank_forty_keeps_its_factored_proof():
+    nest = ish_nest(40)
+    with mock.patch("ishkit.freeness._deferred", no_deferral):
+        assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
 
 
 def unpeeled(derivs, arr):

@@ -125,6 +125,19 @@ def lcm_scaled(edges: Sequence) -> tuple[int, list]:
     return scale, [e if e is None else (e[0], e[1], int(e[2] * scale)) for e in edges]
 
 
+def flat_rank(flat: Flat) -> int:
+    """The number of a flat's equations: one per coordinate off its root, and ``z = 0``."""
+    return sum(r != v for v, r in enumerate(flat.root)) + flat.zero
+
+
+def flat_ambient_dim(flat: Flat) -> int:
+    return len(flat.root) + flat.coned
+
+
+def flat_dim(flat: Flat) -> int:
+    return flat_ambient_dim(flat) - flat_rank(flat)
+
+
 def flat_rows(flat: Flat) -> list[tuple[int, int, int]]:
     """``(v, r, o)`` per coordinate ``v`` off its root ``r``, in pivot order,
     with ``o`` its offset over ``den``."""
@@ -142,13 +155,13 @@ def flat_to_json(flat: Flat) -> dict:
         rref.append(row)
     if flat.zero:
         rref.append(["0/1"] * n + ["1/1", "0/1"])
-    return {"rank": flat.rank, "dim": flat.dim, "rref": rref}
+    return {"rank": flat_rank(flat), "dim": flat_dim(flat), "rref": rref}
 
 
 def flat_render(flat: Flat, names: Sequence[str]) -> str:
     """The rows of a flat's reduced row echelon form as equations, ``; ``-separated.
     The oracle of the text chain writer ``cli._chain_lines``."""
-    if not flat.rank:
+    if not flat_rank(flat):
         return "ambient space"
     n, den = len(flat.root), flat.den
     if flat.coned:  # x_v - x_r - (o/den)*z = 0
@@ -164,7 +177,7 @@ def flat_render(flat: Flat, names: Sequence[str]) -> str:
 def integer_render(flat: Flat, names: Sequence[str]) -> str:
     """``flat_render`` written by hand from the integers, one gcd per row: the
     oracle of the rows that ``equation_str`` writes."""
-    if not flat.rank:
+    if not flat_rank(flat):
         return "ambient space"
     z = names[len(flat.root)] if flat.coned else ""
     out = []
@@ -617,7 +630,7 @@ def check_closure(poset, edges: Sequence) -> None:
     """The flats come in ``(rank, rows)`` order, their RREF is their rows
     over the pivots, and each step entry and mask bit is the answer of the
     meet it stands for."""
-    keys = [(flat.rank, rows(flat)) for flat in poset.flats]
+    keys = [(flat_rank(flat), rows(flat)) for flat in poset.flats]
     assert keys == sorted(keys) and list(poset.ranks) == [rank for rank, _ in keys]
     for flat, (_, integer_rows) in zip(poset.flats, keys):  # rref: each row over its pivot
         assert fraction_flat(flat).rref() == tuple(
@@ -651,9 +664,9 @@ def flat_edges(flat: Flat) -> list:
 
 def test_flat_basics():
     amb = Flat.ambient(3)
-    assert amb.rank == 0 and amb.dim == 3 and rows(amb) == ()
+    assert flat_rank(amb) == 0 and flat_dim(amb) == 3 and rows(amb) == ()
     f = Flat.through([(0, 1, 0), (1, 2, 0)], 3)
-    assert f is not None and f.rank == 2 and f.dim == 1
+    assert f is not None and flat_rank(f) == 2 and flat_dim(f) == 1
     assert f.intersect_hyperplane((0, 2, 0)) is f  # x1 = x3 follows
     assert f.intersect_hyperplane((0, 2, 1)) is None  # x1 - x3 = 1 misses it
     # inconsistent system has no flat; coned, the same two meet inside z = 0
@@ -670,10 +683,10 @@ def test_flat_basics():
     assert flat_to_json(g)["rref"] == [["1/1", "0/1", "-1/1", "-3/2"], ["0/1", "1/1", "-1/1", "-2/1"]]
     # coned: offsets scale z, and z = 0 zeroes them and adds its own row
     c = Flat.through([(0, 1, 1)], 3, coned=True, den=2)
-    assert c.ambient_dim == 3 and rows(c) == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
+    assert flat_ambient_dim(c) == 3 and rows(c) == ((2, -2, -1, 0),)  # 2*x1 - 2*x2 - z = 0
     assert flat_render(c, ["x1", "x2", "z"]) == "x1 - x2 - 1/2*z = 0"
     collapsed = c.intersect_hyperplane(None)
-    assert collapsed.zero and collapsed.offset == (0, 0) and collapsed.rank == 2
+    assert collapsed.zero and collapsed.offset == (0, 0) and flat_rank(collapsed) == 2
     assert rows(collapsed) == ((1, -1, 0, 0), (0, 0, 1, 0))
     assert flat_render(collapsed, ["x1", "x2", "z"]) == "x1 - x2 = 0; z = 0"
     assert collapsed.intersect_hyperplane((0, 1, 5)) is collapsed  # 5*z vanishes on z = 0
@@ -690,7 +703,7 @@ def test_flat_rref_is_canonical():
     coned = Flat.through([(1, 2, 0), None], 4, coned=True)
     assert rows(coned) == ((0, 1, -1, 0, 0), (0, 0, 0, 1, 0))
     for flat in (a, coned):  # a flat's own equations rebuild it
-        assert Flat.through(flat_edges(flat), flat.ambient_dim, flat.coned, flat.den) == flat
+        assert Flat.through(flat_edges(flat), flat_ambient_dim(flat), flat.coned, flat.den) == flat
     # a flat is its five fields: a copy is equal and hashes alike, a change
     # of any one field, ``coned`` and ``den`` too, makes another flat
     for flat in (a, coned):
@@ -734,7 +747,7 @@ def test_poset_coned_two_lines():
     poset = intersection_poset(cone(build_named("ish", 2)))
     assert len(poset) == 5
     top = top_index(poset)
-    assert poset.flats[top].rank == 2
+    assert flat_rank(poset.flats[top]) == 2
     assert poset.mobius[top] == 2
     assert poset.char_poly() == UniPoly([0, 2, -3, 1])  # t(t-1)(t-2)
 
@@ -778,7 +791,7 @@ def test_mobius_alternates_in_sign():
     poset = intersection_poset(cone(build_named("ish", 3)))
     for flat, mu in zip(poset.flats, poset.mobius):
         assert mu != 0
-        assert (mu > 0) == (flat.rank % 2 == 0)
+        assert (mu > 0) == (flat_rank(flat) % 2 == 0)
 
 
 def test_is_modular_rank_two_cone():
@@ -807,7 +820,7 @@ def test_supersolvable_examples():
     assert is_supersolvable(cone(build_named("ish", 2))) is not None
     chain = is_supersolvable(cone(build_named("ish", 3)))
     assert chain is not None
-    assert [f.rank for f in chain] == [0, 1, 2, 3]
+    assert [flat_rank(f) for f in chain] == [0, 1, 2, 3]
     assert is_supersolvable(cone(build_n_ish(NestSpec.make([[0], [1]])))) is None
     with pytest.raises(ValueError):
         is_supersolvable(build_named("ish", 2))
@@ -820,13 +833,13 @@ def test_supersolvable_chain_is_nested():
         # the higher flat satisfies every equation of the lower one
         for edge in flat_edges(below):
             assert above.intersect_hyperplane(edge) is above
-        assert above.rank == below.rank + 1
+        assert flat_rank(above) == flat_rank(below) + 1
 
 
 def test_nest_modular_chain_ish():
     arr = cone(build_n_ish(NestSpec.make([[0, 1, 2], [0, 1]])))
     chain = nest_modular_chain(arr, (3, 2))
-    assert [f.rank for f in chain] == [0, 1, 2, 3]
+    assert [flat_rank(f) for f in chain] == [0, 1, 2, 3]
     _, edges = arr.gain_edges()
     assert [e for e in edges if chain[1].contains(e)] == [None]  # just z = 0
     assert all(chain[-1].contains(e) for e in edges) and len(edges) == 7
@@ -835,7 +848,7 @@ def test_nest_modular_chain_ish():
 def test_nest_modular_chain_empty_nest():
     # x1 lies on no hyperplane, so the chain ties x2 = x3 after z = 0
     chain = nest_modular_chain(cone(build_n_ish(NestSpec.make([[], []]))), (2, 3))
-    assert [f.rank for f in chain] == [0, 1, 2]
+    assert [flat_rank(f) for f in chain] == [0, 1, 2]
     assert chain[-1] == Flat.through([None, (1, 2, 0)], 4, coned=True)
 
 
@@ -884,14 +897,14 @@ def test_nest_modular_chain_random_descending():
         arr = cone(build_n_ish(nest))
         chain = nest_modular_chain(arr, is_nest(nest))
         poset = intersection_poset(arr)
-        assert [f.rank for f in chain] == list(range(poset.rank + 1))
+        assert [flat_rank(f) for f in chain] == list(range(poset.rank + 1))
         for below, above in zip(chain, chain[1:]):
             assert leq(poset, index_of(poset, below), index_of(poset, above))
 
 
 def test_nest_modular_chain_certifies_the_cone_of_ish_at_ell_12():
     chain = nest_modular_chain(cone(build_named("ish", 12)), is_nest(ish_nest(12)))
-    assert [f.rank for f in chain] == list(range(13))
+    assert [flat_rank(f) for f in chain] == list(range(13))
     assert chain[-1].zero and len(set(chain[-1].root)) == 1
 
 
@@ -944,7 +957,7 @@ def test_nest_modular_chain_matches_the_lattice_search(doc):
     chain = nest_modular_chain(parsed.arrangement, order)
     assert answer["chain"] == [flat_to_json(f) for f in chain]
     poset = intersection_poset(parsed.arrangement)
-    assert [f.rank for f in chain] == list(range(poset.rank + 1))
+    assert [flat_rank(f) for f in chain] == list(range(poset.rank + 1))
     for flat in chain:
         assert is_modular(poset, flat)
     for below, above in zip(chain, chain[1:]):
@@ -1102,7 +1115,7 @@ def test_an_edge_on_the_same_pair_is_the_only_cover_of_a_parallel_pair():
     # x1 = x2}, which lies inside the third edge and no other hyperplane
     arr = Arrangement(3, [_plane([1, -1, -c]) for c in (0, 1, 2)], coned=True)
     chain = is_supersolvable(arr)
-    assert chain is not None and [f.rank for f in chain] == [0, 1, 2]
+    assert chain is not None and [flat_rank(f) for f in chain] == [0, 1, 2]
     assert not chain[1].zero and chain[2].zero
     assert_search_matches_oracle(arr)
 
@@ -1296,7 +1309,7 @@ def test_the_chain_writer_writes_the_oracle_records_and_lines(case):
     assert _render({"answer": answer}) == json.dumps(
         {"answer": dict(answer, chain=records)}, indent=2, sort_keys=True
     )
-    assert _chain_lines(chain, names) == [f"  rank {flat.rank}: {flat_render(flat, names)}" for flat in chain]
+    assert _chain_lines(chain, names) == [f"  rank {flat_rank(flat)}: {flat_render(flat, names)}" for flat in chain]
 
 
 FIVE_CONES = [

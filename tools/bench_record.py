@@ -12,8 +12,9 @@ from one seed to the next.  Each run records the end-to-end metrics and the
 ``correct`` / ``attempted`` / ``failed`` fields of the last line
 ``perfbench/run.py`` prints.  The file also gives each checkout's commit (with
 ``-dirty`` when it has uncommitted changes), the line count of its ``src/``
-Python files (``src_lines``) and their code lines, neither blank nor comment
-nor docstring (``src_code_lines``), and, per workload, the median and
+Python files (``src_lines``), their code lines, neither blank nor comment
+nor docstring (``src_code_lines``), and the code lines of each file, by its
+path under ``src/`` (``src_code_lines_by_module``), and, per workload, the median and
 quartiles of every metric on each side, and with a baseline the pairs won
 and lost on each metric, by the direction ``BENCHMARK.json`` gives it.
 Standard library only.
@@ -67,9 +68,15 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def src_code_lines_by_module(checkout: Path) -> dict[str, int]:
+    """The code lines (``code_lines``) of each of ``src/``'s Python files, by its path under ``src/``."""
+    src = checkout / "src"
+    return {p.relative_to(src).as_posix(): code_lines(p.read_text()) for p in sorted(src.rglob("*.py"))}
+
+
 def src_code_lines(checkout: Path) -> int:
-    """The code lines (``code_lines``) of ``src/``'s Python files."""
-    return sum(code_lines(p.read_text()) for p in (checkout / "src").rglob("*.py"))
+    """The code lines of ``src/``'s Python files."""
+    return sum(src_code_lines_by_module(checkout).values())
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
     # read before the first run, so a baseline that is not a git checkout fails at once
-    heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c), "src_code_lines": src_code_lines(c)}
+    heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c), "src_code_lines": src_code_lines(c),
+                 "src_code_lines_by_module": src_code_lines_by_module(c)}
              for c in checkouts}
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
