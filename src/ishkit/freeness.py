@@ -252,8 +252,14 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
 
 
 def _exchanged(factors: Sequence[Factor], s: int, t: int) -> tuple[Factor, ...]:
-    """The factors with coordinates ``s < t`` exchanged in each, sorted."""
-    return tuple(sorted(f[:s] + (f[t],) + f[s + 1:t] + (f[s],) + f[t + 1:] for f in factors))
+    """The factors with coordinates ``s`` and ``t`` exchanged in each, sorted."""
+    out = []
+    for f in factors:
+        g = list(f)
+        g[s], g[t] = f[t], f[s]
+        out.append(tuple(g))
+    out.sort()
+    return tuple(out)
 
 
 def _expanded(theta: FactoredDerivation, nvars: int) -> Derivation:

@@ -918,12 +918,13 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
         assert not _factored_is_log(theta, h.coeffs, support)  # products of two factors, neither alpha
         assert shown_on_the_factors(theta, h.coeffs, support) is (theta is grouped)
         derivs = [theta, euler, euler]
-        assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(theta is not grouped))
+        oracle = verdict(saito_constant, [expand(t) for t in derivs], arr)
+        assert routed(derivs, arr) == (oracle, int(theta is not grouped))
     assert _exchange_group(exchanged) == {1} and _exchange_group(grouped) == {1, 2}
     # x2 = 2 x3 is no braid form: no exchange shows it, and it is not shown
-    h = Hyperplane.make([0, 1, -2])
+    h, support = Hyperplane.make([0, 1, -2]), [(1, 1), (2, -2)]
     for theta in (exchanged, grouped):
-        assert pair_exchange_shows(theta, [(1, 1), (2, -2)]) is shown_on_the_factors(theta, h.coeffs, [(1, 1), (2, -2)]) \
+        assert pair_exchange_shows(theta, support) is shown_on_the_factors(theta, h.coeffs, support) \
             is log_by_expansion(theta, h) is False
 
 
