@@ -23,16 +23,20 @@ coordinates down to ``M + 1`` keeps each difference on the same side of
 every constant, so each chamber has a point with all differences at most
 ``(n - 1)(M + 1)``.
 
-A coned arrangement is enumerated on its slice ``z = 1``: each region
-there gives the chamber on the side ``z > 0`` and its antipode.
 Witnesses are built once, after the last hyperplane: ``x1 = 0``, and each
 later coordinate is the midpoint of the interval the fixed ones allow,
 which a closed matrix never leaves empty (Dechter-Meiri-Pearl 1991), in
 integer homogeneous coordinates over one scale for the whole enumeration.
-A ``Chamber`` is a record of that integer form, the region's bits and
-the scaled point, and its text and the command line's JSON are written
-from it (the command line writes each distinct coordinate of an answer
-once); only its ``witness`` property makes ``Fraction`` values.
+``chamber_rows`` is the one producer of an answer's chambers: a row
+``(bits, point)`` per chamber, the region's sign bits and its scaled
+witness, in increasing ``bits``.  A coned arrangement is enumerated on
+its slice ``z = 1``, whose regions are the chambers on the side
+``z > 0``; their antipodes, bits complemented and points negated, taken
+in reverse are a second increasing run, and one pass merges the two:
+with ``z = 0`` first, as ``cone`` builds every spec, the antipodes simply
+come first.  The command line writes its answer straight from the rows;
+``enumerate_chambers`` makes each row a ``Chamber``, a record of the same
+integers, whose ``witness`` property alone makes ``Fraction`` values.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -48,16 +52,14 @@ region, is the oracle the tests hold it to.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import merge
 from itertools import accumulate
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
-from .exactmath import UniPoly, rational_str
+from .exactmath import UniPoly
 from .freeness import is_nest, nest_exponents
-
-
-_SIGN_CHARS = str.maketrans("01", "-+")
 
 
 class Chamber(NamedTuple):
@@ -75,21 +77,8 @@ class Chamber(NamedTuple):
     den: int
 
     @property
-    def signs(self) -> str:
-        """The sign vector as a string of ``+`` and ``-``, hyperplane 0 first."""
-        return bin(self.bits | 1 << self.size)[3:].translate(_SIGN_CHARS)
-
-    @property
     def witness(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.point)
-
-    def witness_text(self) -> str:
-        """The witness coordinates as ``str`` writes each ``Fraction``, comma-separated."""
-        den = self.den
-        return ", ".join([rational_str(x, den) for x in self.point])
-
-    def __repr__(self) -> str:
-        return f"Chamber({self.signs!r}, ({self.witness_text()}))"
 
 
 # -- enumeration by difference-bound matrices ---------------------------
@@ -178,22 +167,35 @@ def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
     return walk(), den * unit
 
 
-def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
-    """All chambers, in increasing sign-vector order.
+def chamber_rows(arr: Arrangement) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """Every chamber as a row ``(bits, point)``, in increasing ``bits``, and the
+    positive scale ``den`` that every ``point`` is the witness times.
 
     The arrangement must be a difference arrangement (see
     ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise),
-    and a coned one must contain ``z = 0``.
+    and a coned one must contain ``z = 0``.  A coned arrangement's walk
+    gives the forward run, its regions at ``z = 1``; their antipodes,
+    reversed, are a second increasing run, and one pass merges the two.
+    With ``z = 0`` first, as ``cone`` builds it, the merge is the antipodes
+    then the forward run; with ``z = 0`` elsewhere the runs interleave.
     """
     walk, den = _regions(arr)
+    if not arr.coned:
+        return [(bits, tuple(_witness(d))) for bits, d in walk], den
+    forward = [(bits, (*_witness(d), den)) for bits, d in walk]  # a point at z = 1
+    full = (1 << len(arr)) - 1
+    back = [(bits ^ full, tuple(map(neg, point))) for bits, point in reversed(forward)]
+    if back[-1][0] < forward[0][0]:
+        return back + forward, den
+    return list(merge(back, forward)), den  # distinct bits: no comparison reaches a point
+
+
+def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
+    """All chambers, in increasing sign-vector order: the ``Chamber`` of each
+    row of ``chamber_rows``."""
+    rows, den = chamber_rows(arr)
     size = len(arr)
-    z = (den,) if arr.coned else ()  # a coned region's point lies at z = 1
-    chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
-    if arr.coned:  # the antipodes, then a merge: the runs interleave unless z = 0 comes first
-        full = (1 << size) - 1
-        chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
-        chambers.sort()
-    return chambers
+    return [Chamber(bits, size, point, den) for bits, point in rows]
 
 
 def _chamber_at(arr: Arrangement, point: Sequence[int], den: int) -> Chamber:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import chain as chained
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
-from .chambers import Chamber, enumerate_chambers, geometric_product
+from .chambers import chamber_rows, geometric_product
 from .errors import CapacityError
 from .exactmath import (
     MultiPoly,
@@ -253,13 +254,11 @@ def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
 
 def _cmd_chambers(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
-    chambers = enumerate_chambers(req.parsed.arrangement)
+    arr = req.parsed.arrangement
+    rows, den = chamber_rows(arr)
     if req.output_format == "json":
-        return {"count": len(chambers), "chambers": chambers}
-    lines = [f"{len(chambers)} chambers"]
-    for c, coords in _witness_coordinates(chambers, rational_str):
-        lines.append(f"  {c.signs}  witness ({', '.join(coords)})")
-    return "\n".join(lines)
+        return {"count": len(rows), "chambers": _ChamberRows(rows, den, len(arr))}
+    return f"{len(rows)} chambers\n{_chamber_records(rows, den, len(arr))}"
 
 
 def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
@@ -349,40 +348,52 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def _witness_coordinates(
-    chambers: list[Chamber], write: Callable[[int, int], str]
-) -> Iterator[tuple[Chamber, list[str]]]:
-    """Each chamber with its witness coordinates, as ``write(num, den)`` writes them.
-
-    The one writer of both formats.  The chambers of an answer share one
-    ``den`` and repeat their numerators (an antipode negates its
-    chamber's), so each distinct numerator is written once and read back
-    from a memo; a new memo starts wherever ``den`` changes.
-    """
-    memo: dict[int, str] = {}
-    den = 0  # no chamber has den 0: the first one starts a memo
-    for c in chambers:
-        if c.den != den:
-            memo, den = {}, c.den
-        yield c, [memo[x] if x in memo else memo.setdefault(x, write(x, den)) for x in c.point]
-
-
 def _json_rational(num: int, den: int) -> str:
     """``num / den`` as a JSON string, written by ``format_rational``."""
     return f'"{format_rational(num, den)}"'
 
 
-def _chamber_records(chambers: list[Chamber], pad: str) -> list[str]:
-    """Each chamber as ``json.dumps`` writes ``{"signs": ..., "witness": [...]}``
-    at the indent ``pad``, each witness coordinate as ``format_rational`` does."""
-    inner = pad + "  "
-    field = inner + "  "
-    sep = "," + field
-    records = []
-    for c, coords in _witness_coordinates(chambers, _json_rational):
-        witness = f"[{field}{sep.join(coords)}{inner}]" if coords else "[]"
-        records.append(f'{{{inner}"signs": "{c.signs}",{inner}"witness": {witness}{pad}}}')
-    return records
+_SIGNS = str.maketrans("01", "-+")
+
+
+def _chamber_records(rows: list[tuple[int, tuple[int, ...]]], den: int, size: int, pad: str | None = None) -> str:
+    """The rows ``(bits, point)`` of ``chamber_rows``, written: one text line
+    ``  signs  witness (x, ...)`` per row, each coordinate as ``rational_str``
+    writes it, when ``pad`` is None, else the list of records
+    ``{"signs": ..., "witness": [...]}`` as ``json.dumps`` writes it at the
+    indent ``pad``, each coordinate as ``format_rational`` does.
+
+    The one writer of both formats.  The rows of an answer share ``den``
+    and repeat their numerators (an antipode negates its chamber's), so
+    each distinct numerator is written once, before any record.  A
+    record's signs are its ``size`` bits under a leading 1, in binary, with
+    ``0`` and ``1`` translated to ``-`` and ``+``.  A point is never empty.
+    """
+    write = rational_str if pad is None else _json_rational
+    coords = {x: write(x, den) for x in set(chained.from_iterable([point for _, point in rows]))}
+    if pad is None:
+        head, mid, sep, tail = "  ", "  witness (", ", ", ")"
+    else:
+        record, field = pad + "    ", pad + "      "
+        head, mid = "{" + record + '"signs": "', '",' + record + '"witness": [' + field
+        sep, tail = "," + field, record + "]" + pad + "  }"
+    top = 1 << size
+    records = [
+        f"{head}{bin(bits | top)[3:].translate(_SIGNS)}{mid}{sep.join([coords[x] for x in point])}{tail}"
+        for bits, point in rows
+    ]
+    if pad is None:
+        return "\n".join(records)
+    return "[" + pad + "  " + ("," + pad + "  ").join(records) + pad + "]"
+
+
+class _ChamberRows(NamedTuple):
+    """An answer's chambers as the JSON renderer takes them: the rows of
+    ``chamber_rows``, their scale and their number of signs."""
+
+    rows: list[tuple[int, tuple[int, ...]]]
+    den: int
+    size: int
 
 
 def _chain_rows(
@@ -472,14 +483,12 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     are rendered: dicts with str keys, lists, str, int, bool and None, and
     values written straight from their integer form -- a ``MultiPoly`` as
     its list of term records, by ``exactmath.poly_json_str``, which alone
-    reads the packed keys, a list of ``Chamber``s alone as each chamber's
-    signs and witness, and a list of ``Flat``s alone (a modular chain) as
-    each flat's rank, dimension and reduced row echelon form.  A list of
-    chambers is written in one pass of ``_chamber_records``, which writes
-    each distinct coordinate once, and a chain in one pass of
-    ``_flat_records``, which writes each distinct row once.  Any other
-    type, a ``Chamber`` outside such a list too, is a ``TypeError`` naming
-    it.
+    reads the packed keys, and a list of ``Flat``s alone (a modular chain)
+    as each flat's rank, dimension and reduced row echelon form, in one
+    pass of ``_flat_records``, which writes each distinct row once -- and
+    an answer's ``_ChamberRows`` as the list of its chambers' records, in
+    one pass of ``_chamber_records``.  Any other type is a ``TypeError``
+    naming it.
     """
     kind = type(value)
     if kind is str:
@@ -498,8 +507,6 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     if kind is list:
         if not value:
             return "[]"
-        if type(value[0]) is Chamber and all(type(v) is Chamber for v in value):
-            return "[" + inner + ("," + inner).join(_chamber_records(value, inner)) + pad + "]"
         if type(value[0]) is Flat and all(type(v) is Flat for v in value):
             return "[" + inner + ("," + inner).join(_flat_records(value, inner)) + pad + "]"
         rendered = ("," + inner).join([
@@ -517,6 +524,8 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
         items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is _ChamberRows:
+        return _chamber_records(*value, pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -133,7 +133,8 @@ def format_rational(value: Scalar, den: int = 1) -> str:
     in lowest terms.  ``value`` is an ``int``, or any rational when ``den == 1``."""
     if den == 1:
         return f"{value.numerator}/{value.denominator}"
-    return "%d/%d" % reduced(value, den)
+    g = gcd(value, den)
+    return f"{value // g}/{den // g}"
 
 
 def rational_str(num: Scalar, den: int) -> str:
@@ -141,8 +142,8 @@ def rational_str(num: Scalar, den: int) -> str:
     ``p/q``.  ``num`` is an ``int``, or any rational when ``den == 1``."""
     if den == 1:
         return str(num)
-    p, q = reduced(num, den)
-    return str(p) if q == 1 else f"{p}/{q}"
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _exact(c: Scalar) -> Scalar:

@@ -27,6 +27,7 @@ from ishkit.chambers import (
     _tighten,
     _witness,
     canonical_chamber,
+    chamber_rows,
     distance_poly,
     enumerate_chambers,
     ish_base_chamber,
@@ -35,6 +36,16 @@ from ishkit.chambers import (
 from ishkit.exactmath import Scalar, UniPoly, clear_denominators, format_rational
 from ishkit.lattice import char_poly
 from test_arrangement import rational_set
+
+
+def chamber_signs(c: Chamber) -> str:
+    """The sign vector of a ``Chamber`` as a string of ``+`` and ``-``, hyperplane 0 first."""
+    return "".join("+" if c.bits >> (c.size - 1 - i) & 1 else "-" for i in range(c.size))
+
+
+def witness_text(c: Chamber) -> str:
+    """The witness coordinates as ``str`` writes each ``Fraction``, comma-separated."""
+    return ", ".join(str(Fraction(x, c.den)) for x in c.point)
 
 
 def chamber_of_point(arr: Arrangement, point: Sequence[Scalar | str]) -> Chamber:
@@ -240,7 +251,7 @@ class SignVector:
 
 def sign_vector(c: Chamber) -> SignVector:
     """The sign vector of a ``Chamber``, read off its ``signs`` string."""
-    return SignVector(tuple(1 if s == "+" else -1 for s in c.signs))
+    return SignVector(tuple(1 if s == "+" else -1 for s in chamber_signs(c)))
 
 
 @dataclass(frozen=True)
@@ -312,7 +323,7 @@ def chamber_to_json(c: Chamber) -> dict:
     each coordinate as ``format_rational`` writes it."""
     den = c.den
     return {
-        "signs": c.signs,
+        "signs": chamber_signs(c),
         "witness": [f"{x // (g := gcd(x, den))}/{den // g}" for x in c.point],
     }
 
@@ -321,8 +332,8 @@ def assert_same_chamber(got: Chamber, want: FractionChamber) -> None:
     assert sign_vector(got) == want.sign_vector
     assert got.witness == want.witness
     assert chamber_to_json(got) == want.to_json()
-    assert got.signs == str(want.sign_vector)
-    assert got.witness_text() == ", ".join(str(v) for v in want.witness)
+    assert chamber_signs(got) == str(want.sign_vector)
+    assert witness_text(got) == ", ".join(str(v) for v in want.witness)
 
 
 # -- feasibility oracle --------------------------------------------------
@@ -514,7 +525,7 @@ def test_matrix_enumeration_matches_fourier_motzkin(arr):
     chambers = enumerate_chambers(arr)
     assert [sign_vector(c).signs for c in chambers] == fm_enumerate_chambers(arr)
     for c in chambers:
-        assert chamber_of_point(arr, c.witness).signs == c.signs
+        assert chamber_of_point(arr, c.witness).bits == c.bits
     assert len(chambers) == abs(char_poly(arr).evaluate(-1))
 
 
@@ -601,6 +612,50 @@ def test_enumeration_rejects_non_difference_hyperplanes():
             reader(no_z)
 
 
+def sorted_enumerate_chambers(arr: Arrangement) -> list[Chamber]:
+    """The chambers as they were enumerated before the rows: a ``Chamber`` per
+    region, a ``Chamber`` per antipode, then a sort."""
+    walk, den = _regions(arr)
+    size = len(arr)
+    z = (den,) if arr.coned else ()
+    chambers = [Chamber(bits, size, tuple(_witness(d)) + z, den) for bits, d in walk]
+    if arr.coned:
+        full = (1 << size) - 1
+        chambers += [Chamber(c.bits ^ full, size, tuple(map(neg, c.point)), den) for c in chambers]
+        chambers.sort()
+    return chambers
+
+
+@st.composite
+def z_anywhere(draw):
+    """``difference_arrangements`` with ``z = 0``, which ``cone`` puts first,
+    moved to any place in a coned arrangement's hyperplane order."""
+    arr = draw(difference_arrangements())
+    if arr.coned:
+        z, *rest = arr.hyperplanes
+        k = draw(st.integers(0, len(rest)))
+        arr = Arrangement(arr.dim, [*rest[:k], z, *rest[k:]], coned=True)
+    return arr
+
+
+def z_last(arr: Arrangement) -> Arrangement:
+    """The coned arrangement with ``z = 0`` moved from first to last."""
+    z, *rest = arr.hyperplanes
+    return Arrangement(arr.dim, [*rest, z], coned=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(z_anywhere())
+@example(z_last(cone(build_named("ish", 3))))
+@example(z_last(cone(build_n_ish(NestSpec.make([[Fraction(-1, 2), 1], [0], [Fraction(3, 2)]])))))
+@example(NO_HYPERPLANES)
+@example(ONLY_Z_0)
+def test_the_rows_merge_the_antipodes_as_the_sort_did(arr):
+    rows, den = chamber_rows(arr)
+    assert [Chamber(bits, len(arr), point, den) for bits, point in rows] == sorted_enumerate_chambers(arr)
+    assert enumerate_chambers(arr) == sorted_enumerate_chambers(arr)
+
+
 def test_a_coned_arrangement_with_z_0_last_still_enumerates_in_order():
     # the antipodes interleave with the regions unless z = 0 is hyperplane 0
     coned = cone(build_named("ish", 3))
@@ -617,14 +672,14 @@ def test_chamber_witnesses_realize_signs():
     arr = build_named("ish", 3)
     for ch in enumerate_chambers(arr):
         again = chamber_of_point(arr, ch.witness)
-        assert again.signs == ch.signs
+        assert chamber_signs(again) == chamber_signs(ch)
 
 
 def test_enumeration_is_deterministic():
     arr = build_named("shi", 3)
     first = enumerate_chambers(arr)
     second = enumerate_chambers(arr)
-    assert [(c.signs, c.witness) for c in first] == [(c.signs, c.witness) for c in second]
+    assert [(c.bits, c.witness) for c in first] == [(c.bits, c.witness) for c in second]
     signs = [sign_vector(c).signs for c in first]
     assert signs == sorted(signs)
 
@@ -665,7 +720,7 @@ def test_chamber_of_point_reads_exact_coordinates_only():
     with pytest.raises(ValueError, match="cannot read a rational from 0.1"):
         chamber_of_point(arr, [0.1, 2.5])
     read = chamber_of_point(arr, ["1/10", "5/2"])
-    assert (read.signs, read.witness) == ("--", (Fraction(1, 10), Fraction(5, 2)))
+    assert (chamber_signs(read), read.witness) == ("--", (Fraction(1, 10), Fraction(5, 2)))
 
 
 def test_chamber_json():
@@ -687,7 +742,7 @@ def test_chamber_json_on_zero_negative_and_half_coordinates():
         {"signs": "++-", "witness": ["0/1", "-1/2", "1/1"]},
         {"signs": "+++", "witness": ["0/1", "-5/2", "1/1"]},
     ]
-    assert [c.witness_text() for c in chambers[2:5]] == ["0, -2, -1", "0, 2, 1", "0, -1/2, 1"]
+    assert [witness_text(c) for c in chambers[2:5]] == ["0, -2, -1", "0, 2, 1", "0, -1/2, 1"]
     for got, want in zip(chambers, oracle_enumerate_chambers(arr)):
         assert_same_chamber(got, want)
 
@@ -740,7 +795,7 @@ def test_deconed_canonical_is_the_affine_base():
         assert witness == tuple(Fraction(v) for v in [1, *range(2, ell + 1), 1])
         arr, base = ish_base_chamber(ell)
         carried = (witness[0],) + tuple(reversed(witness[1:-1]))
-        assert chamber_of_point(arr, carried).signs == base.signs
+        assert chamber_signs(chamber_of_point(arr, carried)) == chamber_signs(base)
 
 
 # -- wall-crossing polynomials -------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -14,21 +15,34 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ishkit
-from ishkit.arrangement import SPEC_KINDS, Arrangement, build_n_ish, cone, from_spec, ish_nest
+from ishkit.arrangement import SPEC_KINDS, Arrangement, NestSpec, build_n_ish, cone, from_spec, ish_nest
 from ishkit.chambers import (
     Chamber,
     canonical_chamber,
+    chamber_rows,
     distance_poly,
     enumerate_chambers,
     geometric_product,
     ish_base_chamber,
     wallcross_expected,
 )
-from ishkit.cli import _HANDLERS, COMMANDS, LATTICE_MAX_ELL, _render, main, request_echo, request_from_doc, run
+from ishkit.cli import (
+    _HANDLERS,
+    COMMANDS,
+    LATTICE_MAX_ELL,
+    _chamber_records,
+    _ChamberRows,
+    _render,
+    main,
+    request_echo,
+    request_from_doc,
+    run,
+)
 from ishkit.errors import CapacityError
-from ishkit.exactmath import MultiPoly, UniPoly, unipoly_str, unipoly_to_json
+from ishkit.exactmath import MultiPoly, UniPoly, format_rational, rational_str, unipoly_str, unipoly_to_json
 from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
 from ishkit.lattice import Flat
+from ishkit.rooks import spec_char_poly
 from test_arrangement import (
     FractionNestSpec,
     fraction_build_n_ish,
@@ -38,10 +52,14 @@ from test_arrangement import (
     rational_set,
 )
 from test_chambers import (
+    chamber_signs,
     chamber_to_json,
     descending_nests,
     oracle_chamber_of_point,
     oracle_enumerate_chambers,
+    witness_text,
+    z_anywhere,
+    z_last,
 )
 from test_exactmath import COEF, poly_terms, poly_to_json
 from test_lattice import flat_to_json
@@ -401,7 +419,6 @@ def test_handlers_render_only_the_requested_format(monkeypatch):
         assert json_of(cone3, "chambers")["count"] == 32
     with monkeypatch.context() as m:
         m.setattr("ishkit.cli.poly_json_str", never)
-        m.setattr("ishkit.cli._chamber_records", never)
         m.setattr("ishkit.cli._json_rational", never)
         m.setattr("ishkit.cli._flat_records", never)
         assert text_of(nest, "basis").startswith("sets taken in ascending order (3, 2)")
@@ -870,7 +887,11 @@ def test_render_matches_json_dumps(value):
 
 def oracle_records(value):
     """``value`` with each ``MultiPoly``, ``Chamber`` and ``Flat`` replaced by its
-    oracle JSON records, ``poly_to_json``, ``chamber_to_json`` and ``flat_to_json``."""
+    oracle JSON records, ``poly_to_json``, ``chamber_to_json`` and ``flat_to_json``,
+    and the chambers the ``chambers`` handler hands its writer by theirs."""
+    if type(value) is _ChamberRows:
+        rows, den, size = value
+        return [chamber_to_json(Chamber(bits, size, point, den)) for bits, point in rows]
     if type(value) is MultiPoly:
         return poly_to_json(value)
     if type(value) is Chamber:
@@ -888,28 +909,41 @@ POLYS = st.integers(0, 4).flatmap(
     lambda n: st.builds(MultiPoly, st.just(n), poly_terms(n) | st.builds(
         lambda coef: {(0,) * n: coef}, COEF | st.integers(-(10**20), 10**20)))
 )
-CHAMBERS = st.integers(0, 6).flatmap(
-    lambda size: st.builds(
+# the chambers of one answer: one size, one den, and points that are never empty
+CHAMBERS = st.tuples(st.integers(0, 6), st.integers(1, 12) | st.integers(1, 10**20)).flatmap(
+    lambda shape: st.lists(st.builds(
         Chamber,
-        st.integers(0, (1 << size) - 1),
-        st.just(size),
-        st.lists(st.integers(-50, 50) | st.integers(-(10**20), 10**20), max_size=5).map(tuple),
-        st.integers(1, 12) | st.integers(1, 10**20),
-    )
+        st.integers(0, (1 << shape[0]) - 1),
+        st.just(shape[0]),
+        st.lists(st.integers(-50, 50) | st.integers(-(10**20), 10**20), min_size=1, max_size=5).map(tuple),
+        st.just(shape[1]),
+    ), min_size=1, max_size=3)
 )
+
+
+def written(value):
+    """``value`` with each list of ``Chamber``s replaced by what the ``chambers``
+    handler returns for their rows, a ``_ChamberRows``."""
+    if type(value) is list and value and all(type(v) is Chamber for v in value):
+        return _ChamberRows([(c.bits, c.point) for c in value], value[0].den, value[0].size)
+    if type(value) is list:
+        return [written(v) for v in value]
+    if type(value) is dict:
+        return {k: written(v) for k, v in value.items()}
+    return value
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.recursive(
-    POLYS | st.lists(CHAMBERS, min_size=1, max_size=3),  # chambers come as a list alone
+    POLYS | CHAMBERS,  # chambers come as a list alone
     lambda children: st.lists(children | st.integers() | st.text(max_size=3), max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 ))
 @example(MultiPoly(0))
 @example([MultiPoly(0), MultiPoly.const(0, Fraction(-3, 2)), MultiPoly.variable(1, 0)])
-@example({"a": [[Chamber(0, 0, (), 1)], [Chamber(5, 3, (0, -4, 6), 4)]]})
-@example([Chamber(1, 1, (1, -2), 2), Chamber(0, 1, (1, -2), 4), Chamber(1, 1, (-1, 2), 2)])
+@example({"a": [[Chamber(0, 0, (7,), 1)], [Chamber(5, 3, (0, -4, 6), 4)]]})
+@example([Chamber(1, 2, (1, -2), 4), Chamber(2, 2, (-1, 2), 4), Chamber(3, 2, (4, 0), 4)])
 @example({  # one monomial key at two depths and under two nvars: the exponent memo's scope
     "a": [
         MultiPoly(2, {(1, 0): 1, (0, 0): 2}),
@@ -922,7 +956,7 @@ CHAMBERS = st.integers(0, 6).flatmap(
     "b": [[Flat((0, 2, 2), (0, 3, 0), False, False, 2)], 1],
 })
 def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
-    assert _render(value) == dumps(oracle_records(value))
+    assert _render(written(value)) == dumps(oracle_records(value))
 
 
 @pytest.mark.parametrize("spec", [
@@ -934,19 +968,132 @@ def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
 def test_the_chamber_writer_matches_its_oracles_on_whole_answers(spec):
     parsed = from_spec(spec)
     chambers = enumerate_chambers(parsed.arrangement)
-    assert len({c.den for c in chambers}) == 1  # what the writer's memo rests on
     points = [c.point for c in chambers]
     if parsed.coned:  # the antipodes repeat every numerator negated
         assert sorted(tuple(map(neg, p)) for p in points) == sorted(points)
     if not parsed.nest.nums[0]:  # one chamber, with empty signs
-        assert [c.signs for c in chambers] == [""]
+        assert [chamber_signs(c) for c in chambers] == [""]
     records = [chamber_to_json(c) for c in chambers]
-    assert _render(chambers) == dumps(records)
-    assert _render({"chambers": chambers, "count": len(chambers)}) == dumps(
+    value = written(chambers)
+    assert _render(value) == dumps(records)
+    assert _render({"chambers": value, "count": len(chambers)}) == dumps(
         {"chambers": records, "count": len(chambers)}
     )
-    lines = [f"  {c.signs}  witness ({c.witness_text()})" for c in chambers]
+    lines = [f"  {chamber_signs(c)}  witness ({witness_text(c)})" for c in chambers]
     assert text_of(spec, "chambers") == "\n".join([f"{len(chambers)} chambers", *lines])
+
+
+# -- the Chamber-list writer that the row writer replaced: its oracle ----
+
+
+def old_witness_coordinates(chambers: list[Chamber], write):
+    """Each chamber with its witness coordinates, as ``write(num, den)`` writes
+    them: each distinct numerator once, a new memo wherever ``den`` changes."""
+    memo: dict[int, str] = {}
+    den = 0  # no chamber has den 0: the first one starts a memo
+    for c in chambers:
+        if c.den != den:
+            memo, den = {}, c.den
+        yield c, [memo[x] if x in memo else memo.setdefault(x, write(x, den)) for x in c.point]
+
+
+def old_chamber_records(chambers: list[Chamber], pad: str) -> list[str]:
+    """Each chamber as ``json.dumps`` writes ``{"signs": ..., "witness": [...]}``
+    at the indent ``pad``, each witness coordinate as ``format_rational`` does."""
+    inner = pad + "  "
+    field = inner + "  "
+    sep = "," + field
+    records = []
+    for c, coords in old_witness_coordinates(chambers, lambda num, den: f'"{format_rational(num, den)}"'):
+        witness = f"[{field}{sep.join(coords)}{inner}]" if coords else "[]"
+        records.append(f'{{{inner}"signs": "{chamber_signs(c)}",{inner}"witness": {witness}{pad}}}')
+    return records
+
+
+def old_chambers_written(chambers: list[Chamber], pad: str | None = None) -> str:
+    """The chambers as the Chamber-list writer wrote them: the text lines after
+    the count, or the JSON list at the indent ``pad``."""
+    if pad is None:
+        return "\n".join(
+            f"  {chamber_signs(c)}  witness ({', '.join(coords)})"
+            for c, coords in old_witness_coordinates(chambers, rational_str)
+        )
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(old_chamber_records(chambers, inner)) + pad + "]"
+
+
+@st.composite
+def chamber_spec_docs(draw) -> dict:
+    """A spec of every kind with ell <= 4, coned or affine; nests with
+    half-integer entries, empty sets included."""
+    kind, coned, ell = draw(st.sampled_from(SPEC_KINDS)), draw(st.booleans()), draw(st.integers(2, 4))
+    if kind == "n_ish":
+        sets = st.lists(st.lists(st.integers(-4, 4).map(lambda n: f"{n}/2"), max_size=3), min_size=ell - 1, max_size=ell - 1)
+        return {"type": kind, "N": draw(sets), "cone": coned}
+    spec = {"type": kind, "ell": ell, "cone": coned}
+    if kind.startswith("deleted"):
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        spec["edges"] = [list(e) for e in draw(st.lists(st.sampled_from(pairs), unique=True))]
+    return spec
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chamber_spec_docs())
+@example({"type": "n_ish", "N": [[]], "cone": False})  # one chamber, with empty signs
+@example({"type": "n_ish", "N": [[]], "cone": True})  # z = 0 alone
+@example({"type": "n_ish", "N": [["1/2", "-3/2"], [0, "5/2"]], "cone": True})  # half-integer gains
+@example({"type": "ish", "ell": 4, "cone": True})
+def test_chamber_answers_are_the_old_chamber_list_writers(spec):
+    chambers = enumerate_chambers(from_spec(spec).arrangement)
+    assert text_of(spec, "chambers") == f"{len(chambers)} chambers\n" + old_chambers_written(chambers)
+    req = request_of(json.dumps(dict(spec, command="chambers", format="json")))
+    rest = _render({"command": "chambers", "spec": request_echo(req), "count": len(chambers)})
+    # "chambers" sorts first: the old list at the indent of the answer's fields, then the rest
+    assert run(req) == '{\n  "chambers": ' + old_chambers_written(chambers, "\n  ") + "," + rest[1:]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(z_anywhere())
+@example(z_last(cone(build_n_ish(NestSpec.make([["-1/2", 1], [0], ["3/2"]])))))
+def test_the_row_writer_is_the_old_chamber_list_writer_wherever_z_0_stands(arr):
+    rows, den = chamber_rows(arr)
+    chambers = enumerate_chambers(arr)
+    for pad in (None, "\n", "\n  ", "\n      "):
+        assert _chamber_records(rows, den, len(arr), pad) == old_chambers_written(chambers, pad)
+
+
+_SIDE = {"-": -1, "+": 1}
+_SIGN_ORDER = str.maketrans("-+", "01")  # the side - before the side +, as the bits
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chamber_spec_docs())
+@example({"type": "n_ish", "N": [[]], "cone": False})
+@example({"type": "n_ish", "N": [[]], "cone": True})
+@example({"type": "n_ish", "N": [["1/2", "-3/2"], [0, "5/2"]], "cone": True})
+@example({"type": "deleted_shi", "ell": 4, "edges": [[1, 2], [2, 4], [3, 4]], "cone": True})
+def test_a_chamber_answer_holds_its_own_certificate(spec):
+    """Read back, with ``Fraction`` arithmetic only: each witness strictly on
+    its signed side of every hyperplane, sign vectors in strictly increasing
+    order, ``count`` the list's length and ``|chi(-1)|`` (Zaslavsky), and the
+    text answer the same chambers."""
+    parsed = from_spec(spec)
+    arr = parsed.arrangement
+    answer = json_of(spec, "chambers")
+    signs = [c["signs"] for c in answer["chambers"]]
+    witnesses = [[Fraction(x) for x in c["witness"]] for c in answer["chambers"]]
+    for side, point in zip(signs, witnesses):
+        assert len(side) == len(arr) and len(point) == arr.dim
+        for s, h in zip(side, arr.hyperplanes):
+            assert _SIDE[s] * (sum(a * x for a, x in zip(h.coeffs, point)) - h.const) > 0
+    order = [side.translate(_SIGN_ORDER) for side in signs]
+    assert all(a < b for a, b in zip(order, order[1:]))
+    assert answer["count"] == len(signs) == abs(spec_char_poly(parsed).evaluate(-1))
+    head, *lines = text_of(spec, "chambers").split("\n")
+    assert head == f"{len(signs)} chambers"
+    for line, side, point in zip(lines, signs, witnesses, strict=True):
+        got_side, coords = re.fullmatch(r"  ([-+]*)  witness \((.*)\)", line).groups()
+        assert (got_side, [Fraction(x) for x in coords.split(", ")]) == (side, point)
 
 
 SPECS = [
@@ -984,7 +1131,7 @@ def test_render_matches_json_dumps_on_every_command():
         ([(1, 2)], "tuple"),
         ({"a": {1: 2}}, "int"),
         ({None: 1, "b": 2}, "NoneType"),
-        ({"a": Chamber(0, 0, (), 1)}, "Chamber"),  # a chamber outside a list of chambers
+        ({"a": Chamber(0, 0, (), 1)}, "Chamber"),  # an answer's chambers are written from their rows
     ],
 )
 def test_render_names_a_type_it_does_not_take(value, name):
