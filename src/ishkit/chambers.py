@@ -52,7 +52,6 @@ region, is the oracle the tests hold it to.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import merge
 from itertools import accumulate
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -187,6 +186,7 @@ def chamber_rows(arr: Arrangement) -> tuple[list[tuple[int, tuple[int, ...]]], i
     back = [(bits ^ full, tuple(map(neg, point))) for bits, point in reversed(forward)]
     if back[-1][0] < forward[0][0]:
         return back + forward, den
+    from heapq import merge  # only a cone built by hand puts z = 0 elsewhere: kept off the import
     return list(merge(back, forward)), den  # distinct bits: no comparison reaches a point
 
 
