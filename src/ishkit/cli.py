@@ -45,7 +45,7 @@ from .freeness import (
     is_nest,
     nest_exponents,
 )
-from .graphs import analyze_graph, survey
+from .graphs import SurveyRecord, analyze_graph, survey
 from .lattice import Flat, is_supersolvable, nest_modular_chain
 from .rooks import board_columns, spec_char_poly
 
@@ -321,7 +321,13 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
 def _cmd_survey(req: AnalysisRequest) -> str | dict:
     report = survey(req.ell)
     if req.output_format == "json":
-        return report.to_json()
+        return {
+            "ell": report.ell,
+            "total": report.total,
+            "freeCount": report.free_count,
+            "violations": list(report.violations),
+            "records": _SurveyRecords(report.records),
+        }
     lines = [
         f"K_{report.ell}: {report.total} subgraphs, {report.free_count} free, "
         f"{len(report.violations)} violations"
@@ -394,6 +400,68 @@ class _ChamberRows(NamedTuple):
     rows: list[tuple[int, tuple[int, ...]]]
     den: int
     size: int
+
+
+class _SurveyRecords(NamedTuple):
+    """A survey's records as the JSON renderer takes them."""
+
+    records: tuple[SurveyRecord, ...]
+
+
+def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
+    """The records of a survey as ``json.dumps`` writes the list of their
+    dicts at the indent ``pad``: the keys ``agree``, ``athanasiadis``,
+    ``charPolyIsh``, ``charPolyShi``, ``edges``, ``free``, ``nG``, ``nest``
+    and ``pairwise``, sorted, as ``GraphAnalysis.to_json`` writes the
+    graph's, each record in one f-string.
+
+    The one writer of a survey's JSON records.  A survey repeats its
+    polynomials and its sets N_j (at ell = 6, 543 distinct polynomials and
+    32 distinct sets among 32768 records), so each distinct coefficient
+    list and each distinct set is written once and read back from a memo.
+    A survey has at least two records.
+    """
+    record, field = pad + "  ", pad + "    "
+    item, sub = field + "  ", field + "    "
+    polys: dict[tuple[int, ...], str] = {}
+    sets: dict[tuple[int, tuple[int, ...]], str] = {}
+    edges: dict[tuple[int, int], str] = {}
+
+    def poly(p: UniPoly) -> str:
+        coeffs = p.coeffs
+        if coeffs not in polys:
+            polys[coeffs] = f"[{item}{(',' + item).join([_json_rational(c, 1) for c in coeffs])}{field}]"
+        return polys[coeffs]
+
+    def derived(nest: NestSpec) -> str:
+        den, texts = nest.den, []
+        for n in nest.nums:
+            key = (den, n)
+            if key not in sets:
+                sets[key] = f"[{sub}{(',' + sub).join([_json_rational(a, den) for a in n])}{item}]"
+            texts.append(sets[key])
+        return f"[{item}{(',' + item).join(texts)}{field}]"
+
+    def edge(e: tuple[int, int]) -> str:
+        if e not in edges:
+            edges[e] = f"[{sub}{e[0]},{sub}{e[1]}{item}]"
+        return edges[e]
+
+    out = []
+    for r in records:
+        a = r.analysis
+        w = a.athanasiadis_witness
+        witness = "null" if w is None else f"[{item}{(',' + item).join(map(str, w))}{field}]"
+        graph = a.graph.sorted_edges()
+        graph_edges = f"[{item}{(',' + item).join(map(edge, graph))}{field}]" if graph else "[]"
+        free = "true" if a.free else "false"
+        out.append(
+            f'{{{field}"agree": {"true" if r.agree else "false"},{field}"athanasiadis": {witness},'
+            f'{field}"charPolyIsh": {poly(r.char_ish)},{field}"charPolyShi": {poly(r.char_shi)},'
+            f'{field}"edges": {graph_edges},{field}"free": {free},{field}"nG": {derived(a.n_g)},'
+            f'{field}"nest": {free},{field}"pairwise": {"true" if a.pairwise_ok else "false"}{record}}}'
+        )
+    return f"[{record}{(',' + record).join(out)}{pad}]"
 
 
 def _chain_rows(
@@ -487,8 +555,9 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     as each flat's rank, dimension and reduced row echelon form, in one
     pass of ``_flat_records``, which writes each distinct row once -- and
     an answer's ``_ChamberRows`` as the list of its chambers' records, in
-    one pass of ``_chamber_records``.  Any other type is a ``TypeError``
-    naming it.
+    one pass of ``_chamber_records``, and a survey's ``_SurveyRecords`` as
+    the list of its records, in one pass of ``_survey_records``.  Any other
+    type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -526,6 +595,8 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if kind is _ChamberRows:
         return _chamber_records(*value, pad)
+    if kind is _SurveyRecords:
+        return _survey_records(value.records, pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

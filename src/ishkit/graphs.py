@@ -18,10 +18,14 @@ package is built around, so `analyze_graph` treats it as an internal
 error, not a result.  `survey` runs every subgraph of a small complete
 graph and additionally compares the characteristic polynomials of the
 two deletion families, which are expected to coincide (Armstrong-Rhoades).
-It takes them from two different rook boards (`rooks.graph_char_poly`
-for deleted Shi, `rooks.nest_char_poly` on N_G for deleted Ish), so the
-comparison is not one path checked against itself; `lattice.char_poly`,
-the Moebius route, is kept as the oracle the tests hold both against.
+The two rook boards share their cells: the board of N_G is the deleted
+Shi board, transposed, plus the full column of the entry 0.  So the
+comparison checks less than two independent routes would.  The two
+polynomials come from separate DP vectors, one with that column and one
+without, and through ``rooks._chi`` at different shifts, so a fault in
+either vector's steps or in either shift shows as a violation; a fault
+in the column step they share would not.  `lattice.char_poly`, the
+Moebius route, is the independent oracle the tests hold both against.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from typing import NamedTuple
 
 from .arrangement import GRAPH_MAX_ELL, Graph, NestSpec, n_from_graph
 from .errors import CapacityError
-from .exactmath import UniPoly, _shown, unipoly_to_json
+from .exactmath import UniPoly, _shown
 from .freeness import is_nest
-from .rooks import graph_char_poly, nest_char_poly
+from .rooks import _chi, add_column, every_column_counts
 
 SURVEY_MAX_ELL = 6
 
@@ -147,13 +151,6 @@ class SurveyRecord(NamedTuple):
     def agree(self) -> bool:
         return self.char_shi == self.char_ish
 
-    def to_json(self) -> dict:
-        out = self.analysis.to_json()
-        out["charPolyShi"] = unipoly_to_json(self.char_shi)
-        out["charPolyIsh"] = unipoly_to_json(self.char_ish)
-        out["agree"] = self.agree
-        return out
-
 
 class SurveyReport(NamedTuple):
     ell: int
@@ -165,24 +162,28 @@ class SurveyReport(NamedTuple):
     def total(self) -> int:
         return len(self.records)
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "total": self.total,
-            "freeCount": self.free_count,
-            "violations": list(self.violations),
-            "records": [r.to_json() for r in self.records],
-        }
-
 
 def survey(ell: int) -> SurveyReport:
     """Analyze every subgraph of the complete graph on {1..l}.
 
-    Subgraphs are enumerated by bitmask over the lexicographically
-    sorted edge list, so the report order is reproducible.  For each
-    subgraph the characteristic polynomials of both deletion families
-    are taken from their rook boards and compared; disagreements are
-    collected as violations (none are expected).
+    The subgraphs are the leaves of one tree, walked depth first: level i
+    (i = l-1 down to 1) picks the out-set of vertex i, in increasing
+    subset order, so the leaves come in the order of their bitmasks over
+    the lexicographically sorted edge list.  Each node carries two rook
+    DP vectors, and each tree edge adds its out-set to both as one column
+    (``add_column``; an empty out-set adds none):
+
+    * the deleted Shi board, transposed (a row per vertex j = 2..l, the
+      column of vertex i holding its out-neighbours), from the empty board;
+    * the board of N_G, the same cells after the full column of the
+      entry 0, in every N_j.
+
+    The last level, vertex 1, whose out-set may be any column, takes the
+    rook numbers of all its leaves from its node's two vectors at once
+    (``every_column_counts``).  Each leaf runs ``analyze_graph`` and takes
+    both characteristic polynomials from its two rook vectors, through a
+    memo keyed by the rook numbers and the shift of ``_chi``; a
+    disagreement is a violation (none is expected).
     """
     if ell < 2:
         raise ValueError("survey needs ell >= 2")
@@ -191,18 +192,40 @@ def survey(ell: int) -> SurveyReport:
             f"the survey of 2^(ell(ell-1)/2) subgraphs got ell = {_shown(ell)}, over the guard "
             f"ell <= {SURVEY_MAX_ELL}"
         )
-    all_edges = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-    records = []
-    violations = []
-    for mask in range(1 << len(all_edges)):
-        edges = [e for bit, e in enumerate(all_edges) if mask >> bit & 1]
-        graph = Graph(ell, frozenset(edges))  # each edge is 1 <= i < j <= ell already
-        analysis = analyze_graph(graph)
-        record = SurveyRecord(
-            analysis, graph_char_poly(graph), nest_char_poly(analysis.n_g)
-        )
-        if not record.agree:
-            violations.append(f"characteristic polynomials differ on {edges}")
-        records.append(record)
+    # out_sets[i][s]: the edges (i, j), j > i, of the subset s of i's later vertices
+    out_sets = {
+        i: [tuple((i, j) for j in range(i + 1, ell + 1) if s >> (j - i - 1) & 1) for s in range(1 << (ell - i))]
+        for i in range(1, ell)
+    }
+    chis: dict[tuple[tuple[int, ...], int], UniPoly] = {}
+    records: list[SurveyRecord] = []
+    violations: list[str] = []
+
+    def chi(rooks: tuple[int, ...], shift: int) -> UniPoly:
+        key = (rooks, shift)
+        if key not in chis:
+            chis[key] = _chi(rooks, ell, shift, False)
+        return chis[key]
+
+    def walk(i: int, edges: tuple[tuple[int, int], ...], shi: list[int], ish: list[int]) -> None:
+        if i > 1:
+            for s, out in enumerate(out_sets[i]):
+                if s:
+                    col = s << (i - 1)
+                    walk(i - 1, out + edges, add_column(shi, col), add_column(ish, col))
+                else:
+                    walk(i - 1, edges, shi, ish)
+            return
+        # the leaves: vertex 1's out-set s is the column s, over every row
+        for out, shi_rooks, ish_rooks in zip(out_sets[1], every_column_counts(shi), every_column_counts(ish)):
+            graph_edges = out + edges
+            analysis = analyze_graph(Graph(ell, frozenset(graph_edges)))  # each edge is 1 <= i < j <= ell
+            record = SurveyRecord(analysis, chi(shi_rooks, 1), chi(ish_rooks, 0))
+            if not record.agree:
+                violations.append(f"characteristic polynomials differ on {list(graph_edges)}")
+            records.append(record)
+
+    empty = [1] + [0] * ((1 << (ell - 1)) - 1)
+    walk(ell - 1, (), empty, add_column(empty, (1 << (ell - 1)) - 1))
     free_count = sum(1 for r in records if r.analysis.free)
     return SurveyReport(ell, tuple(records), free_count, tuple(violations))

@@ -26,8 +26,10 @@ turns that count into a sum over rook placements.
       chi(t) = t * sum_m (-1)^m r_m (t-m-1)(t-m-2)...(t-l+1).
 
   For G = K_l this gives Shi's t(t-l)^(l-1), which by Armstrong-Rhoades
-  (Trans. AMS 2012) is also Ish's; the two boards and formulas are
-  independent, so their agreement in ``graphs.survey`` is a real check.
+  (Trans. AMS 2012) is also Ish's.  The two boards of one graph share
+  their cells (N_G's is this one, transposed, plus the full column of the
+  entry 0), so their agreement in ``graphs.survey`` checks the two DP
+  vectors and the two shifts, not the column step they share.
 
 A coned spec multiplies chi by (t - 1).  The coefficients stay ``int``
 lists until the final ``UniPoly``.  ``lattice.char_poly``, the Moebius
@@ -36,36 +38,74 @@ sum over all flats, is the oracle these are tested against.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cache
+from operator import add
+from typing import Iterable, Sequence
 
 from .arrangement import Graph, NestSpec, ParsedSpec
 from .exactmath import UniPoly, times_linear
 
 
+def add_column(ways: list[int], col: int) -> list[int]:
+    """The DP vector ``ways``, indexed by used-row mask, after one more
+    column, which holds the rows in bitmask ``col``: a new list."""
+    out = ways.copy()
+    for used, count in enumerate(ways):
+        free = col & ~used if count else 0
+        while free:
+            bit = free & -free
+            out[used | bit] += count
+            free ^= bit
+    return out
+
+
+@cache
+def _popcount_groups(states: int) -> tuple[tuple[int, ...], ...]:
+    """The masks below ``states``, a power of two, grouped by their number of set bits."""
+    rows = states.bit_length() - 1
+    return tuple(tuple(u for u in range(states) if u.bit_count() == k) for k in range(rows + 1))
+
+
+def rook_counts(ways: list[int]) -> list[int]:
+    """``r_0..r_rows`` of a DP vector: its ways summed over the masks of each size."""
+    return [sum([ways[u] for u in group]) for group in _popcount_groups(len(ways))]
+
+
+def every_column_counts(ways: list[int]) -> list[tuple[int, ...]]:
+    """The rook numbers of the DP vector ``ways`` after one more column, for
+    each column c over its rows, at index c: ``rook_counts(add_column(ways, c))``.
+
+    A rook in row b turns each way of k - 1 rooks that leaves b free into a
+    way of k, so a column adds to r_k the sum over its rows b of those ways,
+    ``gains[b][k]``.  The rook numbers of c are then those of c without its
+    lowest row, plus that row's gains: one vector sum per column.
+    """
+    groups = _popcount_groups(len(ways))
+    gains = [
+        (0, *[sum([ways[u] for u in group if not u >> b & 1]) for group in groups[:-1]])
+        for b in range(len(groups) - 1)
+    ]
+    out = [tuple(rook_counts(ways))]
+    for c in range(1, len(ways)):
+        low = c & -c
+        out.append(tuple(map(add, out[c ^ low], gains[low.bit_length() - 1])))
+    return out
+
+
 def rook_numbers(rows: int, columns: Iterable[int]) -> list[int]:
     """``r_0..r_rows`` of the board whose column c holds the rows in bitmask c.
 
-    A DP over the used-row masks, one column at a time: 2^rows states,
-    whatever the number of columns.
+    A DP over the used-row masks, one column at a time (``add_column``):
+    2^rows states, whatever the number of columns.
     """
     ways = [0] * (1 << rows)
     ways[0] = 1
     for col in columns:
-        # descending, so a placement made in this column is not extended in it
-        for used in range(len(ways) - 1, -1, -1):
-            count = ways[used]
-            free = col & ~used if count else 0
-            while free:
-                bit = free & -free
-                ways[used | bit] += count
-                free ^= bit
-    r = [0] * (rows + 1)
-    for used, count in enumerate(ways):
-        r[used.bit_count()] += count
-    return r
+        ways = add_column(ways, col)
+    return rook_counts(ways)
 
 
-def _chi(rooks: list[int], ell: int, shift: int, coned: bool) -> UniPoly:
+def _chi(rooks: Sequence[int], ell: int, shift: int, coned: bool) -> UniPoly:
     """``t * sum_k (-1)^k r_k prod_{c=k+shift}^{l-2+shift} (t - c)``, times (t - 1) when coned."""
     total = [0] * ell
     prod = [1]

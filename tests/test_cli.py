@@ -33,6 +33,7 @@ from ishkit.cli import (
     _chamber_records,
     _ChamberRows,
     _render,
+    _SurveyRecords,
     main,
     request_echo,
     request_from_doc,
@@ -62,6 +63,7 @@ from test_chambers import (
     z_last,
 )
 from test_exactmath import COEF, poly_terms, poly_to_json
+from test_graphs import per_graph_survey, record_to_json, report_to_json
 from test_lattice import flat_to_json
 from test_freeness import (
     fraction_basis_derivations,
@@ -856,6 +858,33 @@ def test_nest_spec_rejections_match_the_fraction_program(N, message):
     assert got == want == [f"ValueError: {message}"] * len(docs)
 
 
+def old_survey_text(report) -> str:
+    """The text answer of a survey, written from its records as ``_cmd_survey`` did."""
+    lines = [
+        f"K_{report.ell}: {report.total} subgraphs, {report.free_count} free, "
+        f"{len(report.violations)} violations"
+    ]
+    for record in report.records:
+        if not record.analysis.free:
+            edges = " ".join(f"({i},{j})" for i, j in record.analysis.graph.sorted_edges())
+            lines.append(f"  not free: {edges or 'no edges'}")
+    lines.extend(f"  VIOLATION: {v}" for v in report.violations)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_survey_answers_match_the_per_graph_route_byte_for_byte(ell):
+    # the old route: the per-graph loop, its records as dicts, and the dict path of _render
+    report = per_graph_survey(ell)
+    for fmt in ("text", "json"):
+        req = request_of(json.dumps({"command": "survey", "ell": ell, "format": fmt}))
+        if fmt == "json":
+            want = _render({"command": "survey", "spec": request_echo(req), **report_to_json(report)})
+        else:
+            want = old_survey_text(report)
+        assert run(req) == want
+
+
 def test_json_survey_shape():
     out = json_of({"ell": 2}, "survey")
     assert out["total"] == 2
@@ -888,10 +917,13 @@ def test_render_matches_json_dumps(value):
 def oracle_records(value):
     """``value`` with each ``MultiPoly``, ``Chamber`` and ``Flat`` replaced by its
     oracle JSON records, ``poly_to_json``, ``chamber_to_json`` and ``flat_to_json``,
-    and the chambers the ``chambers`` handler hands its writer by theirs."""
+    the chambers the ``chambers`` handler hands its writer by theirs, and the
+    records the ``survey`` handler hands its writer by ``record_to_json``'s."""
     if type(value) is _ChamberRows:
         rows, den, size = value
         return [chamber_to_json(Chamber(bits, size, point, den)) for bits, point in rows]
+    if type(value) is _SurveyRecords:
+        return [record_to_json(r) for r in value.records]
     if type(value) is MultiPoly:
         return poly_to_json(value)
     if type(value) is Chamber:

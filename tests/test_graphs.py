@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from ishkit.arrangement import Graph, build_deleted, build_n_ish, n_from_graph
 from ishkit.errors import CapacityError
+from ishkit.exactmath import unipoly_to_json
 from ishkit.freeness import is_nest
 from ishkit.graphs import (
     GraphAnalysis,
+    SurveyRecord,
+    SurveyReport,
     analyze_graph,
     athanasiadis_condition,
     pairwise_condition,
     survey,
 )
 from ishkit.lattice import char_poly
+from ishkit.rooks import graph_char_poly, nest_char_poly
 
 
 def scan_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
@@ -162,6 +166,59 @@ def test_deleted_families_share_the_derived_arrangement():
         assert build_n_ish(n_from_graph(graph)) == build_deleted("ish", graph)
 
 
+def per_graph_survey(ell: int) -> SurveyReport:
+    """The survey as one loop over the edge masks, each graph built from its
+    mask and both its rook DPs run from scratch: the oracle of the tree."""
+    all_edges = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    records = []
+    violations = []
+    for mask in range(1 << len(all_edges)):
+        edges = [e for bit, e in enumerate(all_edges) if mask >> bit & 1]
+        graph = Graph(ell, frozenset(edges))
+        analysis = analyze_graph(graph)
+        record = SurveyRecord(analysis, graph_char_poly(graph), nest_char_poly(analysis.n_g))
+        if not record.agree:
+            violations.append(f"characteristic polynomials differ on {edges}")
+        records.append(record)
+    free_count = sum(1 for r in records if r.analysis.free)
+    return SurveyReport(ell, tuple(records), free_count, tuple(violations))
+
+
+def record_to_json(record: SurveyRecord) -> dict:
+    """A survey record as a dict: the oracle of the JSON records writer."""
+    out = record.analysis.to_json()
+    out["charPolyShi"] = unipoly_to_json(record.char_shi)
+    out["charPolyIsh"] = unipoly_to_json(record.char_ish)
+    out["agree"] = record.agree
+    return out
+
+
+def report_to_json(report: SurveyReport) -> dict:
+    """The fields a survey answer adds to its JSON document, as dicts."""
+    return {
+        "ell": report.ell,
+        "total": report.total,
+        "freeCount": report.free_count,
+        "violations": list(report.violations),
+        "records": [record_to_json(r) for r in report.records],
+    }
+
+
+def assert_the_per_graph_routes(record: SurveyRecord) -> None:
+    a = record.analysis
+    assert record.char_shi == graph_char_poly(a.graph), a.graph
+    assert record.char_ish == nest_char_poly(a.n_g), a.graph
+
+
+def test_the_tree_matches_the_per_graph_survey_on_k2_to_k5():
+    for ell in range(2, 6):
+        report = survey(ell)
+        assert report == per_graph_survey(ell)
+        assert [r.analysis.graph for r in report.records] == all_subgraphs(ell)  # in mask order
+        for record in report.records:
+            assert_the_per_graph_routes(record)
+
+
 def test_survey_two_vertices():
     report = survey(2)
     assert report.total == 2
@@ -202,6 +259,11 @@ def test_survey_at_six_vertices_matches_the_moebius_sum(survey6):
         g = record.analysis.graph
         assert record.char_shi == char_poly(build_deleted("shi", g))
         assert record.char_ish == char_poly(build_deleted("ish", g))
+
+
+def test_the_tree_matches_the_per_graph_routes_on_a_sample_of_k6(survey6):
+    for record in random.Random(61).sample(survey6.records, 2000):
+        assert_the_per_graph_routes(record)
 
 
 def test_conditions_match_their_oracles_on_every_subgraph_of_k6(survey6):
@@ -257,7 +319,7 @@ def test_survey_guards():
 
 def test_record_json_keys():
     report = survey(2)
-    record = report.records[-1].to_json()
+    record = record_to_json(report.records[-1])
     assert set(record) == {
         "edges",
         "nG",
@@ -271,7 +333,7 @@ def test_record_json_keys():
     }
     assert record["edges"] == [[1, 2]]
     assert record["agree"] is True
-    top = report.to_json()
+    top = report_to_json(report)
     assert top["total"] == 2 and top["freeCount"] == 2 and top["violations"] == []
 
 

@@ -10,7 +10,9 @@ from ishkit.exactmath import UniPoly
 from ishkit.lattice import char_poly
 from ishkit.rooks import (
     _chi,
+    add_column,
     board_columns,
+    every_column_counts,
     graph_char_poly,
     nest_char_poly,
     rook_numbers,
@@ -49,6 +51,18 @@ def test_rook_numbers_of_an_empty_board():
 def test_rook_numbers_match_brute_force(board):
     rows, columns = board
     assert rook_numbers(rows, columns) == brute_rook_numbers(rows, columns)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 5).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.lists(st.integers(0, (1 << rows) - 1), max_size=6))
+))
+def test_every_column_counts_reads_each_next_column(board):
+    rows, columns = board
+    ways = [1] + [0] * ((1 << rows) - 1)
+    for col in columns:
+        ways = add_column(ways, col)
+    assert every_column_counts(ways) == [tuple(rook_numbers(rows, [*columns, c])) for c in range(1 << rows)]
 
 
 def test_closed_forms():
