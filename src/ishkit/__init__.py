@@ -11,7 +11,7 @@ integer difference-bound matrices.  Flats, nests and chamber witnesses
 are written from their integers by ``exactmath``, which writes every
 rational and equation of an answer.  :class:`fractions.Fraction`
 appears where non-integral values are computed or read: polynomial
-coefficients, Saito constants and the ``witness`` of a ``Chamber``.
+coefficients and Saito constants.
 """
 
 from .arrangement import (

@@ -24,15 +24,16 @@ gain-graph edges (Zaslavsky, Biased graphs I-II): ``(den, edges)``, an
 README states.  ``den`` is the nest's ``den`` divided by its gcd with
 every numerator (the lcm of the entries' reduced denominators), and 1
 for graph and named specs; ``cone`` puts ``None``, the edge of ``z = 0``,
-first.  An ``Arrangement`` keeps the form it was built from and derives
-the other on its first read; ``is_central`` reads the edges when it has
-them, so ``supersolvable`` derives no hyperplane.  The hyperplanes of
-gain edges come from ``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q``
-the reduced ``c/den``, already normalized, so no builder goes through
-``Hyperplane.make``; that stays for rational input.  The gain edges of
-an arrangement given as hyperplanes are read back by ``gain_edges``,
-which no builder's arrangement needs.  ``_diff_form`` also gives the
-factors of ``freeness``'s derivation bases.
+first.  An ``Arrangement`` of gain edges derives its hyperplanes on
+their first read; ``is_central`` reads the edges, so ``supersolvable``
+derives no hyperplane.  The hyperplanes of gain edges come from
+``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q`` the reduced
+``c/den``, already normalized.  ``_diff_form`` also gives the factors of
+``freeness``'s derivation bases.  An arrangement given to the
+constructor as hyperplanes, which need not be differences, serves only
+the general Saito route (``freeness.is_log_derivation`` and
+``saito_constant``); it has no gain edges, so ``cone``, the lattice and
+the chamber walk refuse it.
 
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
@@ -50,9 +51,7 @@ from .errors import CapacityError
 from .exactmath import (
     Scalar,
     _shown,
-    clear_denominators,
     default_names,
-    equation_str,
     format_rational,
     parse_rational_pair,
     rational_str,
@@ -65,22 +64,6 @@ class Hyperplane(NamedTuple):
 
     coeffs: tuple[int, ...]
     const: int
-
-    @staticmethod
-    def make(coeffs: Sequence[Scalar], const: Scalar = 0) -> "Hyperplane":
-        """Normalize rational input to the canonical integer form."""
-        ints, _ = clear_denominators([*coeffs, const])
-        k = ints.pop()
-        if not any(ints):
-            raise ValueError("a hyperplane needs a nonzero coefficient vector")
-        g = gcd(*ints, k)
-        ints = [v // g for v in ints]
-        k //= g
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-            k = -k
-        return Hyperplane(tuple(ints), k)
 
     @property
     def dim(self) -> int:
@@ -97,9 +80,6 @@ class Hyperplane(NamedTuple):
             raise ValueError("point has wrong dimension")
         return sum(map(mul, self.coeffs, point)) - self.const * den
 
-    def render(self, names: Sequence[str]) -> str:
-        return equation_str(self.coeffs, self.const, names)
-
 
 GainEdge = tuple[int, int, int] | None  # see Arrangement.gain_edges
 
@@ -107,9 +87,10 @@ GainEdge = tuple[int, int, int] | None  # see Arrangement.gain_edges
 class Arrangement:
     """An ordered, duplicate-free collection of hyperplanes in R^dim.
 
-    It keeps the form it was built from, and derives the other the first
-    time it is read: ``hyperplanes`` from the gain edges the builders make,
-    or ``gain_edges()`` read back from hyperplanes given to the constructor.
+    The builders make it from gain edges (``_of_edges``), and its
+    ``hyperplanes`` are derived on their first read.  One given to the
+    constructor as hyperplanes serves the general Saito route, which reads
+    only ``hyperplanes``; it has no gain edges.
     """
 
     __slots__ = ("dim", "coned", "_hyperplanes", "_edges")
@@ -151,23 +132,6 @@ class Arrangement:
     def __len__(self) -> int:
         return len(self._edges[1] if self._hyperplanes is None else self._hyperplanes)
 
-    def __iter__(self):
-        return iter(self.hyperplanes)
-
-    def __eq__(self, other: object) -> bool:
-        # Arrangements are mathematically sets; order matters only for
-        # sign-vector indexing, not identity.
-        if not isinstance(other, Arrangement):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.coned == other.coned
-            and frozenset(self.hyperplanes) == frozenset(other.hyperplanes)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.coned, frozenset(self.hyperplanes)))
-
     @property
     def is_central(self) -> bool:
         """True when every hyperplane passes through the origin.  With gain
@@ -189,40 +153,11 @@ class Arrangement:
         is coned; ``None`` marks ``z = 0``.  ``den`` is the lcm of the leading
         coefficients of the normalized forms, and ``c`` an ``int``.  The
         builders make these edges; an arrangement given as hyperplanes has
-        them read back on the first call (``_read_back``).
+        none, and is a ``ValueError``.
         """
-        self._edges = self._edges or self._read_back()
+        if self._edges is None:
+            raise ValueError("an arrangement given as hyperplanes has no gain edges")
         return self._edges[0], list(self._edges[1])
-
-    def _read_back(self) -> tuple[int, list[GainEdge]]:
-        """The gain edges of hyperplanes given to the constructor: ``2*x1 - 2*x2 = 1``
-        and ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the gains 3 and 4.  Any
-        other hyperplane is a ``ValueError``."""
-        n = self.dim - 1 if self.coned else self.dim
-        read: list[tuple[int, int, int, int] | None] = []
-        for h in self.hyperplanes:
-            head = h.coeffs[:n]
-            support = [k for k, v in enumerate(head) if v]
-            if self.coned and not support and not h.const:
-                read.append(None)
-                continue
-            if (
-                len(support) != 2
-                or head[support[0]] != -head[support[1]]
-                or (self.coned and h.const)
-            ):
-                form = "x_i - x_j = c*z" if self.coned else "x_i - x_j = c"
-                raise ValueError(
-                    f"the hyperplane {h.render(self.var_names())} is not of the form {form}"
-                )
-            i, j = support
-            read.append((i, j, -h.coeffs[n] if self.coned else h.const, head[i]))
-        den = lcm(*(e[3] for e in read if e is not None))
-        return den, [None if e is None else (e[0], e[1], e[2] * (den // e[3])) for e in read]
-
-    def __repr__(self) -> str:
-        kind = "coned" if self.coned else ("central" if self.is_central else "affine")
-        return f"Arrangement({kind}, dim={self.dim}, {len(self)} hyperplanes)"
 
 
 class NestSpec(NamedTuple):
@@ -376,14 +311,13 @@ def n_from_graph(graph: Graph) -> NestSpec:
 
 
 def cone(arr: Arrangement) -> Arrangement:
-    """Homogenize with a new last variable z and prepend ``z = 0``."""
+    """Homogenize with a new last variable z and prepend ``z = 0``: the gain
+    edges of ``arr`` after ``None``, so ``z = 0`` is hyperplane 0 of every
+    coned arrangement with edges."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
-    if arr._edges is not None:
-        return Arrangement._of_edges(arr.dim + 1, arr._edges[0], (None, *arr._edges[1]), coned=True)
-    planes = [Hyperplane((0,) * arr.dim + (1,), 0)]
-    planes += [Hyperplane(h.coeffs + (-h.const,), 0) for h in arr.hyperplanes]
-    return Arrangement(arr.dim + 1, planes, coned=True)
+    den, edges = arr.gain_edges()
+    return Arrangement._of_edges(arr.dim + 1, den, (None, *edges), coned=True)
 
 
 # -- JSON arrangement specs -------------------------------------------

@@ -32,11 +32,11 @@ integer homogeneous coordinates over one scale for the whole enumeration.
 witness, in increasing ``bits``.  A coned arrangement is enumerated on
 its slice ``z = 1``, whose regions are the chambers on the side
 ``z > 0``; their antipodes, bits complemented and points negated, taken
-in reverse are a second increasing run, and one pass merges the two:
-with ``z = 0`` first, as ``cone`` builds every spec, the antipodes simply
-come first.  The command line writes its answer straight from the rows;
+in reverse are the chambers on the side ``z < 0``, in increasing order.
+``cone`` puts ``z = 0`` first, the top bit, so the antipodes come first.
+The command line writes its answer straight from the rows;
 ``enumerate_chambers`` makes each row a ``Chamber``, a record of the same
-integers, whose ``witness`` property alone makes ``Fraction`` values.
+integers.
 
 The canonical chamber of a coned arrangement built from descending sets
 is cut out by ``x1 - xj < a z`` for every ``a`` in ``N_j``, the order
@@ -51,13 +51,12 @@ region, is the oracle the tests hold it to.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
-from .exactmath import UniPoly
+from .exactmath import UniPoly, equation_str
 from .freeness import is_nest, nest_exponents
 
 
@@ -74,10 +73,6 @@ class Chamber(NamedTuple):
     size: int
     point: tuple[int, ...]
     den: int
-
-    @property
-    def witness(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.point)
 
 
 # -- enumeration by difference-bound matrices ---------------------------
@@ -139,8 +134,6 @@ def _regions(arr: Arrangement) -> tuple[Iterator[tuple[int, Matrix]], int]:
     ``bits``, and at most one matrix per hyperplane is pending.
     """
     den, edges = arr.gain_edges()
-    if arr.coned and None not in edges:
-        raise ValueError("a coned arrangement needs the hyperplane z = 0")
     n = arr.dim - 1 if arr.coned else arr.dim
     unit = 1 << (n - 1)  # keeps the witness midpoints integral
     big = n * (max((abs(e[2]) for e in edges if e is not None), default=0) + 1) * unit
@@ -170,13 +163,12 @@ def chamber_rows(arr: Arrangement) -> tuple[list[tuple[int, tuple[int, ...]]], i
     """Every chamber as a row ``(bits, point)``, in increasing ``bits``, and the
     positive scale ``den`` that every ``point`` is the witness times.
 
-    The arrangement must be a difference arrangement (see
-    ``Arrangement.gain_edges``, which raises ``ValueError`` otherwise),
-    and a coned one must contain ``z = 0``.  A coned arrangement's walk
-    gives the forward run, its regions at ``z = 1``; their antipodes,
-    reversed, are a second increasing run, and one pass merges the two.
-    With ``z = 0`` first, as ``cone`` builds it, the merge is the antipodes
-    then the forward run; with ``z = 0`` elsewhere the runs interleave.
+    The arrangement must have gain edges (see ``Arrangement.gain_edges``,
+    which raises ``ValueError`` otherwise).  A coned arrangement's walk
+    gives the forward run, its regions at ``z = 1``, all on the ``+`` side
+    of ``z = 0``; their antipodes, reversed, are on its ``-`` side.  ``cone``
+    puts ``z = 0`` first, as the top bit, so the answer is the antipodes
+    then the forward run.
     """
     walk, den = _regions(arr)
     if not arr.coned:
@@ -184,10 +176,7 @@ def chamber_rows(arr: Arrangement) -> tuple[list[tuple[int, tuple[int, ...]]], i
     forward = [(bits, (*_witness(d), den)) for bits, d in walk]  # a point at z = 1
     full = (1 << len(arr)) - 1
     back = [(bits ^ full, tuple(map(neg, point))) for bits, point in reversed(forward)]
-    if back[-1][0] < forward[0][0]:
-        return back + forward, den
-    from heapq import merge  # only a cone built by hand puts z = 0 elsewhere: kept off the import
-    return list(merge(back, forward)), den  # distinct bits: no comparison reaches a point
+    return back + forward, den
 
 
 def enumerate_chambers(arr: Arrangement) -> list[Chamber]:
@@ -204,7 +193,7 @@ def _chamber_at(arr: Arrangement, point: Sequence[int], den: int) -> Chamber:
     for h in arr.hyperplanes:
         value = h.eval_at(point, den)
         if value == 0:
-            raise ValueError(f"point lies on the hyperplane {h.render(arr.var_names())}")
+            raise ValueError(f"point lies on the hyperplane {equation_str(h.coeffs, h.const, arr.var_names())}")
         bits = bits << 1 | (value > 0)
     return Chamber(bits, len(arr), tuple(point), den)
 

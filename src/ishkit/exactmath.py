@@ -28,8 +28,8 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
   constructors read them, and ``sorted_terms`` and ``poly_str`` write
   them; the JSON writer ``poly_json_str`` reads a key's exponents in
   one ``struct`` unpack of its bytes.  ``MultiPoly.product`` is the one
-  constructor from linear forms: ``const``, ``variable`` and ``linear``
-  are each one call of it.  No other module reads or writes a key.
+  constructor from linear forms: ``const`` and ``linear`` are each one
+  call of it.  No other module reads or writes a key.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -215,12 +215,6 @@ class MultiPoly:
         return cls.product(nvars, value, ())
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        return cls.product(nvars, 1, [[int(i == index) for i in range(nvars)]])
-
-    @classmethod
     def linear(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
         """The linear form ``sum(coeffs[k] * x_k)`` in ``len(coeffs)`` variables."""
         return cls.product(len(coeffs), 1, [coeffs])
@@ -352,23 +346,6 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.nvars)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: object) -> "MultiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "MultiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: object) -> "MultiPoly":
         o = self._coerce(other)
         if o is None:
@@ -387,18 +364,6 @@ class MultiPoly:
         return res
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {poly_str(self)!r})"
-
-    def __str__(self) -> str:
-        return poly_str(self)
 
 
 def default_names(nvars: int, coned: bool = False) -> list[str]:
@@ -600,17 +565,6 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
     def __mul__(self, other: object) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs])
@@ -631,20 +585,11 @@ class UniPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def evaluate(self, point: Scalar) -> Scalar:
         total: Scalar = 0
         for c in reversed(self.coeffs):
             total = total * point + c
         return _exact(total)
-
-    def __str__(self) -> str:
-        return unipoly_str(self)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({unipoly_str(self)!r})"
 
 
 def times_linear(coeffs: Sequence[Scalar], r: Scalar) -> list[Scalar]:

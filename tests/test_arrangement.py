@@ -1,7 +1,7 @@
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
@@ -25,7 +25,7 @@ from ishkit.arrangement import (
     n_from_graph,
 )
 from ishkit.chambers import enumerate_chambers
-from ishkit.exactmath import Scalar, parse_rational_pair
+from ishkit.exactmath import Scalar, clear_denominators, equation_str, parse_rational_pair
 
 
 def parse_rational(value: Scalar | str) -> Fraction:
@@ -33,8 +33,62 @@ def parse_rational(value: Scalar | str) -> Fraction:
     return Fraction(*parse_rational_pair(value))
 
 
-def h(coeffs, const=0):
-    return Hyperplane.make(coeffs, const)
+def make_hyperplane(coeffs: Sequence[Scalar | str], const: Scalar | str = 0) -> Hyperplane:
+    """The hyperplane ``sum(coeffs[i] * x_{i+1}) = const`` of rational input, in
+    the normalized integer form that ``Arrangement`` expects."""
+    ints, _ = clear_denominators([*coeffs, const])
+    k = ints.pop()
+    if not any(ints):
+        raise ValueError("a hyperplane needs a nonzero coefficient vector")
+    g = gcd(*ints, k)
+    ints = [v // g for v in ints]
+    k //= g
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+        k = -k
+    return Hyperplane(tuple(ints), k)
+
+
+h = make_hyperplane
+
+
+def hyperplane_str(plane: Hyperplane, names: Sequence[str]) -> str:
+    return equation_str(plane.coeffs, plane.const, names)
+
+
+def read_back(arr: Arrangement) -> tuple[int, list]:
+    """The gain edges of hyperplanes given to the constructor, as
+    ``Arrangement.gain_edges`` gives those of a builder's arrangement:
+    ``2*x1 - 2*x2 = 1`` and ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the
+    gains 3 and 4.  Any other hyperplane is a ``ValueError``."""
+    n = arr.dim - 1 if arr.coned else arr.dim
+    read: list[tuple[int, int, int, int] | None] = []
+    for plane in arr.hyperplanes:
+        head = plane.coeffs[:n]
+        support = [k for k, v in enumerate(head) if v]
+        if arr.coned and not support and not plane.const:
+            read.append(None)
+            continue
+        if len(support) != 2 or head[support[0]] != -head[support[1]] or (arr.coned and plane.const):
+            form = "x_i - x_j = c*z" if arr.coned else "x_i - x_j = c"
+            raise ValueError(f"the hyperplane {hyperplane_str(plane, arr.var_names())} is not of the form {form}")
+        i, j = support
+        read.append((i, j, -plane.coeffs[n] if arr.coned else plane.const, head[i]))
+    den = lcm(*(e[3] for e in read if e is not None))
+    return den, [None if e is None else (e[0], e[1], e[2] * (den // e[3])) for e in read]
+
+
+def with_edges(arr: Arrangement) -> Arrangement:
+    """The arrangement of hyperplanes ``arr`` as gain edges (``read_back``),
+    in the same order: what the lattice and the chamber walk read."""
+    return Arrangement._of_edges(arr.dim, *read_back(arr), arr.coned)
+
+
+def same_arrangement(a: Arrangement, b: Arrangement) -> bool:
+    """Equal as sets of hyperplanes in the same space: the order, which only
+    indexes sign vectors, aside."""
+    return (a.dim, a.coned, frozenset(a.hyperplanes)) == (b.dim, b.coned, frozenset(b.hyperplanes))
 
 
 def rational_set(nest: NestSpec, j: int) -> tuple[Fraction, ...]:
@@ -73,26 +127,35 @@ def test_hyperplane_form_and_eval():
     assert plane.eval_at([3, 1]) == 1
     assert plane.eval_at([2, 1]) == 0
     assert plane.eval_at([5, 2], 2) == 1  # at (5/2, 1), times 2
-    assert plane.render(["x1", "x2"]) == "x1 - x2 = 1"
+    assert hyperplane_str(plane, ["x1", "x2"]) == "x1 - x2 = 1"
 
 
-def test_gain_edges_read_back_the_constant():
+def test_read_back_gives_the_gain_edges_of_the_constants():
     arr = Arrangement(3, [h([1, -1, 0], Fraction(1, 2)), h([0, 1, -1], -2)])
     assert arr.hyperplanes[0] == Hyperplane((2, -2, 0), 1)
-    den, edges = arr.gain_edges()
+    den, edges = read_back(arr)
     assert (den, edges) == (2, [(0, 1, 1), (1, 2, -4)])  # 1/2 and -2, over 2
-    assert cone(arr).gain_edges() == (2, [None] + edges)
+    assert cone(with_edges(arr)).gain_edges() == (2, [None] + edges)
+    assert with_edges(arr).hyperplanes == arr.hyperplanes
     # mixed denominators: 2*x1 - 2*x2 = 1 and 3*x1 - 3*x3 = 2 read as 3/6 and 4/6
     mixed = Arrangement(3, [h([2, -2, 0], 1), h([3, 0, -3], 2), h([0, 1, -1])])
-    assert mixed.gain_edges() == (6, [(0, 1, 3), (0, 2, 4), (1, 2, 0)])
-    assert cone(mixed).gain_edges() == (6, [None, (0, 1, 3), (0, 2, 4), (1, 2, 0)])
-    for den, edges in (mixed.gain_edges(), cone(mixed).gain_edges()):
+    assert read_back(mixed) == (6, [(0, 1, 3), (0, 2, 4), (1, 2, 0)])
+    assert cone(with_edges(mixed)).gain_edges() == (6, [None, (0, 1, 3), (0, 2, 4), (1, 2, 0)])
+    for den, edges in (read_back(mixed), cone(with_edges(mixed)).gain_edges()):
         assert all(type(e[2]) is int for e in edges if e is not None)
     # a coned arrangement without z = 0 still reads as edges
-    assert Arrangement(3, [h([1, -1, 0], 0)], coned=True).gain_edges() == (1, [(0, 1, 0)])
-    assert Arrangement(2, []).gain_edges() == (1, [])
+    assert read_back(Arrangement(3, [h([1, -1, 0], 0)], coned=True)) == (1, [(0, 1, 0)])
+    assert read_back(Arrangement(2, [])) == (1, [])
     with pytest.raises(ValueError, match="not of the form"):
-        Arrangement(3, [h([0, 0, 1], 1), h([1, -1, 0])], coned=True).gain_edges()  # z = 1
+        read_back(Arrangement(3, [h([0, 0, 1], 1), h([1, -1, 0])], coned=True))  # z = 1
+
+
+def test_an_arrangement_given_as_hyperplanes_has_no_gain_edges():
+    for arr in (Arrangement(3, [h([1, -1, 0], 1)]), Arrangement(3, [h([0, 0, 1]), h([1, -1, -1])], coned=True)):
+        with pytest.raises(ValueError, match="has no gain edges"):
+            arr.gain_edges()
+    with pytest.raises(ValueError, match="has no gain edges"):
+        cone(Arrangement(2, [h([1, -1], 1)]))
 
 
 def test_build_named_ish_three():
@@ -163,10 +226,10 @@ def test_nest_spec_basics():
 
 def test_build_n_ish_matches_named_ish():
     nest = NestSpec.make([[0, 1], [0, 1, 2]])
-    assert build_n_ish(nest) == build_named("ish", 3)
+    assert same_arrangement(build_n_ish(nest), build_named("ish", 3))
     assert ish_nest(3) == nest
     for ell in (2, 3, 4, 5):
-        assert build_n_ish(ish_nest(ell)) == build_named("ish", ell)
+        assert same_arrangement(build_n_ish(ish_nest(ell)), build_named("ish", ell))
 
 
 def test_build_n_ish_counts():
@@ -196,8 +259,8 @@ def test_graph_rejects_malformed_edge(edge):
 def test_n_from_graph_examples():
     empty = Graph.make(3, [])
     assert n_from_graph(empty) == NestSpec.make([[0], [0]])
-    assert build_n_ish(n_from_graph(empty)) == build_deleted("ish", empty)
-    assert build_deleted("ish", empty) == build_named("coxeter", 3)
+    assert same_arrangement(build_n_ish(n_from_graph(empty)), build_deleted("ish", empty))
+    assert same_arrangement(build_deleted("ish", empty), build_named("coxeter", 3))
 
     g23 = Graph.make(3, [(2, 3)])
     assert n_from_graph(g23) == NestSpec.make([[0], [0, 2]])
@@ -208,7 +271,7 @@ def test_deleted_matches_nest_exhaustive():
         all_edges = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
         for bits in itertools.product([0, 1], repeat=len(all_edges)):
             g = Graph.make(ell, [e for e, b in zip(all_edges, bits) if b])
-            assert build_n_ish(n_from_graph(g)) == build_deleted("ish", g)
+            assert same_arrangement(build_n_ish(n_from_graph(g)), build_deleted("ish", g))
 
 
 def test_n_from_graph_matches_the_parsed_sets():
@@ -247,13 +310,14 @@ def test_arrangement_dedup_and_equality():
     a = Arrangement(2, [h([1, -1]), h([-1, 1]), h([1, -1], 1)])
     assert len(a) == 2
     b = Arrangement(2, [h([1, -1], 1), h([1, -1])])
-    assert a == b  # set semantics
-    assert a != Arrangement(2, [h([1, -1])])
+    assert same_arrangement(a, b)  # set semantics
+    assert not same_arrangement(a, Arrangement(2, [h([1, -1])]))
+    assert not same_arrangement(a, Arrangement(2, a.hyperplanes, coned=True))
 
 
 def test_from_spec_shapes():
     ps = from_spec({"type": "ish", "ell": 3})
-    assert ps.arrangement == build_named("ish", 3)
+    assert same_arrangement(ps.arrangement, build_named("ish", 3))
     assert ps.nest == ish_nest(3)
     assert ps.graph is None and not ps.coned
 
@@ -264,11 +328,11 @@ def test_from_spec_shapes():
     ps = from_spec({"type": "deleted_ish", "ell": 3, "edges": [[2, 3]]})
     assert ps.nest == NestSpec.make([[0], [0, 2]])
     assert ps.graph == Graph.make(3, [(2, 3)])
-    assert ps.arrangement == build_deleted("ish", ps.graph)
+    assert same_arrangement(ps.arrangement, build_deleted("ish", ps.graph))
 
     ps = from_spec({"type": "deleted_shi", "ell": 3, "edges": []})
     assert ps.nest is None
-    assert ps.arrangement == build_named("coxeter", 3)
+    assert same_arrangement(ps.arrangement, build_named("coxeter", 3))
 
 
 @pytest.mark.parametrize("coned", [False, True])
@@ -305,7 +369,8 @@ def test_from_spec_builds_nothing_and_each_read_builds_the_arrangement(monkeypat
     monkeypatch.setattr("ishkit.arrangement.build_named", counted)
     ps = from_spec({"type": "ish", "ell": 4, "cone": True})
     assert calls == [] and not hasattr(ps, "__dict__")
-    assert ps.arrangement == ps.arrangement == cone(build_named("ish", 4))
+    first, second = ps.arrangement, ps.arrangement
+    assert same_arrangement(first, cone(build_named("ish", 4))) and same_arrangement(second, first)
     assert calls == [("ish", 4)] * 2
     assert ps == from_spec({"type": "ish", "ell": 4, "cone": True})
 
@@ -393,11 +458,12 @@ def fraction_diff(ell: int, i: int, j: int, const: Scalar = 0) -> Hyperplane:
     coeffs = [0] * ell
     coeffs[i - 1] = 1
     coeffs[j - 1] = -1
-    return Hyperplane.make(coeffs, const)
+    return make_hyperplane(coeffs, const)
 
 
 def fraction_build_n_ish(nest: FractionNestSpec) -> Arrangement:
-    """``build_n_ish`` normalizing every hyperplane through ``Hyperplane.make``."""
+    """``build_n_ish`` normalizing every hyperplane through ``make_hyperplane``,
+    read back into gain edges (``with_edges``) for the commands."""
     ell = nest.ell
     planes = []
     for j in range(2, ell + 1):
@@ -406,18 +472,19 @@ def fraction_build_n_ish(nest: FractionNestSpec) -> Arrangement:
     for i in range(2, ell + 1):
         for j in range(i + 1, ell + 1):
             planes.append(fraction_diff(ell, i, j))
-    return Arrangement(ell, planes)
+    return with_edges(Arrangement(ell, planes))
 
 
 def fraction_cone(arr: Arrangement) -> Arrangement:
-    """``cone`` normalizing every hyperplane again through ``Hyperplane.make``."""
+    """``cone`` normalizing every hyperplane again through ``make_hyperplane``,
+    read back into gain edges (``with_edges``) for the commands."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
     n = arr.dim + 1
-    planes = [Hyperplane.make([0] * arr.dim + [1], 0)]
+    planes = [make_hyperplane([0] * arr.dim + [1], 0)]
     for hp in arr.hyperplanes:
-        planes.append(Hyperplane.make(list(hp.coeffs) + [-hp.const], 0))
-    return Arrangement(n, planes, coned=True)
+        planes.append(make_hyperplane(list(hp.coeffs) + [-hp.const], 0))
+    return with_edges(Arrangement(n, planes, coned=True))
 
 
 def fraction_ish_nest(ell: int) -> FractionNestSpec:
@@ -500,7 +567,7 @@ def test_difference_hyperplanes_are_built_normalized():
     arrs += [build_deleted(kind, Graph.make(4, [(1, 3), (2, 4)])) for kind in ("shi", "ish")]
     for arr in arrs + [cone(arr) for arr in arrs]:
         for hp in arr.hyperplanes:
-            assert hp == Hyperplane.make(hp.coeffs, hp.const)
+            assert hp == make_hyperplane(hp.coeffs, hp.const)
             assert all(type(v) is int for v in hp.coeffs + (hp.const,))
 
 
@@ -596,7 +663,7 @@ def test_the_edge_builders_make_the_hyperplanes_of_the_hyperplane_builders(parse
     assert arr.hyperplanes == old.hyperplanes
     assert (arr.is_central, arr.dim, arr.coned) == (old.is_central, old.dim, old.coned)
     # the edges as built are the read-back of the hyperplanes, den included
-    assert (den, edges) == Arrangement(arr.dim, arr.hyperplanes, arr.coned).gain_edges() == old.gain_edges()
+    assert (den, edges) == read_back(Arrangement(arr.dim, arr.hyperplanes, arr.coned)) == read_back(old)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -620,8 +687,8 @@ def test_gain_edges_is_a_fresh_list():
     for make in (
         lambda: build_named("shi", 3),
         lambda: cone(build_named("shi", 3)),
-        lambda: Arrangement(3, shi.hyperplanes),  # read back
-        lambda: oracle_cone(shi),
+        lambda: with_edges(Arrangement(3, shi.hyperplanes)),  # read back
+        lambda: with_edges(oracle_cone(shi)),
     ):
         want = (make().gain_edges(), enumerate_chambers(make()))
         arr = make()

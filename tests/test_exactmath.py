@@ -158,7 +158,7 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     ra, rb = ref_terms(a_terms), ref_terms(b_terms)
     assert in_order(a) == ref_in_order(ra)
     assert in_order(a + b) == ref_in_order(ref_add(ra, rb))
-    assert in_order(a - b) == ref_in_order(ref_add(ra, ref_scale(rb, -1)))
+    assert in_order(sub(a, b)) == ref_in_order(ref_add(ra, ref_scale(rb, -1)))
     assert in_order(a * q) == ref_in_order(ref_scale(ra, q))
     product = a * b
     assert in_order(product) == ref_in_order(ref_mul(ra, rb))
@@ -210,15 +210,15 @@ def test_exact_div_examples():
     # The reference division that judges vanishes_on, checked against
     # known quotients, and the restriction check on the same divisions.
     x1, z = var(2, 0), var(2, 1)
-    f = x1 * x1 - z * z
+    f = sub(x1 * x1, z * z)
     q, r = ref_div(_tuple_terms(f), _tuple_terms(x1 + z))
-    assert MultiPoly(2, q) == x1 - z and not r
+    assert as_terms(MultiPoly(2, q)) == as_terms(sub(x1, z)) and not r
     assert vanishes_on(f, [1, 1])
     # not divisible: x1 = (x1 - x2) * 1 + x2
     x2 = var(2, 1)
-    q, r = ref_div(_tuple_terms(x1), _tuple_terms(x1 - x2))
-    assert MultiPoly(2, q) == MultiPoly.const(2, 1)
-    assert MultiPoly(2, r) == x2
+    q, r = ref_div(_tuple_terms(x1), _tuple_terms(sub(x1, x2)))
+    assert as_terms(MultiPoly(2, q)) == as_terms(MultiPoly.const(2, 1))
+    assert as_terms(MultiPoly(2, r)) == as_terms(x2)
     assert not vanishes_on(x1, [1, -1])
     with pytest.raises(ValueError):
         vanishes_on(x1, [0, 0])
@@ -241,10 +241,10 @@ def test_exact_div_identity_random():
             continue
         # exact division of a product
         q, r = ref_div(_tuple_terms(f * g), _tuple_terms(g))
-        assert not r and MultiPoly(n, q) == f
+        assert not r and as_terms(MultiPoly(n, q)) == as_terms(f)
         # general division identity, in MultiPoly arithmetic
         q, r = ref_div(_tuple_terms(f), _tuple_terms(g))
-        assert g * MultiPoly(n, q) + MultiPoly(n, r) == f
+        assert as_terms(g * MultiPoly(n, q) + MultiPoly(n, r)) == as_terms(f)
         # a product with a linear form vanishes on its hyperplane
         coeffs = [rng.randint(-3, 3) for _ in range(n)]
         if not any(coeffs):
@@ -384,9 +384,9 @@ def test_const_linear_and_variable_match_their_key_oracles(case):
     assert in_order(MultiPoly.const(nvars, value)) == in_order(const_by_key(nvars, value))
     assert in_order(MultiPoly.linear(coeffs)) == in_order(linear_by_key(coeffs))
     if 0 <= index < nvars:
-        assert in_order(MultiPoly.variable(nvars, index)) == in_order(variable_by_key(nvars, index))
+        assert in_order(var(nvars, index)) == in_order(variable_by_key(nvars, index))
     else:
-        for make in (MultiPoly.variable, variable_by_key):
+        for make in (var, variable_by_key):
             with pytest.raises(ValueError, match=f"variable index {index} out of range"):
                 make(nvars, index)
     for make in (MultiPoly.const, const_by_key):
@@ -397,7 +397,7 @@ def test_const_linear_and_variable_match_their_key_oracles(case):
 def test_product_at_the_degree_limit():
     unit = (1, 0)
     top = MultiPoly(2, {(2**15 - 1, 0): 1})
-    assert MultiPoly.product(2, 1, [unit] * (2**15 - 1)) == top
+    assert as_terms(MultiPoly.product(2, 1, [unit] * (2**15 - 1))) == as_terms(top)
     assert MultiPoly.product(2, 0, [unit] * (2**15 - 1)).is_zero
     for scalar in (1, 0, Fraction(1, 2)):  # refused before the scalar is read
         with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
@@ -447,8 +447,42 @@ def mp(nvars, terms):
     return MultiPoly(nvars, terms)
 
 
-def var(n, i):
-    return MultiPoly.variable(n, i)
+# -- the arithmetic that only the tests use ------------------------------
+
+
+def var(nvars: int, index: int) -> MultiPoly:
+    """The variable of ``index`` among ``nvars``: one call of ``MultiPoly.product``."""
+    if not 0 <= index < nvars:
+        raise ValueError(f"variable index {index} out of range")
+    return MultiPoly.product(nvars, 1, [[int(i == index) for i in range(nvars)]])
+
+
+def neg(p: MultiPoly) -> MultiPoly:
+    res = MultiPoly(p.nvars)
+    res.terms = {k: -c for k, c in p.terms.items()}
+    return res
+
+
+def sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return p + neg(q)
+
+
+def as_terms(value):
+    """A polynomial as ``(nvars, terms)``, and a sequence of them, nested, as a
+    list of those: what equality of polynomials compares."""
+    if isinstance(value, MultiPoly):
+        return value.nvars, value.terms
+    return [as_terms(v) for v in value]
+
+
+def unipoly_add(p: UniPoly, q: UniPoly) -> UniPoly:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return UniPoly(out)
 
 
 def test_parse_and_format_rational():
@@ -519,11 +553,11 @@ def test_floats_do_not_get_into_the_polynomials():
 
 def test_multipoly_basics():
     x1, x2 = var(2, 0), var(2, 1)
-    p = (x1 - x2) * (x1 + x2)
-    assert p == x1 * x1 - x2 * x2
+    p = sub(x1, x2) * (x1 + x2)
+    assert as_terms(p) == as_terms(sub(x1 * x1, x2 * x2))
     assert p.total_degree() == 2
     assert not p.is_zero
-    assert (p - p).is_zero
+    assert sub(p, p).is_zero
     assert p.evaluate([3, 2]) == 5 and type(p.evaluate([3, 2])) is int
     assert p.evaluate([Fraction(1, 2), 0]) == Fraction(1, 4)
 
@@ -531,7 +565,7 @@ def test_multipoly_basics():
 def test_multipoly_cancellation_drops_terms():
     x1, x2 = var(2, 0), var(2, 1)
     p = x1 * x2 + 1
-    q = p - x1 * x2
+    q = sub(p, x1 * x2)
     assert q.sorted_terms() == [((0, 0), 1)]
 
 
@@ -543,7 +577,7 @@ def test_integral_coefficients_are_stored_as_int():
         half * 2,
         half + half,
         (half * x2) * (x1 * 2),
-        x1 - half - half,
+        sub(sub(x1, half), half),
         MultiPoly(2, {(0, 0): Fraction(4, 2), (1, 1): "6/3"}),
     ]
     for p in integral:
@@ -561,7 +595,7 @@ def test_leading_term_graded_lex():
 
 def test_poly_str_ordering():
     x1, x2 = var(2, 0), var(2, 1)
-    p = x2 * x2 - 2 * x1 + 1
+    p = sub(x2 * x2, 2 * x1) + 1
     assert poly_str(p) == "x2^2 - 2*x1 + 1"
     assert poly_str(MultiPoly.zero(2)) == "0"
 
@@ -579,7 +613,7 @@ def test_det_saito_matrix_rank_two_cone():
     n = 3
     x1, x2, z = var(n, 0), var(n, 1), var(n, 2)
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
-    prod = (x1 - x2) * (x1 - x2 - z)
+    prod = sub(x1, x2) * sub(sub(x1, x2), z)
     m = [[one, x1, zero], [one, x2, prod], [zero, z, zero]]
     for point in ([1, 2, 4], [5, -3, 2], [1, 1, 1], [0, 0, 0]):
         value = int_det([[entry.evaluate(point) for entry in row] for row in m])
@@ -652,7 +686,7 @@ def test_unipoly_eval_at_roots_random():
 def test_unipoly_keeps_integral_coefficients_as_int():
     p = UniPoly([Fraction(4, 2), 0, Fraction(-3), 1])
     assert [type(c) for c in p.coeffs] == [int] * 4
-    products = [UniPoly.from_roots([0, 3, 3]), p * UniPoly([-1, 1]), p * Fraction(2), p + p]
+    products = [UniPoly.from_roots([0, 3, 3]), p * UniPoly([-1, 1]), p * Fraction(2), unipoly_add(p, p)]
     for q in products:
         assert all(type(c) is int for c in q.coeffs)
     assert type(p.evaluate(2)) is int and p.evaluate(2) == -2
@@ -689,7 +723,7 @@ def test_nonnegative_int_roots_inverts_from_roots(roots):
         UniPoly([1, 1]),  # t + 1
         UniPoly.from_roots([0, 2, -1, 3]),
         UniPoly.from_roots([2, 3]) * 2,  # not monic
-        UniPoly([0, 0, 6, -5, 1]) + UniPoly([1]),  # t^2(t-2)(t-3) + 1
+        unipoly_add(UniPoly([0, 0, 6, -5, 1]), UniPoly([1])),  # t^2(t-2)(t-3) + 1
         UniPoly(),
     ],
 )
@@ -735,8 +769,8 @@ def test_swapped_exchanges_two_variables(case):
         e[i], e[j] = e[j], e[i]
         return tuple(e)
 
-    assert p.swapped(i, j) == MultiPoly(nvars, {exchange(e): c for e, c in terms.items()})
-    assert p.swapped(i, j).swapped(j, i) == p == p.swapped(i, i)
+    assert as_terms(p.swapped(i, j)) == as_terms(MultiPoly(nvars, {exchange(e): c for e, c in terms.items()}))
+    assert as_terms(p.swapped(i, j).swapped(j, i)) == as_terms(p) == as_terms(p.swapped(i, i))
     with pytest.raises(ValueError):
         p.swapped(i, nvars)
 
@@ -827,9 +861,9 @@ def test_poly_json_str_writes_what_shift_and_mask_wrote(case, pad):
 
 def test_multipoly_json_round_trip():
     x1, x2 = var(2, 0), var(2, 1)
-    p = x1 * x1 - Fraction(1, 2) * x2 + 3
+    p = sub(x1 * x1, Fraction(1, 2) * x2) + 3
     data = json.loads(_render(p))
     assert data == poly_to_json(p)
     assert data[0] == {"exp": [2, 0], "coef": "1/1"}
     terms = [(tuple(rec["exp"]), parse_rational(rec["coef"])) for rec in data]
-    assert MultiPoly(2, terms) == p
+    assert as_terms(MultiPoly(2, terms)) == as_terms(p)

@@ -21,7 +21,7 @@ def _records():
     not_free = ishkit.decide_free(ishkit.NestSpec.make([[0, 1], [0, 2]]))
     report = ishkit.survey(2)
     records = [
-        (ishkit.Hyperplane.make([1, -1], 0), ("coeffs", "const")),
+        (ishkit.Hyperplane((1, -1), 0), ("coeffs", "const")),
         (ishkit.ish_nest(3), ("ell", "den", "nums")),
         (ishkit.Graph.complete(3), ("ell", "edges")),
         (ishkit.from_spec({"type": "ish", "ell": 3}), ("kind", "ell", "nest", "graph", "coned")),
