@@ -20,7 +20,7 @@ from itertools import chain as chained
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .arrangement import NestSpec, ParsedSpec, build_n_ish, cone, from_spec
+from .arrangement import Graph, NestSpec, ParsedSpec, build_n_ish, cone, from_spec
 from .chambers import chamber_rows, geometric_product
 from .errors import CapacityError
 from .exactmath import (
@@ -106,16 +106,6 @@ def request_from_doc(doc: object) -> AnalysisRequest:
         return AnalysisRequest(command, fmt, ell, None)
     parsed = from_spec(doc)
     return AnalysisRequest(command, fmt, parsed.ell, parsed)
-
-
-def request_echo(req: AnalysisRequest) -> dict:
-    """The canonical spec document reproducing this request."""
-    out: dict = {"command": req.command, "format": req.output_format}
-    if req.parsed is None:
-        out["ell"] = req.ell
-    else:
-        out.update(req.parsed.to_json())
-    return out
 
 
 def _need_nest(parsed: ParsedSpec) -> NestSpec:
@@ -422,7 +412,7 @@ def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
     A survey has at least two records.
     """
     record, field = pad + "  ", pad + "    "
-    item, sub = field + "  ", field + "    "
+    item = field + "  "
     polys: dict[tuple[int, ...], str] = {}
     sets: dict[tuple[int, tuple[int, ...]], str] = {}
     edges: dict[tuple[int, int], str] = {}
@@ -433,35 +423,68 @@ def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
             polys[coeffs] = f"[{item}{(',' + item).join([_json_rational(c, 1) for c in coeffs])}{field}]"
         return polys[coeffs]
 
-    def derived(nest: NestSpec) -> str:
-        den, texts = nest.den, []
-        for n in nest.nums:
-            key = (den, n)
-            if key not in sets:
-                sets[key] = f"[{sub}{(',' + sub).join([_json_rational(a, den) for a in n])}{item}]"
-            texts.append(sets[key])
-        return f"[{item}{(',' + item).join(texts)}{field}]"
-
-    def edge(e: tuple[int, int]) -> str:
-        if e not in edges:
-            edges[e] = f"[{sub}{e[0]},{sub}{e[1]}{item}]"
-        return edges[e]
-
     out = []
     for r in records:
         a = r.analysis
         w = a.athanasiadis_witness
         witness = "null" if w is None else f"[{item}{(',' + item).join(map(str, w))}{field}]"
-        graph = a.graph.sorted_edges()
-        graph_edges = f"[{item}{(',' + item).join(map(edge, graph))}{field}]" if graph else "[]"
         free = "true" if a.free else "false"
         out.append(
             f'{{{field}"agree": {"true" if r.agree else "false"},{field}"athanasiadis": {witness},'
             f'{field}"charPolyIsh": {poly(r.char_ish)},{field}"charPolyShi": {poly(r.char_shi)},'
-            f'{field}"edges": {graph_edges},{field}"free": {free},{field}"nG": {derived(a.n_g)},'
+            f'{field}"edges": {_json_edges(a.graph, field, edges)},{field}"free": {free},'
+            f'{field}"nG": {_json_sets(a.n_g, field, sets)},'
             f'{field}"nest": {free},{field}"pairwise": {"true" if a.pairwise_ok else "false"}{record}}}'
         )
     return f"[{record}{(',' + record).join(out)}{pad}]"
+
+
+def _json_sets(nest: NestSpec, pad: str, memo: dict) -> str:
+    """``nest.to_json()`` as ``json.dumps`` writes it at the indent ``pad``, each
+    set written once into ``memo``, by its ``(den, numerators)``.  The one
+    writer of a nest's sets in JSON: the spec echo's ``N`` and a survey's ``nG``."""
+    item, sub = pad + "  ", pad + "    "
+    den, texts = nest.den, []
+    for n in nest.nums:
+        key = (den, n)
+        if key not in memo:
+            memo[key] = f"[{sub}{(',' + sub).join([_json_rational(a, den) for a in n])}{item}]" if n else "[]"
+        texts.append(memo[key])
+    return f"[{item}{(',' + item).join(texts)}{pad}]"
+
+
+def _json_edges(graph: Graph, pad: str, memo: dict) -> str:
+    """The sorted edges of a graph as ``json.dumps`` writes their list of pairs at
+    the indent ``pad``, each edge written once into ``memo``."""
+    item, sub = pad + "  ", pad + "    "
+    texts = []
+    for e in graph.sorted_edges():
+        if e not in memo:
+            memo[e] = f"[{sub}{e[0]},{sub}{e[1]}{item}]"
+        texts.append(memo[e])
+    return f"[{item}{(',' + item).join(texts)}{pad}]" if texts else "[]"
+
+
+def _request_echo(req: AnalysisRequest, pad: str) -> str:
+    """The canonical spec document of a request, which reads back as the same
+    request, as ``json.dumps`` writes it at the indent ``pad``: ``command``,
+    ``format``, and for a survey its ``ell``, else the spec's ``type``, its
+    sets ``N`` for ``n_ish`` and ``ell`` for the other types, the ``edges`` of
+    a deleted type, and ``cone`` when coned, the keys sorted.  Written in one
+    pass, straight from the request's integers."""
+    inner, parsed = pad + "  ", req.parsed
+    head = f'"command": "{req.command}"'
+    if parsed is None:
+        return f'{{{inner}{head},{inner}"ell": {req.ell},{inner}"format": "{req.output_format}"{pad}}}'
+    fields = [f'"N": {_json_sets(parsed.nest, inner, {})}', head] if parsed.kind == "n_ish" else [head]
+    if parsed.coned:
+        fields.append('"cone": true')
+    if parsed.graph is not None:
+        fields.append(f'"edges": {_json_edges(parsed.graph, inner, {})}')
+    if parsed.kind != "n_ish":
+        fields.append(f'"ell": {parsed.ell}')
+    fields += [f'"format": "{req.output_format}"', f'"type": "{parsed.kind}"']
+    return "{" + inner + ("," + inner).join(fields) + pad + "}"
 
 
 def _chain_rows(
@@ -555,9 +578,10 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
     as each flat's rank, dimension and reduced row echelon form, in one
     pass of ``_flat_records``, which writes each distinct row once -- and
     an answer's ``_ChamberRows`` as the list of its chambers' records, in
-    one pass of ``_chamber_records``, and a survey's ``_SurveyRecords`` as
-    the list of its records, in one pass of ``_survey_records``.  Any other
-    type is a ``TypeError`` naming it.
+    one pass of ``_chamber_records``, a survey's ``_SurveyRecords`` as
+    the list of its records, in one pass of ``_survey_records``, and an
+    ``AnalysisRequest`` as its spec echo, in one pass of ``_request_echo``.
+    Any other type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -593,6 +617,8 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
         items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is AnalysisRequest:
+        return _request_echo(value, pad)
     if kind is _ChamberRows:
         return _chamber_records(*value, pad)
     if kind is _SurveyRecords:
@@ -604,13 +630,13 @@ def run(req: AnalysisRequest) -> str:
     """Execute a request and return the rendered report.
 
     Each handler renders only the requested format: the text report, or
-    for JSON output the fields that follow the command and the spec echo,
-    written byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
-    would write them.
+    for JSON output the fields that follow the command and the spec echo
+    (the request itself, written by ``_request_echo``), byte for byte as
+    ``json.dumps(..., indent=2, sort_keys=True)`` would write them.
     """
     answer = _HANDLERS[req.command](req)
     if req.output_format == "json":
-        payload = {"command": req.command, "spec": request_echo(req)}
+        payload = {"command": req.command, "spec": req}
         payload.update(answer)
         return _render(payload)
     return answer

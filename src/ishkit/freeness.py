@@ -24,6 +24,8 @@ needed.  A ``Derivation`` holds its components multiplied out, as
 
 ``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, the one
 chain test, on sets of numerators over one denominator, compared as ``int``s.
+``decide_free`` reads the exponents of the order ``is_nest`` found without
+testing the chain again; ``nest_exponents`` tests an order it is given.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
@@ -202,11 +204,15 @@ def is_nest(nest: NestSpec) -> tuple[int, ...] | None:
 
 def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
     """Exponent multiset ``{0, 1} | {|N_{w(k)}| + ell - k}`` of the cone."""
-    ascending = nest.reordered(order)
-    if not ascending.is_ascending():
+    if not nest.reordered(order).is_ascending():
         raise ValueError("order does not certify a chain")
-    ell = nest.ell
-    return tuple(sorted([0, 1, *(len(s) + ell - k for k, s in enumerate(ascending.nums, start=2))]))
+    return _exponents(nest, order)
+
+
+def _exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
+    """``nest_exponents`` of an order already known to be a chain order."""
+    ell, nums = nest.ell, nest.nums
+    return tuple(sorted([0, 1, *(len(nums[j - 2]) + ell - k for k, j in enumerate(order, start=2))]))
 
 
 def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
@@ -485,8 +491,8 @@ class FreenessVerdict(NamedTuple):
 def decide_free(nest: NestSpec) -> FreenessVerdict:
     """Freeness of the coned nested arrangement, with certificate data."""
     order = is_nest(nest)
-    if order is not None:
-        return FreenessVerdict(True, nest_exponents(nest, order), None)
+    if order is not None:  # a chain order, so its exponents need no second check
+        return FreenessVerdict(True, _exponents(nest, order), None)
     sets = [set(entries) for entries in nest.nums]
     for i in range(2, nest.ell + 1):
         for j in range(i + 1, nest.ell + 1):

@@ -43,12 +43,14 @@ read pair by pair (``_meets_inside``): two hyperplanes meet inside
 ``z = 0`` or an edge on their coordinate pair when they are parallel or
 one is ``z = 0``, inside the third side of their triangle when they
 share a vertex, and inside no other hyperplane when they are disjoint.
-The cone of a nested arrangement needs no closure: ``nest_modular_chain``
-builds the modular chain of the paper's filtration from the chain order
-of its sets and certifies it by that test.  The ``supersolvable``
-command answers nest-backed cones that way.  ``is_supersolvable`` serves
-Coxeter, Shi and deleted-Shi cones and central specs that are not coned,
-and is the oracle the filtration is tested against.  It needs no closure
+The cone of a nested arrangement needs no closure and no mask:
+``nest_modular_chain`` builds the modular chain of the paper's
+filtration from the chain order of its sets, puts each hyperplane in its
+block in one pass over the gain edges, and certifies the chain by that
+test.  The ``supersolvable`` command answers nest-backed cones that
+way.  ``is_supersolvable`` serves Coxeter, Shi and deleted-Shi cones and
+central specs that are not coned, and is the oracle the filtration is
+tested against.  It needs no closure
 either: it reads the roots of chi, which for a supersolvable arrangement
 are the block sizes of every modular chain, answers at once when they
 are not all nonnegative integers, and otherwise climbs by covers it
@@ -318,32 +320,37 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     the chain ties ``x_v(2) = ... = x_v(i)`` instead.
 
     The chain is certified on every call by the partition test of
-    Bjoerner-Edelman-Ziegler (DCG 1990, Thm 4.3): each hyperplane goes to
-    the block of the first flat of the chain that contains it, read off
-    the masks of the flats, every flat above the ambient space opens a
-    nonempty block, the top flat lies in every hyperplane, and any two
-    hyperplanes of one block meet inside a hyperplane of an earlier
-    block (``_unmodular_pair``).  A chain that fails any check raises
-    ``RuntimeError``: the order was not a chain order of these sets.
+    Bjoerner-Edelman-Ziegler (DCG 1990, Thm 4.3): one pass over the gain
+    edges puts each hyperplane in the block of the first flat of the chain
+    that it contains (``Flat.contains``), and the top flat must lie in
+    every hyperplane; every flat above the ambient space opens a nonempty
+    block, and any two hyperplanes of one block meet inside a hyperplane
+    of an earlier block (``_unmodular_pair``).  No mask of a flat is made.
+    A chain that fails any check raises ``RuntimeError``: the order was
+    not a chain order of these sets.
     """
     if not arr.coned:
         raise ValueError("the nest filtration is built for coned arrangements")
-    gains = _IntGains(arr)
+    den, edges = arr.gain_edges()
     ties = [v - 1 for v in reversed(order)]  # 0-based coordinates, sets descending
-    if any(edge is not None and edge[0] == 0 for edge in gains.edges):  # some set is nonempty
+    if any(edge is not None and edge[0] == 0 for edge in edges):  # some set is nonempty
         ties.insert(0, 0)
-    chain = [Flat.ambient(arr.dim, True, gains.den)]
+    chain = [Flat.ambient(arr.dim, True, den)]
     for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
         flat = chain[-1].intersect_hyperplane(edge)
         if flat is None or flat is chain[-1]:
             raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
         chain.append(flat)
-    masks = [gains.mask(flat) for flat in chain]
-    if masks[-1] != gains.full:
-        raise RuntimeError("the top flat of the filtration misses a hyperplane")
+    blocks = [(flat.contains, []) for flat in chain[1:]]  # the ambient space lies in no hyperplane
+    for edge in edges:  # into the block of the first flat inside its hyperplane
+        for contains, block in blocks:
+            if contains(edge):
+                block.append(edge)
+                break
+        else:
+            raise RuntimeError("the top flat of the filtration misses a hyperplane")
     earlier: set[GainEdge] = set()
-    for k in range(1, len(chain)):
-        block = gains.hyperplanes(masks[k] & ~masks[k - 1])
+    for k, (_, block) in enumerate(blocks, start=1):
         if not block:
             raise RuntimeError(f"no hyperplane first contains the filtration flat of rank {k}")
         pair = _unmodular_pair(block, earlier)

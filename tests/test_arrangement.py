@@ -25,7 +25,7 @@ from ishkit.arrangement import (
     n_from_graph,
 )
 from ishkit.chambers import enumerate_chambers
-from ishkit.exactmath import Scalar, clear_denominators, equation_str, parse_rational_pair
+from ishkit.exactmath import Scalar, _shown, clear_denominators, equation_str, parse_rational_pair
 
 
 def parse_rational(value: Scalar | str) -> Fraction:
@@ -397,6 +397,110 @@ def test_from_spec_cone_must_be_a_boolean(flag):
 def test_from_spec_edges_must_be_a_list():
     with pytest.raises(ValueError, match="'edges' must be a list"):
         from_spec({"type": "deleted_ish", "ell": 3, "edges": None})
+
+
+def spec_to_json(parsed: ParsedSpec) -> dict:
+    """The canonical spec document, ``from_spec(spec_to_json(parsed)) == parsed``:
+    ``ParsedSpec.to_json`` as it stood, the oracle of the ``cli`` spec echo."""
+    out: dict = {"type": parsed.kind}
+    if parsed.kind == "n_ish":
+        out["N"] = parsed.nest.to_json()
+    else:
+        out["ell"] = parsed.ell
+    if parsed.graph is not None:
+        out["edges"] = [list(e) for e in parsed.graph.sorted_edges()]
+    if parsed.coned:
+        out["cone"] = True
+    return out
+
+
+# -- the readers of spec entries as they stood: the oracles of the fast paths --
+
+
+def old_nest_make(sets) -> NestSpec:
+    """``NestSpec.make`` reading every entry through ``parse_rational_pair``."""
+    if not isinstance(sets, (list, tuple)) or not all(isinstance(s, (list, tuple)) for s in sets):
+        raise ValueError("'N' must be a list of lists of rationals")
+    pairs = [[parse_rational_pair(a) for a in s] for s in sets]
+    den = lcm(*(q for s in pairs for _, q in s))
+    nums = tuple(tuple(sorted({p * (den // q) for p, q in s})) for s in pairs)
+    ell = len(nums) + 1
+    if ell < 2:
+        raise ValueError("a nest spec needs at least the set N_2")
+    return NestSpec(ell, den, nums)
+
+
+def old_graph_make(ell, edges) -> Graph:
+    """``Graph.make`` checking every edge by ``isinstance``."""
+    if ell < 2:
+        raise ValueError("graphs need at least 2 vertices")
+    cleaned = set()
+    for e in edges:
+        if not (
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+        ):
+            raise ValueError(f"edge {_shown(e)} is not a pair of integers")
+        i, j = e
+        if not 1 <= i < j <= ell:
+            raise ValueError(f"edge {_shown((i, j))} is not a pair 1 <= i < j <= {_shown(ell)}")
+        cleaned.add((i, j))
+    return Graph(ell, frozenset(cleaned))
+
+
+def outcome(read, *args):
+    """What a reader gives: its value, or the text of its ``ValueError``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class Odd(int):
+    """An ``int`` of another type: the fast paths send it down the full checks."""
+
+
+HUGE = 10**400 + 7
+ODD_ENTRIES = st.sampled_from([
+    True, False, 1.5, 2.0, Fraction(3, 4), Fraction(6, 3), HUGE, -HUGE, Odd(5), None, "1/0", "2/4",
+    "-3", "+6/4", "1e3", " 1", "", "9" * 50 + "/2", [1], (1, 2),
+])
+NEST_SETS = st.lists(
+    st.lists(
+        st.integers(-3, 3) | st.integers(-HUGE, HUGE) | ODD_ENTRIES
+        | st.builds(lambda p, q: f"{p}/{q}", st.integers(-13, 13), st.sampled_from([1, 2, 3, 6])),
+        max_size=4,
+    ) | st.tuples(st.integers(-3, 3), st.just("1/2")),  # a tuple in place of a list
+    max_size=4,
+) | st.sampled_from([5, None, "N", [[1], 2], ((1, 2),), (), []])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(NEST_SETS)
+@example([[0, 1], [0]])
+@example([[HUGE, "1/3"], [True]])
+@example(((0, "1/2"), [Fraction(1, 2)]))
+def test_nest_spec_make_matches_the_old_reader(sets):
+    assert outcome(NestSpec.make, sets) == outcome(old_nest_make, sets)
+
+
+EDGE_ITEMS = (
+    st.lists(st.integers(-1, 6), min_size=2, max_size=2)  # out of range among them
+    | st.tuples(st.integers(0, 6), st.integers(0, 6))
+    | st.lists(st.integers(1, 5), max_size=3)
+    | st.sampled_from([[True, 2], [1, False], [1.0, 2], [1, Fraction(2)], [Odd(1), 2], [1, HUGE],
+                       ["1", "2"], None, 3, "12", [[1], 2], {1: 2}])
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-1, 6), st.lists(EDGE_ITEMS, max_size=6))
+@example(4, [[1, 2], [1, 2], [2, 4]])  # a duplicate edge
+@example(3, [[2, 1]])
+@example(3, [(1, 2), [1, 3]])
+def test_graph_make_matches_the_old_reader(ell, edges):
+    assert outcome(Graph.make, ell, edges) == outcome(old_graph_make, ell, edges)
 
 
 # -- the Fraction-entry nest: the differential oracle of the integer form --

@@ -33,9 +33,10 @@ from ishkit.cli import (
     _chamber_records,
     _ChamberRows,
     _render,
+    _request_echo,
     _SurveyRecords,
+    AnalysisRequest,
     main,
-    request_echo,
     request_from_doc,
     run,
 )
@@ -45,12 +46,14 @@ from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
 from ishkit.lattice import Flat
 from ishkit.rooks import spec_char_poly
 from test_arrangement import (
+    MIXED_SETS,
     FractionNestSpec,
     fraction_build_n_ish,
     fraction_cone,
     fraction_ish_nest,
     fraction_n_from_graph,
     rational_set,
+    spec_to_json,
 )
 from test_chambers import (
     chamber_signs,
@@ -77,6 +80,17 @@ from test_rooks import fraction_board_columns, fraction_nest_char_poly
 def request_of(text: str):
     """The request a JSON document reads as, through the one parse path."""
     return request_from_doc(json.loads(text))
+
+
+def request_echo(req: AnalysisRequest) -> dict:
+    """The canonical spec document reproducing this request: the dict the
+    spec echo was rendered from, the oracle of ``cli._request_echo``."""
+    out: dict = {"command": req.command, "format": req.output_format}
+    if req.parsed is None:
+        out["ell"] = req.ell
+    else:
+        out.update(spec_to_json(req.parsed))
+    return out
 
 
 def text_of(spec: dict, command: str) -> str:
@@ -159,7 +173,46 @@ def test_request_echo_round_trips():
         again = request_of(json.dumps(request_echo(req)))
         assert again == req
         parsed = req.parsed
-        assert parsed is None or from_spec(parsed.to_json()) == parsed
+        assert parsed is None or from_spec(spec_to_json(parsed)) == parsed
+
+
+def deleted_specs(kind: str):
+    """A deleted spec on ell = 2..6 vertices with any edge set, in any order."""
+    return st.integers(2, 6).flatmap(lambda ell: st.builds(
+        lambda edges: {"type": kind, "ell": ell, "edges": edges},
+        st.lists(st.sampled_from([[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]),
+                 unique_by=tuple),
+    ))
+
+
+ECHO_SPECS = (
+    st.builds(lambda kind, ell: {"type": kind, "ell": ell}, st.sampled_from(["coxeter", "shi", "ish"]),
+              st.integers(2, 12))
+    | st.builds(lambda sets: {"type": "n_ish", "N": sets}, MIXED_SETS)
+    | deleted_specs("deleted_shi")
+    | deleted_specs("deleted_ish")
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    ECHO_SPECS | st.builds(lambda ell: {"ell": ell}, st.integers(2, 10**30)),  # the last a survey
+    st.sampled_from(COMMANDS),
+    st.sampled_from(["text", "json"]),
+    st.booleans(),
+    st.sampled_from(["\n", "\n  ", "\n      "]),
+)
+@example({"type": "coxeter", "ell": 10**30}, "charpoly", "json", True, "\n  ")
+@example({"type": "n_ish", "N": [[], ["-5/6", 7, "1/3"], []]}, "basis", "text", False, "\n")
+@example({"type": "deleted_ish", "ell": 3, "edges": []}, "graph", "json", True, "\n  ")
+def test_the_spec_echo_is_the_rendered_echo_dict(spec, command, fmt, coned, pad):
+    doc = dict(spec, command=command, format=fmt)
+    if "type" not in spec:
+        doc["command"] = "survey"
+    elif coned:
+        doc["cone"] = True
+    req = request_from_doc(doc)
+    assert _request_echo(req, pad) == _render(request_echo(req), pad)
 
 
 # -- pinned text formats -----------------------------------------------
@@ -793,6 +846,7 @@ def fraction_program():
         "ishkit.cli.basis_derivations": fraction_basis_derivations,
         "ishkit.cli.board_columns": fraction_board_columns,
         "ishkit.rooks.nest_char_poly": fraction_nest_char_poly,
+        "ishkit.cli._request_echo": lambda req, pad: _render(request_echo(req), pad),
     }
     with pytest.MonkeyPatch.context() as m:
         for name, oracle in swaps.items():

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -876,11 +877,76 @@ def test_nest_modular_chain_rejects_an_order_that_is_not_descending():
         ([[0], [0, 1], [0, 1, 2]], (2, 3), "the top flat of the filtration misses a hyperplane"),
         # x1 - x3 = 0 is no hyperplane when N_3 is empty
         ([[0], []], (2, 3), "no hyperplane first contains the filtration flat of rank 2"),
+        # N_2 and N_3 taken in the wrong order: x1 - x2 = 1 joins block 4 with x2 - x3 = 0
+        ([[0, 1], [0], [0, 1, 2]], (2, 3, 4),
+         r"the hyperplanes \(0, 1, 1\) and \(1, 2, 0\) of block 4 meet inside no earlier one"),
     ],
 )
 def test_nest_modular_chain_names_the_check_that_fails(sets, order, message):
     with pytest.raises(RuntimeError, match=f"^{message}$"):
         nest_modular_chain(cone(build_n_ish(NestSpec.make(sets))), order)
+
+
+def mask_modular_chain(arr: Arrangement, order: Sequence[int]) -> tuple[list[Flat], list[list[GainEdge]]]:
+    """``nest_modular_chain`` as it stood, with its blocks: each flat's mask of
+    the hyperplanes through it (``_IntGains.mask``), and each block read off
+    the masks of two consecutive flats.  Raises as the chain did."""
+    gains = _IntGains(arr)
+    ties = [v - 1 for v in reversed(order)]
+    if any(edge is not None and edge[0] == 0 for edge in gains.edges):
+        ties.insert(0, 0)
+    chain = [Flat.ambient(arr.dim, True, gains.den)]
+    for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
+        flat = chain[-1].intersect_hyperplane(edge)
+        if flat is None or flat is chain[-1]:
+            raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
+        chain.append(flat)
+    masks = [gains.mask(flat) for flat in chain]
+    if masks[-1] != gains.full:
+        raise RuntimeError("the top flat of the filtration misses a hyperplane")
+    blocks, earlier = [], set()
+    for k in range(1, len(chain)):
+        block = gains.hyperplanes(masks[k] & ~masks[k - 1])
+        if not block:
+            raise RuntimeError(f"no hyperplane first contains the filtration flat of rank {k}")
+        pair = _unmodular_pair(block, earlier)
+        if pair is not None:
+            raise RuntimeError(f"the hyperplanes {pair[0]} and {pair[1]} of block {k} meet inside no earlier one")
+        earlier.update(block)
+        blocks.append(block)
+    return chain, blocks
+
+
+@st.composite
+def chained_nests(draw, max_ell=6):
+    """The sets of a nest that forms a chain, ell <= max_ell, in a shuffled
+    order: prefixes of one list of integer and half entries, with equal
+    and empty sets among them."""
+    ell = draw(st.integers(2, max_ell))
+    pool = draw(st.lists(st.integers(-4, 6).map(lambda n: f"{n}/2"), max_size=4, unique=True))
+    return [pool[:k] for k in draw(st.lists(st.integers(0, len(pool)), min_size=ell - 1, max_size=ell - 1))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chained_nests(), st.randoms(use_true_random=False))
+@example([[0, 1], [0], [0, 1, 2]], random.Random(0))
+@example([[], [], [], [], []], random.Random(0))
+@example([["1/2"], ["1/2", 3], ["1/2", 3, -1], ["1/2", 3, -1, "5/2"], ["1/2", 3, -1, "5/2"]], random.Random(1))
+def test_nest_modular_chain_finds_the_blocks_of_the_mask_based_chain(sets, rng):
+    nest = NestSpec.make(sets)
+    arr, order = cone(build_n_ish(nest)), is_nest(nest)
+    chain, blocks = mask_modular_chain(arr, order)
+    with mock.patch.object(lattice, "_unmodular_pair", wraps=_unmodular_pair) as spy:
+        assert nest_modular_chain(arr, order) == chain
+    assert [call.args[0] for call in spy.call_args_list] == blocks
+    # an order that is not a chain order raises, as the mask-based chain does
+    shuffled = rng.sample(order, len(order))
+    if not nest.chained(shuffled):
+        with pytest.raises(RuntimeError) as new:
+            nest_modular_chain(arr, shuffled)
+        with pytest.raises(RuntimeError) as old:
+            mask_modular_chain(arr, shuffled)
+        assert str(new.value) == str(old.value)
 
 
 def test_nest_modular_chain_random_descending():
