@@ -37,11 +37,9 @@ the chamber walk refuse it.
 
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
-parsing.  It reads each entry once: a plain ``int`` nest entry and a
-JSON pair ``[i, j]`` of ``int``s pass one type test each, and anything
-else goes through the full checks, whose messages name it.  Nothing is
-cached: the arrangement is built on each read.  ``cli._request_echo``,
-its inverse, writes the canonical spec from the record's integers.
+parsing.  Nothing is cached: the arrangement is built on each read.
+``cli._request_echo``, its inverse, writes the canonical spec from the
+record's integers.
 """
 
 from __future__ import annotations
@@ -178,16 +176,12 @@ class NestSpec(NamedTuple):
 
     @staticmethod
     def make(sets: Sequence[Sequence[Scalar | str]]) -> "NestSpec":
-        """Read the sets from a list of lists of rationals: a plain ``int`` entry
-        as ``(a, 1)``, any other by ``parse_rational_pair``."""
+        """Read the sets from a list of lists of rationals (see ``parse_rational_pair``)."""
         if not isinstance(sets, (list, tuple)) or not all(isinstance(s, (list, tuple)) for s in sets):
             raise ValueError("'N' must be a list of lists of rationals")
-        pairs = [[(a, 1) if type(a) is int else parse_rational_pair(a) for a in s] for s in sets]
+        pairs = [[parse_rational_pair(a) for a in s] for s in sets]
         den = lcm(*(q for s in pairs for _, q in s))
-        if den == 1:
-            nums = tuple(tuple(sorted({p for p, _ in s})) for s in pairs)
-        else:
-            nums = tuple(tuple(sorted({p * (den // q) for p, q in s})) for s in pairs)
+        nums = tuple(tuple(sorted({p * (den // q) for p, q in s})) for s in pairs)
         ell = len(nums) + 1
         if ell < 2:
             raise ValueError("a nest spec needs at least the set N_2")
@@ -237,11 +231,14 @@ class Graph(NamedTuple):
         if ell < 2:
             raise ValueError("graphs need at least 2 vertices")
         cleaned = set()
-        for e in edges:  # a JSON pair [i, j] passes the first test, anything else the second
-            if not (type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int) and not (
+        for e in edges:
+            if not (
                 isinstance(e, (list, tuple))
                 and len(e) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+                and isinstance(e[0], int)
+                and isinstance(e[1], int)
+                and not isinstance(e[0], bool)
+                and not isinstance(e[1], bool)
             ):
                 raise ValueError(f"edge {_shown(e)} is not a pair of integers")
             i, j = e

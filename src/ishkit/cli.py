@@ -483,7 +483,7 @@ def _request_echo(req: AnalysisRequest, pad: str) -> str:
         fields.append(f'"edges": {_json_edges(parsed.graph, inner, {})}')
     if parsed.kind != "n_ish":
         fields.append(f'"ell": {parsed.ell}')
-    fields += [f'"format": "{req.output_format}"', f'"type": "{parsed.kind}"']
+    fields += [f'"format": "{req.output_format}"', f'"type": "{parsed.kind}"']  # each field in its sort_keys place
     return "{" + inner + ("," + inner).join(fields) + pad + "}"
 
 

@@ -89,8 +89,10 @@ def parse_rational_pair(value: Scalar | str) -> tuple[int, int]:
     spaces.  Anything else -- a bool, a float, a decimal or exponent string,
     whitespace, a zero denominator -- is a ``ValueError``, which shows at
     most the first 60 characters of the value's repr.  No ``Fraction`` is
-    built.
+    built.  A plain ``int``, the common JSON entry, passes one type test.
     """
+    if type(value) is int:
+        return value, 1
     if isinstance(value, bool):
         raise ValueError(f"cannot read a rational from {value!r}")
     if isinstance(value, (int, Fraction)):

@@ -45,7 +45,7 @@ SPECS = {
     "coxeter": {"ell": 3},
     "shi": {"ell": 3},
     "ish": {"ell": 3},
-    "n_ish": {"N": [[0, "1/2"], [0]]},  # an int entry and a "p/q" one: both readers of an entry
+    "n_ish": {"N": [[0, 1], [0]]},
     "deleted_shi": {"ell": 3, "edges": [[1, 2]]},
     "deleted_ish": {"ell": 3, "edges": [[1, 2], [2, 3]]},  # the one non-free graph at ell = 3
 }
