@@ -53,7 +53,7 @@ from .freeness import (
     saito_verify,
     verify_nonfree_witness,
 )
-from .graphs import analyze_graph, athanasiadis_condition, pairwise_condition, survey
+from .graphs import analyze_graph, survey
 from .lattice import char_poly, is_supersolvable, nest_modular_chain
 from .rooks import graph_char_poly, nest_char_poly, rook_numbers, spec_char_poly
 
@@ -72,7 +72,6 @@ __all__ = [
     "NonFreeWitness",
     "UniPoly",
     "analyze_graph",
-    "athanasiadis_condition",
     "basis_derivations",
     "build_deleted",
     "build_n_ish",
@@ -97,7 +96,6 @@ __all__ = [
     "nest_char_poly",
     "nest_exponents",
     "nest_modular_chain",
-    "pairwise_condition",
     "rook_numbers",
     "saito_constant",
     "saito_verify",

@@ -357,7 +357,8 @@ SPEC_KINDS = ("coxeter", "shi", "ish", "n_ish", "deleted_shi", "deleted_ish")
 # The keys of a spec that only other types read; the named types refuse "N" and "edges".
 _KEYS_READ_ELSEWHERE = {"n_ish": ("ell", "edges"), "deleted_shi": ("N",), "deleted_ish": ("N",)}
 # Bounds the ell^2 work of an Ish-type graph: the staircase nest of an ish or
-# deleted_ish spec, built while parsing, and the pairwise test of graphs.
+# deleted_ish spec, built while parsing, and the derived sets N_G that the
+# graph command writes, up to ell^2 / 2 entries (its verdict, ell masks of ell bits, is less).
 GRAPH_MAX_ELL = 1000
 
 

@@ -302,7 +302,7 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
         f"derived sets: {a.n_g}",
         f"nest: {_yesno(a.free)}",
         f"athanasiadis: {witness}",
-        f"pairwise: {_yesno(a.pairwise_ok)}",
+        f"pairwise: {_yesno(a.free)}",
         f"free: {_yesno(a.free)}",
     ]
     return "\n".join(lines)
@@ -434,7 +434,7 @@ def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
             f'{field}"charPolyIsh": {poly(r.char_ish)},{field}"charPolyShi": {poly(r.char_shi)},'
             f'{field}"edges": {_json_edges(a.graph, field, edges)},{field}"free": {free},'
             f'{field}"nG": {_json_sets(a.n_g, field, sets)},'
-            f'{field}"nest": {free},{field}"pairwise": {"true" if a.pairwise_ok else "false"}{record}}}'
+            f'{field}"nest": {free},{field}"pairwise": {free}{record}}}'
         )
     return f"[{record}{(',' + record).join(out)}{pad}]"
 

@@ -2,22 +2,25 @@
 
 Every subgraph G of the complete graph on {1..l} cuts two arrangements
 out of the full deletion families (keep only the shifted hyperplanes
-indexed by edges of G).  Freeness of either cone turns out to be a
-property of G alone, and this module computes it three independent
-ways and cross-checks them:
+indexed by edges of G).  Freeness of either cone is a property of G
+alone: the derived sets N_j = {0} | {i : (i,j) in G} form a chain, that
+is, the in-neighbour sets of the vertices form a chain.  Athanasiadis's
+permutation condition (some relabeling w makes w^{-1}G increasing and
+closed under raising the larger endpoint) and the pairwise condition
+(every two in-neighbour sets are comparable) state the same fact.
 
-* the chain condition on the derived sets N_j = {0} | {i : (i,j) in G};
-* the permutation condition (some relabeling w makes w^{-1}G increasing
-  and closed under raising the larger endpoint), checked on the one
-  order that can work, the vertices sorted by in-degree;
-* the pairwise condition (for every j, k the in-neighbour sets of j and
-  k are comparable), one bit-mask test per pair.
+`analyze_graph` decides it once, on the in-neighbour sets as bit masks,
+and checks the verdict's certificate on the edge set: a FREE verdict by
+the permutation condition on its order, a NOT FREE verdict by one
+incomparable pair of in-neighbour sets, read back as two edges present
+and two absent.  A certificate that fails its check is a bug in this
+package, an internal error rather than a result.  The chain test on N_G
+(`is_nest`) and both conditions, as written in the literature, are the
+oracles the tests hold the verdict to.
 
-A disagreement between the routes would falsify the equivalence this
-package is built around, so `analyze_graph` treats it as an internal
-error, not a result.  `survey` runs every subgraph of a small complete
-graph and additionally compares the characteristic polynomials of the
-two deletion families, which are expected to coincide (Armstrong-Rhoades).
+`survey` runs every subgraph of a small complete graph and additionally
+compares the characteristic polynomials of the two deletion families,
+which are expected to coincide (Armstrong-Rhoades).
 The two rook boards share their cells: the board of N_G is the deleted
 Shi board, transposed, plus the full column of the entry 0.  So the
 comparison checks less than two independent routes would.  The two
@@ -35,72 +38,65 @@ from typing import NamedTuple
 from .arrangement import GRAPH_MAX_ELL, Graph, NestSpec, n_from_graph
 from .errors import CapacityError
 from .exactmath import UniPoly, _shown
-from .freeness import is_nest
 from .rooks import _chi, add_column, every_column_counts
 
 SURVEY_MAX_ELL = 6
 
 
-def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
-    """Find a relabeling certifying freeness of the deleted cone.
-
-    Returns the lexicographically first permutation w (one-line
-    notation) such that transporting every edge (a, b) to
-    (w^{-1}(a), w^{-1}(b)) yields only increasing pairs, and whenever a
-    transported edge (i, j) exists, so does (i, k) for every k > j.
-    Returns None when no permutation works.
-
-    No search is needed.  Under any witness the out-slots of each slot
-    are a final run, so the in-neighbour sets grow along the slots: they
-    form a chain, and w is nondecreasing in in-degree.  Conversely, when
-    they form a chain, an edge a -> b puts a in in(b) but not in in(a),
-    so in(a) is strictly inside in(b), and out(a) = {b : a in in(b)} is
-    an up-set of the chain: every order nondecreasing in in-degree is a
-    witness.  The first is the vertices sorted by (in-degree, label), so
-    the condition is checked on that one order; if it fails, none works.
-    """
-    ell = graph.ell
-    indegree = [0] * (ell + 1)
-    for _, b in graph.edges:
-        indegree[b] += 1
-    w = sorted(range(1, ell + 1), key=lambda v: (indegree[v], v))
-    slot = {v: s for s, v in enumerate(w, start=1)}
-    out_slots: list[list[int]] = [[] for _ in range(ell + 1)]
-    for a, b in graph.edges:
-        out_slots[a].append(slot[b])
-    # the d out-slots of a fill the final run of d slots iff the first is ell - d + 1;
-    # slot(a) is not in that run, so it comes before: every edge increases
-    return tuple(w) if all(min(s) == ell - len(s) + 1 for s in out_slots if s) else None
-
-
-def pairwise_condition(graph: Graph) -> bool:
-    """For every pair j < k in {2..l}: either every edge (i, j) comes with
-    the edge (i, k), or every edge (i, k) comes with the edge (i, j).
-
-    A required edge (i, j) with i >= j cannot exist and counts as
-    absent, so an edge (i, k) with j <= i < k defeats the second
-    alternative outright.  (Capping the quantifier at i <= min(j, k)
-    would wave such edges through and break the equivalence with the
-    chain condition, e.g. on the two disjoint edges (1,2), (3,4).)  So
-    in(j) and in(k) are comparable: one bit-mask test per pair.
-    """
+def _in_masks(graph: Graph) -> list[int]:
+    """The in-neighbour sets as masks: bit i of ``ins[j]`` for each edge (i, j)."""
     ins = [0] * (graph.ell + 1)
     for i, j in graph.edges:
         ins[j] |= 1 << i
-    for j, a in enumerate(ins):
-        for b in ins[j + 1 :]:
-            if a | b not in (a, b):
-                return False
-    return True
+    return ins
+
+
+def _free_order(graph: Graph) -> tuple[int, ...] | None:
+    """The vertices in an order certifying freeness, or None when the graph is not free.
+
+    The vertices are sorted by (in-degree, label), and the graph is free
+    when each in-neighbour mask lies inside the next.  The order is then
+    the lexicographically first permutation w that transports every edge
+    (a, b) to an increasing pair (w^{-1}(a), w^{-1}(b)) such that a
+    transported edge (i, j) brings (i, k) for every k > j: under any such
+    w the in-neighbour sets grow along the slots, so w is nondecreasing in
+    in-degree; and along a chain, an edge a -> b puts a in in(b) but not
+    in in(a), so out(a) is an up-set of the chain, a final run of slots.
+
+    Each verdict is checked on the edge set, and a failed check raises
+    RuntimeError.  FREE: the out-slots of each vertex fill a final run
+    (the vertex is not in its own run, so it comes before: every edge
+    increases).  NOT FREE: at the first adjacent pair (j, k) that is not
+    nested, the least i in in(j) - in(k) and the least i' in in(k) - in(j)
+    give the edges (i, j), (i', k) and the non-edges (i, k), (i', j).
+    """
+    ell, edges = graph.ell, graph.edges
+    ins = _in_masks(graph)
+    order = sorted(range(1, ell + 1), key=lambda v: (ins[v].bit_count(), v))
+    for j, k in zip(order, order[1:]):
+        if ins[j] & ~ins[k]:
+            i, i2 = ((m & -m).bit_length() - 1 for m in (ins[j] & ~ins[k], ins[k] & ~ins[j]))
+            if not ((i, j) in edges and (i2, k) in edges and (i, k) not in edges and (i2, j) not in edges):
+                raise RuntimeError(
+                    f"the in-neighbours {i} of {j} and {i2} of {k} do not certify {sorted(edges)} not free"
+                )
+            return None
+    slot = {v: s for s, v in enumerate(order, start=1)}
+    out_slots: list[list[int]] = [[] for _ in range(ell + 1)]
+    for a, b in edges:
+        out_slots[a].append(slot[b])
+    # the d out-slots of a fill the final run of d slots iff the first is ell - d + 1
+    if not all(min(s) == ell - len(s) + 1 for s in out_slots if s):
+        raise RuntimeError(f"the order {tuple(order)} does not certify {sorted(edges)} free")
+    return tuple(order)
 
 
 class GraphAnalysis(NamedTuple):
-    """One subgraph, judged by all the equivalent freeness conditions."""
+    """One subgraph, judged free or not free, with its derived sets."""
 
     graph: Graph
     n_g: NestSpec
     athanasiadis_witness: tuple[int, ...] | None
-    pairwise_ok: bool
     free: bool
 
     def to_json(self) -> dict:
@@ -111,35 +107,26 @@ class GraphAnalysis(NamedTuple):
             "athanasiadis": list(self.athanasiadis_witness)
             if self.athanasiadis_witness is not None
             else None,
-            "pairwise": self.pairwise_ok,
+            "pairwise": self.free,
             "free": self.free,
         }
 
 
 def analyze_graph(graph: Graph) -> GraphAnalysis:
-    """Run the three combinatorial conditions; the chain condition is the freeness decision.
+    """Decide freeness once, by ``_free_order``, whose certificate is checked
+    on the edge set; the one verdict is the ``nest``, ``pairwise`` and
+    ``free`` field, and its order the Athanasiadis witness.
 
-    Freeness comes from ``is_nest``, the test ``decide_free`` decides by;
-    that one bit is both the ``nest`` and the ``free`` field.  The three
-    answers are provably equivalent; a mismatch is a bug in this package
-    and raises RuntimeError rather than returning.  The pairwise test
-    visits ell^2 vertex pairs, so ell is bounded first.
+    A failed certificate raises RuntimeError rather than returning.  The
+    derived sets hold up to ell^2 / 2 entries, so ell is bounded first.
     """
     if graph.ell > GRAPH_MAX_ELL:
         raise CapacityError(
             f"the graph analysis of ell^2 vertex pairs got ell = {_shown(graph.ell)}, over the guard "
             f"ell <= {GRAPH_MAX_ELL}"
         )
-    n_g = n_from_graph(graph)
-    free = is_nest(n_g) is not None
-    witness = athanasiadis_condition(graph)
-    pairwise_ok = pairwise_condition(graph)
-    if not (free == (witness is not None) == pairwise_ok):
-        raise RuntimeError(
-            f"equivalence broke on {sorted(graph.edges)}: nest={free}, "
-            f"athanasiadis={witness}, pairwise={pairwise_ok}"
-        )
-    return GraphAnalysis(graph, n_g, witness, pairwise_ok, free)
+    witness = _free_order(graph)
+    return GraphAnalysis(graph, n_from_graph(graph), witness, witness is not None)
 
 
 class SurveyRecord(NamedTuple):

@@ -1588,8 +1588,9 @@ def graph_documents(draw):
     }
 
 
-# analyze_graph raises on any disagreement of its three routes, so this
-# also fuzzes the in-degree witness against the chain and pairwise tests.
+# analyze_graph raises when its verdict's certificate fails its check on the
+# edge set, so this also fuzzes each verdict's certificate: the order of a
+# free graph and the incomparable pair of a non-free one.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(
     valid_spec_documents("graph", max_ell=5),
@@ -1602,6 +1603,52 @@ def graph_documents(draw):
 @example({"type": "deleted_ish", "ell": 1001, "edges": [[1, 2]]})
 def test_main_graph_never_shows_a_traceback(doc):
     assert_clean_exit("graph", doc)
+
+
+def flip_a_mask_bit(monkeypatch, vertex: int, bit: int) -> None:
+    """Make the verdict read vertex's in-neighbour mask with one bit flipped."""
+    masks = ishkit.graphs._in_masks
+
+    def flipped(graph):
+        ins = masks(graph)
+        ins[vertex] ^= 1 << bit
+        return ins
+
+    monkeypatch.setattr("ishkit.graphs._in_masks", flipped)
+
+
+def assert_graph_internal_error(capsys, tmp_path, ell: int, edges, message: str) -> None:
+    """The graph raises ``RuntimeError`` in ``analyze_graph``, and both deleted kinds
+    exit 3 from ``main`` with one ``internal error:`` line, in both formats."""
+    with pytest.raises(RuntimeError, match=message):
+        ishkit.analyze_graph(ishkit.Graph.make(ell, edges))
+    path = tmp_path / "req.json"
+    for kind in ("deleted_shi", "deleted_ish"):
+        path.write_text(json.dumps({"type": kind, "ell": ell, "edges": edges}))
+        for fmt in ("text", "json"):
+            assert main(["graph", "--spec", str(path), "--format", fmt]) == 3
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("internal error: ") and out.err.count("\n") == 1
+            assert re.search(message, out.err)
+
+
+@pytest.mark.parametrize("ell, edges, vertex, bit", [
+    (3, [(1, 2)], 2, 1),  # free: the masks read as empty order (1, 2, 3), where (1, 2) must end at slot 3
+    (3, [(1, 2), (2, 3)], 3, 2),  # not free: in(3) read as empty gives the order (1, 3, 2), against the edge (2, 3)
+])
+def test_a_corrupted_free_order_exits_3(capsys, monkeypatch, tmp_path, ell, edges, vertex, bit):
+    flip_a_mask_bit(monkeypatch, vertex, bit)
+    assert_graph_internal_error(capsys, tmp_path, ell, edges, r"the order \(.*\) does not certify .* free")
+
+
+@pytest.mark.parametrize("ell, edges, vertex, bit", [
+    (3, [(1, 2)], 3, 2),  # free: in(3) read as {2} is incomparable with in(2) = {1}, but (2, 3) is no edge
+    (4, [(1, 2), (3, 4)], 4, 2),  # not free: in(4) read as {2, 3} names the pair (1, 2), (2, 4)
+])
+def test_a_corrupted_incomparable_pair_exits_3(capsys, monkeypatch, tmp_path, ell, edges, vertex, bit):
+    flip_a_mask_bit(monkeypatch, vertex, bit)
+    assert_graph_internal_error(capsys, tmp_path, ell, edges, r"the in-neighbours 1 of 2 and 2 of \d do not certify .* not free")
 
 
 # ell <= 4 keeps every chamber enumeration cheap; the guard case is explicit.

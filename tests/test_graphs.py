@@ -10,18 +10,56 @@ from ishkit.arrangement import Graph, build_deleted, build_n_ish, n_from_graph
 from ishkit.errors import CapacityError
 from ishkit.exactmath import unipoly_to_json
 from ishkit.freeness import is_nest
-from ishkit.graphs import (
-    GraphAnalysis,
-    SurveyRecord,
-    SurveyReport,
-    analyze_graph,
-    athanasiadis_condition,
-    pairwise_condition,
-    survey,
-)
+from ishkit.graphs import GraphAnalysis, SurveyRecord, SurveyReport, analyze_graph, survey
 from ishkit.lattice import char_poly
 from ishkit.rooks import graph_char_poly, nest_char_poly
 from test_arrangement import same_arrangement
+
+
+def athanasiadis_condition(graph: Graph) -> tuple[int, ...] | None:
+    """The permutation condition checked on the one order that can work.
+
+    Returns the lexicographically first permutation w (one-line notation)
+    such that transporting every edge (a, b) to (w^{-1}(a), w^{-1}(b))
+    yields only increasing pairs, and whenever a transported edge (i, j)
+    exists, so does (i, k) for every k > j; None when no permutation works.
+    Under any witness the in-neighbour sets grow along the slots, and along
+    a chain every order nondecreasing in in-degree is a witness, so the
+    condition is checked on the vertices sorted by (in-degree, label).
+    """
+    ell = graph.ell
+    indegree = [0] * (ell + 1)
+    for _, b in graph.edges:
+        indegree[b] += 1
+    w = sorted(range(1, ell + 1), key=lambda v: (indegree[v], v))
+    slot = {v: s for s, v in enumerate(w, start=1)}
+    out_slots: list[list[int]] = [[] for _ in range(ell + 1)]
+    for a, b in graph.edges:
+        out_slots[a].append(slot[b])
+    # the d out-slots of a fill the final run of d slots iff the first is ell - d + 1;
+    # slot(a) is not in that run, so it comes before: every edge increases
+    return tuple(w) if all(min(s) == ell - len(s) + 1 for s in out_slots if s) else None
+
+
+def pairwise_condition(graph: Graph) -> bool:
+    """For every pair j < k in {2..l}: either every edge (i, j) comes with
+    the edge (i, k), or every edge (i, k) comes with the edge (i, j).
+
+    A required edge (i, j) with i >= j cannot exist and counts as
+    absent, so an edge (i, k) with j <= i < k defeats the second
+    alternative outright.  (Capping the quantifier at i <= min(j, k)
+    would wave such edges through and break the equivalence with the
+    chain condition, e.g. on the two disjoint edges (1,2), (3,4).)  So
+    in(j) and in(k) are comparable: one bit-mask test per pair.
+    """
+    ins = [0] * (graph.ell + 1)
+    for i, j in graph.edges:
+        ins[j] |= 1 << i
+    for j, a in enumerate(ins):
+        for b in ins[j + 1 :]:
+            if a | b not in (a, b):
+                return False
+    return True
 
 
 def scan_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
@@ -109,28 +147,36 @@ def all_subgraphs(ell: int) -> list[Graph]:
 def test_search_matches_the_permutation_scan():
     for ell in range(2, 6):
         for graph in all_subgraphs(ell):
-            assert athanasiadis_condition(graph) == scan_athanasiadis(graph), graph
+            w = scan_athanasiadis(graph)
+            assert athanasiadis_condition(graph) == w, graph
+            assert analyze_graph(graph).athanasiadis_witness == w, graph
+
+
+def witnesses(edges: list[tuple[int, int]]) -> set:
+    """The oracle's witness and the verdict's, on a graph with three vertices."""
+    graph = Graph.make(3, edges)
+    return {athanasiadis_condition(graph), analyze_graph(graph).athanasiadis_witness}
 
 
 def test_athanasiadis_identity_cases():
-    assert athanasiadis_condition(Graph.make(3, [])) == (1, 2, 3)
-    assert athanasiadis_condition(Graph.make(3, [(1, 2), (1, 3)])) == (1, 2, 3)
+    assert witnesses([]) == {(1, 2, 3)}
+    assert witnesses([(1, 2), (1, 3)]) == {(1, 2, 3)}
 
 
 def test_athanasiadis_no_witness():
-    assert athanasiadis_condition(Graph.make(3, [(1, 2), (2, 3)])) is None
+    assert witnesses([(1, 2), (2, 3)]) == {None}
 
 
 def test_athanasiadis_needs_relabel():
     # the single edge (1,2) violates the closure under the identity
     # (no (1,3) present) but survives swapping vertices 2 and 3
-    assert athanasiadis_condition(Graph.make(3, [(1, 2)])) == (1, 3, 2)
+    assert witnesses([(1, 2)]) == {(1, 3, 2)}
 
 
 def test_graph_analysis_has_one_ell_guard():
     # nine vertices answer; the two disjoint edges are not free
     analysis = analyze_graph(Graph.make(9, [(1, 2), (3, 4)]))
-    assert (analysis.free, analysis.athanasiadis_witness, analysis.pairwise_ok) == (False, None, False)
+    assert (analysis.free, analysis.athanasiadis_witness) == (False, None)
     top = analyze_graph(Graph.make(1000, [(1, 1000)]))
     assert top.free and top.athanasiadis_witness == tuple(range(1, 1001))
     message = "the graph analysis of ell^2 vertex pairs got ell = 1001, over the guard ell <= 1000"
@@ -142,22 +188,22 @@ def test_graph_analysis_has_one_ell_guard():
 
 
 def test_pairwise_examples():
-    assert pairwise_condition(Graph.make(3, []))
-    assert pairwise_condition(Graph.complete(3))
-    assert not pairwise_condition(Graph.make(3, [(1, 2), (2, 3)]))
+    for graph, free in ((Graph.make(3, []), True), (Graph.complete(3), True), (Graph.make(3, [(1, 2), (2, 3)]), False)):
+        assert pairwise_condition(graph) == analyze_graph(graph).free == free
 
 
 def test_pairwise_sees_edges_between_the_indices():
     # (3,4) forces 3 into the fourth derived set; no containment holds
     # against the second one even though no edge lies below min(2,4)=2
     # on the offending side.
-    assert not pairwise_condition(Graph.make(4, [(1, 2), (3, 4)]))
+    graph = Graph.make(4, [(1, 2), (3, 4)])
+    assert not pairwise_condition(graph) and not analyze_graph(graph).free
 
 
 def test_analysis_agrees_with_chain_condition_exhaustively():
     for ell in (2, 3, 4):
         for graph in all_subgraphs(ell):
-            analysis = analyze_graph(graph)  # raises on any mismatch
+            analysis = analyze_graph(graph)  # raises on a certificate that fails its check
             assert analysis.free == (is_nest(n_from_graph(graph)) is not None)
 
 
@@ -271,16 +317,16 @@ def test_conditions_match_their_oracles_on_every_subgraph_of_k6(survey6):
     for record in survey6.records:
         a = record.analysis
         assert a.athanasiadis_witness == search_athanasiadis(a.graph), a.graph
-        assert a.pairwise_ok == looped_pairwise(a.graph), a.graph
+        assert a.free == looped_pairwise(a.graph), a.graph
 
 
 @st.composite
-def graphs_around_witnesses(draw):
-    """A graph on 6..10 vertices.  Half the draws are witness graphs: each
+def graphs_around_witnesses(draw, min_ell: int = 6, max_ell: int = 10):
+    """A graph on 6..10 vertices (or min_ell..max_ell).  Half the draws are witness graphs: each
     slot i points to a final run of later slots (maybe empty), and then
     the slots are relabeled in a random order that keeps every edge
     increasing.  The other half take each edge with probability one half."""
-    ell = draw(st.integers(6, 10))
+    ell = draw(st.integers(min_ell, max_ell))
     if draw(st.booleans()):
         starts = [draw(st.integers(i + 1, ell + 1)) for i in range(1, ell)] + [ell + 1]
         label: dict[int, int] = {}
@@ -301,14 +347,34 @@ def graphs_around_witnesses(draw):
 @given(graphs_around_witnesses())
 def test_witness_meets_the_definition_on_six_to_ten_vertices(graph_and_planted):
     graph, planted = graph_and_planted
-    w = athanasiadis_condition(graph)
-    assert w == search_athanasiadis(graph)
+    w = analyze_graph(graph).athanasiadis_witness
+    assert w == search_athanasiadis(graph) == athanasiadis_condition(graph)
     assert w is not None or not planted
     if w is not None:
         assert sorted(w) == list(range(1, graph.ell + 1))
         assert meets_the_permutation_condition(graph, w)
     assert pairwise_condition(graph) == looped_pairwise(graph)
     assert analyze_graph(graph).free == (w is not None)
+
+
+@st.composite
+def graphs_near_witnesses(draw):
+    """A graph of ``graphs_around_witnesses`` on 7..40 vertices, and in one
+    draw of two that graph with one pair of vertices toggled, so that some
+    non-free graphs differ from a free one by one edge."""
+    graph, _ = draw(graphs_around_witnesses(7, 40))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, graph.ell - 1))
+        graph = Graph(graph.ell, graph.edges ^ {(i, draw(st.integers(i + 1, graph.ell)))})
+    return graph
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs_near_witnesses())
+def test_the_verdict_matches_the_oracles_on_seven_to_forty_vertices(graph):
+    a = analyze_graph(graph)
+    assert (a.free, a.athanasiadis_witness) == (is_nest(n_from_graph(graph)) is not None, athanasiadis_condition(graph))
+    assert pairwise_condition(graph) == looped_pairwise(graph) == a.free
 
 
 def test_survey_guards():
@@ -341,6 +407,6 @@ def test_record_json_keys():
 def test_analysis_fields_for_a_free_graph():
     analysis = analyze_graph(Graph.make(3, [(1, 2)]))
     assert isinstance(analysis, GraphAnalysis)
-    assert analysis.free and analysis.pairwise_ok
+    assert analysis.free
     assert analysis.athanasiadis_witness == (1, 3, 2)
     assert analysis.n_g.nums == ((0, 1), (0,)) and analysis.n_g.den == 1

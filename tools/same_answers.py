@@ -12,8 +12,11 @@ and in JSON through ``ishkit.cli.run``, once in this checkout and once
 in the ``--baseline`` checkout.  Each checkout answers in a subprocess
 of its own, with ``PYTHONPATH`` set to its ``src``.  An answer is the
 rendered report, or the type and message of the exception the request
-raised.  The tool prints one line per workload and seed, and exits 0
-when every answer is the same and 1 at the first request whose answers
+raised.  After the workloads, every run also compares a fixed graph
+corpus: ``survey`` at ell = 2..6 and ``graph`` on every graph at
+ell <= 5 for both deleted kinds, each in text and in JSON.  The tool
+prints one line per workload and seed and one for the corpus, and exits
+0 when every answer is the same and 1 at the first request whose answers
 differ, naming it.  Standard library only.
 """
 
@@ -66,6 +69,19 @@ def requests(workload: str, seed: int, rounds: int | None) -> list[dict]:
     return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
+def graph_corpus() -> list[dict]:
+    """``survey`` at ell = 2..6 and ``graph`` on every graph at ell <= 5, for
+    both deleted kinds, once in text and once in JSON."""
+    docs = [{"command": "survey", "ell": ell} for ell in range(2, 7)]
+    for ell in range(1, 6):
+        pairs = [[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        for mask in range(1 << len(pairs)):
+            edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+            docs += [{"command": "graph", "type": kind, "ell": ell, "edges": edges}
+                     for kind in ("deleted_shi", "deleted_ish")]
+    return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--baseline", type=Path, required=True, help="the checkout to compare with")
@@ -74,17 +90,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rounds", type=int, help="rounds per seed (default: a benchmark run's)")
     args = ap.parse_args(argv)
     baseline = args.baseline.resolve()
+    runs = [(f"{workload} seed {seed}", requests(workload, seed, args.rounds))
+            for workload in args.workloads for seed in args.seeds]
     total = 0
-    for workload in args.workloads:
-        for seed in args.seeds:
-            docs = requests(workload, seed, args.rounds)
-            mine, theirs = answers(ROOT, docs), answers(baseline, docs)
-            for doc, a, b in zip(docs, mine, theirs):
-                if a != b:
-                    print(f"{workload} seed {seed}: the answers differ on {json.dumps(doc, sort_keys=True)}")
-                    return 1
-            total += len(docs)
-            print(f"{workload} seed {seed}: {len(docs)} answers the same")
+    for name, docs in [*runs, ("graph corpus", graph_corpus())]:
+        mine, theirs = answers(ROOT, docs), answers(baseline, docs)
+        for doc, a, b in zip(docs, mine, theirs):
+            if a != b:
+                print(f"{name}: the answers differ on {json.dumps(doc, sort_keys=True)}")
+                return 1
+        total += len(docs)
+        print(f"{name}: {len(docs)} answers the same")
     print(f"{total} answers the same")
     return 0
 
