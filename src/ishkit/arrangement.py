@@ -38,8 +38,10 @@ the chamber walk refuse it.
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
 parsing.  Nothing is cached: the arrangement is built on each read.
-``cli._request_echo``, its inverse, writes the canonical spec from the
-record's integers.
+Nothing here writes JSON: ``cli._request_echo``, the inverse of
+``from_spec``, writes the canonical spec from the record's integers, and
+``cli._json_sets`` and ``cli._json_edges`` write a nest's sets and a
+graph's edges wherever an answer holds them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .exactmath import (
     Scalar,
     _shown,
     default_names,
-    format_rational,
     parse_rational_pair,
     rational_str,
     reduced,
@@ -209,10 +210,6 @@ class NestSpec(NamedTuple):
 
     def is_ascending(self) -> bool:
         return self.chained(range(2, self.ell + 1))
-
-    def to_json(self) -> list[list[str]]:
-        den = self.den
-        return [[format_rational(a, den) for a in s] for s in self.nums]
 
     def __str__(self) -> str:
         den = self.den

@@ -6,6 +6,15 @@ prints either a short text report or a JSON document.  The JSON output
 echoes the request under the ``"spec"`` key, so a saved report can be
 fed straight back in.
 
+This module alone knows the answer's JSON shape.  A handler returns the
+text report, or for JSON a dict of plain values and writers: each value
+written straight from its integer form (a polynomial, a basis, a chain
+of flats, the chambers, a graph's edges, a nest's sets, a survey's
+records) is a ``functools.partial`` of one writer here, missing only its
+indent, and ``_render`` calls it where the value goes.  Each such value
+has one writer, which a survey record, a ``graph`` answer and the spec
+echo share.
+
 Exit codes: 0 on success, 1 on bad input, 2 when a size guard trips, 3
 when an internal cross-check fails (a ``RuntimeError``: a bug in ishkit),
 and 141 when the reader closes standard output before the report is written.
@@ -16,11 +25,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
 from itertools import chain as chained
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .arrangement import Graph, NestSpec, ParsedSpec, build_n_ish, cone, from_spec
+from .arrangement import Graph, NestSpec, ParsedSpec, build_n_ish, cone, from_spec, n_from_graph
 from .chambers import chamber_rows, geometric_product
 from .errors import CapacityError
 from .exactmath import (
@@ -34,7 +44,6 @@ from .exactmath import (
     rational_str,
     unipoly_factored_str,
     unipoly_str,
-    unipoly_to_json,
 )
 from .freeness import (
     basis_derivations,
@@ -150,7 +159,7 @@ def _cmd_charpoly(req: AnalysisRequest) -> str | dict:
             if UniPoly.from_roots(roots) != poly:
                 raise RuntimeError("free exponents do not factor the rook-number chi")
     if req.output_format == "json":
-        return {"charPoly": unipoly_to_json(poly), "roots": roots}
+        return {"charPoly": partial(_json_unipoly, poly), "roots": roots}
     text = unipoly_str(poly)
     if roots is not None:
         text += f" = {unipoly_factored_str(roots)}"
@@ -159,11 +168,14 @@ def _cmd_charpoly(req: AnalysisRequest) -> str | dict:
 
 def _cmd_freeness(req: AnalysisRequest) -> str | dict:
     verdict = decide_free(_need_nest(req.parsed))
+    w = verdict.witness
     if req.output_format == "json":
-        return verdict.to_json()
+        if w is None:
+            return {"free": True, "exponents": list(verdict.exponents), "witness": None}
+        witness = {"i": w.i, "j": w.j, "localized": list(w.localized_exponents), "restriction": w.restriction_exponent}
+        return {"free": False, "exponents": None, "witness": witness}
     if verdict.free:
         return f"FREE: exponents {verdict.exponents}"
-    w = verdict.witness
     triple = "(" + ",".join(str(e) for e in w.localized_exponents) + ")"
     return (
         f"NOT FREE: witness pair ({w.i},{w.j}), localized exp {triple}, "
@@ -190,7 +202,7 @@ def _cmd_basis(req: AnalysisRequest) -> str | dict:
         return {
             "order": list(order),
             "degrees": degrees,
-            "derivations": [list(d) for d in derivs],
+            "derivations": partial(_derivation_records, derivs),
         }
     names = default_names(sorted_nest.ell + 1, coned=True)
     lines = []
@@ -234,7 +246,7 @@ def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
     else:
         chain = is_supersolvable(arr, spec_char_poly(parsed))
     if req.output_format == "json":
-        return {"supersolvable": chain is not None, "chain": chain}
+        return {"supersolvable": chain is not None, "chain": None if chain is None else partial(_flat_records, chain)}
     if chain is None:
         return "NOT SUPERSOLVABLE"
     lines = [f"SUPERSOLVABLE: modular chain of ranks 0..{len(chain) - 1}"]
@@ -247,7 +259,7 @@ def _cmd_chambers(req: AnalysisRequest) -> str | dict:
     arr = req.parsed.arrangement
     rows, den = chamber_rows(arr)
     if req.output_format == "json":
-        return {"count": len(rows), "chambers": _ChamberRows(rows, den, len(arr))}
+        return {"count": len(rows), "chambers": partial(_chamber_records, rows, den, len(arr))}
     return f"{len(rows)} chambers\n{_chamber_records(rows, den, len(arr))}"
 
 
@@ -284,7 +296,7 @@ def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
     if count != zaslavsky:
         raise RuntimeError(f"the exponents {tuple(exponents)} count {count} chambers, |chi(-1)| {zaslavsky}")
     if req.output_format == "json":
-        return {"distancePoly": unipoly_to_json(poly), "chambers": count}
+        return {"distancePoly": partial(_json_unipoly, poly), "chambers": count}
     return unipoly_str(poly)
 
 
@@ -293,15 +305,16 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
     if graph is None:
         raise ValueError("graph analysis needs a deleted_shi or deleted_ish spec")
     a = analyze_graph(graph)
+    w = a.athanasiadis_witness
     if req.output_format == "json":
-        return a.to_json()
+        return {"athanasiadis": None if w is None else list(w), "edges": partial(_json_edges, graph, {}),
+                "free": a.free, "nG": partial(_json_sets, n_from_graph(graph), {}), "nest": a.free, "pairwise": a.free}
     edges = " ".join(f"({i},{j})" for i, j in graph.sorted_edges()) or "none"
-    witness = str(a.athanasiadis_witness) if a.athanasiadis_witness else "none"
     lines = [
         f"edges: {edges}",
-        f"derived sets: {a.n_g}",
+        f"derived sets: {n_from_graph(graph)}",
         f"nest: {_yesno(a.free)}",
-        f"athanasiadis: {witness}",
+        f"athanasiadis: {w or 'none'}",
         f"pairwise: {_yesno(a.free)}",
         f"free: {_yesno(a.free)}",
     ]
@@ -316,7 +329,7 @@ def _cmd_survey(req: AnalysisRequest) -> str | dict:
             "total": report.total,
             "freeCount": report.free_count,
             "violations": list(report.violations),
-            "records": _SurveyRecords(report.records),
+            "records": partial(_survey_records, report.records),
         }
     lines = [
         f"K_{report.ell}: {report.total} subgraphs, {report.free_count} free, "
@@ -383,33 +396,27 @@ def _chamber_records(rows: list[tuple[int, tuple[int, ...]]], den: int, size: in
     return "[" + pad + "  " + ("," + pad + "  ").join(records) + pad + "]"
 
 
-class _ChamberRows(NamedTuple):
-    """An answer's chambers as the JSON renderer takes them: the rows of
-    ``chamber_rows``, their scale and their number of signs."""
-
-    rows: list[tuple[int, tuple[int, ...]]]
-    den: int
-    size: int
-
-
-class _SurveyRecords(NamedTuple):
-    """A survey's records as the JSON renderer takes them."""
-
-    records: tuple[SurveyRecord, ...]
+def _json_unipoly(p: UniPoly, pad: str) -> str:
+    """The ascending coefficients of ``p`` as ``json.dumps`` writes their list of
+    ``"num/den"`` strings at the indent ``pad``; ``[]`` for the zero polynomial.
+    The one writer of a univariate polynomial in JSON: ``charPoly``,
+    ``distancePoly`` and a survey record's two characteristic polynomials."""
+    item = pad + "  "
+    return f"[{item}{(',' + item).join([_json_rational(c, 1) for c in p.coeffs])}{pad}]" if p.coeffs else "[]"
 
 
 def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
     """The records of a survey as ``json.dumps`` writes the list of their
     dicts at the indent ``pad``: the keys ``agree``, ``athanasiadis``,
     ``charPolyIsh``, ``charPolyShi``, ``edges``, ``free``, ``nG``, ``nest``
-    and ``pairwise``, sorted, as ``GraphAnalysis.to_json`` writes the
-    graph's, each record in one f-string.
+    and ``pairwise``, sorted -- a ``graph`` answer's fields, the two χ and
+    whether they agree -- each record in one f-string.
 
-    The one writer of a survey's JSON records.  A survey repeats its
-    polynomials and its sets N_j (at ell = 6, 543 distinct polynomials and
-    32 distinct sets among 32768 records), so each distinct coefficient
-    list and each distinct set is written once and read back from a memo.
-    A survey has at least two records.
+    A survey repeats its polynomials and its sets N_j (at ell = 6, 543
+    distinct polynomials and 32 distinct sets among 32768 records), so each
+    distinct coefficient list and each distinct set is written once and
+    read back from a memo.  N_G is built here, by ``n_from_graph``, as only
+    the JSON answer holds it.  A survey has at least two records.
     """
     record, field = pad + "  ", pad + "    "
     item = field + "  "
@@ -420,7 +427,7 @@ def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
     def poly(p: UniPoly) -> str:
         coeffs = p.coeffs
         if coeffs not in polys:
-            polys[coeffs] = f"[{item}{(',' + item).join([_json_rational(c, 1) for c in coeffs])}{field}]"
+            polys[coeffs] = _json_unipoly(p, field)
         return polys[coeffs]
 
     out = []
@@ -432,17 +439,19 @@ def _survey_records(records: Sequence[SurveyRecord], pad: str) -> str:
         out.append(
             f'{{{field}"agree": {"true" if r.agree else "false"},{field}"athanasiadis": {witness},'
             f'{field}"charPolyIsh": {poly(r.char_ish)},{field}"charPolyShi": {poly(r.char_shi)},'
-            f'{field}"edges": {_json_edges(a.graph, field, edges)},{field}"free": {free},'
-            f'{field}"nG": {_json_sets(a.n_g, field, sets)},'
+            f'{field}"edges": {_json_edges(a.graph, edges, field)},{field}"free": {free},'
+            f'{field}"nG": {_json_sets(n_from_graph(a.graph), sets, field)},'
             f'{field}"nest": {free},{field}"pairwise": {free}{record}}}'
         )
     return f"[{record}{(',' + record).join(out)}{pad}]"
 
 
-def _json_sets(nest: NestSpec, pad: str, memo: dict) -> str:
-    """``nest.to_json()`` as ``json.dumps`` writes it at the indent ``pad``, each
-    set written once into ``memo``, by its ``(den, numerators)``.  The one
-    writer of a nest's sets in JSON: the spec echo's ``N`` and a survey's ``nG``."""
+def _json_sets(nest: NestSpec, memo: dict, pad: str) -> str:
+    """The sets of ``nest`` as ``json.dumps`` writes their list of lists of
+    ``"num/den"`` strings at the indent ``pad``, each set written once into
+    ``memo``, by its ``(den, numerators)``.  The one writer of a nest's sets
+    in JSON: the spec echo's ``N`` and the ``nG`` of a graph answer and of a
+    survey record."""
     item, sub = pad + "  ", pad + "    "
     den, texts = nest.den, []
     for n in nest.nums:
@@ -453,9 +462,11 @@ def _json_sets(nest: NestSpec, pad: str, memo: dict) -> str:
     return f"[{item}{(',' + item).join(texts)}{pad}]"
 
 
-def _json_edges(graph: Graph, pad: str, memo: dict) -> str:
+def _json_edges(graph: Graph, memo: dict, pad: str) -> str:
     """The sorted edges of a graph as ``json.dumps`` writes their list of pairs at
-    the indent ``pad``, each edge written once into ``memo``."""
+    the indent ``pad``, each edge written once into ``memo``.  The one writer of
+    a graph's edges in JSON: the spec echo's ``edges`` and the ``edges`` of a
+    graph answer and of a survey record."""
     item, sub = pad + "  ", pad + "    "
     texts = []
     for e in graph.sorted_edges():
@@ -476,11 +487,11 @@ def _request_echo(req: AnalysisRequest, pad: str) -> str:
     head = f'"command": "{req.command}"'
     if parsed is None:
         return f'{{{inner}{head},{inner}"ell": {req.ell},{inner}"format": "{req.output_format}"{pad}}}'
-    fields = [f'"N": {_json_sets(parsed.nest, inner, {})}', head] if parsed.kind == "n_ish" else [head]
+    fields = [f'"N": {_json_sets(parsed.nest, {}, inner)}', head] if parsed.kind == "n_ish" else [head]
     if parsed.coned:
         fields.append('"cone": true')
     if parsed.graph is not None:
-        fields.append(f'"edges": {_json_edges(parsed.graph, inner, {})}')
+        fields.append(f'"edges": {_json_edges(parsed.graph, {}, inner)}')
     if parsed.kind != "n_ish":
         fields.append(f'"ell": {parsed.ell}')
     fields += [f'"format": "{req.output_format}"', f'"type": "{parsed.kind}"']  # each field in its sort_keys place
@@ -534,13 +545,15 @@ def _chain_lines(chain: list[Flat], names: Sequence[str]) -> list[str]:
     return [f"  rank {len(rows)}: {'; '.join(rows) or 'ambient space'}" for _, rows in _chain_rows(chain, equation)]
 
 
-def _flat_records(chain: list[Flat], pad: str) -> list[str]:
-    """Each flat as ``json.dumps`` writes ``{"dim": ..., "rank": ..., "rref": [...]}``
-    at the indent ``pad``, each row a list of ``"num/den"`` entries as
-    ``format_rational`` writes them: the columns of the coordinates, then
-    ``z`` when coned, then the constant."""
-    inner = pad + "  "
-    line = inner + "  "
+def _flat_records(chain: list[Flat], pad: str) -> str:
+    """A modular chain as ``json.dumps`` writes the list of its flats' records
+    ``{"dim": ..., "rank": ..., "rref": [...]}`` at the indent ``pad``, each
+    row a list of ``"num/den"`` entries as ``format_rational`` writes them:
+    the columns of the coordinates, then ``z`` when coned, then the
+    constant.  The one writer of a chain of flats in JSON."""
+    record = pad + "  "
+    field = record + "  "
+    line = field + "  "
     entry = line + "  "
     sep = "," + entry
 
@@ -557,31 +570,38 @@ def _flat_records(chain: list[Flat], pad: str) -> list[str]:
 
     records = []
     for flat, rows in _chain_rows(chain, row_record):
-        rref = f"[{line}{(',' + line).join(rows)}{inner}]" if rows else "[]"
+        rref = f"[{line}{(',' + line).join(rows)}{field}]" if rows else "[]"
         rank = len(rows)
         records.append(
-            f'{{{inner}"dim": {len(flat.root) + flat.coned - rank},{inner}"rank": {rank},{inner}"rref": {rref}{pad}}}'
+            f'{{{field}"dim": {len(flat.root) + flat.coned - rank},{field}"rank": {rank},{field}"rref": {rref}{record}}}'
         )
-    return records
+    return "[" + record + ("," + record).join(records) + pad + "]"
 
 
-def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
+def _derivation_records(derivs: Sequence[Sequence[MultiPoly]], pad: str) -> str:
+    """A basis as ``json.dumps`` writes the list of its derivations' component
+    lists at the indent ``pad``, each component the list of its term records
+    written by ``exactmath.poly_json_str``, which alone reads the packed
+    keys.  The components of one answer share one exponent memo."""
+    record = pad + "  "
+    field = record + "  "
+    memo: dict = {}
+    lists = [f"[{field}" + ("," + field).join([poly_json_str(c, field, memo) for c in d]) + record + "]" for d in derivs]
+    return "[" + record + ("," + record).join(lists) + pad + "]"
+
+
+def _render(value: object, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
-    ``pad`` is the newline and indent of the enclosing line, and ``memo``
-    the exponent lists ``exactmath.poly_json_str`` has written so far in
-    this value (a new one when None).  Only the types the handlers emit
-    are rendered: dicts with str keys, lists, str, int, bool and None, and
-    values written straight from their integer form -- a ``MultiPoly`` as
-    its list of term records, by ``exactmath.poly_json_str``, which alone
-    reads the packed keys, and a list of ``Flat``s alone (a modular chain)
-    as each flat's rank, dimension and reduced row echelon form, in one
-    pass of ``_flat_records``, which writes each distinct row once -- and
-    an answer's ``_ChamberRows`` as the list of its chambers' records, in
-    one pass of ``_chamber_records``, a survey's ``_SurveyRecords`` as
-    the list of its records, in one pass of ``_survey_records``, and an
-    ``AnalysisRequest`` as its spec echo, in one pass of ``_request_echo``.
-    Any other type is a ``TypeError`` naming it.
+    ``pad`` is the newline and indent of the enclosing line.  Only plain
+    JSON is rendered -- dicts with str keys, lists, str, int, bool and None
+    -- and writers: a writer is a ``functools.partial`` of a writer of this
+    module whose one missing argument is ``pad``, and ``_render`` calls it
+    with its indent.  A handler hands over each value that is written
+    straight from its integer form as such a writer: ``_json_unipoly``,
+    ``_derivation_records``, ``_flat_records``, ``_chamber_records``,
+    ``_json_edges``, ``_json_sets`` and ``_survey_records``, and ``run`` the
+    spec echo, ``_request_echo``.  Any other type is a ``TypeError`` naming it.
     """
     kind = type(value)
     if kind is str:
@@ -592,20 +612,14 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    if memo is None:
-        memo = {}
-    if kind is MultiPoly:
-        return poly_json_str(value, pad, memo)
     inner = pad + "  "
     if kind is list:
         if not value:
             return "[]"
-        if type(value[0]) is Flat and all(type(v) is Flat for v in value):
-            return "[" + inner + ("," + inner).join(_flat_records(value, inner)) + pad + "]"
         rendered = ("," + inner).join([
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int
-            else _render(v, inner, memo)
+            else _render(v, inner)
             for v in value
         ])
         return "[" + inner + rendered + pad + "]"
@@ -615,14 +629,10 @@ def _render(value: object, pad: str = "\n", memo: dict | None = None) -> str:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]
+        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is AnalysisRequest:
-        return _request_echo(value, pad)
-    if kind is _ChamberRows:
-        return _chamber_records(*value, pad)
-    if kind is _SurveyRecords:
-        return _survey_records(value.records, pad)
+    if kind is partial:
+        return value(pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -630,13 +640,13 @@ def run(req: AnalysisRequest) -> str:
     """Execute a request and return the rendered report.
 
     Each handler renders only the requested format: the text report, or
-    for JSON output the fields that follow the command and the spec echo
-    (the request itself, written by ``_request_echo``), byte for byte as
-    ``json.dumps(..., indent=2, sort_keys=True)`` would write them.
+    for JSON output the fields that follow the command and the spec echo,
+    plain values and writers that ``_render`` writes byte for byte as
+    ``json.dumps(..., indent=2, sort_keys=True)`` would.
     """
     answer = _HANDLERS[req.command](req)
     if req.output_format == "json":
-        payload = {"command": req.command, "spec": req}
+        payload = {"command": req.command, "spec": partial(_request_echo, req)}
         payload.update(answer)
         return _render(payload)
     return answer

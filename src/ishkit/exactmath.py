@@ -46,13 +46,14 @@ powers), and each row of values is cleared of its denominators
 ``freeness.factored_saito_constant`` reads the determinant off the
 factors of a matrix that peels, as both certificates' bases do.
 
-JSON forms (shared with the command line surface; ``poly_json_str``
-writes the ``MultiPoly`` records):
+JSON forms, written by ``cli`` but for the ``MultiPoly`` records, which
+``poly_json_str`` writes here, as only this module reads a packed key:
 
-* rational   -> ``"num/den"`` string
-* UniPoly    -> ascending list of rationals (``[]`` is the zero poly)
-* MultiPoly  -> list of ``{"exp": [...], "coef": "num/den"}`` records
-  in descending graded-lex order
+* rational   -> ``"num/den"`` string, by ``format_rational``
+* UniPoly    -> ascending list of rationals (``[]`` is the zero poly),
+  by ``cli._json_unipoly``
+* MultiPoly  -> list of ``{"coef": "num/den", "exp": [...]}`` records
+  in descending graded-lex order, by ``poly_json_str``
 """
 
 from __future__ import annotations
@@ -654,7 +655,3 @@ def unipoly_factored_str(roots: Iterable[Scalar]) -> str:
         mult = counts[root]
         factors.append(base if mult == 1 else f"{base}^{mult}")
     return " ".join(factors) if factors else "1"
-
-
-def unipoly_to_json(p: UniPoly) -> list[str]:
-    return [format_rational(c) for c in p.coeffs]

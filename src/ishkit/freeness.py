@@ -467,25 +467,11 @@ class NonFreeWitness(NamedTuple):
     localized_exponents: tuple[int, int, int]
     restriction_exponent: int
 
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "localized": list(self.localized_exponents),
-            "restriction": self.restriction_exponent,
-        }
-
 
 class FreenessVerdict(NamedTuple):
     free: bool
     exponents: tuple[int, ...] | None
     witness: NonFreeWitness | None
-
-    def to_json(self) -> dict:
-        out: dict = {"free": self.free}
-        out["exponents"] = list(self.exponents) if self.exponents is not None else None
-        out["witness"] = self.witness.to_json() if self.witness is not None else None
-        return out
 
 
 def decide_free(nest: NestSpec) -> FreenessVerdict:

@@ -16,7 +16,11 @@ incomparable pair of in-neighbour sets, read back as two edges present
 and two absent.  A certificate that fails its check is a bug in this
 package, an internal error rather than a result.  The chain test on N_G
 (`is_nest`) and both conditions, as written in the literature, are the
-oracles the tests hold the verdict to.
+oracles the tests hold the verdict to.  A `GraphAnalysis` holds the
+graph, the order and the verdict, not N_G: the answers that show N_G
+build it by `n_from_graph` as they write it (the `graph` answer in both
+formats and a survey's JSON records, in `cli`), so a text survey builds
+none.  No record here knows its JSON form; `cli` writes every answer.
 
 `survey` runs every subgraph of a small complete graph and additionally
 compares the characteristic polynomials of the two deletion families,
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arrangement import GRAPH_MAX_ELL, Graph, NestSpec, n_from_graph
+from .arrangement import GRAPH_MAX_ELL, Graph
 from .errors import CapacityError
 from .exactmath import UniPoly, _shown
 from .rooks import _chi, add_column, every_column_counts
@@ -92,24 +96,11 @@ def _free_order(graph: Graph) -> tuple[int, ...] | None:
 
 
 class GraphAnalysis(NamedTuple):
-    """One subgraph, judged free or not free, with its derived sets."""
+    """One subgraph, judged free or not free, with the order that certifies freeness."""
 
     graph: Graph
-    n_g: NestSpec
     athanasiadis_witness: tuple[int, ...] | None
     free: bool
-
-    def to_json(self) -> dict:
-        return {
-            "edges": [list(e) for e in self.graph.sorted_edges()],
-            "nG": self.n_g.to_json(),
-            "nest": self.free,
-            "athanasiadis": list(self.athanasiadis_witness)
-            if self.athanasiadis_witness is not None
-            else None,
-            "pairwise": self.free,
-            "free": self.free,
-        }
 
 
 def analyze_graph(graph: Graph) -> GraphAnalysis:
@@ -118,7 +109,8 @@ def analyze_graph(graph: Graph) -> GraphAnalysis:
     ``free`` field, and its order the Athanasiadis witness.
 
     A failed certificate raises RuntimeError rather than returning.  The
-    derived sets hold up to ell^2 / 2 entries, so ell is bounded first.
+    answer of the ``graph`` command writes the derived sets N_G, up to
+    ell^2 / 2 entries, so ell is bounded first.
     """
     if graph.ell > GRAPH_MAX_ELL:
         raise CapacityError(
@@ -126,7 +118,7 @@ def analyze_graph(graph: Graph) -> GraphAnalysis:
             f"ell <= {GRAPH_MAX_ELL}"
         )
     witness = _free_order(graph)
-    return GraphAnalysis(graph, n_from_graph(graph), witness, witness is not None)
+    return GraphAnalysis(graph, witness, witness is not None)
 
 
 class SurveyRecord(NamedTuple):

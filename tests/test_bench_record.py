@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,7 +72,7 @@ def test_a_baseline_that_is_not_a_git_checkout_fails_before_any_run(tmp_path, mo
     out = tmp_path / "bench.json"
     argv = ["--out", str(out), "--workloads", "chambers", "--seeds", "1", "--baseline",
             str(tmp_path)]
-    with pytest.raises(subprocess.CalledProcessError):
+    with pytest.raises(SystemExit):
         bench_record.main(argv)
     assert calls == []
     assert not out.exists()
@@ -123,3 +122,9 @@ def test_the_record_gives_the_code_lines_of_each_module(tmp_path, monkeypatch):
     by_module = record["src_code_lines_by_module"]
     assert by_module == bench_record.src_code_lines_by_module(bench_record.ROOT)
     assert "ishkit/freeness.py" in by_module and sum(by_module.values()) == record["src_code_lines"]
+
+
+def test_a_directory_outside_any_checkout_records_no_commit(tmp_path, monkeypatch):
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # git looks no higher
+    assert bench_record.commit_of(tmp_path) is None

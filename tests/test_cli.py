@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 from operator import neg
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ishkit
-from ishkit.arrangement import SPEC_KINDS, Arrangement, NestSpec, build_n_ish, cone, from_spec, ish_nest
+from ishkit.arrangement import SPEC_KINDS, Arrangement, NestSpec, build_n_ish, cone, from_spec, ish_nest, n_from_graph
 from ishkit.chambers import (
     Chamber,
     canonical_chamber,
@@ -31,18 +32,23 @@ from ishkit.cli import (
     COMMANDS,
     LATTICE_MAX_ELL,
     _chamber_records,
-    _ChamberRows,
+    _derivation_records,
+    _flat_records,
+    _json_edges,
+    _json_sets,
+    _json_unipoly,
     _render,
     _request_echo,
-    _SurveyRecords,
+    _survey_records,
     AnalysisRequest,
     main,
     request_from_doc,
     run,
 )
 from ishkit.errors import CapacityError
-from ishkit.exactmath import MultiPoly, UniPoly, format_rational, rational_str, unipoly_str, unipoly_to_json
+from ishkit.exactmath import MultiPoly, UniPoly, format_rational, rational_str, unipoly_str
 from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
+from ishkit.graphs import analyze_graph
 from ishkit.lattice import Flat
 from ishkit.rooks import spec_char_poly
 from test_arrangement import (
@@ -52,6 +58,7 @@ from test_arrangement import (
     fraction_cone,
     fraction_ish_nest,
     fraction_n_from_graph,
+    nest_to_json,
     rational_set,
     spec_to_json,
 )
@@ -64,8 +71,8 @@ from test_chambers import (
     oracle_enumerate_chambers,
     witness_text,
 )
-from test_exactmath import COEF, poly_terms, poly_to_json, var
-from test_graphs import per_graph_survey, record_to_json, report_to_json
+from test_exactmath import COEF, poly_terms, poly_to_json, unipoly_to_json, var
+from test_graphs import analysis_to_json, per_graph_survey, record_to_json, report_to_json
 from test_lattice import flat_to_json
 from test_freeness import (
     fraction_basis_derivations,
@@ -507,6 +514,20 @@ def test_graph_text_fields():
     assert out[5] == "free: no"
 
 
+@pytest.mark.parametrize("kind", ["deleted_shi", "deleted_ish"])
+def test_graph_answers_are_the_analysis_oracle_on_every_graph_to_four_vertices(kind):
+    for ell in (2, 3, 4):
+        pairs = [[i, j] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        for mask in range(1 << len(pairs)):
+            edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+            spec = {"type": kind, "ell": ell, "edges": edges}
+            graph = from_spec(spec).graph
+            out = json_of(spec, "graph")
+            assert out == {"command": "graph", "spec": dict(spec, command="graph", format="json"),
+                           **analysis_to_json(analyze_graph(graph))}
+            assert f"derived sets: {n_from_graph(graph)}" in text_of(spec, "graph").splitlines()
+
+
 def test_survey_text_summary():
     out = text_of({"ell": 3}, "survey").splitlines()
     assert out[0] == "K_3: 8 subgraphs, 7 free, 0 violations"
@@ -569,7 +590,7 @@ def chained_wallcross_specs(draw):
     order, the coned staircase, or ``deleted_ish`` whose derived sets form a chain."""
     kind = draw(st.sampled_from(["n_ish", "ish", "deleted_ish"]))
     if kind == "n_ish":
-        sets = draw(st.permutations(draw(descending_nests()).to_json()))
+        sets = draw(st.permutations(nest_to_json(draw(descending_nests()))))
         return {"type": "n_ish", "N": sets, "cone": draw(st.booleans())}
     ell = draw(st.integers(2, 5))
     if kind == "ish":
@@ -973,22 +994,25 @@ def test_render_matches_json_dumps(value):
     assert _render(value) == dumps(value)
 
 
+# each writer of ``cli``, by the oracle of what it writes, from the writer's arguments
+ORACLES = {
+    _json_unipoly: unipoly_to_json,
+    _derivation_records: lambda derivs: [[poly_to_json(c) for c in d] for d in derivs],
+    _flat_records: lambda chain: [flat_to_json(flat) for flat in chain],
+    _chamber_records: lambda rows, den, size: [chamber_to_json(Chamber(bits, size, point, den)) for bits, point in rows],
+    _json_edges: lambda graph, memo: [list(e) for e in graph.sorted_edges()],
+    _json_sets: lambda nest, memo: nest_to_json(nest),
+    _survey_records: lambda records: [record_to_json(r) for r in records],
+    _request_echo: request_echo,
+}
+
+
 def oracle_records(value):
-    """``value`` with each ``MultiPoly``, ``Chamber`` and ``Flat`` replaced by its
-    oracle JSON records, ``poly_to_json``, ``chamber_to_json`` and ``flat_to_json``,
-    the chambers the ``chambers`` handler hands its writer by theirs, and the
-    records the ``survey`` handler hands its writer by ``record_to_json``'s."""
-    if type(value) is _ChamberRows:
-        rows, den, size = value
-        return [chamber_to_json(Chamber(bits, size, point, den)) for bits, point in rows]
-    if type(value) is _SurveyRecords:
-        return [record_to_json(r) for r in value.records]
-    if type(value) is MultiPoly:
-        return poly_to_json(value)
-    if type(value) is Chamber:
-        return chamber_to_json(value)
-    if type(value) is Flat:
-        return flat_to_json(value)
+    """``value`` with each writer replaced by what its oracle builds from the
+    writer's arguments: ``unipoly_to_json``, ``poly_to_json``, ``flat_to_json``,
+    ``chamber_to_json``, ``nest_to_json``, ``record_to_json`` or ``request_echo``."""
+    if type(value) is partial:
+        return ORACLES[value.func](*value.args)
     if type(value) is list:
         return [oracle_records(v) for v in value]
     if type(value) is dict:
@@ -1013,10 +1037,23 @@ CHAMBERS = st.tuples(st.integers(0, 6), st.integers(1, 12) | st.integers(1, 10**
 
 
 def written(value):
-    """``value`` with each list of ``Chamber``s replaced by what the ``chambers``
-    handler returns for their rows, a ``_ChamberRows``."""
-    if type(value) is list and value and all(type(v) is Chamber for v in value):
-        return _ChamberRows([(c.bits, c.point) for c in value], value[0].den, value[0].size)
+    """``value`` with each value a handler hands over as a writer replaced by
+    that writer: a list of ``Chamber``s by the ``_chamber_records`` of their
+    rows, a list of ``Flat``s by ``_flat_records``, and polynomials by
+    ``_derivation_records``, one writer, and so one exponent memo, for a
+    list of lists of ``MultiPoly`` (a basis), a list of them (a basis of one
+    derivation) or one alone."""
+    if type(value) is MultiPoly:
+        return partial(_derivation_records, [[value]])
+    kinds = {type(v) for v in value} if type(value) is list else None
+    if kinds == {Chamber}:
+        return partial(_chamber_records, [(c.bits, c.point) for c in value], value[0].den, value[0].size)
+    if kinds == {Flat}:
+        return partial(_flat_records, value)
+    if kinds == {MultiPoly}:
+        return partial(_derivation_records, [value])
+    if kinds == {list} and all({type(p) for p in v} == {MultiPoly} for v in value):
+        return partial(_derivation_records, value)
     if type(value) is list:
         return [written(v) for v in value]
     if type(value) is dict:
@@ -1041,13 +1078,15 @@ def written(value):
         [MultiPoly(2, {(1, 0): 3}), MultiPoly(3, {(0, 1, 0): 1, (0, 0, 0): -1})],
     ],
     "b": [MultiPoly(3, {(0, 0, 0): 5}), MultiPoly(2, {(0, 0): Fraction(1, 2), (1, 0): 1})],
+    "c": [[MultiPoly(2, {(0, 0): 1}), MultiPoly(3, {(0, 0, 0): 2})], [MultiPoly(2, {(1, 0): 1, (0, 0): -1})]],
 })
 @example({  # chains of flats, each written in one pass
     "a": [Flat.ambient(3, True, 2), Flat((1, 1), (-1, 0), False, True, 2), Flat((1, 1), (0, 0), True, True, 2)],
     "b": [[Flat((0, 2, 2), (0, 3, 0), False, False, 2)], 1],
 })
 def test_render_writes_polynomials_and_chambers_as_their_oracle_records(value):
-    assert _render(written(value)) == dumps(oracle_records(value))
+    value = written(value)
+    assert _render(value) == dumps(oracle_records(value))
 
 
 @pytest.mark.parametrize("spec", [
@@ -1066,7 +1105,7 @@ def test_the_chamber_writer_matches_its_oracles_on_whole_answers(spec):
         assert [chamber_signs(c) for c in chambers] == [""]
     records = [chamber_to_json(c) for c in chambers]
     value = written(chambers)
-    assert _render(value) == dumps(records)
+    assert oracle_records(value) == records and _render(value) == dumps(records)
     assert _render({"chambers": value, "count": len(chambers)}) == dumps(
         {"chambers": records, "count": len(chambers)}
     )
@@ -1223,6 +1262,10 @@ def test_render_matches_json_dumps_on_every_command():
         ({"a": {1: 2}}, "int"),
         ({None: 1, "b": 2}, "NoneType"),
         ({"a": Chamber(0, 0, (), 1)}, "Chamber"),  # an answer's chambers are written from their rows
+        # each of these is handed over as a writer: none has a branch of its own
+        (MultiPoly(2, {(1, 0): 1}), "MultiPoly"),
+        ({"chain": [Flat.ambient(3, True, 2)]}, "Flat"),
+        ({"spec": request_of('{"type": "ish", "ell": 3, "command": "charpoly"}')}, "AnalysisRequest"),
     ],
 )
 def test_render_names_a_type_it_does_not_take(value, name):

@@ -2,13 +2,14 @@ import heapq
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ishkit.cli import _render
+from ishkit.cli import _derivation_records, _json_unipoly, _render
 from ishkit.exactmath import (
     _FIELD,
     _MASK,
@@ -26,7 +27,6 @@ from ishkit.exactmath import (
     reduced,
     unipoly_factored_str,
     unipoly_str,
-    unipoly_to_json,
     vanishes_on,
 )
 from test_arrangement import parse_rational
@@ -698,12 +698,20 @@ def test_unipoly_keeps_integral_coefficients_as_int():
     assert (half * 2).coeffs == (1,) and type((half * 2).coeffs[0]) is int
 
 
+def unipoly_to_json(p: UniPoly) -> list[str]:
+    """The ascending coefficients as ``"num/den"`` strings: the oracle of the
+    writer ``cli._json_unipoly``, as ``exactmath.unipoly_to_json`` stood."""
+    return [format_rational(c) for c in p.coeffs]
+
+
 def test_unipoly_text_and_json_do_not_depend_on_the_coefficient_type():
     p = UniPoly([0, 9, -6, 1])
     as_fractions = UniPoly([0])
     as_fractions.coeffs = tuple(map(Fraction, p.coeffs))
     assert unipoly_str(p) == unipoly_str(as_fractions) == "t^3 - 6t^2 + 9t"
     assert unipoly_to_json(p) == unipoly_to_json(as_fractions) == ["0/1", "9/1", "-6/1", "1/1"]
+    for pad in ("\n", "\n    "):
+        assert _json_unipoly(p, pad) == _json_unipoly(as_fractions, pad) == _render(unipoly_to_json(p), pad)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -755,6 +763,8 @@ def test_unipoly_json_round_trip():
     assert data == ["0/1", "9/2", "-6/1", "1/1"]
     assert UniPoly([parse_rational(c) for c in data]) == p
     assert unipoly_to_json(UniPoly()) == []
+    for q in (p, UniPoly()):
+        assert json.loads(_render({"chi": partial(_json_unipoly, q)})) == {"chi": unipoly_to_json(q)}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -862,7 +872,7 @@ def test_poly_json_str_writes_what_shift_and_mask_wrote(case, pad):
 def test_multipoly_json_round_trip():
     x1, x2 = var(2, 0), var(2, 1)
     p = sub(x1 * x1, Fraction(1, 2) * x2) + 3
-    data = json.loads(_render(p))
+    [[data]] = json.loads(_render(partial(_derivation_records, [[p]])))
     assert data == poly_to_json(p)
     assert data[0] == {"exp": [2, 0], "coef": "1/1"}
     terms = [(tuple(rec["exp"]), parse_rational(rec["coef"])) for rec in data]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -317,12 +318,39 @@ def test_tampered_witness_is_rejected():
     assert not verify_nonfree_witness(nest, NonFreeWitness(w.j, w.i, w.localized_exponents, w.restriction_exponent))
 
 
+def verdict_to_json(verdict: FreenessVerdict) -> dict:
+    """The verdict as a dict: ``FreenessVerdict.to_json`` and
+    ``NonFreeWitness.to_json`` as they stood, the oracle of the ``freeness``
+    answer's fields."""
+    w = verdict.witness
+    return {
+        "free": verdict.free,
+        "exponents": list(verdict.exponents) if verdict.exponents is not None else None,
+        "witness": None if w is None else {
+            "i": w.i, "j": w.j, "localized": list(w.localized_exponents), "restriction": w.restriction_exponent,
+        },
+    }
+
+
 def test_verdict_json_shapes():
-    free = decide_free(ish_nest(2)).to_json()
+    free = verdict_to_json(decide_free(ish_nest(2)))
     assert free == {"free": True, "exponents": [0, 1, 2], "witness": None}
-    bad = decide_free(NestSpec.make([[0, 1], [0, 2]])).to_json()
+    bad = verdict_to_json(decide_free(NestSpec.make([[0, 1], [0, 2]])))
     assert bad["free"] is False and bad["exponents"] is None
     assert bad["witness"] == {"i": 2, "j": 3, "localized": [1, 2, 2], "restriction": 3}
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "ish", "ell": 2},
+    {"type": "n_ish", "N": [[0, 1], [0, 2]]},
+    {"type": "n_ish", "N": [["1/2"], [0, "1/2"], [1]], "cone": True},
+    {"type": "deleted_ish", "ell": 4, "edges": [[1, 3], [2, 4]]},
+])
+def test_the_freeness_answer_holds_the_verdict_fields(spec):
+    req = request_from_doc(dict(spec, command="freeness", format="json"))
+    answer = json.loads(run(req))
+    assert {k: answer[k] for k in ("free", "exponents", "witness")} == verdict_to_json(decide_free(req.parsed.nest))
+    assert sorted(answer) == ["command", "exponents", "free", "spec", "witness"]
 
 
 def test_random_nests_decide_and_certify():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 from unittest import mock
@@ -25,7 +26,7 @@ from ishkit.arrangement import (
     from_spec,
     ish_nest,
 )
-from ishkit.cli import _chain_lines, _render, request_from_doc, run
+from ishkit.cli import _chain_lines, _flat_records, _render, request_from_doc, run
 from ishkit.exactmath import Scalar, UniPoly, equation_str, format_rational, nonnegative_int_roots
 from ishkit.freeness import decide_free, is_nest, verify_nonfree_witness
 from ishkit.lattice import (
@@ -1370,8 +1371,8 @@ def _chain_of(arr: Arrangement) -> tuple[list[Flat], list[str]]:
 def test_the_chain_writer_writes_the_oracle_records_and_lines(case):
     chain, names = case
     records = [flat_to_json(flat) for flat in chain]
-    assert _render(chain) == json.dumps(records, indent=2, sort_keys=True)
-    answer = {"supersolvable": True, "chain": chain}
+    assert _render(partial(_flat_records, chain)) == json.dumps(records, indent=2, sort_keys=True)
+    answer = {"supersolvable": True, "chain": partial(_flat_records, chain)}
     assert _render({"answer": answer}) == json.dumps(
         {"answer": dict(answer, chain=records)}, indent=2, sort_keys=True
     )

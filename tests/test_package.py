@@ -31,7 +31,7 @@ def _records():
         (not_free, ("free", "exponents", "witness")),
         (not_free.witness, ("i", "j", "localized_exponents", "restriction_exponent")),
         (ishkit.analyze_graph(ishkit.Graph.complete(3)),
-         ("graph", "n_g", "athanasiadis_witness", "free")),
+         ("graph", "athanasiadis_witness", "free")),
         (report.records[0], ("analysis", "char_shi", "char_ish")),
         (report, ("ell", "records", "free_count", "violations")),
     ]

@@ -17,9 +17,10 @@ def test_the_checkout_gives_its_own_answers():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [
-        "lattice seed 901", "saito seed 901", "chambers seed 901", "graph corpus"
+        "lattice seed 901", "saito seed 901", "chambers seed 901", "graph corpus", "spec corpus"
     ]
-    assert lines[-2] == "graph corpus: 4406 answers the same"
+    assert lines[-3] == "graph corpus: 4406 answers the same"
+    assert lines[-2] == "spec corpus: 640 answers the same"
     assert lines[-1].endswith("answers the same")
 
 

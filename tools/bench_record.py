@@ -11,7 +11,8 @@ For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
 from one seed to the next.  Each run records the end-to-end metrics and the
 ``correct`` / ``attempted`` / ``failed`` fields of the last line
 ``perfbench/run.py`` prints.  The file also gives each checkout's commit (with
-``-dirty`` when it has uncommitted changes), the line count of its ``src/``
+``-dirty`` when it has uncommitted changes, ``null`` when it is not a git
+checkout), the line count of its ``src/``
 Python files (``src_lines``), their code lines, neither blank nor comment
 nor docstring (``src_code_lines``), and the code lines of each file, by its
 path under ``src/`` (``src_code_lines_by_module``), and, per workload, the median and
@@ -36,14 +37,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def commit_of(checkout: Path) -> str:
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's commit, with ``-dirty`` when it has uncommitted changes,
+    or None when git names no commit there (a copy that is not a checkout)."""
     def git(*args: str) -> str:
         return subprocess.run(
             ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
         ).stdout.strip()
 
-    head = git("rev-parse", "HEAD")
-    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+    try:
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):  # no git, or no checkout
+        return None
+    return head + ("-dirty" if dirty else "")
 
 
 def src_lines(checkout: Path) -> int:
@@ -137,10 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     seconds = benchmark["run_seconds"]
 
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
-    # read before the first run, so a baseline that is not a git checkout fails at once
+    # read before the first run, so a baseline that is not a git checkout fails at once:
+    # its commit is all that names what this checkout was compared with
     heads = {c: {"commit": commit_of(c), "src_lines": src_lines(c), "src_code_lines": src_code_lines(c),
                  "src_code_lines_by_module": src_code_lines_by_module(c)}
              for c in checkouts}
+    if args.baseline and heads[checkouts[1]]["commit"] is None:
+        ap.error(f"--baseline {args.baseline} is not a git checkout")
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):

@@ -12,12 +12,15 @@ and in JSON through ``ishkit.cli.run``, once in this checkout and once
 in the ``--baseline`` checkout.  Each checkout answers in a subprocess
 of its own, with ``PYTHONPATH`` set to its ``src``.  An answer is the
 rendered report, or the type and message of the exception the request
-raised.  After the workloads, every run also compares a fixed graph
-corpus: ``survey`` at ell = 2..6 and ``graph`` on every graph at
-ell <= 5 for both deleted kinds, each in text and in JSON.  The tool
-prints one line per workload and seed and one for the corpus, and exits
-0 when every answer is the same and 1 at the first request whose answers
-differ, naming it.  Standard library only.
+raised.  After the workloads, every run also compares two fixed corpora,
+each request in text and in JSON: a graph corpus, ``survey`` at ell =
+2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
+and a spec corpus, every command but ``survey`` on specs of each of the
+six kinds at ell = 3 and 4, affine and coned, whose refusals are
+compared by their messages.  The tool prints one line per workload and
+seed and one per corpus, and exits 0 when every answer is the same and 1
+at the first request whose answers differ, naming it.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -82,6 +85,28 @@ def graph_corpus() -> list[dict]:
     return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
+def spec_corpus() -> list[dict]:
+    """Every command but ``survey`` on the specs of each kind at ell = 3 and 4,
+    affine and coned, once in text and once in JSON.  The nests and graphs
+    are a chain and a non-chain each (a free and a non-free cone), and the
+    nest of zero sets is central unconed, so ``supersolvable`` takes its
+    lattice route on a spec that is not a cone."""
+    nests = {
+        3: [[[0, "1/2"], [0]], [[0, 1], [0, 2]], [[0], [0]]],
+        4: [[[0, "1/2"], [0], [0, "1/2", 2]], [[0], [1], ["-3/2"]], [[0], [0], [0]]],
+    }
+    specs = []
+    for ell in (3, 4):
+        specs += [{"type": kind, "ell": ell} for kind in ("coxeter", "shi", "ish")]
+        specs += [{"type": "n_ish", "N": sets} for sets in nests[ell]]
+        specs += [{"type": kind, "ell": ell, "edges": edges}
+                  for kind in ("deleted_shi", "deleted_ish")
+                  for edges in ([[1, 2]], [[i, i + 1] for i in range(1, ell)])]
+    commands = ("charpoly", "freeness", "basis", "saito", "supersolvable", "chambers", "wallcross", "graph")
+    return [dict(spec, cone=cone, command=command, format=fmt)
+            for spec in specs for cone in (False, True) for command in commands for fmt in ("text", "json")]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--baseline", type=Path, required=True, help="the checkout to compare with")
@@ -93,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = [(f"{workload} seed {seed}", requests(workload, seed, args.rounds))
             for workload in args.workloads for seed in args.seeds]
     total = 0
-    for name, docs in [*runs, ("graph corpus", graph_corpus())]:
+    for name, docs in [*runs, ("graph corpus", graph_corpus()), ("spec corpus", spec_corpus())]:
         mine, theirs = answers(ROOT, docs), answers(baseline, docs)
         for doc, a, b in zip(docs, mine, theirs):
             if a != b:
