@@ -16,7 +16,10 @@ new hyperplane ``z = 0`` and homogenizes every ``alpha = c`` to
 
 A nest is held in integers from parsing on: one positive denominator
 ``den``, the lcm of the entries' reduced denominators, and per set the
-sorted tuple of numerators over it (``NestSpec``).
+sorted tuple of numerators over it (``NestSpec``).  A graph is held the
+same way: ``Graph.make`` sorts its edges once, into a duplicate-free tuple
+that every reader takes as it is, and ``Graph.in_masks`` derives its
+in-neighbour table.
 
 Every spec is a difference arrangement, and the builders make it as
 gain-graph edges (Zaslavsky, Biased graphs I-II): ``(den, edges)``, an
@@ -218,10 +221,15 @@ class NestSpec(NamedTuple):
 
 
 class Graph(NamedTuple):
-    """A simple graph on vertices 1..ell with edges (i, j), i < j."""
+    """A simple graph on vertices 1..ell with edges (i, j), i < j.
+
+    ``edges`` is the sorted, duplicate-free tuple that ``make`` builds once,
+    as ``NestSpec.nums`` is built: every reader takes the edges in that
+    order, and ``in_masks`` derives the in-neighbour table from them.
+    """
 
     ell: int
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
 
     @staticmethod
     def make(ell: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -242,14 +250,23 @@ class Graph(NamedTuple):
             if not 1 <= i < j <= ell:
                 raise ValueError(f"edge {_shown((i, j))} is not a pair 1 <= i < j <= {_shown(ell)}")
             cleaned.add((i, j))
-        return Graph(ell, frozenset(cleaned))
+        return Graph(ell, tuple(sorted(cleaned)))
 
     @staticmethod
     def complete(ell: int) -> "Graph":
-        return Graph.make(ell, [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)])
+        if ell < 2:
+            raise ValueError("graphs need at least 2 vertices")
+        return Graph(ell, tuple((i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self.edges)
+
+    def in_masks(self) -> list[int]:
+        """The in-neighbour sets as masks: bit i of ``ins[j]`` for each edge (i, j)."""
+        ins = [0] * (self.ell + 1)
+        for i, j in self.edges:
+            ins[j] |= 1 << i
+        return ins
 
 
 def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[int, ...]:
@@ -276,7 +293,7 @@ def build_named(kind: str, ell: int) -> Arrangement:
     if kind not in NAMED_KINDS:
         raise ValueError(f"unknown arrangement kind {kind!r}")
     if kind == "coxeter":
-        return build_deleted("shi", Graph(ell, frozenset()))
+        return build_deleted("shi", Graph(ell, ()))
     return build_deleted(kind, Graph.complete(ell))
 
 
@@ -295,7 +312,7 @@ def build_deleted(kind: str, graph: Graph) -> Arrangement:
     if kind not in ("shi", "ish"):
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
     edges = [(i, j, 0) for i in range(graph.ell) for j in range(i + 1, graph.ell)]
-    edges += [(i - 1, j - 1, 1) if kind == "shi" else (0, j - 1, i) for i, j in graph.sorted_edges()]
+    edges += [(i - 1, j - 1, 1) if kind == "shi" else (0, j - 1, i) for i, j in graph.edges]
     return Arrangement._of_edges(graph.ell, 1, edges)
 
 
@@ -303,12 +320,13 @@ def n_from_graph(graph: Graph) -> NestSpec:
     """The nest-style sets of a graph: ``N_j = {0} | {i : (i, j) in G}``.
 
     The deleted Ish arrangement of ``G`` and the nested arrangement of
-    these sets contain exactly the same hyperplanes.
+    these sets contain exactly the same hyperplanes.  The edges come in
+    sorted order, so each set is appended to in increasing order.
     """
     sets: list[list[int]] = [[0] for _ in range(graph.ell - 1)]
     for i, j in graph.edges:
         sets[j - 2].append(i)
-    return NestSpec(graph.ell, 1, tuple(tuple(sorted(s)) for s in sets))
+    return NestSpec(graph.ell, 1, tuple(map(tuple, sets)))
 
 
 def cone(arr: Arrangement) -> Arrangement:

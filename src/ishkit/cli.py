@@ -309,7 +309,7 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
     if req.output_format == "json":
         return {"athanasiadis": None if w is None else list(w), "edges": partial(_json_edges, graph, {}),
                 "free": a.free, "nG": partial(_json_sets, n_from_graph(graph), {}), "nest": a.free, "pairwise": a.free}
-    edges = " ".join(f"({i},{j})" for i, j in graph.sorted_edges()) or "none"
+    edges = " ".join(f"({i},{j})" for i, j in graph.edges) or "none"
     lines = [
         f"edges: {edges}",
         f"derived sets: {n_from_graph(graph)}",
@@ -337,7 +337,7 @@ def _cmd_survey(req: AnalysisRequest) -> str | dict:
     ]
     for record in report.records:
         if not record.analysis.free:
-            edges = " ".join(f"({i},{j})" for i, j in record.analysis.graph.sorted_edges())
+            edges = " ".join(f"({i},{j})" for i, j in record.analysis.graph.edges)
             lines.append(f"  not free: {edges or 'no edges'}")
     lines.extend(f"  VIOLATION: {v}" for v in report.violations)
     return "\n".join(lines)
@@ -469,7 +469,7 @@ def _json_edges(graph: Graph, memo: dict, pad: str) -> str:
     graph answer and of a survey record."""
     item, sub = pad + "  ", pad + "    "
     texts = []
-    for e in graph.sorted_edges():
+    for e in graph.edges:
         if e not in memo:
             memo[e] = f"[{sub}{e[0]},{sub}{e[1]}{item}]"
         texts.append(memo[e])

@@ -24,8 +24,10 @@ needed.  A ``Derivation`` holds its components multiplied out, as
 
 ``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, the one
 chain test, on sets of numerators over one denominator, compared as ``int``s.
-``decide_free`` reads the exponents of the order ``is_nest`` found without
-testing the chain again; ``nest_exponents`` tests an order it is given.
+``nest_exponents`` tests an order it is given.  ``decide_free`` tests
+every pair of sets for comparability at once, in one pass each way over
+the size order: that gives its verdict, the chain order ``is_nest`` would
+find when free, and the first incomparable pair when not.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
@@ -475,23 +477,35 @@ class FreenessVerdict(NamedTuple):
 
 
 def decide_free(nest: NestSpec) -> FreenessVerdict:
-    """Freeness of the coned nested arrangement, with certificate data."""
-    order = is_nest(nest)
-    if order is not None:  # a chain order, so its exponents need no second check
-        return FreenessVerdict(True, _exponents(nest, order), None)
+    """Freeness of the coned nested arrangement, with certificate data.
+
+    In size order a set is comparable with every other exactly when it
+    holds the union of the sets before it and lies inside the intersection
+    of the sets after it, so after one sort a pass each way finds the sets
+    incomparable with some other, in time linear in the entries.  With none
+    the size order (ties in index order) is a chain order, the one
+    ``is_nest`` finds.  Otherwise the witness is the first pair i < j of
+    incomparable sets: i is the first index found (an earlier partner would
+    come first), and j the first later index incomparable with N_i.
+    """
     sets = [set(entries) for entries in nest.nums]
-    for i in range(2, nest.ell + 1):
-        for j in range(i + 1, nest.ell + 1):
-            a, b = sets[i - 2], sets[j - 2]
-            if not a <= b and not b <= a:
-                witness = NonFreeWitness(
-                    i,
-                    j,
-                    (1, len(a), len(b)),
-                    len(a | b),
-                )
-                return FreenessVerdict(False, None, witness)
-    raise RuntimeError("no chain order and no incomparable pair; unreachable")
+    by_size = sorted(range(len(sets)), key=lambda k: len(sets[k]))
+    tangled, bound = set(), set()  # tangled: the indices of sets incomparable with some other
+    for k in by_size:  # bound: the union of N_k and the sets before it
+        bound |= sets[k]
+        if len(bound) > len(sets[k]):
+            tangled.add(k)
+    for k in reversed(by_size):  # bound: the intersection of the sets after N_k
+        if not sets[k] <= bound:
+            tangled.add(k)
+        bound &= sets[k]
+    if not tangled:
+        return FreenessVerdict(True, _exponents(nest, [k + 2 for k in by_size]), None)
+    i = min(tangled)
+    a = sets[i]
+    j = next(k for k in range(i + 1, len(sets)) if not (a <= sets[k] or sets[k] <= a))
+    b = sets[j]
+    return FreenessVerdict(False, None, NonFreeWitness(i + 2, j + 2, (1, len(a), len(b)), len(a | b)))
 
 
 def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:

@@ -9,18 +9,20 @@ permutation condition (some relabeling w makes w^{-1}G increasing and
 closed under raising the larger endpoint) and the pairwise condition
 (every two in-neighbour sets are comparable) state the same fact.
 
-`analyze_graph` decides it once, on the in-neighbour sets as bit masks,
-and checks the verdict's certificate on the edge set: a FREE verdict by
-the permutation condition on its order, a NOT FREE verdict by one
-incomparable pair of in-neighbour sets, read back as two edges present
-and two absent.  A certificate that fails its check is a bug in this
-package, an internal error rather than a result.  The chain test on N_G
-(`is_nest`) and both conditions, as written in the literature, are the
-oracles the tests hold the verdict to.  A `GraphAnalysis` holds the
-graph, the order and the verdict, not N_G: the answers that show N_G
-build it by `n_from_graph` as they write it (the `graph` answer in both
-formats and a survey's JSON records, in `cli`), so a text survey builds
-none.  No record here knows its JSON form; `cli` writes every answer.
+`analyze_graph` decides it once, on the in-neighbour sets as bit masks
+(``Graph.in_masks``, the one derivation of that table, from the sorted
+edge tuple that ``Graph.make`` builds), and checks the verdict's
+certificate on the edge set: a FREE verdict by the permutation condition
+on its order, a NOT FREE verdict by one incomparable pair of in-neighbour
+sets, read back as two edges present and two absent.  A certificate that
+fails its check is a bug in this package, an internal error rather than a
+result.  The chain test on N_G (`is_nest`) and both conditions, as written
+in the literature, are the oracles the tests hold the verdict to.  A
+`GraphAnalysis` holds the graph, the order and the verdict, not N_G: the
+answers that show N_G build it by `n_from_graph` as they write it (the
+`graph` answer in both formats and a survey's JSON records, in `cli`), so
+a text survey builds none.  No record here knows its JSON form; `cli`
+writes every answer.
 
 `survey` runs every subgraph of a small complete graph and additionally
 compares the characteristic polynomials of the two deletion families,
@@ -47,14 +49,6 @@ from .rooks import _chi, add_column, every_column_counts
 SURVEY_MAX_ELL = 6
 
 
-def _in_masks(graph: Graph) -> list[int]:
-    """The in-neighbour sets as masks: bit i of ``ins[j]`` for each edge (i, j)."""
-    ins = [0] * (graph.ell + 1)
-    for i, j in graph.edges:
-        ins[j] |= 1 << i
-    return ins
-
-
 def _free_order(graph: Graph) -> tuple[int, ...] | None:
     """The vertices in an order certifying freeness, or None when the graph is not free.
 
@@ -74,15 +68,15 @@ def _free_order(graph: Graph) -> tuple[int, ...] | None:
     nested, the least i in in(j) - in(k) and the least i' in in(k) - in(j)
     give the edges (i, j), (i', k) and the non-edges (i, k), (i', j).
     """
-    ell, edges = graph.ell, graph.edges
-    ins = _in_masks(graph)
+    ell, edges, ins = graph.ell, graph.edges, graph.in_masks()
     order = sorted(range(1, ell + 1), key=lambda v: (ins[v].bit_count(), v))
     for j, k in zip(order, order[1:]):
         if ins[j] & ~ins[k]:
             i, i2 = ((m & -m).bit_length() - 1 for m in (ins[j] & ~ins[k], ins[k] & ~ins[j]))
-            if not ((i, j) in edges and (i2, k) in edges and (i, k) not in edges and (i2, j) not in edges):
+            present = set(edges)
+            if not ({(i, j), (i2, k)} <= present and present.isdisjoint({(i, k), (i2, j)})):
                 raise RuntimeError(
-                    f"the in-neighbours {i} of {j} and {i2} of {k} do not certify {sorted(edges)} not free"
+                    f"the in-neighbours {i} of {j} and {i2} of {k} do not certify {list(edges)} not free"
                 )
             return None
     slot = {v: s for s, v in enumerate(order, start=1)}
@@ -91,7 +85,7 @@ def _free_order(graph: Graph) -> tuple[int, ...] | None:
         out_slots[a].append(slot[b])
     # the d out-slots of a fill the final run of d slots iff the first is ell - d + 1
     if not all(min(s) == ell - len(s) + 1 for s in out_slots if s):
-        raise RuntimeError(f"the order {tuple(order)} does not certify {sorted(edges)} free")
+        raise RuntimeError(f"the order {tuple(order)} does not certify {list(edges)} free")
     return tuple(order)
 
 
@@ -159,7 +153,8 @@ def survey(ell: int) -> SurveyReport:
 
     The last level, vertex 1, whose out-set may be any column, takes the
     rook numbers of all its leaves from its node's two vectors at once
-    (``every_column_counts``).  Each leaf runs ``analyze_graph`` and takes
+    (``every_column_counts``).  A leaf's graph holds the edge tuple the walk
+    made, already sorted, as it is.  Each leaf runs ``analyze_graph`` and takes
     both characteristic polynomials from its two rook vectors, through a
     memo keyed by the rook numbers and the shift of ``_chi``; a
     disagreement is a violation (none is expected).
@@ -198,7 +193,7 @@ def survey(ell: int) -> SurveyReport:
         # the leaves: vertex 1's out-set s is the column s, over every row
         for out, shi_rooks, ish_rooks in zip(out_sets[1], every_column_counts(shi), every_column_counts(ish)):
             graph_edges = out + edges
-            analysis = analyze_graph(Graph(ell, frozenset(graph_edges)))  # each edge is 1 <= i < j <= ell
+            analysis = analyze_graph(Graph(ell, graph_edges))  # sorted, each edge 1 <= i < j <= ell
             record = SurveyRecord(analysis, chi(shi_rooks, 1), chi(ish_rooks, 0))
             if not record.agree:
                 violations.append(f"characteristic polynomials differ on {list(graph_edges)}")

@@ -130,10 +130,9 @@ def nest_char_poly(nest: NestSpec, coned: bool = False) -> UniPoly:
 
 def graph_char_poly(graph: Graph, coned: bool = False) -> UniPoly:
     """chi of the deleted Shi arrangement of ``graph``, or of its cone."""
-    columns: dict[int, int] = {}  # the non-empty ones: column j holds rows i - 1 of edges (i, j)
-    for i, j in graph.edges:
-        columns[j] = columns.get(j, 0) | 1 << (i - 1)
-    return _chi(rook_numbers(graph.ell - 1, columns.values()), graph.ell, 1, coned)
+    # column j holds rows i - 1 of edges (i, j): its in-neighbour mask, less the bit 0 never set
+    columns = [ins >> 1 for ins in graph.in_masks() if ins]
+    return _chi(rook_numbers(graph.ell - 1, columns), graph.ell, 1, coned)
 
 
 def board_columns(parsed: ParsedSpec) -> int:
@@ -142,7 +141,7 @@ def board_columns(parsed: ParsedSpec) -> int:
     if parsed.nest is not None:
         return len({a for entries in parsed.nest.nums for a in entries})
     if parsed.graph is not None:
-        return len({j for _, j in parsed.graph.edges})
+        return sum(1 for ins in parsed.graph.in_masks() if ins)
     return parsed.ell - 1 if parsed.kind == "shi" else 0  # K_l fills columns 2..l
 
 

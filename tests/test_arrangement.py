@@ -242,8 +242,10 @@ def test_build_n_ish_counts():
 
 def test_graph_validation():
     g = Graph.make(3, [(1, 2), (2, 3)])
-    assert g.sorted_edges() == [(1, 2), (2, 3)]
+    assert g.edges == ((1, 2), (2, 3))
     assert len(Graph.complete(4).edges) == 6
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        Graph.complete(1)
     with pytest.raises(ValueError):
         Graph.make(3, [(2, 2)])
     with pytest.raises(ValueError):
@@ -416,7 +418,7 @@ def spec_to_json(parsed: ParsedSpec) -> dict:
     else:
         out["ell"] = parsed.ell
     if parsed.graph is not None:
-        out["edges"] = [list(e) for e in parsed.graph.sorted_edges()]
+        out["edges"] = [list(e) for e in sorted(parsed.graph.edges)]
     if parsed.coned:
         out["cone"] = True
     return out
@@ -454,7 +456,7 @@ def old_graph_make(ell, edges) -> Graph:
         if not 1 <= i < j <= ell:
             raise ValueError(f"edge {_shown((i, j))} is not a pair 1 <= i < j <= {_shown(ell)}")
         cleaned.add((i, j))
-    return Graph(ell, frozenset(cleaned))
+    return Graph(ell, tuple(sorted(cleaned)))
 
 
 def outcome(read, *args):
@@ -711,7 +713,7 @@ def oracle_build_deleted(kind: str, graph: Graph) -> Arrangement:
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
     ell = graph.ell
     planes = [oracle_diff(ell, i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-    for i, j in graph.sorted_edges():
+    for i, j in sorted(graph.edges):
         if kind == "shi":
             planes.append(oracle_diff(ell, i, j, 1))
         else:
@@ -735,7 +737,7 @@ def oracle_arrangement(parsed: ParsedSpec) -> Arrangement:
     elif parsed.graph is not None:
         arr = oracle_build_deleted(parsed.kind.split("_")[1], parsed.graph)
     elif parsed.kind == "coxeter":
-        arr = oracle_build_deleted("shi", Graph(parsed.ell, frozenset()))
+        arr = oracle_build_deleted("shi", Graph.make(parsed.ell, []))
     else:
         arr = oracle_build_deleted(parsed.kind, Graph.complete(parsed.ell))
     return oracle_cone(arr) if parsed.coned else arr

@@ -141,7 +141,7 @@ def test_parse_spec_deleted_graph():
         '{"type": "deleted_ish", "ell": 4, "edges": [[1, 2], [2, 4]],'
         ' "command": "graph"}'
     )
-    assert req.parsed.graph.sorted_edges() == [(1, 2), (2, 4)]
+    assert req.parsed.graph.edges == ((1, 2), (2, 4))
 
 
 def test_parse_spec_survey_skips_arrangement():
@@ -946,7 +946,7 @@ def old_survey_text(report) -> str:
     ]
     for record in report.records:
         if not record.analysis.free:
-            edges = " ".join(f"({i},{j})" for i, j in record.analysis.graph.sorted_edges())
+            edges = " ".join(f"({i},{j})" for i, j in sorted(record.analysis.graph.edges))
             lines.append(f"  not free: {edges or 'no edges'}")
     lines.extend(f"  VIOLATION: {v}" for v in report.violations)
     return "\n".join(lines)
@@ -1000,7 +1000,7 @@ ORACLES = {
     _derivation_records: lambda derivs: [[poly_to_json(c) for c in d] for d in derivs],
     _flat_records: lambda chain: [flat_to_json(flat) for flat in chain],
     _chamber_records: lambda rows, den, size: [chamber_to_json(Chamber(bits, size, point, den)) for bits, point in rows],
-    _json_edges: lambda graph, memo: [list(e) for e in graph.sorted_edges()],
+    _json_edges: lambda graph, memo: [list(e) for e in sorted(graph.edges)],
     _json_sets: lambda nest, memo: nest_to_json(nest),
     _survey_records: lambda records: [record_to_json(r) for r in records],
     _request_echo: request_echo,
@@ -1650,14 +1650,14 @@ def test_main_graph_never_shows_a_traceback(doc):
 
 def flip_a_mask_bit(monkeypatch, vertex: int, bit: int) -> None:
     """Make the verdict read vertex's in-neighbour mask with one bit flipped."""
-    masks = ishkit.graphs._in_masks
+    masks = ishkit.Graph.in_masks
 
     def flipped(graph):
         ins = masks(graph)
         ins[vertex] ^= 1 << bit
         return ins
 
-    monkeypatch.setattr("ishkit.graphs._in_masks", flipped)
+    monkeypatch.setattr(ishkit.Graph, "in_masks", flipped)
 
 
 def assert_graph_internal_error(capsys, tmp_path, ell: int, edges, message: str) -> None:

@@ -292,6 +292,42 @@ def test_decide_not_free_smallest_pair():
     assert verdict.witness.restriction_exponent == 2
 
 
+def pair_loop_witness(nest: NestSpec) -> NonFreeWitness | None:
+    """The first pair i < j, in index order, of incomparable sets, found by
+    testing every pair as ``decide_free`` once did: the oracle of its witness."""
+    sets = [set(entries) for entries in nest.nums]
+    for i in range(2, nest.ell + 1):
+        for j in range(i + 1, nest.ell + 1):
+            a, b = sets[i - 2], sets[j - 2]
+            if not a <= b and not b <= a:
+                return NonFreeWitness(i, j, (1, len(a), len(b)), len(a | b))
+    return None
+
+
+# few entries, so that empty, equal and equal-size sets are common
+SMALL_FAMILIES = st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=9)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(SMALL_FAMILIES)
+@example([[0], [1]])
+@example([[0, 1], [0], [1], []])  # i's partner comes before it in size order
+@example([[], [0], [0], [1], [0, 1]])
+@example([[1], [0, 1], [0], [2]])  # N_2 lies inside N_3 and is incomparable with N_4
+def test_the_verdict_is_the_chain_test_and_the_witness_the_pair_loops(sets):
+    nest = NestSpec.make(sets)
+    verdict, order = decide_free(nest), is_nest(nest)
+    assert verdict.witness == pair_loop_witness(nest)
+    assert verdict.free == (verdict.witness is None) == (order is not None)
+    assert verdict.exponents == (nest_exponents(nest, order) if verdict.free else None)
+
+
+def test_the_witness_of_twenty_thousand_sets():
+    # the pair loop tests about 2 * 10^8 pairs before it reaches this witness
+    nest = NestSpec.make([[]] * 20000 + [[0], [1]])
+    assert decide_free(nest) == FreenessVerdict(False, None, NonFreeWitness(20002, 20003, (1, 1, 1), 2))
+
+
 def test_witness_verification_roundtrip():
     for sets in ([[0, 1], [0, 2]], [[0], [1], [0, 1]], [[1, 2], [0, 1], [0, 1, 2]]):
         nest = NestSpec.make(sets)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ishkit.arrangement import Graph, NestSpec, build_deleted, build_n_ish, n_from_graph
+from ishkit.arrangement import Graph, NestSpec, build_deleted, build_n_ish, build_named, n_from_graph
 from ishkit.errors import CapacityError
 from ishkit.freeness import is_nest
 from ishkit.graphs import GraphAnalysis, SurveyRecord, SurveyReport, analyze_graph, survey
@@ -122,7 +122,7 @@ def search_athanasiadis(graph: Graph) -> tuple[int, ...] | None:
 
 def looped_pairwise(graph: Graph) -> bool:
     """The pairwise condition as its three quantifiers, over edge lookups."""
-    edges = graph.edges
+    edges = set(graph.edges)
 
     def has(i: int, j: int) -> bool:
         return i < j and (i, j) in edges
@@ -142,6 +142,41 @@ def all_subgraphs(ell: int) -> list[Graph]:
         Graph.make(ell, [e for b, e in enumerate(pairs) if mask >> b & 1])
         for mask in range(1 << len(pairs))
     ]
+
+
+def strictly_increasing(graph: Graph) -> bool:
+    return isinstance(graph.edges, tuple) and all(a < b for a, b in zip(graph.edges, graph.edges[1:]))
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """An ell and its edges given in any order, some repeated, each a list or a tuple."""
+    ell = draw(st.integers(2, 7))
+    pairs = st.tuples(st.integers(1, ell - 1), st.integers(1, ell)).filter(lambda p: p[0] < p[1])
+    edges = draw(st.lists(pairs, max_size=12))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges = draw(st.permutations(edges))
+    return ell, [list(e) if draw(st.booleans()) else e for e in edges]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shuffled_edge_lists())
+def test_graph_make_sorts_its_edges_once(ell_and_edges):
+    ell, edges = ell_and_edges
+    graph = Graph.make(ell, edges)
+    assert strictly_increasing(graph)
+    assert graph.edges == tuple(sorted({tuple(e) for e in edges}))
+
+
+def test_every_graph_src_makes_has_strictly_increasing_edges():
+    for ell in range(2, 8):
+        assert strictly_increasing(Graph.complete(ell))
+        with mock.patch("ishkit.arrangement.build_deleted", wraps=build_deleted) as build:
+            build_named("coxeter", ell)
+        (kind, graph), = (call.args for call in build.call_args_list)
+        assert (kind, graph) == ("shi", Graph(ell, ()))
+    for ell in range(2, 6):
+        assert all(strictly_increasing(r.analysis.graph) for r in survey(ell).records)
 
 
 def test_search_matches_the_permutation_scan():
@@ -221,7 +256,7 @@ def per_graph_survey(ell: int) -> SurveyReport:
     violations = []
     for mask in range(1 << len(all_edges)):
         edges = [e for bit, e in enumerate(all_edges) if mask >> bit & 1]
-        graph = Graph(ell, frozenset(edges))
+        graph = Graph.make(ell, edges)
         analysis = analyze_graph(graph)
         record = SurveyRecord(analysis, graph_char_poly(graph), nest_char_poly(n_from_graph(graph)))
         if not record.agree:
@@ -236,7 +271,7 @@ def analysis_to_json(a: GraphAnalysis) -> dict:
     ``GraphAnalysis.to_json`` as it stood, the oracle of the ``graph``
     answer and of a survey record's fields besides chi."""
     return {
-        "edges": [list(e) for e in a.graph.sorted_edges()],
+        "edges": [list(e) for e in sorted(a.graph.edges)],
         "nG": nest_to_json(n_from_graph(a.graph)),
         "nest": a.free,
         "athanasiadis": list(a.athanasiadis_witness) if a.athanasiadis_witness is not None else None,
@@ -294,7 +329,7 @@ def test_survey_three_vertices():
     assert report.violations == ()
     not_free = [r for r in report.records if not r.analysis.free]
     assert len(not_free) == 1
-    assert not_free[0].analysis.graph.sorted_edges() == [(1, 2), (2, 3)]
+    assert not_free[0].analysis.graph.edges == ((1, 2), (2, 3))
     assert all(r.agree for r in report.records)
 
 
@@ -379,7 +414,7 @@ def graphs_near_witnesses(draw):
     graph, _ = draw(graphs_around_witnesses(7, 40))
     if draw(st.booleans()):
         i = draw(st.integers(1, graph.ell - 1))
-        graph = Graph(graph.ell, graph.edges ^ {(i, draw(st.integers(i + 1, graph.ell)))})
+        graph = Graph.make(graph.ell, set(graph.edges) ^ {(i, draw(st.integers(i + 1, graph.ell)))})
     return graph
 
 

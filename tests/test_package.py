@@ -62,14 +62,27 @@ def test_only_exactmath_touches_the_packed_monomial_key():
             assert not used, f"{path.name}:{node.lineno} uses {sorted(used)}"
 
 
-def test_only_arrangement_makes_hyperplanes_and_arrangements():
-    """No module but ``arrangement`` calls ``Arrangement(`` or ``Hyperplane(``:
-    the hyperplane form and order have one owner."""
+def calls_outside(*owners: str):
+    """``(module file, line, name)`` for each call of a name or attribute in
+    the package's modules other than ``owners``."""
     for path in sorted(Path(ishkit.__file__).parent.glob("*.py")):
-        if path.name == "arrangement.py":
+        if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                assert name not in ("Arrangement", "Hyperplane"), f"{path.name}:{node.lineno} calls {name}"
+                yield path.name, node.lineno, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_arrangement_makes_hyperplanes_and_arrangements():
+    """No module but ``arrangement`` calls ``Arrangement(`` or ``Hyperplane(``:
+    the hyperplane form and order have one owner."""
+    for module, line, name in calls_outside("arrangement.py"):
+        assert name not in ("Arrangement", "Hyperplane"), f"{module}:{line} calls {name}"
+
+
+def test_only_arrangement_and_graphs_make_graphs_directly():
+    """No module but ``arrangement`` and ``graphs`` calls ``Graph(``: every other
+    graph comes from ``Graph.make`` or ``Graph.complete``, whose edges are sorted."""
+    for module, line, name in calls_outside("arrangement.py", "graphs.py"):
+        assert name != "Graph", f"{module}:{line} calls Graph"

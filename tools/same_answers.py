@@ -16,8 +16,9 @@ raised.  After the workloads, every run also compares two fixed corpora,
 each request in text and in JSON: a graph corpus, ``survey`` at ell =
 2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
 and a spec corpus, every command but ``survey`` on specs of each of the
-six kinds at ell = 3 and 4, affine and coned, whose refusals are
-compared by their messages.  The tool prints one line per workload and
+six kinds at ell = 3 and 4, affine and coned, one graph given with its
+edges out of order and repeated, whose refusals are compared by their
+messages.  The tool prints one line per workload and
 seed and one per corpus, and exits 0 when every answer is the same and 1
 at the first request whose answers differ, naming it.  Standard library
 only.
@@ -90,10 +91,17 @@ def spec_corpus() -> list[dict]:
     affine and coned, once in text and once in JSON.  The nests and graphs
     are a chain and a non-chain each (a free and a non-free cone), and the
     nest of zero sets is central unconed, so ``supersolvable`` takes its
-    lattice route on a spec that is not a cone."""
+    lattice route on a spec that is not a cone.  At ell = 4 each deleted kind
+    also takes a free graph whose edges come reversed, one pair repeated, so
+    that the comparison covers the graph's canonical form: its echoed edges
+    sorted and each written once."""
     nests = {
         3: [[[0, "1/2"], [0]], [[0, 1], [0, 2]], [[0], [0]]],
         4: [[[0, "1/2"], [0], [0, "1/2", 2]], [[0], [1], ["-3/2"]], [[0], [0], [0]]],
+    }
+    graphs = {
+        3: [[[1, 2]], [[1, 2], [2, 3]]],
+        4: [[[1, 2]], [[1, 2], [2, 3], [3, 4]], [[2, 4], [1, 4], [1, 3], [2, 4]]],
     }
     specs = []
     for ell in (3, 4):
@@ -101,7 +109,7 @@ def spec_corpus() -> list[dict]:
         specs += [{"type": "n_ish", "N": sets} for sets in nests[ell]]
         specs += [{"type": kind, "ell": ell, "edges": edges}
                   for kind in ("deleted_shi", "deleted_ish")
-                  for edges in ([[1, 2]], [[i, i + 1] for i in range(1, ell)])]
+                  for edges in graphs[ell]]
     commands = ("charpoly", "freeness", "basis", "saito", "supersolvable", "chambers", "wallcross", "graph")
     return [dict(spec, cone=cone, command=command, format=fmt)
             for spec in specs for cone in (False, True) for command in commands for fmt in ("text", "json")]
