@@ -306,13 +306,14 @@ def _cmd_graph(req: AnalysisRequest) -> str | dict:
         raise ValueError("graph analysis needs a deleted_shi or deleted_ish spec")
     a = analyze_graph(graph)
     w = a.athanasiadis_witness
+    n_g = n_from_graph(graph) if req.parsed.nest is None else req.parsed.nest  # a deleted_ish spec's nest is N_G
     if req.output_format == "json":
         return {"athanasiadis": None if w is None else list(w), "edges": partial(_json_edges, graph, {}),
-                "free": a.free, "nG": partial(_json_sets, n_from_graph(graph), {}), "nest": a.free, "pairwise": a.free}
+                "free": a.free, "nG": partial(_json_sets, n_g, {}), "nest": a.free, "pairwise": a.free}
     edges = " ".join(f"({i},{j})" for i, j in graph.edges) or "none"
     lines = [
         f"edges: {edges}",
-        f"derived sets: {n_from_graph(graph)}",
+        f"derived sets: {n_g}",
         f"nest: {_yesno(a.free)}",
         f"athanasiadis: {w or 'none'}",
         f"pairwise: {_yesno(a.free)}",

@@ -38,28 +38,36 @@ one builder of the paper's basis: ``saito`` certifies it as it is, and
 field by ``MultiPoly.product``, the one constructor of a polynomial from
 linear forms, and the others by exchanging two variables; no module but
 ``exactmath`` reads a packed monomial key.  ``factored_saito_constant``
-decides Saito's criterion on the factors, hyperplane by hyperplane: the
-nonzero coordinates of ``alpha_H`` are found once, and only the
-components they pick out enter the image ``theta(alpha_H)``.  A log
-check is shown in one of two ways:
+decides Saito's criterion on the factors, field by field, on one index of
+the arrangement's forms made in one pass (``_form_index``): each form is a
+bit, each coordinate the mask of the forms that use it, and the braid
+forms one mask.  A log check is shown in one of four ways (``_log_shown``):
 
+* a multiple ``c`` of the Euler field by the identity ``theta(alpha) = c alpha``;
+* by the index, when every component the form picks out holds the form
+  among its factors (unique factorization in ``Q[x]``): a field's forms
+  still to show are the OR, over its nonzero components ``k``, of the
+  forms that use ``x_k`` less those among that component's factors;
 * inside an exchange group (``_exchange_group``), the one exchange
   rule: the components of a field that exchanging two variables swaps,
   found once per field.  A braid form ``x_s - x_t`` on two members needs
-  no exchange of its own;
-* by the factors and sums (``_factored_is_log``), when every term picked
-  out has ``alpha_H`` among its factors (unique factorization in
-  ``Q[x]``) or is a constant or a linear form, and the constants sum to
-  0 and the linear forms to a multiple of ``alpha_H``.
+  no exchange of its own, and all of them are cleared with one mask;
+* by the factors and sums (``_factored_is_log``), on what is left, when
+  every term picked out has ``alpha_H`` among its factors or is a constant
+  or a linear form, and the constants sum to 0 and the linear forms to a
+  multiple of ``alpha_H``.
 
 The determinant is then read off the factors: both certificates' basis
 matrices are triangular up to a permutation of the columns (``_peel``),
 so the determinant is a sign, a product of scalars and a product of
 linear forms, and it is a constant times ``Q(A)`` when those forms are
-A's own, each once.  Anything else -- a log check neither way shows, a
+A's own, each once: each pivot factor takes its form's bit in the index,
+and the constant is built from the scalars' integer numerators and
+denominators.  Anything else -- a log check no way shows, a
 matrix that does not peel, or forms that are not A's each once -- is
 handed to ``saito_constant`` on the derivations multiplied out.
-Neither certificate's basis is handed on.
+Neither certificate's basis is handed on, and of their fields only the
+translation field's constants reach the sums.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
 are the one general route and the oracle of the tests, in plain exact
@@ -73,6 +81,7 @@ cleared of its denominators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -84,6 +93,7 @@ Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._di
 Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 Derivation = tuple[MultiPoly, ...]  # the same, multiplied out; a zero component is the zero polynomial
+FormIndex = tuple[dict[Factor, int], list[int], int]  # the (bits, touch, braid) of _form_index
 
 
 def _one_per_variable(theta: Derivation, n: int) -> bool:
@@ -311,8 +321,10 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
 
     False means only "not shown": a term of two or more factors, none of
     them ``alpha``, may cancel against other terms, and the factors alone
-    cannot tell.  A braid form inside the field's exchange group
-    (``_exchange_group``) never comes here; any other check that is not
+    cannot tell.  ``_log_shown`` sends here only the forms its index and
+    identity leave: never a braid form inside the field's exchange group
+    (``_exchange_group``), a form that every component it picks out holds,
+    or any form of a multiple of the Euler field.  Any check that is not
     shown is handed by ``factored_saito_constant`` to ``saito_constant``.
     """
     constant, linear = 0, None
@@ -371,23 +383,94 @@ def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
 def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
     """The pivot column of each row, when the matrix peels; else None.
 
-    Peeling takes a column with exactly one nonzero entry among the rows
-    left, and strikes out that entry's row, until no row is left.  Each
-    step is a Laplace expansion down that column, so the determinant is
-    ``sign(pivots)`` times the product of the pivot entries.
+    Peeling takes the first column with exactly one nonzero entry among
+    the rows left, and strikes out that entry's row, until no row is left.
+    Each step is a Laplace expansion down that column, so the determinant
+    is ``sign(pivots)`` times the product of the pivot entries.  A column
+    is the mask of its rows with a nonzero entry, so a step is one AND
+    with the mask of the rows left per column it reads.
     """
-    left = set(range(len(rows)))
+    cols = [0] * len(rows)
+    for r, theta in enumerate(rows):
+        for c, comp in enumerate(theta):
+            if comp is not None:
+                cols[c] |= 1 << r
+    left = (1 << len(rows)) - 1
     pivots = [0] * len(rows)
     while left:
-        for c in range(len(rows)):
-            hit = [r for r in left if rows[r][c] is not None]
-            if len(hit) == 1:
+        for c, col in enumerate(cols):
+            hit = col & left
+            if hit and not hit & (hit - 1):
                 break
         else:
             return None
-        pivots[hit[0]] = c
-        left.remove(hit[0])
+        pivots[hit.bit_length() - 1] = c
+        left ^= hit
     return pivots
+
+
+def _form_index(arr: Arrangement) -> FormIndex:
+    """The forms of a central arrangement, indexed in one pass: hyperplane
+    ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid)``: ``bits`` maps
+    each form to its bit, ``touch[k]`` is the mask of the forms that use
+    coordinate ``k``, and ``braid`` the mask of the braid forms ``a (x_s - x_t)``.
+    """
+    n = arr.dim
+    bits, touch, braid = {}, [0] * n, 0
+    for i, h in enumerate(arr.hyperplanes):
+        bit = 1 << i
+        alpha = h.coeffs
+        bits[alpha] = bit  # a central arrangement holds each form once
+        for k in compress(range(n), alpha):
+            touch[k] |= bit
+        if alpha.count(0) == n - 2 and not sum(alpha):  # two entries, a and -a
+            braid |= bit
+    return bits, touch, braid
+
+
+def _log_shown(theta: FactoredDerivation, arr: Arrangement, index: FormIndex) -> bool:
+    """Do the factors show every log check of the field on the arrangement?
+
+    A multiple ``c`` of the Euler field, every component ``c x_k``, is
+    shown by the identity ``theta(alpha) = c alpha``.  Otherwise the forms
+    still to show are, over the nonzero components ``k``, the forms that use
+    ``x_k`` and are not among that component's factors: a form none of them
+    leaves is shown, as every term it picks out holds it.  The braid forms
+    on two members of the field's exchange group (``_exchange_group``), the
+    braid forms that two members' coordinates touch, are shown by the group.
+    Each form left is shown when the factors and sums show it
+    (``_factored_is_log``): of a field of constants ``c_k``, when the number
+    ``sum alpha[k] c_k`` is 0.
+    """
+    bits, touch, braid = index
+    n = len(theta)
+    nonzero = [k for k, comp in enumerate(theta) if comp is not None]
+    if len(nonzero) == n and all(comp[0] == theta[0][0] and len(comp[1]) == 1 and len(comp[1][0]) == n
+                                 and comp[1][0][k] == 1 and comp[1][0].count(0) == n - 1
+                                 for k, comp in enumerate(theta)):
+        return True
+    left = 0
+    for k in nonzero:
+        held = 0
+        for f in theta[k][1]:
+            held |= bits.get(f, 0)
+        left |= touch[k] & ~held
+    if left & braid:
+        group = _exchange_group(theta)
+        if group is not None:
+            once = twice = 0
+            for k in group:
+                twice |= once & touch[k]
+                once |= touch[k]
+            left &= ~(braid & twice)
+    hyperplanes = arr.hyperplanes
+    while left:
+        bit = left & -left
+        left ^= bit
+        alpha = hyperplanes[bit.bit_length() - 1].coeffs
+        if not _factored_is_log(theta, alpha, [(k, alpha[k]) for k in compress(range(n), alpha)]):
+            return False
+    return True
 
 
 def factored_saito_constant(
@@ -397,23 +480,28 @@ def factored_saito_constant(
 
     The same hypotheses are checked in the same order, with the same
     errors.  A term whose scalar is 0 is read as a zero component, as its
-    expansion is.  The log checks run hyperplane by hyperplane: the nonzero
-    coordinates of each ``alpha_H`` are found once, and each derivation is
-    checked on the factors of just those components: a braid form inside
-    the derivation's exchange group (``_exchange_group``) by that group,
-    any other by the factors and sums (``_factored_is_log``).
-    A product of linear forms is homogeneous, so a derivation is
-    homogeneous when its nonzero components have equally many factors.
+    expansion is.  The log checks run field by field on one index of A's
+    forms (``_form_index``), made in one pass: each form is a bit, each
+    coordinate the mask of the forms that use it.  A field's checks that
+    its factors settle -- every component the form picks out holds the
+    form, or the form is a braid form inside the field's exchange group --
+    are cleared by masks with no per-form work, a multiple of the Euler
+    field by its identity, and only the forms left are summed
+    (``_log_shown``).  A product of linear forms is homogeneous, so a
+    derivation is homogeneous when its nonzero components have equally
+    many factors.
 
     The determinant is then read off the matrix when it peels (``_peel``):
     it is ``sign * prod(scalars) * prod(factors)`` over the pivots, and when
     the pivots' factors are A's forms, each once, that is ``c * Q(A)`` as a
     polynomial identity (Saito's criterion by unique factorization,
-    Orlik-Terao 1992, Thm 4.19).  Whatever the factors do not show -- a
-    log check they cannot settle, a matrix that does not peel, or pivot
-    factors that are not A's forms each once, as when a factor is a
-    multiple of A's form -- is handed whole to ``saito_constant`` on the
-    derivations multiplied out, the one general route.
+    Orlik-Terao 1992, Thm 4.19).  Each pivot factor takes its form's bit,
+    and ``c`` is built from the scalars' integer numerators and
+    denominators.  Whatever the factors do not show -- a log check they
+    cannot settle, a matrix that does not peel, or pivot factors that are
+    not A's forms each once, as when a factor is a multiple of A's form --
+    is handed whole to ``saito_constant`` on the derivations multiplied
+    out, the one general route.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -423,18 +511,9 @@ def factored_saito_constant(
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
     derivs = [tuple(comp if comp and comp[0] else None for comp in theta) for theta in derivs]
-    groups = [_exchange_group(theta) for theta in derivs]
-    for h in arr.hyperplanes:
-        alpha = h.coeffs
-        support = [(k, a) for k, a in enumerate(alpha) if a]
-        braid = len(support) == 2 and support[0][1] == -support[1][1]
-        if braid:
-            (s, _), (t, _) = support
-        for theta, group in zip(derivs, groups):
-            if braid and group is not None and s in group and t in group:
-                continue
-            if not _factored_is_log(theta, alpha, support):
-                return _deferred(derivs, arr)
+    index = _form_index(arr)
+    if not all(_log_shown(theta, arr, index) for theta in derivs):
+        return _deferred(derivs, arr)
     if any(all(comp is None for comp in theta) for theta in derivs):
         return None
     degree = 0
@@ -448,12 +527,20 @@ def factored_saito_constant(
     pivots = _peel(derivs)
     if pivots is None:
         return _deferred(derivs, arr)
-    terms = [theta[c] for theta, c in zip(derivs, pivots)]
-    if sorted(f for _, factors in terms for f in factors) != sorted(h.coeffs for h in arr.hyperplanes):
-        return _deferred(derivs, arr)
+    # the pivots hold |A| factors (the degree check), so when each takes a
+    # bit no other took, they take every bit: A's forms, each once
+    bits, taken, num, den = index[0], 0, 1, 1
+    for theta, c in zip(derivs, pivots):
+        scalar, factors = theta[c]
+        for f in factors:
+            bit = bits.get(f, 0)
+            if not bit or taken & bit:
+                return _deferred(derivs, arr)
+            taken |= bit
+        num *= scalar.numerator
+        den *= scalar.denominator
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-    det = (-1) ** inversions * prod(scalar for scalar, _ in terms)
-    return Fraction(det) if det else None
+    return Fraction((-1) ** inversions * num, den)
 
 
 def _deferred(derivs: Sequence[FactoredDerivation], arr: Arrangement) -> Fraction | None:

@@ -528,6 +528,23 @@ def test_graph_answers_are_the_analysis_oracle_on_every_graph_to_four_vertices(k
             assert f"derived sets: {n_from_graph(graph)}" in text_of(spec, "graph").splitlines()
 
 
+def test_a_graph_request_builds_its_derived_sets_once():
+    # a deleted_ish spec's nest is N_G, built once by from_spec and written
+    # as it is; a deleted_shi spec has no nest, so the command builds N_G
+    for kind, parsed_calls, written_calls in (("deleted_ish", 1, 0), ("deleted_shi", 0, 1)):
+        spec = {"type": kind, "ell": 4, "edges": [[1, 3], [2, 4]]}
+        for fmt in ("text", "json"):
+            with mock.patch("ishkit.arrangement.n_from_graph", wraps=n_from_graph) as parsed, \
+                    mock.patch("ishkit.cli.n_from_graph", wraps=n_from_graph) as written:
+                answer = run(request_of(json.dumps(dict(spec, command="graph", format=fmt))))
+            assert (parsed.call_count, written.call_count) == (parsed_calls, written_calls)
+            sets = n_from_graph(from_spec(spec).graph)
+            if fmt == "text":
+                assert f"derived sets: {sets}" in answer.splitlines()
+            else:
+                assert json.loads(answer)["nG"] == [[format_rational(a, sets.den) for a in nums] for nums in sets.nums]
+
+
 def test_survey_text_summary():
     out = text_of({"ell": 3}, "survey").splitlines()
     assert out[0] == "K_3: 8 subgraphs, 7 free, 0 violations"

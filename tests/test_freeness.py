@@ -808,6 +808,67 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     assert factored_saito_constant(mutated, arr) is None
 
 
+def shortcut_mutations(basis, rng):
+    """The translation field (index 0) or the Euler field (index 1) bent just
+    off its shape: a multiple of the Euler field, which its identity shows
+    with no sums, or a field of constants, whose sums are numbers."""
+    translation, euler = basis[0], basis[1]
+    n = len(euler)
+    k = rng.randrange(n)
+    other = rng.choice([i for i in range(n) if i != k])
+    s = rng.randrange(n - 1)  # a coordinate of the translation field
+    return {
+        "an Euler scalar changed": (1, euler[:k] + ((rng.choice([2, -1, Fraction(1, 2)]), euler[k][1]),) + euler[k + 1:]),
+        "an Euler form swapped": (1, euler[:k] + ((1, euler[other][1]),) + euler[k + 1:]),
+        "the Euler z component dropped": (1, euler[:-1] + (None,)),
+        "a constant changed": (0, translation[:s] + ((2, ()),) + translation[s + 1:]),
+        "a constant at z": (0, translation[:-1] + ((1, ()),)),
+        "a constant with scalar 0": (0, translation[:s] + ((0, ()),) + translation[s + 1:]),
+        "a constant beside a factor": (0, translation[:-1] + (euler[-1],)),
+        "an Euler component made constant": (1, euler[:k] + ((1, ()),) + euler[k + 1:]),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=5), st.randoms(use_true_random=False))
+@example(NestSpec.make([[0], [0], [0]]), random.Random(0))
+@example(NestSpec.make([["-1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"], ["-1/2", "1/2", "3/2", 2]]),
+         random.Random(1))
+def test_bent_euler_and_constant_fields_give_the_expanded_routes_verdict(nest, rng):
+    # the Euler and translation fields, bent: the verdict, value or error,
+    # is the general route's on the derivations multiplied out
+    arr = cone(build_n_ish(nest))
+    basis = factored_basis(nest)
+    for name, (i, theta) in shortcut_mutations(basis, rng).items():
+        mutated = basis[:i] + [theta] + basis[i + 1:]
+        got = verdict(factored_saito_constant, mutated, arr)
+        assert got == verdict(saito_constant, [expand(t) for t in mutated], arr), name
+    # a multiple of the Euler field is shown by its identity, with no sums
+    c = factored_saito_constant(basis, arr)
+    for scalar in (3, Fraction(-1, 2)):
+        derivs = [basis[0], tuple((scalar, comp[1]) for comp in basis[1]), *basis[2:]]
+        assert routed(derivs, arr) == (c * scalar, 0)
+        assert fields_summed(derivs, arr) <= {0}
+
+
+def fields_summed(derivs, arr) -> set[int]:
+    """The indices of the fields some of whose log checks reach the sums
+    (``_factored_is_log``) in ``factored_saito_constant``."""
+    with mock.patch("ishkit.freeness._factored_is_log", wraps=_factored_is_log) as sums:
+        factored_saito_constant(derivs, arr)
+    return {i for call in sums.call_args_list for i, theta in enumerate(derivs) if call.args[0] == theta}
+
+
+def test_no_nest_field_of_the_ish_cone_at_rank_twelve_reaches_the_sums():
+    # the nest fields theta_k are settled by the index's masks and the Euler
+    # field by its identity; the translation field's constants are summed
+    # on the forms x1 - x_j = a z, a != 0, which no exchange group holds
+    nest = ish_nest(12)
+    basis = factored_basis(nest)
+    assert routed(basis, cone(build_n_ish(nest))) == (-1, 0)
+    assert fields_summed(basis, cone(build_n_ish(nest))) == {0}
+
+
 def one_plane():
     """The plane x1 - x2 + x3 = 0, with two translations along it."""
     arr = Arrangement(3, [make_hyperplane([1, -1, 1])])
@@ -853,17 +914,31 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     nest = NestSpec.make([["1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"]])
     basis = factored_basis(nest)
     arr = cone(build_n_ish(nest))
+    n = arr.dim
     seen = set()
 
     def spy(theta, alpha, support):
         seen.update(type(comp[0]) for comp in theta if comp is not None)
         return _factored_is_log(theta, alpha, support)
 
+    # the index settles the nest fields, those of scalar 1/4 and 1/8 among
+    # them, with no call of the sums: only the translation field's constants
+    # are summed
     with mock.patch("ishkit.freeness._factored_is_log", spy):
         constant, handed_on = routed(basis, arr)
-    assert seen == {int, Fraction}
-    assert handed_on == 0
+    assert seen == {int} and handed_on == 0
     assert constant == saito_constant([expand(t) for t in basis], arr) != 0
+
+    # the Euler field with its x1 component written 1/2 * (2 x1): the same
+    # polynomial, but no identity shows it, and its scalars differ, so it is
+    # no exchange group: every form but z = 0, which the z component holds,
+    # goes to the sums, which take the scalar 1/2 as it is
+    x1 = tuple(2 * int(k == 0) for k in range(n))
+    euler = basis[1]
+    bent = ((Fraction(1, 2), (x1,)),) + euler[1:]
+    with mock.patch("ishkit.freeness._factored_is_log", spy):
+        assert routed([basis[0], bent, *basis[2:]], arr) == (constant, 0)
+    assert seen == {int, Fraction}
 
 
 def test_factored_log_check_folds_the_contents():

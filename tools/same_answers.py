@@ -17,8 +17,9 @@ each request in text and in JSON: a graph corpus, ``survey`` at ell =
 2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
 and a spec corpus, every command but ``survey`` on specs of each of the
 six kinds at ell = 3 and 4, affine and coned, one graph given with its
-edges out of order and repeated, whose refusals are compared by their
-messages.  The tool prints one line per workload and
+edges out of order and repeated, plus ``basis`` and ``saito`` on three
+specs past the benchmark's sizes (``SAITO_SPECS``), affine and coned,
+whose refusals are compared by their messages.  The tool prints one line per workload and
 seed and one per corpus, and exits 0 when every answer is the same and 1
 at the first request whose answers differ, naming it.  Standard library
 only.
@@ -86,6 +87,15 @@ def graph_corpus() -> list[dict]:
     return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
+# Past the benchmark's sizes: an ell = 5 chain of half-integers, Ish at
+# ell = 6, and an ell = 6 nest that is no chain, which basis and saito refuse.
+SAITO_SPECS = [
+    {"type": "n_ish", "N": [["-1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"], ["-1/2", "1/2", "3/2", 2]]},
+    {"type": "ish", "ell": 6},
+    {"type": "n_ish", "N": [[0], [0, 1], [0, 2], [0, 1, 2], [0, 1, 2, 3]]},
+]
+
+
 def spec_corpus() -> list[dict]:
     """Every command but ``survey`` on the specs of each kind at ell = 3 and 4,
     affine and coned, once in text and once in JSON.  The nests and graphs
@@ -94,7 +104,8 @@ def spec_corpus() -> list[dict]:
     lattice route on a spec that is not a cone.  At ell = 4 each deleted kind
     also takes a free graph whose edges come reversed, one pair repeated, so
     that the comparison covers the graph's canonical form: its echoed edges
-    sorted and each written once."""
+    sorted and each written once.  Then ``basis`` and ``saito`` on each of
+    ``SAITO_SPECS``, affine and coned, in both formats."""
     nests = {
         3: [[[0, "1/2"], [0]], [[0, 1], [0, 2]], [[0], [0]]],
         4: [[[0, "1/2"], [0], [0, "1/2", 2]], [[0], [1], ["-3/2"]], [[0], [0], [0]]],
@@ -111,8 +122,11 @@ def spec_corpus() -> list[dict]:
                   for kind in ("deleted_shi", "deleted_ish")
                   for edges in graphs[ell]]
     commands = ("charpoly", "freeness", "basis", "saito", "supersolvable", "chambers", "wallcross", "graph")
-    return [dict(spec, cone=cone, command=command, format=fmt)
-            for spec in specs for cone in (False, True) for command in commands for fmt in ("text", "json")]
+    docs = [dict(spec, cone=cone, command=command)
+            for spec in specs for cone in (False, True) for command in commands]
+    docs += [dict(spec, cone=cone, command=command)
+             for spec in SAITO_SPECS for cone in (False, True) for command in ("basis", "saito")]
+    return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
 def main(argv: list[str] | None = None) -> int:
