@@ -39,9 +39,10 @@ field by ``MultiPoly.product``, the one constructor of a polynomial from
 linear forms, and the others by exchanging two variables; no module but
 ``exactmath`` reads a packed monomial key.  ``factored_saito_constant``
 decides Saito's criterion on the factors, field by field, on one index of
-the arrangement's forms made in one pass (``_form_index``): each form is a
-bit, each coordinate the mask of the forms that use it, and the braid
-forms one mask.  A log check is shown in one of four ways (``_log_shown``):
+the arrangement's forms made in one pass over its gain edges
+(``_form_index``): each form is a bit, each coordinate the mask of the
+forms that use it, and the braid forms one mask.  A log check is shown in
+one of four ways (``_log_shown``):
 
 * a multiple ``c`` of the Euler field by the identity ``theta(alpha) = c alpha``;
 * by the index, when every component the form picks out holds the form
@@ -93,7 +94,7 @@ Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._di
 Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 Derivation = tuple[MultiPoly, ...]  # the same, multiplied out; a zero component is the zero polynomial
-FormIndex = tuple[dict[Factor, int], list[int], int]  # the (bits, touch, braid) of _form_index
+FormIndex = tuple[dict[Factor, int], list[int], int, list[Factor]]  # the (bits, touch, braid, forms) of _form_index
 
 
 def _one_per_variable(theta: Derivation, n: int) -> bool:
@@ -229,8 +230,8 @@ def _exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
 
 def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
     """``d/dx1 + ... + d/dxl`` and the Euler field, of degrees 0 and 1 on a cone over ``x1..xl, z``."""
-    n = ell + 1
-    units = (tuple(int(i == k) for i in range(n)) for k in range(n))
+    zeros = (0,) * ell
+    units = [zeros[:k] + (1,) + zeros[k:] for k in range(ell + 1)]
     return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
 
 
@@ -247,7 +248,9 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     the factor is ``(q x1 - q x_s - p z) / q``: the coned hyperplane's own
     form (``_diff_form``).  The components of one field share the scalar
     ``1 / prod q``, an ``int`` when every entry of ``N_k`` is integral.
-    Only the ``x2`` factors are built: the ``x_s`` ones are the same forms
+    Only the ``x2`` factors are built, each form once: the entries' from
+    ``N_ell``, which holds every entry of an ascending nest, and each braid
+    form ``x2 - x_t`` for every field.  The ``x_s`` factors are the same forms
     with ``x2`` and ``x_s`` exchanged (``_exchanged``).  So in every field,
     the translation and Euler fields too, each nonzero component is the
     first one with the two variables exchanged, and the first one has no
@@ -258,10 +261,10 @@ def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
         raise ValueError("the derivation basis needs an ascending nest")
     ell, den = nest.ell, nest.den
     out = _translation_and_euler(ell)
+    entry_forms = {a: _diff_form(ell, 1, 2, a, den) for a in nest.nums[-1]}  # N_ell holds every entry
+    braid_forms = [_diff_form(ell, 2, t) for t in range(3, ell + 1)]
     for k, entries in enumerate(nest.nums, start=2):
-        factors = [_diff_form(ell, 1, 2, a, den) for a in entries]
-        factors += [_diff_form(ell, 2, t) for t in range(k + 1, ell + 1)]
-        first = tuple(sorted(factors))
+        first = tuple(sorted([entry_forms[a] for a in entries] + braid_forms[k - 2:]))
         scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
         scalar = 1 if scale == 1 else Fraction(1, scale)
         comps = [first] + [_exchanged(first, 1, s - 1) for s in range(3, k + 1)]
@@ -411,24 +414,54 @@ def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
 
 def _form_index(arr: Arrangement) -> FormIndex:
     """The forms of a central arrangement, indexed in one pass: hyperplane
-    ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid)``: ``bits`` maps
-    each form to its bit, ``touch[k]`` is the mask of the forms that use
-    coordinate ``k``, and ``braid`` the mask of the braid forms ``a (x_s - x_t)``.
+    ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid, forms)``: ``bits``
+    maps each form to its bit, ``touch[k]`` is the mask of the forms that use
+    coordinate ``k``, ``braid`` the mask of the braid forms ``a (x_s - x_t)``,
+    and ``forms`` the forms in bit order.
+
+    Each form is read off its gain edge: ``(i, j, c)`` is ``_diff_form``'s form
+    on ``x_i`` and ``x_j``, and on ``z`` when ``c`` is nonzero, a braid form
+    when ``c`` is 0; ``None`` is ``z``.  An unconed central arrangement has
+    every gain 0, and its forms have no column ``z``, as its hyperplanes do.
+    An arrangement given as hyperplanes has no edges, and each of its forms
+    is scanned for its coordinates.
     """
     n = arr.dim
-    bits, touch, braid = {}, [0] * n, 0
-    for i, h in enumerate(arr.hyperplanes):
+    bits, touch, braid, forms = {}, [0] * n, 0, []
+    try:
+        den, edges = arr.gain_edges()
+    except ValueError:  # given as hyperplanes
+        for i, h in enumerate(arr.hyperplanes):
+            bit = 1 << i
+            alpha = h.coeffs
+            bits[alpha] = bit  # a central arrangement holds each form once
+            forms.append(alpha)
+            for k in compress(range(n), alpha):
+                touch[k] |= bit
+            if alpha.count(0) == n - 2 and not sum(alpha):  # two entries, a and -a
+                braid |= bit
+        return bits, touch, braid, forms
+    ell = n - arr.coned
+    for i, edge in enumerate(edges):
         bit = 1 << i
-        alpha = h.coeffs
-        bits[alpha] = bit  # a central arrangement holds each form once
-        for k in compress(range(n), alpha):
-            touch[k] |= bit
-        if alpha.count(0) == n - 2 and not sum(alpha):  # two entries, a and -a
-            braid |= bit
-    return bits, touch, braid
+        if edge is None:
+            alpha = (0,) * ell + (1,)
+            touch[ell] |= bit
+        else:
+            a, b, c = edge
+            alpha = _diff_form(ell, a + 1, b + 1, c, den)[:n]
+            touch[a] |= bit
+            touch[b] |= bit
+            if c:  # a nonzero gain of a central arrangement is coned
+                touch[ell] |= bit
+            else:
+                braid |= bit
+        bits[alpha] = bit  # the edges are distinct, and so are their forms
+        forms.append(alpha)
+    return bits, touch, braid, forms
 
 
-def _log_shown(theta: FactoredDerivation, arr: Arrangement, index: FormIndex) -> bool:
+def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
     """Do the factors show every log check of the field on the arrangement?
 
     A multiple ``c`` of the Euler field, every component ``c x_k``, is
@@ -442,7 +475,7 @@ def _log_shown(theta: FactoredDerivation, arr: Arrangement, index: FormIndex) ->
     (``_factored_is_log``): of a field of constants ``c_k``, when the number
     ``sum alpha[k] c_k`` is 0.
     """
-    bits, touch, braid = index
+    bits, touch, braid, forms = index
     n = len(theta)
     nonzero = [k for k, comp in enumerate(theta) if comp is not None]
     if len(nonzero) == n and all(comp[0] == theta[0][0] and len(comp[1]) == 1 and len(comp[1][0]) == n
@@ -463,11 +496,10 @@ def _log_shown(theta: FactoredDerivation, arr: Arrangement, index: FormIndex) ->
                 twice |= once & touch[k]
                 once |= touch[k]
             left &= ~(braid & twice)
-    hyperplanes = arr.hyperplanes
     while left:
         bit = left & -left
         left ^= bit
-        alpha = hyperplanes[bit.bit_length() - 1].coeffs
+        alpha = forms[bit.bit_length() - 1]
         if not _factored_is_log(theta, alpha, [(k, alpha[k]) for k in compress(range(n), alpha)]):
             return False
     return True
@@ -481,7 +513,8 @@ def factored_saito_constant(
     The same hypotheses are checked in the same order, with the same
     errors.  A term whose scalar is 0 is read as a zero component, as its
     expansion is.  The log checks run field by field on one index of A's
-    forms (``_form_index``), made in one pass: each form is a bit, each
+    forms (``_form_index``), made in one pass over A's gain edges with no
+    hyperplane derived: each form is a bit, each
     coordinate the mask of the forms that use it.  A field's checks that
     its factors settle -- every component the form picks out holds the
     form, or the form is a braid form inside the field's exchange group --
@@ -512,7 +545,7 @@ def factored_saito_constant(
         raise ValueError("logarithmic derivations are tested on central arrangements")
     derivs = [tuple(comp if comp and comp[0] else None for comp in theta) for theta in derivs]
     index = _form_index(arr)
-    if not all(_log_shown(theta, arr, index) for theta in derivs):
+    if not all(_log_shown(theta, index) for theta in derivs):
         return _deferred(derivs, arr)
     if any(all(comp is None for comp in theta) for theta in derivs):
         return None

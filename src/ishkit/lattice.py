@@ -317,7 +317,10 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     sets are taken descending, ``v = reversed(w)``, and the chain runs
     through the ambient space, ``z = 0`` and ``{z = 0, x1 = x_v(2) = ... =
     x_v(i)}``.  When every set is empty, ``x1`` lies on no hyperplane and
-    the chain ties ``x_v(2) = ... = x_v(i)`` instead.
+    the chain ties ``x_v(2) = ... = x_v(i)`` instead.  Each flat is built in
+    closed form: above the ambient space it lies in ``z = 0`` with every
+    offset 0, and the tied block's root is its largest coordinate.  A tie
+    of a coordinate already in the block repeats the flat below.
 
     The chain is certified on every call by the partition test of
     Bjoerner-Edelman-Ziegler (DCG 1990, Thm 4.3): one pass over the gain
@@ -335,12 +338,18 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
     ties = [v - 1 for v in reversed(order)]  # 0-based coordinates, sets descending
     if any(edge is not None and edge[0] == 0 for edge in edges):  # some set is nonempty
         ties.insert(0, 0)
-    chain = [Flat.ambient(arr.dim, True, den)]
-    for edge in [None] + [(ties[0], v, 0) for v in ties[1:]]:
-        flat = chain[-1].intersect_hyperplane(edge)
-        if flat is None or flat is chain[-1]:
+    n = arr.dim - 1
+    root, zeros = list(range(n)), (0,) * n
+    chain = [Flat.ambient(arr.dim, True, den), _new(Flat, (tuple(root), zeros, True, True, den))]
+    tied = ties[:1]
+    for v in ties[1:]:  # every member's root is the tied block's largest coordinate
+        if v in tied:
             raise RuntimeError(f"the filtration flat of rank {len(chain)} repeats the one below")
-        chain.append(flat)
+        tied.append(v)
+        top = max(tied)
+        for u in tied:
+            root[u] = top
+        chain.append(_new(Flat, (tuple(root), zeros, True, True, den)))
     blocks = [(flat.contains, []) for flat in chain[1:]]  # the ambient space lies in no hyperplane
     for edge in edges:  # into the block of the first flat inside its hyperplane
         for contains, block in blocks:

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ishkit.arrangement import (
+    NAMED_KINDS,
     Arrangement,
+    Graph,
     Hyperplane,
     NestSpec,
     _diff_form,
+    build_deleted,
     build_n_ish,
     build_named,
     cone,
@@ -32,6 +35,7 @@ from ishkit.freeness import (
     _exchanged,
     _expanded,
     _factored_is_log,
+    _form_index,
     _off_point,
     _peel,
     _translation_and_euler,
@@ -1369,6 +1373,76 @@ def test_the_cone_of_ish_at_rank_forty_keeps_its_factored_proof():
     nest = ish_nest(40)
     with mock.patch("ishkit.freeness._deferred", no_deferral):
         assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
+
+
+def scanned(arr):
+    """The same arrangement given as its hyperplanes, so ``_form_index`` scans
+    each form for its coordinates."""
+    return Arrangement(arr.dim, arr.hyperplanes, arr.coned)
+
+
+def cones_of_every_kind(max_ell=5):
+    for ell in range(2, max_ell + 1):
+        for kind in NAMED_KINDS:
+            yield cone(build_named(kind, ell))
+        pairs = list(itertools.combinations(range(1, ell + 1), 2))
+        for mask in range(1 << len(pairs)):
+            graph = Graph.make(ell, [p for b, p in enumerate(pairs) if mask >> b & 1])
+            for kind in ("shi", "ish"):
+                yield cone(build_deleted(kind, graph))
+
+
+def test_the_form_index_of_the_edges_is_the_scan_of_the_hyperplanes():
+    # every cone of the named and deleted kinds at ell <= 5, and the
+    # unconed central ones, whose forms have no column z
+    arrs = [*cones_of_every_kind(), *(build_named("coxeter", ell) for ell in range(2, 6)),
+            build_n_ish(NestSpec.make([[], [], []]))]
+    for arr in arrs:
+        assert arr.is_central
+        assert _form_index(arr) == _form_index(scanned(arr))
+    assert len(arrs) == 2 * (2 + 8 + 64 + 1024) + 3 * 4 + 5
+
+
+@st.composite
+def halves_and_thirds(draw, max_ell=5):
+    """Nests of ell <= max_ell sets, chained or not, of entries k/2 and k/3."""
+    ell = draw(st.integers(2, max_ell))
+    pool = sorted({Fraction(k, q) for q in (2, 3) for k in range(-4, 7)})
+    return NestSpec.make([draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)) for _ in range(ell - 1)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(halves_and_thirds())
+@example(NestSpec.make([["1/3", "-1/2", "2/3"], ["1/3"], ["1/3", "-1/2", "2/3", "5/2"], ["1/3", "-1/2"]]))
+@example(NestSpec.make([[], [], [], []]))
+def test_the_form_index_of_a_nest_cone_is_the_scan_of_its_hyperplanes(nest):
+    arr = cone(build_n_ish(nest))
+    index = _form_index(arr)
+    assert index == _form_index(scanned(arr))
+    bits, forms = index[0], index[3]
+    assert forms == [h.coeffs for h in arr.hyperplanes] and list(bits) == forms
+
+
+def test_a_saito_request_and_the_witness_check_derive_no_hyperplane():
+    # the certificates read the gain edges only
+    reads = []
+    derive = Arrangement.hyperplanes.fget
+
+    def spy(arr):
+        reads.append(arr)
+        return derive(arr)
+
+    docs = [{"type": "n_ish", "N": [["1/3", "-1/2"], ["1/3"], ["1/3", "-1/2", "2/3", "5/2"]]},
+            {"type": "ish", "ell": 5}, {"type": "deleted_ish", "ell": 4, "edges": [[1, 3], [1, 4], [2, 4]]}]
+    nests = [NestSpec.make([["1/2", 1], [0, "3/2"], [1]]), NestSpec.make([[0], ["1/3"], [0, "2/3"]])]
+    with mock.patch.object(Arrangement, "hyperplanes", property(spy)):
+        for doc in docs:
+            doc = dict(doc, command="saito", cone=True)
+            assert run(request_from_doc(doc)).startswith("SAITO PASS")
+            assert json.loads(run(request_from_doc(dict(doc, format="json"))))["pass"]
+        for nest in nests:
+            assert verify_nonfree_witness(nest, decide_free(nest).witness)
+    assert reads == []
 
 
 def unpeeled(derivs, arr):

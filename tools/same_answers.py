@@ -17,7 +17,7 @@ each request in text and in JSON: a graph corpus, ``survey`` at ell =
 2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
 and a spec corpus, every command but ``survey`` on specs of each of the
 six kinds at ell = 3 and 4, affine and coned, one graph given with its
-edges out of order and repeated, plus ``basis`` and ``saito`` on three
+edges out of order and repeated, plus ``basis`` and ``saito`` on four
 specs past the benchmark's sizes (``SAITO_SPECS``), affine and coned,
 whose refusals are compared by their messages.  The tool prints one line per workload and
 seed and one per corpus, and exits 0 when every answer is the same and 1
@@ -87,10 +87,12 @@ def graph_corpus() -> list[dict]:
     return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
-# Past the benchmark's sizes: an ell = 5 chain of half-integers, Ish at
+# Past the benchmark's sizes: an ell = 5 chain of half-integers, an ell = 5
+# chain over the denominator 6 (halves and thirds, given out of order), Ish at
 # ell = 6, and an ell = 6 nest that is no chain, which basis and saito refuse.
 SAITO_SPECS = [
     {"type": "n_ish", "N": [["-1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"], ["-1/2", "1/2", "3/2", 2]]},
+    {"type": "n_ish", "N": [["1/3", "-1/2", "2/3"], ["1/3"], ["1/3", "-1/2", "2/3", "5/2"], ["1/3", "-1/2"]]},
     {"type": "ish", "ell": 6},
     {"type": "n_ish", "N": [[0], [0, 1], [0, 2], [0, 1, 2], [0, 1, 2, 3]]},
 ]
