@@ -31,8 +31,8 @@ first.  An ``Arrangement`` of gain edges derives its hyperplanes on
 their first read; ``is_central`` reads the edges, so ``supersolvable``
 derives no hyperplane.  The hyperplanes of gain edges come from
 ``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q`` the reduced
-``c/den``, already normalized.  ``_diff_form`` also gives the factors of
-``freeness``'s derivation bases.  An arrangement given to the
+``c/den``, already normalized.  ``freeness``'s derivation bases hold the
+gain edges themselves as their factors.  An arrangement given to the
 constructor as hyperplanes, which need not be differences, serves only
 the general Saito route (``freeness.is_log_derivation`` and
 ``saito_constant``); it has no gain edges, so ``cone``, the lattice and
@@ -49,6 +49,7 @@ graph's edges wherever an answer holds them.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -273,8 +274,7 @@ def _diff_form(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> tuple[in
     """The coned form of ``x_i - x_j = num/den`` (``i < j``, ``den > 0``), normalized.
 
     ``q x_i - q x_j - p z`` over ``x1..x_ell, z``, with ``p/q`` the reduced
-    ``num/den``: the hyperplane of a gain edge, and the factors of
-    ``freeness``'s derivation bases.
+    ``num/den``: the hyperplane of a gain edge.
     """
     p, q = reduced(num, den)
     form = [0] * (ell + 1)
@@ -297,14 +297,21 @@ def build_named(kind: str, ell: int) -> Arrangement:
     return build_deleted(kind, Graph.complete(ell))
 
 
+def nest_gain_den(nest: NestSpec) -> int:
+    """The denominator of the gains of ``build_n_ish(nest)`` and its cone:
+    ``nest.den`` divided by its gcd with every numerator."""
+    return nest.den // gcd(nest.den, *chain.from_iterable(nest.nums))
+
+
 def build_n_ish(nest: NestSpec) -> Arrangement:
     """The nested family: ``x1 - xj = a`` for ``a in N_j``, plus the
-    braid part ``xi - xj = 0`` on the vertices 2..ell.  The gains are over
-    ``nest.den`` divided by its gcd with every numerator."""
-    g = gcd(nest.den, *(a for entries in nest.nums for a in entries))
+    braid part ``xi - xj = 0`` on the vertices 2..ell, its gains over
+    ``nest_gain_den``."""
+    den = nest_gain_den(nest)
+    g = nest.den // den
     edges = [(0, j, a // g) for j, entries in enumerate(nest.nums, start=1) for a in entries]
     edges += [(i, j, 0) for i in range(1, nest.ell) for j in range(i + 1, nest.ell)]
-    return Arrangement._of_edges(nest.ell, nest.den // g, edges)
+    return Arrangement._of_edges(nest.ell, den, edges)
 
 
 def build_deleted(kind: str, graph: Graph) -> Arrangement:

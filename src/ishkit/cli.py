@@ -46,6 +46,7 @@ from .exactmath import (
     unipoly_str,
 )
 from .freeness import (
+    _exponents,
     basis_derivations,
     decide_free,
     derivation_str,
@@ -220,7 +221,7 @@ def _cmd_saito(req: AnalysisRequest) -> str | dict:
     constant = factored_saito_constant(factored_basis(sorted_nest), arr)
     if constant is None:  # the paper's basis of an ascending nest always passes
         raise RuntimeError("the basis of the ascending nest fails Saito's criterion")
-    exponents = nest_exponents(req.parsed.nest, order)
+    exponents = _exponents(req.parsed.nest, order)  # _ascending certified the chain
     if req.output_format == "json":
         return {
             "pass": True,

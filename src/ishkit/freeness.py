@@ -31,32 +31,44 @@ find when free, and the first incomparable pair when not.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
-or a scalar times a sorted tuple of the cone's own normalized integer
-forms, read from ``arrangement._diff_form``.  ``factored_basis`` is the
-one builder of the paper's basis: ``saito`` certifies it as it is, and
-``basis_derivations`` multiplies it out for display, one component per
-field by ``MultiPoly.product``, the one constructor of a polynomial from
-linear forms, and the others by exchanging two variables; no module but
-``exactmath`` reads a packed monomial key.  ``factored_saito_constant``
-decides Saito's criterion on the factors, field by field, on one index of
-the arrangement's forms made in one pass over its gain edges
-(``_form_index``): each form is a bit, each coordinate the mask of the
-forms that use it, and the braid forms one mask.  A log check is shown in
-one of four ways (``_log_shown``):
+or a scalar times a tuple of factors, and a factor is the gain edge of
+the form it stands for (Zaslavsky, *Biased graphs*), over the cone's
+denominator ``den``.  The factor ``(i, j, c)``, with ``p/q`` the reduced
+``c/den``, is the coned hyperplane's own form ``q x_i - q x_j - p z``
+(``_coefficients``): an entry factor ``x1 - x_s - a z`` is ``(0, s-1, c)``
+and a braid factor ``x_s - x_t`` is ``(s-1, t-1, 0)``.  The one other
+kind, the Euler field's unit form ``x_k``, is ``(k, None, 0)``, with no
+``x_j``; ``z``'s, ``(ell, None, 0)``, is also the factor of ``None``, the
+edge of ``z = 0``.  Exchanging two variables
+relabels each factor's two coordinates (``_exchanged``), and a form is
+written out as its coefficients (``_dense``) only where it is multiplied
+out: in ``basis_derivations`` and in the hand-off to ``saito_constant``.
+``factored_basis`` is the one builder of the paper's basis: ``saito``
+certifies it as it is, and ``basis_derivations`` multiplies it out for
+display, one component per field by ``MultiPoly.product``, the one
+constructor of a polynomial from linear forms, and the others by
+exchanging two variables; no module but ``exactmath`` reads a packed
+monomial key.  ``factored_saito_constant`` decides Saito's criterion on
+the factors, field by field, on one index of the arrangement's forms
+made in one pass over its gain edges (``_form_index``): each form is a
+bit keyed by its edge, each coordinate the mask of the forms that use it,
+and the braid forms one mask.  A log check is shown in one of four ways
+(``_log_shown``):
 
 * a multiple ``c`` of the Euler field by the identity ``theta(alpha) = c alpha``;
 * by the index, when every component the form picks out holds the form
   among its factors (unique factorization in ``Q[x]``): a field's forms
   still to show are the OR, over its nonzero components ``k``, of the
-  forms that use ``x_k`` less those among that component's factors;
+  forms that use ``x_k`` less those among that component's factors, one
+  lookup per factor, and a factor that is not A's edge holds no bit;
 * inside an exchange group (``_exchange_group``), the one exchange
   rule: the components of a field that exchanging two variables swaps,
   found once per field.  A braid form ``x_s - x_t`` on two members needs
   no exchange of its own, and all of them are cleared with one mask;
 * by the factors and sums (``_factored_is_log``), on what is left, when
   every term picked out has ``alpha_H`` among its factors or is a constant
-  or a linear form, and the constants sum to 0 and the linear forms to a
-  multiple of ``alpha_H``.
+  or a linear form, and the constants sum to 0 and the linear forms, their
+  coefficients read off their edges, to a multiple of ``alpha_H``.
 
 The determinant is then read off the factors: both certificates' basis
 matrices are triangular up to a permutation of the columns (``_peel``),
@@ -82,19 +94,18 @@ cleared of its denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from math import prod
-from typing import NamedTuple, Sequence
+from math import gcd, prod
+from typing import Iterator, NamedTuple, Sequence
 
-from .arrangement import Arrangement, NestSpec, _diff_form, build_n_ish, cone
-from .exactmath import MultiPoly, Scalar, clear_denominators, int_det, poly_str, vanishes_on
+from .arrangement import Arrangement, NestSpec, build_n_ish, cone, nest_gain_den
+from .exactmath import MultiPoly, Scalar, clear_denominators, int_det, poly_str, reduced, vanishes_on
 from .lattice import Flat
 
-Factor = tuple[int, ...]  # a normalized integer linear form, as arrangement._diff_form builds it
-Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the sorted factors
+Factor = tuple[int, int | None, int]  # a gain edge (i, j, c) over the cone's denominator; see _coefficients
+Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 Derivation = tuple[MultiPoly, ...]  # the same, multiplied out; a zero component is the zero polynomial
-FormIndex = tuple[dict[Factor, int], list[int], int, list[Factor]]  # the (bits, touch, braid, forms) of _form_index
+FormIndex = tuple[dict[Factor, int], list[int], int, list[Factor], int]  # (bits, touch, braid, forms, den)
 
 
 def _one_per_variable(theta: Derivation, n: int) -> bool:
@@ -230,90 +241,120 @@ def _exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
 
 def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
     """``d/dx1 + ... + d/dxl`` and the Euler field, of degrees 0 and 1 on a cone over ``x1..xl, z``."""
-    zeros = (0,) * ell
-    units = [zeros[:k] + (1,) + zeros[k:] for k in range(ell + 1)]
-    return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
+    return [((1, ()),) * ell + (None,), tuple((1, ((k, None, 0),)) for k in range(ell + 1))]
+
+
+def _nest_fields(nest: NestSpec, den: int) -> Iterator[tuple[int, Term]]:
+    """The fields ``theta_k`` of ``factored_basis`` past the translation and
+    Euler fields, each as ``(k, term)``: ``term`` is its ``x2`` component,
+    its edges over ``den = nest_gain_den(nest)``, and the field is nonzero
+    exactly at ``x2..xk``."""
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell, g = nest.ell, nest.den // den
+    braids = [(1, t, 0) for t in range(2, ell)]
+    for k, entries in enumerate(nest.nums, start=2):
+        gains = [a // g for a in entries]
+        scale = prod(den // gcd(c, den) for c in gains)  # the q of each x1 - x2 - a z
+        yield k, (1 if scale == 1 else Fraction(1, scale), tuple([(0, 1, c) for c in gains] + braids[k - 2:]))
 
 
 def factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
     """The explicit derivation basis for the cone of an ascending nest, factored.
 
     The one builder of the paper's basis: ``basis_derivations`` multiplies
-    it out, and ``factored_saito_constant`` certifies it.  For ``N_2 <= ...
+    out its fields' first components (``_nest_fields``), and
+    ``factored_saito_constant`` certifies it.  For ``N_2 <= ...
     <= N_ell`` over variables ``x1..xl, z`` the basis consists of the
     constant translation field, the Euler field, and for each ``k`` a field
     supported on ``x2..xk`` whose ``x_s`` component is
     ``prod_{a in N_k} (x1 - x_s - a z) * prod_{t > k} (x_s - x_t)``.
-    For ``a = num/den`` over the nest's denominator, reduced to ``p/q``,
-    the factor is ``(q x1 - q x_s - p z) / q``: the coned hyperplane's own
-    form (``_diff_form``).  The components of one field share the scalar
-    ``1 / prod q``, an ``int`` when every entry of ``N_k`` is integral.
-    Only the ``x2`` factors are built, each form once: the entries' from
-    ``N_ell``, which holds every entry of an ascending nest, and each braid
-    form ``x2 - x_t`` for every field.  The ``x_s`` factors are the same forms
-    with ``x2`` and ``x_s`` exchanged (``_exchanged``).  So in every field,
-    the translation and Euler fields too, each nonzero component is the
-    first one with the two variables exchanged, and the first one has no
-    ``x_s``: each field with two or more of them is one exchange group
-    (``_exchange_group``).
+    Each factor is the cone's own gain edge: ``(0, s-1, c)`` for the entry
+    ``a = c/den`` over the cone's denominator (``nest_gain_den``), and
+    ``(s-1, t-1, 0)`` for the braid form.  With ``p/q`` the reduced ``a``,
+    the edge stands for ``q x1 - q x_s - p z``, so the components of one
+    field share the scalar ``1 / prod q``, an ``int`` when every entry of
+    ``N_k`` is integral.  Only the ``x2`` factors are built; the ``x_s``
+    factors are the same edges with ``x2`` and ``x_s`` exchanged
+    (``_exchanged``).  So in every field, the translation and Euler fields
+    too, each nonzero component is the first one with the two variables
+    exchanged, and the first one has no ``x_s``: each field with two or
+    more of them is one exchange group (``_exchange_group``).
     """
-    if not nest.is_ascending():
-        raise ValueError("the derivation basis needs an ascending nest")
-    ell, den = nest.ell, nest.den
+    ell = nest.ell
     out = _translation_and_euler(ell)
-    entry_forms = {a: _diff_form(ell, 1, 2, a, den) for a in nest.nums[-1]}  # N_ell holds every entry
-    braid_forms = [_diff_form(ell, 2, t) for t in range(3, ell + 1)]
-    for k, entries in enumerate(nest.nums, start=2):
-        first = tuple(sorted([entry_forms[a] for a in entries] + braid_forms[k - 2:]))
-        scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
-        scalar = 1 if scale == 1 else Fraction(1, scale)
-        comps = [first] + [_exchanged(first, 1, s - 1) for s in range(3, k + 1)]
+    for k, (scalar, first) in _nest_fields(nest, nest_gain_den(nest)):
+        comps = [first] + [_exchanged(first, 1, s) for s in range(2, k)]
         out.append((None, *((scalar, c) for c in comps), *(None,) * (ell + 1 - k)))
     return out
 
 
-def _exchanged(factors: Sequence[Factor], s: int, t: int) -> tuple[Factor, ...]:
-    """The factors with coordinates ``s`` and ``t`` exchanged in each, sorted."""
-    out = []
-    for f in factors:
-        g = list(f)
-        g[s], g[t] = f[t], f[s]
-        out.append(tuple(g))
-    out.sort()
-    return tuple(out)
+def _exchanged(factors: Sequence[Factor], r: int, s: int) -> tuple[Factor, ...]:
+    """The factors with coordinates ``r`` and ``s`` exchanged in each, in their
+    order.  When ``s`` is ``z`` no factor may have a nonzero gain, as a gain is
+    the coefficient of ``z``; ``_exchange_group`` asks exactly that."""
+    return tuple([(s if i == r else r if i == s else i, s if j == r else r if j == s else j, c)
+                  for i, j, c in factors])
 
 
-def _expanded(theta: FactoredDerivation, nvars: int) -> Derivation:
+def _coefficients(f: Factor, den: int, z: int) -> list[tuple[int, int]]:
+    """The nonzero coefficients ``(k, f[k])`` of a factor's form, ``x_i`` first:
+    ``q x_i - q x_j - p z`` with ``p/q`` the reduced ``c/den``."""
+    i, j, c = f
+    p, q = reduced(c, den)
+    out = [(i, q)] if j is None else [(i, q), (j, -q)]
+    return out + [(z, -p)] if p else out
+
+
+def _dense(f: Factor, n: int, den: int) -> list[int]:
+    """The form of a factor (``_coefficients``) as ``n`` coefficients, the last one ``z``'s."""
+    form = [0] * n
+    for k, v in _coefficients(f, den, n - 1):
+        form[k] += v
+    return form
+
+
+def _expanded(theta: FactoredDerivation, n: int, den: int) -> Derivation:
     """The derivation with every component multiplied out (``MultiPoly.product``)."""
-    return tuple(MultiPoly.zero(nvars) if comp is None else MultiPoly.product(nvars, *comp) for comp in theta)
+    return tuple(MultiPoly.zero(n) if comp is None else
+                 MultiPoly.product(n, comp[0], [_dense(f, n, den) for f in comp[1]]) for comp in theta)
 
 
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
     """The basis of ``factored_basis`` with every component multiplied out.
 
-    Only the first nonzero component of each field is multiplied out, at
-    ``x_r``.  Every other nonzero component, at ``x_s``, is the first one's
-    factors with ``x_r`` and ``x_s`` exchanged, and the first one has no
-    ``x_s`` (``factored_basis``), so its expansion is the first one's with
-    the two variables exchanged (``MultiPoly.swapped``).
+    Each field is read as ``(r, stop, term)``: it is nonzero exactly at
+    ``x_r..x_{stop-1}``, and ``term`` is its component at ``x_r`` (``x1``
+    for the translation and Euler fields, ``x2`` for ``theta_k``, from
+    ``_nest_fields``).  Only that component is multiplied out, each
+    distinct edge written as a form once.  Every other nonzero component,
+    at ``x_s``, is its factors with ``x_r`` and ``x_s`` exchanged, and it
+    has no ``x_s`` (``factored_basis``), so its expansion is the first
+    one's with the two variables exchanged (``MultiPoly.swapped``), and the
+    exchanged factors are never built.
     """
-    n = nest.ell + 1
+    n, den = nest.ell + 1, nest_gain_den(nest)
+    translation, euler = _translation_and_euler(nest.ell)
+    runs = [(0, n - 1, translation[0]), (0, n, euler[0])]
+    runs += [(1, k, term) for k, term in _nest_fields(nest, den)]
     zero = MultiPoly.zero(n)
+    forms: dict[Factor, list[int]] = {}
     out = []
-    for theta in factored_basis(nest):
-        r = next(k for k, comp in enumerate(theta) if comp is not None)
-        first = MultiPoly.product(n, *theta[r])
-        out.append(tuple(zero if comp is None else first if s == r else first.swapped(r, s)
-                         for s, comp in enumerate(theta)))
+    for r, stop, (scalar, factors) in runs:
+        for f in factors:
+            if f not in forms:
+                forms[f] = _dense(f, n, den)
+        first = MultiPoly.product(n, scalar, [forms[f] for f in factors])
+        out.append((zero,) * r + (first, *(first.swapped(r, s) for s in range(r + 1, stop))) + (zero,) * (n - stop))
     return out
 
 
-def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence[tuple[int, int]]) -> bool:
+def _factored_is_log(theta: FactoredDerivation, alpha: Factor, den: int) -> bool:
     """Do the factors and sums show that ``theta(alpha)`` is a multiple of ``alpha``?
 
-    ``support`` lists the pairs ``(k, alpha[k])`` with ``alpha[k] != 0`` in
-    increasing ``k``; only those components of ``theta`` enter the image
-    ``sum alpha[k] theta[k]``.  The scalars are ``int``s or ``Fraction``s.
+    Only the components at the coordinates of ``alpha`` enter the image
+    ``sum alpha[k] theta[k]``, each form's coefficients read off its edge
+    (``_coefficients``).  The scalars are ``int``s or ``Fraction``s.
     A term ``c * prod f`` with ``alpha`` among its factors lies in
     ``(alpha)`` and is skipped.  The constant terms must sum to 0, and the
     terms with one factor, summed as form vectors into one linear form
@@ -330,7 +371,9 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
     or any form of a multiple of the Euler field.  Any check that is not
     shown is handed by ``factored_saito_constant`` to ``saito_constant``.
     """
-    constant, linear = 0, None
+    z = len(theta) - 1
+    support = _coefficients(alpha, den, z)
+    constant, linear = 0, {}
     for k, a in support:
         comp = theta[k]
         if comp is None or alpha in comp[1]:
@@ -339,17 +382,18 @@ def _factored_is_log(theta: FactoredDerivation, alpha: Factor, support: Sequence
         if not factors:
             constant += a * scalar
         elif len(factors) == 1:
-            c, f = a * scalar, factors[0]
-            linear = [c * v for v in f] if linear is None else [u + c * v for u, v in zip(linear, f)]
+            c = a * scalar
+            for v, b in _coefficients(factors[0], den, z):
+                linear[v] = linear.get(v, 0) + c * b
         else:
             return False
     if constant:
         return False
-    if linear is None:
+    if not linear:
         return True
-    p, ap = support[0]
-    lp = linear[p]
-    return all(ap * u == lp * v for u, v in zip(linear, alpha))
+    (p, ap), form = support[0], dict(support)
+    lp = linear.get(p, 0)
+    return all(ap * linear.get(k, 0) == lp * form.get(k, 0) for k in {*linear, *form})
 
 
 def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
@@ -360,25 +404,28 @@ def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
     With ``c * P`` the first nonzero component, at ``x_r``, the group holds
     ``r`` and each ``s`` whose component is ``c`` times ``P`` with ``x_r`` and
     ``x_s`` exchanged, where ``P`` has no ``x_s``: that component is ``P`` with
-    ``x_r`` renamed ``x_s``.  Any two members ``s`` and ``t`` are then
-    exchanged by swapping ``x_s`` and ``x_t`` (the map ``sigma``), as neither
-    appears in ``P``.  So for a braid form ``alpha = a (x_s - x_t)`` inside
-    the group, with ``P_s`` the component at ``x_s`` over ``c``,
-    ``theta(alpha) = a c (P_s - P_s o sigma)``, which vanishes on
-    ``x_s = x_t``: the group shows every such log check with ``m - 1``
-    exchanges for a field of ``m`` members, none of them per braid form.
-    This is the one exchange rule; each field of ``factored_basis`` with two
-    or more nonzero components is one group.
+    ``x_r`` renamed ``x_s``, its edges relabelled (``_exchanged``).  Any two
+    members ``s`` and ``t`` are then exchanged by swapping ``x_s`` and ``x_t``
+    (the map ``sigma``), as neither appears in ``P``.  So for a braid form
+    ``alpha = a (x_s - x_t)`` inside the group, with ``P_s`` the component at
+    ``x_s`` over ``c``, ``theta(alpha) = a c (P_s - P_s o sigma)``, which
+    vanishes on ``x_s = x_t``: the group shows every such log check with
+    ``m - 1`` exchanges for a field of ``m`` members, none of them per braid
+    form.  This is the one exchange rule; each field of ``factored_basis``
+    with two or more nonzero components is one group.
     """
     nonzero = [k for k, comp in enumerate(theta) if comp is not None]
     if len(nonzero) < 2:
         return None
     r, *rest = nonzero
     scalar, factors = theta[r]
+    used = {k for f in factors for k in f[:2]}  # the coordinates of P, and z when a gain is nonzero
+    if any(f[2] for f in factors):
+        used.add(len(theta) - 1)
     group = {r}
     for s in rest:
         comp = theta[s]
-        if comp[0] == scalar and not any(f[s] for f in factors) and comp[1] == _exchanged(factors, r, s):
+        if s not in used and comp[0] == scalar and comp[1] == _exchanged(factors, r, s):
             group.add(s)
     return group
 
@@ -413,52 +460,39 @@ def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
 
 
 def _form_index(arr: Arrangement) -> FormIndex:
-    """The forms of a central arrangement, indexed in one pass: hyperplane
-    ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid, forms)``: ``bits``
-    maps each form to its bit, ``touch[k]`` is the mask of the forms that use
-    coordinate ``k``, ``braid`` the mask of the braid forms ``a (x_s - x_t)``,
-    and ``forms`` the forms in bit order.
+    """The forms of a central arrangement, indexed in one pass over its gain
+    edges: hyperplane ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid,
+    forms, den)``: ``bits`` maps each form's factor to its bit, ``touch[k]``
+    is the mask of the forms that use coordinate ``k``, ``braid`` the mask of
+    the braid forms ``a (x_s - x_t)``, ``forms`` the factors in bit order, and
+    ``den`` the denominator of the gains.
 
-    Each form is read off its gain edge: ``(i, j, c)`` is ``_diff_form``'s form
-    on ``x_i`` and ``x_j``, and on ``z`` when ``c`` is nonzero, a braid form
-    when ``c`` is 0; ``None`` is ``z``.  An unconed central arrangement has
-    every gain 0, and its forms have no column ``z``, as its hyperplanes do.
-    An arrangement given as hyperplanes has no edges, and each of its forms
-    is scanned for its coordinates.
+    The factor of the edge ``(i, j, c)`` is the edge itself, on ``x_i`` and
+    ``x_j``, and on ``z`` when ``c`` is nonzero, a braid form when ``c`` is 0;
+    the factor of ``None``, the edge of ``z = 0``, is the unit form of ``z``.
+    An unconed central arrangement has every gain 0, so no form of it uses a
+    column ``z``.  An arrangement given as hyperplanes has no gain edges, and
+    its ``ValueError`` is raised here.
     """
     n = arr.dim
+    den, edges = arr.gain_edges()
     bits, touch, braid, forms = {}, [0] * n, 0, []
-    try:
-        den, edges = arr.gain_edges()
-    except ValueError:  # given as hyperplanes
-        for i, h in enumerate(arr.hyperplanes):
-            bit = 1 << i
-            alpha = h.coeffs
-            bits[alpha] = bit  # a central arrangement holds each form once
-            forms.append(alpha)
-            for k in compress(range(n), alpha):
-                touch[k] |= bit
-            if alpha.count(0) == n - 2 and not sum(alpha):  # two entries, a and -a
-                braid |= bit
-        return bits, touch, braid, forms
-    ell = n - arr.coned
     for i, edge in enumerate(edges):
         bit = 1 << i
         if edge is None:
-            alpha = (0,) * ell + (1,)
-            touch[ell] |= bit
+            edge = (n - 1, None, 0)
+            touch[n - 1] |= bit
         else:
             a, b, c = edge
-            alpha = _diff_form(ell, a + 1, b + 1, c, den)[:n]
             touch[a] |= bit
             touch[b] |= bit
             if c:  # a nonzero gain of a central arrangement is coned
-                touch[ell] |= bit
+                touch[n - 1] |= bit
             else:
                 braid |= bit
-        bits[alpha] = bit  # the edges are distinct, and so are their forms
-        forms.append(alpha)
-    return bits, touch, braid, forms
+        bits[edge] = bit  # the edges are distinct
+        forms.append(edge)
+    return bits, touch, braid, forms, den
 
 
 def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
@@ -468,26 +502,29 @@ def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
     shown by the identity ``theta(alpha) = c alpha``.  Otherwise the forms
     still to show are, over the nonzero components ``k``, the forms that use
     ``x_k`` and are not among that component's factors: a form none of them
-    leaves is shown, as every term it picks out holds it.  The braid forms
-    on two members of the field's exchange group (``_exchange_group``), the
-    braid forms that two members' coordinates touch, are shown by the group.
+    leaves is shown, as every term it picks out holds it.  A component's
+    held mask is one lookup per factor, and a factor that is not A's edge
+    holds no bit: at ell = 4, the ``x2`` factor ``x1 - x2 - 2 z`` of
+    ``theta_3`` is no form of the cone of Ish.  The braid forms on two members of the
+    field's exchange group (``_exchange_group``), the braid forms that two
+    members' coordinates touch, are shown by the group.
     Each form left is shown when the factors and sums show it
     (``_factored_is_log``): of a field of constants ``c_k``, when the number
     ``sum alpha[k] c_k`` is 0.
     """
-    bits, touch, braid, forms = index
-    n = len(theta)
-    nonzero = [k for k, comp in enumerate(theta) if comp is not None]
-    if len(nonzero) == n and all(comp[0] == theta[0][0] and len(comp[1]) == 1 and len(comp[1][0]) == n
-                                 and comp[1][0][k] == 1 and comp[1][0].count(0) == n - 1
-                                 for k, comp in enumerate(theta)):
+    bits, touch, braid, forms, den = index
+    first = theta[0]
+    if first is not None and first[1] == ((0, None, 0),) and all(
+            comp is not None and comp[0] == first[0] and comp[1] == ((k, None, 0),) for k, comp in enumerate(theta)):
         return True
+    get = bits.get
     left = 0
-    for k in nonzero:
-        held = 0
-        for f in theta[k][1]:
-            held |= bits.get(f, 0)
-        left |= touch[k] & ~held
+    for k, comp in enumerate(theta):
+        if comp is not None:
+            held = 0
+            for f in comp[1]:
+                held |= get(f, 0)
+            left |= touch[k] & ~held
     if left & braid:
         group = _exchange_group(theta)
         if group is not None:
@@ -499,8 +536,7 @@ def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
     while left:
         bit = left & -left
         left ^= bit
-        alpha = forms[bit.bit_length() - 1]
-        if not _factored_is_log(theta, alpha, [(k, alpha[k]) for k in compress(range(n), alpha)]):
+        if not _factored_is_log(theta, forms[bit.bit_length() - 1], den):
             return False
     return True
 
@@ -510,9 +546,13 @@ def factored_saito_constant(
 ) -> Fraction | None:
     """``saito_constant`` of the expanded derivations, proved on the factors.
 
-    The same hypotheses are checked in the same order, with the same
-    errors.  A term whose scalar is 0 is read as a zero component, as its
-    expansion is.  The log checks run field by field on one index of A's
+    ``arr`` must have gain edges, as every builder's arrangement has: each
+    factor is a gain edge over ``arr``'s gain denominator (``Factor``), and
+    an arrangement given as hyperplanes raises ``gain_edges``'
+    ``ValueError``, though ``saito_constant`` decides it.  Otherwise the
+    hypotheses are those of ``saito_constant``, checked in the same order,
+    with the same errors.  A term whose scalar is 0 is read as a zero
+    component, as its expansion is.  The log checks run field by field on one index of A's
     forms (``_form_index``), made in one pass over A's gain edges with no
     hyperplane derived: each form is a bit, each
     coordinate the mask of the forms that use it.  A field's checks that
@@ -532,7 +572,7 @@ def factored_saito_constant(
     and ``c`` is built from the scalars' integer numerators and
     denominators.  Whatever the factors do not show -- a log check they
     cannot settle, a matrix that does not peel, or pivot factors that are
-    not A's forms each once, as when a factor is a multiple of A's form --
+    not A's forms each once, as when a factor is a form written negated --
     is handed whole to ``saito_constant`` on the derivations multiplied
     out, the one general route.
     """
@@ -578,7 +618,8 @@ def factored_saito_constant(
 
 def _deferred(derivs: Sequence[FactoredDerivation], arr: Arrangement) -> Fraction | None:
     """``saito_constant`` of the derivations multiplied out (``_expanded``)."""
-    return saito_constant([_expanded(theta, arr.dim) for theta in derivs], arr)
+    den = arr.gain_edges()[0]
+    return saito_constant([_expanded(theta, arr.dim, den) for theta in derivs], arr)
 
 
 class NonFreeWitness(NamedTuple):
@@ -656,10 +697,10 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
 
     # translations, Euler, and the fields of degrees |N_i| and |N_j|:
     # prod_{a in N_i} (x1 - x2 - a z) d/dx2 and prod_{b in N_j} (x1 - x3 - b z) d/dx3,
-    # each factor the deletion's own form (a nonzero scalar per factor
+    # each factor the deletion's own edge (a nonzero scalar per factor
     # changes neither log-ness nor degrees, and scales the determinant)
-    phi2 = (None, (1, tuple(sorted(_diff_form(3, 1, 2, e, den) for e in a_nums))), None, None)
-    phi3 = (None, None, (1, tuple(sorted(_diff_form(3, 1, 3, e, den) for e in b_nums))), None)
+    phi2 = (None, (1, tuple(e for e in edges if e and e[:2] == (0, 1))), None, None)
+    phi3 = (None, None, (1, tuple(e for e in edges if e and e[:2] == (0, 2))), None)
     try:
         if factored_saito_constant(_translation_and_euler(3) + [phi2, phi3], deleted) is None:
             return False

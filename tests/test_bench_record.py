@@ -128,3 +128,26 @@ def test_a_directory_outside_any_checkout_records_no_commit(tmp_path, monkeypatc
     monkeypatch.delenv("GIT_DIR", raising=False)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # git looks no higher
     assert bench_record.commit_of(tmp_path) is None
+
+
+def test_a_one_step_scale_ladder_times_the_certificate_in_a_fresh_process():
+    (step,) = bench_record.scale_ladder(bench_record.ROOT, [6])
+    assert step["ell"] == 6 and 0 < step["median_s"] < bench_record.SCALE_CAP_S
+    assert step["vmhwm_mb"] > 1  # the interpreter and the package at least
+
+
+def test_a_step_past_the_cap_is_over_and_ends_the_ladder():
+    # no interpreter starts and imports the package within a microsecond
+    assert bench_record.scale_ladder(bench_record.ROOT, [5, 4], cap=1e-6) == [{"ell": 4, "over": True, "cap_s": 1e-6}]
+
+
+def test_the_record_holds_each_checkouts_ladder(tmp_path, monkeypatch):
+    def ladder(checkout, ells):
+        return [{"ell": ell, "over": True} for ell in ells]
+
+    monkeypatch.setattr(bench_record, "scale_ladder", ladder)
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--out", str(out), "--scale", "40", "80"]) == 0
+    record = json.loads(out.read_text())
+    assert record["scale"] == [{"ell": 40, "over": True}, {"ell": 80, "over": True}]
+    assert record["runs"] == [] and record["summary"] == {}

@@ -879,6 +879,7 @@ def fraction_program():
         "ishkit.cli.cone": fraction_cone,
         "ishkit.cli.is_nest": fraction_is_nest,
         "ishkit.cli.nest_exponents": fraction_nest_exponents,
+        "ishkit.cli._exponents": fraction_nest_exponents,
         "ishkit.cli.decide_free": fraction_decide_free,
         "ishkit.cli.factored_basis": fraction_factored_basis,
         "ishkit.cli.basis_derivations": fraction_basis_derivations,

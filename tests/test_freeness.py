@@ -2,8 +2,9 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
-from operator import mul
+from operator import mul, or_
 from unittest import mock
 
 import pytest
@@ -33,7 +34,6 @@ from ishkit.freeness import (
     _degree,
     _exchange_group,
     _exchanged,
-    _expanded,
     _factored_is_log,
     _form_index,
     _off_point,
@@ -764,7 +764,7 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
     expanded = basis_by_products(nest)
-    assert as_terms([expand(theta) for theta in basis]) == as_terms(basis_derivations(nest)) == as_terms(expanded)
+    assert as_terms(multiplied_out(basis, arr)) == as_terms(basis_derivations(nest)) == as_terms(expanded)
     c, handed_on = routed(basis, arr)
     assert handed_on == 0  # the factors prove every check of the paper's basis
     assert isinstance(c, Fraction) and c != 0
@@ -785,11 +785,8 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
         dropped = []
         for s, comp in enumerate(basis[k]):
             if comp is not None:
-                form = [0] * arr.dim
-                form[0], form[s], form[-1] = 1, -1, -a
-                factor = make_hyperplane(form).coeffs
                 rest = list(comp[1])
-                rest.remove(factor)
+                rest.remove((0, s, int(a * cone_den(arr))))  # the edge of x1 - x_s = a z
                 comp = (comp[0] * a.denominator, tuple(rest))
             dropped.append(comp)
         mutated, oracle = list(basis), list(expanded)
@@ -846,7 +843,7 @@ def test_bent_euler_and_constant_fields_give_the_expanded_routes_verdict(nest, r
     for name, (i, theta) in shortcut_mutations(basis, rng).items():
         mutated = basis[:i] + [theta] + basis[i + 1:]
         got = verdict(factored_saito_constant, mutated, arr)
-        assert got == verdict(saito_constant, [expand(t) for t in mutated], arr), name
+        assert got == verdict(saito_constant, multiplied_out(mutated, arr), arr), name
     # a multiple of the Euler field is shown by its identity, with no sums
     c = factored_saito_constant(basis, arr)
     for scalar in (3, Fraction(-1, 2)):
@@ -874,44 +871,49 @@ def test_no_nest_field_of_the_ish_cone_at_rank_twelve_reaches_the_sums():
 
 
 def one_plane():
-    """The plane x1 - x2 + x3 = 0, with two translations along it."""
-    arr = Arrangement(3, [make_hyperplane([1, -1, 1])])
+    """The plane x1 - x2 + x3 = 0, the gain edge (0, 1, -1) over the variables
+    x1, x2, z, with two translations along it."""
+    arr = Arrangement._of_edges(3, 1, [(0, 1, -1)], coned=True)
     return arr, [((1, ()), (1, ()), None), (None, (1, ()), (1, ()))]
+
+
+X1, X2, X3 = (0, None, 0), (1, None, 0), (2, None, 0)  # the unit forms of the first three coordinates
 
 
 def test_factored_saito_hands_what_the_factors_cannot_show_to_saito_constant():
     # On x1 - x2 + x3 = 0 the image x1 (x1 + 2 x3) - x2^2 + x3^2 restricts to
     # (x2 - x3)(x2 + x3) - x2^2 + x3^2: zero, but from three different
     # products, so the factors cannot show it and the general route decides.
+    # x1 + 2 x3 is the unit form of x1 with the gain -2 on x3, the plane's z
     arr, along = one_plane()
-    alpha = arr.hyperplanes[0].coeffs
-    support = [(0, 1), (1, -1), (2, 1)]
-    euler = tuple((1, (u,)) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    theta = ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))
-    assert _factored_is_log(euler, alpha, support)  # its image sums to alpha itself
+    alpha = (0, 1, -1)
+    euler = tuple((1, (u,)) for u in (X1, X2, X3))
+    theta = ((1, (X1, (0, None, -2))), (1, (X2, X2)), (1, (X3, X3)))
+    assert dense_form((0, None, -2), 3) == (1, 0, 2)
+    assert _factored_is_log(euler, alpha, 1)  # its image sums to alpha itself
     assert routed(along + [euler], arr) == (1, 1)  # shown, but no column has one nonzero entry
-    assert not _factored_is_log(theta, alpha, support)
+    assert not _factored_is_log(theta, alpha, 1)
     assert log_by_expansion(theta, arr.hyperplanes[0])
     assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
-    assert saito_constant([expand(t) for t in along + [euler]], arr) == 1
-    assert saito_constant([expand(t) for t in along + [theta]], arr) is None
+    assert saito_constant(multiplied_out(along + [euler], arr), arr) == 1
+    assert saito_constant(multiplied_out(along + [theta], arr), arr) is None
     bent = theta[:2] + ((2, theta[2][1]),)
     assert not log_by_expansion(bent, arr.hyperplanes[0])
     assert routed(along + [bent], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
     with pytest.raises(ValueError, match="logarithmic"):
-        saito_constant([expand(t) for t in along + [bent]], arr)
+        saito_constant(multiplied_out(along + [bent], arr), arr)
 
 
 def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
     # On x1 - x2 + x3 = 0 the image x1 + x2 + x3 of this degree-1 field
     # restricts to 2 x2: its summed linear form is no multiple of alpha.
     arr, along = one_plane()
-    theta = tuple((1, (u,)) for u in ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
-    assert not _factored_is_log(theta, arr.hyperplanes[0].coeffs, [(0, 1), (1, -1), (2, 1)])
+    theta = ((1, (X1,)), (-1, (X2,)), (1, (X3,)))
+    assert not _factored_is_log(theta, (0, 1, -1), 1)
     assert not log_by_expansion(theta, arr.hyperplanes[0])
     assert routed(along + [theta], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
     with pytest.raises(ValueError, match="logarithmic"):
-        saito_constant([expand(t) for t in along + [theta]], arr)
+        saito_constant(multiplied_out(along + [theta], arr), arr)
 
 
 def test_factored_log_check_takes_fraction_scalars_as_they_are():
@@ -921,9 +923,9 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     n = arr.dim
     seen = set()
 
-    def spy(theta, alpha, support):
+    def spy(theta, alpha, den):
         seen.update(type(comp[0]) for comp in theta if comp is not None)
-        return _factored_is_log(theta, alpha, support)
+        return _factored_is_log(theta, alpha, den)
 
     # the index settles the nest fields, those of scalar 1/4 and 1/8 among
     # them, with no call of the sums: only the translation field's constants
@@ -931,53 +933,76 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     with mock.patch("ishkit.freeness._factored_is_log", spy):
         constant, handed_on = routed(basis, arr)
     assert seen == {int} and handed_on == 0
-    assert constant == saito_constant([expand(t) for t in basis], arr) != 0
+    assert constant == saito_constant(multiplied_out(basis, arr), arr) != 0
 
-    # the Euler field with its x1 component written 1/2 * (2 x1): the same
-    # polynomial, but no identity shows it, and its scalars differ, so it is
-    # no exchange group: every form but z = 0, which the z component holds,
+    # the translation field halved: no form of A is held by a constant, and
+    # the braid forms are cleared by its exchange group, so every other form
     # goes to the sums, which take the scalar 1/2 as it is
-    x1 = tuple(2 * int(k == 0) for k in range(n))
-    euler = basis[1]
-    bent = ((Fraction(1, 2), (x1,)),) + euler[1:]
+    halved_translation = tuple(None if comp is None else (Fraction(1, 2), ()) for comp in basis[0])
+    assert basis[0][n - 1] is None
     with mock.patch("ishkit.freeness._factored_is_log", spy):
-        assert routed([basis[0], bent, *basis[2:]], arr) == (constant, 0)
+        assert routed([halved_translation, *basis[1:]], arr) == (constant / 2, 0)
     assert seen == {int, Fraction}
 
 
 def test_factored_log_check_folds_the_contents():
-    # On 2 x1 = x2 the image 2 x3 (x1 + x2) - 3 x2 x3 restricts to
-    # x3 (3/2 x2) * 2 - 3 x2 x3 = 0: two products of two factors, neither
-    # alpha, that cancel only once multiplied out.
-    arr = Arrangement(3, [make_hyperplane([2, -1, 0])])
-    along = [((1, ()), (2, ()), None), (None, None, (1, ()))]
-    theta = ((1, ((0, 0, 1), (1, 1, 0))), (3, ((0, 0, 1), (0, 1, 0))), None)
-    assert not _factored_is_log(theta, (2, -1, 0), [(0, 2), (1, -1)])
-    assert is_log_derivation(expand(theta), arr)
+    # On 2 x1 - 2 x2 = z, the edge (0, 1, 1) over 2, the image
+    # 2 x2 z - 2 * 1/2 (2 x1 - z) z = -z (2 x1 - 2 x2 - z) vanishes: two
+    # products of two factors, neither alpha, that cancel only once multiplied out.
+    arr = Arrangement._of_edges(3, 2, [(0, 1, 1)], coned=True)
+    along = [((1, ()), (1, ()), None), ((1, ()), None, (2, ()))]
+    theta = ((1, (X2, X3)), (Fraction(1, 2), ((0, None, 1), X3)), None)
+    assert dense_form((0, None, 1), 3, 2) == (2, 0, -1)
+    assert not _factored_is_log(theta, (0, 1, 1), 2)
+    assert is_log_derivation(expand(theta, 2), arr)
     assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
 
 
 def test_factored_saito_rejects_what_the_expanded_route_rejects():
     arr, along = one_plane()
-    alpha = arr.hyperplanes[0].coeffs
+    alpha = (0, 1, -1)
     mixed = ((1, (alpha,)), (1, (alpha, alpha)), None)  # logarithmic, degrees 1 and 2
     for route, derivs in ((factored_saito_constant, along + [mixed]),
-                          (saito_constant, [expand(t) for t in along + [mixed]])):
+                          (saito_constant, multiplied_out(along + [mixed], arr))):
         with pytest.raises(ValueError, match="not homogeneous"):
             route(derivs, arr)
         with pytest.raises(ValueError, match="ambient-dimension"):
             route(derivs[:2], arr)
-    affine = Arrangement(3, [make_hyperplane([1, -1, 1], 1)])
+    affine = Arrangement._of_edges(3, 1, [(0, 1, 1)])  # x1 - x2 = 1
     with pytest.raises(ValueError, match="central"):
         factored_saito_constant(along + [mixed], affine)
 
 
-def log_by_expansion(theta: FactoredDerivation, h: Hyperplane) -> bool:
+def log_by_expansion(theta: FactoredDerivation, h: Hyperplane, den: int = 1) -> bool:
     """The log check with no factored reasoning: the image multiplied out."""
-    return is_log_derivation(expand(theta), Arrangement(len(theta), [h]))
+    return is_log_derivation(expand(theta, den), Arrangement(len(theta), [h]))
 
 
-def pair_exchange_shows(theta: FactoredDerivation, support) -> bool:
+def support_of(alpha, n: int, den: int) -> list[tuple[int, int]]:
+    """The nonzero coefficients ``(k, alpha[k])`` of a factor's form, in increasing ``k``."""
+    return [(k, a) for k, a in enumerate(dense_form(alpha, n, den)) if a]
+
+
+def forms_of(arr: Arrangement) -> list:
+    """``(alpha, h)`` for each hyperplane ``h``: ``alpha`` its gain edge as a
+    factor, the unit form of ``z`` for ``None``."""
+    edges = arr.gain_edges()[1]
+    return [(edge or (arr.dim - 1, None, 0), h) for edge, h in zip(edges, arr.hyperplanes)]
+
+
+def dense_exchanged(factors, s: int, t: int) -> tuple:
+    """``_exchanged`` on dense forms, as it stood before the edges: the factors
+    with coordinates ``s`` and ``t`` exchanged in each, sorted."""
+    out = []
+    for f in factors:
+        g = list(f)
+        g[s], g[t] = f[t], f[s]
+        out.append(tuple(g))
+    out.sort()
+    return tuple(out)
+
+
+def pair_exchange_shows(theta: FactoredDerivation, support, den: int = 1) -> bool:
     """The pair exchange ``_factored_is_log`` tried first before the exchange
     groups became the one exchange rule, kept as the groups' oracle.
 
@@ -989,24 +1014,26 @@ def pair_exchange_shows(theta: FactoredDerivation, support) -> bool:
     if len(support) != 2:
         return False
     (s, a), (t, b) = support
-    cs, ct = theta[s], theta[t]
-    return a == -b and cs is not None and ct is not None and cs[0] == ct[0] and ct[1] == _exchanged(cs[1], s, t)
+    cs, ct = dense(theta, den)[s], dense(theta, den)[t]
+    return a == -b and cs is not None and ct is not None and cs[0] == ct[0] and ct[1] == dense_exchanged(cs[1], s, t)
 
 
-def pair_or_factors(theta: FactoredDerivation, alpha, support) -> bool:
+def pair_or_factors(theta: FactoredDerivation, alpha, den: int) -> bool:
     """The log check as ``_factored_is_log`` made it before the groups: the
     pair exchange, then the factors and sums."""
-    return pair_exchange_shows(theta, support) or _factored_is_log(theta, alpha, support)
+    support = support_of(alpha, len(theta), den)
+    return pair_exchange_shows(theta, support, den) or _factored_is_log(theta, alpha, den)
 
 
-def shown_on_the_factors(theta: FactoredDerivation, alpha, support) -> bool:
+def shown_on_the_factors(theta: FactoredDerivation, alpha, den: int = 1) -> bool:
     """Does ``factored_saito_constant`` show this check with nothing
     multiplied out: a braid form inside the field's exchange group, or any
     form by the factors and sums?"""
+    support = support_of(alpha, len(theta), den)
     group = _exchange_group(theta)
     braid = len(support) == 2 and support[0][1] == -support[1][1]
     in_group = braid and group is not None and {k for k, _ in support} <= group
-    return in_group or _factored_is_log(theta, alpha, support)
+    return in_group or _factored_is_log(theta, alpha, den)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1014,15 +1041,15 @@ def shown_on_the_factors(theta: FactoredDerivation, alpha, support) -> bool:
 @example(ish_nest(5), random.Random(0))
 def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rng):
     arr = cone(build_n_ish(nest))
+    den = cone_den(arr)
     basis = factored_basis(nest)
-    for h in arr.hyperplanes:
-        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
+    for alpha, h in forms_of(arr):
         for theta in basis:
             # on x_s - x_t with 2 <= s < t <= l the field's exchange group
             # settles the two products the factors alone could not, as the
             # pair exchange did
-            assert shown_on_the_factors(theta, h.coeffs, support) is log_by_expansion(theta, h) is True
-            assert pair_or_factors(theta, h.coeffs, support)
+            assert shown_on_the_factors(theta, alpha, den) is log_by_expansion(theta, h, den) is True
+            assert pair_or_factors(theta, alpha, den)
 
     # the same exchanged factors under unequal scalars: the image does not
     # vanish on x_s = x_t, the check does not claim it does, and the general
@@ -1033,106 +1060,121 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
         comps = list(basis[k])
         comps[t - 1] = (2 * comps[s - 1][0], comps[t - 1][1])
         theta = tuple(comps)
-        h = next(h for h in arr.hyperplanes
-                 if [(i, a) for i, a in enumerate(h.coeffs) if a] == [(s - 1, 1), (t - 1, -1)])
-        support = [(s - 1, 1), (t - 1, -1)]
+        alpha, h = next((alpha, h) for alpha, h in forms_of(arr) if alpha == (s - 1, t - 1, 0))
+        assert [(i, a) for i, a in enumerate(h.coeffs) if a] == [(s - 1, 1), (t - 1, -1)]
         assert t - 1 not in _exchange_group(theta)
-        assert shown_on_the_factors(theta, h.coeffs, support) is pair_or_factors(theta, h.coeffs, support) \
-            is log_by_expansion(theta, h) is False
+        assert shown_on_the_factors(theta, alpha, den) is pair_or_factors(theta, alpha, den) \
+            is log_by_expansion(theta, h, den) is False
         mutated = basis[:k] + [theta] + basis[k + 1:]
-        assert routed(mutated, arr) == (verdict(saito_constant, [expand(t) for t in mutated], arr), 1)
+        assert routed(mutated, arr) == (verdict(saito_constant, multiplied_out(mutated, arr), arr), 1)
 
 
 def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
-    # On x2 = x3: (x1 + x3)(x1 + x2) d/dx2 + (x1 + x2)(x1 + x3) d/dx3 has
-    # its x3 factors exchanged from its x2 factors, so the pair exchange
+    # Over x1, x2, x3, z, on x2 = x3: x3 (x1 - x2) d/dx2 + x2 (x1 - x3) d/dx3
+    # has its x3 factors exchanged from its x2 factors, so the pair exchange
     # shows it; the other fields are not shown, and are not logarithmic
     # either.  Its x2 component holds x3, so it is no exchange group, and
-    # the general route decides it.  x1 (x1 + x2) d/dx2 + x1 (x1 + x3) d/dx3
+    # the general route decides it.  x1 (x1 - x2) d/dx2 + x1 (x1 - x3) d/dx3
     # is a group of two, which shows it with no expansion.
-    h = make_hyperplane([0, 1, -1])
-    arr, support = Arrangement(3, [h]), [(1, 1), (2, -1)]
-    euler = tuple((1, (u,)) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    exchanged = (None, (3, ((1, 0, 1), (1, 1, 0))), (3, ((1, 0, 1), (1, 1, 0))))
-    halves = (None, (Fraction(1, 2), exchanged[1][1]), (Fraction(1, 2), exchanged[2][1]))
-    unequal = (None, (3, ((1, 0, 1), (1, 1, 0))), (6, ((1, 0, 1), (1, 1, 0))))
-    skew = (None, (1, ((0, 1, 1), (1, 1, 0))), (1, ((0, 1, 1), (1, 0, 0))))
-    grouped = (None, (3, ((1, 0, 0), (1, 1, 0))), (3, ((1, 0, 0), (1, 0, 1))))
+    alpha = (1, 2, 0)
+    arr = Arrangement._of_edges(4, 1, [alpha], coned=True)
+    h, support = arr.hyperplanes[0], [(1, 1), (2, -1)]
+    euler = _translation_and_euler(3)[1]
+    exchanged = (None, (3, (X3, (0, 1, 0))), (3, (X2, (0, 2, 0))), None)
+    halves = (None, (Fraction(1, 2), exchanged[1][1]), (Fraction(1, 2), exchanged[2][1]), None)
+    unequal = (None, (3, exchanged[1][1]), (6, exchanged[2][1]), None)
+    skew = (None, (1, (X1, X2)), (1, (X1, X1)), None)
+    grouped = (None, (3, (X1, (0, 1, 0))), (3, (X1, (0, 2, 0))), None)
     for theta, log in ((exchanged, True), (halves, True), (unequal, False), (skew, False), (grouped, True)):
         assert pair_exchange_shows(theta, support) is log_by_expansion(theta, h) is log
-        assert not _factored_is_log(theta, h.coeffs, support)  # products of two factors, neither alpha
-        assert shown_on_the_factors(theta, h.coeffs, support) is (theta is grouped)
-        derivs = [theta, euler, euler]
-        oracle = verdict(saito_constant, [expand(t) for t in derivs], arr)
+        assert not _factored_is_log(theta, alpha, 1)  # products of two factors, neither alpha
+        assert shown_on_the_factors(theta, alpha) is (theta is grouped)
+        derivs = [theta, euler, euler, euler]
+        oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
         assert routed(derivs, arr) == (oracle, int(theta is not grouped))
     assert _exchange_group(exchanged) == {1} and _exchange_group(grouped) == {1, 2}
-    # x2 = 2 x3 is no braid form: no exchange shows it, and it is not shown
-    h, support = make_hyperplane([0, 1, -2]), [(1, 1), (2, -2)]
+    # x2 - x3 = z is no braid form: no exchange shows it, and it is not shown
+    alpha = (1, 2, 1)
+    h, support = Arrangement._of_edges(4, 1, [alpha], coned=True).hyperplanes[0], [(1, 1), (2, -1), (3, -1)]
     for theta in (exchanged, grouped):
-        assert pair_exchange_shows(theta, support) is shown_on_the_factors(theta, h.coeffs, support) \
+        assert pair_exchange_shows(theta, support) is shown_on_the_factors(theta, alpha) \
             is log_by_expansion(theta, h) is False
 
 
 @st.composite
 def products_on_a_plane(draw):
-    """A central plane ``alpha`` and a derivation whose components are products
-    of two or three normalized integer forms: random ones, ``alpha`` among
-    them, or one product ``P`` times a vector ``v`` along the plane, whose
-    image ``P * (alpha . v)`` is zero only once multiplied out."""
+    """A coned plane ``alpha`` over ``x1..xl, z`` with gains over ``den``, the
+    factor of a gain edge or of ``z = 0``, and a derivation whose components
+    are products of two or three factors: random ones (gain edges, unit forms
+    with a gain or none, and ``z``), ``alpha`` among them, or one product
+    ``P`` times a vector ``v`` along the plane, whose image ``P * (alpha . v)``
+    is zero only once multiplied out.  Returns ``(den, alpha, theta)``."""
     n = draw(st.integers(2, 4))
-    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
-    factor = vector.map(lambda v: make_hyperplane(v).coeffs)
-    alpha = draw(factor)
+    ell = n - 1
+    den = draw(st.sampled_from([1, 2]))
+    gain = st.integers(-2, 2)
+    pair = st.lists(st.integers(0, ell - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    edge = st.builds(lambda ij, c: (*ij, c), pair, gain)
+    unit = st.builds(lambda k, c: (k, None, c), st.integers(0, ell - 1), gain)
+    z = st.just((ell, None, 0))
+    alpha = draw(z | edge if ell >= 2 else z)
+    factor = edge | unit | z if ell >= 2 else unit | z
     products = st.lists(factor, min_size=2, max_size=3)
     scalar = st.integers(-3, 3).filter(bool)
     mode = draw(st.sampled_from(["random", "alpha", "along"]))
     if mode == "along":
+        form = dense_form(alpha, n, den)
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         v = [0] * n
-        v[i], v[j] = alpha[j], -alpha[i]
-        p = tuple(sorted(draw(products)))
+        v[i], v[j] = form[j], -form[i]
+        p = tuple(draw(products))
         c = draw(scalar)
-        return alpha, tuple((c * vk, p) if vk else None for vk in v)
+        return den, alpha, tuple((c * vk, p) if vk else None for vk in v)
     comps = []
     for _ in range(n):
         factors = draw(products)
         if mode == "alpha" and draw(st.booleans()):
             factors[0] = alpha
-        comps.append(draw(st.one_of(st.none(), st.tuples(scalar, st.just(tuple(sorted(factors)))))))
-    return alpha, tuple(comps)
+        comps.append(draw(st.one_of(st.none(), st.tuples(scalar, st.just(tuple(factors))))))
+    return den, alpha, tuple(comps)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(products_on_a_plane())
-@example(((1, -1, 1), ((1, ((1, 0, 0), (1, 0, 2))), (1, ((0, 1, 0), (0, 1, 0))), (1, ((0, 0, 1), (0, 0, 1))))))
-@example(((2, -1, 0), ((1, ((0, 0, 1), (1, 1, 0))), (2, ((0, 0, 1), (1, 1, 0))), None)))
+@example((1, (0, 1, -1), ((1, (X1, (0, None, -2))), (1, (X2, X2)), (1, (X3, X3)))))
+@example((2, (0, 1, 1), ((1, (X3, X2)), (1, (X3, X2)), None)))
 def test_factored_log_check_on_products_implies_the_expansion(case):
-    alpha, theta = case
-    support = [(k, a) for k, a in enumerate(alpha) if a]
-    h = Hyperplane(alpha, 0)
-    got = _factored_is_log(theta, alpha, support)
+    den, alpha, theta = case
+    n = len(theta)
+    arr = Arrangement._of_edges(n, den, [None if alpha[1] is None else alpha], coned=True)
+    h = arr.hyperplanes[0]
+    assert h.coeffs == dense_form(alpha, n, den)
+    support = support_of(alpha, n, den)
+    got = _factored_is_log(theta, alpha, den)
     if got:
-        assert log_by_expansion(theta, h)
+        assert log_by_expansion(theta, h, den)
     # every term picked out has alpha as a factor, or one is a product it cannot read
     assert got is all(theta[k] is None or alpha in theta[k][1] for k, _ in support)
-    shown = shown_on_the_factors(theta, alpha, support)
+    shown = shown_on_the_factors(theta, alpha, den)
     if shown:
-        assert log_by_expansion(theta, h)
+        assert log_by_expansion(theta, h, den)
     # end to end, beside the Euler field: the same constant, None or error
     # as the general route, which it reaches exactly when the check is not
     # shown in the exchange group or by the factors
-    n = len(alpha)
-    euler = tuple((1, (tuple(int(i == k) for i in range(n)),)) for k in range(n))
-    derivs, arr = [theta] + [euler] * (n - 1), Arrangement(n, [h])
-    assert routed(derivs, arr) == (verdict(saito_constant, [expand(t) for t in derivs], arr), int(not shown))
+    euler = _translation_and_euler(n - 1)[1]
+    derivs = [theta] + [euler] * (n - 1)
+    assert routed(derivs, arr) == (verdict(saito_constant, multiplied_out(derivs, arr), arr), int(not shown))
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
     nest = NestSpec.make([["1/2"], ["1/2", "3/2"]])
-    forms = {h.coeffs for h in cone(build_n_ish(nest)).hyperplanes}
+    arr = cone(build_n_ish(nest))
+    forms = {h.coeffs for h in arr.hyperplanes}
     theta = factored_basis(nest)[3]
-    assert theta[2] == (Fraction(1, 4), ((2, 0, -2, -3), (2, 0, -2, -1)))
-    assert set(theta[2][1]) <= forms  # x1 - x3 = a z for a in N_3
+    assert theta[2] == (Fraction(1, 4), ((0, 2, 1), (0, 2, 3)))  # the gains 1/2 and 3/2 over 2
+    assert set(theta[2][1]) <= set(arr.gain_edges()[1])  # x1 - x3 = a z for a in N_3
+    assert dense(theta, 2)[2] == (Fraction(1, 4), ((2, 0, -2, -3), (2, 0, -2, -1)))
+    assert set(dense(theta, 2)[2][1]) <= forms
 
 
 def test_factored_saito_on_the_rank_ten_staircase():
@@ -1179,7 +1221,7 @@ def factored_components(draw):
 @example(((0, ((1, 1),)), 2))
 def test_the_product_kernel_matches_the_linear_products(case):
     comp, n = case
-    (got,) = _expanded((comp,), n)
+    got = MultiPoly.zero(n) if comp is None else MultiPoly.product(n, *comp)
     assert as_terms(got) == as_terms(expand_by_mul(comp, n))
     assert all(c and type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
 
@@ -1188,10 +1230,38 @@ def test_the_product_kernel_checks_the_degree():
     unit = (1, 0)
     below = (1, (unit,) * (2**15 - 1))
     top = MultiPoly(2, {(2**15 - 1, 0): 1})
-    assert as_terms(_expanded((below,), 2)) == as_terms((expand_by_mul(below, 2),)) == as_terms((top,))
-    for kernel in (lambda comp, n: _expanded((comp,), n), expand_by_mul):
+    assert as_terms((MultiPoly.product(2, *below),)) == as_terms((expand_by_mul(below, 2),)) == as_terms((top,))
+    for kernel in (lambda comp, n: MultiPoly.product(n, *comp), expand_by_mul):
         with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
             kernel((1, (unit,) * 2**15), 2)
+
+
+def dense_translation_and_euler(ell: int) -> list[FactoredDerivation]:
+    """``_translation_and_euler`` as it stood before the edges: the Euler
+    field's unit forms as dense tuples."""
+    zeros = (0,) * ell
+    units = [zeros[:k] + (1,) + zeros[k:] for k in range(ell + 1)]
+    return [((1, ()),) * ell + (None,), tuple((1, (u,)) for u in units)]
+
+
+def dense_factored_basis(nest: NestSpec) -> list[FactoredDerivation]:
+    """``factored_basis`` as it stood before the edges, the oracle of the edge
+    builder: each factor the coned hyperplane's dense form (``_diff_form``),
+    sorted, the ``x2`` factors built once and the ``x_s`` ones exchanged from
+    them (``dense_exchanged``)."""
+    if not nest.is_ascending():
+        raise ValueError("the derivation basis needs an ascending nest")
+    ell, den = nest.ell, nest.den
+    out = dense_translation_and_euler(ell)
+    entry_forms = {a: _diff_form(ell, 1, 2, a, den) for a in nest.nums[-1]}  # N_ell holds every entry
+    braid_forms = [_diff_form(ell, 2, t) for t in range(3, ell + 1)]
+    for k, entries in enumerate(nest.nums, start=2):
+        first = tuple(sorted([entry_forms[a] for a in entries] + braid_forms[k - 2:]))
+        scale = prod(f[0] for f in first if f[0])  # the q of each x1 - x2 - a z
+        scalar = 1 if scale == 1 else Fraction(1, scale)
+        comps = [first] + [dense_exchanged(first, 1, s - 1) for s in range(3, k + 1)]
+        out.append((None, *((scalar, c) for c in comps), *(None,) * (ell + 1 - k)))
+    return out
 
 
 def factored_basis_by_forms(nest: NestSpec) -> list[FactoredDerivation]:
@@ -1201,7 +1271,7 @@ def factored_basis_by_forms(nest: NestSpec) -> list[FactoredDerivation]:
         raise ValueError("the derivation basis needs an ascending nest")
     ell, den = nest.ell, nest.den
     n = ell + 1
-    out = _translation_and_euler(ell)
+    out = dense_translation_and_euler(ell)
     for k, entries in enumerate(nest.nums, start=2):
         comps = [None] * n
         for s in range(2, k + 1):
@@ -1220,19 +1290,73 @@ def factored_basis_by_forms(nest: NestSpec) -> list[FactoredDerivation]:
 @example(NestSpec.make([["1/2"], ["-3/2", "1/2"], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2], ["-3/2", "1/2", 2]]))
 def test_the_factored_basis_and_the_exchange_match_the_forms(nest):
     oracle = factored_basis_by_forms(nest)
-    assert factored_basis(nest) == oracle
-    for theta in oracle[2:]:
+    arr = cone(build_n_ish(nest))
+    den = cone_den(arr)
+    basis = factored_basis(nest)
+    assert [dense(theta, den) for theta in basis] == oracle == dense_factored_basis(nest)
+    for theta, dense_theta in zip(basis[2:], oracle[2:]):
         comps = [comp for comp in theta if comp is not None]
         for s, t in itertools.combinations(range(1, len(comps) + 1), 2):
             assert _exchanged(theta[s][1], s, t) == theta[t][1]
+            assert dense_exchanged(dense_theta[s][1], s, t) == dense_theta[t][1]
     # the factors show every log check, each braid form x_s - x_t inside the
     # field's exchange group, as the pair exchange did
-    arr = cone(build_n_ish(nest))
-    for h in arr.hyperplanes:
-        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
-        for theta in oracle:
-            assert shown_on_the_factors(theta, h.coeffs, support) is pair_or_factors(theta, h.coeffs, support) \
-                is log_by_expansion(theta, h) is True
+    for alpha, h in forms_of(arr):
+        for theta in basis:
+            assert shown_on_the_factors(theta, alpha, den) is pair_or_factors(theta, alpha, den) \
+                is log_by_expansion(theta, h, den) is True
+
+
+@st.composite
+def shuffled_chains(draw, max_ell=7):
+    """Chains ``N_2 <= ... <= N_ell`` of integers, halves and thirds, negative
+    ones among them, with empty and repeated sets, given out of order: the
+    sets permuted and each set's entries shuffled, written as strings."""
+    ell = draw(st.integers(2, max_ell))
+    pool = sorted({Fraction(k, q) for q in (1, 2, 3) for k in range(-4, 7)})
+    sets, current = [], []
+    for _ in range(ell - 1):
+        current = current + [a for a in dict.fromkeys(draw(st.lists(st.sampled_from(pool), max_size=3)))
+                             if a not in current]
+        sets.append(current)
+    return [[str(a) for a in draw(st.permutations(s))] for s in draw(st.permutations(sets))]
+
+
+def with_the_ish_cones(test, max_ell=8):
+    """``test`` with the sets of Ish at each ``ell <= max_ell``, over their least
+    denominator, as examples."""
+    for ell in range(2, max_ell + 1):
+        test = example([list(range(j)) for j in range(2, ell + 1)], 1)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shuffled_chains(), st.sampled_from([1, 2, 3]))
+@with_the_ish_cones
+@example([["1/2", 0, 2], [], [0, "1/2"], ["1/2", 0], [2, "1/2", -1, 0]], 2)
+def test_the_edge_basis_is_the_dense_basis_and_holds_its_masks(sets, scale):
+    # every factor of the edge builder, written as its form, is the dense
+    # builder's factor, and each component holds the bits the dense forms hold;
+    # ``scale`` writes the nest over a denominator that is not the least
+    nest = NestSpec.make(sets)
+    order = is_nest(nest)
+    assert order is not None
+    ascending = nest.reordered(order)
+    nums = tuple(tuple(a * scale for a in s) for s in ascending.nums)
+    ascending = NestSpec(ascending.ell, ascending.den * scale, nums)
+    arr = cone(build_n_ish(ascending))
+    n, (bits, *_, den) = arr.dim, _form_index(arr)
+    dense_bits = scan(arr)[0]
+    for theta, oracle in zip(factored_basis(ascending), dense_factored_basis(ascending), strict=True):
+        for comp, dense_comp in zip(theta, oracle, strict=True):
+            assert (comp is None) is (dense_comp is None)
+            if comp is None:
+                continue
+            scalar, factors = comp
+            assert scalar == dense_comp[0] and type(scalar) is type(dense_comp[0])
+            assert sorted(dense_form(f, n, den) for f in factors) == list(dense_comp[1])
+            held = reduce(or_, [bits.get(f, 0) for f in factors], 0)
+            assert held == reduce(or_, [dense_bits.get(f, 0) for f in dense_comp[1]], 0)
 
 
 # -- exchange groups against the pair route ------------------------------
@@ -1247,13 +1371,8 @@ def pair_route(derivs, arr):
 
 
 def braid_forms(arr):
-    """``(alpha, support)`` of each braid form ``a (x_s - x_t)`` of the arrangement."""
-    out = []
-    for h in arr.hyperplanes:
-        support = [(k, a) for k, a in enumerate(h.coeffs) if a]
-        if len(support) == 2 and support[0][1] == -support[1][1]:
-            out.append((h.coeffs, support))
-    return out
+    """``(alpha, support)`` of each braid form ``x_s - x_t`` of the arrangement, a gain edge of gain 0."""
+    return [(edge, [(edge[0], 1), (edge[1], -1)]) for edge in arr.gain_edges()[1] if edge and not edge[2]]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1262,6 +1381,7 @@ def braid_forms(arr):
 @example(NestSpec.make([[], [], ["1/2"], ["1/2"], ["1/2", 2], ["1/2", 2], ["-3/2", "1/2", 2]]))
 def test_exchange_groups_hold_what_the_pair_route_shows(nest):
     arr = cone(build_n_ish(nest))
+    den = cone_den(arr)
     basis = factored_basis(nest)
     for theta in basis:
         nonzero = [k for k, comp in enumerate(theta) if comp is not None]
@@ -1274,7 +1394,7 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
             assert theta[s][0] == theta[t][0] and _exchanged(theta[s][1], s, t) == theta[t][1]
         for alpha, support in braid_forms(arr):
             if {k for k, _ in support} <= group:
-                assert pair_exchange_shows(theta, support)
+                assert pair_exchange_shows(theta, support, den)
     c = routed(basis, arr)
     assert c == pair_route(basis, arr)
     assert c[1] == 0 and c[0]
@@ -1286,6 +1406,8 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
 @example(ish_nest(5), random.Random(0), "the first component holds x_s")
 @example(NestSpec.make([["1/2"], ["1/2"], ["1/2", 2]]), random.Random(1), "another scalar")
 @example(ish_nest(4), random.Random(2), "a component moved")
+@example(NestSpec.make([[], [], [0]]), random.Random(3), "a component moved")  # x1 - x2 has no z, and is no member
+@example(NestSpec.make([[], [], []]), random.Random(4), "a component moved")  # the constant 1 moves into the group
 def test_a_field_off_the_group_premise_gets_the_general_routes_verdict(nest, rng, mutation):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
@@ -1296,45 +1418,49 @@ def test_a_field_off_the_group_premise_gets_the_general_routes_verdict(nest, rng
     scalar, first = theta[1]
     if mutation == "the first component holds x_s":
         # x1 - x_s joins the x2 factors, and every component is their exchange
-        first = tuple(sorted(first + (tuple(1 if i == 0 else -1 if i == s else 0 for i in range(n)),)))
+        first = tuple(sorted(first + ((0, s, 0),)))
         theta = [None if comp is None else (scalar, first if u == 1 else _exchanged(first, 1, u))
                  for u, comp in enumerate(theta)]
         off = s
     elif mutation == "another scalar":
         theta[s] = (2 * scalar, theta[s][1])
         off = s
-    else:  # to z, off the group when the x2 component holds z
+    else:  # to z, off the group unless the x2 component is a constant: each of
+        # its factors holds x2, which the move renames x_s, not z
         theta[n - 1], theta[s] = theta[s], None
         off = n - 1
     mutated = list(basis)
     mutated[k] = tuple(theta)
     group = _exchange_group(mutated[k])
     assert 1 in group
-    assert (off in group) is (mutation == "a component moved" and not any(f[n - 1] for f in first))
+    assert (off in group) is (mutation == "a component moved" and not first)
     # a check the group leaves is shown by the factors, or the whole basis
     # goes to the general route: the verdict is the expanded route's either way
     got = routed(mutated, arr)
-    assert got[0] == pair_route(mutated, arr)[0] == verdict(saito_constant, [expand(t) for t in mutated], arr)
-    supports = [(h.coeffs, [(i, a) for i, a in enumerate(h.coeffs) if a]) for h in arr.hyperplanes]
-    if not all(shown_on_the_factors(theta, alpha, support) for theta in mutated for alpha, support in supports):
+    assert got[0] == pair_route(mutated, arr)[0] == verdict(saito_constant, multiplied_out(mutated, arr), arr)
+    den = cone_den(arr)
+    if not all(shown_on_the_factors(theta, alpha, den) for theta in mutated for alpha, _ in forms_of(arr)):
         assert got[1] == 1
 
 
 def test_a_group_shows_braid_forms_only():
-    # (x1 + x2) d/dx2 + (x1 + x3) d/dx3 + (x1 + x4) d/dx4 is one group; its
-    # image is a multiple of x2 - x3, but not of x2 - 2 x3 or x2 + x3, which
-    # meet the group in two coordinates too
-    n = 4
-    theta = (None, (1, ((1, 1, 0, 0),)), (1, ((1, 0, 1, 0),)), (1, ((1, 0, 0, 1),)))
+    # over x1..x4, z: (x1 - x2) d/dx2 + (x1 - x3) d/dx3 + (x1 - x4) d/dx4 is
+    # one group; its image is a multiple of x2 - x3, but not of x2 - x3 = z
+    # or x2 - x3 = -2 z, which meet the group in two coordinates too
+    n = 5
+    theta = (None, (1, ((0, 1, 0),)), (1, ((0, 2, 0),)), (1, ((0, 3, 0),)), None)
     assert _exchange_group(theta) == {1, 2, 3}
-    euler = tuple((1, (tuple(int(i == k) for i in range(n)),)) for k in range(n))
-    for form, log in (((0, 1, -1, 0), True), ((0, 1, -2, 0), False), ((0, 1, 1, 0), False)):
-        arr = Arrangement(n, [make_hyperplane(form)])
+    # over x1, x2, z, x1 - z d/dx1 + (its edge relabelled to z) d/dz: the
+    # first component holds z by its gain, so z is no member
+    assert _exchange_group(((1, ((0, None, 1),)), None, (1, ((2, None, 1),)))) == {0}
+    euler = _translation_and_euler(n - 1)[1]
+    for form, log in (((1, 2, 0), True), ((1, 2, 1), False), ((1, 2, -2), False)):
+        arr = Arrangement._of_edges(n, 1, [form], coned=True)
         assert log_by_expansion(theta, arr.hyperplanes[0]) is log
         derivs = [theta] + [euler] * (n - 1)
         got = routed(derivs, arr)
         assert got == pair_route(derivs, arr)
-        assert got[0] == verdict(saito_constant, [expand(t) for t in derivs], arr)
+        assert got[0] == verdict(saito_constant, multiplied_out(derivs, arr), arr)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1376,9 +1502,33 @@ def test_the_cone_of_ish_at_rank_forty_keeps_its_factored_proof():
 
 
 def scanned(arr):
-    """The same arrangement given as its hyperplanes, so ``_form_index`` scans
-    each form for its coordinates."""
+    """The same arrangement given as its hyperplanes, with no gain edges."""
     return Arrangement(arr.dim, arr.hyperplanes, arr.coned)
+
+
+def scan(arr):
+    """``_form_index`` as it read an arrangement given as hyperplanes, the
+    oracle of the edge index: ``(bits, touch, braid, forms)``, each form its
+    hyperplane's coefficients, scanned for its coordinates."""
+    n = arr.dim
+    bits, touch, braid, forms = {}, [0] * n, 0, []
+    for i, h in enumerate(arr.hyperplanes):
+        bit = 1 << i
+        alpha = h.coeffs
+        bits[alpha] = bit
+        forms.append(alpha)
+        for k in range(n):
+            if alpha[k]:
+                touch[k] |= bit
+        if alpha.count(0) == n - 2 and not sum(alpha):  # two entries, a and -a
+            braid |= bit
+    return bits, touch, braid, forms
+
+
+def written_out(index, n):
+    """The edge index with each factor written as its form (``dense_form``)."""
+    bits, touch, braid, forms, den = index
+    return {dense_form(f, n, den): bit for f, bit in bits.items()}, touch, braid, [dense_form(f, n, den) for f in forms]
 
 
 def cones_of_every_kind(max_ell=5):
@@ -1399,8 +1549,23 @@ def test_the_form_index_of_the_edges_is_the_scan_of_the_hyperplanes():
             build_n_ish(NestSpec.make([[], [], []]))]
     for arr in arrs:
         assert arr.is_central
-        assert _form_index(arr) == _form_index(scanned(arr))
+        index = _form_index(arr)
+        assert written_out(index, arr.dim) == scan(arr) == scan(scanned(arr))
+        assert index[4] == cone_den(arr)
     assert len(arrs) == 2 * (2 + 8 + 64 + 1024) + 3 * 4 + 5
+    with pytest.raises(ValueError, match="no gain edges"):
+        _form_index(scanned(arrs[0]))
+
+
+@pytest.mark.parametrize("nest", [ish_nest(3), NestSpec.make([["1/2"], ["1/2", 2]])])
+def test_the_factored_route_refuses_an_arrangement_given_as_hyperplanes(nest):
+    # the factors are edges over the arrangement's gain denominator, so an
+    # arrangement with no gain edges is refused; the general route decides it
+    arr = cone(build_n_ish(nest))
+    c = factored_saito_constant(factored_basis(nest), arr)
+    with pytest.raises(ValueError, match="no gain edges"):
+        factored_saito_constant(factored_basis(nest), scanned(arr))
+    assert saito_constant(basis_derivations(nest), scanned(arr)) == c != 0
 
 
 @st.composite
@@ -1418,9 +1583,10 @@ def halves_and_thirds(draw, max_ell=5):
 def test_the_form_index_of_a_nest_cone_is_the_scan_of_its_hyperplanes(nest):
     arr = cone(build_n_ish(nest))
     index = _form_index(arr)
-    assert index == _form_index(scanned(arr))
+    assert written_out(index, arr.dim) == scan(arr)
     bits, forms = index[0], index[3]
-    assert forms == [h.coeffs for h in arr.hyperplanes] and list(bits) == forms
+    assert forms == [alpha for alpha, _ in forms_of(arr)] and list(bits) == forms
+    assert [dense_form(f, arr.dim, index[4]) for f in forms] == [h.coeffs for h in arr.hyperplanes]
 
 
 def test_a_saito_request_and_the_witness_check_derive_no_hyperplane():
@@ -1458,26 +1624,39 @@ def factored_point_route(derivs, arr):
     values at ``_off_point``'s point from integer dot products, and ``int_det``,
     the scales divided back out.  The log and degree hypotheses are assumed."""
     point, q = _off_point(arr)
+    n, den = arr.dim, cone_den(arr)
     scale, rows = 1, []
     for theta in derivs:
         m = lcm(*(Fraction(comp[0]).denominator for comp in theta if comp is not None))
         scale *= m
-        rows.append([0 if comp is None else int(comp[0] * m) * prod(sum(map(mul, f, point)) for f in comp[1])
+        rows.append([0 if comp is None else
+                     int(comp[0] * m) * prod(sum(map(mul, dense_form(f, n, den), point)) for f in comp[1])
                      for comp in theta])
     det = int_det(rows)
     return Fraction(det, q) / scale if det else None
 
 
-def unnormalized(theta, k):
-    """``theta`` with the first factor of component ``k`` doubled and its scalar halved."""
-    scalar, (first, *rest) = theta[k]
-    comp = (scalar * Fraction(1, 2), tuple(sorted([tuple(2 * v for v in first), *rest])))
+def negated(theta, k):
+    """``theta`` with the first factor of component ``k``, a gain edge
+    ``(i, j, c)``, written as its negation ``(j, i, -c)``, and its scalar
+    negated: the same polynomial, with a factor that is not A's edge."""
+    scalar, ((i, j, c), *rest) = theta[k]
+    comp = (-scalar, ((j, i, -c), *rest))
     return theta[:k] + (comp,) + theta[k + 1:]
+
+
+def doubled_z(euler, den: int):
+    """The Euler field with its ``z`` component's factor written as the edge
+    ``(z, None, -den)``, the form ``z + z``, and its scalar halved: the same
+    polynomial, with a factor that is not A's edge."""
+    scalar, _ = euler[-1]
+    return euler[:-1] + ((scalar * Fraction(1, 2), ((len(euler) - 1, None, -den),)),)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ascending_nests(max_ell=6), st.randoms(use_true_random=False))
 @example(ish_nest(6), random.Random(0))
+@example(NestSpec.make([[]]), random.Random(0))
 def test_the_peeled_constant_is_the_point_routes(nest, rng):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
@@ -1495,13 +1674,16 @@ def test_the_peeled_constant_is_the_point_routes(nest, rng):
     assert routed(permuted, arr) == (sign * c, 0)
     assert unpeeled(permuted, arr) == (sign * c, 1) and factored_point_route(permuted, arr) == sign * c
 
-    # a pivot's factor written as twice A's form: the multisets differ, so
-    # the general route decides, with the same constant
+    # a pivot's factor that is not A's edge, the polynomial unchanged: the
+    # multisets differ, so the general route decides, with the same
+    # constant.  A field theta_k's factor is written as minus A's form, with
+    # the scalar negated; with l = 2 and N_2 empty, the one pivot factor is
+    # Euler's z, written as twice z with the scalar halved
     k = rng.choice([i for i in range(2, n) if basis[i][i - 1][1]] or [1])
-    pivot = n - 1 if k == 1 else k - 1
     mutated = list(basis)
-    mutated[k] = unnormalized(basis[k], pivot)
-    assert as_terms(expand(mutated[k])) == as_terms(expand(basis[k]))
+    den = cone_den(arr)
+    mutated[k] = doubled_z(basis[1], den) if k == 1 else negated(basis[k], k - 1)
+    assert as_terms(expand(mutated[k], den)) == as_terms(expand(basis[k], den))
     assert routed(mutated, arr) == (c, 1) and factored_point_route(mutated, arr) == c
 
 
@@ -1509,9 +1691,13 @@ def witness_basis(nest: NestSpec, i: int, j: int):
     """The deletion and the basis ``verify_nonfree_witness`` checks for the pair ``(i, j)``."""
     den, a_nums, b_nums = nest.den, nest.nums[i - 2], nest.nums[j - 2]
     full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
-    deleted = Arrangement(4, [h for h in full.hyperplanes if h.coeffs != (0, 1, -1, 0)], coned=True)
-    phi2 = (None, (1, tuple(sorted(_diff_form(3, 1, 2, e, den) for e in a_nums))), None, None)
-    phi3 = (None, None, (1, tuple(sorted(_diff_form(3, 1, 3, e, den) for e in b_nums))), None)
+    edges_den, edges = full.gain_edges()
+    edges.remove((1, 2, 0))
+    deleted = Arrangement._of_edges(4, edges_den, edges, coned=True)
+    # the edges of x1 - x2 = a z and x1 - x3 = b z over the deletion's denominator, read off the Fractions
+    g = Fraction(nest.den, edges_den)
+    phi2 = (None, (1, tuple((0, 1, int(e / g)) for e in a_nums)), None, None)
+    phi3 = (None, None, (1, tuple((0, 2, int(e / g)) for e in b_nums)), None)
     return deleted, _translation_and_euler(3) + [phi2, phi3]
 
 
@@ -1525,33 +1711,35 @@ def test_the_witness_basis_peels(sets):
     c, handed_on = routed(basis, deleted)
     assert handed_on == 0 and c != 0
     assert unpeeled(basis, deleted) == (c, 1) and factored_point_route(basis, deleted) == c
-    # one pivot factor unnormalized: the general route, the same constant
-    mutated = basis[:3] + [unnormalized(basis[3], 2)]
+    # one pivot factor negated: the general route, the same constant
+    mutated = basis[:3] + [negated(basis[3], 2)]
     assert routed(mutated, deleted) == (c, 1) and factored_point_route(mutated, deleted) == c
 
 
 def test_a_matrix_that_does_not_peel_takes_the_point_route():
     # the general route's point, as the factored route once took it itself
-    # Euler and (x^2, y^2) on xy(x - y): det = x y^2 - y x^2 = -Q, and each
-    # column has two nonzero entries
-    arr = Arrangement(2, [make_hyperplane([1, 0]), make_hyperplane([0, 1]), make_hyperplane([1, -1])])
-    euler = ((1, ((1, 0),)), (1, ((0, 1),)))
-    squares = ((1, ((1, 0), (1, 0))), (1, ((0, 1), (0, 1))))
-    assert _peel([euler, squares]) is None
-    for derivs, c in (([euler, squares], -1), ([squares, euler], 1), ([unnormalized(euler, 0), squares], -1)):
+    # over x1, x2, z, the translation, Euler and (x1 - x2) d/dx2 + z d/dz on
+    # z (x1 - x2): det = 2 z (x2 - x1) = -2 Q, and each column has two or
+    # three nonzero entries
+    arr = Arrangement._of_edges(3, 1, [None, (0, 1, 0)], coned=True)
+    translation, euler = _translation_and_euler(2)
+    third = (None, (1, ((0, 1, 0),)), (1, (X3,)))
+    assert _peel([translation, euler, third]) is None
+    for derivs, c in (([translation, euler, third], -2), ([euler, translation, third], 2),
+                      ([translation, euler, negated(third, 1)], -2)):
         assert routed(derivs, arr) == (c, 1)
         assert factored_point_route(derivs, arr) == c
-    assert saito_constant([expand(euler), expand(squares)], arr) == -1
+    assert saito_constant(multiplied_out([translation, euler, third], arr), arr) == -2
 
 
 def test_a_zero_scalar_is_a_zero_component():
-    # the coordinate axes of the plane: the Euler field, and y d/dy with its
-    # x component written as the scalar 0
-    arr = Arrangement(2, [make_hyperplane([1, 0]), make_hyperplane([0, 1])])
-    euler = ((1, ((1, 0),)), (1, ((0, 1),)))
-    for second, c in ((((0, ()), (1, ((0, 1),))), 1), (((0, ()), (0, ((0, 1),))), None)):
-        assert routed([euler, second], arr) == (c, 0)
-        assert saito_constant([expand(euler), expand(second)], arr) == c
+    # z (x1 - x2) over x1, x2, z: the translation, the Euler field, and
+    # (x1 - x2) d/dx2 with its x1 component written as the scalar 0
+    arr = Arrangement._of_edges(3, 1, [None, (0, 1, 0)], coned=True)
+    translation, euler = _translation_and_euler(2)
+    for third, c in ((((0, ()), (1, ((0, 1, 0),)), None), -1), (((0, ()), (0, ((0, 1, 0),)), None), None)):
+        assert routed([translation, euler, third], arr) == (c, 0)
+        assert saito_constant(multiplied_out([translation, euler, third], arr), arr) == c
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1565,17 +1753,17 @@ def test_zero_scalars_give_the_expanded_routes_verdict(nest, rng):
     for i, k in rng.sample(places, min(len(places), rng.choice([1, 2, 3]))):
         zeroed[i][k] = (0, zeroed[i][k][1])
     zeroed = [tuple(theta) for theta in zeroed]
-    assert verdict(factored_saito_constant, zeroed, arr) == verdict(saito_constant, [expand(t) for t in zeroed], arr)
+    assert verdict(factored_saito_constant, zeroed, arr) == verdict(saito_constant, multiplied_out(zeroed, arr), arr)
 
     # zero terms of any degree in place of zero components change nothing
     c = factored_saito_constant(basis, arr)
-    forms = [h.coeffs for h in arr.hyperplanes]
+    forms = [alpha for alpha, _ in forms_of(arr)]
     padded = [
         tuple((0, tuple(sorted(rng.choices(forms, k=rng.randrange(4))))) if comp is None else comp for comp in theta)
         for theta in basis
     ]
     assert routed(padded, arr) == (c, 0)
-    assert saito_constant([expand(theta) for theta in padded], arr) == c
+    assert saito_constant(multiplied_out(padded, arr), arr) == c
 
     # a field whose every term has the scalar 0 is the zero field
     k = rng.randrange(len(basis))
@@ -1587,8 +1775,34 @@ def test_zero_scalars_give_the_expanded_routes_verdict(nest, rng):
 # -- the oracles of the integer nest form: the nest readers on Fraction entries --
 
 
-def expand(theta: FactoredDerivation) -> Derivation:
-    """The factored derivation multiplied out, component by component."""
+def dense_form(f, n: int, den: int = 1) -> tuple[int, ...]:
+    """A factor ``(i, j, c)`` as ``n`` coefficients, read off the ``Fraction``
+    ``c/den``: ``q x_i - q x_j - p z`` for ``p/q`` the reduced gain, with no
+    ``x_j`` when ``j`` is None and ``z`` the last coordinate."""
+    i, j, c = f
+    a = Fraction(c, den)
+    form = [0] * n
+    form[i] += a.denominator
+    if j is not None:
+        form[j] -= a.denominator
+    form[-1] -= a.numerator
+    return tuple(form)
+
+
+def dense(theta: FactoredDerivation, den: int = 1) -> FactoredDerivation:
+    """The field with each factor written as its form, sorted, as the factors were held before the edges."""
+    n = len(theta)
+    return tuple(None if comp is None else (comp[0], tuple(sorted(dense_form(f, n, den) for f in comp[1])))
+                 for comp in theta)
+
+
+def cone_den(arr: Arrangement) -> int:
+    return arr.gain_edges()[0]
+
+
+def expand(theta: FactoredDerivation, den: int = 1) -> Derivation:
+    """The factored derivation multiplied out, component by component, one
+    ``MultiPoly.linear`` per factor's form (``dense_form``)."""
     n = len(theta)
     comps = []
     for comp in theta:
@@ -1597,9 +1811,15 @@ def expand(theta: FactoredDerivation) -> Derivation:
             scalar, factors = comp
             poly = MultiPoly.const(n, scalar)
             for f in factors:
-                poly = poly * MultiPoly.linear(f)
+                poly = poly * MultiPoly.linear(dense_form(f, n, den))
         comps.append(poly)
     return tuple(comps)
+
+
+def multiplied_out(derivs, arr) -> list[Derivation]:
+    """Each field ``expand``ed over the gains' denominator of ``arr``."""
+    den = cone_den(arr)
+    return [expand(theta, den) for theta in derivs]
 
 
 def fraction_is_nest(nest: FractionNestSpec) -> tuple[int, ...] | None:
@@ -1635,34 +1855,38 @@ def fraction_decide_free(nest: FractionNestSpec) -> FreenessVerdict:
     raise RuntimeError("no chain order and no incomparable pair; unreachable")
 
 
+def fraction_cone_den(nest: FractionNestSpec) -> int:
+    """The lcm of the entries' denominators: the gains' denominator of the cone
+    of an ascending nest, whose last set holds every entry."""
+    return lcm(*(a.denominator for a in nest.set_at(nest.ell)))
+
+
 def fraction_factored_basis(nest: FractionNestSpec) -> list[FactoredDerivation]:
-    """``factored_basis`` reading each factor off the entry's ``Fraction``."""
+    """``factored_basis`` reading each factor's gain off the entry's ``Fraction``."""
     if not nest.is_ascending():
         raise ValueError("the derivation basis needs an ascending nest")
     ell = nest.ell
     n = ell + 1
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    cone_lcm = fraction_cone_den(nest)
     translations = ((1, ()),) * ell + (None,)
-    euler = tuple((1, (u,)) for u in units)
+    euler = tuple((1, ((k, None, 0),)) for k in range(n))
     out = [translations, euler]
     for k in range(2, ell + 1):
         comps = [None] * n
         for s in range(2, k + 1):
             factors, den = [], 1
             for a in nest.set_at(k):
-                form = [0] * n
-                form[0], form[s - 1], form[ell] = a.denominator, -a.denominator, -a.numerator
-                factors.append(tuple(form))
+                factors.append((0, s - 1, int(a * cone_lcm)))
                 den *= a.denominator
             for t in range(k + 1, ell + 1):
-                factors.append(tuple(u - v for u, v in zip(units[s - 1], units[t - 1])))
-            comps[s - 1] = (1 if den == 1 else Fraction(1, den), tuple(sorted(factors)))
+                factors.append((s - 1, t - 1, 0))
+            comps[s - 1] = (1 if den == 1 else Fraction(1, den), tuple(factors))
         out.append(tuple(comps))
     return out
 
 
 def fraction_basis_derivations(nest: FractionNestSpec) -> list[Derivation]:
-    return [expand(theta) for theta in fraction_factored_basis(nest)]
+    return [expand(theta, fraction_cone_den(nest)) for theta in fraction_factored_basis(nest)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

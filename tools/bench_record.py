@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 tools/bench_record.py --out BENCH_10.json --workloads lattice saito \
-        --seeds 301 302 --baseline ../parent
+        --seeds 301 302 --baseline ../parent --scale 40 80 120
 
 For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
 ``run_seconds`` that ``BENCHMARK.json`` fixes, once in this checkout and, with
@@ -18,6 +18,15 @@ nor docstring (``src_code_lines``), and the code lines of each file, by its
 path under ``src/`` (``src_code_lines_by_module``), and, per workload, the median and
 quartiles of every metric on each side, and with a baseline the pairs won
 and lost on each metric, by the direction ``BENCHMARK.json`` gives it.
+
+With ``--scale``, each checkout also climbs the scale ladder (``scale``):
+the Saito certificate of the paper's basis on the cone of Ish,
+``factored_saito_constant(factored_basis(ish_nest(ell)), cone(build_n_ish(...)))``,
+at each ``ell`` given, in increasing order.  Each step runs in a fresh
+``python3 -I`` and records the median of 3 runs in process and the step's
+own ``VmHWM``, the peak resident memory of that process, import included.
+A step that is not done within ``SCALE_CAP_S`` seconds is killed and recorded
+as over, and the ladder stops there.
 Standard library only.
 """
 
@@ -35,6 +44,24 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SCALE_CAP_S = 10.0
+
+# One scale step: argv is the checkout's src and ell; prints the median and the peak memory.
+_SCALE_STEP = """
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from ishkit.arrangement import build_n_ish, cone, ish_nest
+from ishkit.freeness import factored_basis, factored_saito_constant
+nest = ish_nest(int(sys.argv[2]))
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
+    times.append(time.perf_counter() - start)
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"median_s": statistics.median(times), "vmhwm_mb": hwm_kb / 1024}))
+"""
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -99,6 +126,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics}
 
 
+def scale_ladder(checkout: Path, ells: list[int], cap: float = SCALE_CAP_S) -> list[dict]:
+    """One record per step of the scale ladder, in order: ``ell``, the median
+    seconds of 3 certificates and the step's ``VmHWM`` in MB, or ``over``
+    for a step past ``cap`` seconds, which ends the ladder."""
+    steps = []
+    for ell in sorted(ells):
+        cmd = [sys.executable, "-I", "-c", _SCALE_STEP, str(checkout / "src"), str(ell)]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=cap)
+        except subprocess.TimeoutExpired:
+            steps.append({"ell": ell, "over": True, "cap_s": cap})
+            break
+        if proc.returncode != 0:
+            raise RuntimeError(f"the scale step at ell = {ell} in {checkout} failed:\n{proc.stderr}")
+        steps.append({"ell": ell, **json.loads(proc.stdout)})
+        print(f"{checkout.name} scale ell {ell}: {json.dumps(steps[-1])}", flush=True)
+    return steps
+
+
 def summary(runs: list[dict]) -> dict:
     """Per workload and metric: the median and the quartiles over the runs."""
     out: dict[str, dict] = {}
@@ -134,8 +180,10 @@ def side(head: dict, runs: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="the JSON file to write")
-    ap.add_argument("--workloads", nargs="+", required=True)
-    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--workloads", nargs="*", default=[])
+    ap.add_argument("--seeds", nargs="*", type=int, default=[])
+    ap.add_argument("--scale", nargs="*", type=int, default=[], metavar="ELL",
+                    help="climb the scale ladder at these ell, e.g. 40 80 120")
     ap.add_argument(
         "--baseline", type=Path, help="another checkout to run alongside, e.g. the parent commit"
     )
@@ -151,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
              for c in checkouts}
     if args.baseline and heads[checkouts[1]]["commit"] is None:
         ap.error(f"--baseline {args.baseline} is not a git checkout")
+    if args.scale:
+        for checkout in checkouts:
+            heads[checkout]["scale"] = scale_ladder(checkout, args.scale)
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):

@@ -17,7 +17,7 @@ each request in text and in JSON: a graph corpus, ``survey`` at ell =
 2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
 and a spec corpus, every command but ``survey`` on specs of each of the
 six kinds at ell = 3 and 4, affine and coned, one graph given with its
-edges out of order and repeated, plus ``basis`` and ``saito`` on four
+edges out of order and repeated, plus ``basis`` and ``saito`` on five
 specs past the benchmark's sizes (``SAITO_SPECS``), affine and coned,
 whose refusals are compared by their messages.  The tool prints one line per workload and
 seed and one per corpus, and exits 0 when every answer is the same and 1
@@ -95,6 +95,8 @@ SAITO_SPECS = [
     {"type": "n_ish", "N": [["1/3", "-1/2", "2/3"], ["1/3"], ["1/3", "-1/2", "2/3", "5/2"], ["1/3", "-1/2"]]},
     {"type": "ish", "ell": 6},
     {"type": "n_ish", "N": [[0], [0, 1], [0, 2], [0, 1, 2], [0, 1, 2, 3]]},
+    # a chain with an empty set and two equal sets, out of order: tied exchange groups
+    {"type": "n_ish", "N": [[0, "1/2", 2], [], ["1/2", 0], [0, "1/2"], [2, "1/2", -1, 0]]},
 ]
 
 
