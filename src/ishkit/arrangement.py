@@ -21,22 +21,18 @@ same way: ``Graph.make`` sorts its edges once, into a duplicate-free tuple
 that every reader takes as it is, and ``Graph.in_masks`` derives its
 in-neighbour table.
 
-Every spec is a difference arrangement, and the builders make it as
+Every spec is a difference arrangement, and an ``Arrangement`` is its
 gain-graph edges (Zaslavsky, Biased graphs I-II): ``(den, edges)``, an
 ``int`` gain ``c`` per hyperplane ``x_i - x_j = c/den``, in the order
 README states.  ``den`` is the nest's ``den`` divided by its gcd with
 every numerator (the lcm of the entries' reduced denominators), and 1
 for graph and named specs; ``cone`` puts ``None``, the edge of ``z = 0``,
-first.  An ``Arrangement`` of gain edges derives its hyperplanes on
-their first read; ``is_central`` reads the edges, so ``supersolvable``
-derives no hyperplane.  The hyperplanes of gain edges come from
-``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q`` the reduced
-``c/den``, already normalized.  ``freeness``'s derivation bases hold the
-gain edges themselves as their factors.  An arrangement given to the
-constructor as hyperplanes, which need not be differences, serves only
-the general Saito route (``freeness.is_log_derivation`` and
-``saito_constant``); it has no gain edges, so ``cone``, the lattice and
-the chamber walk refuse it.
+first, and ``deletion`` drops one edge.  ``is_central`` reads the edges,
+so ``supersolvable`` derives no hyperplane.  The hyperplanes are derived
+on each read, from ``_diff_form``, ``q x_i - q x_j - p z`` with ``p/q``
+the reduced ``c/den``, already normalized; only the chamber of a point
+and the general Saito route read them.  ``freeness``'s derivation bases
+hold the gain edges themselves as their factors.
 
 ``from_spec`` reads a JSON spec into a ``ParsedSpec``, a record of the
 spec's fields and its nest or graph, and raises every spec error while
@@ -91,61 +87,35 @@ GainEdge = tuple[int, int, int] | None  # see Arrangement.gain_edges
 
 
 class Arrangement:
-    """An ordered, duplicate-free collection of hyperplanes in R^dim.
+    """An ordered, duplicate-free arrangement of difference hyperplanes in
+    R^dim: its gain edges ``edges`` over ``den`` (see ``gain_edges``).  A
+    repeated edge keeps its first place."""
 
-    The builders make it from gain edges (``_of_edges``), and its
-    ``hyperplanes`` are derived on their first read.  One given to the
-    constructor as hyperplanes serves the general Saito route, which reads
-    only ``hyperplanes``; it has no gain edges.
-    """
+    __slots__ = ("dim", "coned", "den", "edges")
 
-    __slots__ = ("dim", "coned", "_hyperplanes", "_edges")
-
-    def __init__(self, dim: int, hyperplanes: Iterable[Hyperplane], coned: bool = False) -> None:
-        if dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        seen: dict[Hyperplane, None] = {}
-        for h in hyperplanes:
-            if h.dim != dim:
-                raise ValueError("hyperplane dimension does not match the arrangement")
-            seen.setdefault(h, None)
+    def __init__(self, dim: int, den: int, edges: Iterable[GainEdge], coned: bool = False) -> None:
         self.dim = dim
         self.coned = coned
-        self._hyperplanes: tuple[Hyperplane, ...] | None = tuple(seen)
-        self._edges: tuple[int, Sequence[GainEdge]] | None = None
-
-    @classmethod
-    def _of_edges(cls, dim: int, den: int, edges: Iterable[GainEdge], coned: bool = False) -> "Arrangement":
-        """The arrangement of gain edges over ``den`` (see ``gain_edges``);
-        a repeated edge keeps its first place."""
-        arr = cls(dim, (), coned)
-        arr._hyperplanes, arr._edges = None, (den, tuple(dict.fromkeys(edges)))
-        return arr
+        self.den = den
+        self.edges: tuple[GainEdge, ...] = tuple(dict.fromkeys(edges))
 
     @property
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """The hyperplanes in order.  Those of gain edges are derived on the
-        first read: each edge's normalized form (``_diff_form``), and the
-        unit form for ``z = 0``."""
-        if self._hyperplanes is None:
-            den, edges = self._edges
-            ell = self.dim - self.coned
-            forms = [_diff_form(ell, e[0] + 1, e[1] + 1, e[2], den) if e else (0,) * ell + (1,) for e in edges]
-            # a coned form keeps its column z; an affine one moves it to the constant
-            self._hyperplanes = tuple(Hyperplane(f[:self.dim], 0 if self.coned else -f[ell]) for f in forms)
-        return self._hyperplanes
+        """The hyperplanes in order, derived on each read: each edge's
+        normalized form (``_diff_form``), and the unit form for ``z = 0``."""
+        ell = self.dim - self.coned
+        forms = [_diff_form(ell, e[0] + 1, e[1] + 1, e[2], self.den) if e else (0,) * ell + (1,) for e in self.edges]
+        # a coned form keeps its column z; an affine one moves it to the constant
+        return tuple(Hyperplane(f[:self.dim], 0 if self.coned else -f[ell]) for f in forms)
 
     def __len__(self) -> int:
-        return len(self._edges[1] if self._hyperplanes is None else self._hyperplanes)
+        return len(self.edges)
 
     @property
     def is_central(self) -> bool:
-        """True when every hyperplane passes through the origin.  With gain
-        edges that is when the arrangement is coned or every gain is 0, read
-        off the edges without deriving a hyperplane."""
-        if self._edges is not None:
-            return self.coned or not any(c for _, _, c in self._edges[1])
-        return all(h.const == 0 for h in self.hyperplanes)
+        """True when every hyperplane passes through the origin: when the
+        arrangement is coned or every gain is 0."""
+        return self.coned or not any(c for _, _, c in self.edges)
 
     def var_names(self) -> list[str]:
         return default_names(self.dim, coned=self.coned)
@@ -156,14 +126,11 @@ class Arrangement:
         Returns ``(den, edges)``, ``edges`` a fresh list.  The edge
         ``(i, j, c)``, with 0-based coordinates ``i < j``, is the hyperplane
         ``x_{i+1} - x_{j+1} = c/den``, or ``= (c/den)*z`` when the arrangement
-        is coned; ``None`` marks ``z = 0``.  ``den`` is the lcm of the leading
-        coefficients of the normalized forms, and ``c`` an ``int``.  The
-        builders make these edges; an arrangement given as hyperplanes has
-        none, and is a ``ValueError``.
+        is coned; ``None`` marks ``z = 0``.  ``c`` is an ``int``, and the
+        builders' ``den`` is the lcm of the leading coefficients of the
+        normalized forms.
         """
-        if self._edges is None:
-            raise ValueError("an arrangement given as hyperplanes has no gain edges")
-        return self._edges[0], list(self._edges[1])
+        return self.den, list(self.edges)
 
 
 class NestSpec(NamedTuple):
@@ -311,7 +278,7 @@ def build_n_ish(nest: NestSpec) -> Arrangement:
     g = nest.den // den
     edges = [(0, j, a // g) for j, entries in enumerate(nest.nums, start=1) for a in entries]
     edges += [(i, j, 0) for i in range(1, nest.ell) for j in range(i + 1, nest.ell)]
-    return Arrangement._of_edges(nest.ell, den, edges)
+    return Arrangement(nest.ell, den, edges)
 
 
 def build_deleted(kind: str, graph: Graph) -> Arrangement:
@@ -320,7 +287,7 @@ def build_deleted(kind: str, graph: Graph) -> Arrangement:
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
     edges = [(i, j, 0) for i in range(graph.ell) for j in range(i + 1, graph.ell)]
     edges += [(i - 1, j - 1, 1) if kind == "shi" else (0, j - 1, i) for i, j in graph.edges]
-    return Arrangement._of_edges(graph.ell, 1, edges)
+    return Arrangement(graph.ell, 1, edges)
 
 
 def n_from_graph(graph: Graph) -> NestSpec:
@@ -339,11 +306,18 @@ def n_from_graph(graph: Graph) -> NestSpec:
 def cone(arr: Arrangement) -> Arrangement:
     """Homogenize with a new last variable z and prepend ``z = 0``: the gain
     edges of ``arr`` after ``None``, so ``z = 0`` is hyperplane 0 of every
-    coned arrangement with edges."""
+    coned arrangement."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
+    return Arrangement(arr.dim + 1, arr.den, (None, *arr.edges), coned=True)
+
+
+def deletion(arr: Arrangement, edge: GainEdge) -> Arrangement:
+    """``arr`` without the hyperplane of ``edge``: the other edges in their
+    order, over the same ``den``.  An edge not in ``arr`` is a ``ValueError``."""
     den, edges = arr.gain_edges()
-    return Arrangement._of_edges(arr.dim + 1, den, (None, *edges), coned=True)
+    edges.remove(edge)
+    return Arrangement(arr.dim, den, edges, arr.coned)
 
 
 # -- JSON arrangement specs -------------------------------------------
@@ -354,8 +328,7 @@ class ParsedSpec(NamedTuple):
 
     A record: every spec error is raised while parsing, and nothing is
     cached.  ``arrangement`` builds the arrangement's gain edges on each
-    read, since several commands need only the nest or the graph, and its
-    hyperplanes are derived only for a command that reads them.
+    read, since several commands need only the nest or the graph.
     """
 
     kind: str

@@ -163,12 +163,10 @@ def chamber_rows(arr: Arrangement) -> tuple[list[tuple[int, tuple[int, ...]]], i
     """Every chamber as a row ``(bits, point)``, in increasing ``bits``, and the
     positive scale ``den`` that every ``point`` is the witness times.
 
-    The arrangement must have gain edges (see ``Arrangement.gain_edges``,
-    which raises ``ValueError`` otherwise).  A coned arrangement's walk
-    gives the forward run, its regions at ``z = 1``, all on the ``+`` side
-    of ``z = 0``; their antipodes, reversed, are on its ``-`` side.  ``cone``
-    puts ``z = 0`` first, as the top bit, so the answer is the antipodes
-    then the forward run.
+    A coned arrangement's walk gives the forward run, its regions at
+    ``z = 1``, all on the ``+`` side of ``z = 0``; their antipodes, reversed,
+    are on its ``-`` side.  ``cone`` puts ``z = 0`` first, as the top bit, so
+    the answer is the antipodes then the forward run.
     """
     walk, den = _regions(arr)
     if not arr.coned:

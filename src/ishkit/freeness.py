@@ -97,7 +97,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .arrangement import Arrangement, NestSpec, build_n_ish, cone, nest_gain_den
+from .arrangement import Arrangement, NestSpec, build_n_ish, cone, deletion, nest_gain_den
 from .exactmath import MultiPoly, Scalar, clear_denominators, int_det, poly_str, reduced, vanishes_on
 from .lattice import Flat
 
@@ -133,7 +133,9 @@ def is_log_derivation(theta: Derivation, arr: Arrangement) -> bool:
     defining form ``alpha_H``, ``sum(alpha_H[k] * theta[k])``, is a
     multiple of it.  The image is restricted to ``alpha_H = 0`` by solving
     for the first variable of ``alpha_H`` (``exactmath.vanishes_on``); it
-    is a multiple exactly when the restriction is zero.
+    is a multiple exactly when the restriction is zero.  It reads
+    ``arr.is_central``, ``arr.dim`` and ``arr.hyperplanes``, which need not
+    be differences.
     """
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
@@ -155,12 +157,13 @@ def _off_point(arr: Arrangement) -> tuple[list[int], int]:
     meets the curve in at most ``dim - 1`` values of ``k``, so one of the
     first ``|A| (dim - 1) + 1`` values is off them all.
     """
+    planes = arr.hyperplanes
     k = 0
     while True:
         k += 1
         point = [k**i for i in range(arr.dim)]
         q = 1
-        for h in arr.hyperplanes:
+        for h in planes:
             q *= h.eval_at(point)
         if q:
             return point, q
@@ -184,6 +187,9 @@ def saito_constant(derivs: Sequence[Derivation], arr: Arrangement) -> Fraction |
     ``c = det M(p) / Q(p)``, and the derivations form a basis exactly
     when ``c != 0``.  Each row of ``M(p)`` is cleared of its denominators
     for ``int_det``, and their product is divided back out of ``c``.
+    It reads ``arr.dim``, ``len(arr)`` and, through ``is_log_derivation``
+    and ``_off_point``, ``arr.is_central`` and ``arr.hyperplanes``, which
+    need not be differences.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -471,8 +477,7 @@ def _form_index(arr: Arrangement) -> FormIndex:
     ``x_j``, and on ``z`` when ``c`` is nonzero, a braid form when ``c`` is 0;
     the factor of ``None``, the edge of ``z = 0``, is the unit form of ``z``.
     An unconed central arrangement has every gain 0, so no form of it uses a
-    column ``z``.  An arrangement given as hyperplanes has no gain edges, and
-    its ``ValueError`` is raised here.
+    column ``z``.
     """
     n = arr.dim
     den, edges = arr.gain_edges()
@@ -546,12 +551,9 @@ def factored_saito_constant(
 ) -> Fraction | None:
     """``saito_constant`` of the expanded derivations, proved on the factors.
 
-    ``arr`` must have gain edges, as every builder's arrangement has: each
-    factor is a gain edge over ``arr``'s gain denominator (``Factor``), and
-    an arrangement given as hyperplanes raises ``gain_edges``'
-    ``ValueError``, though ``saito_constant`` decides it.  Otherwise the
-    hypotheses are those of ``saito_constant``, checked in the same order,
-    with the same errors.  A term whose scalar is 0 is read as a zero
+    Each factor is a gain edge over ``arr``'s gain denominator (``Factor``).
+    The hypotheses are those of ``saito_constant``, checked in the same
+    order, with the same errors.  A term whose scalar is 0 is read as a zero
     component, as its expansion is.  The log checks run field by field on one index of A's
     forms (``_form_index``), made in one pass over A's gain edges with no
     hyperplane derived: each form is a bit, each
@@ -691,9 +693,9 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     if c in (a, b):  # comparable pair: no obstruction at all
         return False
 
-    edges_den, edges = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums)))).gain_edges()
-    edges.remove((1, 2, 0))  # x2 = x3, the braid edge build_n_ish always makes
-    deleted = Arrangement._of_edges(4, edges_den, edges, coned=True)
+    # x2 = x3 is the braid edge build_n_ish always makes
+    deleted = deletion(cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums)))), (1, 2, 0))
+    edges_den, edges = deleted.gain_edges()
 
     # translations, Euler, and the fields of degrees |N_i| and |N_j|:
     # prod_{a in N_i} (x1 - x2 - a z) d/dx2 and prod_{b in N_j} (x1 - x3 - b z) d/dx3,

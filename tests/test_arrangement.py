@@ -3,6 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,12 +21,21 @@ from ishkit.arrangement import (
     build_n_ish,
     build_named,
     cone,
+    deletion,
     from_spec,
     ish_nest,
     n_from_graph,
 )
 from ishkit.chambers import enumerate_chambers
-from ishkit.exactmath import Scalar, _shown, clear_denominators, equation_str, format_rational, parse_rational_pair
+from ishkit.exactmath import (
+    Scalar,
+    _shown,
+    clear_denominators,
+    default_names,
+    equation_str,
+    format_rational,
+    parse_rational_pair,
+)
 
 
 def parse_rational(value: Scalar | str) -> Fraction:
@@ -57,32 +67,55 @@ def hyperplane_str(plane: Hyperplane, names: Sequence[str]) -> str:
     return equation_str(plane.coeffs, plane.const, names)
 
 
-def read_back(arr: Arrangement) -> tuple[int, list]:
-    """The gain edges of hyperplanes given to the constructor, as
-    ``Arrangement.gain_edges`` gives those of a builder's arrangement:
-    ``2*x1 - 2*x2 = 1`` and ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the
-    gains 3 and 4.  Any other hyperplane is a ``ValueError``."""
-    n = arr.dim - 1 if arr.coned else arr.dim
+class PlaneArrangement:
+    """An arrangement given as its hyperplanes, which need not be differences,
+    deduplicated in the order of first appearance: what the general Saito
+    route (``is_log_derivation``, ``saito_constant``) and the chamber of a
+    point read.  The tests' one maker of an arrangement that is not a
+    difference arrangement, and the oracle of ``Arrangement.hyperplanes``."""
+
+    def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane], coned: bool = False) -> None:
+        self.dim, self.coned = dim, coned
+        self.hyperplanes = tuple(dict.fromkeys(hyperplanes))
+
+    def __len__(self) -> int:
+        return len(self.hyperplanes)
+
+    @property
+    def is_central(self) -> bool:
+        return all(plane.const == 0 for plane in self.hyperplanes)
+
+    def var_names(self) -> list[str]:
+        return default_names(self.dim, coned=self.coned)
+
+
+def read_back(planes: Sequence[Hyperplane], coned: bool = False) -> tuple[int, list]:
+    """The gain edges of difference hyperplanes, as ``Arrangement.gain_edges``
+    gives those of a builder's arrangement: ``2*x1 - 2*x2 = 1`` and
+    ``3*x1 - 3*x3 = 2`` give ``den = 6`` and the gains 3 and 4.  Any other
+    hyperplane is a ``ValueError``."""
     read: list[tuple[int, int, int, int] | None] = []
-    for plane in arr.hyperplanes:
+    for plane in planes:
+        n = plane.dim - coned
         head = plane.coeffs[:n]
         support = [k for k, v in enumerate(head) if v]
-        if arr.coned and not support and not plane.const:
+        if coned and not support and not plane.const:
             read.append(None)
             continue
-        if len(support) != 2 or head[support[0]] != -head[support[1]] or (arr.coned and plane.const):
-            form = "x_i - x_j = c*z" if arr.coned else "x_i - x_j = c"
-            raise ValueError(f"the hyperplane {hyperplane_str(plane, arr.var_names())} is not of the form {form}")
+        if len(support) != 2 or head[support[0]] != -head[support[1]] or (coned and plane.const):
+            form = "x_i - x_j = c*z" if coned else "x_i - x_j = c"
+            names = default_names(plane.dim, coned=coned)
+            raise ValueError(f"the hyperplane {hyperplane_str(plane, names)} is not of the form {form}")
         i, j = support
-        read.append((i, j, -plane.coeffs[n] if arr.coned else plane.const, head[i]))
+        read.append((i, j, -plane.coeffs[n] if coned else plane.const, head[i]))
     den = lcm(*(e[3] for e in read if e is not None))
     return den, [None if e is None else (e[0], e[1], e[2] * (den // e[3])) for e in read]
 
 
-def with_edges(arr: Arrangement) -> Arrangement:
-    """The arrangement of hyperplanes ``arr`` as gain edges (``read_back``),
-    in the same order: what the lattice and the chamber walk read."""
-    return Arrangement._of_edges(arr.dim, *read_back(arr), arr.coned)
+def with_edges(dim: int, planes: Sequence[Hyperplane], coned: bool = False) -> Arrangement:
+    """The arrangement of the difference hyperplanes ``planes`` in R^dim, as
+    gain edges (``read_back``) in the same order."""
+    return Arrangement(dim, *read_back(planes, coned), coned)
 
 
 def same_arrangement(a: Arrangement, b: Arrangement) -> bool:
@@ -131,31 +164,23 @@ def test_hyperplane_form_and_eval():
 
 
 def test_read_back_gives_the_gain_edges_of_the_constants():
-    arr = Arrangement(3, [h([1, -1, 0], Fraction(1, 2)), h([0, 1, -1], -2)])
-    assert arr.hyperplanes[0] == Hyperplane((2, -2, 0), 1)
-    den, edges = read_back(arr)
+    planes = [h([1, -1, 0], Fraction(1, 2)), h([0, 1, -1], -2)]
+    assert planes[0] == Hyperplane((2, -2, 0), 1)
+    den, edges = read_back(planes)
     assert (den, edges) == (2, [(0, 1, 1), (1, 2, -4)])  # 1/2 and -2, over 2
-    assert cone(with_edges(arr)).gain_edges() == (2, [None] + edges)
-    assert with_edges(arr).hyperplanes == arr.hyperplanes
+    assert cone(with_edges(3, planes)).gain_edges() == (2, [None] + edges)
+    assert with_edges(3, planes).hyperplanes == tuple(planes)
     # mixed denominators: 2*x1 - 2*x2 = 1 and 3*x1 - 3*x3 = 2 read as 3/6 and 4/6
-    mixed = Arrangement(3, [h([2, -2, 0], 1), h([3, 0, -3], 2), h([0, 1, -1])])
+    mixed = [h([2, -2, 0], 1), h([3, 0, -3], 2), h([0, 1, -1])]
     assert read_back(mixed) == (6, [(0, 1, 3), (0, 2, 4), (1, 2, 0)])
-    assert cone(with_edges(mixed)).gain_edges() == (6, [None, (0, 1, 3), (0, 2, 4), (1, 2, 0)])
-    for den, edges in (read_back(mixed), cone(with_edges(mixed)).gain_edges()):
+    assert cone(with_edges(3, mixed)).gain_edges() == (6, [None, (0, 1, 3), (0, 2, 4), (1, 2, 0)])
+    for den, edges in (read_back(mixed), cone(with_edges(3, mixed)).gain_edges()):
         assert all(type(e[2]) is int for e in edges if e is not None)
     # a coned arrangement without z = 0 still reads as edges
-    assert read_back(Arrangement(3, [h([1, -1, 0], 0)], coned=True)) == (1, [(0, 1, 0)])
-    assert read_back(Arrangement(2, [])) == (1, [])
+    assert read_back([h([1, -1, 0], 0)], coned=True) == (1, [(0, 1, 0)])
+    assert read_back([]) == (1, [])
     with pytest.raises(ValueError, match="not of the form"):
-        read_back(Arrangement(3, [h([0, 0, 1], 1), h([1, -1, 0])], coned=True))  # z = 1
-
-
-def test_an_arrangement_given_as_hyperplanes_has_no_gain_edges():
-    for arr in (Arrangement(3, [h([1, -1, 0], 1)]), Arrangement(3, [h([0, 0, 1]), h([1, -1, -1])], coned=True)):
-        with pytest.raises(ValueError, match="has no gain edges"):
-            arr.gain_edges()
-    with pytest.raises(ValueError, match="has no gain edges"):
-        cone(Arrangement(2, [h([1, -1], 1)]))
+        read_back([h([0, 0, 1], 1), h([1, -1, 0])], coned=True)  # z = 1
 
 
 def test_build_named_ish_three():
@@ -308,13 +333,23 @@ def test_cone_example():
         cone(arr)
 
 
+def test_deletion_keeps_the_other_edges_in_order():
+    arr = cone(build_n_ish(NestSpec.make([["1/2"], [0, "3/2"]])))
+    gone = deletion(arr, (1, 2, 0))  # x2 = x3
+    assert (gone.dim, gone.coned) == (arr.dim, arr.coned)
+    assert gone.gain_edges() == (2, [None, (0, 1, 1), (0, 2, 0), (0, 2, 3)])
+    assert gone.hyperplanes == tuple(plane for plane in arr.hyperplanes if plane != h([0, 1, -1, 0]))
+    with pytest.raises(ValueError):
+        deletion(gone, (1, 2, 0))
+
+
 def test_arrangement_dedup_and_equality():
-    a = Arrangement(2, [h([1, -1]), h([-1, 1]), h([1, -1], 1)])
-    assert len(a) == 2
-    b = Arrangement(2, [h([1, -1], 1), h([1, -1])])
+    a = Arrangement(2, 1, [(0, 1, 0), (0, 1, 0), (0, 1, 1)])
+    assert len(a) == 2 and a.gain_edges() == (1, [(0, 1, 0), (0, 1, 1)])
+    b = Arrangement(2, 1, [(0, 1, 1), (0, 1, 0)])
     assert same_arrangement(a, b)  # set semantics
-    assert not same_arrangement(a, Arrangement(2, [h([1, -1])]))
-    assert not same_arrangement(a, Arrangement(2, a.hyperplanes, coned=True))
+    assert not same_arrangement(a, Arrangement(2, 1, [(0, 1, 0)]))
+    assert not same_arrangement(a, PlaneArrangement(2, a.hyperplanes, coned=True))
 
 
 def test_from_spec_shapes():
@@ -358,7 +393,7 @@ def test_the_hyperplane_order_of_every_spec_kind(coned):
             expected = [h(coeffs, c) for coeffs, c in forms]
         assert from_spec({**spec, "cone": coned}).arrangement.hyperplanes == tuple(expected)
     # a duplicate keeps its first place
-    assert Arrangement(2, [h([1, -1], 1), h([1, -1]), h([-1, 1], -1)]).hyperplanes == (h([1, -1], 1), h([1, -1]))
+    assert Arrangement(2, 1, [(0, 1, 1), (0, 1, 0), (0, 1, 1)]).hyperplanes == (h([1, -1], 1), h([1, -1]))
 
 
 def test_from_spec_builds_nothing_and_each_read_builds_the_arrangement(monkeypatch):
@@ -586,7 +621,7 @@ def fraction_build_n_ish(nest: FractionNestSpec) -> Arrangement:
     for i in range(2, ell + 1):
         for j in range(i + 1, ell + 1):
             planes.append(fraction_diff(ell, i, j))
-    return with_edges(Arrangement(ell, planes))
+    return with_edges(ell, planes)
 
 
 def fraction_cone(arr: Arrangement) -> Arrangement:
@@ -598,7 +633,7 @@ def fraction_cone(arr: Arrangement) -> Arrangement:
     planes = [make_hyperplane([0] * arr.dim + [1], 0)]
     for hp in arr.hyperplanes:
         planes.append(make_hyperplane(list(hp.coeffs) + [-hp.const], 0))
-    return with_edges(Arrangement(n, planes, coned=True))
+    return with_edges(n, planes, coned=True)
 
 
 def fraction_ish_nest(ell: int) -> FractionNestSpec:
@@ -694,7 +729,7 @@ def oracle_diff(ell: int, i: int, j: int, num: int = 0, den: int = 1) -> Hyperpl
     return Hyperplane(form[:ell], -form[ell])
 
 
-def oracle_build_n_ish(nest: NestSpec) -> Arrangement:
+def oracle_build_n_ish(nest: NestSpec) -> PlaneArrangement:
     """``build_n_ish`` as it built hyperplanes, before the builders made gain edges."""
     ell, den = nest.ell, nest.den
     planes = []
@@ -704,10 +739,10 @@ def oracle_build_n_ish(nest: NestSpec) -> Arrangement:
     for i in range(2, ell + 1):
         for j in range(i + 1, ell + 1):
             planes.append(oracle_diff(ell, i, j))
-    return Arrangement(ell, planes)
+    return PlaneArrangement(ell, planes)
 
 
-def oracle_build_deleted(kind: str, graph: Graph) -> Arrangement:
+def oracle_build_deleted(kind: str, graph: Graph) -> PlaneArrangement:
     """``build_deleted`` as it built hyperplanes."""
     if kind not in ("shi", "ish"):
         raise ValueError(f"deleted arrangements exist for 'shi' and 'ish', not {kind!r}")
@@ -718,19 +753,19 @@ def oracle_build_deleted(kind: str, graph: Graph) -> Arrangement:
             planes.append(oracle_diff(ell, i, j, 1))
         else:
             planes.append(oracle_diff(ell, 1, j, i))
-    return Arrangement(ell, planes)
+    return PlaneArrangement(ell, planes)
 
 
-def oracle_cone(arr: Arrangement) -> Arrangement:
+def oracle_cone(arr: Arrangement | PlaneArrangement) -> PlaneArrangement:
     """``cone`` as it mapped every hyperplane."""
     if arr.coned:
         raise ValueError("arrangement is already coned")
     planes = [Hyperplane((0,) * arr.dim + (1,), 0)]
     planes += [Hyperplane(h.coeffs + (-h.const,), 0) for h in arr.hyperplanes]
-    return Arrangement(arr.dim + 1, planes, coned=True)
+    return PlaneArrangement(arr.dim + 1, planes, coned=True)
 
 
-def oracle_arrangement(parsed: ParsedSpec) -> Arrangement:
+def oracle_arrangement(parsed: ParsedSpec) -> PlaneArrangement:
     """``ParsedSpec.arrangement`` through the hyperplane builders."""
     if parsed.kind == "n_ish":
         arr = oracle_build_n_ish(parsed.nest)
@@ -777,7 +812,11 @@ def test_the_edge_builders_make_the_hyperplanes_of_the_hyperplane_builders(parse
     assert arr.hyperplanes == old.hyperplanes
     assert (arr.is_central, arr.dim, arr.coned) == (old.is_central, old.dim, old.coned)
     # the edges as built are the read-back of the hyperplanes, den included
-    assert (den, edges) == read_back(Arrangement(arr.dim, arr.hyperplanes, arr.coned)) == read_back(old)
+    assert (den, edges) == read_back(arr.hyperplanes, arr.coned) == read_back(old.hyperplanes, old.coned)
+
+
+def underived(arr: Arrangement):
+    raise AssertionError("a hyperplane was derived")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -790,10 +829,9 @@ def test_the_edge_builders_make_the_hyperplanes_of_the_hyperplane_builders(parse
 @example(ParsedSpec("n_ish", 3, NestSpec(3, 5, ((), ())), None, False))  # no hyperplane
 def test_centrality_read_off_the_edges_is_that_of_the_hyperplanes(parsed):
     arr = parsed.arrangement
-    central = arr.is_central  # before any hyperplane is derived
-    assert arr._hyperplanes is None
-    assert central == all(h.const == 0 for h in arr.hyperplanes)
-    assert central == Arrangement(arr.dim, arr.hyperplanes, arr.coned).is_central
+    with mock.patch.object(Arrangement, "hyperplanes", property(underived)):
+        central = arr.is_central  # read off the edges
+    assert central == PlaneArrangement(arr.dim, arr.hyperplanes, arr.coned).is_central
 
 
 def test_gain_edges_is_a_fresh_list():
@@ -801,8 +839,8 @@ def test_gain_edges_is_a_fresh_list():
     for make in (
         lambda: build_named("shi", 3),
         lambda: cone(build_named("shi", 3)),
-        lambda: with_edges(Arrangement(3, shi.hyperplanes)),  # read back
-        lambda: with_edges(oracle_cone(shi)),
+        lambda: with_edges(3, shi.hyperplanes),  # read back
+        lambda: with_edges(4, oracle_cone(shi).hyperplanes, coned=True),
     ):
         want = (make().gain_edges(), enumerate_chambers(make()))
         arr = make()

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,18 @@ def test_a_baseline_that_is_not_a_git_checkout_fails_before_any_run(tmp_path, mo
     with pytest.raises(SystemExit):
         bench_record.main(argv)
     assert calls == []
+    assert not out.exists()
+
+
+def test_a_run_judged_wrong_stops_the_record_and_writes_no_file(tmp_path, monkeypatch):
+    def wrong(checkout, workload, seed, seconds):
+        return {**run(workload, 1.0, 1.0), "seed": seed, "correct": seed != 2}
+
+    monkeypatch.setattr(bench_record, "run_once", wrong)
+    out = tmp_path / "bench.json"
+    wanted = re.escape(f"{bench_record.ROOT} saito seed 2: the answers were judged wrong")
+    with pytest.raises(SystemExit, match=wanted):
+        bench_record.main(["--out", str(out), "--workloads", "saito", "--seeds", "1", "2"])
     assert not out.exists()
 
 

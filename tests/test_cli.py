@@ -706,19 +706,20 @@ def request_path_docs(commands) -> list[dict]:
 
 
 def test_no_request_reads_an_arrangement_back(monkeypatch):
-    # every arrangement a request builds is made of gain edges: none is given
-    # as hyperplanes, which have no gain edges to read
+    # every arrangement a request builds is made of well-formed gain edges
+    # over a positive den: None, the edge of z = 0, only when coned, and
+    # otherwise (i, j, c) with 0 <= i < j < ell and an int gain c
     docs = request_path_docs(COMMANDS)
     assert {doc["command"] for doc in docs} == set(COMMANDS)
     want = [answer_of(doc) for doc in docs]
     assert not any(answer.startswith("ValueError") for answer in want)
     init = Arrangement.__init__
 
-    def edges_only(self, dim, hyperplanes, coned=False):
-        hyperplanes = tuple(hyperplanes)
-        if hyperplanes:
-            raise AssertionError("a request built an arrangement from hyperplanes")
-        init(self, dim, hyperplanes, coned)
+    def edges_only(self, dim, den, edges, coned=False):
+        edges, ell = tuple(edges), dim - coned
+        bad = [e for e in edges if not (coned if e is None else 0 <= e[0] < e[1] < ell and type(e[2]) is int)]
+        assert type(den) is int and den > 0 and not bad, f"a request built the edges {bad} over {den!r}"
+        init(self, dim, den, edges, coned)
 
     monkeypatch.setattr(Arrangement, "__init__", edges_only)
     assert [answer_of(doc) for doc in docs] == want

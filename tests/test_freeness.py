@@ -22,6 +22,7 @@ from ishkit.arrangement import (
     build_n_ish,
     build_named,
     cone,
+    deletion,
     ish_nest,
 )
 from ishkit.cli import request_from_doc, run
@@ -56,6 +57,7 @@ from ishkit.rooks import nest_char_poly
 from test_arrangement import (
     MIXED_SETS,
     FractionNestSpec,
+    PlaneArrangement,
     fraction_build_n_ish,
     fraction_cone,
     make_hyperplane,
@@ -105,7 +107,7 @@ def test_apply_to_is_coefficient_combination():
     x1, x2 = var(n, 0), var(n, 1)
     theta = (x2, x1, MultiPoly.zero(n))
     for coeffs, log in (([1, -1, 0], True), ([1, 1, 0], True), ([1, 0, -1], False)):
-        assert is_log_derivation(theta, Arrangement(n, [make_hyperplane(coeffs)])) is log
+        assert is_log_derivation(theta, PlaneArrangement(n, [make_hyperplane(coeffs)])) is log
 
 
 def test_derivation_render():
@@ -435,7 +437,7 @@ def expanded_verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> 
         return False
     full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
     h_coxeter = Hyperplane((0, 1, -1, 0), 0)
-    deleted = Arrangement(4, [h for h in full.hyperplanes if h != h_coxeter], coned=True)
+    deleted = PlaneArrangement(4, [h for h in full.hyperplanes if h != h_coxeter], coned=True)
     if len(deleted) != len(full) - 1:
         return False
     n = 4
@@ -459,7 +461,7 @@ def expanded_verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> 
             return False
     except ValueError:
         return False
-    edges_den, edges = read_back(deleted)
+    edges_den, edges = read_back(deleted.hyperplanes, coned=True)
     traces = {Flat.through([edge, (1, 2, 0)], n, True, edges_den) for edge in edges}
     return len(traces) == 1 + c
 
@@ -873,7 +875,7 @@ def test_no_nest_field_of_the_ish_cone_at_rank_twelve_reaches_the_sums():
 def one_plane():
     """The plane x1 - x2 + x3 = 0, the gain edge (0, 1, -1) over the variables
     x1, x2, z, with two translations along it."""
-    arr = Arrangement._of_edges(3, 1, [(0, 1, -1)], coned=True)
+    arr = Arrangement(3, 1, [(0, 1, -1)], coned=True)
     return arr, [((1, ()), (1, ()), None), (None, (1, ()), (1, ()))]
 
 
@@ -949,7 +951,7 @@ def test_factored_log_check_folds_the_contents():
     # On 2 x1 - 2 x2 = z, the edge (0, 1, 1) over 2, the image
     # 2 x2 z - 2 * 1/2 (2 x1 - z) z = -z (2 x1 - 2 x2 - z) vanishes: two
     # products of two factors, neither alpha, that cancel only once multiplied out.
-    arr = Arrangement._of_edges(3, 2, [(0, 1, 1)], coned=True)
+    arr = Arrangement(3, 2, [(0, 1, 1)], coned=True)
     along = [((1, ()), (1, ()), None), ((1, ()), None, (2, ()))]
     theta = ((1, (X2, X3)), (Fraction(1, 2), ((0, None, 1), X3)), None)
     assert dense_form((0, None, 1), 3, 2) == (2, 0, -1)
@@ -968,14 +970,14 @@ def test_factored_saito_rejects_what_the_expanded_route_rejects():
             route(derivs, arr)
         with pytest.raises(ValueError, match="ambient-dimension"):
             route(derivs[:2], arr)
-    affine = Arrangement._of_edges(3, 1, [(0, 1, 1)])  # x1 - x2 = 1
+    affine = Arrangement(3, 1, [(0, 1, 1)])  # x1 - x2 = 1
     with pytest.raises(ValueError, match="central"):
         factored_saito_constant(along + [mixed], affine)
 
 
 def log_by_expansion(theta: FactoredDerivation, h: Hyperplane, den: int = 1) -> bool:
     """The log check with no factored reasoning: the image multiplied out."""
-    return is_log_derivation(expand(theta, den), Arrangement(len(theta), [h]))
+    return is_log_derivation(expand(theta, den), PlaneArrangement(len(theta), [h]))
 
 
 def support_of(alpha, n: int, den: int) -> list[tuple[int, int]]:
@@ -1077,7 +1079,7 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
     # the general route decides it.  x1 (x1 - x2) d/dx2 + x1 (x1 - x3) d/dx3
     # is a group of two, which shows it with no expansion.
     alpha = (1, 2, 0)
-    arr = Arrangement._of_edges(4, 1, [alpha], coned=True)
+    arr = Arrangement(4, 1, [alpha], coned=True)
     h, support = arr.hyperplanes[0], [(1, 1), (2, -1)]
     euler = _translation_and_euler(3)[1]
     exchanged = (None, (3, (X3, (0, 1, 0))), (3, (X2, (0, 2, 0))), None)
@@ -1095,7 +1097,7 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
     assert _exchange_group(exchanged) == {1} and _exchange_group(grouped) == {1, 2}
     # x2 - x3 = z is no braid form: no exchange shows it, and it is not shown
     alpha = (1, 2, 1)
-    h, support = Arrangement._of_edges(4, 1, [alpha], coned=True).hyperplanes[0], [(1, 1), (2, -1), (3, -1)]
+    h, support = Arrangement(4, 1, [alpha], coned=True).hyperplanes[0], [(1, 1), (2, -1), (3, -1)]
     for theta in (exchanged, grouped):
         assert pair_exchange_shows(theta, support) is shown_on_the_factors(theta, alpha) \
             is log_by_expansion(theta, h) is False
@@ -1146,7 +1148,7 @@ def products_on_a_plane(draw):
 def test_factored_log_check_on_products_implies_the_expansion(case):
     den, alpha, theta = case
     n = len(theta)
-    arr = Arrangement._of_edges(n, den, [None if alpha[1] is None else alpha], coned=True)
+    arr = Arrangement(n, den, [None if alpha[1] is None else alpha], coned=True)
     h = arr.hyperplanes[0]
     assert h.coeffs == dense_form(alpha, n, den)
     support = support_of(alpha, n, den)
@@ -1455,7 +1457,7 @@ def test_a_group_shows_braid_forms_only():
     assert _exchange_group(((1, ((0, None, 1),)), None, (1, ((2, None, 1),)))) == {0}
     euler = _translation_and_euler(n - 1)[1]
     for form, log in (((1, 2, 0), True), ((1, 2, 1), False), ((1, 2, -2), False)):
-        arr = Arrangement._of_edges(n, 1, [form], coned=True)
+        arr = Arrangement(n, 1, [form], coned=True)
         assert log_by_expansion(theta, arr.hyperplanes[0]) is log
         derivs = [theta] + [euler] * (n - 1)
         got = routed(derivs, arr)
@@ -1502,12 +1504,12 @@ def test_the_cone_of_ish_at_rank_forty_keeps_its_factored_proof():
 
 
 def scanned(arr):
-    """The same arrangement given as its hyperplanes, with no gain edges."""
-    return Arrangement(arr.dim, arr.hyperplanes, arr.coned)
+    """The same arrangement given as its hyperplanes."""
+    return PlaneArrangement(arr.dim, arr.hyperplanes, arr.coned)
 
 
 def scan(arr):
-    """``_form_index`` as it read an arrangement given as hyperplanes, the
+    """``_form_index`` as it once read the hyperplanes themselves, the
     oracle of the edge index: ``(bits, touch, braid, forms)``, each form its
     hyperplane's coefficients, scanned for its coordinates."""
     n = arr.dim
@@ -1553,18 +1555,13 @@ def test_the_form_index_of_the_edges_is_the_scan_of_the_hyperplanes():
         assert written_out(index, arr.dim) == scan(arr) == scan(scanned(arr))
         assert index[4] == cone_den(arr)
     assert len(arrs) == 2 * (2 + 8 + 64 + 1024) + 3 * 4 + 5
-    with pytest.raises(ValueError, match="no gain edges"):
-        _form_index(scanned(arrs[0]))
 
 
 @pytest.mark.parametrize("nest", [ish_nest(3), NestSpec.make([["1/2"], ["1/2", 2]])])
-def test_the_factored_route_refuses_an_arrangement_given_as_hyperplanes(nest):
-    # the factors are edges over the arrangement's gain denominator, so an
-    # arrangement with no gain edges is refused; the general route decides it
+def test_the_general_route_on_the_hyperplanes_gives_the_factored_constant(nest):
+    # the general route reads only the hyperplanes, given here as they are
     arr = cone(build_n_ish(nest))
     c = factored_saito_constant(factored_basis(nest), arr)
-    with pytest.raises(ValueError, match="no gain edges"):
-        factored_saito_constant(factored_basis(nest), scanned(arr))
     assert saito_constant(basis_derivations(nest), scanned(arr)) == c != 0
 
 
@@ -1690,10 +1687,8 @@ def test_the_peeled_constant_is_the_point_routes(nest, rng):
 def witness_basis(nest: NestSpec, i: int, j: int):
     """The deletion and the basis ``verify_nonfree_witness`` checks for the pair ``(i, j)``."""
     den, a_nums, b_nums = nest.den, nest.nums[i - 2], nest.nums[j - 2]
-    full = cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums))))
-    edges_den, edges = full.gain_edges()
-    edges.remove((1, 2, 0))
-    deleted = Arrangement._of_edges(4, edges_den, edges, coned=True)
+    deleted = deletion(cone(build_n_ish(NestSpec(3, den, (a_nums, b_nums)))), (1, 2, 0))
+    edges_den = deleted.gain_edges()[0]
     # the edges of x1 - x2 = a z and x1 - x3 = b z over the deletion's denominator, read off the Fractions
     g = Fraction(nest.den, edges_den)
     phi2 = (None, (1, tuple((0, 1, int(e / g)) for e in a_nums)), None, None)
@@ -1721,7 +1716,7 @@ def test_a_matrix_that_does_not_peel_takes_the_point_route():
     # over x1, x2, z, the translation, Euler and (x1 - x2) d/dx2 + z d/dz on
     # z (x1 - x2): det = 2 z (x2 - x1) = -2 Q, and each column has two or
     # three nonzero entries
-    arr = Arrangement._of_edges(3, 1, [None, (0, 1, 0)], coned=True)
+    arr = Arrangement(3, 1, [None, (0, 1, 0)], coned=True)
     translation, euler = _translation_and_euler(2)
     third = (None, (1, ((0, 1, 0),)), (1, (X3,)))
     assert _peel([translation, euler, third]) is None
@@ -1735,7 +1730,7 @@ def test_a_matrix_that_does_not_peel_takes_the_point_route():
 def test_a_zero_scalar_is_a_zero_component():
     # z (x1 - x2) over x1, x2, z: the translation, the Euler field, and
     # (x1 - x2) d/dx2 with its x1 component written as the scalar 0
-    arr = Arrangement._of_edges(3, 1, [None, (0, 1, 0)], coned=True)
+    arr = Arrangement(3, 1, [None, (0, 1, 0)], coned=True)
     translation, euler = _translation_and_euler(2)
     for third, c in ((((0, ()), (1, ((0, 1, 0),)), None), -1), (((0, ()), (0, ((0, 1, 0),)), None), None)):
         assert routed([translation, euler, third], arr) == (c, 0)

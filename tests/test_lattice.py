@@ -764,9 +764,7 @@ def test_char_poly_named_families():
 
 
 def test_char_poly_empty_and_coxeter():
-    from ishkit.arrangement import Arrangement
-
-    empty = with_edges(Arrangement(3, []))
+    empty = with_edges(3, [])
     assert char_poly(empty) == UniPoly([0, 0, 0, 1])
     # braid arrangement: t(t-1)(t-2)
     assert char_poly(build_named("coxeter", 3)) == UniPoly([0, 2, -3, 1])
@@ -1180,7 +1178,7 @@ def test_pair_rule_of_the_partition_test():
 def test_an_edge_on_the_same_pair_is_the_only_cover_of_a_parallel_pair():
     # x1 - x2 = 0, z and 2z, coned without z = 0: any two meet in {z = 0,
     # x1 = x2}, which lies inside the third edge and no other hyperplane
-    arr = with_edges(Arrangement(3, [_plane([1, -1, -c]) for c in (0, 1, 2)], coned=True))
+    arr = with_edges(3, [make_hyperplane([1, -1, -c]) for c in (0, 1, 2)], coned=True)
     chain = is_supersolvable(arr)
     assert chain is not None and [flat_rank(f) for f in chain] == [0, 1, 2]
     assert not chain[1].zero and chain[2].zero
@@ -1200,7 +1198,7 @@ def test_half_entry_chains_are_written_as_the_oracle_writes_them():
     names = arr.var_names()
     assert text[1:] == [f"  rank {f.rank}: {f.render(names)}" for f in oracle]
     # without z = 0 the climb's chain passes through a flat with a half offset
-    arr = with_edges(Arrangement(3, [_plane([2, -2, k]) for k in (1, 3, 5)], coned=True))  # x1 - x2 = -k/2 z
+    arr = with_edges(3, [make_hyperplane([2, -2, k]) for k in (1, 3, 5)], coned=True)  # x1 - x2 = -k/2 z
     chain, names = is_supersolvable(arr), arr.var_names()
     assert chain[1].offset == (-1, 0) and chain[1].den == 2
     assert flat_render(chain[1], names) == "x1 - x2 + 1/2*z = 0"
@@ -1253,26 +1251,20 @@ def small_arrangements(draw):
     return cone(arr) if draw(st.booleans()) else arr
 
 
-def _plane(coeffs, const=0):
-    return make_hyperplane(coeffs, const)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_arrangements(), st.randoms(use_true_random=False))
 # affine empty meet: x1 - x2 = 0 and x1 - x2 = 1
-@example(with_edges(Arrangement(2, [_plane([1, -1]), _plane([1, -1], 1)])), random.Random(1))
+@example(with_edges(2, [make_hyperplane([1, -1]), make_hyperplane([1, -1], 1)]), random.Random(1))
 # coned collapse: x1 - x2 = 0 and x1 - x2 = z meet in z = 0
-@example(
-    with_edges(Arrangement(3, [_plane([1, -1, 0]), _plane([1, -1, -1])], coned=True)), random.Random(2)
-)
+@example(with_edges(3, [make_hyperplane([1, -1, 0]), make_hyperplane([1, -1, -1])], coned=True), random.Random(2))
 # the collapse after a half-integer merge, with z = 0 last
 @example(
-    with_edges(Arrangement(
+    with_edges(
         4,
-        [_plane([1, -1, 0, Fraction(-1, 2)]), _plane([0, 1, -1, 0]), _plane([1, 0, -1, 0]),
-         _plane([0, 0, 0, 1])],
+        [make_hyperplane([1, -1, 0, Fraction(-1, 2)]), make_hyperplane([0, 1, -1, 0]),
+         make_hyperplane([1, 0, -1, 0]), make_hyperplane([0, 0, 0, 1])],
         coned=True,
-    )),
+    ),
     random.Random(3),
 )
 def test_integer_kernel_matches_rational_reference(arr, rng):
@@ -1334,8 +1326,8 @@ def modular_chains(draw):
         for (i, j), c in edges:
             form = [0] * (n + 1)
             form[i], form[j], form[n] = 1, -1, Fraction(-c, den)
-            planes.append(_plane(form))
-        arr = with_edges(Arrangement(n + 1, planes, coned=True))
+            planes.append(make_hyperplane(form))
+        arr = with_edges(n + 1, planes, coned=True)
         chain = is_supersolvable(arr)
     else:
         ell = draw(st.integers(2, 5))
@@ -1367,7 +1359,7 @@ def _chain_of(arr: Arrangement) -> tuple[list[Flat], list[str]]:
 @example(_chain_of(cone(build_n_ish(NestSpec.make([[], [], []])))))
 @example(_chain_of(build_named("coxeter", 4)))
 # x1 - x2 = -1/2 z, then z = 0: the one pair of coordinates with two offsets
-@example(_chain_of(with_edges(Arrangement(3, [_plane([2, -2, k]) for k in (1, 3, 5)], coned=True))))
+@example(_chain_of(with_edges(3, [make_hyperplane([2, -2, k]) for k in (1, 3, 5)], coned=True)))
 def test_the_chain_writer_writes_the_oracle_records_and_lines(case):
     chain, names = case
     records = [flat_to_json(flat) for flat in chain]

@@ -10,7 +10,9 @@ For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
 ``--baseline``, once in the other checkout too, the two in alternating order
 from one seed to the next.  Each run records the end-to-end metrics and the
 ``correct`` / ``attempted`` / ``failed`` fields of the last line
-``perfbench/run.py`` prints.  The file also gives each checkout's commit (with
+``perfbench/run.py`` prints.  A run whose answers are judged wrong
+(``correct`` false) stops the record with an error naming the checkout, the
+workload and the seed, and no file is written.  The file also gives each checkout's commit (with
 ``-dirty`` when it has uncommitted changes, ``null`` when it is not a git
 checkout), the line count of its ``src/``
 Python files (``src_lines``), their code lines, neither blank nor comment
@@ -207,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         for k, seed in enumerate(args.seeds):
             for checkout in checkouts[::-1] if k % 2 else checkouts:
                 run = run_once(checkout, workload, seed, seconds)
+                if not run["correct"]:
+                    raise SystemExit(f"error: {checkout} {workload} seed {seed}: the answers were judged wrong")
                 runs[checkout].append(run)
                 metrics = json.dumps(run["metrics"])
                 print(f"{checkout.name} {workload} seed {seed}: {metrics}", flush=True)
