@@ -53,7 +53,6 @@ from .freeness import (
     factored_basis,
     factored_saito_constant,
     is_nest,
-    nest_exponents,
 )
 from .graphs import SurveyRecord, analyze_graph, survey
 from .lattice import Flat, is_supersolvable, nest_modular_chain
@@ -286,7 +285,7 @@ def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
     if order is None:
         raise ValueError("the sets do not form a chain; no base chamber is known")
     nest_modular_chain(cone(build_n_ish(nest)), order)
-    exponents = list(nest_exponents(nest, order))
+    exponents = list(_exponents(nest, order))  # is_nest found the chain
     affine_ish = parsed.kind == "ish" and not parsed.coned
     if affine_ish:
         exponents.remove(1)

@@ -22,12 +22,18 @@ form is a coefficient combination, so no symbolic differentiation is
 needed.  A ``Derivation`` holds its components multiplied out, as
 ``MultiPoly``s; a ``FactoredDerivation`` (below) holds each as factors.
 
-``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, the one
-chain test, on sets of numerators over one denominator, compared as ``int``s.
-``nest_exponents`` tests an order it is given.  ``decide_free`` tests
-every pair of sets for comparability at once, in one pass each way over
-the size order: that gives its verdict, the chain order ``is_nest`` would
-find when free, and the first incomparable pair when not.
+Three chain tests run on set families, each for its own callers.
+``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, on sets
+of numerators over one denominator, compared as ``int``s: ``is_nest``
+orders the sets for ``basis``, ``saito``, ``supersolvable`` and
+``wallcross``, and ``nest_exponents`` tests an order it is given (a
+request that has ``is_nest``'s order takes ``_exponents``, with no second
+test).  ``decide_free``, for ``freeness`` and ``charpoly``, tests every
+pair of sets for comparability at once, in one pass each way over the
+size order: that gives its verdict, the chain order ``is_nest`` would find
+when free, and the first incomparable pair when not.
+``graphs._free_order``, for ``graph`` and ``survey``, tests a graph's
+in-neighbour masks in (in-degree, label) order.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
@@ -52,8 +58,8 @@ monomial key.  ``factored_saito_constant`` decides Saito's criterion on
 the factors, field by field, on one index of the arrangement's forms
 made in one pass over its gain edges (``_form_index``): each form is a
 bit keyed by its edge, each coordinate the mask of the forms that use it,
-and the braid forms one mask.  A log check is shown in one of four ways
-(``_log_shown``):
+and the braid forms one mask.  A log check is shown in one of three ways,
+or, on a field of constants, by a constant sum (``_log_shown``):
 
 * a multiple ``c`` of the Euler field by the identity ``theta(alpha) = c alpha``;
 * by the index, when every component the form picks out holds the form
@@ -65,10 +71,10 @@ and the braid forms one mask.  A log check is shown in one of four ways
   rule: the components of a field that exchanging two variables swaps,
   found once per field.  A braid form ``x_s - x_t`` on two members needs
   no exchange of its own, and all of them are cleared with one mask;
-* by the factors and sums (``_factored_is_log``), on what is left, when
-  every term picked out has ``alpha_H`` among its factors or is a constant
-  or a linear form, and the constants sum to 0 and the linear forms, their
-  coefficients read off their edges, to a multiple of ``alpha_H``.
+* of a field of constants ``c_k``, every nonzero component a scalar with
+  no factor, any form left is shown when the number
+  ``theta(alpha) = sum alpha[k] c_k``, its coefficients read off its edge,
+  is 0.  A form left on a field with factors is not shown.
 
 The determinant is then read off the factors: both certificates' basis
 matrices are triangular up to a permutation of the columns (``_peel``),
@@ -80,7 +86,7 @@ denominators.  Anything else -- a log check no way shows, a
 matrix that does not peel, or forms that are not A's each once -- is
 handed to ``saito_constant`` on the derivations multiplied out.
 Neither certificate's basis is handed on, and of their fields only the
-translation field's constants reach the sums.
+translation field, a field of constants, reaches the sums.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
 are the one general route and the oracle of the tests, in plain exact
@@ -355,53 +361,6 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     return out
 
 
-def _factored_is_log(theta: FactoredDerivation, alpha: Factor, den: int) -> bool:
-    """Do the factors and sums show that ``theta(alpha)`` is a multiple of ``alpha``?
-
-    Only the components at the coordinates of ``alpha`` enter the image
-    ``sum alpha[k] theta[k]``, each form's coefficients read off its edge
-    (``_coefficients``).  The scalars are ``int``s or ``Fraction``s.
-    A term ``c * prod f`` with ``alpha`` among its factors lies in
-    ``(alpha)`` and is skipped.  The constant terms must sum to 0, and the
-    terms with one factor, summed as form vectors into one linear form
-    ``L``, to a multiple of ``alpha``: with ``x_p`` the first variable of
-    ``alpha``, ``alpha_p L - L_p alpha`` must be zero.  ``(alpha)`` is a
-    homogeneous ideal, so this decides the image degree by degree, and
-    True is a proof.
-
-    False means only "not shown": a term of two or more factors, none of
-    them ``alpha``, may cancel against other terms, and the factors alone
-    cannot tell.  ``_log_shown`` sends here only the forms its index and
-    identity leave: never a braid form inside the field's exchange group
-    (``_exchange_group``), a form that every component it picks out holds,
-    or any form of a multiple of the Euler field.  Any check that is not
-    shown is handed by ``factored_saito_constant`` to ``saito_constant``.
-    """
-    z = len(theta) - 1
-    support = _coefficients(alpha, den, z)
-    constant, linear = 0, {}
-    for k, a in support:
-        comp = theta[k]
-        if comp is None or alpha in comp[1]:
-            continue
-        scalar, factors = comp
-        if not factors:
-            constant += a * scalar
-        elif len(factors) == 1:
-            c = a * scalar
-            for v, b in _coefficients(factors[0], den, z):
-                linear[v] = linear.get(v, 0) + c * b
-        else:
-            return False
-    if constant:
-        return False
-    if not linear:
-        return True
-    (p, ap), form = support[0], dict(support)
-    lp = linear.get(p, 0)
-    return all(ap * linear.get(k, 0) == lp * form.get(k, 0) for k in {*linear, *form})
-
-
 def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
     """The exchange group of a field: coordinates any two of whose components
     the exchange of their two variables swaps.  None when the field has
@@ -513,9 +472,13 @@ def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
     ``theta_3`` is no form of the cone of Ish.  The braid forms on two members of the
     field's exchange group (``_exchange_group``), the braid forms that two
     members' coordinates touch, are shown by the group.
-    Each form left is shown when the factors and sums show it
-    (``_factored_is_log``): of a field of constants ``c_k``, when the number
-    ``sum alpha[k] c_k`` is 0.
+    A form left is shown only on a field of constants ``c_k``, every nonzero
+    component a scalar with no factor, when the number ``theta(alpha) =
+    sum alpha[k] c_k`` is 0, its coefficients read off its edge
+    (``_coefficients``).  A form left on a field with factors is not shown,
+    whatever its terms: the factors alone cannot tell whether terms that do
+    not hold ``alpha`` cancel, so ``factored_saito_constant`` hands the
+    fields to ``saito_constant``.
     """
     bits, touch, braid, forms, den = index
     first = theta[0]
@@ -538,10 +501,13 @@ def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
                 twice |= once & touch[k]
                 once |= touch[k]
             left &= ~(braid & twice)
+    if left and any(comp is not None and comp[1] for comp in theta):
+        return False
+    z = len(theta) - 1
     while left:
         bit = left & -left
         left ^= bit
-        if not _factored_is_log(theta, forms[bit.bit_length() - 1], den):
+        if sum(a * theta[k][0] for k, a in _coefficients(forms[bit.bit_length() - 1], den, z) if theta[k] is not None):
             return False
     return True
 
@@ -561,10 +527,10 @@ def factored_saito_constant(
     its factors settle -- every component the form picks out holds the
     form, or the form is a braid form inside the field's exchange group --
     are cleared by masks with no per-form work, a multiple of the Euler
-    field by its identity, and only the forms left are summed
-    (``_log_shown``).  A product of linear forms is homogeneous, so a
-    derivation is homogeneous when its nonzero components have equally
-    many factors.
+    field by its identity, and the forms left are summed only on a field
+    of constants (``_log_shown``).  A product of linear forms is
+    homogeneous, so a derivation is homogeneous when its nonzero components
+    have equally many factors.
 
     The determinant is then read off the matrix when it peels (``_peel``):
     it is ``sign * prod(scalars) * prod(factors)`` over the pivots, and when

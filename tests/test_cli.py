@@ -47,7 +47,7 @@ from ishkit.cli import (
 )
 from ishkit.errors import CapacityError
 from ishkit.exactmath import MultiPoly, UniPoly, format_rational, rational_str, unipoly_str
-from ishkit.freeness import _degree, basis_derivations, is_nest, nest_exponents
+from ishkit.freeness import _degree, _exponents, basis_derivations, is_nest, nest_exponents
 from ishkit.graphs import analyze_graph
 from ishkit.lattice import Flat
 from ishkit.rooks import spec_char_poly
@@ -774,10 +774,10 @@ def assert_wallcross_internal_error(capsys, tmp_path, message: str) -> None:
 
 def test_a_wrong_exponent_fails_the_chamber_count(capsys, monkeypatch, tmp_path):
     def one_too_many(nest, order):
-        exponents = nest_exponents(nest, order)
+        exponents = _exponents(nest, order)
         return exponents[:-1] + (exponents[-1] + 1,)
 
-    monkeypatch.setattr("ishkit.cli.nest_exponents", one_too_many)
+    monkeypatch.setattr("ishkit.cli._exponents", one_too_many)
     assert_wallcross_internal_error(capsys, tmp_path, r"\|chi\(-1\)\|")
 
 
@@ -879,7 +879,6 @@ def fraction_program():
         "ishkit.cli.build_n_ish": fraction_build_n_ish,
         "ishkit.cli.cone": fraction_cone,
         "ishkit.cli.is_nest": fraction_is_nest,
-        "ishkit.cli.nest_exponents": fraction_nest_exponents,
         "ishkit.cli._exponents": fraction_nest_exponents,
         "ishkit.cli.decide_free": fraction_decide_free,
         "ishkit.cli.factored_basis": fraction_factored_basis,

@@ -35,7 +35,6 @@ from ishkit.freeness import (
     _degree,
     _exchange_group,
     _exchanged,
-    _factored_is_log,
     _form_index,
     _off_point,
     _peel,
@@ -846,30 +845,25 @@ def test_bent_euler_and_constant_fields_give_the_expanded_routes_verdict(nest, r
         mutated = basis[:i] + [theta] + basis[i + 1:]
         got = verdict(factored_saito_constant, mutated, arr)
         assert got == verdict(saito_constant, multiplied_out(mutated, arr), arr), name
-    # a multiple of the Euler field is shown by its identity, with no sums
+    # a multiple of the Euler field is shown by its identity: a form left on
+    # a field with factors would be handed on
     c = factored_saito_constant(basis, arr)
     for scalar in (3, Fraction(-1, 2)):
         derivs = [basis[0], tuple((scalar, comp[1]) for comp in basis[1]), *basis[2:]]
         assert routed(derivs, arr) == (c * scalar, 0)
-        assert fields_summed(derivs, arr) <= {0}
-
-
-def fields_summed(derivs, arr) -> set[int]:
-    """The indices of the fields some of whose log checks reach the sums
-    (``_factored_is_log``) in ``factored_saito_constant``."""
-    with mock.patch("ishkit.freeness._factored_is_log", wraps=_factored_is_log) as sums:
-        factored_saito_constant(derivs, arr)
-    return {i for call in sums.call_args_list for i, theta in enumerate(derivs) if call.args[0] == theta}
 
 
 def test_no_nest_field_of_the_ish_cone_at_rank_twelve_reaches_the_sums():
-    # the nest fields theta_k are settled by the index's masks and the Euler
-    # field by its identity; the translation field's constants are summed
-    # on the forms x1 - x_j = a z, a != 0, which no exchange group holds
+    # only a field of constants reaches the sums, and every component of the
+    # Euler field and of the nest fields theta_k has factors, so with nothing
+    # handed on the index's masks, the groups and the identity settle them
+    # all; the translation field's constants are summed on the forms
+    # x1 - x_j = a z, a != 0, which no exchange group holds
     nest = ish_nest(12)
     basis = factored_basis(nest)
+    assert all(comp is None or not comp[1] for comp in basis[0])
+    assert all(comp[1] for theta in basis[1:] for comp in theta if comp is not None)
     assert routed(basis, cone(build_n_ish(nest))) == (-1, 0)
-    assert fields_summed(basis, cone(build_n_ish(nest))) == {0}
 
 
 def one_plane():
@@ -892,9 +886,8 @@ def test_factored_saito_hands_what_the_factors_cannot_show_to_saito_constant():
     euler = tuple((1, (u,)) for u in (X1, X2, X3))
     theta = ((1, (X1, (0, None, -2))), (1, (X2, X2)), (1, (X3, X3)))
     assert dense_form((0, None, -2), 3) == (1, 0, 2)
-    assert _factored_is_log(euler, alpha, 1)  # its image sums to alpha itself
     assert routed(along + [euler], arr) == (1, 1)  # shown, but no column has one nonzero entry
-    assert not _factored_is_log(theta, alpha, 1)
+    assert not shown_on_the_factors(theta, alpha)
     assert log_by_expansion(theta, arr.hyperplanes[0])
     assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
     assert saito_constant(multiplied_out(along + [euler], arr), arr) == 1
@@ -911,7 +904,7 @@ def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
     # restricts to 2 x2: its summed linear form is no multiple of alpha.
     arr, along = one_plane()
     theta = ((1, (X1,)), (-1, (X2,)), (1, (X3,)))
-    assert not _factored_is_log(theta, (0, 1, -1), 1)
+    assert not shown_on_the_factors(theta, (0, 1, -1))
     assert not log_by_expansion(theta, arr.hyperplanes[0])
     assert routed(along + [theta], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
     with pytest.raises(ValueError, match="logarithmic"):
@@ -923,18 +916,14 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     basis = factored_basis(nest)
     arr = cone(build_n_ish(nest))
     n = arr.dim
-    seen = set()
-
-    def spy(theta, alpha, den):
-        seen.update(type(comp[0]) for comp in theta if comp is not None)
-        return _factored_is_log(theta, alpha, den)
 
     # the index settles the nest fields, those of scalar 1/4 and 1/8 among
-    # them, with no call of the sums: only the translation field's constants
-    # are summed
-    with mock.patch("ishkit.freeness._factored_is_log", spy):
-        constant, handed_on = routed(basis, arr)
-    assert seen == {int} and handed_on == 0
+    # them, with nothing handed on: only the translation field's constants,
+    # of scalar 1, are summed
+    assert {comp[0] for theta in basis[2:] for comp in theta if comp is not None} >= {Fraction(1, 4), Fraction(1, 8)}
+    assert {type(comp[0]) for comp in basis[0] if comp is not None} == {int}
+    constant, handed_on = routed(basis, arr)
+    assert handed_on == 0
     assert constant == saito_constant(multiplied_out(basis, arr), arr) != 0
 
     # the translation field halved: no form of A is held by a constant, and
@@ -942,9 +931,7 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     # goes to the sums, which take the scalar 1/2 as it is
     halved_translation = tuple(None if comp is None else (Fraction(1, 2), ()) for comp in basis[0])
     assert basis[0][n - 1] is None
-    with mock.patch("ishkit.freeness._factored_is_log", spy):
-        assert routed([halved_translation, *basis[1:]], arr) == (constant / 2, 0)
-    assert seen == {int, Fraction}
+    assert routed([halved_translation, *basis[1:]], arr) == (constant / 2, 0)
 
 
 def test_factored_log_check_folds_the_contents():
@@ -955,7 +942,7 @@ def test_factored_log_check_folds_the_contents():
     along = [((1, ()), (1, ()), None), ((1, ()), None, (2, ()))]
     theta = ((1, (X2, X3)), (Fraction(1, 2), ((0, None, 1), X3)), None)
     assert dense_form((0, None, 1), 3, 2) == (2, 0, -1)
-    assert not _factored_is_log(theta, (0, 1, 1), 2)
+    assert not shown_on_the_factors(theta, (0, 1, 1), 2)
     assert is_log_derivation(expand(theta, 2), arr)
     assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
 
@@ -1005,7 +992,7 @@ def dense_exchanged(factors, s: int, t: int) -> tuple:
 
 
 def pair_exchange_shows(theta: FactoredDerivation, support, den: int = 1) -> bool:
-    """The pair exchange ``_factored_is_log`` tried first before the exchange
+    """The pair exchange the factored log check tried first before the exchange
     groups became the one exchange rule, kept as the groups' oracle.
 
     A braid form ``alpha = a (x_s - x_t)`` meets two components with one
@@ -1020,22 +1007,38 @@ def pair_exchange_shows(theta: FactoredDerivation, support, den: int = 1) -> boo
     return a == -b and cs is not None and ct is not None and cs[0] == ct[0] and ct[1] == dense_exchanged(cs[1], s, t)
 
 
-def pair_or_factors(theta: FactoredDerivation, alpha, den: int) -> bool:
-    """The log check as ``_factored_is_log`` made it before the groups: the
-    pair exchange, then the factors and sums."""
+def shown_off_the_groups(theta: FactoredDerivation, alpha, den: int) -> bool:
+    """The log check of one form with no exchange: a multiple of the Euler
+    field by its identity, a form that every component it picks out holds
+    (the index), or, on a field of constants ``c_k``, a form on which the
+    number ``sum alpha[k] c_k`` is 0 (a constant sum)."""
     support = support_of(alpha, len(theta), den)
-    return pair_exchange_shows(theta, support, den) or _factored_is_log(theta, alpha, den)
+    first = theta[0]
+    if first is not None and all(comp is not None and comp == (first[0], ((k, None, 0),))
+                                 for k, comp in enumerate(theta)):
+        return True
+    if all(theta[k] is None or alpha in theta[k][1] for k, _ in support):
+        return True
+    constants = all(comp is None or not comp[1] for comp in theta)
+    return constants and sum(a * theta[k][0] for k, a in support if theta[k] is not None) == 0
+
+
+def pair_or_factors(theta: FactoredDerivation, alpha, den: int) -> bool:
+    """The log check as it was made before the groups: the pair exchange,
+    then the identity, the index or a constant sum."""
+    support = support_of(alpha, len(theta), den)
+    return pair_exchange_shows(theta, support, den) or shown_off_the_groups(theta, alpha, den)
 
 
 def shown_on_the_factors(theta: FactoredDerivation, alpha, den: int = 1) -> bool:
     """Does ``factored_saito_constant`` show this check with nothing
     multiplied out: a braid form inside the field's exchange group, or any
-    form by the factors and sums?"""
+    form by the identity, the index or a constant sum?"""
     support = support_of(alpha, len(theta), den)
     group = _exchange_group(theta)
     braid = len(support) == 2 and support[0][1] == -support[1][1]
     in_group = braid and group is not None and {k for k, _ in support} <= group
-    return in_group or _factored_is_log(theta, alpha, den)
+    return in_group or shown_off_the_groups(theta, alpha, den)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1089,7 +1092,6 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
     grouped = (None, (3, (X1, (0, 1, 0))), (3, (X1, (0, 2, 0))), None)
     for theta, log in ((exchanged, True), (halves, True), (unequal, False), (skew, False), (grouped, True)):
         assert pair_exchange_shows(theta, support) is log_by_expansion(theta, h) is log
-        assert not _factored_is_log(theta, alpha, 1)  # products of two factors, neither alpha
         assert shown_on_the_factors(theta, alpha) is (theta is grouped)
         derivs = [theta, euler, euler, euler]
         oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
@@ -1151,12 +1153,6 @@ def test_factored_log_check_on_products_implies_the_expansion(case):
     arr = Arrangement(n, den, [None if alpha[1] is None else alpha], coned=True)
     h = arr.hyperplanes[0]
     assert h.coeffs == dense_form(alpha, n, den)
-    support = support_of(alpha, n, den)
-    got = _factored_is_log(theta, alpha, den)
-    if got:
-        assert log_by_expansion(theta, h, den)
-    # every term picked out has alpha as a factor, or one is a product it cannot read
-    assert got is all(theta[k] is None or alpha in theta[k][1] for k, _ in support)
     shown = shown_on_the_factors(theta, alpha, den)
     if shown:
         assert log_by_expansion(theta, h, den)
@@ -1365,10 +1361,15 @@ def test_the_edge_basis_is_the_dense_basis_and_holds_its_masks(sets, scale):
 
 
 def pair_route(derivs, arr):
-    """``routed`` as before the exchange groups: no group, and each log check
-    made by the pair exchange, then the factors (``pair_or_factors``)."""
-    with mock.patch("ishkit.freeness._exchange_group", return_value=None), \
-            mock.patch("ishkit.freeness._factored_is_log", pair_or_factors):
+    """``routed`` as before the exchange groups: each log check of a field made
+    form by form, by the pair exchange, then the identity, the index or a
+    constant sum (``pair_or_factors``)."""
+    den, forms = cone_den(arr), [alpha for alpha, _ in forms_of(arr)]
+
+    def shown(theta, index):
+        return all(pair_or_factors(theta, alpha, den) for alpha in forms)
+
+    with mock.patch("ishkit.freeness._log_shown", shown):
         return routed(derivs, arr)
 
 
