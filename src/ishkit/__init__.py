@@ -48,7 +48,6 @@ from .freeness import (
     factored_saito_constant,
     is_log_derivation,
     is_nest,
-    nest_exponents,
     saito_constant,
     saito_verify,
     verify_nonfree_witness,
@@ -94,7 +93,6 @@ __all__ = [
     "ish_nest",
     "n_from_graph",
     "nest_char_poly",
-    "nest_exponents",
     "nest_modular_chain",
     "rook_numbers",
     "saito_constant",

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, NestSpec, build_n_ish, build_named, cone
 from .exactmath import UniPoly, equation_str
-from .freeness import is_nest, nest_exponents
+from .freeness import decide_free
 
 
 class Chamber(NamedTuple):
@@ -256,11 +256,11 @@ def wallcross_expected(nest: NestSpec) -> UniPoly:
     """``geometric_product`` of the exponents of the cone of a descending nest.
 
     The exponents ``{0, 1} | {|N_w(k)| + l - k}`` come from the chain
-    order, sets ascending (``freeness.nest_exponents``), so the product is
+    order, sets ascending (``freeness.decide_free``), so the product is
     ``(1+t)`` times one geometric factor per nonunit exponent.  (Feeding
     the descending sizes into the same slots would overshoot the chamber
     count.)
     """
     if not nest.is_descending():
         raise ValueError("the product form is stated for descending nests")
-    return geometric_product(nest_exponents(nest, is_nest(nest)))
+    return geometric_product(decide_free(nest).exponents)

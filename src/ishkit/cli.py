@@ -45,15 +45,7 @@ from .exactmath import (
     unipoly_factored_str,
     unipoly_str,
 )
-from .freeness import (
-    _exponents,
-    basis_derivations,
-    decide_free,
-    derivation_str,
-    factored_basis,
-    factored_saito_constant,
-    is_nest,
-)
+from .freeness import basis_derivations, decide_free, derivation_str, factored_basis, factored_saito_constant
 from .graphs import SurveyRecord, analyze_graph, survey
 from .lattice import Flat, is_supersolvable, nest_modular_chain
 from .rooks import board_columns, spec_char_poly
@@ -185,29 +177,29 @@ def _cmd_freeness(req: AnalysisRequest) -> str | dict:
 
 def _ascending(parsed: ParsedSpec):
     nest = _need_nest(parsed)
-    order = is_nest(nest)
-    if order is None:
+    verdict = decide_free(nest)
+    if not verdict.free:
         raise ValueError("the sets do not form a chain; the cone is not free")
-    return nest.reordered(order), order
+    return nest.reordered(verdict.order), verdict
 
 
 def _cmd_basis(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
-    sorted_nest, order = _ascending(req.parsed)
+    sorted_nest, verdict = _ascending(req.parsed)
     derivs = basis_derivations(sorted_nest)
     # Each nonzero component is a product of linear forms, homogeneous of
     # degree its factor count, so one of them gives the field's degree.
     degrees = [next(c for c in d if not c.is_zero).total_degree() for d in derivs]
     if req.output_format == "json":
         return {
-            "order": list(order),
+            "order": list(verdict.order),
             "degrees": degrees,
             "derivations": partial(_derivation_records, derivs),
         }
     names = default_names(sorted_nest.ell + 1, coned=True)
     lines = []
-    if list(order) != list(range(2, sorted_nest.ell + 1)):
-        lines.append(f"sets taken in ascending order {tuple(order)}")
+    if verdict.order != tuple(range(2, sorted_nest.ell + 1)):
+        lines.append(f"sets taken in ascending order {verdict.order}")
     for k, (degree, d) in enumerate(zip(degrees, derivs)):
         lines.append(f"theta_{k} (degree {degree}): {derivation_str(d, names)}")
     return "\n".join(lines)
@@ -215,19 +207,18 @@ def _cmd_basis(req: AnalysisRequest) -> str | dict:
 
 def _cmd_saito(req: AnalysisRequest) -> str | dict:
     _guard_lattice(req)
-    sorted_nest, order = _ascending(req.parsed)
+    sorted_nest, verdict = _ascending(req.parsed)
     arr = cone(build_n_ish(sorted_nest))
     constant = factored_saito_constant(factored_basis(sorted_nest), arr)
     if constant is None:  # the paper's basis of an ascending nest always passes
         raise RuntimeError("the basis of the ascending nest fails Saito's criterion")
-    exponents = _exponents(req.parsed.nest, order)  # _ascending certified the chain
     if req.output_format == "json":
         return {
             "pass": True,
             "constant": format_rational(constant),
-            "exponents": list(exponents),
+            "exponents": list(verdict.exponents),
         }
-    return f"SAITO PASS: constant {format_rational(constant)}, exponents {exponents}"
+    return f"SAITO PASS: constant {format_rational(constant)}, exponents {verdict.exponents}"
 
 
 def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
@@ -241,7 +232,7 @@ def _cmd_supersolvable(req: AnalysisRequest) -> str | dict:
     if parsed.nest is not None and parsed.coned:
         # Sets that form no chain have the incomparable pair of decide_free: the
         # cone is not free, so not supersolvable (Jambu-Terao).
-        order = is_nest(parsed.nest)
+        order = decide_free(parsed.nest).order
         chain = None if order is None else nest_modular_chain(arr, order)
     else:
         chain = is_supersolvable(arr, spec_char_poly(parsed))
@@ -281,11 +272,11 @@ def _cmd_wallcross(req: AnalysisRequest) -> str | dict:
     nest = parsed.nest
     if nest is None:
         raise ValueError("wall-crossing needs the affine staircase ('ish') or a nest-backed spec")
-    order = is_nest(nest)
-    if order is None:
+    verdict = decide_free(nest)
+    if not verdict.free:
         raise ValueError("the sets do not form a chain; no base chamber is known")
-    nest_modular_chain(cone(build_n_ish(nest)), order)
-    exponents = list(_exponents(nest, order))  # is_nest found the chain
+    nest_modular_chain(cone(build_n_ish(nest)), verdict.order)
+    exponents = list(verdict.exponents)
     affine_ish = parsed.kind == "ish" and not parsed.coned
     if affine_ish:
         exponents.remove(1)
@@ -510,15 +501,11 @@ def _chain_rows(
     o/den`` (coned: ``x_v - x_r - (o/den)*z = 0``), then ``None`` for ``z =
     0``; a flat's rank is its number of rows.  The flats of a chain share
     their coordinates, ``coned`` and ``den``, and repeat their rows, so
-    each distinct row is written once and read back from a memo; a new
-    memo starts wherever one of those three changes.
+    each distinct row is written once and read back from a memo.
     """
     memo: dict = {}
-    shape = None  # no flat has this shape: the first one starts a memo
     for flat in chain:
-        root, offset, zero, coned, den = flat
-        if (len(root), coned, den) != shape:
-            memo, shape = {}, (len(root), coned, den)
+        root, offset, zero, *_ = flat
         rows = []
         for v, (r, o) in enumerate(zip(root, offset)):
             if r != v:

@@ -22,18 +22,15 @@ form is a coefficient combination, so no symbolic differentiation is
 needed.  A ``Derivation`` holds its components multiplied out, as
 ``MultiPoly``s; a ``FactoredDerivation`` (below) holds each as factors.
 
-Three chain tests run on set families, each for its own callers.
-``is_nest`` and ``nest_exponents`` decide by ``NestSpec.chained``, on sets
-of numerators over one denominator, compared as ``int``s: ``is_nest``
-orders the sets for ``basis``, ``saito``, ``supersolvable`` and
-``wallcross``, and ``nest_exponents`` tests an order it is given (a
-request that has ``is_nest``'s order takes ``_exponents``, with no second
-test).  ``decide_free``, for ``freeness`` and ``charpoly``, tests every
-pair of sets for comparability at once, in one pass each way over the
-size order: that gives its verdict, the chain order ``is_nest`` would find
-when free, and the first incomparable pair when not.
-``graphs._free_order``, for ``graph`` and ``survey``, tests a graph's
-in-neighbour masks in (in-degree, label) order.
+Two chain tests run, one on a nest's sets and one on a graph's masks.
+``decide_free`` tests every pair of a nest's sets for comparability at
+once, in one pass each way over the size order: that gives its verdict,
+with the chain order and the exponents when free and the first
+incomparable pair when not.  Every nest request takes its answer from
+it: ``freeness`` and ``charpoly`` the verdict, ``basis``, ``saito``,
+``supersolvable`` and ``wallcross`` the order (``is_nest`` is that order
+alone).  ``graphs._free_order``, for ``graph`` and ``survey``, tests a
+graph's in-neighbour masks in (in-degree, label) order.
 
 Every component of both certificates' bases is a product of linear
 forms, so each basis is built in factored form: each component is zero
@@ -226,29 +223,8 @@ def saito_verify(derivs: Sequence[Derivation], arr: Arrangement) -> bool:
 
 
 def is_nest(nest: NestSpec) -> tuple[int, ...] | None:
-    """Order the sets into a chain under inclusion, if possible.
-
-    Returns indices ``(w(2), ..., w(ell))`` with ``N_{w(2)} <= ... <=
-    N_{w(ell)}`` (sorted by cardinality, ties by the sorted elements),
-    or ``None`` when no chain exists.  The sets are compared as their
-    integer numerators over the nest's one denominator.
-    """
-    nums = nest.nums
-    order = tuple(sorted(range(2, nest.ell + 1), key=lambda j: (len(nums[j - 2]), nums[j - 2])))
-    return order if nest.chained(order) else None
-
-
-def nest_exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
-    """Exponent multiset ``{0, 1} | {|N_{w(k)}| + ell - k}`` of the cone."""
-    if not nest.reordered(order).is_ascending():
-        raise ValueError("order does not certify a chain")
-    return _exponents(nest, order)
-
-
-def _exponents(nest: NestSpec, order: Sequence[int]) -> tuple[int, ...]:
-    """``nest_exponents`` of an order already known to be a chain order."""
-    ell, nums = nest.ell, nest.nums
-    return tuple(sorted([0, 1, *(len(nums[j - 2]) + ell - k for k, j in enumerate(order, start=2))]))
+    """Order the sets into a chain under inclusion, if possible: ``decide_free``'s ``order``."""
+    return decide_free(nest).order
 
 
 def _translation_and_euler(ell: int) -> list[FactoredDerivation]:
@@ -603,6 +579,7 @@ class FreenessVerdict(NamedTuple):
     free: bool
     exponents: tuple[int, ...] | None
     witness: NonFreeWitness | None
+    order: tuple[int, ...] | None  # the chain order (w(2), ..., w(ell)) when free
 
 
 def decide_free(nest: NestSpec) -> FreenessVerdict:
@@ -612,8 +589,9 @@ def decide_free(nest: NestSpec) -> FreenessVerdict:
     holds the union of the sets before it and lies inside the intersection
     of the sets after it, so after one sort a pass each way finds the sets
     incomparable with some other, in time linear in the entries.  With none
-    the size order (ties in index order) is a chain order, the one
-    ``is_nest`` finds.  Otherwise the witness is the first pair i < j of
+    the size order (ties in index order) is a chain order, the verdict's
+    ``order``, and the exponents ``{0, 1} | {|N_w(k)| + ell - k}`` are read
+    off it.  Otherwise the witness is the first pair i < j of
     incomparable sets: i is the first index found (an earlier partner would
     come first), and j the first later index incomparable with N_i.
     """
@@ -629,12 +607,13 @@ def decide_free(nest: NestSpec) -> FreenessVerdict:
             tangled.add(k)
         bound &= sets[k]
     if not tangled:
-        return FreenessVerdict(True, _exponents(nest, [k + 2 for k in by_size]), None)
+        tops = [len(sets[j]) + nest.ell - k for k, j in enumerate(by_size, start=2)]
+        return FreenessVerdict(True, tuple(sorted([0, 1, *tops])), None, tuple(k + 2 for k in by_size))
     i = min(tangled)
     a = sets[i]
     j = next(k for k in range(i + 1, len(sets)) if not (a <= sets[k] or sets[k] <= a))
     b = sets[j]
-    return FreenessVerdict(False, None, NonFreeWitness(i + 2, j + 2, (1, len(a), len(b)), len(a | b)))
+    return FreenessVerdict(False, None, NonFreeWitness(i + 2, j + 2, (1, len(a), len(b)), len(a | b)), None)
 
 
 def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:

@@ -16,7 +16,7 @@ certificate on the edge set: a FREE verdict by the permutation condition
 on its order, a NOT FREE verdict by one incomparable pair of in-neighbour
 sets, read back as two edges present and two absent.  A certificate that
 fails its check is a bug in this package, an internal error rather than a
-result.  The chain test on N_G (`is_nest`) and both conditions, as written
+result.  The chain test on N_G (`decide_free`) and both conditions, as written
 in the literature, are the oracles the tests hold the verdict to.  A
 `GraphAnalysis` holds the graph, the order and the verdict, not N_G: the
 answers that show N_G build it by `n_from_graph` as they write it (the

@@ -313,7 +313,7 @@ def nest_modular_chain(arr: Arrangement, order: Sequence[int]) -> list[Flat]:
 
     ``arr`` is the cone of a nested arrangement (``ish``, ``n_ish`` or
     ``deleted_ish``) and ``order`` lists its sets ascending,
-    ``N_w(2) <= ... <= N_w(ell)``, as ``freeness.is_nest`` gives it.  The
+    ``N_w(2) <= ... <= N_w(ell)``, the ``order`` of ``freeness.decide_free``.  The
     sets are taken descending, ``v = reversed(w)``, and the chain runs
     through the ambient space, ``z = 0`` and ``{z = 0, x1 = x_v(2) = ... =
     x_v(i)}``.  When every set is empty, ``x1`` lies on no hyperplane and

@@ -141,7 +141,7 @@ def board_columns(parsed: ParsedSpec) -> int:
     if parsed.nest is not None:
         return len({a for entries in parsed.nest.nums for a in entries})
     if parsed.graph is not None:
-        return sum(1 for ins in parsed.graph.in_masks() if ins)
+        return len({j for _, j in parsed.graph.edges})  # the heads: no table of ell + 1 masks
     return parsed.ell - 1 if parsed.kind == "shi" else 0  # K_l fills columns 2..l
 
 

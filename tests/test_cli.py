@@ -47,7 +47,7 @@ from ishkit.cli import (
 )
 from ishkit.errors import CapacityError
 from ishkit.exactmath import MultiPoly, UniPoly, format_rational, rational_str, unipoly_str
-from ishkit.freeness import _degree, _exponents, basis_derivations, is_nest, nest_exponents
+from ishkit.freeness import _degree, basis_derivations, decide_free, is_nest
 from ishkit.graphs import analyze_graph
 from ishkit.lattice import Flat
 from ishkit.rooks import spec_char_poly
@@ -78,8 +78,7 @@ from test_freeness import (
     fraction_basis_derivations,
     fraction_decide_free,
     fraction_factored_basis,
-    fraction_is_nest,
-    fraction_nest_exponents,
+    nest_exponents,
 )
 from test_rooks import fraction_board_columns, fraction_nest_char_poly
 
@@ -343,6 +342,22 @@ def test_charpoly_guard_names_its_limit_and_estimate(capsys, tmp_path):
         assert err == f"capacity: the rook DP needs {estimate}, over the guard of 557056 for charpoly\n"
 
 
+def test_the_charpoly_guard_counts_a_graphs_columns_off_its_edges(capsys, tmp_path, monkeypatch):
+    # the non-empty columns are the heads of the edges, so the guard refuses a
+    # long ell without the table of ell + 1 in-neighbour masks
+    def never(graph):
+        raise AssertionError("the guard built the in-neighbour table")
+
+    monkeypatch.setattr("ishkit.arrangement.Graph.in_masks", never)
+    path = tmp_path / "big.json"
+    for edges, columns in (([[1, 2]], 1), ([[1, 2], [3, 5], [2, 5]], 2)):
+        path.write_text(json.dumps({"type": "deleted_shi", "ell": 10**6, "edges": edges}))
+        assert main(["charpoly", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"capacity: the rook DP needs 2^999999 states x {columns} columns, over the guard of 557056 for charpoly\n"
+        )
+
+
 def test_supersolvable_needs_central():
     with pytest.raises(ValueError, match="cone"):
         text_of({"type": "ish", "ell": 3}, "supersolvable")
@@ -384,13 +399,21 @@ def test_saito_takes_the_factored_route(monkeypatch):
     def expanded(*args):
         raise AssertionError("the expanded route ran")
 
+    decided = []  # one verdict per request gives both the chain order and the exponents
+
+    def decide_once(nest):
+        decided.append(nest)
+        return decide_free(nest)
+
     for name in ("ishkit.freeness.saito_constant", "ishkit.freeness.is_log_derivation",
-                 "ishkit.cli.basis_derivations", "ishkit.cli.decide_free"):
+                 "ishkit.cli.basis_derivations"):
         monkeypatch.setattr(name, expanded)
+    monkeypatch.setattr("ishkit.cli.decide_free", decide_once)
     spec = {"type": "n_ish", "N": [[0, 1], [0]], "cone": True}
     assert text_of(spec, "saito") == "SAITO PASS: constant 1/1, exponents (0, 1, 2, 2)"
     out = json_of(spec, "saito")
     assert (out["pass"], out["constant"], out["exponents"]) == (True, "1/1", [0, 1, 2, 2])
+    assert len(decided) == 2
 
 
 def test_a_failed_saito_check_is_an_internal_error(capsys, monkeypatch):
@@ -773,11 +796,12 @@ def assert_wallcross_internal_error(capsys, tmp_path, message: str) -> None:
 
 
 def test_a_wrong_exponent_fails_the_chamber_count(capsys, monkeypatch, tmp_path):
-    def one_too_many(nest, order):
-        exponents = _exponents(nest, order)
-        return exponents[:-1] + (exponents[-1] + 1,)
+    def one_too_many(nest):
+        verdict = decide_free(nest)
+        exponents = verdict.exponents
+        return verdict._replace(exponents=exponents[:-1] + (exponents[-1] + 1,))
 
-    monkeypatch.setattr("ishkit.cli._exponents", one_too_many)
+    monkeypatch.setattr("ishkit.cli.decide_free", one_too_many)
     assert_wallcross_internal_error(capsys, tmp_path, r"\|chi\(-1\)\|")
 
 
@@ -878,8 +902,6 @@ def fraction_program():
         "ishkit.arrangement.cone": fraction_cone,
         "ishkit.cli.build_n_ish": fraction_build_n_ish,
         "ishkit.cli.cone": fraction_cone,
-        "ishkit.cli.is_nest": fraction_is_nest,
-        "ishkit.cli._exponents": fraction_nest_exponents,
         "ishkit.cli.decide_free": fraction_decide_free,
         "ishkit.cli.factored_basis": fraction_factored_basis,
         "ishkit.cli.basis_derivations": fraction_basis_derivations,

@@ -46,7 +46,6 @@ from ishkit.freeness import (
     factored_saito_constant,
     is_log_derivation,
     is_nest,
-    nest_exponents,
     saito_constant,
     saito_verify,
     verify_nonfree_witness,
@@ -144,6 +143,24 @@ def test_log_derivation_requires_central():
 # -- chain detection and exponents --------------------------------------
 
 
+def chain_order(nest: NestSpec) -> tuple[int, ...] | None:
+    """The sets sorted by ``(size, numerators)``, when that order is a chain
+    under inclusion: the chain test of a sort and ``NestSpec.chained``, the
+    oracle of the verdict's ``order``."""
+    nums = nest.nums
+    order = tuple(sorted(range(2, nest.ell + 1), key=lambda j: (len(nums[j - 2]), nums[j - 2])))
+    return order if nest.chained(order) else None
+
+
+def nest_exponents(nest: NestSpec, order) -> tuple[int, ...]:
+    """Exponent multiset ``{0, 1} | {|N_{w(k)}| + ell - k}`` of the cone, for an
+    order it tests to be a chain order: the oracle of the verdict's ``exponents``."""
+    if not nest.reordered(order).is_ascending():
+        raise ValueError("order does not certify a chain")
+    ell, nums = nest.ell, nest.nums
+    return tuple(sorted([0, 1, *(len(nums[j - 2]) + ell - k for k, j in enumerate(order, start=2))]))
+
+
 def test_is_nest_examples():
     assert is_nest(ish_nest(3)) == (2, 3)
     assert is_nest(NestSpec.make([[0, 1], [0]])) == (3, 2)
@@ -156,13 +173,13 @@ def test_nest_exponents_for_full_staircase():
     # every position past the first two.
     for ell in range(2, 6):
         nest = ish_nest(ell)
-        exps = nest_exponents(nest, is_nest(nest))
-        assert exps == tuple([0, 1] + [ell] * (ell - 1))
+        exps = nest_exponents(nest, chain_order(nest))
+        assert exps == decide_free(nest).exponents == tuple([0, 1] + [ell] * (ell - 1))
 
 
 def test_nest_exponents_mixed_chain():
     nest = NestSpec.make([[0, 1], [0]])
-    assert nest_exponents(nest, (3, 2)) == (0, 1, 2, 2)
+    assert nest_exponents(nest, (3, 2)) == decide_free(nest).exponents == (0, 1, 2, 2)
 
 
 def test_nest_exponents_rejects_bad_orders():
@@ -180,11 +197,11 @@ def test_exponent_sum_matches_hyperplane_count():
         nest = NestSpec.make(
             [rng.sample(range(4), rng.randint(0, 3)) for _ in range(ell - 1)]
         )
-        order = is_nest(nest)
-        if order is None:
+        verdict = decide_free(nest)
+        if not verdict.free:
             continue
         arr = cone(build_n_ish(nest))
-        assert sum(nest_exponents(nest, order)) == len(arr)
+        assert sum(verdict.exponents) == sum(nest_exponents(nest, verdict.order)) == len(arr)
 
 
 def test_exponents_agree_with_characteristic_polynomial():
@@ -193,10 +210,9 @@ def test_exponents_agree_with_characteristic_polynomial():
     # exponents.
     for sets in ([[0, 1], [0]], [[0], [0, 1]], [[], [1]], [[1, 2], [1, 2]]):
         nest = NestSpec.make(sets)
-        order = is_nest(nest)
-        arr = cone(build_n_ish(nest.reordered(order)))
-        exps = nest_exponents(nest, order)
-        assert char_poly(arr) == UniPoly.from_roots(list(exps))
+        verdict = decide_free(nest)
+        arr = cone(build_n_ish(nest.reordered(verdict.order)))
+        assert char_poly(arr) == UniPoly.from_roots(list(verdict.exponents))
 
 
 # -- explicit bases and Saito's criterion --------------------------------
@@ -287,6 +303,7 @@ def test_decide_free_on_chain():
     assert verdict.free
     assert verdict.exponents == (0, 1, 2, 2)
     assert verdict.witness is None
+    assert verdict.order == (3, 2)
 
 
 def test_decide_not_free_smallest_pair():
@@ -321,7 +338,7 @@ SMALL_FAMILIES = st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, m
 @example([[1], [0, 1], [0], [2]])  # N_2 lies inside N_3 and is incomparable with N_4
 def test_the_verdict_is_the_chain_test_and_the_witness_the_pair_loops(sets):
     nest = NestSpec.make(sets)
-    verdict, order = decide_free(nest), is_nest(nest)
+    verdict, order = decide_free(nest), chain_order(nest)
     assert verdict.witness == pair_loop_witness(nest)
     assert verdict.free == (verdict.witness is None) == (order is not None)
     assert verdict.exponents == (nest_exponents(nest, order) if verdict.free else None)
@@ -330,7 +347,7 @@ def test_the_verdict_is_the_chain_test_and_the_witness_the_pair_loops(sets):
 def test_the_witness_of_twenty_thousand_sets():
     # the pair loop tests about 2 * 10^8 pairs before it reaches this witness
     nest = NestSpec.make([[]] * 20000 + [[0], [1]])
-    assert decide_free(nest) == FreenessVerdict(False, None, NonFreeWitness(20002, 20003, (1, 1, 1), 2))
+    assert decide_free(nest) == FreenessVerdict(False, None, NonFreeWitness(20002, 20003, (1, 1, 1), 2), None)
 
 
 def test_witness_verification_roundtrip():
@@ -1320,6 +1337,23 @@ def shuffled_chains(draw, max_ell=7):
     return [[str(a) for a in draw(st.permutations(s))] for s in draw(st.permutations(sets))]
 
 
+# few entries over integers, halves and thirds: empty, equal and equal-size sets are common
+HALVES_AND_THIRDS = st.lists(st.lists(st.sampled_from(["0", "1/2", "-1/2", "1/3", "2/3", "1"]), max_size=3),
+                             min_size=1, max_size=7)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(shuffled_chains(), HALVES_AND_THIRDS))
+@example([[0, "1/2", 2], [], ["1/2", 0], [0, "1/2"], [2, "1/2", -1, 0]])  # an empty set and equal sets, out of order
+@example([["1/2"], ["1/3"], []])
+def test_the_verdicts_order_and_exponents_are_the_sorted_chain_tests(sets):
+    nest = NestSpec.make(sets)
+    verdict, order = decide_free(nest), chain_order(nest)
+    assert verdict.order == order
+    assert (verdict.order is None) == (not verdict.free)
+    assert verdict.exponents == (None if order is None else nest_exponents(nest, order))
+
+
 def with_the_ish_cones(test, max_ell=8):
     """``test`` with the sets of Ish at each ``ell <= max_ell``, over their least
     denominator, as examples."""
@@ -1842,12 +1876,12 @@ def fraction_nest_exponents(nest: FractionNestSpec, order) -> tuple[int, ...]:
 def fraction_decide_free(nest: FractionNestSpec) -> FreenessVerdict:
     order = fraction_is_nest(nest)
     if order is not None:
-        return FreenessVerdict(True, fraction_nest_exponents(nest, order), None)
+        return FreenessVerdict(True, fraction_nest_exponents(nest, order), None, order)
     for i in range(2, nest.ell + 1):
         for j in range(i + 1, nest.ell + 1):
             a, b = set(nest.set_at(i)), set(nest.set_at(j))
             if not a <= b and not b <= a:
-                return FreenessVerdict(False, None, NonFreeWitness(i, j, (1, len(a), len(b)), len(a | b)))
+                return FreenessVerdict(False, None, NonFreeWitness(i, j, (1, len(a), len(b)), len(a | b)), None)
     raise RuntimeError("no chain order and no incomparable pair; unreachable")
 
 

@@ -28,7 +28,7 @@ def _records():
         (ishkit.enumerate_chambers(ishkit.build_named("ish", 2))[0], ("bits", "size", "point", "den")),
         (request_from_doc({"type": "ish", "ell": 3, "command": "charpoly"}),
          ("command", "output_format", "ell", "parsed")),
-        (not_free, ("free", "exponents", "witness")),
+        (not_free, ("free", "exponents", "witness", "order")),
         (not_free.witness, ("i", "j", "localized_exponents", "restriction_exponent")),
         (ishkit.analyze_graph(ishkit.Graph.complete(3)),
          ("graph", "athanasiadis_witness", "free")),

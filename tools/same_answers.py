@@ -17,9 +17,10 @@ each request in text and in JSON: a graph corpus, ``survey`` at ell =
 2..6 and ``graph`` on every graph at ell <= 5 for both deleted kinds;
 and a spec corpus, every command but ``survey`` on specs of each of the
 six kinds at ell = 3 and 4, affine and coned, one graph given with its
-edges out of order and repeated, plus ``basis`` and ``saito`` on five
-specs past the benchmark's sizes (``SAITO_SPECS``), affine and coned,
-whose refusals are compared by their messages.  The tool prints one line per workload and
+edges out of order and repeated, plus ``basis``, ``saito``,
+``supersolvable`` and ``wallcross`` on five specs past the benchmark's
+sizes (``SAITO_SPECS``), affine and coned, whose refusals are compared by
+their messages.  The tool prints one line per workload and
 seed and one per corpus, and exits 0 when every answer is the same and 1
 at the first request whose answers differ, naming it.  Standard library
 only.
@@ -89,7 +90,8 @@ def graph_corpus() -> list[dict]:
 
 # Past the benchmark's sizes: an ell = 5 chain of half-integers, an ell = 5
 # chain over the denominator 6 (halves and thirds, given out of order), Ish at
-# ell = 6, and an ell = 6 nest that is no chain, which basis and saito refuse.
+# ell = 6, and an ell = 6 nest that is no chain, which basis, saito and
+# wallcross refuse.
 SAITO_SPECS = [
     {"type": "n_ish", "N": [["-1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"], ["-1/2", "1/2", "3/2", 2]]},
     {"type": "n_ish", "N": [["1/3", "-1/2", "2/3"], ["1/3"], ["1/3", "-1/2", "2/3", "5/2"], ["1/3", "-1/2"]]},
@@ -108,8 +110,10 @@ def spec_corpus() -> list[dict]:
     lattice route on a spec that is not a cone.  At ell = 4 each deleted kind
     also takes a free graph whose edges come reversed, one pair repeated, so
     that the comparison covers the graph's canonical form: its echoed edges
-    sorted and each written once.  Then ``basis`` and ``saito`` on each of
-    ``SAITO_SPECS``, affine and coned, in both formats."""
+    sorted and each written once.  Then ``basis``, ``saito``,
+    ``supersolvable`` and ``wallcross``, the commands that read a nest's
+    chain order, on each of ``SAITO_SPECS``, affine and coned, in both
+    formats."""
     nests = {
         3: [[[0, "1/2"], [0]], [[0, 1], [0, 2]], [[0], [0]]],
         4: [[[0, "1/2"], [0], [0, "1/2", 2]], [[0], [1], ["-3/2"]], [[0], [0], [0]]],
@@ -129,7 +133,8 @@ def spec_corpus() -> list[dict]:
     docs = [dict(spec, cone=cone, command=command)
             for spec in specs for cone in (False, True) for command in commands]
     docs += [dict(spec, cone=cone, command=command)
-             for spec in SAITO_SPECS for cone in (False, True) for command in ("basis", "saito")]
+             for spec in SAITO_SPECS for cone in (False, True)
+             for command in ("basis", "saito", "supersolvable", "wallcross")]
     return [dict(doc, format=fmt) for doc in docs for fmt in ("text", "json")]
 
 
