@@ -52,11 +52,12 @@ display, one component per field by ``MultiPoly.product``, the one
 constructor of a polynomial from linear forms, and the others by
 exchanging two variables; no module but ``exactmath`` reads a packed
 monomial key.  ``factored_saito_constant`` decides Saito's criterion on
-the factors, field by field, on one index of the arrangement's forms
-made in one pass over its gain edges (``_form_index``): each form is a
-bit keyed by its edge, each coordinate the mask of the forms that use it,
-and the braid forms one mask.  A log check is shown in one of three ways,
-or, on a field of constants, by a constant sum (``_log_shown``):
+the factors in one walk over the basis matrix, against one index of the
+arrangement's forms made in one pass over its gain edges
+(``_form_index``): each form is a bit keyed by its edge, each coordinate
+the mask of the forms that use it, and the braid forms one mask.  The walk
+reads each component once, for its held mask, its factor count and its
+column bit.  A log check is shown in one of three ways (``_log_shown``):
 
 * a multiple ``c`` of the Euler field by the identity ``theta(alpha) = c alpha``;
 * by the index, when every component the form picks out holds the form
@@ -67,23 +68,21 @@ or, on a field of constants, by a constant sum (``_log_shown``):
 * inside an exchange group (``_exchange_group``), the one exchange
   rule: the components of a field that exchanging two variables swaps,
   found once per field.  A braid form ``x_s - x_t`` on two members needs
-  no exchange of its own, and all of them are cleared with one mask;
-* of a field of constants ``c_k``, every nonzero component a scalar with
-  no factor, any form left is shown when the number
-  ``theta(alpha) = sum alpha[k] c_k``, its coefficients read off its edge,
-  is 0.  A form left on a field with factors is not shown.
+  no exchange of its own, and all of them are cleared with one mask; on a
+  group of constants with no ``z`` component, so is every form on two
+  members, as ``theta(alpha) = q (c - c) - p 0 = 0``.
 
 The determinant is then read off the factors: both certificates' basis
-matrices are triangular up to a permutation of the columns (``_peel``),
-so the determinant is a sign, a product of scalars and a product of
-linear forms, and it is a constant times ``Q(A)`` when those forms are
-A's own, each once: each pivot factor takes its form's bit in the index,
-and the constant is built from the scalars' integer numerators and
-denominators.  Anything else -- a log check no way shows, a
-matrix that does not peel, or forms that are not A's each once -- is
-handed to ``saito_constant`` on the derivations multiplied out.
-Neither certificate's basis is handed on, and of their fields only the
-translation field, a field of constants, reaches the sums.
+matrices are triangular up to a permutation of the columns (``_peel``, on
+the walk's column masks), so the determinant is a sign, a product of
+scalars and a product of linear forms, and it is a constant times ``Q(A)``
+when those forms are A's own, each once: each pivot factor takes its
+form's bit in the index, and the constant is built from the scalars'
+integer numerators and denominators.  Anything else -- a log check no way
+shows, a matrix that does not peel, or forms that are not A's each once --
+is handed to ``saito_constant`` on the derivations multiplied out.
+Neither certificate's basis is handed on, and no form's coefficients are
+read on the way.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
 are the one general route and the oracle of the tests, in plain exact
@@ -108,7 +107,7 @@ Factor = tuple[int, int | None, int]  # a gain edge (i, j, c) over the cone's de
 Term = tuple[Scalar, tuple[Factor, ...]]  # scalar * product of the factors
 FactoredDerivation = tuple[Term | None, ...]  # one component per coordinate; None is zero
 Derivation = tuple[MultiPoly, ...]  # the same, multiplied out; a zero component is the zero polynomial
-FormIndex = tuple[dict[Factor, int], list[int], int, list[Factor], int]  # (bits, touch, braid, forms, den)
+FormIndex = tuple[dict[Factor, int], list[int], int]  # (bits, touch, braid)
 
 
 def _one_per_variable(theta: Derivation, n: int) -> bool:
@@ -303,9 +302,10 @@ def _dense(f: Factor, n: int, den: int) -> list[int]:
 
 
 def _expanded(theta: FactoredDerivation, n: int, den: int) -> Derivation:
-    """The derivation with every component multiplied out (``MultiPoly.product``)."""
-    return tuple(MultiPoly.zero(n) if comp is None else
-                 MultiPoly.product(n, comp[0], [_dense(f, n, den) for f in comp[1]]) for comp in theta)
+    """The derivation with every component multiplied out (``MultiPoly.product``),
+    a term whose scalar is 0 read as a zero component."""
+    return tuple(MultiPoly.product(n, comp[0], [_dense(f, n, den) for f in comp[1]]) if comp and comp[0] else
+                 MultiPoly.zero(n) for comp in theta)
 
 
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
@@ -337,10 +337,11 @@ def basis_derivations(nest: NestSpec) -> list[Derivation]:
     return out
 
 
-def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
+def _exchange_group(theta: FactoredDerivation, nonzero: Sequence[int]) -> set[int] | None:
     """The exchange group of a field: coordinates any two of whose components
-    the exchange of their two variables swaps.  None when the field has
-    fewer than two nonzero components.
+    the exchange of their two variables swaps.  ``nonzero`` holds the
+    coordinates of the field's nonzero components, in order; the group is
+    None when there are fewer than two.
 
     With ``c * P`` the first nonzero component, at ``x_r``, the group holds
     ``r`` and each ``s`` whose component is ``c`` times ``P`` with ``x_r`` and
@@ -352,17 +353,22 @@ def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
     ``x_s`` over ``c``, ``theta(alpha) = a c (P_s - P_s o sigma)``, which
     vanishes on ``x_s = x_t``: the group shows every such log check with
     ``m - 1`` exchanges for a field of ``m`` members, none of them per braid
-    form.  This is the one exchange rule; each field of ``factored_basis``
-    with two or more nonzero components is one group.
+    form.  When ``P`` is 1, a field of constants, every member holds the
+    constant ``c``, and when ``z``'s component is zero any form ``q x_s - q
+    x_t - p z`` on two members has ``theta(alpha) = q (c - c) - p 0 = 0``.
+    This is the one exchange rule; each field of ``factored_basis`` with two
+    or more nonzero components is one group.
     """
-    nonzero = [k for k, comp in enumerate(theta) if comp is not None]
     if len(nonzero) < 2:
         return None
     r, *rest = nonzero
     scalar, factors = theta[r]
-    used = {k for f in factors for k in f[:2]}  # the coordinates of P, and z when a gain is nonzero
-    if any(f[2] for f in factors):
-        used.add(len(theta) - 1)
+    used = set()  # the coordinates of P, and z when a gain is nonzero
+    if factors:
+        firsts, seconds, gains = zip(*factors)
+        used.update(firsts, seconds)
+        if any(gains):
+            used.add(len(theta) - 1)
     group = {r}
     for s in rest:
         comp = theta[s]
@@ -371,23 +377,18 @@ def _exchange_group(theta: FactoredDerivation) -> set[int] | None:
     return group
 
 
-def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
-    """The pivot column of each row, when the matrix peels; else None.
+def _peel(cols: Sequence[int]) -> list[int] | None:
+    """The pivot column of each row of a square matrix, when it peels; else None.
 
-    Peeling takes the first column with exactly one nonzero entry among
-    the rows left, and strikes out that entry's row, until no row is left.
-    Each step is a Laplace expansion down that column, so the determinant
-    is ``sign(pivots)`` times the product of the pivot entries.  A column
-    is the mask of its rows with a nonzero entry, so a step is one AND
-    with the mask of the rows left per column it reads.
+    ``cols[c]`` is the mask of the rows with a nonzero entry in column
+    ``c``.  Peeling takes the first column with exactly one nonzero entry
+    among the rows left, and strikes out that entry's row, until no row is
+    left.  Each step is a Laplace expansion down that column, so the
+    determinant is ``sign(pivots)`` times the product of the pivot entries.
+    A step is one AND with the mask of the rows left per column it reads.
     """
-    cols = [0] * len(rows)
-    for r, theta in enumerate(rows):
-        for c, comp in enumerate(theta):
-            if comp is not None:
-                cols[c] |= 1 << r
-    left = (1 << len(rows)) - 1
-    pivots = [0] * len(rows)
+    left = (1 << len(cols)) - 1
+    pivots = [0] * len(cols)
     while left:
         for c, col in enumerate(cols):
             hit = col & left
@@ -402,11 +403,10 @@ def _peel(rows: Sequence[FactoredDerivation]) -> list[int] | None:
 
 def _form_index(arr: Arrangement) -> FormIndex:
     """The forms of a central arrangement, indexed in one pass over its gain
-    edges: hyperplane ``i`` is bit ``1 << i``.  Returns ``(bits, touch, braid,
-    forms, den)``: ``bits`` maps each form's factor to its bit, ``touch[k]``
-    is the mask of the forms that use coordinate ``k``, ``braid`` the mask of
-    the braid forms ``a (x_s - x_t)``, ``forms`` the factors in bit order, and
-    ``den`` the denominator of the gains.
+    edges: hyperplane ``i`` is bit ``1 << i``.  Returns ``(bits, touch,
+    braid)``: ``bits`` maps each form's factor to its bit, in bit order,
+    ``touch[k]`` is the mask of the forms that use coordinate ``k``, and
+    ``braid`` the mask of the braid forms ``a (x_s - x_t)``.
 
     The factor of the edge ``(i, j, c)`` is the edge itself, on ``x_i`` and
     ``x_j``, and on ``z`` when ``c`` is nonzero, a braid form when ``c`` is 0;
@@ -415,9 +415,8 @@ def _form_index(arr: Arrangement) -> FormIndex:
     column ``z``.
     """
     n = arr.dim
-    den, edges = arr.gain_edges()
-    bits, touch, braid, forms = {}, [0] * n, 0, []
-    for i, edge in enumerate(edges):
+    bits, touch, braid = {}, [0] * n, 0
+    for i, edge in enumerate(arr.gain_edges()[1]):
         bit = 1 << i
         if edge is None:
             edge = (n - 1, None, 0)
@@ -431,61 +430,49 @@ def _form_index(arr: Arrangement) -> FormIndex:
             else:
                 braid |= bit
         bits[edge] = bit  # the edges are distinct
-        forms.append(edge)
-    return bits, touch, braid, forms, den
+    return bits, touch, braid
 
 
-def _log_shown(theta: FactoredDerivation, index: FormIndex) -> bool:
+def _log_shown(theta: FactoredDerivation, nonzero: Sequence[int], left: int, index: FormIndex) -> bool:
     """Do the factors show every log check of the field on the arrangement?
 
-    A multiple ``c`` of the Euler field, every component ``c x_k``, is
-    shown by the identity ``theta(alpha) = c alpha``.  Otherwise the forms
-    still to show are, over the nonzero components ``k``, the forms that use
-    ``x_k`` and are not among that component's factors: a form none of them
-    leaves is shown, as every term it picks out holds it.  A component's
-    held mask is one lookup per factor, and a factor that is not A's edge
-    holds no bit: at ell = 4, the ``x2`` factor ``x1 - x2 - 2 z`` of
-    ``theta_3`` is no form of the cone of Ish.  The braid forms on two members of the
-    field's exchange group (``_exchange_group``), the braid forms that two
-    members' coordinates touch, are shown by the group.
-    A form left is shown only on a field of constants ``c_k``, every nonzero
-    component a scalar with no factor, when the number ``theta(alpha) =
-    sum alpha[k] c_k`` is 0, its coefficients read off its edge
-    (``_coefficients``).  A form left on a field with factors is not shown,
-    whatever its terms: the factors alone cannot tell whether terms that do
-    not hold ``alpha`` cancel, so ``factored_saito_constant`` hands the
-    fields to ``saito_constant``.
+    ``factored_saito_constant`` reads ``nonzero`` and ``left`` off the
+    field's components in its walk: the coordinates of the nonzero
+    components, and the forms the index leaves, over those components ``k``
+    the forms that use ``x_k`` and are not among that component's factors.
+    A log check is shown in one of three ways:
+
+    * by the index: a form no component leaves is shown, as every term it
+      picks out holds it (unique factorization in ``Q[x]``).  A factor that
+      is not A's edge holds no bit: at ell = 4, the ``x2`` factor
+      ``x1 - x2 - 2 z`` of ``theta_3`` is no form of the cone of Ish;
+    * by the identity ``theta(alpha) = c alpha``, on a multiple ``c`` of the
+      Euler field, every component ``c x_k``;
+    * by the field's exchange group (``_exchange_group``): the braid forms
+      on two of its members, the forms that two members' coordinates
+      touch, and on a group of constants with no ``z`` component every
+      form on two members.
+
+    A form left after these is not shown, whatever its terms: the factors
+    alone cannot tell whether terms that do not hold ``alpha`` cancel, so
+    ``factored_saito_constant`` hands the fields to ``saito_constant``.
     """
-    bits, touch, braid, forms, den = index
+    if not left:
+        return True
     first = theta[0]
     if first is not None and first[1] == ((0, None, 0),) and all(
             comp is not None and comp[0] == first[0] and comp[1] == ((k, None, 0),) for k, comp in enumerate(theta)):
         return True
-    get = bits.get
-    left = 0
-    for k, comp in enumerate(theta):
-        if comp is not None:
-            held = 0
-            for f in comp[1]:
-                held |= get(f, 0)
-            left |= touch[k] & ~held
-    if left & braid:
-        group = _exchange_group(theta)
-        if group is not None:
-            once = twice = 0
-            for k in group:
-                twice |= once & touch[k]
-                once |= touch[k]
-            left &= ~(braid & twice)
-    if left and any(comp is not None and comp[1] for comp in theta):
+    group = _exchange_group(theta, nonzero)
+    if group is None:
         return False
-    z = len(theta) - 1
-    while left:
-        bit = left & -left
-        left ^= bit
-        if sum(a * theta[k][0] for k, a in _coefficients(forms[bit.bit_length() - 1], den, z) if theta[k] is not None):
-            return False
-    return True
+    touch, braid = index[1], index[2]
+    once = twice = 0
+    for k in group:
+        twice |= once & touch[k]
+        once |= touch[k]
+    constants = nonzero[-1] < len(theta) - 1 and not theta[nonzero[0]][1]  # no z component, and P = 1
+    return not left & ~(twice if constants else braid & twice)
 
 
 def factored_saito_constant(
@@ -496,29 +483,29 @@ def factored_saito_constant(
     Each factor is a gain edge over ``arr``'s gain denominator (``Factor``).
     The hypotheses are those of ``saito_constant``, checked in the same
     order, with the same errors.  A term whose scalar is 0 is read as a zero
-    component, as its expansion is.  The log checks run field by field on one index of A's
-    forms (``_form_index``), made in one pass over A's gain edges with no
-    hyperplane derived: each form is a bit, each
-    coordinate the mask of the forms that use it.  A field's checks that
-    its factors settle -- every component the form picks out holds the
-    form, or the form is a braid form inside the field's exchange group --
-    are cleared by masks with no per-form work, a multiple of the Euler
-    field by its identity, and the forms left are summed only on a field
-    of constants (``_log_shown``).  A product of linear forms is
-    homogeneous, so a derivation is homogeneous when its nonzero components
-    have equally many factors.
+    component, as its expansion is.  The matrix is read in one walk over
+    its components against one index of A's forms (``_form_index``), made
+    in one pass over A's gain edges with no hyperplane derived: each form is
+    a bit, each coordinate the mask of the forms that use it.  The walk
+    takes from each nonzero component its held mask, one lookup per factor,
+    its factor count and its column bit.  A log check is shown in one of
+    three ways (``_log_shown``), with no per-form work: by those masks, when
+    every component the form picks out holds the form; by the identity of a
+    multiple of the Euler field; or by the field's exchange group.  A
+    product of linear forms is homogeneous, so a derivation is homogeneous
+    when its nonzero components have equally many factors.
 
-    The determinant is then read off the matrix when it peels (``_peel``):
-    it is ``sign * prod(scalars) * prod(factors)`` over the pivots, and when
-    the pivots' factors are A's forms, each once, that is ``c * Q(A)`` as a
-    polynomial identity (Saito's criterion by unique factorization,
-    Orlik-Terao 1992, Thm 4.19).  Each pivot factor takes its form's bit,
-    and ``c`` is built from the scalars' integer numerators and
-    denominators.  Whatever the factors do not show -- a log check they
-    cannot settle, a matrix that does not peel, or pivot factors that are
-    not A's forms each once, as when a factor is a form written negated --
-    is handed whole to ``saito_constant`` on the derivations multiplied
-    out, the one general route.
+    The determinant is then read off the matrix when it peels (``_peel``,
+    on the column masks): it is ``sign * prod(scalars) * prod(factors)``
+    over the pivots, and when the pivots' factors are A's forms, each once,
+    that is ``c * Q(A)`` as a polynomial identity (Saito's criterion by
+    unique factorization, Orlik-Terao 1992, Thm 4.19).  Each pivot factor
+    takes its form's bit, and ``c`` is built from the scalars' integer
+    numerators and denominators.  Whatever the factors do not show -- a log
+    check they cannot settle, a matrix that does not peel, or pivot factors
+    that are not A's forms each once, as when a factor is a form written
+    negated -- is handed whole to ``saito_constant`` on the derivations
+    multiplied out, the one general route.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -527,30 +514,42 @@ def factored_saito_constant(
         raise ValueError("need exactly one component per variable")
     if not arr.is_central:
         raise ValueError("logarithmic derivations are tested on central arrangements")
-    derivs = [tuple(comp if comp and comp[0] else None for comp in theta) for theta in derivs]
     index = _form_index(arr)
-    if not all(_log_shown(theta, index) for theta in derivs):
-        return _deferred(derivs, arr)
-    if any(all(comp is None for comp in theta) for theta in derivs):
+    get, touch = index[0].get, index[1]
+    sizes, cols = [], [0] * n
+    for r, theta in enumerate(derivs):
+        nonzero, counts, left, bit = [], set(), 0, 1 << r
+        for k, comp in enumerate(theta):
+            if comp and comp[0]:
+                held = 0
+                for f in comp[1]:
+                    held |= get(f, 0)
+                left |= touch[k] & ~held
+                counts.add(len(comp[1]))
+                cols[k] |= bit
+                nonzero.append(k)
+        if not _log_shown(theta, nonzero, left, index):
+            return _deferred(derivs, arr)
+        sizes.append(counts)
+    if not all(sizes):
         return None
     degree = 0
-    for theta in derivs:
-        counts = {len(comp[1]) for comp in theta if comp is not None}
+    for counts in sizes:
         if len(counts) != 1:
             raise ValueError("derivation is not homogeneous")
         degree += counts.pop()
     if degree != len(arr):
         return None
-    pivots = _peel(derivs)
+    pivots = _peel(cols)
     if pivots is None:
         return _deferred(derivs, arr)
     # the pivots hold |A| factors (the degree check), so when each takes a
     # bit no other took, they take every bit: A's forms, each once
-    bits, taken, num, den = index[0], 0, 1, 1
+    taken, num, den = 0, 1, 1
     for theta, c in zip(derivs, pivots):
         scalar, factors = theta[c]
         for f in factors:
-            bit = bits.get(f, 0)
+            bit = get(f, 0)
             if not bit or taken & bit:
                 return _deferred(derivs, arr)
             taken |= bit

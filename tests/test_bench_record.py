@@ -18,10 +18,10 @@ DECLARED = [
 ]
 
 
-def run(workload: str, req_per_s: float, latency_p50_ms: float) -> dict:
+def run(workload: str, req_per_s: float, latency_p50_ms: float, first: bool = True) -> dict:
     metrics = {"req_per_s": req_per_s, "latency_p50_ms": latency_p50_ms}
     return {"workload": workload, "seed": 0, "correct": True, "attempted": 1, "failed": 0,
-            "metrics": metrics}
+            "metrics": metrics, "first": first}
 
 
 def test_summary_of_a_single_run_has_equal_quartiles():
@@ -48,12 +48,12 @@ def test_comparison_takes_the_direction_from_better():
     base = [run("lattice", 500, 0.30), run("lattice", 500, 0.30), run("saito", 100, 1.0)]
     out = bench_record.comparison(mine, base, DECLARED)
     # more requests per second and a lower latency win; fewer and higher lose
-    assert out["lattice"]["req_per_s"] == {"won": 1, "lost": 1, "pairs": 2}
-    assert out["lattice"]["latency_p50_ms"] == {"won": 1, "lost": 1, "pairs": 2}
+    assert out["lattice"]["req_per_s"] == {"won": 1, "lost": 1, "pairs": 2, "first_won": 1}
+    assert out["lattice"]["latency_p50_ms"] == {"won": 1, "lost": 1, "pairs": 2, "first_won": 1}
     # a tie counts as a pair for neither side
     assert out["saito"] == {
-        "req_per_s": {"won": 0, "lost": 0, "pairs": 1},
-        "latency_p50_ms": {"won": 0, "lost": 0, "pairs": 1},
+        "req_per_s": {"won": 0, "lost": 0, "pairs": 1, "first_won": 0},
+        "latency_p50_ms": {"won": 0, "lost": 0, "pairs": 1, "first_won": 0},
     }
 
 
@@ -61,8 +61,49 @@ def test_comparison_takes_the_direction_from_better():
                                                ("lower", 0, 1), ("lower", 2, 0)])
 def test_comparison_of_one_pair(better, mine, won):
     declared = [{"name": "req_per_s", "better": better}]
-    out = bench_record.comparison([run("w", mine, 0)], [run("w", 1, 0)], declared)
-    assert out == {"w": {"req_per_s": {"won": won, "lost": 1 - won, "pairs": 1}}}
+    for first in (True, False):  # the side that ran first won, or the other side did
+        out = bench_record.comparison([run("w", mine, 0, first)], [run("w", 1, 0, not first)], declared)
+        first_won = won if first else 1 - won
+        assert out == {"w": {"req_per_s": {"won": won, "lost": 1 - won, "pairs": 1, "first_won": first_won}}}
+
+
+def test_warm_up_runs_are_not_recorded_and_the_first_runner_is_tallied(tmp_path, monkeypatch):
+    # each workload's first two runs are the warm-ups, one per checkout, and
+    # give a value no recorded run may hold; past them, whichever side runs
+    # first in a pair gets the better value of every declared metric
+    (tmp_path / "src").mkdir()
+    declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        done = sum(c[1] == workload for c in calls)
+        calls.append((checkout, workload, seed))
+        cost = 99.0 if done < 2 else 1.0 + done % 2
+        metrics = {m["name"]: 1 / cost if m["better"] == "higher" else cost for m in declared}
+        return {**run(workload, 0, 0), "seed": seed, "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "run_once", fake)
+    monkeypatch.setattr(bench_record, "commit_of", lambda checkout: "0" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workloads", "saito", "chambers", "--seeds", "5", "6", "7",
+            "--baseline", str(tmp_path)]
+    assert bench_record.main(argv) == 0
+    record = json.loads(out.read_text())
+    base = tmp_path.resolve()
+    for k, workload in enumerate(["saito", "chambers"]):
+        mine = calls[8 * k:8 * k + 8]
+        assert {c for c, _, _ in mine[:2]} == {bench_record.ROOT, base}  # the warm-ups
+        assert [seed for _, w, seed in mine] == [5, 5, 5, 5, 6, 6, 7, 7] and {w for _, w, _ in mine} == {workload}
+        assert [c for c, _, _ in mine[2:]] == [bench_record.ROOT, base, base, bench_record.ROOT,
+                                                bench_record.ROOT, base]
+    for side in (record, record["baseline"]):
+        assert len(side["runs"]) == 6
+        assert all(r["metrics"]["latency_p50_ms"] != 99.0 for r in side["runs"])
+    assert [r["first"] for r in record["runs"]] == [True, False, True] * 2
+    for workload in ("saito", "chambers"):
+        assert list(record["pairs"][workload]) == [m["name"] for m in declared]
+        for tally in record["pairs"][workload].values():
+            assert tally == {"won": 2, "lost": 1, "pairs": 3, "first_won": 3}
 
 
 def test_a_baseline_that_is_not_a_git_checkout_fails_before_any_run(tmp_path, monkeypatch):

@@ -829,8 +829,9 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
 
 def shortcut_mutations(basis, rng):
     """The translation field (index 0) or the Euler field (index 1) bent just
-    off its shape: a multiple of the Euler field, which its identity shows
-    with no sums, or a field of constants, whose sums are numbers."""
+    off its shape: a multiple of the Euler field, which its identity shows,
+    or a field of constants, which its exchange group shows when it has no
+    ``z`` component."""
     translation, euler = basis[0], basis[1]
     n = len(euler)
     k = rng.randrange(n)
@@ -870,17 +871,74 @@ def test_bent_euler_and_constant_fields_give_the_expanded_routes_verdict(nest, r
         assert routed(derivs, arr) == (c * scalar, 0)
 
 
-def test_no_nest_field_of_the_ish_cone_at_rank_twelve_reaches_the_sums():
-    # only a field of constants reaches the sums, and every component of the
-    # Euler field and of the nest fields theta_k has factors, so with nothing
-    # handed on the index's masks, the groups and the identity settle them
-    # all; the translation field's constants are summed on the forms
-    # x1 - x_j = a z, a != 0, which no exchange group holds
+def test_every_field_of_the_ish_cone_at_rank_twelve_is_shown_by_masks():
+    # every component of the Euler field and of the nest fields theta_k has
+    # factors, and the translation field is constants with no z component:
+    # with nothing handed on, the index's masks, the groups and the identity
+    # settle them all.  The translation field's group of constants clears
+    # the forms x1 - x_j = a z, a != 0, with the braid forms, as each is on
+    # two of its members
     nest = ish_nest(12)
     basis = factored_basis(nest)
     assert all(comp is None or not comp[1] for comp in basis[0])
     assert all(comp[1] for theta in basis[1:] for comp in theta if comp is not None)
     assert routed(basis, cone(build_n_ish(nest))) == (-1, 0)
+
+
+def no_coefficients(*args):
+    raise AssertionError("a form's coefficients were read")
+
+
+WITNESS_SETS = [[["1/2", 1], [0, "3/2"], [1]], [[0, 1], [0, 2]], [[0], [1], [2]]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ascending_nests(max_ell=6))
+@example(ish_nest(12))
+@example(NestSpec.make([["1/2"], ["-1/2", "1/2"], ["-1/2", "1/2", "3/2"]]))
+def test_the_certificate_reads_no_form_coefficients(nest):
+    # the translation field's forms x_i - x_j = a z are cleared by its group
+    # of constants, not by sums of coefficients read off each form: with
+    # _coefficients raising, the certificate of the paper's basis and of the
+    # witness bases still comes out, with nothing handed on
+    arr = cone(build_n_ish(nest))
+    c = saito_constant(basis_derivations(nest), arr)
+    with mock.patch("ishkit.freeness._coefficients", no_coefficients):
+        assert routed(factored_basis(nest), arr) == (c, 0)
+
+
+@pytest.mark.parametrize("sets", WITNESS_SETS)
+def test_the_witness_certificate_reads_no_form_coefficients(sets):
+    nest = NestSpec.make(sets)
+    w = decide_free(nest).witness
+    deleted, basis = witness_basis(nest, w.i, w.j)
+    c = saito_constant(multiplied_out(basis, deleted), deleted)
+    with mock.patch("ishkit.freeness._coefficients", no_coefficients):
+        assert routed(basis, deleted) == (c, 0)
+        assert verify_nonfree_witness(nest, w)
+
+
+def test_a_group_of_constants_shows_only_forms_on_two_members_with_no_z_component():
+    # on x1 - x2 + z = 0 over x1, x2, z: the translation (1, 1, 0) is a group
+    # of constants that shows the form, and (x1 - x2 + z) d/dx1 is shown by
+    # the index.  Beside them each field below is no log field, and gets the
+    # general route's error.  With a constant at z the matrix peels, so only
+    # the log check hands it on: a group that cleared every form on two
+    # members whatever z holds would certify it.  shortcut_mutations bends
+    # the paper's translation field the same ways
+    arr, (translation, _) = one_plane()
+    by_index = ((1, ((0, 1, -1),)), None, None)
+    fields = {
+        "a constant at z": ((1, ()), (1, ()), (1, ())),
+        "a constant at x1 and z": ((1, ()), None, (1, ())),
+        "two different constants": ((1, ()), (2, ()), None),
+        "a constant with scalar 0": ((0, ()), (1, ()), None),
+    }
+    for name, theta in fields.items():
+        derivs = [theta, translation, by_index]
+        oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
+        assert oracle == "ValueError: all derivations must be logarithmic for the arrangement"
+        assert routed(derivs, arr) == (oracle, 1), name
 
 
 def one_plane():
@@ -935,8 +993,8 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     n = arr.dim
 
     # the index settles the nest fields, those of scalar 1/4 and 1/8 among
-    # them, with nothing handed on: only the translation field's constants,
-    # of scalar 1, are summed
+    # them, with nothing handed on, and the translation field's constants, of
+    # scalar 1, are one group
     assert {comp[0] for theta in basis[2:] for comp in theta if comp is not None} >= {Fraction(1, 4), Fraction(1, 8)}
     assert {type(comp[0]) for comp in basis[0] if comp is not None} == {int}
     constant, handed_on = routed(basis, arr)
@@ -944,8 +1002,8 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     assert constant == saito_constant(multiplied_out(basis, arr), arr) != 0
 
     # the translation field halved: no form of A is held by a constant, and
-    # the braid forms are cleared by its exchange group, so every other form
-    # goes to the sums, which take the scalar 1/2 as it is
+    # every form is on two members of its group of the constant 1/2, with no
+    # z component, so the group clears them all, with the scalar as it is
     halved_translation = tuple(None if comp is None else (Fraction(1, 2), ()) for comp in basis[0])
     assert basis[0][n - 1] is None
     assert routed([halved_translation, *basis[1:]], arr) == (constant / 2, 0)
@@ -1024,18 +1082,45 @@ def pair_exchange_shows(theta: FactoredDerivation, support, den: int = 1) -> boo
     return a == -b and cs is not None and ct is not None and cs[0] == ct[0] and ct[1] == dense_exchanged(cs[1], s, t)
 
 
-def shown_off_the_groups(theta: FactoredDerivation, alpha, den: int) -> bool:
+def nonzero_of(theta: FactoredDerivation) -> list[int]:
+    """The coordinates of the field's nonzero components, a scalar 0 read as zero."""
+    return [k for k, comp in enumerate(theta) if comp and comp[0]]
+
+
+def group_of(theta: FactoredDerivation) -> set[int] | None:
+    """The field's exchange group (``_exchange_group``)."""
+    return _exchange_group(theta, nonzero_of(theta))
+
+
+def columns(derivs) -> list[int]:
+    """The column masks of a matrix of fields, as ``_peel`` takes them: bit ``r``
+    of column ``c`` when row ``r`` is nonzero there."""
+    cols = [0] * len(derivs)
+    for r, theta in enumerate(derivs):
+        for c in nonzero_of(theta):
+            cols[c] |= 1 << r
+    return cols
+
+
+def shown_by_the_identity_or_index(theta: FactoredDerivation, alpha, den: int) -> bool:
     """The log check of one form with no exchange: a multiple of the Euler
-    field by its identity, a form that every component it picks out holds
-    (the index), or, on a field of constants ``c_k``, a form on which the
-    number ``sum alpha[k] c_k`` is 0 (a constant sum)."""
+    field by its identity, or a form that every component it picks out
+    holds (the index)."""
     support = support_of(alpha, len(theta), den)
     first = theta[0]
     if first is not None and all(comp is not None and comp == (first[0], ((k, None, 0),))
                                  for k, comp in enumerate(theta)):
         return True
-    if all(theta[k] is None or alpha in theta[k][1] for k, _ in support):
+    return all(theta[k] is None or alpha in theta[k][1] for k, _ in support)
+
+
+def shown_off_the_groups(theta: FactoredDerivation, alpha, den: int) -> bool:
+    """The log check of one form with no exchange, as it was made before the
+    groups: the identity, the index or, on a field of constants ``c_k``, a
+    form on which the number ``sum alpha[k] c_k`` is 0 (a constant sum)."""
+    if shown_by_the_identity_or_index(theta, alpha, den):
         return True
+    support = support_of(alpha, len(theta), den)
     constants = all(comp is None or not comp[1] for comp in theta)
     return constants and sum(a * theta[k][0] for k, a in support if theta[k] is not None) == 0
 
@@ -1049,13 +1134,17 @@ def pair_or_factors(theta: FactoredDerivation, alpha, den: int) -> bool:
 
 def shown_on_the_factors(theta: FactoredDerivation, alpha, den: int = 1) -> bool:
     """Does ``factored_saito_constant`` show this check with nothing
-    multiplied out: a braid form inside the field's exchange group, or any
-    form by the identity, the index or a constant sum?"""
-    support = support_of(alpha, len(theta), den)
-    group = _exchange_group(theta)
+    multiplied out: a braid form inside the field's exchange group, any form
+    on two members of a group of constants with no ``z`` component, or any
+    form by the identity or the index?"""
+    n = len(theta)
+    support = support_of(alpha, n, den)
+    group = group_of(theta)
+    pair = {k for k, _ in support if k != n - 1}  # alpha's coordinates besides z
+    on_two = group is not None and len(pair) == 2 and pair <= group
     braid = len(support) == 2 and support[0][1] == -support[1][1]
-    in_group = braid and group is not None and {k for k, _ in support} <= group
-    return in_group or shown_off_the_groups(theta, alpha, den)
+    constants = group is not None and theta[n - 1] is None and not theta[min(group)][1]
+    return on_two and (braid or constants) or shown_by_the_identity_or_index(theta, alpha, den)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1084,7 +1173,7 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
         theta = tuple(comps)
         alpha, h = next((alpha, h) for alpha, h in forms_of(arr) if alpha == (s - 1, t - 1, 0))
         assert [(i, a) for i, a in enumerate(h.coeffs) if a] == [(s - 1, 1), (t - 1, -1)]
-        assert t - 1 not in _exchange_group(theta)
+        assert t - 1 not in group_of(theta)
         assert shown_on_the_factors(theta, alpha, den) is pair_or_factors(theta, alpha, den) \
             is log_by_expansion(theta, h, den) is False
         mutated = basis[:k] + [theta] + basis[k + 1:]
@@ -1113,7 +1202,7 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
         derivs = [theta, euler, euler, euler]
         oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
         assert routed(derivs, arr) == (oracle, int(theta is not grouped))
-    assert _exchange_group(exchanged) == {1} and _exchange_group(grouped) == {1, 2}
+    assert group_of(exchanged) == {1} and group_of(grouped) == {1, 2}
     # x2 - x3 = z is no braid form: no exchange shows it, and it is not shown
     alpha = (1, 2, 1)
     h, support = Arrangement(4, 1, [alpha], coned=True).hyperplanes[0], [(1, 1), (2, -1), (3, -1)]
@@ -1377,7 +1466,7 @@ def test_the_edge_basis_is_the_dense_basis_and_holds_its_masks(sets, scale):
     nums = tuple(tuple(a * scale for a in s) for s in ascending.nums)
     ascending = NestSpec(ascending.ell, ascending.den * scale, nums)
     arr = cone(build_n_ish(ascending))
-    n, (bits, *_, den) = arr.dim, _form_index(arr)
+    n, bits, den = arr.dim, _form_index(arr)[0], cone_den(arr)
     dense_bits = scan(arr)[0]
     for theta, oracle in zip(factored_basis(ascending), dense_factored_basis(ascending), strict=True):
         for comp, dense_comp in zip(theta, oracle, strict=True):
@@ -1400,7 +1489,7 @@ def pair_route(derivs, arr):
     constant sum (``pair_or_factors``)."""
     den, forms = cone_den(arr), [alpha for alpha, _ in forms_of(arr)]
 
-    def shown(theta, index):
+    def shown(theta, nonzero, left, index):
         return all(pair_or_factors(theta, alpha, den) for alpha in forms)
 
     with mock.patch("ishkit.freeness._log_shown", shown):
@@ -1422,7 +1511,7 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
     basis = factored_basis(nest)
     for theta in basis:
         nonzero = [k for k, comp in enumerate(theta) if comp is not None]
-        group = _exchange_group(theta)
+        group = group_of(theta)
         if len(nonzero) < 2:
             assert group is None
             continue
@@ -1468,7 +1557,7 @@ def test_a_field_off_the_group_premise_gets_the_general_routes_verdict(nest, rng
         off = n - 1
     mutated = list(basis)
     mutated[k] = tuple(theta)
-    group = _exchange_group(mutated[k])
+    group = group_of(mutated[k])
     assert 1 in group
     assert (off in group) is (mutation == "a component moved" and not first)
     # a check the group leaves is shown by the factors, or the whole basis
@@ -1486,10 +1575,10 @@ def test_a_group_shows_braid_forms_only():
     # or x2 - x3 = -2 z, which meet the group in two coordinates too
     n = 5
     theta = (None, (1, ((0, 1, 0),)), (1, ((0, 2, 0),)), (1, ((0, 3, 0),)), None)
-    assert _exchange_group(theta) == {1, 2, 3}
+    assert group_of(theta) == {1, 2, 3}
     # over x1, x2, z, x1 - z d/dx1 + (its edge relabelled to z) d/dz: the
     # first component holds z by its gain, so z is no member
-    assert _exchange_group(((1, ((0, None, 1),)), None, (1, ((2, None, 1),)))) == {0}
+    assert group_of(((1, ((0, None, 1),)), None, (1, ((2, None, 1),)))) == {0}
     euler = _translation_and_euler(n - 1)[1]
     for form, log in (((1, 2, 0), True), ((1, 2, 1), False), ((1, 2, -2), False)):
         arr = Arrangement(n, 1, [form], coned=True)
@@ -1562,10 +1651,11 @@ def scan(arr):
     return bits, touch, braid, forms
 
 
-def written_out(index, n):
-    """The edge index with each factor written as its form (``dense_form``)."""
-    bits, touch, braid, forms, den = index
-    return {dense_form(f, n, den): bit for f, bit in bits.items()}, touch, braid, [dense_form(f, n, den) for f in forms]
+def written_out(index, n, den):
+    """The edge index with each factor written as its form (``dense_form``)
+    over the gains' denominator ``den``, and its forms in bit order."""
+    bits, touch, braid = index
+    return {dense_form(f, n, den): bit for f, bit in bits.items()}, touch, braid, [dense_form(f, n, den) for f in bits]
 
 
 def cones_of_every_kind(max_ell=5):
@@ -1587,8 +1677,7 @@ def test_the_form_index_of_the_edges_is_the_scan_of_the_hyperplanes():
     for arr in arrs:
         assert arr.is_central
         index = _form_index(arr)
-        assert written_out(index, arr.dim) == scan(arr) == scan(scanned(arr))
-        assert index[4] == cone_den(arr)
+        assert written_out(index, arr.dim, cone_den(arr)) == scan(arr) == scan(scanned(arr))
     assert len(arrs) == 2 * (2 + 8 + 64 + 1024) + 3 * 4 + 5
 
 
@@ -1615,10 +1704,12 @@ def halves_and_thirds(draw, max_ell=5):
 def test_the_form_index_of_a_nest_cone_is_the_scan_of_its_hyperplanes(nest):
     arr = cone(build_n_ish(nest))
     index = _form_index(arr)
-    assert written_out(index, arr.dim) == scan(arr)
-    bits, forms = index[0], index[3]
-    assert forms == [alpha for alpha, _ in forms_of(arr)] and list(bits) == forms
-    assert [dense_form(f, arr.dim, index[4]) for f in forms] == [h.coeffs for h in arr.hyperplanes]
+    den = cone_den(arr)
+    assert written_out(index, arr.dim, den) == scan(arr)
+    bits = index[0]
+    assert list(bits) == [alpha for alpha, _ in forms_of(arr)]
+    assert list(bits.values()) == [1 << i for i in range(len(bits))]  # the forms in bit order
+    assert [dense_form(f, arr.dim, den) for f in bits] == [h.coeffs for h in arr.hyperplanes]
 
 
 def test_a_saito_request_and_the_witness_check_derive_no_hyperplane():
@@ -1697,7 +1788,7 @@ def test_the_peeled_constant_is_the_point_routes(nest, rng):
     assert unpeeled(basis, arr) == (c, 1) and factored_point_route(basis, arr) == c
     n = arr.dim
     # the paper's basis peels Euler at z, the translation at x1, theta_k at x_k
-    assert _peel(basis) == [0, n - 1, *range(1, n - 1)]
+    assert _peel(columns(basis)) == [0, n - 1, *range(1, n - 1)]
 
     order = list(range(n))
     rng.shuffle(order)
@@ -1737,7 +1828,7 @@ def test_the_witness_basis_peels(sets):
     w = decide_free(nest).witness
     deleted, basis = witness_basis(nest, w.i, w.j)
     # Euler at z, the translation at x1, then phi2 at x2 and phi3 at x3
-    assert _peel(basis) == [0, 3, 1, 2]
+    assert _peel(columns(basis)) == [0, 3, 1, 2]
     c, handed_on = routed(basis, deleted)
     assert handed_on == 0 and c != 0
     assert unpeeled(basis, deleted) == (c, 1) and factored_point_route(basis, deleted) == c
@@ -1754,7 +1845,7 @@ def test_a_matrix_that_does_not_peel_takes_the_point_route():
     arr = Arrangement(3, 1, [None, (0, 1, 0)], coned=True)
     translation, euler = _translation_and_euler(2)
     third = (None, (1, ((0, 1, 0),)), (1, (X3,)))
-    assert _peel([translation, euler, third]) is None
+    assert _peel(columns([translation, euler, third])) is None
     for derivs, c in (([translation, euler, third], -2), ([euler, translation, third], 2),
                       ([translation, euler, negated(third, 1)], -2)):
         assert routed(derivs, arr) == (c, 1)

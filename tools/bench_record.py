@@ -8,9 +8,11 @@ Run from the root of a checkout::
 For each workload and seed this runs ``perfbench/run.py --trace 0``, for the
 ``run_seconds`` that ``BENCHMARK.json`` fixes, once in this checkout and, with
 ``--baseline``, once in the other checkout too, the two in alternating order
-from one seed to the next.  Each run records the end-to-end metrics and the
-``correct`` / ``attempted`` / ``failed`` fields of the last line
-``perfbench/run.py`` prints.  A run whose answers are judged wrong
+from one seed to the next.  Before a workload's first seed each checkout runs
+it once on that seed as a warm-up, which is not recorded.  Each run records
+the end-to-end metrics, the ``correct`` / ``attempted`` / ``failed`` fields of
+the last line ``perfbench/run.py`` prints, and whether it ran first in its
+pair (``first``).  A run whose answers are judged wrong
 (``correct`` false) stops the record with an error naming the checkout, the
 workload and the seed, and no file is written.  The file also gives each checkout's commit (with
 ``-dirty`` when it has uncommitted changes, ``null`` when it is not a git
@@ -19,7 +21,9 @@ Python files (``src_lines``), their code lines, neither blank nor comment
 nor docstring (``src_code_lines``), and the code lines of each file, by its
 path under ``src/`` (``src_code_lines_by_module``), and, per workload, the median and
 quartiles of every metric on each side, and with a baseline the pairs won
-and lost on each metric, by the direction ``BENCHMARK.json`` gives it.
+and lost on each metric, by the direction ``BENCHMARK.json`` gives it, and
+the pairs that the side which ran first won (``first_won``): far from half
+the pairs, it shows an order effect, not a change in the code.
 
 With ``--scale``, each checkout also climbs the scale ladder (``scale``):
 the Saito certificate of the paper's basis on the cone of Ish,
@@ -161,17 +165,20 @@ def summary(runs: list[dict]) -> dict:
 
 
 def comparison(runs: list[dict], base: list[dict], declared: list[dict]) -> dict:
-    """Per workload and metric: the pairs this checkout wins and loses against the baseline."""
+    """Per workload and metric: the pairs this checkout wins and loses against
+    the baseline, and the pairs won by the side that ran first."""
     better = {m["name"]: m["better"] for m in declared}
     out: dict[str, dict] = {}
     for mine, theirs in zip(runs, base):
         for name, direction in better.items():
             diff = mine["metrics"][name] - theirs["metrics"][name]
             per_workload = out.setdefault(mine["workload"], {})
-            tally = per_workload.setdefault(name, {"won": 0, "lost": 0, "pairs": 0})
+            tally = per_workload.setdefault(name, {"won": 0, "lost": 0, "pairs": 0, "first_won": 0})
             tally["pairs"] += 1
             if diff:
-                tally["won" if (diff > 0) == (direction == "higher") else "lost"] += 1
+                won = (diff > 0) == (direction == "higher")
+                tally["won" if won else "lost"] += 1
+                tally["first_won"] += won == mine["first"]
     return out
 
 
@@ -206,12 +213,15 @@ def main(argv: list[str] | None = None) -> int:
             heads[checkout]["scale"] = scale_ladder(checkout, args.scale)
     runs: dict[Path, list[dict]] = {c: [] for c in checkouts}
     for workload in args.workloads:
+        for checkout in checkouts if args.seeds else []:  # the warm-up, not recorded
+            run_once(checkout, workload, args.seeds[0], seconds)
         for k, seed in enumerate(args.seeds):
-            for checkout in checkouts[::-1] if k % 2 else checkouts:
+            order = checkouts[::-1] if k % 2 else checkouts
+            for checkout in order:
                 run = run_once(checkout, workload, seed, seconds)
                 if not run["correct"]:
                     raise SystemExit(f"error: {checkout} {workload} seed {seed}: the answers were judged wrong")
-                runs[checkout].append(run)
+                runs[checkout].append({**run, "first": checkout == order[0]})
                 metrics = json.dumps(run["metrics"])
                 print(f"{checkout.name} {workload} seed {seed}: {metrics}", flush=True)
 
