@@ -24,12 +24,12 @@ by ``parse_rational_pair``.  Two polynomial representations cover all needs:
   keys carries into the next.  A polynomial or product of degree
   ``2**15`` or more is a ``ValueError``.  For ``x1, x2, x3`` the term
   ``5/2 * x1^2 * x3`` is the entry ``3 << 48 | 2 << 32 | 1 ->
-  Fraction(5, 2)``.  Exponent tuples appear only at the edges: the
-  constructors read them, and ``sorted_terms`` and ``poly_str`` write
-  them; the JSON writer ``poly_json_str`` reads a key's exponents in
-  one ``struct`` unpack of its bytes.  ``MultiPoly.product`` is the one
-  constructor from linear forms: ``const`` and ``linear`` are each one
-  call of it.  No other module reads or writes a key.
+  Fraction(5, 2)``.  Exponent tuples appear only at the output edge:
+  ``sorted_terms`` and ``poly_str`` write them, and the JSON writer
+  ``poly_json_str`` reads a key's exponents in one ``struct`` unpack of
+  its bytes.  No constructor reads one: ``MultiPoly.product`` is the one
+  constructor from linear forms, and ``const`` and ``linear`` are each
+  one call of it.  No other module reads or writes a key.
 
 * ``UniPoly`` -- a dense univariate polynomial as an ascending
   coefficient tuple, used for characteristic and wall-crossing
@@ -166,15 +166,6 @@ def _check_degree(key: int, nvars: int) -> None:
         raise ValueError(f"total degree {degree} exceeds the limit {_GUARD - 1}")
 
 
-def _pack(exp: tuple[int, ...]) -> int:
-    """The key of the monomial with exponent tuple ``exp``."""
-    key = sum(exp)
-    for e in exp:
-        key = (key << _FIELD) | e
-    _check_degree(key, len(exp))
-    return key
-
-
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     """The exponent tuple of a key."""
     return tuple((key >> (_FIELD * i)) & _MASK for i in range(nvars - 1, -1, -1))
@@ -186,26 +177,18 @@ class MultiPoly:
     ``terms`` maps packed monomial keys (see the module docstring) to
     nonzero coefficients.  Integral coefficients are stored as ``int``,
     the others as ``Fraction``; every constructor and operation keeps
-    that form.
+    that form.  ``MultiPoly(nvars)`` is the zero polynomial; every other
+    one is built by ``product`` (``const`` and ``linear`` among them) and
+    the arithmetic.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: object = None) -> None:
+    def __init__(self, nvars: int) -> None:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
         self.terms: dict[int, Scalar] = {}
-        if terms:
-            clean: dict[int, Scalar] = {}
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, coef in items:
-                e = tuple(int(x) for x in exp)
-                if len(e) != nvars or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
-                key = _pack(e)
-                clean[key] = clean.get(key, 0) + _rational(coef)
-            self.terms = {k: _exact(c) for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
 

@@ -45,7 +45,7 @@ kind, the Euler field's unit form ``x_k``, is ``(k, None, 0)``, with no
 edge of ``z = 0``.  Exchanging two variables
 relabels each factor's two coordinates (``_exchanged``), and a form is
 written out as its coefficients (``_dense``) only where it is multiplied
-out: in ``basis_derivations`` and in the hand-off to ``saito_constant``.
+out, in ``basis_derivations``.
 ``factored_basis`` is the one builder of the paper's basis: ``saito``
 certifies it as it is, and ``basis_derivations`` multiplies it out for
 display, one component per field by ``MultiPoly.product``, the one
@@ -80,17 +80,18 @@ when those forms are A's own, each once: each pivot factor takes its
 form's bit in the index, and the constant is built from the scalars'
 integer numerators and denominators.  Anything else -- a log check no way
 shows, a matrix that does not peel, or forms that are not A's each once --
-is handed to ``saito_constant`` on the derivations multiplied out.
-Neither certificate's basis is handed on, and no form's coefficients are
-read on the way.
+is refused with a ``RuntimeError`` that names which of the three: the
+factored route proves, and never disproves.  Neither certificate's basis is refused, and
+no form's coefficients are read on the way.
 
 ``is_log_derivation`` and ``saito_constant`` on the expanded derivations
-are the one general route and the oracle of the tests, in plain exact
-arithmetic.  They form each image with ``MultiPoly``'s own ``*`` and
-``+``, restrict it to the hyperplane by the rational substitution of
-``exactmath.vanishes_on``, evaluate the derivations at one point off the
-arrangement, and take ``exactmath.int_det`` of the rows of values, each
-cleared of its denominators.
+are the one general route, in plain exact arithmetic: the route for a
+basis given multiplied out, and the oracle of the tests.  They form each
+image with ``MultiPoly``'s own ``*`` and ``+``, restrict it to the
+hyperplane by the rational substitution of ``exactmath.vanishes_on``,
+evaluate the derivations at one point off the arrangement, and take
+``exactmath.int_det`` of the rows of values, each cleared of its
+denominators.
 """
 
 from __future__ import annotations
@@ -301,13 +302,6 @@ def _dense(f: Factor, n: int, den: int) -> list[int]:
     return form
 
 
-def _expanded(theta: FactoredDerivation, n: int, den: int) -> Derivation:
-    """The derivation with every component multiplied out (``MultiPoly.product``),
-    a term whose scalar is 0 read as a zero component."""
-    return tuple(MultiPoly.product(n, comp[0], [_dense(f, n, den) for f in comp[1]]) if comp and comp[0] else
-                 MultiPoly.zero(n) for comp in theta)
-
-
 def basis_derivations(nest: NestSpec) -> list[Derivation]:
     """The basis of ``factored_basis`` with every component multiplied out.
 
@@ -455,7 +449,7 @@ def _log_shown(theta: FactoredDerivation, nonzero: Sequence[int], left: int, ind
 
     A form left after these is not shown, whatever its terms: the factors
     alone cannot tell whether terms that do not hold ``alpha`` cancel, so
-    ``factored_saito_constant`` hands the fields to ``saito_constant``.
+    ``factored_saito_constant`` refuses the fields.
     """
     if not left:
         return True
@@ -482,9 +476,11 @@ def factored_saito_constant(
 
     Each factor is a gain edge over ``arr``'s gain denominator (``Factor``).
     The hypotheses are those of ``saito_constant``, checked in the same
-    order, with the same errors.  A term whose scalar is 0 is read as a zero
-    component, as its expansion is.  The matrix is read in one walk over
-    its components against one index of A's forms (``_form_index``), made
+    order, with the same errors for a shape, an affine arrangement or a
+    field that is not homogeneous; a field not shown logarithmic is refused
+    (below).  A term whose scalar is 0 is read as a zero component, as its
+    expansion is.  The matrix is read in one walk over its components
+    against one index of A's forms (``_form_index``), made
     in one pass over A's gain edges with no hyperplane derived: each form is
     a bit, each coordinate the mask of the forms that use it.  The walk
     takes from each nonzero component its held mask, one lookup per factor,
@@ -504,8 +500,9 @@ def factored_saito_constant(
     numerators and denominators.  Whatever the factors do not show -- a log
     check they cannot settle, a matrix that does not peel, or pivot factors
     that are not A's forms each once, as when a factor is a form written
-    negated -- is handed whole to ``saito_constant`` on the derivations
-    multiplied out, the one general route.
+    negated -- raises ``RuntimeError``, with a message for each of the three:
+    the route proves a basis and never disproves one.  ``saito_constant``
+    on the derivations multiplied out, the one general route, decides them.
     """
     n = arr.dim
     if len(derivs) != n:
@@ -529,7 +526,7 @@ def factored_saito_constant(
                 cols[k] |= bit
                 nonzero.append(k)
         if not _log_shown(theta, nonzero, left, index):
-            return _deferred(derivs, arr)
+            raise RuntimeError("the factors do not show that every derivation is logarithmic")
         sizes.append(counts)
     if not all(sizes):
         return None
@@ -542,7 +539,7 @@ def factored_saito_constant(
         return None
     pivots = _peel(cols)
     if pivots is None:
-        return _deferred(derivs, arr)
+        raise RuntimeError("the basis matrix does not peel to a triangular one")
     # the pivots hold |A| factors (the degree check), so when each takes a
     # bit no other took, they take every bit: A's forms, each once
     taken, num, den = 0, 1, 1
@@ -551,18 +548,12 @@ def factored_saito_constant(
         for f in factors:
             bit = get(f, 0)
             if not bit or taken & bit:
-                return _deferred(derivs, arr)
+                raise RuntimeError("the pivot factors are not the arrangement's forms, each once")
             taken |= bit
         num *= scalar.numerator
         den *= scalar.denominator
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     return Fraction((-1) ** inversions * num, den)
-
-
-def _deferred(derivs: Sequence[FactoredDerivation], arr: Arrangement) -> Fraction | None:
-    """``saito_constant`` of the derivations multiplied out (``_expanded``)."""
-    den = arr.gain_edges()[0]
-    return saito_constant([_expanded(theta, arr.dim, den) for theta in derivs], arr)
 
 
 class NonFreeWitness(NamedTuple):
@@ -621,11 +612,14 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     Localizing at ``{z = x1 - xi = x1 - xj = 0}`` reduces to the pair
     nest ``(N_i, N_j)`` in rank 3.  Deleting ``x_i = x_j`` from that cone
     leaves an arrangement with an explicit derivation basis of degrees
-    ``(0, 1, |N_i|, |N_j|)`` -- verified here through Saito's criterion --
-    and restricting to ``x_i = x_j`` leaves ``1 + |N_i | N_j|`` distinct
-    hyperplanes.  Freeness would force the restriction exponent to occur
-    among the deleted exponents; the union cardinality never does.  A
-    pair outside ``2 <= i < j <= ell`` is no witness.
+    ``(0, 1, |N_i|, |N_j|)`` -- verified here through Saito's criterion on
+    its factors (``factored_saito_constant``) -- and restricting to ``x_i =
+    x_j`` leaves ``1 + |N_i | N_j|`` distinct hyperplanes.  Freeness would
+    force the restriction exponent to occur among the deleted exponents;
+    the union cardinality never does.  A pair outside ``2 <= i < j <=
+    ell`` is no witness.  The basis is built from the deletion's own edges,
+    so its factors show every check; were one refused, the
+    ``RuntimeError`` would pass out, as it does for ``saito``.
     """
     if not 2 <= witness.i < witness.j <= nest.ell:
         return False
@@ -647,10 +641,7 @@ def verify_nonfree_witness(nest: NestSpec, witness: NonFreeWitness) -> bool:
     # changes neither log-ness nor degrees, and scales the determinant)
     phi2 = (None, (1, tuple(e for e in edges if e and e[:2] == (0, 1))), None, None)
     phi3 = (None, None, (1, tuple(e for e in edges if e and e[:2] == (0, 2))), None)
-    try:
-        if factored_saito_constant(_translation_and_euler(3) + [phi2, phi3], deleted) is None:
-            return False
-    except ValueError:  # some derivation is not logarithmic for the deletion
+    if factored_saito_constant(_translation_and_euler(3) + [phi2, phi3], deleted) is None:
         return False
 
     # restriction: distinct traces of the remaining hyperplanes on x2 = x3

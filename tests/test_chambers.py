@@ -639,6 +639,30 @@ def test_the_rows_merge_the_antipodes_as_the_sort_did(arr):
     assert enumerate_chambers(arr) == sorted_enumerate_chambers(arr)
 
 
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_the_pak_stanley_labels_of_the_shi_chambers_are_the_parking_functions(ell):
+    # Pak-Stanley: label each chamber of Shi, x_i - x_j = 0, 1 for i < j, off
+    # its witness.  For i < j, 1 goes to coordinate j when x_i < x_j, and to
+    # coordinate i when x_i - x_j > 1; the base chamber x1 > ... > xl > x1 - 1
+    # is labelled 0.  The labels are the parking functions of length ell,
+    # each once, (ell + 1)^(ell - 1) of them: a check on the walk that needs
+    # no characteristic polynomial
+    rows, den = chamber_rows(build_named("shi", ell))
+    labels = set()
+    for _, point in rows:
+        label = [0] * ell
+        for i in range(ell):
+            for j in range(i + 1, ell):
+                if point[i] < point[j]:
+                    label[j] += 1
+                if point[i] - point[j] > den:
+                    label[i] += 1
+        assert all(b <= k for k, b in enumerate(sorted(label))), label  # a parking function
+        labels.add(tuple(label))
+    assert len(labels) == len(rows) == (ell + 1) ** (ell - 1)
+    assert (0,) * ell in labels
+
+
 def test_a_cone_enumerates_the_antipodes_then_its_slice():
     # z = 0 is hyperplane 0, the top bit: the chambers at z < 0, the antipodes
     # of the slice z = 1 in reverse, all come before those at z > 0

@@ -71,7 +71,7 @@ from test_chambers import (
     oracle_enumerate_chambers,
     witness_text,
 )
-from test_exactmath import COEF, poly_terms, poly_to_json, unipoly_to_json, var
+from test_exactmath import COEF, from_terms, poly_terms, poly_to_json, unipoly_to_json, var
 from test_graphs import analysis_to_json, per_graph_survey, record_to_json, report_to_json
 from test_lattice import flat_to_json
 from test_freeness import (
@@ -1061,7 +1061,7 @@ def oracle_records(value):
 
 
 POLYS = st.integers(0, 4).flatmap(
-    lambda n: st.builds(MultiPoly, st.just(n), poly_terms(n) | st.builds(
+    lambda n: st.builds(from_terms, st.just(n), poly_terms(n) | st.builds(
         lambda coef: {(0,) * n: coef}, COEF | st.integers(-(10**20), 10**20)))
 )
 # the chambers of one answer: one size, one den, and points that are never empty
@@ -1114,11 +1114,11 @@ def written(value):
 @example([Chamber(1, 2, (1, -2), 4), Chamber(2, 2, (-1, 2), 4), Chamber(3, 2, (4, 0), 4)])
 @example({  # one monomial key at two depths and under two nvars: the exponent memo's scope
     "a": [
-        MultiPoly(2, {(1, 0): 1, (0, 0): 2}),
-        [MultiPoly(2, {(1, 0): 3}), MultiPoly(3, {(0, 1, 0): 1, (0, 0, 0): -1})],
+        from_terms(2, {(1, 0): 1, (0, 0): 2}),
+        [from_terms(2, {(1, 0): 3}), from_terms(3, {(0, 1, 0): 1, (0, 0, 0): -1})],
     ],
-    "b": [MultiPoly(3, {(0, 0, 0): 5}), MultiPoly(2, {(0, 0): Fraction(1, 2), (1, 0): 1})],
-    "c": [[MultiPoly(2, {(0, 0): 1}), MultiPoly(3, {(0, 0, 0): 2})], [MultiPoly(2, {(1, 0): 1, (0, 0): -1})]],
+    "b": [from_terms(3, {(0, 0, 0): 5}), from_terms(2, {(0, 0): Fraction(1, 2), (1, 0): 1})],
+    "c": [[from_terms(2, {(0, 0): 1}), from_terms(3, {(0, 0, 0): 2})], [from_terms(2, {(1, 0): 1, (0, 0): -1})]],
 })
 @example({  # chains of flats, each written in one pass
     "a": [Flat.ambient(3, True, 2), Flat((1, 1), (-1, 0), False, True, 2), Flat((1, 1), (0, 0), True, True, 2)],
@@ -1303,7 +1303,7 @@ def test_render_matches_json_dumps_on_every_command():
         ({None: 1, "b": 2}, "NoneType"),
         ({"a": Chamber(0, 0, (), 1)}, "Chamber"),  # an answer's chambers are written from their rows
         # each of these is handed over as a writer: none has a branch of its own
-        (MultiPoly(2, {(1, 0): 1}), "MultiPoly"),
+        (from_terms(2, {(1, 0): 1}), "MultiPoly"),
         ({"chain": [Flat.ambient(3, True, 2)]}, "Flat"),
         ({"spec": request_of('{"type": "ish", "ell": 3, "command": "charpoly"}')}, "AnalysisRequest"),
     ],

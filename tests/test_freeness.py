@@ -63,7 +63,7 @@ from test_arrangement import (
     rational_sets,
     read_back,
 )
-from test_exactmath import as_terms, neg, ref_div, sub, var
+from test_exactmath import as_terms, from_terms, neg, ref_div, sub, var
 
 
 def euler(n):
@@ -547,7 +547,7 @@ def form(h):
     n = h.dim
     terms = {tuple(int(i == k) for i in range(n)): c for k, c in enumerate(h.coeffs)}
     terms[(0,) * n] = -h.const
-    return MultiPoly(n, terms)
+    return from_terms(n, terms)
 
 
 def defining_poly(arr):
@@ -755,19 +755,41 @@ def basis_by_products(nest, entries=None):
 
 
 def verdict(constant_of, derivs, arr):
-    """The constant, None, or the ValueError message of one Saito route."""
+    """The constant, None, or the ValueError or RuntimeError message of one Saito route."""
     try:
         return constant_of(derivs, arr)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def routed(derivs, arr):
-    """``factored_saito_constant``'s verdict, and how many times it handed
-    the derivations on to ``saito_constant``."""
-    with mock.patch("ishkit.freeness.saito_constant", wraps=saito_constant) as general:
-        got = verdict(factored_saito_constant, derivs, arr)
-    return got, general.call_count
+# the general route's verdict on a field that is not logarithmic, and the
+# factored route's three refusals
+NOT_LOG = "ValueError: all derivations must be logarithmic for the arrangement"
+NOT_SHOWN = "RuntimeError: the factors do not show that every derivation is logarithmic"
+NOT_PEELED = "RuntimeError: the basis matrix does not peel to a triangular one"
+NOT_A_FORMS = "RuntimeError: the pivot factors are not the arrangement's forms, each once"
+
+
+def certified(derivs, arr):
+    """``factored_saito_constant``'s verdict, a refusal read as its message."""
+    return verdict(factored_saito_constant, derivs, arr)
+
+
+def general(derivs, arr):
+    """``saito_constant``'s verdict on the derivations multiplied out."""
+    return verdict(saito_constant, multiplied_out(derivs, arr), arr)
+
+
+def proves_or_refuses(derivs, arr):
+    """``certified``, checked against ``general``: the same verdict, or a
+    refusal, and the log check's refusal for a field that is not
+    logarithmic, as the factors never show a check that fails."""
+    got, oracle = certified(derivs, arr), general(derivs, arr)
+    if oracle == NOT_LOG:
+        assert got == NOT_SHOWN
+    else:
+        assert got in (oracle, NOT_SHOWN, NOT_PEELED, NOT_A_FORMS)
+    return got
 
 
 def halved(theta):
@@ -783,19 +805,19 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
     basis = factored_basis(nest)
     expanded = basis_by_products(nest)
     assert as_terms(multiplied_out(basis, arr)) == as_terms(basis_derivations(nest)) == as_terms(expanded)
-    c, handed_on = routed(basis, arr)
-    assert handed_on == 0  # the factors prove every check of the paper's basis
+    c = factored_saito_constant(basis, arr)  # the factors prove every check of the paper's basis
     assert isinstance(c, Fraction) and c != 0
     assert c == saito_constant(expanded, arr)
 
     k = rng.randrange(len(basis))
     mutated, oracle = list(basis), list(expanded)
     mutated[k], oracle[k] = halved(basis[k]), scaled(expanded[k], Fraction(1, 2))
-    assert routed(mutated, arr) == (c / 2, 0)
+    assert factored_saito_constant(mutated, arr) == c / 2
     assert saito_constant(oracle, arr) == c / 2
 
     # drop the factor of one entry a from theta_k: its image on x1 - x_k = a z
-    # no longer vanishes there
+    # no longer vanishes there, the general route rejects the field, and the
+    # factored route, which never disproves, refuses it
     fields = [k for k in range(2, nest.ell + 1) if nest.set_at(k)]
     if fields:
         k = rng.choice(fields)
@@ -810,9 +832,8 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
         mutated, oracle = list(basis), list(expanded)
         mutated[k] = tuple(dropped)
         oracle[k] = basis_by_products(nest, {k: [b for b in rational_set(nest, k) if b != a]})[k]
-        got = verdict(factored_saito_constant, mutated, arr)
-        assert got == verdict(saito_constant, oracle, arr)
-        assert got == "ValueError: all derivations must be logarithmic for the arrangement"
+        assert verdict(saito_constant, oracle, arr) == NOT_LOG
+        assert certified(mutated, arr) == NOT_SHOWN
 
         # the same factor dropped from one component only
         s = rng.randrange(1, k)
@@ -820,7 +841,8 @@ def test_factored_saito_matches_the_expanded_route(nest, rng):
         comps[s] = dropped[s]
         mutated[k] = tuple(comps)
         oracle[k] = tuple(oracle[k][i] if i == s else comp for i, comp in enumerate(expanded[k]))
-        assert verdict(factored_saito_constant, mutated, arr) == verdict(saito_constant, oracle, arr)
+        assert verdict(saito_constant, oracle, arr) == NOT_LOG
+        assert certified(mutated, arr) == NOT_SHOWN
 
     mutated = list(basis)
     mutated[rng.randrange(len(basis))] = (None,) * arr.dim
@@ -856,25 +878,23 @@ def shortcut_mutations(basis, rng):
          random.Random(1))
 def test_bent_euler_and_constant_fields_give_the_expanded_routes_verdict(nest, rng):
     # the Euler and translation fields, bent: the verdict, value or error,
-    # is the general route's on the derivations multiplied out
+    # is the general route's on the derivations multiplied out, or a refusal
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
     for name, (i, theta) in shortcut_mutations(basis, rng).items():
-        mutated = basis[:i] + [theta] + basis[i + 1:]
-        got = verdict(factored_saito_constant, mutated, arr)
-        assert got == verdict(saito_constant, multiplied_out(mutated, arr), arr), name
+        proves_or_refuses(basis[:i] + [theta] + basis[i + 1:], arr)
     # a multiple of the Euler field is shown by its identity: a form left on
-    # a field with factors would be handed on
+    # a field with factors would be refused
     c = factored_saito_constant(basis, arr)
     for scalar in (3, Fraction(-1, 2)):
         derivs = [basis[0], tuple((scalar, comp[1]) for comp in basis[1]), *basis[2:]]
-        assert routed(derivs, arr) == (c * scalar, 0)
+        assert factored_saito_constant(derivs, arr) == c * scalar
 
 
 def test_every_field_of_the_ish_cone_at_rank_twelve_is_shown_by_masks():
     # every component of the Euler field and of the nest fields theta_k has
     # factors, and the translation field is constants with no z component:
-    # with nothing handed on, the index's masks, the groups and the identity
+    # with nothing refused, the index's masks, the groups and the identity
     # settle them all.  The translation field's group of constants clears
     # the forms x1 - x_j = a z, a != 0, with the braid forms, as each is on
     # two of its members
@@ -882,7 +902,7 @@ def test_every_field_of_the_ish_cone_at_rank_twelve_is_shown_by_masks():
     basis = factored_basis(nest)
     assert all(comp is None or not comp[1] for comp in basis[0])
     assert all(comp[1] for theta in basis[1:] for comp in theta if comp is not None)
-    assert routed(basis, cone(build_n_ish(nest))) == (-1, 0)
+    assert factored_saito_constant(basis, cone(build_n_ish(nest))) == -1
 
 
 def no_coefficients(*args):
@@ -897,22 +917,21 @@ def test_the_certificate_reads_no_form_coefficients(nest):
     # the translation field's forms x_i - x_j = a z are cleared by its group
     # of constants, not by sums of coefficients read off each form: with
     # _coefficients raising, the certificate of the paper's basis still comes
-    # out, with nothing handed on (test_the_witness_basis_peels checks the
-    # witness bases the same way)
+    # out (test_the_witness_basis_peels checks the witness bases the same way)
     arr = cone(build_n_ish(nest))
     c = saito_constant(basis_derivations(nest), arr)
     with mock.patch("ishkit.freeness._coefficients", no_coefficients):
-        assert routed(factored_basis(nest), arr) == (c, 0)
+        assert factored_saito_constant(factored_basis(nest), arr) == c
 
 
 def test_a_group_of_constants_shows_only_forms_on_two_members_with_no_z_component():
     # on x1 - x2 + z = 0 over x1, x2, z: the translation (1, 1, 0) is a group
     # of constants that shows the form, and (x1 - x2 + z) d/dx1 is shown by
-    # the index.  Beside them each field below is no log field, and gets the
-    # general route's error.  With a constant at z the matrix peels, so only
-    # the log check hands it on: a group that cleared every form on two
-    # members whatever z holds would certify it.  shortcut_mutations bends
-    # the paper's translation field the same ways
+    # the index.  Beside them each field below is no log field: the general
+    # route rejects it, and the factored route refuses it.  With a constant
+    # at z the matrix peels, so only the log check refuses it: a group that
+    # cleared every form on two members whatever z holds would certify it.
+    # shortcut_mutations bends the paper's translation field the same ways
     arr, (translation, _) = one_plane()
     by_index = ((1, ((0, 1, -1),)), None, None)
     fields = {
@@ -923,9 +942,8 @@ def test_a_group_of_constants_shows_only_forms_on_two_members_with_no_z_componen
     }
     for name, theta in fields.items():
         derivs = [theta, translation, by_index]
-        oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
-        assert oracle == "ValueError: all derivations must be logarithmic for the arrangement"
-        assert routed(derivs, arr) == (oracle, 1), name
+        assert general(derivs, arr) == NOT_LOG, name
+        assert certified(derivs, arr) == NOT_SHOWN, name
 
 
 def one_plane():
@@ -938,39 +956,42 @@ def one_plane():
 X1, X2, X3 = (0, None, 0), (1, None, 0), (2, None, 0)  # the unit forms of the first three coordinates
 
 
-def test_factored_saito_hands_what_the_factors_cannot_show_to_saito_constant():
+def test_factored_saito_refuses_what_the_factors_cannot_show():
     # On x1 - x2 + x3 = 0 the image x1 (x1 + 2 x3) - x2^2 + x3^2 restricts to
     # (x2 - x3)(x2 + x3) - x2^2 + x3^2: zero, but from three different
-    # products, so the factors cannot show it and the general route decides.
-    # x1 + 2 x3 is the unit form of x1 with the gain -2 on x3, the plane's z
+    # products, so the factors cannot show it; only the general route
+    # decides it.  x1 + 2 x3 is the unit form of x1 with the gain -2 on x3,
+    # the plane's z.  Beside it the first translation and the Euler field
+    # are shown, so each refusal below is the third field's own
     arr, along = one_plane()
     alpha = (0, 1, -1)
-    euler = tuple((1, (u,)) for u in (X1, X2, X3))
+    euler = _translation_and_euler(2)[1]
     theta = ((1, (X1, (0, None, -2))), (1, (X2, X2)), (1, (X3, X3)))
     assert dense_form((0, None, -2), 3) == (1, 0, 2)
-    assert routed(along + [euler], arr) == (1, 1)  # shown, but no column has one nonzero entry
     assert not shown_on_the_factors(theta, alpha)
     assert log_by_expansion(theta, arr.hyperplanes[0])
-    assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
-    assert saito_constant(multiplied_out(along + [euler], arr), arr) == 1
-    assert saito_constant(multiplied_out(along + [theta], arr), arr) is None
+    assert certified([along[0], euler, theta], arr) == NOT_SHOWN
+    assert general([along[0], euler, theta], arr) is None  # degree sum 3 != 1
     bent = theta[:2] + ((2, theta[2][1]),)
     assert not log_by_expansion(bent, arr.hyperplanes[0])
-    assert routed(along + [bent], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
-    with pytest.raises(ValueError, match="logarithmic"):
-        saito_constant(multiplied_out(along + [bent], arr), arr)
+    assert certified([along[0], euler, bent], arr) == NOT_SHOWN
+    assert general([along[0], euler, bent], arr) == NOT_LOG
+    # the second translation is logarithmic, and with the first and Euler a
+    # basis, but it has a z component, so no group of constants shows it
+    assert certified(along + [euler], arr) == NOT_SHOWN
+    assert general(along + [euler], arr) == 1
 
 
 def test_factored_log_check_rejects_linear_forms_that_do_not_cancel():
     # On x1 - x2 + x3 = 0 the image x1 + x2 + x3 of this degree-1 field
     # restricts to 2 x2: its summed linear form is no multiple of alpha.
-    arr, along = one_plane()
+    arr, (translation, _) = one_plane()
+    euler = _translation_and_euler(2)[1]
     theta = ((1, (X1,)), (-1, (X2,)), (1, (X3,)))
     assert not shown_on_the_factors(theta, (0, 1, -1))
     assert not log_by_expansion(theta, arr.hyperplanes[0])
-    assert routed(along + [theta], arr) == ("ValueError: all derivations must be logarithmic for the arrangement", 1)
-    with pytest.raises(ValueError, match="logarithmic"):
-        saito_constant(multiplied_out(along + [theta], arr), arr)
+    assert certified([translation, euler, theta], arr) == NOT_SHOWN
+    assert general([translation, euler, theta], arr) == NOT_LOG
 
 
 def test_factored_log_check_takes_fraction_scalars_as_they_are():
@@ -980,12 +1001,10 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     n = arr.dim
 
     # the index settles the nest fields, those of scalar 1/4 and 1/8 among
-    # them, with nothing handed on, and the translation field's constants, of
-    # scalar 1, are one group
+    # them, and the translation field's constants, of scalar 1, are one group
     assert {comp[0] for theta in basis[2:] for comp in theta if comp is not None} >= {Fraction(1, 4), Fraction(1, 8)}
     assert {type(comp[0]) for comp in basis[0] if comp is not None} == {int}
-    constant, handed_on = routed(basis, arr)
-    assert handed_on == 0
+    constant = factored_saito_constant(basis, arr)
     assert constant == saito_constant(multiplied_out(basis, arr), arr) != 0
 
     # the translation field halved: no form of A is held by a constant, and
@@ -993,35 +1012,38 @@ def test_factored_log_check_takes_fraction_scalars_as_they_are():
     # z component, so the group clears them all, with the scalar as it is
     halved_translation = tuple(None if comp is None else (Fraction(1, 2), ()) for comp in basis[0])
     assert basis[0][n - 1] is None
-    assert routed([halved_translation, *basis[1:]], arr) == (constant / 2, 0)
+    assert factored_saito_constant([halved_translation, *basis[1:]], arr) == constant / 2
 
 
 def test_factored_log_check_folds_the_contents():
     # On 2 x1 - 2 x2 = z, the edge (0, 1, 1) over 2, the image
     # 2 x2 z - 2 * 1/2 (2 x1 - z) z = -z (2 x1 - 2 x2 - z) vanishes: two
-    # products of two factors, neither alpha, that cancel only once multiplied out.
+    # products of two factors, neither alpha, that cancel only once
+    # multiplied out.  The translation and the Euler field beside it are shown.
     arr = Arrangement(3, 2, [(0, 1, 1)], coned=True)
-    along = [((1, ()), (1, ()), None), ((1, ()), None, (2, ()))]
+    translation, euler = _translation_and_euler(2)
     theta = ((1, (X2, X3)), (Fraction(1, 2), ((0, None, 1), X3)), None)
     assert dense_form((0, None, 1), 3, 2) == (2, 0, -1)
     assert not shown_on_the_factors(theta, (0, 1, 1), 2)
     assert is_log_derivation(expand(theta, 2), arr)
-    assert routed(along + [theta], arr) == (None, 1)  # degree sum 2 != 1
+    assert certified([translation, euler, theta], arr) == NOT_SHOWN
+    assert general([translation, euler, theta], arr) is None  # degree sum 3 != 1
 
 
 def test_factored_saito_rejects_what_the_expanded_route_rejects():
-    arr, along = one_plane()
+    # the translation, the Euler field and a field the index shows
+    arr, (translation, _) = one_plane()
     alpha = (0, 1, -1)
     mixed = ((1, (alpha,)), (1, (alpha, alpha)), None)  # logarithmic, degrees 1 and 2
-    for route, derivs in ((factored_saito_constant, along + [mixed]),
-                          (saito_constant, multiplied_out(along + [mixed], arr))):
+    factored = [translation, _translation_and_euler(2)[1], mixed]
+    for route, derivs in ((factored_saito_constant, factored), (saito_constant, multiplied_out(factored, arr))):
         with pytest.raises(ValueError, match="not homogeneous"):
             route(derivs, arr)
         with pytest.raises(ValueError, match="ambient-dimension"):
             route(derivs[:2], arr)
     affine = Arrangement(3, 1, [(0, 1, 1)])  # x1 - x2 = 1
     with pytest.raises(ValueError, match="central"):
-        factored_saito_constant(along + [mixed], affine)
+        factored_saito_constant(factored, affine)
 
 
 def log_by_expansion(theta: FactoredDerivation, h: Hyperplane, den: int = 1) -> bool:
@@ -1164,7 +1186,8 @@ def test_factored_log_check_on_swapped_components_matches_the_expansion(nest, rn
         assert shown_on_the_factors(theta, alpha, den) is pair_or_factors(theta, alpha, den) \
             is log_by_expansion(theta, h, den) is False
         mutated = basis[:k] + [theta] + basis[k + 1:]
-        assert routed(mutated, arr) == (verdict(saito_constant, multiplied_out(mutated, arr), arr), 1)
+        assert general(mutated, arr) == NOT_LOG
+        assert certified(mutated, arr) == NOT_SHOWN
 
 
 def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_scalars():
@@ -1172,8 +1195,10 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
     # has its x3 factors exchanged from its x2 factors, so the pair exchange
     # shows it; the other fields are not shown, and are not logarithmic
     # either.  Its x2 component holds x3, so it is no exchange group, and
-    # the general route decides it.  x1 (x1 - x2) d/dx2 + x1 (x1 - x3) d/dx3
-    # is a group of two, which shows it with no expansion.
+    # the factored route refuses it.  x1 (x1 - x2) d/dx2 + x1 (x1 - x3) d/dx3
+    # is a group of two, which shows it with no expansion.  Beside three
+    # Euler fields the degrees sum to 5, not 1, so the general route gives
+    # None on each log field.
     alpha = (1, 2, 0)
     arr = Arrangement(4, 1, [alpha], coned=True)
     h, support = arr.hyperplanes[0], [(1, 1), (2, -1)]
@@ -1187,8 +1212,8 @@ def test_factored_log_check_exchange_shortcut_needs_exchanged_factors_and_equal_
         assert pair_exchange_shows(theta, support) is log_by_expansion(theta, h) is log
         assert shown_on_the_factors(theta, alpha) is (theta is grouped)
         derivs = [theta, euler, euler, euler]
-        oracle = verdict(saito_constant, multiplied_out(derivs, arr), arr)
-        assert routed(derivs, arr) == (oracle, int(theta is not grouped))
+        assert general(derivs, arr) == (None if log else NOT_LOG)
+        assert certified(derivs, arr) == (None if theta is grouped else NOT_SHOWN)
     assert group_of(exchanged) == {1} and group_of(grouped) == {1, 2}
     # x2 - x3 = z is no braid form: no exchange shows it, and it is not shown
     alpha = (1, 2, 1)
@@ -1250,11 +1275,11 @@ def test_factored_log_check_on_products_implies_the_expansion(case):
     if shown:
         assert log_by_expansion(theta, h, den)
     # end to end, beside the Euler field: the same constant, None or error
-    # as the general route, which it reaches exactly when the check is not
+    # as the general route, and a refusal exactly when the check is not
     # shown in the exchange group or by the factors
     euler = _translation_and_euler(n - 1)[1]
     derivs = [theta] + [euler] * (n - 1)
-    assert routed(derivs, arr) == (verdict(saito_constant, multiplied_out(derivs, arr), arr), int(not shown))
+    assert certified(derivs, arr) == (general(derivs, arr) if shown else NOT_SHOWN)
 
 
 def test_factored_basis_uses_the_hyperplane_forms():
@@ -1320,7 +1345,7 @@ def test_the_product_kernel_matches_the_linear_products(case):
 def test_the_product_kernel_checks_the_degree():
     unit = (1, 0)
     below = (1, (unit,) * (2**15 - 1))
-    top = MultiPoly(2, {(2**15 - 1, 0): 1})
+    top = from_terms(2, {(2**15 - 1, 0): 1})
     assert as_terms((MultiPoly.product(2, *below),)) == as_terms((expand_by_mul(below, 2),)) == as_terms((top,))
     for kernel in (lambda comp, n: MultiPoly.product(n, *comp), expand_by_mul):
         with pytest.raises(ValueError, match="total degree 32768 exceeds the limit 32767"):
@@ -1471,16 +1496,16 @@ def test_the_edge_basis_is_the_dense_basis_and_holds_its_masks(sets, scale):
 
 
 def pair_route(derivs, arr):
-    """``routed`` as before the exchange groups: each log check of a field made
-    form by form, by the pair exchange, then the identity, the index or a
-    constant sum (``pair_or_factors``)."""
+    """``certified`` as before the exchange groups: each log check of a field
+    made form by form, by the pair exchange, then the identity, the index or
+    a constant sum (``pair_or_factors``)."""
     den, forms = cone_den(arr), [alpha for alpha, _ in forms_of(arr)]
 
     def shown(theta, nonzero, left, index):
         return all(pair_or_factors(theta, alpha, den) for alpha in forms)
 
     with mock.patch("ishkit.freeness._log_shown", shown):
-        return routed(derivs, arr)
+        return certified(derivs, arr)
 
 
 def braid_forms(arr):
@@ -1508,9 +1533,9 @@ def test_exchange_groups_hold_what_the_pair_route_shows(nest):
         for alpha, support in braid_forms(arr):
             if {k for k, _ in support} <= group:
                 assert pair_exchange_shows(theta, support, den)
-    c = routed(basis, arr)
+    c = factored_saito_constant(basis, arr)
     assert c == pair_route(basis, arr)
-    assert c[1] == 0 and c[0]
+    assert c
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1548,12 +1573,12 @@ def test_a_field_off_the_group_premise_gets_the_general_routes_verdict(nest, rng
     assert 1 in group
     assert (off in group) is (mutation == "a component moved" and not first)
     # a check the group leaves is shown by the factors, or the whole basis
-    # goes to the general route: the verdict is the expanded route's either way
-    got = routed(mutated, arr)
-    assert got[0] == pair_route(mutated, arr)[0] == verdict(saito_constant, multiplied_out(mutated, arr), arr)
+    # is refused: the verdict is the expanded route's when it is given
+    got = certified(mutated, arr)
     den = cone_den(arr)
-    if not all(shown_on_the_factors(theta, alpha, den) for theta in mutated for alpha, _ in forms_of(arr)):
-        assert got[1] == 1
+    shown = all(shown_on_the_factors(theta, alpha, den) for theta in mutated for alpha, _ in forms_of(arr))
+    assert got == (general(mutated, arr) if shown else NOT_SHOWN)
+    assert pair_route(mutated, arr) in (got, NOT_SHOWN)
 
 
 def test_a_group_shows_braid_forms_only():
@@ -1571,9 +1596,9 @@ def test_a_group_shows_braid_forms_only():
         arr = Arrangement(n, 1, [form], coned=True)
         assert log_by_expansion(theta, arr.hyperplanes[0]) is log
         derivs = [theta] + [euler] * (n - 1)
-        got = routed(derivs, arr)
-        assert got == pair_route(derivs, arr)
-        assert got[0] == verdict(saito_constant, multiplied_out(derivs, arr), arr)
+        got = certified(derivs, arr)
+        assert got == pair_route(derivs, arr) == (None if log else NOT_SHOWN)  # degree sum 5 != 1
+        assert general(derivs, arr) == (None if log else NOT_LOG)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1587,10 +1612,6 @@ def test_no_certificate_basis_reaches_saito_constant(nest, other):
     assert not general.called
 
 
-def no_deferral(derivs, arr):
-    raise AssertionError("a certificate basis was handed to saito_constant")
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(ascending_nests(max_ell=6), NON_CHAIN_NESTS)
 @example(NestSpec.make([[], [], [], [], []]), NestSpec.make([[0], [1], [2]]))
@@ -1599,19 +1620,17 @@ def no_deferral(derivs, arr):
 @example(NestSpec.make([[], ["1/2"], ["1/2"]]), NestSpec.make([[], [0], ["1/2"], [0, "3/2"]]))
 def test_no_request_loses_its_factored_proof(nest, other):
     # the exchange groups and the factors show every log check of both
-    # certificates: with the hand-off to saito_constant raising, every
-    # saito answer and witness check still comes out
+    # certificates: with nothing refused, every saito answer and witness
+    # check comes out
     sets = [[str(a) for a in s] for s in rational_sets(nest)]
-    with mock.patch("ishkit.freeness._deferred", no_deferral):
-        for fmt in ("text", "json"):
-            run(request_from_doc({"type": "n_ish", "N": sets, "command": "saito", "format": fmt}))
-        assert verify_nonfree_witness(other, decide_free(other).witness)
+    for fmt in ("text", "json"):
+        run(request_from_doc({"type": "n_ish", "N": sets, "command": "saito", "format": fmt}))
+    assert verify_nonfree_witness(other, decide_free(other).witness)
 
 
 def test_the_cone_of_ish_at_rank_forty_keeps_its_factored_proof():
     nest = ish_nest(40)
-    with mock.patch("ishkit.freeness._deferred", no_deferral):
-        assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
+    assert factored_saito_constant(factored_basis(nest), cone(build_n_ish(nest)))
 
 
 def scanned(arr):
@@ -1722,14 +1741,14 @@ def test_a_saito_request_and_the_witness_check_derive_no_hyperplane():
 
 
 def unpeeled(derivs, arr):
-    """``routed`` with the peel turned off, so the matrix is handed on."""
+    """``certified`` with the peel turned off, so the matrix is refused."""
     with mock.patch("ishkit.freeness._peel", return_value=None):
-        return routed(derivs, arr)
+        return certified(derivs, arr)
 
 
 def factored_point_route(derivs, arr):
-    """The determinant step ``factored_saito_constant`` took for a matrix that
-    did not peel before it handed such matrices to ``saito_constant``: each
+    """The determinant step ``factored_saito_constant`` once took for a matrix
+    that does not peel, as it now refuses one: each
     derivation scaled by the lcm of its scalar denominators, its components'
     values at ``_off_point``'s point from integer dot products, and ``int_det``,
     the scales divided back out.  The log and degree hypotheses are assumed."""
@@ -1770,9 +1789,10 @@ def doubled_z(euler, den: int):
 def test_the_peeled_constant_is_the_point_routes(nest, rng):
     arr = cone(build_n_ish(nest))
     basis = factored_basis(nest)
-    c, handed_on = routed(basis, arr)
-    assert handed_on == 0 and c != 0
-    assert unpeeled(basis, arr) == (c, 1) and factored_point_route(basis, arr) == c
+    c = factored_saito_constant(basis, arr)
+    assert c != 0
+    assert unpeeled(basis, arr) == NOT_PEELED
+    assert general(basis, arr) == factored_point_route(basis, arr) == c
     n = arr.dim
     # the paper's basis peels Euler at z, the translation at x1, theta_k at x_k
     assert _peel(columns(basis)) == [0, n - 1, *range(1, n - 1)]
@@ -1781,20 +1801,27 @@ def test_the_peeled_constant_is_the_point_routes(nest, rng):
     rng.shuffle(order)
     permuted = [basis[i] for i in order]
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    assert routed(permuted, arr) == (sign * c, 0)
-    assert unpeeled(permuted, arr) == (sign * c, 1) and factored_point_route(permuted, arr) == sign * c
+    assert factored_saito_constant(permuted, arr) == sign * c
+    assert unpeeled(permuted, arr) == NOT_PEELED
+    assert general(permuted, arr) == factored_point_route(permuted, arr) == sign * c
 
     # a pivot's factor that is not A's edge, the polynomial unchanged: the
-    # multisets differ, so the general route decides, with the same
-    # constant.  A field theta_k's factor is written as minus A's form, with
-    # the scalar negated; with l = 2 and N_2 empty, the one pivot factor is
-    # Euler's z, written as twice z with the scalar halved
+    # component no longer holds its form's bit, so the factored route
+    # refuses the log check before it reads the pivots, and the general
+    # route gives the same constant.  A field theta_k's factor is written as
+    # minus A's form, with the scalar negated; with l = 2 and N_2 empty, the
+    # one pivot factor is Euler's z, written as twice z with the scalar halved
     k = rng.choice([i for i in range(2, n) if basis[i][i - 1][1]] or [1])
     mutated = list(basis)
     den = cone_den(arr)
     mutated[k] = doubled_z(basis[1], den) if k == 1 else negated(basis[k], k - 1)
     assert as_terms(expand(mutated[k], den)) == as_terms(expand(basis[k], den))
-    assert routed(mutated, arr) == (c, 1) and factored_point_route(mutated, arr) == c
+    assert certified(mutated, arr) == NOT_SHOWN
+    assert general(mutated, arr) == factored_point_route(mutated, arr) == c
+    # with every log check taken as shown, the pivots are read, and the
+    # factor that is not A's edge is refused there
+    with mock.patch("ishkit.freeness._log_shown", return_value=True):
+        assert certified(mutated, arr) == NOT_A_FORMS
 
 
 def witness_basis(nest: NestSpec, i: int, j: int):
@@ -1817,29 +1844,34 @@ def test_the_witness_basis_peels(sets):
     # Euler at z, the translation at x1, then phi2 at x2 and phi3 at x3
     assert _peel(columns(basis)) == [0, 3, 1, 2]
     with mock.patch("ishkit.freeness._coefficients", no_coefficients):  # no form's coefficients are read
-        c, handed_on = routed(basis, deleted)
+        c = factored_saito_constant(basis, deleted)
         assert verify_nonfree_witness(nest, w)
-    assert handed_on == 0 and c != 0
-    assert unpeeled(basis, deleted) == (c, 1) and factored_point_route(basis, deleted) == c
-    # one pivot factor negated: the general route, the same constant
+    assert c != 0
+    assert unpeeled(basis, deleted) == NOT_PEELED
+    assert general(basis, deleted) == factored_point_route(basis, deleted) == c
+    # one pivot factor negated: refused, and the general route gives the same constant
     mutated = basis[:3] + [negated(basis[3], 2)]
-    assert routed(mutated, deleted) == (c, 1) and factored_point_route(mutated, deleted) == c
+    assert certified(mutated, deleted) == NOT_SHOWN
+    assert general(mutated, deleted) == factored_point_route(mutated, deleted) == c
 
 
-def test_a_matrix_that_does_not_peel_takes_the_point_route():
-    # the general route's point, as the factored route once took it itself
+def test_a_matrix_that_does_not_peel_is_refused():
     # over x1, x2, z, the translation, Euler and (x1 - x2) d/dx2 + z d/dz on
     # z (x1 - x2): det = 2 z (x2 - x1) = -2 Q, and each column has two or
-    # three nonzero entries
+    # three nonzero entries.  The factored route refuses the matrix; the
+    # general route's point gives its constant, as the factored route once
+    # took it itself
     arr = Arrangement(3, 1, [None, (0, 1, 0)], coned=True)
     translation, euler = _translation_and_euler(2)
     third = (None, (1, ((0, 1, 0),)), (1, (X3,)))
     assert _peel(columns([translation, euler, third])) is None
-    for derivs, c in (([translation, euler, third], -2), ([euler, translation, third], 2),
-                      ([translation, euler, negated(third, 1)], -2)):
-        assert routed(derivs, arr) == (c, 1)
-        assert factored_point_route(derivs, arr) == c
-    assert saito_constant(multiplied_out([translation, euler, third], arr), arr) == -2
+    for derivs, c in (([translation, euler, third], -2), ([euler, translation, third], 2)):
+        assert certified(derivs, arr) == NOT_PEELED
+        assert general(derivs, arr) == factored_point_route(derivs, arr) == c
+    # the x2 factor written as minus A's form: the index no longer shows its log check
+    negated_third = negated(third, 1)
+    assert certified([translation, euler, negated_third], arr) == NOT_SHOWN
+    assert general([translation, euler, negated_third], arr) == factored_point_route([translation, euler, negated_third], arr) == -2
 
 
 def test_a_zero_scalar_is_a_zero_component():
@@ -1848,7 +1880,7 @@ def test_a_zero_scalar_is_a_zero_component():
     arr = Arrangement(3, 1, [None, (0, 1, 0)], coned=True)
     translation, euler = _translation_and_euler(2)
     for third, c in ((((0, ()), (1, ((0, 1, 0),)), None), -1), (((0, ()), (0, ((0, 1, 0),)), None), None)):
-        assert routed([translation, euler, third], arr) == (c, 0)
+        assert factored_saito_constant([translation, euler, third], arr) == c
         assert saito_constant(multiplied_out([translation, euler, third], arr), arr) == c
 
 
@@ -1862,8 +1894,7 @@ def test_zero_scalars_give_the_expanded_routes_verdict(nest, rng):
     zeroed = [list(theta) for theta in basis]
     for i, k in rng.sample(places, min(len(places), rng.choice([1, 2, 3]))):
         zeroed[i][k] = (0, zeroed[i][k][1])
-    zeroed = [tuple(theta) for theta in zeroed]
-    assert verdict(factored_saito_constant, zeroed, arr) == verdict(saito_constant, multiplied_out(zeroed, arr), arr)
+    proves_or_refuses([tuple(theta) for theta in zeroed], arr)
 
     # zero terms of any degree in place of zero components change nothing
     c = factored_saito_constant(basis, arr)
@@ -1872,14 +1903,14 @@ def test_zero_scalars_give_the_expanded_routes_verdict(nest, rng):
         tuple((0, tuple(sorted(rng.choices(forms, k=rng.randrange(4))))) if comp is None else comp for comp in theta)
         for theta in basis
     ]
-    assert routed(padded, arr) == (c, 0)
+    assert factored_saito_constant(padded, arr) == c
     assert saito_constant(multiplied_out(padded, arr), arr) == c
 
     # a field whose every term has the scalar 0 is the zero field
     k = rng.randrange(len(basis))
     zeroed = list(basis)
     zeroed[k] = tuple(None if comp is None else (0, comp[1]) for comp in basis[k])
-    assert routed(zeroed, arr) == (None, 0)
+    assert factored_saito_constant(zeroed, arr) is None
 
 
 # -- the oracles of the integer nest form: the nest readers on Fraction entries --

@@ -13,8 +13,8 @@ profiler: ``sys.setprofile`` records the code of every Python call while
 
 Each function and method that an ``ast`` walk finds in ``src`` must then
 be reached, matched by its file and first line (the first decorator's
-line for a decorated one, as its code object counts it), or be on
-``ALLOWED`` with the reason it stays.
+line for a decorated one, as its code object counts it).  No function is
+exempt: one that none of these reaches leaves ``src``.
 """
 
 import ast
@@ -31,15 +31,6 @@ from ishkit.arrangement import SPEC_KINDS
 from ishkit.cli import COMMANDS, main, request_from_doc, run
 
 SRC = Path(ishkit.__file__).resolve().parent
-
-ALLOWED = {
-    "freeness._expanded": "the Saito safety net: a factored log check that cannot decide "
-    "expands the field, which no basis of the paper needs",
-    "freeness._deferred": "the Saito safety net: the expanded check of the fields deferred "
-    "by _expanded",
-    "exactmath._pack": "packs the exponent tuples of the terms constructor, kept for a "
-    "basis built from coefficients",
-}
 
 SPECS = {
     "coxeter": {"ell": 3},
@@ -141,10 +132,9 @@ def reached_code() -> set[tuple[str, int]]:
     return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in codes}
 
 
-def test_every_src_function_is_reached_or_allowed():
+def test_every_src_function_is_reached():
     assert sorted(SPECS) == sorted(SPEC_KINDS)
     defined = defined_functions()
     reached = reached_code()
-    unreached = {name for key, name in defined.items() if key not in reached}
-    assert sorted(unreached - set(ALLOWED)) == []  # reached by no request, acceptance check or command line
-    assert sorted(set(ALLOWED) - unreached) == []  # allowed, but reached or not defined
+    unreached = sorted(name for key, name in defined.items() if key not in reached)
+    assert unreached == []  # reached by no request, acceptance check or command line
